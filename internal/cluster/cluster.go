@@ -29,14 +29,17 @@
 // # Protocol compatibility
 //
 // The network transport speaks a versioned wire protocol (see proto.go for
-// the version history).  Version 3 adds the task-revoke exchange behind
-// work stealing and speculative straggler re-dispatch.  There is no
-// cross-version negotiation: a v2 worker dialing a v3 leader (or vice
-// versa) is rejected at registration with an explicit version-mismatch
-// error, because a worker that ignores revokes would wedge the leader's
-// steal bookkeeping and keep solving speculation losers whose results the
-// leader has already recorded.  Deployments must upgrade leaders and
-// workers together; the rejected worker fails fast (ErrRejected) instead
+// the version history).  Version 2 added the per-batch abort, version 3 the
+// task-revoke exchange behind work stealing and speculative straggler
+// re-dispatch, and version 4 sends TaskResult itself as the result message
+// (its conflict activities are sparse, so the wire needs no mirror type).
+// There is no cross-version negotiation: a worker dialing a leader of
+// another version is rejected at registration with an explicit
+// version-mismatch error — a v2 worker would ignore revokes, wedging the
+// leader's steal bookkeeping and solving speculation losers whose results
+// the leader has already recorded, and a v3 peer could not decode a v4
+// result at all.  Leaders and workers ship as one binary and must be
+// upgraded together; the rejected worker fails fast (ErrRejected) instead
 // of redialing forever.
 package cluster
 
@@ -67,8 +70,9 @@ type Task struct {
 	Options *solver.Options
 }
 
-// TaskResult is the outcome of one subproblem solve.  It is the wire-level
-// (gob-encodable) mirror of what the in-process runner collects per task.
+// TaskResult is the outcome of one subproblem solve, in the one form both
+// backends use: the in-process workers hand it to the collection loop and
+// the network workers gob-encode it as it is.
 type TaskResult struct {
 	// Index echoes Task.Index.
 	Index int
@@ -78,9 +82,12 @@ type TaskResult struct {
 	Status solver.Status
 	// Model is a satisfying assignment when Status == Sat.
 	Model cnf.Assignment
-	// ActVars is the per-variable conflict-activity contribution of this
-	// subproblem, indexed by cnf.Var.
-	ActVars []float64
+	// Activity is the conflict-activity contribution of this subproblem:
+	// the variables it bumped, ascending, with their values.  It is sparse
+	// from the solver to the runner's tables — a short subproblem bumps a
+	// few dozen of a formula's thousands of variables, and one of these is
+	// produced, shipped and absorbed per task.
+	Activity solver.SparseActivities
 	// Stats are the solver statistics attributed to this subproblem.
 	Stats solver.Stats
 	// Started distinguishes real solves (even interrupted ones) from

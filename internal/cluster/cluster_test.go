@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -49,10 +50,15 @@ func startLeader(t *testing.T, inst *encoder.Instance, capacity int) *cluster.Le
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { leader.Close() })
+	// Cleanups run last-in first-out: close the leader, cancel the worker,
+	// then wait for it, so that it never logs into a finished test.
+	served := make(chan struct{})
+	t.Cleanup(func() { <-served })
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
+	t.Cleanup(func() { leader.Close() })
 	go func() {
+		defer close(served)
 		// Serve returns nil when the leader closes the worker down.
 		_ = cluster.Serve(ctx, leader.Addr().String(), cluster.WorkerOptions{
 			Capacity: capacity, Name: "test-worker", Logf: t.Logf,
@@ -222,5 +228,81 @@ func TestPortfolioOverTransport(t *testing.T) {
 	}
 	if len(netRes.MemberStats) == 0 {
 		t.Fatal("expected per-member statistics from the transport run")
+	}
+}
+
+// TestTaskResultActivityIsSparseDense checks the sparse conflict activities
+// a TaskResult carries against the dense vector of a reference solver, for
+// both backends and both reuse modes: in a pristine batch every result
+// holds exactly the non-zero entries a fresh solver reports for that task;
+// in a retain batch (one worker, so the order is fixed) it holds the
+// entries by which a single retained solver's cumulative vector grew.
+func TestTaskResultActivityIsSparseDense(t *testing.T) {
+	inst := testInstance(t)
+	vars := inst.UnknownStartVars()[:6]
+	tasks := make([]cluster.Task, 12)
+	for i := range tasks {
+		tasks[i].Index = i
+		for j, v := range vars {
+			tasks[i].Assumptions = append(tasks[i].Assumptions, cnf.NewLit(v, (i*7>>j)&1 == 0))
+		}
+	}
+	nonZero := func(dense []float64) solver.SparseActivities {
+		var out solver.SparseActivities
+		for v, a := range dense {
+			if a != 0 {
+				out.Vars = append(out.Vars, cnf.Var(v))
+				out.Acts = append(out.Acts, a)
+			}
+		}
+		return out
+	}
+	reference := func(retain bool) []solver.SparseActivities {
+		want := make([]solver.SparseActivities, len(tasks))
+		s := solver.New(inst.CNF, solver.DefaultOptions())
+		prev := s.ConflictActivities()
+		for i, tk := range tasks {
+			if !retain {
+				s.Reset()
+			}
+			s.SolveWithAssumptions(tk.Assumptions)
+			cur := s.ConflictActivities()
+			if retain {
+				for v := range cur {
+					prev[v] = cur[v] - prev[v]
+				}
+				want[i], prev = nonZero(prev), cur
+			} else {
+				want[i] = nonZero(cur)
+			}
+		}
+		return want
+	}
+	// A fresh transport per case: a retain batch continues from whatever
+	// its pooled solver did before, and the reference starts from New.
+	transports := map[string]func() cluster.Transport{
+		"inproc": func() cluster.Transport { return cluster.NewInproc(inst.CNF, 1, solver.DefaultOptions()) },
+		"tcp":    func() cluster.Transport { return startLeader(t, inst, 1) },
+	}
+	for name, newTransport := range transports {
+		for _, retain := range []bool{false, true} {
+			want := reference(retain)
+			tr := newTransport()
+			got, err := tr.Run(context.Background(), tasks, cluster.BatchOptions{Retain: retain, CostMetric: solver.CostConflicts})
+			if err != nil {
+				t.Fatalf("%s retain=%v: %v", name, retain, err)
+			}
+			bumped := 0
+			for _, res := range got {
+				w := want[res.Index]
+				if !slices.Equal(res.Activity.Vars, w.Vars) || !slices.Equal(res.Activity.Acts, w.Acts) {
+					t.Fatalf("%s retain=%v task %d: activity %+v, dense reference %+v", name, retain, res.Index, res.Activity, w)
+				}
+				bumped += len(w.Vars)
+			}
+			if bumped == 0 {
+				t.Fatalf("%s retain=%v: no task had a conflict; the test compares nothing", name, retain)
+			}
+		}
 	}
 }

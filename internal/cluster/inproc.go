@@ -126,25 +126,14 @@ func (t *Inproc) RunAbortable(ctx context.Context, tasks []Task, opts BatchOptio
 	taskCh := make(chan Task)
 	// Exactly one result is emitted per task — by the worker that received
 	// it, or by the producer for a task cancelled before it could be handed
-	// out — so a len(tasks) buffer keeps every send non-blocking.
-	resCh := make(chan TaskResult, len(tasks))
+	// out.  The buffer holds one result per worker: a worker whose previous
+	// result is still uncollected waits, so the workers never run more than
+	// 2×workers tasks ahead of the collection loop, and an abort or a
+	// stop-on-SAT decided there cuts the batch short however cheap the
+	// solves are.
+	resCh := make(chan TaskResult, workers)
 	innerCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	if abort != nil {
-		// The abort cancels only innerCtx — the batch — never ctx, so the
-		// "was this a planned abort or a real cancellation" distinction at
-		// the end of the collection loop stays a plain ctx.Err() check.
-		batchDone := make(chan struct{})
-		defer close(batchDone)
-		go func() {
-			select {
-			case <-abort:
-				cancel()
-			case <-batchDone:
-			}
-		}()
-	}
-
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -175,14 +164,35 @@ func (t *Inproc) RunAbortable(ctx context.Context, tasks []Task, opts BatchOptio
 		}
 	}()
 
+	// The abort cancels only innerCtx — the batch — never ctx, so the "was
+	// this a planned abort or a real cancellation" distinction below stays a
+	// plain ctx.Err() check.  It is taken here, on the collection path, so
+	// that an abort fired by the observer cancels the batch before another
+	// result is collected.
+	aborted := func() bool {
+		select {
+		case <-abort:
+			abort = nil // a nil channel never fires again
+			return true
+		default:
+			return false
+		}
+	}
 	results := make([]TaskResult, 0, len(tasks))
 	for len(results) < len(tasks) {
-		res := <-resCh
+		var res TaskResult
+		select {
+		case res = <-resCh:
+		case <-abort:
+			abort = nil
+			cancel()
+			continue
+		}
 		results = append(results, res)
 		if observe != nil {
 			observe(res)
 		}
-		if stopTriggered(opts.Stop, res.Status) {
+		if stopTriggered(opts.Stop, res.Status) || aborted() {
 			cancel()
 		}
 	}
@@ -218,7 +228,7 @@ type solveWorker struct {
 	// prevAct is the solver's cumulative conflict activity after the
 	// previous task (retain mode only); the per-task contribution is the
 	// difference, since conflict activity grows monotonically.
-	prevAct []float64
+	prevAct solver.SparseActivities
 }
 
 // newSolveWorker draws a pooled solver for one worker goroutine.
@@ -229,7 +239,7 @@ func newSolveWorker(t *Inproc, retain bool) *solveWorker {
 		// that was already absorbed by the caller; without a Reset to zero
 		// it, the per-task diff must start from the current cumulative
 		// values.
-		sw.prevAct = sw.solver.ConflictActivities()
+		sw.prevAct = sw.solver.SparseConflictActivities()
 	}
 	return sw
 }
@@ -288,24 +298,14 @@ func (w *solveWorker) solveTask(ctx context.Context, t Task, opts BatchOptions) 
 	}
 	res, cancelled := solveInterruptibly(ctx, s, t.Assumptions)
 	var taskStats solver.Stats
-	var actVars []float64
+	activity := s.SparseConflictActivities()
 	if w.retain {
 		taskStats = s.BaseStats().Add(res.Stats)
-		cur := s.ConflictActivities()
-		actVars = make([]float64, len(cur))
-		for v := range cur {
-			prev := 0.0
-			if v < len(w.prevAct) {
-				prev = w.prevAct[v]
-			}
-			actVars[v] = cur[v] - prev
-		}
-		w.prevAct = cur
+		activity, w.prevAct = activityGain(activity, w.prevAct), activity
 	} else {
 		// Reset rebased the stats to the construction baseline and zeroed
 		// the conflict activities, so the lifetime values are per-task.
 		taskStats = s.Stats()
-		actVars = s.ConflictActivities()
 	}
 	taskStats.SolveTime = time.Since(start)
 	return TaskResult{
@@ -313,12 +313,32 @@ func (w *solveWorker) solveTask(ctx context.Context, t Task, opts BatchOptions) 
 		Cost:        solver.EffortCost(taskStats, opts.CostMetric),
 		Status:      res.Status,
 		Model:       res.Model,
-		ActVars:     actVars,
+		Activity:    activity,
 		Stats:       taskStats,
 		Started:     true,
 		Interrupted: res.Interrupted,
 		Cancelled:   cancelled,
 	}
+}
+
+// activityGain returns cur − prev, the conflict activity one retained task
+// added, where both are cumulative readings of the same solver with no Reset
+// in between: activities only grow, so every variable of prev is in cur.
+func activityGain(cur, prev solver.SparseActivities) solver.SparseActivities {
+	var gain solver.SparseActivities
+	j := 0
+	for i, v := range cur.Vars {
+		d := cur.Acts[i]
+		if j < len(prev.Vars) && prev.Vars[j] == v {
+			d -= prev.Acts[j]
+			j++
+		}
+		if d != 0 {
+			gain.Vars = append(gain.Vars, v)
+			gain.Acts = append(gain.Acts, d)
+		}
+	}
+	return gain
 }
 
 // solveOverrideTask solves a task that carries its own solver configuration
@@ -336,7 +356,7 @@ func solveOverrideTask(ctx context.Context, f *cnf.Formula, t Task, opts BatchOp
 		Cost:        solver.EffortCost(stats, opts.CostMetric),
 		Status:      res.Status,
 		Model:       res.Model,
-		ActVars:     s.ConflictActivities(),
+		Activity:    s.SparseConflictActivities(),
 		Stats:       stats,
 		Started:     true,
 		Interrupted: res.Interrupted,
@@ -344,26 +364,36 @@ func solveOverrideTask(ctx context.Context, f *cnf.Formula, t Task, opts BatchOp
 	}
 }
 
-// solveInterruptibly runs one solve and converts a context cancellation
-// into the solver's non-blocking interrupt, mirroring the paper's modified
-// MiniSat that polls for leader messages during search.  cancelled reports
-// that the solve ended inconclusively because of the cancellation (and not,
-// say, its own budget): its cost then undercounts the subproblem.
+// solveInterruptibly runs one solve on the caller's goroutine and converts a
+// context cancellation into the solver's non-blocking interrupt, mirroring
+// the paper's modified MiniSat that polls for leader messages during search.
+// cancelled reports that the solve ended inconclusively because of the
+// cancellation (and not, say, its own budget): its cost then undercounts the
+// subproblem.
 func solveInterruptibly(ctx context.Context, s *solver.Solver, assumptions []cnf.Lit) (res solver.Result, cancelled bool) {
-	done := make(chan struct{})
-	go func() {
-		res = s.SolveWithAssumptions(assumptions)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		s.Interrupt()
-		<-done
-		// A solve that still concluded (the interrupt raced with a normal
-		// finish) produced a complete cost; only inconclusive ones are
-		// truncated.
-		cancelled = res.Status == solver.Unknown
+	// The cancellation callback runs on a goroutine of its own, possibly
+	// after the solve has returned; the lock makes "the solve is still
+	// running" and the interrupt one step, so a late callback can never
+	// interrupt the solver's next task.
+	var guard struct {
+		sync.Mutex
+		finished, fired bool
 	}
-	return res, cancelled
+	stop := context.AfterFunc(ctx, func() {
+		guard.Lock()
+		defer guard.Unlock()
+		if !guard.finished {
+			guard.fired = true
+			s.Interrupt()
+		}
+	})
+	res = s.SolveWithAssumptions(assumptions)
+	guard.Lock()
+	guard.finished = true
+	guard.Unlock()
+	stop()
+	// A solve that still concluded (the interrupt raced with a normal
+	// finish) produced a complete cost; only inconclusive ones are
+	// truncated.
+	return res, guard.fired && res.Status == solver.Unknown
 }

@@ -370,7 +370,7 @@ func (l *Leader) deliver(rw *remoteWorker, env *envelope) {
 	if env.Result == nil {
 		return
 	}
-	res := env.Result.taskResult()
+	res := *env.Result
 	l.mu.Lock()
 	b := l.batch
 	if b == nil || env.Batch != b.id || res.Index < 0 || res.Index >= len(b.got) {

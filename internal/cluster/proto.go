@@ -27,7 +27,11 @@ import (
 //	   solving a task whose result the leader already recorded — so, as
 //	   with v1↔v2, the mismatch is rejected at registration: leaders and
 //	   workers must be upgraded together.
-const protocolVersion = 3
+//	4  kindResult carries TaskResult itself, whose conflict activities are
+//	   sparse end to end, instead of a wire-only sparse mirror of a dense
+//	   result; the envelope's Result field changed type, so a v3 peer would
+//	   fail to decode every result.
+const protocolVersion = 4
 
 // Wire timeouts shared by both sides.
 const (
@@ -107,7 +111,7 @@ type envelope struct {
 	Tasks []Task
 
 	// kindResult
-	Result *wireResult
+	Result *TaskResult
 
 	// kindRevoke / kindRevoked (v3)
 	//
@@ -121,71 +125,6 @@ type envelope struct {
 
 	// kindStop
 	Err string
-}
-
-// wireResult is TaskResult with the conflict-activity vector stored
-// sparsely: ActVars is a dense O(NumVars) float64 slice that is mostly
-// zeros for easy subproblems, and one is shipped per task result, so the
-// dense form would dominate the transport's bandwidth on large formulas.
-type wireResult struct {
-	Index       int
-	Cost        float64
-	Status      solver.Status
-	Model       cnf.Assignment
-	Stats       solver.Stats
-	Started     bool
-	Interrupted bool
-	Cancelled   bool
-	// ActLen is len(TaskResult.ActVars); ActIdx/ActVal hold its non-zero
-	// entries.
-	ActLen int
-	ActIdx []int32
-	ActVal []float64
-}
-
-// toWire converts a result for transmission.
-func toWire(r *TaskResult) *wireResult {
-	w := &wireResult{
-		Index:       r.Index,
-		Cost:        r.Cost,
-		Status:      r.Status,
-		Model:       r.Model,
-		Stats:       r.Stats,
-		Started:     r.Started,
-		Interrupted: r.Interrupted,
-		Cancelled:   r.Cancelled,
-		ActLen:      len(r.ActVars),
-	}
-	for i, v := range r.ActVars {
-		if v != 0 {
-			w.ActIdx = append(w.ActIdx, int32(i))
-			w.ActVal = append(w.ActVal, v)
-		}
-	}
-	return w
-}
-
-// taskResult reconstructs the dense result.
-func (w *wireResult) taskResult() TaskResult {
-	r := TaskResult{
-		Index:       w.Index,
-		Cost:        w.Cost,
-		Status:      w.Status,
-		Model:       w.Model,
-		Stats:       w.Stats,
-		Started:     w.Started,
-		Interrupted: w.Interrupted,
-		Cancelled:   w.Cancelled,
-	}
-	if w.ActLen > 0 {
-		r.ActVars = make([]float64, w.ActLen)
-		for i, idx := range w.ActIdx {
-			if int(idx) < w.ActLen && i < len(w.ActVal) {
-				r.ActVars[idx] = w.ActVal[i]
-			}
-		}
-	}
-	return r
 }
 
 // wire wraps one duplex gob connection with serialized, deadline-guarded

@@ -224,7 +224,7 @@ func serveOnce(ctx context.Context, addr string, opts *WorkerOptions) (registere
 			if env.Batch <= interrupted {
 				for _, t := range env.Tasks {
 					res := TaskResult{Index: t.Index, Status: solver.Unknown}
-					if err := w.send(&envelope{Kind: kindResult, Batch: env.Batch, Result: toWire(&res)}); err != nil {
+					if err := w.send(&envelope{Kind: kindResult, Batch: env.Batch, Result: &res}); err != nil {
 						return registered, err
 					}
 				}
@@ -321,7 +321,7 @@ func newWorkerBatch(parent context.Context, id uint64, opts BatchOptions, exec *
 				} else {
 					res = b.solveOne(ctx, sw, t, delay)
 				}
-				if err := w.send(&envelope{Kind: kindResult, Batch: id, Result: toWire(&res)}); err != nil {
+				if err := w.send(&envelope{Kind: kindResult, Batch: id, Result: &res}); err != nil {
 					// Connection gone; the read loop notices too.  Stop
 					// pulling work — the leader requeues it elsewhere.
 					b.q.cancelQueue()

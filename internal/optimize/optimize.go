@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -505,7 +506,7 @@ func SimulatedAnnealing(ctx context.Context, obj Objective, start decomp.Point, 
 		radius := opts.Radius
 		checked := map[string]bool{center.Key(): true}
 		for !bestValueUpdated {
-			neighborhood := center.Neighbors(radius)
+			neighborhood := neighbors(center, radius)
 			chi, ok := s.pickUnchecked(neighborhood, checked)
 			if !ok {
 				// Neighbourhood exhausted at this radius.
@@ -645,7 +646,7 @@ func TabuSearch(ctx context.Context, obj Objective, start decomp.Point, opts Opt
 			continue
 		}
 		bestValueUpdated := false
-		neighborhood := center.Neighbors(opts.Radius)
+		neighborhood := neighbors(center, opts.Radius)
 		for {
 			chi, ok := s.pickUncheckedTabu(neighborhood)
 			if !ok {
@@ -692,6 +693,19 @@ func TabuSearch(ctx context.Context, obj Objective, start decomp.Point, opts Opt
 		}
 		center = next
 	}
+}
+
+// neighbors returns the search neighbourhood of p: N_ρ(p) without the empty
+// set.  The empty set is a point of the space (at distance p.Count() from
+// p) but not a decomposition — there is nothing to sample, and the runner
+// rejects it — so the searches never visit it, and tabuLists.addChecked does
+// not wait for it before calling a neighbourhood fully checked.
+func neighbors(p decomp.Point, radius int) []decomp.Point {
+	ns := p.Neighbors(radius)
+	if p.Count() > radius {
+		return ns
+	}
+	return slices.DeleteFunc(ns, func(q decomp.Point) bool { return q.Count() == 0 })
 }
 
 // pickUncheckedTabu returns a pseudo-random neighbourhood point that has not
@@ -742,7 +756,9 @@ func (t *tabuLists) addChecked(p decomp.Point, value float64, values map[string]
 	neighbors := p.Neighbors(t.radius)
 	unchecked := 0
 	for _, n := range neighbors {
-		if _, ok := values[n.Key()]; !ok {
+		// The empty set is never visited (see neighbors), so no
+		// neighbourhood waits for it.
+		if _, ok := values[n.Key()]; !ok && n.Count() > 0 {
 			unchecked++
 		}
 	}

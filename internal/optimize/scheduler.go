@@ -312,7 +312,7 @@ func (s *search) runWave(ctx context.Context, wave []decomp.Point, incumbent fun
 // errStop ends the search gracefully (the stop reason is already
 // recorded); other errors are hard failures.
 func (s *search) tabuNeighborhoodScheduled(ctx context.Context, tl *tabuLists, center decomp.Point, best *decomp.Point, bestValue *float64) (bool, error) {
-	order := s.drawTabuOrder(center.Neighbors(s.opts.Radius))
+	order := s.drawTabuOrder(neighbors(center, s.opts.Radius))
 	if len(order) == 0 {
 		return false, nil
 	}
@@ -377,7 +377,7 @@ func (s *search) annealScheduled(ctx context.Context, center decomp.Point, cente
 		radius := opts.Radius
 		checked := map[string]bool{center.Key(): true}
 		for !bestValueUpdated {
-			neighborhood := center.Neighbors(radius)
+			neighborhood := neighbors(center, radius)
 			wave := s.drawWave(neighborhood, checked, width)
 			if len(wave) == 0 {
 				if radius < opts.MaxRadius {

@@ -104,7 +104,6 @@ func TestTabuListsAccounting(t *testing.T) {
 	full := space.FullPoint()                  // {1,2}
 	p1, _ := space.PointFromVars([]cnf.Var{1}) // {1}
 	p2, _ := space.PointFromVars([]cnf.Var{2}) // {2}
-	empty := space.EmptyPoint()                // {}
 
 	values := map[string]float64{}
 	tl := newTabuLists(1)
@@ -116,38 +115,31 @@ func TestTabuListsAccounting(t *testing.T) {
 		t.Fatalf("after start: L1=%d L2=%d, want 0/1", tl.L1Size(), tl.L2Size())
 	}
 
-	// {1} joins L2 (its neighbour {} is unchecked) and leaves full's
+	// {1} goes straight to L1 — its other neighbour, {}, is never visited,
+	// so nothing is left to check around it — and leaves full's
 	// neighbourhood one short of complete.
 	values[p1.Key()] = 10
 	tl.addChecked(p1, 10, values)
-	if tl.L1Size() != 0 || tl.L2Size() != 2 {
-		t.Fatalf("after {1}: L1=%d L2=%d, want 0/2", tl.L1Size(), tl.L2Size())
+	if tl.L1Size() != 1 || tl.L2Size() != 1 {
+		t.Fatalf("after {1}: L1=%d L2=%d, want 1/1", tl.L1Size(), tl.L2Size())
 	}
 
-	// {2} completes full's neighbourhood: full moves to L1.
-	values[p2.Key()] = 20
-	tl.addChecked(p2, 20, values)
-	if tl.L1Size() != 1 || tl.L2Size() != 2 {
-		t.Fatalf("after {2}: L1=%d L2=%d, want 1/2", tl.L1Size(), tl.L2Size())
-	}
-
-	// getNewCenter without activity information picks the L2 point with the
-	// best (smallest) F — {1} — and mutates nothing.
+	// getNewCenter picks the only L2 point and mutates nothing.
 	obj := ObjectiveFunc(func(ctx context.Context, p decomp.Point) (float64, error) { return 0, nil })
 	next, ok := tl.getNewCenter(obj)
-	if !ok || next.Key() != p1.Key() {
-		t.Fatalf("getNewCenter = %v, %v; want {1}", next, ok)
+	if !ok || next.Key() != full.Key() {
+		t.Fatalf("getNewCenter = %v, %v; want {1,2}", next, ok)
 	}
-	if tl.L1Size() != 1 || tl.L2Size() != 2 {
+	if tl.L1Size() != 1 || tl.L2Size() != 1 {
 		t.Fatalf("getNewCenter mutated the lists: L1=%d L2=%d", tl.L1Size(), tl.L2Size())
 	}
 
-	// Checking {} empties both neighbourhoods: everything ends in L1 and
-	// there is no centre left to move to.
-	values[empty.Key()] = 30
-	tl.addChecked(empty, 30, values)
-	if tl.L1Size() != 4 || tl.L2Size() != 0 {
-		t.Fatalf("after {}: L1=%d L2=%d, want 4/0", tl.L1Size(), tl.L2Size())
+	// {2} completes full's neighbourhood: every non-empty point ends in L1
+	// and there is no centre left to move to.
+	values[p2.Key()] = 20
+	tl.addChecked(p2, 20, values)
+	if tl.L1Size() != 3 || tl.L2Size() != 0 {
+		t.Fatalf("after {2}: L1=%d L2=%d, want 3/0", tl.L1Size(), tl.L2Size())
 	}
 	if _, ok := tl.getNewCenter(obj); ok {
 		t.Fatal("getNewCenter found a centre in an empty L2")

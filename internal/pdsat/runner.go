@@ -589,8 +589,13 @@ func absorbResults(results []cluster.TaskResult, confAct []float64, aggStats *so
 			*aborted++
 			continue
 		}
-		for v := 1; v < len(res.ActVars) && v < len(confAct); v++ {
-			confAct[v] += res.ActVars[v]
+		// A result may come off the wire, so its entries are bounds-checked
+		// rather than trusted.
+		acts := res.Activity.Acts
+		for i, v := range res.Activity.Vars {
+			if v >= 1 && int(v) < len(confAct) && i < len(acts) {
+				confAct[v] += acts[i]
+			}
 		}
 		*aggStats = aggStats.Add(res.Stats)
 		if res.Cancelled {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/paper-repro/pdsat-go/internal/decomp"
 	"github.com/paper-repro/pdsat-go/internal/eval"
 	"github.com/paper-repro/pdsat-go/internal/optimize"
 )
@@ -324,5 +325,47 @@ func TestSchedulerCancellationMidNeighborhood(t *testing.T) {
 	if planned != solved+aborted+skipped {
 		t.Fatalf("ledger out of balance after cancellation: planned %d != solved %d + aborted %d + skipped %d",
 			planned, solved, aborted, skipped)
+	}
+}
+
+// TestSearchesNeverVisitTheEmptySet is the regression test for searches that
+// walk down to a one-variable set.  On a root-solved Bivium instance every
+// subproblem costs the same propagations, so F = c·2^d falls with every
+// variable dropped and both searches descend to d = 1, whose radius-1
+// neighbourhood contains the empty set.  It is not a decomposition: the
+// searches — sequential and scheduled — must skip it and end with a normal
+// stop reason instead of dying on the runner's "empty decomposition set",
+// while an explicitly requested empty set stays an error.
+func TestSearchesNeverVisitTheEmptySet(t *testing.T) {
+	inst := weakBivium(t, 172, 60, 21) // 5 unknown variables: 31 non-empty sets
+	space := unknownSpace(inst)
+	searches := map[string]func(context.Context, optimize.Objective, decomp.Point, optimize.Options) (*optimize.Result, error){
+		"tabu": optimize.TabuSearch,
+		"sa":   optimize.SimulatedAnnealing,
+	}
+	for name, search := range searches {
+		for _, width := range []int{0, 2} {
+			r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
+			res, err := search(context.Background(), r, space.FullPoint(),
+				optimize.Options{Seed: 5, MaxConcurrentEvals: width})
+			if err != nil {
+				t.Fatalf("%s width %d: %v", name, width, err)
+			}
+			if res.Stop == "" {
+				t.Fatalf("%s width %d: no stop reason", name, width)
+			}
+			if res.BestPoint.Count() != 1 {
+				t.Fatalf("%s width %d: best set has %d variables, want the search to reach 1", name, width, res.BestPoint.Count())
+			}
+			for _, v := range res.Trace {
+				if v.Point.Count() == 0 {
+					t.Fatalf("%s width %d: visit %d is the empty set", name, width, v.Index)
+				}
+			}
+		}
+	}
+	r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
+	if _, err := r.EvaluatePoint(context.Background(), space.EmptyPoint()); err == nil {
+		t.Fatal("the runner accepted an explicitly requested empty decomposition set")
 	}
 }

@@ -102,6 +102,11 @@ func (s *Solver) newClause(lits []ilit, learned bool) cref {
 // and therefore escapes its own rescale, as it always has.
 func (s *Solver) bumpClause(c cref) {
 	ai := s.ar.actIdx(c)
+	// An original's activity only ever grows from zero (the rescale below
+	// spares originals), so zero means this is its first bump since Reset.
+	if s.clauseAct[ai] == 0 && !s.ar.isLearned(c) {
+		s.dirtyActs = append(s.dirtyActs, ai)
+	}
 	s.clauseAct[ai] += s.clauseInc
 	if s.clauseAct[ai] > 1e20 {
 		for _, lc := range s.learnts {

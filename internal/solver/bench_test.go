@@ -33,21 +33,19 @@ func chainFormula(n int) *cnf.Formula {
 	return f
 }
 
-// biviumBatch builds the weakened Bivium instance of the estimator tests
-// (167 known start bits, 60 keystream bits) and 256 assumption vectors over
-// its 10 unknown start variables — the exact per-subproblem workload of the
-// Monte Carlo estimation: Reset, assume a cell of the decomposition, solve.
-func biviumBatch(tb testing.TB) (*cnf.Formula, [][]cnf.Lit) {
+// sessionBatch encodes a keystream-generator instance and draws n random
+// assignments of its unknown start variables — the per-subproblem workload
+// of the Monte Carlo estimation: Reset, assume a cell of the decomposition,
+// solve.
+func sessionBatch(tb testing.TB, gen encoder.Generator, cfg encoder.Config, n int) (*cnf.Formula, [][]cnf.Lit) {
 	tb.Helper()
-	inst, err := encoder.NewInstance(encoder.Bivium(), encoder.Config{
-		KeystreamLen: 60, KnownSuffix: 167, Seed: 21,
-	})
+	inst, err := encoder.NewInstance(gen, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	vars := inst.UnknownStartVars()
 	rng := rand.New(rand.NewSource(7))
-	batch := make([][]cnf.Lit, 256)
+	batch := make([][]cnf.Lit, n)
 	for i := range batch {
 		a := make([]cnf.Lit, 0, len(vars))
 		for _, v := range vars {
@@ -56,6 +54,21 @@ func biviumBatch(tb testing.TB) (*cnf.Formula, [][]cnf.Lit) {
 		batch[i] = a
 	}
 	return inst.CNF, batch
+}
+
+// biviumBatch is the weakened Bivium instance of the estimator tests (167
+// known start bits, 60 keystream bits) with 256 assignments of its 10
+// unknown start variables: propagation-only subproblems.
+func biviumBatch(tb testing.TB) (*cnf.Formula, [][]cnf.Lit) {
+	return sessionBatch(tb, encoder.Bivium(), encoder.Config{KeystreamLen: 60, KnownSuffix: 167, Seed: 21}, 256)
+}
+
+// a51SearchBatch is the instance of the bench's a51-search workload (A5/1,
+// 96 keystream bits, 34 known state bits) with 64 assignments of its
+// 30-variable decomposition set: short CDCL solves that assign a few
+// hundred of 7744 variables, the case the dirty-tracked Reset is for.
+func a51SearchBatch(tb testing.TB) (*cnf.Formula, [][]cnf.Lit) {
+	return sessionBatch(tb, encoder.A51(), encoder.Config{KeystreamLen: 96, KnownSuffix: 34, Seed: 7}, 64)
 }
 
 // BenchmarkSolverPropagation measures one decide → propagate → backtrack
@@ -153,4 +166,28 @@ func BenchmarkSolverBivium(b *testing.B) {
 		b.Fatalf("arena solver only %.1f%% faster than the pointer baseline on the Bivium session batch (acceptance bar: 20%%): %.0f vs %.0f ns/solve",
 			speedup, perSolveArena, perSolveRef)
 	}
+}
+
+// BenchmarkSolverResetShortSolve measures what BenchmarkSolverBivium cannot
+// (at KnownSuffix 160 its subproblems are propagation-only on a formula
+// whose every variable is touched): Reset + one short CDCL solve on the
+// a51-search instance, where the solve assigns a few hundred of 7744
+// variables, with the share of Reset reported separately.
+func BenchmarkSolverResetShortSolve(b *testing.B) {
+	f, batch := a51SearchBatch(b)
+	s := NewDefault(f)
+	for _, a := range batch { // reach steady-state capacities
+		s.Reset()
+		s.SolveWithAssumptions(a)
+	}
+	var inReset time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		s.Reset()
+		inReset += time.Since(start)
+		s.SolveWithAssumptions(batch[i%len(batch)])
+	}
+	b.ReportMetric(float64(inReset.Nanoseconds())/float64(b.N), "reset-ns/op")
 }

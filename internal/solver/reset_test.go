@@ -1,0 +1,323 @@
+package solver
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+
+	"github.com/paper-repro/pdsat-go/internal/cnf"
+	"github.com/paper-repro/pdsat-go/internal/cnfgen"
+)
+
+// Tests for the dirty-tracked Reset.  A missed mark is silent — the solver
+// still answers SAT/UNSAT correctly, it just performs a different search
+// than a fresh one — so the tests here compare the complete internal state
+// after Reset against a freshly constructed and captured solver, field by
+// field, instead of comparing answers.
+
+// diffSolverState reports the first field in which two solvers differ, or ""
+// when every piece of search-relevant state is equal.  Configuration (options,
+// budget) and scratch buffers whose contents never survive a call are not
+// compared.
+func diffSolverState(got, want *Solver) string {
+	switch {
+	case got.numVars != want.numVars:
+		return fmt.Sprintf("numVars %d, want %d", got.numVars, want.numVars)
+	case !slices.Equal(got.ar.data, want.ar.data):
+		return "arena words differ"
+	case !slices.Equal(got.clauses, want.clauses):
+		return "original clause list differs"
+	case len(got.learnts) != 0 || len(want.learnts) != 0:
+		return fmt.Sprintf("learned clauses: %d and %d, want none", len(got.learnts), len(want.learnts))
+	case !slices.Equal(got.clauseAct, want.clauseAct):
+		return "clause activities differ"
+	case !slices.Equal(got.assigns, want.assigns):
+		return "assigns differ"
+	case !slices.Equal(got.polarity, want.polarity):
+		return "polarity differs"
+	case !slices.Equal(got.reason, want.reason):
+		return "reasons differ"
+	case !slices.Equal(got.level, want.level):
+		return "levels differ"
+	case !slices.Equal(got.activity, want.activity):
+		return "variable activities differ"
+	case !slices.Equal(got.confAct, want.confAct):
+		return "conflict activities differ"
+	case !slices.Equal(got.seen, want.seen):
+		return "seen flags differ"
+	case !slices.Equal(got.trail, want.trail):
+		return "trail differs"
+	case len(got.trailLim) != 0 || len(want.trailLim) != 0:
+		return "decision levels left open"
+	case got.qhead != want.qhead:
+		return fmt.Sprintf("qhead %d, want %d", got.qhead, want.qhead)
+	case !slices.Equal(got.order.heap, want.order.heap):
+		return "decision heap differs"
+	case !slices.Equal(got.order.indices, want.order.indices):
+		return "decision heap indices differ"
+	case got.varInc != want.varInc || got.clauseInc != want.clauseInc:
+		return "activity increments differ"
+	case got.arenaBase != want.arenaBase:
+		return fmt.Sprintf("arenaBase %d, want %d", got.arenaBase, want.arenaBase)
+	case got.garbageWords != want.garbageWords || got.learntLimit != want.learntLimit:
+		return "tiered reducer state differs"
+	case got.stats != want.stats:
+		return fmt.Sprintf("stats %+v, want %+v", got.stats, want.stats)
+	case got.okay != want.okay:
+		return fmt.Sprintf("okay %v, want %v", got.okay, want.okay)
+	case got.interrupt.Load() || want.interrupt.Load():
+		return "interrupt flag left set"
+	case len(got.watches) != len(want.watches):
+		return fmt.Sprintf("%d watch lists, want %d", len(got.watches), len(want.watches))
+	}
+	for l := range got.watches {
+		if !slices.Equal(got.watches[l], want.watches[l]) {
+			return fmt.Sprintf("watch list of literal %d differs: %v, want %v", l, got.watches[l], want.watches[l])
+		}
+	}
+	for _, s := range []*Solver{got, want} {
+		if len(s.dirtyLits) != 0 || len(s.dirtyClauses) != 0 || len(s.dirtyActs) != 0 || slices.Contains(s.litMark, true) {
+			return "dirty marks left behind"
+		}
+	}
+	return ""
+}
+
+// resetScript drives a solver through a byte-coded sequence of operations
+// (the fuzz target feeds it arbitrary bytes, the property test random ones)
+// and checks, at every Reset, that the state equals a fresh solver's.
+type resetScript struct {
+	data []byte
+	pos  int
+}
+
+func (r *resetScript) done() bool { return r.pos >= len(r.data) }
+
+func (r *resetScript) next() int {
+	if r.done() {
+		return 0
+	}
+	b := r.data[r.pos]
+	r.pos++
+	return int(b)
+}
+
+// lits draws n literals over variables 1..numVars.
+func (r *resetScript) lits(n, numVars int) []cnf.Lit {
+	out := make([]cnf.Lit, 0, n)
+	for i := 0; i < n; i++ {
+		b := r.next()
+		out = append(out, cnf.NewLit(cnf.Var(b%128%numVars+1), b&0x80 == 0))
+	}
+	return out
+}
+
+// run executes the script on a solver for f and returns a description of
+// the first divergence from a fresh solver, or "".
+func (r *resetScript) run(f *cnf.Formula, opts Options) string {
+	s := New(f, opts)
+	// pre collects the clauses added before the first solve: they belong to
+	// the pristine baseline, so the fresh reference gets them too.
+	var pre []cnf.Clause
+	check := func(step int) string {
+		fresh := New(f, opts)
+		for _, c := range pre {
+			fresh.AddClause(c)
+		}
+		fresh.ensureBase()
+		s.Reset()
+		if d := diffSolverState(s, fresh); d != "" {
+			return fmt.Sprintf("after step %d: %s", step, d)
+		}
+		return ""
+	}
+	step := 0
+	for ; !r.done(); step++ {
+		n := f.NumVars
+		switch op := r.next(); op % 8 {
+		case 0, 1: // plain solve under a few assumptions
+			s.SolveWithAssumptions(r.lits(op/8%6, n))
+		case 2: // truncated by a conflict budget
+			s.SetBudget(Budget{MaxConflicts: s.Stats().Conflicts + uint64(1+op/8%8)})
+			s.SolveWithAssumptions(r.lits(r.next()%4, n))
+			s.SetBudget(Budget{})
+		case 3: // truncated by a propagation budget
+			s.SetBudget(Budget{MaxPropagations: s.Stats().Propagations + uint64(1+op/8)})
+			s.SolveWithAssumptions(r.lits(r.next()%4, n))
+			s.SetBudget(Budget{})
+		case 4: // interrupted before it starts searching
+			s.Interrupt()
+			s.SolveWithAssumptions(r.lits(op/8%4, n))
+			s.ClearInterrupt()
+		case 5: // assumptions over variables the formula does not have
+			a := r.lits(op/8%3, n)
+			for k := 0; k <= r.next()%3; k++ {
+				a = append(a, cnf.NewLit(cnf.Var(s.NumVars()+1+k), k%2 == 0))
+			}
+			s.SolveWithAssumptions(a)
+		case 6: // AddClause, before or after the first solve
+			c := cnf.Clause(r.lits(1+op/8%4, n))
+			if !s.everSolved && s.okay {
+				pre = append(pre, c)
+			}
+			s.AddClause(c)
+		case 7:
+			if d := check(step); d != "" {
+				return d
+			}
+		}
+	}
+	return check(step)
+}
+
+// resetOptionVariants are the learned-clause policies the Reset tests run
+// under: the default, the legacy reducer firing after a handful of learned
+// clauses, and the tiered reducer with compaction.
+func resetOptionVariants() map[string]Options {
+	legacy := DefaultOptions()
+	legacy.MaxLearnedFactor = 0.02
+	return map[string]Options{"default": DefaultOptions(), "reduceDB": legacy, "tiered": tierOptions()}
+}
+
+// TestResetEqualsFresh is the property test behind the dirty-tracked Reset:
+// after arbitrary sequences of solves — short, budget-truncated,
+// interrupted, with assumptions over fresh variables, with clauses added
+// before and after the first solve, under all three learned-clause
+// policies — Reset leaves every field equal to a freshly constructed and
+// captured solver's.
+func TestResetEqualsFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	r3, err := cnfgen.Random3SAT(rng, 60, 4.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Units and implications in front of a random core, so the root-level
+	// trail is non-empty and construction-time propagation permutes clauses
+	// before the snapshot is taken.
+	rooted := &cnf.Formula{NumVars: r3.NumVars}
+	rooted.Clauses = append(rooted.Clauses, cnf.Clause{cnf.NewLit(1, true)}, cnf.Clause{cnf.NewLit(1, false), cnf.NewLit(2, true)},
+		cnf.Clause{cnf.NewLit(2, false), cnf.NewLit(3, false), cnf.NewLit(4, true)})
+	rooted.Clauses = append(rooted.Clauses, r3.Clauses...)
+	formulas := map[string]*cnf.Formula{"php(6,5)": mustPigeonhole(t, 6, 5), "rand3sat": r3, "rooted": rooted}
+	for fname, f := range formulas {
+		for oname, opts := range resetOptionVariants() {
+			for i := 0; i < 20; i++ {
+				script := make([]byte, 40)
+				rng.Read(script)
+				if d := (&resetScript{data: script}).run(f, opts); d != "" {
+					t.Fatalf("%s/%s script %d (%v): %s", fname, oname, i, script, d)
+				}
+			}
+		}
+	}
+}
+
+// FuzzResetEqualsFresh is TestResetEqualsFresh over fuzz-chosen formulas
+// and operation sequences.  Input: data[0] picks the number of variables
+// and the option variant, data[1] the number of following bytes that encode
+// the formula (see fuzzFormula), the rest is the script.
+func FuzzResetEqualsFresh(f *testing.F) {
+	f.Add([]byte{2, 8, 1, 130, 0, 2, 131, 0, 3, 1, 0, 7, 16, 2, 3, 7})
+	f.Add([]byte{9, 12, 1, 2, 3, 0, 129, 130, 0, 131, 4, 0, 5, 6, 6, 1, 0, 14, 1, 2, 5, 1, 7, 46, 3, 9})
+	f.Add([]byte{23, 3, 1, 0, 129, 0, 7}) // UNSAT at construction
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := min(int(data[1]), len(data)-2)
+		formula := fuzzFormula(append([]byte{data[0]}, data[2:2+n]...))
+		variants := resetOptionVariants()
+		name := []string{"default", "reduceDB", "tiered"}[int(data[0]>>3)%3]
+		if d := (&resetScript{data: data[2+n:]}).run(formula, variants[name]); d != "" {
+			t.Fatalf("%s, formula %+v: %s", name, formula, d)
+		}
+	})
+}
+
+// TestResetCostIsProportionalToTouched pins the point of the dirty marks by
+// count, not by clock: after one short solve on the a51-search instance the
+// arena words, watch entries and variables Reset restores are each under a
+// tenth of the formula's, and a warmed-up Reset allocates nothing.
+func TestResetCostIsProportionalToTouched(t *testing.T) {
+	f, batch := a51SearchBatch(t)
+	s := NewDefault(f)
+	s.Reset()
+	res := s.SolveWithAssumptions(batch[0])
+	if res.Stats.Propagations > 1000 {
+		t.Fatalf("the sampled subproblem is not short: %d propagations", res.Stats.Propagations)
+	}
+	b := s.base
+	words, entries := 0, 0
+	for _, c := range s.dirtyClauses {
+		words += hdrWords + int(s.ar.size(c))
+	}
+	lits := len(s.dirtyLits) + len(s.trail) - b.trailLen // Reset marks the root-level tail itself
+	for _, l := range s.dirtyLits {
+		entries += int(b.watchOff[l+1] - b.watchOff[l])
+	}
+	if words == 0 || entries == 0 || lits == 0 {
+		t.Fatalf("the solve left no marks: %d words, %d watch entries, %d literals", words, entries, lits)
+	}
+	if 10*words > len(b.arena) || 10*entries > len(b.watch) || 10*lits > int(b.numVars) {
+		t.Fatalf("Reset restores %d of %d arena words, %d of %d watch entries, %d literals of %d variables; want under a tenth each",
+			words, len(b.arena), entries, len(b.watch), lits, b.numVars)
+	}
+	// Once the watch lists have reached their steady-state capacities (the
+	// mark lists are sized at capture), a Reset that has real work to undo
+	// allocates nothing.
+	for _, a := range batch {
+		s.Reset()
+		s.SolveWithAssumptions(a)
+	}
+	var mallocs uint64
+	var before, after runtime.MemStats
+	for _, a := range batch {
+		s.SolveWithAssumptions(a)
+		runtime.ReadMemStats(&before)
+		s.Reset()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	if mallocs != 0 {
+		t.Fatalf("%d Resets after warm-up allocated %d times, want 0", len(batch), mallocs)
+	}
+}
+
+// TestSparseConflictActivities checks the sparse form against the dense one
+// it replaces on the wire: exactly its non-zero entries, in ascending
+// variable order, after pristine solves and across retained ones.
+func TestSparseConflictActivities(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	f, err := cnfgen.Random3SAT(rng, 70, 4.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewDefault(f)
+	if got := s.SparseConflictActivities(); len(got.Vars) != 0 || len(got.Acts) != 0 {
+		t.Fatalf("unsolved solver reports activities %+v", got)
+	}
+	nonZero := false
+	for call := 0; call < 12; call++ {
+		if call%3 == 0 {
+			s.Reset() // every third call starts pristine, the others retain
+		}
+		s.SolveWithAssumptions(randomAssumptions(rng, f.NumVars, 1+rng.Intn(4)))
+		var want SparseActivities
+		for v, a := range s.ConflictActivities() {
+			if a != 0 {
+				want.Vars = append(want.Vars, cnf.Var(v))
+				want.Acts = append(want.Acts, a)
+			}
+		}
+		got := s.SparseConflictActivities()
+		if !slices.Equal(got.Vars, want.Vars) || !slices.Equal(got.Acts, want.Acts) {
+			t.Fatalf("call %d: sparse activities %+v, dense non-zeros %+v", call, got, want)
+		}
+		nonZero = nonZero || len(want.Vars) > 0
+	}
+	if !nonZero {
+		t.Fatal("no solve produced conflict activity; the test compares nothing")
+	}
+}

@@ -56,15 +56,53 @@
 // The pristine snapshot is captured lazily at the first Solve/Reset call;
 // it costs one O(formula) copy and roughly doubles the memory held per
 // solver, which is negligible next to the construction cost it saves in
-// session use and acceptable for one-shot solves.  With the arena layout the
-// snapshot and its restoration are flat slice copies; restoring also
-// truncates the arena back to the original clauses, which reclaims all
-// learned-clause memory in one step.
+// session use and acceptable for one-shot solves.
+//
+// Restoring is dirty-tracked: its cost follows what the queries since the
+// last Reset touched, not the size of the formula, because one evaluation of
+// the paper's predictive function is thousands of Reset + short-solve pairs
+// that each assign a few hundred of the formula's thousands of variables.
+// The search records what it changes in three mark lists whose capacity is
+// reserved ahead of the search (one slot per literal as variables are
+// created, one per original clause at capture), so that marking never
+// allocates and the marks inside propagate and cancelUntil are call-free,
+// and Reset copies exactly those pieces back from the snapshot.  Each mark
+// protects one invariant:
+//
+//   - Literal marks (one per literal, set in cancelUntil when the literal is
+//     unassigned, in Reset for what is left on the root-level trail, and
+//     where a watch is pushed or removed: attach, removeWatch, propagate's
+//     new-watch move).  Invariant: an unmarked literal's watch list and its
+//     variable's assigns, reason, level, polarity, activity and conflict
+//     activity equal the snapshot's.  It holds because propagate rewrites
+//     only the list of a literal it dequeued from the trail, every other
+//     list changes only by those pushes and removals, and the per-variable
+//     arrays change only for variables that were assigned.  Marking at
+//     unassignment instead of at enqueue keeps the mark off the propagation
+//     path; SolveWithAssumptions always backtracks to the root before it
+//     returns, so by then every assigned literal is either marked or on the
+//     root-level trail.
+//   - Clause marks (a flag in the otherwise unused LBD word of an original
+//     clause, set where propagate actually swaps two of its literals).
+//     Invariant: an unflagged original clause has the snapshot's literal
+//     order.  Learned clauses need no mark: the arena is truncated back to
+//     the originals.
+//   - Activity marks (the activity slot of an original clause, recorded at
+//     its first bump, which is the bump that finds the slot at zero).
+//     Invariant: an unrecorded original clause has activity zero.
+//
+// What is left is independent of the search: truncating the arena, the
+// learned-clause list and the trail, and rebuilding the decision heap, which
+// is two memmoves of numVars words.  A missed mark would not make the solver
+// wrong, only different from a fresh one, so TestResetEqualsFresh and
+// FuzzResetEqualsFresh compare the complete state after Reset with a fresh
+// solver's, field by field.
 package solver
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -272,6 +310,7 @@ func boolToLbool(b bool) lbool {
 type varOrder struct {
 	heap     []int32 // binary heap of variable indices
 	indices  []int32 // position of variable in heap, -1 if absent
+	identity []int32 // 0,1,2,...: what rebuild copies into heap and indices
 	activity *[]float64
 }
 
@@ -329,6 +368,13 @@ type Solver struct {
 
 	// base is the pristine post-construction snapshot restored by Reset.
 	base *snapshot
+	// Dirty marks: everything that may differ from the snapshot, recorded as
+	// the search mutates it so Reset restores only that (see "Sessions" in
+	// the package comment for the invariant behind each list).
+	litMark      []bool  // per literal: already listed in dirtyLits
+	dirtyLits    []ilit  // literals whose watch list and variable state may differ
+	dirtyClauses []cref  // original clauses with permuted literals (flagged in their LBD word)
+	dirtyActs    []int32 // activity slots of original clauses that were bumped
 	// everSolved is set by the first SolveWithAssumptions call; AddClause
 	// refreshes the snapshot only while the solver is still pristine.
 	everSolved bool
@@ -338,17 +384,18 @@ type Solver struct {
 // after construction, so Reset can restore it with plain copies instead of
 // re-running New (allocation, clause normalization and root propagation).
 // With the flat arena every piece of clause state is a slice of plain
-// values, so capture and restore are memcpys.
+// values, so capture is a handful of memcpys and Reset copies back the
+// pieces the dirty marks name.
 type snapshot struct {
 	numVars    int32
 	numClauses int
 	numActs    int
 	arena      []ilit  // the arena at capture time (original clauses only)
 	watch      []watch // flat concatenation of every watch list
-	watchLen   []int32 // watch-list length per literal
+	watchOff   []int32 // watch list of literal l is watch[watchOff[l]:watchOff[l+1]]
 	assigns    []lbool
 	reason     []cref
-	trail      []ilit
+	trailLen   int // root-level trail length; the search never rewrites that prefix
 	stats      Stats
 	okay       bool
 }
@@ -365,13 +412,27 @@ func (s *Solver) ensureBase() {
 
 // capture records the current state as the pristine baseline for Reset.  It
 // must only be called while the solver is at decision level 0 and has no
-// learned clauses (i.e. before any search).
+// learned clauses (i.e. before any search).  Marks left by construction-time
+// propagation describe differences from a state that no longer matters, so
+// they are cleared, and the clause and activity lists are sized for the
+// worst case here so that the search never grows them.
 func (s *Solver) capture() {
+	for _, c := range s.dirtyClauses {
+		s.ar.setLBD(c, 0)
+	}
+	for _, l := range s.dirtyLits {
+		s.litMark[l] = false
+	}
+	s.dirtyLits = s.dirtyLits[:0]
+	s.dirtyClauses = slices.Grow(s.dirtyClauses[:0], len(s.clauses))
+	s.dirtyActs = slices.Grow(s.dirtyActs[:0], len(s.clauseAct))
+
 	b := &snapshot{
 		numVars:    s.numVars,
 		numClauses: len(s.clauses),
 		numActs:    len(s.clauseAct),
 		arena:      append([]ilit(nil), s.ar.data...),
+		trailLen:   len(s.trail),
 		stats:      s.stats,
 		okay:       s.okay,
 	}
@@ -380,14 +441,13 @@ func (s *Solver) capture() {
 		total += len(ws)
 	}
 	b.watch = make([]watch, 0, total)
-	b.watchLen = make([]int32, len(s.watches))
+	b.watchOff = make([]int32, len(s.watches)+1)
 	for i, ws := range s.watches {
-		b.watchLen[i] = int32(len(ws))
 		b.watch = append(b.watch, ws...)
+		b.watchOff[i+1] = int32(len(b.watch))
 	}
 	b.assigns = append([]lbool(nil), s.assigns...)
 	b.reason = append([]cref(nil), s.reason...)
-	b.trail = append([]ilit(nil), s.trail...)
 	s.arenaBase = len(b.arena)
 	s.base = b
 }
@@ -400,6 +460,11 @@ func (s *Solver) capture() {
 // solver, but without reallocating the clause database or redoing the
 // root-level propagation (whose effort stays accounted in the restored
 // Stats).
+//
+// The cost is proportional to what the queries since the last Reset
+// touched — the dirty clauses, watch lists and variables — plus two
+// memmoves of numVars words for the decision heap; it does not depend on
+// the size of the formula otherwise.
 //
 // Restoring truncates the arena back to the original clauses — all
 // learned-clause memory is reclaimed in one step, which is the session
@@ -420,12 +485,21 @@ func (s *Solver) Reset() {
 	s.ensureBase()
 	b := s.base
 	s.interrupt.Store(false)
+	// Literals the search left on the root-level trail never went through
+	// cancelUntil, which is where assigned literals are marked.
+	for _, l := range s.trail[b.trailLen:] {
+		s.markLit(l)
+	}
+	s.trail = s.trail[:b.trailLen]
+	s.trailLim = s.trailLim[:0]
+	s.qhead = len(s.trail)
 	// Drop variables created after construction (by assumptions over fresh
 	// variables): a fresh solver would not know them, and leaving them in
 	// the decision heap would add phantom decisions and model entries.
 	if s.numVars > b.numVars {
 		n := b.numVars
 		s.watches = s.watches[:2*n]
+		s.litMark = s.litMark[:2*n]
 		s.assigns = s.assigns[:n]
 		s.polarity = s.polarity[:n]
 		s.reason = s.reason[:n]
@@ -435,13 +509,17 @@ func (s *Solver) Reset() {
 		s.seen = s.seen[:n]
 		s.numVars = n
 	}
-	// Restore the arena: truncating to the captured length drops every
-	// learned clause (and any post-solve original) in one step, and the
-	// copy restores the original literal order (search only permutes
-	// literals inside a clause, it never grows or shrinks original
-	// clauses).
+	// Restore the literal order of the permuted original clauses (search
+	// never grows or shrinks an original, it only swaps literals inside it)
+	// together with the LBD word that flagged them; truncating to the
+	// captured length then drops every learned clause, and any post-solve
+	// original, in one step.
+	for _, c := range s.dirtyClauses {
+		end := int(c) + hdrWords + int(s.ar.size(c))
+		copy(s.ar.data[c+1:end], b.arena[c+1:end])
+	}
+	s.dirtyClauses = s.dirtyClauses[:0]
 	s.ar.data = s.ar.data[:len(b.arena)]
-	copy(s.ar.data, b.arena)
 	s.arenaBase = len(b.arena)
 	s.garbageWords = 0
 	s.learntLimit = 0
@@ -451,47 +529,60 @@ func (s *Solver) Reset() {
 	// (the value only feeds the 1e20 rescale trigger, but a divergent
 	// rescale would break the fresh-replay guarantee on very long
 	// searches).
+	for _, ai := range s.dirtyActs {
+		s.clauseAct[ai] = 0
+	}
+	s.dirtyActs = s.dirtyActs[:0]
 	s.clauseAct = s.clauseAct[:b.numActs]
-	for i := range s.clauseAct {
-		s.clauseAct[i] = 0
-	}
-	// Restore watch lists.
-	woff := 0
-	for i := range s.watches {
-		n := int(b.watchLen[i])
-		if cap(s.watches[i]) < n {
-			s.watches[i] = make([]watch, n)
-		} else {
-			s.watches[i] = s.watches[i][:n]
+	// Restore the watch list and the variable state behind every marked
+	// literal (a variable marked under both polarities is restored twice,
+	// to the same values).
+	for _, l := range s.dirtyLits {
+		if int32(l) >= 2*b.numVars {
+			continue // a fresh variable dropped above
 		}
-		copy(s.watches[i], b.watch[woff:woff+n])
-		woff += n
-	}
-	// Restore per-variable state.
-	copy(s.assigns, b.assigns)
-	copy(s.reason, b.reason)
-	for v := range s.level {
+		s.litMark[l] = false
+		s.watches[l] = append(s.watches[l][:0], b.watch[b.watchOff[l]:b.watchOff[l+1]]...)
+		v := l.ivar()
+		s.assigns[v] = b.assigns[v]
+		s.reason[v] = b.reason[v]
 		s.level[v] = 0
-	}
-	for v := range s.polarity {
 		s.polarity[v] = s.opts.DefaultPhase
-	}
-	for v := range s.activity {
 		s.activity[v] = 0
-	}
-	for v := range s.confAct {
 		s.confAct[v] = 0
 	}
-	for v := range s.seen {
-		s.seen[v] = false
-	}
-	s.trail = append(s.trail[:0], b.trail...)
-	s.trailLim = s.trailLim[:0]
-	s.qhead = len(s.trail)
+	s.dirtyLits = s.dirtyLits[:0]
 	s.order.rebuild(s.numVars)
 	s.varInc, s.clauseInc = 1.0, 1.0
 	s.stats = b.stats
 	s.okay = b.okay
+}
+
+// markLit records that the watch list of l, or the state of its variable,
+// may differ from the snapshot.  ensureVars keeps dirtyLits' capacity at one
+// slot per literal, so listing a literal is a reslice, not an append: no
+// call on the paths that mark (cancelUntil, propagate).
+func (s *Solver) markLit(l ilit) {
+	if !s.litMark[l] {
+		s.litMark[l] = true
+		n := len(s.dirtyLits)
+		s.dirtyLits = s.dirtyLits[:n+1]
+		s.dirtyLits[n] = l
+	}
+}
+
+// markPermuted records that the literals of clause c were reordered.  Only
+// original clauses need it (the learned region is truncated wholesale);
+// their LBD word, otherwise unused, holds the flag, so the test costs no
+// cache line beyond the one the swap just wrote.  capture reserves one slot
+// per original clause, so this, too, is a reslice.
+func (s *Solver) markPermuted(c cref) {
+	if int(c) < s.arenaBase && s.ar.data[c+1] == 0 {
+		s.ar.data[c+1] = 1
+		n := len(s.dirtyClauses)
+		s.dirtyClauses = s.dirtyClauses[:n+1]
+		s.dirtyClauses[n] = c
+	}
 }
 
 // BaseStats returns the statistics attributable to construction alone (the
@@ -562,10 +653,54 @@ func (s *Solver) ConflictActivities() []float64 {
 	return out
 }
 
+// SparseActivities is a conflict-activity vector in sparse form: Vars lists,
+// in ascending order, the variables with a non-zero entry and Acts holds the
+// matching values.  The zero value is the all-zero vector.
+type SparseActivities struct {
+	Vars []cnf.Var
+	Acts []float64
+}
+
+// SparseConflictActivities returns the non-zero entries of
+// ConflictActivities in time proportional to the number of variables the
+// queries since the last Reset assigned, not to NumVars.  Conflict analysis
+// only bumps assigned variables, and every assigned variable is marked by
+// the time a query returns, so the marked literals cover every non-zero
+// entry.
+func (s *Solver) SparseConflictActivities() SparseActivities {
+	// A variable marked under both polarities is listed once, for its
+	// positive literal.
+	listed := func(l ilit) bool {
+		return s.confAct[l.ivar()] != 0 && !(l.sign() && s.litMark[l.neg()])
+	}
+	n := 0
+	for _, l := range s.dirtyLits {
+		if listed(l) {
+			n++
+		}
+	}
+	if n == 0 {
+		return SparseActivities{}
+	}
+	out := SparseActivities{Vars: make([]cnf.Var, 0, n), Acts: make([]float64, n)}
+	for _, l := range s.dirtyLits {
+		if listed(l) {
+			out.Vars = append(out.Vars, cnf.Var(l.ivar()+1))
+		}
+	}
+	slices.Sort(out.Vars)
+	for i, v := range out.Vars {
+		out.Acts[i] = s.confAct[v-1]
+	}
+	return out
+}
+
 func (s *Solver) ensureVars(n int32) {
 	for s.numVars < n {
 		s.numVars++
 		s.watches = append(s.watches, nil, nil)
+		s.litMark = append(s.litMark, false, false)
+		s.dirtyLits = slices.Grow(s.dirtyLits, len(s.litMark)-len(s.dirtyLits))
 		s.assigns = append(s.assigns, lUndef)
 		s.polarity = append(s.polarity, s.opts.DefaultPhase)
 		s.reason = append(s.reason, nullRef)
@@ -688,6 +823,7 @@ func (s *Solver) cancelUntil(level int) {
 		}
 		s.assigns[v] = lUndef
 		s.reason[v] = nullRef
+		s.markLit(l)
 		s.order.insertIfAbsent(v, &s.activity)
 	}
 	s.trail = s.trail[:bound]
@@ -1119,17 +1255,13 @@ func (o *varOrder) insertIfAbsent(v int32, act *[]float64) { o.insert(v, act) }
 // rebuild resets the heap to contain every variable 0..n-1 in index order.
 // With all activities equal (as after a Reset) the identity array is a valid
 // heap and matches exactly the heap a fresh solver builds by inserting the
-// variables in order.
+// variables in order, so heap and index table are two copies of it.
 func (o *varOrder) rebuild(n int32) {
-	o.heap = o.heap[:0]
-	if cap(o.indices) < int(n) {
-		o.indices = make([]int32, n)
+	for v := int32(len(o.identity)); v < n; v++ {
+		o.identity = append(o.identity, v)
 	}
-	o.indices = o.indices[:n]
-	for v := int32(0); v < n; v++ {
-		o.heap = append(o.heap, v)
-		o.indices[v] = v
-	}
+	o.heap = append(o.heap[:0], o.identity[:n]...)
+	o.indices = append(o.indices[:0], o.identity[:n]...)
 }
 
 func (o *varOrder) decrease(v int32, act *[]float64) {

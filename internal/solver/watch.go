@@ -43,6 +43,8 @@ func (s *Solver) attach(c cref) {
 	}
 	s.watches[l0.neg()] = append(s.watches[l0.neg()], watch{ref: r, blocker: l1})
 	s.watches[l1.neg()] = append(s.watches[l1.neg()], watch{ref: r, blocker: l0})
+	s.markLit(l0.neg())
+	s.markLit(l1.neg())
 }
 
 func (s *Solver) detach(c cref) {
@@ -57,6 +59,7 @@ func (s *Solver) removeWatch(l ilit, c cref) {
 		if ws[i].clause() == c {
 			ws[i] = ws[len(ws)-1]
 			s.watches[l] = ws[:len(ws)-1]
+			s.markLit(l)
 			return
 		}
 	}
@@ -101,6 +104,7 @@ func (s *Solver) propagate() cref {
 				base := int32(w.clause()) + hdrWords
 				if ar[base] == falseLit {
 					ar[base], ar[base+1] = ar[base+1], ar[base]
+					s.markPermuted(w.clause())
 				}
 				first := w.blocker
 				ws[j] = w
@@ -124,6 +128,7 @@ func (s *Solver) propagate() cref {
 			// Make sure the false literal is lits[1].
 			if ar[base] == falseLit {
 				ar[base], ar[base+1] = ar[base+1], ar[base]
+				s.markPermuted(c)
 			}
 			first := ar[base]
 			if first != w.blocker && s.litValue(first) == lTrue {
@@ -140,6 +145,8 @@ func (s *Solver) propagate() cref {
 					ar[base+1], ar[k] = ar[k], ar[base+1]
 					nl := ar[base+1].neg()
 					s.watches[nl] = append(s.watches[nl], watch{ref: w.ref, blocker: first})
+					s.markLit(nl)
+					s.markPermuted(c)
 					found = true
 					break
 				}
