@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	go test -bench=. -benchtime=1x -run '^$' . | benchjson > BENCH_pr3.json
+//	go test -bench=. -benchtime=1x -run '^$' . | benchjson > BENCH.json
 package main
 
 import (

@@ -75,7 +75,7 @@ func run() error {
 		stages     = flag.Int("stages", 0, "split each sample into this many geometric stages with an early-stop check between them (0/1 = unstaged; overrides -eval-policy)")
 		stageEps   = flag.Float64("stage-epsilon", 0, "staged early-stop target: stop once the eq.-3 confidence half-width is below this fraction of the mean (0 = no early stop; overrides -eval-policy)")
 		fcache     = flag.Bool("fcache", false, "memoize F values by decomposition set across searches and jobs (overrides -eval-policy)")
-		maxConc    = flag.Int("max-concurrent-evals", 0, "neighborhood-parallel search: evaluate up to this many candidate sets concurrently per neighborhood (0 = sequential; 1 = scheduler, bit-identical to sequential)")
+		maxConc    = flag.Int("max-concurrent-evals", 0, "neighborhood-parallel search: evaluate up to this many candidate sets concurrently per neighborhood (0 = the default of 1, one at a time)")
 		stopOnSat  = flag.Bool("stop-on-sat", true, "in solve mode, stop at the first satisfiable subproblem")
 		timeout    = flag.Duration("timeout", 0, "overall wall-clock limit (0 = none)")
 		steal      = flag.Bool("steal", false, "with -listen, let the leader steal queued subproblems from backlogged workers for drained ones (also enables variance-aware batch sizing)")
@@ -297,13 +297,32 @@ func runFleet(ctx context.Context, session *pdsat.Session, f fleetFlags, metric 
 	return nil
 }
 
+// Limits of the -serve HTTP server against peers that connect and then say
+// nothing: a client has serveReadHeaderTimeout to send its request headers,
+// and an idle keep-alive connection is closed after serveIdleTimeout.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the -serve HTTP server.  It sets no write timeout:
+// event streams are responses that stay open for as long as their job runs.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
+}
+
 // runServe exposes the session's job API over HTTP until the context is
 // cancelled (SIGINT/SIGTERM or -timeout): submit jobs, stream their typed
 // progress events (NDJSON or SSE), fetch results, cancel.  See the pdsat
 // package's Server documentation and README.md for the endpoints and a
 // curl quickstart.
 func runServe(ctx context.Context, session *pdsat.Session, addr string) error {
-	httpServer := &http.Server{Addr: addr, Handler: pdsat.NewServer(session)}
+	httpServer := newHTTPServer(addr, pdsat.NewServer(session))
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpServer.ListenAndServe() }()
 	fmt.Printf("serving job API on http://%s (POST /v1/jobs, GET /v1/jobs/{id}/events, ...)\n", addr)

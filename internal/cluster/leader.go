@@ -73,6 +73,14 @@ type Leader struct {
 	batch    *netBatch                // guarded by mu
 	batchSeq uint64                   // guarded by mu
 	closed   bool                     // guarded by mu
+	// handshaking holds the accepted connections that have not registered
+	// yet, so that Close can end their handshakes too.
+	handshaking map[net.Conn]struct{} // guarded by mu
+
+	// wg counts the accept loop, every connection goroutine and every
+	// pinger; Close waits for it.  Counts are added under mu while closed is
+	// still false, so every Add happens before Close's Wait.
+	wg sync.WaitGroup
 
 	// runMu serializes Run calls: the wire protocol tracks one active
 	// batch at a time.
@@ -129,7 +137,12 @@ func Listen(addr string, f *cnf.Formula, opts LeaderOptions) (*Leader, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Leader{ln: ln, formula: f, opts: opts, workers: make(map[uint64]*remoteWorker)}
+	l := &Leader{
+		ln: ln, formula: f, opts: opts,
+		workers:     make(map[uint64]*remoteWorker),
+		handshaking: make(map[net.Conn]struct{}),
+	}
+	l.wg.Add(1)
 	go l.acceptLoop()
 	return l, nil
 }
@@ -183,36 +196,58 @@ func (l *Leader) WaitForWorkers(ctx context.Context, n int) error {
 	}
 }
 
-// Close stops accepting workers, tells the registered ones to shut down and
-// disconnects them.
+// Close stops accepting workers, tells the registered ones to shut down,
+// disconnects them and every connection still in its handshake, and waits
+// for the leader's goroutines to exit: once Close has returned, no
+// LeaderOptions callback is running or will run.  It must therefore not be
+// called from such a callback.
 func (l *Leader) Close() error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
+		l.wg.Wait()
 		return nil
 	}
 	l.closed = true
 	ws := workersByIDLocked(l.workers)
+	conns := make([]net.Conn, 0, len(l.handshaking))
+	for conn := range l.handshaking {
+		conns = append(conns, conn)
+	}
 	if b := l.batch; b != nil {
 		wakeLocked(b)
 	}
 	l.mu.Unlock()
 
 	err := l.ln.Close()
+	for _, conn := range conns {
+		conn.Close() // fails the handshake's pending read or write
+	}
 	for _, rw := range ws {
 		rw.w.send(&envelope{Kind: kindStop}) // best effort
 		l.dropWorker(rw, ErrClosed)
 	}
+	l.wg.Wait()
 	return err
 }
 
 // acceptLoop registers incoming workers until the listener closes.
 func (l *Leader) acceptLoop() {
+	defer l.wg.Done()
 	for {
 		conn, err := l.ln.Accept()
 		if err != nil {
 			return
 		}
+		l.mu.Lock()
+		if l.closed {
+			l.mu.Unlock()
+			conn.Close()
+			return
+		}
+		l.handshaking[conn] = struct{}{}
+		l.wg.Add(1)
+		l.mu.Unlock()
 		go l.handleConn(conn)
 	}
 }
@@ -220,15 +255,23 @@ func (l *Leader) acceptLoop() {
 // handleConn performs the registration handshake and then runs the per-
 // worker read loop.
 func (l *Leader) handleConn(conn net.Conn) {
+	defer l.wg.Done()
 	w := newWire(conn)
+	// abandon ends a connection that did not get through the handshake.
+	abandon := func() {
+		l.mu.Lock()
+		delete(l.handshaking, conn)
+		l.mu.Unlock()
+		w.close()
+	}
 	env, err := w.recv(handshakeTimeout)
 	if err != nil {
-		w.close()
+		abandon()
 		return
 	}
 	if err := checkHello(env); err != nil {
 		w.send(&envelope{Kind: kindStop, Err: err.Error()})
-		w.close()
+		abandon()
 		l.logf("cluster: rejected worker from %s: %v", conn.RemoteAddr(), err)
 		return
 	}
@@ -239,7 +282,7 @@ func (l *Leader) handleConn(conn net.Conn) {
 		Heartbeat:     l.opts.Heartbeat,
 	}
 	if err := w.send(welcome); err != nil {
-		w.close()
+		abandon()
 		return
 	}
 
@@ -251,6 +294,7 @@ func (l *Leader) handleConn(conn net.Conn) {
 		done:     make(chan struct{}),
 	}
 	l.mu.Lock()
+	delete(l.handshaking, conn)
 	if l.closed {
 		l.mu.Unlock()
 		w.send(&envelope{Kind: kindStop})
@@ -264,6 +308,7 @@ func (l *Leader) handleConn(conn net.Conn) {
 	if b != nil {
 		wakeLocked(b) // a running batch can start using the newcomer
 	}
+	l.wg.Add(1) // the pinger
 	l.mu.Unlock()
 	l.logf("cluster: worker %q joined from %s with %d slot(s)", rw.name, conn.RemoteAddr(), rw.capacity)
 	if l.opts.OnWorkerJoined != nil {
@@ -291,6 +336,7 @@ func (l *Leader) handleConn(conn net.Conn) {
 
 // ping sends heartbeats until the worker is dropped.
 func (l *Leader) ping(rw *remoteWorker) {
+	defer l.wg.Done()
 	t := time.NewTicker(l.opts.Heartbeat)
 	defer t.Stop()
 	for {

@@ -3,6 +3,9 @@ package cluster
 import (
 	"context"
 	"net"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -462,5 +465,85 @@ func TestInprocAbortMidBatch(t *testing.T) {
 	}
 	if full == len(tasks) {
 		t.Fatal("abort did not cut the batch short")
+	}
+}
+
+// TestLeaderCloseWaitsForItsGoroutines: Close returns only after the accept
+// loop, every connection goroutine — registered or still in the handshake —
+// and every pinger have exited, so no LeaderOptions callback runs once the
+// caller has moved on (it used to log into finished tests).
+func TestLeaderCloseWaitsForItsGoroutines(t *testing.T) {
+	// leaderGoroutines counts the goroutines running a Leader method.
+	leaderGoroutines := func() int {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		n := 0
+		for _, g := range strings.Split(string(buf), "\n\n") {
+			if strings.Contains(g, "cluster.(*Leader).") {
+				n++
+			}
+		}
+		return n
+	}
+	baseline := leaderGoroutines()
+	var closed atomic.Bool
+	var late atomic.Int32
+	note := func() {
+		if closed.Load() {
+			late.Add(1)
+		}
+	}
+	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{
+		Heartbeat:      10 * time.Millisecond,
+		Logf:           func(string, ...any) { note() },
+		OnWorkerJoined: func(string, int) { note() },
+		OnWorkerLost:   func(string, int) { note() },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := leader.Addr().String()
+	// Two registered workers that never answer anything (the leader runs a
+	// connection goroutine and a pinger for each) and one connection that
+	// never says hello.  None of them runs a goroutine on this side.
+	for i := 0; i < 3; i++ {
+		conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if i == 2 {
+			break
+		}
+		w := newWire(conn)
+		if err := w.send(helloFor("mute", 1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.recv(handshakeTimeout); err != nil { // welcome
+			t.Fatal(err)
+		}
+	}
+	// The accept loop, three connection goroutines, two pingers.
+	for deadline := time.Now().Add(10 * time.Second); leaderGoroutines() != baseline+6; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d leader goroutines over a baseline of %d, want 6 more", leaderGoroutines(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if err := leader.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed.Store(true)
+	// A goroutine that has announced its exit may still be on its way out.
+	for deadline := time.Now().Add(5 * time.Second); leaderGoroutines() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d leader goroutines after Close, baseline %d", leaderGoroutines(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // five heartbeats
+	if n := late.Load(); n != 0 {
+		t.Fatalf("%d callback(s) fired after Close returned", n)
 	}
 }

@@ -76,12 +76,10 @@ type Policy struct {
 	// Cache hits still count against a search's evaluation budget (they
 	// are real visits), but solve no subproblems.
 	Cache bool `json:"cache,omitempty"`
-	// MaxConcurrentEvals is the width of the neighborhood-parallel
-	// evaluation scheduler: how many candidate evaluations a search may keep
-	// in flight on the transport at once (see Frontier).  0 keeps the
-	// sequential evaluation loop (the deterministic regression anchor); 1
-	// drives the scheduler one candidate at a time, which is bit-identical
-	// to the sequential loop; values above 1 pipeline whole neighborhoods.
+	// MaxConcurrentEvals is the width of a search's neighborhood passes:
+	// how many candidate evaluations it may keep in flight on the transport
+	// at once.  0 means the default of 1, one candidate at a time in visit
+	// order; values above 1 pipeline whole neighborhoods (see Frontier).
 	MaxConcurrentEvals int `json:"max_concurrent_evals,omitempty"`
 }
 
@@ -116,7 +114,7 @@ func (p Policy) Validate() error {
 			p.Gamma, DefaultGamma)
 	}
 	if p.MaxConcurrentEvals < 0 {
-		return fmt.Errorf("eval: negative evaluation concurrency %d (use 0 for the sequential path)",
+		return fmt.Errorf("eval: negative evaluation concurrency %d (use 0 for the default of 1)",
 			p.MaxConcurrentEvals)
 	}
 	return nil

@@ -111,24 +111,20 @@ type Options struct {
 	// worse than the fleet's best, which is all a minimizer needs to know.
 	Shared SharedIncumbent
 
-	// MaxConcurrentEvals routes the neighbourhood loops through the
-	// asynchronous evaluation scheduler (eval.Frontier): up to this many
-	// candidate evaluations are kept in flight on the transport at once,
-	// with the live best value threaded into every one so siblings prune
-	// each other, and the in-flight rest cancelled once a neighbourhood's
-	// outcome is decided.  0 keeps the plain sequential loops (the
-	// deterministic regression anchor); 1 drives the scheduler one
-	// candidate at a time, bit-identical to 0 for the tabu search and the
-	// simulated annealing alike; values above 1 pipeline evaluations and
-	// require the objective to be safe for concurrent use.  See
+	// MaxConcurrentEvals is the width of the neighbourhood loops: how many
+	// candidate evaluations are kept in flight on the transport at once.
+	// 0 means 1: candidates are evaluated one at a time, in visit order,
+	// with a budget check before each.  Values above 1 pipeline evaluations
+	// through the asynchronous scheduler (eval.Frontier), with the live best
+	// value threaded into every one so siblings prune each other and the
+	// in-flight rest cancelled once a neighbourhood's outcome is decided;
+	// they require the objective to be safe for concurrent use.  See the
 	// doc comments in scheduler.go for the determinism rule.
 	MaxConcurrentEvals int
 
 	// NeighborhoodObserver, when non-nil, is called after every
-	// neighbourhood pass the scheduler completes (tabu neighbourhoods and
-	// simulated-annealing waves), from the search's goroutine.  It is only
-	// called when MaxConcurrentEvals ≥ 1; the sequential loops predate the
-	// neighbourhood notion and emit nothing.
+	// neighbourhood pass (tabu neighbourhoods and simulated-annealing
+	// waves), from the search's goroutine.
 	NeighborhoodObserver func(Neighborhood)
 }
 
@@ -181,7 +177,7 @@ func (o Options) Validate() error {
 		return fmt.Errorf("optimize: invalid target value %v (use 0 to disable the target stop)", o.TargetValue)
 	}
 	if o.MaxConcurrentEvals < 0 {
-		return fmt.Errorf("optimize: negative evaluation concurrency %d (use 0 for the sequential loops)",
+		return fmt.Errorf("optimize: negative evaluation concurrency %d (use 0 for the default of 1)",
 			o.MaxConcurrentEvals)
 	}
 	return nil
@@ -217,6 +213,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = def.Seed
+	}
+	if o.MaxConcurrentEvals == 0 {
+		o.MaxConcurrentEvals = 1
 	}
 	return o
 }
@@ -440,21 +439,6 @@ func (s *search) result(best decomp.Point, bestValue float64) *Result {
 	}
 }
 
-// pickUnchecked returns a pseudo-random element of candidates whose key is
-// not in the checked set, or false if none remain.
-func (s *search) pickUnchecked(candidates []decomp.Point, checked map[string]bool) (decomp.Point, bool) {
-	unchecked := make([]decomp.Point, 0, len(candidates))
-	for _, c := range candidates {
-		if !checked[c.Key()] {
-			unchecked = append(unchecked, c)
-		}
-	}
-	if len(unchecked) == 0 {
-		return decomp.Point{}, false
-	}
-	return unchecked[s.rng.Intn(len(unchecked))], true
-}
-
 // SimulatedAnnealing minimizes the objective starting from the given point,
 // following Algorithm 1 of the paper.  The returned result always reports
 // the best point seen over the whole run (the pseudocode's χ_best tracks the
@@ -489,83 +473,7 @@ func SimulatedAnnealing(ctx context.Context, obj Objective, start decomp.Point, 
 		temperature = math.Max(centerValue*0.1, 1)
 	}
 
-	if s.frontierWidth() > 0 {
-		return s.annealScheduled(ctx, center, centerValue, best, bestValue, temperature)
-	}
-
-	for {
-		if err := s.checkBudgets(ctx); err != nil {
-			return s.result(best, bestValue), nil
-		}
-		if temperature < opts.MinTemperature {
-			s.stopped = StopTemperature
-			return s.result(best, bestValue), nil
-		}
-
-		bestValueUpdated := false
-		radius := opts.Radius
-		checked := map[string]bool{center.Key(): true}
-		for !bestValueUpdated {
-			neighborhood := neighbors(center, radius)
-			chi, ok := s.pickUnchecked(neighborhood, checked)
-			if !ok {
-				// Neighbourhood exhausted at this radius.
-				if radius < opts.MaxRadius {
-					radius++
-					continue
-				}
-				s.stopped = StopNoImprovment
-				return s.result(best, bestValue), nil
-			}
-			// The incumbent is the global best: a point pruned against it
-			// can never improve the run's result.  The returned lower bound
-			// feeds the acceptance rule below; since the bound understates
-			// F, a pruned point is — if anything — accepted slightly more
-			// often than its true value would be, preserving the
-			// hill-escaping of the annealing.
-			value, _, prunedEval, err := s.evaluate(ctx, chi, bestValue)
-			if err != nil {
-				if errors.Is(err, errStop) {
-					return s.result(best, bestValue), nil
-				}
-				return nil, err
-			}
-			checked[chi.Key()] = true
-
-			accepted := s.pointAccepted(value, centerValue, temperature)
-			// A pruned value is a lower bound proving the point worse than
-			// the fleet incumbent, never a new best (without a fleet the
-			// bound exceeds bestValue anyway, so the guard changes nothing).
-			improved := value < bestValue && !prunedEval
-			s.record(chi, value, accepted, improved, prunedEval)
-			if accepted {
-				center, centerValue = chi, value
-				if improved {
-					best, bestValue = chi, value
-					s.offerBest(best, bestValue)
-					if s.targetReached(bestValue) {
-						return s.result(best, bestValue), nil
-					}
-				}
-				bestValueUpdated = true
-			}
-			if allChecked(neighborhood, checked) && !bestValueUpdated {
-				radius++
-				if radius > opts.MaxRadius {
-					s.stopped = StopNoImprovment
-					return s.result(best, bestValue), nil
-				}
-			}
-			temperature *= opts.CoolingFactor
-			if temperature < opts.MinTemperature {
-				s.stopped = StopTemperature
-				return s.result(best, bestValue), nil
-			}
-			if err := s.checkBudgets(ctx); err != nil {
-				return s.result(best, bestValue), nil
-			}
-		}
-	}
+	return s.anneal(ctx, center, centerValue, best, bestValue, temperature)
 }
 
 // pointAccepted implements the acceptance rule of Algorithm 1.
@@ -625,64 +533,14 @@ func TabuSearch(ctx context.Context, obj Objective, start decomp.Point, opts Opt
 		if err := s.checkBudgets(ctx); err != nil {
 			return s.result(best, bestValue), nil
 		}
-		if s.frontierWidth() > 0 {
-			updated, err := s.tabuNeighborhoodScheduled(ctx, tl, center, &best, &bestValue)
-			if err != nil {
-				if errors.Is(err, errStop) {
-					return s.result(best, bestValue), nil
-				}
-				return nil, err
-			}
-			if updated {
-				center = best
-				continue
-			}
-			next, ok := tl.getNewCenter(s.obj)
-			if !ok {
-				s.stopped = StopExhausted
+		updated, err := s.tabuNeighborhood(ctx, tl, center, &best, &bestValue)
+		if err != nil {
+			if errors.Is(err, errStop) {
 				return s.result(best, bestValue), nil
 			}
-			center = next
-			continue
+			return nil, err
 		}
-		bestValueUpdated := false
-		neighborhood := neighbors(center, opts.Radius)
-		for {
-			chi, ok := s.pickUncheckedTabu(neighborhood)
-			if !ok {
-				break // neighbourhood of the centre fully checked
-			}
-			// The incumbent is the best value so far: a pruned point's lower
-			// bound exceeds it, so `improved` below is false for every
-			// pruned evaluation — exactly the information the tabu search
-			// needs from a worse point, at a fraction of the solving.
-			value, fresh, prunedEval, err := s.evaluate(ctx, chi, bestValue)
-			if err != nil {
-				if errors.Is(err, errStop) {
-					return s.result(best, bestValue), nil
-				}
-				return nil, err
-			}
-			if fresh {
-				tl.addChecked(chi, value, s.values)
-			}
-			// Pruned lower bounds never become the best value (see the SA
-			// loop for the fleet rationale; uncoupled runs are unaffected).
-			improved := value < bestValue && !prunedEval
-			s.record(chi, value, improved, improved, prunedEval)
-			if improved {
-				best, bestValue = chi, value
-				s.offerBest(best, bestValue)
-				if s.targetReached(bestValue) {
-					return s.result(best, bestValue), nil
-				}
-				bestValueUpdated = true
-			}
-			if err := s.checkBudgets(ctx); err != nil {
-				return s.result(best, bestValue), nil
-			}
-		}
-		if bestValueUpdated {
+		if updated {
 			center = best
 			continue
 		}
@@ -706,22 +564,6 @@ func neighbors(p decomp.Point, radius int) []decomp.Point {
 		return ns
 	}
 	return slices.DeleteFunc(ns, func(q decomp.Point) bool { return q.Count() == 0 })
-}
-
-// pickUncheckedTabu returns a pseudo-random neighbourhood point that has not
-// been evaluated yet (the tabu lists make "checked anywhere" equivalent to
-// "has a cached value").
-func (s *search) pickUncheckedTabu(candidates []decomp.Point) (decomp.Point, bool) {
-	unchecked := make([]decomp.Point, 0, len(candidates))
-	for _, c := range candidates {
-		if _, seen := s.values[c.Key()]; !seen {
-			unchecked = append(unchecked, c)
-		}
-	}
-	if len(unchecked) == 0 {
-		return decomp.Point{}, false
-	}
-	return unchecked[s.rng.Intn(len(unchecked))], true
 }
 
 // tabuLists implements the L1/L2 bookkeeping of Algorithm 2.

@@ -1,18 +1,20 @@
 package optimize
 
-// Neighborhood-parallel search: the scheduler-driven variants of the two
-// metaheuristics' inner loops, active when Options.MaxConcurrentEvals ≥ 1.
+// The neighbourhood loops of the two metaheuristics.  Both evaluate their
+// candidates in pre-drawn sequences ("waves") of Options.MaxConcurrentEvals
+// width.
 //
-// The tabu search pre-draws the visit order of a whole neighbourhood —
-// consuming the search RNG exactly as the sequential one-pick-at-a-time
-// loop would, which is what makes width 1 bit-identical to the sequential
-// path — and submits it to an eval.Frontier: up to `width` candidate
-// evaluations run concurrently on the transport, the live best value is
-// threaded into every one (siblings prune each other as results stream
-// back), and results are processed strictly in visit order.  The simulated
-// annealing speculates in waves of `width` pre-drawn candidates; an
-// acceptance decides the wave, and the in-flight rest is cancelled and
-// discarded whole.
+// The tabu search pre-draws the visit order of a whole neighbourhood — one
+// RNG draw per candidate over the not-yet-drawn unchecked ones, which is
+// how the recorded fixed-seed traces were drawn — and walks it in that
+// order.  At width 1 the candidates are evaluated one at a time with a
+// budget check before each.  Above 1 the order is submitted to an
+// eval.Frontier: up to `width` candidate evaluations run concurrently on
+// the transport, the live best value is threaded into every one (siblings
+// prune each other as results stream back), and results are processed
+// strictly in visit order.  The simulated annealing speculates in waves of
+// `width` pre-drawn candidates; an acceptance decides the wave, and the
+// in-flight rest is cancelled and discarded whole.
 //
 // Determinism rule.  Pre-reserved evaluation slots make every candidate's
 // Monte Carlo sample a pure function of (scope seed, slot), so full
@@ -26,8 +28,8 @@ package optimize
 // values they report), subproblem solved/aborted counts, conflict
 // activity absorbed from truncated solves — and, for the annealing, which
 // discarded wave members completed early enough to land in the F-cache.
-// For strict run-to-run reproducibility of full traces, switch Prune and
-// Cache off, exactly as with fleet races.
+// For strict run-to-run reproducibility of full traces at widths above 1,
+// switch Prune and Cache off, exactly as with fleet races.
 
 import (
 	"context"
@@ -37,14 +39,14 @@ import (
 	"github.com/paper-repro/pdsat-go/internal/eval"
 )
 
-// Neighborhood summarizes one completed neighbourhood pass of a
-// scheduler-driven search: a whole tabu neighbourhood, or one speculative
-// wave of the simulated annealing.
+// Neighborhood summarizes one completed neighbourhood pass of a search: a
+// whole tabu neighbourhood, or one speculative wave of the simulated
+// annealing.
 type Neighborhood struct {
 	// Center is the pass's neighbourhood centre; Radius its radius.
 	Center decomp.Point
 	Radius int
-	// Candidates is the number of candidates submitted to the scheduler;
+	// Candidates is the number of candidates drawn for the pass;
 	// Evaluated how many were freshly evaluated (value-cache hits within
 	// the search are excluded), Pruned how many of those the incumbent
 	// bound cut short, and Cancelled how many were discarded unprocessed
@@ -57,17 +59,8 @@ type Neighborhood struct {
 	// which BestValue reports as of the end of the pass.
 	Improved  bool
 	BestValue float64
-	// Width is the scheduler's in-flight evaluation cap.
+	// Width is the in-flight evaluation cap (Options.MaxConcurrentEvals).
 	Width int
-}
-
-// frontierWidth returns the scheduler width, 0 meaning the plain
-// sequential loops.
-func (s *search) frontierWidth() int {
-	if s.opts.MaxConcurrentEvals <= 0 {
-		return 0
-	}
-	return s.opts.MaxConcurrentEvals
 }
 
 // observeNeighborhood reports a completed pass to the configured observer.
@@ -108,12 +101,13 @@ func (s *search) frontierBound(bestValue float64) *eval.Bound {
 }
 
 // drawTabuOrder pre-draws the complete visit order of one tabu
-// neighbourhood.  It consumes the search RNG exactly as the sequential
-// loop's repeated pickUncheckedTabu calls would (same filtered slice, same
-// Intn argument at every step), because an evaluation never touches the
-// RNG and the tabu search always exhausts a neighbourhood it enters — the
-// only early exits end the whole search, after which the RNG is never
-// read again.
+// neighbourhood: repeatedly one pseudo-random pick among the candidates
+// that have no cached value (the tabu lists make "checked anywhere"
+// equivalent to "has a cached value") and are not drawn yet.  Drawing
+// everything ahead is the same as drawing before each evaluation, because
+// an evaluation never touches the RNG and the tabu search always exhausts a
+// neighbourhood it enters — the only early exits end the whole search,
+// after which the RNG is never read again.
 func (s *search) drawTabuOrder(candidates []decomp.Point) []decomp.Point {
 	taken := make(map[string]bool, len(candidates))
 	order := make([]decomp.Point, 0, len(candidates))
@@ -138,11 +132,11 @@ func (s *search) drawTabuOrder(candidates []decomp.Point) []decomp.Point {
 	}
 }
 
-// drawWave pre-draws up to k distinct candidates the way the annealing's
-// sequential pickUnchecked would draw them one by one (the checked set,
-// unlike the tabu filter, resets per centre and admits re-visits of
-// points valued in earlier neighbourhoods — those are served from the
-// search's value cache without an evaluation, in either mode).
+// drawWave pre-draws up to k distinct candidates for the annealing, one
+// pseudo-random pick at a time among those not in the checked set (which,
+// unlike the tabu filter, resets per centre and admits re-visits of points
+// valued in earlier neighbourhoods — those are served from the search's
+// value cache without an evaluation).
 func (s *search) drawWave(candidates []decomp.Point, checked map[string]bool, k int) []decomp.Point {
 	wave := make([]decomp.Point, 0, k)
 	taken := make(map[string]bool, k)
@@ -186,17 +180,16 @@ func (s *search) frontierValue(ctx context.Context, r eval.FrontierResult) (floa
 	return r.Eval.Value, r.Eval.Pruned, nil
 }
 
-// runWave drives one pre-drawn candidate sequence through the scheduler
-// and the handler.  incumbent is re-read per candidate (the handler may
-// improve the best value mid-wave), exactly like the sequential loops
-// pass their live best value into every evaluation.  Results reach the
-// handler strictly in wave order; the returned count is how many members
-// the handler processed (the rest were cancelled or never submitted).  At
-// width 1 the wave is evaluated sequentially through s.evaluate,
-// reproducing the sequential loops' per-candidate budget checks and
-// value-cache behaviour bit for bit.
+// runWave drives one pre-drawn candidate sequence through the handler.
+// incumbent is re-read per candidate (the handler may improve the best
+// value mid-wave).  Results reach the handler strictly in wave order; the
+// returned count is how many members the handler processed (the rest were
+// cancelled or never submitted).  At width 1 the wave is evaluated one
+// member at a time through s.evaluate: a slot is reserved per evaluation
+// and the budgets are checked before each one, which is what the recorded
+// fixed-seed samples rest on (the frontier reserves a wave's slots at once).
 func (s *search) runWave(ctx context.Context, wave []decomp.Point, incumbent func() float64, handle waveHandler) (int, error) {
-	width := s.frontierWidth()
+	width := s.opts.MaxConcurrentEvals
 	processed := 0
 	if width <= 1 {
 		for _, chi := range wave {
@@ -307,11 +300,11 @@ func (s *search) runWave(ctx context.Context, wave []decomp.Point, incumbent fun
 	return processed, stopErr
 }
 
-// tabuNeighborhoodScheduled runs one whole tabu neighbourhood through the
-// scheduler and reports whether it improved the best value.  A returned
-// errStop ends the search gracefully (the stop reason is already
-// recorded); other errors are hard failures.
-func (s *search) tabuNeighborhoodScheduled(ctx context.Context, tl *tabuLists, center decomp.Point, best *decomp.Point, bestValue *float64) (bool, error) {
+// tabuNeighborhood checks one whole tabu neighbourhood and reports whether
+// it improved the best value.  A returned errStop ends the search
+// gracefully (the stop reason is already recorded); other errors are hard
+// failures.
+func (s *search) tabuNeighborhood(ctx context.Context, tl *tabuLists, center decomp.Point, best *decomp.Point, bestValue *float64) (bool, error) {
 	order := s.drawTabuOrder(neighbors(center, s.opts.Radius))
 	if len(order) == 0 {
 		return false, nil
@@ -320,7 +313,7 @@ func (s *search) tabuNeighborhoodScheduled(ctx context.Context, tl *tabuLists, c
 		Center:     center,
 		Radius:     s.opts.Radius,
 		Candidates: len(order),
-		Width:      s.frontierWidth(),
+		Width:      s.opts.MaxConcurrentEvals,
 	}
 	updated := false
 	handle := func(chi decomp.Point, value float64, prunedEval, fresh bool) (bool, error) {
@@ -331,6 +324,11 @@ func (s *search) tabuNeighborhoodScheduled(ctx context.Context, tl *tabuLists, c
 		if prunedEval {
 			stats.Pruned++
 		}
+		// The incumbent is the best value so far, so a pruned point's lower
+		// bound exceeds it — exactly the information the tabu search needs
+		// from a worse point, at a fraction of the solving.  With a fleet's
+		// lower incumbent in play the bound may undercut this search's own
+		// best, so pruned bounds never count as improvements.
 		improved := value < *bestValue && !prunedEval
 		s.record(chi, value, improved, improved, prunedEval)
 		if improved {
@@ -354,16 +352,15 @@ func (s *search) tabuNeighborhoodScheduled(ctx context.Context, tl *tabuLists, c
 	return updated, err
 }
 
-// annealScheduled is the simulated annealing's main loop in scheduler
-// mode: speculative waves of up to `width` pre-drawn candidates, an
-// acceptance decides the wave and discards its unprocessed rest whole
-// (never recorded, not even in the search's value cache, so the decision
-// sequence matches what a sequential run would do from the same
-// acceptance).  At width 1 every wave holds one candidate and the walk is
-// bit-identical to the sequential loop.
-func (s *search) annealScheduled(ctx context.Context, center decomp.Point, centerValue float64, best decomp.Point, bestValue, temperature float64) (*Result, error) {
+// anneal is the simulated annealing's main loop: speculative waves of up
+// to `width` pre-drawn candidates, an acceptance decides the wave and
+// discards its unprocessed rest whole (never recorded, not even in the
+// search's value cache, so the decision sequence matches what a width-1
+// run would do from the same acceptance).  At width 1 every wave holds one
+// candidate: pick, evaluate, accept or not, cool.
+func (s *search) anneal(ctx context.Context, center decomp.Point, centerValue float64, best decomp.Point, bestValue, temperature float64) (*Result, error) {
 	opts := s.opts
-	width := s.frontierWidth()
+	width := opts.MaxConcurrentEvals
 	for {
 		if err := s.checkBudgets(ctx); err != nil {
 			return s.result(best, bestValue), nil
@@ -380,6 +377,7 @@ func (s *search) annealScheduled(ctx context.Context, center decomp.Point, cente
 			neighborhood := neighbors(center, radius)
 			wave := s.drawWave(neighborhood, checked, width)
 			if len(wave) == 0 {
+				// Neighbourhood exhausted at this radius.
 				if radius < opts.MaxRadius {
 					radius++
 					continue
@@ -401,6 +399,12 @@ func (s *search) annealScheduled(ctx context.Context, center decomp.Point, cente
 				if prunedEval {
 					stats.Pruned++
 				}
+				// The incumbent is the global best: a point pruned against it
+				// can never improve the run's result.  Its lower bound feeds
+				// the acceptance rule; since the bound understates F, a pruned
+				// point is — if anything — accepted slightly more often than
+				// its true value would be, preserving the hill-escaping of the
+				// annealing.
 				accepted := s.pointAccepted(value, centerValue, temperature)
 				improved := value < bestValue && !prunedEval
 				s.record(chi, value, accepted, improved, prunedEval)

@@ -2,6 +2,10 @@ package optimize
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -70,17 +74,78 @@ func resultsEqual(t *testing.T, got, want *Result) {
 	tracesEqual(t, got.Trace, want.Trace)
 }
 
-// TestTabuScheduledWidthOneBitIdentical pins the scheduler's central
-// regression anchor at this layer: MaxConcurrentEvals == 1 drives the
-// whole search through the scheduler (pre-drawn visit order, runWave,
-// handle chain) yet must reproduce the sequential tabu loop bit for bit —
-// same RNG stream, same visits, same stop.
+// recordedTraceFile holds the traces the sequential SA/tabu loops produced
+// on the synthetic objective at the commit before their deletion.  Regenerate
+// (only ever to add a case) with:
+//
+//	PDSAT_UPDATE_GOLDENS=1 go test -run 'ScheduledWidthOneBitIdentical' ./internal/optimize
+const recordedTraceFile = "testdata/search_traces.json"
+
+// recordedSearch is a Result in the recorded form; a trace entry is
+// "index point value accepted improved pruned".
+type recordedSearch struct {
+	BestPoint   string     `json:"best_point"`
+	BestValue   float64    `json:"best_value"`
+	Evaluations int        `json:"evaluations"`
+	Stop        StopReason `json:"stop"`
+	Trace       []string   `json:"trace"`
+}
+
+// checkRecorded compares a result with the named recording (or records it
+// under PDSAT_UPDATE_GOLDENS).
+func checkRecorded(t *testing.T, name string, got *Result) {
+	t.Helper()
+	all := map[string]recordedSearch{}
+	if buf, err := os.ReadFile(recordedTraceFile); err == nil {
+		if err := json.Unmarshal(buf, &all); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := recordedSearch{
+		BestPoint:   got.BestPoint.Key(),
+		BestValue:   got.BestValue,
+		Evaluations: got.Evaluations,
+		Stop:        got.Stop,
+	}
+	for _, v := range got.Trace {
+		run.Trace = append(run.Trace, fmt.Sprintf("%d %s %v %t %t %t", v.Index, v.Point.Key(), v.Value, v.Accepted, v.Improved, v.Pruned))
+	}
+	if os.Getenv("PDSAT_UPDATE_GOLDENS") != "" {
+		all[name] = run
+		buf, err := json.MarshalIndent(all, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(recordedTraceFile, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	rec, ok := all[name]
+	if !ok {
+		t.Fatalf("no recording %q in %s", name, recordedTraceFile)
+	}
+	if !reflect.DeepEqual(run, rec) {
+		for i := range min(len(run.Trace), len(rec.Trace)) {
+			if run.Trace[i] != rec.Trace[i] {
+				t.Fatalf("trace[%d] = %q, recorded %q", i, run.Trace[i], rec.Trace[i])
+			}
+		}
+		t.Fatalf("best %s = %v, %d evaluations, %d visits, %q; recorded %s = %v, %d evaluations, %d visits, %q",
+			run.BestPoint, run.BestValue, run.Evaluations, len(run.Trace), run.Stop,
+			rec.BestPoint, rec.BestValue, rec.Evaluations, len(rec.Trace), rec.Stop)
+	}
+}
+
+// TestTabuScheduledWidthOneBitIdentical pins the tabu loop to the trace the
+// deleted sequential loop produced: the pre-drawn visit order must consume
+// the RNG exactly as its one-pick-at-a-time draws did, and width 1 must keep
+// its per-candidate budget checks — same visits, same stop.  Width 0 is
+// width 1.
 func TestTabuScheduledWidthOneBitIdentical(t *testing.T) {
 	s := makeSpace(7)
-	target := []cnf.Var{2, 5}
-	run := func(width int) *Result {
-		obj := newCountingObjective(target)
-		res, err := TabuSearch(context.Background(), obj, s.FullPoint(), Options{
+	for _, width := range []int{0, 1} {
+		res, err := TabuSearch(context.Background(), newCountingObjective([]cnf.Var{2, 5}), s.FullPoint(), Options{
 			Seed:               11,
 			MaxEvaluations:     400,
 			MaxConcurrentEvals: width,
@@ -88,21 +153,18 @@ func TestTabuScheduledWidthOneBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		checkRecorded(t, "tabu", res)
 	}
-	resultsEqual(t, run(1), run(0))
 }
 
-// TestSAScheduledWidthOneBitIdentical is the same anchor for the
-// simulated annealing: every wave holds exactly one candidate, so the
+// TestSAScheduledWidthOneBitIdentical is the same anchor for the simulated
+// annealing: every wave holds exactly one candidate, so the
 // pick/evaluate/accept/cool interleaving — including the acceptance RNG
-// draws — matches the sequential loop exactly.
+// draws — matches the recorded sequential walk exactly.
 func TestSAScheduledWidthOneBitIdentical(t *testing.T) {
 	s := makeSpace(7)
-	target := []cnf.Var{1, 4, 6}
-	run := func(width int) *Result {
-		obj := newCountingObjective(target)
-		res, err := SimulatedAnnealing(context.Background(), obj, s.FullPoint(), Options{
+	for _, width := range []int{0, 1} {
+		res, err := SimulatedAnnealing(context.Background(), newCountingObjective([]cnf.Var{1, 4, 6}), s.FullPoint(), Options{
 			Seed:               13,
 			MaxEvaluations:     600,
 			InitialTemperature: 0.5,
@@ -112,16 +174,15 @@ func TestSAScheduledWidthOneBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		checkRecorded(t, "sa", res)
 	}
-	resultsEqual(t, run(1), run(0))
 }
 
 // TestTabuScheduledWideTraceMatchesSequential: without pruning, a wide
 // tabu neighbourhood pass evaluates exactly the pre-drawn visit order the
-// sequential loop would walk, delivers results in that order, and the
-// pass always runs to exhaustion — so even at width 4 the full trace is
-// identical to the sequential search, not just the selected centres.
+// width-1 search walks, delivers results in that order, and the pass
+// always runs to exhaustion — so even at width 4 the full trace is
+// identical to the one-at-a-time search, not just the selected centres.
 func TestTabuScheduledWideTraceMatchesSequential(t *testing.T) {
 	s := makeSpace(6)
 	target := []cnf.Var{3, 4}
@@ -136,9 +197,9 @@ func TestTabuScheduledWideTraceMatchesSequential(t *testing.T) {
 		}
 		return res
 	}
-	seq := run(0)
+	seq := run(1)
 	if seq.Stop != StopExhausted {
-		t.Fatalf("sequential run stopped with %q, want exhaustion of the tiny space", seq.Stop)
+		t.Fatalf("width-1 run stopped with %q, want exhaustion of the tiny space", seq.Stop)
 	}
 	resultsEqual(t, run(4), seq)
 }

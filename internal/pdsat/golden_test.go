@@ -82,12 +82,34 @@ type searchGolden struct {
 	ActFNV   uint64         `json:"act_fnv,omitempty"`
 }
 
+// searchTraceGolden pins a whole fixed-seed search: the outcome, a hash over
+// every field of every visit, and the runner's counters.  The two entries of
+// this form were recorded from the sequential SA/tabu loops at the commit
+// before their deletion; the scheduler-driven loops must keep reproducing
+// them at MaxConcurrentEvals 0 and 1 (TestSchedulerWidthOneBitIdentical*).
+type searchTraceGolden struct {
+	BestFBits   uint64 `json:"best_f_bits"`
+	BestPoint   string `json:"best_point"`
+	Evaluations int    `json:"evaluations"`
+	Stop        string `json:"stop"`
+	Visits      int    `json:"visits"`
+	VisitsFNV   uint64 `json:"visits_fnv"`
+	Pruned      int    `json:"pruned"`
+	Solved      int    `json:"solved"`
+	ActFNV      uint64 `json:"act_fnv"`
+}
+
 type estimatorGoldens struct {
 	EstimateZero    estimateGolden `json:"estimate_zero"`
 	EstimateStaged  estimateGolden `json:"estimate_staged"`
 	SearchZero      searchGolden   `json:"search_zero"`
 	SearchDefault   searchGolden   `json:"search_default"`
 	ActivityTopVars []int          `json:"activity_top_vars"`
+	// On the pinned instance the default policy early-stops every evaluation
+	// after its first stage and never prunes, so the whole trace is
+	// deterministic there, not only the outcome SearchDefault records.
+	SearchDefaultTrace searchTraceGolden `json:"search_default_trace"`
+	SearchSAZero       searchTraceGolden `json:"search_sa_zero"`
 }
 
 func hashFloatSlice(fs []float64) uint64 {
@@ -108,7 +130,113 @@ func runnerActivityHash(r *Runner, numVars int) uint64 {
 	return hashFloatSlice(acts)
 }
 
-// computeEstimatorGoldens runs the four pinned fixed-seed scenarios.
+// hashVisits hashes every field of every visit of a search trace.
+func hashVisits(trace []optimize.Visit) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, v := range trace {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v.Index))
+		h.Write(buf[:])
+		h.Write([]byte(v.Point.Key()))
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.Value))
+		h.Write(buf[:])
+		for _, flag := range []bool{v.Accepted, v.Improved, v.Pruned} {
+			if flag {
+				h.Write([]byte{1})
+			} else {
+				h.Write([]byte{0})
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+func toSearchTraceGolden(r *Runner, res *optimize.Result) searchTraceGolden {
+	return searchTraceGolden{
+		BestFBits:   math.Float64bits(res.BestValue),
+		BestPoint:   res.BestPoint.Key(),
+		Evaluations: res.Evaluations,
+		Stop:        string(res.Stop),
+		Visits:      len(res.Trace),
+		VisitsFNV:   hashVisits(res.Trace),
+		Pruned:      r.PrunedEvaluations(),
+		Solved:      r.SubproblemsSolved(),
+		ActFNV:      runnerActivityHash(r, r.Formula().NumVars),
+	}
+}
+
+// goldenTabuOpts are the options of the pinned tabu searches at the given
+// scheduler width.
+func goldenTabuOpts(width int) optimize.Options {
+	return optimize.Options{Seed: 5, MaxEvaluations: 25, MaxConcurrentEvals: width}
+}
+
+// goldenTabuZero runs the pinned zero-policy tabu search: the full trace is
+// deterministic.
+func goldenTabuZero(t *testing.T, width int) (searchGolden, *optimize.Result) {
+	t.Helper()
+	inst := weakBivium(t, 167, 60, 21)
+	r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
+	res, err := optimize.TabuSearch(context.Background(), r, unknownSpace(inst).FullPoint(), goldenTabuOpts(width))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := make([]float64, 0, len(res.Trace))
+	for _, v := range res.Trace {
+		trace = append(trace, v.Value)
+	}
+	return searchGolden{
+		BestFBits:   math.Float64bits(res.BestValue),
+		BestPoint:   res.BestPoint.Key(),
+		Evaluations: res.Evaluations,
+		TraceFNV:    hashFloatSlice(trace),
+		Solved:      r.SubproblemsSolved(),
+		Stats:       toEstGoldenStats(statsNoTime(r.AggregateStats())),
+		ActFNV:      runnerActivityHash(r, inst.CNF.NumVars),
+	}, res
+}
+
+// goldenTabuDefault runs the pinned default-policy tabu search.
+func goldenTabuDefault(t *testing.T, width int) searchTraceGolden {
+	t.Helper()
+	inst := weakBivium(t, 167, 60, 21)
+	r := NewRunner(inst.CNF, evalTestConfig(eval.DefaultPolicy()))
+	res, err := optimize.TabuSearch(context.Background(), r, unknownSpace(inst).FullPoint(), goldenTabuOpts(width))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return toSearchTraceGolden(r, res)
+}
+
+// goldenSAZero runs the pinned zero-policy simulated annealing: 17 unknown
+// variables and a budget of 14 evaluations.
+func goldenSAZero(t *testing.T, width int) searchTraceGolden {
+	t.Helper()
+	inst := weakBivium(t, 160, 200, 7)
+	r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
+	res, err := optimize.SimulatedAnnealing(context.Background(), r, unknownSpace(inst).FullPoint(),
+		optimize.Options{Seed: 5, MaxEvaluations: 14, InitialTemperature: 0.5, MaxConcurrentEvals: width})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return toSearchTraceGolden(r, res)
+}
+
+// loadEstimatorGoldens reads the recorded golden file.
+func loadEstimatorGoldens(t *testing.T) estimatorGoldens {
+	t.Helper()
+	buf, err := os.ReadFile(estimatorGoldenFile)
+	if err != nil {
+		t.Fatalf("missing golden file (record with PDSAT_UPDATE_GOLDENS=1): %v", err)
+	}
+	var want estimatorGoldens
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// computeEstimatorGoldens runs the pinned fixed-seed scenarios.
 func computeEstimatorGoldens(t *testing.T) estimatorGoldens {
 	t.Helper()
 	var g estimatorGoldens
@@ -160,50 +288,23 @@ func computeEstimatorGoldens(t *testing.T) estimatorGoldens {
 		}
 	}
 
-	opts := optimize.Options{Seed: 5, MaxEvaluations: 25}
-
-	// Zero-policy tabu search: the full trace is deterministic.
-	{
-		r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-		res, err := optimize.TabuSearch(context.Background(), r, space.FullPoint(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trace := make([]float64, 0, len(res.Trace))
-		for _, v := range res.Trace {
-			trace = append(trace, v.Value)
-		}
-		g.SearchZero = searchGolden{
-			BestFBits:   math.Float64bits(res.BestValue),
-			BestPoint:   res.BestPoint.Key(),
-			Evaluations: res.Evaluations,
-			TraceFNV:    hashFloatSlice(trace),
-			Solved:      r.SubproblemsSolved(),
-			Stats:       toEstGoldenStats(statsNoTime(r.AggregateStats())),
-			ActFNV:      runnerActivityHash(r, inst.CNF.NumVars),
-		}
-		top := res.BestPoint.Vars()
-		g.ActivityTopVars = make([]int, 0, len(top))
-		for _, v := range top {
-			g.ActivityTopVars = append(g.ActivityTopVars, int(v))
-		}
+	var zero *optimize.Result
+	g.SearchZero, zero = goldenTabuZero(t, 0)
+	for _, v := range zero.BestPoint.Vars() {
+		g.ActivityTopVars = append(g.ActivityTopVars, int(v))
 	}
 
-	// Default-policy tabu search: prune aborts cut samples at
-	// timing-dependent boundaries, so only the search outcome is pinned
+	// Default-policy tabu search: in general prune aborts cut samples at
+	// timing-dependent boundaries, so SearchDefault pins only the outcome
 	// (the same contract TestPruningAndStagingSaveSubproblems relies on).
-	{
-		r := NewRunner(inst.CNF, evalTestConfig(eval.DefaultPolicy()))
-		res, err := optimize.TabuSearch(context.Background(), r, space.FullPoint(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.SearchDefault = searchGolden{
-			BestFBits:   math.Float64bits(res.BestValue),
-			BestPoint:   res.BestPoint.Key(),
-			Evaluations: res.Evaluations,
-		}
+	g.SearchDefaultTrace = goldenTabuDefault(t, 0)
+	g.SearchDefault = searchGolden{
+		BestFBits:   g.SearchDefaultTrace.BestFBits,
+		BestPoint:   g.SearchDefaultTrace.BestPoint,
+		Evaluations: g.SearchDefaultTrace.Evaluations,
 	}
+
+	g.SearchSAZero = goldenSAZero(t, 0)
 	return g
 }
 
@@ -232,14 +333,7 @@ func TestEstimatorGoldens(t *testing.T) {
 		return
 	}
 
-	buf, err := os.ReadFile(estimatorGoldenFile)
-	if err != nil {
-		t.Fatalf("missing golden file (record with PDSAT_UPDATE_GOLDENS=1): %v", err)
-	}
-	var want estimatorGoldens
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := loadEstimatorGoldens(t)
 	if got.EstimateZero != want.EstimateZero {
 		t.Errorf("zero-policy estimate diverges from the seed:\n got %+v\nwant %+v", got.EstimateZero, want.EstimateZero)
 	}
@@ -251,6 +345,12 @@ func TestEstimatorGoldens(t *testing.T) {
 	}
 	if got.SearchDefault != want.SearchDefault {
 		t.Errorf("default-policy search diverges from the seed:\n got %+v\nwant %+v", got.SearchDefault, want.SearchDefault)
+	}
+	if got.SearchDefaultTrace != want.SearchDefaultTrace {
+		t.Errorf("default-policy search trace diverges from the recording:\n got %+v\nwant %+v", got.SearchDefaultTrace, want.SearchDefaultTrace)
+	}
+	if got.SearchSAZero != want.SearchSAZero {
+		t.Errorf("zero-policy annealing diverges from the recording:\n got %+v\nwant %+v", got.SearchSAZero, want.SearchSAZero)
 	}
 	if len(got.ActivityTopVars) != len(want.ActivityTopVars) {
 		t.Errorf("best-point variables diverge: got %v, want %v", got.ActivityTopVars, want.ActivityTopVars)

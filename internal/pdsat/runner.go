@@ -434,7 +434,7 @@ func (pe *PointEstimate) Evaluation() eval.Evaluation {
 }
 
 // Progress describes one completed subproblem within a running evaluation
-// (EvaluatePointObserved) or family-processing call (SolveObserved).
+// (EvaluatePointBudgeted) or family-processing call (SolveObserved).
 type Progress struct {
 	// Done is the number of subproblem results collected so far in this
 	// call, including cancelled placeholders; Total is the call's batch
@@ -458,21 +458,11 @@ type Progress struct {
 // partial estimate computed from the subproblems that did complete (marked
 // Interrupted) together with the context's error, so an interrupted run can
 // still print a report; the result is nil only if no subproblem finished.
-func (r *Runner) EvaluatePoint(ctx context.Context, p decomp.Point) (*PointEstimate, error) {
-	return r.EvaluatePointObserved(ctx, p, nil)
-}
-
-// EvaluatePointObserved behaves exactly like EvaluatePoint but additionally
-// streams a Progress notification for every collected subproblem result to
-// observe (when non-nil).  Notifications arrive from a single goroutine, in
-// collection order; observe must not block for long.  The estimate itself
-// is bit-identical to EvaluatePoint's — observation never changes the
-// sample, the costs or the evaluation counter.
 //
-// Both run under the runner's configured evaluation policy with no
+// It runs under the runner's configured evaluation policy with no
 // incumbent, so staged sampling applies but pruning never triggers.
-func (r *Runner) EvaluatePointObserved(ctx context.Context, p decomp.Point, observe func(Progress)) (*PointEstimate, error) {
-	return r.EvaluatePointBudgeted(ctx, p, r.cfg.Policy, math.Inf(1), observe)
+func (r *Runner) EvaluatePoint(ctx context.Context, p decomp.Point) (*PointEstimate, error) {
+	return r.EvaluatePointBudgeted(ctx, p, r.cfg.Policy, math.Inf(1), nil)
 }
 
 // EvaluatePointBudgeted is the budget-aware evaluation at the heart of the
@@ -503,6 +493,12 @@ func (r *Runner) EvaluatePointObserved(ctx context.Context, p decomp.Point, obse
 // is bit-identical to the historical EvaluatePoint.  Cancellation semantics
 // are unchanged: a cancelled evaluation returns the partial estimate
 // (marked Interrupted) together with the context's error.
+//
+// observe, when non-nil, receives a Progress notification for every
+// collected subproblem result, from a single goroutine, in collection
+// order; it must not block for long.  Observation never changes the sample,
+// the costs or the evaluation counter.
+//
 // The evaluation runs in the runner's default scope, whose seed is
 // Config.Seed and whose evaluation counter is the runner's; see Scope for
 // isolated per-search contexts on the same transport.
@@ -748,7 +744,7 @@ func (r *Runner) Solve(ctx context.Context, p decomp.Point, opts SolveOptions) (
 // SolveObserved behaves exactly like Solve but additionally streams a
 // Progress notification for every collected subproblem result to observe
 // (when non-nil), with the same single-goroutine, in-order contract as
-// EvaluatePointObserved.
+// EvaluatePointBudgeted.
 func (r *Runner) SolveObserved(ctx context.Context, p decomp.Point, opts SolveOptions, observe func(Progress)) (*SolveReport, error) {
 	if r.cfgErr != nil {
 		return nil, r.cfgErr

@@ -40,100 +40,56 @@ func compareSearchResults(t *testing.T, got, want *optimize.Result) {
 	}
 }
 
-// TestSchedulerWidthOneBitIdenticalTabuZeroPolicy is the satellite
-// equivalence regression on the real pipeline: a fixed-seed Bivium tabu
-// search with MaxConcurrentEvals = 1 runs entirely through the scheduler
-// (pre-drawn visit order, slot-pinned samples, runWave) and must be bit-
-// identical to the sequential anchor — same trace, same conflict
-// activities, same subproblem counts.
+// The three width-1 gates pin the search loops on the real pipeline to
+// recordings (testdata/estimator_goldens.json) made by the sequential SA/tabu
+// loops at the commit before their deletion: a width-1 search runs through
+// the scheduler-driven loop (pre-drawn visit order, runWave) and must
+// reproduce the recorded trace, conflict activities and subproblem counts
+// bit for bit.  Width 0 is width 1.
+
+// TestSchedulerWidthOneBitIdenticalTabuZeroPolicy: the fixed-seed Bivium
+// tabu search with every quantity deterministic (the search_zero entry).
 func TestSchedulerWidthOneBitIdenticalTabuZeroPolicy(t *testing.T) {
-	inst := weakBivium(t, 167, 60, 21)
-	space := unknownSpace(inst)
-
-	seqRunner := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-	want, err := optimize.TabuSearch(context.Background(), seqRunner, space.FullPoint(),
-		optimize.Options{Seed: 5, MaxEvaluations: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	schedRunner := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-	got, err := optimize.TabuSearch(context.Background(), schedRunner, space.FullPoint(),
-		optimize.Options{Seed: 5, MaxEvaluations: 25, MaxConcurrentEvals: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	compareSearchResults(t, got, want)
-	for _, v := range inst.UnknownStartVars() {
-		if a, b := seqRunner.VarActivity(v), schedRunner.VarActivity(v); a != b {
-			t.Fatalf("conflict activity of %d differs: %v vs %v", v, a, b)
+	want := loadEstimatorGoldens(t).SearchZero
+	for _, width := range []int{0, 1} {
+		if got, _ := goldenTabuZero(t, width); got != want {
+			t.Errorf("width %d diverges from the recording:\n got %+v\nwant %+v", width, got, want)
 		}
 	}
-	if seqRunner.SubproblemsSolved() != schedRunner.SubproblemsSolved() {
-		t.Fatalf("solved counts differ: %d vs %d",
-			seqRunner.SubproblemsSolved(), schedRunner.SubproblemsSolved())
-	}
 }
 
-// TestSchedulerWidthOneBitIdenticalTabuDefaultPolicy repeats the width-1
-// anchor under the default policy (pruning + staging + F-cache): the
-// scheduler's one-at-a-time path must thread the improving incumbent into
-// every evaluation exactly like the sequential loop, so even the pruned
-// lower bounds match bit for bit.
+// TestSchedulerWidthOneBitIdenticalTabuDefaultPolicy repeats the anchor
+// under the default policy (pruning + staging): the one-at-a-time path must
+// thread the improving incumbent into every evaluation exactly like the
+// sequential loop did.
 func TestSchedulerWidthOneBitIdenticalTabuDefaultPolicy(t *testing.T) {
-	inst := weakBivium(t, 167, 60, 21)
-	space := unknownSpace(inst)
-	pol := eval.DefaultPolicy()
-
-	seqRunner := NewRunner(inst.CNF, evalTestConfig(pol))
-	want, err := optimize.TabuSearch(context.Background(), seqRunner, space.FullPoint(),
-		optimize.Options{Seed: 5, MaxEvaluations: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	schedRunner := NewRunner(inst.CNF, evalTestConfig(pol))
-	got, err := optimize.TabuSearch(context.Background(), schedRunner, space.FullPoint(),
-		optimize.Options{Seed: 5, MaxEvaluations: 25, MaxConcurrentEvals: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareSearchResults(t, got, want)
-	if seqRunner.PrunedEvaluations() != schedRunner.PrunedEvaluations() {
-		t.Fatalf("pruned counts differ: %d vs %d",
-			seqRunner.PrunedEvaluations(), schedRunner.PrunedEvaluations())
+	want := loadEstimatorGoldens(t).SearchDefaultTrace
+	for _, width := range []int{0, 1} {
+		if got := goldenTabuDefault(t, width); got != want {
+			t.Errorf("width %d diverges from the recording:\n got %+v\nwant %+v", width, got, want)
+		}
 	}
 }
 
-// TestSchedulerWidthOneBitIdenticalSA is the width-1 anchor for the
-// simulated annealing: single-candidate waves reproduce the sequential
+// TestSchedulerWidthOneBitIdenticalSA is the anchor for the simulated
+// annealing: single-candidate waves reproduce the recorded
 // pick/evaluate/accept/cool interleaving — including the acceptance RNG
 // draws — exactly.
 func TestSchedulerWidthOneBitIdenticalSA(t *testing.T) {
-	// 17 unknown variables and a budget of 14: even a run of all-accepted
-	// downhill moves cannot shrink the decomposition set to empty, which
-	// the annealing's neighbourhood generation does not tolerate.
-	inst := weakBivium(t, 160, 200, 7)
-	space := unknownSpace(inst)
-	run := func(width int) *optimize.Result {
-		r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-		res, err := optimize.SimulatedAnnealing(context.Background(), r, space.FullPoint(),
-			optimize.Options{Seed: 5, MaxEvaluations: 14, InitialTemperature: 0.5, MaxConcurrentEvals: width})
-		if err != nil {
-			t.Fatal(err)
+	want := loadEstimatorGoldens(t).SearchSAZero
+	for _, width := range []int{0, 1} {
+		if got := goldenSAZero(t, width); got != want {
+			t.Errorf("width %d diverges from the recording:\n got %+v\nwant %+v", width, got, want)
 		}
-		return res
 	}
-	compareSearchResults(t, run(1), run(0))
 }
 
 // TestSchedulerWideZeroPolicyMatchesSequential: with pruning off and the
 // evaluation budget inside the first neighbourhood, a width-4 tabu search
-// must reproduce the sequential trace exactly — the pre-drawn visit order
-// is the sequential pick order, and the slot reservation pins every
-// candidate's Monte Carlo sample to the value the sequential path would
-// have drawn, whatever order the four in-flight evaluations complete in.
+// must reproduce the width-1 trace exactly — the visit order is drawn
+// before anything is evaluated, and the slot reservation pins every
+// candidate's Monte Carlo sample to the value the one-at-a-time walk draws,
+// whatever order the four in-flight evaluations complete in.
 func TestSchedulerWideZeroPolicyMatchesSequential(t *testing.T) {
 	inst := weakBivium(t, 167, 60, 21)
 	space := unknownSpace(inst)
@@ -146,7 +102,7 @@ func TestSchedulerWideZeroPolicyMatchesSequential(t *testing.T) {
 		}
 		return res
 	}
-	want := run(0)
+	want := run(1)
 	if want.Stop != optimize.StopEvaluations {
 		t.Fatalf("anchor run must stop on the evaluation budget, got %q", want.Stop)
 	}
@@ -197,8 +153,8 @@ func TestSchedulerWideDeterministicRunToRun(t *testing.T) {
 
 // TestSchedulerWideEqualBestF: at an equal budget inside the first
 // neighbourhood, the wide scheduler under the default policy certifies
-// the same best F and best point as the sequential default-policy search
-// — concurrency buys wall-clock, never answer quality.
+// the same best F and best point as the width-1 default-policy search —
+// concurrency buys wall-clock, never answer quality.
 func TestSchedulerWideEqualBestF(t *testing.T) {
 	inst := weakBivium(t, 167, 60, 21)
 	space := unknownSpace(inst)
@@ -211,9 +167,9 @@ func TestSchedulerWideEqualBestF(t *testing.T) {
 		}
 		return res
 	}
-	seq, wide := run(0), run(4)
+	seq, wide := run(1), run(4)
 	if wide.BestValue != seq.BestValue {
-		t.Fatalf("best F differs: wide %v vs sequential %v", wide.BestValue, seq.BestValue)
+		t.Fatalf("best F differs: wide %v vs width 1 %v", wide.BestValue, seq.BestValue)
 	}
 	if !wide.BestPoint.Equal(seq.BestPoint) {
 		t.Fatalf("best point differs: %v vs %v",
@@ -233,8 +189,8 @@ func TestSampleLedgerBalances(t *testing.T) {
 		pol   eval.Policy
 		width int
 	}{
-		{"sequential zero policy", eval.Policy{}, 0},
-		{"sequential default policy", eval.DefaultPolicy(), 0},
+		{"sequential zero policy", eval.Policy{}, 1},
+		{"sequential default policy", eval.DefaultPolicy(), 1},
 		{"wide default policy", eval.DefaultPolicy(), 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -333,9 +289,9 @@ func TestSchedulerCancellationMidNeighborhood(t *testing.T) {
 // subproblem costs the same propagations, so F = c·2^d falls with every
 // variable dropped and both searches descend to d = 1, whose radius-1
 // neighbourhood contains the empty set.  It is not a decomposition: the
-// searches — sequential and scheduled — must skip it and end with a normal
-// stop reason instead of dying on the runner's "empty decomposition set",
-// while an explicitly requested empty set stays an error.
+// searches — at width 1 and wide — must skip it and end with a normal stop
+// reason instead of dying on the runner's "empty decomposition set", while
+// an explicitly requested empty set stays an error.
 func TestSearchesNeverVisitTheEmptySet(t *testing.T) {
 	inst := weakBivium(t, 172, 60, 21) // 5 unknown variables: 31 non-empty sets
 	space := unknownSpace(inst)
@@ -344,7 +300,7 @@ func TestSearchesNeverVisitTheEmptySet(t *testing.T) {
 		"sa":   optimize.SimulatedAnnealing,
 	}
 	for name, search := range searches {
-		for _, width := range []int{0, 2} {
+		for _, width := range []int{1, 2} {
 			r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
 			res, err := search(context.Background(), r, space.FullPoint(),
 				optimize.Options{Seed: 5, MaxConcurrentEvals: width})

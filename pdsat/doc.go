@@ -74,28 +74,28 @@
 //
 // # Neighborhood-parallel evaluation
 //
-// EvalPolicy.MaxConcurrentEvals switches a search's inner loop to the
-// neighbourhood scheduler: a whole tabu neighbourhood (or a speculative
-// wave of annealing candidates) is submitted as concurrent evaluations on
-// the shared transport, the live best F is threaded into every in-flight
-// sample so sibling candidates prune each other, and deciding a pass
-// aborts its remaining siblings.  Every completed pass emits a
+// A search walks its neighbourhoods in passes: a whole tabu neighbourhood,
+// or a wave of annealing candidates, drawn in visit order before anything
+// is evaluated.  EvalPolicy.MaxConcurrentEvals is the width of a pass — how
+// many of its candidates are evaluated at once on the shared transport —
+// and defaults to 1 (0 means 1): one candidate at a time, in visit order.
+// Above 1 the live best F is threaded into every in-flight sample so
+// sibling candidates prune each other, and deciding a pass aborts its
+// remaining siblings.  Every completed pass, at any width, emits a
 // NeighborhoodDone event with its counters.
 //
-// The determinism rule: evaluation slots are reserved per neighbourhood
-// up front, so each candidate's Monte Carlo sample depends only on (scope
-// seed, slot) — never on completion order — and the minimum-F candidate
-// can never be pruned by the live bound.  Selected centres and the
-// reported best F are therefore scheduling-independent.  Still
-// timing-dependent under an active policy (exactly as in fleet races):
-// which non-winning candidates get pruned and the lower bounds they
+// The determinism rule at widths above 1: evaluation slots are reserved per
+// neighbourhood up front, so each candidate's Monte Carlo sample depends
+// only on (scope seed, slot) — never on completion order — and the
+// minimum-F candidate can never be pruned by the live bound.  Selected
+// centres and the reported best F are therefore scheduling-independent.
+// Still timing-dependent under an active policy (exactly as in fleet
+// races): which non-winning candidates get pruned and the lower bounds they
 // report, subproblem solved/aborted counts, conflict activity from
 // truncated solves, and which discarded annealing-wave members reach the
 // F-cache.  For strictly reproducible full traces, switch Prune and Cache
-// off.  MaxConcurrentEvals == 1 runs the scheduler one candidate at a
-// time, bit-identical to the sequential default (0); the CLI knob is
-// -max-concurrent-evals, and over HTTP the policy field
-// "max_concurrent_evals" passes through POST /v1/jobs.
+// off.  The CLI knob is -max-concurrent-evals, and over HTTP the policy
+// field "max_concurrent_evals" passes through POST /v1/jobs.
 //
 // Server exposes the same API over HTTP/JSON (submit, stream events as
 // NDJSON or SSE, fetch results, cancel); `pdsat -serve :8080` serves it

@@ -145,11 +145,10 @@ func (e EvalPruned) EventMember() int { return e.Member }
 // EventMember implements MemberEvent.
 func (e CacheHit) EventMember() int { return e.Member }
 
-// NeighborhoodDone reports one completed neighbourhood pass of a search
-// running with Policy.MaxConcurrentEvals ≥ 1 (the neighbourhood-parallel
-// scheduler): a whole tabu neighbourhood, or one speculative wave of the
-// simulated annealing.  Sequential searches (MaxConcurrentEvals == 0) do
-// not emit it.
+// NeighborhoodDone reports one completed neighbourhood pass of a search: a
+// whole tabu neighbourhood, or one wave of up to Policy.MaxConcurrentEvals
+// candidates of the simulated annealing.  Every search emits it, at every
+// width.
 type NeighborhoodDone struct {
 	// Job is the reporting job's ID; Member the 0-based fleet member whose
 	// search completed the pass (0 for non-fleet jobs).
@@ -159,9 +158,9 @@ type NeighborhoodDone struct {
 	// Radius its Hamming radius.
 	Center []Var `json:"center"`
 	Radius int   `json:"radius"`
-	// Candidates is the number of candidates submitted to the scheduler;
-	// Evaluated how many were freshly evaluated, Pruned how many of those
-	// the incumbent bound cut short, and Cancelled how many were discarded
+	// Candidates is the number of candidates drawn for the pass; Evaluated
+	// how many were freshly evaluated, Pruned how many of those the
+	// incumbent bound cut short, and Cancelled how many were discarded
 	// unprocessed when the pass's outcome was decided early.
 	Candidates int `json:"candidates"`
 	Evaluated  int `json:"evaluated"`
@@ -171,7 +170,7 @@ type NeighborhoodDone struct {
 	// which BestValue reports as of the end of the pass.
 	Improved  bool    `json:"improved,omitempty"`
 	BestValue float64 `json:"best_value"`
-	// Width is the scheduler's in-flight evaluation cap for the pass.
+	// Width is the in-flight evaluation cap for the pass.
 	Width int `json:"width"`
 }
 

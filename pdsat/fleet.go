@@ -11,7 +11,6 @@ import (
 
 	"github.com/paper-repro/pdsat-go/internal/eval"
 	"github.com/paper-repro/pdsat-go/internal/optimize"
-	runner "github.com/paper-repro/pdsat-go/internal/pdsat"
 )
 
 // MaxFleetMembers bounds the size of one fleet job; larger fleets are a
@@ -317,49 +316,16 @@ func (spec FleetJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 		// Each member evaluates through its own scope (isolated sampling
 		// state over the shared transport) and its own engine over the
 		// session's shared F-cache.
-		scope := s.runner.NewScope(optimize.SubSeed(root, 3*i))
-		engine := s.engineWith(scopeBackend{s: s, j: j, scope: scope, member: i}, j, pol, i)
-		engines[i] = engine
-
-		opts := s.cfg.Search
+		obj, opts := s.searchMember(j, s.runner.NewScope(optimize.SubSeed(root, 3*i)), pol, i)
+		engines[i] = obj.engine
 		opts.Seed = optimize.SubSeed(root, 3*i+1)
 		opts.TargetValue = spec.TargetF
 		if budgets != nil {
 			opts.MaxEvaluations = budgets[i]
 		}
-		// The policy's evaluation concurrency selects the neighbourhood-
-		// parallel scheduler for every member, unless the search options
-		// already pin a width.
-		if opts.MaxConcurrentEvals == 0 {
-			opts.MaxConcurrentEvals = pol.MaxConcurrentEvals
-		}
-		member := i
-		userNeighborhood := opts.NeighborhoodObserver
-		opts.NeighborhoodObserver = func(nb optimize.Neighborhood) {
-			if userNeighborhood != nil {
-				userNeighborhood(nb)
-			}
-			j.emit(neighborhoodDoneEvent(j.id, member, nb))
-		}
-		userObserver := opts.Observer
-		opts.Observer = func(v optimize.Visit) {
-			if userObserver != nil {
-				userObserver(v)
-			}
-			j.emit(SearchVisit{
-				Job:      j.id,
-				Member:   member,
-				Index:    v.Index,
-				Vars:     v.Point.SortedVars(),
-				Value:    v.Value,
-				Accepted: v.Accepted,
-				Improved: v.Improved,
-				Pruned:   v.Pruned,
-			})
-		}
 		fleet[i] = optimize.FleetMember{
 			Method:    m.short,
-			Objective: &fleetObjective{scope: scope, engine: engine},
+			Objective: obj,
 			Start:     jitterStart(m.start, spec.Jitter, root, i),
 			Opts:      opts,
 		}
@@ -418,72 +384,6 @@ func (spec FleetJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 		outcome.Best = outcome.Members[fr.Best].Best
 	}
 	return &JobResult{Fleet: outcome}, ferr
-}
-
-// fleetObjective adapts one member's scope and engine as its optimizer
-// objective: evaluations run budget-aware through the engine (threading the
-// member's incumbent), and the tabu getNewCenter heuristic consumes the
-// scope-local conflict activity, so the member's decisions never depend on
-// what concurrent members happened to solve.
-type fleetObjective struct {
-	scope  *runner.Scope
-	engine *eval.Engine
-}
-
-// Evaluate implements optimize.Objective (the searches prefer EvaluateF).
-func (o *fleetObjective) Evaluate(ctx context.Context, p Point) (float64, error) {
-	ev, err := o.EvaluateF(ctx, p, math.Inf(1))
-	if err != nil {
-		return 0, err
-	}
-	return ev.Value, nil
-}
-
-// EvaluateF implements eval.Evaluator.
-func (o *fleetObjective) EvaluateF(ctx context.Context, p Point, incumbent float64) (*eval.Evaluation, error) {
-	return o.engine.EvaluateF(ctx, p, incumbent)
-}
-
-// ReserveSlots implements eval.SlotEvaluator: the neighbourhood-parallel
-// scheduler reserves the member's evaluation slots upfront, keeping sample
-// seeds independent of completion order.
-func (o *fleetObjective) ReserveSlots(n int) (int, bool) { return o.engine.ReserveSlots(n) }
-
-// EvaluateSlotF implements eval.SlotEvaluator.
-func (o *fleetObjective) EvaluateSlotF(ctx context.Context, p Point, incumbent float64, slot int) (*eval.Evaluation, error) {
-	return o.engine.EvaluateSlotF(ctx, p, incumbent, slot)
-}
-
-// VarActivity implements optimize.ActivitySource with the member's
-// scope-local conflict activity.
-func (o *fleetObjective) VarActivity(v Var) float64 { return o.scope.VarActivity(v) }
-
-// scopeBackend adapts one member's evaluation scope as an eval.Backend
-// while streaming member-tagged sample progress into the job's event
-// stream.
-type scopeBackend struct {
-	s      *Session
-	j      *Job
-	scope  *runner.Scope
-	member int
-}
-
-// EvaluateBudgeted implements eval.Backend.
-func (b scopeBackend) EvaluateBudgeted(ctx context.Context, p Point, pol EvalPolicy, incumbent float64) (*eval.Evaluation, error) {
-	pe, err := b.scope.EvaluatePointBudgeted(ctx, p, pol, incumbent, memberSampleObserver(b.j, b.member))
-	if pe == nil {
-		return nil, err
-	}
-	ev := pe.Evaluation()
-	return &ev, err
-}
-
-// ReserveEvalSlots implements eval.SlotBackend on the member's scope.
-func (b scopeBackend) ReserveEvalSlots(n int) int { return b.scope.ReserveEvalSlots(n) }
-
-// EvaluateSlot implements eval.SlotBackend.
-func (b scopeBackend) EvaluateSlot(ctx context.Context, p Point, pol EvalPolicy, incumbent float64, slot int) (*eval.Evaluation, error) {
-	return b.scope.EvaluateSlotObserved(ctx, p, pol, incumbent, slot, memberSampleObserver(b.j, b.member))
 }
 
 // FleetJob submits a fleet job: Submit with a typed spec.

@@ -2,6 +2,7 @@ package pdsat_test
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -57,17 +58,24 @@ func TestFleetSurvivesWorkerLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer leader.Close()
 	addr := leader.Addr().String()
 
+	// Cleanups run last-in first-out: close the leader, cancel the workers,
+	// then wait for them, so that none logs into the finished test.
+	var workers sync.WaitGroup
+	t.Cleanup(workers.Wait)
 	doomedCtx, killDoomed := context.WithCancel(context.Background())
-	defer killDoomed()
+	t.Cleanup(killDoomed)
+	survivorCtx, stopSurvivor := context.WithCancel(context.Background())
+	t.Cleanup(stopSurvivor)
+	t.Cleanup(func() { leader.Close() })
+	workers.Add(2)
 	go func() {
+		defer workers.Done()
 		_ = cluster.Serve(doomedCtx, addr, cluster.WorkerOptions{Capacity: 2, Name: "doomed", Logf: t.Logf})
 	}()
-	survivorCtx, stopSurvivor := context.WithCancel(context.Background())
-	defer stopSurvivor()
 	go func() {
+		defer workers.Done()
 		_ = cluster.Serve(survivorCtx, addr, cluster.WorkerOptions{Capacity: 2, Name: "survivor", Logf: t.Logf})
 	}()
 	waitCtx, waitCancel := context.WithTimeout(context.Background(), 30*time.Second)

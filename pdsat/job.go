@@ -8,6 +8,7 @@ import (
 
 	"github.com/paper-repro/pdsat-go/internal/eval"
 	"github.com/paper-repro/pdsat-go/internal/optimize"
+	runner "github.com/paper-repro/pdsat-go/internal/pdsat"
 )
 
 // JobKind identifies the type of work a job performs.
@@ -138,41 +139,10 @@ func (spec SearchJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 		return nil, err
 	}
 	// One engine for the whole search: the optimizer threads its incumbent
-	// through the jobObjective into the engine, which prunes, stages and
-	// memoizes according to the job's effective policy.
-	pol := s.policyFor(spec.Policy)
-	engine := s.engineFor(j, pol)
-	obj := &jobObjective{session: s, job: j, engine: engine}
-	opts := s.cfg.Search
-	// The policy's evaluation concurrency selects the neighbourhood-parallel
-	// scheduler unless the search options already pin a width.
-	if opts.MaxConcurrentEvals == 0 {
-		opts.MaxConcurrentEvals = pol.MaxConcurrentEvals
-	}
-	userNeighborhood := opts.NeighborhoodObserver
-	opts.NeighborhoodObserver = func(nb optimize.Neighborhood) {
-		if userNeighborhood != nil {
-			userNeighborhood(nb)
-		}
-		j.emit(neighborhoodDoneEvent(j.id, 0, nb))
-	}
-	// Emit a SearchVisit per optimizer step, chaining (not replacing) an
-	// observer the session's configuration already carries.
-	userObserver := opts.Observer
-	opts.Observer = func(v optimize.Visit) {
-		if userObserver != nil {
-			userObserver(v)
-		}
-		j.emit(SearchVisit{
-			Job:      j.id,
-			Index:    v.Index,
-			Vars:     v.Point.SortedVars(),
-			Value:    v.Value,
-			Accepted: v.Accepted,
-			Improved: v.Improved,
-			Pruned:   v.Pruned,
-		})
-	}
+	// through the objective into the engine, which prunes, stages and
+	// memoizes according to the job's effective policy.  The runner evaluates
+	// in its default scope and reports the session-wide conflict activity.
+	obj, opts := s.searchMember(j, s.runner, s.policyFor(spec.Policy), 0)
 	var res *SearchResult
 	switch method {
 	case MethodSimulatedAnnealing:
@@ -186,7 +156,7 @@ func (spec SearchJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 	// Re-estimate the best point through the same engine: with the cache
 	// enabled this is a free hit on the value the search already computed.
 	var best *SetEstimate
-	ev, err := engine.EvaluateF(ctx, res.BestPoint, math.Inf(1))
+	ev, err := obj.engine.EvaluateF(ctx, res.BestPoint, math.Inf(1))
 	if ev != nil {
 		best = s.setEstimateFrom(res.BestPoint, ev)
 	}
@@ -198,20 +168,69 @@ func (spec SearchJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 	return &JobResult{Search: &SearchOutcome{Method: method, Result: res, Best: best}}, nil
 }
 
-// jobObjective adapts the session's evaluation engine as the optimizer
-// objective while streaming each evaluation's sample progress into the
-// job's event stream.  It forwards the runner's conflict-activity
-// statistics, so the tabu search's getNewCenter heuristic behaves exactly
-// as with the bare runner, and implements eval.Evaluator so the searches
-// thread their incumbent into every evaluation.
-type jobObjective struct {
-	session *Session
-	job     *Job
-	engine  *eval.Engine
+// evalScope is where a search member's evaluations run and where its tabu
+// search reads conflict activity: the session's runner for a plain search
+// (its default scope, session-wide activity), a member's own runner.Scope
+// in a fleet (isolated sampling state and scope-local activity over the
+// shared transport).
+type evalScope interface {
+	EvaluatePointBudgeted(ctx context.Context, p Point, pol EvalPolicy, incumbent float64, observe func(runner.Progress)) (*runner.PointEstimate, error)
+	ReserveEvalSlots(n int) int
+	EvaluateSlotObserved(ctx context.Context, p Point, pol EvalPolicy, incumbent float64, slot int, observe func(runner.Progress)) (*eval.Evaluation, error)
+	optimize.ActivitySource
+}
+
+// searchMember builds what one search of a job runs on: an engine over the
+// scope under the policy, adapted as the optimizer objective, and the
+// session's search options with the job's event emission chained onto (not
+// replacing) the observers the configuration already carries.  member tags
+// the events; a plain search is member 0.
+func (s *Session) searchMember(j *Job, scope evalScope, pol EvalPolicy, member int) (*searchObjective, SearchOptions) {
+	engine := s.engineFor(j, scope, pol, member)
+	opts := s.cfg.Search
+	// The policy's evaluation concurrency is the width of the neighbourhood
+	// loops unless the search options already pin one.
+	if opts.MaxConcurrentEvals == 0 {
+		opts.MaxConcurrentEvals = pol.MaxConcurrentEvals
+	}
+	userNeighborhood := opts.NeighborhoodObserver
+	opts.NeighborhoodObserver = func(nb optimize.Neighborhood) {
+		if userNeighborhood != nil {
+			userNeighborhood(nb)
+		}
+		j.emit(neighborhoodDoneEvent(j.id, member, nb))
+	}
+	userObserver := opts.Observer
+	opts.Observer = func(v optimize.Visit) {
+		if userObserver != nil {
+			userObserver(v)
+		}
+		j.emit(SearchVisit{
+			Job:      j.id,
+			Member:   member,
+			Index:    v.Index,
+			Vars:     v.Point.SortedVars(),
+			Value:    v.Value,
+			Accepted: v.Accepted,
+			Improved: v.Improved,
+			Pruned:   v.Pruned,
+		})
+	}
+	return &searchObjective{engine: engine, activity: scope}, opts
+}
+
+// searchObjective adapts a search member's engine as its optimizer
+// objective: evaluations run budget-aware through the engine (it implements
+// eval.Evaluator, so the searches thread their incumbent into every one),
+// and the tabu search's getNewCenter heuristic reads the member's activity
+// source.
+type searchObjective struct {
+	engine   *eval.Engine
+	activity optimize.ActivitySource
 }
 
 // Evaluate implements optimize.Objective (the searches prefer EvaluateF).
-func (o *jobObjective) Evaluate(ctx context.Context, p Point) (float64, error) {
+func (o *searchObjective) Evaluate(ctx context.Context, p Point) (float64, error) {
 	ev, err := o.EvaluateF(ctx, p, math.Inf(1))
 	if err != nil {
 		return 0, err
@@ -220,27 +239,48 @@ func (o *jobObjective) Evaluate(ctx context.Context, p Point) (float64, error) {
 }
 
 // EvaluateF implements eval.Evaluator.
-func (o *jobObjective) EvaluateF(ctx context.Context, p Point, incumbent float64) (*eval.Evaluation, error) {
-	ev, err := o.engine.EvaluateF(ctx, p, incumbent)
-	if err != nil {
-		return nil, err
-	}
-	return ev, nil
+func (o *searchObjective) EvaluateF(ctx context.Context, p Point, incumbent float64) (*eval.Evaluation, error) {
+	return o.engine.EvaluateF(ctx, p, incumbent)
 }
 
-// ReserveSlots implements eval.SlotEvaluator: the neighbourhood-parallel
-// scheduler reserves the evaluation indexes of a whole submission upfront,
-// which keeps every candidate's derived sample seeds independent of the
-// completion order.
-func (o *jobObjective) ReserveSlots(n int) (int, bool) { return o.engine.ReserveSlots(n) }
+// ReserveSlots implements eval.SlotEvaluator: a wide neighbourhood pass
+// reserves the evaluation indexes of a whole submission upfront, which keeps
+// every candidate's derived sample seeds independent of the completion
+// order.
+func (o *searchObjective) ReserveSlots(n int) (int, bool) { return o.engine.ReserveSlots(n) }
 
 // EvaluateSlotF implements eval.SlotEvaluator.
-func (o *jobObjective) EvaluateSlotF(ctx context.Context, p Point, incumbent float64, slot int) (*eval.Evaluation, error) {
+func (o *searchObjective) EvaluateSlotF(ctx context.Context, p Point, incumbent float64, slot int) (*eval.Evaluation, error) {
 	return o.engine.EvaluateSlotF(ctx, p, incumbent, slot)
 }
 
 // VarActivity implements optimize.ActivitySource.
-func (o *jobObjective) VarActivity(v Var) float64 { return o.session.runner.VarActivity(v) }
+func (o *searchObjective) VarActivity(v Var) float64 { return o.activity.VarActivity(v) }
+
+// scopeBackend adapts an evaluation scope as an eval.Backend while streaming
+// each evaluation's sample progress to observe (nil for none).
+type scopeBackend struct {
+	scope   evalScope
+	observe func(runner.Progress)
+}
+
+// EvaluateBudgeted implements eval.Backend.
+func (b scopeBackend) EvaluateBudgeted(ctx context.Context, p Point, pol EvalPolicy, incumbent float64) (*eval.Evaluation, error) {
+	pe, err := b.scope.EvaluatePointBudgeted(ctx, p, pol, incumbent, b.observe)
+	if pe == nil {
+		return nil, err
+	}
+	ev := pe.Evaluation()
+	return &ev, err
+}
+
+// ReserveEvalSlots implements eval.SlotBackend.
+func (b scopeBackend) ReserveEvalSlots(n int) int { return b.scope.ReserveEvalSlots(n) }
+
+// EvaluateSlot implements eval.SlotBackend.
+func (b scopeBackend) EvaluateSlot(ctx context.Context, p Point, pol EvalPolicy, incumbent float64, slot int) (*eval.Evaluation, error) {
+	return b.scope.EvaluateSlotObserved(ctx, p, pol, incumbent, slot, b.observe)
+}
 
 // neighborhoodDoneEvent converts an optimizer neighbourhood pass summary
 // into the job event.

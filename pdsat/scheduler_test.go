@@ -25,70 +25,65 @@ func neighborhoodEvents(events []pdsat.Event) []pdsat.NeighborhoodDone {
 	return out
 }
 
-// TestSearchJobNeighborhoodEvents: a search job running the
-// neighbourhood-parallel scheduler emits one NeighborhoodDone event per
-// pass with internally consistent counters, and the passes account for the
-// whole search trace; a sequential search job emits none.
+// TestSearchJobNeighborhoodEvents: a search job emits one NeighborhoodDone
+// event per neighbourhood pass with internally consistent counters, and the
+// passes account for the whole search trace — at width 4 and at the default
+// width of 1 alike.
 func TestSearchJobNeighborhoodEvents(t *testing.T) {
 	inst := testInstance(t, 52, 30, 1)
 	s := newTestSession(t, inst, 8)
-	pol := pdsat.EvalPolicy{MaxConcurrentEvals: 4}
-	job, err := s.Submit(context.Background(), pdsat.SearchJob{Method: "tabu", Policy: &pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := collect(t, job.Events())
-	done := checkTerminated(t, events)
-	if done.Err != "" || done.Cancelled {
-		t.Fatalf("unexpected terminal event: %+v", done)
-	}
-	res, err := job.Result(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Search == nil || res.Search.Result == nil {
-		t.Fatal("search job without search result")
-	}
+	for _, tc := range []struct {
+		policy *pdsat.EvalPolicy // nil: the session's zero policy
+		width  int
+	}{
+		{&pdsat.EvalPolicy{MaxConcurrentEvals: 4}, 4},
+		{nil, 1},
+	} {
+		job, err := s.Submit(context.Background(), pdsat.SearchJob{Method: "tabu", Policy: tc.policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := collect(t, job.Events())
+		done := checkTerminated(t, events)
+		if done.Err != "" || done.Cancelled {
+			t.Fatalf("unexpected terminal event: %+v", done)
+		}
+		res, err := job.Result(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Search == nil || res.Search.Result == nil {
+			t.Fatal("search job without search result")
+		}
 
-	passes := neighborhoodEvents(events)
-	if len(passes) == 0 {
-		t.Fatal("concurrent search emitted no NeighborhoodDone events")
-	}
-	evaluated := 0
-	for i, nb := range passes {
-		if nb.Job != job.ID() || nb.Member != 0 {
-			t.Fatalf("pass %d tagged %q/%d, want job %q member 0", i, nb.Job, nb.Member, job.ID())
+		passes := neighborhoodEvents(events)
+		if len(passes) == 0 {
+			t.Fatalf("width %d: search emitted no NeighborhoodDone events", tc.width)
 		}
-		if nb.Width != 4 {
-			t.Fatalf("pass %d width %d, want 4", i, nb.Width)
+		evaluated := 0
+		for i, nb := range passes {
+			if nb.Job != job.ID() || nb.Member != 0 {
+				t.Fatalf("pass %d tagged %q/%d, want job %q member 0", i, nb.Job, nb.Member, job.ID())
+			}
+			if nb.Width != tc.width {
+				t.Fatalf("pass %d width %d, want %d", i, nb.Width, tc.width)
+			}
+			if nb.Candidates <= 0 || nb.Radius <= 0 || len(nb.Center) == 0 {
+				t.Fatalf("pass %d degenerate: %+v", i, nb)
+			}
+			if nb.Evaluated < 0 || nb.Pruned < 0 || nb.Cancelled < 0 ||
+				nb.Evaluated+nb.Cancelled > nb.Candidates {
+				t.Fatalf("pass %d counters inconsistent: %+v", i, nb)
+			}
+			evaluated += nb.Evaluated
 		}
-		if nb.Candidates <= 0 || nb.Radius <= 0 || len(nb.Center) == 0 {
-			t.Fatalf("pass %d degenerate: %+v", i, nb)
+		// Every trace entry after the start evaluation belongs to some pass.
+		if want := len(res.Search.Result.Trace) - 1; evaluated != want {
+			t.Fatalf("width %d: passes account for %d evaluations, trace has %d", tc.width, evaluated, want)
 		}
-		if nb.Evaluated < 0 || nb.Pruned < 0 || nb.Cancelled < 0 ||
-			nb.Evaluated+nb.Cancelled > nb.Candidates {
-			t.Fatalf("pass %d counters inconsistent: %+v", i, nb)
+		if last := passes[len(passes)-1]; last.BestValue != res.Search.Result.BestValue {
+			t.Fatalf("final pass best %v, result best %v", last.BestValue, res.Search.Result.BestValue)
 		}
-		evaluated += nb.Evaluated
-	}
-	// Every trace entry after the start evaluation belongs to some pass.
-	if want := len(res.Search.Result.Trace) - 1; evaluated != want {
-		t.Fatalf("passes account for %d evaluations, trace has %d", evaluated, want)
-	}
-	if last := passes[len(passes)-1]; last.BestValue != res.Search.Result.BestValue {
-		t.Fatalf("final pass best %v, result best %v", last.BestValue, res.Search.Result.BestValue)
-	}
-
-	// The sequential loop (no policy override, session policy zero) must
-	// not emit any.
-	seq, err := s.Submit(context.Background(), pdsat.SearchJob{Method: "tabu"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqEvents := collect(t, seq.Events())
-	checkTerminated(t, seqEvents)
-	if n := len(neighborhoodEvents(seqEvents)); n != 0 {
-		t.Fatalf("sequential search emitted %d NeighborhoodDone events", n)
 	}
 }
 

@@ -269,46 +269,14 @@ func (s *Session) policyFor(override *EvalPolicy) EvalPolicy {
 	return s.cfg.Runner.Policy
 }
 
-// sessionBackend adapts the runner as an eval.Backend while streaming each
-// evaluation's sample progress into a job's event stream.
-type sessionBackend struct {
-	s *Session
-	j *Job
-}
-
-// EvaluateBudgeted implements eval.Backend.
-func (b sessionBackend) EvaluateBudgeted(ctx context.Context, p Point, pol EvalPolicy, incumbent float64) (*eval.Evaluation, error) {
-	pe, err := b.s.runner.EvaluatePointBudgeted(ctx, p, pol, incumbent, sampleObserver(b.j))
-	if pe == nil {
-		return nil, err
-	}
-	ev := pe.Evaluation()
-	return &ev, err
-}
-
-// ReserveEvalSlots implements eval.SlotBackend: the neighbourhood-parallel
-// scheduler reserves the evaluation indexes of a whole submission upfront,
-// keeping every candidate's derived sample seeds independent of the
-// completion order.
-func (b sessionBackend) ReserveEvalSlots(n int) int { return b.s.runner.ReserveEvalSlots(n) }
-
-// EvaluateSlot implements eval.SlotBackend.
-func (b sessionBackend) EvaluateSlot(ctx context.Context, p Point, pol EvalPolicy, incumbent float64, slot int) (*eval.Evaluation, error) {
-	return b.s.runner.EvaluateSlotObserved(ctx, p, pol, incumbent, slot, sampleObserver(b.j))
-}
-
-// engineFor builds the budget-aware evaluation engine for one job: the
-// session's runner as backend, the session's shared F-cache (when the
-// policy enables it), and pruning/cache-hit notifications wired into the
-// job's event stream.
-func (s *Session) engineFor(j *Job, pol EvalPolicy) *eval.Engine {
-	return s.engineWith(sessionBackend{s: s, j: j}, j, pol, 0)
-}
-
-// engineWith is engineFor over an explicit backend with member-tagged event
-// emission: fleet jobs build one engine per member, all sharing the
-// session's F-cache.
-func (s *Session) engineWith(backend eval.Backend, j *Job, pol EvalPolicy, member int) *eval.Engine {
+// engineFor builds the budget-aware evaluation engine for one search member
+// of a job, or for the job's single estimate (member 0 on the runner): the
+// scope as backend, the session's shared F-cache (when the policy enables
+// it), and member-tagged sample-progress, pruning and cache-hit
+// notifications wired into the job's event stream (j may be nil for
+// unobserved internal use).
+func (s *Session) engineFor(j *Job, scope evalScope, pol EvalPolicy, member int) *eval.Engine {
+	backend := scopeBackend{scope: scope, observe: memberSampleObserver(j, member)}
 	eng := eval.NewEngine(backend, pol, s.fcache)
 	if j != nil {
 		eng.OnPruned = func(p Point, ev eval.Evaluation) {
@@ -351,7 +319,7 @@ func (s *Session) setEstimateFrom(p Point, ev *eval.Evaluation) *SetEstimate {
 // Estimations have no incumbent, so staging and the cache apply but pruning
 // never triggers.
 func (s *Session) estimateObserved(ctx context.Context, p Point, j *Job, pol EvalPolicy) (*SetEstimate, error) {
-	ev, err := s.engineFor(j, pol).EvaluateF(ctx, p, math.Inf(1))
+	ev, err := s.engineFor(j, s.runner, pol, 0).EvaluateF(ctx, p, math.Inf(1))
 	if ev == nil {
 		return nil, err
 	}
