@@ -321,6 +321,15 @@ func newWorkerBatch(parent context.Context, id uint64, opts BatchOptions, exec *
 				} else {
 					res = b.solveOne(ctx, sw, t, delay)
 				}
+				if parent.Err() != nil {
+					// Not this batch but the worker itself is going down, and
+					// res may be what that cancellation left of the task: a
+					// placeholder or a truncated solve.  Sent before the
+					// connection closes, it would be recorded as the task's
+					// result; unsent, the leader requeues the task when the
+					// connection drops.
+					return
+				}
 				if err := w.send(&envelope{Kind: kindResult, Batch: id, Result: &res}); err != nil {
 					// Connection gone; the read loop notices too.  Stop
 					// pulling work — the leader requeues it elsewhere.

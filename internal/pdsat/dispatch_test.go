@@ -2,6 +2,8 @@ package pdsat
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -96,5 +98,94 @@ func TestAdaptiveDispatchBitIdenticalEstimate(t *testing.T) {
 	}
 	if got, want := r.SubproblemsSolved(), ref.SubproblemsSolved(); got != want {
 		t.Fatalf("solved-subproblem count differs under speculation: %d vs %d (duplicate leaked into the ledger)", got, want)
+	}
+}
+
+// TestCancelledWorkerLosesNoSamples cancels a worker's own context — the
+// process going down, not the leader aborting a batch — in the middle of a
+// batch, from inside the worker's third task.  What that cancellation leaves
+// of the worker's tasks (placeholders for the queued ones, a cut-short
+// stand-in for the running one) is not a result: the worker must send none
+// of it before its connection closes, so that the leader requeues those
+// tasks onto the surviving worker and the evaluation still has every sample
+// solved and the F of the in-process runner.
+func TestCancelledWorkerLosesNoSamples(t *testing.T) {
+	inst := weakBivium(t, 167, 60, 21)
+	p := unknownSpace(inst).FullPoint()
+
+	ref := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
+	want, err := ref.EvaluatePoint(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	leader, err := cluster.Listen("127.0.0.1:0", inst.CNF, cluster.LeaderOptions{
+		Heartbeat: 100 * time.Millisecond,
+		Logf:      t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := leader.Addr().String()
+
+	// Cleanups run last-in first-out: close the leader, cancel the workers,
+	// then wait for them, so that none logs into the finished test.
+	var workers sync.WaitGroup
+	t.Cleanup(workers.Wait)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	t.Cleanup(func() { leader.Close() })
+
+	// The doomed worker registers first, so the leader hands it the head of
+	// the batch.  It answers two tasks and goes down inside the third, with
+	// more tasks queued behind it.
+	doomedCtx, killDoomed := context.WithCancel(ctx)
+	var started atomic.Int32
+	workers.Add(1)
+	go func() {
+		defer workers.Done()
+		_ = cluster.Serve(doomedCtx, addr, cluster.WorkerOptions{
+			Capacity: 2, Name: "doomed", Logf: t.Logf,
+			TaskDelay: func(cluster.Task) time.Duration {
+				if started.Add(1) < 3 {
+					return 0
+				}
+				killDoomed()
+				return time.Minute
+			},
+		})
+	}()
+	waitCtx, waitCancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer waitCancel()
+	if err := leader.WaitForWorkers(waitCtx, 1); err != nil {
+		t.Fatalf("doomed worker did not register: %v", err)
+	}
+	workers.Add(1)
+	go func() {
+		defer workers.Done()
+		_ = cluster.Serve(ctx, addr, cluster.WorkerOptions{Capacity: 2, Name: "survivor", Logf: t.Logf})
+	}()
+	if err := leader.WaitForWorkers(waitCtx, 2); err != nil {
+		t.Fatalf("surviving worker did not register: %v", err)
+	}
+
+	cfg := evalTestConfig(eval.Policy{})
+	cfg.Transport = leader
+	r := NewRunner(inst.CNF, cfg)
+	runCtx, runCancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer runCancel()
+	got, err := r.EvaluatePoint(runCtx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if started.Load() < 3 {
+		t.Fatalf("the doomed worker started %d tasks, want at least 3: it never went down mid-batch", started.Load())
+	}
+	if solved, aborted := r.SubproblemsSolved(), r.SubproblemsAborted(); solved != cfg.SampleSize || aborted != 0 {
+		t.Fatalf("%d subproblems solved and %d aborted, want all %d solved: the leader recorded what a cancelled worker sent",
+			solved, aborted, cfg.SampleSize)
+	}
+	if got.Estimate != want.Estimate {
+		t.Fatalf("estimate differs after a worker went down:\n got %+v\nwant %+v", got.Estimate, want.Estimate)
 	}
 }

@@ -34,16 +34,19 @@ func chainFormula(n int) *cnf.Formula {
 }
 
 // sessionBatch encodes a keystream-generator instance and draws n random
-// assignments of its unknown start variables — the per-subproblem workload
-// of the Monte Carlo estimation: Reset, assume a cell of the decomposition,
-// solve.
-func sessionBatch(tb testing.TB, gen encoder.Generator, cfg encoder.Config, n int) (*cnf.Formula, [][]cnf.Lit) {
+// assignments of the last bits of its unknown start variables (all of them
+// when bits is 0) — the per-subproblem workload of the Monte Carlo
+// estimation: Reset, assume a cell of the decomposition, solve.
+func sessionBatch(tb testing.TB, gen encoder.Generator, cfg encoder.Config, bits, n int) (*cnf.Formula, [][]cnf.Lit) {
 	tb.Helper()
 	inst, err := encoder.NewInstance(gen, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	vars := inst.UnknownStartVars()
+	if bits > 0 {
+		vars = vars[len(vars)-bits:]
+	}
 	rng := rand.New(rand.NewSource(7))
 	batch := make([][]cnf.Lit, n)
 	for i := range batch {
@@ -60,7 +63,7 @@ func sessionBatch(tb testing.TB, gen encoder.Generator, cfg encoder.Config, n in
 // known start bits, 60 keystream bits) with 256 assignments of its 10
 // unknown start variables: propagation-only subproblems.
 func biviumBatch(tb testing.TB) (*cnf.Formula, [][]cnf.Lit) {
-	return sessionBatch(tb, encoder.Bivium(), encoder.Config{KeystreamLen: 60, KnownSuffix: 167, Seed: 21}, 256)
+	return sessionBatch(tb, encoder.Bivium(), encoder.Config{KeystreamLen: 60, KnownSuffix: 167, Seed: 21}, 0, 256)
 }
 
 // a51SearchBatch is the instance of the bench's a51-search workload (A5/1,
@@ -68,7 +71,7 @@ func biviumBatch(tb testing.TB) (*cnf.Formula, [][]cnf.Lit) {
 // 30-variable decomposition set: short CDCL solves that assign a few
 // hundred of 7744 variables, the case the dirty-tracked Reset is for.
 func a51SearchBatch(tb testing.TB) (*cnf.Formula, [][]cnf.Lit) {
-	return sessionBatch(tb, encoder.A51(), encoder.Config{KeystreamLen: 96, KnownSuffix: 34, Seed: 7}, 64)
+	return sessionBatch(tb, encoder.A51(), encoder.Config{KeystreamLen: 96, KnownSuffix: 34, Seed: 7}, 0, 64)
 }
 
 // BenchmarkSolverPropagation measures one decide → propagate → backtrack
@@ -190,4 +193,41 @@ func BenchmarkSolverResetShortSolve(b *testing.B) {
 		s.SolveWithAssumptions(batch[i%len(batch)])
 	}
 	b.ReportMetric(float64(inReset.Nanoseconds())/float64(b.N), "reset-ns/op")
+}
+
+// BenchmarkSolverLongSolve runs CDCL search where the other Bivium benchmarks
+// only propagate (at KnownSuffix 160/167 every subproblem is decided by unit
+// propagation): the shape of the bench's bivium-hard workload — Bivium, 200
+// keystream bits, 36 known state bits, two cells of a 4-variable
+// decomposition set, each solved on one goroutine until a 4000-conflict
+// budget stops it, Reset in between — with a learned-clause database that
+// grows to thousands of clauses.  It is the benchmark for changes to the
+// propagation kernel and reports its rates; the effort counters of one op
+// are pinned to the values recorded at PR 13, so that it fails instead of
+// silently timing a different search.
+func BenchmarkSolverLongSolve(b *testing.B) {
+	want := Stats{Propagations: 1554823, Conflicts: 8000, Decisions: 9697}
+	f, batch := sessionBatch(b, encoder.Bivium(), encoder.Config{KeystreamLen: 200, KnownSuffix: 36, Seed: 1007}, 4, 2)
+	s := NewDefault(f)
+	s.SetBudget(Budget{MaxConflicts: 4000})
+	run := func() (sum Stats) {
+		for _, a := range batch {
+			s.Reset()
+			sum = sum.Add(s.SolveWithAssumptions(a).Stats)
+		}
+		return sum
+	}
+	run() // reach steady-state capacities
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got := run()
+		if got.Propagations != want.Propagations || got.Conflicts != want.Conflicts || got.Decisions != want.Decisions {
+			b.Fatalf("one op performed %d propagations, %d conflicts, %d decisions; recorded: %d, %d, %d — the search changed",
+				got.Propagations, got.Conflicts, got.Decisions, want.Propagations, want.Conflicts, want.Decisions)
+		}
+	}
+	secs := b.Elapsed().Seconds()
+	b.ReportMetric(float64(want.Propagations)*float64(b.N)/secs, "props/s")
+	b.ReportMetric(float64(want.Conflicts)*float64(b.N)/secs, "conflicts/s")
 }

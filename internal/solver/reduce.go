@@ -134,6 +134,6 @@ func (s *Solver) reduceTiered() {
 }
 
 func (s *Solver) isReason(c cref) bool {
-	v := s.ar.lits(c)[0].ivar()
-	return s.assigns[v] != lUndef && s.reason[v] == c
+	l := s.ar.lits(c)[0]
+	return s.vals[l] != lUndef && s.reason[l.ivar()] == c
 }

@@ -428,7 +428,7 @@ func (s *refSolver) cancelUntil(level int) {
 		}
 		s.assigns[v] = lUndef
 		s.reason[v] = nil
-		s.order.insertIfAbsent(v, &s.activity)
+		s.order.insert(v, &s.activity)
 	}
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:level]

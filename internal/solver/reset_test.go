@@ -33,8 +33,8 @@ func diffSolverState(got, want *Solver) string {
 		return fmt.Sprintf("learned clauses: %d and %d, want none", len(got.learnts), len(want.learnts))
 	case !slices.Equal(got.clauseAct, want.clauseAct):
 		return "clause activities differ"
-	case !slices.Equal(got.assigns, want.assigns):
-		return "assigns differ"
+	case !slices.Equal(got.vals, want.vals):
+		return "literal values differ"
 	case !slices.Equal(got.polarity, want.polarity):
 		return "polarity differs"
 	case !slices.Equal(got.reason, want.reason):
@@ -85,9 +85,39 @@ func diffSolverState(got, want *Solver) string {
 	return ""
 }
 
+// assertAssignmentInvariant checks the literal-indexed value array of a
+// solver that is not in the middle of a search against its trail, and
+// returns a description of the first violation or "": there are two entries
+// per variable, the two literals of a variable are true/false, false/true or
+// both undefined, and exactly the literals on the trail are true.  The array
+// is written in pairs at four places (enqueue, cancelUntil, Reset,
+// ensureVars) and truncated at one; a write of one polarity only, or a
+// length that falls out of step with the per-variable arrays, is what this
+// catches.
+func assertAssignmentInvariant(s *Solver) string {
+	if len(s.vals) != 2*int(s.numVars) {
+		return fmt.Sprintf("%d literal values for %d variables", len(s.vals), s.numVars)
+	}
+	onTrail := make([]bool, len(s.vals))
+	for _, l := range s.trail {
+		onTrail[l] = true
+	}
+	for i, val := range s.vals {
+		l := ilit(i)
+		switch other := s.vals[l.neg()]; {
+		case val == lTrue && other != lFalse, val == lFalse && other != lTrue, val == lUndef && other != lUndef:
+			return fmt.Sprintf("literal %d has value %d, its negation %d", l, val, other)
+		case (val == lTrue) != onTrail[l]:
+			return fmt.Sprintf("literal %d: value %d, on the trail: %v", l, val, onTrail[l])
+		}
+	}
+	return ""
+}
+
 // resetScript drives a solver through a byte-coded sequence of operations
 // (the fuzz target feeds it arbitrary bytes, the property test random ones)
-// and checks, at every Reset, that the state equals a fresh solver's.
+// and checks, at every Reset, that the state equals a fresh solver's, and
+// after every operation that the literal values agree with the trail.
 type resetScript struct {
 	data []byte
 	pos  int
@@ -131,6 +161,9 @@ func (r *resetScript) run(f *cnf.Formula, opts Options) string {
 		if d := diffSolverState(s, fresh); d != "" {
 			return fmt.Sprintf("after step %d: %s", step, d)
 		}
+		if d := assertAssignmentInvariant(s); d != "" {
+			return fmt.Sprintf("after the Reset of step %d: %s", step, d)
+		}
 		return ""
 	}
 	step := 0
@@ -167,6 +200,9 @@ func (r *resetScript) run(f *cnf.Formula, opts Options) string {
 			if d := check(step); d != "" {
 				return d
 			}
+		}
+		if d := assertAssignmentInvariant(s); d != "" {
+			return fmt.Sprintf("after step %d: %s", step, d)
 		}
 	}
 	return check(step)

@@ -29,6 +29,20 @@
 // management to LBD-tiered reduction (reduce.go); it changes the search and
 // is gated by benchmarks, not bit-identity.
 //
+// # Assignment
+//
+// The assignment is stored per literal, not per variable: vals holds two
+// entries for every variable, the truth value of its positive literal at 2v
+// and of its negative literal at 2v+1, so the value of a literal — asked for
+// every blocker, first literal and candidate watch of the propagation loop —
+// is one byte load with no decoding of a sign.  The two entries of a
+// variable are always written together (true/false, false/true, or both
+// undefined) in enqueue, cancelUntil, Reset and ensureVars; there is no
+// per-variable copy to fall out of step with, and the value of a variable is
+// the value of its positive literal.  Like the arena this is a
+// representation change under the same bit-identity contract: the
+// traversal order of propagate is untouched.
+//
 // # Sessions: reusing one solver for many subproblems
 //
 // A solver may be used as a long-lived session instead of being rebuilt for
@@ -73,15 +87,15 @@
 //     unassigned, in Reset for what is left on the root-level trail, and
 //     where a watch is pushed or removed: attach, removeWatch, propagate's
 //     new-watch move).  Invariant: an unmarked literal's watch list and its
-//     variable's assigns, reason, level, polarity, activity and conflict
-//     activity equal the snapshot's.  It holds because propagate rewrites
-//     only the list of a literal it dequeued from the trail, every other
-//     list changes only by those pushes and removals, and the per-variable
-//     arrays change only for variables that were assigned.  Marking at
-//     unassignment instead of at enqueue keeps the mark off the propagation
-//     path; SolveWithAssumptions always backtracks to the root before it
-//     returns, so by then every assigned literal is either marked or on the
-//     root-level trail.
+//     variable's vals (both polarities), reason, level, polarity, activity
+//     and conflict activity equal the snapshot's.  It holds because
+//     propagate rewrites only the list of a literal it dequeued from the
+//     trail, every other list changes only by those pushes and removals,
+//     and vals and the per-variable arrays change only for variables that
+//     were assigned.  Marking at unassignment instead of at enqueue keeps
+//     the mark off the propagation path; SolveWithAssumptions always
+//     backtracks to the root before it returns, so by then every assigned
+//     literal is either marked or on the root-level trail.
 //   - Clause marks (a flag in the otherwise unused LBD word of an original
 //     clause, set where propagate actually swaps two of its literals).
 //     Invariant: an unflagged original clause has the snapshot's literal
@@ -325,8 +339,8 @@ type Solver struct {
 	learnts   []cref    // learned clauses
 	clauseAct []float64 // clause activities, indexed by the arena's actIdx
 	watches   [][]watch
-	assigns   []lbool
-	polarity  []bool // saved phases
+	vals      []lbool // truth value of every literal (see "Assignment" in the package comment)
+	polarity  []bool  // saved phases
 	reason    []cref
 	level     []int32
 	trail     []ilit
@@ -393,7 +407,7 @@ type snapshot struct {
 	arena      []ilit  // the arena at capture time (original clauses only)
 	watch      []watch // flat concatenation of every watch list
 	watchOff   []int32 // watch list of literal l is watch[watchOff[l]:watchOff[l+1]]
-	assigns    []lbool
+	vals       []lbool
 	reason     []cref
 	trailLen   int // root-level trail length; the search never rewrites that prefix
 	stats      Stats
@@ -446,7 +460,7 @@ func (s *Solver) capture() {
 		b.watch = append(b.watch, ws...)
 		b.watchOff[i+1] = int32(len(b.watch))
 	}
-	b.assigns = append([]lbool(nil), s.assigns...)
+	b.vals = append([]lbool(nil), s.vals...)
 	b.reason = append([]cref(nil), s.reason...)
 	s.arenaBase = len(b.arena)
 	s.base = b
@@ -500,7 +514,7 @@ func (s *Solver) Reset() {
 		n := b.numVars
 		s.watches = s.watches[:2*n]
 		s.litMark = s.litMark[:2*n]
-		s.assigns = s.assigns[:n]
+		s.vals = s.vals[:2*n]
 		s.polarity = s.polarity[:n]
 		s.reason = s.reason[:n]
 		s.level = s.level[:n]
@@ -543,8 +557,8 @@ func (s *Solver) Reset() {
 		}
 		s.litMark[l] = false
 		s.watches[l] = append(s.watches[l][:0], b.watch[b.watchOff[l]:b.watchOff[l+1]]...)
+		s.vals[l], s.vals[l.neg()] = b.vals[l], b.vals[l.neg()]
 		v := l.ivar()
-		s.assigns[v] = b.assigns[v]
 		s.reason[v] = b.reason[v]
 		s.level[v] = 0
 		s.polarity[v] = s.opts.DefaultPhase
@@ -701,7 +715,7 @@ func (s *Solver) ensureVars(n int32) {
 		s.watches = append(s.watches, nil, nil)
 		s.litMark = append(s.litMark, false, false)
 		s.dirtyLits = slices.Grow(s.dirtyLits, len(s.litMark)-len(s.dirtyLits))
-		s.assigns = append(s.assigns, lUndef)
+		s.vals = append(s.vals, lUndef, lUndef)
 		s.polarity = append(s.polarity, s.opts.DefaultPhase)
 		s.reason = append(s.reason, nullRef)
 		s.level = append(s.level, 0)
@@ -775,19 +789,8 @@ func (s *Solver) AddClause(c cnf.Clause) bool {
 	return s.okay
 }
 
-func (s *Solver) litValue(l ilit) lbool {
-	v := s.assigns[l.ivar()]
-	if v == lUndef {
-		return lUndef
-	}
-	if l.sign() {
-		if v == lTrue {
-			return lFalse
-		}
-		return lTrue
-	}
-	return v
-}
+// litValue is the truth value of l under the current assignment.
+func (s *Solver) litValue(l ilit) lbool { return s.vals[l] }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
@@ -798,12 +801,8 @@ func (s *Solver) enqueue(l ilit, from cref) bool {
 	case lFalse:
 		return false
 	}
+	s.vals[l], s.vals[l.neg()] = lTrue, lFalse
 	v := l.ivar()
-	if l.sign() {
-		s.assigns[v] = lFalse
-	} else {
-		s.assigns[v] = lTrue
-	}
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -821,10 +820,10 @@ func (s *Solver) cancelUntil(level int) {
 		if s.opts.PhaseSaving {
 			s.polarity[v] = !l.sign()
 		}
-		s.assigns[v] = lUndef
+		s.vals[l], s.vals[l.neg()] = lUndef, lUndef
 		s.reason[v] = nullRef
 		s.markLit(l)
-		s.order.insertIfAbsent(v, &s.activity)
+		s.order.insert(v, &s.activity)
 	}
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:level]
@@ -841,7 +840,7 @@ func (s *Solver) pickBranchVar() int32 {
 		if v < 0 {
 			return -1
 		}
-		if s.assigns[v] == lUndef {
+		if s.vals[mkLit(v, true)] == lUndef {
 			return v
 		}
 	}
@@ -967,13 +966,10 @@ func (s *Solver) minimizeLearned(learnt []ilit) []ilit {
 }
 
 // computeLBD counts the distinct decision levels among the literals (the
-// literal block distance of Glucose).  A stamp array replaces the seed's
-// per-call map; the count is identical, without the allocation.
+// literal block distance of Glucose).  A stamp array, sized per level by
+// SolveWithAssumptions, replaces the seed's per-call map; the count is
+// identical, without the allocation.
 func (s *Solver) computeLBD(lits []ilit) int {
-	if len(s.lbdSeen) < int(s.numVars)+1 {
-		s.lbdSeen = make([]uint64, s.numVars+1)
-		s.lbdStamp = 0
-	}
 	s.lbdStamp++
 	n := 0
 	for _, l := range lits {
@@ -1140,6 +1136,13 @@ func (s *Solver) SolveWithAssumptions(assumptions []cnf.Lit) (res Result) {
 		s.ensureVars(int32(a.Var()))
 		iassumps = append(iassumps, fromExternal(a))
 	}
+	// Every assumption opens a decision level, also one that is already true
+	// (a repeated literal), so levels run up to numVars + len(assumptions),
+	// not numVars.
+	if levels := int(s.numVars) + len(iassumps) + 1; len(s.lbdSeen) < levels {
+		s.lbdSeen = make([]uint64, levels)
+		s.lbdStamp = 0
+	}
 
 	var restarts uint64
 	for {
@@ -1210,7 +1213,7 @@ func diffStats(now, before Stats) Stats {
 func (s *Solver) extractModel() cnf.Assignment {
 	m := cnf.NewAssignment(int(s.numVars))
 	for v := int32(0); v < s.numVars; v++ {
-		switch s.assigns[v] {
+		switch s.vals[mkLit(v, true)] {
 		case lTrue:
 			m[v+1] = cnf.True
 		case lFalse:
@@ -1249,8 +1252,6 @@ func (o *varOrder) insert(v int32, act *[]float64) {
 	o.indices[v] = int32(len(o.heap) - 1)
 	o.percolateUp(int32(len(o.heap)-1), act)
 }
-
-func (o *varOrder) insertIfAbsent(v int32, act *[]float64) { o.insert(v, act) }
 
 // rebuild resets the heap to contain every variable 0..n-1 in index order.
 // With all activities equal (as after a Reset) the identity array is a valid

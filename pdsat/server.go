@@ -17,7 +17,8 @@ import (
 //	POST /v1/jobs              submit a job ({"kind":"estimate"|"search"|
 //	                           "solve"|"fleet", ...}; fleet jobs carry
 //	                           {"members":[{"method":"tabu","count":4},...]}
-//	                           plus seed/jitter/target_f/max_evaluations)
+//	                           plus seed/jitter/target_f/max_evaluations);
+//	                           a body over 1 MiB is answered 413
 //	GET  /v1/jobs              list all jobs
 //	GET  /v1/jobs/{id}         one job's status and (when finished) result
 //	GET  /v1/jobs/{id}/events  stream the job's events as NDJSON
@@ -115,10 +116,21 @@ func (req submitRequest) spec() (JobSpec, error) {
 	}
 }
 
+// maxSubmitBody bounds the body of a job submission.  A job spec is a few
+// hundred bytes (a fleet with an explicit variable list, a few kilobytes);
+// the bound only keeps a client from making the server buffer an arbitrary
+// body.
+const maxSubmitBody = 1 << 20
+
 func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	spec, err := req.spec()

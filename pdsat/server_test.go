@@ -299,3 +299,38 @@ func TestServerSolveJob(t *testing.T) {
 		t.Fatalf("deleted job still served: status %d", gone.StatusCode)
 	}
 }
+
+// TestServerSubmitBodyLimit checks the bound on a job submission's body: a
+// spec that fills the 1 MiB limit to the last byte is accepted, one byte
+// more is answered 413 and creates no job.
+func TestServerSubmitBodyLimit(t *testing.T) {
+	inst := testInstance(t, 54, 40, 9)
+	s := newTestSession(t, inst, 8)
+	ts := httptest.NewServer(pdsat.NewServer(s))
+	defer ts.Close()
+
+	const limit = 1 << 20
+	spec := `{"kind":"estimate"}`
+	// Leading whitespace is part of the JSON value's encoding, so the
+	// decoder reads all of it before it can return.
+	padded := func(n int) string { return strings.Repeat(" ", n-len(spec)) + spec }
+
+	created := postJSON(t, ts.URL+"/v1/jobs", padded(limit))
+	if id, _ := created["id"].(string); id == "" {
+		t.Fatalf("a %d-byte submission created no job: %v", limit, created)
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(padded(limit+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("a %d-byte submission: status %d, want %d", limit+1, resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	var list []map[string]any
+	getJSON(t, ts.URL+"/v1/jobs", &list)
+	if len(list) != 1 {
+		t.Fatalf("%d jobs after one accepted and one oversized submission, want 1", len(list))
+	}
+}
