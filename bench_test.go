@@ -539,19 +539,29 @@ func BenchmarkNeighborhoodBiviumTabu(b *testing.B) {
 	}
 }
 
+// fixedDispatch is the reference arm of BenchmarkStragglerBiviumEstimate: a
+// leader that sees none of the dispatch options the runner sets on every
+// batch, so tasks stay where they were first assigned.
+type fixedDispatch struct{ *cluster.Leader }
+
+func (f fixedDispatch) RunDispatch(ctx context.Context, tasks []cluster.Task, opts cluster.BatchOptions, observe func(cluster.TaskResult), abort <-chan struct{}) ([]cluster.TaskResult, cluster.DispatchStats, error) {
+	opts.Steal, opts.Speculate, opts.QueueFactor = false, false, 0
+	return f.Leader.RunDispatch(ctx, tasks, opts, observe, abort)
+}
+
 // BenchmarkStragglerBiviumEstimate measures the adaptive dispatch layer
 // (PR 10) on a Table-2-style weakened-Bivium estimate over a real 4-worker
 // loopback cluster in which one worker is a straggler (an injected half-
 // second stall before every task it starts).  The same fixed-seed estimate
-// runs once with fixed dispatch — the batch tail waits out the straggler's
-// queue — and once with work stealing, speculative re-dispatch and the
-// variance-aware batching they activate.  The determinism rule is enforced
-// unconditionally: both arms (and a pure in-process reference) must produce
-// the bit-identical F, since the policies may only move subproblems between
-// workers.  The acceptance bar of a ≥25% wall-clock reduction is enforced
-// whenever the host has the CPUs the workers need (on fewer cores the
-// healthy workers' solving serializes, so the bar is reported, not
-// enforced).
+// runs once with dispatch pinned (fixedDispatch) — the batch tail waits out
+// the straggler's queue — and once as every runner dispatches: work
+// stealing, speculative re-dispatch and variance-aware batching.  The
+// determinism rule is enforced unconditionally: both arms (and a pure
+// in-process reference) must produce the bit-identical F, since the policies
+// may only move subproblems between workers.  The acceptance bar of a ≥25%
+// wall-clock reduction is enforced whenever the host has the CPUs the
+// workers need (on fewer cores the healthy workers' solving serializes, so
+// the bar is reported, not enforced).
 func BenchmarkStragglerBiviumEstimate(b *testing.B) {
 	inst, err := encoder.NewInstance(encoder.Bivium(), encoder.Config{
 		KeystreamLen: 200,
@@ -601,14 +611,12 @@ func BenchmarkStragglerBiviumEstimate(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	run := func(adaptive bool) (*pdsat.Runner, float64, time.Duration) {
+	run := func(transport cluster.Transport) (*pdsat.Runner, float64, time.Duration) {
 		r := pdsat.NewRunner(inst.CNF, pdsat.Config{
 			SampleSize: sample,
 			Seed:       3,
 			CostMetric: solver.CostPropagations,
-			Transport:  leader,
-			Steal:      adaptive,
-			Speculate:  adaptive,
+			Transport:  transport,
 		})
 		start := time.Now()
 		res, err := r.EvaluatePoint(context.Background(), point)
@@ -630,11 +638,11 @@ func BenchmarkStragglerBiviumEstimate(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	run(true) // warm the worker-side solver pools
+	run(leader) // warm the worker-side solver pools
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, fFixed, wallFixed := run(false)
-		r, fAdaptive, wallAdaptive := run(true)
+		_, fFixed, wallFixed := run(fixedDispatch{leader})
+		r, fAdaptive, wallAdaptive := run(leader)
 		if fFixed != refRes.Estimate.Value || fAdaptive != refRes.Estimate.Value {
 			b.Fatalf("F drifted across dispatch modes: fixed %v, adaptive %v, in-process %v",
 				fFixed, fAdaptive, refRes.Estimate.Value)

@@ -78,8 +78,6 @@ func run() error {
 		maxConc    = flag.Int("max-concurrent-evals", 0, "neighborhood-parallel search: evaluate up to this many candidate sets concurrently per neighborhood (0 = the default of 1, one at a time)")
 		stopOnSat  = flag.Bool("stop-on-sat", true, "in solve mode, stop at the first satisfiable subproblem")
 		timeout    = flag.Duration("timeout", 0, "overall wall-clock limit (0 = none)")
-		steal      = flag.Bool("steal", false, "with -listen, let the leader steal queued subproblems from backlogged workers for drained ones (also enables variance-aware batch sizing)")
-		speculate  = flag.Bool("speculate", false, "with -listen, duplicate the last unfinished subproblems of a batch onto idle workers; the first result wins (also enables variance-aware batch sizing)")
 		listen     = flag.String("listen", "", "act as cluster leader: listen for remote workers on this address and dispatch all subproblems to them")
 		join       = flag.String("join", "", "act as remote cluster worker: connect to a leader at this address and serve subproblems (-workers slots)")
 		minWorkers = flag.Int("min-workers", 1, "with -listen, wait for this many remote workers before starting")
@@ -133,8 +131,6 @@ func run() error {
 			SolverOptions:    solver.DefaultOptions(),
 			SubproblemBudget: solver.Budget{MaxConflicts: *budget},
 			Policy:           policy,
-			Steal:            *steal,
-			Speculate:        *speculate,
 		},
 		Search: pdsat.SearchOptions{Seed: *seed, MaxEvaluations: *evals},
 		Cores:  *cores,
@@ -179,10 +175,6 @@ func run() error {
 		}
 		fmt.Printf("cluster: %d worker(s) joined, %d slot(s) total\n",
 			leader.WorkerCount(), leader.Workers())
-		if *steal || *speculate {
-			fmt.Printf("adaptive dispatch: steal=%v speculate=%v (variance-aware batching on)\n",
-				*steal, *speculate)
-		}
 		cfg.Runner.Transport = leader
 	}
 

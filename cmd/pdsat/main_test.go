@@ -1,9 +1,33 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"net/http"
+	"os"
+	"strings"
 	"testing"
 )
+
+// TestDispatchFlagsAreGone runs one small estimate through run on a private
+// flag set and then offers that set the switches adaptive dispatch used to
+// sit behind: they are unknown flags, not accepted and ignored.
+func TestDispatchFlagsAreGone(t *testing.T) {
+	oldArgs, oldFlags := os.Args, flag.CommandLine
+	t.Cleanup(func() { os.Args, flag.CommandLine = oldArgs, oldFlags })
+	flag.CommandLine = flag.NewFlagSet("pdsat", flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	os.Args = []string{"pdsat", "-known", "58", "-keystream", "30", "-samples", "4"}
+	if err := run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"-steal", "-speculate"} {
+		err := flag.CommandLine.Parse([]string{name})
+		if err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Fatalf("%s: %v, want an unknown-flag error", name, err)
+		}
+	}
+}
 
 // TestServeHTTPServerLimits: the -serve server bounds how long a silent peer
 // may hold a connection, and leaves responses unbounded for the event

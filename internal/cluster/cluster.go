@@ -18,7 +18,15 @@
 //     interrupts (stop-on-SAT, Ctrl-C), exchanges heartbeats, and requeues
 //     the in-flight tasks of a lost worker onto the remaining ones.  This
 //     reproduces the MPI leader/worker deployment of the paper's
-//     experiments (conf_pact_SemenovZ15 §4) across real machines.
+//     experiments (conf_pact_SemenovZ15 §4) across real machines.  Its
+//     hosts are unequal and the subproblem costs heavy-tailed, so the
+//     leader also rebalances a running batch: free slots are filled before
+//     any queue, queued tasks are stolen back from a backlogged worker for
+//     an idle one, and the last running tasks are duplicated onto idle
+//     slots, first result wins (BatchOptions.Steal/Speculate/QueueFactor,
+//     which internal/pdsat's Runner sets on every batch).  In a pristine
+//     batch a result is a function of its task alone, so none of this
+//     changes what Run returns, only when.
 //
 // The contract is the same for every backend: Run returns exactly one
 // TaskResult per task, in completion order; tasks cancelled before a solver
@@ -28,19 +36,12 @@
 //
 // # Protocol compatibility
 //
-// The network transport speaks a versioned wire protocol (see proto.go for
-// the version history).  Version 2 added the per-batch abort, version 3 the
-// task-revoke exchange behind work stealing and speculative straggler
-// re-dispatch, and version 4 sends TaskResult itself as the result message
-// (its conflict activities are sparse, so the wire needs no mirror type).
-// There is no cross-version negotiation: a worker dialing a leader of
-// another version is rejected at registration with an explicit
-// version-mismatch error — a v2 worker would ignore revokes, wedging the
-// leader's steal bookkeeping and solving speculation losers whose results
-// the leader has already recorded, and a v3 peer could not decode a v4
-// result at all.  Leaders and workers ship as one binary and must be
-// upgraded together; the rejected worker fails fast (ErrRejected) instead
-// of redialing forever.
+// The network transport speaks one version of its wire protocol
+// (protocolVersion in proto.go).  There is no negotiation: a worker dialing
+// a leader of another version is rejected at registration with an explicit
+// version-mismatch error and fails fast (ErrRejected) instead of redialing
+// forever.  Leaders and workers ship as one binary and are upgraded
+// together.
 package cluster
 
 import (
@@ -202,8 +203,8 @@ type ObservedTransport interface {
 // solves receive the solver's non-blocking interrupt and report truncated
 // results marked Cancelled, tasks no solver has seen yet become placeholder
 // results with Started == false — while the transport itself stays fully
-// usable: the network leader keeps its workers connected (it cancels only
-// the batch, via a kindAbort message), and the in-process backend keeps its
+// usable: the network leader keeps its workers connected (its interrupt
+// message cancels only the batch), and the in-process backend keeps its
 // solver pool.
 //
 // Unlike a context cancellation, an abort is a planned outcome: the call
@@ -236,11 +237,11 @@ type DispatchStats struct {
 
 // DispatchTransport is implemented by transports whose dispatch layer can
 // reassign or duplicate tasks between workers — work stealing and
-// speculative straggler re-dispatch, enabled per batch through
-// BatchOptions.Steal/Speculate — and report what it did.  The network
-// Leader implements it; the in-process backend does not (its workers pull
-// from one shared queue, so imbalance cannot build up).  Callers fall back
-// to RunAbortable when a transport does not implement it.
+// speculative straggler re-dispatch, which internal/pdsat's Runner asks for
+// on every batch through BatchOptions.Steal/Speculate — and report what it
+// did.  The network Leader implements it; the in-process backend does not
+// (its workers pull from one shared queue, so imbalance cannot build up).
+// Callers fall back to RunAbortable when a transport does not implement it.
 type DispatchTransport interface {
 	AbortableTransport
 	// RunDispatch behaves exactly like RunAbortable but additionally

@@ -73,6 +73,9 @@ type Leader struct {
 	batch    *netBatch                // guarded by mu
 	batchSeq uint64                   // guarded by mu
 	closed   bool                     // guarded by mu
+	// joined is closed, and replaced, each time a worker registers, and
+	// closed for good by Close: it wakes WaitForWorkers.
+	joined chan struct{} // guarded by mu
 	// handshaking holds the accepted connections that have not registered
 	// yet, so that Close can end their handshakes too.
 	handshaking map[net.Conn]struct{} // guarded by mu
@@ -140,6 +143,7 @@ func Listen(addr string, f *cnf.Formula, opts LeaderOptions) (*Leader, error) {
 	l := &Leader{
 		ln: ln, formula: f, opts: opts,
 		workers:     make(map[uint64]*remoteWorker),
+		joined:      make(chan struct{}),
 		handshaking: make(map[net.Conn]struct{}),
 	}
 	l.wg.Add(1)
@@ -179,8 +183,7 @@ func (l *Leader) WorkerCount() int {
 func (l *Leader) WaitForWorkers(ctx context.Context, n int) error {
 	for {
 		l.mu.Lock()
-		count := len(l.workers)
-		closed := l.closed
+		count, closed, joined := len(l.workers), l.closed, l.joined
 		l.mu.Unlock()
 		if count >= n {
 			return nil
@@ -191,7 +194,7 @@ func (l *Leader) WaitForWorkers(ctx context.Context, n int) error {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(25 * time.Millisecond):
+		case <-joined:
 		}
 	}
 }
@@ -209,6 +212,7 @@ func (l *Leader) Close() error {
 		return nil
 	}
 	l.closed = true
+	close(l.joined)
 	ws := workersByIDLocked(l.workers)
 	conns := make([]net.Conn, 0, len(l.handshaking))
 	for conn := range l.handshaking {
@@ -304,6 +308,8 @@ func (l *Leader) handleConn(conn net.Conn) {
 	l.nextID++
 	rw.id = l.nextID
 	l.workers[rw.id] = rw
+	close(l.joined)
+	l.joined = make(chan struct{})
 	b := l.batch
 	if b != nil {
 		wakeLocked(b) // a running batch can start using the newcomer
@@ -582,31 +588,32 @@ func wakeLocked(b *netBatch) {
 	}
 }
 
-// broadcastInterrupt tells every worker to abandon the batch.  This is the
-// leader's non-blocking interrupt: workers poll for it mid-search.
+// broadcastInterrupt tells every registered worker to abandon the batch,
+// dropping workers whose connection fails.  This is the leader's
+// non-blocking interrupt: workers poll for it mid-search.
 func (l *Leader) broadcastInterrupt(batchID uint64) {
-	l.broadcast(&envelope{Kind: kindInterrupt, Batch: batchID})
-}
-
-// broadcastAbort tells every worker to abandon the batch as a planned
-// pruning abort.  On the worker the effect is identical to an interrupt
-// (only the batch dies; connection and solver pool survive); the distinct
-// message kind records intent on the wire and is what protocol version 2
-// adds.
-func (l *Leader) broadcastAbort(batchID uint64) {
-	l.broadcast(&envelope{Kind: kindAbort, Batch: batchID})
-}
-
-// broadcast sends one envelope to every registered worker, dropping workers
-// whose connection fails.
-func (l *Leader) broadcast(env *envelope) {
 	l.mu.Lock()
 	ws := workersByIDLocked(l.workers)
 	l.mu.Unlock()
 	for _, rw := range ws {
-		if err := rw.w.send(env); err != nil {
+		if err := rw.w.send(&envelope{Kind: kindInterrupt, Batch: batchID}); err != nil {
 			l.dropWorker(rw, err)
 		}
+	}
+}
+
+// cancelBatch ends the batch early, once: its unassigned tasks become
+// placeholders and the workers are interrupted; the batch loop keeps
+// collecting what is in flight.
+func (l *Leader) cancelBatch(b *netBatch) {
+	l.mu.Lock()
+	first := !b.cancelled
+	if first {
+		cancelLocked(b)
+	}
+	l.mu.Unlock()
+	if first {
+		l.broadcastInterrupt(b.id)
 	}
 }
 
@@ -647,11 +654,12 @@ func targetDepth(capacity int, factor float64) int {
 	return d
 }
 
-// assign hands pending tasks to workers with spare dispatch depth (see
-// targetDepth).  When the pending queue is dry and tasks remain unfinished,
-// the batch's adaptive dispatch policies take over: stealing plans a revoke
-// of queued tasks from the most backlogged worker, and speculation
-// duplicates the batch's last unfinished tasks onto idle execution slots.
+// assign hands pending tasks to workers: free execution slots first, then
+// spare dispatch depth (see targetDepth).  When the pending queue is dry and
+// tasks remain unfinished, the batch's dispatch policies take over
+// (BatchOptions.Steal/Speculate): stealing plans a revoke of queued tasks
+// from the most backlogged worker, and speculation duplicates the batch's
+// last unfinished tasks onto idle execution slots.
 func (l *Leader) assign(b *netBatch) {
 	var sends []sendChunk
 	var stealFrom *remoteWorker
@@ -662,15 +670,13 @@ func (l *Leader) assign(b *netBatch) {
 		return
 	}
 	ws := workersByIDLocked(l.workers)
-	if b.opts.Steal || b.opts.Speculate {
-		// With adaptive dispatch on, fill free execution slots across the
-		// whole cluster before topping up anyone's queue: a task just stolen
-		// off a backlogged worker must land where it can run now, not bounce
-		// back into the victim's spare dispatch depth in id order — that
-		// bounce would steal the same task forever.  Steals are capped at
-		// the cluster's free slots, so this pass absorbs every stolen task.
-		sends = distributeLocked(b, ws, sends, func(rw *remoteWorker) int { return rw.capacity })
-	}
+	// Fill free execution slots across the whole cluster before topping up
+	// anyone's queue: a task just stolen off a backlogged worker must land
+	// where it can run now, not bounce back into the victim's spare dispatch
+	// depth in id order — that bounce would steal the same task forever.
+	// Steals are capped at the cluster's free slots, so this pass absorbs
+	// every stolen task.
+	sends = distributeLocked(b, ws, sends, func(rw *remoteWorker) int { return rw.capacity })
 	sends = distributeLocked(b, ws, sends, func(rw *remoteWorker) int {
 		return targetDepth(rw.capacity, b.opts.QueueFactor)
 	})
@@ -834,8 +840,8 @@ func (l *Leader) RunObserved(ctx context.Context, tasks []Task, opts BatchOption
 }
 
 // RunAbortable implements AbortableTransport: when abort fires, the leader
-// converts the batch's unassigned tasks into placeholders and broadcasts a
-// kindAbort to the workers — cancelling only this batch's in-flight solves,
+// converts the batch's unassigned tasks into placeholders and interrupts the
+// batch on the workers — cancelling only this batch's in-flight solves,
 // never the worker connections — then keeps collecting until every task has
 // answered.  The call returns the full result set with a nil error; a
 // context cancellation racing the abort takes precedence and is reported as
@@ -923,35 +929,17 @@ func (l *Leader) RunDispatch(ctx context.Context, tasks []Task, opts BatchOption
 		case <-b.wake:
 		case <-ticker.C:
 		case <-abort:
-			// Planned pruning abort: like a cancellation, but scoped to the
-			// batch (workers stay registered) and reported as a normal
-			// outcome rather than an error.
+			// Planned pruning abort: on the wire a cancellation, but
+			// reported as a normal outcome rather than an error.
 			abort = nil
-			l.mu.Lock()
-			broadcast := !b.cancelled
-			if broadcast {
-				cancelLocked(b)
-			}
-			l.mu.Unlock()
-			if broadcast {
-				l.broadcastAbort(b.id)
-			}
+			l.cancelBatch(b)
 		case <-ctxDone:
-			// First cancellation notice: convert unassigned tasks into
-			// placeholders and interrupt the workers, then keep collecting
-			// the in-flight results (workers answer promptly once
-			// interrupted; a hung worker is eventually declared lost by the
-			// heartbeat, which converts its tasks into placeholders too).
+			// First cancellation notice.  The loop keeps collecting the
+			// in-flight results: workers answer promptly once interrupted,
+			// and a hung worker is eventually declared lost by the
+			// heartbeat, which converts its tasks into placeholders too.
 			ctxDone = nil
-			l.mu.Lock()
-			broadcast := !b.cancelled
-			if broadcast {
-				cancelLocked(b)
-			}
-			l.mu.Unlock()
-			if broadcast {
-				l.broadcastInterrupt(b.id)
-			}
+			l.cancelBatch(b)
 		}
 	}
 	results := l.snapshotResults(b)

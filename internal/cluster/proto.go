@@ -12,26 +12,11 @@ import (
 )
 
 // protocolVersion guards against mixing incompatible leader and worker
-// binaries; bump it whenever the envelope or the solver result layout
-// changes incompatibly.
-//
-// Version history:
-//
-//	1  initial leader/worker protocol
-//	2  kindAbort (per-batch evaluation abort for incumbent pruning); a v1
-//	   worker would silently keep solving an aborted batch's tasks, so the
-//	   mismatch is rejected at registration
-//	3  kindRevoke / kindRevoked (work stealing and speculative straggler
-//	   re-dispatch).  A v2 worker would ignore a revoke it cannot decode —
-//	   leaving the leader's steal state wedged and a speculation loser
-//	   solving a task whose result the leader already recorded — so, as
-//	   with v1↔v2, the mismatch is rejected at registration: leaders and
-//	   workers must be upgraded together.
-//	4  kindResult carries TaskResult itself, whose conflict activities are
-//	   sparse end to end, instead of a wire-only sparse mirror of a dense
-//	   result; the envelope's Result field changed type, so a v3 peer would
-//	   fail to decode every result.
-const protocolVersion = 4
+// binaries; bump it whenever the envelope, a message kind's number or the
+// solver result layout changes incompatibly.  There is no negotiation and
+// no support for older versions: a mismatch is rejected at registration
+// (checkHello), and leader and worker ship as one binary.
+const protocolVersion = 5
 
 // Wire timeouts shared by both sides.
 const (
@@ -61,21 +46,17 @@ const (
 	kindResult
 	// kindInterrupt tells a worker to abandon a batch: interrupt in-flight
 	// solves, drain queued tasks as placeholders.  It is the non-blocking
-	// leader→worker message of the paper's modified MiniSat.
+	// leader→worker message of the paper's modified MiniSat, sent for a
+	// cancellation, a stop-on-SAT and the evaluation engine's planned abort
+	// alike; the worker keeps its connection and pooled solvers, only the
+	// batch dies.
 	kindInterrupt
 	// kindPing / kindPong are heartbeats (leader pings, worker pongs).
 	kindPing
 	kindPong
 	// kindStop shuts a worker down for good (leader closing).
 	kindStop
-	// kindAbort abandons one batch exactly like kindInterrupt — in-flight
-	// solves are interrupted, queued tasks drained as placeholders — but
-	// marks a *planned* early end rather than a failure: the evaluation
-	// engine aborts the remainder of a candidate's sample once its partial
-	// lower bound exceeds the search incumbent.  The worker keeps its
-	// connection and pooled solvers; only the batch dies.
-	kindAbort
-	// kindRevoke (v3) takes tasks back from a worker.  In its stealing form
+	// kindRevoke takes tasks back from a worker.  In its stealing form
 	// (Count > 0) the worker removes up to Count not-yet-started tasks from
 	// the back of its local queue and acknowledges them with kindRevoked;
 	// only that acknowledgement moves a task back onto the leader's pending
@@ -85,7 +66,7 @@ const (
 	// mid-solve if they already started — without replying: the leader has
 	// already recorded another copy's result (speculation loser cleanup).
 	kindRevoke
-	// kindRevoked (v3) is the worker's steal acknowledgement: the indices
+	// kindRevoked is the worker's steal acknowledgement: the indices
 	// it actually gave back (possibly none, if the queue drained first).
 	kindRevoked
 )
@@ -113,7 +94,7 @@ type envelope struct {
 	// kindResult
 	Result *TaskResult
 
-	// kindRevoke / kindRevoked (v3)
+	// kindRevoke / kindRevoked
 	//
 	// Count is the stealing form's upper bound on how many queued tasks to
 	// give back; Indices carries the discard form's targets and the

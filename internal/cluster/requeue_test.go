@@ -257,7 +257,7 @@ func abortingWorker(t *testing.T, addr string, capacity int, gotTasks chan<- int
 				gotTasks <- len(env.Tasks)
 				close(gotTasks)
 			}
-		case kindAbort:
+		case kindInterrupt:
 			sawAbort <- env.Batch
 		}
 	}
@@ -289,13 +289,13 @@ func TestAbortedBatchWorkerLossDoesNotResurrectTasks(t *testing.T) {
 	defer leader.Close()
 	addr := leader.Addr().String()
 
-	// The holder registers with enough capacity to be handed every task
-	// (the leader assigns up to 2× capacity), takes the batch and sits on
-	// it.
+	// The holder registers with enough slots to be handed every task (the
+	// leader fills free slots in registration order before it queues
+	// anything), takes the batch and sits on it.
 	gotTasks := make(chan int, 1)
 	sawAbort := make(chan uint64, 1)
 	die := make(chan struct{})
-	go abortingWorker(t, addr, 8, gotTasks, sawAbort, die)
+	go abortingWorker(t, addr, 16, gotTasks, sawAbort, die)
 	waitCtx, waitCancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer waitCancel()
 	if err := leader.WaitForWorkers(waitCtx, 1); err != nil {

@@ -258,11 +258,10 @@ func serveOnce(ctx context.Context, addr string, opts *WorkerOptions) (registere
 			if err := w.send(&envelope{Kind: kindRevoked, Batch: env.Batch, Indices: idxs}); err != nil {
 				return registered, err
 			}
-		case kindInterrupt, kindAbort:
-			// kindAbort is the evaluation engine's planned per-batch abort
-			// (incumbent pruning); on the worker it is handled exactly like
-			// an interrupt — only the batch dies, the connection and the
-			// pooled solvers survive.
+		case kindInterrupt:
+			// Only the batch dies; the connection and the pooled solvers
+			// survive.  A planned abort (incumbent pruning), a stop-on-SAT
+			// and a cancellation all arrive as this one message.
 			if env.Batch > interrupted {
 				interrupted = env.Batch
 			}

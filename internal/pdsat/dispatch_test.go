@@ -8,17 +8,55 @@ import (
 	"time"
 
 	"github.com/paper-repro/pdsat-go/internal/cluster"
+	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/eval"
 )
 
-// TestAdaptiveDispatchBitIdenticalEstimate is the determinism gate of the
-// adaptive dispatch tentpole: with work stealing, speculation and the
-// variance-aware batching they activate all engaged — against a cluster
-// whose first worker stalls every task it starts — a fixed-seed estimate
-// must still be bit-identical to the plain in-process runner.  The cost
-// model and the dispatch policies may only move subproblems between
-// workers; each sample's content is a function of the scope seed and its
-// slot alone.
+// stragglerCluster starts a leader for the formula with two loopback
+// workers: "straggler" (one slot, registered first, so it sits at the head
+// of the assignment order) waits stall before every task it starts, and
+// "healthy" (two slots) does not.
+func stragglerCluster(t *testing.T, f *cnf.Formula, stall time.Duration) *cluster.Leader {
+	t.Helper()
+	leader, err := cluster.Listen("127.0.0.1:0", f, cluster.LeaderOptions{
+		Heartbeat: 100 * time.Millisecond,
+		Logf:      t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cleanups run last-in first-out: close the leader, cancel the workers,
+	// then wait for them, so that none logs into the finished test.
+	var workers sync.WaitGroup
+	t.Cleanup(workers.Wait)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	t.Cleanup(func() { leader.Close() })
+	waitCtx, waitCancel := context.WithTimeout(ctx, 10*time.Second)
+	defer waitCancel()
+	for i, opts := range []cluster.WorkerOptions{
+		{Capacity: 1, Name: "straggler", Logf: t.Logf, TaskDelay: func(cluster.Task) time.Duration { return stall }},
+		{Capacity: 2, Name: "healthy", Logf: t.Logf},
+	} {
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			_ = cluster.Serve(ctx, leader.Addr().String(), opts)
+		}()
+		if err := leader.WaitForWorkers(waitCtx, i+1); err != nil {
+			t.Fatalf("worker %q did not register: %v", opts.Name, err)
+		}
+	}
+	return leader
+}
+
+// TestAdaptiveDispatchBitIdenticalEstimate is the determinism gate of
+// adaptive dispatch: with work stealing, speculation and variance-aware
+// batching all engaged — against a cluster whose first worker stalls every
+// task it starts — a fixed-seed estimate must still be bit-identical to the
+// plain in-process runner.  The cost model and the dispatch policies may
+// only move subproblems between workers; each sample's content is a
+// function of the scope seed and its slot alone.
 func TestAdaptiveDispatchBitIdenticalEstimate(t *testing.T) {
 	inst := weakBivium(t, 167, 60, 21)
 	space := unknownSpace(inst)
@@ -30,44 +68,10 @@ func TestAdaptiveDispatchBitIdenticalEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	leader, err := cluster.Listen("127.0.0.1:0", inst.CNF, cluster.LeaderOptions{
-		Heartbeat: 100 * time.Millisecond,
-		Logf:      t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leader.Close()
-	addr := leader.Addr().String()
-
-	// The straggler registers first, so it sits at the head of the
-	// assignment order and stalls whatever it is handed; only stealing its
-	// queue and speculating its running task lets the batch finish inside
-	// the test deadline.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		_ = cluster.Serve(ctx, addr, cluster.WorkerOptions{
-			Capacity: 1, Name: "straggler", Logf: t.Logf,
-			TaskDelay: func(cluster.Task) time.Duration { return 2 * time.Minute },
-		})
-	}()
-	waitCtx, waitCancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer waitCancel()
-	if err := leader.WaitForWorkers(waitCtx, 1); err != nil {
-		t.Fatalf("straggler did not register: %v", err)
-	}
-	go func() {
-		_ = cluster.Serve(ctx, addr, cluster.WorkerOptions{Capacity: 2, Name: "healthy", Logf: t.Logf})
-	}()
-	if err := leader.WaitForWorkers(waitCtx, 2); err != nil {
-		t.Fatalf("healthy worker did not register: %v", err)
-	}
-
+	// Only stealing the straggler's queue and speculating its running task
+	// lets the batch finish inside the test deadline.
 	cfg := evalTestConfig(eval.Policy{})
-	cfg.Transport = leader
-	cfg.Steal = true
-	cfg.Speculate = true
+	cfg.Transport = stragglerCluster(t, inst.CNF, 2*time.Minute)
 	r := NewRunner(inst.CNF, cfg)
 	runCtx, runCancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer runCancel()
@@ -98,6 +102,67 @@ func TestAdaptiveDispatchBitIdenticalEstimate(t *testing.T) {
 	}
 	if got, want := r.SubproblemsSolved(), ref.SubproblemsSolved(); got != want {
 		t.Fatalf("solved-subproblem count differs under speculation: %d vs %d (duplicate leaked into the ledger)", got, want)
+	}
+}
+
+// TestDefaultConfigRebalancesAroundSlowWorker is what a user gets without
+// setting anything: on a network leader a default Config takes work off a
+// worker that is slow, not dead — the batch would finish without help — and
+// the estimate, the solved count and the sample ledger are the in-process
+// runner's.
+func TestDefaultConfigRebalancesAroundSlowWorker(t *testing.T) {
+	inst := weakBivium(t, 167, 60, 21)
+	p := unknownSpace(inst).FullPoint()
+
+	ref := NewRunner(inst.CNF, DefaultConfig())
+	want, err := ref.EvaluatePoint(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := DefaultConfig()
+	cfg.Transport = stragglerCluster(t, inst.CNF, 200*time.Millisecond)
+	r := NewRunner(inst.CNF, cfg)
+	got, err := r.EvaluatePoint(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Estimate != want.Estimate {
+		t.Fatalf("estimate differs from the in-process runner's:\n got %+v\nwant %+v", got.Estimate, want.Estimate)
+	}
+	if r.TasksStolen()+r.SpeculationWins() == 0 {
+		t.Fatalf("nothing was taken off the slow worker: stolen=%d dup=%d wins=%d",
+			r.TasksStolen(), r.SpeculativeDuplicates(), r.SpeculationWins())
+	}
+	solved, aborted, skipped := r.SubproblemsSolved(), r.SubproblemsAborted(), r.SamplesSkipped()
+	if solved != cfg.SampleSize || aborted != 0 || r.SamplesPlanned() != solved+aborted+skipped {
+		t.Fatalf("ledger: planned %d, solved %d, aborted %d, skipped %d; want all %d solved",
+			r.SamplesPlanned(), solved, aborted, skipped, cfg.SampleSize)
+	}
+}
+
+// TestRetainedSolveNeverSpeculates pins the one place speculation is off:
+// with learned clauses retained a duplicate would solve on another worker's
+// solver state, so which copy wins would change the recorded result.  The
+// pristine run of the same family on the same cluster does speculate.
+func TestRetainedSolveNeverSpeculates(t *testing.T) {
+	inst := weakBivium(t, 171, 60, 21)
+	p := unknownSpace(inst).FullPoint()
+	for _, retain := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.RetainLearned = retain
+		cfg.Transport = stragglerCluster(t, inst.CNF, 200*time.Millisecond)
+		r := NewRunner(inst.CNF, cfg)
+		report, err := r.Solve(context.Background(), p, SolveOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 1 << p.Count(); report.Processed != want || !report.FoundSat {
+			t.Fatalf("retain=%v: processed %d of %d subproblems, found SAT: %v", retain, report.Processed, want, report.FoundSat)
+		}
+		if dup := r.SpeculativeDuplicates(); (dup == 0) != retain {
+			t.Fatalf("retain=%v: %d speculative duplicates", retain, dup)
+		}
 	}
 }
 

@@ -89,25 +89,15 @@ type Config struct {
 	// have been created for the same formula the Runner is built on.  Nil
 	// means a private in-process transport with Workers goroutines.  The
 	// Runner does not close the transport; its creator owns its lifetime.
+	//
+	// On a dispatching transport (cluster.DispatchTransport, i.e. the
+	// network leader) every batch runs with work stealing, every pristine
+	// batch with speculative re-dispatch of its tail, and every evaluation
+	// stage with a queue depth sized from the observed ζ distribution.
+	// All three move tasks between workers and never change which
+	// subproblems are solved or what they cost, so fixed-seed estimates are
+	// the in-process transport's bit for bit.
 	Transport cluster.Transport
-	// Steal enables work stealing on dispatching transports: queued
-	// (not yet started) tasks are revoked from a backlogged worker and
-	// reassigned to a drained one.  It also activates the variance-aware
-	// batching of the evaluation cost model, which sizes per-worker queue
-	// depths from the observed ζ distribution.  Stealing moves tasks but
-	// never changes which subproblems are solved or what they cost in
-	// pristine batches, so fixed-seed estimates stay bit-identical.  The
-	// in-process transport ignores it (its workers already pull from one
-	// shared queue).
-	Steal bool
-	// Speculate enables speculative straggler re-dispatch on dispatching
-	// transports: the last unfinished subproblems of a batch are duplicated
-	// onto idle slots, the first result per task wins and the losing copy
-	// is aborted.  Like Steal it activates variance-aware batching, applies
-	// only to pristine batches (a pristine solve is a pure function of the
-	// task, so which copy wins never changes the result content, only its
-	// arrival time), and is ignored by the in-process transport.
-	Speculate bool
 	// Policy configures the budget-aware evaluation engine: incumbent
 	// pruning and staged adaptive sampling of predictive-function
 	// evaluations (see internal/eval).  The zero value disables both and
@@ -166,11 +156,10 @@ type Runner struct {
 	// evaluate through their own NewScope, sharing the transport but not the
 	// sampling state.
 	def *Scope
-	// costModel tracks the observed ζ distribution per sample stage when
-	// adaptive dispatch (Config.Steal/Speculate) is on, turning it into
-	// per-batch queue-depth hints.  Shared by every scope: the model only
-	// influences scheduling, never sample content, so cross-scope sharing
-	// cannot leak state into results.
+	// costModel tracks the observed ζ distribution per sample stage,
+	// turning it into per-batch queue-depth hints.  Shared by every scope:
+	// the model only influences scheduling, never sample content, so
+	// cross-scope sharing cannot leak state into results.
 	costModel *eval.CostModel
 
 	mu sync.Mutex
@@ -618,11 +607,11 @@ func (r *Runner) runTasksObserved(ctx context.Context, tasks []cluster.Task, sto
 		Retain:     retain,
 		Budget:     r.cfg.SubproblemBudget,
 		CostMetric: r.cfg.CostMetric,
-		Steal:      r.cfg.Steal,
+		Steal:      true,
 		// Speculation is restricted to pristine batches: with retained
 		// learned clauses a duplicate copy solves on different solver state,
 		// so which copy wins would change the recorded result content.
-		Speculate: r.cfg.Speculate && !retain,
+		Speculate: !retain,
 	}
 	var observeResult func(cluster.TaskResult)
 	if observe != nil {
@@ -652,7 +641,7 @@ func (r *Runner) noteDispatch(ds cluster.DispatchStats) {
 }
 
 // runBatch dispatches one batch through the transport, using the richest
-// interface it offers: dispatch statistics (opts.Steal/Speculate) need a
+// interface it offers: stealing, speculation and their statistics need a
 // DispatchTransport, batch aborts (abort non-nil) an AbortableTransport,
 // in-flight observation an ObservedTransport.  Transports without in-flight
 // observation deliver all notifications after the batch completes,
@@ -661,10 +650,8 @@ func (r *Runner) noteDispatch(ds cluster.DispatchStats) {
 // only); transports without a dispatch layer ignore the adaptive options
 // and report zero DispatchStats.
 func (r *Runner) runBatch(ctx context.Context, tasks []cluster.Task, opts cluster.BatchOptions, observe func(cluster.TaskResult), abort <-chan struct{}) ([]cluster.TaskResult, cluster.DispatchStats, error) {
-	if opts.Steal || opts.Speculate {
-		if dt, ok := r.transport.(cluster.DispatchTransport); ok {
-			return dt.RunDispatch(ctx, tasks, opts, observe, abort)
-		}
+	if dt, ok := r.transport.(cluster.DispatchTransport); ok {
+		return dt.RunDispatch(ctx, tasks, opts, observe, abort)
 	}
 	if abort != nil {
 		if at, ok := r.transport.(cluster.AbortableTransport); ok {

@@ -414,13 +414,12 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 	)
 	sc.notePlanned(n)
 	defer func() { sc.noteSkipped(n - collected) }()
-	// Adaptive dispatch: with stealing or speculation on, each stage's batch
-	// carries a queue-depth hint derived from the ζ costs observed on the
-	// same stage index of earlier evaluations, and its completed costs feed
-	// the model in turn.  The hint shapes scheduling only — the sample, the
-	// costs and the stage plan are untouched — so fixed-seed estimates stay
-	// bit-identical with the model on or off.
-	adaptive := r.cfg.Steal || r.cfg.Speculate
+	// Adaptive dispatch: each stage's batch carries a queue-depth hint
+	// derived from the ζ costs observed on the same stage index of earlier
+	// evaluations, and its completed costs feed the model in turn.  The hint
+	// shapes scheduling only — the sample, the costs and the stage plan are
+	// untouched — so fixed-seed estimates are bit-identical whatever the
+	// model has seen.
 	next := 0
 	for si, end := range eval.StagePlan(n, pol.Stages) {
 		begin := next
@@ -434,13 +433,11 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 			break
 		}
 		opts := cluster.BatchOptions{
-			Budget:     r.cfg.SubproblemBudget,
-			CostMetric: r.cfg.CostMetric,
-		}
-		if adaptive {
-			opts.Steal = r.cfg.Steal
-			opts.Speculate = r.cfg.Speculate
-			opts.QueueFactor = r.costModel.QueueFactor(si)
+			Budget:      r.cfg.SubproblemBudget,
+			CostMetric:  r.cfg.CostMetric,
+			Steal:       true,
+			Speculate:   true,
+			QueueFactor: r.costModel.QueueFactor(si),
 		}
 		if prune {
 			// Per-stage budget: no single task may cost more than what is
@@ -479,9 +476,7 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 			if res.Status == solver.Sat {
 				satCount++
 			}
-			if adaptive {
-				r.costModel.Observe(si, res.Cost)
-			}
+			r.costModel.Observe(si, res.Cost)
 		}
 		sc.absorb(results)
 		if err != nil {

@@ -22,12 +22,10 @@ import "fmt"
 // (indexed by the header's activity word) so the arena stays a plain int32
 // slice and activity rescaling does not touch clause memory.
 //
-// The dead bit is only ever set by the tiered reducer (Options.ClauseTier):
-// it marks a removed clause's words as garbage until the next compaction.
-// The legacy reducer detaches clauses but leaves their words in place, just
-// as the pointer implementation left them to the GC; Reset truncates the
-// arena back to the original clauses, which is where that garbage is
-// reclaimed.
+// The dead bit is set by reduceDB on a clause it removes: the clause is
+// detached and its words are garbage until the next compaction
+// (compactLearned) or until Reset truncates the arena back to the original
+// clauses, whichever comes first.
 
 // cref addresses a clause: the arena offset of its header word.  The
 // allocation order of clauses is exactly their cref order, which is what the
@@ -71,7 +69,6 @@ func (a *arena) size(c cref) int32      { return int32(a.data[c]) >> flagBits }
 func (a *arena) isLearned(c cref) bool  { return a.data[c]&learnedBit != 0 }
 func (a *arena) isDead(c cref) bool     { return a.data[c]&deadBit != 0 }
 func (a *arena) markDead(c cref)        { a.data[c] |= deadBit }
-func (a *arena) lbd(c cref) int32       { return int32(a.data[c+1]) }
 func (a *arena) setLBD(c cref, v int32) { a.data[c+1] = ilit(v) }
 func (a *arena) actIdx(c cref) int32    { return int32(a.data[c+2]) }
 
@@ -119,8 +116,10 @@ func (s *Solver) bumpClause(c cref) {
 // compactLearned slides the live learned clauses over the dead ones and
 // remaps every cref that may reference the moved region (learned list,
 // reasons, watch lists).  Original clauses sit below arenaBase and never
-// move.  Only the tiered reducer creates dead clauses, so this never runs —
-// and never perturbs crefs — in the bit-identical ClauseTier-off mode.
+// move.  The slide keeps the clauses in order, so comparing two crefs —
+// reduceDB's tie-break — gives the same answer before and after, and the
+// watch lists and reasons are rewritten in place: the search is the one an
+// uncompacted arena would have run.
 func (s *Solver) compactLearned() {
 	base := int32(s.arenaBase)
 	data := s.ar.data

@@ -9,7 +9,7 @@ import (
 	"github.com/paper-repro/pdsat-go/internal/cnfgen"
 )
 
-// Differential tests: the arena solver (ClauseTier off) must reproduce the
+// Differential tests: the arena solver must reproduce the
 // preserved pointer implementation (refsolver_test.go) bit for bit — same
 // statuses, same models, same statistics, same conflict activities — across
 // one-shot solves, budgeted solves, assumption sessions with Reset and

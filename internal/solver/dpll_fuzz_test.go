@@ -38,9 +38,8 @@ func fuzzFormula(data []byte) *cnf.Formula {
 
 // FuzzSolverVsDPLL differentially fuzzes the arena CDCL solver against the
 // reference DPLL solver on small random CNFs decoded from the fuzz input.
-// Both ClauseTier modes must agree with the oracle on satisfiability, and
-// every SAT model must actually satisfy the formula (input encoding: see
-// fuzzFormula).
+// The solver must agree with the oracle on satisfiability, and every SAT
+// model must actually satisfy the formula (input encoding: see fuzzFormula).
 func FuzzSolverVsDPLL(f *testing.F) {
 	f.Add([]byte{2, 1, 130, 0, 2, 131, 0, 3, 1, 0})
 	f.Add([]byte{0, 1, 0, 129, 0})                       // unit clauses x1, ¬x1: UNSAT
@@ -59,16 +58,12 @@ func FuzzSolverVsDPLL(f *testing.F) {
 			t.Skip("DPLL node budget exceeded")
 		}
 
-		for _, tier := range []bool{false, true} {
-			opts := DefaultOptions()
-			opts.ClauseTier = tier
-			got := New(formula, opts).Solve()
-			if got.Status != want.Status {
-				t.Fatalf("ClauseTier=%v: CDCL=%v, DPLL oracle=%v\nformula: %+v", tier, got.Status, want.Status, formula)
-			}
-			if got.Status == Sat && !Verify(formula, got.Model) {
-				t.Fatalf("ClauseTier=%v: CDCL model does not satisfy the formula %+v", tier, formula)
-			}
+		got := NewDefault(formula).Solve()
+		if got.Status != want.Status {
+			t.Fatalf("CDCL=%v, DPLL oracle=%v\nformula: %+v", got.Status, want.Status, formula)
+		}
+		if got.Status == Sat && !Verify(formula, got.Model) {
+			t.Fatalf("CDCL model does not satisfy the formula %+v", formula)
 		}
 	})
 }

@@ -19,8 +19,8 @@ import (
 // deterministic counter, the model bits and the conflict-activity table — to
 // values recorded from the original pointer-based clause representation
 // (recorded at the seed of PR 9, before the flat-arena rewrite).  The arena
-// representation must reproduce them bit for bit with ClauseTier off; any
-// drift here is a determinism regression, not a tuning change.
+// representation must reproduce them bit for bit; any drift here is a
+// determinism regression, not a tuning change.
 //
 // Regenerate (only when a deliberate, documented behaviour change is made)
 // with:

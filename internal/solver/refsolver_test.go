@@ -8,7 +8,7 @@ package solver
 //   - Differential testing: TestArenaMatchesPointerReference and friends run
 //     the arena solver and this reference side by side and require
 //     bit-identical behaviour (statuses, stats, models, conflict
-//     activities) with ClauseTier off.
+//     activities).
 //
 //   - Benchmark baseline: BenchmarkSolverBivium measures the arena solver
 //     against this implementation on the same machine, which is how the

@@ -61,8 +61,8 @@ func diffSolverState(got, want *Solver) string {
 		return "activity increments differ"
 	case got.arenaBase != want.arenaBase:
 		return fmt.Sprintf("arenaBase %d, want %d", got.arenaBase, want.arenaBase)
-	case got.garbageWords != want.garbageWords || got.learntLimit != want.learntLimit:
-		return "tiered reducer state differs"
+	case got.garbageWords != want.garbageWords:
+		return fmt.Sprintf("garbageWords %d, want %d", got.garbageWords, want.garbageWords)
 	case got.stats != want.stats:
 		return fmt.Sprintf("stats %+v, want %+v", got.stats, want.stats)
 	case got.okay != want.okay:
@@ -208,21 +208,21 @@ func (r *resetScript) run(f *cnf.Formula, opts Options) string {
 	return check(step)
 }
 
-// resetOptionVariants are the learned-clause policies the Reset tests run
-// under: the default, the legacy reducer firing after a handful of learned
-// clauses, and the tiered reducer with compaction.
+// resetOptionVariants are the options the Reset tests run under: the
+// default, and a bound so low that reduceDB fires, and compacts, after a
+// handful of learned clauses.
 func resetOptionVariants() map[string]Options {
-	legacy := DefaultOptions()
-	legacy.MaxLearnedFactor = 0.02
-	return map[string]Options{"default": DefaultOptions(), "reduceDB": legacy, "tiered": tierOptions()}
+	reduce := DefaultOptions()
+	reduce.MaxLearnedFactor = 0.02
+	return map[string]Options{"default": DefaultOptions(), "reduceDB": reduce}
 }
 
 // TestResetEqualsFresh is the property test behind the dirty-tracked Reset:
 // after arbitrary sequences of solves — short, budget-truncated,
 // interrupted, with assumptions over fresh variables, with clauses added
-// before and after the first solve, under all three learned-clause
-// policies — Reset leaves every field equal to a freshly constructed and
-// captured solver's.
+// before and after the first solve, with and without reductions of the
+// learned-clause database — Reset leaves every field equal to a freshly
+// constructed and captured solver's.
 func TestResetEqualsFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	r3, err := cnfgen.Random3SAT(rng, 60, 4.2)
@@ -265,7 +265,7 @@ func FuzzResetEqualsFresh(f *testing.F) {
 		n := min(int(data[1]), len(data)-2)
 		formula := fuzzFormula(append([]byte{data[0]}, data[2:2+n]...))
 		variants := resetOptionVariants()
-		name := []string{"default", "reduceDB", "tiered"}[int(data[0]>>3)%3]
+		name := []string{"default", "reduceDB"}[int(data[0]>>3)%2]
 		if d := (&resetScript{data: data[2+n:]}).run(formula, variants[name]); d != "" {
 			t.Fatalf("%s, formula %+v: %s", name, formula, d)
 		}

@@ -22,12 +22,12 @@
 // holding, per clause, a small header followed by the literals, addressed by
 // offset (cref).  Watch lists hold 8-byte {cref, blocker} entries with
 // binary clauses specialized in place (watch.go).  The layout is a pure
-// representation change: with Options.ClauseTier off, the search — every
-// decision, conflict, learned clause, restart and statistic — is bit-for-bit
-// identical to the original pointer-based implementation, which is pinned by
-// golden and differential tests.  ClauseTier switches the learned-clause
-// management to LBD-tiered reduction (reduce.go); it changes the search and
-// is gated by benchmarks, not bit-identity.
+// representation change: the search — every decision, conflict, learned
+// clause, restart and statistic — is bit-for-bit identical to the original
+// pointer-based implementation, which is pinned by golden and differential
+// tests.  There is one learned-clause reducer (reduce.go): the seed's
+// activity-based policy, which hands the arena words of the clauses it
+// removes back by an order-preserving compaction.
 //
 // # Assignment
 //
@@ -157,12 +157,11 @@ type Stats struct {
 	Restarts     uint64 `json:"restarts"`
 	Learned      uint64 `json:"learned"`
 	Removed      uint64 `json:"removed"`
-	// ReduceDBs counts learned-clause database reductions (either policy).
+	// ReduceDBs counts learned-clause database reductions.
 	ReduceDBs uint64 `json:"reduce_dbs"`
 	// LearnedCore, LearnedMid and LearnedLocal count learned clauses by the
 	// LBD tier assigned at learn time (core ≤ 3, mid ≤ 6, local above).
-	// The classification is purely observational and identical whether or
-	// not Options.ClauseTier is enabled.
+	// The classification is purely observational.
 	LearnedCore  uint64 `json:"learned_core"`
 	LearnedMid   uint64 `json:"learned_mid"`
 	LearnedLocal uint64 `json:"learned_local"`
@@ -195,14 +194,6 @@ type Options struct {
 	// MinimizeLearned enables self-subsumption minimization of learned
 	// clauses.
 	MinimizeLearned bool
-	// ClauseTier switches learned-clause management to Glucose-style
-	// LBD-tiered reduction: core clauses (LBD ≤ 3) and binaries are never
-	// removed, reduction drops the worst half of the rest (highest LBD,
-	// then lowest activity), the database limit grows geometrically, and
-	// the arena compacts removed clauses.  Off (the default) keeps the
-	// activity-based policy, whose search is bit-for-bit identical to the
-	// seed implementation.
-	ClauseTier bool
 }
 
 // DefaultOptions returns the standard solver configuration.
@@ -358,17 +349,13 @@ type Solver struct {
 	// below it is original clauses (never moved or removed), everything at
 	// or above it is the learned region.
 	arenaBase int
-	// garbageWords counts dead words in the learned region (ClauseTier
-	// reductions only); compactLearned reclaims them.
+	// garbageWords counts the words of removed (dead) clauses in the
+	// learned region; compactLearned reclaims them.
 	garbageWords int
-	// learntLimit is the tiered reducer's geometric database limit (0 =
-	// not yet initialized).
-	learntLimit float64
 
 	// Reused scratch buffers (their contents never survive a call).
 	learntBuf []ilit  // analyze's learned-clause assembly
 	clearBuf  []int32 // analyze's seen-flag clear list
-	reduceBuf []cref  // reduceTiered's candidate list
 	lbdSeen   []uint64
 	lbdStamp  uint64
 
@@ -482,7 +469,7 @@ func (s *Solver) capture() {
 //
 // Restoring truncates the arena back to the original clauses — all
 // learned-clause memory is reclaimed in one step, which is the session
-// analogue of the tiered reducer's compaction.
+// analogue of the reducer's compaction.
 //
 // Clauses added with AddClause after the first Solve call are discarded by
 // Reset; add all clauses before solving when the solver is to be reused as a
@@ -536,7 +523,6 @@ func (s *Solver) Reset() {
 	s.ar.data = s.ar.data[:len(b.arena)]
 	s.arenaBase = len(b.arena)
 	s.garbageWords = 0
-	s.learntLimit = 0
 	s.clauses = s.clauses[:b.numClauses]
 	s.learnts = s.learnts[:0]
 	// A fresh solver starts every clause activity at zero, so restore that

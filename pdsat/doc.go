@@ -8,7 +8,13 @@
 //     (Problem: FromGenerator, FromDIMACSFile, FromInstance, FromFormula).
 //  2. Open a Session for it (NewSession).  The session owns one
 //     leader/worker runner — in-process goroutine workers by default, or a
-//     network cluster via Config.Runner.Transport.
+//     network cluster via Config.Runner.Transport.  A network leader
+//     rebalances on its own: it steals queued subproblems from a backlogged
+//     worker, duplicates a batch's last running ones onto idle slots and
+//     sizes worker queues from the observed cost spread (TaskStolen and
+//     SpeculationWon events, the tasks_stolen/speculative_duplicates/
+//     speculation_wins counters of Session.Stats).  None of it is
+//     configurable and none of it changes a fixed-seed result.
 //  3. Submit work as jobs: EstimateJob evaluates the predictive function F
 //     for a decomposition set, SearchJob minimizes F with simulated
 //     annealing or tabu search, FleetJob races several searches

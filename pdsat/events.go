@@ -257,9 +257,8 @@ func (WorkerLost) EventKind() string { return "worker_lost" }
 
 // TaskStolen reports that the cluster leader revoked queued (not yet
 // started) subproblems from a backlogged worker and reassigned them to a
-// drained one (see Session.PublishTaskStolen); emitted only when work
-// stealing is enabled.  Stolen subproblems are still solved exactly once,
-// so the event signals rebalancing, not rework.
+// drained one (see Session.PublishTaskStolen).  Stolen subproblems are still
+// solved exactly once, so the event signals rebalancing, not rework.
 type TaskStolen struct {
 	// Job is the receiving job's ID.
 	Job string `json:"job"`
@@ -275,8 +274,7 @@ func (TaskStolen) EventKind() string { return "task_stolen" }
 // SpeculationWon reports that a speculatively duplicated subproblem was won
 // by its duplicate copy: the copy dispatched onto an idle slot finished
 // before the original, whose solve was aborted (see
-// Session.PublishSpeculationWon).  Emitted only when speculative straggler
-// re-dispatch is enabled.
+// Session.PublishSpeculationWon).
 type SpeculationWon struct {
 	// Job is the receiving job's ID.
 	Job string `json:"job"`

@@ -183,8 +183,7 @@ func (s *Session) PublishWorkerLost(worker string, requeued int) {
 
 // PublishTaskStolen broadcasts a TaskStolen event to every running job's
 // stream; worker is the backlogged worker the tasks were revoked from.
-// Wire it to the cluster leader's OnTaskStolen hook (cmd/pdsat does when
-// -steal is on).
+// Wire it to the cluster leader's OnTaskStolen hook (cmd/pdsat does).
 func (s *Session) PublishTaskStolen(worker string, tasks int) {
 	for _, j := range s.runningJobs() {
 		j.emit(TaskStolen{Job: j.id, Worker: worker, Tasks: tasks})
@@ -193,8 +192,7 @@ func (s *Session) PublishTaskStolen(worker string, tasks int) {
 
 // PublishSpeculationWon broadcasts a SpeculationWon event to every running
 // job's stream; worker is the worker whose duplicate copy won.  Wire it to
-// the cluster leader's OnSpeculationWon hook (cmd/pdsat does when
-// -speculate is on).
+// the cluster leader's OnSpeculationWon hook (cmd/pdsat does).
 func (s *Session) PublishSpeculationWon(worker string, tasks int) {
 	for _, j := range s.runningJobs() {
 		j.emit(SpeculationWon{Job: j.id, Worker: worker, Tasks: tasks})
@@ -357,8 +355,8 @@ type SessionStats struct {
 	// first (recorded) result.  All three count scheduling events outside
 	// the sample ledger: a stolen task is still solved once, and a losing
 	// duplicate's result is discarded before it reaches the ledger.  They
-	// stay zero unless the session's runner enables Steal/Speculate on a
-	// dispatching (network) transport.
+	// stay zero on the in-process transport, whose workers pull from one
+	// shared queue.
 	TasksStolen           int `json:"tasks_stolen"`
 	SpeculativeDuplicates int `json:"speculative_duplicates"`
 	SpeculationWins       int `json:"speculation_wins"`
