@@ -38,9 +38,10 @@
 //     (policies are set via pdsat.EvalPolicy; the zero policy reproduces
 //     full-sample evaluations bit for bit)
 //   - cluster: worker transports for the leader/worker architecture — an
-//     in-process goroutine pool with persistent solvers, and a TCP/gob
-//     network backend (worker registration, heartbeats, batched task
-//     streams, interrupt broadcast, worker-loss requeue)
+//     in-process goroutine pool with persistent solvers, and a TCP
+//     network backend with a framed binary codec (worker registration,
+//     heartbeats, batched task streams, interrupt broadcast, worker-loss
+//     requeue)
 //   - pdsat: the paper's MPI leader/worker program PDSAT on top of a
 //     cluster transport (estimation and solving modes); cmd/pdsat
 //     -listen/-join deploys it across machines

@@ -12,8 +12,9 @@
 //     goroutine-based runner.  This is the default and is bit-for-bit
 //     identical to running without a cluster at all.
 //
-//   - Leader/Serve form a network transport (stdlib-only: encoding/gob over
-//     TCP).  A leader listens for workers, ships them the formula once at
+//   - Leader/Serve form a network transport (stdlib-only: TCP, one
+//     length-prefixed binary frame per message; the layout is in proto.go).
+//     A leader listens for workers, ships them the formula once at
 //     registration, streams task batches, broadcasts non-blocking
 //     interrupts (stop-on-SAT, Ctrl-C), exchanges heartbeats, and requeues
 //     the in-flight tasks of a lost worker onto the remaining ones.  This
@@ -37,11 +38,22 @@
 // # Protocol compatibility
 //
 // The network transport speaks one version of its wire protocol
-// (protocolVersion in proto.go).  There is no negotiation: a worker dialing
-// a leader of another version is rejected at registration with an explicit
-// version-mismatch error and fails fast (ErrRejected) instead of redialing
-// forever.  Leaders and workers ship as one binary and are upgraded
+// (protocolVersion in proto.go, currently 6).  There is no negotiation: a
+// worker dialing a leader of another version is rejected at registration
+// with an explicit version-mismatch error and fails fast (ErrRejected)
+// instead of redialing forever; one so old that it does not frame its
+// messages this way (version 5 and earlier spoke encoding/gob) is simply
+// disconnected.  Leaders and workers ship as one binary and are upgraded
 // together.
+//
+// # Untrusted peers
+//
+// A worker is not trusted with more than its own tasks.  A frame that is
+// malformed — truncated, over the size limit, with a count its bytes cannot
+// hold, of an unknown kind — is a connection error like a failed read: the
+// leader drops that worker and requeues what it held, and nothing a peer
+// merely announces is allocated.  A result is recorded only if the sender
+// holds the task it answers.
 package cluster
 
 import (
@@ -73,7 +85,7 @@ type Task struct {
 
 // TaskResult is the outcome of one subproblem solve, in the one form both
 // backends use: the in-process workers hand it to the collection loop and
-// the network workers gob-encode it as it is.
+// the network workers put it on the wire field by field (proto.go).
 type TaskResult struct {
 	// Index echoes Task.Index.
 	Index int

@@ -1,0 +1,170 @@
+package cluster_test
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"math/rand"
+	"net"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/paper-repro/pdsat-go/internal/cluster"
+	"github.com/paper-repro/pdsat-go/internal/cnf"
+	"github.com/paper-repro/pdsat-go/internal/encoder"
+	"github.com/paper-repro/pdsat-go/internal/solver"
+)
+
+// countingRelay forwards TCP connections to target and counts the bytes of
+// each direction, so that a benchmark can read the wire volume from outside
+// the package.
+type countingRelay struct {
+	ln                  net.Listener
+	toWorkers, toLeader atomic.Int64
+}
+
+func startRelay(b *testing.B, target string) *countingRelay {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := &countingRelay{ln: ln}
+	var relays sync.WaitGroup
+	relays.Add(1)
+	go func() {
+		defer relays.Done()
+		for {
+			down, err := ln.Accept()
+			if err != nil {
+				return // closed
+			}
+			up, err := net.Dial("tcp", target)
+			if err != nil {
+				down.Close()
+				continue
+			}
+			for _, dir := range []struct {
+				dst, src net.Conn
+				count    *atomic.Int64
+			}{{up, down, &r.toLeader}, {down, up, &r.toWorkers}} {
+				relays.Add(1)
+				go func() {
+					defer relays.Done()
+					_, _ = io.Copy(countingWriter{dir.dst, dir.count}, dir.src) // ends with the connection
+					dir.dst.Close()
+					dir.src.Close()
+				}()
+			}
+		}
+	}()
+	b.Cleanup(func() {
+		ln.Close()
+		relays.Wait() // the leader's Close, registered later, has ended the connections
+	})
+	return r
+}
+
+type countingWriter struct {
+	w     io.Writer
+	count *atomic.Int64
+}
+
+func (c countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.count.Add(int64(n))
+	return n, err
+}
+
+// benchCluster starts a leader on the loopback interface with two one-slot
+// workers — the benchmark's TCP deployment — which dial the relay when
+// there is one.
+func benchCluster(b *testing.B, f *cnf.Formula, counted bool) (*cluster.Leader, *countingRelay) {
+	leader, err := cluster.Listen("127.0.0.1:0", f, cluster.LeaderOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	addr := leader.Addr().String()
+	var relay *countingRelay
+	if counted {
+		relay = startRelay(b, addr)
+		addr = relay.ln.Addr().String()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var served sync.WaitGroup
+	b.Cleanup(func() {
+		leader.Close()
+		cancel()
+		served.Wait()
+	})
+	for i := 0; i < 2; i++ {
+		served.Add(1)
+		go func() {
+			defer served.Done()
+			_ = cluster.Serve(ctx, addr, cluster.WorkerOptions{Capacity: 1, Name: fmt.Sprintf("bench-%d", i)})
+		}()
+	}
+	wait, stop := context.WithTimeout(ctx, 30*time.Second)
+	defer stop()
+	if err := leader.WaitForWorkers(wait, 2); err != nil {
+		b.Fatal(err)
+	}
+	return leader, relay
+}
+
+// BenchmarkLoopbackDispatch measures what a task costs between the runner
+// and the solver: batches of 2500 subproblems of the bench's
+// bivium-estimate-tcp shape (Bivium, 200 keystream bits, 120 unknown state
+// bits all assumed, decided by propagation in about 90 µs) dispatched to two
+// one-slot workers over TCP loopback, with the options internal/pdsat's
+// Runner sets.  It reports wall time, allocations and allocated bytes per
+// task — of the whole process, so leader and workers together — and, from a
+// second cluster whose connections run through a counting relay, the bytes
+// on the wire per task in each direction (set-up excluded).
+func BenchmarkLoopbackDispatch(b *testing.B) {
+	inst, err := encoder.NewInstance(encoder.Bivium(), encoder.Config{KeystreamLen: 200, KnownSuffix: 57, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	vars := inst.UnknownStartVars()
+	rng := rand.New(rand.NewSource(7))
+	tasks := make([]cluster.Task, 2500)
+	for i := range tasks {
+		tasks[i].Index = i
+		tasks[i].Assumptions = make([]cnf.Lit, len(vars))
+		for j, v := range vars {
+			tasks[i].Assumptions[j] = cnf.NewLit(v, rng.Intn(2) == 0)
+		}
+	}
+	opts := cluster.BatchOptions{CostMetric: solver.CostPropagations, Steal: true, Speculate: true}
+	run := func(l *cluster.Leader) {
+		results, err := l.Run(context.Background(), tasks, opts)
+		if err != nil || len(results) != len(tasks) {
+			b.Fatalf("%d results for %d tasks, error %v", len(results), len(tasks), err)
+		}
+	}
+
+	direct, _ := benchCluster(b, inst.CNF, false)
+	run(direct) // builds the workers' solvers
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(direct)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N * len(tasks))
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/n, "us/task")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/task")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/task")
+
+	counted, relay := benchCluster(b, inst.CNF, true)
+	run(counted)
+	out, in := relay.toWorkers.Load(), relay.toLeader.Load()
+	run(counted)
+	b.ReportMetric(float64(relay.toWorkers.Load()-out)/float64(len(tasks)), "wire-B/task-out")
+	b.ReportMetric(float64(relay.toLeader.Load()-in)/float64(len(tasks)), "wire-B/task-in")
+}

@@ -139,14 +139,14 @@ func (t *Inproc) RunAbortable(ctx context.Context, tasks []Task, opts BatchOptio
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sw := newSolveWorker(t, opts.Retain)
+			sw := newSolveWorker(innerCtx, t, opts.Retain)
 			defer sw.close()
 			for tk := range taskCh {
 				if innerCtx.Err() != nil {
 					resCh <- TaskResult{Index: tk.Index, Status: solver.Unknown}
 					continue
 				}
-				resCh <- sw.solveTask(innerCtx, tk, opts)
+				resCh <- sw.solveTask(tk, opts)
 			}
 		}()
 	}
@@ -217,10 +217,11 @@ func stopTriggered(mode StopMode, st solver.Status) bool {
 	}
 }
 
-// solveWorker is the per-goroutine solving state: one persistent pooled
-// solver plus the scratch needed to attribute statistics and conflict
-// activity to individual tasks when the solver outlives them.  The network
-// worker (worker.go) reuses it for its local solving slots.
+// solveWorker is the per-goroutine solving state of one batch: one
+// persistent pooled solver, the scratch needed to attribute statistics and
+// conflict activity to individual tasks when the solver outlives them, and
+// the slot's interrupt registration.  The network worker (worker.go) reuses
+// it for its local solving slots.
 type solveWorker struct {
 	transport *Inproc
 	solver    *solver.Solver
@@ -229,10 +230,34 @@ type solveWorker struct {
 	// previous task (retain mode only); the per-task contribution is the
 	// difference, since conflict activity grows monotonically.
 	prevAct solver.SparseActivities
+
+	// unregister removes the slot's registration with the batch context.
+	unregister func() bool
+
+	// The interrupt state: which task the slot is working on and whether it
+	// was told to stop.  The batch's cancellation (once, through the
+	// registration) and a discard aimed at one task (interruptTask) arrive on
+	// other goroutines, possibly after the task they were meant for has
+	// ended; mu makes "that task is still running" and the interrupt one
+	// step, so a late one can never hit the slot's next task.
+	mu   sync.Mutex
+	busy bool // guarded by mu; a task is in progress
+	task int  // guarded by mu; its index
+	// running is the solver of the task in progress, nil while the task only
+	// waits (an injected delay).
+	running *solver.Solver // guarded by mu
+	fired   bool           // guarded by mu; the task in progress was interrupted
+	stopped bool           // guarded by mu; the batch is cancelled: every task from now on is interrupted
+	// wake ends an injected delay early (capacity 1, filled under mu); nil
+	// where no delay is ever injected.
+	wake chan struct{}
 }
 
-// newSolveWorker draws a pooled solver for one worker goroutine.
-func newSolveWorker(t *Inproc, retain bool) *solveWorker {
+// newSolveWorker draws a pooled solver for one worker goroutine and
+// registers the slot with the batch context: the batch's cancellation is
+// converted into the solver's non-blocking interrupt, mirroring the paper's
+// modified MiniSat that polls for leader messages during search.
+func newSolveWorker(batch context.Context, t *Inproc, retain bool) *solveWorker {
 	sw := &solveWorker{transport: t, solver: t.acquire(), retain: retain}
 	if retain {
 		// A pooled solver may carry conflict activity from a previous batch
@@ -241,11 +266,71 @@ func newSolveWorker(t *Inproc, retain bool) *solveWorker {
 		// values.
 		sw.prevAct = sw.solver.SparseConflictActivities()
 	}
+	sw.unregister = context.AfterFunc(batch, sw.interruptBatch)
 	return sw
 }
 
-// close returns the pooled solver.
-func (w *solveWorker) close() { w.transport.release(w.solver) }
+// close ends the registration and returns the pooled solver.
+func (w *solveWorker) close() {
+	w.unregister()
+	w.transport.release(w.solver)
+}
+
+// begin marks the start of a task: s is the solver about to run it, nil for
+// a task that only waits.
+func (w *solveWorker) begin(task int, s *solver.Solver) {
+	w.mu.Lock()
+	w.busy, w.task, w.running, w.fired = true, task, s, false
+	select {
+	case <-w.wake: // meant for an earlier task
+	default:
+	}
+	if w.stopped {
+		w.interruptLocked()
+	}
+	w.mu.Unlock()
+}
+
+// end marks the end of the task in progress and reports whether it was
+// interrupted.
+func (w *solveWorker) end() (interrupted bool) {
+	w.mu.Lock()
+	interrupted = w.fired
+	w.busy, w.running = false, nil
+	w.mu.Unlock()
+	return interrupted
+}
+
+// interruptBatch interrupts the task in progress and every later one.
+func (w *solveWorker) interruptBatch() {
+	w.mu.Lock()
+	w.stopped = true
+	if w.busy {
+		w.interruptLocked()
+	}
+	w.mu.Unlock()
+}
+
+// interruptTask interrupts the task in progress if it is the given one.
+func (w *solveWorker) interruptTask(task int) {
+	w.mu.Lock()
+	if w.busy && w.task == task {
+		w.interruptLocked()
+	}
+	w.mu.Unlock()
+}
+
+// requires mu
+func (w *solveWorker) interruptLocked() {
+	w.fired = true
+	if w.running != nil {
+		w.running.Interrupt()
+	}
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
+}
 
 // searchAllowance is the search effort a budget leaves after charging the
 // construction baseline (0 if the baseline alone exhausts it, which makes
@@ -270,9 +355,9 @@ func searchAllowance(budget, base uint64) uint64 {
 // bit-for-bit identical to a fresh solver's.  In retain mode the search
 // benefits from previously learned clauses; the cost is the construction
 // baseline plus this call's actual effort.
-func (w *solveWorker) solveTask(ctx context.Context, t Task, opts BatchOptions) TaskResult {
+func (w *solveWorker) solveTask(t Task, opts BatchOptions) TaskResult {
 	if t.Options != nil {
-		return solveOverrideTask(ctx, w.transport.formula, t, opts)
+		return w.solveOverrideTask(t, opts)
 	}
 	s := w.solver
 	start := time.Now()
@@ -296,7 +381,7 @@ func (w *solveWorker) solveTask(ctx context.Context, t Task, opts BatchOptions) 
 		s.Reset()
 		s.SetBudget(opts.Budget)
 	}
-	res, cancelled := solveInterruptibly(ctx, s, t.Assumptions)
+	res, cancelled := w.solveInterruptibly(s, t)
 	var taskStats solver.Stats
 	activity := s.SparseConflictActivities()
 	if w.retain {
@@ -344,11 +429,11 @@ func activityGain(cur, prev solver.SparseActivities) solver.SparseActivities {
 // solveOverrideTask solves a task that carries its own solver configuration
 // (a portfolio member) on a fresh throwaway solver.  Its Stats cover the
 // solve call only, matching the portfolio's per-member accounting.
-func solveOverrideTask(ctx context.Context, f *cnf.Formula, t Task, opts BatchOptions) TaskResult {
-	s := solver.New(f, *t.Options)
+func (w *solveWorker) solveOverrideTask(t Task, opts BatchOptions) TaskResult {
+	s := solver.New(w.transport.formula, *t.Options)
 	s.SetBudget(opts.Budget)
 	start := time.Now()
-	res, cancelled := solveInterruptibly(ctx, s, t.Assumptions)
+	res, cancelled := w.solveInterruptibly(s, t)
 	stats := res.Stats
 	stats.SolveTime = time.Since(start)
 	return TaskResult{
@@ -364,36 +449,15 @@ func solveOverrideTask(ctx context.Context, f *cnf.Formula, t Task, opts BatchOp
 	}
 }
 
-// solveInterruptibly runs one solve on the caller's goroutine and converts a
-// context cancellation into the solver's non-blocking interrupt, mirroring
-// the paper's modified MiniSat that polls for leader messages during search.
-// cancelled reports that the solve ended inconclusively because of the
-// cancellation (and not, say, its own budget): its cost then undercounts the
-// subproblem.
-func solveInterruptibly(ctx context.Context, s *solver.Solver, assumptions []cnf.Lit) (res solver.Result, cancelled bool) {
-	// The cancellation callback runs on a goroutine of its own, possibly
-	// after the solve has returned; the lock makes "the solve is still
-	// running" and the interrupt one step, so a late callback can never
-	// interrupt the solver's next task.
-	var guard struct {
-		sync.Mutex
-		finished, fired bool
-	}
-	stop := context.AfterFunc(ctx, func() {
-		guard.Lock()
-		defer guard.Unlock()
-		if !guard.finished {
-			guard.fired = true
-			s.Interrupt()
-		}
-	})
-	res = s.SolveWithAssumptions(assumptions)
-	guard.Lock()
-	guard.finished = true
-	guard.Unlock()
-	stop()
+// solveInterruptibly runs one task's solve on the caller's goroutine, open
+// to the slot's interrupts for exactly as long as it runs.  cancelled
+// reports that the solve ended inconclusively because of an interrupt (and
+// not, say, its own budget): its cost then undercounts the subproblem.
+func (w *solveWorker) solveInterruptibly(s *solver.Solver, t Task) (res solver.Result, cancelled bool) {
+	w.begin(t.Index, s)
+	res = s.SolveWithAssumptions(t.Assumptions)
 	// A solve that still concluded (the interrupt raced with a normal
 	// finish) produced a complete cost; only inconclusive ones are
 	// truncated.
-	return res, guard.fired && res.Status == solver.Unknown
+	return res, w.end() && res.Status == solver.Unknown
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -63,16 +64,21 @@ type LeaderOptions struct {
 // batch survives worker churn as long as at least one worker eventually
 // serves it.
 type Leader struct {
-	ln      net.Listener
-	formula *cnf.Formula
-	opts    LeaderOptions
+	ln   net.Listener
+	opts LeaderOptions
+	// welcome is the registration reply — the formula, the solver options,
+	// the heartbeat — as a frame, encoded once for every worker that will
+	// ever join.
+	welcome []byte
 
-	mu       sync.Mutex
-	workers  map[uint64]*remoteWorker // guarded by mu
-	nextID   uint64                   // guarded by mu
-	batch    *netBatch                // guarded by mu
-	batchSeq uint64                   // guarded by mu
-	closed   bool                     // guarded by mu
+	mu sync.Mutex
+	// workers holds the registered workers in registration (id) order, the
+	// order in which tasks are assigned and broadcasts sent.
+	workers  []*remoteWorker // guarded by mu
+	nextID   uint64          // guarded by mu
+	batch    *netBatch       // guarded by mu
+	batchSeq uint64          // guarded by mu
+	closed   bool            // guarded by mu
 	// joined is closed, and replaced, each time a worker registers, and
 	// closed for good by Close: it wakes WaitForWorkers.
 	joined chan struct{} // guarded by mu
@@ -110,10 +116,13 @@ type remoteWorker struct {
 
 // netBatch is the leader-side state of one Run call (guarded by Leader.mu).
 type netBatch struct {
-	id        uint64
-	opts      BatchOptions
-	pending   []Task
-	got       []bool
+	id      uint64
+	opts    BatchOptions
+	pending []Task
+	got     []bool
+	// results has room for every task from the start and only ever grows
+	// by append, one result per index: an element, once appended, is never
+	// written again and never moves, so it may be read without the lock.
 	results   []TaskResult
 	remaining int
 	cancelled bool
@@ -125,6 +134,9 @@ type netBatch struct {
 	spec map[int]uint64
 	// stats counts this batch's adaptive-dispatch actions.
 	stats DispatchStats
+	// sends is assign's list of planned transmissions, reused from call to
+	// call (only the batch loop calls assign).
+	sends []sendChunk
 }
 
 // Listen starts a leader for the formula on the given TCP address
@@ -136,13 +148,21 @@ func Listen(addr string, f *cnf.Formula, opts LeaderOptions) (*Leader, error) {
 	if opts.Heartbeat <= 0 {
 		opts.Heartbeat = defaultHeartbeat
 	}
+	welcome, err := appendFrame(nil, &envelope{
+		Kind:          kindWelcome,
+		Formula:       f,
+		SolverOptions: &opts.SolverOptions,
+		Heartbeat:     opts.Heartbeat,
+	})
+	if err != nil {
+		return nil, err
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	l := &Leader{
-		ln: ln, formula: f, opts: opts,
-		workers:     make(map[uint64]*remoteWorker),
+		ln: ln, opts: opts, welcome: welcome,
 		joined:      make(chan struct{}),
 		handshaking: make(map[net.Conn]struct{}),
 	}
@@ -213,7 +233,7 @@ func (l *Leader) Close() error {
 	}
 	l.closed = true
 	close(l.joined)
-	ws := workersByIDLocked(l.workers)
+	ws := slices.Clone(l.workers)
 	conns := make([]net.Conn, 0, len(l.handshaking))
 	for conn := range l.handshaking {
 		conns = append(conns, conn)
@@ -271,6 +291,9 @@ func (l *Leader) handleConn(conn net.Conn) {
 	env, err := w.recv(handshakeTimeout)
 	if err != nil {
 		abandon()
+		// A worker of a version that frames its messages differently ends
+		// here, as a malformed frame.
+		l.logf("cluster: no registration from %s: %v", conn.RemoteAddr(), err)
 		return
 	}
 	if err := checkHello(env); err != nil {
@@ -279,13 +302,7 @@ func (l *Leader) handleConn(conn net.Conn) {
 		l.logf("cluster: rejected worker from %s: %v", conn.RemoteAddr(), err)
 		return
 	}
-	welcome := &envelope{
-		Kind:          kindWelcome,
-		Formula:       l.formula,
-		SolverOptions: &l.opts.SolverOptions,
-		Heartbeat:     l.opts.Heartbeat,
-	}
-	if err := w.send(welcome); err != nil {
+	if err := w.sendFrame(l.welcome); err != nil {
 		abandon()
 		return
 	}
@@ -307,7 +324,7 @@ func (l *Leader) handleConn(conn net.Conn) {
 	}
 	l.nextID++
 	rw.id = l.nextID
-	l.workers[rw.id] = rw
+	l.workers = append(l.workers, rw)
 	close(l.joined)
 	l.joined = make(chan struct{})
 	b := l.batch
@@ -368,7 +385,7 @@ func (l *Leader) dropWorker(rw *remoteWorker, cause error) {
 		return
 	}
 	rw.gone = true
-	delete(l.workers, rw.id)
+	l.workers = slices.DeleteFunc(l.workers, func(w *remoteWorker) bool { return w == rw })
 	requeued := 0
 	if b := l.batch; b != nil {
 		// Requeue in task-index order, not map order, so the surviving
@@ -419,15 +436,20 @@ func (l *Leader) dropWorker(rw *remoteWorker, cause error) {
 
 // deliver records one result from a worker into the active batch.
 func (l *Leader) deliver(rw *remoteWorker, env *envelope) {
-	if env.Result == nil {
-		return
-	}
 	res := *env.Result
 	l.mu.Lock()
 	b := l.batch
-	if b == nil || env.Batch != b.id || res.Index < 0 || res.Index >= len(b.got) {
+	if b == nil || env.Batch != b.id {
 		// Stale result from a finished or cancelled batch (e.g. a worker
 		// that was presumed lost and answered late).
+		l.mu.Unlock()
+		return
+	}
+	if _, held := rw.inflight[res.Index]; !held {
+		// Not a task of this batch that this worker holds: the losing copy
+		// of a speculated task, a result racing its own discard, an index
+		// outside the batch — or a worker answering for tasks it was never
+		// sent, which must not decide their cost.
 		l.mu.Unlock()
 		return
 	}
@@ -450,7 +472,7 @@ func (l *Leader) deliver(rw *remoteWorker, env *envelope) {
 		if specWin {
 			b.stats.SpeculationWins++
 		}
-		for _, ow := range workersByIDLocked(l.workers) {
+		for _, ow := range l.workers {
 			if ow == rw {
 				continue
 			}
@@ -551,7 +573,7 @@ func (l *Leader) handleRevoked(rw *remoteWorker, env *envelope) {
 // so ties — impossible outside speculation — are deterministic).
 // requires mu
 func (l *Leader) assigneeLocked(idx int) *remoteWorker {
-	for _, rw := range workersByIDLocked(l.workers) {
+	for _, rw := range l.workers {
 		if _, ok := rw.inflight[idx]; ok {
 			return rw
 		}
@@ -593,7 +615,7 @@ func wakeLocked(b *netBatch) {
 // non-blocking interrupt: workers poll for it mid-search.
 func (l *Leader) broadcastInterrupt(batchID uint64) {
 	l.mu.Lock()
-	ws := workersByIDLocked(l.workers)
+	ws := slices.Clone(l.workers) // dropWorker edits l.workers in place
 	l.mu.Unlock()
 	for _, rw := range ws {
 		if err := rw.w.send(&envelope{Kind: kindInterrupt, Batch: batchID}); err != nil {
@@ -615,18 +637,6 @@ func (l *Leader) cancelBatch(b *netBatch) {
 	if first {
 		l.broadcastInterrupt(b.id)
 	}
-}
-
-// workersByIDLocked snapshots the worker map in registration (id) order so
-// broadcast, shutdown and task assignment walk the workers deterministically
-// instead of in map-iteration order (callers hold Leader.mu).
-func workersByIDLocked(workers map[uint64]*remoteWorker) []*remoteWorker {
-	ws := make([]*remoteWorker, 0, len(workers))
-	for _, rw := range workers {
-		ws = append(ws, rw)
-	}
-	sort.Slice(ws, func(i, j int) bool { return ws[i].id < ws[j].id })
-	return ws
 }
 
 // sendChunk is one pending kindTasks transmission planned under Leader.mu
@@ -661,7 +671,6 @@ func targetDepth(capacity int, factor float64) int {
 // from the most backlogged worker, and speculation duplicates the batch's
 // last unfinished tasks onto idle execution slots.
 func (l *Leader) assign(b *netBatch) {
-	var sends []sendChunk
 	var stealFrom *remoteWorker
 	stealCount := 0
 	l.mu.Lock()
@@ -669,7 +678,7 @@ func (l *Leader) assign(b *netBatch) {
 		l.mu.Unlock()
 		return
 	}
-	ws := workersByIDLocked(l.workers)
+	ws, sends := l.workers, b.sends[:0]
 	// Fill free execution slots across the whole cluster before topping up
 	// anyone's queue: a task just stolen off a backlogged worker must land
 	// where it can run now, not bounce back into the victim's spare dispatch
@@ -700,10 +709,11 @@ func (l *Leader) assign(b *netBatch) {
 			}
 		}
 	}
-	id, opts := b.id, b.opts
+	b.sends = sends
 	l.mu.Unlock()
+	id := b.id
 	for _, c := range sends {
-		if err := c.rw.w.send(&envelope{Kind: kindTasks, Batch: id, Opts: &opts, Tasks: c.tasks}); err != nil {
+		if err := c.rw.w.send(&envelope{Kind: kindTasks, Batch: id, Opts: &b.opts, Tasks: c.tasks}); err != nil {
 			// dropWorker requeues the chunk we just marked in-flight.
 			l.dropWorker(c.rw, err)
 		}
@@ -717,7 +727,9 @@ func (l *Leader) assign(b *netBatch) {
 
 // distributeLocked hands pending tasks to workers in id order, filling each
 // worker up to limit(rw) outstanding tasks, and appends the planned
-// transmissions to sends (callers hold Leader.mu and send outside it).
+// transmissions to sends (callers hold Leader.mu and send outside it).  A
+// chunk is the front of the pending queue itself, not a copy: the queue moves
+// past it and is only ever appended to behind it.
 func distributeLocked(b *netBatch, ws []*remoteWorker, sends []sendChunk, limit func(*remoteWorker) int) []sendChunk {
 	for _, rw := range ws {
 		if len(b.pending) == 0 {
@@ -730,7 +742,7 @@ func distributeLocked(b *netBatch, ws []*remoteWorker, sends []sendChunk, limit 
 		if spare > len(b.pending) {
 			spare = len(b.pending)
 		}
-		ck := append([]Task(nil), b.pending[:spare]...)
+		ck := b.pending[:spare:spare]
 		b.pending = b.pending[spare:]
 		for _, t := range ck {
 			rw.inflight[t.Index] = t
@@ -942,15 +954,13 @@ func (l *Leader) RunDispatch(ctx context.Context, tasks []Task, opts BatchOption
 			l.cancelBatch(b)
 		}
 	}
-	results := l.snapshotResults(b)
-	if err := ctx.Err(); err != nil {
-		return results, l.snapshotDispatchStats(b), err
-	}
-	return results, l.snapshotDispatchStats(b), nil
+	// Every task has answered, so nothing appends to b.results any more: it
+	// is the caller's now.
+	return b.results, l.snapshotDispatchStats(b), ctx.Err()
 }
 
-// snapshotResults copies the batch results under the lock (late stale
-// deliveries may still append concurrently on abnormal exits).
+// snapshotResults copies the batch results under the lock, for the exit
+// that leaves tasks unanswered: late deliveries may still append.
 func (l *Leader) snapshotResults(b *netBatch) []TaskResult {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -966,16 +976,17 @@ func (l *Leader) snapshotDispatchStats(b *netBatch) DispatchStats {
 
 // reportNew streams the not-yet-reported tail of the batch results to
 // observe.  Only the batch loop calls it, so *reported needs no lock; the
-// results are copied under the lock and observed outside it.
+// tail is taken under the lock and observed in place outside it (see
+// netBatch.results).
 func (l *Leader) reportNew(b *netBatch, reported *int, observe func(TaskResult)) {
 	if observe == nil {
 		return
 	}
 	l.mu.Lock()
-	fresh := append([]TaskResult(nil), b.results[*reported:]...)
+	fresh := b.results[*reported:]
 	l.mu.Unlock()
 	*reported += len(fresh)
-	for _, res := range fresh {
-		observe(res)
+	for i := range fresh {
+		observe(fresh[i])
 	}
 }

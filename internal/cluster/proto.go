@@ -1,9 +1,15 @@
 package cluster
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"math"
+	"math/bits"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -11,12 +17,76 @@ import (
 	"github.com/paper-repro/pdsat-go/internal/solver"
 )
 
+// The wire format.  A connection carries frames in both directions, each one
+// message:
+//
+//	frame = length (4 bytes, big endian, 1..maxFrame) body
+//	body  = kind (1 byte) fields
+//
+// with the fields of each kind in this order and nothing after them:
+//
+//	hello     proto:int capacity:int name:string
+//	welcome   formula options:solverOptions heartbeat:int
+//	tasks     batch:uint opts:batchOptions nTasks:count nLits:count { task }
+//	result    batch:uint result
+//	interrupt batch:uint
+//	ping, pong
+//	stop      err:string
+//	revoke    batch:uint max:int discard:byte nIndices:count { index:int }
+//	revoked   batch:uint nIndices:count { index:int }
+//
+//	formula       numVars:int nClauses:count nLits:count { len:count { lit } } nComments:count { string }
+//	solverOptions varDecay:float clauseDecay:float restartBase:uint maxLearnedFactor:float
+//	              flags:byte (1 phaseSaving, 2 defaultPhase, 4 minimizeLearned)
+//	batchOptions  stop:int flags:byte (1 retain, 2 steal, 4 speculate) maxConflicts:uint
+//	              maxPropagations:uint maxTime:int costMetric:int queueFactor:float
+//	task          index:int hasOptions:byte [solverOptions] len:count { lit }
+//	result        index:int cost:float status:int flags:byte (1 started, 2 interrupted,
+//	              4 cancelled) nModel:count { byte } nActivity:count { varDelta:uint } { act:float }
+//	              stats: decisions propagations conflicts restarts learned removed reduceDBs
+//	              learnedCore learnedMid learnedLocal arenaBytes :uint maxLevel:int solveTime:int
+//
+// uint is an unsigned LEB128 varint, int and lit its zig-zag signed form,
+// string a count and that many bytes.  float is the IEEE 754 bit pattern
+// with its bytes reversed, as a uint: the costs and activities on this wire
+// are mostly small whole numbers, whose low mantissa bytes are zero, so they
+// take two to four bytes instead of eight.  varDelta is the distance from
+// the previous variable of the ascending activity vector (from 0 for the
+// first).  A count is a uint that is checked against the bytes left in the
+// frame before anything is allocated for it — every element takes at least
+// one byte, a task three — so a frame cannot make its reader allocate more
+// than a small multiple of the frame's own length, and the reader's buffer
+// grows with the bytes that have arrived, not with the length a peer
+// announces.
+//
+// Decoding is strict: an unknown kind, a truncated field, a count beyond the
+// frame or bytes after the last field make the frame malformed, and a
+// malformed frame is a connection error like a failed read (the leader drops
+// the worker and requeues what it held).
+
 // protocolVersion guards against mixing incompatible leader and worker
-// binaries; bump it whenever the envelope, a message kind's number or the
-// solver result layout changes incompatibly.  There is no negotiation and
-// no support for older versions: a mismatch is rejected at registration
-// (checkHello), and leader and worker ship as one binary.
-const protocolVersion = 5
+// binaries; bump it whenever the frame layout, a message kind's number or
+// the meaning of a field changes.  There is no negotiation and no support
+// for older versions: a mismatch is rejected at registration (checkHello),
+// and leader and worker ship as one binary.  The hello frame keeps its place
+// and its first field across versions, so that the rejection can say why.
+const protocolVersion = 6
+
+// maxFrame bounds the body of one frame.  The largest legitimate frame is
+// the welcome, which carries the formula (about 1.2 MB for the benchmark's
+// Bivium instance).
+const maxFrame = 1 << 30
+
+// readStep is the least the read buffer grows by while a frame larger than
+// it arrives; keepRead is the largest read buffer kept from one frame to the
+// next (the welcome is the one large frame of a connection).
+const (
+	readStep = 4096
+	keepRead = 64 << 10
+)
+
+// errFrame is the cause of every malformed-frame error.
+var errFrame = errors.New("cluster: malformed frame")
 
 // Wire timeouts shared by both sides.
 const (
@@ -40,7 +110,8 @@ const (
 	// kindWelcome is the leader's reply: the formula, the shared solver
 	// options and the heartbeat interval.
 	kindWelcome
-	// kindTasks streams a chunk of a batch to a worker.
+	// kindTasks streams a chunk of a batch to a worker, with the batch's
+	// options.
 	kindTasks
 	// kindResult returns one task result to the leader.
 	kindResult
@@ -71,8 +142,8 @@ const (
 	kindRevoked
 )
 
-// envelope is the single gob-encoded message type exchanged on a cluster
-// connection; Kind selects which fields are meaningful.
+// envelope is the single message type exchanged on a cluster connection;
+// Kind selects which fields are meaningful, and only those travel.
 type envelope struct {
 	Kind msgKind
 
@@ -81,17 +152,18 @@ type envelope struct {
 	Capacity int
 	Name     string
 
-	// kindWelcome
+	// kindWelcome (both always present)
 	Formula       *cnf.Formula
 	SolverOptions *solver.Options
 	Heartbeat     time.Duration
 
-	// kindTasks / kindResult / kindInterrupt
+	// kindTasks / kindResult / kindInterrupt / kindRevoke / kindRevoked
 	Batch uint64
+	// kindTasks (always present; nil is sent as the zero options)
 	Opts  *BatchOptions
 	Tasks []Task
 
-	// kindResult
+	// kindResult (always present; nil is sent as the zero result)
 	Result *TaskResult
 
 	// kindRevoke / kindRevoked
@@ -108,31 +180,63 @@ type envelope struct {
 	Err string
 }
 
-// wire wraps one duplex gob connection with serialized, deadline-guarded
-// writes (gob encoders are not safe for concurrent use).
+// wire frames one duplex connection.  Any goroutine may send: writes are
+// serialized and deadline-guarded, and a frame leaves in one Write.  recv is
+// for the connection's one reading goroutine.
 type wire struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	br   *bufio.Reader
+
 	mu   sync.Mutex
+	wbuf []byte // guarded by mu; the frame being sent
+
+	// The reader's state: the length prefix, the frame body and what it
+	// decodes into.
+	hdr  [4]byte
+	rbuf []byte
+	in   struct {
+		env  envelope
+		opts BatchOptions
+		res  TaskResult
+	}
 }
 
 func newWire(conn net.Conn) *wire {
-	return &wire{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+	return &wire{conn: conn, br: bufio.NewReader(conn)}
 }
 
-// send encodes one envelope under the write deadline.
+// send encodes one envelope and writes it under the write deadline.
 func (w *wire) send(env *envelope) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	frame, err := appendFrame(w.wbuf[:0], env)
+	if err != nil {
+		return err
+	}
+	w.wbuf = frame
+	return w.writeLocked(frame)
+}
+
+// sendFrame writes a frame that appendFrame built earlier.
+func (w *wire) sendFrame(frame []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.writeLocked(frame)
+}
+
+// requires mu
+func (w *wire) writeLocked(frame []byte) error {
 	if err := w.conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 		return err
 	}
-	return w.enc.Encode(env)
+	_, err := w.conn.Write(frame)
+	return err
 }
 
-// recv decodes one envelope, allowing at most timeout of silence (0 means
-// no deadline).
+// recv reads and decodes one frame, allowing at most timeout of silence (0
+// means no deadline).  The envelope it returns, with the BatchOptions and
+// TaskResult it points to, belongs to the wire and is overwritten by the
+// next recv; the formula, strings and slices in it are the caller's to keep.
 func (w *wire) recv(timeout time.Duration) (*envelope, error) {
 	var deadline time.Time
 	if timeout > 0 {
@@ -141,11 +245,48 @@ func (w *wire) recv(timeout time.Duration) (*envelope, error) {
 	if err := w.conn.SetReadDeadline(deadline); err != nil {
 		return nil, err
 	}
-	var env envelope
-	if err := w.dec.Decode(&env); err != nil {
+	if _, err := io.ReadFull(w.br, w.hdr[:]); err != nil {
 		return nil, err
 	}
-	return &env, nil
+	n := binary.BigEndian.Uint32(w.hdr[:])
+	if n == 0 || n > maxFrame {
+		return nil, fmt.Errorf("%w: length prefix %d outside 1..%d", errFrame, n, maxFrame)
+	}
+	body, err := w.readBody(int(n))
+	if err != nil {
+		return nil, err
+	}
+	in := &w.in
+	err = decodeBody(body, &in.env, &in.opts, &in.res)
+	if cap(w.rbuf) > keepRead {
+		w.rbuf = nil // nothing decoded points into it
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &in.env, nil
+}
+
+// readBody reads the n bytes of a frame body into the reused read buffer.
+// A body larger than the buffer is read in steps, each at most doubling the
+// buffer, so that memory follows the bytes received and a length prefix
+// alone costs its sender's peer nothing.
+func (w *wire) readBody(n int) ([]byte, error) {
+	buf := w.rbuf[:0]
+	for len(buf) < n {
+		next := min(n, max(2*len(buf), cap(buf), readStep))
+		buf = slices.Grow(buf, next-len(buf))
+		got, err := io.ReadFull(w.br, buf[len(buf):next])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	w.rbuf = buf
+	return buf, nil
 }
 
 func (w *wire) close() error { return w.conn.Close() }
@@ -168,4 +309,462 @@ func checkHello(env *envelope) error {
 		return fmt.Errorf("cluster: worker registered with non-positive capacity %d", env.Capacity)
 	}
 	return nil
+}
+
+// appendFrame appends the frame of one envelope to dst.  It allocates only
+// to grow dst, and fails only on a message too large for a frame.
+func appendFrame(dst []byte, env *envelope) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, byte(env.Kind))
+	switch env.Kind {
+	case kindHello:
+		dst = appendInt(dst, env.Proto)
+		dst = appendInt(dst, env.Capacity)
+		dst = appendString(dst, env.Name)
+	case kindWelcome:
+		dst = appendFormula(dst, env.Formula)
+		so := env.SolverOptions
+		if so == nil {
+			so = new(solver.Options)
+		}
+		dst = appendSolverOptions(dst, so)
+		dst = binary.AppendVarint(dst, int64(env.Heartbeat))
+	case kindTasks:
+		dst = binary.AppendUvarint(dst, env.Batch)
+		bo := env.Opts
+		if bo == nil {
+			bo = new(BatchOptions)
+		}
+		dst = appendBatchOptions(dst, bo)
+		lits := 0
+		for i := range env.Tasks {
+			lits += len(env.Tasks[i].Assumptions)
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(env.Tasks)))
+		dst = binary.AppendUvarint(dst, uint64(lits))
+		for i := range env.Tasks {
+			dst = appendTask(dst, &env.Tasks[i])
+		}
+	case kindResult:
+		dst = binary.AppendUvarint(dst, env.Batch)
+		res := env.Result
+		if res == nil {
+			res = new(TaskResult)
+		}
+		dst = appendResult(dst, res)
+	case kindInterrupt:
+		dst = binary.AppendUvarint(dst, env.Batch)
+	case kindStop:
+		dst = appendString(dst, env.Err)
+	case kindRevoke:
+		dst = binary.AppendUvarint(dst, env.Batch)
+		dst = appendInt(dst, env.Count)
+		dst = append(dst, flagBits(env.Discard))
+		dst = appendInts(dst, env.Indices)
+	case kindRevoked:
+		dst = binary.AppendUvarint(dst, env.Batch)
+		dst = appendInts(dst, env.Indices)
+	}
+	n := len(dst) - start - 4
+	if n > maxFrame {
+		return nil, fmt.Errorf("cluster: a kind-%d message of %d bytes exceeds the frame limit of %d", env.Kind, n, maxFrame)
+	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(n))
+	return dst, nil
+}
+
+func appendInt(dst []byte, v int) []byte { return binary.AppendVarint(dst, int64(v)) }
+
+func appendInts(dst []byte, vs []int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(vs)))
+	for _, v := range vs {
+		dst = appendInt(dst, v)
+	}
+	return dst
+}
+
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+func appendFloat(dst []byte, f float64) []byte {
+	return binary.AppendUvarint(dst, bits.ReverseBytes64(math.Float64bits(f)))
+}
+
+func appendLits(dst []byte, lits []cnf.Lit) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(lits)))
+	for _, l := range lits {
+		dst = appendInt(dst, int(l))
+	}
+	return dst
+}
+
+// flagBits packs up to eight booleans into a byte, the first one lowest.
+func flagBits(flags ...bool) byte {
+	var b byte
+	for i, f := range flags {
+		if f {
+			b |= 1 << i
+		}
+	}
+	return b
+}
+
+func appendFormula(dst []byte, f *cnf.Formula) []byte {
+	if f == nil {
+		f = new(cnf.Formula)
+	}
+	lits := 0
+	for _, c := range f.Clauses {
+		lits += len(c)
+	}
+	dst = appendInt(dst, f.NumVars)
+	dst = binary.AppendUvarint(dst, uint64(len(f.Clauses)))
+	dst = binary.AppendUvarint(dst, uint64(lits))
+	for _, c := range f.Clauses {
+		dst = appendLits(dst, c)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(f.Comments)))
+	for _, c := range f.Comments {
+		dst = appendString(dst, c)
+	}
+	return dst
+}
+
+func appendSolverOptions(dst []byte, o *solver.Options) []byte {
+	dst = appendFloat(dst, o.VarDecay)
+	dst = appendFloat(dst, o.ClauseDecay)
+	dst = binary.AppendUvarint(dst, o.RestartBase)
+	dst = appendFloat(dst, o.MaxLearnedFactor)
+	return append(dst, flagBits(o.PhaseSaving, o.DefaultPhase, o.MinimizeLearned))
+}
+
+func appendBatchOptions(dst []byte, o *BatchOptions) []byte {
+	dst = appendInt(dst, int(o.Stop))
+	dst = append(dst, flagBits(o.Retain, o.Steal, o.Speculate))
+	dst = binary.AppendUvarint(dst, o.Budget.MaxConflicts)
+	dst = binary.AppendUvarint(dst, o.Budget.MaxPropagations)
+	dst = binary.AppendVarint(dst, int64(o.Budget.MaxTime))
+	dst = appendInt(dst, int(o.CostMetric))
+	return appendFloat(dst, o.QueueFactor)
+}
+
+func appendTask(dst []byte, t *Task) []byte {
+	dst = appendInt(dst, t.Index)
+	dst = append(dst, flagBits(t.Options != nil))
+	if t.Options != nil {
+		dst = appendSolverOptions(dst, t.Options)
+	}
+	return appendLits(dst, t.Assumptions)
+}
+
+func appendResult(dst []byte, r *TaskResult) []byte {
+	dst = appendInt(dst, r.Index)
+	dst = appendFloat(dst, r.Cost)
+	dst = appendInt(dst, int(r.Status))
+	dst = append(dst, flagBits(r.Started, r.Interrupted, r.Cancelled))
+	dst = binary.AppendUvarint(dst, uint64(len(r.Model)))
+	for _, v := range r.Model {
+		dst = append(dst, byte(v))
+	}
+	// A sparse vector is pairs; an entry without its partner says nothing.
+	n := min(len(r.Activity.Vars), len(r.Activity.Acts))
+	dst = binary.AppendUvarint(dst, uint64(n))
+	prev := cnf.Var(0)
+	for _, v := range r.Activity.Vars[:n] {
+		// The difference wraps for a vector that is not ascending, and the
+		// decoder's sum wraps back: longer on the wire, still exact.
+		dst = binary.AppendUvarint(dst, uint64(v-prev))
+		prev = v
+	}
+	for _, a := range r.Activity.Acts[:n] {
+		dst = appendFloat(dst, a)
+	}
+	st := &r.Stats
+	for _, c := range [...]uint64{st.Decisions, st.Propagations, st.Conflicts, st.Restarts, st.Learned, st.Removed,
+		st.ReduceDBs, st.LearnedCore, st.LearnedMid, st.LearnedLocal, st.ArenaBytes} {
+		dst = binary.AppendUvarint(dst, c)
+	}
+	dst = appendInt(dst, st.MaxLevel)
+	return binary.AppendVarint(dst, int64(st.SolveTime))
+}
+
+// decoder reads the fields of one frame body.  The first failure sticks:
+// every later read returns zero, and decodeBody reports err once.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (d *decoder) fail(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: %s", errFrame, what)
+	}
+	d.b = nil
+}
+
+func (d *decoder) byte() byte {
+	if len(d.b) == 0 {
+		d.fail("truncated")
+		return 0
+	}
+	c := d.b[0]
+	d.b = d.b[1:]
+	return c
+}
+
+func (d *decoder) uint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.fail("truncated or overlong varint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *decoder) int64() int64 {
+	v, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.fail("truncated or overlong varint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *decoder) int() int {
+	v := d.int64()
+	if int64(int(v)) != v {
+		d.fail("integer out of range")
+		return 0
+	}
+	return int(v)
+}
+
+func (d *decoder) float() float64 {
+	return math.Float64frombits(bits.ReverseBytes64(d.uint()))
+}
+
+func (d *decoder) flags(known byte) byte {
+	f := d.byte()
+	if f&^known != 0 {
+		d.fail("unknown flag bit")
+	}
+	return f
+}
+
+// count reads an element count and refuses one the rest of the frame cannot
+// hold, every element taking at least elem bytes.
+func (d *decoder) count(elem int) int {
+	n := d.uint()
+	if n > uint64(len(d.b)/elem) {
+		d.fail("element count larger than the frame")
+		return 0
+	}
+	return int(n)
+}
+
+func (d *decoder) string() string {
+	n := d.count(1)
+	s := string(d.b[:n])
+	d.b = d.b[n:]
+	return s
+}
+
+func (d *decoder) ints() []int {
+	n := d.count(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, n)
+	for i := range out {
+		out[i] = d.int()
+	}
+	return out
+}
+
+// litVectors reads the lengths of what follows: how many literal vectors
+// (clauses, or tasks with their assumptions) of at least elem bytes each, and
+// how many literals in all of them.  The vectors are cut from one array of
+// that size.
+func (d *decoder) litVectors(elem int) (vectors int, backing []cnf.Lit) {
+	vectors = d.count(elem)
+	if n := d.count(1); n > 0 {
+		backing = make([]cnf.Lit, n)
+	}
+	return vectors, backing
+}
+
+// lits reads one literal vector into the front of backing and returns it,
+// capped at its own length so that appending to it cannot reach its
+// neighbour, with the rest of backing.
+func (d *decoder) lits(backing []cnf.Lit) (vec, rest []cnf.Lit) {
+	n := d.count(1)
+	if n > len(backing) {
+		d.fail("literal vectors longer than the announced total")
+		return nil, nil
+	}
+	if n == 0 {
+		return nil, backing
+	}
+	vec = backing[:n:n]
+	for i := range vec {
+		vec[i] = cnf.Lit(d.int())
+	}
+	return vec, backing[n:]
+}
+
+// litsDone checks that the vectors used up the announced total.
+func (d *decoder) litsDone(rest []cnf.Lit) {
+	if len(rest) != 0 {
+		d.fail("literal vectors shorter than the announced total")
+	}
+}
+
+func (d *decoder) formula() *cnf.Formula {
+	f := &cnf.Formula{NumVars: d.int()}
+	nClauses, backing := d.litVectors(1)
+	if nClauses > 0 {
+		f.Clauses = make([]cnf.Clause, nClauses)
+	}
+	for i := range f.Clauses {
+		f.Clauses[i], backing = d.lits(backing)
+	}
+	d.litsDone(backing)
+	if n := d.count(1); n > 0 {
+		f.Comments = make([]string, n)
+		for i := range f.Comments {
+			f.Comments[i] = d.string()
+		}
+	}
+	return f
+}
+
+func (d *decoder) solverOptions(o *solver.Options) {
+	o.VarDecay = d.float()
+	o.ClauseDecay = d.float()
+	o.RestartBase = d.uint()
+	o.MaxLearnedFactor = d.float()
+	f := d.flags(7)
+	o.PhaseSaving, o.DefaultPhase, o.MinimizeLearned = f&1 != 0, f&2 != 0, f&4 != 0
+}
+
+func (d *decoder) batchOptions(o *BatchOptions) {
+	o.Stop = StopMode(d.int())
+	f := d.flags(7)
+	o.Retain, o.Steal, o.Speculate = f&1 != 0, f&2 != 0, f&4 != 0
+	o.Budget.MaxConflicts = d.uint()
+	o.Budget.MaxPropagations = d.uint()
+	o.Budget.MaxTime = time.Duration(d.int64())
+	o.CostMetric = solver.CostMetric(d.int())
+	o.QueueFactor = d.float()
+}
+
+// tasks reads a chunk.  Its assumption vectors are the receiver's to keep
+// (they wait in the worker's queue), so they are allocated here, the whole
+// chunk's in one array.
+func (d *decoder) tasks() []Task {
+	n, backing := d.litVectors(3) // index, option flag, assumption count
+	var tasks []Task
+	if n > 0 {
+		tasks = make([]Task, n)
+	}
+	for i := range tasks {
+		t := &tasks[i]
+		t.Index = d.int()
+		if d.flags(1) != 0 {
+			t.Options = new(solver.Options)
+			d.solverOptions(t.Options)
+		}
+		t.Assumptions, backing = d.lits(backing)
+	}
+	d.litsDone(backing)
+	return tasks
+}
+
+func (d *decoder) result(r *TaskResult) {
+	r.Index = d.int()
+	r.Cost = d.float()
+	r.Status = solver.Status(d.int())
+	f := d.flags(7)
+	r.Started, r.Interrupted, r.Cancelled = f&1 != 0, f&2 != 0, f&4 != 0
+	if n := d.count(1); n > 0 {
+		r.Model = make(cnf.Assignment, n)
+		for i, v := range d.b[:n] {
+			r.Model[i] = cnf.Value(v)
+		}
+		d.b = d.b[n:]
+	}
+	if n := d.count(2); n > 0 { // a pair is a variable and its activity
+		r.Activity.Vars = make([]cnf.Var, n)
+		r.Activity.Acts = make([]float64, n)
+		prev := cnf.Var(0)
+		for i := range r.Activity.Vars {
+			prev += cnf.Var(d.uint())
+			r.Activity.Vars[i] = prev
+		}
+		for i := range r.Activity.Acts {
+			r.Activity.Acts[i] = d.float()
+		}
+	}
+	st := &r.Stats
+	for _, c := range [...]*uint64{&st.Decisions, &st.Propagations, &st.Conflicts, &st.Restarts, &st.Learned, &st.Removed,
+		&st.ReduceDBs, &st.LearnedCore, &st.LearnedMid, &st.LearnedLocal, &st.ArenaBytes} {
+		*c = d.uint()
+	}
+	st.MaxLevel = d.int()
+	st.SolveTime = time.Duration(d.int64())
+}
+
+// decodeBody decodes one frame body into env, which it overwrites; opts and
+// res are where a tasks frame's options and a result frame's result go.
+// What it allocates is what the receiver keeps: the welcome's formula and
+// options, strings, index lists, a chunk's tasks with their assumptions, a
+// result's model and activity vector.
+func decodeBody(body []byte, env *envelope, opts *BatchOptions, res *TaskResult) error {
+	d := decoder{b: body}
+	*env = envelope{Kind: msgKind(d.byte())}
+	switch env.Kind {
+	case kindHello:
+		env.Proto = d.int()
+		env.Capacity = d.int()
+		env.Name = d.string()
+	case kindWelcome:
+		env.Formula = d.formula()
+		env.SolverOptions = new(solver.Options)
+		d.solverOptions(env.SolverOptions)
+		env.Heartbeat = time.Duration(d.int64())
+	case kindTasks:
+		env.Batch = d.uint()
+		*opts = BatchOptions{}
+		d.batchOptions(opts)
+		env.Opts = opts
+		env.Tasks = d.tasks()
+	case kindResult:
+		env.Batch = d.uint()
+		*res = TaskResult{}
+		d.result(res)
+		env.Result = res
+	case kindInterrupt:
+		env.Batch = d.uint()
+	case kindPing, kindPong:
+	case kindStop:
+		env.Err = d.string()
+	case kindRevoke:
+		env.Batch = d.uint()
+		env.Count = d.int()
+		env.Discard = d.flags(1) != 0
+		env.Indices = d.ints()
+	case kindRevoked:
+		env.Batch = d.uint()
+		env.Indices = d.ints()
+	default:
+		d.fail(fmt.Sprintf("unknown message kind %d", env.Kind))
+	}
+	if d.err == nil && len(d.b) != 0 {
+		d.fail(fmt.Sprintf("%d bytes after the last field of a kind-%d message", len(d.b), env.Kind))
+	}
+	return d.err
 }

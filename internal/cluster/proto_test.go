@@ -1,0 +1,361 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"math"
+	"net"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"github.com/paper-repro/pdsat-go/internal/cnf"
+	"github.com/paper-repro/pdsat-go/internal/solver"
+)
+
+// scriptConn is a net.Conn whose peer is a script: reads come from in (over
+// and over when loop is set), writes are counted and dropped, deadlines are
+// accepted and ignored.
+type scriptConn struct {
+	in      []byte
+	off     int
+	loop    bool
+	written int
+}
+
+func (c *scriptConn) Read(p []byte) (int, error) {
+	if c.off == len(c.in) {
+		if !c.loop || len(c.in) == 0 {
+			return 0, io.EOF
+		}
+		c.off = 0
+	}
+	n := copy(p, c.in[c.off:])
+	c.off += n
+	return n, nil
+}
+
+func (c *scriptConn) Write(p []byte) (int, error)      { c.written += len(p); return len(p), nil }
+func (c *scriptConn) Close() error                     { return nil }
+func (c *scriptConn) LocalAddr() net.Addr              { return nil }
+func (c *scriptConn) RemoteAddr() net.Addr             { return nil }
+func (c *scriptConn) SetDeadline(time.Time) error      { return nil }
+func (c *scriptConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
+
+// sameValue compares two decoded values field by field, floats by their
+// bits (a NaN equals itself, 0 differs from -0) and a nil slice equal to an
+// empty one.
+func sameValue(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameValue(a.Elem(), b.Elem())
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameValue(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameValue(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	default:
+		return a.Interface() == b.Interface()
+	}
+}
+
+func sameEnvelope(a, b *envelope) bool {
+	return sameValue(reflect.ValueOf(a), reflect.ValueOf(b))
+}
+
+// wireTable holds one envelope or more per message kind, with the values
+// at the edges of the encoding.
+func wireTable() map[string]*envelope {
+	maxU := uint64(math.MaxUint64)
+	nanWithPayload := math.Float64frombits(0x7ff8_0000_dead_beef)
+	return map[string]*envelope{
+		"hello":                   helloFor("wörker-1", 3),
+		"hello, nothing sensible": {Kind: kindHello, Proto: -1, Capacity: math.MinInt, Name: ""},
+		"welcome": {
+			Kind: kindWelcome,
+			Formula: &cnf.Formula{
+				NumVars:  70000,
+				Clauses:  []cnf.Clause{{1, -2, 3}, {}, {-63, 64, -64, 65}, {8191, -8192, 8192, 70000, -70000}, {5}},
+				Comments: []string{"generated by a test", "", "c p cnf"},
+			},
+			SolverOptions: &solver.Options{VarDecay: 0.95, ClauseDecay: 0.999, RestartBase: 100, MaxLearnedFactor: 3, PhaseSaving: true, MinimizeLearned: true},
+			Heartbeat:     time.Second,
+		},
+		"welcome, empty formula": {Kind: kindWelcome, Formula: &cnf.Formula{}, SolverOptions: &solver.Options{DefaultPhase: true}, Heartbeat: -1},
+		"tasks": {
+			Kind:  kindTasks,
+			Batch: 7,
+			Opts: &BatchOptions{
+				Stop: StopOnDecided, Retain: true, Steal: true, Speculate: true,
+				Budget:     solver.Budget{MaxConflicts: maxU, MaxPropagations: 1, MaxTime: time.Duration(math.MinInt64)},
+				CostMetric: solver.CostPropagations, QueueFactor: 1.5,
+			},
+			Tasks: []Task{
+				{Index: 0, Assumptions: nil},
+				{Index: 1, Assumptions: []cnf.Lit{}},
+				{Index: 2499, Assumptions: []cnf.Lit{-1, 63, -64, 64, 8191, -8193, 1 << 40}},
+				{Index: -3, Assumptions: []cnf.Lit{120}, Options: &solver.Options{VarDecay: math.SmallestNonzeroFloat64, RestartBase: maxU, DefaultPhase: true}},
+			},
+		},
+		"tasks, none": {Kind: kindTasks, Batch: 1, Opts: &BatchOptions{}},
+		"result": {
+			Kind:  kindResult,
+			Batch: maxU,
+			Result: &TaskResult{
+				Index: 2499, Cost: math.NaN(), Status: solver.Sat,
+				Model: cnf.Assignment{cnf.Unassigned, cnf.True, cnf.False, -1},
+				Activity: solver.SparseActivities{
+					Vars: []cnf.Var{1, 2, 130, 1977, 70000},
+					Acts: []float64{1, 870, nanWithPayload, math.Copysign(0, -1), math.SmallestNonzeroFloat64},
+				},
+				Stats: solver.Stats{
+					Decisions: maxU, Propagations: maxU, Conflicts: maxU, Restarts: maxU, Learned: maxU, Removed: maxU,
+					ReduceDBs: maxU, LearnedCore: maxU, LearnedMid: maxU, LearnedLocal: maxU, ArenaBytes: maxU,
+					MaxLevel: math.MaxInt, SolveTime: time.Duration(math.MaxInt64),
+				},
+				Started: true, Interrupted: true, Cancelled: true,
+			},
+		},
+		"result, +Inf and an empty model": {Kind: kindResult, Batch: 1, Result: &TaskResult{Cost: math.Inf(1), Model: cnf.Assignment{}, Started: true}},
+		"result, -Inf":                    {Kind: kindResult, Batch: 1, Result: &TaskResult{Index: 1, Cost: math.Inf(-1), Status: solver.Unsat, Interrupted: true}},
+		"result, subnormal":               {Kind: kindResult, Batch: 1, Result: &TaskResult{Index: 2, Cost: math.SmallestNonzeroFloat64, Cancelled: true}},
+		"result, descending activity": {Kind: kindResult, Batch: 1, Result: &TaskResult{
+			Activity: solver.SparseActivities{Vars: []cnf.Var{9, 3, -4}, Acts: []float64{1, 2, 3}},
+		}},
+		"placeholder":       {Kind: kindResult, Batch: 3, Result: &TaskResult{Index: 5, Status: solver.Unknown}},
+		"interrupt":         {Kind: kindInterrupt, Batch: maxU},
+		"ping":              {Kind: kindPing},
+		"pong":              {Kind: kindPong},
+		"stop":              {Kind: kindStop},
+		"stop, with reason": {Kind: kindStop, Err: "cluster: protocol version mismatch: leader speaks 6, worker 5"},
+		"revoke, stealing":  {Kind: kindRevoke, Batch: 9, Count: 5},
+		"revoke, discard":   {Kind: kindRevoke, Batch: 9, Discard: true, Indices: []int{0, 7, 2499, -1}},
+		"revoked":           {Kind: kindRevoked, Batch: 9, Indices: []int{2499, 2498}},
+		"revoked, nothing":  {Kind: kindRevoked, Batch: 9},
+	}
+}
+
+func mustFrame(tb testing.TB, env *envelope) []byte {
+	tb.Helper()
+	frame, err := appendFrame(nil, env)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return frame
+}
+
+// TestWireRoundTrip sends every envelope of the table through a wire and
+// expects an equal value back.
+func TestWireRoundTrip(t *testing.T) {
+	kinds := map[msgKind]bool{}
+	for name, env := range wireTable() {
+		kinds[env.Kind] = true
+		conn := &scriptConn{}
+		if err := newWire(conn).send(env); err != nil {
+			t.Fatalf("%s: send: %v", name, err)
+		}
+		frame := mustFrame(t, env)
+		if conn.written != len(frame) {
+			t.Fatalf("%s: send wrote %d bytes, the frame has %d", name, conn.written, len(frame))
+		}
+		// Twice on one wire: the second frame is decoded over the first.
+		w := newWire(&scriptConn{in: append(frame, frame...)})
+		for i := 0; i < 2; i++ {
+			got, err := w.recv(time.Second)
+			if err != nil {
+				t.Fatalf("%s: recv %d: %v", name, i, err)
+			}
+			if !sameEnvelope(env, got) {
+				t.Fatalf("%s: recv %d returned\n%+v\nsent\n%+v", name, i, got, env)
+			}
+		}
+		if _, err := w.recv(time.Second); err != io.EOF {
+			t.Fatalf("%s: after the last frame: %v, want io.EOF", name, err)
+		}
+	}
+	for k := kindHello; k <= kindRevoked; k++ {
+		if !kinds[k] {
+			t.Errorf("the table has no message of kind %d", k)
+		}
+	}
+}
+
+// TestWireRejectsMalformedFrames lists what the decoder must refuse; each is
+// a connection error, never a panic and never a partial message.
+func TestWireRejectsMalformedFrames(t *testing.T) {
+	frame := func(body ...byte) []byte {
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+	}
+	result := mustFrame(t, wireTable()["result"])
+	huge := binary.AppendUvarint(nil, 1<<40)
+	cases := map[string][]byte{
+		"empty frame":                    frame(),
+		"length prefix over the limit":   binary.BigEndian.AppendUint32(nil, maxFrame+1),
+		"unknown kind":                   frame(0),
+		"kind after the last":            frame(byte(kindRevoked) + 1),
+		"truncated field":                frame(byte(kindHello), 12),
+		"trailing byte":                  frame(byte(kindPing), 0),
+		"overlong varint":                frame(byte(kindInterrupt), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
+		"unknown flag bit":               frame(byte(kindRevoke), 1, 0, 2, 0),
+		"index count beyond the frame":   frame(append([]byte{byte(kindRevoked), 1}, huge...)...),
+		"name length beyond the frame":   frame(append([]byte{byte(kindHello), 12, 2}, huge...)...),
+		"task count beyond the frame":    frame(byte(kindTasks), 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0),
+		"literal total beyond the frame": frame(append([]byte{byte(kindTasks), 1, 0, 0, 0, 0, 0, 0, 0, 0}, huge...)...),
+		"assumptions beyond their total": frame(byte(kindTasks), 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 2, 2, 4),
+		"assumptions short of the total": frame(byte(kindTasks), 1, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 1, 2),
+		"result cut short":               append(binary.BigEndian.AppendUint32(nil, uint32(len(result)-5)), result[4:len(result)-1]...),
+	}
+	for name, in := range cases {
+		env, err := newWire(&scriptConn{in: in}).recv(time.Second)
+		if !errors.Is(err, errFrame) {
+			t.Errorf("%s: recv returned %+v, %v; want a malformed-frame error", name, env, err)
+		}
+	}
+	// A frame that ends early is a failed read, whatever its prefix says.
+	for name, in := range map[string][]byte{
+		"half a length prefix": {0, 0},
+		"body cut short":       result[:len(result)-1],
+		"1 GiB announced":      binary.BigEndian.AppendUint32(nil, maxFrame),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := newWire(&scriptConn{in: in}).recv(time.Second)
+		runtime.ReadMemStats(&after)
+		if err != io.ErrUnexpectedEOF {
+			t.Errorf("%s: recv returned %v, want %v", name, err, io.ErrUnexpectedEOF)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: recv allocated %d bytes for %d received", name, grew, len(in))
+		}
+	}
+}
+
+// TestWireSteadyStateAllocs is the regression guard for the per-task cost of
+// the wire: once its buffers are warm, sending a task chunk or a result
+// allocates nothing, and receiving one allocates what the receiver keeps — a
+// result's activity vector (two slices) and model, a chunk's tasks and their
+// assumptions (one array each).
+func TestWireSteadyStateAllocs(t *testing.T) {
+	assumptions := make([]cnf.Lit, 120)
+	for i := range assumptions {
+		assumptions[i] = cnf.NewLit(cnf.Var(i+1), i%3 == 0)
+	}
+	opts := BatchOptions{CostMetric: solver.CostPropagations, Steal: true, Speculate: true, QueueFactor: 2.5}
+	chunk := []Task{{Index: 17, Assumptions: assumptions}, {Index: 18, Assumptions: assumptions}}
+	res := TaskResult{
+		Index: 17, Cost: 871, Status: solver.Unsat, Started: true,
+		Activity: solver.SparseActivities{Vars: []cnf.Var{3, 90, 1500}, Acts: []float64{1, 1, 2}},
+		Stats:    solver.Stats{Propagations: 871, Conflicts: 1, Learned: 1, ArenaBytes: 160480, SolveTime: 90 * time.Microsecond},
+	}
+	plain := TaskResult{Index: 18, Cost: 869, Status: solver.Unsat, Started: true, Stats: solver.Stats{Propagations: 869}}
+	sat := res
+	sat.Status, sat.Model = solver.Sat, make(cnf.Assignment, 1978)
+
+	out := newWire(&scriptConn{})
+	send := func(env func() error) func() {
+		return func() {
+			if err := env(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The envelopes are built where the leader and the worker build theirs:
+	// in the call, pointing at a local.
+	for name, tc := range map[string]struct {
+		run  func()
+		want float64
+	}{
+		"send tasks":                    {send(func() error { return out.send(&envelope{Kind: kindTasks, Batch: 4, Opts: &opts, Tasks: chunk}) }), 0},
+		"send result":                   {send(func() error { r := res; return out.send(&envelope{Kind: kindResult, Batch: 4, Result: &r}) }), 0},
+		"recv result":                   {recvLoop(t, &envelope{Kind: kindResult, Batch: 4, Result: &res}), 2},
+		"recv result without conflicts": {recvLoop(t, &envelope{Kind: kindResult, Batch: 4, Result: &plain}), 0},
+		"recv SAT result":               {recvLoop(t, &envelope{Kind: kindResult, Batch: 4, Result: &sat}), 3},
+		"recv tasks":                    {recvLoop(t, &envelope{Kind: kindTasks, Batch: 4, Opts: &opts, Tasks: chunk}), 2},
+		"recv ping":                     {recvLoop(t, &envelope{Kind: kindPing}), 0},
+	} {
+		tc.run() // warm the buffers
+		if got := testing.AllocsPerRun(200, tc.run); got != tc.want {
+			t.Errorf("%s: %v allocations per frame, want %v", name, got, tc.want)
+		}
+	}
+}
+
+// recvLoop returns a function that receives env, again and again, from one
+// wire.
+func recvLoop(t *testing.T, env *envelope) func() {
+	w := newWire(&scriptConn{in: mustFrame(t, env), loop: true})
+	return func() {
+		if _, err := w.recv(time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// FuzzWireDecode feeds arbitrary bytes to a wire as if a peer had sent them:
+// recv must not panic, must not allocate more than a small multiple of what
+// it was sent, and whatever it accepts must survive another trip unchanged.
+func FuzzWireDecode(f *testing.F) {
+	for _, env := range wireTable() {
+		f.Add(mustFrame(f, env))
+	}
+	f.Add(binary.BigEndian.AppendUint32(nil, maxFrame))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w := newWire(&scriptConn{in: data})
+		var frames [][]byte
+		for {
+			env, err := w.recv(time.Second)
+			if err != nil {
+				break
+			}
+			frame, err := appendFrame(nil, env)
+			if err != nil {
+				t.Fatalf("a decoded message does not encode: %v", err)
+			}
+			frames = append(frames, frame)
+		}
+		runtime.ReadMemStats(&after)
+		// The dearest element is a task: 40 bytes of Task for 3 on the wire.
+		// The re-encoded frames, the wire and its bufio.Reader are inside
+		// the allowance too.
+		if grew, allowed := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+64<<10); grew > allowed {
+			t.Fatalf("%d bytes allocated for %d received, more than %d", grew, len(data), allowed)
+		}
+		for _, frame := range frames {
+			first, err := newWire(&scriptConn{in: frame}).recv(time.Second)
+			if err != nil {
+				t.Fatalf("re-encoded frame %x does not decode: %v", frame, err)
+			}
+			again := mustFrame(t, first)
+			if !bytes.Equal(frame, again) {
+				t.Fatalf("re-encoding changed the frame:\n%x\n%x", frame, again)
+			}
+			second, err := newWire(&scriptConn{in: again}).recv(time.Second)
+			if err != nil || !sameEnvelope(first, second) {
+				t.Fatalf("a second trip changed the message (%v):\n%+v\n%+v", err, first, second)
+			}
+		}
+	})
+}

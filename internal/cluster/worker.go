@@ -218,9 +218,6 @@ func serveOnce(ctx context.Context, addr string, opts *WorkerOptions) (registere
 				return registered, err
 			}
 		case kindTasks:
-			if env.Opts == nil {
-				continue
-			}
 			if env.Batch <= interrupted {
 				for _, t := range env.Tasks {
 					res := TaskResult{Index: t.Index, Status: solver.Unknown}
@@ -287,25 +284,29 @@ type workerBatch struct {
 	cancel context.CancelFunc
 	q      *taskQueue
 	wg     sync.WaitGroup
-
-	// mu guards running, the per-task cancel functions of the solves
-	// currently executing on this batch's slots; a discard revoke for a
-	// started task (speculation loser) interrupts exactly that solve,
-	// leaving its siblings and the batch itself untouched.
-	mu      sync.Mutex
-	running map[int]context.CancelFunc // guarded by mu
+	// slots are the batch's solving slots, each entered by its goroutine once
+	// it has its solver; a discard revoke for a started task (speculation
+	// loser) interrupts exactly that task on whichever slot runs it, leaving
+	// its siblings and the batch itself untouched.
+	mu    sync.Mutex
+	slots []*solveWorker // guarded by mu
 }
 
 func newWorkerBatch(parent context.Context, id uint64, opts BatchOptions, exec *Inproc, w *wire, delay func(Task) time.Duration) *workerBatch {
 	ctx, cancel := context.WithCancel(parent)
-	b := &workerBatch{id: id, opts: opts, cancel: cancel, q: newTaskQueue(),
-		running: make(map[int]context.CancelFunc)}
+	b := &workerBatch{id: id, opts: opts, cancel: cancel, q: newTaskQueue()}
 	for i := 0; i < exec.Workers(); i++ {
 		b.wg.Add(1)
 		go func() {
 			defer b.wg.Done()
-			sw := newSolveWorker(exec, opts.Retain)
+			sw := newSolveWorker(ctx, exec, opts.Retain)
 			defer sw.close()
+			if delay != nil {
+				sw.wake = make(chan struct{}, 1)
+			}
+			b.mu.Lock()
+			b.slots = append(b.slots, sw)
+			b.mu.Unlock()
 			for {
 				t, ok, cancelled := b.q.pop()
 				if !ok {
@@ -318,7 +319,7 @@ func newWorkerBatch(parent context.Context, id uint64, opts BatchOptions, exec *
 					// draining its queue.
 					res = TaskResult{Index: t.Index, Status: solver.Unknown}
 				} else {
-					res = b.solveOne(ctx, sw, t, delay)
+					res = b.solveOne(sw, t, delay)
 				}
 				if parent.Err() != nil {
 					// Not this batch but the worker itself is going down, and
@@ -341,32 +342,24 @@ func newWorkerBatch(parent context.Context, id uint64, opts BatchOptions, exec *
 	return b
 }
 
-// solveOne runs one task under a per-task cancellable context (registered
-// in b.running so a discard revoke can interrupt it) with the optional
-// injected latency applied first.
-func (b *workerBatch) solveOne(ctx context.Context, sw *solveWorker, t Task, delay func(Task) time.Duration) TaskResult {
-	tctx, tcancel := context.WithCancel(ctx)
-	defer tcancel()
-	b.mu.Lock()
-	b.running[t.Index] = tcancel
-	b.mu.Unlock()
-	defer func() {
-		b.mu.Lock()
-		delete(b.running, t.Index)
-		b.mu.Unlock()
-	}()
+// solveOne runs one task on a slot, with the optional injected latency
+// applied first.
+func (b *workerBatch) solveOne(sw *solveWorker, t Task, delay func(Task) time.Duration) TaskResult {
 	if delay != nil {
 		if d := delay(t); d > 0 {
+			sw.begin(t.Index, nil)
 			timer := time.NewTimer(d)
 			select {
 			case <-timer.C:
-			case <-tctx.Done():
-				timer.Stop()
+			case <-sw.wake:
+			}
+			timer.Stop()
+			if sw.end() {
 				return TaskResult{Index: t.Index, Status: solver.Unknown}
 			}
 		}
 	}
-	return sw.solveTask(tctx, t, b.opts)
+	return sw.solveTask(t, b.opts)
 }
 
 // stealQueued removes up to n not-yet-started tasks from the back of the
@@ -392,11 +385,10 @@ func (b *workerBatch) discard(idxs []int) {
 			continue
 		}
 		b.mu.Lock()
-		cancel := b.running[idx]
-		b.mu.Unlock()
-		if cancel != nil {
-			cancel()
+		for _, sw := range b.slots {
+			sw.interruptTask(idx)
 		}
+		b.mu.Unlock()
 	}
 }
 

@@ -225,10 +225,18 @@ func TestCancelledWorkerLosesNoSamples(t *testing.T) {
 	if err := leader.WaitForWorkers(waitCtx, 1); err != nil {
 		t.Fatalf("doomed worker did not register: %v", err)
 	}
+	// The survivor holds its tasks until the doomed worker has gone down.
+	// The batch is a millisecond of solving, and the worker that has its
+	// solvers built first can finish it alone, stealing what the other has
+	// queued: left to race, the doomed worker did not reach a third task in
+	// one run out of ten to twenty.
 	workers.Add(1)
 	go func() {
 		defer workers.Done()
-		_ = cluster.Serve(ctx, addr, cluster.WorkerOptions{Capacity: 2, Name: "survivor", Logf: t.Logf})
+		_ = cluster.Serve(ctx, addr, cluster.WorkerOptions{
+			Capacity: 2, Name: "survivor", Logf: t.Logf,
+			TaskDelay: func(cluster.Task) time.Duration { <-doomedCtx.Done(); return 0 },
+		})
 	}()
 	if err := leader.WaitForWorkers(waitCtx, 2); err != nil {
 		t.Fatalf("surviving worker did not register: %v", err)

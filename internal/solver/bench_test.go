@@ -116,6 +116,36 @@ func TestPropagateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestResetShortSolveZeroAllocs pins the 0 allocs/op of
+// BenchmarkSolverResetShortSolve: once the solver's buffers have reached
+// their steady-state capacities, Reset plus a short solve that ends UNSAT
+// (a SAT answer allocates its model) does not touch the heap.
+func TestResetShortSolveZeroAllocs(t *testing.T) {
+	f, batch := a51SearchBatch(t)
+	s := NewDefault(f)
+	var unsat [][]cnf.Lit
+	for _, a := range batch {
+		s.Reset()
+		if s.SolveWithAssumptions(a).Status == Unsat {
+			unsat = append(unsat, a)
+		}
+	}
+	if len(unsat) == 0 {
+		t.Fatal("no UNSAT subproblem in the batch; the test measures nothing")
+	}
+	round := func() {
+		for _, a := range unsat {
+			s.Reset()
+			s.SolveWithAssumptions(a)
+		}
+	}
+	round() // reach steady-state capacities
+	// AllocsPerRun truncates the average, so a run is the whole batch.
+	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+		t.Fatalf("Reset + UNSAT short solve allocated %.0f times per %d solves, want 0", allocs, len(unsat))
+	}
+}
+
 // BenchmarkSolverBivium measures the Monte Carlo subproblem loop (Reset +
 // assume + solve, 256 subproblems per op) on the arena solver, and enforces
 // the arena acceptance bar: ≥20% faster than the pointer implementation on

@@ -356,6 +356,7 @@ type Solver struct {
 	// Reused scratch buffers (their contents never survive a call).
 	learntBuf []ilit  // analyze's learned-clause assembly
 	clearBuf  []int32 // analyze's seen-flag clear list
+	assumpBuf []ilit  // SolveWithAssumptions' internal-literal assumptions
 	lbdSeen   []uint64
 	lbdStamp  uint64
 
@@ -655,7 +656,8 @@ func (s *Solver) ConflictActivities() []float64 {
 
 // SparseActivities is a conflict-activity vector in sparse form: Vars lists,
 // in ascending order, the variables with a non-zero entry and Acts holds the
-// matching values.  The zero value is the all-zero vector.
+// matching values.  The zero value is the all-zero vector.  (The cluster's
+// wire format sends Vars as differences; the order keeps them one byte each.)
 type SparseActivities struct {
 	Vars []cnf.Var
 	Acts []float64
@@ -1117,11 +1119,12 @@ func (s *Solver) SolveWithAssumptions(assumptions []cnf.Lit) (res Result) {
 		return res
 	}
 	s.cancelUntil(0)
-	iassumps := make([]ilit, 0, len(assumptions))
+	iassumps := s.assumpBuf[:0]
 	for _, a := range assumptions {
 		s.ensureVars(int32(a.Var()))
 		iassumps = append(iassumps, fromExternal(a))
 	}
+	s.assumpBuf = iassumps[:0]
 	// Every assumption opens a decision level, also one that is already true
 	// (a repeated literal), so levels run up to numVars + len(assumptions),
 	// not numVars.

@@ -499,7 +499,8 @@ func (j *Job) Finished() bool {
 func (j *Job) emit(e Event) { j.log.append(e) }
 
 // finish records the result, emits the single terminal Done event and
-// seals the stream.
+// seals the stream.  The done channel closes first, so that whoever has seen
+// the terminal event finds the job Finished.
 func (j *Job) finish(result *JobResult, err error, cancelled bool) {
 	j.mu.Lock()
 	j.result = result
@@ -509,6 +510,6 @@ func (j *Job) finish(result *JobResult, err error, cancelled bool) {
 	if err != nil {
 		msg = err.Error()
 	}
-	j.log.finish(Done{Job: j.id, Err: msg, Cancelled: cancelled})
 	close(j.done)
+	j.log.finish(Done{Job: j.id, Err: msg, Cancelled: cancelled})
 }
