@@ -3,12 +3,15 @@ package cluster
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/solver"
 )
 
@@ -203,5 +206,61 @@ func TestServeBackoffResetsAfterRegistration(t *testing.T) {
 			t.Fatalf("redial %d after a successful registration waited %s, want the attempt-0 delay %s (schedule %v)",
 				i, d, want, delays)
 		}
+	}
+}
+
+// TestWorkerRefusesUnknownVariable: a worker does not let its leader's
+// literals size its solver.  A scripted leader welcomes the worker and sends
+// a chunk that assumes a variable the formula does not have; the worker
+// treats that as a protocol error — Serve returns it, a real leader requeues
+// what the connection held — instead of allocating for the variable (2^30 of
+// them is gigabytes) or indexing with what math.MinInt negates to.
+func TestWorkerRefusesUnknownVariable(t *testing.T) {
+	f := requeueFormula()
+	for name, lit := range map[string]cnf.Lit{
+		"one past the formula": cnf.Lit(f.NumVars + 1),
+		"2^30":                 -(1 << 30),
+		"the least int":        math.MinInt,
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		gone := make(chan struct{})
+		go func() {
+			defer close(gone)
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			w := newWire(conn)
+			defer w.close()
+			if _, err := w.recv(handshakeTimeout); err != nil { // hello
+				return
+			}
+			sopts := solver.DefaultOptions()
+			_ = w.send(&envelope{Kind: kindWelcome, Formula: f, SolverOptions: &sopts, Heartbeat: time.Second})
+			_ = w.send(&envelope{Kind: kindTasks, Batch: 1, Opts: &BatchOptions{}, Tasks: []Task{
+				{Index: 0, Assumptions: []cnf.Lit{1, -2}},
+				{Index: 1, Assumptions: []cnf.Lit{1, lit}},
+			}})
+			// The worker answers by hanging up, possibly after the first
+			// task's result.
+			for err == nil {
+				_, err = w.recv(10 * time.Second)
+			}
+		}()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = Serve(context.Background(), ln.Addr().String(), WorkerOptions{Capacity: 1, Name: "wary"})
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "24 variables") {
+			t.Errorf("%s: Serve returned %v, want the unknown-variable error", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: the worker allocated %d bytes", name, grew)
+		}
+		<-gone
+		ln.Close()
 	}
 }

@@ -60,6 +60,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/solver"
@@ -261,7 +262,10 @@ type DispatchTransport interface {
 	RunDispatch(ctx context.Context, tasks []Task, opts BatchOptions, observe func(TaskResult), abort <-chan struct{}) ([]TaskResult, DispatchStats, error)
 }
 
-// checkBatch validates the index contract shared by every backend.
+// checkBatch validates what every backend requires of a batch before it
+// dispatches any of it: the index contract, and assumptions that are
+// literals (0 is none, and the solver would index its value array with it,
+// in a worker goroutine).
 func checkBatch(tasks []Task) error {
 	seen := make([]bool, len(tasks))
 	for _, t := range tasks {
@@ -270,6 +274,9 @@ func checkBatch(tasks []Task) error {
 				len(tasks)-1, t.Index)
 		}
 		seen[t.Index] = true
+		if slices.Contains(t.Assumptions, 0) {
+			return fmt.Errorf("cluster: task %d has the zero literal among its assumptions", t.Index)
+		}
 	}
 	return nil
 }

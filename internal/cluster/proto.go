@@ -60,9 +60,9 @@ import (
 // announces.
 //
 // Decoding is strict: an unknown kind, a truncated field, a count beyond the
-// frame or bytes after the last field make the frame malformed, and a
-// malformed frame is a connection error like a failed read (the leader drops
-// the worker and requeues what it held).
+// frame, a literal 0 or bytes after the last field make the frame malformed,
+// and a malformed frame is a connection error like a failed read (the leader
+// drops the worker and requeues what it held).
 
 // protocolVersion guards against mixing incompatible leader and worker
 // binaries; bump it whenever the frame layout, a message kind's number or
@@ -612,6 +612,9 @@ func (d *decoder) lits(backing []cnf.Lit) (vec, rest []cnf.Lit) {
 	vec = backing[:n:n]
 	for i := range vec {
 		vec[i] = cnf.Lit(d.int())
+		if vec[i] == 0 {
+			d.fail("zero literal")
+		}
 	}
 	return vec, backing[n:]
 }

@@ -156,6 +156,24 @@ func wireTable() map[string]*envelope {
 	}
 }
 
+// zeroLiteralFrames are frames well-formed in everything but a literal 0,
+// which the encoder does not look for: one among a formula's clauses, one
+// among a task's assumptions.
+func zeroLiteralFrames(tb testing.TB) map[string][]byte {
+	return map[string][]byte{
+		"zero literal in a clause": mustFrame(tb, &envelope{
+			Kind:          kindWelcome,
+			Formula:       &cnf.Formula{NumVars: 3, Clauses: []cnf.Clause{{1, -2}, {1, 0, -3}}},
+			SolverOptions: &solver.Options{VarDecay: 0.95},
+			Heartbeat:     time.Second,
+		}),
+		"zero literal in an assumption vector": mustFrame(tb, &envelope{
+			Kind: kindTasks, Batch: 1, Opts: &BatchOptions{},
+			Tasks: []Task{{Index: 0, Assumptions: []cnf.Lit{2}}, {Index: 1, Assumptions: []cnf.Lit{-1, 0}}},
+		}),
+	}
+}
+
 func mustFrame(tb testing.TB, env *envelope) []byte {
 	tb.Helper()
 	frame, err := appendFrame(nil, env)
@@ -225,6 +243,9 @@ func TestWireRejectsMalformedFrames(t *testing.T) {
 		"assumptions beyond their total": frame(byte(kindTasks), 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 2, 2, 4),
 		"assumptions short of the total": frame(byte(kindTasks), 1, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 1, 2),
 		"result cut short":               append(binary.BigEndian.AppendUint32(nil, uint32(len(result)-5)), result[4:len(result)-1]...),
+	}
+	for name, in := range zeroLiteralFrames(t) {
+		cases[name] = in
 	}
 	for name, in := range cases {
 		env, err := newWire(&scriptConn{in: in}).recv(time.Second)
@@ -320,6 +341,9 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add(mustFrame(f, env))
 	}
 	f.Add(binary.BigEndian.AppendUint32(nil, maxFrame))
+	for _, frame := range zeroLiteralFrames(f) {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

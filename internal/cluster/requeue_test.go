@@ -213,6 +213,29 @@ func TestBatchIndexValidation(t *testing.T) {
 	}
 }
 
+// TestBatchRejectsZeroLiteral: 0 is not a literal, and the solver would
+// index its value array with it in a worker goroutine, which takes the
+// process down.  Both backends return it as the caller's error before they
+// dispatch anything — the leader here has no worker to dispatch to.
+func TestBatchRejectsZeroLiteral(t *testing.T) {
+	f := requeueFormula()
+	leader, err := Listen("127.0.0.1:0", f, LeaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	tasks := requeueTasks(4)
+	tasks[2].Assumptions = []cnf.Lit{3, 0, -5}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for name, tr := range map[string]Transport{"inproc": NewInproc(f, 2, solver.DefaultOptions()), "leader": leader} {
+		res, err := tr.Run(ctx, tasks, BatchOptions{})
+		if err == nil || !strings.Contains(err.Error(), "zero literal") || res != nil {
+			t.Errorf("%s: Run returned %d results and %v, want the zero-literal error", name, len(res), err)
+		}
+	}
+}
+
 // abortingWorker speaks the wire protocol far enough to register, take a
 // chunk of tasks and then hold them silently (answering pings) until it is
 // told to die.  It reports the abort notification it receives, so the test

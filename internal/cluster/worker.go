@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/solver"
 )
 
@@ -218,6 +219,9 @@ func serveOnce(ctx context.Context, addr string, opts *WorkerOptions) (registere
 				return registered, err
 			}
 		case kindTasks:
+			if err := checkChunk(env.Tasks, cnf.Var(exec.formula.NumVars)); err != nil {
+				return registered, err
+			}
 			if env.Batch <= interrupted {
 				for _, t := range env.Tasks {
 					res := TaskResult{Index: t.Index, Status: solver.Unknown}
@@ -274,6 +278,21 @@ func serveOnce(ctx context.Context, addr string, opts *WorkerOptions) (registere
 			return registered, nil
 		}
 	}
+}
+
+// checkChunk refuses a chunk that assumes a literal over a variable the
+// formula does not have: the solver would allocate for it, up to whatever a
+// varint can name.  No leader sends one, so it is a protocol error like a
+// malformed frame.
+func checkChunk(tasks []Task, numVars cnf.Var) error {
+	for _, t := range tasks {
+		for _, a := range t.Assumptions {
+			if v := a.Var(); v < 1 || v > numVars {
+				return fmt.Errorf("cluster: task %d assumes literal %d, the formula has %d variables", t.Index, a, numVars)
+			}
+		}
+	}
+	return nil
 }
 
 // workerBatch runs one batch's tasks on the local executor, streaming each

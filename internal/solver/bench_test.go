@@ -74,6 +74,15 @@ func a51SearchBatch(tb testing.TB) (*cnf.Formula, [][]cnf.Lit) {
 	return sessionBatch(tb, encoder.A51(), encoder.Config{KeystreamLen: 96, KnownSuffix: 34, Seed: 7}, 0, 64)
 }
 
+// biviumEstimateBatch is the instance of the bench's bivium-estimate-tcp
+// workload (Bivium, 200 keystream bits, 57 known state bits) with 64
+// assignments of all 120 unknown start variables: subproblems decided by a
+// few hundred propagations and a conflict or two, on a formula a sample
+// touches a tenth of.
+func biviumEstimateBatch(tb testing.TB) (*cnf.Formula, [][]cnf.Lit) {
+	return sessionBatch(tb, encoder.Bivium(), encoder.Config{KeystreamLen: 200, KnownSuffix: 57, Seed: 7}, 0, 64)
+}
+
 // BenchmarkSolverPropagation measures one decide → propagate → backtrack
 // round over a 4000-variable implication chain.  The propagation path must
 // not allocate: the watch-list rewrites happen in place and the arena is
@@ -116,33 +125,50 @@ func TestPropagateZeroAllocs(t *testing.T) {
 	}
 }
 
+// resetShapes are the two sampling workloads of the bench whose samples are
+// Reset + a short solve + an activity harvest: a51-search (CDCL solves that
+// assign a few hundred of 7744 variables) and bivium-estimate-tcp (Bivium,
+// 200 keystream bits, 57 known state bits, all 120 unknown start variables
+// assumed: a few hundred propagations and a conflict or two).
+var resetShapes = []struct {
+	name  string
+	batch func(testing.TB) (*cnf.Formula, [][]cnf.Lit)
+}{
+	{"a51-search", a51SearchBatch},
+	{"bivium-estimate", biviumEstimateBatch},
+}
+
 // TestResetShortSolveZeroAllocs pins the 0 allocs/op of
-// BenchmarkSolverResetShortSolve: once the solver's buffers have reached
-// their steady-state capacities, Reset plus a short solve that ends UNSAT
-// (a SAT answer allocates its model) does not touch the heap.
+// BenchmarkSolverResetShortSolve's Reset and solve: once the solver's buffers
+// have reached their steady-state capacities, Reset plus a short solve that
+// ends UNSAT (a SAT answer allocates its model) does not touch the heap.
 func TestResetShortSolveZeroAllocs(t *testing.T) {
-	f, batch := a51SearchBatch(t)
-	s := NewDefault(f)
-	var unsat [][]cnf.Lit
-	for _, a := range batch {
-		s.Reset()
-		if s.SolveWithAssumptions(a).Status == Unsat {
-			unsat = append(unsat, a)
-		}
-	}
-	if len(unsat) == 0 {
-		t.Fatal("no UNSAT subproblem in the batch; the test measures nothing")
-	}
-	round := func() {
-		for _, a := range unsat {
-			s.Reset()
-			s.SolveWithAssumptions(a)
-		}
-	}
-	round() // reach steady-state capacities
-	// AllocsPerRun truncates the average, so a run is the whole batch.
-	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
-		t.Fatalf("Reset + UNSAT short solve allocated %.0f times per %d solves, want 0", allocs, len(unsat))
+	for _, shape := range resetShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			f, batch := shape.batch(t)
+			s := NewDefault(f)
+			var unsat [][]cnf.Lit
+			for _, a := range batch {
+				s.Reset()
+				if s.SolveWithAssumptions(a).Status == Unsat {
+					unsat = append(unsat, a)
+				}
+			}
+			if len(unsat) == 0 {
+				t.Fatal("no UNSAT subproblem in the batch; the test measures nothing")
+			}
+			round := func() {
+				for _, a := range unsat {
+					s.Reset()
+					s.SolveWithAssumptions(a)
+				}
+			}
+			round() // reach steady-state capacities
+			// AllocsPerRun truncates the average, so a run is the whole batch.
+			if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+				t.Fatalf("Reset + UNSAT short solve allocated %.0f times per %d solves, want 0", allocs, len(unsat))
+			}
+		})
 	}
 }
 
@@ -201,28 +227,42 @@ func BenchmarkSolverBivium(b *testing.B) {
 	}
 }
 
+// harvestSink keeps BenchmarkSolverResetShortSolve's harvest from being
+// optimised away.
+var harvestSink SparseActivities
+
 // BenchmarkSolverResetShortSolve measures what BenchmarkSolverBivium cannot
 // (at KnownSuffix 160 its subproblems are propagation-only on a formula
-// whose every variable is touched): Reset + one short CDCL solve on the
-// a51-search instance, where the solve assigns a few hundred of 7744
-// variables, with the share of Reset reported separately.
+// whose every variable is touched): one sample of the paper's predictive
+// function as the workers run it — Reset, a short solve, the conflict
+// activity harvest — on the two sampling shapes of the bench, with the
+// shares of Reset and of the harvest reported separately.  The two slices
+// the harvest returns are the op's only allocations.
 func BenchmarkSolverResetShortSolve(b *testing.B) {
-	f, batch := a51SearchBatch(b)
-	s := NewDefault(f)
-	for _, a := range batch { // reach steady-state capacities
-		s.Reset()
-		s.SolveWithAssumptions(a)
+	for _, shape := range resetShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			f, batch := shape.batch(b)
+			s := NewDefault(f)
+			for _, a := range batch { // reach steady-state capacities
+				s.Reset()
+				s.SolveWithAssumptions(a)
+			}
+			var inReset, inHarvest time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				s.Reset()
+				inReset += time.Since(start)
+				s.SolveWithAssumptions(batch[i%len(batch)])
+				start = time.Now()
+				harvestSink = s.SparseConflictActivities()
+				inHarvest += time.Since(start)
+			}
+			b.ReportMetric(float64(inReset.Nanoseconds())/float64(b.N), "reset-ns/op")
+			b.ReportMetric(float64(inHarvest.Nanoseconds())/float64(b.N), "harvest-ns/op")
+		})
 	}
-	var inReset time.Duration
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		s.Reset()
-		inReset += time.Since(start)
-		s.SolveWithAssumptions(batch[i%len(batch)])
-	}
-	b.ReportMetric(float64(inReset.Nanoseconds())/float64(b.N), "reset-ns/op")
 }
 
 // BenchmarkSolverLongSolve runs CDCL search where the other Bivium benchmarks

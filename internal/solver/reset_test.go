@@ -78,7 +78,8 @@ func diffSolverState(got, want *Solver) string {
 		}
 	}
 	for _, s := range []*Solver{got, want} {
-		if len(s.dirtyLits) != 0 || len(s.dirtyClauses) != 0 || len(s.dirtyActs) != 0 || slices.Contains(s.litMark, true) {
+		if len(s.dirtyLits) != 0 || len(s.dirtyClauses) != 0 || len(s.dirtyActs) != 0 || len(s.bumpedVars) != 0 || len(s.appLits) != 0 ||
+			slices.ContainsFunc(s.litMark, func(m litMark) bool { return m != litClean }) {
 			return "dirty marks left behind"
 		}
 	}
@@ -273,73 +274,83 @@ func FuzzResetEqualsFresh(f *testing.F) {
 }
 
 // TestResetCostIsProportionalToTouched pins the point of the dirty marks by
-// count, not by clock: after one short solve on the a51-search instance the
-// arena words, watch entries and variables Reset restores are each under a
-// tenth of the formula's, and a warmed-up Reset allocates nothing.
+// count, not by clock.  After one short solve on each of the bench's two
+// sampling shapes at least a quarter of the marked watch lists were only
+// appended to, which Reset restores by cutting them back without a copy; on
+// the a51-search instance the arena words, watch entries and variables it
+// does copy are each under a tenth of the formula's; and a warmed-up Reset
+// allocates nothing.
 func TestResetCostIsProportionalToTouched(t *testing.T) {
-	f, batch := a51SearchBatch(t)
-	s := NewDefault(f)
-	s.Reset()
-	res := s.SolveWithAssumptions(batch[0])
-	if res.Stats.Propagations > 1000 {
-		t.Fatalf("the sampled subproblem is not short: %d propagations", res.Stats.Propagations)
-	}
-	b := s.base
-	words, entries := 0, 0
-	for _, c := range s.dirtyClauses {
-		words += hdrWords + int(s.ar.size(c))
-	}
-	lits := len(s.dirtyLits) + len(s.trail) - b.trailLen // Reset marks the root-level tail itself
-	for _, l := range s.dirtyLits {
-		entries += int(b.watchOff[l+1] - b.watchOff[l])
-	}
-	if words == 0 || entries == 0 || lits == 0 {
-		t.Fatalf("the solve left no marks: %d words, %d watch entries, %d literals", words, entries, lits)
-	}
-	if 10*words > len(b.arena) || 10*entries > len(b.watch) || 10*lits > int(b.numVars) {
-		t.Fatalf("Reset restores %d of %d arena words, %d of %d watch entries, %d literals of %d variables; want under a tenth each",
-			words, len(b.arena), entries, len(b.watch), lits, b.numVars)
-	}
-	// Once the watch lists have reached their steady-state capacities (the
-	// mark lists are sized at capture), a Reset that has real work to undo
-	// allocates nothing.
-	for _, a := range batch {
-		s.Reset()
-		s.SolveWithAssumptions(a)
-	}
-	var mallocs uint64
-	var before, after runtime.MemStats
-	for _, a := range batch {
-		s.SolveWithAssumptions(a)
-		runtime.ReadMemStats(&before)
-		s.Reset()
-		runtime.ReadMemStats(&after)
-		mallocs += after.Mallocs - before.Mallocs
-	}
-	if mallocs != 0 {
-		t.Fatalf("%d Resets after warm-up allocated %d times, want 0", len(batch), mallocs)
+	for _, shape := range resetShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			f, batch := shape.batch(t)
+			s := NewDefault(f)
+			s.Reset()
+			res := s.SolveWithAssumptions(batch[0])
+			if res.Stats.Propagations > 1000 {
+				t.Fatalf("the sampled subproblem is not short: %d propagations", res.Stats.Propagations)
+			}
+			b := s.base
+			words, entries, cut := 0, 0, 0
+			for _, c := range s.dirtyClauses {
+				words += hdrWords + int(s.ar.size(c))
+			}
+			// Reset marks the root-level tail itself, so what it will copy is
+			// known only after that sweep; it is counted as copied here.
+			copied := len(s.dirtyLits) + len(s.trail) - b.trailLen
+			for _, l := range s.dirtyLits {
+				entries += int(b.watchOff[l+1] - b.watchOff[l])
+			}
+			for _, l := range s.appLits {
+				if s.litMark[l] == litAppended {
+					cut++
+				}
+			}
+			if words == 0 || entries == 0 || cut == 0 {
+				t.Fatalf("the solve left no marks: %d words, %d watch entries, %d lists to cut back", words, entries, cut)
+			}
+			if 4*cut < cut+copied {
+				t.Fatalf("%d of %d marked watch lists are restored by truncation, want at least a quarter", cut, cut+copied)
+			}
+			if shape.name == "a51-search" && (10*words > len(b.arena) || 10*entries > len(b.watch) || 10*(cut+copied) > int(b.numVars)) {
+				t.Fatalf("Reset restores %d of %d arena words, copies %d of %d watch entries, visits %d literals of %d variables; want under a tenth each",
+					words, len(b.arena), entries, len(b.watch), cut+copied, b.numVars)
+			}
+			// Once the watch lists have reached their steady-state capacities
+			// (the mark lists are sized ahead of the search), a Reset that has
+			// real work to undo allocates nothing.
+			for _, a := range batch {
+				s.Reset()
+				s.SolveWithAssumptions(a)
+			}
+			var mallocs uint64
+			var before, after runtime.MemStats
+			for _, a := range batch {
+				s.SolveWithAssumptions(a)
+				runtime.ReadMemStats(&before)
+				s.Reset()
+				runtime.ReadMemStats(&after)
+				mallocs += after.Mallocs - before.Mallocs
+			}
+			if mallocs != 0 {
+				t.Fatalf("%d Resets after warm-up allocated %d times, want 0", len(batch), mallocs)
+			}
+		})
 	}
 }
 
 // TestSparseConflictActivities checks the sparse form against the dense one
 // it replaces on the wire: exactly its non-zero entries, in ascending
-// variable order, after pristine solves and across retained ones.
+// variable order, whatever happened to the solver since its last Reset.
 func TestSparseConflictActivities(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	f, err := cnfgen.Random3SAT(rng, 70, 4.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewDefault(f)
-	if got := s.SparseConflictActivities(); len(got.Vars) != 0 || len(got.Acts) != 0 {
-		t.Fatalf("unsolved solver reports activities %+v", got)
-	}
-	nonZero := false
-	for call := 0; call < 12; call++ {
-		if call%3 == 0 {
-			s.Reset() // every third call starts pristine, the others retain
-		}
-		s.SolveWithAssumptions(randomAssumptions(rng, f.NumVars, 1+rng.Intn(4)))
+	// check compares the two forms and returns the number of non-zero entries.
+	check := func(t *testing.T, s *Solver, when string) int {
+		t.Helper()
 		var want SparseActivities
 		for v, a := range s.ConflictActivities() {
 			if a != 0 {
@@ -349,11 +360,102 @@ func TestSparseConflictActivities(t *testing.T) {
 		}
 		got := s.SparseConflictActivities()
 		if !slices.Equal(got.Vars, want.Vars) || !slices.Equal(got.Acts, want.Acts) {
-			t.Fatalf("call %d: sparse activities %+v, dense non-zeros %+v", call, got, want)
+			t.Fatalf("%s: sparse activities %+v, dense non-zeros %+v", when, got, want)
 		}
-		nonZero = nonZero || len(want.Vars) > 0
+		return len(want.Vars)
 	}
-	if !nonZero {
-		t.Fatal("no solve produced conflict activity; the test compares nothing")
+
+	t.Run("pristine and retained solves", func(t *testing.T) {
+		s := NewDefault(f)
+		if got := s.SparseConflictActivities(); len(got.Vars) != 0 || len(got.Acts) != 0 {
+			t.Fatalf("unsolved solver reports activities %+v", got)
+		}
+		nonZero := 0
+		for call := 0; call < 12; call++ {
+			if call%3 == 0 {
+				s.Reset() // every third call starts pristine, the others retain
+			}
+			s.SolveWithAssumptions(randomAssumptions(rng, f.NumVars, 1+rng.Intn(4)))
+			nonZero += check(t, s, fmt.Sprintf("call %d", call))
+		}
+		if nonZero == 0 {
+			t.Fatal("no solve produced conflict activity; the test compares nothing")
+		}
+	})
+
+	// Variables the formula does not have: assumed, and — through clauses
+	// added after the first solve, which is the one way such a variable
+	// reaches conflict analysis — bumped.  Reset drops them, and their
+	// entries with them.
+	t.Run("fresh variables", func(t *testing.T) {
+		s := NewDefault(f)
+		x, y := cnf.Var(f.NumVars+1), cnf.Var(f.NumVars+2)
+		s.SolveWithAssumptions([]cnf.Lit{cnf.NewLit(1, true), cnf.NewLit(y, false)})
+		check(t, s, "after assuming a fresh variable")
+		// y implies x and y implies not x: assuming y is a conflict over x.
+		s.AddClause(cnf.Clause{cnf.NewLit(y, false), cnf.NewLit(x, true)})
+		s.AddClause(cnf.Clause{cnf.NewLit(y, false), cnf.NewLit(x, false)})
+		s.SolveWithAssumptions([]cnf.Lit{cnf.NewLit(y, true)})
+		check(t, s, "after a conflict over a fresh variable")
+		if s.VarActivity(x) == 0 {
+			t.Fatal("the fresh variable was not bumped; the Reset below drops nothing that was listed")
+		}
+		s.Reset()
+		if n := check(t, s, "after the Reset that drops the fresh variables"); n != 0 || s.NumVars() != f.NumVars {
+			t.Fatalf("after Reset: %d non-zero activities over %d variables, want 0 over %d", n, s.NumVars(), f.NumVars)
+		}
+		s.SolveWithAssumptions([]cnf.Lit{cnf.NewLit(x, true), cnf.NewLit(2, false)})
+		check(t, s, "after assuming the variable again")
+	})
+
+	// A VSIDS rescale multiplies every activity by 1e-100; the conflict
+	// activities, and what is listed, must not follow.
+	t.Run("VSIDS rescale", func(t *testing.T) {
+		opts := DefaultOptions()
+		opts.VarDecay = 0.5 // the increment doubles per conflict: 1e100 every 333
+		s := New(mustPigeonhole(t, 7, 6), opts)
+		if res := s.Solve(); res.Stats.Conflicts < 400 || s.varInc > 2e100 {
+			t.Fatalf("%d conflicts, increment %g: want a rescale behind it", res.Stats.Conflicts, s.varInc)
+		}
+		check(t, s, "after a rescale")
+	})
+
+	t.Run("a conflict-free harvest allocates nothing", func(t *testing.T) {
+		s := NewDefault(chainFormula(50))
+		s.Reset()
+		if res := s.SolveWithAssumptions([]cnf.Lit{cnf.NewLit(1, true)}); res.Status != Sat || res.Stats.Conflicts != 0 {
+			t.Fatalf("the chain under its first variable: %v after %d conflicts, want SAT after none", res.Status, res.Stats.Conflicts)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { harvestSink = s.SparseConflictActivities() }); allocs != 0 {
+			t.Fatalf("the harvest allocated %.0f times, want 0", allocs)
+		}
+	})
+}
+
+// TestRemoveWatchIsAFullMark pins the one mark the Reset scripts cannot
+// reach: reduceDB detaches learned clauses only, whose watch entries sit
+// behind the snapshot's in every list, so there a removal never disturbs the
+// prefix that an appended mark promises.  Removing an original's entry does —
+// the last entry takes its place — and must therefore mark the list
+// rewritten.
+func TestRemoveWatchIsAFullMark(t *testing.T) {
+	f := mustRandom3SAT(t, 11, 30, 4.0)
+	s, fresh := NewDefault(f), NewDefault(f)
+	s.ensureBase()
+	fresh.ensureBase()
+	detached := 0
+	for _, c := range s.clauses {
+		l := s.ar.lits(c)[0].neg()
+		if ws := s.watches[l]; len(ws) > 1 && ws[len(ws)-1].clause() != c {
+			s.detach(c)
+			detached++
+		}
+	}
+	if detached == 0 {
+		t.Fatal("no clause to detach from the middle of a watch list")
+	}
+	s.Reset()
+	if d := diffSolverState(s, fresh); d != "" {
+		t.Fatal(d)
 	}
 }

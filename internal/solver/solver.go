@@ -73,37 +73,50 @@
 // session use and acceptable for one-shot solves.
 //
 // Restoring is dirty-tracked: its cost follows what the queries since the
-// last Reset touched, not the size of the formula, because one evaluation of
+// last Reset changed, not the size of the formula, because one evaluation of
 // the paper's predictive function is thousands of Reset + short-solve pairs
 // that each assign a few hundred of the formula's thousands of variables.
-// The search records what it changes in three mark lists whose capacity is
-// reserved ahead of the search (one slot per literal as variables are
-// created, one per original clause at capture), so that marking never
-// allocates and the marks inside propagate and cancelUntil are call-free,
-// and Reset copies exactly those pieces back from the snapshot.  Each mark
-// protects one invariant:
+// The search records what it changes in mark lists whose capacity is
+// reserved ahead of the search (one slot per literal and per variable as
+// variables are created, one per original clause at capture), so that
+// marking never allocates and the marks inside propagate and cancelUntil are
+// call-free, and Reset puts exactly those pieces back.  Each mark protects
+// one invariant:
 //
-//   - Literal marks (one per literal, set in cancelUntil when the literal is
-//     unassigned, in Reset for what is left on the root-level trail, and
-//     where a watch is pushed or removed: attach, removeWatch, propagate's
-//     new-watch move).  Invariant: an unmarked literal's watch list and its
-//     variable's vals (both polarities), reason, level, polarity, activity
-//     and conflict activity equal the snapshot's.  It holds because
-//     propagate rewrites only the list of a literal it dequeued from the
-//     trail, every other list changes only by those pushes and removals,
-//     and vals and the per-variable arrays change only for variables that
-//     were assigned.  Marking at unassignment instead of at enqueue keeps
-//     the mark off the propagation path; SolveWithAssumptions always
-//     backtracks to the root before it returns, so by then every assigned
-//     literal is either marked or on the root-level trail.
+//   - Literal marks, of two strengths (one byte per literal).  Rewritten is
+//     set in cancelUntil when the literal is unassigned, in Reset for what is
+//     left on the trail behind the snapshot's root-level prefix, and in
+//     removeWatch.  Invariant: the watch list of a literal not marked
+//     rewritten starts with the snapshot's, and a variable neither of whose
+//     literals is marked rewritten has the snapshot's level and saved phase.
+//     It holds because propagate rewrites only the list of a literal it
+//     dequeued from the trail, and level and phase change only for variables
+//     that were assigned.  Marking at unassignment instead of at enqueue
+//     keeps the mark off the propagation path;
+//     SolveWithAssumptions always backtracks to the root before it returns,
+//     so by then every assigned literal is either marked or on the
+//     root-level trail.  Appended is set, on a literal with no mark yet,
+//     where an entry is pushed onto the end of its list: attach and
+//     propagate's new-watch move.  Invariant: an unmarked literal's list is
+//     the snapshot's.  Everything that happens to a list off the trail is
+//     such a push (compactLearned rewrites only crefs of the learned region,
+//     which a snapshot prefix cannot hold), so a list marked appended and
+//     never rewritten is restored by cutting it back to the snapshot's
+//     length, with no copy — more than half of the lists a short solve
+//     marks.  Values and reasons need no mark at all: cancelUntil clears
+//     them, Reset clears them for the trail it cuts off, and nothing else
+//     differs from the snapshot, whose root-level prefix is never touched.
 //   - Clause marks (a flag in the otherwise unused LBD word of an original
 //     clause, set where propagate actually swaps two of its literals).
 //     Invariant: an unflagged original clause has the snapshot's literal
 //     order.  Learned clauses need no mark: the arena is truncated back to
 //     the originals.
-//   - Activity marks (the activity slot of an original clause, recorded at
-//     its first bump, which is the bump that finds the slot at zero).
-//     Invariant: an unrecorded original clause has activity zero.
+//   - Activity marks: the activity slot of an original clause and the
+//     variable, each recorded at its first bump, which is the bump that
+//     finds the clause activity, or the variable's conflict activity, at
+//     zero.  Invariant: an unrecorded original clause has activity zero, an
+//     unrecorded variable VSIDS and conflict activity zero.  The variable
+//     list is also what SparseConflictActivities reads.
 //
 // What is left is independent of the search: truncating the arena, the
 // learned-clause list and the trail, and rebuilding the decision heap, which
@@ -288,10 +301,6 @@ func mkLit(v int32, positive bool) ilit {
 func (l ilit) ivar() int32 { return int32(l) >> 1 }
 func (l ilit) sign() bool  { return l&1 == 1 } // true => negative literal
 func (l ilit) neg() ilit   { return l ^ 1 }
-func (l ilit) external() cnf.Lit {
-	v := cnf.Var(l.ivar() + 1)
-	return cnf.NewLit(v, !l.sign())
-}
 
 func fromExternal(l cnf.Lit) ilit {
 	return mkLit(int32(l.Var()-1), l.Positive())
@@ -304,13 +313,6 @@ const (
 	lTrue
 	lFalse
 )
-
-func boolToLbool(b bool) lbool {
-	if b {
-		return lTrue
-	}
-	return lFalse
-}
 
 type varOrder struct {
 	heap     []int32 // binary heap of variable indices
@@ -373,10 +375,12 @@ type Solver struct {
 	// Dirty marks: everything that may differ from the snapshot, recorded as
 	// the search mutates it so Reset restores only that (see "Sessions" in
 	// the package comment for the invariant behind each list).
-	litMark      []bool  // per literal: already listed in dirtyLits
-	dirtyLits    []ilit  // literals whose watch list and variable state may differ
-	dirtyClauses []cref  // original clauses with permuted literals (flagged in their LBD word)
-	dirtyActs    []int32 // activity slots of original clauses that were bumped
+	litMark      []litMark // per literal: how its watch list may differ
+	dirtyLits    []ilit    // literals marked rewritten: watch list and variable state may differ
+	appLits      []ilit    // literals marked appended when clean: the watch list may have grown
+	dirtyClauses []cref    // original clauses with permuted literals (flagged in their LBD word)
+	dirtyActs    []int32   // activity slots of original clauses that were bumped
+	bumpedVars   []int32   // variables with a non-zero conflict activity, in first-bump order
 	// everSolved is set by the first SolveWithAssumptions call; AddClause
 	// refreshes the snapshot only while the solver is still pristine.
 	everSolved bool
@@ -387,7 +391,9 @@ type Solver struct {
 // re-running New (allocation, clause normalization and root propagation).
 // With the flat arena every piece of clause state is a slice of plain
 // values, so capture is a handful of memcpys and Reset copies back the
-// pieces the dirty marks name.
+// pieces the dirty marks name.  The assignment is not in it: backtracking
+// clears the values and reasons of everything behind the root-level trail
+// prefix (trailLen), and nothing ever writes those of the prefix.
 type snapshot struct {
 	numVars    int32
 	numClauses int
@@ -395,9 +401,7 @@ type snapshot struct {
 	arena      []ilit  // the arena at capture time (original clauses only)
 	watch      []watch // flat concatenation of every watch list
 	watchOff   []int32 // watch list of literal l is watch[watchOff[l]:watchOff[l+1]]
-	vals       []lbool
-	reason     []cref
-	trailLen   int // root-level trail length; the search never rewrites that prefix
+	trailLen   int     // root-level trail length; the search never rewrites that prefix
 	stats      Stats
 	okay       bool
 }
@@ -423,9 +427,13 @@ func (s *Solver) capture() {
 		s.ar.setLBD(c, 0)
 	}
 	for _, l := range s.dirtyLits {
-		s.litMark[l] = false
+		s.litMark[l] = litClean
 	}
 	s.dirtyLits = s.dirtyLits[:0]
+	for _, l := range s.appLits {
+		s.litMark[l] = litClean
+	}
+	s.appLits = s.appLits[:0]
 	s.dirtyClauses = slices.Grow(s.dirtyClauses[:0], len(s.clauses))
 	s.dirtyActs = slices.Grow(s.dirtyActs[:0], len(s.clauseAct))
 
@@ -448,8 +456,6 @@ func (s *Solver) capture() {
 		b.watch = append(b.watch, ws...)
 		b.watchOff[i+1] = int32(len(b.watch))
 	}
-	b.vals = append([]lbool(nil), s.vals...)
-	b.reason = append([]cref(nil), s.reason...)
 	s.arenaBase = len(b.arena)
 	s.base = b
 }
@@ -464,9 +470,10 @@ func (s *Solver) capture() {
 // Stats).
 //
 // The cost is proportional to what the queries since the last Reset
-// touched — the dirty clauses, watch lists and variables — plus two
-// memmoves of numVars words for the decision heap; it does not depend on
-// the size of the formula otherwise.
+// changed — the permuted clauses, the rewritten watch lists, a reslice for
+// each list that only grew, the bumped variables — plus two memmoves of
+// numVars words for the decision heap; it does not depend on the size of the
+// formula otherwise.
 //
 // Restoring truncates the arena back to the original clauses — all
 // learned-clause memory is reclaimed in one step, which is the session
@@ -488,9 +495,12 @@ func (s *Solver) Reset() {
 	b := s.base
 	s.interrupt.Store(false)
 	// Literals the search left on the root-level trail never went through
-	// cancelUntil, which is where assigned literals are marked.
+	// cancelUntil, which is where assigned literals are unassigned and
+	// marked.
 	for _, l := range s.trail[b.trailLen:] {
-		s.markLit(l)
+		s.vals[l], s.vals[l.neg()] = lUndef, lUndef
+		s.reason[l.ivar()] = nullRef
+		s.markRewritten(l)
 	}
 	s.trail = s.trail[:b.trailLen]
 	s.trailLim = s.trailLim[:0]
@@ -517,8 +527,8 @@ func (s *Solver) Reset() {
 	// captured length then drops every learned clause, and any post-solve
 	// original, in one step.
 	for _, c := range s.dirtyClauses {
-		end := int(c) + hdrWords + int(s.ar.size(c))
-		copy(s.ar.data[c+1:end], b.arena[c+1:end])
+		end := int(c) + hdrWords + int(b.arena[c])>>flagBits
+		restoreRun(s.ar.data[c+1:end], b.arena[c+1:end])
 	}
 	s.dirtyClauses = s.dirtyClauses[:0]
 	s.ar.data = s.ar.data[:len(b.arena)]
@@ -535,40 +545,104 @@ func (s *Solver) Reset() {
 	}
 	s.dirtyActs = s.dirtyActs[:0]
 	s.clauseAct = s.clauseAct[:b.numActs]
-	// Restore the watch list and the variable state behind every marked
-	// literal (a variable marked under both polarities is restored twice,
-	// to the same values).
+	// Restore the watch list behind every marked literal.  A list has the
+	// capacity for the snapshot's length, which it had at capture, and one
+	// that was only appended to still starts with the snapshot: cutting it
+	// back is the whole restore (a list rewritten later is cut here and
+	// copied below).
+	for _, l := range s.appLits {
+		if int32(l) >= 2*b.numVars {
+			continue // a fresh variable dropped above
+		}
+		s.litMark[l] = litClean
+		s.watches[l] = s.watches[l][:b.watchOff[l+1]-b.watchOff[l]]
+	}
+	s.appLits = s.appLits[:0]
+	// A rewritten list is copied, and its variable, which was assigned, gets
+	// back the level and phase of one that never was; cancelUntil and the
+	// sweep above have already cleared its value and reason.  (A variable
+	// rewritten under both polarities is restored twice, to the same values.)
 	for _, l := range s.dirtyLits {
 		if int32(l) >= 2*b.numVars {
 			continue // a fresh variable dropped above
 		}
-		s.litMark[l] = false
-		s.watches[l] = append(s.watches[l][:0], b.watch[b.watchOff[l]:b.watchOff[l+1]]...)
-		s.vals[l], s.vals[l.neg()] = b.vals[l], b.vals[l.neg()]
+		snap := b.watch[b.watchOff[l]:b.watchOff[l+1]]
+		ws := s.watches[l][:len(snap)]
+		s.watches[l] = ws
+		s.litMark[l] = litClean
+		restoreRun(ws, snap)
 		v := l.ivar()
-		s.reason[v] = b.reason[v]
 		s.level[v] = 0
 		s.polarity[v] = s.opts.DefaultPhase
-		s.activity[v] = 0
-		s.confAct[v] = 0
 	}
 	s.dirtyLits = s.dirtyLits[:0]
+	// A fresh solver starts every variable activity at zero, and only a bump
+	// moves one.
+	for _, v := range s.bumpedVars {
+		if v < b.numVars { // else a fresh variable dropped above
+			s.activity[v] = 0
+			s.confAct[v] = 0
+		}
+	}
+	s.bumpedVars = s.bumpedVars[:0]
 	s.order.rebuild(s.numVars)
 	s.varInc, s.clauseInc = 1.0, 1.0
 	s.stats = b.stats
 	s.okay = b.okay
 }
 
-// markLit records that the watch list of l, or the state of its variable,
-// may differ from the snapshot.  ensureVars keeps dirtyLits' capacity at one
-// slot per literal, so listing a literal is a reslice, not an append: no
-// call on the paths that mark (cancelUntil, propagate).
-func (s *Solver) markLit(l ilit) {
-	if !s.litMark[l] {
-		s.litMark[l] = true
+// litMark says how far the watch list of a literal may have moved from the
+// snapshot's (see "Sessions" in the package comment).
+type litMark uint8
+
+const (
+	litClean     litMark = iota // the snapshot's list
+	litAppended                 // the snapshot's list with entries pushed behind it; listed in appLits
+	litRewritten                // anything, and the variable was assigned; listed in dirtyLits
+)
+
+// markAppended records that an entry was pushed onto the end of l's watch
+// list.  ensureVars keeps the capacity of both literal lists at one slot per
+// literal, so listing a literal is a reslice, not an append: no call on the
+// paths that mark (cancelUntil, propagate).
+func (s *Solver) markAppended(l ilit) {
+	if s.litMark[l] == litClean {
+		s.litMark[l] = litAppended
+		n := len(s.appLits)
+		s.appLits = s.appLits[:n+1]
+		s.appLits[n] = l
+	}
+}
+
+// markRewritten records that the watch list of l may differ from the
+// snapshot's anywhere, or that its variable was assigned; it overrides an
+// appended mark (the literal then stays in appLits as well, and Reset cuts
+// its list back before it copies it).
+func (s *Solver) markRewritten(l ilit) {
+	if s.litMark[l] != litRewritten {
+		s.litMark[l] = litRewritten
 		n := len(s.dirtyLits)
 		s.dirtyLits = s.dirtyLits[:n+1]
 		s.dirtyLits[n] = l
+	}
+}
+
+// inlineRun is the longest run restoreRun copies element by element.  What
+// Reset copies back is mostly binary and ternary clauses and watch lists of
+// a handful of entries, for which the call into memmove costs more than the
+// move.
+const inlineRun = 8
+
+// restoreRun copies src, a piece of the snapshot, over dst, which has its
+// length.
+func restoreRun[T any](dst, src []T) {
+	if len(src) > inlineRun {
+		copy(dst, src)
+		return
+	}
+	dst = dst[:len(src)]
+	for i := range src {
+		dst[i] = src[i]
 	}
 }
 
@@ -665,30 +739,18 @@ type SparseActivities struct {
 
 // SparseConflictActivities returns the non-zero entries of
 // ConflictActivities in time proportional to the number of variables the
-// queries since the last Reset assigned, not to NumVars.  Conflict analysis
-// only bumps assigned variables, and every assigned variable is marked by
-// the time a query returns, so the marked literals cover every non-zero
-// entry.
+// queries since the last Reset bumped in conflict analysis — a few dozen
+// after a short solve — not to NumVars or to the literals assigned.  A
+// conflict activity only grows, so the variables with a non-zero entry are
+// exactly those bumpVar listed at their first bump.
 func (s *Solver) SparseConflictActivities() SparseActivities {
-	// A variable marked under both polarities is listed once, for its
-	// positive literal.
-	listed := func(l ilit) bool {
-		return s.confAct[l.ivar()] != 0 && !(l.sign() && s.litMark[l.neg()])
-	}
-	n := 0
-	for _, l := range s.dirtyLits {
-		if listed(l) {
-			n++
-		}
-	}
+	n := len(s.bumpedVars)
 	if n == 0 {
 		return SparseActivities{}
 	}
-	out := SparseActivities{Vars: make([]cnf.Var, 0, n), Acts: make([]float64, n)}
-	for _, l := range s.dirtyLits {
-		if listed(l) {
-			out.Vars = append(out.Vars, cnf.Var(l.ivar()+1))
-		}
+	out := SparseActivities{Vars: make([]cnf.Var, n), Acts: make([]float64, n)}
+	for i, v := range s.bumpedVars {
+		out.Vars[i] = cnf.Var(v + 1)
 	}
 	slices.Sort(out.Vars)
 	for i, v := range out.Vars {
@@ -701,8 +763,10 @@ func (s *Solver) ensureVars(n int32) {
 	for s.numVars < n {
 		s.numVars++
 		s.watches = append(s.watches, nil, nil)
-		s.litMark = append(s.litMark, false, false)
+		s.litMark = append(s.litMark, litClean, litClean)
 		s.dirtyLits = slices.Grow(s.dirtyLits, len(s.litMark)-len(s.dirtyLits))
+		s.appLits = slices.Grow(s.appLits, len(s.litMark)-len(s.appLits))
+		s.bumpedVars = slices.Grow(s.bumpedVars, int(s.numVars)-len(s.bumpedVars))
 		s.vals = append(s.vals, lUndef, lUndef)
 		s.polarity = append(s.polarity, s.opts.DefaultPhase)
 		s.reason = append(s.reason, nullRef)
@@ -810,7 +874,7 @@ func (s *Solver) cancelUntil(level int) {
 		}
 		s.vals[l], s.vals[l.neg()] = lUndef, lUndef
 		s.reason[v] = nullRef
-		s.markLit(l)
+		s.markRewritten(l)
 		s.order.insert(v, &s.activity)
 	}
 	s.trail = s.trail[:bound]
@@ -835,8 +899,16 @@ func (s *Solver) pickBranchVar() int32 {
 }
 
 // bump the VSIDS activity of a variable and its cumulative conflict activity.
+// A conflict activity only ever grows from zero, so zero means this is the
+// variable's first bump since Reset, which lists it; ensureVars reserves one
+// slot per variable, so listing is a reslice.
 func (s *Solver) bumpVar(v int32) {
 	s.activity[v] += s.varInc
+	if s.confAct[v] == 0 {
+		n := len(s.bumpedVars)
+		s.bumpedVars = s.bumpedVars[:n+1]
+		s.bumpedVars[n] = v
+	}
 	s.confAct[v]++
 	if s.activity[v] > 1e100 {
 		for i := range s.activity {

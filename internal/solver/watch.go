@@ -43,8 +43,8 @@ func (s *Solver) attach(c cref) {
 	}
 	s.watches[l0.neg()] = append(s.watches[l0.neg()], watch{ref: r, blocker: l1})
 	s.watches[l1.neg()] = append(s.watches[l1.neg()], watch{ref: r, blocker: l0})
-	s.markLit(l0.neg())
-	s.markLit(l1.neg())
+	s.markAppended(l0.neg())
+	s.markAppended(l1.neg())
 }
 
 func (s *Solver) detach(c cref) {
@@ -59,7 +59,7 @@ func (s *Solver) removeWatch(l ilit, c cref) {
 		if ws[i].clause() == c {
 			ws[i] = ws[len(ws)-1]
 			s.watches[l] = ws[:len(ws)-1]
-			s.markLit(l)
+			s.markRewritten(l)
 			return
 		}
 	}
@@ -145,7 +145,7 @@ func (s *Solver) propagate() cref {
 					ar[base+1], ar[k] = ar[k], ar[base+1]
 					nl := ar[base+1].neg()
 					s.watches[nl] = append(s.watches[nl], watch{ref: w.ref, blocker: first})
-					s.markLit(nl)
+					s.markAppended(nl)
 					s.markPermuted(c)
 					found = true
 					break
