@@ -455,11 +455,12 @@ func (o *fleetBenchObjective) EvaluateSlotF(ctx context.Context, p decomp.Point,
 // The zero evaluation policy keeps both arms solving identical full
 // samples, so the scheduler's determinism rule guarantees an equal best F
 // — which the benchmark enforces unconditionally.  The headline metrics
-// are the two wall-clock times and the reduction; the acceptance bar of a
-// ≥25% wall-clock reduction is enforced whenever the host actually has
-// the four CPUs the four workers need (a single-core host cannot speed up
-// CPU-bound solving by overlapping it, so there the bar is reported but
-// not enforced).
+// are the two wall-clock times — each arm's best of three repetitions, the
+// reduction bench/README.md (Steadiness) settled on for a shared host — and
+// the reduction between them; the acceptance bar of a ≥25% wall-clock
+// reduction is enforced whenever the host actually has the four CPUs the
+// four workers need (a single-core host cannot speed up CPU-bound solving
+// by overlapping it, so there the bar is reported but not enforced).
 func BenchmarkNeighborhoodBiviumTabu(b *testing.B) {
 	inst, err := encoder.NewInstance(encoder.Bivium(), encoder.Config{
 		KeystreamLen: 200,
@@ -478,9 +479,12 @@ func BenchmarkNeighborhoodBiviumTabu(b *testing.B) {
 	)
 	// Both arms share one in-process transport: pristine batches reset every
 	// pooled solver, so fixed-seed results are bit-independent of the
-	// pooling, and a warm-up run below pre-builds the solver pool the
-	// concurrent arm needs (width × workers goroutines at peak) so neither
-	// timed arm pays clause-database construction.
+	// pooling.  A warm-up run below builds the solvers that run reached for —
+	// a worker draws one for the first task it solves, so that is the number
+	// of goroutines that were solving at once, a handful, not the width ×
+	// workers goroutines the wide arm starts.  A timed repetition that
+	// reaches a new peak builds the difference inside its arm, which is one
+	// more reason to compare the arms' best repetitions, not their sums.
 	transport := cluster.NewInproc(inst.CNF, workers, solver.Options{})
 	run := func(concurrency int) (float64, int, time.Duration) {
 		r := pdsat.NewRunner(inst.CNF, pdsat.Config{
@@ -502,12 +506,13 @@ func BenchmarkNeighborhoodBiviumTabu(b *testing.B) {
 	run(width) // warm the solver pool
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Three paired runs per iteration smooth scheduling noise out of the
-		// CI gate; the determinism claim (equal best F) is checked per pair.
+		// Three paired runs per iteration, each arm read at its best, keep
+		// scheduling noise and a late solver construction out of the CI gate;
+		// the determinism claim (equal best F) is checked per pair.
 		const reps = 3
 		var bestSeq, bestConc float64
 		var solvedSeq, solvedConc int
-		var wallSeq, wallConc time.Duration
+		wallSeq, wallConc := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
 		for rep := 0; rep < reps; rep++ {
 			var sSeq, sConc int
 			var wSeq, wConc time.Duration
@@ -517,8 +522,7 @@ func BenchmarkNeighborhoodBiviumTabu(b *testing.B) {
 				b.Fatalf("best F differs under the scheduler: %v vs %v", bestConc, bestSeq)
 			}
 			solvedSeq, solvedConc = sSeq, sConc
-			wallSeq += wSeq
-			wallConc += wConc
+			wallSeq, wallConc = min(wallSeq, wSeq), min(wallConc, wConc)
 		}
 		reduction := 100 * (1 - wallConc.Seconds()/wallSeq.Seconds())
 		if runtime.NumCPU() >= workers {
@@ -530,8 +534,8 @@ func BenchmarkNeighborhoodBiviumTabu(b *testing.B) {
 			b.Logf("only %d CPU(s): wall-clock bar not enforceable (measured %.1f%% reduction)",
 				runtime.NumCPU(), reduction)
 		}
-		b.ReportMetric(wallSeq.Seconds()*1e3/reps, "wall_width1_ms")
-		b.ReportMetric(wallConc.Seconds()*1e3/reps, "wall_concurrent_ms")
+		b.ReportMetric(wallSeq.Seconds()*1e3, "wall_width1_ms")
+		b.ReportMetric(wallConc.Seconds()*1e3, "wall_concurrent_ms")
 		b.ReportMetric(reduction, "wall_reduction_%")
 		b.ReportMetric(float64(solvedSeq), "subproblems_width1")
 		b.ReportMetric(float64(solvedConc), "subproblems_concurrent")

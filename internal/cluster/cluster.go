@@ -85,8 +85,8 @@ type Task struct {
 }
 
 // TaskResult is the outcome of one subproblem solve, in the one form both
-// backends use: the in-process workers hand it to the collection loop and
-// the network workers put it on the wire field by field (proto.go).
+// backends use: the in-process workers record it in their batch themselves
+// and the network workers put it on the wire field by field (proto.go).
 type TaskResult struct {
 	// Index echoes Task.Index.
 	Index int
@@ -198,10 +198,13 @@ type Transport interface {
 // ObservedTransport is implemented by transports that can report batch
 // progress while a Run call is still in flight.  observe is called once per
 // TaskResult, in the same completion order in which the result will appear
-// in Run's return value, from a single goroutine; it must not block for
-// long, since it runs on the batch's collection path.  Both built-in
-// backends (Inproc and Leader) implement it; callers fall back to plain Run
-// when a transport does not.
+// in Run's return value; the calls are made one at a time, each completed
+// before the next begins and all before the call returns — on whichever
+// goroutine recorded the result, so an observer may keep unlocked state but
+// must not depend on goroutine identity.  It must not block for long: no
+// result is recorded while it runs.  Both built-in backends (Inproc and
+// Leader) implement it; callers fall back to plain Run when a transport does
+// not.
 type ObservedTransport interface {
 	Transport
 	// RunObserved behaves exactly like Run but additionally streams every
@@ -218,7 +221,9 @@ type ObservedTransport interface {
 // results with Started == false — while the transport itself stays fully
 // usable: the network leader keeps its workers connected (its interrupt
 // message cancels only the batch), and the in-process backend keeps its
-// solver pool.
+// solver pool.  An abort fired from the observer is taken before the next
+// result is recorded; the in-process backend also starts no task after it,
+// so that at most the workers−1 solves then in flight follow.
 //
 // Unlike a context cancellation, an abort is a planned outcome: the call
 // still returns one result per task and a nil error (unless ctx was also
@@ -253,7 +258,8 @@ type DispatchStats struct {
 // speculative straggler re-dispatch, which internal/pdsat's Runner asks for
 // on every batch through BatchOptions.Steal/Speculate — and report what it
 // did.  The network Leader implements it; the in-process backend does not
-// (its workers pull from one shared queue, so imbalance cannot build up).
+// (its workers claim tasks from one shared cursor, so imbalance cannot build
+// up).
 // Callers fall back to RunAbortable when a transport does not implement it.
 type DispatchTransport interface {
 	AbortableTransport

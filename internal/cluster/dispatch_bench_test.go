@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -114,23 +115,17 @@ func benchCluster(b *testing.B, f *cnf.Formula, counted bool) (*cluster.Leader, 
 	return leader, relay
 }
 
-// BenchmarkLoopbackDispatch measures what a task costs between the runner
-// and the solver: batches of 2500 subproblems of the bench's
+// biviumPropagationTasks returns n subproblems of the bench's
 // bivium-estimate-tcp shape (Bivium, 200 keystream bits, 120 unknown state
-// bits all assumed, decided by propagation in about 90 µs) dispatched to two
-// one-slot workers over TCP loopback, with the options internal/pdsat's
-// Runner sets.  It reports wall time, allocations and allocated bytes per
-// task — of the whole process, so leader and workers together — and, from a
-// second cluster whose connections run through a counting relay, the bytes
-// on the wire per task in each direction (set-up excluded).
-func BenchmarkLoopbackDispatch(b *testing.B) {
+// bits all assumed, decided by propagation in about 90 µs) and their formula.
+func biviumPropagationTasks(b *testing.B, n int) (*cnf.Formula, []cluster.Task) {
 	inst, err := encoder.NewInstance(encoder.Bivium(), encoder.Config{KeystreamLen: 200, KnownSuffix: 57, Seed: 7})
 	if err != nil {
 		b.Fatal(err)
 	}
 	vars := inst.UnknownStartVars()
 	rng := rand.New(rand.NewSource(7))
-	tasks := make([]cluster.Task, 2500)
+	tasks := make([]cluster.Task, n)
 	for i := range tasks {
 		tasks[i].Index = i
 		tasks[i].Assumptions = make([]cnf.Lit, len(vars))
@@ -138,6 +133,27 @@ func BenchmarkLoopbackDispatch(b *testing.B) {
 			tasks[i].Assumptions[j] = cnf.NewLit(v, rng.Intn(2) == 0)
 		}
 	}
+	return inst.CNF, tasks
+}
+
+// reportPerTask reports the wall time of the timed section and the
+// allocations of the whole process between the two readings, per task.
+func reportPerTask(b *testing.B, before, after *runtime.MemStats, tasks int) {
+	n := float64(b.N * tasks)
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/n, "us/task")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/task")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/task")
+}
+
+// BenchmarkLoopbackDispatch measures what a task costs between the runner
+// and the solver: batches of 2500 propagation-only subproblems dispatched to
+// two one-slot workers over TCP loopback, with the options internal/pdsat's
+// Runner sets.  It reports wall time, allocations and allocated bytes per
+// task — of the whole process, so leader and workers together — and, from a
+// second cluster whose connections run through a counting relay, the bytes
+// on the wire per task in each direction (set-up excluded).
+func BenchmarkLoopbackDispatch(b *testing.B) {
+	f, tasks := biviumPropagationTasks(b, 2500)
 	opts := cluster.BatchOptions{CostMetric: solver.CostPropagations, Steal: true, Speculate: true}
 	run := func(l *cluster.Leader) {
 		results, err := l.Run(context.Background(), tasks, opts)
@@ -146,7 +162,7 @@ func BenchmarkLoopbackDispatch(b *testing.B) {
 		}
 	}
 
-	direct, _ := benchCluster(b, inst.CNF, false)
+	direct, _ := benchCluster(b, f, false)
 	run(direct) // builds the workers' solvers
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -156,15 +172,58 @@ func BenchmarkLoopbackDispatch(b *testing.B) {
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
-	n := float64(b.N * len(tasks))
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/n, "us/task")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/task")
-	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/task")
+	reportPerTask(b, &before, &after, len(tasks))
 
-	counted, relay := benchCluster(b, inst.CNF, true)
+	counted, relay := benchCluster(b, f, true)
 	run(counted)
 	out, in := relay.toWorkers.Load(), relay.toLeader.Load()
 	run(counted)
 	b.ReportMetric(float64(relay.toWorkers.Load()-out)/float64(len(tasks)), "wire-B/task-out")
 	b.ReportMetric(float64(relay.toLeader.Load()-in)/float64(len(tasks)), "wire-B/task-in")
+}
+
+// BenchmarkInprocDispatch is the same measurement for the in-process
+// backend: the same subproblems on a 2-worker Inproc with an observer, as a
+// runner's evaluation has, in batches of 25 (a search's staged sample: the
+// hand-off to the first solve and the tail where one worker waits for the
+// other weigh most) and of 2500 (an estimate: the steady state).  An
+// iteration runs 2500 tasks whatever the batch size.
+func BenchmarkInprocDispatch(b *testing.B) {
+	f, tasks := biviumPropagationTasks(b, 2500)
+	opts := cluster.BatchOptions{CostMetric: solver.CostPropagations}
+	for _, size := range []int{25, 2500} {
+		b.Run(fmt.Sprintf("batch-%d", size), func(b *testing.B) {
+			tr := cluster.NewInproc(f, 2, solver.Options{})
+			batches := make([][]cluster.Task, 0, len(tasks)/size)
+			for at := 0; at < len(tasks); at += size {
+				batch := slices.Clone(tasks[at : at+size])
+				for i := range batch {
+					batch[i].Index = i
+				}
+				batches = append(batches, batch)
+			}
+			observed := 0
+			run := func() {
+				for _, batch := range batches {
+					results, err := tr.RunObserved(context.Background(), batch, opts, func(cluster.TaskResult) { observed++ })
+					if err != nil || len(results) != len(batch) {
+						b.Fatalf("%d results for %d tasks, error %v", len(results), len(batch), err)
+					}
+				}
+			}
+			run() // builds the workers' solvers
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			reportPerTask(b, &before, &after, len(tasks))
+			if observed != (b.N+1)*len(tasks) {
+				b.Fatalf("the observer saw %d results of %d", observed, (b.N+1)*len(tasks))
+			}
+		})
+	}
 }

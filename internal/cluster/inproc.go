@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/paper-repro/pdsat-go/internal/cnf"
@@ -25,12 +27,13 @@ type Inproc struct {
 	workers int
 
 	// poolMu guards pool, the persistent per-worker solvers reused across
-	// batches.  A solver is taken from the pool for the lifetime of one
-	// worker goroutine and returned when the worker exits.  In pristine
-	// batches every subproblem starts with a Reset, so any pooled solver is
-	// interchangeable with any other; retain-mode workers instead carry
-	// learned clauses and activities in the pooled solver and must rebase
-	// budgets and activity diffs onto its cumulative counters.
+	// batches.  A worker goroutine takes one for the first task it solves
+	// and returns it when it exits, so the pool grows to the number of
+	// workers that were ever solving at once.  In pristine batches every
+	// subproblem starts with a Reset, so any pooled solver is interchangeable
+	// with any other; retain-mode workers instead carry learned clauses and
+	// activities in the pooled solver and must rebase budgets and activity
+	// diffs onto its cumulative counters.
 	poolMu sync.Mutex
 	pool   []*solver.Solver
 }
@@ -101,17 +104,21 @@ func (t *Inproc) Run(ctx context.Context, tasks []Task, opts BatchOptions) ([]Ta
 }
 
 // RunObserved implements ObservedTransport: observe (when non-nil) receives
-// every result from the collection loop the moment it is gathered, in the
-// same order as the returned slice.
+// every result as the worker that produced it records it, in the same order
+// as the returned slice.
 func (t *Inproc) RunObserved(ctx context.Context, tasks []Task, opts BatchOptions, observe func(TaskResult)) ([]TaskResult, error) {
 	return t.RunAbortable(ctx, tasks, opts, observe, nil)
 }
 
 // RunAbortable implements AbortableTransport: when abort fires, the batch's
 // in-flight solves are interrupted (their truncated results are marked
-// Cancelled) and queued tasks drain as placeholders, but — unlike a context
-// cancellation — the call returns the full result set with a nil error and
-// the transport (solver pool included) stays usable for the next batch.
+// Cancelled) and unclaimed tasks drain as placeholders, but — unlike a
+// context cancellation — the call returns the full result set with a nil
+// error and the transport (solver pool included) stays usable for the next
+// batch.  The caller sleeps while the workers serve themselves (inprocBatch)
+// and is woken once per batch, not once per task.  A panic under a task
+// fails the batch, not the process: the other tasks drain as placeholders and
+// the error — not an interruption — names the task and the panic value.
 func (t *Inproc) RunAbortable(ctx context.Context, tasks []Task, opts BatchOptions, observe func(TaskResult), abort <-chan struct{}) ([]TaskResult, error) {
 	if err := checkBatch(tasks); err != nil {
 		return nil, err
@@ -119,89 +126,136 @@ func (t *Inproc) RunAbortable(ctx context.Context, tasks []Task, opts BatchOptio
 	if len(tasks) == 0 {
 		return nil, ctx.Err()
 	}
-	workers := t.workers
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	taskCh := make(chan Task)
-	// Exactly one result is emitted per task — by the worker that received
-	// it, or by the producer for a task cancelled before it could be handed
-	// out.  The buffer holds one result per worker: a worker whose previous
-	// result is still uncollected waits, so the workers never run more than
-	// 2×workers tasks ahead of the collection loop, and an abort or a
-	// stop-on-SAT decided there cuts the batch short however cheap the
-	// solves are.
-	resCh := make(chan TaskResult, workers)
-	innerCtx, cancel := context.WithCancel(ctx)
+	// The abort cancels only batchCtx — the batch — never ctx, so the "was
+	// this a planned abort or a real cancellation" distinction below stays a
+	// plain ctx.Err() check.
+	batchCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	b := &inprocBatch{tasks: tasks, opts: opts, cancel: cancel, done: make(chan struct{}),
+		results: make([]TaskResult, 0, len(tasks)), observe: observe, abort: abort}
+	// An abort that has already fired cancels the batch before a worker starts.
+	select {
+	case <-abort:
+		cancel()
+	default:
+	}
+	workers := min(t.workers, len(tasks))
+	b.running.Store(int32(workers))
+	for range workers {
 		go func() {
-			defer wg.Done()
-			sw := newSolveWorker(innerCtx, t, opts.Retain)
-			defer sw.close()
-			for tk := range taskCh {
-				if innerCtx.Err() != nil {
-					resCh <- TaskResult{Index: tk.Index, Status: solver.Unknown}
-					continue
+			defer func() {
+				if b.running.Add(-1) == 0 {
+					close(b.done)
 				}
-				resCh <- sw.solveTask(tk, opts)
-			}
+			}()
+			b.work(batchCtx, t)
 		}()
 	}
+	select {
+	case <-b.done:
+	case <-abort:
+		cancel()
+		<-b.done
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.err != nil {
+		return b.results, b.err
+	}
+	return b.results, ctx.Err()
+}
 
-	go func() {
-		defer close(taskCh)
-		for _, tk := range tasks {
-			select {
-			case taskCh <- tk:
-			case <-innerCtx.Done():
-				// Drain remaining tasks as cancelled results so indices stay
-				// complete.
-				resCh <- TaskResult{Index: tk.Index, Status: solver.Unknown}
+// inprocBatch is one RunAbortable call in progress.  Its workers claim tasks
+// from a shared cursor and record what they solved under mu, which orders the
+// results and makes the observer's calls one at a time, each completed before
+// the next begins and all before the call returns.
+type inprocBatch struct {
+	tasks []Task
+	opts  BatchOptions
+	// next is the cursor: the position in tasks of the first unclaimed one.
+	next atomic.Int64
+	// cancel cancels the batch, never the caller's context.
+	cancel context.CancelFunc
+	// running counts the workers that have not returned; the last closes done.
+	running atomic.Int32
+	done    chan struct{}
+
+	mu      sync.Mutex
+	results []TaskResult     // guarded by mu; completion order
+	observe func(TaskResult) // guarded by mu
+	abort   <-chan struct{}  // guarded by mu
+	err     error            // guarded by mu; the first panic under a task
+}
+
+// work is one worker goroutine: until no task is left it claims the next one,
+// solves it — in a cancelled batch, answers it with a placeholder — and
+// records the result.  It looks at the cancellation before every solve, so
+// once a result has cancelled the batch no task starts: at most the
+// workers−1 solves in flight beside it follow.  The pooled solver is drawn,
+// and the slot's interrupt registered, for the first task the worker solves;
+// one that finds the cursor exhausted or the batch cancelled never touches
+// the pool, let alone builds a solver for nothing.
+func (b *inprocBatch) work(ctx context.Context, t *Inproc) {
+	var sw *solveWorker
+	claimed := -1
+	defer func() {
+		p := recover()
+		if p == nil {
+			if sw != nil {
+				sw.close()
 			}
+			return
 		}
+		// A panic under the claimed task, which gets no result.  The solver's
+		// state is unknown, so it does not go back to the pool; the observer
+		// is not called again, the panic may have been its own.
+		if sw != nil {
+			sw.unregister()
+		}
+		b.mu.Lock()
+		if b.err == nil {
+			b.err = fmt.Errorf("cluster: task %d panicked: %v", claimed, p)
+		}
+		b.observe = nil
+		b.mu.Unlock()
+		b.cancel()
+		b.work(ctx, t) // drains placeholders
 	}()
+	for {
+		i := int(b.next.Add(1)) - 1
+		if i >= len(b.tasks) {
+			return
+		}
+		claimed = b.tasks[i].Index
+		res := TaskResult{Index: claimed, Status: solver.Unknown}
+		if ctx.Err() == nil {
+			if sw == nil {
+				sw = newSolveWorker(ctx, t, b.opts.Retain)
+			}
+			res = sw.solveTask(b.tasks[i], b.opts)
+		}
+		b.record(res)
+	}
+}
 
-	// The abort cancels only innerCtx — the batch — never ctx, so the "was
-	// this a planned abort or a real cancellation" distinction below stays a
-	// plain ctx.Err() check.  It is taken here, on the collection path, so
-	// that an abort fired by the observer cancels the batch before another
-	// result is collected.
-	aborted := func() bool {
-		select {
-		case <-abort:
-			abort = nil // a nil channel never fires again
-			return true
-		default:
-			return false
+// record appends a result, tells the observer, and cancels the batch if the
+// stop policy triggers or the abort channel has fired: with mu held, so
+// before the next result is recorded.
+func (b *inprocBatch) record(res TaskResult) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.results = append(b.results, res)
+	if b.observe != nil {
+		b.observe(res)
+	}
+	select {
+	case <-b.abort:
+		b.cancel()
+	default:
+		if stopTriggered(b.opts.Stop, res.Status) {
+			b.cancel()
 		}
 	}
-	results := make([]TaskResult, 0, len(tasks))
-	for len(results) < len(tasks) {
-		var res TaskResult
-		select {
-		case res = <-resCh:
-		case <-abort:
-			abort = nil
-			cancel()
-			continue
-		}
-		results = append(results, res)
-		if observe != nil {
-			observe(res)
-		}
-		if stopTriggered(opts.Stop, res.Status) || aborted() {
-			cancel()
-		}
-	}
-	wg.Wait()
-	close(resCh)
-	if err := ctx.Err(); err != nil {
-		return results, err
-	}
-	return results, nil
 }
 
 // stopTriggered reports whether a result's status cancels the batch under

@@ -1,0 +1,225 @@
+package cluster
+
+import (
+	"context"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"github.com/paper-repro/pdsat-go/internal/solver"
+)
+
+// The tests of the in-process dispatch count results and run under the race
+// detector; none of them reads a clock.  requeueTasks are decided by
+// propagation in about a microsecond, so the workers outrun anything that is
+// not ordered by the batch itself.
+
+var propagationBatch = BatchOptions{CostMetric: solver.CostPropagations}
+
+// checkOnePerIndex fails the test unless the results hold every index of the
+// batch exactly once.
+func checkOnePerIndex(t *testing.T, results []TaskResult, tasks int) {
+	t.Helper()
+	if len(results) != tasks {
+		t.Fatalf("got %d results for %d tasks", len(results), tasks)
+	}
+	seen := make([]bool, tasks)
+	for _, res := range results {
+		if res.Index < 0 || res.Index >= tasks || seen[res.Index] {
+			t.Fatalf("index %d is out of range or reported twice", res.Index)
+		}
+		seen[res.Index] = true
+	}
+}
+
+// checkMatchesFreshTransport runs the tasks on tr and on a new transport and
+// fails the test unless every task costs the same on both.
+func checkMatchesFreshTransport(t *testing.T, tr *Inproc, tasks []Task) {
+	t.Helper()
+	got, err := tr.Run(context.Background(), tasks, propagationBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewInproc(requeueFormula(), tr.Workers(), solver.DefaultOptions()).Run(context.Background(), tasks, propagationBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOnePerIndex(t, got, len(tasks))
+	byIndex := make([]TaskResult, len(tasks))
+	for _, res := range want {
+		byIndex[res.Index] = res
+	}
+	for _, res := range got {
+		if w := byIndex[res.Index]; !res.Started || res.Cost != w.Cost || res.Status != w.Status {
+			t.Fatalf("task %d: %+v on the used transport, %+v on a fresh one", res.Index, res, w)
+		}
+	}
+}
+
+// TestInprocObserverIsSerialised: the observer is called by whichever worker
+// finished a task, but one call at a time, each completed before the next
+// begins, in the order of the returned results, and never after the call has
+// returned — so an observer may keep plain, unlocked state, as every
+// observer in the tree does.
+func TestInprocObserverIsSerialised(t *testing.T) {
+	tr := NewInproc(requeueFormula(), 8, solver.DefaultOptions())
+	tasks := requeueTasks(4000)
+	var (
+		calls    int
+		inside   bool
+		observed []int
+	)
+	results, err := tr.RunObserved(context.Background(), tasks, propagationBatch, func(res TaskResult) {
+		if inside {
+			t.Error("the observer was entered while a call to it was in progress")
+		}
+		inside = true
+		calls++
+		observed = append(observed, res.Index)
+		inside = false
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOnePerIndex(t, results, len(tasks))
+	if calls != len(tasks) {
+		t.Fatalf("the observer saw %d of %d results before the call returned", calls, len(tasks))
+	}
+	returned := make([]int, len(results))
+	for i, res := range results {
+		returned[i] = res.Index
+	}
+	if !slices.Equal(observed, returned) {
+		t.Fatal("the observed order differs from the returned order")
+	}
+}
+
+// TestInprocAbortRunAhead: an abort fired by the observer at the k-th result
+// is taken before the next result is recorded and before another task
+// starts, so the only solves that can follow it are those the other
+// workers−1 goroutines had in flight.
+func TestInprocAbortRunAhead(t *testing.T) {
+	const workers, k = 8, 100
+	tr := NewInproc(requeueFormula(), workers, solver.DefaultOptions())
+	tasks := requeueTasks(4000)
+	abort := make(chan struct{})
+	seen := 0
+	results, err := tr.RunAbortable(context.Background(), tasks, propagationBatch, func(TaskResult) {
+		if seen++; seen == k {
+			close(abort)
+		}
+	}, abort)
+	if err != nil {
+		t.Fatalf("an aborted batch returned the error %v", err)
+	}
+	checkOnePerIndex(t, results, len(tasks))
+	started := 0
+	for i, res := range results {
+		if res.Started {
+			started++
+		} else if i < k {
+			t.Fatalf("result %d, before the abort, is a placeholder", i)
+		}
+	}
+	if started > k+workers-1 {
+		t.Fatalf("%d tasks were started, want at most k + workers - 1 = %d", started, k+workers-1)
+	}
+	checkMatchesFreshTransport(t, tr, tasks[:64])
+}
+
+// TestInprocLateWorkerTakesNoSolver: a worker draws its solver for the first
+// task it solves, so one that finds the cursor exhausted leaves the pool
+// alone.  On one processor the first worker to run drains a batch of
+// microsecond tasks before the others start; in the observer's last call it
+// steps aside, still holding its solver, until they have all come and gone.
+// Had they drawn a solver on arrival, the pool would have been empty and the
+// first of them would have built a second one.  (The attempts are for a host
+// that takes the processor away for so long that the runtime preempts the
+// first worker mid-batch and another one legitimately solves a task.)
+func TestInprocLateWorkerTakesNoSolver(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const attempts, tasks = 10, 32
+	var sizes []int
+	for range attempts {
+		tr := NewInproc(requeueFormula(), 8, solver.DefaultOptions())
+		seen := 0
+		results, err := tr.RunObserved(context.Background(), requeueTasks(tasks), propagationBatch, func(TaskResult) {
+			if seen++; seen == tasks {
+				for range 100 {
+					runtime.Gosched()
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkOnePerIndex(t, results, tasks)
+		if tr.PoolSize() == 1 {
+			return
+		}
+		sizes = append(sizes, tr.PoolSize())
+	}
+	t.Fatalf("the pool holds %v solvers after batches one worker could have drained, want 1", sizes)
+}
+
+// checkPanicError fails the test unless err reports a panic under the given
+// task as a failed batch, not as an interruption.
+func checkPanicError(t *testing.T, err error, task string) {
+	t.Helper()
+	if err == nil || IsInterruption(err) || !strings.Contains(err.Error(), task+" panicked") ||
+		!strings.Contains(err.Error(), "nil pointer dereference") {
+		t.Fatalf("got the error %v, want one naming %s and the nil dereference", err, task)
+	}
+}
+
+// TestInprocRecoversPanicBuildingSolver: a transport without a formula
+// panics where the first worker builds its solver.  That used to end the
+// process from a goroutine no caller could recover on; it is the batch's
+// error now.
+func TestInprocRecoversPanicBuildingSolver(t *testing.T) {
+	tr := NewInproc(nil, 2, solver.Options{})
+	_, err := tr.Run(context.Background(), requeueTasks(1), BatchOptions{})
+	checkPanicError(t, err, "task 0")
+}
+
+// TestInprocRecoversPanicUnderSolve panics under solveTask on a healthy
+// transport — an override task builds its throwaway solver from a formula
+// that is gone while the worker holds its pooled one.  The batch fails with
+// an error naming the task, the tasks behind it drain as placeholders the
+// observer is not told about, the solver the worker held is not returned to
+// the pool, and the transport serves the next batch.
+func TestInprocRecoversPanicUnderSolve(t *testing.T) {
+	f := requeueFormula()
+	tr := NewInproc(f, 1, solver.DefaultOptions())
+	tasks := requeueTasks(8)
+	if _, err := tr.Run(context.Background(), tasks, propagationBatch); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.PoolSize(); got != 1 {
+		t.Fatalf("the pool holds %d solvers after a batch, want the worker's one", got)
+	}
+
+	const bad = 3
+	override := solver.DefaultOptions()
+	failing := requeueTasks(8)
+	failing[bad].Options = &override
+	tr.formula = nil
+	observed := 0
+	results, err := tr.RunObserved(context.Background(), failing, propagationBatch, func(TaskResult) { observed++ })
+	tr.formula = f
+	checkPanicError(t, err, "task 3")
+	if len(results) != len(failing)-1 || observed != bad {
+		t.Fatalf("%d results, %d of them observed; want one for every task but the panicking one, and the %d before it observed",
+			len(results), observed, bad)
+	}
+	for i, res := range results {
+		if res.Index == bad || res.Started != (i < bad) {
+			t.Fatalf("result %d is %+v; want solves before task %d, placeholders after, nothing for it", i, res, bad)
+		}
+	}
+	if got := tr.PoolSize(); got != 0 {
+		t.Fatalf("the pool holds %d solvers after the panic, want none: the one that was held is not reused", got)
+	}
+	checkMatchesFreshTransport(t, tr, tasks)
+}

@@ -484,9 +484,10 @@ func (r *Runner) EvaluatePoint(ctx context.Context, p decomp.Point) (*PointEstim
 // (marked Interrupted) together with the context's error.
 //
 // observe, when non-nil, receives a Progress notification for every
-// collected subproblem result, from a single goroutine, in collection
-// order; it must not block for long.  Observation never changes the sample,
-// the costs or the evaluation counter.
+// collected subproblem result, in collection order: the calls are made one
+// at a time, each completed before the next begins and all before the call
+// returns (not necessarily on one goroutine); it must not block for long.
+// Observation never changes the sample, the costs or the evaluation counter.
 //
 // The evaluation runs in the runner's default scope, whose seed is
 // Config.Seed and whose evaluation counter is the runner's; see Scope for
@@ -730,7 +731,7 @@ func (r *Runner) Solve(ctx context.Context, p decomp.Point, opts SolveOptions) (
 
 // SolveObserved behaves exactly like Solve but additionally streams a
 // Progress notification for every collected subproblem result to observe
-// (when non-nil), with the same single-goroutine, in-order contract as
+// (when non-nil), with the same one-at-a-time, in-order contract as
 // EvaluatePointBudgeted.
 func (r *Runner) SolveObserved(ctx context.Context, p decomp.Point, opts SolveOptions, observe func(Progress)) (*SolveReport, error) {
 	if r.cfgErr != nil {

@@ -363,9 +363,9 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 		sumBound = incumbent * float64(n) / scale
 	}
 	// refreshBound re-reads the live bound at a pruning checkpoint.  It runs
-	// either between stages or on the batch collection path (whose calls
-	// complete before the batch call returns), never concurrently with
-	// itself, so the captured locals need no locking.
+	// either between stages or in the batch's observer (whose calls are made
+	// one at a time and complete before the batch call returns), never
+	// concurrently with itself, so the captured locals need no locking.
 	refreshBound := func() {
 		if live == nil || !prune {
 			return
@@ -376,9 +376,9 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 		}
 	}
 
-	// The stage observer runs on the batch collection path (a single
-	// goroutine whose calls complete before the batch call returns), so the
-	// running totals need no locking.
+	// The transport calls the stage observer one call at a time, each
+	// completed before the next begins and all before the batch call returns,
+	// so the running totals need no locking.
 	var (
 		sumAll  float64 // every observed cost, truncated solves included
 		done    int     // Progress numbering across stages

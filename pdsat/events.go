@@ -315,13 +315,14 @@ type eventLog struct {
 	mu     sync.Mutex
 	events []Event // guarded by mu
 	done   bool    // guarded by mu
-	// change is closed and replaced whenever events grow or done flips;
-	// subscribers wait on it instead of polling.
+	// change exists only while a subscriber may be waiting: snapshot makes
+	// it, the next append or finish closes and forgets it.  A job nobody
+	// follows live pays for no channel, and no wake-up, per event.
 	change chan struct{} // guarded by mu
 }
 
 func newEventLog() *eventLog {
-	return &eventLog{change: make(chan struct{})}
+	return &eventLog{}
 }
 
 // append records an event.  Appends after finish are dropped, which is what
@@ -333,8 +334,7 @@ func (l *eventLog) append(e Event) {
 		return
 	}
 	l.events = append(l.events, e)
-	close(l.change)
-	l.change = make(chan struct{})
+	l.wakeLocked()
 }
 
 // finish appends the terminal event and seals the log.
@@ -346,18 +346,33 @@ func (l *eventLog) finish(e Event) {
 	}
 	l.events = append(l.events, e)
 	l.done = true
-	close(l.change)
-	// Leave a fresh (never closed) channel so late snapshot calls work.
-	l.change = make(chan struct{})
+	l.wakeLocked()
+}
+
+// wakeLocked tells the waiting subscribers, if there are any, that the log
+// has changed.
+//
+// requires mu
+func (l *eventLog) wakeLocked() {
+	if l.change != nil {
+		close(l.change)
+		l.change = nil
+	}
 }
 
 // snapshot returns the events from offset onward, whether the log is
-// sealed, and a channel that is closed on the next change.
+// sealed, and a channel that is closed on the next change after this
+// snapshot — also when it returns events: the subscriber delivers them and
+// then waits on the channel it was handed with them, so a change in between
+// is not lost.  A sealed log changes no more and hands out no channel.
 func (l *eventLog) snapshot(offset int) ([]Event, bool, <-chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if offset > len(l.events) {
 		offset = len(l.events)
+	}
+	if l.change == nil && !l.done {
+		l.change = make(chan struct{})
 	}
 	return l.events[offset:], l.done, l.change
 }

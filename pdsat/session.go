@@ -355,8 +355,8 @@ type SessionStats struct {
 	// first (recorded) result.  All three count scheduling events outside
 	// the sample ledger: a stolen task is still solved once, and a losing
 	// duplicate's result is discarded before it reaches the ledger.  They
-	// stay zero on the in-process transport, whose workers pull from one
-	// shared queue.
+	// stay zero on the in-process transport, whose workers claim tasks from
+	// one shared cursor.
 	TasksStolen           int `json:"tasks_stolen"`
 	SpeculativeDuplicates int `json:"speculative_duplicates"`
 	SpeculationWins       int `json:"speculation_wins"`
