@@ -222,37 +222,18 @@ func TestWorkerRefusesUnknownVariable(t *testing.T) {
 		"2^30":                 -(1 << 30),
 		"the least int":        math.MinInt,
 	} {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		gone := make(chan struct{})
-		go func() {
-			defer close(gone)
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			w := newWire(conn)
-			defer w.close()
-			if _, err := w.recv(handshakeTimeout); err != nil { // hello
-				return
-			}
-			sopts := solver.DefaultOptions()
-			_ = w.send(&envelope{Kind: kindWelcome, Formula: f, SolverOptions: &sopts, Heartbeat: time.Second})
-			_ = w.send(&envelope{Kind: kindTasks, Batch: 1, Opts: &BatchOptions{}, Tasks: []Task{
+		sopts := solver.DefaultOptions()
+		// The worker answers by hanging up, possibly after the first task's
+		// result.
+		addr, gone := scriptedLeader(t,
+			&envelope{Kind: kindWelcome, Formula: f, SolverOptions: &sopts, Heartbeat: time.Second},
+			&envelope{Kind: kindTasks, Batch: 1, Opts: &BatchOptions{}, Tasks: []Task{
 				{Index: 0, Assumptions: []cnf.Lit{1, -2}},
 				{Index: 1, Assumptions: []cnf.Lit{1, lit}},
 			}})
-			// The worker answers by hanging up, possibly after the first
-			// task's result.
-			for err == nil {
-				_, err = w.recv(10 * time.Second)
-			}
-		}()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err = Serve(context.Background(), ln.Addr().String(), WorkerOptions{Capacity: 1, Name: "wary"})
+		err := Serve(context.Background(), addr, WorkerOptions{Capacity: 1, Name: "wary"})
 		runtime.ReadMemStats(&after)
 		if err == nil || !strings.Contains(err.Error(), "24 variables") {
 			t.Errorf("%s: Serve returned %v, want the unknown-variable error", name, err)
@@ -261,6 +242,5 @@ func TestWorkerRefusesUnknownVariable(t *testing.T) {
 			t.Errorf("%s: the worker allocated %d bytes", name, grew)
 		}
 		<-gone
-		ln.Close()
 	}
 }

@@ -25,7 +25,11 @@
 //     any queue, queued tasks are stolen back from a backlogged worker for
 //     an idle one, and the last running tasks are duplicated onto idle
 //     slots, first result wins (BatchOptions.Steal/Speculate/QueueFactor,
-//     which internal/pdsat's Runner sets on every batch).  In a pristine
+//     which internal/pdsat's Runner sets on every batch).  Its subproblems
+//     are often tens of microseconds of propagation, so both directions
+//     send much and seldom: a worker's queue holds up to a millisecond of
+//     work and is topped up by half of that at a time, and a worker's
+//     results share a write while it has more to solve.  In a pristine
 //     batch a result is a function of its task alone, so none of this
 //     changes what Run returns, only when.
 //
@@ -166,15 +170,20 @@ type BatchOptions struct {
 	// function of the task in pristine batches, so which copy wins never
 	// changes the result content — only how soon it arrives.
 	Speculate bool
-	// QueueFactor is the dispatch layer's target depth per worker as a
-	// multiple of its capacity (in-flight plus locally queued tasks).
-	// 0 means the historical default of 2 — one executing chunk plus one
-	// queued chunk hiding the network round-trip; values below 1 are
-	// raised to 1 so a worker can always fill its solving slots.  The
-	// evaluation engine's cost model shrinks it when the observed ζ
-	// distribution is heavy-tailed (queued work behind a straggler is
-	// exactly what stealing has to undo) and grows it when costs
-	// concentrate.
+	// QueueFactor is the floor of the dispatch layer's target depth per
+	// worker (in-flight plus locally queued tasks), in tasks, as a multiple
+	// of the worker's capacity.  0 means the historical default of 2 — one
+	// executing task per slot plus one queued, hiding the network
+	// round-trip; values below 1 are raised to 1 so a worker can always
+	// fill its solving slots.  The evaluation engine's cost model shrinks
+	// it when the observed ζ distribution is heavy-tailed (queued work
+	// behind a straggler is exactly what stealing has to undo) and grows it
+	// when costs concentrate.  Above this floor the network leader sizes a
+	// queue in time: in a batch with Steal, up to a millisecond of work at
+	// the mean solve time it has observed, so that tasks of microseconds
+	// travel many to a frame — and only with Steal, since only stealing can
+	// take a deep queue back.  Tasks of a millisecond or more queue exactly
+	// as the factor says.
 	QueueFactor float64
 }
 

@@ -145,63 +145,79 @@ func reportPerTask(b *testing.B, before, after *runtime.MemStats, tasks int) {
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/task")
 }
 
+// batchesOf cuts tasks into batches of size, each indexed from 0.
+func batchesOf(tasks []cluster.Task, size int) [][]cluster.Task {
+	batches := make([][]cluster.Task, 0, len(tasks)/size)
+	for at := 0; at < len(tasks); at += size {
+		batch := slices.Clone(tasks[at : at+size])
+		for i := range batch {
+			batch[i].Index = i
+		}
+		batches = append(batches, batch)
+	}
+	return batches
+}
+
 // BenchmarkLoopbackDispatch measures what a task costs between the runner
-// and the solver: batches of 2500 propagation-only subproblems dispatched to
-// two one-slot workers over TCP loopback, with the options internal/pdsat's
-// Runner sets.  It reports wall time, allocations and allocated bytes per
-// task — of the whole process, so leader and workers together — and, from a
-// second cluster whose connections run through a counting relay, the bytes
-// on the wire per task in each direction (set-up excluded).
+// and the solver: 2500 propagation-only subproblems an iteration, dispatched
+// to two one-slot workers over TCP loopback with the options internal/pdsat's
+// Runner sets, in batches of 25 (a search's staged sample: the hand-off to
+// the first result and the tail weigh most) and of 2500 (an estimate: the
+// steady state).  It reports wall time, allocations and allocated bytes per
+// task — of the whole process, so leader and workers together — and, for
+// the large batch, from a second cluster whose connections run through a
+// counting relay, the bytes on the wire per task in each direction (set-up
+// excluded).
 func BenchmarkLoopbackDispatch(b *testing.B) {
 	f, tasks := biviumPropagationTasks(b, 2500)
 	opts := cluster.BatchOptions{CostMetric: solver.CostPropagations, Steal: true, Speculate: true}
-	run := func(l *cluster.Leader) {
-		results, err := l.Run(context.Background(), tasks, opts)
-		if err != nil || len(results) != len(tasks) {
-			b.Fatalf("%d results for %d tasks, error %v", len(results), len(tasks), err)
-		}
-	}
+	for _, size := range []int{25, 2500} {
+		b.Run(fmt.Sprintf("batch-%d", size), func(b *testing.B) {
+			batches := batchesOf(tasks, size)
+			run := func(l *cluster.Leader) {
+				for _, batch := range batches {
+					results, err := l.Run(context.Background(), batch, opts)
+					if err != nil || len(results) != len(batch) {
+						b.Fatalf("%d results for %d tasks, error %v", len(results), len(batch), err)
+					}
+				}
+			}
 
-	direct, _ := benchCluster(b, f, false)
-	run(direct) // builds the workers' solvers
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run(direct)
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	reportPerTask(b, &before, &after, len(tasks))
+			direct, _ := benchCluster(b, f, false)
+			run(direct) // builds the workers' solvers
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(direct)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			reportPerTask(b, &before, &after, len(tasks))
+			if size != len(tasks) {
+				return
+			}
 
-	counted, relay := benchCluster(b, f, true)
-	run(counted)
-	out, in := relay.toWorkers.Load(), relay.toLeader.Load()
-	run(counted)
-	b.ReportMetric(float64(relay.toWorkers.Load()-out)/float64(len(tasks)), "wire-B/task-out")
-	b.ReportMetric(float64(relay.toLeader.Load()-in)/float64(len(tasks)), "wire-B/task-in")
+			counted, relay := benchCluster(b, f, true)
+			run(counted)
+			out, in := relay.toWorkers.Load(), relay.toLeader.Load()
+			run(counted)
+			b.ReportMetric(float64(relay.toWorkers.Load()-out)/float64(len(tasks)), "wire-B/task-out")
+			b.ReportMetric(float64(relay.toLeader.Load()-in)/float64(len(tasks)), "wire-B/task-in")
+		})
+	}
 }
 
 // BenchmarkInprocDispatch is the same measurement for the in-process
 // backend: the same subproblems on a 2-worker Inproc with an observer, as a
-// runner's evaluation has, in batches of 25 (a search's staged sample: the
-// hand-off to the first solve and the tail where one worker waits for the
-// other weigh most) and of 2500 (an estimate: the steady state).  An
-// iteration runs 2500 tasks whatever the batch size.
+// runner's evaluation has, in the same two batch sizes.
 func BenchmarkInprocDispatch(b *testing.B) {
 	f, tasks := biviumPropagationTasks(b, 2500)
 	opts := cluster.BatchOptions{CostMetric: solver.CostPropagations}
 	for _, size := range []int{25, 2500} {
 		b.Run(fmt.Sprintf("batch-%d", size), func(b *testing.B) {
 			tr := cluster.NewInproc(f, 2, solver.Options{})
-			batches := make([][]cluster.Task, 0, len(tasks)/size)
-			for at := 0; at < len(tasks); at += size {
-				batch := slices.Clone(tasks[at : at+size])
-				for i := range batch {
-					batch[i].Index = i
-				}
-				batches = append(batches, batch)
-			}
+			batches := batchesOf(tasks, size)
 			observed := 0
 			run := func() {
 				for _, batch := range batches {

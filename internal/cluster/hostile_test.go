@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/solver"
 )
 
@@ -353,4 +354,67 @@ func TestForeignResultIsDropped(t *testing.T) {
 		}
 	}
 	checkAgainstInproc(t, tasks, opts, out.results)
+}
+
+// TestHostileWelcome: a leader's welcome does not size the worker's solver
+// beyond the formula's own variable count.  A scripted leader welcomes with a
+// formula of three variables one of whose clauses names a far larger one — a
+// solver built from it grows to that variable, and checkChunk would then
+// guard tasks against a count the solver no longer has — and follows with a
+// task, so that a worker that believed the welcome builds its solver.  The
+// frame is malformed: Serve returns that, and has allocated for no solver.
+func TestHostileWelcome(t *testing.T) {
+	for name, f := range map[string]*cnf.Formula{
+		"clause beyond NumVars": {NumVars: 3, Clauses: []cnf.Clause{{1, -2}, {3, -500000}}},
+		"negative NumVars":      {NumVars: -3, Clauses: []cnf.Clause{{1, -2}}},
+	} {
+		sopts := solver.DefaultOptions()
+		addr, gone := scriptedLeader(t,
+			&envelope{Kind: kindWelcome, Formula: f, SolverOptions: &sopts, Heartbeat: time.Second},
+			&envelope{Kind: kindTasks, Batch: 1, Opts: &BatchOptions{}, Tasks: []Task{{Index: 0, Assumptions: []cnf.Lit{1, -2}}}})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := Serve(context.Background(), addr, WorkerOptions{Capacity: 1, Name: "wary"})
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, errFrame) {
+			t.Errorf("%s: Serve returned %v, want a malformed-frame error", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: the worker allocated %d bytes", name, grew)
+		}
+		<-gone
+	}
+}
+
+// scriptedLeader accepts one worker, reads its hello, sends it the given
+// frames — a welcome first — and reads until the worker hangs up.  It returns
+// the address to dial and a channel that is closed when the connection has
+// ended.
+func scriptedLeader(t *testing.T, frames ...*envelope) (addr string, gone <-chan struct{}) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		w := newWire(conn)
+		defer w.close()
+		if _, err := w.recv(handshakeTimeout); err != nil { // hello
+			return
+		}
+		for _, env := range frames {
+			_ = w.send(env) // a worker that has hung up already is what the caller checks
+		}
+		for err == nil {
+			_, err = w.recv(10 * time.Second)
+		}
+	}()
+	return ln.Addr().String(), ended
 }

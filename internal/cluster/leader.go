@@ -85,6 +85,12 @@ type Leader struct {
 	// handshaking holds the accepted connections that have not registered
 	// yet, so that Close can end their handshakes too.
 	handshaking map[net.Conn]struct{} // guarded by mu
+	// solveMean is the running mean of the solve times of the results
+	// recorded so far, over the last meanWindow of them; solves counts them up
+	// to that window.  It sizes worker queues (targetDepth) and nothing else:
+	// no sample, cost or estimate ever sees it.
+	solveMean time.Duration // guarded by mu
+	solves    int64         // guarded by mu
 
 	// wg counts the accept loop, every connection goroutine and every
 	// pinger; Close waits for it.  Counts are added under mu while closed is
@@ -102,9 +108,12 @@ type remoteWorker struct {
 	name     string
 	capacity int
 	w        *wire
-	// gone, inflight and revoking are guarded by Leader.mu.
+	// gone, inflight, planned and revoking are guarded by Leader.mu.
 	gone     bool
 	inflight map[int]Task
+	// planned is distributeLocked's count of the tasks it is about to cut
+	// from the pending queue for this worker, zero between its calls.
+	planned int
 	// revoking marks an outstanding stealing revoke: the leader waits for
 	// this worker's kindRevoked acknowledgement (or its death) before
 	// planning another steal, so a task can never be in doubt between the
@@ -461,6 +470,10 @@ func (l *Leader) deliver(rw *remoteWorker, env *envelope) {
 	b.got[res.Index] = true
 	b.results = append(b.results, res)
 	b.remaining--
+	if res.Started && !res.Cancelled {
+		l.solves = min(l.solves+1, meanWindow)
+		l.solveMean += (res.Stats.SolveTime - l.solveMean) / time.Duration(l.solves)
+	}
 	// Speculation resolution: the first result for a duplicated task wins
 	// — in pristine batches both copies would be bit-identical, so this
 	// decides timing, never content — and every other live copy is wiped
@@ -646,26 +659,52 @@ type sendChunk struct {
 	tasks []Task
 }
 
+// A worker's queue is sized in solve time.  horizon is how much work, at the
+// mean solve time the leader has observed, may wait on a worker beyond what
+// BatchOptions.QueueFactor grants; depthCap bounds it per solving slot,
+// whatever the mean; meanWindow is how many results the mean remembers, so
+// that a leader whose tasks turn from microseconds to milliseconds (an
+// estimate, then the solve it predicted) follows within that many results.
+// Sized on the benchmark's TCP workloads, see the table at flushEvery in
+// proto.go: with a 65 µs solve, a frame of one task for every result cost
+// half a solve a task (traced bivium-estimate-tcp: cluster.task_overhead_us
+// 27–32, slot_util_pct 70–72); at a horizon of 1 ms a frame carries seven
+// tasks or more (12–13, 84–85).
+const (
+	horizon    = time.Millisecond
+	depthCap   = 256
+	meanWindow = 64
+)
+
 // targetDepth is the dispatch depth for one worker — in-flight plus locally
-// queued tasks — as capacity times the batch's queue factor.  The default
-// factor of 2 keeps one queued chunk hiding the network round-trip while
-// results stream back; the evaluation engine's cost model shrinks the
-// factor on heavy-tailed ζ so less work queues up behind a potential
-// straggler.  A worker always gets at least its capacity, so its solving
-// slots can fill.
-func targetDepth(capacity int, factor float64) int {
-	if factor <= 0 {
-		return capacity * 2
+// queued tasks.  Its floor is in tasks: capacity times the batch's queue
+// factor.  The default factor of 2 keeps one queued task per slot hiding the
+// network round-trip while results stream back; the evaluation engine's cost
+// model shrinks the factor on heavy-tailed ζ so less work queues up behind a
+// potential straggler.  A worker always gets at least its capacity, so its
+// solving slots can fill.
+//
+// Above the floor the depth is in time: one horizon of work per slot at the
+// observed mean solve time (0: nothing observed yet), so that short tasks
+// travel many to a frame.  Only a batch with Steal gets it, because only
+// stealing can take a deep queue back from a worker that turns out slow: a
+// pinned batch with a deep queue behind a straggler waits for all of it
+// (BenchmarkStragglerBiviumEstimate's pinned arm: 1.0 s, and 1.5 to 10.5 s
+// with this condition taken out).
+// Tasks at or above the horizon leave the floor as it is.
+func targetDepth(capacity int, opts *BatchOptions, mean time.Duration) int {
+	d := capacity * 2
+	if opts.QueueFactor > 0 {
+		d = max(int(math.Ceil(float64(capacity)*opts.QueueFactor)), capacity)
 	}
-	d := int(math.Ceil(float64(capacity) * factor))
-	if d < capacity {
-		d = capacity
+	if opts.Steal && mean > 0 {
+		d = max(d, capacity*int(min(horizon/mean, depthCap)))
 	}
 	return d
 }
 
-// assign hands pending tasks to workers: free execution slots first, then
-// spare dispatch depth (see targetDepth).  When the pending queue is dry and
+// assign hands pending tasks to workers (distributeLocked), one frame a
+// worker.  When the pending queue is dry and
 // tasks remain unfinished, the batch's dispatch policies take over
 // (BatchOptions.Steal/Speculate): stealing plans a revoke of queued tasks
 // from the most backlogged worker, and speculation duplicates the batch's
@@ -678,17 +717,8 @@ func (l *Leader) assign(b *netBatch) {
 		l.mu.Unlock()
 		return
 	}
-	ws, sends := l.workers, b.sends[:0]
-	// Fill free execution slots across the whole cluster before topping up
-	// anyone's queue: a task just stolen off a backlogged worker must land
-	// where it can run now, not bounce back into the victim's spare dispatch
-	// depth in id order — that bounce would steal the same task forever.
-	// Steals are capped at the cluster's free slots, so this pass absorbs
-	// every stolen task.
-	sends = distributeLocked(b, ws, sends, func(rw *remoteWorker) int { return rw.capacity })
-	sends = distributeLocked(b, ws, sends, func(rw *remoteWorker) int {
-		return targetDepth(rw.capacity, b.opts.QueueFactor)
-	})
+	ws := l.workers
+	sends := distributeLocked(b, ws, b.sends[:0], l.solveMean)
 	if len(b.pending) == 0 && b.remaining > 0 {
 		// While a steal acknowledgement is outstanding the revoked tasks'
 		// custody is in transit — plan neither another steal nor a
@@ -725,25 +755,51 @@ func (l *Leader) assign(b *netBatch) {
 	}
 }
 
-// distributeLocked hands pending tasks to workers in id order, filling each
-// worker up to limit(rw) outstanding tasks, and appends the planned
-// transmissions to sends (callers hold Leader.mu and send outside it).  A
-// chunk is the front of the pending queue itself, not a copy: the queue moves
-// past it and is only ever appended to behind it.
-func distributeLocked(b *netBatch, ws []*remoteWorker, sends []sendChunk, limit func(*remoteWorker) int) []sendChunk {
+// distributeLocked hands pending tasks to workers in id order and appends the
+// planned transmissions, at most one a worker, to sends (callers hold
+// Leader.mu and send outside it).  It counts in two passes and then cuts.
+//
+// Free execution slots come first, across the whole cluster, before anyone's
+// queue is topped up: a task just stolen off a backlogged worker must land
+// where it can run now, not bounce back into the victim's spare dispatch depth
+// in id order — that bounce would steal the same task forever.  Steals are
+// capped at the cluster's free slots, so this pass absorbs every stolen task.
+//
+// Then spare dispatch depth (targetDepth at the mean solve time), in chunks: a
+// worker is topped up only once half its depth is free, so that a frame
+// carries half a queue instead of the one task the last result made room for.
+// At the floor depth of a one-slot worker, two, that is one task a frame, as
+// it always was.
+//
+// A chunk is the front of the pending queue itself, not a copy: the queue
+// moves past it and is only ever appended to behind it.
+func distributeLocked(b *netBatch, ws []*remoteWorker, sends []sendChunk, mean time.Duration) []sendChunk {
+	left := len(b.pending)
 	for _, rw := range ws {
-		if len(b.pending) == 0 {
+		if n := min(rw.capacity-len(rw.inflight), left); n > 0 {
+			rw.planned = n
+			left -= n
+		}
+	}
+	for _, rw := range ws {
+		if left == 0 {
 			break
 		}
-		spare := limit(rw) - len(rw.inflight)
-		if spare <= 0 {
+		depth := targetDepth(rw.capacity, &b.opts, mean)
+		if spare := depth - len(rw.inflight) - rw.planned; spare > 0 && 2*spare >= depth {
+			n := min(spare, left)
+			rw.planned += n
+			left -= n
+		}
+	}
+	for _, rw := range ws {
+		n := rw.planned
+		if n == 0 {
 			continue
 		}
-		if spare > len(b.pending) {
-			spare = len(b.pending)
-		}
-		ck := b.pending[:spare:spare]
-		b.pending = b.pending[spare:]
+		rw.planned = 0
+		ck := b.pending[:n:n]
+		b.pending = b.pending[n:]
 		for _, t := range ck {
 			rw.inflight[t.Index] = t
 		}
@@ -895,15 +951,22 @@ func (l *Leader) RunDispatch(ctx context.Context, tasks []Task, opts BatchOption
 	defer func() {
 		l.mu.Lock()
 		l.batch = nil
+		unanswered := b.remaining > 0
 		for _, rw := range l.workers {
-			rw.inflight = make(map[int]Task)
+			clear(rw.inflight)
 			// A steal acknowledgement still in flight refers to a dead
 			// batch; don't let it block the next batch's stealing.
 			rw.revoking = false
 		}
 		l.mu.Unlock()
-		// Idempotent batch teardown: workers drop any leftover batch state.
-		l.broadcastInterrupt(b.id)
+		// A batch that ends with tasks out (the leader is closing) is
+		// interrupted on the workers.  One that has every answer has nothing
+		// live there — a cancelled one was interrupted by cancelBatch, a
+		// speculation's losing copy discarded by deliver — and a worker
+		// retires its idle slots when the next batch's first chunk arrives.
+		if unanswered {
+			l.broadcastInterrupt(b.id)
+		}
 	}()
 
 	// The ticker is a backstop for assignment opportunities that produce no

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/paper-repro/pdsat-go/internal/solver"
 )
 
 // TestWaitForWorkersWakesOnRegistration pins that WaitForWorkers is woken by
@@ -69,5 +72,198 @@ func TestWaitForWorkersWithoutWorkers(t *testing.T) {
 	leader.Close()
 	if err := <-waiting; !errors.Is(err, ErrClosed) {
 		t.Fatalf("after Close: %v, want %v", err, ErrClosed)
+	}
+}
+
+// TestTargetDepth pins the dispatch depth: a floor in tasks, and above it,
+// for a batch that can steal, one horizon of work at the mean solve time.
+func TestTargetDepth(t *testing.T) {
+	steal := func(factor float64) *BatchOptions { return &BatchOptions{Steal: true, QueueFactor: factor} }
+	pinned := func(factor float64) *BatchOptions { return &BatchOptions{QueueFactor: factor} }
+	for _, tc := range []struct {
+		name     string
+		capacity int
+		opts     *BatchOptions
+		mean     time.Duration
+		want     int
+	}{
+		// The floor, as it was before depth knew about time.
+		{"no result yet", 1, steal(0), 0, 2},
+		{"no result yet, four slots", 4, steal(0), 0, 8},
+		{"no result yet, a factor", 2, steal(1.5), 0, 3},
+		{"a factor below one", 2, steal(0.5), 0, 2},
+		{"tasks longer than the horizon", 1, steal(0), 11 * time.Millisecond, 2},
+		{"tasks of one horizon", 4, steal(0), horizon, 8},
+		{"tasks just under the horizon", 2, steal(2.5), horizon - 1, 5},
+		{"without stealing", 1, pinned(0), 50 * time.Microsecond, 2},
+		{"without stealing, a factor", 4, pinned(2.5), time.Microsecond, 10},
+		{"a mean that is no time", 1, steal(0), -time.Second, 2},
+		// Above it, ⌊horizon / mean⌋ a slot, up to the cap.
+		{"50 µs tasks", 1, steal(0), 50 * time.Microsecond, 20},
+		{"50 µs tasks, two slots", 2, steal(0), 50 * time.Microsecond, 40},
+		{"70 µs tasks", 1, steal(0), 70 * time.Microsecond, 14},
+		{"a factor above the time rule", 1, steal(6), 400 * time.Microsecond, 6},
+		{"at the cap", 1, steal(0), horizon / depthCap, depthCap},
+		{"beyond the cap", 1, steal(0), time.Microsecond, depthCap},
+		{"beyond the cap, three slots", 3, steal(0), time.Nanosecond, 3 * depthCap},
+	} {
+		if got := targetDepth(tc.capacity, tc.opts, tc.mean); got != tc.want {
+			t.Errorf("%s: depth %d for %d slot(s), factor %v, steal %v at a mean of %v, want %d",
+				tc.name, got, tc.capacity, tc.opts.QueueFactor, tc.opts.Steal, tc.mean, tc.want)
+		}
+	}
+}
+
+// holding returns a registered worker's leader-side state with tasks
+// first..first+n-1 in flight.
+func holding(id uint64, capacity, first, n int) *remoteWorker {
+	rw := &remoteWorker{id: id, capacity: capacity, inflight: make(map[int]Task)}
+	for i := first; i < first+n; i++ {
+		rw.inflight[i] = Task{Index: i}
+	}
+	return rw
+}
+
+// TestDistributeInChunks drives the assignment without a socket: a free
+// execution slot is filled whenever there is a task for it, a queue is
+// topped up only once half its depth is free, and a worker gets what both
+// rules give it as one chunk.
+func TestDistributeInChunks(t *testing.T) {
+	const mean = 50 * time.Microsecond // a depth of 20 a slot
+	stealing := BatchOptions{Steal: true}
+	tail := func(n int) []Task { return requeueTasks(1000)[1000-n:] }
+	sizes := func(sends []sendChunk) (ids []uint64, ns []int) {
+		for _, c := range sends {
+			ids, ns = append(ids, c.rw.id), append(ns, len(c.tasks))
+		}
+		return ids, ns
+	}
+	for _, tc := range []struct {
+		name    string
+		opts    BatchOptions
+		mean    time.Duration
+		pending int
+		ws      []*remoteWorker
+		wantTo  []uint64
+		wantN   []int
+	}{
+		{"a batch of 25 leaves in two frames", stealing, mean, 25,
+			[]*remoteWorker{holding(1, 1, 0, 0), holding(2, 1, 0, 0)}, []uint64{1, 2}, []int{20, 5}},
+		{"before any result the depth is the floor", stealing, 0, 25,
+			[]*remoteWorker{holding(1, 1, 0, 0), holding(2, 1, 0, 0)}, []uint64{1, 2}, []int{2, 2}},
+		{"a pinned batch stays at the floor", BatchOptions{}, mean, 25,
+			[]*remoteWorker{holding(1, 1, 0, 0), holding(2, 1, 0, 0)}, []uint64{1, 2}, []int{2, 2}},
+		{"free slots come first, across the cluster", stealing, mean, 2,
+			[]*remoteWorker{holding(1, 1, 0, 0), holding(2, 1, 0, 0)}, []uint64{1, 2}, []int{1, 1}},
+		{"no top-up while less than half the depth is free", stealing, mean, 500,
+			[]*remoteWorker{holding(1, 1, 0, 11), holding(2, 1, 100, 20)}, nil, nil},
+		{"a top-up of half the depth", stealing, mean, 500,
+			[]*remoteWorker{holding(1, 1, 0, 10), holding(2, 1, 100, 11)}, []uint64{1}, []int{10}},
+		{"at the floor a top-up is one task, as it was", stealing, 0, 500,
+			[]*remoteWorker{holding(1, 1, 0, 1), holding(2, 1, 100, 2)}, []uint64{1}, []int{1}},
+		{"a free slot is filled though the queue is not topped up", BatchOptions{QueueFactor: 1.5}, 0, 500,
+			[]*remoteWorker{holding(1, 4, 0, 3)}, []uint64{1}, []int{1}}, // depth 6: 2 spare after the slot, less than half
+		{"a free slot and a top-up are one chunk", stealing, 0, 500,
+			[]*remoteWorker{holding(1, 4, 0, 3)}, []uint64{1}, []int{5}},
+	} {
+		b := &netBatch{opts: tc.opts, pending: tail(tc.pending)}
+		before := len(b.pending)
+		held := 0
+		for _, rw := range tc.ws {
+			held += len(rw.inflight)
+		}
+		to, ns := sizes(distributeLocked(b, tc.ws, nil, tc.mean))
+		if !slices.Equal(to, tc.wantTo) || !slices.Equal(ns, tc.wantN) {
+			t.Errorf("%s: chunks of %v tasks to workers %v, want %v to %v", tc.name, ns, to, tc.wantN, tc.wantTo)
+			continue
+		}
+		sent := 0
+		for _, n := range ns {
+			sent += n
+		}
+		for _, rw := range tc.ws {
+			held -= len(rw.inflight)
+			if rw.planned != 0 {
+				t.Errorf("%s: worker %d is left with %d planned tasks", tc.name, rw.id, rw.planned)
+			}
+		}
+		if len(b.pending) != before-sent || -held != sent {
+			t.Errorf("%s: %d tasks sent, %d left the queue, %d are newly in flight", tc.name, sent, before-len(b.pending), -held)
+		}
+	}
+}
+
+// TestTaskFramesAreFewOnLoopback counts frames end to end.  A scripted
+// one-slot worker answers every task at once and reports a solve of 20 µs:
+// 2500 such tasks reach it in fewer than a tenth as many task frames (a depth
+// of 50, topped up by 25 or more), a batch that ran to its end is followed
+// by no interrupt frame, and one that was aborted by exactly one.
+func TestTaskFramesAreFewOnLoopback(t *testing.T) {
+	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	conn, w := register(t, leader.Addr().String(), "scripted", 1)
+	defer conn.Close()
+	var frames, tasks, interrupts atomic.Int64
+	abortAt := make(chan chan struct{}, 1) // the next batch's abort, fired instead of an answer to its first chunk
+	go func() {
+		for {
+			env, err := w.recv(0)
+			if err != nil {
+				return
+			}
+			switch env.Kind {
+			case kindPing:
+				_ = w.send(&envelope{Kind: kindPong})
+			case kindInterrupt:
+				interrupts.Add(1)
+			case kindTasks:
+				frames.Add(1)
+				tasks.Add(int64(len(env.Tasks)))
+				select {
+				case abort := <-abortAt:
+					close(abort)
+				default:
+				}
+				for _, task := range env.Tasks {
+					res := TaskResult{Index: task.Index, Cost: 1, Status: solver.Unsat, Started: true, Stats: solver.Stats{SolveTime: 20 * time.Microsecond}}
+					_ = w.queue(&envelope{Kind: kindResult, Batch: env.Batch, Result: &res})
+				}
+				_ = w.flush()
+			}
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := leader.WaitForWorkers(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	batch := requeueTasks(2500)
+	opts := BatchOptions{CostMetric: solver.CostPropagations, Steal: true, Speculate: true}
+	for round := 1; round <= 2; round++ {
+		results, err := leader.Run(ctx, batch, opts)
+		if err != nil || len(results) != len(batch) {
+			t.Fatalf("batch %d: %d results for %d tasks, error %v", round, len(results), len(batch), err)
+		}
+	}
+	if f, n := frames.Load(), tasks.Load(); n != int64(2*len(batch)) || f >= n/10 {
+		t.Fatalf("%d tasks reached the worker in %d task frames, want fewer than a tenth as many frames as tasks", n, f)
+	}
+	abort := make(chan struct{})
+	abortAt <- abort
+	results, err := leader.RunAbortable(ctx, batch, opts, nil, abort)
+	if err != nil || len(results) != len(batch) {
+		t.Fatalf("aborted batch: %d results for %d tasks, error %v", len(results), len(batch), err)
+	}
+	// The interrupt was sent before the aborted batch returned; one more
+	// batch puts the frames the leader sent after it, if any, ahead of a
+	// frame the worker is known to have read.
+	if _, err := leader.Run(ctx, batch[:1], opts); err != nil {
+		t.Fatal(err)
+	}
+	if n := interrupts.Load(); n != 1 {
+		t.Fatalf("%d interrupt frames after two completed batches and an aborted one, want one", n)
 	}
 }

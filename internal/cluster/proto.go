@@ -60,9 +60,23 @@ import (
 // announces.
 //
 // Decoding is strict: an unknown kind, a truncated field, a count beyond the
-// frame, a literal 0 or bytes after the last field make the frame malformed,
-// and a malformed frame is a connection error like a failed read (the leader
-// drops the worker and requeues what it held).
+// frame, a literal 0, a formula with a negative variable count or a literal
+// over a variable beyond it, or bytes after the last field make the frame
+// malformed, and a malformed frame is a connection error like a failed read
+// (the leader drops the worker and requeues what it held).
+//
+// Frames may share a write.  The stream is the frames in the order of the
+// calls that produced them, and nothing in the protocol depends on where one
+// write ends.  The leader writes every frame as it is produced.  A worker
+// holds its results back (wire.queue) and writes what it holds in one Write:
+// when a solving slot finds the local queue empty or exits, when flushBytes
+// are held, when flushEvery has passed since the connection's last write —
+// so the first result of a batch leaves at once — and, for what a slot left
+// behind when its next task turned out long, from a timer (flushBackstop).
+// Every other frame of the worker (pong, revoked) goes out behind the held
+// results in the same Write.  A worker that is going down writes nothing
+// more: what it held is requeued from the dropped connection, like the task
+// it was solving.
 
 // protocolVersion guards against mixing incompatible leader and worker
 // binaries; bump it whenever the frame layout, a message kind's number or
@@ -87,6 +101,27 @@ const (
 
 // errFrame is the cause of every malformed-frame error.
 var errFrame = errors.New("cluster: malformed frame")
+
+// The return path's pacing, "send much and seldom" applied to the results of
+// 50 to 70 µs solves.  With a write per result BenchmarkLoopbackDispatch's
+// batch of 2500 reads 48.2 µs a task with 12.4% of its CPU samples in the
+// write syscall; with these values 37.9 µs and 2.3%.  They sit on a flat
+// part.  wall_s of the benchmark's bivium-estimate-tcp / a51-search-tcp,
+// median of three runs, at horizon (leader.go) / flushEvery in µs: a write
+// per result and a task per top-up 0.640 / 0.308; 500/200 0.563 / 0.269;
+// 1000/200 0.537 / 0.273; 1000/100 0.543 / 0.271; 2000/200 0.510 / 0.274;
+// 2000/400 0.507 / 0.279.
+const (
+	// flushEvery is the least time between two writes of queued frames while
+	// there is more to do: a rate limit, not a delay — the first frame after
+	// a pause leaves at once.
+	flushEvery = 200 * time.Microsecond
+	// flushBytes of queued frames are written whatever the clock says.
+	flushBytes = 16 << 10
+	// flushBackstop after a frame was queued and held, a timer writes it if
+	// nothing else has: the slot that queued it may be inside a long solve.
+	flushBackstop = 5 * flushEvery
+)
 
 // Wire timeouts shared by both sides.
 const (
@@ -180,15 +215,21 @@ type envelope struct {
 	Err string
 }
 
-// wire frames one duplex connection.  Any goroutine may send: writes are
-// serialized and deadline-guarded, and a frame leaves in one Write.  recv is
-// for the connection's one reading goroutine.
+// wire frames one duplex connection.  Any goroutine may send: frames are
+// appended to one pending buffer under mu, and a write — serialized and
+// deadline-guarded — takes everything pending, so the stream carries the
+// frames in the order of the calls whether a call wrote at once (send) or
+// left its frame for a later write (queue).  recv is for the connection's one
+// reading goroutine.
 type wire struct {
 	conn net.Conn
 	br   *bufio.Reader
 
-	mu   sync.Mutex
-	wbuf []byte // guarded by mu; the frame being sent
+	mu        sync.Mutex
+	wbuf      []byte      // guarded by mu; the frames not yet written
+	lastFlush time.Time   // guarded by mu; when wbuf was last written
+	backstop  *time.Timer // guarded by mu; writes what queue left behind, nil until needed
+	armed     bool        // guarded by mu; backstop is set and has not run
 
 	// The reader's state: the length prefix, the frame body and what it
 	// decodes into.
@@ -205,31 +246,96 @@ func newWire(conn net.Conn) *wire {
 	return &wire{conn: conn, br: bufio.NewReader(conn)}
 }
 
-// send encodes one envelope and writes it under the write deadline.
+// send encodes one envelope and writes it, behind whatever is pending, under
+// the write deadline.
 func (w *wire) send(env *envelope) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	frame, err := appendFrame(w.wbuf[:0], env)
-	if err != nil {
+	if err := w.appendLocked(env); err != nil {
 		return err
 	}
-	w.wbuf = frame
-	return w.writeLocked(frame)
+	return w.flushLocked(time.Now())
+}
+
+// queue encodes one envelope and leaves it pending for the next write, which
+// is this call if flushBytes are pending or the last write is flushEvery ago.
+// Whoever queues sees to it that a flush or a send follows when it has
+// nothing more to add; the backstop timer covers the time until then.
+func (w *wire) queue(env *envelope) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.appendLocked(env); err != nil {
+		return err
+	}
+	now := time.Now()
+	if len(w.wbuf) >= flushBytes || now.Sub(w.lastFlush) >= flushEvery {
+		return w.flushLocked(now)
+	}
+	if !w.armed {
+		w.armed = true
+		if w.backstop == nil {
+			w.backstop = time.AfterFunc(flushBackstop, w.backstopFlush)
+		} else {
+			w.backstop.Reset(flushBackstop)
+		}
+	}
+	return nil
+}
+
+// flush writes what is pending.
+func (w *wire) flush() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.flushLocked(time.Now())
+}
+
+// backstopFlush is the timer's flush.  A failed write is the connection's
+// end, which its reader reports.
+func (w *wire) backstopFlush() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.armed = false
+	_ = w.flushLocked(time.Now())
 }
 
 // sendFrame writes a frame that appendFrame built earlier.
 func (w *wire) sendFrame(frame []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.writeLocked(frame)
+	now := time.Now()
+	if err := w.flushLocked(now); err != nil {
+		return err
+	}
+	return w.writeLocked(frame, now)
 }
 
 // requires mu
-func (w *wire) writeLocked(frame []byte) error {
-	if err := w.conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
+func (w *wire) appendLocked(env *envelope) error {
+	buf, err := appendFrame(w.wbuf, env)
+	if err != nil {
 		return err
 	}
-	_, err := w.conn.Write(frame)
+	w.wbuf = buf
+	return nil
+}
+
+// requires mu
+func (w *wire) flushLocked(now time.Time) error {
+	if len(w.wbuf) == 0 {
+		return nil
+	}
+	w.lastFlush = now
+	err := w.writeLocked(w.wbuf, now)
+	w.wbuf = w.wbuf[:0]
+	return err
+}
+
+// requires mu
+func (w *wire) writeLocked(frames []byte, now time.Time) error {
+	if err := w.conn.SetWriteDeadline(now.Add(writeTimeout)); err != nil {
+		return err
+	}
+	_, err := w.conn.Write(frames)
 	return err
 }
 
@@ -238,12 +344,17 @@ func (w *wire) writeLocked(frame []byte) error {
 // TaskResult it points to, belongs to the wire and is overwritten by the
 // next recv; the formula, strings and slices in it are the caller's to keep.
 func (w *wire) recv(timeout time.Duration) (*envelope, error) {
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	if err := w.conn.SetReadDeadline(deadline); err != nil {
-		return nil, err
+	// A frame that is already in the buffer is not silence, and is returned
+	// without a read: the deadline is renewed only ahead of a recv that may
+	// wait for the connection.
+	if !w.frameBuffered() {
+		var deadline time.Time
+		if timeout > 0 {
+			deadline = time.Now().Add(timeout)
+		}
+		if err := w.conn.SetReadDeadline(deadline); err != nil {
+			return nil, err
+		}
 	}
 	if _, err := io.ReadFull(w.br, w.hdr[:]); err != nil {
 		return nil, err
@@ -265,6 +376,16 @@ func (w *wire) recv(timeout time.Duration) (*envelope, error) {
 		return nil, err
 	}
 	return &in.env, nil
+}
+
+// frameBuffered reports whether the next frame can be returned from the read
+// buffer alone.
+func (w *wire) frameBuffered() bool {
+	if w.br.Buffered() < len(w.hdr) {
+		return false
+	}
+	hdr, _ := w.br.Peek(len(w.hdr)) // cannot fail: the bytes are there
+	return uint64(w.br.Buffered()-len(w.hdr)) >= uint64(binary.BigEndian.Uint32(hdr))
 }
 
 // readBody reads the n bytes of a frame body into the reused read buffer.
@@ -626,14 +747,26 @@ func (d *decoder) litsDone(rest []cnf.Lit) {
 	}
 }
 
+// formula reads a formula whose clauses stay within its own variable count:
+// the solver grows to the largest variable it meets, so a clause naming one
+// that a varint can spell would have a worker allocate for it, and checkChunk
+// guards tasks against NumVars.
 func (d *decoder) formula() *cnf.Formula {
 	f := &cnf.Formula{NumVars: d.int()}
+	if f.NumVars < 0 {
+		d.fail("negative variable count")
+	}
 	nClauses, backing := d.litVectors(1)
 	if nClauses > 0 {
 		f.Clauses = make([]cnf.Clause, nClauses)
 	}
 	for i := range f.Clauses {
 		f.Clauses[i], backing = d.lits(backing)
+		for _, l := range f.Clauses[i] {
+			if v := l.Var(); v < 1 || v > cnf.Var(f.NumVars) { // below 1: the least int
+				d.fail("clause over a variable beyond the formula's count")
+			}
+		}
 	}
 	d.litsDone(backing)
 	if n := d.count(1); n > 0 {

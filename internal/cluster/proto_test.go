@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/paper-repro/pdsat-go/internal/cnf"
+	"github.com/paper-repro/pdsat-go/internal/encoder"
 	"github.com/paper-repro/pdsat-go/internal/solver"
 )
 
@@ -156,21 +157,25 @@ func wireTable() map[string]*envelope {
 	}
 }
 
-// zeroLiteralFrames are frames well-formed in everything but a literal 0,
-// which the encoder does not look for: one among a formula's clauses, one
-// among a task's assumptions.
-func zeroLiteralFrames(tb testing.TB) map[string][]byte {
+// badLiteralFrames are frames well-formed in everything but a literal, which
+// the encoder does not look at: a 0 among a formula's clauses or a task's
+// assumptions, and a formula that does not stay within its own variable
+// count — a solver built from it would grow to the variable it names.
+func badLiteralFrames(tb testing.TB) map[string][]byte {
+	welcome := func(f *cnf.Formula) []byte {
+		return mustFrame(tb, &envelope{Kind: kindWelcome, Formula: f, SolverOptions: &solver.Options{VarDecay: 0.95}, Heartbeat: time.Second})
+	}
 	return map[string][]byte{
-		"zero literal in a clause": mustFrame(tb, &envelope{
-			Kind:          kindWelcome,
-			Formula:       &cnf.Formula{NumVars: 3, Clauses: []cnf.Clause{{1, -2}, {1, 0, -3}}},
-			SolverOptions: &solver.Options{VarDecay: 0.95},
-			Heartbeat:     time.Second,
-		}),
+		"zero literal in a clause": welcome(&cnf.Formula{NumVars: 3, Clauses: []cnf.Clause{{1, -2}, {1, 0, -3}}}),
 		"zero literal in an assumption vector": mustFrame(tb, &envelope{
 			Kind: kindTasks, Batch: 1, Opts: &BatchOptions{},
 			Tasks: []Task{{Index: 0, Assumptions: []cnf.Lit{2}}, {Index: 1, Assumptions: []cnf.Lit{-1, 0}}},
 		}),
+		"clause over a variable beyond the formula's": welcome(&cnf.Formula{NumVars: 3, Clauses: []cnf.Clause{{1, -2}, {3, -500000}}}),
+		"clause over variable 2^31":                   welcome(&cnf.Formula{NumVars: 3, Clauses: []cnf.Clause{{1 << 31}}}),
+		"clause over the least int":                   welcome(&cnf.Formula{NumVars: 3, Clauses: []cnf.Clause{{2, math.MinInt}}}),
+		"clause in a formula without variables":       welcome(&cnf.Formula{Clauses: []cnf.Clause{{1}}}),
+		"negative variable count":                     welcome(&cnf.Formula{NumVars: -1}),
 	}
 }
 
@@ -219,6 +224,24 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireWelcomesTheBenchmarkFormula: the bound on a formula's literals
+// refuses nothing an encoder produces.  The welcome of the benchmark's Bivium
+// instance decodes to an equal formula.
+func TestWireWelcomesTheBenchmarkFormula(t *testing.T) {
+	inst, err := encoder.NewInstance(encoder.Bivium(), encoder.Config{KeystreamLen: 200, KnownSuffix: 57, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := &envelope{Kind: kindWelcome, Formula: inst.CNF, SolverOptions: &solver.Options{VarDecay: 0.95}, Heartbeat: time.Second}
+	got, err := newWire(&scriptConn{in: mustFrame(t, sent)}).recv(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameEnvelope(sent, got) {
+		t.Fatalf("the welcome of a formula of %d variables and %d clauses came back changed", inst.CNF.NumVars, inst.CNF.NumClauses())
+	}
+}
+
 // TestWireRejectsMalformedFrames lists what the decoder must refuse; each is
 // a connection error, never a panic and never a partial message.
 func TestWireRejectsMalformedFrames(t *testing.T) {
@@ -244,7 +267,7 @@ func TestWireRejectsMalformedFrames(t *testing.T) {
 		"assumptions short of the total": frame(byte(kindTasks), 1, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 1, 2),
 		"result cut short":               append(binary.BigEndian.AppendUint32(nil, uint32(len(result)-5)), result[4:len(result)-1]...),
 	}
-	for name, in := range zeroLiteralFrames(t) {
+	for name, in := range badLiteralFrames(t) {
 		cases[name] = in
 	}
 	for name, in := range cases {
@@ -341,7 +364,7 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add(mustFrame(f, env))
 	}
 	f.Add(binary.BigEndian.AppendUint32(nil, maxFrame))
-	for _, frame := range zeroLiteralFrames(f) {
+	for _, frame := range badLiteralFrames(f) {
 		f.Add(frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -225,9 +225,12 @@ func serveOnce(ctx context.Context, addr string, opts *WorkerOptions) (registere
 			if env.Batch <= interrupted {
 				for _, t := range env.Tasks {
 					res := TaskResult{Index: t.Index, Status: solver.Unknown}
-					if err := w.send(&envelope{Kind: kindResult, Batch: env.Batch, Result: &res}); err != nil {
+					if err := w.queue(&envelope{Kind: kindResult, Batch: env.Batch, Result: &res}); err != nil {
 						return registered, err
 					}
+				}
+				if err := w.flush(); err != nil {
+					return registered, err
 				}
 				continue
 			}
@@ -295,8 +298,10 @@ func checkChunk(tasks []Task, numVars cnf.Var) error {
 	return nil
 }
 
-// workerBatch runs one batch's tasks on the local executor, streaming each
-// result back to the leader as soon as it is available.
+// workerBatch runs one batch's tasks on the local executor and returns each
+// result to the leader through the connection's pending buffer (wire.queue):
+// results share a write while there is more to solve, and a slot that finds
+// the queue empty, or exits, writes what is pending before it waits.
 type workerBatch struct {
 	id     uint64
 	opts   BatchOptions
@@ -311,6 +316,10 @@ type workerBatch struct {
 	slots []*solveWorker // guarded by mu
 }
 
+// newWorkerBatch starts the batch's solving slots, one goroutine each for the
+// life of the batch; stop ends them.  parent is the worker's own context: once
+// it is cancelled the slots send nothing more, neither the task in hand nor
+// what is pending, and the leader requeues from the dropped connection.
 func newWorkerBatch(parent context.Context, id uint64, opts BatchOptions, exec *Inproc, w *wire, delay func(Task) time.Duration) *workerBatch {
 	ctx, cancel := context.WithCancel(parent)
 	b := &workerBatch{id: id, opts: opts, cancel: cancel, q: newTaskQueue()}
@@ -326,9 +335,18 @@ func newWorkerBatch(parent context.Context, id uint64, opts BatchOptions, exec *
 			b.mu.Lock()
 			b.slots = append(b.slots, sw)
 			b.mu.Unlock()
+			// Nothing more to do: the results held back must not wait for the
+			// next chunk, and the batch's tail not at all.  A failed write is
+			// the connection's end, which the read loop reports.
+			flush := func() {
+				if parent.Err() == nil {
+					_ = w.flush()
+				}
+			}
 			for {
-				t, ok, cancelled := b.q.pop()
+				t, ok, cancelled := b.q.pop(flush)
 				if !ok {
+					flush()
 					return
 				}
 				var res TaskResult
@@ -346,10 +364,11 @@ func newWorkerBatch(parent context.Context, id uint64, opts BatchOptions, exec *
 					// placeholder or a truncated solve.  Sent before the
 					// connection closes, it would be recorded as the task's
 					// result; unsent, the leader requeues the task when the
-					// connection drops.
+					// connection drops — with those whose results are still
+					// pending, which are not flushed either.
 					return
 				}
-				if err := w.send(&envelope{Kind: kindResult, Batch: id, Result: &res}); err != nil {
+				if err := w.queue(&envelope{Kind: kindResult, Batch: id, Result: &res}); err != nil {
 					// Connection gone; the read loop notices too.  Stop
 					// pulling work — the leader requeues it elsewhere.
 					b.q.cancelQueue()
@@ -453,12 +472,18 @@ func (q *taskQueue) cancelQueue() {
 	q.cond.Broadcast()
 }
 
-// pop blocks until a task is available or the queue is cancelled.  ok is
-// false when the queue is cancelled and empty; cancelled marks tasks that
-// must be reported as placeholders instead of solved.
-func (q *taskQueue) pop() (t Task, ok, cancelled bool) {
+// pop blocks until a task is available or the queue is cancelled, calling
+// idle first (outside the lock) if it has to wait.  ok is false when the
+// queue is cancelled and empty; cancelled marks tasks that must be reported
+// as placeholders instead of solved.
+func (q *taskQueue) pop(idle func()) (t Task, ok, cancelled bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if len(q.items) == 0 && !q.cancelled {
+		q.mu.Unlock()
+		idle()
+		q.mu.Lock()
+	}
 	for len(q.items) == 0 && !q.cancelled {
 		q.cond.Wait()
 	}
