@@ -549,7 +549,7 @@ func BenchmarkNeighborhoodBiviumTabu(b *testing.B) {
 type fixedDispatch struct{ *cluster.Leader }
 
 func (f fixedDispatch) RunDispatch(ctx context.Context, tasks []cluster.Task, opts cluster.BatchOptions, observe func(cluster.TaskResult), abort <-chan struct{}) ([]cluster.TaskResult, cluster.DispatchStats, error) {
-	opts.Steal, opts.Speculate, opts.QueueFactor = false, false, 0
+	opts.Steal, opts.Speculate = false, false
 	return f.Leader.RunDispatch(ctx, tasks, opts, observe, abort)
 }
 
@@ -559,7 +559,7 @@ func (f fixedDispatch) RunDispatch(ctx context.Context, tasks []cluster.Task, op
 // second stall before every task it starts).  The same fixed-seed estimate
 // runs once with dispatch pinned (fixedDispatch) — the batch tail waits out
 // the straggler's queue — and once as every runner dispatches: work
-// stealing, speculative re-dispatch and variance-aware batching.  The
+// stealing and speculative re-dispatch.  The
 // determinism rule is enforced unconditionally: both arms (and a pure
 // in-process reference) must produce the bit-identical F, since the policies
 // may only move subproblems between workers.  The acceptance bar of a ≥25%

@@ -24,8 +24,8 @@
 //     leader also rebalances a running batch: free slots are filled before
 //     any queue, queued tasks are stolen back from a backlogged worker for
 //     an idle one, and the last running tasks are duplicated onto idle
-//     slots, first result wins (BatchOptions.Steal/Speculate/QueueFactor,
-//     which internal/pdsat's Runner sets on every batch).  Its subproblems
+//     slots, first result wins (BatchOptions.Steal/Speculate, which
+//     internal/pdsat's Runner sets on every batch).  Its subproblems
 //     are often tens of microseconds of propagation, so both directions
 //     send much and seldom: a worker's queue holds up to a millisecond of
 //     work and is topped up by half of that at a time, and a worker's
@@ -42,7 +42,7 @@
 // # Protocol compatibility
 //
 // The network transport speaks one version of its wire protocol
-// (protocolVersion in proto.go, currently 6).  There is no negotiation: a
+// (protocolVersion in proto.go, currently 7).  There is no negotiation: a
 // worker dialing a leader of another version is rejected at registration
 // with an explicit version-mismatch error and fails fast (ErrRejected)
 // instead of redialing forever; one so old that it does not frame its
@@ -162,7 +162,12 @@ type BatchOptions struct {
 	// tasks from a backlogged worker and reassign them to an idle one.
 	// Only DispatchTransport backends honour it; stealing moves tasks
 	// between workers but never changes which subproblems are solved, so
-	// in pristine (non-Retain) batches the results are unaffected.
+	// in pristine (non-Retain) batches the results are unaffected.  It
+	// also decides how deep a worker's queue may be: two tasks a slot
+	// without it; with it up to a millisecond of work at the mean solve
+	// time the leader has observed, so that tasks of microseconds travel
+	// many to a frame — only stealing can take a deep queue back from a
+	// worker that turns out slow.
 	Steal bool
 	// Speculate lets a dispatching transport duplicate the last unfinished
 	// tasks of a batch onto idle slots: the first result per task index
@@ -170,21 +175,6 @@ type BatchOptions struct {
 	// function of the task in pristine batches, so which copy wins never
 	// changes the result content — only how soon it arrives.
 	Speculate bool
-	// QueueFactor is the floor of the dispatch layer's target depth per
-	// worker (in-flight plus locally queued tasks), in tasks, as a multiple
-	// of the worker's capacity.  0 means the historical default of 2 — one
-	// executing task per slot plus one queued, hiding the network
-	// round-trip; values below 1 are raised to 1 so a worker can always
-	// fill its solving slots.  The evaluation engine's cost model shrinks
-	// it when the observed ζ distribution is heavy-tailed (queued work
-	// behind a straggler is exactly what stealing has to undo) and grows it
-	// when costs concentrate.  Above this floor the network leader sizes a
-	// queue in time: in a batch with Steal, up to a millisecond of work at
-	// the mean solve time it has observed, so that tasks of microseconds
-	// travel many to a frame — and only with Steal, since only stealing can
-	// take a deep queue back.  Tasks of a millisecond or more queue exactly
-	// as the factor says.
-	QueueFactor float64
 }
 
 // Transport runs batches of tasks for one fixed formula.  Implementations

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"math"
 	"net"
 	"slices"
 	"sort"
@@ -660,8 +659,8 @@ type sendChunk struct {
 }
 
 // A worker's queue is sized in solve time.  horizon is how much work, at the
-// mean solve time the leader has observed, may wait on a worker beyond what
-// BatchOptions.QueueFactor grants; depthCap bounds it per solving slot,
+// mean solve time the leader has observed, may wait on a worker beyond the
+// floor of two tasks a slot; depthCap bounds it per solving slot,
 // whatever the mean; meanWindow is how many results the mean remembers, so
 // that a leader whose tasks turn from microseconds to milliseconds (an
 // estimate, then the solve it predicted) follows within that many results.
@@ -677,12 +676,9 @@ const (
 )
 
 // targetDepth is the dispatch depth for one worker — in-flight plus locally
-// queued tasks.  Its floor is in tasks: capacity times the batch's queue
-// factor.  The default factor of 2 keeps one queued task per slot hiding the
-// network round-trip while results stream back; the evaluation engine's cost
-// model shrinks the factor on heavy-tailed ζ so less work queues up behind a
-// potential straggler.  A worker always gets at least its capacity, so its
-// solving slots can fill.
+// queued tasks — decided by two rules, both from what the leader measures
+// itself.  The floor is in tasks: two a slot, one executing and one queued
+// behind it to hide the network round-trip while results stream back.
 //
 // Above the floor the depth is in time: one horizon of work per slot at the
 // observed mean solve time (0: nothing observed yet), so that short tasks
@@ -694,9 +690,6 @@ const (
 // Tasks at or above the horizon leave the floor as it is.
 func targetDepth(capacity int, opts *BatchOptions, mean time.Duration) int {
 	d := capacity * 2
-	if opts.QueueFactor > 0 {
-		d = max(int(math.Ceil(float64(capacity)*opts.QueueFactor)), capacity)
-	}
 	if opts.Steal && mean > 0 {
 		d = max(d, capacity*int(min(horizon/mean, depthCap)))
 	}

@@ -75,11 +75,11 @@ func TestWaitForWorkersWithoutWorkers(t *testing.T) {
 	}
 }
 
-// TestTargetDepth pins the dispatch depth: a floor in tasks, and above it,
-// for a batch that can steal, one horizon of work at the mean solve time.
+// TestTargetDepth pins the dispatch depth's two rules: two tasks a slot, and
+// above that, for a batch that can steal, one horizon of work at the mean
+// solve time.
 func TestTargetDepth(t *testing.T) {
-	steal := func(factor float64) *BatchOptions { return &BatchOptions{Steal: true, QueueFactor: factor} }
-	pinned := func(factor float64) *BatchOptions { return &BatchOptions{QueueFactor: factor} }
+	steal, pinned := &BatchOptions{Steal: true}, &BatchOptions{}
 	for _, tc := range []struct {
 		name     string
 		capacity int
@@ -87,29 +87,27 @@ func TestTargetDepth(t *testing.T) {
 		mean     time.Duration
 		want     int
 	}{
-		// The floor, as it was before depth knew about time.
-		{"no result yet", 1, steal(0), 0, 2},
-		{"no result yet, four slots", 4, steal(0), 0, 8},
-		{"no result yet, a factor", 2, steal(1.5), 0, 3},
-		{"a factor below one", 2, steal(0.5), 0, 2},
-		{"tasks longer than the horizon", 1, steal(0), 11 * time.Millisecond, 2},
-		{"tasks of one horizon", 4, steal(0), horizon, 8},
-		{"tasks just under the horizon", 2, steal(2.5), horizon - 1, 5},
-		{"without stealing", 1, pinned(0), 50 * time.Microsecond, 2},
-		{"without stealing, a factor", 4, pinned(2.5), time.Microsecond, 10},
-		{"a mean that is no time", 1, steal(0), -time.Second, 2},
-		// Above it, ⌊horizon / mean⌋ a slot, up to the cap.
-		{"50 µs tasks", 1, steal(0), 50 * time.Microsecond, 20},
-		{"50 µs tasks, two slots", 2, steal(0), 50 * time.Microsecond, 40},
-		{"70 µs tasks", 1, steal(0), 70 * time.Microsecond, 14},
-		{"a factor above the time rule", 1, steal(6), 400 * time.Microsecond, 6},
-		{"at the cap", 1, steal(0), horizon / depthCap, depthCap},
-		{"beyond the cap", 1, steal(0), time.Microsecond, depthCap},
-		{"beyond the cap, three slots", 3, steal(0), time.Nanosecond, 3 * depthCap},
+		// 2 × capacity.
+		{"no result yet", 1, steal, 0, 2},
+		{"no result yet, four slots", 4, steal, 0, 8},
+		{"tasks longer than the horizon", 1, steal, 11 * time.Millisecond, 2},
+		{"tasks of one horizon", 4, steal, horizon, 8},
+		{"tasks just under the horizon", 2, steal, horizon - 1, 4},
+		{"without stealing", 1, pinned, 50 * time.Microsecond, 2},
+		{"without stealing, four slots", 4, pinned, time.Microsecond, 8},
+		{"a mean that is no time", 1, steal, -time.Second, 2},
+		// capacity × min(⌊horizon / mean⌋, depthCap).
+		{"50 µs tasks", 1, steal, 50 * time.Microsecond, 20},
+		{"50 µs tasks, two slots", 2, steal, 50 * time.Microsecond, 40},
+		{"70 µs tasks", 1, steal, 70 * time.Microsecond, 14},
+		{"400 µs tasks", 1, steal, 400 * time.Microsecond, 2},
+		{"at the cap", 1, steal, horizon / depthCap, depthCap},
+		{"beyond the cap", 1, steal, time.Microsecond, depthCap},
+		{"beyond the cap, three slots", 3, steal, time.Nanosecond, 3 * depthCap},
 	} {
 		if got := targetDepth(tc.capacity, tc.opts, tc.mean); got != tc.want {
-			t.Errorf("%s: depth %d for %d slot(s), factor %v, steal %v at a mean of %v, want %d",
-				tc.name, got, tc.capacity, tc.opts.QueueFactor, tc.opts.Steal, tc.mean, tc.want)
+			t.Errorf("%s: depth %d for %d slot(s), steal %v at a mean of %v, want %d",
+				tc.name, got, tc.capacity, tc.opts.Steal, tc.mean, tc.want)
 		}
 	}
 }
@@ -161,8 +159,8 @@ func TestDistributeInChunks(t *testing.T) {
 			[]*remoteWorker{holding(1, 1, 0, 10), holding(2, 1, 100, 11)}, []uint64{1}, []int{10}},
 		{"at the floor a top-up is one task, as it was", stealing, 0, 500,
 			[]*remoteWorker{holding(1, 1, 0, 1), holding(2, 1, 100, 2)}, []uint64{1}, []int{1}},
-		{"a free slot is filled though the queue is not topped up", BatchOptions{QueueFactor: 1.5}, 0, 500,
-			[]*remoteWorker{holding(1, 4, 0, 3)}, []uint64{1}, []int{1}}, // depth 6: 2 spare after the slot, less than half
+		{"at the floor a free slot brings half a queue with it, pinned or not", BatchOptions{}, mean, 500,
+			[]*remoteWorker{holding(1, 4, 0, 3)}, []uint64{1}, []int{5}}, // depth 8: 4 spare after the slot, exactly half
 		{"a free slot and a top-up are one chunk", stealing, 0, 500,
 			[]*remoteWorker{holding(1, 4, 0, 3)}, []uint64{1}, []int{5}},
 	} {

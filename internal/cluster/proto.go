@@ -39,7 +39,7 @@ import (
 //	solverOptions varDecay:float clauseDecay:float restartBase:uint maxLearnedFactor:float
 //	              flags:byte (1 phaseSaving, 2 defaultPhase, 4 minimizeLearned)
 //	batchOptions  stop:int flags:byte (1 retain, 2 steal, 4 speculate) maxConflicts:uint
-//	              maxPropagations:uint maxTime:int costMetric:int queueFactor:float
+//	              maxPropagations:uint maxTime:int costMetric:int
 //	task          index:int hasOptions:byte [solverOptions] len:count { lit }
 //	result        index:int cost:float status:int flags:byte (1 started, 2 interrupted,
 //	              4 cancelled) nModel:count { byte } nActivity:count { varDelta:uint } { act:float }
@@ -84,7 +84,7 @@ import (
 // for older versions: a mismatch is rejected at registration (checkHello),
 // and leader and worker ship as one binary.  The hello frame keeps its place
 // and its first field across versions, so that the rejection can say why.
-const protocolVersion = 6
+const protocolVersion = 7
 
 // maxFrame bounds the body of one frame.  The largest legitimate frame is
 // the welcome, which carries the formula (about 1.2 MB for the benchmark's
@@ -567,8 +567,7 @@ func appendBatchOptions(dst []byte, o *BatchOptions) []byte {
 	dst = binary.AppendUvarint(dst, o.Budget.MaxConflicts)
 	dst = binary.AppendUvarint(dst, o.Budget.MaxPropagations)
 	dst = binary.AppendVarint(dst, int64(o.Budget.MaxTime))
-	dst = appendInt(dst, int(o.CostMetric))
-	return appendFloat(dst, o.QueueFactor)
+	return appendInt(dst, int(o.CostMetric))
 }
 
 func appendTask(dst []byte, t *Task) []byte {
@@ -795,7 +794,6 @@ func (d *decoder) batchOptions(o *BatchOptions) {
 	o.Budget.MaxPropagations = d.uint()
 	o.Budget.MaxTime = time.Duration(d.int64())
 	o.CostMetric = solver.CostMetric(d.int())
-	o.QueueFactor = d.float()
 }
 
 // tasks reads a chunk.  Its assumption vectors are the receiver's to keep

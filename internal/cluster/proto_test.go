@@ -110,7 +110,7 @@ func wireTable() map[string]*envelope {
 			Opts: &BatchOptions{
 				Stop: StopOnDecided, Retain: true, Steal: true, Speculate: true,
 				Budget:     solver.Budget{MaxConflicts: maxU, MaxPropagations: 1, MaxTime: time.Duration(math.MinInt64)},
-				CostMetric: solver.CostPropagations, QueueFactor: 1.5,
+				CostMetric: solver.CostPropagations,
 			},
 			Tasks: []Task{
 				{Index: 0, Assumptions: nil},
@@ -177,6 +177,17 @@ func badLiteralFrames(tb testing.TB) map[string][]byte {
 		"clause in a formula without variables":       welcome(&cnf.Formula{Clauses: []cnf.Clause{{1}}}),
 		"negative variable count":                     welcome(&cnf.Formula{NumVars: -1}),
 	}
+}
+
+// version6Tasks is a task envelope's frame as protocol 6 laid it out: this
+// version's, with the queue factor between the batch options and the task
+// count.
+func version6Tasks(tb testing.TB, env *envelope, factor float64) []byte {
+	tb.Helper()
+	now := mustFrame(tb, env)
+	head := appendBatchOptions(binary.AppendUvarint([]byte{byte(kindTasks)}, env.Batch), env.Opts)
+	body := append(appendFloat(head, factor), now[4+len(head):]...)
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
 }
 
 func mustFrame(tb testing.TB, env *envelope) []byte {
@@ -261,14 +272,24 @@ func TestWireRejectsMalformedFrames(t *testing.T) {
 		"unknown flag bit":               frame(byte(kindRevoke), 1, 0, 2, 0),
 		"index count beyond the frame":   frame(append([]byte{byte(kindRevoked), 1}, huge...)...),
 		"name length beyond the frame":   frame(append([]byte{byte(kindHello), 12, 2}, huge...)...),
-		"task count beyond the frame":    frame(byte(kindTasks), 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0),
-		"literal total beyond the frame": frame(append([]byte{byte(kindTasks), 1, 0, 0, 0, 0, 0, 0, 0, 0}, huge...)...),
-		"assumptions beyond their total": frame(byte(kindTasks), 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 2, 2, 4),
-		"assumptions short of the total": frame(byte(kindTasks), 1, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 1, 2),
+		"task count beyond the frame":    frame(byte(kindTasks), 1, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0),
+		"literal total beyond the frame": frame(append([]byte{byte(kindTasks), 1, 0, 0, 0, 0, 0, 0, 0}, huge...)...),
+		"assumptions beyond their total": frame(byte(kindTasks), 1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 2, 2, 4),
+		"assumptions short of the total": frame(byte(kindTasks), 1, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 1, 2),
 		"result cut short":               append(binary.BigEndian.AppendUint32(nil, uint32(len(result)-5)), result[4:len(result)-1]...),
 	}
 	for name, in := range badLiteralFrames(t) {
 		cases[name] = in
+	}
+	// Protocol 6 sent a float, the queue factor, behind the cost metric.  A
+	// peer that still does is refused at its hello; its task frame, should
+	// one arrive all the same, does not pass for one of this version's.
+	for name, factor := range map[string]float64{
+		"version 6 task frame without a hint":         0,
+		"version 6 task frame, factor 1.5":            1.5,
+		"version 6 task frame, factor of eight bytes": math.Float64frombits(0x3FF8123456789A00),
+	} {
+		cases[name] = version6Tasks(t, wireTable()["tasks"], factor)
 	}
 	for name, in := range cases {
 		env, err := newWire(&scriptConn{in: in}).recv(time.Second)
@@ -305,7 +326,7 @@ func TestWireSteadyStateAllocs(t *testing.T) {
 	for i := range assumptions {
 		assumptions[i] = cnf.NewLit(cnf.Var(i+1), i%3 == 0)
 	}
-	opts := BatchOptions{CostMetric: solver.CostPropagations, Steal: true, Speculate: true, QueueFactor: 2.5}
+	opts := BatchOptions{CostMetric: solver.CostPropagations, Steal: true, Speculate: true}
 	chunk := []Task{{Index: 17, Assumptions: assumptions}, {Index: 18, Assumptions: assumptions}}
 	res := TaskResult{
 		Index: 17, Cost: 871, Status: solver.Unsat, Started: true,

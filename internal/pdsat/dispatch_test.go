@@ -51,12 +51,12 @@ func stragglerCluster(t *testing.T, f *cnf.Formula, stall time.Duration) *cluste
 }
 
 // TestAdaptiveDispatchBitIdenticalEstimate is the determinism gate of
-// adaptive dispatch: with work stealing, speculation and variance-aware
-// batching all engaged — against a cluster whose first worker stalls every
+// adaptive dispatch: with work stealing, speculation and queues sized in
+// solve time all engaged — against a cluster whose first worker stalls every
 // task it starts — a fixed-seed estimate must still be bit-identical to the
-// plain in-process runner.  The cost model and the dispatch policies may
-// only move subproblems between workers; each sample's content is a
-// function of the scope seed and its slot alone.
+// plain in-process runner.  The dispatch policies may only move subproblems
+// between workers; each sample's content is a function of the scope seed and
+// its slot alone.
 func TestAdaptiveDispatchBitIdenticalEstimate(t *testing.T) {
 	inst := weakBivium(t, 167, 60, 21)
 	space := unknownSpace(inst)

@@ -91,12 +91,12 @@ type Config struct {
 	// Runner does not close the transport; its creator owns its lifetime.
 	//
 	// On a dispatching transport (cluster.DispatchTransport, i.e. the
-	// network leader) every batch runs with work stealing, every pristine
-	// batch with speculative re-dispatch of its tail, and every evaluation
-	// stage with a queue depth sized from the observed ζ distribution.
-	// All three move tasks between workers and never change which
-	// subproblems are solved or what they cost, so fixed-seed estimates are
-	// the in-process transport's bit for bit.
+	// network leader) every batch runs with work stealing and every pristine
+	// batch with speculative re-dispatch of its tail; the leader sizes its
+	// workers' queues from the solve times it measures itself.  All of it
+	// moves tasks between workers and never changes which subproblems are
+	// solved or what they cost, so fixed-seed estimates are the in-process
+	// transport's bit for bit.
 	Transport cluster.Transport
 	// Policy configures the budget-aware evaluation engine: incumbent
 	// pruning and staged adaptive sampling of predictive-function
@@ -138,9 +138,159 @@ func DefaultConfig() Config {
 	}
 }
 
+// Counters is one accounting table: what a Scope did, or on a Runner the sum
+// over its scopes and its Solve calls (a snapshot of either comes from
+// Counters()).  The sample ledger
+//
+//	SamplesPlanned == SubproblemsSolved + SubproblemsAborted + SamplesSkipped
+//
+// balances in every table that holds estimation and search work only; Solve
+// processes decomposition families outside it and adds to the solved and
+// aborted counts of the runner's table alone.
+type Counters struct {
+	// Evaluations counts predictive-function evaluations (full, pruned and
+	// partial alike — in a scope the count also seeds each evaluation's
+	// sample RNG, so it advances identically whether or not a policy is
+	// active); PrunedEvaluations the subset aborted by incumbent pruning,
+	// whose reported values are lower bounds, not full estimates.
+	Evaluations       int `json:"evaluations"`
+	PrunedEvaluations int `json:"pruned_evaluations"`
+	// SubproblemsSolved counts subproblems solved to completion (their own
+	// conclusion or per-task budget); SubproblemsAborted dispatched
+	// subproblems cut short by a batch abort or cancellation — truncated
+	// mid-solve, or never handed to a solver at all — which produced no full
+	// Monte Carlo sample.
+	SubproblemsSolved  int `json:"subproblems_solved"`
+	SubproblemsAborted int `json:"subproblems_aborted"`
+	// SamplesPlanned counts the Monte Carlo samples evaluations committed to
+	// (N per evaluation that reached its sample); SamplesSkipped the planned
+	// samples never dispatched to a solver: stages skipped by an early stop
+	// or a stage-boundary prune, and the tails of evaluations cancelled by
+	// the scheduler (e.g. siblings of a decided neighborhood winner).
+	SamplesPlanned int `json:"samples_planned"`
+	SamplesSkipped int `json:"samples_skipped"`
+	// TasksStolen counts queued tasks the dispatch layer revoked from a
+	// backlogged worker and reassigned to another; SpeculativeDuplicates the
+	// unfinished tasks it duplicated onto idle slots, SpeculationWins how
+	// many duplicates delivered the first (and therefore recorded) result
+	// (see cluster.DispatchStats).  They count scheduling events, not
+	// samples, and live outside the sample ledger: a stolen task is still
+	// solved exactly once, and a losing copy never enters the results.  All
+	// three stay zero on the in-process transport, whose workers claim tasks
+	// from one shared cursor.
+	TasksStolen           int `json:"tasks_stolen"`
+	SpeculativeDuplicates int `json:"speculative_duplicates"`
+	SpeculationWins       int `json:"speculation_wins"`
+	// Solver sums the per-subproblem solver statistics, truncated solves
+	// included (in the same accounting as the cost metric: construction
+	// baseline plus search effort per subproblem).
+	Solver solver.Stats `json:"solver"`
+}
+
+// add adds d to c, field by field.
+func (c *Counters) add(d Counters) {
+	c.Evaluations += d.Evaluations
+	c.PrunedEvaluations += d.PrunedEvaluations
+	c.SubproblemsSolved += d.SubproblemsSolved
+	c.SubproblemsAborted += d.SubproblemsAborted
+	c.SamplesPlanned += d.SamplesPlanned
+	c.SamplesSkipped += d.SamplesSkipped
+	c.TasksStolen += d.TasksStolen
+	c.SpeculativeDuplicates += d.SpeculativeDuplicates
+	c.SpeculationWins += d.SpeculationWins
+	c.Solver = c.Solver.Add(d.Solver)
+}
+
+// ledger is the accounting both Scope and Runner embed: a table, the
+// per-variable conflict activity that goes with it, and the ledger it rolls
+// up into.  A scope's points at its runner's, a runner's nowhere; every
+// update is made here and in each ledger above, one lock at a time, so a
+// runner's table is the sum of its scopes' plus what its Solve calls added.
+type ledger struct {
+	mu sync.Mutex
+	c  Counters // guarded by mu
+	// confAct accumulates per-variable conflict activity over the solved
+	// subproblems (indexed by cnf.Var).
+	confAct []float64 // guarded by mu
+	up      *ledger
+}
+
+// Counters returns a snapshot of the table, all of it read under one lock.
+func (l *ledger) Counters() Counters {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.c
+}
+
+// Evaluations returns Counters().Evaluations, and so on for every counter.
+func (l *ledger) Evaluations() int           { return l.Counters().Evaluations }
+func (l *ledger) PrunedEvaluations() int     { return l.Counters().PrunedEvaluations }
+func (l *ledger) SubproblemsSolved() int     { return l.Counters().SubproblemsSolved }
+func (l *ledger) SubproblemsAborted() int    { return l.Counters().SubproblemsAborted }
+func (l *ledger) SamplesPlanned() int        { return l.Counters().SamplesPlanned }
+func (l *ledger) SamplesSkipped() int        { return l.Counters().SamplesSkipped }
+func (l *ledger) TasksStolen() int           { return l.Counters().TasksStolen }
+func (l *ledger) SpeculativeDuplicates() int { return l.Counters().SpeculativeDuplicates }
+func (l *ledger) SpeculationWins() int       { return l.Counters().SpeculationWins }
+
+// AggregateStats returns Counters().Solver.
+func (l *ledger) AggregateStats() solver.Stats { return l.Counters().Solver }
+
+// VarActivity returns the cumulative conflict activity of a variable over the
+// subproblems this ledger counts: on a Scope those it solved itself — the
+// activity source a fleet member's tabu search consumes, so its getNewCenter
+// heuristic never depends on what concurrent members happened to solve — and
+// on a Runner every subproblem solved so far.
+func (l *ledger) VarActivity(v cnf.Var) float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if int(v) <= 0 || int(v) >= len(l.confAct) {
+		return 0
+	}
+	return l.confAct[v]
+}
+
+// note adds d to this ledger's table and to every table above it.
+func (l *ledger) note(d Counters) {
+	if d == (Counters{}) {
+		return // e.g. the dispatch statistics of an in-process batch
+	}
+	for ; l != nil; l = l.up {
+		l.mu.Lock()
+		l.c.add(d)
+		l.mu.Unlock()
+	}
+}
+
+// reserve claims n consecutive evaluation slots of this ledger, counted
+// above it too, and returns the first.
+func (l *ledger) reserve(n int) int {
+	l.mu.Lock()
+	first := l.c.Evaluations
+	l.c.Evaluations += n
+	l.mu.Unlock()
+	l.up.note(Counters{Evaluations: n})
+	return first
+}
+
+// absorb adds a batch's conflict activities, solver statistics and
+// solved/aborted counts to this ledger and to every one above it.  Results
+// arrive in completion order, which is fine here: the absorbed quantities
+// are integer-valued counters, so the float sums are exact and
+// order-insensitive.
+func (l *ledger) absorb(results []cluster.TaskResult) {
+	for ; l != nil; l = l.up {
+		l.mu.Lock()
+		absorbResults(results, l.confAct, &l.c)
+		l.mu.Unlock()
+	}
+}
+
 // Runner evaluates predictive functions and processes decomposition families
-// for one SAT instance.
+// for one SAT instance.  Its embedded ledger is the roll-up of the session:
+// everything its scopes count, plus the subproblems of its Solve calls.
 type Runner struct {
+	ledger
 	formula *cnf.Formula
 	cfg     Config
 	// transport dispatches subproblem batches (Config.Transport, or a
@@ -156,48 +306,6 @@ type Runner struct {
 	// evaluate through their own NewScope, sharing the transport but not the
 	// sampling state.
 	def *Scope
-	// costModel tracks the observed ζ distribution per sample stage,
-	// turning it into per-batch queue-depth hints.  Shared by every scope:
-	// the model only influences scheduling, never sample content, so
-	// cross-scope sharing cannot leak state into results.
-	costModel *eval.CostModel
-
-	mu sync.Mutex
-	// confAct accumulates per-variable conflict activity over every
-	// subproblem solved by this runner (indexed by cnf.Var).
-	confAct []float64
-	// evaluations counts predictive-function evaluations (full, pruned and
-	// partial alike — the counter also seeds each evaluation's sample RNG,
-	// so it must advance identically whether or not a policy is active).
-	evaluations int
-	// prunedEvaluations counts evaluations aborted by incumbent pruning;
-	// their reported values are lower bounds, not full estimates.
-	prunedEvaluations int
-	// subproblemsSolved counts subproblems solved to completion (their own
-	// conclusion or per-task budget); subproblemsAborted counts dispatched
-	// subproblems cut short by a batch abort or cancellation (truncated
-	// mid-solve or never handed to a solver).
-	subproblemsSolved  int
-	subproblemsAborted int
-	// samplesPlanned counts the Monte Carlo samples committed by
-	// evaluations across all scopes; samplesSkipped the planned samples
-	// never dispatched (early-stopped or pruned-away stages, tails of
-	// scheduler-cancelled evaluations).  Together with the subproblem
-	// counters they form the ledger
-	// samplesPlanned == subproblemsSolved + subproblemsAborted + samplesSkipped
-	// for estimation/search work (Solve-mode subproblems are outside it).
-	samplesPlanned int
-	samplesSkipped int
-	// tasksStolen, speculativeDuplicates and speculationWins accumulate the
-	// dispatch statistics of every batch (see cluster.DispatchStats).  They
-	// count scheduling events, not samples, and therefore live outside the
-	// sample ledger above: a stolen task is still solved exactly once, and a
-	// speculative duplicate's losing copy never enters the results.
-	tasksStolen           int
-	speculativeDuplicates int
-	speculationWins       int
-	// aggStats accumulates the per-subproblem solver statistics.
-	aggStats solver.Stats
 }
 
 // NewRunner creates a runner for the formula.  An invalid configuration
@@ -219,12 +327,11 @@ func NewRunner(f *cnf.Formula, cfg Config) *Runner {
 		transport = cluster.NewInproc(f, cfg.Workers, cfg.SolverOptions)
 	}
 	r := &Runner{
+		ledger:    ledger{confAct: make([]float64, f.NumVars+1)},
 		formula:   f,
 		cfg:       cfg,
 		transport: transport,
 		cfgErr:    cfgErr,
-		confAct:   make([]float64, f.NumVars+1),
-		costModel: eval.NewCostModel(),
 	}
 	r.def = r.NewScope(cfg.Seed)
 	return r
@@ -238,107 +345,6 @@ func (r *Runner) Config() Config { return r.cfg }
 
 // Transport returns the transport the runner dispatches batches through.
 func (r *Runner) Transport() cluster.Transport { return r.transport }
-
-// Evaluations returns the number of predictive-function evaluations so far.
-func (r *Runner) Evaluations() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.evaluations
-}
-
-// SubproblemsSolved returns the number of subproblems solved to completion
-// so far.  Subproblems cut short by a batch abort or cancellation are
-// counted by SubproblemsAborted instead.
-func (r *Runner) SubproblemsSolved() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.subproblemsSolved
-}
-
-// PrunedEvaluations returns how many predictive-function evaluations were
-// aborted by incumbent pruning (Evaluations counts them too; the difference
-// plus interrupted runs gives the full evaluations).
-func (r *Runner) PrunedEvaluations() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.prunedEvaluations
-}
-
-// SubproblemsAborted returns how many dispatched subproblems were cut short
-// — truncated mid-solve by a batch abort/cancellation, or never handed to a
-// solver at all — and therefore produced no full Monte Carlo sample.
-func (r *Runner) SubproblemsAborted() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.subproblemsAborted
-}
-
-// SamplesPlanned returns the Monte Carlo samples committed by evaluations
-// across every scope of this runner; see Scope.SamplesPlanned for the
-// ledger it balances.
-func (r *Runner) SamplesPlanned() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.samplesPlanned
-}
-
-// SamplesSkipped returns the planned samples never dispatched to a solver;
-// see Scope.SamplesSkipped.
-func (r *Runner) SamplesSkipped() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.samplesSkipped
-}
-
-// TasksStolen returns how many queued tasks the dispatch layer revoked from
-// a backlogged worker and reassigned to another one across every batch of
-// this runner.  A stolen task is still solved exactly once, so the counter
-// is outside the sample ledger.
-func (r *Runner) TasksStolen() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tasksStolen
-}
-
-// SpeculativeDuplicates returns how many unfinished tasks the dispatch
-// layer duplicated onto idle slots; SpeculationWins how many of those
-// duplicates delivered the first (and therefore recorded) result.  Losing
-// copies never enter the results, so neither counter touches the sample
-// ledger.
-func (r *Runner) SpeculativeDuplicates() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.speculativeDuplicates
-}
-
-// SpeculationWins returns how many speculated tasks were won by their
-// duplicate copy; see SpeculativeDuplicates.
-func (r *Runner) SpeculationWins() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.speculationWins
-}
-
-// AggregateStats returns the summed solver statistics of every subproblem
-// solved so far (in the same accounting as the cost metric: construction
-// baseline plus search effort per subproblem).
-func (r *Runner) AggregateStats() solver.Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.aggStats
-}
-
-// VarActivity returns the cumulative conflict activity of a variable over
-// all subproblems solved so far.  It implements the activity source used by
-// the tabu search's getNewCenter heuristic.
-func (r *Runner) VarActivity(v cnf.Var) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if int(v) <= 0 || int(v) >= len(r.confAct) {
-		return 0
-	}
-	return r.confAct[v]
-}
 
 // PointEstimate is the result of one predictive-function evaluation.
 type PointEstimate struct {
@@ -553,26 +559,14 @@ func (r *Runner) EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent fl
 	return r.def.EvaluateSlot(ctx, p, r.cfg.Policy, incumbent, slot)
 }
 
-// absorbActivities adds the per-task conflict activities and statistics into
-// the runner's cumulative tables.  Results arrive in completion order, which
-// is fine here: the absorbed quantities are integer-valued counters, so the
-// float sums are exact and order-insensitive.
-func (r *Runner) absorbActivities(results []cluster.TaskResult) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	absorbResults(results, r.confAct, &r.aggStats, &r.subproblemsSolved, &r.subproblemsAborted)
-}
-
-// absorbResults is the single source of truth for classifying a batch's
-// results into an accounting table — the runner's global roll-up and every
-// scope's local counters use it, so the two can never drift.  Callers hold
-// the lock guarding the destinations.
-func absorbResults(results []cluster.TaskResult, confAct []float64, aggStats *solver.Stats, solved, aborted *int) {
+// absorbResults classifies a batch's results into an accounting table.
+// Callers hold the lock guarding the destinations.
+func absorbResults(results []cluster.TaskResult, confAct []float64, c *Counters) {
 	for _, res := range results {
 		if !res.Started {
 			// Cancelled before a solver saw it: nothing to absorb, and
 			// counting it as solved would skew per-subproblem averages.
-			*aborted++
+			c.SubproblemsAborted++
 			continue
 		}
 		// A result may come off the wire, so its entries are bounds-checked
@@ -583,14 +577,14 @@ func absorbResults(results []cluster.TaskResult, confAct []float64, aggStats *so
 				confAct[v] += acts[i]
 			}
 		}
-		*aggStats = aggStats.Add(res.Stats)
+		c.Solver = c.Solver.Add(res.Stats)
 		if res.Cancelled {
 			// Truncated mid-solve by a batch abort or cancellation: the
 			// effort was real (absorbed above) but the subproblem was not
 			// solved to completion.
-			*aborted++
+			c.SubproblemsAborted++
 		} else {
-			*solved++
+			c.SubproblemsSolved++
 		}
 	}
 }
@@ -624,21 +618,17 @@ func (r *Runner) runTasksObserved(ctx context.Context, tasks []cluster.Task, sto
 		}
 	}
 	results, ds, err := r.runBatch(ctx, tasks, opts, observeResult, nil)
-	r.noteDispatch(ds)
+	r.note(dispatchCounters(ds))
 	return results, err
 }
 
-// noteDispatch rolls one batch's dispatch statistics into the runner's
-// cumulative counters.
-func (r *Runner) noteDispatch(ds cluster.DispatchStats) {
-	if ds == (cluster.DispatchStats{}) {
-		return
+// dispatchCounters is one batch's dispatch statistics as a ledger entry.
+func dispatchCounters(ds cluster.DispatchStats) Counters {
+	return Counters{
+		TasksStolen:           ds.TasksStolen,
+		SpeculativeDuplicates: ds.SpeculativeDuplicates,
+		SpeculationWins:       ds.SpeculationWins,
 	}
-	r.mu.Lock()
-	r.tasksStolen += ds.TasksStolen
-	r.speculativeDuplicates += ds.SpeculativeDuplicates
-	r.speculationWins += ds.SpeculationWins
-	r.mu.Unlock()
 }
 
 // runBatch dispatches one batch through the transport, using the richest
@@ -767,7 +757,7 @@ func (r *Runner) SolveObserved(ctx context.Context, p decomp.Point, opts SolveOp
 			return nil, err
 		}
 	}
-	r.absorbActivities(results)
+	r.absorb(results) // the runner's own ledger: a family is no scope's sample
 
 	report := &SolveReport{Point: p, SatIndex: -1}
 	// Aggregate in enumeration order for deterministic cost-to-first-SAT.

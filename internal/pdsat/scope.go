@@ -5,11 +5,9 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"github.com/paper-repro/pdsat-go/internal/cluster"
-	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/decomp"
 	"github.com/paper-repro/pdsat-go/internal/eval"
 	"github.com/paper-repro/pdsat-go/internal/montecarlo"
@@ -17,42 +15,32 @@ import (
 )
 
 // Scope is an isolated evaluation context on a shared Runner: its own sample
-// seed, evaluation counter, conflict-activity table and statistics over the
-// same formula, configuration and transport.  Concurrent search-fleet
-// members each evaluate through their own scope, so member i's j-th sample
-// depends only on (seed, j) — never on how concurrently running scopes
-// interleave on the transport — while every scope shares the runner's solver
-// pool (or cluster workers).  Work done in a scope is additionally rolled up
-// into the runner's global counters (Evaluations, SubproblemsSolved,
-// VarActivity, AggregateStats), which therefore cover the whole session.
+// seed, evaluation counter, conflict-activity table and statistics (the
+// embedded ledger) over the same formula, configuration and transport.
+// Concurrent search-fleet members each evaluate through their own scope, so
+// member i's j-th sample depends only on (seed, j) — never on how
+// concurrently running scopes interleave on the transport — while every
+// scope shares the runner's solver pool (or cluster workers).  Whatever a
+// scope's ledger counts it also counts in the runner's, which therefore
+// covers the whole session.
 //
 // A Scope is safe for concurrent use, but per-scope determinism assumes one
 // search per scope: two goroutines interleaving evaluations on one scope
 // interleave its evaluation counter.
 type Scope struct {
+	ledger
 	r    *Runner
 	seed int64
-
-	mu                 sync.Mutex
-	confAct            []float64
-	evaluations        int
-	prunedEvaluations  int
-	subproblemsSolved  int
-	subproblemsAborted int
-	samplesPlanned     int
-	samplesSkipped     int
-	// Dispatch statistics (scheduling events, outside the sample ledger;
-	// see the Runner counterparts).
-	tasksStolen           int
-	speculativeDuplicates int
-	speculationWins       int
-	aggStats              solver.Stats
 }
 
 // NewScope creates an evaluation scope with its own sample seed over the
 // runner's formula, configuration and transport.
 func (r *Runner) NewScope(seed int64) *Scope {
-	return &Scope{r: r, seed: seed, confAct: make([]float64, r.formula.NumVars+1)}
+	return &Scope{
+		ledger: ledger{confAct: make([]float64, r.formula.NumVars+1), up: &r.ledger},
+		r:      r,
+		seed:   seed,
+	}
 }
 
 // Seed returns the scope's sample seed.
@@ -61,183 +49,13 @@ func (sc *Scope) Seed() int64 { return sc.seed }
 // Runner returns the runner the scope evaluates through.
 func (sc *Scope) Runner() *Runner { return sc.r }
 
-// Evaluations returns the number of predictive-function evaluations this
-// scope has performed (full, pruned and partial alike).
-func (sc *Scope) Evaluations() int {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.evaluations
-}
-
-// PrunedEvaluations returns how many of the scope's evaluations were aborted
-// by incumbent pruning.
-func (sc *Scope) PrunedEvaluations() int {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.prunedEvaluations
-}
-
-// SubproblemsSolved returns the number of subproblems the scope solved to
-// completion.
-func (sc *Scope) SubproblemsSolved() int {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.subproblemsSolved
-}
-
-// SubproblemsAborted returns how many of the scope's dispatched subproblems
-// were cut short by a batch abort or cancellation.
-func (sc *Scope) SubproblemsAborted() int {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.subproblemsAborted
-}
-
-// SamplesPlanned returns the total number of Monte Carlo samples the
-// scope's evaluations committed to (N per evaluation that reached its
-// sample): the left-hand side of the sample ledger
-// SamplesPlanned == SubproblemsSolved + SubproblemsAborted + SamplesSkipped.
-func (sc *Scope) SamplesPlanned() int {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.samplesPlanned
-}
-
-// SamplesSkipped returns the planned samples that were never dispatched to
-// a solver: stages skipped by an early stop or a stage-boundary prune, and
-// the tails of evaluations cancelled by the scheduler (e.g. siblings of a
-// decided neighborhood winner).
-func (sc *Scope) SamplesSkipped() int {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.samplesSkipped
-}
-
-// TasksStolen returns how many queued tasks the dispatch layer revoked and
-// reassigned between workers on behalf of this scope's batches.
-func (sc *Scope) TasksStolen() int {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.tasksStolen
-}
-
-// SpeculativeDuplicates returns how many unfinished tasks of this scope's
-// batches were speculatively duplicated onto idle slots; SpeculationWins how
-// many duplicates won.  See the Runner accessors of the same names.
-func (sc *Scope) SpeculativeDuplicates() int {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.speculativeDuplicates
-}
-
-// SpeculationWins returns how many speculated tasks were won by their
-// duplicate copy; see SpeculativeDuplicates.
-func (sc *Scope) SpeculationWins() int {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.speculationWins
-}
-
-// AggregateStats returns the summed solver statistics of the scope's solved
-// subproblems.
-func (sc *Scope) AggregateStats() solver.Stats {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.aggStats
-}
-
-// VarActivity returns the cumulative conflict activity of a variable over
-// the subproblems solved by this scope only — the activity source a fleet
-// member's tabu search consumes, so its getNewCenter heuristic never
-// depends on what concurrent members happened to solve.
-func (sc *Scope) VarActivity(v cnf.Var) float64 {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if int(v) <= 0 || int(v) >= len(sc.confAct) {
-		return 0
-	}
-	return sc.confAct[v]
-}
-
-// nextEvalIndex reserves the scope's next evaluation slot and mirrors the
-// count into the runner's global roll-up.
-func (sc *Scope) nextEvalIndex() int { return sc.ReserveEvalSlots(1) }
-
 // ReserveEvalSlots implements eval.SlotBackend: it reserves n consecutive
-// evaluation slots (mirrored into the runner roll-up) and returns the
+// evaluation slots (counted in the runner's ledger too) and returns the
 // first.  The neighborhood scheduler reserves a whole submission upfront
 // so every sibling's sample — a pure function of (scope seed, slot) —
 // is independent of completion order and cancellation timing; slots of
 // candidates that end up cancelled stay burned, deliberately.
-func (sc *Scope) ReserveEvalSlots(n int) int {
-	sc.mu.Lock()
-	idx := sc.evaluations
-	sc.evaluations += n
-	sc.mu.Unlock()
-	sc.r.mu.Lock()
-	sc.r.evaluations += n
-	sc.r.mu.Unlock()
-	return idx
-}
-
-// notePlanned counts an evaluation's committed sample size in the scope
-// and runner ledgers; noteSkipped the part of it that was never
-// dispatched.
-func (sc *Scope) notePlanned(n int) {
-	sc.mu.Lock()
-	sc.samplesPlanned += n
-	sc.mu.Unlock()
-	sc.r.mu.Lock()
-	sc.r.samplesPlanned += n
-	sc.r.mu.Unlock()
-}
-
-func (sc *Scope) noteSkipped(n int) {
-	if n <= 0 {
-		return
-	}
-	sc.mu.Lock()
-	sc.samplesSkipped += n
-	sc.mu.Unlock()
-	sc.r.mu.Lock()
-	sc.r.samplesSkipped += n
-	sc.r.mu.Unlock()
-}
-
-// noteDispatch rolls one batch's dispatch statistics into the scope's
-// counters and the runner roll-up.
-func (sc *Scope) noteDispatch(ds cluster.DispatchStats) {
-	if ds == (cluster.DispatchStats{}) {
-		return
-	}
-	sc.mu.Lock()
-	sc.tasksStolen += ds.TasksStolen
-	sc.speculativeDuplicates += ds.SpeculativeDuplicates
-	sc.speculationWins += ds.SpeculationWins
-	sc.mu.Unlock()
-	sc.r.noteDispatch(ds)
-}
-
-// notePruned counts one incumbent-pruned evaluation in the scope and the
-// runner roll-up.
-func (sc *Scope) notePruned() {
-	sc.mu.Lock()
-	sc.prunedEvaluations++
-	sc.mu.Unlock()
-	sc.r.mu.Lock()
-	sc.r.prunedEvaluations++
-	sc.r.mu.Unlock()
-}
-
-// absorb adds a batch's conflict activities and statistics into the scope's
-// local tables and the runner's global roll-up, both through the shared
-// absorbResults classification.
-func (sc *Scope) absorb(results []cluster.TaskResult) {
-	sc.mu.Lock()
-	absorbResults(results, sc.confAct, &sc.aggStats, &sc.subproblemsSolved, &sc.subproblemsAborted)
-	sc.mu.Unlock()
-	sc.r.absorbActivities(results)
-}
+func (sc *Scope) ReserveEvalSlots(n int) int { return sc.reserve(n) }
 
 // EvaluatePoint computes the predictive function F at the point under the
 // runner's configured policy with no incumbent; see Runner.EvaluatePoint.
@@ -325,7 +143,7 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 	start := time.Now()
 	evalIndex := slot
 	if evalIndex < 0 {
-		evalIndex = sc.nextEvalIndex()
+		evalIndex = sc.reserve(1)
 	}
 
 	fam := decomp.FamilyOf(r.formula, p)
@@ -412,16 +230,10 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 		stagesRun    int
 		runErr       error
 	)
-	sc.notePlanned(n)
-	defer func() { sc.noteSkipped(n - collected) }()
-	// Adaptive dispatch: each stage's batch carries a queue-depth hint
-	// derived from the ζ costs observed on the same stage index of earlier
-	// evaluations, and its completed costs feed the model in turn.  The hint
-	// shapes scheduling only — the sample, the costs and the stage plan are
-	// untouched — so fixed-seed estimates are bit-identical whatever the
-	// model has seen.
+	sc.note(Counters{SamplesPlanned: n})
+	defer func() { sc.note(Counters{SamplesSkipped: max(n-collected, 0)}) }()
 	next := 0
-	for si, end := range eval.StagePlan(n, pol.Stages) {
+	for _, end := range eval.StagePlan(n, pol.Stages) {
 		begin := next
 		next = end
 		refreshBound()
@@ -433,11 +245,10 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 			break
 		}
 		opts := cluster.BatchOptions{
-			Budget:      r.cfg.SubproblemBudget,
-			CostMetric:  r.cfg.CostMetric,
-			Steal:       true,
-			Speculate:   true,
-			QueueFactor: r.costModel.QueueFactor(si),
+			Budget:     r.cfg.SubproblemBudget,
+			CostMetric: r.cfg.CostMetric,
+			Steal:      true,
+			Speculate:  true,
 		}
 		if prune {
 			// Per-stage budget: no single task may cost more than what is
@@ -454,7 +265,7 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 			abort = abortCh
 		}
 		results, ds, err := r.runBatch(ctx, sub, opts, stageObserver(begin), abort)
-		sc.noteDispatch(ds)
+		sc.note(dispatchCounters(ds))
 		if err != nil && !cluster.IsInterruption(err) {
 			return nil, err
 		}
@@ -476,7 +287,6 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 			if res.Status == solver.Sat {
 				satCount++
 			}
-			r.costModel.Observe(si, res.Cost)
 		}
 		sc.absorb(results)
 		if err != nil {
@@ -496,7 +306,7 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 	}
 
 	if pruned {
-		sc.notePruned()
+		sc.note(Counters{PrunedEvaluations: 1})
 	}
 	if runErr != nil && len(costs) == 0 {
 		return nil, runErr

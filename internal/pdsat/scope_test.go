@@ -3,9 +3,12 @@ package pdsat
 import (
 	"context"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
+	"github.com/paper-repro/pdsat-go/internal/cluster"
+	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/decomp"
 	"github.com/paper-repro/pdsat-go/internal/encoder"
 	"github.com/paper-repro/pdsat-go/internal/eval"
@@ -193,5 +196,103 @@ func TestScopePruningCounters(t *testing.T) {
 	}
 	if math.IsInf(pe.LowerBound, 1) {
 		t.Fatal("lower bound is infinite")
+	}
+}
+
+// TestLedgerRollUp: three scopes and the default scope evaluate at once —
+// full samples, staged ones and pruned ones — while a Solve enumerates a
+// family on the same runner.  At quiescence the runner's table is, field by
+// field, the sum of the four scopes' and of what the solve's own results
+// amount to; so is the activity of every variable; and each scope's sample
+// ledger balances on its own, the solve being in none of them.
+func TestLedgerRollUp(t *testing.T) {
+	inst := scopeTestInstance(t)
+	r := NewRunner(inst.CNF, Config{SampleSize: 16, Workers: 2, Seed: 3, CostMetric: solver.CostPropagations})
+	space := decomp.NewSpace(inst.UnknownStartVars())
+	p := space.FullPoint()
+	family, err := space.PointFromVars(space.Vars()[:6])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+
+	// The default scope evaluates through the runner's own methods, as a
+	// session's estimate job does.
+	type evaluator interface {
+		EvaluatePointBudgeted(context.Context, decomp.Point, eval.Policy, float64, func(Progress)) (*PointEstimate, error)
+	}
+	scopes := []*Scope{r.def, r.NewScope(11), r.NewScope(12), r.NewScope(13)}
+	var wg sync.WaitGroup
+	errs := make([]error, len(scopes)+1)
+	for i, sc := range scopes {
+		var ev evaluator = sc
+		if sc == r.def {
+			ev = r
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			full, err := ev.EvaluatePointBudgeted(ctx, p, eval.Policy{}, math.Inf(1), nil)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			staged := eval.Policy{Prune: true, Stages: 3}
+			for k, incumbent := range []float64{math.Inf(1), full.Estimate.Value / 2, 1e-9} {
+				if _, err := ev.EvaluatePointBudgeted(ctx, p.Flip(i+k), staged, incumbent, nil); err != nil {
+					errs[i] = err
+					return
+				}
+			}
+		}()
+	}
+	// The solve's share, from the results themselves.
+	var solve Counters
+	solveAct := make([]float64, inst.CNF.NumVars+1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, errs[len(scopes)] = r.SolveObserved(ctx, family, SolveOptions{}, func(pr Progress) {
+			absorbResults([]cluster.TaskResult{pr.Result}, solveAct, &solve)
+		})
+	}()
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+	if solve.SubproblemsSolved != 1<<6 {
+		t.Fatalf("the solve reported %d solved subproblems, want %d", solve.SubproblemsSolved, 1<<6)
+	}
+
+	want := reflect.ValueOf(&solve).Elem() // the solve's share, then every scope's on top
+	for i, sc := range scopes {
+		c := sc.Counters()
+		if c.SamplesPlanned != 4*16 || c.SamplesPlanned != c.SubproblemsSolved+c.SubproblemsAborted+c.SamplesSkipped {
+			t.Errorf("scope %d: ledger out of balance or short of 4 evaluations x 16: %+v", i, c)
+		}
+		if c.PrunedEvaluations == 0 || c.SubproblemsAborted+c.SamplesSkipped == 0 {
+			t.Errorf("scope %d: an incumbent of 1e-9 pruned nothing: %+v", i, c)
+		}
+		got := reflect.ValueOf(c)
+		for f := 0; f < got.NumField(); f++ {
+			if got.Field(f).Kind() == reflect.Int {
+				want.Field(f).SetInt(want.Field(f).Int() + got.Field(f).Int())
+			}
+		}
+		solve.Solver = solve.Solver.Add(c.Solver)
+	}
+	if got := r.Counters(); got != solve {
+		t.Errorf("the runner's table is not the sum of its scopes' and the solve's:\n got %+v\nwant %+v", got, solve)
+	}
+	for v := cnf.Var(1); int(v) <= inst.CNF.NumVars; v++ {
+		sum := solveAct[v]
+		for _, sc := range scopes {
+			sum += sc.VarActivity(v)
+		}
+		if got := r.VarActivity(v); got != sum {
+			t.Fatalf("activity of variable %d: runner %v, scopes and solve %v", v, got, sum)
+		}
 	}
 }

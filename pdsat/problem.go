@@ -51,6 +51,10 @@ type SolveOptions = runner.SolveOptions
 // SolveReport is the outcome of processing a whole decomposition family.
 type SolveReport = runner.SolveReport
 
+// Counters is the runner's accounting table (evaluations, the sample
+// ledger, dispatch and solver statistics); see SessionStats.
+type Counters = runner.Counters
+
 // SearchOptions configure the metaheuristic minimizers (radius, budgets,
 // seed, annealing schedule).
 type SearchOptions = optimize.Options

@@ -126,3 +126,57 @@ func TestSessionConcurrentJobsStress(t *testing.T) {
 		t.Fatalf("session stats empty after five jobs: %+v", stats)
 	}
 }
+
+// TestStatsSnapshotNeverOverdrawn: Stats is one snapshot of the runner's
+// ledger, so read at any moment of a running job it never shows more samples
+// solved, aborted and skipped than were planned — a sample is planned before
+// it is dispatched and settled after — and once the job is done it balances.
+// (Ten getters under ten locks could straddle an evaluation and read the
+// ledger overdrawn.)
+func TestStatsSnapshotNeverOverdrawn(t *testing.T) {
+	inst := testInstance(t, 46, 40, 3)
+	def := pdsat.DefaultEvalPolicy()
+	s, err := pdsat.NewSession(pdsat.FromInstance(inst), fleetTestConfig(8, &def))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	settled := func(st pdsat.SessionStats) int {
+		return st.SubproblemsSolved + st.SubproblemsAborted + st.SamplesSkipped
+	}
+	stop, polled := make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		defer func() { polled <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if st := s.Stats(); settled(st) > st.SamplesPlanned {
+				t.Errorf("snapshot %d is overdrawn: %d planned, %d settled: %+v", n, st.SamplesPlanned, settled(st), st.Counters)
+				return
+			}
+			n++
+		}
+	}()
+	_, err = s.SearchFleet(context.Background(), pdsat.FleetJob{
+		Members:        []pdsat.FleetMemberSpec{{Method: "tabu", Count: 2}, {Method: "sa", Count: 2}},
+		Seed:           11,
+		Jitter:         2,
+		MaxEvaluations: 24,
+		KeepRacing:     true,
+	})
+	close(stop)
+	if n := <-polled; n == 0 && !t.Failed() {
+		t.Error("no snapshot was taken while the fleet ran")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.SamplesPlanned == 0 || settled(st) != st.SamplesPlanned {
+		t.Fatalf("at rest the ledger does not balance: %d planned, %d settled: %+v", st.SamplesPlanned, settled(st), st.Counters)
+	}
+}

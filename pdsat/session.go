@@ -328,61 +328,22 @@ func (s *Session) estimateObserved(ctx context.Context, p Point, j *Job, pol Eva
 // much solving the predictive-function evaluations cost so far and how much
 // the policy mechanisms saved.
 type SessionStats struct {
-	// Evaluations counts predictive-function evaluations (full, pruned and
-	// partial alike); PrunedEvaluations the subset aborted by incumbent
-	// pruning.
-	Evaluations       int `json:"evaluations"`
-	PrunedEvaluations int `json:"pruned_evaluations"`
-	// SubproblemsSolved counts subproblems solved to completion across all
-	// jobs; SubproblemsAborted those cut short by batch aborts or
-	// cancellations.
-	SubproblemsSolved  int `json:"subproblems_solved"`
-	SubproblemsAborted int `json:"subproblems_aborted"`
-	// SamplesPlanned counts the Monte Carlo samples committed by
-	// predictive-function evaluations; SamplesSkipped the planned samples
-	// never dispatched to a solver (their whole batch was aborted first, or
-	// they fell outside a stage's budget).  The ledger balances exactly:
-	// SamplesPlanned == SubproblemsSolved + SubproblemsAborted +
-	// SamplesSkipped for sessions running only estimations and searches
-	// (Solve jobs process decomposition families outside the sample ledger
-	// but inside the solved/aborted counters).
-	SamplesPlanned int `json:"samples_planned"`
-	SamplesSkipped int `json:"samples_skipped"`
-	// TasksStolen counts queued subproblems the dispatch layer revoked from
-	// a backlogged worker and reassigned to a drained one;
-	// SpeculativeDuplicates the unfinished subproblems it duplicated onto
-	// idle slots, and SpeculationWins how many duplicates delivered the
-	// first (recorded) result.  All three count scheduling events outside
-	// the sample ledger: a stolen task is still solved once, and a losing
-	// duplicate's result is discarded before it reaches the ledger.  They
-	// stay zero on the in-process transport, whose workers claim tasks from
-	// one shared cursor.
-	TasksStolen           int `json:"tasks_stolen"`
-	SpeculativeDuplicates int `json:"speculative_duplicates"`
-	SpeculationWins       int `json:"speculation_wins"`
+	// Counters is the runner's accounting table over all jobs: evaluations
+	// and pruned evaluations, subproblems solved and aborted, the sample
+	// ledger (SamplesPlanned == SubproblemsSolved + SubproblemsAborted +
+	// SamplesSkipped for sessions running only estimations and searches;
+	// Solve jobs process decomposition families outside the sample ledger
+	// but inside the solved/aborted counters), the dispatch layer's steal
+	// and speculation counts, and Solver, the summed CDCL statistics.  It
+	// is one snapshot: the ledger never reads overdrawn while jobs run.
+	Counters
 	// Cache is the cross-search F-cache's hit/miss/size counters.
 	Cache eval.CacheStats `json:"cache"`
-	// Solver sums the per-subproblem CDCL statistics over every subproblem
-	// solved so far: conflicts, propagations, learned clauses by LBD tier,
-	// database reductions and the peak clause-arena size.
-	Solver SolverStats `json:"solver"`
 }
 
 // Stats returns a snapshot of the session's evaluation-engine counters.
 func (s *Session) Stats() SessionStats {
-	return SessionStats{
-		Evaluations:           s.runner.Evaluations(),
-		PrunedEvaluations:     s.runner.PrunedEvaluations(),
-		SubproblemsSolved:     s.runner.SubproblemsSolved(),
-		SubproblemsAborted:    s.runner.SubproblemsAborted(),
-		SamplesPlanned:        s.runner.SamplesPlanned(),
-		SamplesSkipped:        s.runner.SamplesSkipped(),
-		TasksStolen:           s.runner.TasksStolen(),
-		SpeculativeDuplicates: s.runner.SpeculativeDuplicates(),
-		SpeculationWins:       s.runner.SpeculationWins(),
-		Cache:                 s.fcache.Stats(),
-		Solver:                s.runner.AggregateStats(),
-	}
+	return SessionStats{Counters: s.runner.Counters(), Cache: s.fcache.Stats()}
 }
 
 // maxSampleEvents bounds the SampleProgress notifications emitted per

@@ -12,37 +12,57 @@ import (
 
 // Ledger protects the sample-accounting invariant
 //
-//	samplesPlanned == subproblemsSolved + subproblemsAborted + samplesSkipped
+//	SamplesPlanned == SubproblemsSolved + SubproblemsAborted + SamplesSkipped
 //
-// by demanding that every function mutating one of the paired counters
-// (writing the field, or taking its address) is reachable, through the
-// package-local call graph, from a method of an accounting root type
-// (Scope, or the legacy Runner whose ledger Scope forwards into).  A new
-// helper that bumps a counter directly — bypassing the notePlanned/
-// noteSkipped/absorb bookkeeping — is flagged at its declaration.
+// by demanding that every function mutating one of the paired counters of
+// a Counters table (writing the field, or taking its address) is reachable,
+// through the package-local call graph, from a method of the one accounting
+// root type, ledger.  A new helper that bumps a counter directly —
+// bypassing the note/absorb bookkeeping that also rolls the update up — is
+// flagged at its declaration.
 var Ledger = &analysis.Analyzer{
 	Name: "ledger",
-	Doc:  "accounting counters may only be mutated on paths reachable from a Scope method",
+	Doc:  "accounting counters may only be mutated on paths reachable from a ledger method",
 	Run:  runLedger,
 }
 
-// ledgerCounters are the paired accounting fields, in both the unexported
-// spelling the implementation uses and the exported spelling of the
-// public counters.
+// ledgerTable and ledgerRoot name the accounting table and the type whose
+// methods constitute the sanctioned accounting surface; ledgerCounters are
+// the table's paired fields.
+const (
+	ledgerTable = "Counters"
+	ledgerRoot  = "ledger"
+)
+
 var ledgerCounters = map[string]bool{
-	"samplesPlanned":     true,
-	"subproblemsSolved":  true,
-	"subproblemsAborted": true,
-	"samplesSkipped":     true,
 	"SamplesPlanned":     true,
 	"SubproblemsSolved":  true,
 	"SubproblemsAborted": true,
 	"SamplesSkipped":     true,
 }
 
-// ledgerRoots are the receiver type names whose methods constitute the
-// sanctioned accounting surface.
-var ledgerRoots = map[string]bool{"Scope": true, "Runner": true}
+// isLedgerCounter reports whether the field is one of the paired counters
+// of its package's accounting table, however it was reached: a report or
+// an event that merely has a field of the same name is not the ledger.
+func isLedgerCounter(field *types.Var) bool {
+	if !ledgerCounters[field.Name()] || field.Pkg() == nil {
+		return false
+	}
+	table, ok := field.Pkg().Scope().Lookup(ledgerTable).(*types.TypeName)
+	if !ok {
+		return false
+	}
+	st, ok := table.Type().Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if st.Field(i) == field {
+			return true
+		}
+	}
+	return false
+}
 
 func runLedger(pass *analysis.Pass) (any, error) {
 	type funcInfo struct {
@@ -68,17 +88,15 @@ func runLedger(pass *analysis.Pass) (any, error) {
 			}
 			fi := &funcInfo{decl: fd, obj: obj, calls: map[*types.Func]bool{}}
 			if fd.Recv != nil && len(fd.Recv.List) > 0 {
-				if name := namedStructName(pass.TypesInfo.TypeOf(fd.Recv.List[0].Type)); ledgerRoots[name] {
-					fi.isRoot = true
-				}
+				fi.isRoot = namedStructName(pass.TypesInfo.TypeOf(fd.Recv.List[0].Type)) == ledgerRoot
 			}
 			counterField := func(e ast.Expr) (string, bool) {
 				sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-				if !ok || !ledgerCounters[sel.Sel.Name] {
+				if !ok {
 					return "", false
 				}
 				selection, ok := pass.TypesInfo.Selections[sel]
-				if !ok || selection.Kind() != types.FieldVal {
+				if !ok || selection.Kind() != types.FieldVal || !isLedgerCounter(selection.Obj().(*types.Var)) {
 					return "", false
 				}
 				return sel.Sel.Name, true
@@ -147,7 +165,7 @@ func runLedger(pass *analysis.Pass) (any, error) {
 			continue
 		}
 		fields := uniqueSorted(fi.mutates)
-		pass.Reportf(fi.mutatePos, "%s mutates ledger counter(s) %s but is not reachable from a Scope method; route the accounting through the Scope ledger",
+		pass.Reportf(fi.mutatePos, "%s mutates ledger counter(s) %s but is not reachable from a ledger method; route the accounting through the ledger",
 			funcName(fi.decl), strings.Join(fields, ", "))
 	}
 	return nil, nil
