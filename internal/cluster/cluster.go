@@ -39,6 +39,14 @@
 // cancellation the partial results collected so far are returned together
 // with the context's error.
 //
+// A result's conflict activity is borrowed, not returned.  It is a vector of
+// a few dozen to a few hundred entries a task that its one reader only ever
+// sums, so it exists in buffers that are written again and again — the
+// solving slot's own, the connection's on the leader, one per batch between
+// the connections and the batch loop — and reaches the caller through the
+// batch observer (ObservedTransport), valid for the length of that call.  The
+// results a batch returns carry none.
+//
 // # Protocol compatibility
 //
 // The network transport speaks one version of its wire protocol
@@ -57,7 +65,12 @@
 // hold, of an unknown kind — is a connection error like a failed read: the
 // leader drops that worker and requeues what it held, and nothing a peer
 // merely announces is allocated.  A result is recorded only if the sender
-// holds the task it answers.
+// holds the task it answers, and what it reports is checked where it is
+// decoded, against the formula the connection was welcomed with: a cost and
+// activities that are finite and not negative, activity for variables the
+// formula has — the leader adds them into sums that a NaN or an index out of
+// range would ruin for every honest worker's results as well.  A worker holds
+// its leader's tasks to the same formula.
 package cluster
 
 import (
@@ -101,10 +114,16 @@ type TaskResult struct {
 	// Model is a satisfying assignment when Status == Sat.
 	Model cnf.Assignment
 	// Activity is the conflict-activity contribution of this subproblem:
-	// the variables it bumped, ascending, with their values.  It is sparse
-	// from the solver to the runner's tables — a short subproblem bumps a
-	// few dozen of a formula's thousands of variables, and one of these is
+	// the variables it bumped — ascending off the wire, in the order of
+	// their first bumps in process — with their values.  It is sparse from
+	// the solver to the runner's tables — a short subproblem bumps a few
+	// dozen of a formula's thousands of variables, and one of these is
 	// produced, shipped and absorbed per task.
+	//
+	// It is borrowed: set only in the TaskResult handed to a batch observer,
+	// pointing into a buffer of the transport's that is overwritten once the
+	// observer returns.  An observer adds it up, or copies what it wants to
+	// keep; every TaskResult a transport returns has it empty.
 	Activity solver.SparseActivities
 	// Stats are the solver statistics attributed to this subproblem.
 	Stats solver.Stats
@@ -204,6 +223,12 @@ type Transport interface {
 // result is recorded while it runs.  Both built-in backends (Inproc and
 // Leader) implement it; callers fall back to plain Run when a transport does
 // not.
+//
+// The observer is also the only place a result's conflict activity can be
+// read (TaskResult.Activity): the vector it is handed is on loan until it
+// returns, and the copy of the result in the returned slice has none.  A
+// batch without an observer produces no activity for anyone, and on the
+// leader copies none.
 type ObservedTransport interface {
 	Transport
 	// RunObserved behaves exactly like Run but additionally streams every
@@ -227,7 +252,8 @@ type ObservedTransport interface {
 // Unlike a context cancellation, an abort is a planned outcome: the call
 // still returns one result per task and a nil error (unless ctx was also
 // cancelled, which takes precedence).  Both built-in backends implement it;
-// callers fall back to stage-boundary pruning when a transport does not.
+// on a transport that does not, a batch simply runs to completion and the
+// caller ignores what it no longer wants.
 type AbortableTransport interface {
 	ObservedTransport
 	// RunAbortable behaves exactly like RunObserved but additionally

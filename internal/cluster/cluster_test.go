@@ -232,11 +232,12 @@ func TestPortfolioOverTransport(t *testing.T) {
 }
 
 // TestTaskResultActivityIsSparseDense checks the sparse conflict activities
-// a TaskResult carries against the dense vector of a reference solver, for
-// both backends and both reuse modes: in a pristine batch every result
-// holds exactly the non-zero entries a fresh solver reports for that task;
-// in a retain batch (one worker, so the order is fixed) it holds the
-// entries by which a single retained solver's cumulative vector grew.
+// a TaskResult lends its observer against the dense vector of a reference
+// solver, for both backends and both reuse modes: in a pristine batch every
+// result holds exactly the non-zero entries a fresh solver reports for that
+// task; in a retain batch (one worker, so the order is fixed) it holds the
+// entries by which a single retained solver's cumulative vector grew.  The
+// entries are in any order in process and ascending off the wire.
 func TestTaskResultActivityIsSparseDense(t *testing.T) {
 	inst := testInstance(t)
 	vars := inst.UnknownStartVars()[:6]
@@ -280,28 +281,35 @@ func TestTaskResultActivityIsSparseDense(t *testing.T) {
 	}
 	// A fresh transport per case: a retain batch continues from whatever
 	// its pooled solver did before, and the reference starts from New.
-	transports := map[string]func() cluster.Transport{
-		"inproc": func() cluster.Transport { return cluster.NewInproc(inst.CNF, 1, solver.DefaultOptions()) },
-		"tcp":    func() cluster.Transport { return startLeader(t, inst, 1) },
+	transports := map[string]func() cluster.ObservedTransport{
+		"inproc": func() cluster.ObservedTransport { return cluster.NewInproc(inst.CNF, 1, solver.DefaultOptions()) },
+		"tcp":    func() cluster.ObservedTransport { return startLeader(t, inst, 1) },
 	}
 	for name, newTransport := range transports {
 		for _, retain := range []bool{false, true} {
 			want := reference(retain)
 			tr := newTransport()
-			got, err := tr.Run(context.Background(), tasks, cluster.BatchOptions{Retain: retain, CostMetric: solver.CostConflicts})
+			bumped, observed := 0, 0
+			_, err := tr.RunObserved(context.Background(), tasks, cluster.BatchOptions{Retain: retain, CostMetric: solver.CostConflicts}, func(res cluster.TaskResult) {
+				observed++
+				w := want[res.Index]
+				dense := make([]float64, inst.CNF.NumVars+1)
+				for i, v := range res.Activity.Vars {
+					dense[v] += res.Activity.Acts[i]
+				}
+				if got := nonZero(dense); len(res.Activity.Vars) != len(w.Vars) || !slices.Equal(got.Vars, w.Vars) || !slices.Equal(got.Acts, w.Acts) {
+					t.Errorf("%s retain=%v task %d: activity %+v, dense reference %+v", name, retain, res.Index, res.Activity, w)
+				}
+				if name == "tcp" && !slices.IsSorted(res.Activity.Vars) {
+					t.Errorf("%s retain=%v task %d: activity off the wire is not ascending: %v", name, retain, res.Index, res.Activity.Vars)
+				}
+				bumped += len(w.Vars)
+			})
 			if err != nil {
 				t.Fatalf("%s retain=%v: %v", name, retain, err)
 			}
-			bumped := 0
-			for _, res := range got {
-				w := want[res.Index]
-				if !slices.Equal(res.Activity.Vars, w.Vars) || !slices.Equal(res.Activity.Acts, w.Acts) {
-					t.Fatalf("%s retain=%v task %d: activity %+v, dense reference %+v", name, retain, res.Index, res.Activity, w)
-				}
-				bumped += len(w.Vars)
-			}
-			if bumped == 0 {
-				t.Fatalf("%s retain=%v: no task had a conflict; the test compares nothing", name, retain)
+			if observed != len(tasks) || bumped == 0 {
+				t.Fatalf("%s retain=%v: %d of %d results observed, %d activity entries; the test compares nothing", name, retain, observed, len(tasks), bumped)
 			}
 		}
 	}

@@ -27,7 +27,7 @@ type countingRelay struct {
 	toWorkers, toLeader atomic.Int64
 }
 
-func startRelay(b *testing.B, target string) *countingRelay {
+func startRelay(b testing.TB, target string) *countingRelay {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -82,7 +82,7 @@ func (c countingWriter) Write(p []byte) (int, error) {
 // benchCluster starts a leader on the loopback interface with two one-slot
 // workers — the benchmark's TCP deployment — which dial the relay when
 // there is one.
-func benchCluster(b *testing.B, f *cnf.Formula, counted bool) (*cluster.Leader, *countingRelay) {
+func benchCluster(b testing.TB, f *cnf.Formula, counted bool) (*cluster.Leader, *countingRelay) {
 	leader, err := cluster.Listen("127.0.0.1:0", f, cluster.LeaderOptions{})
 	if err != nil {
 		b.Fatal(err)
@@ -118,7 +118,7 @@ func benchCluster(b *testing.B, f *cnf.Formula, counted bool) (*cluster.Leader, 
 // biviumPropagationTasks returns n subproblems of the bench's
 // bivium-estimate-tcp shape (Bivium, 200 keystream bits, 120 unknown state
 // bits all assumed, decided by propagation in about 90 µs) and their formula.
-func biviumPropagationTasks(b *testing.B, n int) (*cnf.Formula, []cluster.Task) {
+func biviumPropagationTasks(b testing.TB, n int) (*cnf.Formula, []cluster.Task) {
 	inst, err := encoder.NewInstance(encoder.Bivium(), encoder.Config{KeystreamLen: 200, KnownSuffix: 57, Seed: 7})
 	if err != nil {
 		b.Fatal(err)
@@ -161,9 +161,10 @@ func batchesOf(tasks []cluster.Task, size int) [][]cluster.Task {
 // BenchmarkLoopbackDispatch measures what a task costs between the runner
 // and the solver: 2500 propagation-only subproblems an iteration, dispatched
 // to two one-slot workers over TCP loopback with the options internal/pdsat's
-// Runner sets, in batches of 25 (a search's staged sample: the hand-off to
-// the first result and the tail weigh most) and of 2500 (an estimate: the
-// steady state).  It reports wall time, allocations and allocated bytes per
+// Runner sets and an observer, as a runner's evaluation has — which is what
+// makes the leader keep the results' activity vectors for it —, in batches of
+// 25 (the hand-off to the first result and the tail weigh most) and of 2500
+// (an estimate: the steady state).  It reports wall time, allocations and allocated bytes per
 // task — of the whole process, so leader and workers together — and, for
 // the large batch, from a second cluster whose connections run through a
 // counting relay, the bytes on the wire per task in each direction (set-up
@@ -174,9 +175,10 @@ func BenchmarkLoopbackDispatch(b *testing.B) {
 	for _, size := range []int{25, 2500} {
 		b.Run(fmt.Sprintf("batch-%d", size), func(b *testing.B) {
 			batches := batchesOf(tasks, size)
+			observed := 0
 			run := func(l *cluster.Leader) {
 				for _, batch := range batches {
-					results, err := l.Run(context.Background(), batch, opts)
+					results, err := l.RunObserved(context.Background(), batch, opts, func(cluster.TaskResult) { observed++ })
 					if err != nil || len(results) != len(batch) {
 						b.Fatalf("%d results for %d tasks, error %v", len(results), len(batch), err)
 					}
@@ -194,6 +196,9 @@ func BenchmarkLoopbackDispatch(b *testing.B) {
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
 			reportPerTask(b, &before, &after, len(tasks))
+			if observed != (b.N+1)*len(tasks) {
+				b.Fatalf("the observer saw %d results of %d", observed, (b.N+1)*len(tasks))
+			}
 			if size != len(tasks) {
 				return
 			}
@@ -241,5 +246,44 @@ func BenchmarkInprocDispatch(b *testing.B) {
 				b.Fatalf("the observer saw %d results of %d", observed, (b.N+1)*len(tasks))
 			}
 		})
+	}
+}
+
+// TestDispatchAllocsPerTask pins what the borrowed activity vectors buy: a
+// warm 2500-task pristine batch with an observer allocates next to nothing a
+// task in process (the batch's own slices) and, over loopback with leader and
+// workers in this process, less than the two vectors a result used to cost on
+// either side — by count, not by clock.
+func TestDispatchAllocsPerTask(t *testing.T) {
+	f, tasks := biviumPropagationTasks(t, 2500)
+	opts := cluster.BatchOptions{CostMetric: solver.CostPropagations, Steal: true, Speculate: true}
+	leader, _ := benchCluster(t, f, false)
+	for name, tc := range map[string]struct {
+		tr    cluster.ObservedTransport
+		limit float64
+	}{
+		"inproc":   {cluster.NewInproc(f, 2, solver.Options{}), 0.1},
+		"loopback": {leader, 2},
+	} {
+		observed := 0
+		run := func() {
+			results, err := tc.tr.RunObserved(context.Background(), tasks, opts, func(cluster.TaskResult) { observed++ })
+			if err != nil || len(results) != len(tasks) {
+				t.Fatalf("%s: %d results for %d tasks, error %v", name, len(results), len(tasks), err)
+			}
+		}
+		run() // builds the solvers, grows the buffers
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		perTask := float64(after.Mallocs-before.Mallocs) / float64(len(tasks))
+		t.Logf("%s: %.3f allocations and %.0f bytes a task", name, perTask, float64(after.TotalAlloc-before.TotalAlloc)/float64(len(tasks)))
+		if perTask > tc.limit {
+			t.Errorf("%s: %.3f allocations a task in a warm batch of %d, want at most %v", name, perTask, len(tasks), tc.limit)
+		}
+		if observed != 2*len(tasks) {
+			t.Errorf("%s: the observer saw %d results of %d", name, observed, 2*len(tasks))
+		}
 	}
 }

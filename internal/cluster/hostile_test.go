@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"net"
 	"os"
 	"runtime"
@@ -143,6 +144,22 @@ func TestHostileWorker(t *testing.T) {
 		{"speaks version 5's gob", true, func(t *testing.T, conn net.Conn, batch uint64) {
 			conn.Write(gobHello)
 		}},
+		// Answers for a task it holds, fit to poison what they would be summed
+		// into: a NaN makes every later comparison with the sum false.
+		{"reports a NaN cost", false, func(t *testing.T, conn net.Conn, batch uint64) {
+			conn.Write(mustFrame(t, &envelope{Kind: kindResult, Batch: batch, Result: &TaskResult{Index: 0, Cost: math.NaN(), Status: solver.Unsat, Started: true}}))
+		}},
+		{"reports a negative cost", false, func(t *testing.T, conn net.Conn, batch uint64) {
+			conn.Write(mustFrame(t, &envelope{Kind: kindResult, Batch: batch, Result: &TaskResult{Index: 0, Cost: -1e18, Status: solver.Unsat, Started: true}}))
+		}},
+		{"reports activity of a variable the formula lacks", false, func(t *testing.T, conn net.Conn, batch uint64) {
+			act := solver.SparseActivities{Vars: []cnf.Var{3, cnf.Var(requeueFormula().NumVars + 1)}, Acts: []float64{1, 1}}
+			conn.Write(mustFrame(t, &envelope{Kind: kindResult, Batch: batch, Result: &TaskResult{Index: 0, Cost: 5, Status: solver.Unsat, Started: true, Activity: act}}))
+		}},
+		{"reports a NaN activity", false, func(t *testing.T, conn net.Conn, batch uint64) {
+			act := solver.SparseActivities{Vars: []cnf.Var{3}, Acts: []float64{math.NaN()}}
+			conn.Write(mustFrame(t, &envelope{Kind: kindResult, Batch: batch, Result: &TaskResult{Index: 0, Cost: 5, Status: solver.Unsat, Started: true, Activity: act}}))
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -202,7 +219,7 @@ func TestHostileWorker(t *testing.T) {
 			held := 0
 			if !tc.unregistered {
 				env := firstChunk(t, w)
-				batch, held = env.Batch, len(env.Tasks)
+				batch, held = env.Batch, len(env.Queued)
 			}
 			tc.attack(t, conn, batch)
 			honest.Add(1)
@@ -326,8 +343,8 @@ func TestForeignResultIsDropped(t *testing.T) {
 
 	env := firstChunk(t, w)
 	foreign := len(tasks) - 1
-	for _, task := range env.Tasks {
-		if task.Index == foreign {
+	for _, task := range env.Queued {
+		if task.index == foreign {
 			t.Fatalf("the first chunk already holds task %d", foreign)
 		}
 	}
@@ -360,8 +377,8 @@ func TestForeignResultIsDropped(t *testing.T) {
 // TestHostileWelcome: a leader's welcome does not size the worker's solver
 // beyond the formula's own variable count.  A scripted leader welcomes with a
 // formula of three variables one of whose clauses names a far larger one — a
-// solver built from it grows to that variable, and checkChunk would then
-// guard tasks against a count the solver no longer has — and follows with a
+// solver built from it grows to that variable, and tasks would then be held
+// to a count the solver no longer has — and follows with a
 // task, so that a worker that believed the welcome builds its solver.  The
 // frame is malformed: Serve returns that, and has allocated for no solver.
 func TestHostileWelcome(t *testing.T) {

@@ -244,7 +244,11 @@ func (b *inprocBatch) work(ctx context.Context, t *Inproc) {
 func (b *inprocBatch) record(res TaskResult) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.results = append(b.results, res)
+	// The activity is the worker's buffer, lent to the observer and to nobody
+	// after it.
+	kept := res
+	kept.Activity = solver.SparseActivities{}
+	b.results = append(b.results, kept)
 	if b.observe != nil {
 		b.observe(res)
 	}
@@ -280,10 +284,18 @@ type solveWorker struct {
 	transport *Inproc
 	solver    *solver.Solver
 	retain    bool
+	// ascending has the activity of a result sorted by variable, as the wire
+	// wants it; a result that stays in the process is read in any order.
+	ascending bool
+	// act is where every task's conflict activity is harvested, and what its
+	// TaskResult.Activity points into: the result is recorded, or put on the
+	// wire, before the slot takes its next task.
+	act solver.SparseActivities
 	// prevAct is the solver's cumulative conflict activity after the
-	// previous task (retain mode only); the per-task contribution is the
-	// difference, since conflict activity grows monotonically.
-	prevAct solver.SparseActivities
+	// previous task and gain the buffer for what a task added to it (retain
+	// mode only); the per-task contribution is the difference, since conflict
+	// activity grows monotonically.
+	prevAct, gain solver.SparseActivities
 
 	// unregister removes the slot's registration with the batch context.
 	unregister func() bool
@@ -318,7 +330,7 @@ func newSolveWorker(batch context.Context, t *Inproc, retain bool) *solveWorker 
 		// that was already absorbed by the caller; without a Reset to zero
 		// it, the per-task diff must start from the current cumulative
 		// values.
-		sw.prevAct = sw.solver.SparseConflictActivities()
+		sw.prevAct = sw.solver.AppendConflictActivities(sw.prevAct, true)
 	}
 	sw.unregister = context.AfterFunc(batch, sw.interruptBatch)
 	return sw
@@ -437,10 +449,14 @@ func (w *solveWorker) solveTask(t Task, opts BatchOptions) TaskResult {
 	}
 	res, cancelled := w.solveInterruptibly(s, t)
 	var taskStats solver.Stats
-	activity := s.SparseConflictActivities()
+	// The gain of a retained task is a merge of two ascending vectors.
+	w.act = s.AppendConflictActivities(w.act.Emptied(), w.ascending || w.retain)
+	activity := w.act
 	if w.retain {
 		taskStats = s.BaseStats().Add(res.Stats)
-		activity, w.prevAct = activityGain(activity, w.prevAct), activity
+		w.gain = activityGain(w.gain.Emptied(), w.act, w.prevAct)
+		activity = w.gain
+		w.act, w.prevAct = w.prevAct, w.act
 	} else {
 		// Reset rebased the stats to the construction baseline and zeroed
 		// the conflict activities, so the lifetime values are per-task.
@@ -460,11 +476,11 @@ func (w *solveWorker) solveTask(t Task, opts BatchOptions) TaskResult {
 	}
 }
 
-// activityGain returns cur − prev, the conflict activity one retained task
-// added, where both are cumulative readings of the same solver with no Reset
-// in between: activities only grow, so every variable of prev is in cur.
-func activityGain(cur, prev solver.SparseActivities) solver.SparseActivities {
-	var gain solver.SparseActivities
+// activityGain appends cur − prev to gain, the conflict activity one retained
+// task added, where both are cumulative readings of the same solver with no
+// Reset in between, ascending: activities only grow, so every variable of
+// prev is in cur.
+func activityGain(gain, cur, prev solver.SparseActivities) solver.SparseActivities {
 	j := 0
 	for i, v := range cur.Vars {
 		d := cur.Acts[i]
@@ -490,12 +506,13 @@ func (w *solveWorker) solveOverrideTask(t Task, opts BatchOptions) TaskResult {
 	res, cancelled := w.solveInterruptibly(s, t)
 	stats := res.Stats
 	stats.SolveTime = time.Since(start)
+	w.act = s.AppendConflictActivities(w.act.Emptied(), w.ascending)
 	return TaskResult{
 		Index:       t.Index,
 		Cost:        solver.EffortCost(stats, opts.CostMetric),
 		Status:      res.Status,
 		Model:       res.Model,
-		Activity:    s.SparseConflictActivities(),
+		Activity:    w.act,
 		Stats:       stats,
 		Started:     true,
 		Interrupted: res.Interrupted,

@@ -67,8 +67,10 @@ type Leader struct {
 	opts LeaderOptions
 	// welcome is the registration reply — the formula, the solver options,
 	// the heartbeat — as a frame, encoded once for every worker that will
-	// ever join.
+	// ever join; numVars is that formula's variable count, which every
+	// worker's results are held to.
 	welcome []byte
+	numVars int
 
 	mu sync.Mutex
 	// workers holds the registered workers in registration (id) order, the
@@ -99,6 +101,9 @@ type Leader struct {
 	// runMu serializes Run calls: the wire protocol tracks one active
 	// batch at a time.
 	runMu sync.Mutex
+	// logs are the two activity logs of the active batch (netBatch.fill and
+	// drain) between batches, so that one batch's arrays serve the next.
+	logs [2]activityLog // guarded by runMu
 }
 
 // remoteWorker is the leader-side state of one registered worker.
@@ -131,10 +136,16 @@ type netBatch struct {
 	// results has room for every task from the start and only ever grows
 	// by append, one result per index: an element, once appended, is never
 	// written again and never moves, so it may be read without the lock.
-	results   []TaskResult
-	remaining int
-	cancelled bool
-	wake      chan struct{} // capacity 1; non-blocking notifications
+	// None carries its activity vector.  Those of an observed batch are
+	// copied, as the results are recorded, behind one another into fill; the
+	// batch loop swaps fill for drain when it takes the results recorded
+	// since it last looked, and lends each its vector for the observer's call.
+	results     []TaskResult
+	observed    bool
+	fill, drain activityLog
+	remaining   int
+	cancelled   bool
+	wake        chan struct{} // capacity 1; non-blocking notifications
 	// spec maps a speculatively duplicated task index to the worker id the
 	// duplicate was sent to (nil until the first duplication).  An index
 	// present here is live on two workers at once; everywhere else a task
@@ -145,6 +156,33 @@ type netBatch struct {
 	// sends is assign's list of planned transmissions, reused from call to
 	// call (only the batch loop calls assign).
 	sends []sendChunk
+}
+
+// activityLog holds the activity vectors of consecutive results in two
+// arrays: vector i ends at entry ends[i], where vector i+1 begins.
+type activityLog struct {
+	act  solver.SparseActivities
+	ends []int
+}
+
+func (a *activityLog) add(act solver.SparseActivities) {
+	a.act.Vars = append(a.act.Vars, act.Vars...)
+	a.act.Acts = append(a.act.Acts, act.Acts...)
+	a.ends = append(a.ends, len(a.act.Vars))
+}
+
+// at returns vector i, which points into the log.
+func (a *activityLog) at(i int) solver.SparseActivities {
+	from := 0
+	if i > 0 {
+		from = a.ends[i-1]
+	}
+	to := a.ends[i]
+	return solver.SparseActivities{Vars: a.act.Vars[from:to:to], Acts: a.act.Acts[from:to:to]}
+}
+
+func (a *activityLog) reset() {
+	a.act, a.ends = a.act.Emptied(), a.ends[:0]
 }
 
 // Listen starts a leader for the formula on the given TCP address
@@ -170,7 +208,7 @@ func Listen(addr string, f *cnf.Formula, opts LeaderOptions) (*Leader, error) {
 		return nil, err
 	}
 	l := &Leader{
-		ln: ln, opts: opts, welcome: welcome,
+		ln: ln, opts: opts, welcome: welcome, numVars: f.NumVars,
 		joined:      make(chan struct{}),
 		handshaking: make(map[net.Conn]struct{}),
 	}
@@ -289,6 +327,7 @@ func (l *Leader) acceptLoop() {
 func (l *Leader) handleConn(conn net.Conn) {
 	defer l.wg.Done()
 	w := newWire(conn)
+	w.numVars = l.numVars
 	// abandon ends a connection that did not get through the handshake.
 	abandon := func() {
 		l.mu.Lock()
@@ -442,7 +481,9 @@ func (l *Leader) dropWorker(rw *remoteWorker, cause error) {
 	}
 }
 
-// deliver records one result from a worker into the active batch.
+// deliver records one result from a worker into the active batch.  The
+// result's activity vector is the connection's read buffer: it is copied if
+// the result is recorded, and not looked at otherwise.
 func (l *Leader) deliver(rw *remoteWorker, env *envelope) {
 	res := *env.Result
 	l.mu.Lock()
@@ -466,9 +507,7 @@ func (l *Leader) deliver(rw *remoteWorker, env *envelope) {
 		l.mu.Unlock()
 		return
 	}
-	b.got[res.Index] = true
-	b.results = append(b.results, res)
-	b.remaining--
+	recordLocked(b, res)
 	if res.Started && !res.Cancelled {
 		l.solves = min(l.solves+1, meanWindow)
 		l.solveMean += (res.Stats.SolveTime - l.solveMean) / time.Duration(l.solves)
@@ -606,11 +645,20 @@ func cancelLocked(b *netBatch) {
 // placeholderLocked records a cancelled-before-start result (callers hold
 // Leader.mu).
 func placeholderLocked(b *netBatch, idx int) {
-	if b.got[idx] {
-		return
+	if !b.got[idx] {
+		recordLocked(b, TaskResult{Index: idx, Status: solver.Unknown})
 	}
-	b.got[idx] = true
-	b.results = append(b.results, TaskResult{Index: idx, Status: solver.Unknown})
+}
+
+// recordLocked records the result of a task that has none yet, and keeps a
+// copy of its activity vector for the observer (callers hold Leader.mu).
+func recordLocked(b *netBatch, res TaskResult) {
+	b.got[res.Index] = true
+	if b.observed {
+		b.fill.add(res.Activity)
+	}
+	res.Activity = solver.SparseActivities{}
+	b.results = append(b.results, res)
 	b.remaining--
 }
 
@@ -935,15 +983,20 @@ func (l *Leader) RunDispatch(ctx context.Context, tasks []Task, opts BatchOption
 		pending:   append([]Task(nil), tasks...),
 		got:       make([]bool, len(tasks)),
 		results:   make([]TaskResult, 0, len(tasks)),
+		observed:  observe != nil,
+		fill:      l.logs[0],
+		drain:     l.logs[1],
 		remaining: len(tasks),
 		wake:      make(chan struct{}, 1),
 	}
+	b.fill.reset()
 	l.batch = b
 	l.mu.Unlock()
 
 	defer func() {
 		l.mu.Lock()
-		l.batch = nil
+		l.batch = nil // nothing is recorded into b from here on
+		l.logs[0], l.logs[1] = b.fill, b.drain
 		unanswered := b.remaining > 0
 		for _, rw := range l.workers {
 			clear(rw.inflight)
@@ -982,16 +1035,10 @@ func (l *Leader) RunDispatch(ctx context.Context, tasks []Task, opts BatchOption
 			break
 		}
 		if closed {
-			// Stream anything delivered between reportNew and this
-			// snapshot, keeping the one-observe-call-per-result contract
-			// on the abnormal exit too.
-			results := l.snapshotResults(b)
-			if observe != nil {
-				for _, res := range results[reported:] {
-					observe(res)
-				}
-			}
-			return results, l.snapshotDispatchStats(b), ErrClosed
+			// Stream anything delivered since, keeping the
+			// one-observe-call-per-result contract on the abnormal exit too.
+			l.reportNew(b, &reported, observe)
+			return l.snapshotResults(b, reported), l.snapshotDispatchStats(b), ErrClosed
 		}
 		select {
 		case <-b.wake:
@@ -1015,12 +1062,12 @@ func (l *Leader) RunDispatch(ctx context.Context, tasks []Task, opts BatchOption
 	return b.results, l.snapshotDispatchStats(b), ctx.Err()
 }
 
-// snapshotResults copies the batch results under the lock, for the exit
-// that leaves tasks unanswered: late deliveries may still append.
-func (l *Leader) snapshotResults(b *netBatch) []TaskResult {
+// snapshotResults copies the first n batch results under the lock, for the
+// exit that leaves tasks unanswered: late deliveries may still append.
+func (l *Leader) snapshotResults(b *netBatch, n int) []TaskResult {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]TaskResult(nil), b.results...)
+	return slices.Clone(b.results[:n])
 }
 
 // snapshotDispatchStats copies the batch's dispatch counters under the lock.
@@ -1031,18 +1078,25 @@ func (l *Leader) snapshotDispatchStats(b *netBatch) DispatchStats {
 }
 
 // reportNew streams the not-yet-reported tail of the batch results to
-// observe.  Only the batch loop calls it, so *reported needs no lock; the
-// tail is taken under the lock and observed in place outside it (see
-// netBatch.results).
+// observe, each with its activity vector on loan from the log the batch just
+// stopped filling.  Only the batch loop calls it, so *reported and the
+// draining log need no lock; the tail is taken under the lock and observed in
+// place outside it (see netBatch.results).
 func (l *Leader) reportNew(b *netBatch, reported *int, observe func(TaskResult)) {
+	l.mu.Lock()
+	fresh := b.results[*reported:len(b.results):len(b.results)]
+	if observe != nil {
+		b.fill, b.drain = b.drain, b.fill
+		b.fill.reset()
+	}
+	l.mu.Unlock()
+	*reported += len(fresh)
 	if observe == nil {
 		return
 	}
-	l.mu.Lock()
-	fresh := b.results[*reported:]
-	l.mu.Unlock()
-	*reported += len(fresh)
 	for i := range fresh {
-		observe(fresh[i])
+		res := fresh[i]
+		res.Activity = b.drain.at(i)
+		observe(res)
 	}
 }

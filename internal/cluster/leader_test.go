@@ -219,14 +219,14 @@ func TestTaskFramesAreFewOnLoopback(t *testing.T) {
 				interrupts.Add(1)
 			case kindTasks:
 				frames.Add(1)
-				tasks.Add(int64(len(env.Tasks)))
+				tasks.Add(int64(len(env.Queued)))
 				select {
 				case abort := <-abortAt:
 					close(abort)
 				default:
 				}
-				for _, task := range env.Tasks {
-					res := TaskResult{Index: task.Index, Cost: 1, Status: solver.Unsat, Started: true, Stats: solver.Stats{SolveTime: 20 * time.Microsecond}}
+				for _, task := range env.Queued {
+					res := TaskResult{Index: task.index, Cost: 1, Status: solver.Unsat, Started: true, Stats: solver.Stats{SolveTime: 20 * time.Microsecond}}
 					_ = w.queue(&envelope{Kind: kindResult, Batch: env.Batch, Result: &res})
 				}
 				_ = w.flush()

@@ -63,7 +63,16 @@ import (
 // frame, a literal 0, a formula with a negative variable count or a literal
 // over a variable beyond it, or bytes after the last field make the frame
 // malformed, and a malformed frame is a connection error like a failed read
-// (the leader drops the worker and requeues what it held).
+// (the leader drops the worker and requeues what it held).  Tasks and results
+// are held to the formula the connection was welcomed with as well, where
+// they are decoded: a task assumes literals over its variables only, a result
+// reports activity for its variables only, and a result's cost and activities
+// are finite and not negative.
+//
+// A received result's activity vector lives in the connection's buffer until
+// the next frame is read, and a received task's assumptions stay the bytes the
+// frame spelled them in until a slot takes the task: neither costs its
+// receiver an allocation of its own.
 //
 // Frames may share a write.  The stream is the frames in the order of the
 // calls that produced them, and nothing in the protocol depends on where one
@@ -93,10 +102,15 @@ const maxFrame = 1 << 30
 
 // readStep is the least the read buffer grows by while a frame larger than
 // it arrives; keepRead is the largest read buffer kept from one frame to the
-// next (the welcome is the one large frame of a connection).
+// next (the welcome is the one large frame of a connection); keepActivity and
+// keepTasks are the most entries kept of the buffers that results' activity
+// vectors and chunks' task lists are decoded into, which is what a frame of
+// keepRead bytes can hold of either.
 const (
-	readStep = 4096
-	keepRead = 64 << 10
+	readStep     = 4096
+	keepRead     = 64 << 10
+	keepActivity = keepRead / 2
+	keepTasks    = keepRead / 3
 )
 
 // errFrame is the cause of every malformed-frame error.
@@ -194,9 +208,11 @@ type envelope struct {
 
 	// kindTasks / kindResult / kindInterrupt / kindRevoke / kindRevoked
 	Batch uint64
-	// kindTasks (always present; nil is sent as the zero options)
-	Opts  *BatchOptions
-	Tasks []Task
+	// kindTasks (always present; nil is sent as the zero options).  Tasks is
+	// what a leader sends; Queued is the same chunk as a worker receives it.
+	Opts   *BatchOptions
+	Tasks  []Task
+	Queued []queuedTask
 
 	// kindResult (always present; nil is sent as the zero result)
 	Result *TaskResult
@@ -231,14 +247,21 @@ type wire struct {
 	backstop  *time.Timer // guarded by mu; writes what queue left behind, nil until needed
 	armed     bool        // guarded by mu; backstop is set and has not run
 
+	// numVars is the variable count of the formula the connection was welcomed
+	// with: what a task may assume and a result may report activity for.  The
+	// leader sets it when it accepts the connection, the worker when the
+	// welcome arrives; before that no frame with a literal is in order.
+	numVars int
+
 	// The reader's state: the length prefix, the frame body and what it
 	// decodes into.
 	hdr  [4]byte
 	rbuf []byte
 	in   struct {
-		env  envelope
-		opts BatchOptions
-		res  TaskResult
+		env   envelope
+		opts  BatchOptions
+		res   TaskResult
+		tasks []queuedTask
 	}
 }
 
@@ -341,8 +364,10 @@ func (w *wire) writeLocked(frames []byte, now time.Time) error {
 
 // recv reads and decodes one frame, allowing at most timeout of silence (0
 // means no deadline).  The envelope it returns, with the BatchOptions and
-// TaskResult it points to, belongs to the wire and is overwritten by the
-// next recv; the formula, strings and slices in it are the caller's to keep.
+// TaskResult it points to, that result's activity vector and the list of a
+// chunk's tasks, belongs to the wire and is overwritten by the next recv; the
+// formula, strings, index lists, a result's model and what the tasks
+// themselves point to are the caller's to keep.
 func (w *wire) recv(timeout time.Duration) (*envelope, error) {
 	// A frame that is already in the buffer is not silence, and is returned
 	// without a read: the deadline is renewed only ahead of a recv that may
@@ -368,12 +393,15 @@ func (w *wire) recv(timeout time.Duration) (*envelope, error) {
 		return nil, err
 	}
 	in := &w.in
-	err = decodeBody(body, &in.env, &in.opts, &in.res)
+	err = decodeBody(body, w.numVars, &in.env, &in.opts, &in.res, &in.tasks)
 	if cap(w.rbuf) > keepRead {
 		w.rbuf = nil // nothing decoded points into it
 	}
 	if err != nil {
 		return nil, err
+	}
+	if in.env.Kind == kindWelcome {
+		w.numVars = in.env.Formula.NumVars
 	}
 	return &in.env, nil
 }
@@ -613,8 +641,11 @@ func appendResult(dst []byte, r *TaskResult) []byte {
 // decoder reads the fields of one frame body.  The first failure sticks:
 // every later read returns zero, and decodeBody reports err once.
 type decoder struct {
-	b   []byte
-	err error
+	b []byte
+	// numVars bounds the variables of a task's assumptions and of a result's
+	// activity vector (wire.numVars).
+	numVars int
+	err     error
 }
 
 func (d *decoder) fail(what string) {
@@ -705,12 +736,11 @@ func (d *decoder) ints() []int {
 	return out
 }
 
-// litVectors reads the lengths of what follows: how many literal vectors
-// (clauses, or tasks with their assumptions) of at least elem bytes each, and
-// how many literals in all of them.  The vectors are cut from one array of
-// that size.
-func (d *decoder) litVectors(elem int) (vectors int, backing []cnf.Lit) {
-	vectors = d.count(elem)
+// litVectors reads the lengths of what follows: how many literal vectors (a
+// formula's clauses) and how many literals in all of them.  The vectors are
+// cut from one array of that size.
+func (d *decoder) litVectors() (vectors int, backing []cnf.Lit) {
+	vectors = d.count(1)
 	if n := d.count(1); n > 0 {
 		backing = make([]cnf.Lit, n)
 	}
@@ -748,14 +778,14 @@ func (d *decoder) litsDone(rest []cnf.Lit) {
 
 // formula reads a formula whose clauses stay within its own variable count:
 // the solver grows to the largest variable it meets, so a clause naming one
-// that a varint can spell would have a worker allocate for it, and checkChunk
-// guards tasks against NumVars.
+// that a varint can spell would have a worker allocate for it, and tasks are
+// held to NumVars (decoder.tasks).
 func (d *decoder) formula() *cnf.Formula {
 	f := &cnf.Formula{NumVars: d.int()}
 	if f.NumVars < 0 {
 		d.fail("negative variable count")
 	}
-	nClauses, backing := d.litVectors(1)
+	nClauses, backing := d.litVectors()
 	if nClauses > 0 {
 		f.Clauses = make([]cnf.Clause, nClauses)
 	}
@@ -796,31 +826,83 @@ func (d *decoder) batchOptions(o *BatchOptions) {
 	o.CostMetric = solver.CostMetric(d.int())
 }
 
-// tasks reads a chunk.  Its assumption vectors are the receiver's to keep
-// (they wait in the worker's queue), so they are allocated here, the whole
-// chunk's in one array.
-func (d *decoder) tasks() []Task {
-	n, backing := d.litVectors(3) // index, option flag, assumption count
-	var tasks []Task
-	if n > 0 {
-		tasks = make([]Task, n)
+// queuedTask is a task as a worker holds it from the frame that brought it to
+// the slot that solves it: the assumptions stay the frame's bytes, checked on
+// receipt, and a slot decodes them into its own buffer when it takes the task
+// (a literal is one or two bytes here and eight in a Task).
+type queuedTask struct {
+	index   int
+	options *solver.Options
+	// lits is the assumption vector as zig-zag varints, every one of them a
+	// literal over a variable of the formula.
+	lits []byte
+}
+
+// appendAssumptions appends the task's assumptions to dst.
+func (q *queuedTask) appendAssumptions(dst []cnf.Lit) []cnf.Lit {
+	for b := q.lits; len(b) > 0; {
+		l, n := binary.Varint(b) // cannot fail: checked on receipt
+		dst = append(dst, cnf.Lit(l))
+		b = b[n:]
 	}
+	return dst
+}
+
+// tasks reads a chunk — the last field of its frame — for the worker's queue,
+// over the list the previous chunk was read into.  The tasks outlive the read
+// buffer, so the rest of the frame is copied once, the chunk's one allocation,
+// and the assumption vectors are cut from that copy.  An assumption that is
+// not a literal of the formula is refused here: the solver would index with a
+// 0, and allocate for a variable it does not have up to whatever a varint can
+// name.  No leader sends one.
+func (d *decoder) tasks(tasks []queuedTask) []queuedTask {
+	n := d.count(3) // index, option flag, assumption count
+	total := d.count(1)
+	if n > 0 {
+		d.b = slices.Clone(d.b)
+	}
+	tasks = slices.Grow(tasks[:0], n)[:n]
 	for i := range tasks {
 		t := &tasks[i]
-		t.Index = d.int()
+		*t = queuedTask{}
+		t.index = d.int()
 		if d.flags(1) != 0 {
-			t.Options = new(solver.Options)
-			d.solverOptions(t.Options)
+			t.options = new(solver.Options)
+			d.solverOptions(t.options)
 		}
-		t.Assumptions, backing = d.lits(backing)
+		lits := d.count(1)
+		if lits > total {
+			d.fail("literal vectors longer than the announced total")
+			return tasks
+		}
+		total -= lits
+		from := d.b
+		for ; lits > 0; lits-- {
+			l := cnf.Lit(d.int())
+			if v := l.Var(); (v < 1 || int(v) > d.numVars) && d.err == nil { // below 1: zero, or the least int
+				d.fail(fmt.Sprintf("task %d assumes literal %d, the formula has %d variables", t.index, l, d.numVars))
+			}
+		}
+		t.lits = from[:len(from)-len(d.b)]
 	}
-	d.litsDone(backing)
+	if total != 0 {
+		d.fail("literal vectors shorter than the announced total")
+	}
 	return tasks
 }
 
+// result reads a result into r, its activity vector into the arrays r brings
+// along.  What a worker reports is summed into the leader's estimates, so it
+// is checked here, against the formula the connection was welcomed with: a
+// cost and activities that are finite and not negative (a NaN would make
+// every later comparison with the running sum false), over variables the
+// formula has.
 func (d *decoder) result(r *TaskResult) {
 	r.Index = d.int()
 	r.Cost = d.float()
+	if !(r.Cost >= 0) || math.IsInf(r.Cost, 1) {
+		d.fail("cost that is negative or not finite")
+	}
 	r.Status = solver.Status(d.int())
 	f := d.flags(7)
 	r.Started, r.Interrupted, r.Cancelled = f&1 != 0, f&2 != 0, f&4 != 0
@@ -831,17 +913,22 @@ func (d *decoder) result(r *TaskResult) {
 		}
 		d.b = d.b[n:]
 	}
-	if n := d.count(2); n > 0 { // a pair is a variable and its activity
-		r.Activity.Vars = make([]cnf.Var, n)
-		r.Activity.Acts = make([]float64, n)
-		prev := cnf.Var(0)
-		for i := range r.Activity.Vars {
-			prev += cnf.Var(d.uint())
-			r.Activity.Vars[i] = prev
+	act := &r.Activity
+	n := d.count(2) // a pair is a variable and its activity
+	prev := cnf.Var(0)
+	for range n {
+		prev += cnf.Var(d.uint())
+		if prev < 1 || int(prev) > d.numVars {
+			d.fail("activity of a variable the formula does not have")
 		}
-		for i := range r.Activity.Acts {
-			r.Activity.Acts[i] = d.float()
+		act.Vars = append(act.Vars, prev)
+	}
+	for range n {
+		a := d.float()
+		if !(a >= 0) || math.IsInf(a, 1) {
+			d.fail("activity that is negative or not finite")
 		}
+		act.Acts = append(act.Acts, a)
 	}
 	st := &r.Stats
 	for _, c := range [...]*uint64{&st.Decisions, &st.Propagations, &st.Conflicts, &st.Restarts, &st.Learned, &st.Removed,
@@ -852,13 +939,15 @@ func (d *decoder) result(r *TaskResult) {
 	st.SolveTime = time.Duration(d.int64())
 }
 
-// decodeBody decodes one frame body into env, which it overwrites; opts and
-// res are where a tasks frame's options and a result frame's result go.
-// What it allocates is what the receiver keeps: the welcome's formula and
-// options, strings, index lists, a chunk's tasks with their assumptions, a
-// result's model and activity vector.
-func decodeBody(body []byte, env *envelope, opts *BatchOptions, res *TaskResult) error {
-	d := decoder{b: body}
+// decodeBody decodes one frame body into env, which it overwrites; opts, res
+// and tasks are where a tasks frame's options, a result frame's result and a
+// chunk's task list go, and numVars is the variable count its literals are
+// held to.  What it allocates is what the receiver keeps: the welcome's
+// formula and options, strings, index lists, the bytes of a chunk's
+// assumptions, a result's model.  A result's activity vector and a chunk's
+// task list are decoded over the ones res and tasks held before.
+func decodeBody(body []byte, numVars int, env *envelope, opts *BatchOptions, res *TaskResult, tasks *[]queuedTask) error {
+	d := decoder{b: body, numVars: numVars}
 	*env = envelope{Kind: msgKind(d.byte())}
 	switch env.Kind {
 	case kindHello:
@@ -875,10 +964,18 @@ func decodeBody(body []byte, env *envelope, opts *BatchOptions, res *TaskResult)
 		*opts = BatchOptions{}
 		d.batchOptions(opts)
 		env.Opts = opts
-		env.Tasks = d.tasks()
+		if cap(*tasks) > keepTasks {
+			*tasks = nil
+		}
+		*tasks = d.tasks(*tasks)
+		env.Queued = *tasks
 	case kindResult:
 		env.Batch = d.uint()
-		*res = TaskResult{}
+		act := res.Activity.Emptied()
+		if cap(act.Vars) > keepActivity {
+			act = solver.SparseActivities{}
+		}
+		*res = TaskResult{Activity: act}
 		d.result(res)
 		env.Result = res
 	case kindInterrupt:

@@ -81,15 +81,53 @@ func sameValue(a, b reflect.Value) bool {
 	}
 }
 
+// sameEnvelope compares two messages, a chunk of tasks by what it says
+// whichever side of the wire holds it.
 func sameEnvelope(a, b *envelope) bool {
-	return sameValue(reflect.ValueOf(a), reflect.ValueOf(b))
+	return sameValue(reflect.ValueOf(sendable(a)), reflect.ValueOf(sendable(b)))
+}
+
+// sendable returns a received message as a leader would send it: the tasks of
+// a chunk with their assumptions unpacked.
+func sendable(env *envelope) *envelope {
+	if env.Queued == nil {
+		return env
+	}
+	out := *env
+	out.Queued = nil
+	out.Tasks = make([]Task, len(env.Queued))
+	for i := range env.Queued {
+		q := &env.Queued[i]
+		out.Tasks[i] = Task{Index: q.index, Assumptions: q.appendAssumptions(nil), Options: q.options}
+	}
+	return &out
+}
+
+// queued returns tasks as a worker holds them, which is as a frame brought
+// them.
+func queued(tb testing.TB, tasks []Task) []queuedTask {
+	tb.Helper()
+	env, err := tableWire(&scriptConn{in: mustFrame(tb, &envelope{Kind: kindTasks, Batch: 1, Opts: &BatchOptions{}, Tasks: tasks})}).recv(time.Second)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return env.Queued
+}
+
+// tableVars is the variable count the table's tasks and results are written
+// for, and tableWire a wire welcomed with a formula of that many.
+const tableVars = 70000
+
+func tableWire(conn net.Conn) *wire {
+	w := newWire(conn)
+	w.numVars = tableVars
+	return w
 }
 
 // wireTable holds one envelope or more per message kind, with the values
 // at the edges of the encoding.
 func wireTable() map[string]*envelope {
 	maxU := uint64(math.MaxUint64)
-	nanWithPayload := math.Float64frombits(0x7ff8_0000_dead_beef)
 	return map[string]*envelope{
 		"hello":                   helloFor("wörker-1", 3),
 		"hello, nothing sensible": {Kind: kindHello, Proto: -1, Capacity: math.MinInt, Name: ""},
@@ -115,7 +153,7 @@ func wireTable() map[string]*envelope {
 			Tasks: []Task{
 				{Index: 0, Assumptions: nil},
 				{Index: 1, Assumptions: []cnf.Lit{}},
-				{Index: 2499, Assumptions: []cnf.Lit{-1, 63, -64, 64, 8191, -8193, 1 << 40}},
+				{Index: 2499, Assumptions: []cnf.Lit{-1, 63, -64, 64, 8191, -8193, tableVars, -tableVars}},
 				{Index: -3, Assumptions: []cnf.Lit{120}, Options: &solver.Options{VarDecay: math.SmallestNonzeroFloat64, RestartBase: maxU, DefaultPhase: true}},
 			},
 		},
@@ -124,11 +162,11 @@ func wireTable() map[string]*envelope {
 			Kind:  kindResult,
 			Batch: maxU,
 			Result: &TaskResult{
-				Index: 2499, Cost: math.NaN(), Status: solver.Sat,
+				Index: 2499, Cost: math.MaxFloat64, Status: solver.Sat,
 				Model: cnf.Assignment{cnf.Unassigned, cnf.True, cnf.False, -1},
 				Activity: solver.SparseActivities{
-					Vars: []cnf.Var{1, 2, 130, 1977, 70000},
-					Acts: []float64{1, 870, nanWithPayload, math.Copysign(0, -1), math.SmallestNonzeroFloat64},
+					Vars: []cnf.Var{1, 2, 130, 1977, tableVars},
+					Acts: []float64{1, 870, math.MaxFloat64, 0, math.SmallestNonzeroFloat64},
 				},
 				Stats: solver.Stats{
 					Decisions: maxU, Propagations: maxU, Conflicts: maxU, Restarts: maxU, Learned: maxU, Removed: maxU,
@@ -138,11 +176,11 @@ func wireTable() map[string]*envelope {
 				Started: true, Interrupted: true, Cancelled: true,
 			},
 		},
-		"result, +Inf and an empty model": {Kind: kindResult, Batch: 1, Result: &TaskResult{Cost: math.Inf(1), Model: cnf.Assignment{}, Started: true}},
-		"result, -Inf":                    {Kind: kindResult, Batch: 1, Result: &TaskResult{Index: 1, Cost: math.Inf(-1), Status: solver.Unsat, Interrupted: true}},
-		"result, subnormal":               {Kind: kindResult, Batch: 1, Result: &TaskResult{Index: 2, Cost: math.SmallestNonzeroFloat64, Cancelled: true}},
-		"result, descending activity": {Kind: kindResult, Batch: 1, Result: &TaskResult{
-			Activity: solver.SparseActivities{Vars: []cnf.Var{9, 3, -4}, Acts: []float64{1, 2, 3}},
+		"result, an empty model": {Kind: kindResult, Batch: 1, Result: &TaskResult{Cost: 0.25, Model: cnf.Assignment{}, Started: true}},
+		"result, interrupted":    {Kind: kindResult, Batch: 1, Result: &TaskResult{Index: 1, Cost: 1e300, Status: solver.Unsat, Interrupted: true}},
+		"result, subnormal":      {Kind: kindResult, Batch: 1, Result: &TaskResult{Index: 2, Cost: math.SmallestNonzeroFloat64, Cancelled: true}},
+		"result, unordered activity": {Kind: kindResult, Batch: 1, Result: &TaskResult{
+			Activity: solver.SparseActivities{Vars: []cnf.Var{9, 3, 3, 1}, Acts: []float64{1, 2, 3, 4}},
 		}},
 		"placeholder":       {Kind: kindResult, Batch: 3, Result: &TaskResult{Index: 5, Status: solver.Unknown}},
 		"interrupt":         {Kind: kindInterrupt, Batch: maxU},
@@ -176,6 +214,40 @@ func badLiteralFrames(tb testing.TB) map[string][]byte {
 		"clause over the least int":                   welcome(&cnf.Formula{NumVars: 3, Clauses: []cnf.Clause{{2, math.MinInt}}}),
 		"clause in a formula without variables":       welcome(&cnf.Formula{Clauses: []cnf.Clause{{1}}}),
 		"negative variable count":                     welcome(&cnf.Formula{NumVars: -1}),
+	}
+}
+
+// badReportFrames are frames well-formed in everything but what they report
+// or ask for, which the encoder does not look at either: a cost or an
+// activity that a sum must not meet, activity for a variable the formula
+// (here of tableVars variables) does not have, a task that assumes one.
+func badReportFrames(tb testing.TB) map[string][]byte {
+	result := func(r TaskResult) []byte {
+		return mustFrame(tb, &envelope{Kind: kindResult, Batch: 1, Result: &r})
+	}
+	activity := func(v cnf.Var, a float64) []byte {
+		return result(TaskResult{Cost: 1, Started: true, Activity: solver.SparseActivities{Vars: []cnf.Var{2, v}, Acts: []float64{1, a}}})
+	}
+	assumes := func(l cnf.Lit) []byte {
+		return mustFrame(tb, &envelope{Kind: kindTasks, Batch: 1, Opts: &BatchOptions{}, Tasks: []Task{{Index: 0, Assumptions: []cnf.Lit{1, l}}}})
+	}
+	return map[string][]byte{
+		"NaN cost":                         result(TaskResult{Cost: math.NaN(), Started: true}),
+		"NaN cost with a payload":          result(TaskResult{Cost: math.Float64frombits(0x7ff8_0000_dead_beef)}),
+		"+Inf cost":                        result(TaskResult{Cost: math.Inf(1), Started: true}),
+		"-Inf cost":                        result(TaskResult{Cost: math.Inf(-1)}),
+		"negative cost":                    result(TaskResult{Cost: -1, Started: true}),
+		"NaN activity":                     activity(3, math.NaN()),
+		"+Inf activity":                    activity(3, math.Inf(1)),
+		"negative activity":                activity(3, -0.5),
+		"activity of variable 0":           result(TaskResult{Activity: solver.SparseActivities{Vars: []cnf.Var{0}, Acts: []float64{1}}}),
+		"activity of a negative variable":  activity(-4, 1),
+		"activity one past the formula":    activity(tableVars+1, 1),
+		"activity of variable 2^40":        activity(1<<40, 1),
+		"activity that leaves and returns": result(TaskResult{Activity: solver.SparseActivities{Vars: []cnf.Var{5, -1, 7}, Acts: []float64{1, 1, 1}}}),
+		"assumption one past the formula":  assumes(tableVars + 1),
+		"assumption over variable 2^40":    assumes(-(1 << 40)),
+		"assumption that is the least int": assumes(math.MinInt),
 	}
 }
 
@@ -214,7 +286,7 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Fatalf("%s: send wrote %d bytes, the frame has %d", name, conn.written, len(frame))
 		}
 		// Twice on one wire: the second frame is decoded over the first.
-		w := newWire(&scriptConn{in: append(frame, frame...)})
+		w := tableWire(&scriptConn{in: append(frame, frame...)})
 		for i := 0; i < 2; i++ {
 			got, err := w.recv(time.Second)
 			if err != nil {
@@ -281,6 +353,9 @@ func TestWireRejectsMalformedFrames(t *testing.T) {
 	for name, in := range badLiteralFrames(t) {
 		cases[name] = in
 	}
+	for name, in := range badReportFrames(t) {
+		cases[name] = in
+	}
 	// Protocol 6 sent a float, the queue factor, behind the cost metric.  A
 	// peer that still does is refused at its hello; its task frame, should
 	// one arrive all the same, does not pass for one of this version's.
@@ -292,7 +367,7 @@ func TestWireRejectsMalformedFrames(t *testing.T) {
 		cases[name] = version6Tasks(t, wireTable()["tasks"], factor)
 	}
 	for name, in := range cases {
-		env, err := newWire(&scriptConn{in: in}).recv(time.Second)
+		env, err := tableWire(&scriptConn{in: in}).recv(time.Second)
 		if !errors.Is(err, errFrame) {
 			t.Errorf("%s: recv returned %+v, %v; want a malformed-frame error", name, env, err)
 		}
@@ -319,8 +394,8 @@ func TestWireRejectsMalformedFrames(t *testing.T) {
 // TestWireSteadyStateAllocs is the regression guard for the per-task cost of
 // the wire: once its buffers are warm, sending a task chunk or a result
 // allocates nothing, and receiving one allocates what the receiver keeps — a
-// result's activity vector (two slices) and model, a chunk's tasks and their
-// assumptions (one array each).
+// result's model, the bytes of a chunk's assumptions (one array).  A result's
+// activity vector and the list of a chunk's tasks are lent, not kept.
 func TestWireSteadyStateAllocs(t *testing.T) {
 	assumptions := make([]cnf.Lit, 120)
 	for i := range assumptions {
@@ -353,10 +428,10 @@ func TestWireSteadyStateAllocs(t *testing.T) {
 	}{
 		"send tasks":                    {send(func() error { return out.send(&envelope{Kind: kindTasks, Batch: 4, Opts: &opts, Tasks: chunk}) }), 0},
 		"send result":                   {send(func() error { r := res; return out.send(&envelope{Kind: kindResult, Batch: 4, Result: &r}) }), 0},
-		"recv result":                   {recvLoop(t, &envelope{Kind: kindResult, Batch: 4, Result: &res}), 2},
+		"recv result":                   {recvLoop(t, &envelope{Kind: kindResult, Batch: 4, Result: &res}), 0},
 		"recv result without conflicts": {recvLoop(t, &envelope{Kind: kindResult, Batch: 4, Result: &plain}), 0},
-		"recv SAT result":               {recvLoop(t, &envelope{Kind: kindResult, Batch: 4, Result: &sat}), 3},
-		"recv tasks":                    {recvLoop(t, &envelope{Kind: kindTasks, Batch: 4, Opts: &opts, Tasks: chunk}), 2},
+		"recv SAT result":               {recvLoop(t, &envelope{Kind: kindResult, Batch: 4, Result: &sat}), 1},
+		"recv tasks":                    {recvLoop(t, &envelope{Kind: kindTasks, Batch: 4, Opts: &opts, Tasks: chunk}), 1},
 		"recv ping":                     {recvLoop(t, &envelope{Kind: kindPing}), 0},
 	} {
 		tc.run() // warm the buffers
@@ -369,7 +444,7 @@ func TestWireSteadyStateAllocs(t *testing.T) {
 // recvLoop returns a function that receives env, again and again, from one
 // wire.
 func recvLoop(t *testing.T, env *envelope) func() {
-	w := newWire(&scriptConn{in: mustFrame(t, env), loop: true})
+	w := tableWire(&scriptConn{in: mustFrame(t, env), loop: true})
 	return func() {
 		if _, err := w.recv(time.Second); err != nil {
 			t.Fatal(err)
@@ -379,7 +454,10 @@ func recvLoop(t *testing.T, env *envelope) func() {
 
 // FuzzWireDecode feeds arbitrary bytes to a wire as if a peer had sent them:
 // recv must not panic, must not allocate more than a small multiple of what
-// it was sent, and whatever it accepts must survive another trip unchanged.
+// it was sent, and whatever it accepts must survive another trip unchanged —
+// and is fit to be summed and solved: a result's cost and activities finite
+// and not negative, its activity and a task's assumptions over variables of
+// the formula the wire was welcomed with.
 func FuzzWireDecode(f *testing.F) {
 	for _, env := range wireTable() {
 		f.Add(mustFrame(f, env))
@@ -388,15 +466,40 @@ func FuzzWireDecode(f *testing.F) {
 	for _, frame := range badLiteralFrames(f) {
 		f.Add(frame)
 	}
+	for _, frame := range badReportFrames(f) {
+		f.Add(frame)
+	}
+	summable := func(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		w := newWire(&scriptConn{in: data})
+		w := tableWire(&scriptConn{in: data})
 		var frames [][]byte
 		for {
 			env, err := w.recv(time.Second)
 			if err != nil {
 				break
+			}
+			if env.Kind == kindWelcome {
+				w.numVars = tableVars // the test's wires are all welcomed with that many
+			}
+			if res := env.Result; res != nil {
+				if !summable(res.Cost) || len(res.Activity.Vars) != len(res.Activity.Acts) {
+					t.Fatalf("accepted a result of cost %v with %d activity variables and %d values", res.Cost, len(res.Activity.Vars), len(res.Activity.Acts))
+				}
+				for i, v := range res.Activity.Vars {
+					if v < 1 || v > tableVars || !summable(res.Activity.Acts[i]) {
+						t.Fatalf("accepted activity %v of variable %d", res.Activity.Acts[i], v)
+					}
+				}
+			}
+			env = sendable(env)
+			for _, task := range env.Tasks {
+				for _, l := range task.Assumptions {
+					if v := l.Var(); v < 1 || v > tableVars {
+						t.Fatalf("accepted task %d assuming literal %d", task.Index, l)
+					}
+				}
 			}
 			frame, err := appendFrame(nil, env)
 			if err != nil {
@@ -412,15 +515,15 @@ func FuzzWireDecode(f *testing.F) {
 			t.Fatalf("%d bytes allocated for %d received, more than %d", grew, len(data), allowed)
 		}
 		for _, frame := range frames {
-			first, err := newWire(&scriptConn{in: frame}).recv(time.Second)
+			first, err := tableWire(&scriptConn{in: frame}).recv(time.Second)
 			if err != nil {
 				t.Fatalf("re-encoded frame %x does not decode: %v", frame, err)
 			}
-			again := mustFrame(t, first)
+			again := mustFrame(t, sendable(first))
 			if !bytes.Equal(frame, again) {
 				t.Fatalf("re-encoding changed the frame:\n%x\n%x", frame, again)
 			}
-			second, err := newWire(&scriptConn{in: again}).recv(time.Second)
+			second, err := tableWire(&scriptConn{in: again}).recv(time.Second)
 			if err != nil || !sameEnvelope(first, second) {
 				t.Fatalf("a second trip changed the message (%v):\n%+v\n%+v", err, first, second)
 			}

@@ -78,7 +78,7 @@ func fakeWorker(t *testing.T, addr string, capacity int, gotTasks chan<- int) {
 			}
 		case kindTasks:
 			// Took a chunk, now die without answering.
-			gotTasks <- len(env.Tasks)
+			gotTasks <- len(env.Queued)
 			close(gotTasks)
 			return
 		}
@@ -277,7 +277,7 @@ func abortingWorker(t *testing.T, addr string, capacity int, gotTasks chan<- int
 		case kindTasks:
 			if !reported {
 				reported = true
-				gotTasks <- len(env.Tasks)
+				gotTasks <- len(env.Queued)
 				close(gotTasks)
 			}
 		case kindInterrupt:

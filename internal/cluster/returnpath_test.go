@@ -58,7 +58,7 @@ func (c *recordConn) awaitWrite(t *testing.T) {
 // own their results.
 func decodeFrames(t *testing.T, stream []byte) []envelope {
 	t.Helper()
-	w := newWire(&scriptConn{in: stream})
+	w := tableWire(&scriptConn{in: stream})
 	var out []envelope
 	for {
 		env, err := w.recv(time.Second)
@@ -203,7 +203,7 @@ func slotBatch(t *testing.T, parent context.Context, delay func(Task) time.Durat
 // pending before it waits — the tail of a batch is not held back.
 func TestSlotFlushesWhenItsQueueRunsDry(t *testing.T) {
 	b, _, conn := slotBatch(t, context.Background(), nil)
-	b.q.push(requeueTasks(5))
+	b.q.push(queued(t, requeueTasks(5)))
 	conn.awaitWrite(t)
 	writes := conn.written()
 	if len(writes) != 1 {
@@ -231,7 +231,7 @@ func TestSlotGoingDownWritesNothing(t *testing.T) {
 		}
 		return 0
 	})
-	b.q.push(requeueTasks(5))
+	b.q.push(queued(t, requeueTasks(5)))
 	b.wg.Wait() // the slot leaves on its own, inside task 2
 	if writes := conn.written(); len(writes) != 0 {
 		t.Fatalf("the slot of a worker going down wrote %d time(s): %+v", len(writes), decodeFrames(t, slices.Concat(writes...)))
@@ -255,7 +255,7 @@ func TestInterruptDrainsADeepQueueInOneWrite(t *testing.T) {
 		}
 		return 0
 	})
-	b.q.push(requeueTasks(n))
+	b.q.push(queued(t, requeueTasks(n)))
 	<-started
 	b.stop() // what kindInterrupt does
 	writes := conn.written()

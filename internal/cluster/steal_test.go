@@ -57,8 +57,8 @@ func hoardingWorker(t *testing.T, addr string, capacity, expect int, ackSteal bo
 				return
 			}
 		case kindTasks:
-			for _, task := range env.Tasks {
-				held = append(held, task.Index)
+			for _, task := range env.Queued {
+				held = append(held, task.index)
 			}
 			// The adaptive assignment fills execution slots and queue depth
 			// as separate chunks, so wait until the whole batch arrived.

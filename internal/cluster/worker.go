@@ -219,12 +219,9 @@ func serveOnce(ctx context.Context, addr string, opts *WorkerOptions) (registere
 				return registered, err
 			}
 		case kindTasks:
-			if err := checkChunk(env.Tasks, cnf.Var(exec.formula.NumVars)); err != nil {
-				return registered, err
-			}
 			if env.Batch <= interrupted {
-				for _, t := range env.Tasks {
-					res := TaskResult{Index: t.Index, Status: solver.Unknown}
+				for _, t := range env.Queued {
+					res := TaskResult{Index: t.index, Status: solver.Unknown}
 					if err := w.queue(&envelope{Kind: kindResult, Batch: env.Batch, Result: &res}); err != nil {
 						return registered, err
 					}
@@ -238,7 +235,7 @@ func serveOnce(ctx context.Context, addr string, opts *WorkerOptions) (registere
 				batch.stop()
 				batch = newWorkerBatch(ctx, env.Batch, *env.Opts, exec, w, opts.TaskDelay)
 			}
-			batch.q.push(env.Tasks)
+			batch.q.push(env.Queued)
 		case kindRevoke:
 			// Stealing form: give back up to Count queued (never started)
 			// tasks from the back of the local queue and acknowledge them —
@@ -283,21 +280,6 @@ func serveOnce(ctx context.Context, addr string, opts *WorkerOptions) (registere
 	}
 }
 
-// checkChunk refuses a chunk that assumes a literal over a variable the
-// formula does not have: the solver would allocate for it, up to whatever a
-// varint can name.  No leader sends one, so it is a protocol error like a
-// malformed frame.
-func checkChunk(tasks []Task, numVars cnf.Var) error {
-	for _, t := range tasks {
-		for _, a := range t.Assumptions {
-			if v := a.Var(); v < 1 || v > numVars {
-				return fmt.Errorf("cluster: task %d assumes literal %d, the formula has %d variables", t.Index, a, numVars)
-			}
-		}
-	}
-	return nil
-}
-
 // workerBatch runs one batch's tasks on the local executor and returns each
 // result to the leader through the connection's pending buffer (wire.queue):
 // results share a write while there is more to solve, and a slot that finds
@@ -329,9 +311,12 @@ func newWorkerBatch(parent context.Context, id uint64, opts BatchOptions, exec *
 			defer b.wg.Done()
 			sw := newSolveWorker(ctx, exec, opts.Retain)
 			defer sw.close()
+			sw.ascending = true
 			if delay != nil {
 				sw.wake = make(chan struct{}, 1)
 			}
+			// The slot's own buffer for the assumptions of the task in hand.
+			var assumptions []cnf.Lit
 			b.mu.Lock()
 			b.slots = append(b.slots, sw)
 			b.mu.Unlock()
@@ -344,7 +329,7 @@ func newWorkerBatch(parent context.Context, id uint64, opts BatchOptions, exec *
 				}
 			}
 			for {
-				t, ok, cancelled := b.q.pop(flush)
+				qt, ok, cancelled := b.q.pop(flush)
 				if !ok {
 					flush()
 					return
@@ -354,9 +339,10 @@ func newWorkerBatch(parent context.Context, id uint64, opts BatchOptions, exec *
 					// Cancelled before a solver saw it: report a
 					// placeholder, exactly like the in-process producer
 					// draining its queue.
-					res = TaskResult{Index: t.Index, Status: solver.Unknown}
+					res = TaskResult{Index: qt.index, Status: solver.Unknown}
 				} else {
-					res = b.solveOne(sw, t, delay)
+					assumptions = qt.appendAssumptions(assumptions[:0])
+					res = b.solveOne(sw, Task{Index: qt.index, Assumptions: assumptions, Options: qt.options}, delay)
 				}
 				if parent.Err() != nil {
 					// Not this batch but the worker itself is going down, and
@@ -368,6 +354,8 @@ func newWorkerBatch(parent context.Context, id uint64, opts BatchOptions, exec *
 					// pending, which are not flushed either.
 					return
 				}
+				// Encoded before the call returns: res.Activity is the slot's
+				// buffer, and the next task's harvest overwrites it.
 				if err := w.queue(&envelope{Kind: kindResult, Batch: id, Result: &res}); err != nil {
 					// Connection gone; the read loop notices too.  Stop
 					// pulling work — the leader requeues it elsewhere.
@@ -408,7 +396,7 @@ func (b *workerBatch) stealQueued(n int) []int {
 	tasks := b.q.removeTail(n)
 	idxs := make([]int, len(tasks))
 	for i, t := range tasks {
-		idxs[i] = t.Index
+		idxs[i] = t.index
 	}
 	return idxs
 }
@@ -448,7 +436,7 @@ func (b *workerBatch) stop() {
 type taskQueue struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
-	items     []Task
+	items     []queuedTask
 	cancelled bool
 }
 
@@ -458,7 +446,7 @@ func newTaskQueue() *taskQueue {
 	return q
 }
 
-func (q *taskQueue) push(tasks []Task) {
+func (q *taskQueue) push(tasks []queuedTask) {
 	q.mu.Lock()
 	q.items = append(q.items, tasks...)
 	q.mu.Unlock()
@@ -476,7 +464,7 @@ func (q *taskQueue) cancelQueue() {
 // idle first (outside the lock) if it has to wait.  ok is false when the
 // queue is cancelled and empty; cancelled marks tasks that must be reported
 // as placeholders instead of solved.
-func (q *taskQueue) pop(idle func()) (t Task, ok, cancelled bool) {
+func (q *taskQueue) pop(idle func()) (t queuedTask, ok, cancelled bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if len(q.items) == 0 && !q.cancelled {
@@ -488,7 +476,7 @@ func (q *taskQueue) pop(idle func()) (t Task, ok, cancelled bool) {
 		q.cond.Wait()
 	}
 	if len(q.items) == 0 {
-		return Task{}, false, false
+		return queuedTask{}, false, false
 	}
 	t = q.items[0]
 	q.items = q.items[1:]
@@ -498,7 +486,7 @@ func (q *taskQueue) pop(idle func()) (t Task, ok, cancelled bool) {
 // removeTail removes and returns up to n tasks from the back of the queue
 // (nothing once the queue is cancelled: its tasks are already owed to the
 // leader as placeholders and must not be requeued elsewhere too).
-func (q *taskQueue) removeTail(n int) []Task {
+func (q *taskQueue) removeTail(n int) []queuedTask {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.cancelled || n <= 0 {
@@ -508,7 +496,7 @@ func (q *taskQueue) removeTail(n int) []Task {
 		n = len(q.items)
 	}
 	cut := len(q.items) - n
-	removed := append([]Task(nil), q.items[cut:]...)
+	removed := append([]queuedTask(nil), q.items[cut:]...)
 	q.items = q.items[:cut]
 	return removed
 }
@@ -522,7 +510,7 @@ func (q *taskQueue) remove(idx int) bool {
 		return false
 	}
 	for i, t := range q.items {
-		if t.Index == idx {
+		if t.index == idx {
 			q.items = append(q.items[:i], q.items[i+1:]...)
 			return true
 		}

@@ -14,13 +14,19 @@
 //     search has seen, the remainder of the sample proves nothing — the
 //     candidate is already worse — and the evaluation is aborted (the
 //     cluster leader cancels only that batch's in-flight tasks on the
-//     workers, not the transport).
+//     workers, not the transport).  No single subproblem may cost more than
+//     the whole sample may: one allowance per evaluation, set when its
+//     sample is dispatched.
 //
-//   - Staged adaptive sampling (Policy.Stages): the sample is solved in
-//     geometrically growing stages (e.g. N/4, N/2, N).  After each stage the
-//     eq.-3 confidence half-width δ_γ·σ/√n of the mean is compared against
-//     ε·mean; once the estimate is tight enough, the remaining stages are
-//     skipped, so easy points cost a fraction of N.
+//   - Staged adaptive sampling (Policy.Stages): the sample is cut into
+//     geometrically growing stages (e.g. N/4, N/2, N).  The stages are
+//     checkpoints, not dispatches: the backend sends the whole sample out
+//     once and, whenever every subproblem of a stage's index prefix has
+//     answered, compares the eq.-3 confidence half-width δ_γ·σ/√n of the
+//     mean over exactly that prefix against ε·mean; once the estimate is
+//     tight enough the rest of the sample is abandoned, so easy points cost
+//     a fraction of N.  Deciding on index prefixes makes the outcome a
+//     function of the costs, not of the order in which workers answer.
 //
 //   - F-memoization (Policy.Cache): a point-keyed Cache of finished
 //     evaluations shared across searches and jobs on the same
@@ -219,15 +225,16 @@ type Evaluation struct {
 	Interrupted bool `json:"interrupted,omitempty"`
 	// SamplesPlanned is N; SamplesSolved counts subproblems solved to
 	// completion (full Monte Carlo samples); SamplesAborted counts
-	// dispatched subproblems cut short by the abort (truncated mid-solve
-	// or drained as placeholders).  Samples of stages that were never
-	// dispatched — skipped by an early stop or a stage-boundary prune —
-	// appear in no counter: SamplesPlanned − SamplesSolved −
-	// SamplesAborted is the work the policy avoided entirely.
+	// subproblems of the stages the evaluation reached that were cut short
+	// by the abort (truncated mid-solve or drained as placeholders).
+	// Samples of stages it never reached — behind an early stop or a
+	// prune — appear in no counter: SamplesPlanned − SamplesSolved −
+	// SamplesAborted is the work the policy skipped.
 	SamplesPlanned int `json:"samples_planned"`
 	SamplesSolved  int `json:"samples_solved"`
 	SamplesAborted int `json:"samples_aborted"`
-	// StagesRun counts the sample stages actually dispatched.
+	// StagesRun counts the sample stages the evaluation reached (stages
+	// are checkpoints on one dispatched sample, not dispatches).
 	StagesRun int `json:"stages_run"`
 	// SatisfiableSamples counts satisfiable subproblems among the solved.
 	SatisfiableSamples int `json:"satisfiable_samples"`

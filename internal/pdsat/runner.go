@@ -164,9 +164,13 @@ type Counters struct {
 	SubproblemsAborted int `json:"subproblems_aborted"`
 	// SamplesPlanned counts the Monte Carlo samples evaluations committed to
 	// (N per evaluation that reached its sample); SamplesSkipped the planned
-	// samples never dispatched to a solver: stages skipped by an early stop
-	// or a stage-boundary prune, and the tails of evaluations cancelled by
-	// the scheduler (e.g. siblings of a decided neighborhood winner).
+	// samples that entered no evaluation: the stages behind an early stop or
+	// a prune, and the tails of evaluations cancelled by the scheduler (e.g.
+	// siblings of a decided neighborhood winner).  An evaluation dispatches
+	// its whole sample at once, so some of a skipped stage may have been
+	// solved ahead by the time the stage before it decided; such a result is
+	// dropped like the losing copy of a speculated task — no sample, no
+	// activity, no event, no other counter — and its subproblem stays here.
 	SamplesPlanned int `json:"samples_planned"`
 	SamplesSkipped int `json:"samples_skipped"`
 	// TasksStolen counts queued tasks the dispatch layer revoked from a
@@ -273,15 +277,21 @@ func (l *ledger) reserve(n int) int {
 	return first
 }
 
-// absorb adds a batch's conflict activities, solver statistics and
-// solved/aborted counts to this ledger and to every one above it.  Results
-// arrive in completion order, which is fine here: the absorbed quantities
-// are integer-valued counters, so the float sums are exact and
+// absorb adds a result's conflict activity, solver statistics and
+// solved/aborted count to this ledger and to every one above it.  It is
+// called from the batch observer, while the activity vector is on loan.
+// Results arrive in completion order, which is fine here: the absorbed
+// quantities are integer-valued counters, so the float sums are exact and
 // order-insensitive.
-func (l *ledger) absorb(results []cluster.TaskResult) {
+func (l *ledger) absorb(res *cluster.TaskResult) {
 	for ; l != nil; l = l.up {
 		l.mu.Lock()
-		absorbResults(results, l.confAct, &l.c)
+		// The variables were checked where the result was produced or decoded
+		// (the cluster's wire holds a worker's to the formula).
+		for i, v := range res.Activity.Vars {
+			l.confAct[v] += res.Activity.Acts[i]
+		}
+		absorbResult(res, &l.c)
 		l.mu.Unlock()
 	}
 }
@@ -383,14 +393,16 @@ type PointEstimate struct {
 	EarlyStopped bool
 	// SamplesPlanned is the configured sample size N.  The number actually
 	// solved to completion is Sample.Len(); SamplesAborted counts
-	// dispatched subproblems cut short by the prune abort (truncated
-	// mid-solve or drained as placeholders).  Samples of stages that were
-	// never dispatched appear in neither counter: SamplesPlanned −
-	// Sample.Len() − SamplesAborted is the work the policy skipped
-	// entirely.
+	// subproblems of the stages the evaluation reached that were cut short
+	// by the prune abort (truncated mid-solve or drained as placeholders).
+	// Samples of stages it never reached appear in neither counter:
+	// SamplesPlanned − Sample.Len() − SamplesAborted is the work the policy
+	// skipped.
 	SamplesPlanned int
 	SamplesAborted int
-	// StagesRun counts the sample stages dispatched (1 without staging).
+	// StagesRun counts the sample stages the evaluation reached: those whose
+	// checkpoint it took, and the one it was pruned in (1 without staging).
+	// Stages are index prefixes of one dispatched sample, not dispatches.
 	StagesRun int
 	// LowerBound is 2^d·(Σζ)/N over every observed cost — including solves
 	// truncated by the abort — a certified lower bound on the full-sample
@@ -431,13 +443,14 @@ func (pe *PointEstimate) Evaluation() eval.Evaluation {
 // Progress describes one completed subproblem within a running evaluation
 // (EvaluatePointBudgeted) or family-processing call (SolveObserved).
 type Progress struct {
-	// Done is the number of subproblem results collected so far in this
-	// call, including cancelled placeholders; Total is the call's batch
-	// size, so Done == Total on the last notification.
+	// Done is the number of subproblem results the call has taken in so
+	// far, including cancelled placeholders; Total is the call's batch
+	// size, so Done == Total on the last notification of a call that took
+	// in its whole batch (an evaluation that stops early ends below it).
 	Done, Total int
 	// Result is the subproblem result that triggered the notification
 	// (Result.Started is false for tasks cancelled before a solver saw
-	// them).
+	// them).  Its Activity is valid until the observer returns.
 	Result cluster.TaskResult
 }
 
@@ -467,33 +480,42 @@ func (r *Runner) EvaluatePoint(ctx context.Context, p decomp.Point) (*PointEstim
 //
 // The sample itself — which N assignments of the decomposition set are
 // drawn — depends only on (Seed, evaluation counter), exactly as in
-// EvaluatePoint; the policy decides how much of it is solved:
+// EvaluatePoint, and it is dispatched whole, as one batch; the policy decides
+// how much of it enters the evaluation, and what an evaluation returns is a
+// function of the costs, not of the order the results come in:
 //
-//   - Staged sampling (Policy.Stages) dispatches the sample in
-//     geometrically growing prefixes and stops once the eq.-3 confidence
-//     half-width of the mean falls to Policy.Epsilon·mean (the result is
-//     then marked EarlyStopped; the prefix is value-independent, so the
-//     estimate stays unbiased).
+//   - Staged sampling (Policy.Stages) cuts the sample into geometrically
+//     growing index prefixes and takes a checkpoint whenever every result
+//     of a prefix is in: once the eq.-3 confidence half-width of the mean
+//     over exactly that prefix falls to Policy.Epsilon·mean, the evaluation
+//     ends there and the batch is aborted (the result is then marked
+//     EarlyStopped; the prefix is value-independent, so the estimate stays
+//     unbiased).  Results beyond the stage being decided are held back until
+//     it is their turn; beyond the stage that decided they are dropped.
 //
 //   - Incumbent pruning (Policy.Prune, finite incumbent) watches the
-//     running cost sum as results stream in and aborts the remainder of the
-//     batch — through the transport's batch abort, which cancels only this
-//     batch's in-flight tasks, never the transport — as soon as the lower
-//     bound 2^d·(Σζ)/N exceeds the incumbent.  Later stages also tighten
-//     each task's solver budget to the remaining allowance, the paper's
+//     running cost sum of the stages reached so far and aborts the batch —
+//     through the transport's batch abort, which cancels only this batch's
+//     in-flight tasks, never the transport — as soon as the lower bound
+//     2^d·(Σζ)/N exceeds the incumbent.  Every task's solver budget is
+//     tightened to the allowance the evaluation starts with, the paper's
 //     per-subproblem time limit turned into a certified pruning proxy: a
 //     task truncated at the allowance already proves the candidate worse.
+//     There is one allowance per evaluation; what the sum has used up while
+//     a task waited is enforced by the abort, which interrupts it.
 //
-// With the zero policy the call degenerates to exactly one full batch and
-// is bit-identical to the historical EvaluatePoint.  Cancellation semantics
+// With the zero policy the one batch has one stage and the call is
+// bit-identical to the historical EvaluatePoint.  Cancellation semantics
 // are unchanged: a cancelled evaluation returns the partial estimate
 // (marked Interrupted) together with the context's error.
 //
 // observe, when non-nil, receives a Progress notification for every
-// collected subproblem result, in collection order: the calls are made one
-// at a time, each completed before the next begins and all before the call
-// returns (not necessarily on one goroutine); it must not block for long.
-// Observation never changes the sample, the costs or the evaluation counter.
+// subproblem result that enters the evaluation, as it does: the calls are
+// made one at a time, each completed before the next begins and all before
+// the call returns (not necessarily on one goroutine); it must not block for
+// long.  Progress.Result.Activity is on loan for the length of the call (see
+// cluster.TaskResult).  Observation never changes the sample, the costs or
+// the evaluation counter.
 //
 // The evaluation runs in the runner's default scope, whose seed is
 // Config.Seed and whose evaluation counter is the runner's; see Scope for
@@ -559,33 +581,23 @@ func (r *Runner) EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent fl
 	return r.def.EvaluateSlot(ctx, p, r.cfg.Policy, incumbent, slot)
 }
 
-// absorbResults classifies a batch's results into an accounting table.
-// Callers hold the lock guarding the destinations.
-func absorbResults(results []cluster.TaskResult, confAct []float64, c *Counters) {
-	for _, res := range results {
-		if !res.Started {
-			// Cancelled before a solver saw it: nothing to absorb, and
-			// counting it as solved would skew per-subproblem averages.
-			c.SubproblemsAborted++
-			continue
-		}
-		// A result may come off the wire, so its entries are bounds-checked
-		// rather than trusted.
-		acts := res.Activity.Acts
-		for i, v := range res.Activity.Vars {
-			if v >= 1 && int(v) < len(confAct) && i < len(acts) {
-				confAct[v] += acts[i]
-			}
-		}
-		c.Solver = c.Solver.Add(res.Stats)
-		if res.Cancelled {
-			// Truncated mid-solve by a batch abort or cancellation: the
-			// effort was real (absorbed above) but the subproblem was not
-			// solved to completion.
-			c.SubproblemsAborted++
-		} else {
-			c.SubproblemsSolved++
-		}
+// absorbResult classifies a result into an accounting table.  Callers hold
+// the lock guarding the destination.
+func absorbResult(res *cluster.TaskResult, c *Counters) {
+	if !res.Started {
+		// Cancelled before a solver saw it: nothing to absorb, and counting
+		// it as solved would skew per-subproblem averages.
+		c.SubproblemsAborted++
+		return
+	}
+	c.Solver = c.Solver.Add(res.Stats)
+	if res.Cancelled {
+		// Truncated mid-solve by a batch abort or cancellation: the effort
+		// was real (absorbed above) but the subproblem was not solved to
+		// completion.
+		c.SubproblemsAborted++
+	} else {
+		c.SubproblemsSolved++
 	}
 }
 
@@ -608,13 +620,14 @@ func (r *Runner) runTasksObserved(ctx context.Context, tasks []cluster.Task, sto
 		// so which copy wins would change the recorded result content.
 		Speculate: !retain,
 	}
-	var observeResult func(cluster.TaskResult)
-	if observe != nil {
-		total := len(tasks)
-		done := 0
-		observeResult = func(res cluster.TaskResult) {
+	// A family is no scope's sample: its results go into the runner's own
+	// ledger, as they are observed.
+	done := 0
+	observeResult := func(res cluster.TaskResult) {
+		r.absorb(&res)
+		if observe != nil {
 			done++
-			observe(Progress{Done: done, Total: total, Result: res})
+			observe(Progress{Done: done, Total: len(tasks), Result: res})
 		}
 	}
 	results, ds, err := r.runBatch(ctx, tasks, opts, observeResult, nil)
@@ -636,10 +649,11 @@ func dispatchCounters(ds cluster.DispatchStats) Counters {
 // DispatchTransport, batch aborts (abort non-nil) an AbortableTransport,
 // in-flight observation an ObservedTransport.  Transports without in-flight
 // observation deliver all notifications after the batch completes,
-// preserving order; transports without abort support simply run the batch
-// to completion (the evaluation engine then prunes at stage boundaries
-// only); transports without a dispatch layer ignore the adaptive options
-// and report zero DispatchStats.
+// preserving order — with whatever activity vectors their results carry;
+// transports without abort support simply run the batch to completion (an
+// evaluation then decides the same and drops what it was sent beyond that);
+// transports without a dispatch layer ignore the adaptive options and report
+// zero DispatchStats.
 func (r *Runner) runBatch(ctx context.Context, tasks []cluster.Task, opts cluster.BatchOptions, observe func(cluster.TaskResult), abort <-chan struct{}) ([]cluster.TaskResult, cluster.DispatchStats, error) {
 	if dt, ok := r.transport.(cluster.DispatchTransport); ok {
 		return dt.RunDispatch(ctx, tasks, opts, observe, abort)
@@ -757,7 +771,6 @@ func (r *Runner) SolveObserved(ctx context.Context, p decomp.Point, opts SolveOp
 			return nil, err
 		}
 	}
-	r.absorb(results) // the runner's own ledger: a family is no scope's sample
 
 	report := &SolveReport{Point: p, SatIndex: -1}
 	// Aggregate in enumeration order for deterministic cost-to-first-SAT.

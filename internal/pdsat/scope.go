@@ -125,10 +125,9 @@ func (sc *Scope) EvaluateSlotObserved(ctx context.Context, p decomp.Point, pol e
 }
 
 // evaluatePointAt runs one budget-aware evaluation against a fixed
-// evaluation slot; a negative slot reserves the next one.  The live
-// incumbent bound of a neighborhood frontier, when attached to ctx, is
-// re-read at every pruning checkpoint, so sibling candidates completing
-// concurrently tighten this evaluation's abort threshold mid-sample.
+// evaluation slot; a negative slot reserves the next one.  The whole sample
+// goes out as one batch, and the evaluation happens in that batch's observer
+// (see checkpoints): nothing comes back a second time.
 func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, observe func(Progress), slot int) (*PointEstimate, error) {
 	r := sc.r
 	if r.cfgErr != nil {
@@ -174,163 +173,226 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 	}
 	prune := pol.Prune &&
 		((!math.IsInf(incumbent, 1) && !math.IsNaN(incumbent)) || live != nil)
-	// sumBound is the incumbent translated onto the plain cost sum:
-	// 2^d·(Σζ)/N > incumbent  ⇔  Σζ > incumbent·N/2^d.
-	sumBound := math.Inf(1)
+	cp := &checkpoints{
+		sc: sc, pol: pol, observe: observe,
+		plan:  eval.StagePlan(n, pol.Stages),
+		costs: make([]float64, n), sampled: make([]bool, n),
+		prune: prune, live: live, incumbent: incumbent, perCost: float64(n) / scale,
+		sumBound: math.Inf(1),
+		abort:    make(chan struct{}),
+	}
+	opts := cluster.BatchOptions{
+		Budget:     r.cfg.SubproblemBudget,
+		CostMetric: r.cfg.CostMetric,
+		Steal:      true,
+		Speculate:  true,
+	}
+	var abort <-chan struct{}
 	if prune {
-		sumBound = incumbent * float64(n) / scale
+		cp.sumBound = incumbent * cp.perCost
+		// One allowance per evaluation: no single task may cost more than
+		// what the whole sample may before the sum certifiably crosses the
+		// bound.  What the sum has used up by the time a task starts is taken
+		// off by the abort, which interrupts the solves in flight.
+		opts.Budget = opts.Budget.TightenedBy(solver.BudgetForCost(r.cfg.CostMetric, cp.sumBound))
 	}
-	// refreshBound re-reads the live bound at a pruning checkpoint.  It runs
-	// either between stages or in the batch's observer (whose calls are made
-	// one at a time and complete before the batch call returns), never
-	// concurrently with itself, so the captured locals need no locking.
-	refreshBound := func() {
-		if live == nil || !prune {
-			return
-		}
-		if b := live.Get(); b < incumbent {
-			incumbent = b
-			sumBound = incumbent * float64(n) / scale
-		}
+	if prune || len(cp.plan) > 1 {
+		abort = cp.abort
 	}
 
-	// The transport calls the stage observer one call at a time, each
-	// completed before the next begins and all before the batch call returns,
-	// so the running totals need no locking.
-	var (
-		sumAll  float64 // every observed cost, truncated solves included
-		done    int     // Progress numbering across stages
-		aborted bool
-		abortCh = make(chan struct{})
-	)
-	stageObserver := func(globalOffset int) func(cluster.TaskResult) {
-		return func(res cluster.TaskResult) {
-			res.Index += globalOffset
-			if res.Started {
-				sumAll += res.Cost
-			}
-			done++
-			if observe != nil {
-				observe(Progress{Done: done, Total: n, Result: res})
-			}
-			refreshBound()
-			if prune && !aborted && sumAll > sumBound {
-				aborted = true
-				close(abortCh)
-			}
-		}
-	}
-
-	var (
-		costs        []float64 // completed samples, enumeration order
-		satCount     int
-		collected    int // results gathered over all dispatched stages
-		pruned       bool
-		earlyStopped bool
-		stagesRun    int
-		runErr       error
-	)
 	sc.note(Counters{SamplesPlanned: n})
-	defer func() { sc.note(Counters{SamplesSkipped: max(n-collected, 0)}) }()
-	next := 0
-	for _, end := range eval.StagePlan(n, pol.Stages) {
-		begin := next
-		next = end
-		refreshBound()
-		if prune && sumAll > sumBound {
-			pruned = true
-			break
-		}
-		if earlyStopped {
-			break
-		}
-		opts := cluster.BatchOptions{
-			Budget:     r.cfg.SubproblemBudget,
-			CostMetric: r.cfg.CostMetric,
-			Steal:      true,
-			Speculate:  true,
-		}
-		if prune {
-			// Per-stage budget: no single task may cost more than what is
-			// left before the sum certifiably crosses the bound.
-			opts.Budget = opts.Budget.TightenedBy(
-				solver.BudgetForCost(r.cfg.CostMetric, sumBound-sumAll))
-		}
-		sub := make([]cluster.Task, end-begin)
-		for j := range sub {
-			sub[j] = cluster.Task{Index: j, Assumptions: tasks[begin+j].Assumptions}
-		}
-		var abort <-chan struct{}
-		if prune {
-			abort = abortCh
-		}
-		results, ds, err := r.runBatch(ctx, sub, opts, stageObserver(begin), abort)
-		sc.note(dispatchCounters(ds))
-		if err != nil && !cluster.IsInterruption(err) {
-			return nil, err
-		}
-		stagesRun++
-		collected += len(results)
-		// Completed samples in enumeration order, for deterministic
-		// float summation regardless of scheduling.
-		ordered := make([]*cluster.TaskResult, len(sub))
-		for i := range results {
-			if idx := results[i].Index; idx >= 0 && idx < len(ordered) {
-				ordered[idx] = &results[i]
-			}
-		}
-		for _, res := range ordered {
-			if res == nil || !res.Started || res.Cancelled {
-				continue
-			}
-			costs = append(costs, res.Cost)
-			if res.Status == solver.Sat {
-				satCount++
-			}
-		}
-		sc.absorb(results)
-		if err != nil {
-			runErr = err
-			break
-		}
-		if prune && (aborted || sumAll > sumBound) {
-			pruned = true
-			break
-		}
-		if next < n && len(costs) >= 2 {
-			s := montecarlo.NewSample(costs)
-			if eval.Confident(s.Mean(), s.StdDev(), s.Len(), pol.EffectiveGamma(), pol.Epsilon) {
-				earlyStopped = true
-			}
-		}
-	}
-
-	if pruned {
-		sc.note(Counters{PrunedEvaluations: 1})
-	}
-	if runErr != nil && len(costs) == 0 {
+	_, ds, runErr := r.runBatch(ctx, tasks, opts, cp.result, abort)
+	sc.note(dispatchCounters(ds))
+	// What was planned and never counted — the stages behind an early stop or
+	// a prune, solved ahead or not, and the tail of a cancelled evaluation.
+	sc.note(Counters{SamplesSkipped: n - cp.counted})
+	if runErr != nil && !cluster.IsInterruption(runErr) {
 		return nil, runErr
 	}
+	if cp.aborted {
+		sc.note(Counters{PrunedEvaluations: 1})
+	}
+
 	// Partial evaluations (interrupted or pruned) keep only subproblems a
 	// solver ran to its normal conclusion (or per-task budget) as samples —
 	// a solve truncated by the cancellation/abort itself undercounts its
 	// subproblem outright.  An interrupted subset is completion-time
 	// censored (in-flight subproblems skew expensive), so a partial F is an
 	// indication, not an unbiased estimate; see PointEstimate.Interrupted.
-	sample := montecarlo.NewSample(costs)
-	est := montecarlo.NewEstimate(d, sample)
+	sample := montecarlo.NewSample(cp.sample(cp.plan[cp.stage]))
+	if runErr != nil && sample.Len() == 0 {
+		return nil, runErr
+	}
 	return &PointEstimate{
 		Point:              p,
-		Estimate:           est,
+		Estimate:           montecarlo.NewEstimate(d, sample),
 		Sample:             sample,
-		SatisfiableSamples: satCount,
+		SatisfiableSamples: cp.satCount,
 		WallTime:           time.Since(start),
 		Interrupted:        runErr != nil,
-		Pruned:             pruned,
-		EarlyStopped:       earlyStopped,
+		Pruned:             cp.aborted,
+		EarlyStopped:       cp.earlyStopped,
 		SamplesPlanned:     n,
-		SamplesAborted:     collected - sample.Len(),
-		StagesRun:          stagesRun,
-		LowerBound:         scale * sumAll / float64(n),
+		SamplesAborted:     cp.counted - sample.Len(),
+		StagesRun:          cp.stage + 1,
+		LowerBound:         scale * cp.sumAll / float64(n),
 	}, runErr
+}
+
+// checkpoints is one evaluation as its batch's observer runs it.  The sample
+// is dispatched whole; the stages of the policy are index prefixes of it
+// (plan), decided one after the other.  Results below the boundary of the
+// stage being decided are counted as they arrive — into the running sum, the
+// ledgers, the caller's Progress — and results beyond it are held back.  Once
+// every index below the boundary is in, that prefix is what a dispatch of the
+// stage alone would have returned: the incumbent bound and eq. 3 are checked
+// on it, and either the batch is aborted or the boundary moves on and takes
+// in what was held back.  Whatever lies beyond the boundary that decided is
+// dropped like the losing copy of a speculated task: it was solved ahead for
+// nothing, enters no sample, ledger or event, and stays among the samples
+// skipped.  What an evaluation returns is therefore a function of the costs
+// alone, not of the order the results came in.
+//
+// The transport calls result one call at a time, each completed before the
+// next begins and all before the batch call returns, so none of this is
+// locked.
+type checkpoints struct {
+	sc      *Scope
+	pol     eval.Policy
+	observe func(Progress)
+
+	// plan holds the stage boundaries, stage the one being decided: the
+	// evaluation has reached stage+1 stages.  Once stopped is set the
+	// boundary stays where it is.
+	plan    []int
+	stage   int
+	stopped bool
+	// costs and sampled are by task index: the cost of a counted result and
+	// whether it is a Monte Carlo sample (solved to its own conclusion or
+	// budget).  counted results all lie below the boundary, partial of them
+	// are no samples and satCount are satisfiable samples.
+	costs    []float64
+	sampled  []bool
+	counted  int
+	partial  int
+	satCount int
+	// held are the results beyond the boundary, with activity vectors of
+	// their own.
+	held []cluster.TaskResult
+
+	// sumAll is every counted cost, truncated solves included; sumBound the
+	// incumbent translated onto that sum: 2^d·(Σζ)/N > incumbent ⇔ Σζ >
+	// incumbent·N/2^d, with perCost = N/2^d.  A live bound (attached by the
+	// neighborhood frontier) is re-read at every count, so siblings
+	// completing concurrently tighten the threshold mid-sample.
+	prune                 bool
+	live                  *eval.Bound
+	incumbent, perCost    float64
+	sumAll, sumBound      float64
+	aborted, earlyStopped bool
+	// abort stops the batch: closed when the sum crosses the bound, or when a
+	// checkpoint stops the evaluation early.
+	abort chan struct{}
+}
+
+// result is the batch observer.
+func (cp *checkpoints) result(res cluster.TaskResult) {
+	switch {
+	case res.Index < cp.plan[cp.stage]:
+		cp.count(res)
+	case !cp.stopped:
+		res.Activity = res.Activity.Clone() // lent for this call only
+		cp.held = append(cp.held, res)
+	}
+	for !cp.stopped && cp.counted == cp.plan[cp.stage] {
+		cp.decide()
+	}
+}
+
+// count takes a result below the boundary into the evaluation.
+func (cp *checkpoints) count(res cluster.TaskResult) {
+	cp.counted++
+	cp.sc.absorb(&res)
+	if res.Started {
+		cp.sumAll += res.Cost
+	}
+	if res.Started && !res.Cancelled {
+		cp.costs[res.Index], cp.sampled[res.Index] = res.Cost, true
+		if res.Status == solver.Sat {
+			cp.satCount++
+		}
+	} else {
+		cp.partial++
+	}
+	if cp.observe != nil {
+		cp.observe(Progress{Done: cp.counted, Total: len(cp.costs), Result: res})
+	}
+	if !cp.prune || cp.aborted {
+		return
+	}
+	if cp.live != nil {
+		if b := cp.live.Get(); b < cp.incumbent {
+			cp.incumbent, cp.sumBound = b, b*cp.perCost
+		}
+	}
+	if cp.sumAll > cp.sumBound {
+		cp.aborted = true
+		cp.stop()
+	}
+}
+
+// decide is the checkpoint at a stage boundary, with every result below it
+// counted and the sum within its bound.
+func (cp *checkpoints) decide() {
+	boundary := cp.plan[cp.stage]
+	switch {
+	case cp.partial > 0:
+		// The batch is being cancelled around the evaluation; what it has is
+		// what it returns.
+		cp.stopped = true
+		return
+	case cp.stage == len(cp.plan)-1:
+		cp.stopped = true // the whole sample
+		return
+	case boundary >= 2:
+		s := montecarlo.NewSample(cp.costs[:boundary])
+		if eval.Confident(s.Mean(), s.StdDev(), s.Len(), cp.pol.EffectiveGamma(), cp.pol.Epsilon) {
+			cp.earlyStopped = true
+			cp.stop()
+			return
+		}
+	}
+	cp.stage++
+	held := cp.held
+	cp.held = held[:0]
+	for _, res := range held {
+		switch {
+		case res.Index < cp.plan[cp.stage]:
+			cp.count(res)
+		case !cp.stopped:
+			cp.held = append(cp.held, res)
+		}
+	}
+}
+
+// stop ends the evaluation at the current boundary and the batch with it.
+func (cp *checkpoints) stop() {
+	cp.stopped = true
+	cp.held = nil
+	close(cp.abort)
+}
+
+// sample returns the costs of the samples below the boundary, in enumeration
+// order, for a float summation that does not depend on scheduling.
+func (cp *checkpoints) sample(boundary int) []float64 {
+	if cp.partial == 0 && cp.counted == boundary {
+		return cp.costs[:boundary]
+	}
+	costs := make([]float64, 0, cp.counted-cp.partial)
+	for i, ok := range cp.sampled[:boundary] {
+		if ok {
+			costs = append(costs, cp.costs[i])
+		}
+	}
+	return costs
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/paper-repro/pdsat-go/internal/cluster"
 	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/decomp"
 	"github.com/paper-repro/pdsat-go/internal/encoder"
@@ -246,14 +245,18 @@ func TestLedgerRollUp(t *testing.T) {
 			}
 		}()
 	}
-	// The solve's share, from the results themselves.
+	// The solve's share, from the results themselves — their activity while
+	// the observer runs, which is as long as it is lent.
 	var solve Counters
 	solveAct := make([]float64, inst.CNF.NumVars+1)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		_, errs[len(scopes)] = r.SolveObserved(ctx, family, SolveOptions{}, func(pr Progress) {
-			absorbResults([]cluster.TaskResult{pr.Result}, solveAct, &solve)
+			absorbResult(&pr.Result, &solve)
+			for i, v := range pr.Result.Activity.Vars {
+				solveAct[v] += pr.Result.Activity.Acts[i]
+			}
 		})
 	}()
 	wg.Wait()

@@ -341,7 +341,8 @@ func TestResetCostIsProportionalToTouched(t *testing.T) {
 
 // TestSparseConflictActivities checks the sparse form against the dense one
 // it replaces on the wire: exactly its non-zero entries, in ascending
-// variable order, whatever happened to the solver since its last Reset.
+// variable order or in the order of their first bumps, whatever happened to
+// the solver since its last Reset.
 func TestSparseConflictActivities(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	f, err := cnfgen.Random3SAT(rng, 70, 4.2)
@@ -358,16 +359,26 @@ func TestSparseConflictActivities(t *testing.T) {
 				want.Acts = append(want.Acts, a)
 			}
 		}
-		got := s.SparseConflictActivities()
+		got := s.AppendConflictActivities(SparseActivities{}, true)
 		if !slices.Equal(got.Vars, want.Vars) || !slices.Equal(got.Acts, want.Acts) {
 			t.Fatalf("%s: sparse activities %+v, dense non-zeros %+v", when, got, want)
+		}
+		// In first-bump order: the same entries, appended behind what is there.
+		raw := s.AppendConflictActivities(SparseActivities{Vars: []cnf.Var{0}, Acts: []float64{-1}}, false)
+		if len(raw.Vars) != len(want.Vars)+1 || len(raw.Acts) != len(raw.Vars) || raw.Vars[0] != 0 || raw.Acts[0] != -1 {
+			t.Fatalf("%s: unordered harvest behind one entry: %+v, want %d more", when, raw, len(want.Vars))
+		}
+		for i, v := range raw.Vars[1:] {
+			if at, ok := slices.BinarySearch(want.Vars, v); !ok || want.Acts[at] != raw.Acts[i+1] {
+				t.Fatalf("%s: unordered harvest has %d: %v, dense non-zeros %+v", when, v, raw.Acts[i+1], want)
+			}
 		}
 		return len(want.Vars)
 	}
 
 	t.Run("pristine and retained solves", func(t *testing.T) {
 		s := NewDefault(f)
-		if got := s.SparseConflictActivities(); len(got.Vars) != 0 || len(got.Acts) != 0 {
+		if got := s.AppendConflictActivities(SparseActivities{}, true); len(got.Vars) != 0 || len(got.Acts) != 0 {
 			t.Fatalf("unsolved solver reports activities %+v", got)
 		}
 		nonZero := 0
@@ -426,7 +437,7 @@ func TestSparseConflictActivities(t *testing.T) {
 		if res := s.SolveWithAssumptions([]cnf.Lit{cnf.NewLit(1, true)}); res.Status != Sat || res.Stats.Conflicts != 0 {
 			t.Fatalf("the chain under its first variable: %v after %d conflicts, want SAT after none", res.Status, res.Stats.Conflicts)
 		}
-		if allocs := testing.AllocsPerRun(100, func() { harvestSink = s.SparseConflictActivities() }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, func() { harvestSink = s.AppendConflictActivities(harvestSink.Emptied(), true) }); allocs != 0 {
 			t.Fatalf("the harvest allocated %.0f times, want 0", allocs)
 		}
 	})

@@ -116,7 +116,7 @@
 //     finds the clause activity, or the variable's conflict activity, at
 //     zero.  Invariant: an unrecorded original clause has activity zero, an
 //     unrecorded variable VSIDS and conflict activity zero.  The variable
-//     list is also what SparseConflictActivities reads.
+//     list is also what AppendConflictActivities reads.
 //
 // What is left is independent of the search: truncating the arena, the
 // learned-clause list and the trail, and rebuilding the decision heap, which
@@ -728,35 +728,49 @@ func (s *Solver) ConflictActivities() []float64 {
 	return out
 }
 
-// SparseActivities is a conflict-activity vector in sparse form: Vars lists,
-// in ascending order, the variables with a non-zero entry and Acts holds the
-// matching values.  The zero value is the all-zero vector.  (The cluster's
-// wire format sends Vars as differences; the order keeps them one byte each.)
+// SparseActivities is a conflict-activity vector in sparse form: Vars lists
+// the variables with a non-zero entry and Acts holds the matching values.
+// The zero value is the all-zero vector.  (The cluster's wire format sends
+// Vars as differences; in ascending order they take one byte each.)
 type SparseActivities struct {
 	Vars []cnf.Var
 	Acts []float64
 }
 
-// SparseConflictActivities returns the non-zero entries of
-// ConflictActivities in time proportional to the number of variables the
-// queries since the last Reset bumped in conflict analysis — a few dozen
-// after a short solve — not to NumVars or to the literals assigned.  A
-// conflict activity only grows, so the variables with a non-zero entry are
-// exactly those bumpVar listed at their first bump.
-func (s *Solver) SparseConflictActivities() SparseActivities {
-	n := len(s.bumpedVars)
-	if n == 0 {
-		return SparseActivities{}
+// Emptied returns the all-zero vector over a's arrays, for a buffer that is
+// filled again and again.
+func (a SparseActivities) Emptied() SparseActivities {
+	return SparseActivities{Vars: a.Vars[:0], Acts: a.Acts[:0]}
+}
+
+// Clone returns a copy of a that shares nothing with it.
+func (a SparseActivities) Clone() SparseActivities {
+	return SparseActivities{Vars: slices.Clone(a.Vars), Acts: slices.Clone(a.Acts)}
+}
+
+// AppendConflictActivities appends the non-zero entries of
+// ConflictActivities to dst and returns it, in time proportional to the
+// number of variables the queries since the last Reset bumped in conflict
+// analysis — a few dozen after a short solve — not to NumVars or to the
+// literals assigned, and allocating only to grow dst: a worker harvests every
+// subproblem into one buffer of its own.  A conflict activity only grows, so
+// the variables with a non-zero entry are exactly those bumpVar listed at
+// their first bump; they are appended in that order, or with ascending in
+// ascending variable order.
+func (s *Solver) AppendConflictActivities(dst SparseActivities, ascending bool) SparseActivities {
+	from := len(dst.Vars)
+	dst.Vars = slices.Grow(dst.Vars, len(s.bumpedVars))
+	dst.Acts = slices.Grow(dst.Acts, len(s.bumpedVars))
+	for _, v := range s.bumpedVars {
+		dst.Vars = append(dst.Vars, cnf.Var(v+1))
 	}
-	out := SparseActivities{Vars: make([]cnf.Var, n), Acts: make([]float64, n)}
-	for i, v := range s.bumpedVars {
-		out.Vars[i] = cnf.Var(v + 1)
+	if ascending {
+		slices.Sort(dst.Vars[from:])
 	}
-	slices.Sort(out.Vars)
-	for i, v := range out.Vars {
-		out.Acts[i] = s.confAct[v-1]
+	for _, v := range dst.Vars[from:] {
+		dst.Acts = append(dst.Acts, s.confAct[v-1])
 	}
-	return out
+	return dst
 }
 
 func (s *Solver) ensureVars(n int32) {
