@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"github.com/paper-repro/pdsat-go/internal/cluster"
-	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/encoder"
 	"github.com/paper-repro/pdsat-go/internal/solver"
 	"github.com/paper-repro/pdsat-go/pdsat"
@@ -395,36 +394,20 @@ func buildPolicy(preset string, f policyFlags) (pdsat.EvalPolicy, error) {
 }
 
 func buildProblem(cnfPath, startList, generator string, keystream, known int, seed int64) (*pdsat.Problem, error) {
-	if cnfPath != "" {
-		f, err := cnf.ParseDIMACSFile(cnfPath)
-		if err != nil {
-			return nil, err
-		}
-		if startList == "" {
-			return nil, fmt.Errorf("-start is required with -cnf")
-		}
-		start, err := parseVars(startList)
-		if err != nil {
-			return nil, err
-		}
-		return pdsat.FromFormula(cnfPath, f, start), nil
+	if cnfPath == "" {
+		return pdsat.FromGenerator(generator, pdsat.GeneratorConfig{KeystreamLen: keystream, KnownSuffix: known, Seed: seed})
 	}
-	gen, err := encoder.ByName(generator)
+	if startList == "" {
+		return nil, fmt.Errorf("-start is required with -cnf")
+	}
+	start, err := parseVars(startList)
 	if err != nil {
 		return nil, err
 	}
-	inst, err := encoder.NewInstance(gen, encoder.Config{
-		KeystreamLen: keystream,
-		KnownSuffix:  known,
-		Seed:         seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return pdsat.FromInstance(inst), nil
+	return pdsat.FromDIMACSFile(cnfPath, start)
 }
 
-func runEstimate(ctx context.Context, session *pdsat.Session, vars []cnf.Var, metric solver.CostMetric) error {
+func runEstimate(ctx context.Context, session *pdsat.Session, vars []pdsat.Var, metric solver.CostMetric) error {
 	est, err := session.EstimateSet(ctx, vars)
 	if est == nil {
 		return err
@@ -464,7 +447,7 @@ func runSearch(ctx context.Context, session *pdsat.Session, method string, metri
 	return nil
 }
 
-func runSolve(ctx context.Context, session *pdsat.Session, vars []cnf.Var, stopOnSat bool, metric solver.CostMetric) error {
+func runSolve(ctx context.Context, session *pdsat.Session, vars []pdsat.Var, stopOnSat bool, metric solver.CostMetric) error {
 	report, err := session.SolveWithSet(ctx, vars, pdsat.SolveOptions{StopOnSat: stopOnSat})
 	if err != nil {
 		return err
@@ -532,8 +515,8 @@ func parseMetric(s string) (solver.CostMetric, error) {
 	}
 }
 
-func parseVars(list string) ([]cnf.Var, error) {
-	var out []cnf.Var
+func parseVars(list string) ([]pdsat.Var, error) {
+	var out []pdsat.Var
 	for _, part := range strings.Split(list, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -543,7 +526,7 @@ func parseVars(list string) ([]cnf.Var, error) {
 		if err != nil || n <= 0 {
 			return nil, fmt.Errorf("bad variable %q", part)
 		}
-		out = append(out, cnf.Var(n))
+		out = append(out, pdsat.Var(n))
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("empty variable list")
@@ -551,7 +534,7 @@ func parseVars(list string) ([]cnf.Var, error) {
 	return out, nil
 }
 
-func varsString(vars []cnf.Var) string {
+func varsString(vars []pdsat.Var) string {
 	parts := make([]string, len(vars))
 	for i, v := range vars {
 		parts[i] = strconv.Itoa(int(v))

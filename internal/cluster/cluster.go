@@ -1,9 +1,9 @@
 // Package cluster dispatches batches of SAT subproblems to a pool of
 // workers and collects their results.  It is the communication layer of the
 // paper's PDSAT leader/worker architecture: the leader (internal/pdsat's
-// Runner) prepares a batch of subproblems — a decomposition set plus
-// assumption vectors plus a solver configuration — and a Transport decides
-// where the subproblems actually run.
+// Runner) prepares a batch of subproblems — assumption vectors over one
+// formula, which with the solver configuration belongs to the Transport, not
+// to a task — and the Transport decides where the subproblems actually run.
 //
 // Two backends implement Transport:
 //
@@ -50,7 +50,7 @@
 // # Protocol compatibility
 //
 // The network transport speaks one version of its wire protocol
-// (protocolVersion in proto.go, currently 7).  There is no negotiation: a
+// (protocolVersion in proto.go, currently 8).  There is no negotiation: a
 // worker dialing a leader of another version is rejected at registration
 // with an explicit version-mismatch error and fails fast (ErrRejected)
 // instead of redialing forever; one so old that it does not frame its
@@ -77,28 +77,23 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 
 	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/solver"
 )
 
 // Task is one subproblem: solve the transport's formula under the given
-// assumptions.
+// assumptions.  It is an index and an assumption vector and nothing else: the
+// formula and the solver configuration are the transport's, the same for every
+// task of every batch, as PDSAT's workers all run one solver on one CNF.
 type Task struct {
 	// Index identifies the task within its batch.  A batch's indices must
 	// be exactly 0..len(tasks)-1 (each once); both backends rely on this to
 	// track completion and requeue lost work.
 	Index int
-	// Assumptions select the subproblem C[X̃/α].
+	// Assumptions select the subproblem C[X̃/α]: literals over the formula's
+	// variables, which both backends check before they dispatch (checkBatch).
 	Assumptions []cnf.Lit
-	// Options optionally overrides the transport's shared solver
-	// configuration for this task (used by the portfolio approach, where
-	// every member is the same instance under a different configuration).
-	// Override tasks are solved on a fresh throwaway solver instead of a
-	// pooled one, and their Stats cover only the solve call itself, like a
-	// portfolio member's.  Nil means the shared pooled configuration.
-	Options *solver.Options
 }
 
 // TaskResult is the outcome of one subproblem solve, in the one form both
@@ -148,7 +143,8 @@ func IsInterruption(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// StopMode tells a transport when to cancel the remainder of a batch.
+// StopMode tells a transport when to cancel the remainder of a batch: never,
+// or at the first satisfiable subproblem, the two modes PDSAT has.
 type StopMode int
 
 const (
@@ -157,9 +153,6 @@ const (
 	// StopOnSat cancels the batch as soon as one task reports Sat
 	// (solving mode of the paper: stop at the first recovered key).
 	StopOnSat
-	// StopOnDecided cancels the batch as soon as one task reports Sat or
-	// Unsat (portfolio mode: the first conclusive member wins).
-	StopOnDecided
 )
 
 // BatchOptions configure one Run call.
@@ -294,10 +287,11 @@ type DispatchTransport interface {
 }
 
 // checkBatch validates what every backend requires of a batch before it
-// dispatches any of it: the index contract, and assumptions that are
-// literals (0 is none, and the solver would index its value array with it,
-// in a worker goroutine).
-func checkBatch(tasks []Task) error {
+// dispatches any of it: the index contract, and assumptions that are literals
+// over the formula's variables 1..numVars.  With a 0 the solver would index
+// its value array, in a worker goroutine; to a variable beyond the formula an
+// in-process solver would silently grow, and every network worker refuse it.
+func checkBatch(tasks []Task, numVars int) error {
 	seen := make([]bool, len(tasks))
 	for _, t := range tasks {
 		if t.Index < 0 || t.Index >= len(tasks) || seen[t.Index] {
@@ -305,8 +299,10 @@ func checkBatch(tasks []Task) error {
 				len(tasks)-1, t.Index)
 		}
 		seen[t.Index] = true
-		if slices.Contains(t.Assumptions, 0) {
-			return fmt.Errorf("cluster: task %d has the zero literal among its assumptions", t.Index)
+		for _, l := range t.Assumptions {
+			if v := l.Var(); v < 1 || int(v) > numVars { // below 1: zero, or the least int
+				return fmt.Errorf("cluster: task %d assumes literal %d, the formula has %d variables", t.Index, l, numVars)
+			}
 		}
 	}
 	return nil

@@ -11,7 +11,6 @@ import (
 	"github.com/paper-repro/pdsat-go/internal/decomp"
 	"github.com/paper-repro/pdsat-go/internal/encoder"
 	"github.com/paper-repro/pdsat-go/internal/pdsat"
-	"github.com/paper-repro/pdsat-go/internal/portfolio"
 	"github.com/paper-repro/pdsat-go/internal/solver"
 )
 
@@ -189,45 +188,6 @@ func TestNetRunnerInterruptPartialEstimate(t *testing.T) {
 	}
 	if n := len(est.Sample.Values()); n == 0 || n > 64 {
 		t.Fatalf("partial sample has %d values, want 1..64", n)
-	}
-}
-
-// TestPortfolioOverTransport runs the portfolio members as cluster tasks on
-// the loopback network transport and checks it reaches the same conclusion
-// as the local goroutine race.
-func TestPortfolioOverTransport(t *testing.T) {
-	inst := testInstance(t)
-
-	localRes, err := portfolio.Solve(context.Background(), inst.CNF, portfolio.Options{
-		CostMetric: solver.CostPropagations,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	leader := startLeader(t, inst, 3)
-	pf, err := portfolio.New(inst.CNF, portfolio.Options{
-		CostMetric: solver.CostPropagations,
-		Transport:  leader,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	netRes, err := pf.Solve(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if netRes.Status != localRes.Status {
-		t.Fatalf("portfolio status differs: local %v, net %v", localRes.Status, netRes.Status)
-	}
-	if netRes.Winner == "" {
-		t.Fatal("expected a conclusive winner over the transport")
-	}
-	if netRes.Status == solver.Sat && !inst.CNF.IsSatisfiedBy(netRes.Model) {
-		t.Fatal("winner's model does not satisfy the formula")
-	}
-	if len(netRes.MemberStats) == 0 {
-		t.Fatal("expected per-member statistics from the transport run")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"os"
@@ -273,9 +274,9 @@ func TestHostileWorker(t *testing.T) {
 }
 
 // TestOlderVersionIsTurnedAway: a worker that frames its messages as this
-// version does but announces another one — version 6, whose task frames
-// carried a queue factor — is told why it is refused, which Serve reports
-// as ErrRejected instead of redialing.
+// version does but announces another one — the one before, whose tasks could
+// bring solver options of their own — is told why it is refused, which Serve
+// reports as ErrRejected instead of redialing.
 func TestOlderVersionIsTurnedAway(t *testing.T) {
 	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{Logf: t.Logf})
 	if err != nil {
@@ -288,15 +289,16 @@ func TestOlderVersionIsTurnedAway(t *testing.T) {
 	}
 	defer conn.Close()
 	w := newWire(conn)
-	if err := w.send(&envelope{Kind: kindHello, Proto: 6, Capacity: 2, Name: "old"}); err != nil {
+	if err := w.send(&envelope{Kind: kindHello, Proto: protocolVersion - 1, Capacity: 2, Name: "old"}); err != nil {
 		t.Fatal(err)
 	}
 	env, err := w.recv(handshakeTimeout)
 	if err != nil {
 		t.Fatalf("no answer to an old hello: %v", err)
 	}
-	if env.Kind != kindStop || !strings.Contains(env.Err, "protocol version mismatch: leader speaks 7, worker 6") {
-		t.Fatalf("answer to a version 6 hello: %+v", env)
+	want := fmt.Sprintf("protocol version mismatch: leader speaks %d, worker %d", protocolVersion, protocolVersion-1)
+	if env.Kind != kindStop || !strings.Contains(env.Err, want) {
+		t.Fatalf("answer to an old hello: %+v, want a stop saying %q", env, want)
 	}
 	if !untilClosed(conn) {
 		t.Fatal("the leader kept the refused connection open")

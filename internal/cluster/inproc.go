@@ -120,7 +120,7 @@ func (t *Inproc) RunObserved(ctx context.Context, tasks []Task, opts BatchOption
 // fails the batch, not the process: the other tasks drain as placeholders and
 // the error — not an interruption — names the task and the panic value.
 func (t *Inproc) RunAbortable(ctx context.Context, tasks []Task, opts BatchOptions, observe func(TaskResult), abort <-chan struct{}) ([]TaskResult, error) {
-	if err := checkBatch(tasks); err != nil {
+	if err := checkBatch(tasks, t.formula.NumVars); err != nil {
 		return nil, err
 	}
 	if len(tasks) == 0 {
@@ -265,14 +265,7 @@ func (b *inprocBatch) record(res TaskResult) {
 // stopTriggered reports whether a result's status cancels the batch under
 // the given stop policy.
 func stopTriggered(mode StopMode, st solver.Status) bool {
-	switch mode {
-	case StopOnSat:
-		return st == solver.Sat
-	case StopOnDecided:
-		return st == solver.Sat || st == solver.Unsat
-	default:
-		return false
-	}
+	return mode == StopOnSat && st == solver.Sat
 }
 
 // solveWorker is the per-goroutine solving state of one batch: one
@@ -422,9 +415,6 @@ func searchAllowance(budget, base uint64) uint64 {
 // benefits from previously learned clauses; the cost is the construction
 // baseline plus this call's actual effort.
 func (w *solveWorker) solveTask(t Task, opts BatchOptions) TaskResult {
-	if t.Options != nil {
-		return w.solveOverrideTask(t, opts)
-	}
 	s := w.solver
 	start := time.Now()
 	if w.retain {
@@ -447,7 +437,13 @@ func (w *solveWorker) solveTask(t Task, opts BatchOptions) TaskResult {
 		s.Reset()
 		s.SetBudget(opts.Budget)
 	}
-	res, cancelled := w.solveInterruptibly(s, t)
+	// The solve is open to the slot's interrupts for exactly as long as it
+	// runs.  One that still concluded (the interrupt raced with a normal
+	// finish) produced a complete cost; only an inconclusive one is cancelled:
+	// its cost then undercounts the subproblem.
+	w.begin(t.Index, s)
+	res := s.SolveWithAssumptions(t.Assumptions)
+	cancelled := w.end() && res.Status == solver.Unknown
 	var taskStats solver.Stats
 	// The gain of a retained task is a merge of two ascending vectors.
 	w.act = s.AppendConflictActivities(w.act.Emptied(), w.ascending || w.retain)
@@ -494,41 +490,4 @@ func activityGain(gain, cur, prev solver.SparseActivities) solver.SparseActiviti
 		}
 	}
 	return gain
-}
-
-// solveOverrideTask solves a task that carries its own solver configuration
-// (a portfolio member) on a fresh throwaway solver.  Its Stats cover the
-// solve call only, matching the portfolio's per-member accounting.
-func (w *solveWorker) solveOverrideTask(t Task, opts BatchOptions) TaskResult {
-	s := solver.New(w.transport.formula, *t.Options)
-	s.SetBudget(opts.Budget)
-	start := time.Now()
-	res, cancelled := w.solveInterruptibly(s, t)
-	stats := res.Stats
-	stats.SolveTime = time.Since(start)
-	w.act = s.AppendConflictActivities(w.act.Emptied(), w.ascending)
-	return TaskResult{
-		Index:       t.Index,
-		Cost:        solver.EffortCost(stats, opts.CostMetric),
-		Status:      res.Status,
-		Model:       res.Model,
-		Activity:    w.act,
-		Stats:       stats,
-		Started:     true,
-		Interrupted: res.Interrupted,
-		Cancelled:   cancelled,
-	}
-}
-
-// solveInterruptibly runs one task's solve on the caller's goroutine, open
-// to the slot's interrupts for exactly as long as it runs.  cancelled
-// reports that the solve ended inconclusively because of an interrupt (and
-// not, say, its own budget): its cost then undercounts the subproblem.
-func (w *solveWorker) solveInterruptibly(s *solver.Solver, t Task) (res solver.Result, cancelled bool) {
-	w.begin(t.Index, s)
-	res = s.SolveWithAssumptions(t.Assumptions)
-	// A solve that still concluded (the interrupt raced with a normal
-	// finish) produced a complete cost; only inconclusive ones are
-	// truncated.
-	return res, w.end() && res.Status == solver.Unknown
 }

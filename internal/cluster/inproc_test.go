@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/solver"
 )
 
@@ -163,29 +164,31 @@ func TestInprocLateWorkerTakesNoSolver(t *testing.T) {
 	t.Fatalf("the pool holds %v solvers after batches one worker could have drained, want 1", sizes)
 }
 
-// checkPanicError fails the test unless err reports a panic under the given
-// task as a failed batch, not as an interruption.
-func checkPanicError(t *testing.T, err error, task string) {
+// checkPanicError fails the test unless err reports a panic with the given
+// value under the given task as a failed batch, not as an interruption.
+func checkPanicError(t *testing.T, err error, task, value string) {
 	t.Helper()
 	if err == nil || IsInterruption(err) || !strings.Contains(err.Error(), task+" panicked") ||
-		!strings.Contains(err.Error(), "nil pointer dereference") {
-		t.Fatalf("got the error %v, want one naming %s and the nil dereference", err, task)
+		!strings.Contains(err.Error(), value) {
+		t.Fatalf("got the error %v, want one naming %s and %q", err, task, value)
 	}
 }
 
-// TestInprocRecoversPanicBuildingSolver: a transport without a formula
-// panics where the first worker builds its solver.  That used to end the
+// TestInprocRecoversPanicBuildingSolver: a transport whose formula has a
+// clause with the zero literal panics where the first worker builds its
+// solver.  That used to end the
 // process from a goroutine no caller could recover on; it is the batch's
 // error now.
 func TestInprocRecoversPanicBuildingSolver(t *testing.T) {
-	tr := NewInproc(nil, 2, solver.Options{})
+	tr := NewInproc(&cnf.Formula{NumVars: 2, Clauses: []cnf.Clause{{1, 0}}}, 2, solver.Options{})
 	_, err := tr.Run(context.Background(), requeueTasks(1), BatchOptions{})
-	checkPanicError(t, err, "task 0")
+	checkPanicError(t, err, "task 0", "index out of range")
 }
 
 // TestInprocRecoversPanicUnderSolve panics under solveTask on a healthy
-// transport — an override task builds its throwaway solver from a formula
-// that is gone while the worker holds its pooled one.  The batch fails with
+// transport — the caller's observer rewrites a task the batch check has
+// passed into one that assumes the zero literal, and the solver indexes its
+// value array with it while the worker holds its pooled one.  The batch fails with
 // an error naming the task, the tasks behind it drain as placeholders the
 // observer is not told about, the solver the worker held is not returned to
 // the pool, and the transport serves the next batch.
@@ -201,14 +204,14 @@ func TestInprocRecoversPanicUnderSolve(t *testing.T) {
 	}
 
 	const bad = 3
-	override := solver.DefaultOptions()
 	failing := requeueTasks(8)
-	failing[bad].Options = &override
-	tr.formula = nil
 	observed := 0
-	results, err := tr.RunObserved(context.Background(), failing, propagationBatch, func(TaskResult) { observed++ })
-	tr.formula = f
-	checkPanicError(t, err, "task 3")
+	results, err := tr.RunObserved(context.Background(), failing, propagationBatch, func(TaskResult) {
+		if observed++; observed == bad {
+			failing[bad].Assumptions[0] = 0
+		}
+	})
+	checkPanicError(t, err, "task 3", "index out of range")
 	if len(results) != len(failing)-1 || observed != bad {
 		t.Fatalf("%d results, %d of them observed; want one for every task but the panicking one, and the %d before it observed",
 			len(results), observed, bad)

@@ -965,7 +965,7 @@ func (l *Leader) RunAbortable(ctx context.Context, tasks []Task, opts BatchOptio
 // batch options ask for them, so a RunDispatch call with a zero-policy
 // BatchOptions behaves — and schedules — exactly like RunAbortable.
 func (l *Leader) RunDispatch(ctx context.Context, tasks []Task, opts BatchOptions, observe func(TaskResult), abort <-chan struct{}) ([]TaskResult, DispatchStats, error) {
-	if err := checkBatch(tasks); err != nil {
+	if err := checkBatch(tasks, l.numVars); err != nil {
 		return nil, DispatchStats{}, err
 	}
 	l.runMu.Lock()

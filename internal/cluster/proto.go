@@ -40,7 +40,7 @@ import (
 //	              flags:byte (1 phaseSaving, 2 defaultPhase, 4 minimizeLearned)
 //	batchOptions  stop:int flags:byte (1 retain, 2 steal, 4 speculate) maxConflicts:uint
 //	              maxPropagations:uint maxTime:int costMetric:int
-//	task          index:int hasOptions:byte [solverOptions] len:count { lit }
+//	task          index:int len:count { lit }
 //	result        index:int cost:float status:int flags:byte (1 started, 2 interrupted,
 //	              4 cancelled) nModel:count { byte } nActivity:count { varDelta:uint } { act:float }
 //	              stats: decisions propagations conflicts restarts learned removed reduceDBs
@@ -52,11 +52,13 @@ import (
 // are mostly small whole numbers, whose low mantissa bytes are zero, so they
 // take two to four bytes instead of eight.  varDelta is the distance from
 // the previous variable of the ascending activity vector (from 0 for the
-// first).  A count is a uint that is checked against the bytes left in the
-// frame before anything is allocated for it — every element takes at least
-// one byte, a task three — so a frame cannot make its reader allocate more
-// than a small multiple of the frame's own length, and the reader's buffer
-// grows with the bytes that have arrived, not with the length a peer
+// first).  A task is its index and its assumptions: the formula and the
+// solver configuration travel once, in the welcome, and hold for every task
+// of the connection.  A count is a uint that is checked against the bytes
+// left in the frame before anything is allocated for it — every element takes
+// at least one byte, a task two — so a frame cannot make its reader allocate
+// more than a small multiple of the frame's own length, and the reader's
+// buffer grows with the bytes that have arrived, not with the length a peer
 // announces.
 //
 // Decoding is strict: an unknown kind, a truncated field, a count beyond the
@@ -93,7 +95,7 @@ import (
 // for older versions: a mismatch is rejected at registration (checkHello),
 // and leader and worker ship as one binary.  The hello frame keeps its place
 // and its first field across versions, so that the rejection can say why.
-const protocolVersion = 7
+const protocolVersion = 8
 
 // maxFrame bounds the body of one frame.  The largest legitimate frame is
 // the welcome, which carries the formula (about 1.2 MB for the benchmark's
@@ -110,7 +112,7 @@ const (
 	readStep     = 4096
 	keepRead     = 64 << 10
 	keepActivity = keepRead / 2
-	keepTasks    = keepRead / 3
+	keepTasks    = keepRead / 2
 )
 
 // errFrame is the cause of every malformed-frame error.
@@ -600,10 +602,6 @@ func appendBatchOptions(dst []byte, o *BatchOptions) []byte {
 
 func appendTask(dst []byte, t *Task) []byte {
 	dst = appendInt(dst, t.Index)
-	dst = append(dst, flagBits(t.Options != nil))
-	if t.Options != nil {
-		dst = appendSolverOptions(dst, t.Options)
-	}
 	return appendLits(dst, t.Assumptions)
 }
 
@@ -831,8 +829,7 @@ func (d *decoder) batchOptions(o *BatchOptions) {
 // receipt, and a slot decodes them into its own buffer when it takes the task
 // (a literal is one or two bytes here and eight in a Task).
 type queuedTask struct {
-	index   int
-	options *solver.Options
+	index int
 	// lits is the assumption vector as zig-zag varints, every one of them a
 	// literal over a variable of the formula.
 	lits []byte
@@ -856,7 +853,7 @@ func (q *queuedTask) appendAssumptions(dst []cnf.Lit) []cnf.Lit {
 // 0, and allocate for a variable it does not have up to whatever a varint can
 // name.  No leader sends one.
 func (d *decoder) tasks(tasks []queuedTask) []queuedTask {
-	n := d.count(3) // index, option flag, assumption count
+	n := d.count(2) // index, assumption count
 	total := d.count(1)
 	if n > 0 {
 		d.b = slices.Clone(d.b)
@@ -864,12 +861,7 @@ func (d *decoder) tasks(tasks []queuedTask) []queuedTask {
 	tasks = slices.Grow(tasks[:0], n)[:n]
 	for i := range tasks {
 		t := &tasks[i]
-		*t = queuedTask{}
-		t.index = d.int()
-		if d.flags(1) != 0 {
-			t.options = new(solver.Options)
-			d.solverOptions(t.options)
-		}
+		*t = queuedTask{index: d.int()}
 		lits := d.count(1)
 		if lits > total {
 			d.fail("literal vectors longer than the announced total")

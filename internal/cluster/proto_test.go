@@ -98,7 +98,7 @@ func sendable(env *envelope) *envelope {
 	out.Tasks = make([]Task, len(env.Queued))
 	for i := range env.Queued {
 		q := &env.Queued[i]
-		out.Tasks[i] = Task{Index: q.index, Assumptions: q.appendAssumptions(nil), Options: q.options}
+		out.Tasks[i] = Task{Index: q.index, Assumptions: q.appendAssumptions(nil)}
 	}
 	return &out
 }
@@ -146,7 +146,7 @@ func wireTable() map[string]*envelope {
 			Kind:  kindTasks,
 			Batch: 7,
 			Opts: &BatchOptions{
-				Stop: StopOnDecided, Retain: true, Steal: true, Speculate: true,
+				Stop: StopOnSat, Retain: true, Steal: true, Speculate: true,
 				Budget:     solver.Budget{MaxConflicts: maxU, MaxPropagations: 1, MaxTime: time.Duration(math.MinInt64)},
 				CostMetric: solver.CostPropagations,
 			},
@@ -154,7 +154,7 @@ func wireTable() map[string]*envelope {
 				{Index: 0, Assumptions: nil},
 				{Index: 1, Assumptions: []cnf.Lit{}},
 				{Index: 2499, Assumptions: []cnf.Lit{-1, 63, -64, 64, 8191, -8193, tableVars, -tableVars}},
-				{Index: -3, Assumptions: []cnf.Lit{120}, Options: &solver.Options{VarDecay: math.SmallestNonzeroFloat64, RestartBase: maxU, DefaultPhase: true}},
+				{Index: -3, Assumptions: []cnf.Lit{120}},
 			},
 		},
 		"tasks, none": {Kind: kindTasks, Batch: 1, Opts: &BatchOptions{}},
@@ -262,6 +262,23 @@ func version6Tasks(tb testing.TB, env *envelope, factor float64) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
 }
 
+// version7Tasks is a task envelope's frame as protocol 7 laid it out: every
+// task with a byte behind its index that said whether solver options of its
+// own followed (here: none).
+func version7Tasks(tb testing.TB, env *envelope) []byte {
+	tb.Helper()
+	body := appendBatchOptions(binary.AppendUvarint([]byte{byte(kindTasks)}, env.Batch), env.Opts)
+	lits := 0
+	for _, task := range env.Tasks {
+		lits += len(task.Assumptions)
+	}
+	body = binary.AppendUvarint(binary.AppendUvarint(body, uint64(len(env.Tasks))), uint64(lits))
+	for _, task := range env.Tasks {
+		body = appendLits(append(appendInt(body, task.Index), 0), task.Assumptions)
+	}
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
 func mustFrame(tb testing.TB, env *envelope) []byte {
 	tb.Helper()
 	frame, err := appendFrame(nil, env)
@@ -344,10 +361,10 @@ func TestWireRejectsMalformedFrames(t *testing.T) {
 		"unknown flag bit":               frame(byte(kindRevoke), 1, 0, 2, 0),
 		"index count beyond the frame":   frame(append([]byte{byte(kindRevoked), 1}, huge...)...),
 		"name length beyond the frame":   frame(append([]byte{byte(kindHello), 12, 2}, huge...)...),
-		"task count beyond the frame":    frame(byte(kindTasks), 1, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0),
+		"task count beyond the frame":    frame(byte(kindTasks), 1, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0),
 		"literal total beyond the frame": frame(append([]byte{byte(kindTasks), 1, 0, 0, 0, 0, 0, 0, 0}, huge...)...),
-		"assumptions beyond their total": frame(byte(kindTasks), 1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 2, 2, 4),
-		"assumptions short of the total": frame(byte(kindTasks), 1, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 1, 2),
+		"assumptions beyond their total": frame(byte(kindTasks), 1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 2, 2, 4),
+		"assumptions short of the total": frame(byte(kindTasks), 1, 0, 0, 0, 0, 0, 0, 1, 2, 0, 1, 2),
 		"result cut short":               append(binary.BigEndian.AppendUint32(nil, uint32(len(result)-5)), result[4:len(result)-1]...),
 	}
 	for name, in := range badLiteralFrames(t) {
@@ -366,6 +383,9 @@ func TestWireRejectsMalformedFrames(t *testing.T) {
 	} {
 		cases[name] = version6Tasks(t, wireTable()["tasks"], factor)
 	}
+	// Protocol 7 let a task bring solver options of its own; the same holds
+	// for its frames.
+	cases["version 7 task frame, an option byte a task"] = version7Tasks(t, wireTable()["tasks"])
 	for name, in := range cases {
 		env, err := tableWire(&scriptConn{in: in}).recv(time.Second)
 		if !errors.Is(err, errFrame) {
@@ -508,7 +528,7 @@ func FuzzWireDecode(f *testing.F) {
 			frames = append(frames, frame)
 		}
 		runtime.ReadMemStats(&after)
-		// The dearest element is a task: 40 bytes of Task for 3 on the wire.
+		// The dearest element is a task: 32 bytes of Task for 2 on the wire.
 		// The re-encoded frames, the wire and its bufio.Reader are inside
 		// the allowance too.
 		if grew, allowed := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+64<<10); grew > allowed {

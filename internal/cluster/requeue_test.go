@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"math"
 	"net"
 	"runtime"
 	"strings"
@@ -174,31 +175,6 @@ func TestWorkerDisconnectRequeues(t *testing.T) {
 	}
 }
 
-// TestInprocStopOnDecided checks the portfolio stop policy on the
-// in-process backend: a batch with StopOnDecided is cancelled by the first
-// conclusive result.
-func TestInprocStopOnDecided(t *testing.T) {
-	f := requeueFormula()
-	tasks := requeueTasks(8)
-	results, err := NewInproc(f, 2, solver.DefaultOptions()).Run(context.Background(), tasks,
-		BatchOptions{Stop: StopOnDecided, CostMetric: solver.CostPropagations})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(tasks) {
-		t.Fatalf("got %d results for %d tasks", len(results), len(tasks))
-	}
-	decided := false
-	for _, res := range results {
-		if res.Status == solver.Sat || res.Status == solver.Unsat {
-			decided = true
-		}
-	}
-	if !decided {
-		t.Fatal("expected at least one conclusive result")
-	}
-}
-
 // TestBatchIndexValidation checks the shared index contract.
 func TestBatchIndexValidation(t *testing.T) {
 	f := requeueFormula()
@@ -213,25 +189,73 @@ func TestBatchIndexValidation(t *testing.T) {
 	}
 }
 
-// TestBatchRejectsZeroLiteral: 0 is not a literal, and the solver would
-// index its value array with it in a worker goroutine, which takes the
-// process down.  Both backends return it as the caller's error before they
-// dispatch anything — the leader here has no worker to dispatch to.
+// TestBatchRejectsZeroLiteral: an assumption is a literal of the transport's
+// formula.  0 is none — the solver would index its value array with it in a
+// worker goroutine, which takes the process down — and a variable the formula
+// does not have used to make the backends disagree: an in-process solver grew
+// to it silently, and every network worker refused the frame, was dropped and
+// requeued onto, redialled and refused it again, for ever.  Both backends
+// return the same error before they dispatch anything; the leader's worker
+// never hears of the batch, stays registered and serves the next one.
 func TestBatchRejectsZeroLiteral(t *testing.T) {
 	f := requeueFormula()
-	leader, err := Listen("127.0.0.1:0", f, LeaderOptions{})
+	var lost atomic.Int32
+	leader, err := Listen("127.0.0.1:0", f, LeaderOptions{
+		Logf:         t.Logf,
+		OnWorkerLost: func(string, int) { lost.Add(1) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer leader.Close()
-	tasks := requeueTasks(4)
-	tasks[2].Assumptions = []cnf.Lit{3, 0, -5}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	for name, tr := range map[string]Transport{"inproc": NewInproc(f, 2, solver.DefaultOptions()), "leader": leader} {
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = Serve(ctx, leader.Addr().String(), WorkerOptions{Capacity: 2, Name: "bystander", Logf: t.Logf})
+	}()
+	defer func() { // the worker logs into the test until it has returned
+		leader.Close()
+		<-served
+	}()
+	if err := leader.WaitForWorkers(ctx, 1); err != nil {
+		t.Fatalf("worker did not register: %v", err)
+	}
+	inproc := NewInproc(f, 2, solver.DefaultOptions())
+
+	for name, bad := range map[string]cnf.Lit{
+		"the zero literal":              0,
+		"a variable beyond the formula": cnf.Lit(f.NumVars + 1),
+		"its negation":                  -cnf.Lit(f.NumVars + 1),
+		"the least int":                 math.MinInt,
+	} {
+		tasks := requeueTasks(4)
+		tasks[2].Assumptions = []cnf.Lit{3, bad, -5}
+		var errs [2]string
+		for i, tr := range []Transport{inproc, leader} {
+			res, err := tr.Run(ctx, tasks, BatchOptions{})
+			if err == nil || res != nil || !strings.Contains(err.Error(), "task 2 assumes literal "+bad.String()) ||
+				!strings.Contains(err.Error(), "the formula has 24 variables") {
+				t.Errorf("%s, backend %d: Run returned %d results and %v, want an error naming task, literal and the formula's variable count",
+					name, i, len(res), err)
+				continue
+			}
+			errs[i] = err.Error()
+		}
+		if errs[0] != errs[1] {
+			t.Errorf("%s: the backends disagree: in process %q, leader %q", name, errs[0], errs[1])
+		}
+	}
+	if got := lost.Load(); got != 0 || leader.WorkerCount() != 1 {
+		t.Fatalf("%d workers lost, %d registered; want the one worker untouched by refused batches", got, leader.WorkerCount())
+	}
+	// The largest variable is the formula's, and both backends serve it.
+	tasks := requeueTasks(4)
+	tasks[2].Assumptions = []cnf.Lit{3, -cnf.Lit(f.NumVars)}
+	for i, tr := range []Transport{inproc, leader} {
 		res, err := tr.Run(ctx, tasks, BatchOptions{})
-		if err == nil || !strings.Contains(err.Error(), "zero literal") || res != nil {
-			t.Errorf("%s: Run returned %d results and %v, want the zero-literal error", name, len(res), err)
+		if err != nil || len(res) != len(tasks) {
+			t.Fatalf("backend %d after the refused batches: %d results and %v, want %d and nil", i, len(res), err, len(tasks))
 		}
 	}
 }

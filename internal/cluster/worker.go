@@ -342,7 +342,7 @@ func newWorkerBatch(parent context.Context, id uint64, opts BatchOptions, exec *
 					res = TaskResult{Index: qt.index, Status: solver.Unknown}
 				} else {
 					assumptions = qt.appendAssumptions(assumptions[:0])
-					res = b.solveOne(sw, Task{Index: qt.index, Assumptions: assumptions, Options: qt.options}, delay)
+					res = b.solveOne(sw, Task{Index: qt.index, Assumptions: assumptions}, delay)
 				}
 				if parent.Err() != nil {
 					// Not this batch but the worker itself is going down, and

@@ -260,14 +260,6 @@ type Backend interface {
 	EvaluateBudgeted(ctx context.Context, p decomp.Point, pol Policy, incumbent float64) (*Evaluation, error)
 }
 
-// BackendFunc adapts a function to the Backend interface.
-type BackendFunc func(ctx context.Context, p decomp.Point, pol Policy, incumbent float64) (*Evaluation, error)
-
-// EvaluateBudgeted implements Backend.
-func (f BackendFunc) EvaluateBudgeted(ctx context.Context, p decomp.Point, pol Policy, incumbent float64) (*Evaluation, error) {
-	return f(ctx, p, pol, incumbent)
-}
-
 // Engine composes the three mechanisms over a Backend: cache lookup first,
 // then a policy-driven backend evaluation, then cache insertion.  It
 // implements Evaluator.  An Engine is safe for concurrent use if its backend
@@ -294,20 +286,10 @@ func NewEngine(backend Backend, pol Policy, cache *Cache) *Engine {
 	return &Engine{backend: backend, policy: pol, cache: cache}
 }
 
-// Policy returns the engine's policy.
-func (e *Engine) Policy() Policy { return e.policy }
-
-// EvaluateF implements Evaluator.
+// EvaluateF implements Evaluator: EvaluateSlotF with no slot reserved, so the
+// backend draws the next one.
 func (e *Engine) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*Evaluation, error) {
-	key, variant := p.Key(), e.policy.variant()
-	if ev, ok := e.cache.Lookup(key, variant, incumbent); ok {
-		ev.CacheHit = true
-		if e.OnCacheHit != nil {
-			e.OnCacheHit(p, ev)
-		}
-		return &ev, nil
-	}
-	return e.settle(p, key, variant, incumbent)(e.backend.EvaluateBudgeted(ctx, p, e.policy, incumbent))
+	return e.EvaluateSlotF(ctx, p, incumbent, -1)
 }
 
 // CacheStats returns the shared cache's counters (zero if disabled).

@@ -137,11 +137,12 @@ func (e *Engine) ReserveSlots(n int) (int, bool) {
 	return sb.ReserveEvalSlots(n), true
 }
 
-// EvaluateSlotF implements SlotEvaluator: EvaluateF — cache lookup, policy
-// evaluation, memoization, hooks — with the sample pinned to a
-// pre-reserved slot.  A cache hit leaves the slot unused (deliberately:
-// the reservation, not the use, is what keeps sibling samples
-// scheduling-independent).
+// EvaluateSlotF implements SlotEvaluator, and is the one body of EvaluateF
+// too: cache lookup, policy evaluation, memoization, hooks.  A slot of 0 or
+// more pins the sample to that pre-reserved slot where the backend has slots;
+// a negative one lets the backend reserve the next.  A cache hit leaves the
+// slot unused (deliberately: the reservation, not the use, is what keeps
+// sibling samples scheduling-independent).
 func (e *Engine) EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*Evaluation, error) {
 	key, variant := p.Key(), e.policy.variant()
 	if ev, ok := e.cache.Lookup(key, variant, incumbent); ok {
@@ -151,32 +152,26 @@ func (e *Engine) EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent fl
 		}
 		return &ev, nil
 	}
-	sb, ok := e.backend.(SlotBackend)
-	if !ok {
-		return e.settle(p, key, variant, incumbent)(e.backend.EvaluateBudgeted(ctx, p, e.policy, incumbent))
+	var ev *Evaluation
+	var err error
+	if sb, ok := e.backend.(SlotBackend); ok && slot >= 0 {
+		ev, err = sb.EvaluateSlot(ctx, p, e.policy, incumbent, slot)
+	} else {
+		ev, err = e.backend.EvaluateBudgeted(ctx, p, e.policy, incumbent)
 	}
-	return e.settle(p, key, variant, incumbent)(sb.EvaluateSlot(ctx, p, e.policy, incumbent, slot))
-}
-
-// settle returns the shared post-processing of a backend evaluation:
-// incumbent stamping and the OnPruned hook for pruned results, cache
-// insertion for reusable ones.
-func (e *Engine) settle(p decomp.Point, key, variant string, incumbent float64) func(*Evaluation, error) (*Evaluation, error) {
-	return func(ev *Evaluation, err error) (*Evaluation, error) {
-		if ev == nil || err != nil {
-			// Interrupted or failed evaluations are not cached: their partial
-			// estimates are completion-censored, not reusable facts.
-			return ev, err
-		}
-		if ev.Pruned {
-			ev.Incumbent = incumbent
-			if e.OnPruned != nil {
-				e.OnPruned(p, *ev)
-			}
-		}
-		e.cache.Store(key, variant, *ev)
-		return ev, nil
+	if ev == nil || err != nil {
+		// Interrupted or failed evaluations are not cached: their partial
+		// estimates are completion-censored, not reusable facts.
+		return ev, err
 	}
+	if ev.Pruned {
+		ev.Incumbent = incumbent
+		if e.OnPruned != nil {
+			e.OnPruned(p, *ev)
+		}
+	}
+	e.cache.Store(key, variant, *ev)
+	return ev, nil
 }
 
 // FrontierResult is one candidate's outcome, delivered to the process

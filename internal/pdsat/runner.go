@@ -8,7 +8,10 @@
 //     induced subproblems C[X̃/α], and the observed costs are combined into
 //     the predictive-function value F = 2^d · mean (montecarlo.Estimate).
 //     Per-variable conflict activity is accumulated across the sample; the
-//     tabu search uses it to pick new neighbourhood centres.
+//     tabu search uses it to pick new neighbourhood centres.  The evaluation
+//     methods are declared once, on Scope; a Runner embeds its default scope
+//     and has them by promotion, while its counters and VarActivity are its
+//     own ledger's, the roll-up over every scope (see Runner).
 //
 //   - Solving mode (Solve): all 2^d assignments of X̃ are enumerated and the
 //     corresponding subproblems are solved, optionally stopping at the first
@@ -41,7 +44,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -297,10 +299,22 @@ func (l *ledger) absorb(res *cluster.TaskResult) {
 }
 
 // Runner evaluates predictive functions and processes decomposition families
-// for one SAT instance.  Its embedded ledger is the roll-up of the session:
-// everything its scopes count, plus the subproblems of its Solve calls.
+// for one SAT instance.
+//
+// It is its default Scope: the embedded *Scope is seeded with Config.Seed, and
+// every evaluation method is declared once, on Scope, and promoted — so
+// r.EvaluatePoint(ctx, p) is r.Scope.EvaluatePoint(ctx, p), its sample drawn
+// from (Config.Seed, r.Scope.Evaluations()).  Fleet members evaluate through
+// scopes of their own (NewScope), sharing the transport but not the sampling
+// state.
+//
+// Its embedded ledger is the roll-up of the session: everything its scopes
+// count, the default one included, plus the subproblems of its Solve calls.
+// It is the shallower embed, so r.Counters(), r.VarActivity and the counter
+// getters read the roll-up; the default scope's own table is r.Scope.Counters().
 type Runner struct {
 	ledger
+	*Scope
 	formula *cnf.Formula
 	cfg     Config
 	// transport dispatches subproblem batches (Config.Transport, or a
@@ -311,11 +325,6 @@ type Runner struct {
 	// configuration surfaces on the first evaluation instead of panicking
 	// or hanging.
 	cfgErr error
-	// def is the runner's default evaluation scope (seeded with Config.Seed);
-	// the Evaluate* methods below delegate to it.  Fleet members instead
-	// evaluate through their own NewScope, sharing the transport but not the
-	// sampling state.
-	def *Scope
 }
 
 // NewRunner creates a runner for the formula.  An invalid configuration
@@ -343,7 +352,7 @@ func NewRunner(f *cnf.Formula, cfg Config) *Runner {
 		transport: transport,
 		cfgErr:    cfgErr,
 	}
-	r.def = r.NewScope(cfg.Seed)
+	r.Scope = r.NewScope(cfg.Seed)
 	return r
 }
 
@@ -441,7 +450,7 @@ func (pe *PointEstimate) Evaluation() eval.Evaluation {
 }
 
 // Progress describes one completed subproblem within a running evaluation
-// (EvaluatePointBudgeted) or family-processing call (SolveObserved).
+// (Scope.EvaluatePointBudgeted) or family-processing call (SolveObserved).
 type Progress struct {
 	// Done is the number of subproblem results the call has taken in so
 	// far, including cancelled placeholders; Total is the call's batch
@@ -452,133 +461,6 @@ type Progress struct {
 	// (Result.Started is false for tasks cancelled before a solver saw
 	// them).  Its Activity is valid until the observer returns.
 	Result cluster.TaskResult
-}
-
-// EvaluatePoint computes the predictive function F at the decomposition set
-// given by the point, using the runner's sample size and worker transport.
-// The evaluation is deterministic for a fixed configuration when the cost
-// metric is deterministic: the sample depends only on (Seed, evaluation
-// counter), and every subproblem is solved from a solver's pristine state,
-// so its observed cost does not depend on which worker — local goroutine or
-// remote machine — happened to process it.
-//
-// If the context is cancelled mid-evaluation, EvaluatePoint returns the
-// partial estimate computed from the subproblems that did complete (marked
-// Interrupted) together with the context's error, so an interrupted run can
-// still print a report; the result is nil only if no subproblem finished.
-//
-// It runs under the runner's configured evaluation policy with no
-// incumbent, so staged sampling applies but pruning never triggers.
-func (r *Runner) EvaluatePoint(ctx context.Context, p decomp.Point) (*PointEstimate, error) {
-	return r.EvaluatePointBudgeted(ctx, p, r.cfg.Policy, math.Inf(1), nil)
-}
-
-// EvaluatePointBudgeted is the budget-aware evaluation at the heart of the
-// engine: it computes the predictive function F at the point under the
-// given policy and incumbent bound (the best F the caller has already
-// certified; +Inf if none).
-//
-// The sample itself — which N assignments of the decomposition set are
-// drawn — depends only on (Seed, evaluation counter), exactly as in
-// EvaluatePoint, and it is dispatched whole, as one batch; the policy decides
-// how much of it enters the evaluation, and what an evaluation returns is a
-// function of the costs, not of the order the results come in:
-//
-//   - Staged sampling (Policy.Stages) cuts the sample into geometrically
-//     growing index prefixes and takes a checkpoint whenever every result
-//     of a prefix is in: once the eq.-3 confidence half-width of the mean
-//     over exactly that prefix falls to Policy.Epsilon·mean, the evaluation
-//     ends there and the batch is aborted (the result is then marked
-//     EarlyStopped; the prefix is value-independent, so the estimate stays
-//     unbiased).  Results beyond the stage being decided are held back until
-//     it is their turn; beyond the stage that decided they are dropped.
-//
-//   - Incumbent pruning (Policy.Prune, finite incumbent) watches the
-//     running cost sum of the stages reached so far and aborts the batch —
-//     through the transport's batch abort, which cancels only this batch's
-//     in-flight tasks, never the transport — as soon as the lower bound
-//     2^d·(Σζ)/N exceeds the incumbent.  Every task's solver budget is
-//     tightened to the allowance the evaluation starts with, the paper's
-//     per-subproblem time limit turned into a certified pruning proxy: a
-//     task truncated at the allowance already proves the candidate worse.
-//     There is one allowance per evaluation; what the sum has used up while
-//     a task waited is enforced by the abort, which interrupts it.
-//
-// With the zero policy the one batch has one stage and the call is
-// bit-identical to the historical EvaluatePoint.  Cancellation semantics
-// are unchanged: a cancelled evaluation returns the partial estimate
-// (marked Interrupted) together with the context's error.
-//
-// observe, when non-nil, receives a Progress notification for every
-// subproblem result that enters the evaluation, as it does: the calls are
-// made one at a time, each completed before the next begins and all before
-// the call returns (not necessarily on one goroutine); it must not block for
-// long.  Progress.Result.Activity is on loan for the length of the call (see
-// cluster.TaskResult).  Observation never changes the sample, the costs or
-// the evaluation counter.
-//
-// The evaluation runs in the runner's default scope, whose seed is
-// Config.Seed and whose evaluation counter is the runner's; see Scope for
-// isolated per-search contexts on the same transport.
-func (r *Runner) EvaluatePointBudgeted(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, observe func(Progress)) (*PointEstimate, error) {
-	return r.def.EvaluatePointBudgeted(ctx, p, pol, incumbent, observe)
-}
-
-// Evaluate implements the optimizer objective: it returns the predictive
-// function value F(χ) at the point.
-func (r *Runner) Evaluate(ctx context.Context, p decomp.Point) (float64, error) {
-	est, err := r.EvaluatePoint(ctx, p)
-	if err != nil {
-		return 0, err
-	}
-	return est.Estimate.Value, nil
-}
-
-// EvaluateBudgeted implements eval.Backend: one budget-aware evaluation
-// under an explicit policy and incumbent, in the engine's result form.
-func (r *Runner) EvaluateBudgeted(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64) (*eval.Evaluation, error) {
-	pe, err := r.EvaluatePointBudgeted(ctx, p, pol, incumbent, nil)
-	if pe == nil {
-		return nil, err
-	}
-	ev := pe.Evaluation()
-	return &ev, err
-}
-
-// EvaluateF implements eval.Evaluator under the runner's configured policy,
-// which lets the optimize searches thread their incumbent into evaluations
-// on a bare Runner.  The Runner never memoizes — the cross-search F-cache
-// is owned by the session layer (pdsat.Session).
-func (r *Runner) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*eval.Evaluation, error) {
-	return r.EvaluateBudgeted(ctx, p, r.cfg.Policy, incumbent)
-}
-
-// ReserveEvalSlots implements eval.SlotBackend on the runner's default
-// scope: the neighborhood scheduler reserves one evaluation slot per
-// submitted candidate upfront, keeping sibling samples independent of
-// completion order.  See Scope.ReserveEvalSlots.
-func (r *Runner) ReserveEvalSlots(n int) int { return r.def.ReserveEvalSlots(n) }
-
-// EvaluateSlot implements eval.SlotBackend: EvaluateBudgeted against a
-// pre-reserved evaluation slot.
-func (r *Runner) EvaluateSlot(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, slot int) (*eval.Evaluation, error) {
-	return r.def.EvaluateSlot(ctx, p, pol, incumbent, slot)
-}
-
-// EvaluateSlotObserved is EvaluateSlot with a sample-progress observer (the
-// session layer's event streaming hooks in here).
-func (r *Runner) EvaluateSlotObserved(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, slot int, observe func(Progress)) (*eval.Evaluation, error) {
-	return r.def.EvaluateSlotObserved(ctx, p, pol, incumbent, slot, observe)
-}
-
-// ReserveSlots implements eval.SlotEvaluator (the evaluator-level view the
-// frontier consumes when a search runs on a bare Runner).
-func (r *Runner) ReserveSlots(n int) (int, bool) { return r.def.ReserveEvalSlots(n), true }
-
-// EvaluateSlotF implements eval.SlotEvaluator under the runner's
-// configured policy.
-func (r *Runner) EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*eval.Evaluation, error) {
-	return r.def.EvaluateSlot(ctx, p, r.cfg.Policy, incumbent, slot)
 }
 
 // absorbResult classifies a result into an accounting table.  Callers hold
@@ -736,7 +618,7 @@ func (r *Runner) Solve(ctx context.Context, p decomp.Point, opts SolveOptions) (
 // SolveObserved behaves exactly like Solve but additionally streams a
 // Progress notification for every collected subproblem result to observe
 // (when non-nil), with the same one-at-a-time, in-order contract as
-// EvaluatePointBudgeted.
+// Scope.EvaluatePointBudgeted.
 func (r *Runner) SolveObserved(ctx context.Context, p decomp.Point, opts SolveOptions, observe func(Progress)) (*SolveReport, error) {
 	if r.cfgErr != nil {
 		return nil, r.cfgErr

@@ -24,6 +24,10 @@ import (
 // scope's ledger counts it also counts in the runner's, which therefore
 // covers the whole session.
 //
+// Every evaluation method is declared here and nowhere else.  A Runner embeds
+// its default scope (seed Config.Seed), so the same methods called on a
+// *Runner are this scope's, promoted.
+//
 // A Scope is safe for concurrent use, but per-scope determinism assumes one
 // search per scope: two goroutines interleaving evaluations on one scope
 // interleave its evaluation counter.
@@ -43,12 +47,6 @@ func (r *Runner) NewScope(seed int64) *Scope {
 	}
 }
 
-// Seed returns the scope's sample seed.
-func (sc *Scope) Seed() int64 { return sc.seed }
-
-// Runner returns the runner the scope evaluates through.
-func (sc *Scope) Runner() *Runner { return sc.r }
-
 // ReserveEvalSlots implements eval.SlotBackend: it reserves n consecutive
 // evaluation slots (counted in the runner's ledger too) and returns the
 // first.  The neighborhood scheduler reserves a whole submission upfront
@@ -57,13 +55,22 @@ func (sc *Scope) Runner() *Runner { return sc.r }
 // candidates that end up cancelled stay burned, deliberately.
 func (sc *Scope) ReserveEvalSlots(n int) int { return sc.reserve(n) }
 
-// EvaluatePoint computes the predictive function F at the point under the
-// runner's configured policy with no incumbent; see Runner.EvaluatePoint.
+// EvaluatePoint computes the predictive function F at the decomposition set
+// given by the point: EvaluatePointBudgeted under the runner's configured
+// policy with no incumbent, so staged sampling applies but pruning never
+// triggers.  With a deterministic cost metric the result is a function of the
+// configuration, the scope's seed and its evaluation counter: every subproblem
+// is solved from a solver's pristine state, so its cost does not depend on
+// which worker — local goroutine or remote machine — happened to process it.
+// A cancelled call returns the partial estimate with the context's error, so
+// an interrupted run can still print a report; nil only if no subproblem
+// finished.
 func (sc *Scope) EvaluatePoint(ctx context.Context, p decomp.Point) (*PointEstimate, error) {
 	return sc.EvaluatePointBudgeted(ctx, p, sc.r.cfg.Policy, math.Inf(1), nil)
 }
 
-// Evaluate implements the optimizer objective on the scope.
+// Evaluate implements the optimizer objective: it returns the predictive
+// function value F(χ) at the point.
 func (sc *Scope) Evaluate(ctx context.Context, p decomp.Point) (float64, error) {
 	est, err := sc.EvaluatePoint(ctx, p)
 	if err != nil {
@@ -72,23 +79,22 @@ func (sc *Scope) Evaluate(ctx context.Context, p decomp.Point) (float64, error) 
 	return est.Estimate.Value, nil
 }
 
-// EvaluateBudgeted implements eval.Backend on the scope.
+// EvaluateBudgeted implements eval.Backend: one budget-aware evaluation
+// under an explicit policy and incumbent, in the engine's result form.
 func (sc *Scope) EvaluateBudgeted(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64) (*eval.Evaluation, error) {
-	pe, err := sc.EvaluatePointBudgeted(ctx, p, pol, incumbent, nil)
-	if pe == nil {
-		return nil, err
-	}
-	ev := pe.Evaluation()
-	return &ev, err
+	return sc.EvaluateSlotObserved(ctx, p, pol, incumbent, -1, nil)
 }
 
-// EvaluateF implements eval.Evaluator under the runner's configured policy.
+// EvaluateF implements eval.Evaluator under the runner's configured policy,
+// which lets the optimize searches thread their incumbent into evaluations on
+// a bare Scope or Runner.  Neither memoizes — the cross-search F-cache is
+// owned by the session layer (pdsat.Session).
 func (sc *Scope) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*eval.Evaluation, error) {
 	return sc.EvaluateBudgeted(ctx, p, sc.r.cfg.Policy, incumbent)
 }
 
 // ReserveSlots implements eval.SlotEvaluator (the evaluator-level view the
-// frontier consumes when a search runs directly on a Scope).
+// frontier consumes when a search runs directly on a Scope or a Runner).
 func (sc *Scope) ReserveSlots(n int) (int, bool) { return sc.ReserveEvalSlots(n), true }
 
 // EvaluateSlotF implements eval.SlotEvaluator under the runner's
@@ -98,10 +104,48 @@ func (sc *Scope) EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent fl
 }
 
 // EvaluatePointBudgeted is the budget-aware evaluation at the heart of the
-// engine, running in this scope: the sample depends only on (scope seed,
-// scope evaluation counter), the policy decides how much of it is solved,
-// and the incumbent bound drives pruning.  See the method of the same name
-// on Runner (which delegates to its default scope) for the full contract.
+// engine: it computes the predictive function F at the point under the
+// given policy and incumbent bound (the best F the caller has already
+// certified; +Inf if none).
+//
+// The sample itself — which N assignments of the decomposition set are
+// drawn — depends only on (scope seed, scope evaluation counter), exactly as
+// in EvaluatePoint, and it is dispatched whole, as one batch; the policy
+// decides how much of it enters the evaluation, and what an evaluation returns
+// is a function of the costs, not of the order the results come in:
+//
+//   - Staged sampling (Policy.Stages) cuts the sample into geometrically
+//     growing index prefixes and takes a checkpoint whenever every result
+//     of a prefix is in: once the eq.-3 confidence half-width of the mean
+//     over exactly that prefix falls to Policy.Epsilon·mean, the evaluation
+//     ends there and the batch is aborted (the result is then marked
+//     EarlyStopped; the prefix is value-independent, so the estimate stays
+//     unbiased).  Results beyond the stage being decided are held back until
+//     it is their turn; beyond the stage that decided they are dropped.
+//
+//   - Incumbent pruning (Policy.Prune, finite incumbent) watches the
+//     running cost sum of the stages reached so far and aborts the batch —
+//     through the transport's batch abort, which cancels only this batch's
+//     in-flight tasks, never the transport — as soon as the lower bound
+//     2^d·(Σζ)/N exceeds the incumbent.  Every task's solver budget is
+//     tightened to the allowance the evaluation starts with, the paper's
+//     per-subproblem time limit turned into a certified pruning proxy: a
+//     task truncated at the allowance already proves the candidate worse.
+//     There is one allowance per evaluation; what the sum has used up while
+//     a task waited is enforced by the abort, which interrupts it.
+//
+// With the zero policy the one batch has one stage and the call is
+// bit-identical to the historical EvaluatePoint.  Cancellation semantics
+// are unchanged: a cancelled evaluation returns the partial estimate
+// (marked Interrupted) together with the context's error.
+//
+// observe, when non-nil, receives a Progress notification for every
+// subproblem result that enters the evaluation, as it does: the calls are
+// made one at a time, each completed before the next begins and all before
+// the call returns (not necessarily on one goroutine); it must not block for
+// long.  Progress.Result.Activity is on loan for the length of the call (see
+// cluster.TaskResult).  Observation never changes the sample, the costs or
+// the evaluation counter.
 func (sc *Scope) EvaluatePointBudgeted(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, observe func(Progress)) (*PointEstimate, error) {
 	return sc.evaluatePointAt(ctx, p, pol, incumbent, observe, -1)
 }
@@ -114,7 +158,8 @@ func (sc *Scope) EvaluateSlot(ctx context.Context, p decomp.Point, pol eval.Poli
 }
 
 // EvaluateSlotObserved is EvaluateSlot with a sample-progress observer (the
-// session layer's event streaming hooks in here).
+// session layer's event streaming hooks in here).  A negative slot reserves
+// the next one, as EvaluatePointBudgeted does.
 func (sc *Scope) EvaluateSlotObserved(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, slot int, observe func(Progress)) (*eval.Evaluation, error) {
 	pe, err := sc.evaluatePointAt(ctx, p, pol, incumbent, observe, slot)
 	if pe == nil {

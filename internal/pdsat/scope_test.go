@@ -198,6 +198,70 @@ func TestScopePruningCounters(t *testing.T) {
 	}
 }
 
+// TestRunnerIsItsDefaultScope: the evaluation methods are declared on Scope
+// and reach a Runner by promotion, through the scope it embeds.  An evaluation
+// called on the runner draws the slot r.Scope.Evaluations() names, counts in
+// r.Scope and rolls up into the runner's own ledger; a second scope counts in
+// the runner's ledger and not in r.Scope's; and the getters a Runner answers
+// itself — Counters, VarActivity — read the roll-up, which is what a plain
+// search job's tabu search consumes as its activity source.
+func TestRunnerIsItsDefaultScope(t *testing.T) {
+	inst := scopeTestInstance(t)
+	cfg := Config{SampleSize: 12, Workers: 2, Seed: 3, CostMetric: solver.CostPropagations}
+	r := NewRunner(inst.CNF, cfg)
+	p := decomp.NewSpace(inst.UnknownStartVars()).FullPoint()
+	ctx := context.Background()
+
+	fresh := NewRunner(inst.CNF, cfg)
+	for _, q := range []decomp.Point{p, p.Flip(0), p.Flip(1)} {
+		slot := r.Scope.Evaluations()
+		got, err := r.EvaluatePoint(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.evaluatePointAt(ctx, q, cfg.Policy, math.Inf(1), nil, slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !estimatesEqual(got, want) {
+			t.Fatalf("r.EvaluatePoint with %d evaluations behind it is not the default scope's slot %d: F %v, want %v",
+				slot, slot, got.Estimate.Value, want.Estimate.Value)
+		}
+	}
+	if first := r.ReserveEvalSlots(2); first != 3 || r.Scope.Evaluations() != 5 {
+		t.Fatalf("r.ReserveEvalSlots(2) returned %d and left the default scope at %d evaluations, want 3 and 5", first, r.Scope.Evaluations())
+	}
+	if _, err := r.EvaluateSlot(ctx, p, cfg.Policy, math.Inf(1), 4); err != nil {
+		t.Fatal(err)
+	}
+	own := r.Scope.Counters()
+	if own.SubproblemsSolved != 4*12 || own != r.Counters() {
+		t.Fatalf("four evaluations on the runner:\n r.Scope %+v\n r       %+v\nwant 48 solved subproblems in both", own, r.Counters())
+	}
+
+	second := r.NewScope(9)
+	if _, err := second.EvaluatePoint(ctx, p.Flip(2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Scope.Counters(); got != own {
+		t.Fatalf("another scope's evaluation moved the default scope's table:\n got %+v\nwant %+v", got, own)
+	}
+	if got, want := r.Counters().SubproblemsSolved, own.SubproblemsSolved+second.SubproblemsSolved(); got != want || r.Evaluations() != 6 {
+		t.Fatalf("the runner counts %d solved subproblems in %d evaluations, want both scopes' %d in 6", got, r.Evaluations(), want)
+	}
+	wider := false
+	for v := cnf.Var(1); int(v) <= inst.CNF.NumVars; v++ {
+		sum := r.Scope.VarActivity(v) + second.VarActivity(v)
+		if got := r.VarActivity(v); got != sum {
+			t.Fatalf("r.VarActivity(%d) = %v, want the runner-wide %v", v, got, sum)
+		}
+		wider = wider || second.VarActivity(v) != 0
+	}
+	if !wider {
+		t.Fatal("the second scope absorbed no conflict activity: the comparison above shows nothing")
+	}
+}
+
 // TestLedgerRollUp: three scopes and the default scope evaluate at once —
 // full samples, staged ones and pruned ones — while a Solve enumerates a
 // family on the same runner.  At quiescence the runner's table is, field by
@@ -220,12 +284,12 @@ func TestLedgerRollUp(t *testing.T) {
 	type evaluator interface {
 		EvaluatePointBudgeted(context.Context, decomp.Point, eval.Policy, float64, func(Progress)) (*PointEstimate, error)
 	}
-	scopes := []*Scope{r.def, r.NewScope(11), r.NewScope(12), r.NewScope(13)}
+	scopes := []*Scope{r.Scope, r.NewScope(11), r.NewScope(12), r.NewScope(13)}
 	var wg sync.WaitGroup
 	errs := make([]error, len(scopes)+1)
 	for i, sc := range scopes {
 		var ev evaluator = sc
-		if sc == r.def {
+		if sc == r.Scope {
 			ev = r
 		}
 		wg.Add(1)

@@ -10,6 +10,12 @@
 // cannot use more workers than it has distinct configurations and gives no
 // way to predict its runtime in advance — which is exactly the paper's
 // motivation for partitionings with predictive functions.
+//
+// It is a race of goroutines in one process and nothing more: a cluster
+// transport (internal/cluster) serves one formula under one solver
+// configuration, tasks differing in their assumptions only, as PDSAT's workers
+// do, and a portfolio — one set of assumptions under many configurations — is
+// not a batch of such tasks.
 package portfolio
 
 import (
@@ -19,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/paper-repro/pdsat-go/internal/cluster"
 	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/solver"
 )
@@ -92,21 +97,12 @@ type Result struct {
 type Options struct {
 	// Members are the solver configurations to run; DefaultMembers() if nil.
 	Members []Member
-	// Workers bounds how many members run concurrently (0 = all).  Ignored
-	// when Transport is set (the transport decides the capacity).
+	// Workers bounds how many members run concurrently (0 = all).
 	Workers int
 	// CostMetric selects the effort unit for TotalCost.
 	CostMetric solver.CostMetric
 	// MemberBudget bounds each member's effort (0 fields = unlimited).
 	MemberBudget solver.Budget
-	// Transport optionally dispatches the members as cluster tasks — one
-	// task per member, each carrying its own solver configuration — e.g.
-	// through a cluster.Leader onto remote machines.  The transport must
-	// have been created for the same formula.  The batch stops as soon as
-	// one member is conclusive (SAT or UNSAT), like the local run.  Member
-	// solvers are then built per run on the serving worker instead of
-	// being kept across Solve calls.
-	Transport cluster.Transport
 }
 
 // Portfolio is a reusable portfolio session: the per-member solvers are
@@ -155,13 +151,10 @@ func Solve(ctx context.Context, f *cnf.Formula, opts Options) (*Result, error) {
 }
 
 // Solve runs the portfolio once, reusing the member solvers of previous
-// calls (or dispatching the members through Options.Transport when set).
+// calls.
 func (p *Portfolio) Solve(ctx context.Context) (*Result, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.opts.Transport != nil {
-		return p.solveOnTransport(ctx)
-	}
 	members := p.members
 	workers := p.opts.Workers
 	if workers <= 0 || workers > len(members) {
@@ -236,48 +229,6 @@ func (p *Portfolio) Solve(ctx context.Context) (*Result, error) {
 		}
 	}
 	if err := ctx.Err(); err != nil && result.Winner == "" {
-		return result, err
-	}
-	return result, nil
-}
-
-// solveOnTransport runs the members as one cluster batch: each member is a
-// task carrying its own solver configuration, the batch is cancelled as
-// soon as one member reports SAT or UNSAT, and the first conclusive result
-// in completion order wins — the distributed counterpart of the local
-// goroutine race.
-func (p *Portfolio) solveOnTransport(ctx context.Context) (*Result, error) {
-	members := p.members
-	start := time.Now()
-	tasks := make([]cluster.Task, len(members))
-	for i, m := range members {
-		o := m.Options
-		tasks[i] = cluster.Task{Index: i, Assumptions: m.Assumptions, Options: &o}
-	}
-	results, err := p.opts.Transport.Run(ctx, tasks, cluster.BatchOptions{
-		Stop:       cluster.StopOnDecided,
-		Budget:     p.opts.MemberBudget,
-		CostMetric: p.opts.CostMetric,
-	})
-	if err != nil && !cluster.IsInterruption(err) {
-		return nil, err
-	}
-	result := &Result{Status: solver.Unknown, MemberStats: make(map[string]solver.Stats, len(members))}
-	for _, res := range results {
-		if res.Index < 0 || res.Index >= len(members) {
-			continue
-		}
-		name := members[res.Index].Name
-		result.MemberStats[name] = res.Stats
-		result.TotalCost += res.Cost
-		if result.Winner == "" && (res.Status == solver.Sat || res.Status == solver.Unsat) {
-			result.Status = res.Status
-			result.Winner = name
-			result.Model = res.Model
-		}
-	}
-	result.WallTime = time.Since(start)
-	if err != nil && result.Winner == "" {
 		return result, err
 	}
 	return result, nil

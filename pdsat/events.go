@@ -192,10 +192,13 @@ type FleetMemberDone struct {
 	// "tabu search").
 	Method string `json:"method"`
 	// BestVars and BestValue are the member's best decomposition set and
-	// its F value; Evaluations the member's objective evaluation count.
-	BestVars    []Var   `json:"best_vars"`
-	BestValue   float64 `json:"best_value"`
-	Evaluations int     `json:"evaluations"`
+	// its F value, both absent if the member finished no evaluation (it was
+	// cancelled during its start evaluation: there is no best set, and JSON
+	// cannot spell the +Inf it began with); Evaluations the member's
+	// objective evaluation count.
+	BestVars    []Var    `json:"best_vars,omitempty"`
+	BestValue   *float64 `json:"best_value,omitempty"`
+	Evaluations int      `json:"evaluations"`
 	// Stop is the member's stop reason.
 	Stop string `json:"stop"`
 }

@@ -19,3 +19,6 @@ func SetSSEKeepAliveIntervalForTest(d time.Duration) (restore func()) {
 	sseKeepAliveInterval = d
 	return func() { sseKeepAliveInterval = old }
 }
+
+// WriteJSONForTest is the server's response writer.
+var WriteJSONForTest = writeJSON

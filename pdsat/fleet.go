@@ -317,7 +317,7 @@ func (spec FleetJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 		// state over the shared transport) and its own engine over the
 		// session's shared F-cache.
 		obj, opts := s.searchMember(j, s.runner.NewScope(optimize.SubSeed(root, 3*i)), pol, i)
-		engines[i] = obj.engine
+		engines[i] = obj.Engine
 		opts.Seed = optimize.SubSeed(root, 3*i+1)
 		opts.TargetValue = spec.TargetF
 		if budgets != nil {
@@ -335,12 +335,13 @@ func (spec FleetJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 		Shared:     shared,
 		KeepRacing: spec.KeepRacing,
 		OnMemberDone: func(member int, method string, res *optimize.Result) {
+			vars, value := wireBest(res)
 			j.emit(FleetMemberDone{
 				Job:         j.id,
 				Member:      member,
 				Method:      members[member].method,
-				BestVars:    res.BestPoint.SortedVars(),
-				BestValue:   res.BestValue,
+				BestVars:    vars,
+				BestValue:   value,
 				Evaluations: res.Evaluations,
 				Stop:        string(res.Stop),
 			})

@@ -156,7 +156,7 @@ func (spec SearchJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 	// Re-estimate the best point through the same engine: with the cache
 	// enabled this is a free hit on the value the search already computed.
 	var best *SetEstimate
-	ev, err := obj.engine.EvaluateF(ctx, res.BestPoint, math.Inf(1))
+	ev, err := obj.EvaluateF(ctx, res.BestPoint, math.Inf(1))
 	if ev != nil {
 		best = s.setEstimateFrom(res.BestPoint, ev)
 	}
@@ -174,7 +174,6 @@ func (spec SearchJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 // in a fleet (isolated sampling state and scope-local activity over the
 // shared transport).
 type evalScope interface {
-	EvaluatePointBudgeted(ctx context.Context, p Point, pol EvalPolicy, incumbent float64, observe func(runner.Progress)) (*runner.PointEstimate, error)
 	ReserveEvalSlots(n int) int
 	EvaluateSlotObserved(ctx context.Context, p Point, pol EvalPolicy, incumbent float64, slot int, observe func(runner.Progress)) (*eval.Evaluation, error)
 	optimize.ActivitySource
@@ -216,17 +215,18 @@ func (s *Session) searchMember(j *Job, scope evalScope, pol EvalPolicy, member i
 			Pruned:   v.Pruned,
 		})
 	}
-	return &searchObjective{engine: engine, activity: scope}, opts
+	return &searchObjective{Engine: engine, ActivitySource: scope}, opts
 }
 
-// searchObjective adapts a search member's engine as its optimizer
-// objective: evaluations run budget-aware through the engine (it implements
-// eval.Evaluator, so the searches thread their incumbent into every one),
-// and the tabu search's getNewCenter heuristic reads the member's activity
-// source.
+// searchObjective is a search member's engine as its optimizer objective.  The
+// engine is embedded: its EvaluateF (the searches thread their incumbent into
+// every evaluation) and its slot methods (a wide neighbourhood pass reserves a
+// whole submission's evaluation indexes upfront, so every candidate's sample
+// seed is independent of the completion order) are the objective's by
+// promotion, as is the activity source the tabu search's getNewCenter reads.
 type searchObjective struct {
-	engine   *eval.Engine
-	activity optimize.ActivitySource
+	*eval.Engine
+	optimize.ActivitySource
 }
 
 // Evaluate implements optimize.Objective (the searches prefer EvaluateF).
@@ -238,48 +238,33 @@ func (o *searchObjective) Evaluate(ctx context.Context, p Point) (float64, error
 	return ev.Value, nil
 }
 
-// EvaluateF implements eval.Evaluator.
-func (o *searchObjective) EvaluateF(ctx context.Context, p Point, incumbent float64) (*eval.Evaluation, error) {
-	return o.engine.EvaluateF(ctx, p, incumbent)
-}
-
-// ReserveSlots implements eval.SlotEvaluator: a wide neighbourhood pass
-// reserves the evaluation indexes of a whole submission upfront, which keeps
-// every candidate's derived sample seeds independent of the completion
-// order.
-func (o *searchObjective) ReserveSlots(n int) (int, bool) { return o.engine.ReserveSlots(n) }
-
-// EvaluateSlotF implements eval.SlotEvaluator.
-func (o *searchObjective) EvaluateSlotF(ctx context.Context, p Point, incumbent float64, slot int) (*eval.Evaluation, error) {
-	return o.engine.EvaluateSlotF(ctx, p, incumbent, slot)
-}
-
-// VarActivity implements optimize.ActivitySource.
-func (o *searchObjective) VarActivity(v Var) float64 { return o.activity.VarActivity(v) }
-
-// scopeBackend adapts an evaluation scope as an eval.Backend while streaming
-// each evaluation's sample progress to observe (nil for none).
+// scopeBackend is an evaluation scope as an eval.SlotBackend that streams each
+// evaluation's sample progress to observe (nil for none); the slot
+// reservation is the scope's own, promoted.
 type scopeBackend struct {
-	scope   evalScope
+	evalScope
 	observe func(runner.Progress)
 }
 
 // EvaluateBudgeted implements eval.Backend.
 func (b scopeBackend) EvaluateBudgeted(ctx context.Context, p Point, pol EvalPolicy, incumbent float64) (*eval.Evaluation, error) {
-	pe, err := b.scope.EvaluatePointBudgeted(ctx, p, pol, incumbent, b.observe)
-	if pe == nil {
-		return nil, err
-	}
-	ev := pe.Evaluation()
-	return &ev, err
+	return b.EvaluateSlot(ctx, p, pol, incumbent, -1) // the scope reserves the next slot
 }
-
-// ReserveEvalSlots implements eval.SlotBackend.
-func (b scopeBackend) ReserveEvalSlots(n int) int { return b.scope.ReserveEvalSlots(n) }
 
 // EvaluateSlot implements eval.SlotBackend.
 func (b scopeBackend) EvaluateSlot(ctx context.Context, p Point, pol EvalPolicy, incumbent float64, slot int) (*eval.Evaluation, error) {
-	return b.scope.EvaluateSlotObserved(ctx, p, pol, incumbent, slot, b.observe)
+	return b.EvaluateSlotObserved(ctx, p, pol, incumbent, slot, b.observe)
+}
+
+// wireBest returns a search result's best set and its F as events and HTTP
+// results carry them: nothing for a search cancelled during its start
+// evaluation, whose best value is the +Inf it began with — which JSON cannot
+// spell — and whose best point is only where it started.
+func wireBest(r *SearchResult) ([]Var, *float64) {
+	if math.IsInf(r.BestValue, 1) {
+		return nil, nil
+	}
+	return r.BestPoint.SortedVars(), &r.BestValue
 }
 
 // neighborhoodDoneEvent converts an optimizer neighbourhood pass summary

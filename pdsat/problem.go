@@ -77,8 +77,9 @@ const (
 	StopTarget       = optimize.StopTarget
 )
 
-// Transport decides where subproblem batches run; see NewInprocTransport
-// and the cluster leader in cmd/pdsat for the two built-in backends.
+// Transport decides where subproblem batches run: a session builds its own
+// in-process one unless RunnerConfig.Transport names another, such as the
+// cluster leader cmd/pdsat starts with -listen.
 type Transport = cluster.Transport
 
 // CostMetric selects the cost unit ζ of the predictive function.
@@ -185,11 +186,3 @@ func FromDIMACSFile(path string, start []Var) (*Problem, error) {
 
 // Space returns the search space over the problem's start set.
 func (p *Problem) Space() *Space { return decomp.NewSpace(p.StartSet) }
-
-// NewInprocTransport creates the default in-process transport explicitly:
-// worker goroutines with persistent pooled solvers.  Sessions create one
-// automatically when Config.Runner.Transport is nil; an explicit transport
-// is useful to share a solver pool between sessions on the same formula.
-func NewInprocTransport(f *Formula, workers int, opts SolverOptions) Transport {
-	return cluster.NewInproc(f, workers, opts)
-}

@@ -1,6 +1,7 @@
 package pdsat
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -243,7 +244,9 @@ func (srv *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			}
 			payload, err := json.Marshal(e)
 			if err != nil {
-				return
+				// The stream goes on to its "done": one event that does not
+				// encode is reported in its place, not the end of the stream.
+				payload, _ = json.Marshal(map[string]string{"error": "encoding the event: " + err.Error()})
 			}
 			if sse {
 				_, werr = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.EventKind(), payload)
@@ -312,11 +315,12 @@ type resultJSON struct {
 }
 
 // searchJSON flattens a SearchOutcome for the wire (the raw optimizer
-// result holds unexported search-space state).
+// result holds unexported search-space state).  BestVars and BestValue are
+// left out for a search that finished no evaluation (wireBest).
 type searchJSON struct {
 	Method      string        `json:"method"`
-	BestVars    []Var         `json:"best_vars"`
-	BestValue   float64       `json:"best_value"`
+	BestVars    []Var         `json:"best_vars,omitempty"`
+	BestValue   *float64      `json:"best_value,omitempty"`
 	Evaluations int           `json:"evaluations"`
 	Stop        string        `json:"stop"`
 	WallTime    time.Duration `json:"wall_time_ns"`
@@ -344,7 +348,7 @@ type fleetMemberJSON struct {
 	SearchSeed  int64        `json:"search_seed"`
 	StartVars   []Var        `json:"start_vars"`
 	BestVars    []Var        `json:"best_vars,omitempty"`
-	BestValue   float64      `json:"best_value,omitempty"`
+	BestValue   *float64     `json:"best_value,omitempty"`
 	Evaluations int          `json:"evaluations"`
 	Stop        string       `json:"stop,omitempty"`
 	Best        *SetEstimate `json:"best_estimate,omitempty"`
@@ -373,8 +377,7 @@ func fleetStatus(f *FleetOutcome) *fleetJSON {
 			Error:      m.Err,
 		}
 		if m.Result != nil {
-			row.BestVars = m.Result.BestPoint.SortedVars()
-			row.BestValue = m.Result.BestValue
+			row.BestVars, row.BestValue = wireBest(m.Result)
 			row.Evaluations = m.Result.Evaluations
 			row.Stop = string(m.Result.Stop)
 		}
@@ -418,13 +421,12 @@ func jobStatus(j *Job) jobStatusJSON {
 		if result.Search != nil {
 			sj := &searchJSON{
 				Method:      result.Search.Method,
-				BestVars:    result.Search.Result.BestPoint.SortedVars(),
-				BestValue:   result.Search.Result.BestValue,
 				Evaluations: result.Search.Result.Evaluations,
 				Stop:        string(result.Search.Result.Stop),
 				WallTime:    result.Search.Result.WallTime,
 				Best:        result.Search.Best,
 			}
+			sj.BestVars, sj.BestValue = wireBest(result.Search.Result)
 			st.Result.Search = sj
 		}
 		if result.Fleet != nil {
@@ -447,12 +449,20 @@ func jobStatus(j *Job) jobStatusJSON {
 	return st
 }
 
+// writeJSON encodes v before it sends the status line, so a value that does
+// not encode is a 500 that says so and not a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		body.Reset()
+		enc.Encode(map[string]string{"error": "encoding the response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(body.Bytes()) // the client may be gone; nothing is left to do about it
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {

@@ -2,6 +2,7 @@ package pdsat_test
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -130,5 +131,43 @@ func TestServerFleetJob(t *testing.T) {
 	bad.Body.Close()
 	if bad.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad member filter returned %d", bad.StatusCode)
+	}
+}
+
+// TestStatusOfFleetCancelledBeforeFirstEvaluation is the fleet twin of
+// TestStatusOfSearchCancelledBeforeFirstEvaluation: every member ends inside
+// its start evaluation.  The status and the list used to come back empty, and
+// so did the event stream — the first fleet_member_done failed to encode and
+// the handler returned short of "done".
+func TestStatusOfFleetCancelledBeforeFirstEvaluation(t *testing.T) {
+	s := newTestSession(t, testInstance(t, 48, 40, 3), 24)
+	defer s.Close()
+	ts := httptest.NewServer(pdsat.NewServer(s))
+	defer ts.Close()
+
+	id := submitCancelled(t, s, pdsat.FleetJob{Members: []pdsat.FleetMemberSpec{{Method: "tabu"}, {Method: "sa"}}, Seed: 5})
+	result := checkJobEncodes(t, ts.URL, id)
+	fleet, _ := result["fleet"].(map[string]any)
+	members, _ := fleet["members"].([]any)
+	if len(members) != 2 || fleet["best_member"] != -1.0 {
+		t.Fatalf("the cancelled fleet's result: %v", result)
+	}
+	for i, m := range members {
+		row := m.(map[string]any)
+		if row["best_value"] != nil || row["best_vars"] != nil {
+			t.Errorf("member %d finished no evaluation and reports a best set: %v", i, row)
+		}
+	}
+	// The members' terminal events are in the stream, without a best set.
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := readAll(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(body, []byte(`"event":"fleet_member_done"`)); n != 2 || bytes.Contains(body, []byte("best_v")) {
+		t.Fatalf("%d fleet_member_done events, want 2 without best_vars or best_value:\n%s", n, body)
 	}
 }

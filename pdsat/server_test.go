@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -332,5 +333,125 @@ func TestServerSubmitBodyLimit(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/jobs", &list)
 	if len(list) != 1 {
 		t.Fatalf("%d jobs after one accepted and one oversized submission, want 1", len(list))
+	}
+}
+
+// submitCancelled submits a job that is cancelled before it starts: a search
+// or a fleet then ends inside its start evaluation, with no evaluation
+// finished and a best value of +Inf, which encoding/json refuses.
+func submitCancelled(t *testing.T, s *pdsat.Session, spec pdsat.JobSpec) string {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	j, err := s.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatal("the cancelled job did not finish")
+	}
+	return j.ID()
+}
+
+// checkJobEncodes fetches a finished job every way the server offers — its
+// status, the job list, its event stream as NDJSON and as SSE — and fails the
+// test unless each is well-formed JSON and both streams end with "done".  It
+// returns the job's result as the status endpoint renders it.
+func checkJobEncodes(t *testing.T, base, id string) map[string]any {
+	t.Helper()
+	var status struct {
+		Result map[string]any `json:"result"`
+	}
+	getJSON(t, base+"/v1/jobs/"+id, &status)
+	var list []map[string]any
+	getJSON(t, base+"/v1/jobs", &list)
+	if len(list) == 0 {
+		t.Fatal("the job list is empty")
+	}
+
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ndjson, err := readAll(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := ""
+	for _, raw := range bytes.Split(bytes.TrimSpace(ndjson), []byte("\n")) {
+		var l struct {
+			Event string         `json:"event"`
+			Data  map[string]any `json:"data"`
+		}
+		if err := json.Unmarshal(raw, &l); err != nil || l.Data == nil {
+			t.Fatalf("bad NDJSON line %q: %v", raw, err)
+		}
+		if _, failed := l.Data["error"]; failed && l.Event != "done" {
+			t.Fatalf("a %s event did not encode: %s", l.Event, raw)
+		}
+		last = l.Event
+	}
+	if last != "done" {
+		t.Fatalf("the NDJSON stream ends with %q, want done:\n%s", last, ndjson)
+	}
+
+	req, _ := http.NewRequest("GET", base+"/v1/jobs/"+id+"/events", nil)
+	req.Header.Set("Accept", "text/event-stream")
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sse, err := readAll(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := bytes.Split(bytes.TrimSpace(sse), []byte("\n\n"))
+	for _, block := range blocks {
+		_, data, ok := bytes.Cut(block, []byte("\ndata: "))
+		if !ok || !json.Valid(data) {
+			t.Fatalf("bad SSE block %q", block)
+		}
+	}
+	if !bytes.HasPrefix(blocks[len(blocks)-1], []byte("event: done\n")) {
+		t.Fatalf("the SSE stream does not end with done:\n%s", sse)
+	}
+	return status.Result
+}
+
+// TestStatusOfSearchCancelledBeforeFirstEvaluation: a search cancelled during
+// its start evaluation has the best value it began with, +Inf.  Its status used
+// to be a 200 with an empty body — the header was out before encoding/json
+// refused the value — and so was the list of every job of the session; now the
+// result simply has no best set, and everything decodes.
+func TestStatusOfSearchCancelledBeforeFirstEvaluation(t *testing.T) {
+	s := newTestSession(t, testInstance(t, 48, 40, 3), 24)
+	defer s.Close()
+	ts := httptest.NewServer(pdsat.NewServer(s))
+	defer ts.Close()
+
+	result := checkJobEncodes(t, ts.URL, submitCancelled(t, s, pdsat.SearchJob{}))
+	search, _ := result["search"].(map[string]any)
+	if search == nil || search["stop"] != string(pdsat.StopContext) {
+		t.Fatalf("the cancelled search's result: %v", result)
+	}
+	for _, field := range []string{"best_vars", "best_value", "best_estimate"} {
+		if v, ok := search[field]; ok {
+			t.Errorf("a search that finished no evaluation reports %s %v", field, v)
+		}
+	}
+}
+
+// TestWriteJSONReportsWhatDoesNotEncode: a response is encoded before its
+// status line is sent, so a value encoding/json refuses is a 500 with the
+// reason in its body, not a 200 without one.
+func TestWriteJSONReportsWhatDoesNotEncode(t *testing.T) {
+	rec := httptest.NewRecorder()
+	pdsat.WriteJSONForTest(rec, http.StatusOK, map[string]float64{"f": math.Inf(1)})
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusInternalServerError ||
+		!strings.Contains(body["error"], "encoding the response") {
+		t.Fatalf("status %d, body %q (%v); want a 500 that says the response did not encode", rec.Code, rec.Body, err)
 	}
 }

@@ -74,6 +74,13 @@ func NewSession(p *Problem, cfg Config) (*Session, error) {
 	if len(p.StartSet) == 0 {
 		return nil, errors.New("pdsat: empty starting decomposition set")
 	}
+	// Every subproblem assumes literals over start variables, and a transport
+	// refuses a batch that assumes one its formula does not have.
+	for _, v := range p.StartSet {
+		if v < 1 || int(v) > p.Formula.NumVars {
+			return nil, fmt.Errorf("pdsat: start set variable %d is outside the formula's variables 1..%d", v, p.Formula.NumVars)
+		}
+	}
 	if err := cfg.Runner.Validate(); err != nil {
 		return nil, err
 	}
@@ -274,7 +281,7 @@ func (s *Session) policyFor(override *EvalPolicy) EvalPolicy {
 // notifications wired into the job's event stream (j may be nil for
 // unobserved internal use).
 func (s *Session) engineFor(j *Job, scope evalScope, pol EvalPolicy, member int) *eval.Engine {
-	backend := scopeBackend{scope: scope, observe: memberSampleObserver(j, member)}
+	backend := scopeBackend{evalScope: scope, observe: memberSampleObserver(j, member)}
 	eng := eval.NewEngine(backend, pol, s.fcache)
 	if j != nil {
 		eng.OnPruned = func(p Point, ev eval.Evaluation) {

@@ -2,6 +2,8 @@ package pdsat_test
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/paper-repro/pdsat-go/internal/cnf"
@@ -88,6 +90,15 @@ func TestNewSessionValidation(t *testing.T) {
 	f.AddClauseLits(1, 2)
 	if _, err := pdsat.NewSession(&pdsat.Problem{Name: "x", Formula: f}, pdsat.DefaultConfig()); err == nil {
 		t.Fatal("expected error for empty start set")
+	}
+	// A start variable the formula does not have: in process the solver grew
+	// to it silently, over TCP every worker refused the task frame and was
+	// dropped, for ever.
+	for _, v := range []pdsat.Var{3, 0, -1} {
+		_, err := pdsat.NewSession(pdsat.FromFormula("x", f, []pdsat.Var{1, v}), pdsat.DefaultConfig())
+		if want := fmt.Sprintf("variable %d is outside the formula's variables 1..2", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("start set {1, %d}: got %v, want an error saying %q", v, err, want)
+		}
 	}
 	p := pdsat.FromFormula("x", f, []pdsat.Var{1, 2})
 	cfg := pdsat.Config{}
