@@ -26,7 +26,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -81,11 +83,18 @@ func run() error {
 		join       = flag.String("join", "", "act as remote cluster worker: connect to a leader at this address and serve subproblems (-workers slots)")
 		minWorkers = flag.Int("min-workers", 1, "with -listen, wait for this many remote workers before starting")
 		serve      = flag.String("serve", "", "serve the job API over HTTP on this address (e.g. :8080) instead of running one -mode; combines with -listen")
+		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) while the process runs, as leader, worker or server alike (empty = off)")
 	)
 	flag.Parse()
 
 	ctx, cancel := signalContext(*timeout)
 	defer cancel()
+
+	_, stopDebug, err := startDebug(*debugAddr)
+	if err != nil {
+		return err
+	}
+	defer stopDebug()
 
 	if *join != "" {
 		if *listen != "" {
@@ -138,8 +147,9 @@ func run() error {
 	// With -listen, cluster worker churn is forwarded into the event
 	// streams of whatever jobs are running once the session exists.
 	var sessionRef atomic.Pointer[pdsat.Session]
+	var leader *cluster.Leader
 	if *listen != "" {
-		leader, lerr := cluster.Listen(*listen, problem.Formula, cluster.LeaderOptions{
+		leader, err = cluster.Listen(*listen, problem.Formula, cluster.LeaderOptions{
 			SolverOptions: cfg.Runner.SolverOptions,
 			Logf:          logToStderr,
 			OnWorkerJoined: func(name string, slots int) {
@@ -163,20 +173,16 @@ func run() error {
 				}
 			},
 		})
-		if lerr != nil {
-			return lerr
+		if err != nil {
+			return err
 		}
 		defer leader.Close()
-		fmt.Printf("cluster: leader listening on %s, waiting for %d worker(s)\n",
-			leader.Addr(), *minWorkers)
-		if werr := leader.WaitForWorkers(ctx, *minWorkers); werr != nil {
-			return werr
-		}
-		fmt.Printf("cluster: %d worker(s) joined, %d slot(s) total\n",
-			leader.WorkerCount(), leader.Workers())
 		cfg.Runner.Transport = leader
 	}
 
+	// The session checks -start against the formula and its space checks
+	// -set against the start set: a bad list is reported here, not after
+	// -min-workers workers have joined.
 	session, err := pdsat.NewSession(problem, cfg)
 	if err != nil {
 		return err
@@ -189,6 +195,19 @@ func run() error {
 		if err != nil {
 			return err
 		}
+		if _, err := session.Space().PointFromVars(vars); err != nil {
+			return fmt.Errorf("-set: %w", err)
+		}
+	}
+
+	if leader != nil {
+		fmt.Printf("cluster: leader listening on %s, waiting for %d worker(s)\n",
+			leader.Addr(), *minWorkers)
+		if werr := leader.WaitForWorkers(ctx, *minWorkers); werr != nil {
+			return werr
+		}
+		fmt.Printf("cluster: %d worker(s) joined, %d slot(s) total\n",
+			leader.WorkerCount(), leader.Workers())
 	}
 
 	fmt.Printf("instance %s: %d variables, %d clauses, start set of %d variables\n",
@@ -305,6 +324,35 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 		ReadHeaderTimeout: serveReadHeaderTimeout,
 		IdleTimeout:       serveIdleTimeout,
 	}
+}
+
+// debugMux serves net/http/pprof and nothing else.  The package registers
+// itself on http.DefaultServeMux, which no server of this binary uses.
+func debugMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
+}
+
+// startDebug serves the profiling endpoints on addr until the returned stop
+// is called, and returns the address it bound; with an empty addr nothing
+// listens, bound is nil and stop does nothing.
+func startDebug(addr string) (bound net.Addr, stop func(), err error) {
+	if addr == "" {
+		return nil, func() {}, nil
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("-debug-addr: %w", err)
+	}
+	srv := newHTTPServer(addr, debugMux())
+	go func() { _ = srv.Serve(ln) }() // returns ErrServerClosed at stop
+	fmt.Fprintf(os.Stderr, "debug: pprof on http://%s/debug/pprof/\n", ln.Addr())
+	return ln.Addr(), func() { srv.Close() }, nil
 }
 
 // runServe exposes the session's job API over HTTP until the context is

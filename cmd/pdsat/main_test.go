@@ -5,20 +5,88 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// runWithArgs calls run on a private flag set.
+func runWithArgs(t *testing.T, args ...string) error {
+	t.Helper()
+	oldArgs, oldFlags := os.Args, flag.CommandLine
+	t.Cleanup(func() { os.Args, flag.CommandLine = oldArgs, oldFlags })
+	flag.CommandLine = flag.NewFlagSet("pdsat", flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	os.Args = append([]string{"pdsat"}, args...)
+	return run()
+}
+
+// TestBadVariableListsFailBeforeWorkersJoin: a leader reports a -start
+// variable the formula does not have, or a -set variable outside the start
+// set, at once — it used to wait for -min-workers workers first.  No worker
+// ever joins here; -timeout turns a leader that waits into a failure instead
+// of a hang.
+func TestBadVariableListsFailBeforeWorkersJoin(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f.cnf")
+	if err := os.WriteFile(path, []byte("p cnf 3 2\n1 2 0\n-1 3 0\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-start", "1,2,9999"}, "start set variable 9999 is outside the formula's variables 1..3"},
+		{[]string{"-start", "1,2", "-set", "2,3"}, "variable 3 is not in the search space"},
+		{[]string{"-start", "1,2", "-set", "2,x"}, `bad variable "x"`},
+	} {
+		args := append([]string{"-cnf", path, "-listen", "127.0.0.1:0", "-min-workers", "1", "-timeout", "5s"}, c.args...)
+		if err := runWithArgs(t, args...); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: %v, want an error with %q", c.args, err, c.want)
+		}
+	}
+}
+
+// TestDebugAddrServesPprofOnly: the -debug-addr server answers the pprof
+// endpoints and nothing else, stops when told, and without an address
+// nothing listens.
+func TestDebugAddrServesPprofOnly(t *testing.T) {
+	if bound, stop, err := startDebug(""); bound != nil || err != nil {
+		t.Fatalf("without an address: bound %v, error %v, want neither", bound, err)
+	} else {
+		stop()
+	}
+	bound, stop, err := startDebug("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := func(path string) int {
+		resp, err := http.Get("http://" + bound.String() + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if got := status("/debug/pprof/cmdline"); got != http.StatusOK {
+		t.Errorf("/debug/pprof/cmdline: status %d, want 200", got)
+	}
+	for _, path := range []string{"/", "/v1/jobs", "/debug/vars"} {
+		if got := status(path); got != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404", path, got)
+		}
+	}
+	stop()
+	if resp, err := http.Get("http://" + bound.String() + "/debug/pprof/cmdline"); err == nil {
+		resp.Body.Close()
+		t.Error("the debug server still answers after stop")
+	}
+}
 
 // TestDispatchFlagsAreGone runs one small estimate through run on a private
 // flag set and then offers that set the switches adaptive dispatch used to
 // sit behind: they are unknown flags, not accepted and ignored.
 func TestDispatchFlagsAreGone(t *testing.T) {
-	oldArgs, oldFlags := os.Args, flag.CommandLine
-	t.Cleanup(func() { os.Args, flag.CommandLine = oldArgs, oldFlags })
-	flag.CommandLine = flag.NewFlagSet("pdsat", flag.ContinueOnError)
-	flag.CommandLine.SetOutput(io.Discard)
-	os.Args = []string{"pdsat", "-known", "58", "-keystream", "30", "-samples", "4"}
-	if err := run(); err != nil {
+	if err := runWithArgs(t, "-known", "58", "-keystream", "30", "-samples", "4"); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"-steal", "-speculate"} {

@@ -398,3 +398,53 @@ func TestEncodeConstGates(t *testing.T) {
 		t.Fatal("Maj(a,1,0)=1 should force a=true")
 	}
 }
+
+// TestEncodeIsSizedByCount: Encode makes its clause list and its literal
+// block once, from a count over the gates, so what it allocates does not
+// follow the size of the circuit; the count is exact up to the constants'
+// shared variable, leaves the clause list room for a unit on every input
+// (how instances are weakened), and a clause cannot be appended into its
+// neighbour.
+func TestEncodeIsSizedByCount(t *testing.T) {
+	build := func(gates int) *Circuit {
+		c := randomCircuit(rand.New(rand.NewSource(11)), 12, gates)
+		c.MarkOutput(c.Const(false), "zero") // both constants, and the n-ary gates
+		c.MarkOutput(c.And(c.inputs[0], c.inputs[1], c.Const(true), c.inputs[2]), "and3")
+		return c
+	}
+	allocs := func(c *Circuit) float64 {
+		return testing.AllocsPerRun(5, func() {
+			enc, err := c.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := enc.ConstrainOutputs(make([]bool, len(enc.OutputVars))); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := build(60), build(600)
+	if a, b := allocs(small), allocs(large); a != b || a > 12 {
+		t.Fatalf("encoding %d gates allocated %.0f times, %d gates %.0f times; want the same, and at most 12",
+			small.NumGates(), a, large.NumGates(), b)
+	}
+	enc, err := large.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.ConstrainOutputs(make([]bool, len(enc.OutputVars))); err != nil {
+		t.Fatal(err)
+	}
+	if left := len(enc.pool); left > 2 {
+		t.Errorf("%d literals of the block left over, want at most the constants' 2", left)
+	}
+	if room := cap(enc.CNF.Clauses) - len(enc.CNF.Clauses); room < large.NumInputs() {
+		t.Errorf("the clause list has room for %d more clauses, want a unit on each of %d inputs", room, large.NumInputs())
+	}
+	first := enc.CNF.Clauses[0]
+	second := enc.CNF.Clauses[1][0]
+	_ = append(first, 99)
+	if enc.CNF.Clauses[1][0] != second {
+		t.Error("appending to a clause overwrote the next one")
+	}
+}

@@ -21,6 +21,52 @@ type Encoding struct {
 	InputVars []cnf.Var
 	// OutputVars are the variables of the outputs, in output order.
 	OutputVars []cnf.Var
+
+	pool litPool // what Encode left for ConstrainOutputs
+}
+
+// litPool hands out the literal slices of clauses from one block, so that an
+// encoding of tens of thousands of short clauses is one allocation, not one a
+// clause.  Encode sizes the block from a count over the gates; a pool that
+// runs out makes a new block.
+type litPool []cnf.Lit
+
+// take returns a clause of n literals to be filled in.  Its capacity is its
+// length: appending to it cannot reach the next clause.
+func (p *litPool) take(n int) cnf.Clause {
+	if len(*p) < n {
+		*p = make(litPool, max(n, 1024))
+	}
+	c := (*p)[:n:n]
+	*p = (*p)[n:]
+	return cnf.Clause(c)
+}
+
+// addClause appends the clause of the given literals to the encoding's CNF.
+func (e *Encoding) addClause(lits ...cnf.Lit) {
+	c := e.pool.take(len(lits))
+	copy(c, lits)
+	e.CNF.AddClause(c)
+}
+
+// cnfSize returns how many clauses and literals Encode emits for the gate
+// (for a constant, at most: the shared true variable is made once).
+func (g *Gate) cnfSize() (clauses, lits int) {
+	k := len(g.In)
+	switch g.Type {
+	case GateConst:
+		return 2, 2
+	case GateNot:
+		return 2, 4
+	case GateAnd, GateOr:
+		return k + 1, 3*k + 1
+	case GateXor: // a chain of k-1 binary XORs; Encode rejects k = 0
+		return 4 * max(k-1, 0), 12 * max(k-1, 0)
+	case GateMaj, GateMux:
+		return 6, 18
+	default:
+		return 0, 0
+	}
 }
 
 // Encode performs the Tseitin transformation of the circuit.  Input gates
@@ -28,9 +74,22 @@ type Encoding struct {
 // non-trivial gate gets a fresh variable.
 func (c *Circuit) Encode() (*Encoding, error) {
 	enc := &Encoding{
-		CNF:      cnf.New(0),
-		GateVars: make([]cnf.Var, len(c.gates)),
+		CNF:        cnf.New(0),
+		GateVars:   make([]cnf.Var, len(c.gates)),
+		InputVars:  make([]cnf.Var, 0, len(c.inputs)),
+		OutputVars: make([]cnf.Var, 0, len(c.outputs)),
 	}
+	// Build by count: one clause list and one literal block for the gates
+	// and for a unit on every output (ConstrainOutputs); the list also has
+	// room for a unit on every input, which is how instances are weakened.
+	clauses, lits := len(c.outputs), len(c.outputs)
+	for id := range c.gates {
+		n, l := c.gates[id].cnfSize()
+		clauses += n
+		lits += l
+	}
+	enc.CNF.Clauses = make([]cnf.Clause, 0, clauses+len(c.inputs))
+	enc.pool = make(litPool, lits)
 	next := cnf.Var(1)
 	newVar := func() cnf.Var {
 		v := next
@@ -48,7 +107,7 @@ func (c *Circuit) Encode() (*Encoding, error) {
 	getTrueVar := func() cnf.Var {
 		if trueVar == 0 {
 			trueVar = newVar()
-			enc.CNF.AddClause(cnf.Clause{cnf.NewLit(trueVar, true)})
+			enc.addClause(cnf.NewLit(trueVar, true))
 		}
 		return trueVar
 	}
@@ -68,7 +127,7 @@ func (c *Circuit) Encode() (*Encoding, error) {
 				// Represent false as a variable forced to false.
 				v := newVar()
 				enc.GateVars[id] = v
-				enc.CNF.AddClause(cnf.Clause{cnf.NewLit(v, false)})
+				enc.addClause(cnf.NewLit(v, false))
 			}
 		case GateNot:
 			// Reuse the operand variable with opposite polarity is not
@@ -77,30 +136,30 @@ func (c *Circuit) Encode() (*Encoding, error) {
 			y := newVar()
 			enc.GateVars[id] = y
 			a := lit(g.In[0])
-			enc.CNF.AddClause(cnf.Clause{cnf.NewLit(y, false), a.Neg()})
-			enc.CNF.AddClause(cnf.Clause{cnf.NewLit(y, true), a})
+			enc.addClause(cnf.NewLit(y, false), a.Neg())
+			enc.addClause(cnf.NewLit(y, true), a)
 		case GateAnd:
 			y := newVar()
 			enc.GateVars[id] = y
 			yl := cnf.NewLit(y, true)
-			long := make(cnf.Clause, 0, len(g.In)+1)
-			long = append(long, yl)
-			for _, in := range g.In {
+			long := enc.pool.take(len(g.In) + 1)
+			long[0] = yl
+			for k, in := range g.In {
 				a := lit(in)
-				enc.CNF.AddClause(cnf.Clause{yl.Neg(), a})
-				long = append(long, a.Neg())
+				enc.addClause(yl.Neg(), a)
+				long[k+1] = a.Neg()
 			}
 			enc.CNF.AddClause(long)
 		case GateOr:
 			y := newVar()
 			enc.GateVars[id] = y
 			yl := cnf.NewLit(y, true)
-			long := make(cnf.Clause, 0, len(g.In)+1)
-			long = append(long, yl.Neg())
-			for _, in := range g.In {
+			long := enc.pool.take(len(g.In) + 1)
+			long[0] = yl.Neg()
+			for k, in := range g.In {
 				a := lit(in)
-				enc.CNF.AddClause(cnf.Clause{yl, a.Neg()})
-				long = append(long, a)
+				enc.addClause(yl, a.Neg())
+				long[k+1] = a
 			}
 			enc.CNF.AddClause(long)
 		case GateXor:
@@ -112,7 +171,7 @@ func (c *Circuit) Encode() (*Encoding, error) {
 			for k := 1; k < len(g.In); k++ {
 				b := enc.GateVars[g.In[k]]
 				y := newVar()
-				addXor2(enc.CNF, y, cur, b)
+				enc.addXor2(y, cur, b)
 				cur = y
 			}
 			enc.GateVars[id] = cur
@@ -122,25 +181,25 @@ func (c *Circuit) Encode() (*Encoding, error) {
 			a, b, d := lit(g.In[0]), lit(g.In[1]), lit(g.In[2])
 			yl := cnf.NewLit(y, true)
 			// y ↔ at-least-two-of(a,b,d)
-			enc.CNF.AddClause(cnf.Clause{yl.Neg(), a, b})
-			enc.CNF.AddClause(cnf.Clause{yl.Neg(), a, d})
-			enc.CNF.AddClause(cnf.Clause{yl.Neg(), b, d})
-			enc.CNF.AddClause(cnf.Clause{yl, a.Neg(), b.Neg()})
-			enc.CNF.AddClause(cnf.Clause{yl, a.Neg(), d.Neg()})
-			enc.CNF.AddClause(cnf.Clause{yl, b.Neg(), d.Neg()})
+			enc.addClause(yl.Neg(), a, b)
+			enc.addClause(yl.Neg(), a, d)
+			enc.addClause(yl.Neg(), b, d)
+			enc.addClause(yl, a.Neg(), b.Neg())
+			enc.addClause(yl, a.Neg(), d.Neg())
+			enc.addClause(yl, b.Neg(), d.Neg())
 		case GateMux:
 			y := newVar()
 			enc.GateVars[id] = y
 			s, a, b := lit(g.In[0]), lit(g.In[1]), lit(g.In[2])
 			yl := cnf.NewLit(y, true)
 			// y ↔ (s ? a : b)
-			enc.CNF.AddClause(cnf.Clause{s.Neg(), a.Neg(), yl})
-			enc.CNF.AddClause(cnf.Clause{s.Neg(), a, yl.Neg()})
-			enc.CNF.AddClause(cnf.Clause{s, b.Neg(), yl})
-			enc.CNF.AddClause(cnf.Clause{s, b, yl.Neg()})
+			enc.addClause(s.Neg(), a.Neg(), yl)
+			enc.addClause(s.Neg(), a, yl.Neg())
+			enc.addClause(s, b.Neg(), yl)
+			enc.addClause(s, b, yl.Neg())
 			// Redundant but propagation-helpful: if a and b agree, y agrees.
-			enc.CNF.AddClause(cnf.Clause{a.Neg(), b.Neg(), yl})
-			enc.CNF.AddClause(cnf.Clause{a, b, yl.Neg()})
+			enc.addClause(a.Neg(), b.Neg(), yl)
+			enc.addClause(a, b, yl.Neg())
 		default:
 			return nil, fmt.Errorf("circuit: cannot encode gate type %v", g.Type)
 		}
@@ -155,14 +214,14 @@ func (c *Circuit) Encode() (*Encoding, error) {
 }
 
 // addXor2 adds clauses for y ↔ a ⊕ b.
-func addXor2(f *cnf.Formula, y, a, b cnf.Var) {
+func (e *Encoding) addXor2(y, a, b cnf.Var) {
 	yl := cnf.NewLit(y, true)
 	al := cnf.NewLit(a, true)
 	bl := cnf.NewLit(b, true)
-	f.AddClause(cnf.Clause{yl.Neg(), al, bl})
-	f.AddClause(cnf.Clause{yl.Neg(), al.Neg(), bl.Neg()})
-	f.AddClause(cnf.Clause{yl, al.Neg(), bl})
-	f.AddClause(cnf.Clause{yl, al, bl.Neg()})
+	e.addClause(yl.Neg(), al, bl)
+	e.addClause(yl.Neg(), al.Neg(), bl.Neg())
+	e.addClause(yl, al.Neg(), bl)
+	e.addClause(yl, al, bl.Neg())
 }
 
 // ConstrainOutputs appends unit clauses to the encoding's CNF forcing the
@@ -173,7 +232,7 @@ func (e *Encoding) ConstrainOutputs(values []bool) error {
 		return fmt.Errorf("circuit: got %d output values, want %d", len(values), len(e.OutputVars))
 	}
 	for i, v := range e.OutputVars {
-		e.CNF.AddClause(cnf.Clause{cnf.NewLit(v, values[i])})
+		e.addClause(cnf.NewLit(v, values[i]))
 	}
 	return nil
 }

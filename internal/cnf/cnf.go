@@ -9,8 +9,9 @@
 package cnf
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Var is a propositional variable, numbered from 1.
@@ -119,12 +120,11 @@ func (c Clause) MaxVar() Var {
 // shares no memory with the receiver.
 func (c Clause) Normalize() (Clause, bool) {
 	out := c.Clone()
-	sort.Slice(out, func(i, j int) bool {
-		vi, vj := out[i].Var(), out[j].Var()
-		if vi != vj {
-			return vi < vj
+	slices.SortFunc(out, func(a, b Lit) int {
+		if va, vb := a.Var(), b.Var(); va != vb {
+			return cmp.Compare(va, vb)
 		}
-		return out[i] < out[j]
+		return cmp.Compare(a, b)
 	})
 	dedup := out[:0]
 	for i, l := range out {
@@ -265,7 +265,7 @@ func (f *Formula) Vars() []Var {
 	for v := range seen {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -1,6 +1,10 @@
 package solver
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // The clause arena is the flat storage behind the CDCL solver: every clause
 // lives in one packed []ilit slice, addressed by its offset (a cref), with a
@@ -60,7 +64,7 @@ func (a *arena) alloc(lits []ilit, learned bool, actIdx int32) cref {
 	if learned {
 		hdr |= learnedBit
 	}
-	a.data = append(a.data, hdr, 0, ilit(actIdx))
+	a.data = append(grown(a.data, hdrWords+len(lits)), hdr, 0, ilit(actIdx))
 	a.data = append(a.data, lits...)
 	return cr
 }
@@ -86,7 +90,7 @@ func (a *arena) bytes() uint64 { return uint64(len(a.data)) * 4 }
 // keeps the ArenaBytes gauge current.
 func (s *Solver) newClause(lits []ilit, learned bool) cref {
 	actIdx := int32(len(s.clauseAct))
-	s.clauseAct = append(s.clauseAct, 0)
+	s.clauseAct = append(grown(s.clauseAct, 1), 0)
 	cr := s.ar.alloc(lits, learned, actIdx)
 	s.stats.ArenaBytes = s.ar.bytes()
 	return cr
@@ -113,52 +117,77 @@ func (s *Solver) bumpClause(c cref) {
 	}
 }
 
+// movedRun says that compactLearned slid the live clauses from cref from up
+// to the next run down by shift words.
+type movedRun struct {
+	from  cref
+	shift int32
+}
+
 // compactLearned slides the live learned clauses over the dead ones and
 // remaps every cref that may reference the moved region (learned list,
 // reasons, watch lists).  Original clauses sit below arenaBase and never
 // move.  The slide keeps the clauses in order, so comparing two crefs —
 // reduceDB's tie-break — gives the same answer before and after, and the
 // watch lists and reasons are rewritten in place: the search is the one an
-// uncompacted arena would have run.
+// uncompacted arena would have run.  Where a clause went is looked up in a
+// table of the runs between dead clauses, kept in a scratch buffer: a few
+// entries per removed clause at most, where a map of every live clause was
+// built and dropped per compaction.
 func (s *Solver) compactLearned() {
 	base := int32(s.arenaBase)
 	data := s.ar.data
-	remap := make(map[cref]cref, len(s.learnts))
+	runs := s.runBuf[:0]
 	w := base
 	for r := base; r < int32(len(data)); {
 		sz := int32(data[r]) >> flagBits
 		next := r + hdrWords + sz
 		if data[r]&deadBit == 0 {
-			remap[cref(r)] = cref(w)
-			if w != r {
+			if shift := r - w; shift != 0 {
+				if len(runs) == 0 || runs[len(runs)-1].shift != shift {
+					runs = append(runs, movedRun{from: cref(r), shift: shift})
+				}
 				copy(data[w:w+hdrWords+sz], data[r:next])
 			}
 			w += hdrWords + sz
 		}
 		r = next
 	}
+	s.runBuf = runs[:0]
 	s.ar.data = data[:w]
 	s.garbageWords = 0
 	s.stats.ArenaBytes = s.ar.bytes()
+	// remap returns where the live clause c is now: it moved with the last
+	// run that starts at or before it.
+	remap := func(c cref) cref {
+		i, found := slices.BinarySearchFunc(runs, c, func(m movedRun, at cref) int { return cmp.Compare(m.from, at) })
+		if !found {
+			i--
+		}
+		if i < 0 {
+			return c
+		}
+		return c - cref(runs[i].shift)
+	}
 	for i, lc := range s.learnts {
-		s.learnts[i] = remap[lc]
+		s.learnts[i] = remap(lc)
 	}
 	// Originals added after the first solve live above arenaBase too.
 	for i, oc := range s.clauses {
 		if oc >= cref(base) {
-			s.clauses[i] = remap[oc]
+			s.clauses[i] = remap(oc)
 		}
 	}
 	for v, r := range s.reason {
 		if r != nullRef && r >= cref(base) {
-			s.reason[v] = remap[r]
+			s.reason[v] = remap(r)
 		}
 	}
 	for l := range s.watches {
 		ws := s.watches[l]
 		for i := range ws {
 			if c := ws[i].clause(); c >= cref(base) {
-				ws[i].ref = remap[c] | (ws[i].ref & binaryFlag)
+				ws[i].ref = remap(c) | (ws[i].ref & binaryFlag)
 			}
 		}
 	}

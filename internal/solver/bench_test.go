@@ -265,6 +265,28 @@ func BenchmarkSolverResetShortSolve(b *testing.B) {
 	}
 }
 
+// newSink keeps BenchmarkSolverNew's solver from being optimised away.
+var newSink *Solver
+
+// BenchmarkSolverNew measures what every worker slot pays before its first
+// sample: New plus the capture of the pristine snapshot, on the formulas of
+// the two sampling shapes.  Its allocs/op is the number to watch — New sizes
+// the solver from one counting pass, so it does not follow the clause count
+// (TestNewAllocsIndependentOfClauses pins that).
+func BenchmarkSolverNew(b *testing.B) {
+	for _, shape := range resetShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			f, _ := shape.batch(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				newSink = NewDefault(f)
+				newSink.ensureBase()
+			}
+		})
+	}
+}
+
 // BenchmarkSolverLongSolve runs CDCL search where the other Bivium benchmarks
 // only propagate (at KnownSuffix 160/167 every subproblem is decided by unit
 // propagation): the shape of the bench's bivium-hard workload — Bivium, 200

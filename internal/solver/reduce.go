@@ -1,13 +1,18 @@
 package solver
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Learned-clause database management.  reduceDB is the seed's policy
 // (activity-sorted, binaries and reasons kept, lowest half removed) with two
 // changes that leave the search as it was.  The sort is a total order —
 // equal activities tie-break by cref, i.e. by the order the clauses were
 // learned — where the seed's sort.Slice left the choice of which
-// equal-activity clauses survive to the sort implementation.  And a removed
+// equal-activity clauses survive to the sort implementation (and why the
+// sort can be slices.SortFunc, with no reflection-built swapper to allocate
+// per reduction, and order the clauses as sort.Slice did).  And a removed
 // clause's arena words are given back: the clause is marked dead, and once
 // the dead words outweigh half of the learned region compactLearned slides
 // the live clauses over them, in order, so the tie-break above, every watch
@@ -36,20 +41,20 @@ func (s *Solver) maybeReduce() {
 // activity (keeping binary clauses and clauses that are currently reasons).
 func (s *Solver) reduceDB() {
 	s.stats.ReduceDBs++
-	sort.Slice(s.learnts, func(i, j int) bool {
-		ci, cj := s.learnts[i], s.learnts[j]
-		bi, bj := s.ar.size(ci) == 2, s.ar.size(cj) == 2
-		if bi != bj {
-			return bj // binaries last (kept)
+	slices.SortFunc(s.learnts, func(ci, cj cref) int {
+		if bi, bj := s.ar.size(ci) == 2, s.ar.size(cj) == 2; bi != bj {
+			if bj {
+				return -1 // binaries last (kept)
+			}
+			return 1
 		}
-		ai, aj := s.clauseAct[s.ar.actIdx(ci)], s.clauseAct[s.ar.actIdx(cj)]
-		if ai != aj {
-			return ai < aj
+		if ai, aj := s.clauseAct[s.ar.actIdx(ci)], s.clauseAct[s.ar.actIdx(cj)]; ai != aj {
+			return cmp.Compare(ai, aj)
 		}
 		// Total order: equal activities keep the older clause (learned
 		// clauses are allocated in cref order), independent of the sort
 		// algorithm.
-		return ci < cj
+		return cmp.Compare(ci, cj)
 	})
 	limit := len(s.learnts) / 2
 	kept := s.learnts[:0]

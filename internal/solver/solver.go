@@ -29,6 +29,48 @@
 // activity-based policy, which hands the arena words of the clauses it
 // removes back by an order-preserving compaction.
 //
+// # Construction
+//
+// Every computing process builds its solver from the same CNF before it can
+// take its first sample, so New is built by count: one pass over the formula
+// (sizeFor) counts the arena words, the clauses that will be stored and the
+// watches every literal will hold — the two first literals of a clause in
+// normalised order, found without sorting — and each array is then made
+// once: the arena, the clause list, the clause activities and their mark
+// lists from the clause counts, the per-variable arrays, the mark lists, the
+// trail and the decision heap in ensureVars from the variable count, and the
+// watch lists as stretches of one slab.  The clauses are then added through
+// one scratch buffer (normalizeClause: the order, dedup and tautology rule of
+// cnf.Clause.Normalize, in place) with root-level simplification and unit
+// propagation as they arrive, so the clause order, the watch order, the
+// root-level trail and the statistics are those of a solver grown clause by
+// clause with AddClause, which TestNewEqualsAddClause and its fuzz target
+// compare field by field.  On the bench's A5/1 instance (42 754 clauses) that
+// is 140 allocations where there were 219 142, a third of the time and of
+// the bytes; what remains beside the arrays are watch lists that
+// root-level propagation moves entries into until they outgrow their stretch,
+// and such a list moves off the slab like any slice that is appended to (a
+// stretch's capacity is its own, so it cannot run into its neighbour).
+//
+// Capacity is part of the contract, because a benchmark that times a region
+// after set-up sees every byte that set-up did not reserve.  A solver grown
+// by append carried slack it never asked for — up to a quarter behind the
+// arena, the next power of two in every watch list — and the first learned
+// clauses and watch moves of a search went into it.  A first version of this
+// construction fitted everything exactly and moved that growth out of set-up
+// into the timed region: a51-solve's alloc_mb read 6.59 MB where it had been
+// 1.69.  So the room is reserved on purpose: a quarter of the originals'
+// words behind the arena and of their count behind the clause activities
+// (learnedReserve), and for a watch list that will hold n entries the power
+// of two append would have grown it to (watchCap) — the capacity it had
+// before, for every list of up to 512 entries.  Past the reserve, what grows
+// with the learned clauses (arena, clause activities, learned list) at least
+// doubles when it moves: over a long solve that reallocates twice the final
+// size where append's 1.25x came to five times (bivium-hard: 42.7 to 31.6 MB
+// allocated at the same 2 MB arena).  All of it is kept over Reset, which
+// truncates and never frees; TestConstructionReservesGrowth holds a second
+// pass over a batch to no allocation at all.
+//
 // # Assignment
 //
 // The assignment is stored per literal, not per variable: vals holds two
@@ -127,8 +169,10 @@
 package solver
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -356,9 +400,11 @@ type Solver struct {
 	garbageWords int
 
 	// Reused scratch buffers (their contents never survive a call).
-	learntBuf []ilit  // analyze's learned-clause assembly
-	clearBuf  []int32 // analyze's seen-flag clear list
-	assumpBuf []ilit  // SolveWithAssumptions' internal-literal assumptions
+	learntBuf []ilit     // analyze's learned-clause assembly
+	clearBuf  []int32    // analyze's seen-flag clear list
+	assumpBuf []ilit     // SolveWithAssumptions' internal-literal assumptions
+	addBuf    []ilit     // addClause's normalised clause
+	runBuf    []movedRun // compactLearned's table of where the clauses went
 	lbdSeen   []uint64
 	lbdStamp  uint64
 
@@ -446,15 +492,13 @@ func (s *Solver) capture() {
 		stats:      s.stats,
 		okay:       s.okay,
 	}
-	total := 0
-	for _, ws := range s.watches {
-		total += len(ws)
-	}
-	b.watch = make([]watch, 0, total)
 	b.watchOff = make([]int32, len(s.watches)+1)
-	for i, ws := range s.watches {
-		b.watch = append(b.watch, ws...)
-		b.watchOff[i+1] = int32(len(b.watch))
+	for l, ws := range s.watches {
+		b.watchOff[l+1] = b.watchOff[l] + int32(len(ws))
+	}
+	b.watch = make([]watch, b.watchOff[len(s.watches)])
+	for l, ws := range s.watches {
+		restoreRun(b.watch[b.watchOff[l]:], ws)
 	}
 	s.arenaBase = len(b.arena)
 	s.base = b
@@ -677,6 +721,7 @@ func New(f *cnf.Formula, opts Options) *Solver {
 		opts = DefaultOptions()
 	}
 	s := &Solver{opts: opts, okay: true, varInc: 1.0, clauseInc: 1.0}
+	s.sizeFor(f)
 	s.ensureVars(int32(f.NumVars))
 	for _, c := range f.Clauses {
 		if !s.addClause(c) {
@@ -684,6 +729,77 @@ func New(f *cnf.Formula, opts Options) *Solver {
 		}
 	}
 	return s
+}
+
+// learnedReserve is the room construction leaves behind the original clauses
+// for the learned ones, as a divisor of the originals' own size: a quarter,
+// the most the slack of an append-grown slice used to come to.  See
+// "Construction" in the package comment.
+const learnedReserve = 4
+
+// sizeFor is the counting pass of New: one walk over the formula for the
+// arena words, the clauses that will be stored and the watches every literal
+// will hold, then one allocation for each of the arrays whose size follows
+// the clause count.  The arrays that follow the variable count are made by
+// ensureVars.  The counts are those of a formula nothing is assigned in; a
+// clause that root-level simplification shortens or drops only leaves room
+// unused, and a list that outgrows its stretch of the slab moves off it like
+// any slice that is appended to.
+func (s *Solver) sizeFor(f *cnf.Formula) {
+	// counts[l] is the number of watches of literal l.  A clause is watched
+	// by the negations of its two first literals in the order of
+	// normalizeClause, which sorts by l^1: the list of the literal with sort
+	// key k is list k.
+	counts := make([]int32, 2*f.NumVars)
+	words, stored := 0, 0
+	for _, c := range f.Clauses {
+		const none = ilit(math.MaxInt32)
+		k1, k2 := none, none // the two smallest distinct sort keys
+		for _, l := range c {
+			switch k := fromExternal(l) ^ 1; {
+			case k < k1:
+				k1, k2 = k, k1
+			case k > k1 && k < k2:
+				k2 = k
+			}
+		}
+		if k2 == none {
+			continue // empty or unit: nothing is stored
+		}
+		if int(k2) >= len(counts) { // k1 < k2: a variable beyond NumVars
+			counts = append(counts, make([]int32, int(k2|1)+1-len(counts))...)
+		}
+		counts[k1]++
+		counts[k2]++
+		words += hdrWords + len(c)
+		stored++
+	}
+	s.ar.data = make([]ilit, 0, words+words/learnedReserve)
+	s.clauses = make([]cref, 0, stored)
+	s.clauseAct = make([]float64, 0, stored+stored/learnedReserve)
+	s.dirtyClauses = make([]cref, 0, stored)
+	s.dirtyActs = make([]int32, 0, stored)
+
+	total := 0
+	for l, n := range counts {
+		counts[l] = watchCap(n)
+		total += int(counts[l])
+	}
+	slab := make([]watch, total)
+	lists := make([][]watch, len(counts))
+	for l, n := range counts {
+		lists[l], slab = slab[:0:n], slab[n:]
+	}
+	s.watches = lists[:0] // ensureVars hands them out
+}
+
+// watchCap is the capacity construction gives a watch list that will hold n
+// entries: the power of two append would have grown it to, entry by entry.
+func watchCap(n int32) int32 {
+	if n == 0 {
+		return 0
+	}
+	return 1 << bits.Len32(uint32(n-1))
 }
 
 // NewDefault creates a solver with DefaultOptions.
@@ -773,39 +889,110 @@ func (s *Solver) AppendConflictActivities(dst SparseActivities, ascending bool) 
 	return dst
 }
 
+// ensureVars makes the solver know variables 0..n-1.
 func (s *Solver) ensureVars(n int32) {
-	for s.numVars < n {
-		s.numVars++
-		s.watches = append(s.watches, nil, nil)
-		s.litMark = append(s.litMark, litClean, litClean)
-		s.dirtyLits = slices.Grow(s.dirtyLits, len(s.litMark)-len(s.dirtyLits))
-		s.appLits = slices.Grow(s.appLits, len(s.litMark)-len(s.appLits))
-		s.bumpedVars = slices.Grow(s.bumpedVars, int(s.numVars)-len(s.bumpedVars))
-		s.vals = append(s.vals, lUndef, lUndef)
-		s.polarity = append(s.polarity, s.opts.DefaultPhase)
-		s.reason = append(s.reason, nullRef)
-		s.level = append(s.level, 0)
-		s.activity = append(s.activity, 0)
-		s.confAct = append(s.confAct, 0)
-		s.seen = append(s.seen, false)
-		s.order.insert(s.numVars-1, &s.activity)
+	if n > s.numVars {
+		s.growVars(n)
 	}
+}
+
+// growVars creates variables numVars..n-1.  Every per-variable array grows
+// once per call, not once per variable, and the mark lists, the trail and the
+// decision heap get the capacity for every variable here, so that marking,
+// enqueueing and heap inserts never allocate.
+func (s *Solver) growVars(n int32) {
+	old := s.numVars
+	s.numVars = n
+	// Lists beyond the length are construction's stretches of the slab, or
+	// what a Reset that dropped these variables left: empty either way.
+	s.watches = slices.Grow(s.watches, 2*int(n)-len(s.watches))[:2*n]
+	for l := 2 * old; l < 2*n; l++ {
+		s.watches[l] = s.watches[l][:0]
+	}
+	s.litMark = extend(s.litMark, 2*int(n), litClean)
+	s.vals = extend(s.vals, 2*int(n), lUndef)
+	s.polarity = extend(s.polarity, int(n), s.opts.DefaultPhase)
+	s.reason = extend(s.reason, int(n), nullRef)
+	s.level = extend(s.level, int(n), 0)
+	s.activity = extend(s.activity, int(n), 0)
+	s.confAct = extend(s.confAct, int(n), 0)
+	s.seen = extend(s.seen, int(n), false)
+	s.dirtyLits = slices.Grow(s.dirtyLits, 2*int(n)-len(s.dirtyLits))
+	s.appLits = slices.Grow(s.appLits, 2*int(n)-len(s.appLits))
+	s.bumpedVars = slices.Grow(s.bumpedVars, int(n)-len(s.bumpedVars))
+	s.trail = slices.Grow(s.trail, int(n)-len(s.trail))
+	s.order.heap = slices.Grow(s.order.heap, int(n)-len(s.order.heap))
+	s.order.indices = slices.Grow(s.order.indices, int(n)-len(s.order.indices))
+	s.order.identity = slices.Grow(s.order.identity, int(n)-len(s.order.identity))
+	for v := old; v < n; v++ {
+		s.order.insert(v, &s.activity)
+	}
+}
+
+// extend returns s lengthened to n elements, the new ones set to v (what
+// lies between a slice's length and its capacity is stale after a Reset).
+func extend[T any](s []T, n int, v T) []T {
+	old := len(s)
+	s = slices.Grow(s, n-old)[:n]
+	for i := old; i < n; i++ {
+		s[i] = v
+	}
+	return s
+}
+
+// grown returns s with room for n more elements, at least doubling the
+// capacity when it has to move: what grows with the learned clauses (the
+// arena, the clause activities, the learned list) is reallocated twice its
+// final size over a long solve, where append's 1.25x comes to five times.
+func grown[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	out := make([]T, len(s), max(2*cap(s), len(s)+n))
+	copy(out, s)
+	return out
+}
+
+// normalizeClause writes the clause into the solver's scratch buffer as
+// internal literals, sorted and without duplicates, and reports whether it is
+// a tautology: the order (by variable, the negative literal first), the
+// dedup and the tautology rule of cnf.Clause.Normalize, with no allocation.
+// The result is valid until the next call.
+func (s *Solver) normalizeClause(c cnf.Clause) (lits []ilit, taut bool) {
+	lits = s.addBuf[:0]
+	for _, l := range c {
+		lits = append(lits, fromExternal(l))
+	}
+	s.addBuf = lits[:0]
+	slices.SortFunc(lits, func(a, b ilit) int { return cmp.Compare(a^1, b^1) })
+	out := lits[:0]
+	for i, l := range lits {
+		if i > 0 {
+			switch prev := out[len(out)-1]; l {
+			case prev:
+				continue
+			case prev.neg():
+				return nil, true
+			}
+		}
+		out = append(out, l)
+	}
+	return out, false
 }
 
 // addClause adds an original clause; returns false if the solver became
 // trivially unsatisfiable.
 func (s *Solver) addClause(c cnf.Clause) bool {
-	norm, taut := c.Normalize()
+	norm, taut := s.normalizeClause(c)
 	if taut {
 		return true
 	}
 	if len(norm) == 0 {
 		return false
 	}
-	lits := make([]ilit, 0, len(norm))
-	for _, l := range norm {
-		s.ensureVars(int32(l.Var()))
-		il := fromExternal(l)
+	lits := norm[:0] // simplified in place: the write index never passes the read index
+	for _, il := range norm {
+		s.ensureVars(il.ivar() + 1)
 		switch s.litValue(il) {
 		case lTrue:
 			return true // already satisfied at level 0
@@ -1065,7 +1252,7 @@ func (s *Solver) recordLearned(lits []ilit) {
 	cr := s.newClause(lits, true)
 	s.ar.setLBD(cr, int32(lbd))
 	s.bumpClause(cr)
-	s.learnts = append(s.learnts, cr)
+	s.learnts = append(grown(s.learnts, 1), cr)
 	s.stats.Learned++
 	switch {
 	case lbd <= coreLBD:
