@@ -290,7 +290,8 @@ func BenchmarkEvalPolicyBiviumTabu(b *testing.B) {
 			CostMetric: solver.CostPropagations,
 			Policy:     pol,
 		})
-		res, err := optimize.TabuSearch(context.Background(), r, space.FullPoint(),
+		obj := pdsat.NewObjective(r.Scope, r, pol, nil, nil)
+		res, err := optimize.TabuSearch(context.Background(), obj, space.FullPoint(),
 			optimize.Options{Seed: 5, MaxEvaluations: 60})
 		if err != nil {
 			b.Fatal(err)
@@ -359,8 +360,7 @@ func BenchmarkFleetBiviumTabu(b *testing.B) {
 		total := 0
 		for i := 0; i < members; i++ {
 			r := newRunner(optimize.SubSeed(root, 3*i))
-			eng := eval.NewEngine(r, pol, eval.NewCache()) // isolated cache
-			obj := &fleetBenchObjective{engine: eng, activity: r.VarActivity}
+			obj := pdsat.NewObjective(r.Scope, r, pol, eval.NewCache(), nil) // isolated cache
 			var err error
 			switch method(i) {
 			case optimize.MethodSA:
@@ -384,10 +384,9 @@ func BenchmarkFleetBiviumTabu(b *testing.B) {
 		fleet := make([]optimize.FleetMember, members)
 		for i := 0; i < members; i++ {
 			scope := r.NewScope(optimize.SubSeed(root, 3*i))
-			eng := eval.NewEngine(scope, pol, cache)
 			fleet[i] = optimize.FleetMember{
 				Method:    method(i),
-				Objective: &fleetBenchObjective{engine: eng, activity: scope.VarActivity},
+				Objective: pdsat.NewObjective(scope, scope, pol, cache, nil),
 				Start:     space.FullPoint(),
 				Opts:      optimize.Options{Seed: optimize.SubSeed(root, 3*i+1), MaxEvaluations: evals},
 			}
@@ -415,36 +414,6 @@ func BenchmarkFleetBiviumTabu(b *testing.B) {
 		b.ReportMetric(float64(shared), "subproblems_fleet")
 		b.ReportMetric(reduction, "fleet_reduction_%")
 	}
-}
-
-// fleetBenchObjective adapts an evaluation engine plus an activity source
-// as an optimizer objective for the fleet benchmark.
-type fleetBenchObjective struct {
-	engine   *eval.Engine
-	activity func(cnf.Var) float64
-}
-
-func (o *fleetBenchObjective) Evaluate(ctx context.Context, p decomp.Point) (float64, error) {
-	ev, err := o.engine.EvaluateF(ctx, p, math.Inf(1))
-	if err != nil {
-		return 0, err
-	}
-	return ev.Value, nil
-}
-
-func (o *fleetBenchObjective) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*eval.Evaluation, error) {
-	return o.engine.EvaluateF(ctx, p, incumbent)
-}
-
-func (o *fleetBenchObjective) VarActivity(v cnf.Var) float64 { return o.activity(v) }
-
-// ReserveSlots and EvaluateSlotF expose the engine's deterministic
-// evaluation slots, which the neighbourhood scheduler uses to keep every
-// candidate's Monte Carlo sample independent of completion order.
-func (o *fleetBenchObjective) ReserveSlots(n int) (int, bool) { return o.engine.ReserveSlots(n) }
-
-func (o *fleetBenchObjective) EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*eval.Evaluation, error) {
-	return o.engine.EvaluateSlotF(ctx, p, incumbent, slot)
 }
 
 // BenchmarkNeighborhoodBiviumTabu measures the neighbourhood-parallel
@@ -493,8 +462,7 @@ func BenchmarkNeighborhoodBiviumTabu(b *testing.B) {
 			CostMetric: solver.CostPropagations,
 			Transport:  transport,
 		})
-		eng := eval.NewEngine(r, eval.Policy{}, eval.NewCache())
-		obj := &fleetBenchObjective{engine: eng, activity: r.VarActivity}
+		obj := pdsat.NewObjective(r.Scope, r, eval.Policy{}, nil, nil)
 		start := time.Now()
 		res, err := optimize.TabuSearch(context.Background(), obj, space.FullPoint(),
 			optimize.Options{Seed: 5, MaxEvaluations: evals, MaxConcurrentEvals: concurrency})

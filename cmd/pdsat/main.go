@@ -152,24 +152,9 @@ func run() error {
 		leader, err = cluster.Listen(*listen, problem.Formula, cluster.LeaderOptions{
 			SolverOptions: cfg.Runner.SolverOptions,
 			Logf:          logToStderr,
-			OnWorkerJoined: func(name string, slots int) {
+			OnEvent: func(ev cluster.ClusterEvent) {
 				if s := sessionRef.Load(); s != nil {
-					s.PublishWorkerJoined(name, slots)
-				}
-			},
-			OnWorkerLost: func(name string, requeued int) {
-				if s := sessionRef.Load(); s != nil {
-					s.PublishWorkerLost(name, requeued)
-				}
-			},
-			OnTaskStolen: func(name string, tasks int) {
-				if s := sessionRef.Load(); s != nil {
-					s.PublishTaskStolen(name, tasks)
-				}
-			},
-			OnSpeculationWon: func(name string, tasks int) {
-				if s := sessionRef.Load(); s != nil {
-					s.PublishSpeculationWon(name, tasks)
+					s.PublishClusterEvent(ev)
 				}
 			},
 		})
@@ -189,13 +174,13 @@ func run() error {
 	}
 	sessionRef.Store(session)
 
-	vars := problem.StartSet
+	var set []pdsat.Var // empty: the start set
 	if *setList != "" {
-		vars, err = parseVars(*setList)
+		set, err = parseVars(*setList)
 		if err != nil {
 			return err
 		}
-		if _, err := session.Space().PointFromVars(vars); err != nil {
+		if _, err := session.Space().PointFromVars(set); err != nil {
 			return fmt.Errorf("-set: %w", err)
 		}
 	}
@@ -221,60 +206,74 @@ func run() error {
 		return runServe(ctx, session, *serve)
 	}
 
-	if *fleetSpec != "" {
-		return runFleet(ctx, session, fleetFlags{
-			spec:       *fleetSpec,
-			seed:       *seed,
-			evals:      *evals,
-			targetF:    *targetF,
-			jitter:     *jitter,
-			keepRacing: *keepRacing,
-		}, costMetric)
-	}
-
-	switch *mode {
-	case "estimate":
-		return runEstimate(ctx, session, vars, costMetric)
-	case "search":
-		return runSearch(ctx, session, *method, costMetric)
-	case "solve":
-		return runSolve(ctx, session, vars, *stopOnSat, costMetric)
+	// The flags describe one job, as a body of POST /v1/jobs would.
+	var spec pdsat.JobSpec
+	switch {
+	case *fleetSpec != "":
+		members, err := pdsat.ParseFleet(*fleetSpec)
+		if err != nil {
+			return err
+		}
+		spec = pdsat.FleetJob{
+			Members:        members,
+			Seed:           *seed,
+			Start:          set,
+			Jitter:         *jitter,
+			TargetF:        *targetF,
+			MaxEvaluations: *evals,
+			KeepRacing:     *keepRacing,
+		}
+	case *mode == "estimate":
+		spec = pdsat.EstimateJob{Vars: set}
+	case *mode == "search":
+		spec = pdsat.SearchJob{Method: *method, Start: set}
+	case *mode == "solve":
+		spec = pdsat.SolveJob{Vars: set, StopOnSat: *stopOnSat}
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
+
+	return runJob(ctx, session, spec, costMetric)
 }
 
-// fleetFlags carries the fleet-mode command line.
-type fleetFlags struct {
-	spec       string
-	seed       int64
-	evals      int
-	targetF    float64
-	jitter     int
-	keepRacing bool
-}
-
-// runFleet races a fleet of concurrent searches and prints a per-member
-// summary table plus the winner's estimate.
-func runFleet(ctx context.Context, session *pdsat.Session, f fleetFlags, metric solver.CostMetric) error {
-	members, err := pdsat.ParseFleet(f.spec)
+// runJob submits the job, waits for it and prints its result.  The wait is on
+// the job alone: interrupted (SIGINT, -timeout), it still finishes, with what
+// it has.
+func runJob(ctx context.Context, session *pdsat.Session, spec pdsat.JobSpec, metric solver.CostMetric) error {
+	start := time.Now()
+	j, err := session.Submit(ctx, spec)
 	if err != nil {
 		return err
 	}
-	outcome, err := session.SearchFleet(ctx, pdsat.FleetJob{
-		Members:        members,
-		Seed:           f.seed,
-		Jitter:         f.jitter,
-		TargetF:        f.targetF,
-		MaxEvaluations: f.evals,
-		KeepRacing:     f.keepRacing,
-	})
-	if outcome == nil {
+	res, err := j.Result(context.Background())
+	if res == nil {
 		return err
 	}
-	if err != nil {
-		fmt.Printf("fleet ended with error: %v\n", err)
+	switch {
+	case res.Estimate != nil:
+		label := "predictive function"
+		if res.Estimate.Interrupted {
+			fmt.Println("interrupted — partial estimate from the completed subproblems:")
+			label = "partial predictive function"
+		}
+		printEstimate(label, res.Estimate, metric)
+	case res.Search != nil:
+		printSearch(res.Search, time.Since(start), metric)
+		printEngineSummary(session.Stats())
+	case res.Solve != nil:
+		printSolve(res.Solve, session.Problem().Instance, metric)
+	case res.Fleet != nil:
+		if err != nil {
+			fmt.Printf("fleet ended with error: %v\n", err)
+		}
+		printFleet(res.Fleet, metric)
+		printEngineSummary(session.Stats())
 	}
+	return nil
+}
+
+// printFleet prints a per-member summary table plus the winner's estimate.
+func printFleet(outcome *pdsat.FleetOutcome, metric solver.CostMetric) {
 	fmt.Printf("fleet of %d member(s), root seed %d, wall time %v\n",
 		len(outcome.Members), outcome.Seed, outcome.WallTime.Round(time.Millisecond))
 	fmt.Printf("%-7s %-20s %-6s %7s %14s  %s\n",
@@ -303,8 +302,6 @@ func runFleet(ctx context.Context, session *pdsat.Session, f fleetFlags, metric 
 	} else {
 		fmt.Println("no member produced a best set")
 	}
-	printEngineSummary(session.Stats())
-	return nil
 }
 
 // Limits of the -serve HTTP server against peers that connect and then say
@@ -455,33 +452,14 @@ func buildProblem(cnfPath, startList, generator string, keystream, known int, se
 	return pdsat.FromDIMACSFile(cnfPath, start)
 }
 
-func runEstimate(ctx context.Context, session *pdsat.Session, vars []pdsat.Var, metric solver.CostMetric) error {
-	est, err := session.EstimateSet(ctx, vars)
-	if est == nil {
-		return err
-	}
-	label := "predictive function"
-	if est.Interrupted {
-		fmt.Println("interrupted — partial estimate from the completed subproblems:")
-		label = "partial predictive function"
-	}
-	printEstimate(label, est, metric)
-	return nil
-}
-
-func runSearch(ctx context.Context, session *pdsat.Session, method string, metric solver.CostMetric) error {
-	start := time.Now()
-	outcome, err := session.SearchFrom(ctx, method, session.Space().FullPoint())
-	if err != nil {
-		return err
-	}
+func printSearch(outcome *pdsat.SearchOutcome, elapsed time.Duration, metric solver.CostMetric) {
 	if outcome.Result.Stop == pdsat.StopContext {
 		fmt.Println("interrupted — partial search report:")
 	}
 	fmt.Printf("search method       %s\n", outcome.Method)
 	fmt.Printf("points evaluated    %d\n", outcome.Result.Evaluations)
 	fmt.Printf("stop reason         %s\n", outcome.Result.Stop)
-	fmt.Printf("search wall time    %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Printf("search wall time    %v\n", elapsed.Round(time.Millisecond))
 	fmt.Printf("best |set|          %d\n", outcome.Result.BestPoint.Count())
 	fmt.Printf("best set            %s\n", varsString(outcome.Result.BestPoint.SortedVars()))
 	if outcome.Best != nil {
@@ -491,15 +469,9 @@ func runSearch(ctx context.Context, session *pdsat.Session, method string, metri
 		}
 		printEstimate(label, outcome.Best, metric)
 	}
-	printEngineSummary(session.Stats())
-	return nil
 }
 
-func runSolve(ctx context.Context, session *pdsat.Session, vars []pdsat.Var, stopOnSat bool, metric solver.CostMetric) error {
-	report, err := session.SolveWithSet(ctx, vars, pdsat.SolveOptions{StopOnSat: stopOnSat})
-	if err != nil {
-		return err
-	}
+func printSolve(report *pdsat.SolveReport, inst *encoder.Instance, metric solver.CostMetric) {
 	if report.Interrupted {
 		fmt.Println("interrupted — partial solving report:")
 	}
@@ -509,7 +481,7 @@ func runSolve(ctx context.Context, session *pdsat.Session, vars []pdsat.Var, sto
 	fmt.Printf("wall time           %v\n", report.WallTime.Round(time.Millisecond))
 	if report.FoundSat {
 		fmt.Printf("satisfiable subproblem found at index %d\n", report.SatIndex)
-		if inst := session.Problem().Instance; inst != nil {
+		if inst != nil {
 			gen, err := encoder.ByName(inst.Generator)
 			if err == nil {
 				ok, err := inst.CheckRecoveredState(gen, report.Model)
@@ -519,7 +491,6 @@ func runSolve(ctx context.Context, session *pdsat.Session, vars []pdsat.Var, sto
 	} else {
 		fmt.Println("no satisfiable subproblem found")
 	}
-	return nil
 }
 
 // printEngineSummary reports the session's evaluation-engine and solver-core

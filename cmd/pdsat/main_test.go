@@ -46,6 +46,28 @@ func TestBadVariableListsFailBeforeWorkersJoin(t *testing.T) {
 	}
 }
 
+// TestSetIsTheSearchStart: -set is where -mode search and -fleet start (it used
+// to be parsed, checked and then ignored: both started from the whole start
+// set).  One evaluation is the start evaluation, so the best set is the start.
+func TestSetIsTheSearchStart(t *testing.T) {
+	for _, mode := range [][]string{{"-mode", "search"}, {"-fleet", "tabu:1"}} {
+		args := append([]string{"-known", "56", "-keystream", "30", "-samples", "4", "-evaluations", "1", "-set", "2,5,7"}, mode...)
+		old := os.Stdout
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		os.Stdout = w
+		runErr := runWithArgs(t, args...)
+		os.Stdout = old
+		w.Close()
+		out, _ := io.ReadAll(r)
+		if runErr != nil || !strings.Contains(string(out), "best set            2,5,7\n") {
+			t.Errorf("%v: error %v, output without a best set of 2,5,7:\n%s", mode, runErr, out)
+		}
+	}
+}
+
 // TestDebugAddrServesPprofOnly: the -debug-addr server answers the pprof
 // endpoints and nothing else, stops when told, and without an address
 // nothing listens.

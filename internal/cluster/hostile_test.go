@@ -171,9 +171,9 @@ func TestHostileWorker(t *testing.T) {
 			leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{
 				Heartbeat: 100 * time.Millisecond,
 				Logf:      t.Logf,
-				OnWorkerLost: func(name string, requeued int) {
-					if name == "hostile" {
-						lost <- requeued
+				OnEvent: func(ev ClusterEvent) {
+					if ev.Kind == WorkerLost && ev.Worker == "hostile" {
+						lost <- ev.Count
 					}
 				},
 			})

@@ -28,25 +28,41 @@ type LeaderOptions struct {
 	// Logf, when non-nil, receives human-readable cluster events (worker
 	// joins, losses, requeues).
 	Logf func(format string, args ...any)
-	// OnWorkerJoined, when non-nil, is called after a worker completes its
-	// registration handshake, with the worker's self-reported name and slot
-	// count.  It runs on the connection's goroutine and must not block.
-	OnWorkerJoined func(name string, slots int)
-	// OnWorkerLost, when non-nil, is called when a registered worker is
-	// dropped (connection error, missed heartbeats or leader shutdown),
-	// with the number of in-flight tasks that were requeued onto the
-	// remaining workers.  It must not block.
-	OnWorkerLost func(name string, requeued int)
-	// OnTaskStolen, when non-nil, is called when queued tasks are revoked
-	// from a backlogged worker for reassignment (BatchOptions.Steal), with
-	// the victim's name and the number of tasks taken back.  It runs on
-	// the victim's connection goroutine and must not block.
-	OnTaskStolen func(name string, tasks int)
-	// OnSpeculationWon, when non-nil, is called when the speculative
-	// duplicate of a straggling task delivers the first (recorded) result
-	// (BatchOptions.Speculate), with the winning worker's name.  It runs
-	// on that worker's connection goroutine and must not block.
-	OnSpeculationWon func(name string, tasks int)
+	// OnEvent, when non-nil, is called with every ClusterEvent: a worker
+	// joining or being lost, queued tasks stolen back, a speculative duplicate
+	// winning.  It runs on the goroutine of the connection the event happened
+	// on and must not block.
+	OnEvent func(ClusterEvent)
+}
+
+// ClusterEventKind says what happened in a ClusterEvent.
+type ClusterEventKind int
+
+// The cluster events, and what Count counts in each.
+const (
+	// WorkerJoined: a worker completed its registration handshake; Count is
+	// its slot count.
+	WorkerJoined ClusterEventKind = iota
+	// WorkerLost: a registered worker was dropped (connection error, missed
+	// heartbeats or leader shutdown); Count is the number of its in-flight
+	// tasks requeued onto the remaining workers.
+	WorkerLost
+	// TaskStolen: queued tasks were revoked from a backlogged worker for
+	// reassignment (BatchOptions.Steal); Count is how many were taken back.
+	TaskStolen
+	// SpeculationWon: this worker's speculative duplicate of a straggling task
+	// delivered the first (recorded) result (BatchOptions.Speculate); Count
+	// is the number of tasks won.
+	SpeculationWon
+)
+
+// ClusterEvent is one thing that happened to a leader's workers or to the
+// custody of its tasks: its kind, the self-reported name of the worker
+// concerned and the kind's count.
+type ClusterEvent struct {
+	Kind   ClusterEventKind
+	Worker string
+	Count  int
 }
 
 // Leader is the network Transport: it accepts worker registrations on a TCP
@@ -226,6 +242,12 @@ func (l *Leader) logf(format string, args ...any) {
 	}
 }
 
+func (l *Leader) event(kind ClusterEventKind, worker string, count int) {
+	if l.opts.OnEvent != nil {
+		l.opts.OnEvent(ClusterEvent{Kind: kind, Worker: worker, Count: count})
+	}
+}
+
 // Workers reports the summed capacity of the currently registered workers.
 func (l *Leader) Workers() int {
 	l.mu.Lock()
@@ -381,9 +403,7 @@ func (l *Leader) handleConn(conn net.Conn) {
 	l.wg.Add(1) // the pinger
 	l.mu.Unlock()
 	l.logf("cluster: worker %q joined from %s with %d slot(s)", rw.name, conn.RemoteAddr(), rw.capacity)
-	if l.opts.OnWorkerJoined != nil {
-		l.opts.OnWorkerJoined(rw.name, rw.capacity)
-	}
+	l.event(WorkerJoined, rw.name, rw.capacity)
 
 	go l.ping(rw)
 
@@ -476,9 +496,7 @@ func (l *Leader) dropWorker(rw *remoteWorker, cause error) {
 	} else {
 		l.logf("cluster: worker %q disconnected (%v)", rw.name, cause)
 	}
-	if l.opts.OnWorkerLost != nil {
-		l.opts.OnWorkerLost(rw.name, requeued)
-	}
+	l.event(WorkerLost, rw.name, requeued)
 }
 
 // deliver records one result from a worker into the active batch.  The
@@ -552,9 +570,7 @@ func (l *Leader) deliver(rw *remoteWorker, env *envelope) {
 	}
 	if specWin {
 		l.logf("cluster: speculative duplicate of task %d won on worker %q", res.Index, winner)
-		if l.opts.OnSpeculationWon != nil {
-			l.opts.OnSpeculationWon(winner, 1)
-		}
+		l.event(SpeculationWon, winner, 1)
 	}
 	if broadcast {
 		l.broadcastInterrupt(id)
@@ -613,9 +629,7 @@ func (l *Leader) handleRevoked(rw *remoteWorker, env *envelope) {
 	l.mu.Unlock()
 	if stolen > 0 {
 		l.logf("cluster: stole %d queued task(s) back from worker %q", stolen, victim)
-		if l.opts.OnTaskStolen != nil {
-			l.opts.OnTaskStolen(victim, stolen)
-		}
+		l.event(TaskStolen, victim, stolen)
 	}
 }
 

@@ -23,7 +23,11 @@ func TestWaitForWorkersWakesOnRegistration(t *testing.T) {
 	const rounds = 9
 	joined := make(chan time.Time, 2*rounds)
 	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{
-		OnWorkerJoined: func(string, int) { joined <- time.Now() },
+		OnEvent: func(ev ClusterEvent) {
+			if ev.Kind == WorkerJoined {
+				joined <- time.Now()
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

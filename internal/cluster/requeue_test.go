@@ -201,8 +201,12 @@ func TestBatchRejectsZeroLiteral(t *testing.T) {
 	f := requeueFormula()
 	var lost atomic.Int32
 	leader, err := Listen("127.0.0.1:0", f, LeaderOptions{
-		Logf:         t.Logf,
-		OnWorkerLost: func(string, int) { lost.Add(1) },
+		Logf: t.Logf,
+		OnEvent: func(ev ClusterEvent) {
+			if ev.Kind == WorkerLost {
+				lost.Add(1)
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -326,8 +330,10 @@ func TestAbortedBatchWorkerLossDoesNotResurrectTasks(t *testing.T) {
 	leader, err := Listen("127.0.0.1:0", f, LeaderOptions{
 		Heartbeat: 100 * time.Millisecond,
 		Logf:      t.Logf,
-		OnWorkerLost: func(name string, requeued int) {
-			lostCh <- lost{name, requeued}
+		OnEvent: func(ev ClusterEvent) {
+			if ev.Kind == WorkerLost {
+				lostCh <- lost{ev.Worker, ev.Count}
+			}
 		},
 	})
 	if err != nil {
@@ -541,10 +547,9 @@ func TestLeaderCloseWaitsForItsGoroutines(t *testing.T) {
 		}
 	}
 	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{
-		Heartbeat:      10 * time.Millisecond,
-		Logf:           func(string, ...any) { note() },
-		OnWorkerJoined: func(string, int) { note() },
-		OnWorkerLost:   func(string, int) { note() },
+		Heartbeat: 10 * time.Millisecond,
+		Logf:      func(string, ...any) { note() },
+		OnEvent:   func(ClusterEvent) { note() },
 	})
 	if err != nil {
 		t.Fatal(err)

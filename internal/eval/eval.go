@@ -253,9 +253,9 @@ type Evaluator interface {
 }
 
 // Backend performs the actual solving of an evaluation's sample under a
-// policy.  It is implemented by the pdsat Runner (and by the session layer,
-// which adds event streaming).  A backend may return a partial Evaluation
-// together with a context error.
+// policy.  The implementation is the pdsat Scope behind an Objective
+// (pdsat.NewObjective).  A backend may return a partial Evaluation together
+// with a context error.
 type Backend interface {
 	EvaluateBudgeted(ctx context.Context, p decomp.Point, pol Policy, incumbent float64) (*Evaluation, error)
 }

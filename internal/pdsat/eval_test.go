@@ -32,8 +32,17 @@ func evalTestConfig(pol eval.Policy) Config {
 type legacyActivityObjective struct{ r *Runner }
 
 func (o legacyActivityObjective) Evaluate(ctx context.Context, p decomp.Point) (float64, error) {
-	return o.r.Evaluate(ctx, p)
+	est, err := o.r.EvaluatePoint(ctx, p)
+	if err != nil {
+		return 0, err
+	}
+	return est.Estimate.Value, nil
 }
+
+// objectiveOf is the search objective of a runner on its own: the engine over
+// its default scope under its configured policy, no cache, nobody watching,
+// and the runner's roll-up activity.
+func objectiveOf(r *Runner) *Objective { return NewObjective(r.Scope, r, r.cfg.Policy, nil, nil) }
 
 func (o legacyActivityObjective) VarActivity(v cnf.Var) float64 { return o.r.VarActivity(v) }
 
@@ -108,10 +117,10 @@ func TestEvalPolicyDisabledBitIdenticalSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The bare Runner implements eval.Evaluator, so this search runs
-	// through the budget-aware engine (with everything disabled).
+	// This search runs through the budget-aware engine (with everything
+	// disabled).
 	engine := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-	got, err := optimize.TabuSearch(context.Background(), engine, space.FullPoint(), opts)
+	got, err := optimize.TabuSearch(context.Background(), objectiveOf(engine), space.FullPoint(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +269,7 @@ func TestPruningAndStagingSaveSubproblems(t *testing.T) {
 			CostMetric: solver.CostPropagations,
 			Policy:     pol,
 		})
-		res, err := optimize.TabuSearch(context.Background(), r, space.FullPoint(), opts)
+		res, err := optimize.TabuSearch(context.Background(), objectiveOf(r), space.FullPoint(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -177,7 +177,7 @@ func goldenTabuZero(t *testing.T, width int) (searchGolden, *optimize.Result) {
 	t.Helper()
 	inst := weakBivium(t, 167, 60, 21)
 	r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-	res, err := optimize.TabuSearch(context.Background(), r, unknownSpace(inst).FullPoint(), goldenTabuOpts(width))
+	res, err := optimize.TabuSearch(context.Background(), objectiveOf(r), unknownSpace(inst).FullPoint(), goldenTabuOpts(width))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func goldenTabuDefault(t *testing.T, width int) searchTraceGolden {
 	t.Helper()
 	inst := weakBivium(t, 167, 60, 21)
 	r := NewRunner(inst.CNF, evalTestConfig(eval.DefaultPolicy()))
-	res, err := optimize.TabuSearch(context.Background(), r, unknownSpace(inst).FullPoint(), goldenTabuOpts(width))
+	res, err := optimize.TabuSearch(context.Background(), objectiveOf(r), unknownSpace(inst).FullPoint(), goldenTabuOpts(width))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func goldenSAZero(t *testing.T, width int) searchTraceGolden {
 	t.Helper()
 	inst := weakBivium(t, 160, 200, 7)
 	r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-	res, err := optimize.SimulatedAnnealing(context.Background(), r, unknownSpace(inst).FullPoint(),
+	res, err := optimize.SimulatedAnnealing(context.Background(), objectiveOf(r), unknownSpace(inst).FullPoint(),
 		optimize.Options{Seed: 5, MaxEvaluations: 14, InitialTemperature: 0.5, MaxConcurrentEvals: width})
 	if err != nil {
 		t.Fatal(err)

@@ -564,34 +564,36 @@ func (r *Runner) runBatch(ctx context.Context, tasks []cluster.Task, opts cluste
 // SolveReport is the outcome of processing a whole decomposition family
 // (solving mode).
 type SolveReport struct {
-	// Point is the decomposition set used.
-	Point decomp.Point
+	// Vars is the decomposition set used, sorted by variable index; Point is
+	// the same set as a point of its search space.
+	Vars  []cnf.Var    `json:"vars"`
+	Point decomp.Point `json:"-"`
 	// Processed is the number of subproblems a solver worked on (including
 	// solves truncated by a stop-on-SAT or cancellation).
-	Processed int
+	Processed int `json:"processed"`
 	// SubproblemsAborted counts the subproblems of the run that produced no
 	// complete solve: truncated mid-search by stop-on-SAT/cancellation, or
 	// never handed to a solver at all.
-	SubproblemsAborted int
+	SubproblemsAborted int `json:"subproblems_aborted"`
 	// TotalCost is the summed cost of all processed subproblems (1-core
 	// sequential cost, comparable with the predictive function value).
-	TotalCost float64
+	TotalCost float64 `json:"total_cost"`
 	// CostToFirstSat is the summed cost of subproblems processed up to and
 	// including the first satisfiable one (in enumeration order); equal to
 	// TotalCost if no subproblem is satisfiable or StopOnSat was false and
 	// the family was processed completely.
-	CostToFirstSat float64
+	CostToFirstSat float64 `json:"cost_to_first_sat"`
 	// FoundSat reports whether a satisfiable subproblem was found.
-	FoundSat bool
+	FoundSat bool `json:"found_sat"`
 	// Model is a model of the original formula if FoundSat.
-	Model cnf.Assignment
+	Model cnf.Assignment `json:"-"`
 	// SatIndex is the enumeration index of the first satisfiable
 	// subproblem, -1 if none.
-	SatIndex int64
+	SatIndex int64 `json:"sat_index"`
 	// WallTime is the elapsed wall-clock time.
-	WallTime time.Duration
+	WallTime time.Duration `json:"wall_time_ns"`
 	// Interrupted reports whether the run was cancelled before completion.
-	Interrupted bool
+	Interrupted bool `json:"interrupted"`
 }
 
 // SolveOptions configure the solving mode.
@@ -654,7 +656,7 @@ func (r *Runner) SolveObserved(ctx context.Context, p decomp.Point, opts SolveOp
 		}
 	}
 
-	report := &SolveReport{Point: p, SatIndex: -1}
+	report := &SolveReport{Vars: p.SortedVars(), Point: p, SatIndex: -1}
 	// Aggregate in enumeration order for deterministic cost-to-first-SAT.
 	byIndex := make([]cluster.TaskResult, len(tasks))
 	seen := make([]bool, len(tasks))

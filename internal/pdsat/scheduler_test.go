@@ -95,7 +95,7 @@ func TestSchedulerWideZeroPolicyMatchesSequential(t *testing.T) {
 	space := unknownSpace(inst)
 	run := func(width int) *optimize.Result {
 		r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-		res, err := optimize.TabuSearch(context.Background(), r, space.FullPoint(),
+		res, err := optimize.TabuSearch(context.Background(), objectiveOf(r), space.FullPoint(),
 			optimize.Options{Seed: 5, MaxEvaluations: 20, MaxConcurrentEvals: width})
 		if err != nil {
 			t.Fatal(err)
@@ -119,7 +119,7 @@ func TestSchedulerWideDeterministicRunToRun(t *testing.T) {
 	space := unknownSpace(inst)
 	run := func() *optimize.Result {
 		r := NewRunner(inst.CNF, evalTestConfig(eval.DefaultPolicy()))
-		res, err := optimize.TabuSearch(context.Background(), r, space.FullPoint(),
+		res, err := optimize.TabuSearch(context.Background(), objectiveOf(r), space.FullPoint(),
 			optimize.Options{Seed: 5, MaxEvaluations: 20, MaxConcurrentEvals: 4})
 		if err != nil {
 			t.Fatal(err)
@@ -160,7 +160,7 @@ func TestSchedulerWideEqualBestF(t *testing.T) {
 	space := unknownSpace(inst)
 	run := func(width int) *optimize.Result {
 		r := NewRunner(inst.CNF, evalTestConfig(eval.DefaultPolicy()))
-		res, err := optimize.TabuSearch(context.Background(), r, space.FullPoint(),
+		res, err := optimize.TabuSearch(context.Background(), objectiveOf(r), space.FullPoint(),
 			optimize.Options{Seed: 5, MaxEvaluations: 20, MaxConcurrentEvals: width})
 		if err != nil {
 			t.Fatal(err)
@@ -196,7 +196,7 @@ func TestSampleLedgerBalances(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewRunner(inst.CNF, evalTestConfig(tc.pol))
 			space := unknownSpace(inst)
-			_, err := optimize.TabuSearch(context.Background(), r, space.FullPoint(),
+			_, err := optimize.TabuSearch(context.Background(), objectiveOf(r), space.FullPoint(),
 				optimize.Options{Seed: 5, MaxEvaluations: 15, MaxConcurrentEvals: tc.width})
 			if err != nil {
 				t.Fatal(err)
@@ -228,12 +228,12 @@ func TestSchedulerScopeLedgerBalances(t *testing.T) {
 	p := space.FullPoint()
 
 	base := sc.ReserveEvalSlots(3)
-	if _, err := sc.EvaluateSlot(context.Background(), p, eval.Policy{}, math.Inf(1), base); err != nil {
+	if _, err := sc.EvaluateSlotObserved(context.Background(), p, eval.Policy{}, math.Inf(1), base, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A tight incumbent forces pruning: part of the sample is aborted or
 	// skipped, and the ledger must still balance.
-	if ev, err := sc.EvaluateSlot(context.Background(), p.Flip(0), eval.Policy{Prune: true}, 1, base+1); err != nil {
+	if ev, err := sc.EvaluateSlotObserved(context.Background(), p.Flip(0), eval.Policy{Prune: true}, 1, base+1, nil); err != nil {
 		t.Fatal(err)
 	} else if !ev.Pruned {
 		t.Fatalf("evaluation against incumbent 1 not pruned: %+v", ev)
@@ -267,7 +267,7 @@ func TestSchedulerCancellationMidNeighborhood(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	res, err := optimize.TabuSearch(ctx, r, space.FullPoint(),
+	res, err := optimize.TabuSearch(ctx, objectiveOf(r), space.FullPoint(),
 		optimize.Options{Seed: 5, MaxConcurrentEvals: 4})
 	cancel()
 	if err != nil {
@@ -302,7 +302,7 @@ func TestSearchesNeverVisitTheEmptySet(t *testing.T) {
 	for name, search := range searches {
 		for _, width := range []int{1, 2} {
 			r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-			res, err := search(context.Background(), r, space.FullPoint(),
+			res, err := search(context.Background(), objectiveOf(r), space.FullPoint(),
 				optimize.Options{Seed: 5, MaxConcurrentEvals: width})
 			if err != nil {
 				t.Fatalf("%s width %d: %v", name, width, err)

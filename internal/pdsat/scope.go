@@ -26,7 +26,8 @@ import (
 //
 // Every evaluation method is declared here and nowhere else.  A Runner embeds
 // its default scope (seed Config.Seed), so the same methods called on a
-// *Runner are this scope's, promoted.
+// *Runner are this scope's, promoted.  A search does not call them: it runs on
+// an Objective (NewObjective), the evaluation engine over a scope.
 //
 // A Scope is safe for concurrent use, but per-scope determinism assumes one
 // search per scope: two goroutines interleaving evaluations on one scope
@@ -47,12 +48,12 @@ func (r *Runner) NewScope(seed int64) *Scope {
 	}
 }
 
-// ReserveEvalSlots implements eval.SlotBackend: it reserves n consecutive
-// evaluation slots (counted in the runner's ledger too) and returns the
-// first.  The neighborhood scheduler reserves a whole submission upfront
-// so every sibling's sample — a pure function of (scope seed, slot) —
-// is independent of completion order and cancellation timing; slots of
-// candidates that end up cancelled stay burned, deliberately.
+// ReserveEvalSlots reserves n consecutive evaluation slots (counted in the
+// runner's ledger too) and returns the first.  The neighborhood scheduler
+// reserves a whole submission upfront so every sibling's sample — a pure
+// function of (scope seed, slot) — is independent of completion order and
+// cancellation timing; slots of candidates that end up cancelled stay burned,
+// deliberately.
 func (sc *Scope) ReserveEvalSlots(n int) int { return sc.reserve(n) }
 
 // EvaluatePoint computes the predictive function F at the decomposition set
@@ -67,40 +68,6 @@ func (sc *Scope) ReserveEvalSlots(n int) int { return sc.reserve(n) }
 // finished.
 func (sc *Scope) EvaluatePoint(ctx context.Context, p decomp.Point) (*PointEstimate, error) {
 	return sc.EvaluatePointBudgeted(ctx, p, sc.r.cfg.Policy, math.Inf(1), nil)
-}
-
-// Evaluate implements the optimizer objective: it returns the predictive
-// function value F(χ) at the point.
-func (sc *Scope) Evaluate(ctx context.Context, p decomp.Point) (float64, error) {
-	est, err := sc.EvaluatePoint(ctx, p)
-	if err != nil {
-		return 0, err
-	}
-	return est.Estimate.Value, nil
-}
-
-// EvaluateBudgeted implements eval.Backend: one budget-aware evaluation
-// under an explicit policy and incumbent, in the engine's result form.
-func (sc *Scope) EvaluateBudgeted(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64) (*eval.Evaluation, error) {
-	return sc.EvaluateSlotObserved(ctx, p, pol, incumbent, -1, nil)
-}
-
-// EvaluateF implements eval.Evaluator under the runner's configured policy,
-// which lets the optimize searches thread their incumbent into evaluations on
-// a bare Scope or Runner.  Neither memoizes — the cross-search F-cache is
-// owned by the session layer (pdsat.Session).
-func (sc *Scope) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*eval.Evaluation, error) {
-	return sc.EvaluateBudgeted(ctx, p, sc.r.cfg.Policy, incumbent)
-}
-
-// ReserveSlots implements eval.SlotEvaluator (the evaluator-level view the
-// frontier consumes when a search runs directly on a Scope or a Runner).
-func (sc *Scope) ReserveSlots(n int) (int, bool) { return sc.ReserveEvalSlots(n), true }
-
-// EvaluateSlotF implements eval.SlotEvaluator under the runner's
-// configured policy.
-func (sc *Scope) EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*eval.Evaluation, error) {
-	return sc.EvaluateSlot(ctx, p, sc.r.cfg.Policy, incumbent, slot)
 }
 
 // EvaluatePointBudgeted is the budget-aware evaluation at the heart of the
@@ -150,16 +117,10 @@ func (sc *Scope) EvaluatePointBudgeted(ctx context.Context, p decomp.Point, pol 
 	return sc.evaluatePointAt(ctx, p, pol, incumbent, observe, -1)
 }
 
-// EvaluateSlot implements eval.SlotBackend: EvaluateBudgeted with the
-// sample drawn from a pre-reserved evaluation slot (see ReserveEvalSlots)
-// instead of a freshly reserved one.
-func (sc *Scope) EvaluateSlot(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, slot int) (*eval.Evaluation, error) {
-	return sc.EvaluateSlotObserved(ctx, p, pol, incumbent, slot, nil)
-}
-
-// EvaluateSlotObserved is EvaluateSlot with a sample-progress observer (the
-// session layer's event streaming hooks in here).  A negative slot reserves
-// the next one, as EvaluatePointBudgeted does.
+// EvaluateSlotObserved is EvaluatePointBudgeted in the engine's result form,
+// with the sample drawn from a pre-reserved evaluation slot (see
+// ReserveEvalSlots); a negative slot reserves the next one.  It is what an
+// Objective's engine calls.
 func (sc *Scope) EvaluateSlotObserved(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, slot int, observe func(Progress)) (*eval.Evaluation, error) {
 	pe, err := sc.evaluatePointAt(ctx, p, pol, incumbent, observe, slot)
 	if pe == nil {

@@ -231,7 +231,7 @@ func TestRunnerIsItsDefaultScope(t *testing.T) {
 	if first := r.ReserveEvalSlots(2); first != 3 || r.Scope.Evaluations() != 5 {
 		t.Fatalf("r.ReserveEvalSlots(2) returned %d and left the default scope at %d evaluations, want 3 and 5", first, r.Scope.Evaluations())
 	}
-	if _, err := r.EvaluateSlot(ctx, p, cfg.Policy, math.Inf(1), 4); err != nil {
+	if _, err := r.EvaluateSlotObserved(ctx, p, cfg.Policy, math.Inf(1), 4, nil); err != nil {
 		t.Fatal(err)
 	}
 	own := r.Scope.Counters()

@@ -24,7 +24,8 @@
 //  4. Follow a job through its typed event stream (Job.Events):
 //     SampleProgress per solved subproblem (evenly sampled on very large
 //     families), SearchVisit per optimizer step, WorkerJoined/WorkerLost
-//     from the cluster leader, and a single terminal Done — also on
+//     from the cluster leader (its one OnEvent hook, forwarded with
+//     Session.PublishClusterEvent), and a single terminal Done — also on
 //     cancellation.  Collect the result with Job.Result, interrupt with
 //     Job.Cancel.
 //
@@ -103,6 +104,18 @@
 // F-cache.  For strictly reproducible full traces, switch Prune and Cache
 // off.  The CLI knob is -max-concurrent-evals, and over HTTP the policy
 // field "max_concurrent_evals" passes through POST /v1/jobs.
+//
+// # One description, one report
+//
+// The spec structs are the wire form of a submission — the body of POST
+// /v1/jobs is a "kind" beside the JSON members of that kind's spec, decoded
+// strictly: an unknown member, one of another kind or trailing bytes are
+// refused — and JobResult is the wire form of a result: the "result" of GET
+// /v1/jobs/{id} is json.Marshal of it.  cmd/pdsat builds the same specs from
+// its flags and is a client of Session.Submit like any other.  A session
+// retains its newest 1024 finished jobs for replay and evicts older finished
+// ones as jobs are submitted, never a running one; a retained job's event
+// history is kept whole.
 //
 // Server exposes the same API over HTTP/JSON (submit, stream events as
 // NDJSON or SSE, fetch results, cancel); `pdsat -serve :8080` serves it

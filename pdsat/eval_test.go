@@ -38,7 +38,7 @@ func TestEstimateJobCacheAcrossJobs(t *testing.T) {
 		t.Fatal("first estimate cannot be a cache hit")
 	}
 
-	j, err := s.EstimateJob(ctx, pdsat.EstimateJob{})
+	j, err := s.Submit(ctx, pdsat.EstimateJob{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSearchJobPolicyOverride(t *testing.T) {
 	// Same search, default policy via the job spec (session default off).
 	s := newTestSession(t, inst, 16)
 	pol := pdsat.DefaultEvalPolicy()
-	j, err := s.SearchJob(ctx, pdsat.SearchJob{Policy: &pol})
+	j, err := s.Submit(ctx, pdsat.SearchJob{Policy: &pol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,10 +258,10 @@ func TestEvalPolicyValidateAtSubmit(t *testing.T) {
 	inst := testInstance(t, 52, 30, 1)
 	s := newTestSession(t, inst, 8)
 	bad := pdsat.EvalPolicy{Gamma: 2}
-	if _, err := s.EstimateJob(t.Context(), pdsat.EstimateJob{Policy: &bad}); err == nil {
+	if _, err := s.Submit(t.Context(), pdsat.EstimateJob{Policy: &bad}); err == nil {
 		t.Fatal("invalid estimate policy accepted")
 	}
-	if _, err := s.SearchJob(t.Context(), pdsat.SearchJob{Policy: &bad}); err == nil {
+	if _, err := s.Submit(t.Context(), pdsat.SearchJob{Policy: &bad}); err == nil {
 		t.Fatal("invalid search policy accepted")
 	}
 }

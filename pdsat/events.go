@@ -191,16 +191,9 @@ type FleetMemberDone struct {
 	// Method is the member's search method ("simulated annealing" or
 	// "tabu search").
 	Method string `json:"method"`
-	// BestVars and BestValue are the member's best decomposition set and
-	// its F value, both absent if the member finished no evaluation (it was
-	// cancelled during its start evaluation: there is no best set, and JSON
-	// cannot spell the +Inf it began with); Evaluations the member's
-	// objective evaluation count.
-	BestVars    []Var    `json:"best_vars,omitempty"`
-	BestValue   *float64 `json:"best_value,omitempty"`
-	Evaluations int      `json:"evaluations"`
-	// Stop is the member's stop reason.
-	Stop string `json:"stop"`
+	// SearchSummary is the member's best set and its F (absent if it finished
+	// no evaluation), its evaluation count and its stop reason.
+	SearchSummary
 }
 
 // EventKind implements Event.
@@ -231,7 +224,7 @@ func (IncumbentImproved) EventKind() string { return "incumbent_improved" }
 func (e IncumbentImproved) EventMember() int { return e.Member }
 
 // WorkerJoined reports that a remote worker registered with the session's
-// cluster leader while the job was running (see Session.PublishWorkerJoined).
+// cluster leader while the job was running (see Session.PublishClusterEvent).
 type WorkerJoined struct {
 	// Job is the receiving job's ID.
 	Job string `json:"job"`
@@ -260,7 +253,7 @@ func (WorkerLost) EventKind() string { return "worker_lost" }
 
 // TaskStolen reports that the cluster leader revoked queued (not yet
 // started) subproblems from a backlogged worker and reassigned them to a
-// drained one (see Session.PublishTaskStolen).  Stolen subproblems are still
+// drained one (see Session.PublishClusterEvent).  Stolen subproblems are still
 // solved exactly once, so the event signals rebalancing, not rework.
 type TaskStolen struct {
 	// Job is the receiving job's ID.
@@ -277,7 +270,7 @@ func (TaskStolen) EventKind() string { return "task_stolen" }
 // SpeculationWon reports that a speculatively duplicated subproblem was won
 // by its duplicate copy: the copy dispatched onto an idle slot finished
 // before the original, whose solve was aborted (see
-// Session.PublishSpeculationWon).
+// Session.PublishClusterEvent).
 type SpeculationWon struct {
 	// Job is the receiving job's ID.
 	Job string `json:"job"`

@@ -8,10 +8,10 @@ import (
 	"github.com/paper-repro/pdsat-go/pdsat"
 )
 
-// ExampleSession_EstimateJob submits an asynchronous estimation job and
+// ExampleSession_Submit submits an asynchronous estimation job and
 // consumes its typed progress-event stream: one SampleProgress per solved
 // subproblem of the Monte Carlo sample, then the single terminal Done.
-func ExampleSession_EstimateJob() {
+func ExampleSession_Submit() {
 	// A weakened A5/1 key-recovery instance: 12 unknown state bits.
 	problem, err := pdsat.FromGenerator("a5/1", pdsat.GeneratorConfig{
 		KeystreamLen: 30,
@@ -34,7 +34,7 @@ func ExampleSession_EstimateJob() {
 	}
 
 	// Submit the job; an empty Vars list estimates the full start set.
-	job, err := session.EstimateJob(context.Background(), pdsat.EstimateJob{})
+	job, err := session.Submit(context.Background(), pdsat.EstimateJob{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,14 @@ func SetMaxSampleEventsForTest(n int) (restore func()) {
 	return func() { maxSampleEvents = old }
 }
 
+// SetMaxFinishedJobsForTest lowers the bound on retained finished jobs so a
+// test can flood a session past it.  It returns a restore function.
+func SetMaxFinishedJobsForTest(n int) (restore func()) {
+	old := maxFinishedJobs
+	maxFinishedJobs = n
+	return func() { maxFinishedJobs = old }
+}
+
 // SetSSEKeepAliveIntervalForTest shortens the SSE keep-alive interval so
 // tests can observe idle-stream comments without waiting half a minute.  It
 // returns a restore function.

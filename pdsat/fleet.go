@@ -263,6 +263,10 @@ type FleetMemberResult struct {
 	SearchSeed int64 `json:"search_seed"`
 	// StartVars is the member's actual (possibly jittered) start set.
 	StartVars []Var `json:"start_vars"`
+	// SearchSummary is what the wire carries of Result: best set, best F,
+	// evaluations, stop reason (zero if the member failed before producing a
+	// result).
+	SearchSummary
 	// Result is the member's raw search result; nil if the member failed
 	// before producing one.
 	Result *SearchResult `json:"-"`
@@ -314,9 +318,10 @@ func (spec FleetJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 	engines := make([]*eval.Engine, len(members))
 	for i, m := range members {
 		// Each member evaluates through its own scope (isolated sampling
-		// state over the shared transport) and its own engine over the
-		// session's shared F-cache.
-		obj, opts := s.searchMember(j, s.runner.NewScope(optimize.SubSeed(root, 3*i)), pol, i)
+		// state and scope-local conflict activity over the shared transport)
+		// and its own engine over the session's shared F-cache.
+		scope := s.runner.NewScope(optimize.SubSeed(root, 3*i))
+		obj, opts := s.searchMember(j, scope, scope, pol, i)
 		engines[i] = obj.Engine
 		opts.Seed = optimize.SubSeed(root, 3*i+1)
 		opts.TargetValue = spec.TargetF
@@ -335,15 +340,11 @@ func (spec FleetJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 		Shared:     shared,
 		KeepRacing: spec.KeepRacing,
 		OnMemberDone: func(member int, method string, res *optimize.Result) {
-			vars, value := wireBest(res)
 			j.emit(FleetMemberDone{
-				Job:         j.id,
-				Member:      member,
-				Method:      members[member].method,
-				BestVars:    vars,
-				BestValue:   value,
-				Evaluations: res.Evaluations,
-				Stop:        string(res.Stop),
+				Job:           j.id,
+				Member:        member,
+				Method:        members[member].method,
+				SearchSummary: wireBest(res),
 			})
 		},
 	})
@@ -359,12 +360,13 @@ func (spec FleetJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 	}
 	for i, mr := range fr.Members {
 		m := FleetMemberResult{
-			Member:     i,
-			Method:     members[i].method,
-			EvalSeed:   optimize.SubSeed(root, 3*i),
-			SearchSeed: optimize.SubSeed(root, 3*i+1),
-			StartVars:  fleet[i].Start.SortedVars(),
-			Result:     mr.Result,
+			Member:        i,
+			Method:        members[i].method,
+			EvalSeed:      optimize.SubSeed(root, 3*i),
+			SearchSeed:    optimize.SubSeed(root, 3*i+1),
+			StartVars:     fleet[i].Start.SortedVars(),
+			SearchSummary: wireBest(mr.Result),
+			Result:        mr.Result,
 		}
 		if mr.Err != nil {
 			m.Err = mr.Err.Error()
@@ -385,11 +387,6 @@ func (spec FleetJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 		outcome.Best = outcome.Members[fr.Best].Best
 	}
 	return &JobResult{Fleet: outcome}, ferr
-}
-
-// FleetJob submits a fleet job: Submit with a typed spec.
-func (s *Session) FleetJob(ctx context.Context, spec FleetJob) (*Job, error) {
-	return s.Submit(ctx, spec)
 }
 
 // SearchFleet races the fleet synchronously and returns its outcome (the

@@ -49,9 +49,9 @@ func TestFleetSurvivesWorkerLoss(t *testing.T) {
 	leader, err := cluster.Listen("127.0.0.1:0", inst.CNF, cluster.LeaderOptions{
 		Heartbeat: 100 * time.Millisecond,
 		Logf:      t.Logf,
-		OnWorkerLost: func(name string, requeued int) {
+		OnEvent: func(ev pdsat.ClusterEvent) {
 			if s := sessionRef.Load(); s != nil {
-				s.PublishWorkerLost(name, requeued)
+				s.PublishClusterEvent(ev)
 			}
 		},
 	})
@@ -93,7 +93,7 @@ func TestFleetSurvivesWorkerLoss(t *testing.T) {
 	defer session.Close()
 	sessionRef.Store(session)
 
-	j, err := session.FleetJob(context.Background(), spec)
+	j, err := session.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -210,7 +210,7 @@ func TestFleetJobEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	j, err := s.FleetJob(context.Background(), pdsat.FleetJob{
+	j, err := s.Submit(context.Background(), pdsat.FleetJob{
 		Members:        []pdsat.FleetMemberSpec{{Method: "tabu"}, {Method: "sa"}},
 		Seed:           5,
 		MaxEvaluations: 12,

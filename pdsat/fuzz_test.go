@@ -20,10 +20,11 @@ var fuzzSession = sync.OnceValues(func() (*Session, error) {
 	})
 })
 
-// FuzzServerJobSpec throws arbitrary JSON at the HTTP job-submission
-// decoding path — submitRequest → spec() → validate — which must reject
-// garbage with errors, never panic or accept a spec whose run would blow up
-// (oversized fleets, out-of-range jitter, negative budgets).
+// FuzzServerJobSpec throws arbitrary bytes at the HTTP job-submission
+// decoding path — decodeJobSpec → validate — which must reject garbage with
+// errors, never panic or accept a spec whose run would blow up (oversized
+// fleets, out-of-range jitter, negative budgets), and what it accepts is one
+// JSON value with nothing after it.
 func FuzzServerJobSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"kind":"estimate"}`,
@@ -42,6 +43,9 @@ func FuzzServerJobSpec(f *testing.F) {
 		`{"kind":"fleet","members":[{"method":"tabu","start":[4]}],"seed":-9223372036854775808}`,
 		`not json at all`,
 		`{"kind":"estimate","vars":"nope"}`,
+		`{"kind":"estimate","stop_on_sat":true}`, // a field of another kind
+		`{"kind":"search","metod":"sa"}`,         // a misspelt field
+		`{"kind":"estimate"} {"kind":"solve"}`,   // trailing bytes
 	} {
 		f.Add([]byte(seed))
 	}
@@ -50,13 +54,12 @@ func FuzzServerJobSpec(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var req submitRequest
-		if err := json.Unmarshal(data, &req); err != nil {
-			return
-		}
-		spec, err := req.spec()
+		spec, err := decodeJobSpec(data)
 		if err != nil {
 			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("accepted a body that is not one JSON value: %q", data)
 		}
 		if err := spec.validate(s); err != nil {
 			return

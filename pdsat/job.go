@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 
-	"github.com/paper-repro/pdsat-go/internal/eval"
 	"github.com/paper-repro/pdsat-go/internal/optimize"
 	runner "github.com/paper-repro/pdsat-go/internal/pdsat"
 )
@@ -31,7 +30,9 @@ const (
 )
 
 // JobSpec describes one unit of asynchronous work for Session.Submit.  The
-// implementations are EstimateJob, SearchJob and SolveJob.
+// implementations are EstimateJob, SearchJob, SolveJob and FleetJob; each is
+// also the JSON body of POST /v1/jobs for its kind, next to a "kind" member
+// (see Server).
 type JobSpec interface {
 	// Kind returns the job kind.
 	Kind() JobKind
@@ -71,15 +72,18 @@ func (spec EstimateJob) validate(s *Session) error {
 }
 
 func (spec EstimateJob) run(ctx context.Context, j *Job) (*JobResult, error) {
-	p, err := j.session.pointFromVars(spec.Vars)
+	s := j.session
+	p, err := s.pointFromVars(spec.Vars)
 	if err != nil {
 		return nil, err
 	}
-	est, err := j.session.estimateObserved(ctx, p, j, j.session.policyFor(spec.Policy))
-	if est == nil {
+	// An estimation has no incumbent, so staging and the cache apply but
+	// pruning never triggers.
+	ev, err := s.objectiveFor(j, s.runner.Scope, s.runner, s.policyFor(spec.Policy), 0).EvaluateF(ctx, p, math.Inf(1))
+	if ev == nil {
 		return nil, err
 	}
-	return &JobResult{Estimate: est}, err
+	return &JobResult{Estimate: s.setEstimateFrom(p, ev)}, err
 }
 
 // SearchJob minimizes the predictive function with one of the paper's
@@ -142,7 +146,7 @@ func (spec SearchJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 	// through the objective into the engine, which prunes, stages and
 	// memoizes according to the job's effective policy.  The runner evaluates
 	// in its default scope and reports the session-wide conflict activity.
-	obj, opts := s.searchMember(j, s.runner, s.policyFor(spec.Policy), 0)
+	obj, opts := s.searchMember(j, s.runner.Scope, s.runner, s.policyFor(spec.Policy), 0)
 	var res *SearchResult
 	switch method {
 	case MethodSimulatedAnnealing:
@@ -155,37 +159,28 @@ func (spec SearchJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 	}
 	// Re-estimate the best point through the same engine: with the cache
 	// enabled this is a free hit on the value the search already computed.
+	// The search itself succeeded; its result stands even if the
+	// re-estimation is interrupted before producing anything.
 	var best *SetEstimate
-	ev, err := obj.EvaluateF(ctx, res.BestPoint, math.Inf(1))
-	if ev != nil {
+	if ev, _ := obj.EvaluateF(ctx, res.BestPoint, math.Inf(1)); ev != nil {
 		best = s.setEstimateFrom(res.BestPoint, ev)
 	}
-	if best == nil && err != nil {
-		// The search itself succeeded; return its result even if the final
-		// re-estimation was interrupted before producing anything.
-		return &JobResult{Search: &SearchOutcome{Method: method, Result: res}}, nil
-	}
-	return &JobResult{Search: &SearchOutcome{Method: method, Result: res, Best: best}}, nil
+	return &JobResult{Search: &SearchOutcome{
+		Method:        method,
+		SearchSummary: wireBest(res),
+		WallTime:      res.WallTime,
+		Result:        res,
+		Best:          best,
+	}}, nil
 }
 
-// evalScope is where a search member's evaluations run and where its tabu
-// search reads conflict activity: the session's runner for a plain search
-// (its default scope, session-wide activity), a member's own runner.Scope
-// in a fleet (isolated sampling state and scope-local activity over the
-// shared transport).
-type evalScope interface {
-	ReserveEvalSlots(n int) int
-	EvaluateSlotObserved(ctx context.Context, p Point, pol EvalPolicy, incumbent float64, slot int, observe func(runner.Progress)) (*eval.Evaluation, error)
-	optimize.ActivitySource
-}
-
-// searchMember builds what one search of a job runs on: an engine over the
-// scope under the policy, adapted as the optimizer objective, and the
-// session's search options with the job's event emission chained onto (not
-// replacing) the observers the configuration already carries.  member tags
-// the events; a plain search is member 0.
-func (s *Session) searchMember(j *Job, scope evalScope, pol EvalPolicy, member int) (*searchObjective, SearchOptions) {
-	engine := s.engineFor(j, scope, pol, member)
+// searchMember builds what one search of a job runs on: the objective over the
+// scope under the policy (see objectiveFor), and the session's search options
+// with the job's event emission chained onto (not replacing) the observers the
+// configuration already carries.  member tags the events; a plain search is
+// member 0.
+func (s *Session) searchMember(j *Job, scope *runner.Scope, activity optimize.ActivitySource, pol EvalPolicy, member int) (*runner.Objective, SearchOptions) {
+	obj := s.objectiveFor(j, scope, activity, pol, member)
 	opts := s.cfg.Search
 	// The policy's evaluation concurrency is the width of the neighbourhood
 	// loops unless the search options already pin one.
@@ -215,56 +210,34 @@ func (s *Session) searchMember(j *Job, scope evalScope, pol EvalPolicy, member i
 			Pruned:   v.Pruned,
 		})
 	}
-	return &searchObjective{Engine: engine, ActivitySource: scope}, opts
+	return obj, opts
 }
 
-// searchObjective is a search member's engine as its optimizer objective.  The
-// engine is embedded: its EvaluateF (the searches thread their incumbent into
-// every evaluation) and its slot methods (a wide neighbourhood pass reserves a
-// whole submission's evaluation indexes upfront, so every candidate's sample
-// seed is independent of the completion order) are the objective's by
-// promotion, as is the activity source the tabu search's getNewCenter reads.
-type searchObjective struct {
-	*eval.Engine
-	optimize.ActivitySource
+// SearchSummary is what a search reports of itself on the wire — in a search
+// job's result, in a fleet member's row and in its FleetMemberDone event.
+type SearchSummary struct {
+	// BestVars and BestValue are the best decomposition set found and its F,
+	// both absent if the search finished no evaluation (it was cancelled
+	// during its start evaluation: there is no best set, and JSON cannot spell
+	// the +Inf it began with).
+	BestVars  []Var    `json:"best_vars,omitempty"`
+	BestValue *float64 `json:"best_value,omitempty"`
+	// Evaluations is the search's objective evaluation count; Stop its stop
+	// reason, empty only for a fleet member that failed before it had one.
+	Evaluations int    `json:"evaluations"`
+	Stop        string `json:"stop,omitempty"`
 }
 
-// Evaluate implements optimize.Objective (the searches prefer EvaluateF).
-func (o *searchObjective) Evaluate(ctx context.Context, p Point) (float64, error) {
-	ev, err := o.EvaluateF(ctx, p, math.Inf(1))
-	if err != nil {
-		return 0, err
+// wireBest summarizes a search result (nil for none) for the wire.
+func wireBest(r *SearchResult) SearchSummary {
+	if r == nil {
+		return SearchSummary{}
 	}
-	return ev.Value, nil
-}
-
-// scopeBackend is an evaluation scope as an eval.SlotBackend that streams each
-// evaluation's sample progress to observe (nil for none); the slot
-// reservation is the scope's own, promoted.
-type scopeBackend struct {
-	evalScope
-	observe func(runner.Progress)
-}
-
-// EvaluateBudgeted implements eval.Backend.
-func (b scopeBackend) EvaluateBudgeted(ctx context.Context, p Point, pol EvalPolicy, incumbent float64) (*eval.Evaluation, error) {
-	return b.EvaluateSlot(ctx, p, pol, incumbent, -1) // the scope reserves the next slot
-}
-
-// EvaluateSlot implements eval.SlotBackend.
-func (b scopeBackend) EvaluateSlot(ctx context.Context, p Point, pol EvalPolicy, incumbent float64, slot int) (*eval.Evaluation, error) {
-	return b.EvaluateSlotObserved(ctx, p, pol, incumbent, slot, b.observe)
-}
-
-// wireBest returns a search result's best set and its F as events and HTTP
-// results carry them: nothing for a search cancelled during its start
-// evaluation, whose best value is the +Inf it began with — which JSON cannot
-// spell — and whose best point is only where it started.
-func wireBest(r *SearchResult) ([]Var, *float64) {
-	if math.IsInf(r.BestValue, 1) {
-		return nil, nil
+	sum := SearchSummary{Evaluations: r.Evaluations, Stop: string(r.Stop)}
+	if !math.IsInf(r.BestValue, 1) {
+		sum.BestVars, sum.BestValue = r.BestPoint.SortedVars(), &r.BestValue
 	}
-	return r.BestPoint.SortedVars(), &r.BestValue
+	return sum
 }
 
 // neighborhoodDoneEvent converts an optimizer neighbourhood pass summary
@@ -317,7 +290,7 @@ func (spec SolveJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 	report, err := j.session.runner.SolveObserved(ctx, p, SolveOptions{
 		StopOnSat:      spec.StopOnSat,
 		MaxSubproblems: spec.MaxSubproblems,
-	}, sampleObserver(j))
+	}, sampleObserver(j, 0))
 	if report == nil {
 		return nil, err
 	}
@@ -325,7 +298,8 @@ func (spec SolveJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 }
 
 // JobResult carries a finished job's typed result: exactly one field is
-// non-nil, matching the job's kind.
+// non-nil, matching the job's kind.  It is its own wire form: the "result"
+// member of GET /v1/jobs/{id} is json.Marshal of it.
 type JobResult struct {
 	// Estimate is an EstimateJob's result.
 	Estimate *SetEstimate `json:"estimate,omitempty"`
@@ -353,9 +327,20 @@ type Job struct {
 	err    error      // guarded by mu
 }
 
+// maxFinishedJobs bounds the finished jobs a session retains for replay (see
+// Submit).  A variable only so tests can lower it.
+var maxFinishedJobs = 1024
+
 // Submit validates the spec, registers a job and starts it asynchronously.
 // ctx bounds the job's lifetime (independently of Cancel); pass
 // context.Background() for a job that only ends on its own or via Cancel.
+//
+// A session retains at most maxFinishedJobs finished jobs: beyond that Submit
+// evicts the oldest finished ones, as Remove would — their IDs are then
+// unknown, over HTTP a 404.  A running job is never evicted, and a retained
+// job's event history is kept whole, however long: replay from the start is
+// the contract (SampleProgress is decimated at the source instead, see
+// maxSampleEvents).
 func (s *Session) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("pdsat: nil job spec")
@@ -378,6 +363,7 @@ func (s *Session) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
 		log:     newEventLog(),
 		done:    make(chan struct{}),
 	}
+	s.evictFinishedLocked()
 	s.jobs = append(s.jobs, j)
 	s.byID[j.id] = j
 	s.mu.Unlock()
@@ -388,21 +374,6 @@ func (s *Session) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
 		j.finish(result, err, jctx.Err() != nil)
 	}()
 	return j, nil
-}
-
-// EstimateJob submits an estimation job: Submit with a typed spec.
-func (s *Session) EstimateJob(ctx context.Context, spec EstimateJob) (*Job, error) {
-	return s.Submit(ctx, spec)
-}
-
-// SearchJob submits a search job: Submit with a typed spec.
-func (s *Session) SearchJob(ctx context.Context, spec SearchJob) (*Job, error) {
-	return s.Submit(ctx, spec)
-}
-
-// SolveJob submits a solving job: Submit with a typed spec.
-func (s *Session) SolveJob(ctx context.Context, spec SolveJob) (*Job, error) {
-	return s.Submit(ctx, spec)
 }
 
 // ID returns the job's session-unique identifier ("job-1", "job-2", …).

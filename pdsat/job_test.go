@@ -2,9 +2,11 @@ package pdsat_test
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 	"time"
 
+	"github.com/paper-repro/pdsat-go/internal/cluster"
 	"github.com/paper-repro/pdsat-go/pdsat"
 )
 
@@ -173,6 +175,9 @@ func TestCancelledJobSingleDone(t *testing.T) {
 	}
 }
 
+// TestWorkerEventsBroadcast: PublishClusterEvent reaches every running job as
+// the event type of its kind, under the wire name and with the payload the
+// four Publish methods it replaced gave it, and reaches no finished job.
 func TestWorkerEventsBroadcast(t *testing.T) {
 	inst := testInstance(t, 52, 30, 1)
 	s := newTestSession(t, inst, 2000)
@@ -180,31 +185,34 @@ func TestWorkerEventsBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.PublishWorkerJoined("w1", 4)
-	s.PublishWorkerLost("w1", 3)
+	s.PublishClusterEvent(pdsat.ClusterEvent{Kind: cluster.WorkerJoined, Worker: "w1", Count: 4})
+	s.PublishClusterEvent(pdsat.ClusterEvent{Kind: cluster.WorkerLost, Worker: "w1", Count: 3})
+	s.PublishClusterEvent(pdsat.ClusterEvent{Kind: cluster.TaskStolen, Worker: "w2", Count: 5})
+	s.PublishClusterEvent(pdsat.ClusterEvent{Kind: cluster.SpeculationWon, Worker: "w3", Count: 1})
 	job.Cancel()
 	events := collect(t, job.Events())
 	checkTerminated(t, events)
-	joined, lost := 0, 0
-	for _, e := range events {
-		switch v := e.(type) {
-		case pdsat.WorkerJoined:
-			if v.Worker != "w1" || v.Slots != 4 || v.Job != job.ID() {
-				t.Fatalf("WorkerJoined: %+v", v)
-			}
-			joined++
-		case pdsat.WorkerLost:
-			if v.Worker != "w1" || v.Requeued != 3 {
-				t.Fatalf("WorkerLost: %+v", v)
-			}
-			lost++
-		}
+	want := map[string]string{
+		"worker_joined":   `{"job":"job-1","worker":"w1","slots":4}`,
+		"worker_lost":     `{"job":"job-1","worker":"w1","requeued":3}`,
+		"task_stolen":     `{"job":"job-1","worker":"w2","tasks":5}`,
+		"speculation_won": `{"job":"job-1","worker":"w3","tasks":1}`,
 	}
-	if joined != 1 || lost != 1 {
-		t.Fatalf("worker events: joined=%d lost=%d, want 1/1", joined, lost)
+	for _, e := range events {
+		payload, ok := want[e.EventKind()]
+		if !ok {
+			continue
+		}
+		if got, err := json.Marshal(e); err != nil || string(got) != payload {
+			t.Errorf("%s: payload %s (%v), want %s", e.EventKind(), got, err, payload)
+		}
+		delete(want, e.EventKind())
+	}
+	if len(want) != 0 {
+		t.Fatalf("cluster events missing from the stream: %v", want)
 	}
 	// Events published after completion reach no stream.
-	s.PublishWorkerJoined("w2", 1)
+	s.PublishClusterEvent(pdsat.ClusterEvent{Kind: cluster.WorkerJoined, Worker: "w2", Count: 1})
 	if tail := collect(t, job.Events()); len(tail) != len(events) {
 		t.Fatal("event published after Done leaked into the stream")
 	}

@@ -82,6 +82,12 @@ const (
 // cluster leader cmd/pdsat starts with -listen.
 type Transport = cluster.Transport
 
+// ClusterEvent is something that happened among a cluster leader's workers —
+// one joined or was lost, queued tasks were stolen back, a speculative
+// duplicate won — as the leader's OnEvent hook reports it and
+// Session.PublishClusterEvent forwards it into the running jobs' streams.
+type ClusterEvent = cluster.ClusterEvent
+
 // CostMetric selects the cost unit ζ of the predictive function.
 type CostMetric = solver.CostMetric
 

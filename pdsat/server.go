@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -15,11 +16,12 @@ import (
 // Server exposes a Session's job-oriented API over HTTP/JSON (standard
 // library only).  Endpoints:
 //
-//	POST /v1/jobs              submit a job ({"kind":"estimate"|"search"|
-//	                           "solve"|"fleet", ...}; fleet jobs carry
-//	                           {"members":[{"method":"tabu","count":4},...]}
-//	                           plus seed/jitter/target_f/max_evaluations);
-//	                           a body over 1 MiB is answered 413
+//	POST /v1/jobs              submit a job: {"kind":"estimate"|"search"|
+//	                           "solve"|"fleet"} beside the JSON members of
+//	                           that kind's spec (EstimateJob, SearchJob,
+//	                           SolveJob, FleetJob), decoded strictly — a
+//	                           member the kind lacks or trailing bytes are
+//	                           a 400; a body over 1 MiB is answered 413
 //	GET  /v1/jobs              list all jobs
 //	GET  /v1/jobs/{id}         one job's status and (when finished) result
 //	GET  /v1/jobs/{id}/events  stream the job's events as NDJSON
@@ -38,9 +40,10 @@ import (
 // only via the cancel endpoint or Server/Session shutdown.  The event
 // stream replays from the job's start, so clients may attach at any time —
 // including after completion — and still observe the full ordered stream
-// terminated by the single "done" event.  Replay means jobs and their event
-// histories are retained until deleted: a long-lived server should DELETE
-// finished jobs it no longer needs, or its memory grows with every job.
+// terminated by the single "done" event.  Replay means finished jobs are
+// retained with their whole event histories: the newest 1024 of them, older
+// ones evicted as jobs are submitted (see Session.Submit) and answered 404
+// from then on, like a job a client DELETEd.
 type Server struct {
 	session *Session
 	mux     *http.ServeMux
@@ -63,57 +66,58 @@ func NewServer(s *Session) *Server {
 // ServeHTTP implements http.Handler.
 func (srv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { srv.mux.ServeHTTP(w, r) }
 
-// submitRequest is the JSON body of POST /v1/jobs.
-type submitRequest struct {
-	Kind           JobKind `json:"kind"`
-	Vars           []Var   `json:"vars"`
-	Method         string  `json:"method"`
-	Start          []Var   `json:"start"`
-	StopOnSat      bool    `json:"stop_on_sat"`
-	MaxSubproblems uint64  `json:"max_subproblems"`
-	// Fleet-job fields (kind "fleet"): the member groups plus the root
-	// seed, start-point jitter, target F, fleet-total evaluation budget and
-	// the early-stop opt-out; see FleetJob.
-	Members        []FleetMemberSpec `json:"members"`
-	Seed           int64             `json:"seed"`
-	Jitter         int               `json:"jitter"`
-	TargetF        float64           `json:"target_f"`
-	MaxEvaluations int               `json:"max_evaluations"`
-	KeepRacing     bool              `json:"keep_racing"`
-	// Policy optionally overrides the session's evaluation policy for
-	// estimate, search and fleet jobs, e.g.
-	// {"prune":true,"stages":3,"epsilon":0.1,"cache":true}.
-	Policy *EvalPolicy `json:"policy"`
-}
-
-// spec converts the request into the matching JobSpec.
-func (req submitRequest) spec() (JobSpec, error) {
-	switch req.Kind {
-	case JobEstimate:
-		return EstimateJob{Vars: req.Vars, Policy: req.Policy}, nil
-	case JobSearch:
-		return SearchJob{Method: req.Method, Start: req.Start, Policy: req.Policy}, nil
-	case JobFleet:
-		return FleetJob{
-			Members:        req.Members,
-			Seed:           req.Seed,
-			Start:          req.Start,
-			Jitter:         req.Jitter,
-			TargetF:        req.TargetF,
-			MaxEvaluations: req.MaxEvaluations,
-			KeepRacing:     req.KeepRacing,
-			Policy:         req.Policy,
-		}, nil
-	case JobSolve:
-		if req.Policy != nil {
-			// Solving mode enumerates the whole family; the evaluation
-			// policy has nothing to apply to it.  Rejecting beats silently
-			// ignoring a knob the client clearly meant to set.
-			return nil, fmt.Errorf("solve jobs accept no evaluation policy (it applies to estimate and search jobs)")
+// decodeJobSpec decodes the body of POST /v1/jobs: one JSON object whose
+// "kind" names the job kind and whose other members are that kind's spec —
+// EstimateJob, SearchJob, SolveJob or FleetJob, by their JSON tags — and
+// nothing else.  A member the kind does not have (a solve job's "policy", a
+// misspelt name) and anything after the object are errors: rejecting beats
+// silently dropping a knob the client clearly meant to set.
+func decodeJobSpec(body []byte) (JobSpec, error) {
+	var head struct {
+		Kind JobKind `json:"kind"`
+	}
+	if err := json.Unmarshal(body, &head); err != nil {
+		return nil, fmt.Errorf("bad request body: %w", err)
+	}
+	strict := func(req any) error {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(req); err != nil {
+			return fmt.Errorf("bad request body: %w", err)
 		}
-		return SolveJob{Vars: req.Vars, StopOnSat: req.StopOnSat, MaxSubproblems: req.MaxSubproblems}, nil
+		return nil
+	}
+	switch head.Kind {
+	case JobEstimate:
+		var req struct {
+			Kind JobKind `json:"kind"`
+			EstimateJob
+		}
+		err := strict(&req)
+		return req.EstimateJob, err
+	case JobSearch:
+		var req struct {
+			Kind JobKind `json:"kind"`
+			SearchJob
+		}
+		err := strict(&req)
+		return req.SearchJob, err
+	case JobSolve:
+		var req struct {
+			Kind JobKind `json:"kind"`
+			SolveJob
+		}
+		err := strict(&req)
+		return req.SolveJob, err
+	case JobFleet:
+		var req struct {
+			Kind JobKind `json:"kind"`
+			FleetJob
+		}
+		err := strict(&req)
+		return req.FleetJob, err
 	default:
-		return nil, fmt.Errorf("unknown job kind %q (want estimate, search, solve or fleet)", req.Kind)
+		return nil, fmt.Errorf("unknown job kind %q (want estimate, search, solve or fleet)", head.Kind)
 	}
 }
 
@@ -124,8 +128,8 @@ func (req submitRequest) spec() (JobSpec, error) {
 const maxSubmitBody = 1 << 20
 
 func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req submitRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -134,7 +138,7 @@ func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	spec, err := req.spec()
+	spec, err := decodeJobSpec(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -303,100 +307,7 @@ type jobStatusJSON struct {
 	Error string  `json:"error,omitempty"`
 	// Result is present once the job finished with a result (possibly a
 	// partial one next to a non-empty Error, for cancelled estimations).
-	Result *resultJSON `json:"result,omitempty"`
-}
-
-// resultJSON is the wire form of a JobResult.
-type resultJSON struct {
-	Estimate *SetEstimate `json:"estimate,omitempty"`
-	Search   *searchJSON  `json:"search,omitempty"`
-	Solve    *solveJSON   `json:"solve,omitempty"`
-	Fleet    *fleetJSON   `json:"fleet,omitempty"`
-}
-
-// searchJSON flattens a SearchOutcome for the wire (the raw optimizer
-// result holds unexported search-space state).  BestVars and BestValue are
-// left out for a search that finished no evaluation (wireBest).
-type searchJSON struct {
-	Method      string        `json:"method"`
-	BestVars    []Var         `json:"best_vars,omitempty"`
-	BestValue   *float64      `json:"best_value,omitempty"`
-	Evaluations int           `json:"evaluations"`
-	Stop        string        `json:"stop"`
-	WallTime    time.Duration `json:"wall_time_ns"`
-	Best        *SetEstimate  `json:"best_estimate,omitempty"`
-}
-
-// fleetJSON flattens a FleetOutcome for the wire (the raw optimizer results
-// hold unexported search-space state, so each member is rendered like a
-// searchJSON row).
-type fleetJSON struct {
-	Seed       int64             `json:"seed"`
-	Members    []fleetMemberJSON `json:"members"`
-	BestMember int               `json:"best_member"`
-	BestVars   []Var             `json:"best_vars,omitempty"`
-	BestValue  float64           `json:"best_value,omitempty"`
-	Best       *SetEstimate      `json:"best_estimate,omitempty"`
-	WallTime   time.Duration     `json:"wall_time_ns"`
-}
-
-// fleetMemberJSON is one member's row of a fleet result.
-type fleetMemberJSON struct {
-	Member      int          `json:"member"`
-	Method      string       `json:"method"`
-	EvalSeed    int64        `json:"eval_seed"`
-	SearchSeed  int64        `json:"search_seed"`
-	StartVars   []Var        `json:"start_vars"`
-	BestVars    []Var        `json:"best_vars,omitempty"`
-	BestValue   *float64     `json:"best_value,omitempty"`
-	Evaluations int          `json:"evaluations"`
-	Stop        string       `json:"stop,omitempty"`
-	Best        *SetEstimate `json:"best_estimate,omitempty"`
-	Error       string       `json:"error,omitempty"`
-}
-
-// fleetStatus renders a fleet outcome for the wire.
-func fleetStatus(f *FleetOutcome) *fleetJSON {
-	out := &fleetJSON{
-		Seed:       f.Seed,
-		Members:    make([]fleetMemberJSON, len(f.Members)),
-		BestMember: f.BestMember,
-		BestVars:   f.BestVars,
-		BestValue:  f.BestValue,
-		Best:       f.Best,
-		WallTime:   f.WallTime,
-	}
-	for i, m := range f.Members {
-		row := fleetMemberJSON{
-			Member:     m.Member,
-			Method:     m.Method,
-			EvalSeed:   m.EvalSeed,
-			SearchSeed: m.SearchSeed,
-			StartVars:  m.StartVars,
-			Best:       m.Best,
-			Error:      m.Err,
-		}
-		if m.Result != nil {
-			row.BestVars, row.BestValue = wireBest(m.Result)
-			row.Evaluations = m.Result.Evaluations
-			row.Stop = string(m.Result.Stop)
-		}
-		out.Members[i] = row
-	}
-	return out
-}
-
-// solveJSON flattens a SolveReport for the wire.
-type solveJSON struct {
-	Vars               []Var         `json:"vars"`
-	Processed          int           `json:"processed"`
-	SubproblemsAborted int           `json:"subproblems_aborted"`
-	TotalCost          float64       `json:"total_cost"`
-	CostToFirstSat     float64       `json:"cost_to_first_sat"`
-	FoundSat           bool          `json:"found_sat"`
-	SatIndex           int64         `json:"sat_index"`
-	WallTime           time.Duration `json:"wall_time_ns"`
-	Interrupted        bool          `json:"interrupted"`
+	Result *JobResult `json:"result,omitempty"`
 }
 
 // jobStatus renders a job's current state.
@@ -416,36 +327,7 @@ func jobStatus(j *Job) jobStatusJSON {
 		st.State = "failed"
 		st.Error = err.Error()
 	}
-	if result != nil {
-		st.Result = &resultJSON{Estimate: result.Estimate}
-		if result.Search != nil {
-			sj := &searchJSON{
-				Method:      result.Search.Method,
-				Evaluations: result.Search.Result.Evaluations,
-				Stop:        string(result.Search.Result.Stop),
-				WallTime:    result.Search.Result.WallTime,
-				Best:        result.Search.Best,
-			}
-			sj.BestVars, sj.BestValue = wireBest(result.Search.Result)
-			st.Result.Search = sj
-		}
-		if result.Fleet != nil {
-			st.Result.Fleet = fleetStatus(result.Fleet)
-		}
-		if result.Solve != nil {
-			st.Result.Solve = &solveJSON{
-				Vars:               result.Solve.Point.SortedVars(),
-				Processed:          result.Solve.Processed,
-				SubproblemsAborted: result.Solve.SubproblemsAborted,
-				TotalCost:          result.Solve.TotalCost,
-				CostToFirstSat:     result.Solve.CostToFirstSat,
-				FoundSat:           result.Solve.FoundSat,
-				SatIndex:           result.Solve.SatIndex,
-				WallTime:           result.Solve.WallTime,
-				Interrupted:        result.Solve.Interrupted,
-			}
-		}
-	}
+	st.Result = result
 	return st
 }
 

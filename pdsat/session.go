@@ -4,14 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"sync"
 	"time"
 
+	"github.com/paper-repro/pdsat-go/internal/cluster"
 	"github.com/paper-repro/pdsat-go/internal/decomp"
 	"github.com/paper-repro/pdsat-go/internal/encoder"
 	"github.com/paper-repro/pdsat-go/internal/eval"
 	"github.com/paper-repro/pdsat-go/internal/montecarlo"
+	"github.com/paper-repro/pdsat-go/internal/optimize"
 	runner "github.com/paper-repro/pdsat-go/internal/pdsat"
 	"github.com/paper-repro/pdsat-go/internal/solver"
 )
@@ -128,11 +130,10 @@ func (s *Session) Job(id string) (*Job, bool) {
 }
 
 // Remove evicts a finished job from the session, releasing its retained
-// event history and result.  Jobs are otherwise kept for the session's
-// lifetime so late subscribers can replay their streams — a long-lived
-// server must Remove (or DELETE over HTTP) jobs it no longer needs, or its
-// memory grows with every job.  Removing a running job is an error: cancel
-// it and wait for its Done first.
+// event history and result.  Finished jobs are otherwise kept so late
+// subscribers can replay their streams, the newest maxFinishedJobs of them
+// (see Submit).  Removing a running job is an error: cancel it and wait for
+// its Done first.
 func (s *Session) Remove(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -153,6 +154,29 @@ func (s *Session) Remove(id string) error {
 	return nil
 }
 
+// evictFinishedLocked drops the oldest finished jobs beyond maxFinishedJobs.
+//
+// requires mu
+func (s *Session) evictFinishedLocked() {
+	excess := -maxFinishedJobs
+	for _, j := range s.jobs {
+		if j.Finished() {
+			excess++
+		}
+	}
+	if excess <= 0 {
+		return
+	}
+	s.jobs = slices.DeleteFunc(s.jobs, func(j *Job) bool {
+		if excess <= 0 || !j.Finished() {
+			return false
+		}
+		excess--
+		delete(s.byID, j.id)
+		return true
+	})
+}
+
 // Close cancels every running job and waits for them to finish.  Further
 // Submit calls fail.  Close does not close a caller-provided transport (its
 // creator owns its lifetime).
@@ -170,54 +194,26 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// PublishWorkerJoined broadcasts a WorkerJoined event to every running
-// job's stream.  Wire it to the cluster leader's OnWorkerJoined hook when
-// the session dispatches to a network transport (cmd/pdsat does).
-func (s *Session) PublishWorkerJoined(worker string, slots int) {
-	for _, j := range s.runningJobs() {
-		j.emit(WorkerJoined{Job: j.id, Worker: worker, Slots: slots})
-	}
-}
-
-// PublishWorkerLost broadcasts a WorkerLost event to every running job's
-// stream; requeued is the number of in-flight subproblems the leader moved
-// onto the remaining workers.
-func (s *Session) PublishWorkerLost(worker string, requeued int) {
-	for _, j := range s.runningJobs() {
-		j.emit(WorkerLost{Job: j.id, Worker: worker, Requeued: requeued})
-	}
-}
-
-// PublishTaskStolen broadcasts a TaskStolen event to every running job's
-// stream; worker is the backlogged worker the tasks were revoked from.
-// Wire it to the cluster leader's OnTaskStolen hook (cmd/pdsat does).
-func (s *Session) PublishTaskStolen(worker string, tasks int) {
-	for _, j := range s.runningJobs() {
-		j.emit(TaskStolen{Job: j.id, Worker: worker, Tasks: tasks})
-	}
-}
-
-// PublishSpeculationWon broadcasts a SpeculationWon event to every running
-// job's stream; worker is the worker whose duplicate copy won.  Wire it to
-// the cluster leader's OnSpeculationWon hook (cmd/pdsat does).
-func (s *Session) PublishSpeculationWon(worker string, tasks int) {
-	for _, j := range s.runningJobs() {
-		j.emit(SpeculationWon{Job: j.id, Worker: worker, Tasks: tasks})
-	}
-}
-
-func (s *Session) runningJobs() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var running []*Job
-	for _, j := range s.jobs {
-		select {
-		case <-j.Done():
-		default:
-			running = append(running, j)
+// PublishClusterEvent broadcasts what happened in the cluster to every
+// running job's stream, as the WorkerJoined, WorkerLost, TaskStolen or
+// SpeculationWon event of its kind.  Wire it to the cluster leader's OnEvent
+// hook when the session dispatches to a network transport (cmd/pdsat does).
+func (s *Session) PublishClusterEvent(ev ClusterEvent) {
+	for _, j := range s.Jobs() {
+		if j.Finished() {
+			continue
+		}
+		switch ev.Kind {
+		case cluster.WorkerJoined:
+			j.emit(WorkerJoined{Job: j.id, Worker: ev.Worker, Slots: ev.Count})
+		case cluster.WorkerLost:
+			j.emit(WorkerLost{Job: j.id, Worker: ev.Worker, Requeued: ev.Count})
+		case cluster.TaskStolen:
+			j.emit(TaskStolen{Job: j.id, Worker: ev.Worker, Tasks: ev.Count})
+		case cluster.SpeculationWon:
+			j.emit(SpeculationWon{Job: j.id, Worker: ev.Worker, Tasks: ev.Count})
 		}
 	}
-	return running
 }
 
 // pointFromVars resolves a job spec's variable list: nil or empty means the
@@ -274,32 +270,30 @@ func (s *Session) policyFor(override *EvalPolicy) EvalPolicy {
 	return s.cfg.Runner.Policy
 }
 
-// engineFor builds the budget-aware evaluation engine for one search member
-// of a job, or for the job's single estimate (member 0 on the runner): the
-// scope as backend, the session's shared F-cache (when the policy enables
-// it), and member-tagged sample-progress, pruning and cache-hit
-// notifications wired into the job's event stream (j may be nil for
-// unobserved internal use).
-func (s *Session) engineFor(j *Job, scope evalScope, pol EvalPolicy, member int) *eval.Engine {
-	backend := scopeBackend{evalScope: scope, observe: memberSampleObserver(j, member)}
-	eng := eval.NewEngine(backend, pol, s.fcache)
-	if j != nil {
-		eng.OnPruned = func(p Point, ev eval.Evaluation) {
-			j.emit(EvalPruned{
-				Job:            j.id,
-				Member:         member,
-				Vars:           p.SortedVars(),
-				LowerBound:     ev.LowerBound,
-				Incumbent:      ev.Incumbent,
-				SamplesSolved:  ev.SamplesSolved,
-				SamplesPlanned: ev.SamplesPlanned,
-			})
-		}
-		eng.OnCacheHit = func(p Point, ev eval.Evaluation) {
-			j.emit(CacheHit{Job: j.id, Member: member, Vars: p.SortedVars(), Value: ev.Value, Pruned: ev.Pruned})
-		}
+// objectiveFor builds the engine-backed objective for one search member of a
+// job, or for the job's single estimate (member 0 on the runner's default
+// scope): the scope as backend, the session's shared F-cache (when the policy
+// enables it), and member-tagged sample-progress, pruning and cache-hit
+// notifications wired into the job's event stream.  activity is where a tabu
+// search reads conflict activity: the runner (session-wide) for a plain
+// search, the member's own scope in a fleet.
+func (s *Session) objectiveFor(j *Job, scope *runner.Scope, activity optimize.ActivitySource, pol EvalPolicy, member int) *runner.Objective {
+	obj := runner.NewObjective(scope, activity, pol, s.fcache, sampleObserver(j, member))
+	obj.OnPruned = func(p Point, ev eval.Evaluation) {
+		j.emit(EvalPruned{
+			Job:            j.id,
+			Member:         member,
+			Vars:           p.SortedVars(),
+			LowerBound:     ev.LowerBound,
+			Incumbent:      ev.Incumbent,
+			SamplesSolved:  ev.SamplesSolved,
+			SamplesPlanned: ev.SamplesPlanned,
+		})
 	}
-	return eng
+	obj.OnCacheHit = func(p Point, ev eval.Evaluation) {
+		j.emit(CacheHit{Job: j.id, Member: member, Vars: p.SortedVars(), Value: ev.Value, Pruned: ev.Pruned})
+	}
+	return obj
 }
 
 // setEstimateFrom renders an engine evaluation as a SetEstimate.
@@ -317,18 +311,6 @@ func (s *Session) setEstimateFrom(p Point, ev *eval.Evaluation) *SetEstimate {
 		SamplesPlanned:     ev.SamplesPlanned,
 		SamplesAborted:     ev.SamplesAborted,
 	}
-}
-
-// estimateObserved runs one observed predictive-function evaluation for a
-// job (j may be nil for unobserved internal use) under the given policy.
-// Estimations have no incumbent, so staging and the cache apply but pruning
-// never triggers.
-func (s *Session) estimateObserved(ctx context.Context, p Point, j *Job, pol EvalPolicy) (*SetEstimate, error) {
-	ev, err := s.engineFor(j, s.runner, pol, 0).EvaluateF(ctx, p, math.Inf(1))
-	if ev == nil {
-		return nil, err
-	}
-	return s.setEstimateFrom(p, ev), err
 }
 
 // SessionStats aggregates the session's evaluation-engine counters: how
@@ -363,18 +345,9 @@ func (s *Session) Stats() SessionStats {
 var maxSampleEvents = 8192
 
 // sampleObserver converts runner progress into the job's SampleProgress
-// events, decimating oversized batches to at most ~maxSampleEvents
-// notifications.
-func sampleObserver(j *Job) func(runner.Progress) {
-	return memberSampleObserver(j, 0)
-}
-
-// memberSampleObserver is sampleObserver with a fleet member tag on every
-// emitted event.
-func memberSampleObserver(j *Job, member int) func(runner.Progress) {
-	if j == nil {
-		return nil
-	}
+// events, tagged with the fleet member (0 outside a fleet), decimating
+// oversized batches to at most ~maxSampleEvents notifications.
+func sampleObserver(j *Job, member int) func(runner.Progress) {
 	return func(p runner.Progress) {
 		stride := p.Total / maxSampleEvents
 		sat := p.Result.Status == solver.Sat
@@ -398,14 +371,7 @@ func memberSampleObserver(j *Job, member int) func(runner.Progress) {
 // partial estimate (marked Interrupted) together with the context's error,
 // so Ctrl-C still yields a report.
 func (s *Session) EstimatePoint(ctx context.Context, p Point) (*SetEstimate, error) {
-	if p.Count() == 0 {
-		return nil, errors.New("pdsat: empty decomposition set")
-	}
-	res, err := s.runToCompletion(ctx, EstimateJob{Vars: p.SortedVars()})
-	if res == nil {
-		return nil, err
-	}
-	return res.Estimate, err
+	return s.EstimateSet(ctx, p.SortedVars())
 }
 
 // EstimateSet evaluates the predictive function for an explicit
@@ -429,11 +395,17 @@ func (s *Session) EstimateStartSet(ctx context.Context) (*SetEstimate, error) {
 // SearchOutcome is the result of a decomposition-set search.
 type SearchOutcome struct {
 	// Method names the metaheuristic ("simulated annealing" or "tabu search").
-	Method string
-	// Result is the raw optimizer result (best point, trace, stop reason).
-	Result *SearchResult
+	Method string `json:"method"`
+	// SearchSummary is what the wire carries of Result: best set, best F,
+	// evaluations, stop reason.
+	SearchSummary
+	// WallTime is the elapsed time of the search.
+	WallTime time.Duration `json:"wall_time_ns"`
+	// Result is the raw optimizer result (best point, trace, stop reason); its
+	// points hold unexported search-space state and stay off the wire.
+	Result *SearchResult `json:"-"`
 	// Best is the estimate of the best point found.
-	Best *SetEstimate
+	Best *SetEstimate `json:"best_estimate,omitempty"`
 }
 
 // SearchSimulatedAnnealing searches for a good decomposition set with
@@ -554,6 +526,5 @@ func (s *Session) runToCompletion(ctx context.Context, spec JobSpec) (*JobResult
 	if err != nil {
 		return nil, err
 	}
-	<-j.Done()
 	return j.finishedResult()
 }
