@@ -92,6 +92,18 @@ func TestDebugAddrServesPprofOnly(t *testing.T) {
 	if got := status("/debug/pprof/cmdline"); got != http.StatusOK {
 		t.Errorf("/debug/pprof/cmdline: status %d, want 200", got)
 	}
+	// The runtime/trace capture beside the profiles: a short one is a 200
+	// with the trace's bytes in the body.
+	resp, err := http.Get("http://" + bound.String() + "/debug/pprof/trace?seconds=0.05")
+	if err != nil {
+		t.Fatalf("GET /debug/pprof/trace: %v", err)
+	}
+	trace, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || len(trace) == 0 {
+		t.Errorf("/debug/pprof/trace?seconds=0.05: status %d, %d bytes (%v); want a 200 with a trace",
+			resp.StatusCode, len(trace), err)
+	}
 	for _, path := range []string{"/", "/v1/jobs", "/debug/vars"} {
 		if got := status(path); got != http.StatusNotFound {
 			t.Errorf("%s: status %d, want 404", path, got)

@@ -34,11 +34,11 @@
 //     Pruned evaluations are cached as lower bounds and are served only when
 //     they still prove the point worse than the caller's incumbent.
 //
-// The Engine composes the three: it wraps a Backend (the pdsat Runner) with
-// the cache and the pruning/staging policy, and implements Evaluator — the
-// interface the optimize package's searches consume instead of a bare
-// objective, threading their incumbent (best F so far) into every
-// evaluation.
+// The Engine composes the three: it wraps a Backend (a pdsat Scope) with the
+// cache and the pruning/staging policy, and implements Evaluator — what the
+// optimize package's searches minimize, threading their incumbent (best F so
+// far) into every evaluation.  A search asks for F one way: its Frontier
+// calls the engine's EvaluateSlotF, the engine the backend's EvaluateSlot.
 //
 // The zero Policy disables all three mechanisms and reproduces the
 // always-full-sample behaviour bit for bit; this is asserted by regression
@@ -48,6 +48,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -106,16 +107,19 @@ func (p Policy) Enabled() bool {
 
 // Validate reports whether the policy is usable.  Zero values are fine
 // (they disable the mechanism or select a documented default); negative
-// stage counts or precision targets, and confidence levels outside [0,1),
-// are configuration mistakes and are rejected with a clear error.
+// stage counts, precision targets that are negative or not finite, and
+// confidence levels outside [0,1) are configuration mistakes and are rejected
+// with a clear error.  NaN fails every comparison, so the float checks ask
+// for what is valid: a NaN ε would pass a sign check and then never let the
+// early stop fire.
 func (p Policy) Validate() error {
 	if p.Stages < 0 {
 		return fmt.Errorf("eval: negative stage count %d (use 0 or 1 for unstaged evaluation)", p.Stages)
 	}
-	if p.Epsilon < 0 {
-		return fmt.Errorf("eval: negative early-stop precision %v (use 0 to disable the early stop)", p.Epsilon)
+	if !(p.Epsilon >= 0 && !math.IsInf(p.Epsilon, 1)) {
+		return fmt.Errorf("eval: invalid early-stop precision %v (want a finite ε ≥ 0; use 0 to disable the early stop)", p.Epsilon)
 	}
-	if p.Gamma < 0 || p.Gamma >= 1 {
+	if !(p.Gamma >= 0 && p.Gamma < 1) {
 		return fmt.Errorf("eval: confidence level %v outside [0,1) (use 0 for the default of %v)",
 			p.Gamma, DefaultGamma)
 	}
@@ -246,10 +250,22 @@ type Evaluation struct {
 // Evaluator evaluates the predictive function at a point under an incumbent
 // bound: the best F value the caller has already certified.  Evaluations may
 // exploit the incumbent by pruning (returning early with a lower bound above
-// it); callers that have no incumbent pass +Inf.  The optimize package's
-// searches consume this interface instead of a bare objective.
+// it); callers that have no incumbent pass +Inf.  It is what the optimize
+// package's searches minimize (optimize.Objective), through a Frontier.
+//
+// An evaluation draws its Monte Carlo sample from an evaluation slot (the
+// pdsat Scope: sample = f(scope seed, slot)).  A frontier evaluating several
+// candidates at once reserves their slots upfront, in submission order, so
+// each candidate's sample is independent of scheduling; one evaluating them
+// one at a time lets each draw the next.
 type Evaluator interface {
-	EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*Evaluation, error)
+	// ReserveSlots reserves n consecutive evaluation slots and returns the
+	// first, or ok=false when the evaluator has no slots to reserve (its
+	// evaluations are then asked for the next one).
+	ReserveSlots(n int) (first int, ok bool)
+	// EvaluateSlotF evaluates F at p against the incumbent, drawing the
+	// sample from the pre-reserved slot, or from the next one when slot < 0.
+	EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*Evaluation, error)
 }
 
 // Backend performs the actual solving of an evaluation's sample under a
@@ -257,7 +273,15 @@ type Evaluator interface {
 // (pdsat.NewObjective).  A backend may return a partial Evaluation together
 // with a context error.
 type Backend interface {
-	EvaluateBudgeted(ctx context.Context, p decomp.Point, pol Policy, incumbent float64) (*Evaluation, error)
+	// ReserveEvalSlots reserves n consecutive evaluation slots and returns
+	// the first.  Slots of candidates that end up cancelled or cache-served
+	// stay burned, deliberately: the reservation, not the use, keeps sibling
+	// samples scheduling-independent.
+	ReserveEvalSlots(n int) int
+	// EvaluateSlot evaluates the point under the policy and incumbent with
+	// the sample drawn from the given pre-reserved slot, or from the next one
+	// when slot < 0.
+	EvaluateSlot(ctx context.Context, p decomp.Point, pol Policy, incumbent float64, slot int) (*Evaluation, error)
 }
 
 // Engine composes the three mechanisms over a Backend: cache lookup first,
@@ -286,10 +310,42 @@ func NewEngine(backend Backend, pol Policy, cache *Cache) *Engine {
 	return &Engine{backend: backend, policy: pol, cache: cache}
 }
 
-// EvaluateF implements Evaluator: EvaluateSlotF with no slot reserved, so the
-// backend draws the next one.
+// EvaluateF is EvaluateSlotF with no slot reserved, so the backend draws the
+// next one: a single evaluation outside a search.
 func (e *Engine) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*Evaluation, error) {
 	return e.EvaluateSlotF(ctx, p, incumbent, -1)
+}
+
+// ReserveSlots implements Evaluator: the backend's slots, always available.
+func (e *Engine) ReserveSlots(n int) (int, bool) { return e.backend.ReserveEvalSlots(n), true }
+
+// EvaluateSlotF implements Evaluator, and is the one body of EvaluateF too:
+// cache lookup, policy evaluation, memoization, hooks.  A cache hit leaves
+// the slot unused (deliberately: the reservation, not the use, is what keeps
+// sibling samples scheduling-independent).
+func (e *Engine) EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*Evaluation, error) {
+	key, variant := p.Key(), e.policy.variant()
+	if ev, ok := e.cache.Lookup(key, variant, incumbent); ok {
+		ev.CacheHit = true
+		if e.OnCacheHit != nil {
+			e.OnCacheHit(p, ev)
+		}
+		return &ev, nil
+	}
+	ev, err := e.backend.EvaluateSlot(ctx, p, e.policy, incumbent, slot)
+	if ev == nil || err != nil {
+		// Interrupted or failed evaluations are not cached: their partial
+		// estimates are completion-censored, not reusable facts.
+		return ev, err
+	}
+	if ev.Pruned {
+		ev.Incumbent = incumbent
+		if e.OnPruned != nil {
+			e.OnPruned(p, *ev)
+		}
+	}
+	e.cache.Store(key, variant, *ev)
+	return ev, nil
 }
 
 // CacheStats returns the shared cache's counters (zero if disabled).

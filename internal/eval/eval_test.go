@@ -29,6 +29,13 @@ func TestPolicyValidate(t *testing.T) {
 		{Gamma: -0.5},
 		{Gamma: 1},
 		{Gamma: 1.5},
+		// Non-finite values fail no comparison, so they are named.
+		{Epsilon: math.NaN()},
+		{Epsilon: math.Inf(1)},
+		{Epsilon: math.Inf(-1)},
+		{Stages: 3, Epsilon: math.NaN()},
+		{Gamma: math.NaN()},
+		{Gamma: math.Inf(1)},
 	}
 	for _, p := range invalid {
 		if err := p.Validate(); err == nil {
@@ -223,15 +230,25 @@ func TestNilCacheIsDisabled(t *testing.T) {
 	}
 }
 
-// fakeBackend counts evaluations and returns scripted results.
+// fakeBackend counts evaluations, returns scripted results and records the
+// slot each evaluation was asked for.
 type fakeBackend struct {
-	calls  int
-	result Evaluation
-	err    error
+	calls    int
+	result   Evaluation
+	err      error
+	nextSlot int
+	used     []int
 }
 
-func (b *fakeBackend) EvaluateBudgeted(ctx context.Context, p decomp.Point, pol Policy, incumbent float64) (*Evaluation, error) {
+func (b *fakeBackend) ReserveEvalSlots(n int) int {
+	first := b.nextSlot
+	b.nextSlot += n
+	return first
+}
+
+func (b *fakeBackend) EvaluateSlot(ctx context.Context, p decomp.Point, pol Policy, incumbent float64, slot int) (*Evaluation, error) {
 	b.calls++
+	b.used = append(b.used, slot)
 	if b.err != nil {
 		return nil, b.err
 	}

@@ -97,83 +97,6 @@ func LiveBoundFrom(ctx context.Context) *Bound {
 	return b
 }
 
-// SlotBackend is implemented by backends whose evaluations draw their
-// Monte Carlo sample from a deterministic per-evaluation slot (the pdsat
-// Scope: sample = f(scope seed, slot)).  A frontier reserves one slot per
-// submitted candidate upfront, in submission order, so each candidate's
-// sample is independent of scheduling; slots of candidates that end up
-// cancelled or cache-served are deliberately burned to keep the assignment
-// deterministic.
-type SlotBackend interface {
-	Backend
-	// ReserveEvalSlots reserves n consecutive evaluation slots and returns
-	// the first.
-	ReserveEvalSlots(n int) int
-	// EvaluateSlot is EvaluateBudgeted with the sample drawn from the given
-	// pre-reserved slot instead of a freshly reserved one.
-	EvaluateSlot(ctx context.Context, p decomp.Point, pol Policy, incumbent float64, slot int) (*Evaluation, error)
-}
-
-// SlotEvaluator is the evaluator-level view of SlotBackend, implemented by
-// Engine (delegating to a SlotBackend backend) and by evaluator adapters
-// that wrap one.  A Frontier uses it when available and falls back to plain
-// EvaluateF otherwise.
-type SlotEvaluator interface {
-	Evaluator
-	// ReserveSlots reserves n consecutive evaluation slots and returns the
-	// first, or ok=false when the underlying backend does not support slots.
-	ReserveSlots(n int) (first int, ok bool)
-	// EvaluateSlotF is EvaluateF against a pre-reserved slot.
-	EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*Evaluation, error)
-}
-
-// ReserveSlots implements SlotEvaluator: it forwards to the engine's
-// backend when that backend supports deterministic evaluation slots.
-func (e *Engine) ReserveSlots(n int) (int, bool) {
-	sb, ok := e.backend.(SlotBackend)
-	if !ok {
-		return 0, false
-	}
-	return sb.ReserveEvalSlots(n), true
-}
-
-// EvaluateSlotF implements SlotEvaluator, and is the one body of EvaluateF
-// too: cache lookup, policy evaluation, memoization, hooks.  A slot of 0 or
-// more pins the sample to that pre-reserved slot where the backend has slots;
-// a negative one lets the backend reserve the next.  A cache hit leaves the
-// slot unused (deliberately: the reservation, not the use, is what keeps
-// sibling samples scheduling-independent).
-func (e *Engine) EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*Evaluation, error) {
-	key, variant := p.Key(), e.policy.variant()
-	if ev, ok := e.cache.Lookup(key, variant, incumbent); ok {
-		ev.CacheHit = true
-		if e.OnCacheHit != nil {
-			e.OnCacheHit(p, ev)
-		}
-		return &ev, nil
-	}
-	var ev *Evaluation
-	var err error
-	if sb, ok := e.backend.(SlotBackend); ok && slot >= 0 {
-		ev, err = sb.EvaluateSlot(ctx, p, e.policy, incumbent, slot)
-	} else {
-		ev, err = e.backend.EvaluateBudgeted(ctx, p, e.policy, incumbent)
-	}
-	if ev == nil || err != nil {
-		// Interrupted or failed evaluations are not cached: their partial
-		// estimates are completion-censored, not reusable facts.
-		return ev, err
-	}
-	if ev.Pruned {
-		ev.Incumbent = incumbent
-		if e.OnPruned != nil {
-			e.OnPruned(p, *ev)
-		}
-	}
-	e.cache.Store(key, variant, *ev)
-	return ev, nil
-}
-
 // FrontierResult is one candidate's outcome, delivered to the process
 // callback in submission order.
 type FrontierResult struct {
@@ -188,9 +111,12 @@ type FrontierResult struct {
 	Err  error
 }
 
-// Frontier schedules the concurrent evaluation of candidate sequences over
-// one evaluator.  The zero width (and width 1) degenerates to a sequential
-// loop; see the package comment at the top of this file for the
+// Frontier schedules the evaluation of candidate sequences over one
+// evaluator; it is the only loop a search evaluates through.  At width 1 (or
+// for a single candidate) it is a sequential loop: one evaluation at a time,
+// each drawing the next evaluation slot when its turn comes, and the next
+// begun only after process has seen the last.  Above 1 it runs up to width
+// evaluations concurrently; see the comment at the top of this file for the
 // concurrency and determinism contract.
 type Frontier struct {
 	ev    Evaluator
@@ -226,10 +152,12 @@ func (f *Frontier) Run(ctx context.Context, candidates []decomp.Point, bound *Bo
 	if bound == nil {
 		bound = NewBound(math.Inf(1))
 	}
-	lctx := WithLiveBound(ctx, bound)
 	if f.width <= 1 || n == 1 {
+		// Nothing runs beside the one evaluation in flight, so nothing can
+		// lower the bound while it runs: the incumbent it starts from is the
+		// whole bound, and no live bound is attached.
 		for i, p := range candidates {
-			ev, err := f.ev.EvaluateF(lctx, p, bound.Get())
+			ev, err := f.ev.EvaluateSlotF(ctx, p, bound.Get(), -1)
 			lowerOnFull(bound, ev, err)
 			if process(FrontierResult{Index: i, Point: p, Eval: ev, Err: err}) {
 				return
@@ -242,11 +170,8 @@ func (f *Frontier) Run(ctx context.Context, candidates []decomp.Point, bound *Bo
 	// order: the sample each candidate draws is then a pure function of the
 	// backend seed and its slot, independent of which worker evaluates it
 	// when (and of how many candidates a stop later discards).
-	se, slotted := f.ev.(SlotEvaluator)
-	slotBase := 0
-	if slotted {
-		slotBase, slotted = se.ReserveSlots(n)
-	}
+	slotBase, slotted := f.ev.ReserveSlots(n)
+	lctx := WithLiveBound(ctx, bound)
 
 	width := f.width
 	if width > n {
@@ -273,13 +198,11 @@ func (f *Frontier) Run(ctx context.Context, candidates []decomp.Point, bound *Bo
 				cmu.Lock()
 				cancels[i] = cancel
 				cmu.Unlock()
-				var ev *Evaluation
-				var err error
+				slot := -1
 				if slotted {
-					ev, err = se.EvaluateSlotF(cctx, candidates[i], bound.Get(), slotBase+i)
-				} else {
-					ev, err = f.ev.EvaluateF(cctx, candidates[i], bound.Get())
+					slot = slotBase + i
 				}
+				ev, err := f.ev.EvaluateSlotF(cctx, candidates[i], bound.Get(), slot)
 				cancel()
 				lowerOnFull(bound, ev, err)
 				results <- FrontierResult{Index: i, Point: candidates[i], Eval: ev, Err: err}

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -75,7 +76,7 @@ func frontierPoints(t testing.TB, n int) []decomp.Point {
 	return pts
 }
 
-// gateEvaluator is a SlotEvaluator whose evaluations block until a
+// gateEvaluator is an Evaluator whose evaluations block until a
 // controller releases them, so tests dictate the completion order exactly.
 // With prune set, a released evaluation whose scripted cost exceeds the
 // live bound returns a pruned lower-bound result, mimicking the real
@@ -87,6 +88,7 @@ type gateEvaluator struct {
 	mu       sync.Mutex
 	nextSlot int
 	slots    map[string]int           // point key -> slot the evaluation ran with
+	live     bool                     // some evaluation ran with a live bound attached
 	waiting  map[string]chan struct{} // registered, unreleased evaluations
 	events   []string                 // release order actually observed
 }
@@ -112,15 +114,12 @@ func (g *gateEvaluator) ReserveSlots(n int) (int, bool) {
 	return first, true
 }
 
-func (g *gateEvaluator) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*Evaluation, error) {
-	return g.EvaluateSlotF(ctx, p, incumbent, -1)
-}
-
 func (g *gateEvaluator) EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*Evaluation, error) {
 	key := p.Key()
 	ch := make(chan struct{})
 	g.mu.Lock()
 	g.slots[key] = slot
+	g.live = g.live || LiveBoundFrom(ctx) != nil
 	g.waiting[key] = ch
 	g.mu.Unlock()
 	defer func() {
@@ -316,8 +315,14 @@ func TestFrontierWidthOneUsesSequentialPath(t *testing.T) {
 	defer g.mu.Unlock()
 	for _, p := range pts {
 		if g.slots[p.Key()] != -1 {
-			t.Fatal("width-1 path reserved slots; it must run the plain sequential evaluations")
+			t.Fatal("width-1 path reserved slots; each evaluation must draw the next one")
 		}
+	}
+	if g.nextSlot != 0 {
+		t.Fatalf("width-1 path reserved %d slots upfront", g.nextSlot)
+	}
+	if g.live {
+		t.Fatal("width-1 path attached a live bound; the incumbent argument is the whole bound")
 	}
 }
 
@@ -404,32 +409,12 @@ func TestFrontierParentCancellation(t *testing.T) {
 	}
 }
 
-// fakeSlotBackend scripts per-slot results and records the slots used.
-type fakeSlotBackend struct {
-	fakeBackend
-	mu       sync.Mutex
-	nextSlot int
-	used     []int
-}
-
-func (b *fakeSlotBackend) ReserveEvalSlots(n int) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	first := b.nextSlot
-	b.nextSlot += n
-	return first
-}
-
-func (b *fakeSlotBackend) EvaluateSlot(ctx context.Context, p decomp.Point, pol Policy, incumbent float64, slot int) (*Evaluation, error) {
-	b.mu.Lock()
-	b.used = append(b.used, slot)
-	b.mu.Unlock()
-	return b.EvaluateBudgeted(ctx, p, pol, incumbent)
-}
-
+// TestEngineEvaluateSlotF: the engine hands the slot it is given to its
+// backend's one evaluation method — a reserved slot as is, and EvaluateF's
+// "next slot" as a negative one — and a cache hit burns the slot unused.
 func TestEngineEvaluateSlotF(t *testing.T) {
 	p := testPoint(t)
-	backend := &fakeSlotBackend{fakeBackend: fakeBackend{result: Evaluation{Value: 7}}}
+	backend := &fakeBackend{result: Evaluation{Value: 7}}
 	eng := NewEngine(backend, Policy{Cache: true}, NewCache())
 
 	first, ok := eng.ReserveSlots(3)
@@ -440,31 +425,17 @@ func TestEngineEvaluateSlotF(t *testing.T) {
 	if err != nil || ev.Value != 7 || ev.CacheHit {
 		t.Fatalf("slot evaluation: %+v, %v", ev, err)
 	}
-	backend.mu.Lock()
-	used := append([]int(nil), backend.used...)
-	backend.mu.Unlock()
-	if len(used) != 1 || used[0] != 2 {
-		t.Fatalf("backend slots used = %v, want [2]", used)
-	}
 	// A second call is a cache hit: the backend is not consulted and the
 	// slot is deliberately burned.
 	ev, err = eng.EvaluateSlotF(context.Background(), p, math.Inf(1), first+1)
 	if err != nil || !ev.CacheHit {
 		t.Fatalf("second slot evaluation not served from cache: %+v, %v", ev, err)
 	}
-	if backend.calls != 1 {
-		t.Fatalf("backend called %d times, want 1", backend.calls)
+	if _, err := eng.EvaluateF(context.Background(), p.Flip(0), math.Inf(1)); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestEngineReserveSlotsWithoutSlotBackend(t *testing.T) {
-	eng := NewEngine(&fakeBackend{result: Evaluation{Value: 1}}, Policy{}, nil)
-	if _, ok := eng.ReserveSlots(4); ok {
-		t.Fatal("slot reservation succeeded on a backend without slots")
-	}
-	// EvaluateSlotF still works, falling back to the plain budgeted path.
-	if ev, err := eng.EvaluateSlotF(context.Background(), testPoint(t), math.Inf(1), 9); err != nil || ev.Value != 1 {
-		t.Fatalf("fallback slot evaluation: %+v, %v", ev, err)
+	if want := []int{2, -1}; !reflect.DeepEqual(backend.used, want) || backend.calls != 2 {
+		t.Fatalf("backend called %d times with slots %v, want %v", backend.calls, backend.used, want)
 	}
 }
 

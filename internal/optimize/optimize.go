@@ -11,6 +11,10 @@
 // neighbourhoods) and L2 (checked points with unchecked neighbourhoods) and
 // uses the accumulated conflict activity of variables to choose a new
 // neighbourhood centre when the current one is exhausted.
+//
+// Every evaluation a search makes — its start point included, at any width
+// and for fleet members too — goes through one loop: a wave of candidates
+// submitted to an eval.Frontier (see scheduler.go).
 package optimize
 
 import (
@@ -29,26 +33,14 @@ import (
 )
 
 // Objective computes the predictive function value at a point of the search
-// space.  Implementations are typically backed by a pdsat.Runner.
-//
-// Objectives that additionally implement eval.Evaluator get the searches'
-// incumbent — the best F value certified so far — threaded into every
-// evaluation, enabling the evaluation engine's incumbent pruning: a pruned
-// evaluation returns a certified lower bound above the incumbent instead of
-// paying for the full sample, and the searches treat such points as "worse
-// than best" (recorded with Visit.Pruned set).  Objectives without the
-// interface are evaluated exactly as before.
-type Objective interface {
-	Evaluate(ctx context.Context, p decomp.Point) (float64, error)
-}
-
-// ObjectiveFunc adapts a function to the Objective interface.
-type ObjectiveFunc func(ctx context.Context, p decomp.Point) (float64, error)
-
-// Evaluate implements Objective.
-func (f ObjectiveFunc) Evaluate(ctx context.Context, p decomp.Point) (float64, error) {
-	return f(ctx, p)
-}
+// space: an eval.Evaluator, in practice the evaluation engine over a pdsat
+// scope (pdsat.NewObjective).  The searches thread their incumbent — the best
+// F value certified so far — into every evaluation, enabling the engine's
+// incumbent pruning: a pruned evaluation returns a certified lower bound above
+// the incumbent instead of paying for the full sample, and the searches treat
+// such points as "worse than best" (recorded with Visit.Pruned set).  With
+// pruning off an evaluation is the plain Monte Carlo estimate.
+type Objective = eval.Evaluator
 
 // ActivitySource exposes per-variable conflict activity.  When the objective
 // also implements this interface, the tabu search uses it for the
@@ -143,9 +135,10 @@ type SharedIncumbent interface {
 
 // Validate reports whether the options are usable.  Zero values are fine —
 // they select the DefaultOptions value or mean "unlimited" — but negative
-// budgets, a radius below 1 (when set), or a cooling factor outside (0,1)
-// are configuration mistakes and are rejected with a clear error rather
-// than silently coerced.  Both search entry points validate eagerly.
+// budgets, a radius below 1 (when set), a cooling factor outside (0,1), or a
+// temperature or target that is negative, NaN or infinite are configuration
+// mistakes and are rejected with a clear error rather than silently coerced.
+// Both search entry points validate eagerly.
 func (o Options) Validate() error {
 	if o.Radius < 0 {
 		return fmt.Errorf("optimize: negative neighbourhood radius %d (use 0 for the default of %d)",
@@ -163,18 +156,22 @@ func (o Options) Validate() error {
 	if o.MaxTime < 0 {
 		return fmt.Errorf("optimize: negative time budget %v (use 0 for unlimited)", o.MaxTime)
 	}
-	if o.InitialTemperature < 0 {
-		return fmt.Errorf("optimize: negative initial temperature %v", o.InitialTemperature)
+	// NaN fails every comparison, so the float checks ask for what is valid
+	// rather than rule out what is not.
+	if !(o.InitialTemperature >= 0 && !math.IsInf(o.InitialTemperature, 1)) {
+		return fmt.Errorf("optimize: invalid initial temperature %v (want a finite T0 ≥ 0; use 0 to derive it from the start value)",
+			o.InitialTemperature)
 	}
-	if o.MinTemperature < 0 {
-		return fmt.Errorf("optimize: negative minimum temperature %v", o.MinTemperature)
+	if !(o.MinTemperature >= 0 && !math.IsInf(o.MinTemperature, 1)) {
+		return fmt.Errorf("optimize: invalid minimum temperature %v (want a finite T_inf ≥ 0)", o.MinTemperature)
 	}
-	if o.CoolingFactor < 0 || o.CoolingFactor >= 1 {
+	if !(o.CoolingFactor >= 0 && o.CoolingFactor < 1) {
 		return fmt.Errorf("optimize: cooling factor %v outside (0,1) (use 0 for the default of %v)",
 			o.CoolingFactor, DefaultOptions().CoolingFactor)
 	}
-	if o.TargetValue < 0 || math.IsNaN(o.TargetValue) {
-		return fmt.Errorf("optimize: invalid target value %v (use 0 to disable the target stop)", o.TargetValue)
+	if !(o.TargetValue >= 0 && !math.IsInf(o.TargetValue, 1)) {
+		return fmt.Errorf("optimize: invalid target value %v (want a finite target ≥ 0; use 0 to disable the target stop)",
+			o.TargetValue)
 	}
 	if o.MaxConcurrentEvals < 0 {
 		return fmt.Errorf("optimize: negative evaluation concurrency %d (use 0 for the default of 1)",
@@ -276,26 +273,24 @@ func (r *Result) String() string {
 
 // search bundles state shared by both algorithms.
 type search struct {
-	obj Objective
-	// ev is the budget-aware view of the objective, set when obj implements
-	// eval.Evaluator; the searches then thread their incumbent into every
-	// evaluation.
-	ev     eval.Evaluator
-	opts   Options
-	rng    *rand.Rand
-	start  time.Time
-	values map[string]float64
-	// prunedPts marks points whose cached value is a pruned lower bound
-	// rather than a full estimate.
+	obj   Objective
+	opts  Options
+	rng   *rand.Rand
+	start time.Time
+	// values caches F of every evaluated point; prunedPts marks those whose
+	// value is a pruned lower bound rather than a full estimate.  A pruned
+	// value exceeds the incumbent it was pruned against, and incumbents (best
+	// values) only decrease during a search, so a cached pruned bound keeps
+	// proving its point worse for the rest of the run.
+	values    map[string]float64
 	prunedPts map[string]bool
-	points    map[string]decomp.Point
 	evals     int
 	trace     []Visit
 	stopped   StopReason
 }
 
 func newSearch(obj Objective, opts Options) *search {
-	s := &search{
+	return &search{
 		obj:  obj,
 		opts: opts,
 		rng:  rand.New(rand.NewSource(opts.Seed)),
@@ -303,72 +298,26 @@ func newSearch(obj Objective, opts Options) *search {
 		start:     time.Now(),
 		values:    make(map[string]float64),
 		prunedPts: make(map[string]bool),
-		points:    make(map[string]decomp.Point),
 	}
-	if ev, ok := obj.(eval.Evaluator); ok {
-		s.ev = ev
-	}
-	return s
 }
 
 var errStop = errors.New("optimize: stop")
 
-// evaluate returns F(p), consulting the search's value cache first.  fresh
-// reports whether an objective evaluation was actually performed; pruned
-// that the value is a certified lower bound from an incumbent-pruned
-// evaluation (only possible when the objective implements eval.Evaluator
-// and the incumbent is finite).  A pruned value exceeds the incumbent it
-// was pruned against, and incumbents (best values) only decrease during a
-// search, so a cached pruned bound keeps proving its point worse for the
-// rest of the run.
-func (s *search) evaluate(ctx context.Context, p decomp.Point, incumbent float64) (float64, bool, bool, error) {
-	key := p.Key()
-	if v, ok := s.values[key]; ok {
-		return v, false, s.prunedPts[key], nil
-	}
-	if err := s.checkBudgets(ctx); err != nil {
-		return 0, false, false, err
-	}
-	if s.opts.Shared != nil && !math.IsInf(incumbent, 1) {
-		// A coupled search prunes against the whole fleet's best, not just
-		// its own; the fleet incumbent is never above this search's (the
-		// search offers every update of its own best value).  The start
-		// evaluation (incumbent +Inf) stays uncoupled on purpose: pruning
-		// it against a foreign incumbent would leave the search without a
-		// certified best value of its own.
-		if g := s.opts.Shared.Best(); g < incumbent {
-			incumbent = g
-		}
-	}
-	var v float64
-	var pruned bool
-	var err error
-	if s.ev != nil {
-		var evn *eval.Evaluation
-		evn, err = s.ev.EvaluateF(ctx, p, incumbent)
-		if err == nil {
-			v, pruned = evn.Value, evn.Pruned
-		}
-	} else {
-		v, err = s.obj.Evaluate(ctx, p)
-	}
-	if err != nil {
-		if ctx.Err() != nil {
-			// The objective was interrupted by a cancellation that raced
-			// past the checkBudgets call above; end the search gracefully
-			// (best-so-far result, StopContext) instead of failing it.
-			s.stopped = StopContext
-			return 0, false, false, errStop
-		}
-		return 0, false, false, err
-	}
-	s.values[key] = v
-	if pruned {
-		s.prunedPts[key] = true
-	}
-	s.points[key] = p
-	s.evals++
-	return v, true, pruned, nil
+// evaluateStart evaluates the start point and records it as the first
+// accepted, improving visit.  It is a wave of one against an uncoupled +Inf
+// bound: never coupled to a fleet incumbent, so never pruned and never
+// budget-tightened — pruning it against a foreign incumbent would leave the
+// search without a certified best value of its own.  A returned errStop means
+// the search ended before it (the reason is recorded).
+func (s *search) evaluateStart(ctx context.Context, start decomp.Point) (float64, error) {
+	var value float64
+	_, err := s.runWave(ctx, []decomp.Point{start}, eval.NewBound(math.Inf(1)),
+		func(chi decomp.Point, v float64, _, _ bool) (bool, error) {
+			value = v
+			s.record(chi, v, true, true, false)
+			return false, nil
+		})
+	return value, err
 }
 
 // checkBudgets returns errStop (after recording the reason) if a budget is
@@ -451,14 +400,13 @@ func SimulatedAnnealing(ctx context.Context, obj Objective, start decomp.Point, 
 	opts = opts.withDefaults()
 	s := newSearch(obj, opts)
 
-	centerValue, _, _, err := s.evaluate(ctx, start, math.Inf(1))
+	centerValue, err := s.evaluateStart(ctx, start)
 	if err != nil {
 		if errors.Is(err, errStop) {
 			return s.result(start, math.Inf(1)), nil
 		}
 		return nil, err
 	}
-	s.record(start, centerValue, true, true, false)
 	center, best, bestValue := start, start, centerValue
 	s.offerBest(best, bestValue)
 	if s.targetReached(bestValue) {
@@ -511,14 +459,13 @@ func TabuSearch(ctx context.Context, obj Objective, start decomp.Point, opts Opt
 	opts = opts.withDefaults()
 	s := newSearch(obj, opts)
 
-	startValue, _, _, err := s.evaluate(ctx, start, math.Inf(1))
+	startValue, err := s.evaluateStart(ctx, start)
 	if err != nil {
 		if errors.Is(err, errStop) {
 			return s.result(start, math.Inf(1)), nil
 		}
 		return nil, err
 	}
-	s.record(start, startValue, true, true, false)
 
 	tl := newTabuLists(opts.Radius)
 	tl.addChecked(start, startValue, s.values)

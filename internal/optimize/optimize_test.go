@@ -10,6 +10,7 @@ import (
 
 	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/decomp"
+	"github.com/paper-repro/pdsat-go/internal/eval"
 )
 
 // makeSpace builds a search space over n variables 1..n.
@@ -25,6 +26,7 @@ func makeSpace(n int) *decomp.Space {
 // target set of variables.  F(χ) = 1 + |χ Δ target| (symmetric difference),
 // so the unique global minimum (value 1) is reached exactly at the target.
 type countingObjective struct {
+	noSlots
 	target      map[cnf.Var]bool
 	evaluations int
 	activity    map[cnf.Var]float64
@@ -38,7 +40,11 @@ func newCountingObjective(target []cnf.Var) *countingObjective {
 	return &countingObjective{target: m, activity: map[cnf.Var]float64{}}
 }
 
-func (o *countingObjective) Evaluate(_ context.Context, p decomp.Point) (float64, error) {
+func (o *countingObjective) EvaluateSlotF(_ context.Context, p decomp.Point, _ float64, _ int) (*eval.Evaluation, error) {
+	return &eval.Evaluation{Value: o.value(p)}, nil
+}
+
+func (o *countingObjective) value(p decomp.Point) float64 {
 	o.evaluations++
 	diff := 0
 	selected := make(map[cnf.Var]bool)
@@ -53,22 +59,29 @@ func (o *countingObjective) Evaluate(_ context.Context, p decomp.Point) (float64
 			diff++
 		}
 	}
-	return 1 + float64(diff), nil
+	return 1 + float64(diff)
 }
 
 func (o *countingObjective) VarActivity(v cnf.Var) float64 { return o.activity[v] }
 
-func TestObjectiveFuncAdapter(t *testing.T) {
-	called := false
-	f := ObjectiveFunc(func(_ context.Context, p decomp.Point) (float64, error) {
-		called = true
-		return float64(p.Count()), nil
-	})
-	s := makeSpace(3)
-	v, err := f.Evaluate(context.Background(), s.FullPoint())
-	if err != nil || v != 3 || !called {
-		t.Fatal("ObjectiveFunc adapter misbehaves")
+// noSlots is embedded by the synthetic objectives: they draw no Monte Carlo
+// sample, so they have no evaluation slots to reserve.
+type noSlots struct{}
+
+func (noSlots) ReserveSlots(int) (int, bool) { return 0, false }
+
+// evalFunc is an objective over a plain function: its value is the
+// evaluation, and nothing is ever pruned.
+type evalFunc func(ctx context.Context, p decomp.Point) (float64, error)
+
+func (evalFunc) ReserveSlots(int) (int, bool) { return 0, false }
+
+func (f evalFunc) EvaluateSlotF(ctx context.Context, p decomp.Point, _ float64, _ int) (*eval.Evaluation, error) {
+	v, err := f(ctx, p)
+	if err != nil {
+		return nil, err
 	}
+	return &eval.Evaluation{Value: v}, nil
 }
 
 func TestSimulatedAnnealingFindsTarget(t *testing.T) {
@@ -185,7 +198,7 @@ func TestEvaluationBudgetStopsSearch(t *testing.T) {
 
 func TestTimeBudgetStopsSearch(t *testing.T) {
 	s := makeSpace(10)
-	slow := ObjectiveFunc(func(_ context.Context, p decomp.Point) (float64, error) {
+	slow := evalFunc(func(_ context.Context, p decomp.Point) (float64, error) {
 		time.Sleep(2 * time.Millisecond)
 		return float64(p.Count()), nil
 	})
@@ -202,7 +215,7 @@ func TestContextCancellationStopsSearch(t *testing.T) {
 	s := makeSpace(10)
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
-	obj := ObjectiveFunc(func(_ context.Context, p decomp.Point) (float64, error) {
+	obj := evalFunc(func(_ context.Context, p decomp.Point) (float64, error) {
 		n++
 		if n == 3 {
 			cancel()
@@ -222,7 +235,7 @@ func TestObjectiveErrorPropagates(t *testing.T) {
 	s := makeSpace(6)
 	boom := errors.New("boom")
 	n := 0
-	obj := ObjectiveFunc(func(_ context.Context, p decomp.Point) (float64, error) {
+	obj := evalFunc(func(_ context.Context, p decomp.Point) (float64, error) {
 		n++
 		if n > 2 {
 			return 0, boom
@@ -302,7 +315,7 @@ func TestGetNewCenterUsesActivity(t *testing.T) {
 		t.Fatalf("activity heuristic should pick the set containing variable 3, got %v", center.SortedVars())
 	}
 	// Without activity information the fall-back picks the better F value.
-	plain := ObjectiveFunc(func(_ context.Context, p decomp.Point) (float64, error) { return 0, nil })
+	plain := evalFunc(func(_ context.Context, p decomp.Point) (float64, error) { return 0, nil })
 	center, ok = tl.getNewCenter(plain)
 	if !ok {
 		t.Fatal("expected a centre")
@@ -346,7 +359,7 @@ func TestOptionsWithDefaults(t *testing.T) {
 }
 
 func TestPointAcceptedRule(t *testing.T) {
-	s := newSearch(ObjectiveFunc(func(context.Context, decomp.Point) (float64, error) { return 0, nil }),
+	s := newSearch(evalFunc(func(context.Context, decomp.Point) (float64, error) { return 0, nil }),
 		Options{Seed: 1}.withDefaults())
 	if !s.pointAccepted(1, 2, 0.5) {
 		t.Fatal("improving point must always be accepted")

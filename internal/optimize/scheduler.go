@@ -1,20 +1,21 @@
 package optimize
 
 // The neighbourhood loops of the two metaheuristics.  Both evaluate their
-// candidates in pre-drawn sequences ("waves") of Options.MaxConcurrentEvals
-// width.
+// candidates in pre-drawn sequences ("waves"), and every wave — the start
+// point is a wave of one — goes to an eval.Frontier of
+// Options.MaxConcurrentEvals width, which is the only evaluation loop.
 //
 // The tabu search pre-draws the visit order of a whole neighbourhood — one
 // RNG draw per candidate over the not-yet-drawn unchecked ones, which is
 // how the recorded fixed-seed traces were drawn — and walks it in that
-// order.  At width 1 the candidates are evaluated one at a time with a
-// budget check before each.  Above 1 the order is submitted to an
-// eval.Frontier: up to `width` candidate evaluations run concurrently on
-// the transport, the live best value is threaded into every one (siblings
-// prune each other as results stream back), and results are processed
-// strictly in visit order.  The simulated annealing speculates in waves of
-// `width` pre-drawn candidates; an acceptance decides the wave, and the
-// in-flight rest is cancelled and discarded whole.
+// order.  At width 1 the frontier's sequential loop evaluates the candidates
+// one at a time, each drawing the next evaluation slot, with the budgets
+// checked before each.  Above 1 up to `width` candidate evaluations run
+// concurrently on the transport, the live best value is threaded into every
+// one (siblings prune each other as results stream back), and results are
+// processed strictly in visit order.  The simulated annealing speculates in
+// waves of `width` pre-drawn candidates; an acceptance decides the wave, and
+// the in-flight rest is cancelled and discarded whole.
 //
 // Determinism rule.  Pre-reserved evaluation slots make every candidate's
 // Monte Carlo sample a pure function of (scope seed, slot), so full
@@ -68,26 +69,6 @@ func (s *search) observeNeighborhood(nb Neighborhood) {
 	if s.opts.NeighborhoodObserver != nil {
 		s.opts.NeighborhoodObserver(nb)
 	}
-}
-
-// frontierEvaluator is the evaluator the scheduler submits to: the
-// objective's budget-aware view when it has one, otherwise a plain
-// adapter (no pruning, the estimate is the value).
-func (s *search) frontierEvaluator() eval.Evaluator {
-	if s.ev != nil {
-		return s.ev
-	}
-	return objectiveEvaluator{obj: s.obj}
-}
-
-type objectiveEvaluator struct{ obj Objective }
-
-func (o objectiveEvaluator) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*eval.Evaluation, error) {
-	v, err := o.obj.Evaluate(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	return &eval.Evaluation{Value: v}, nil
 }
 
 // frontierBound seeds a wave's live incumbent bound from the search's best
@@ -166,9 +147,9 @@ func (s *search) drawWave(candidates []decomp.Point, checked map[string]bool, k 
 // graceful stops — ends the whole search.
 type waveHandler func(chi decomp.Point, value float64, prunedEval, fresh bool) (stop bool, err error)
 
-// frontierValue unwraps a frontier result the way s.evaluate unwraps an
-// evaluator call: cancellations racing past the budget checks become a
-// graceful StopContext, everything else is a hard error.
+// frontierValue unwraps a frontier result: cancellations racing past the
+// budget checks become a graceful StopContext (best-so-far result) instead of
+// failing the search, everything else is a hard error.
 func (s *search) frontierValue(ctx context.Context, r eval.FrontierResult) (float64, bool, error) {
 	if r.Err != nil {
 		if ctx.Err() != nil || errors.Is(r.Err, context.Canceled) {
@@ -180,35 +161,21 @@ func (s *search) frontierValue(ctx context.Context, r eval.FrontierResult) (floa
 	return r.Eval.Value, r.Eval.Pruned, nil
 }
 
-// runWave drives one pre-drawn candidate sequence through the handler.
-// incumbent is re-read per candidate (the handler may improve the best
-// value mid-wave).  Results reach the handler strictly in wave order; the
+// runWave drives one pre-drawn candidate sequence through the frontier and
+// the handler.  bound is the wave's live incumbent: the frontier lowers it as
+// full estimates complete, and a coupled search lowers it to the fleet's best
+// after every member.  Results reach the handler strictly in wave order; the
 // returned count is how many members the handler processed (the rest were
-// cancelled or never submitted).  At width 1 the wave is evaluated one
-// member at a time through s.evaluate: a slot is reserved per evaluation
-// and the budgets are checked before each one, which is what the recorded
-// fixed-seed samples rest on (the frontier reserves a wave's slots at once).
-func (s *search) runWave(ctx context.Context, wave []decomp.Point, incumbent func() float64, handle waveHandler) (int, error) {
-	width := s.opts.MaxConcurrentEvals
+// cancelled or never submitted).
+//
+// The budgets are checked before the wave's first evaluation, and every
+// handler checks them after each member it processes.  At width 1 the
+// frontier begins an evaluation only after the handler has seen the one
+// before, so the budgets are checked before every fresh evaluation and slots
+// are drawn one at a time, which is what the recorded fixed-seed samples rest
+// on; a search whose context is already cancelled reserves no slot.
+func (s *search) runWave(ctx context.Context, wave []decomp.Point, bound *eval.Bound, handle waveHandler) (int, error) {
 	processed := 0
-	if width <= 1 {
-		for _, chi := range wave {
-			value, fresh, prunedEval, err := s.evaluate(ctx, chi, incumbent())
-			if err != nil {
-				return processed, err
-			}
-			processed++
-			stop, err := handle(chi, value, prunedEval, fresh)
-			if err != nil {
-				return processed, err
-			}
-			if stop {
-				return processed, nil
-			}
-		}
-		return processed, nil
-	}
-
 	// Wave members the search has already valued are served from its value
 	// cache in place; only the rest is submitted to the frontier.  The
 	// frontier delivers in submission order, so interleaving the cached
@@ -250,19 +217,17 @@ func (s *search) runWave(ctx context.Context, wave []decomp.Point, incumbent fun
 		processCached(len(wave))
 		return processed, stopErr
 	}
+	if err := s.checkBudgets(ctx); err != nil {
+		return processed, err
+	}
 	pts := make([]decomp.Point, len(need))
 	for j, i := range need {
 		pts[j] = wave[i]
 	}
-	bound := s.frontierBound(incumbent())
-	fr := eval.NewFrontier(s.frontierEvaluator(), width)
+	fr := eval.NewFrontier(s.obj, s.opts.MaxConcurrentEvals)
 	fr.Run(ctx, pts, bound, func(r eval.FrontierResult) bool {
 		if processCached(need[r.Index]) {
 			done = true
-			return true
-		}
-		if err := s.checkBudgets(ctx); err != nil {
-			stopErr, done = err, true
 			return true
 		}
 		value, prunedEval, err := s.frontierValue(ctx, r)
@@ -275,7 +240,6 @@ func (s *search) runWave(ctx context.Context, wave []decomp.Point, incumbent fun
 		if prunedEval {
 			s.prunedPts[key] = true
 		}
-		s.points[key] = r.Point
 		s.evals++
 		pos++
 		processed++
@@ -345,7 +309,7 @@ func (s *search) tabuNeighborhood(ctx context.Context, tl *tabuLists, center dec
 		}
 		return false, nil
 	}
-	processed, err := s.runWave(ctx, order, func() float64 { return *bestValue }, handle)
+	processed, err := s.runWave(ctx, order, s.frontierBound(*bestValue), handle)
 	stats.Cancelled = len(order) - processed
 	stats.BestValue = *bestValue
 	s.observeNeighborhood(stats)
@@ -437,7 +401,7 @@ func (s *search) anneal(ctx context.Context, center decomp.Point, centerValue fl
 				}
 				return accepted, nil
 			}
-			processed, err := s.runWave(ctx, wave, func() float64 { return bestValue }, handle)
+			processed, err := s.runWave(ctx, wave, s.frontierBound(bestValue), handle)
 			stats.Cancelled = len(wave) - processed
 			stats.BestValue = bestValue
 			s.observeNeighborhood(stats)

@@ -12,27 +12,29 @@ import (
 
 	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/decomp"
+	"github.com/paper-repro/pdsat-go/internal/eval"
 )
 
 // safeObjective wraps countingObjective for concurrent evaluation (the
 // scheduler's width > 1 contract requires a concurrency-safe objective).
 type safeObjective struct {
+	noSlots
 	mu    sync.Mutex
 	inner *countingObjective
 	delay time.Duration
 }
 
-func (o *safeObjective) Evaluate(ctx context.Context, p decomp.Point) (float64, error) {
+func (o *safeObjective) EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*eval.Evaluation, error) {
 	if o.delay > 0 {
 		select {
 		case <-time.After(o.delay):
 		case <-ctx.Done():
-			return 0, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.inner.Evaluate(ctx, p)
+	return o.inner.EvaluateSlotF(ctx, p, incumbent, slot)
 }
 
 func (o *safeObjective) VarActivity(v cnf.Var) float64 {

@@ -2,6 +2,7 @@ package optimize
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -31,6 +32,21 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative min temperature", Options{MinTemperature: -1e-9}, "temperature"},
 		{"negative cooling", Options{CoolingFactor: -0.5}, "cooling factor"},
 		{"cooling at one", Options{CoolingFactor: 1}, "cooling factor"},
+		// NaN fails every comparison, so each float field is tried with it
+		// and with both infinities.
+		{"NaN initial temperature", Options{InitialTemperature: math.NaN()}, "temperature"},
+		{"infinite initial temperature", Options{InitialTemperature: math.Inf(1)}, "temperature"},
+		{"negative infinite initial temperature", Options{InitialTemperature: math.Inf(-1)}, "temperature"},
+		{"NaN cooling", Options{CoolingFactor: math.NaN()}, "cooling factor"},
+		{"infinite cooling", Options{CoolingFactor: math.Inf(1)}, "cooling factor"},
+		{"negative infinite cooling", Options{CoolingFactor: math.Inf(-1)}, "cooling factor"},
+		{"NaN min temperature", Options{MinTemperature: math.NaN()}, "temperature"},
+		{"infinite min temperature", Options{MinTemperature: math.Inf(1)}, "temperature"},
+		{"negative infinite min temperature", Options{MinTemperature: math.Inf(-1)}, "temperature"},
+		{"negative target", Options{TargetValue: -1}, "target"},
+		{"NaN target", Options{TargetValue: math.NaN()}, "target"},
+		{"infinite target", Options{TargetValue: math.Inf(1)}, "target"},
+		{"negative infinite target", Options{TargetValue: math.Inf(-1)}, "target"},
 	}
 	for _, tc := range cases {
 		err := tc.opts.Validate()
@@ -48,7 +64,7 @@ func TestOptionsValidate(t *testing.T) {
 // options eagerly instead of silently coercing them.
 func TestSearchEntryPointsValidate(t *testing.T) {
 	space := makeSpace(3)
-	obj := ObjectiveFunc(func(ctx context.Context, p decomp.Point) (float64, error) {
+	obj := evalFunc(func(ctx context.Context, p decomp.Point) (float64, error) {
 		return float64(p.Count()), nil
 	})
 	bad := Options{MaxEvaluations: -1}
@@ -65,7 +81,7 @@ func TestSearchEntryPointsValidate(t *testing.T) {
 // search.
 func TestObserverSeesTrace(t *testing.T) {
 	space := makeSpace(4)
-	obj := ObjectiveFunc(func(ctx context.Context, p decomp.Point) (float64, error) {
+	obj := evalFunc(func(ctx context.Context, p decomp.Point) (float64, error) {
 		return float64(p.Count()), nil
 	})
 	var seen []Visit
@@ -125,7 +141,7 @@ func TestTabuListsAccounting(t *testing.T) {
 	}
 
 	// getNewCenter picks the only L2 point and mutates nothing.
-	obj := ObjectiveFunc(func(ctx context.Context, p decomp.Point) (float64, error) { return 0, nil })
+	obj := evalFunc(func(ctx context.Context, p decomp.Point) (float64, error) { return 0, nil })
 	next, ok := tl.getNewCenter(obj)
 	if !ok || next.Key() != full.Key() {
 		t.Fatalf("getNewCenter = %v, %v; want {1,2}", next, ok)

@@ -24,19 +24,26 @@ func evalTestConfig(pol eval.Policy) Config {
 	}
 }
 
-// legacyActivityObjective wraps a runner as a plain optimize.Objective
-// *without* implementing eval.Evaluator, pinning the pre-engine evaluation
-// path (one full batch per evaluation) so the tests below can compare the
-// refactored pipeline against it.  It forwards conflict activity so the
-// tabu search's getNewCenter heuristic behaves identically on both paths.
+// legacyActivityObjective is a search objective over a runner that bypasses
+// the evaluation engine: every EvaluateF is the runner's plain EvaluatePoint
+// (one full batch on the next slot, no incumbent, no slots to reserve),
+// pinning the pre-engine evaluation path so the tests below can compare the
+// engine pipeline against it.  It forwards conflict activity so the tabu
+// search's getNewCenter heuristic behaves identically on both paths.
 type legacyActivityObjective struct{ r *Runner }
 
-func (o legacyActivityObjective) Evaluate(ctx context.Context, p decomp.Point) (float64, error) {
+func (o legacyActivityObjective) EvaluateF(ctx context.Context, p decomp.Point) (*eval.Evaluation, error) {
 	est, err := o.r.EvaluatePoint(ctx, p)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return est.Estimate.Value, nil
+	return &eval.Evaluation{Value: est.Estimate.Value}, nil
+}
+
+func (legacyActivityObjective) ReserveSlots(int) (int, bool) { return 0, false }
+
+func (o legacyActivityObjective) EvaluateSlotF(ctx context.Context, p decomp.Point, _ float64, _ int) (*eval.Evaluation, error) {
+	return o.EvaluateF(ctx, p)
 }
 
 // objectiveOf is the search objective of a runner on its own: the engine over

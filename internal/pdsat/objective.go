@@ -2,7 +2,6 @@ package pdsat
 
 import (
 	"context"
-	"math"
 
 	"github.com/paper-repro/pdsat-go/internal/decomp"
 	"github.com/paper-repro/pdsat-go/internal/eval"
@@ -11,11 +10,11 @@ import (
 
 // Objective is the predictive function as a search minimizes it: the
 // evaluation engine over one scope, and the conflict activity the tabu search's
-// getNewCenter reads.  The engine is embedded: its EvaluateF (the searches
-// thread their incumbent into every evaluation) and its slot methods (a wide
-// neighbourhood pass reserves a whole submission's evaluation slots upfront, so
-// every candidate's sample is independent of the completion order) are the
-// objective's by promotion, and so are its OnPruned and OnCacheHit hooks.
+// getNewCenter reads.  The engine is embedded: its slot methods — what a
+// search's frontier calls, reserving a wide pass's slots upfront so every
+// candidate's sample is independent of the completion order, or drawing the
+// next one at a time — are the objective's by promotion, and so are EvaluateF
+// (a single evaluation outside a search) and the OnPruned and OnCacheHit hooks.
 type Objective struct {
 	*eval.Engine
 	optimize.ActivitySource
@@ -34,28 +33,14 @@ func NewObjective(sc *Scope, activity optimize.ActivitySource, pol eval.Policy, 
 	}
 }
 
-// Evaluate implements optimize.Objective (the searches prefer EvaluateF).
-func (o *Objective) Evaluate(ctx context.Context, p decomp.Point) (float64, error) {
-	ev, err := o.EvaluateF(ctx, p, math.Inf(1))
-	if err != nil {
-		return 0, err
-	}
-	return ev.Value, nil
-}
-
-// scopeBackend is a scope as the engine's eval.SlotBackend; the slot
-// reservation is the scope's own, promoted.
+// scopeBackend is a scope as the engine's eval.Backend; the slot reservation
+// is the scope's own, promoted.
 type scopeBackend struct {
 	*Scope
 	observe func(Progress)
 }
 
-// EvaluateBudgeted implements eval.Backend: the scope reserves the next slot.
-func (b scopeBackend) EvaluateBudgeted(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64) (*eval.Evaluation, error) {
-	return b.EvaluateSlot(ctx, p, pol, incumbent, -1)
-}
-
-// EvaluateSlot implements eval.SlotBackend.
+// EvaluateSlot implements eval.Backend.
 func (b scopeBackend) EvaluateSlot(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, slot int) (*eval.Evaluation, error) {
 	return b.EvaluateSlotObserved(ctx, p, pol, incumbent, slot, b.observe)
 }

@@ -85,7 +85,7 @@ func TestEvaluateEmptyPointFails(t *testing.T) {
 	if _, err := r.EvaluatePoint(context.Background(), space.EmptyPoint()); err == nil {
 		t.Fatal("expected error for empty decomposition set")
 	}
-	if _, err := objectiveOf(r).Evaluate(context.Background(), space.EmptyPoint()); err == nil {
+	if _, err := objectiveOf(r).EvaluateF(context.Background(), space.EmptyPoint(), math.Inf(1)); err == nil {
 		t.Fatal("expected error for empty decomposition set")
 	}
 	if _, err := r.Solve(context.Background(), space.EmptyPoint(), SolveOptions{}); err == nil {
@@ -98,11 +98,11 @@ func TestEvaluateDeterministicWithConflictCost(t *testing.T) {
 	space := unknownSpace(inst)
 	run := func() float64 {
 		r := NewRunner(inst.CNF, Config{SampleSize: 12, Workers: 2, Seed: 7, CostMetric: solver.CostConflicts})
-		v, err := objectiveOf(r).Evaluate(context.Background(), space.FullPoint())
+		ev, err := objectiveOf(r).EvaluateF(context.Background(), space.FullPoint(), math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return v
+		return ev.Value
 	}
 	if v1, v2 := run(), run(); v1 != v2 {
 		t.Fatalf("evaluation is not deterministic: %v vs %v", v1, v2)
@@ -122,19 +122,19 @@ func TestEvaluateIndependentOfVisitOrder(t *testing.T) {
 	q := p.Flip(0)
 
 	r1 := NewRunner(inst.CNF, Config{SampleSize: 10, Workers: 2, Seed: 5})
-	v1p, err := objectiveOf(r1).Evaluate(context.Background(), p)
+	v1p, err := objectiveOf(r1).EvaluateF(context.Background(), p, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r2 := NewRunner(inst.CNF, Config{SampleSize: 10, Workers: 2, Seed: 5})
-	v2p, err := objectiveOf(r2).Evaluate(context.Background(), p)
+	v2p, err := objectiveOf(r2).EvaluateF(context.Background(), p, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1p != v2p {
-		t.Fatalf("first-evaluation values differ: %v vs %v", v1p, v2p)
+	if v1p.Value != v2p.Value {
+		t.Fatalf("first-evaluation values differ: %v vs %v", v1p.Value, v2p.Value)
 	}
-	if _, err := objectiveOf(r2).Evaluate(context.Background(), q); err != nil {
+	if _, err := objectiveOf(r2).EvaluateF(context.Background(), q, math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -284,6 +284,39 @@ func TestSchedulerCancellationMidNeighborhood(t *testing.T) {
 	}
 }
 
+// TestCancelledSearchReservesNoSlot: a search whose context is cancelled
+// before it starts stops with StopContext before its start evaluation, at
+// width 1 and wide alike — the budget check the one evaluation loop makes
+// before a wave's first evaluation.  Nothing is evaluated, no slot is reserved
+// and no sample is planned.
+func TestCancelledSearchReservesNoSlot(t *testing.T) {
+	inst := weakBivium(t, 167, 60, 21)
+	space := unknownSpace(inst)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	searches := map[string]func(context.Context, optimize.Objective, decomp.Point, optimize.Options) (*optimize.Result, error){
+		"tabu": optimize.TabuSearch,
+		"sa":   optimize.SimulatedAnnealing,
+	}
+	for name, search := range searches {
+		for _, width := range []int{1, 4} {
+			r := NewRunner(inst.CNF, evalTestConfig(eval.DefaultPolicy()))
+			res, err := search(ctx, objectiveOf(r), space.FullPoint(), optimize.Options{Seed: 5, MaxConcurrentEvals: width})
+			if err != nil {
+				t.Fatalf("%s width %d: %v", name, width, err)
+			}
+			if res.Stop != optimize.StopContext || res.Evaluations != 0 || len(res.Trace) != 0 {
+				t.Fatalf("%s width %d: stop %q after %d evaluations, %d visits; want %q, 0, 0",
+					name, width, res.Stop, res.Evaluations, len(res.Trace), optimize.StopContext)
+			}
+			if r.Evaluations() != 0 || r.SamplesPlanned() != 0 {
+				t.Fatalf("%s width %d: runner at %d evaluations, %d samples planned; want 0 and 0",
+					name, width, r.Evaluations(), r.SamplesPlanned())
+			}
+		}
+	}
+}
+
 // TestSearchesNeverVisitTheEmptySet is the regression test for searches that
 // walk down to a one-variable set.  On a root-solved Bivium instance every
 // subproblem costs the same propagations, so F = c·2^d falls with every

@@ -87,7 +87,9 @@
 // is evaluated.  EvalPolicy.MaxConcurrentEvals is the width of a pass — how
 // many of its candidates are evaluated at once on the shared transport —
 // and defaults to 1 (0 means 1): one candidate at a time, in visit order.
-// Above 1 the live best F is threaded into every in-flight sample so
+// Every pass, the start point included, goes through the same loop; width 1
+// is its sequential case, not a second loop.  Above 1 the live best F is
+// threaded into every in-flight sample so
 // sibling candidates prune each other, and deciding a pass aborts its
 // remaining siblings.  Every completed pass, at any width, emits a
 // NeighborhoodDone event with its counters.

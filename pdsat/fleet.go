@@ -187,8 +187,8 @@ func (spec FleetJob) validate(s *Session) error {
 	if spec.Jitter < 0 || spec.Jitter >= s.space.Size() {
 		return fmt.Errorf("pdsat: fleet jitter %d outside [0,%d)", spec.Jitter, s.space.Size())
 	}
-	if spec.TargetF < 0 || math.IsNaN(spec.TargetF) {
-		return fmt.Errorf("pdsat: invalid fleet target F %v (use 0 to disable)", spec.TargetF)
+	if !(spec.TargetF >= 0 && !math.IsInf(spec.TargetF, 1)) {
+		return fmt.Errorf("pdsat: invalid fleet target F %v (want a finite F ≥ 0; use 0 to disable)", spec.TargetF)
 	}
 	if spec.MaxEvaluations < 0 {
 		return fmt.Errorf("pdsat: negative fleet evaluation budget %d (use 0 for the per-search default)",

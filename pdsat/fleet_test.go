@@ -324,6 +324,12 @@ func TestFleetJobValidation(t *testing.T) {
 		{Members: []pdsat.FleetMemberSpec{{Method: "tabu"}}, Jitter: -1},
 		{Members: []pdsat.FleetMemberSpec{{Method: "tabu"}}, Jitter: 10000},
 		{Members: []pdsat.FleetMemberSpec{{Method: "tabu"}}, TargetF: -1},
+		// NaN and the infinities fail no sign check: named, since +Inf would
+		// end the race after the start evaluations with "target reached".
+		{Members: []pdsat.FleetMemberSpec{{Method: "tabu"}}, TargetF: math.NaN()},
+		{Members: []pdsat.FleetMemberSpec{{Method: "tabu"}}, TargetF: math.Inf(1)},
+		{Members: []pdsat.FleetMemberSpec{{Method: "tabu"}}, TargetF: math.Inf(-1)},
+		{Members: []pdsat.FleetMemberSpec{{Method: "tabu"}}, Policy: &pdsat.EvalPolicy{Stages: 3, Epsilon: math.NaN()}},
 		{Members: []pdsat.FleetMemberSpec{{Method: "tabu"}}, MaxEvaluations: -1},
 		// A fleet-total budget below the member count would hand some
 		// members a zero (= unlimited) budget.

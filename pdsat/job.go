@@ -160,10 +160,14 @@ func (spec SearchJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 	// Re-estimate the best point through the same engine: with the cache
 	// enabled this is a free hit on the value the search already computed.
 	// The search itself succeeded; its result stands even if the
-	// re-estimation is interrupted before producing anything.
+	// re-estimation is interrupted before producing anything.  A search that
+	// certified nothing (cancelled before or during its start evaluation) has
+	// no best point to re-estimate.
 	var best *SetEstimate
-	if ev, _ := obj.EvaluateF(ctx, res.BestPoint, math.Inf(1)); ev != nil {
-		best = s.setEstimateFrom(res.BestPoint, ev)
+	if !math.IsInf(res.BestValue, 1) {
+		if ev, _ := obj.EvaluateF(ctx, res.BestPoint, math.Inf(1)); ev != nil {
+			best = s.setEstimateFrom(res.BestPoint, ev)
+		}
 	}
 	return &JobResult{Search: &SearchOutcome{
 		Method:        method,

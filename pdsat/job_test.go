@@ -175,6 +175,36 @@ func TestCancelledJobSingleDone(t *testing.T) {
 	}
 }
 
+// TestCancelledSearchSpendsNothing: a search or fleet job submitted with a
+// context that is already cancelled certifies no best set, so it has nothing
+// to re-estimate either — the session ends with no evaluation and no sample
+// planned.  (Until PR 29 a search job re-estimated its +Inf "best" start set
+// and left one evaluation and N aborted samples behind.)
+func TestCancelledSearchSpendsNothing(t *testing.T) {
+	inst := testInstance(t, 48, 40, 3)
+	for _, spec := range []pdsat.JobSpec{
+		pdsat.SearchJob{},
+		pdsat.SearchJob{Method: "sa"},
+		pdsat.FleetJob{Members: []pdsat.FleetMemberSpec{{Method: "tabu", Count: 2}}},
+	} {
+		s := newTestSession(t, inst, 20)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		job, err := s.Submit(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := job.Result(context.Background()); err != nil {
+			t.Fatalf("%s job: %v", spec.Kind(), err)
+		}
+		if st := s.Stats(); st.Evaluations != 0 || st.SamplesPlanned != 0 {
+			t.Fatalf("%s job left the session at %d evaluations, %d samples planned; want 0 and 0",
+				spec.Kind(), st.Evaluations, st.SamplesPlanned)
+		}
+		s.Close()
+	}
+}
+
 // TestWorkerEventsBroadcast: PublishClusterEvent reaches every running job as
 // the event type of its kind, under the wire name and with the payload the
 // four Publish methods it replaced gave it, and reaches no finished job.
