@@ -102,7 +102,7 @@ func BenchmarkFigure2_A51SearchedSets(b *testing.B) {
 		b.ReportMetric(float64(res.SAEvaluations), "sa_points")
 		b.ReportMetric(float64(res.TabuEvaluations), "tabu_points")
 		if i == 0 {
-			b.Log("\n" + res.Figure2().String())
+			b.Log("\n" + res.Figure2a().String() + res.Figure2b().String())
 		}
 	}
 }

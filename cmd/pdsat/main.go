@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"github.com/paper-repro/pdsat-go/internal/cluster"
-	"github.com/paper-repro/pdsat-go/internal/encoder"
 	"github.com/paper-repro/pdsat-go/internal/solver"
 	"github.com/paper-repro/pdsat-go/pdsat"
 )
@@ -236,16 +235,11 @@ func run() error {
 	return runJob(ctx, session, spec, costMetric)
 }
 
-// runJob submits the job, waits for it and prints its result.  The wait is on
-// the job alone: interrupted (SIGINT, -timeout), it still finishes, with what
-// it has.
+// runJob runs the job and prints its result.  Interrupted (SIGINT, -timeout),
+// the job still finishes, with what it has.
 func runJob(ctx context.Context, session *pdsat.Session, spec pdsat.JobSpec, metric solver.CostMetric) error {
 	start := time.Now()
-	j, err := session.Submit(ctx, spec)
-	if err != nil {
-		return err
-	}
-	res, err := j.Result(context.Background())
+	res, err := session.Run(ctx, spec)
 	if res == nil {
 		return err
 	}
@@ -261,7 +255,7 @@ func runJob(ctx context.Context, session *pdsat.Session, spec pdsat.JobSpec, met
 		printSearch(res.Search, time.Since(start), metric)
 		printEngineSummary(session.Stats())
 	case res.Solve != nil:
-		printSolve(res.Solve, session.Problem().Instance, metric)
+		printSolve(res.Solve, session.Problem(), metric)
 	case res.Fleet != nil:
 		if err != nil {
 			fmt.Printf("fleet ended with error: %v\n", err)
@@ -471,7 +465,7 @@ func printSearch(outcome *pdsat.SearchOutcome, elapsed time.Duration, metric sol
 	}
 }
 
-func printSolve(report *pdsat.SolveReport, inst *encoder.Instance, metric solver.CostMetric) {
+func printSolve(report *pdsat.SolveReport, problem *pdsat.Problem, metric solver.CostMetric) {
 	if report.Interrupted {
 		fmt.Println("interrupted — partial solving report:")
 	}
@@ -481,12 +475,8 @@ func printSolve(report *pdsat.SolveReport, inst *encoder.Instance, metric solver
 	fmt.Printf("wall time           %v\n", report.WallTime.Round(time.Millisecond))
 	if report.FoundSat {
 		fmt.Printf("satisfiable subproblem found at index %d\n", report.SatIndex)
-		if inst != nil {
-			gen, err := encoder.ByName(inst.Generator)
-			if err == nil {
-				ok, err := inst.CheckRecoveredState(gen, report.Model)
-				fmt.Printf("recovered state reproduces keystream: %v (err=%v)\n", ok, err)
-			}
+		if problem.Instance != nil {
+			fmt.Printf("recovered state reproduces keystream: %v\n", problem.KeyValid(report.Model))
 		}
 	} else {
 		fmt.Println("no satisfiable subproblem found")

@@ -24,7 +24,7 @@ func main() {
 
 	scale := expts.QuickScale()
 
-	fmt.Println("searching A5/1 decomposition sets (this takes a minute or two)...")
+	fmt.Println("searching A5/1 decomposition sets...")
 	result, err := expts.RunA51(ctx, scale)
 	if err != nil {
 		log.Fatal(err)
@@ -33,7 +33,8 @@ func main() {
 	fmt.Println()
 	fmt.Print(result.Table1().String())
 	fmt.Print(result.Figure1().String())
-	fmt.Print(result.Figure2().String())
+	fmt.Print(result.Figure2a().String())
+	fmt.Print(result.Figure2b().String())
 
 	best := result.S1
 	for _, s := range []expts.SetReport{result.S2, result.S3} {

@@ -20,7 +20,6 @@ import (
 
 	"github.com/paper-repro/pdsat-go/internal/encoder"
 	"github.com/paper-repro/pdsat-go/internal/montecarlo"
-	"github.com/paper-repro/pdsat-go/internal/solver"
 	"github.com/paper-repro/pdsat-go/pdsat"
 )
 
@@ -47,7 +46,7 @@ func main() {
 			log.Fatal(err)
 		}
 		engine, err := pdsat.NewSession(pdsat.FromInstance(inst), pdsat.Config{
-			Runner: pdsat.RunnerConfig{SampleSize: 300, Seed: 11, CostMetric: solver.CostPropagations},
+			Runner: pdsat.RunnerConfig{SampleSize: 300, Seed: 11, CostMetric: pdsat.CostPropagations},
 			Cores:  480,
 		})
 		if err != nil {
@@ -55,10 +54,11 @@ func main() {
 		}
 
 		if i == 0 {
-			est, eerr := engine.EstimateStartSet(ctx)
+			res, eerr := engine.Run(ctx, pdsat.EstimateJob{})
 			if eerr != nil {
 				log.Fatal(eerr)
 			}
+			est := res.Estimate
 			prediction = est.Estimate.Value
 			vars = make([]int, len(est.Vars))
 			for j, v := range est.Vars {
@@ -69,15 +69,12 @@ func main() {
 			fmt.Printf("predicted on 480 cores:            %.4g propagations\n\n", est.PerCores)
 		}
 
-		report, err := engine.SolveWithSet(ctx, inst.UnknownStartVars(), pdsat.SolveOptions{})
+		res, err := engine.Run(ctx, pdsat.SolveJob{Vars: inst.UnknownStartVars()})
 		if err != nil {
 			log.Fatal(err)
 		}
-		ok := false
-		if report.FoundSat {
-			valid, err := inst.CheckRecoveredState(encoder.Bivium(), report.Model)
-			ok = valid && err == nil
-		}
+		report := res.Solve
+		ok := engine.Problem().KeyValid(report.Model)
 		dev := montecarlo.RelativeDeviation(prediction, report.TotalCost)
 		fmt.Printf("instance %d: family cost %.4g, to first SAT %.4g, key found=%v valid=%v, deviation from prediction %.1f%%\n",
 			i+1, report.TotalCost, report.CostToFirstSat, report.FoundSat, ok, 100*dev)

@@ -24,9 +24,6 @@ import (
 
 	"github.com/paper-repro/pdsat-go/internal/crypto"
 	"github.com/paper-repro/pdsat-go/internal/encoder"
-	"github.com/paper-repro/pdsat-go/internal/montecarlo"
-	"github.com/paper-repro/pdsat-go/internal/optimize"
-	"github.com/paper-repro/pdsat-go/internal/solver"
 	"github.com/paper-repro/pdsat-go/pdsat"
 )
 
@@ -46,17 +43,18 @@ func main() {
 	fmt.Printf("search instance %s: %d unknown state bits\n", searchInst.Name, len(searchInst.UnknownStartVars()))
 
 	searchEngine, err := pdsat.NewSession(pdsat.FromInstance(searchInst), pdsat.Config{
-		Runner: pdsat.RunnerConfig{SampleSize: 15, Seed: 5, CostMetric: solver.CostPropagations},
-		Search: optimize.Options{Seed: 5, MaxEvaluations: 70},
+		Runner: pdsat.RunnerConfig{SampleSize: 15, Seed: 5, CostMetric: pdsat.CostPropagations},
+		Search: pdsat.SearchOptions{Seed: 5, MaxEvaluations: 70},
 		Cores:  480,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	outcome, err := searchEngine.SearchTabu(ctx)
+	res, err := searchEngine.Run(ctx, pdsat.SearchJob{Method: pdsat.MethodTabu})
 	if err != nil {
 		log.Fatal(err)
 	}
+	outcome := res.Search
 	nfsr, lfsr := 0, 0
 	for _, v := range outcome.Result.BestPoint.SortedVars() {
 		isLFSR := false
@@ -88,7 +86,7 @@ func main() {
 		log.Fatal(err)
 	}
 	solveEngine, err := pdsat.NewSession(pdsat.FromInstance(solveInst), pdsat.Config{
-		Runner: pdsat.RunnerConfig{SampleSize: 300, Seed: 5, CostMetric: solver.CostPropagations},
+		Runner: pdsat.RunnerConfig{SampleSize: 300, Seed: 5, CostMetric: pdsat.CostPropagations},
 		Cores:  480,
 	})
 	if err != nil {
@@ -101,6 +99,6 @@ func main() {
 	fmt.Printf("solve instance %s: %d unknown state bits\n", solveInst.Name, cmp.SetSize)
 	fmt.Printf("predicted family cost:   %.4g propagations\n", cmp.Predicted1Core)
 	fmt.Printf("measured family cost:    %.4g propagations (deviation %.1f%%)\n",
-		cmp.MeasuredTotal, 100*montecarlo.RelativeDeviation(cmp.Predicted1Core, cmp.MeasuredTotal))
+		cmp.MeasuredTotal, 100*cmp.Deviation)
 	fmt.Printf("state recovered: %v, reproduces keystream: %v\n", cmp.FoundSat, cmp.KeyValid)
 }

@@ -24,8 +24,6 @@ import (
 
 	"github.com/paper-repro/pdsat-go/internal/crypto"
 	"github.com/paper-repro/pdsat-go/internal/encoder"
-	"github.com/paper-repro/pdsat-go/internal/optimize"
-	"github.com/paper-repro/pdsat-go/internal/solver"
 	"github.com/paper-repro/pdsat-go/pdsat"
 )
 
@@ -51,20 +49,22 @@ func main() {
 		Runner: pdsat.RunnerConfig{
 			SampleSize: 200,
 			Seed:       7,
-			CostMetric: solver.CostPropagations,
+			CostMetric: pdsat.CostPropagations,
 		},
-		Search: optimize.Options{Seed: 7, MaxEvaluations: 10},
+		Search: pdsat.SearchOptions{Seed: 7, MaxEvaluations: 10},
 		Cores:  480,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// 2. Predictive function for the starting decomposition set.
-	est, err := engine.EstimateStartSet(ctx)
+	// 2. Predictive function for the starting decomposition set (an
+	// EstimateJob naming no variables estimates the whole start set).
+	res, err := engine.Run(ctx, pdsat.EstimateJob{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	est := res.Estimate
 	fmt.Printf("predictive function F (1 core):   %.4g propagations\n", est.Estimate.Value)
 	fmt.Printf("extrapolated to %d cores:        %.4g propagations\n\n", est.Cores, est.PerCores)
 

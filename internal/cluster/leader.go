@@ -463,24 +463,7 @@ func (l *Leader) dropWorker(rw *remoteWorker, cause error) {
 		}
 		sort.Ints(idxs)
 		for _, idx := range idxs {
-			if b.got[idx] {
-				continue
-			}
-			if l.assigneeLocked(idx) != nil {
-				// A speculative copy of this task is still live on another
-				// worker; that copy answers for it, so requeuing here would
-				// duplicate the assignment.  If the dying worker held the
-				// duplicate, the index becomes speculatable again.
-				if b.spec[idx] == rw.id {
-					delete(b.spec, idx)
-				}
-				continue
-			}
-			delete(b.spec, idx)
-			if b.cancelled {
-				placeholderLocked(b, idx)
-			} else {
-				b.pending = append(b.pending, rw.inflight[idx])
+			if l.releaseLocked(b, rw, rw.inflight[idx]) {
 				requeued++
 			}
 		}
@@ -600,26 +583,9 @@ func (l *Leader) handleRevoked(rw *remoteWorker, env *envelope) {
 			continue
 		}
 		delete(rw.inflight, idx)
-		if b.got[idx] {
-			continue
+		if l.releaseLocked(b, rw, t) {
+			stolen++
 		}
-		if l.assigneeLocked(idx) != nil {
-			// The worker gave back a speculative duplicate; the surviving
-			// copy stays the live assignment.
-			if b.spec[idx] == rw.id {
-				delete(b.spec, idx)
-			}
-			continue
-		}
-		delete(b.spec, idx)
-		if b.cancelled {
-			// The revoked copy left the worker's queue before the abort
-			// could drain it as a placeholder, so it is accounted here.
-			placeholderLocked(b, idx)
-			continue
-		}
-		b.pending = append(b.pending, t)
-		stolen++
 	}
 	if stolen > 0 {
 		b.stats.TasksStolen += stolen
@@ -631,6 +597,35 @@ func (l *Leader) handleRevoked(rw *remoteWorker, env *envelope) {
 		l.logf("cluster: stole %d queued task(s) back from worker %q", stolen, victim)
 		l.event(TaskStolen, victim, stolen)
 	}
+}
+
+// releaseLocked settles task t of the batch after worker rw gave up its copy —
+// the worker was lost, or it acknowledged a steal — and rw no longer counts as
+// holding it.  An answered task needs nothing.  If another worker still holds
+// a live copy (speculation), that copy answers for it: requeuing would
+// duplicate the assignment, and if rw held the duplicate the index becomes
+// speculatable again.  Otherwise the task goes back onto the pending queue —
+// or, in a cancelled batch, is recorded as a placeholder, since no abort will
+// drain it from a worker's queue now.  It reports whether it requeued.
+// requires mu
+func (l *Leader) releaseLocked(b *netBatch, rw *remoteWorker, t Task) bool {
+	idx := t.Index
+	if b.got[idx] {
+		return false
+	}
+	if l.assigneeLocked(idx) != nil {
+		if b.spec[idx] == rw.id {
+			delete(b.spec, idx)
+		}
+		return false
+	}
+	delete(b.spec, idx)
+	if b.cancelled {
+		placeholderLocked(b, idx)
+		return false
+	}
+	b.pending = append(b.pending, t)
+	return true
 }
 
 // assigneeLocked returns the registered worker currently holding the task

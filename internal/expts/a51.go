@@ -3,7 +3,6 @@ package expts
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/crypto"
@@ -54,22 +53,6 @@ func A51Instance(scale Scale, seed int64) (*encoder.Instance, error) {
 	})
 }
 
-// knownStartVars returns the set of start variables fixed by the instance's
-// weakening (prefix and suffix).
-func knownStartVars(inst *encoder.Instance) map[cnf.Var]bool {
-	known := make(map[cnf.Var]bool)
-	n := len(inst.StartVars)
-	for i := 0; i < inst.KnownPrefix && i < n; i++ {
-		known[inst.StartVars[i]] = true
-	}
-	for i := n - inst.KnownSuffix; i < n; i++ {
-		if i >= 0 {
-			known[inst.StartVars[i]] = true
-		}
-	}
-	return known
-}
-
 // ManualA51Set returns the analogue of the paper's hand-built S1 set: the
 // register cells that control the irregular clocking (cells 0..8 of R1 and
 // 0..10 of R2 and R3), restricted to the variables that are unknown at the
@@ -99,62 +82,65 @@ func ManualA51Set(inst *encoder.Instance) []cnf.Var {
 	return out
 }
 
-// RunA51 performs the A5/1 study: estimate the manual set and search for
-// sets with both metaheuristics.
-func RunA51(ctx context.Context, scale Scale) (*A51Result, error) {
+// a51Manual builds the scaled A5/1 instance and its manual set S1, not yet
+// estimated: all Figure 1 needs.
+func a51Manual(_ context.Context, scale Scale) (*A51Result, error) {
 	inst, err := A51Instance(scale, scale.Seed)
 	if err != nil {
 		return nil, err
 	}
-	res := &A51Result{Scale: scale, Instance: inst}
+	return &A51Result{Scale: scale, Instance: inst, S1: SetReport{Name: "S1 (manual)", Vars: ManualA51Set(inst)}}, nil
+}
 
-	// Estimation engine with the larger sample.
-	estEngine, err := api.NewSession(api.FromInstance(inst), api.Config{
-		Runner: scale.runnerConfig(scale.EstimateSamples),
-		Search: scale.searchOptions(),
-		Cores:  scale.Cores,
-	})
-	if err != nil {
-		return nil, err
-	}
-	manual := ManualA51Set(inst)
-	manualEst, err := estEngine.EstimateSet(ctx, manual)
-	if err != nil {
-		return nil, err
-	}
-	res.S1 = SetReport{Name: "S1 (manual)", Vars: manualEst.Vars, Power: len(manualEst.Vars), F: manualEst.Estimate.Value}
+// report describes an estimated decomposition set.
+func report(name string, est *api.SetEstimate) SetReport {
+	return SetReport{Name: name, Vars: est.Vars, Power: len(est.Vars), F: est.Estimate.Value}
+}
 
-	// Search engine with the smaller per-point sample (the search visits
-	// many points).
-	searchEngine, err := api.NewSession(api.FromInstance(inst), api.Config{
-		Runner: scale.runnerConfig(scale.SearchSamples),
-		Search: scale.searchOptions(),
-		Cores:  scale.Cores,
-	})
+// RunA51 performs the A5/1 study: estimate the manual set and search for
+// sets with both metaheuristics.
+func RunA51(ctx context.Context, scale Scale) (*A51Result, error) {
+	res, err := a51Manual(ctx, scale)
 	if err != nil {
 		return nil, err
 	}
-	sa, err := searchEngine.SearchSimulatedAnnealing(ctx)
+	// Estimates use the larger sample, the searches the smaller per-point one
+	// (a search visits many points).
+	estSession, err := scale.session(res.Instance, scale.runnerConfig(scale.EstimateSamples))
 	if err != nil {
 		return nil, err
 	}
-	res.SAEvaluations = sa.Result.Evaluations
-	saEst, err := estEngine.EstimatePoint(ctx, sa.Result.BestPoint)
+	searchSession, err := scale.session(res.Instance, scale.runnerConfig(scale.SearchSamples))
 	if err != nil {
 		return nil, err
 	}
-	res.S2 = SetReport{Name: "S2 (simulated annealing)", Vars: saEst.Vars, Power: len(saEst.Vars), F: saEst.Estimate.Value}
+	s1, err := estimate(ctx, estSession, res.S1.Vars)
+	if err != nil {
+		return nil, err
+	}
+	res.S1 = report(res.S1.Name, s1)
 
-	tabu, err := searchEngine.SearchTabu(ctx)
+	sa, err := search(ctx, searchSession, api.MethodSimulatedAnnealing)
 	if err != nil {
 		return nil, err
 	}
-	res.TabuEvaluations = tabu.Result.Evaluations
-	tabuEst, err := estEngine.EstimatePoint(ctx, tabu.Result.BestPoint)
+	res.SAEvaluations = sa.Evaluations
+	s2, err := estimate(ctx, estSession, sa.BestVars)
 	if err != nil {
 		return nil, err
 	}
-	res.S3 = SetReport{Name: "S3 (tabu search)", Vars: tabuEst.Vars, Power: len(tabuEst.Vars), F: tabuEst.Estimate.Value}
+	res.S2 = report("S2 (simulated annealing)", s2)
+
+	tabu, err := search(ctx, searchSession, api.MethodTabu)
+	if err != nil {
+		return nil, err
+	}
+	res.TabuEvaluations = tabu.Evaluations
+	s3, err := estimate(ctx, estSession, tabu.BestVars)
+	if err != nil {
+		return nil, err
+	}
+	res.S3 = report("S3 (tabu search)", s3)
 	return res, nil
 }
 
@@ -176,65 +162,34 @@ func (r *A51Result) Table1() *Table {
 	return t
 }
 
+// a51Registers is the A5/1 state: R1, R2 and R3 in start-variable order.
+var a51Registers = []register{
+	{"R1 (19 cells)", 0, crypto.A51R1Len},
+	{"R2 (22 cells)", crypto.A51R1Len, crypto.A51R2Len},
+	{"R3 (23 cells)", crypto.A51R1Len + crypto.A51R2Len, crypto.A51R3Len},
+}
+
+// figure draws one of the study's sets over the three registers.
+func (r *A51Result) figure(title string, vars []cnf.Var, notes ...string) *Table {
+	return registerFigure(title, r.Instance, vars, a51Registers, append([]string{setSizeNote(r.Instance, vars, r.Scale)}, notes...)...)
+}
+
 // Figure1 renders the analogue of Figure 1: the manual decomposition set S1
 // laid out over the three registers.
 func (r *A51Result) Figure1() *Table {
-	return a51SetFigure("Figure 1 — decomposition set S1 (manual, clocking-control cells)", r.Instance, r.S1.Vars, r.Scale)
+	return r.figure("Figure 1 — decomposition set S1 (manual, clocking-control cells)", r.S1.Vars)
 }
 
-// Figure2 renders the analogue of Figures 2a/2b: the decomposition sets
-// found by simulated annealing and tabu search.
-func (r *A51Result) Figure2() *Table {
-	t := a51SetFigure("Figure 2a — decomposition set S2 found by simulated annealing", r.Instance, r.S2.Vars, r.Scale)
-	t2 := a51SetFigure("Figure 2b — decomposition set S3 found by tabu search", r.Instance, r.S3.Vars, r.Scale)
-	t.Rows = append(t.Rows, []string{"", "", ""})
-	t.Rows = append(t.Rows, [][]string{{t2.Title, "", ""}}...)
-	t.Rows = append(t.Rows, t2.Rows...)
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("simulated annealing evaluated %d points, tabu search %d points", r.SAEvaluations, r.TabuEvaluations))
-	return t
+// Figure2a renders the analogue of Figure 2a: the decomposition set found
+// by simulated annealing.
+func (r *A51Result) Figure2a() *Table {
+	return r.figure("Figure 2a — decomposition set S2 found by simulated annealing", r.S2.Vars,
+		fmt.Sprintf("simulated annealing evaluated %d points", r.SAEvaluations))
 }
 
-// a51SetFigure renders one decomposition set register by register, marking
-// selected cells (the textual equivalent of the paper's register diagrams).
-func a51SetFigure(title string, inst *encoder.Instance, vars []cnf.Var, scale Scale) *Table {
-	selected := make(map[cnf.Var]bool, len(vars))
-	for _, v := range vars {
-		selected[v] = true
-	}
-	known := knownStartVars(inst)
-	regs := []struct {
-		name   string
-		offset int
-		length int
-	}{
-		{"R1 (19 cells)", 0, crypto.A51R1Len},
-		{"R2 (22 cells)", crypto.A51R1Len, crypto.A51R2Len},
-		{"R3 (23 cells)", crypto.A51R1Len + crypto.A51R2Len, crypto.A51R3Len},
-	}
-	t := &Table{
-		Title:  title,
-		Header: []string{"Register", "Cells (X = in set, k = known, . = free)", "Selected"},
-		Notes: []string{
-			fmt.Sprintf("|set| = %d of %d unknown state bits (scale %q)", len(vars), len(inst.UnknownStartVars()), scale.Name),
-		},
-	}
-	for _, reg := range regs {
-		var sb strings.Builder
-		count := 0
-		for i := 0; i < reg.length; i++ {
-			v := inst.StartVars[reg.offset+i]
-			switch {
-			case selected[v]:
-				sb.WriteByte('X')
-				count++
-			case known[v]:
-				sb.WriteByte('k')
-			default:
-				sb.WriteByte('.')
-			}
-		}
-		t.Rows = append(t.Rows, []string{reg.name, sb.String(), fmt.Sprintf("%d", count)})
-	}
-	return t
+// Figure2b renders the analogue of Figure 2b: the decomposition set found
+// by tabu search.
+func (r *A51Result) Figure2b() *Table {
+	return r.figure("Figure 2b — decomposition set S3 found by tabu search", r.S3.Vars,
+		fmt.Sprintf("tabu search evaluated %d points", r.TabuEvaluations))
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 
 	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/crypto"
@@ -82,22 +81,18 @@ func EibachBiviumSet(inst *encoder.Instance, size int) []cnf.Var {
 // runner.  It stands in for the CryptoMiniSat-internal variable choices of
 // [18,19]: variables the solver fights over the most.
 func ActivityGuidedSet(ctx context.Context, scale Scale, inst *encoder.Instance, size int) ([]cnf.Var, error) {
-	eng, err := api.NewSession(api.FromInstance(inst), api.Config{
-		Runner: scale.runnerConfig(scale.SearchSamples),
-		Search: scale.searchOptions(),
-		Cores:  scale.Cores,
-	})
+	s, err := scale.session(inst, scale.runnerConfig(scale.SearchSamples))
 	if err != nil {
 		return nil, err
 	}
 	// One evaluation of the full start set accumulates conflict activity
 	// over the sampled subproblems.
-	if _, err := eng.EstimateStartSet(ctx); err != nil {
+	if _, err := estimate(ctx, s, nil); err != nil {
 		return nil, err
 	}
 	unknown := inst.UnknownStartVars()
 	sort.Slice(unknown, func(i, j int) bool {
-		ai, aj := eng.Runner().VarActivity(unknown[i]), eng.Runner().VarActivity(unknown[j])
+		ai, aj := s.Runner().VarActivity(unknown[i]), s.Runner().VarActivity(unknown[j])
 		if ai != aj {
 			return ai > aj
 		}
@@ -128,66 +123,48 @@ func RunBivium(ctx context.Context, scale Scale) (*BiviumResult, error) {
 	if unknown := len(inst.UnknownStartVars()); setSize > unknown {
 		setSize = unknown
 	}
+	// estimateOnce estimates one set on a session of its own with n samples.
+	estimateOnce := func(vars []cnf.Var, n int) (*api.SetEstimate, error) {
+		s, serr := scale.session(inst, scale.runnerConfig(n))
+		if serr != nil {
+			return nil, serr
+		}
+		return estimate(ctx, s, vars)
+	}
 
 	// Row 1: Eibach-style fixed strategy, small sample.
-	fixedVars := EibachBiviumSet(inst, setSize)
-	fixedEngine, err := api.NewSession(api.FromInstance(inst), api.Config{
-		Runner: scale.runnerConfig(res.FixedSamples),
-		Cores:  scale.Cores,
-	})
+	fixed, err := estimateOnce(EibachBiviumSet(inst, setSize), res.FixedSamples)
 	if err != nil {
 		return nil, err
 	}
-	fixedEst, err := fixedEngine.EstimateSet(ctx, fixedVars)
-	if err != nil {
-		return nil, err
-	}
-	res.Fixed = SetReport{Name: "Fixed strategy (as in [5])", Vars: fixedEst.Vars, Power: len(fixedEst.Vars), F: fixedEst.Estimate.Value}
+	res.Fixed = report("Fixed strategy (as in [5])", fixed)
 
 	// Row 2: activity-guided set, medium sample.
 	actVars, err := ActivityGuidedSet(ctx, scale, inst, setSize)
 	if err != nil {
 		return nil, err
 	}
-	actEngine, err := api.NewSession(api.FromInstance(inst), api.Config{
-		Runner: scale.runnerConfig(res.ActivitySamples),
-		Cores:  scale.Cores,
-	})
+	act, err := estimateOnce(actVars, res.ActivitySamples)
 	if err != nil {
 		return nil, err
 	}
-	actEst, err := actEngine.EstimateSet(ctx, actVars)
-	if err != nil {
-		return nil, err
-	}
-	res.ActivityGuided = SetReport{Name: "Solver-activity set (as in [18,19])", Vars: actEst.Vars, Power: len(actEst.Vars), F: actEst.Estimate.Value}
+	res.ActivityGuided = report("Solver-activity set (as in [18,19])", act)
 
 	// Row 3: PDSAT-style tabu search from the start set, large sample.
-	searchEngine, err := api.NewSession(api.FromInstance(inst), api.Config{
-		Runner: scale.runnerConfig(scale.SearchSamples),
-		Search: scale.searchOptions(),
-		Cores:  scale.Cores,
-	})
+	searchSession, err := scale.session(inst, scale.runnerConfig(scale.SearchSamples))
 	if err != nil {
 		return nil, err
 	}
-	tabu, err := searchEngine.SearchTabu(ctx)
+	tabu, err := search(ctx, searchSession, api.MethodTabu)
 	if err != nil {
 		return nil, err
 	}
-	res.TabuEvaluations = tabu.Result.Evaluations
-	finalEngine, err := api.NewSession(api.FromInstance(inst), api.Config{
-		Runner: scale.runnerConfig(res.SearchedSamples),
-		Cores:  scale.Cores,
-	})
+	res.TabuEvaluations = tabu.Evaluations
+	best, err := estimateOnce(tabu.BestVars, res.SearchedSamples)
 	if err != nil {
 		return nil, err
 	}
-	bestEst, err := finalEngine.EstimatePoint(ctx, tabu.Result.BestPoint)
-	if err != nil {
-		return nil, err
-	}
-	res.Searched = SetReport{Name: "Found by PDSAT (tabu search)", Vars: bestEst.Vars, Power: len(bestEst.Vars), F: bestEst.Estimate.Value}
+	res.Searched = report("Found by PDSAT (tabu search)", best)
 	return res, nil
 }
 
@@ -211,51 +188,18 @@ func (r *BiviumResult) Table2() *Table {
 	return t
 }
 
+// biviumRegisters is the Bivium state: its two registers in start-variable
+// order.
+var biviumRegisters = []register{
+	{"Register 1 (s1..s93)", 0, crypto.BiviumReg1Len},
+	{"Register 2 (s94..s177)", crypto.BiviumReg1Len, crypto.BiviumReg2Len},
+}
+
 // Figure3 renders the analogue of Figure 3: the decomposition set found by
 // the search laid out over the two Bivium registers.
 func (r *BiviumResult) Figure3() *Table {
-	return biviumSetFigure("Figure 3 — Bivium decomposition set found by PDSAT (tabu search)", r.Instance, r.Searched.Vars, r.Scale)
-}
-
-func biviumSetFigure(title string, inst *encoder.Instance, vars []cnf.Var, scale Scale) *Table {
-	selected := make(map[cnf.Var]bool, len(vars))
-	for _, v := range vars {
-		selected[v] = true
-	}
-	known := knownStartVars(inst)
-	regs := []struct {
-		name   string
-		offset int
-		length int
-	}{
-		{"Register 1 (s1..s93)", 0, crypto.BiviumReg1Len},
-		{"Register 2 (s94..s177)", crypto.BiviumReg1Len, crypto.BiviumReg2Len},
-	}
-	t := &Table{
-		Title:  title,
-		Header: []string{"Register", "Cells (X = in set, k = known, . = free)", "Selected"},
-		Notes: []string{
-			fmt.Sprintf("|set| = %d of %d unknown state bits (scale %q); the paper's set has 50 variables", len(vars), len(inst.UnknownStartVars()), scale.Name),
-		},
-	}
-	for _, reg := range regs {
-		var sb strings.Builder
-		count := 0
-		for i := 0; i < reg.length; i++ {
-			v := inst.StartVars[reg.offset+i]
-			switch {
-			case selected[v]:
-				sb.WriteByte('X')
-				count++
-			case known[v]:
-				sb.WriteByte('k')
-			default:
-				sb.WriteByte('.')
-			}
-		}
-		t.Rows = append(t.Rows, []string{reg.name, sb.String(), fmt.Sprintf("%d", count)})
-	}
-	return t
+	return registerFigure("Figure 3 — Bivium decomposition set found by PDSAT (tabu search)", r.Instance, r.Searched.Vars, biviumRegisters,
+		setSizeNote(r.Instance, r.Searched.Vars, r.Scale)+"; the paper's set has 50 variables")
 }
 
 func maxInt(a, b int) int {

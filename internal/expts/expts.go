@@ -7,20 +7,24 @@
 // true value) so that one predictive-function evaluation takes milliseconds
 // to seconds and whole decomposition families remain enumerable, while the
 // code path — encoder → Monte Carlo estimator → metaheuristic search →
-// leader/worker processing — is exactly the one the paper describes.  The
-// absolute numbers therefore differ from the paper's cluster-scale values;
-// the reproduced quantities are the relationships (which decomposition set
-// wins, how prediction compares with measurement, where the methods differ).
+// leader/worker processing — is exactly the one the paper describes, reached
+// the way a user reaches it: jobs run on a pdsat.Session.  The absolute
+// numbers therefore differ from the paper's cluster-scale values; the
+// reproduced quantities are the relationships (which decomposition set wins,
+// where the methods differ).  Table 3's prediction-versus-measurement is run
+// but degenerate: the weakened families it can enumerate have members of
+// equal cost, so prediction and measurement agree exactly.
 package expts
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
 
-	"github.com/paper-repro/pdsat-go/internal/optimize"
-	"github.com/paper-repro/pdsat-go/internal/pdsat"
-	"github.com/paper-repro/pdsat-go/internal/solver"
+	"github.com/paper-repro/pdsat-go/internal/cnf"
+	"github.com/paper-repro/pdsat-go/internal/encoder"
+	api "github.com/paper-repro/pdsat-go/pdsat"
 )
 
 // Scale collects the knobs that adapt the paper's experiments to the
@@ -75,10 +79,10 @@ type Scale struct {
 	// Cores is the extrapolation target (480 in the paper's Table 3).
 	Cores int
 	// CostMetric selects the cost unit of the predictive function.
-	CostMetric solver.CostMetric
+	CostMetric api.CostMetric
 	// SubproblemBudget caps the effort of a single sampled subproblem
 	// during estimation, as a safety net against pathological samples.
-	SubproblemBudget solver.Budget
+	SubproblemBudget api.Budget
 	// Seed drives all pseudo-random choices.
 	Seed int64
 }
@@ -103,8 +107,8 @@ func DefaultScale() Scale {
 		Table3Unknowns:    []int{12, 11, 10},
 		Workers:           0, // GOMAXPROCS
 		Cores:             480,
-		CostMetric:        solver.CostPropagations,
-		SubproblemBudget:  solver.Budget{MaxConflicts: 200000},
+		CostMetric:        api.CostPropagations,
+		SubproblemBudget:  api.Budget{MaxConflicts: 200000},
 		Seed:              1,
 	}
 }
@@ -149,29 +153,51 @@ func PaperScale() Scale {
 		Table3Unknowns:    []int{165, 163, 161}, // Bivium12/14/16 in the paper's notation
 		Workers:           0,
 		Cores:             480,
-		CostMetric:        solver.CostWallTime,
+		CostMetric:        api.CostWallTime,
 		Seed:              1,
 	}
 }
 
-// runnerConfig builds the pdsat configuration for a given sample size.
-func (s Scale) runnerConfig(samples int) pdsat.Config {
-	return pdsat.Config{
+// runnerConfig builds the runner configuration for a given sample size (the
+// solver options left zero are the solver's defaults).
+func (s Scale) runnerConfig(samples int) api.RunnerConfig {
+	return api.RunnerConfig{
 		SampleSize:       samples,
 		Workers:          s.Workers,
 		Seed:             s.Seed,
 		CostMetric:       s.CostMetric,
-		SolverOptions:    solver.DefaultOptions(),
 		SubproblemBudget: s.SubproblemBudget,
 	}
 }
 
-// searchOptions builds optimizer options from the scale.
-func (s Scale) searchOptions() optimize.Options {
-	o := optimize.DefaultOptions()
-	o.Seed = s.Seed
-	o.MaxEvaluations = s.SearchEvaluations
-	return o
+// searchOptions builds optimizer options from the scale (the fields left
+// zero are the optimizer's defaults).
+func (s Scale) searchOptions() api.SearchOptions {
+	return api.SearchOptions{Seed: s.Seed, MaxEvaluations: s.SearchEvaluations}
+}
+
+// session opens a session on the instance under the runner configuration and
+// the scale's search options: every experiment's one way into the library.
+func (s Scale) session(inst *encoder.Instance, rc api.RunnerConfig) (*api.Session, error) {
+	return api.NewSession(api.FromInstance(inst), api.Config{Runner: rc, Search: s.searchOptions(), Cores: s.Cores})
+}
+
+// estimate runs an EstimateJob on the set; empty means the full start set.
+func estimate(ctx context.Context, s *api.Session, vars []cnf.Var) (*api.SetEstimate, error) {
+	res, err := s.Run(ctx, api.EstimateJob{Vars: vars})
+	if err != nil {
+		return nil, err
+	}
+	return res.Estimate, nil
+}
+
+// search runs a SearchJob with the method from the full start set.
+func search(ctx context.Context, s *api.Session, method string) (*api.SearchOutcome, error) {
+	res, err := s.Run(ctx, api.SearchJob{Method: method})
+	if err != nil {
+		return nil, err
+	}
+	return res.Search, nil
 }
 
 // CostUnit returns the human-readable unit of reported costs.

@@ -2,6 +2,7 @@ package expts
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -234,9 +235,19 @@ func TestRunA51QuickProducesAllSets(t *testing.T) {
 		t.Fatalf("table1 rendering:\n%s", t1)
 	}
 	f1 := r.Figure1().String()
-	f2 := r.Figure2().String()
-	if !strings.Contains(f1, "R1") || !strings.Contains(f2, "tabu") {
+	f2a, f2b := r.Figure2a().String(), r.Figure2b().String()
+	if !strings.Contains(f1, "R1") || !strings.Contains(f2a, "annealing") || !strings.Contains(f2b, "tabu") {
 		t.Fatal("figure rendering")
+	}
+	// Each diagram is a table of its own: three register rows, and the note
+	// on its own set's size.
+	for _, f := range []struct {
+		t   *Table
+		set SetReport
+	}{{r.Figure2a(), r.S2}, {r.Figure2b(), r.S3}} {
+		if len(f.t.Rows) != 3 || !strings.Contains(f.t.String(), fmt.Sprintf("|set| = %d of", f.set.Power)) {
+			t.Fatalf("figure 2 diagram:\n%s", f.t)
+		}
 	}
 	if r.SAEvaluations == 0 || r.TabuEvaluations == 0 {
 		t.Fatal("searches did no work")

@@ -3,7 +3,6 @@ package expts
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/crypto"
@@ -47,38 +46,31 @@ func RunGrain(ctx context.Context, scale Scale) (*GrainResult, error) {
 	}
 	res := &GrainResult{Scale: scale, Instance: inst}
 
-	searchEngine, err := api.NewSession(api.FromInstance(inst), api.Config{
-		Runner: scale.runnerConfig(scale.SearchSamples),
-		Search: scale.searchOptions(),
-		Cores:  scale.Cores,
-	})
+	searchSession, err := scale.session(inst, scale.runnerConfig(scale.SearchSamples))
 	if err != nil {
 		return nil, err
 	}
-	startEst, err := searchEngine.EstimateStartSet(ctx)
+	start, err := estimate(ctx, searchSession, nil)
 	if err != nil {
 		return nil, err
 	}
-	res.StartF = startEst.Estimate.Value
+	res.StartF = start.Estimate.Value
 
-	tabu, err := searchEngine.SearchTabu(ctx)
+	tabu, err := search(ctx, searchSession, api.MethodTabu)
 	if err != nil {
 		return nil, err
 	}
-	res.TabuEvaluations = tabu.Result.Evaluations
+	res.TabuEvaluations = tabu.Evaluations
 
-	estEngine, err := api.NewSession(api.FromInstance(inst), api.Config{
-		Runner: scale.runnerConfig(scale.EstimateSamples),
-		Cores:  scale.Cores,
-	})
+	estSession, err := scale.session(inst, scale.runnerConfig(scale.EstimateSamples))
 	if err != nil {
 		return nil, err
 	}
-	best, err := estEngine.EstimatePoint(ctx, tabu.Result.BestPoint)
+	best, err := estimate(ctx, estSession, tabu.BestVars)
 	if err != nil {
 		return nil, err
 	}
-	res.Searched = SetReport{Name: "Found by PDSAT (tabu search)", Vars: best.Vars, Power: len(best.Vars), F: best.Estimate.Value}
+	res.Searched = report("Found by PDSAT (tabu search)", best)
 
 	for _, v := range best.Vars {
 		if grainVarIsLFSR(inst, v) {
@@ -101,48 +93,19 @@ func grainVarIsLFSR(inst *encoder.Instance, v cnf.Var) bool {
 	return false
 }
 
+// grainRegisters is the Grain state: NFSR then LFSR in start-variable order.
+var grainRegisters = []register{
+	{"NFSR (b0..b79)", 0, crypto.GrainNFSRLen},
+	{"LFSR (s0..s79)", crypto.GrainNFSRLen, crypto.GrainLFSRLen},
+}
+
 // Figure4 renders the analogue of Figure 4: the Grain decomposition set laid
 // out over NFSR and LFSR, plus the register split.
 func (r *GrainResult) Figure4() *Table {
-	selected := make(map[cnf.Var]bool, len(r.Searched.Vars))
-	for _, v := range r.Searched.Vars {
-		selected[v] = true
-	}
-	known := knownStartVars(r.Instance)
-	regs := []struct {
-		name   string
-		offset int
-		length int
-	}{
-		{"NFSR (b0..b79)", 0, crypto.GrainNFSRLen},
-		{"LFSR (s0..s79)", crypto.GrainNFSRLen, crypto.GrainLFSRLen},
-	}
-	t := &Table{
-		Title:  "Figure 4 — Grain decomposition set found by PDSAT (tabu search)",
-		Header: []string{"Register", "Cells (X = in set, k = known, . = free)", "Selected"},
-		Notes: []string{
-			fmt.Sprintf("|set| = %d (NFSR %d, LFSR %d); F = %s %s; start-set F = %s",
-				r.Searched.Power, r.NFSRCount, r.LFSRCount, fmtF(r.Searched.F), r.Scale.CostUnit(), fmtF(r.StartF)),
-			"the paper's 69-variable set lies entirely in the LFSR",
-			fmt.Sprintf("instance %s, scale %q, %d points visited by the search", r.Instance.Name, r.Scale.Name, r.TabuEvaluations),
-		},
-	}
-	for _, reg := range regs {
-		var sb strings.Builder
-		count := 0
-		for i := 0; i < reg.length; i++ {
-			v := r.Instance.StartVars[reg.offset+i]
-			switch {
-			case selected[v]:
-				sb.WriteByte('X')
-				count++
-			case known[v]:
-				sb.WriteByte('k')
-			default:
-				sb.WriteByte('.')
-			}
-		}
-		t.Rows = append(t.Rows, []string{reg.name, sb.String(), fmt.Sprintf("%d", count)})
-	}
-	return t
+	return registerFigure("Figure 4 — Grain decomposition set found by PDSAT (tabu search)", r.Instance, r.Searched.Vars, grainRegisters,
+		fmt.Sprintf("|set| = %d (NFSR %d, LFSR %d); F = %s %s; start-set F = %s",
+			r.Searched.Power, r.NFSRCount, r.LFSRCount, fmtF(r.Searched.F), r.Scale.CostUnit(), fmtF(r.StartF)),
+		"the paper's 69-variable set lies entirely in the LFSR",
+		fmt.Sprintf("instance %s, scale %q, %d points visited by the search", r.Instance.Name, r.Scale.Name, r.TabuEvaluations),
+	)
 }

@@ -4,11 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/paper-repro/pdsat-go/internal/decomp"
-	"github.com/paper-repro/pdsat-go/internal/encoder"
-	"github.com/paper-repro/pdsat-go/internal/pdsat"
 	"github.com/paper-repro/pdsat-go/internal/portfolio"
-	"github.com/paper-repro/pdsat-go/internal/solver"
+	api "github.com/paper-repro/pdsat-go/pdsat"
 )
 
 // PortfolioVsPartitioningResult compares the two parallel-SAT approaches the
@@ -53,35 +50,23 @@ func RunPortfolioVsPartitioning(ctx context.Context, scale Scale) (*PortfolioVsP
 	}
 	res.PortfolioCost = pres.TotalCost
 	res.PortfolioWinner = pres.Winner
-	gen, err := encoder.ByName(inst.Generator)
+
+	// Partitioning of the unknown start variables with stop-on-SAT.
+	s, err := scale.session(inst, scale.runnerConfig(scale.SearchSamples))
 	if err != nil {
 		return nil, err
 	}
-	portfolioOK := false
-	if pres.Status == solver.Sat {
-		ok, checkErr := inst.CheckRecoveredState(gen, pres.Model)
-		portfolioOK = ok && checkErr == nil
-	}
-
-	// Partitioning of the unknown start variables with stop-on-SAT.
-	space := decomp.NewSpace(inst.UnknownStartVars())
-	runner := pdsat.NewRunner(inst.CNF, scale.runnerConfig(scale.SearchSamples))
-	est, err := runner.EvaluatePoint(ctx, space.FullPoint())
+	est, err := estimate(ctx, s, nil)
 	if err != nil {
 		return nil, err
 	}
 	res.PartitioningPredicted = est.Estimate.Value
-	report, err := runner.Solve(ctx, space.FullPoint(), pdsat.SolveOptions{StopOnSat: true})
+	solved, err := s.Run(ctx, api.SolveJob{StopOnSat: true})
 	if err != nil {
 		return nil, err
 	}
-	res.PartitioningCost = report.CostToFirstSat
-	partitioningOK := false
-	if report.FoundSat {
-		ok, err := inst.CheckRecoveredState(gen, report.Model)
-		partitioningOK = ok && err == nil
-	}
-	res.BothFoundKey = portfolioOK && partitioningOK
+	res.PartitioningCost = solved.Solve.CostToFirstSat
+	res.BothFoundKey = s.Problem().KeyValid(pres.Model) && s.Problem().KeyValid(solved.Solve.Model)
 	return res, nil
 }
 

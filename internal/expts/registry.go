@@ -26,141 +26,88 @@ func Experiments() []Experiment {
 			ID:          "table1",
 			Paper:       "Table 1",
 			Description: "A5/1: predictive-function values of the manual set S1 and the sets found by simulated annealing (S2) and tabu search (S3)",
-			Run: func(ctx context.Context, scale Scale) ([]*Table, error) {
-				r, err := RunA51(ctx, scale)
-				if err != nil {
-					return nil, err
-				}
-				return []*Table{r.Table1()}, nil
-			},
+			Run:         tables(RunA51, (*A51Result).Table1),
 		},
 		{
 			ID:          "fig1",
 			Paper:       "Figure 1",
 			Description: "A5/1: the manual decomposition set S1 laid out over the three registers",
-			Run: func(ctx context.Context, scale Scale) ([]*Table, error) {
-				inst, err := A51Instance(scale, scale.Seed)
-				if err != nil {
-					return nil, err
-				}
-				vars := ManualA51Set(inst)
-				return []*Table{a51SetFigure("Figure 1 — decomposition set S1 (manual, clocking-control cells)", inst, vars, scale)}, nil
-			},
+			Run:         tables(a51Manual, (*A51Result).Figure1),
 		},
 		{
 			ID:          "fig2",
 			Paper:       "Figures 2a/2b",
 			Description: "A5/1: decomposition sets found by simulated annealing and tabu search",
-			Run: func(ctx context.Context, scale Scale) ([]*Table, error) {
-				r, err := RunA51(ctx, scale)
-				if err != nil {
-					return nil, err
-				}
-				return []*Table{r.Figure2()}, nil
-			},
+			Run:         tables(RunA51, (*A51Result).Figure2a, (*A51Result).Figure2b),
 		},
 		{
 			ID:          "table2",
 			Paper:       "Table 2",
 			Description: "Bivium: time estimations from a fixed strategy, a solver-activity set and the PDSAT tabu search",
-			Run: func(ctx context.Context, scale Scale) ([]*Table, error) {
-				r, err := RunBivium(ctx, scale)
-				if err != nil {
-					return nil, err
-				}
-				return []*Table{r.Table2()}, nil
-			},
+			Run:         tables(RunBivium, (*BiviumResult).Table2),
 		},
 		{
 			ID:          "fig3",
 			Paper:       "Figure 3",
 			Description: "Bivium: decomposition set found by the tabu search, laid out over the two registers",
-			Run: func(ctx context.Context, scale Scale) ([]*Table, error) {
-				r, err := RunBivium(ctx, scale)
-				if err != nil {
-					return nil, err
-				}
-				return []*Table{r.Figure3()}, nil
-			},
+			Run:         tables(RunBivium, (*BiviumResult).Figure3),
 		},
 		{
 			ID:          "fig4",
 			Paper:       "Figure 4",
 			Description: "Grain: decomposition set found by the tabu search and its NFSR/LFSR split",
-			Run: func(ctx context.Context, scale Scale) ([]*Table, error) {
-				r, err := RunGrain(ctx, scale)
-				if err != nil {
-					return nil, err
-				}
-				return []*Table{r.Figure4()}, nil
-			},
+			Run:         tables(RunGrain, (*GrainResult).Figure4),
 		},
 		{
 			ID:          "table3",
 			Paper:       "Table 3",
 			Description: "Weakened BiviumK/GrainK problems: predicted vs. measured cost of processing whole decomposition families",
-			Run: func(ctx context.Context, scale Scale) ([]*Table, error) {
-				r, err := RunTable3(ctx, scale)
-				if r == nil {
-					return nil, err
-				}
-				// On interruption r holds the rows finished so far; return
-				// them alongside the context error so the command can still
-				// print a partial table.
-				return []*Table{r.Table3()}, err
-			},
+			Run:         tables(RunTable3, (*Table3Result).Table3),
 		},
 		{
 			ID:          "mc-convergence",
 			Paper:       "Section 2 (eq. 2/3)",
 			Description: "Monte Carlo estimate vs. exhaustive family cost for growing sample sizes",
-			Run: func(ctx context.Context, scale Scale) ([]*Table, error) {
-				r, err := RunConvergence(ctx, scale)
-				if err != nil {
-					return nil, err
-				}
-				return []*Table{r.TableConvergence()}, nil
-			},
+			Run:         tables(RunConvergence, (*ConvergenceResult).TableConvergence),
 		},
 		{
 			ID:          "sa-vs-tabu",
 			Paper:       "Section 4.3 (remark)",
 			Description: "Simulated annealing vs. tabu search under an equal evaluation budget",
-			Run: func(ctx context.Context, scale Scale) ([]*Table, error) {
-				r, err := RunSAvsTabu(ctx, scale)
-				if err != nil {
-					return nil, err
-				}
-				return []*Table{r.TableSAvsTabu()}, nil
-			},
+			Run:         tables(RunSAvsTabu, (*SAvsTabuResult).TableSAvsTabu),
 		},
 		{
 			ID:          "portfolio-vs-partitioning",
 			Paper:       "Section 1 (context)",
 			Description: "Portfolio approach vs. partitioning approach on the same weakened A5/1 instance",
-			Run: func(ctx context.Context, scale Scale) ([]*Table, error) {
-				r, err := RunPortfolioVsPartitioning(ctx, scale)
-				if err != nil {
-					return nil, err
-				}
-				return []*Table{r.TablePortfolio()}, nil
-			},
+			Run:         tables(RunPortfolioVsPartitioning, (*PortfolioVsPartitioningResult).TablePortfolio),
 		},
 		{
 			ID:          "solver-ablation",
 			Paper:       "supporting (design choices)",
 			Description: "CDCL configuration ablation on sampled subproblems",
-			Run: func(ctx context.Context, scale Scale) ([]*Table, error) {
-				r, err := RunSolverAblation(ctx, scale)
-				if err != nil {
-					return nil, err
-				}
-				return []*Table{r.TableAblation()}, nil
-			},
+			Run:         tables(RunSolverAblation, (*AblationResult).TableAblation),
 		},
 	}
 	sort.Slice(exps, func(i, j int) bool { return exps[i].ID < exps[j].ID })
 	return exps
+}
+
+// tables adapts a run and the renderings of its result to Experiment.Run: it
+// returns the tables of whatever result the run produced — Table 3's rows
+// finished before an interruption included — together with the run's error.
+func tables[R any](run func(context.Context, Scale) (*R, error), render ...func(*R) *Table) func(context.Context, Scale) ([]*Table, error) {
+	return func(ctx context.Context, scale Scale) ([]*Table, error) {
+		r, err := run(ctx, scale)
+		if r == nil {
+			return nil, err
+		}
+		out := make([]*Table, len(render))
+		for i, f := range render {
+			out[i] = f(r)
+		}
+		return out, err
+	}
 }
 
 // FindExperiment returns the experiment with the given ID.

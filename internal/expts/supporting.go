@@ -4,11 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/paper-repro/pdsat-go/internal/decomp"
+	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/montecarlo"
-	"github.com/paper-repro/pdsat-go/internal/optimize"
-	"github.com/paper-repro/pdsat-go/internal/pdsat"
-	"github.com/paper-repro/pdsat-go/internal/solver"
 	api "github.com/paper-repro/pdsat-go/pdsat"
 )
 
@@ -47,30 +44,27 @@ func RunConvergence(ctx context.Context, scale Scale) (*ConvergenceResult, error
 	if err != nil {
 		return nil, err
 	}
-	space := decomp.NewSpace(inst.UnknownStartVars())
+	exact, err := scale.session(inst, scale.runnerConfig(scale.EstimateSamples))
+	if err != nil {
+		return nil, err
+	}
 	// Use an enumerable subset of the start set.
-	d := 10
-	if space.Size() < d {
-		d = space.Size()
-	}
-	point, err := space.PointFromVars(space.Vars()[:d])
+	vars := firstVars(exact, 10)
+	solved, err := exact.Run(ctx, api.SolveJob{Vars: vars})
 	if err != nil {
 		return nil, err
 	}
-
-	exactRunner := pdsat.NewRunner(inst.CNF, scale.runnerConfig(scale.EstimateSamples))
-	report, err := exactRunner.Solve(ctx, point, pdsat.SolveOptions{})
-	if err != nil {
-		return nil, err
-	}
-	res := &ConvergenceResult{Scale: scale, Dimension: d, Exact: report.TotalCost}
+	res := &ConvergenceResult{Scale: scale, Dimension: len(vars), Exact: solved.Solve.TotalCost}
 
 	for _, n := range []int{10, 30, 100, 300, 1000} {
 		if n > scale.EstimateSamples*5 {
 			break
 		}
-		runner := pdsat.NewRunner(inst.CNF, scale.runnerConfig(n))
-		pe, err := runner.EvaluatePoint(ctx, point)
+		s, err := scale.session(inst, scale.runnerConfig(n))
+		if err != nil {
+			return nil, err
+		}
+		pe, err := estimate(ctx, s, vars)
 		if err != nil {
 			return nil, err
 		}
@@ -84,6 +78,13 @@ func RunConvergence(ctx context.Context, scale Scale) (*ConvergenceResult, error
 		})
 	}
 	return res, nil
+}
+
+// firstVars returns the first d variables of the session's search space (all
+// of them if it has fewer): a subset small enough to enumerate.
+func firstVars(s *api.Session, d int) []cnf.Var {
+	vars := s.Space().Vars()
+	return vars[:min(d, len(vars))]
 }
 
 // TableConvergence renders the convergence experiment.
@@ -134,15 +135,11 @@ func RunSAvsTabu(ctx context.Context, scale Scale) (*SAvsTabuResult, error) {
 	res := &SAvsTabuResult{Scale: scale, Budget: scale.SearchEvaluations}
 
 	run := func(method string) (*api.SearchOutcome, error) {
-		eng, serr := api.NewSession(api.FromInstance(inst), api.Config{
-			Runner: scale.runnerConfig(scale.SearchSamples),
-			Search: scale.searchOptions(),
-			Cores:  scale.Cores,
-		})
+		s, serr := scale.session(inst, scale.runnerConfig(scale.SearchSamples))
 		if serr != nil {
 			return nil, serr
 		}
-		return eng.SearchFrom(ctx, method, eng.Space().FullPoint())
+		return search(ctx, s, method)
 	}
 	sa, err := run("sa")
 	if err != nil {
@@ -161,7 +158,7 @@ func RunSAvsTabu(ctx context.Context, scale Scale) (*SAvsTabuResult, error) {
 	return res, nil
 }
 
-func distinctPoints(r *optimize.Result) int {
+func distinctPoints(r *api.SearchResult) int {
 	seen := map[string]bool{}
 	for _, v := range r.Trace {
 		seen[v.Point.Key()] = true
@@ -207,35 +204,29 @@ func RunSolverAblation(ctx context.Context, scale Scale) (*AblationResult, error
 	if err != nil {
 		return nil, err
 	}
-	space := decomp.NewSpace(inst.UnknownStartVars())
-	d := 12
-	if space.Size() < d {
-		d = space.Size()
-	}
-	point, err := space.PointFromVars(space.Vars()[:d])
-	if err != nil {
-		return nil, err
-	}
-
 	configs := []struct {
-		name string
-		opts solver.Options
+		name  string
+		tweak func(*api.SolverOptions)
 	}{
-		{"default (restarts + phase saving + minimization)", solver.DefaultOptions()},
-		{"no phase saving", func() solver.Options { o := solver.DefaultOptions(); o.PhaseSaving = false; return o }()},
-		{"no learned-clause minimization", func() solver.Options { o := solver.DefaultOptions(); o.MinimizeLearned = false; return o }()},
-		{"rare restarts (base 10000)", func() solver.Options { o := solver.DefaultOptions(); o.RestartBase = 10000; return o }()},
+		{"default (restarts + phase saving + minimization)", func(*api.SolverOptions) {}},
+		{"no phase saving", func(o *api.SolverOptions) { o.PhaseSaving = false }},
+		{"no learned-clause minimization", func(o *api.SolverOptions) { o.MinimizeLearned = false }},
+		{"rare restarts (base 10000)", func(o *api.SolverOptions) { o.RestartBase = 10000 }},
 	}
 	res := &AblationResult{Scale: scale}
-	for _, cfgCase := range configs {
-		cfg := scale.runnerConfig(scale.SearchSamples)
-		cfg.SolverOptions = cfgCase.opts
-		runner := pdsat.NewRunner(inst.CNF, cfg)
-		pe, err := runner.EvaluatePoint(ctx, point)
+	for _, c := range configs {
+		rc := scale.runnerConfig(scale.SearchSamples)
+		rc.SolverOptions = api.DefaultConfig().Runner.SolverOptions
+		c.tweak(&rc.SolverOptions)
+		s, err := scale.session(inst, rc)
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, AblationRow{Name: cfgCase.name, MeanCost: pe.Estimate.Mean})
+		pe, err := estimate(ctx, s, firstVars(s, 12))
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, AblationRow{Name: c.name, MeanCost: pe.Estimate.Mean})
 	}
 	return res, nil
 }

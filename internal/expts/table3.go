@@ -7,7 +7,6 @@ import (
 	"github.com/paper-repro/pdsat-go/internal/cluster"
 	"github.com/paper-repro/pdsat-go/internal/encoder"
 	"github.com/paper-repro/pdsat-go/internal/montecarlo"
-	"github.com/paper-repro/pdsat-go/internal/pdsat"
 	api "github.com/paper-repro/pdsat-go/pdsat"
 )
 
@@ -137,11 +136,7 @@ func runWeakenedProblem(ctx context.Context, scale Scale, prob WeakenedProblem) 
 		if err != nil {
 			return nil, err
 		}
-		eng, err := api.NewSession(api.FromInstance(inst), api.Config{
-			Runner: scale.runnerConfig(scale.Table3Samples),
-			Search: scale.searchOptions(),
-			Cores:  scale.Cores,
-		})
+		s, err := scale.session(inst, scale.runnerConfig(scale.Table3Samples))
 		if err != nil {
 			return nil, err
 		}
@@ -149,7 +144,7 @@ func runWeakenedProblem(ctx context.Context, scale Scale, prob WeakenedProblem) 
 		if i == 0 {
 			// The estimation is computed for the first instance of the
 			// series, exactly as in the paper.
-			est, estErr := eng.EstimateSet(ctx, vars)
+			est, estErr := estimate(ctx, s, vars)
 			if estErr != nil {
 				return nil, estErr
 			}
@@ -157,16 +152,17 @@ func runWeakenedProblem(ctx context.Context, scale Scale, prob WeakenedProblem) 
 			row.Predicted1Core = est.Estimate.Value
 			row.PredictedKCores = est.PerCores
 		}
-		report, err := eng.SolveWithSet(ctx, vars, pdsat.SolveOptions{})
+		solved, err := s.Run(ctx, api.SolveJob{Vars: vars})
 		if err != nil {
 			return nil, err
 		}
+		report := solved.Solve
 		if report.Interrupted {
-			// Runner.Solve reports cancellation in the report rather than
-			// as an error; a truncated family measurement would corrupt
-			// this row (undercounted costs, bogus deviation), so discard
-			// the unfinished row and surface the interruption — RunTable3
-			// keeps the rows completed before it.
+			// A solve reports cancellation in the report rather than as an
+			// error; a truncated family measurement would corrupt this row
+			// (undercounted costs, bogus deviation), so discard the
+			// unfinished row and surface the interruption — RunTable3 keeps
+			// the rows completed before it.
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
@@ -175,12 +171,7 @@ func runWeakenedProblem(ctx context.Context, scale Scale, prob WeakenedProblem) 
 		row.TotalCosts = append(row.TotalCosts, report.TotalCost)
 		row.FirstSatCosts = append(row.FirstSatCosts, report.CostToFirstSat)
 		row.FoundSat = append(row.FoundSat, report.FoundSat)
-		valid := false
-		if report.FoundSat {
-			ok, err := inst.CheckRecoveredState(gen, report.Model)
-			valid = ok && err == nil
-		}
-		row.KeysValid = append(row.KeysValid, valid)
+		row.KeysValid = append(row.KeysValid, s.Problem().KeyValid(report.Model))
 		deviations = append(deviations, montecarlo.RelativeDeviation(row.Predicted1Core, report.TotalCost))
 	}
 	var sum float64

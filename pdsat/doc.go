@@ -31,10 +31,12 @@
 //
 // Estimation and solving runs of real instances take hours to days; the
 // job model is what lets a caller watch them progress and interrupt them
-// without losing the partial result.  For quick scripts the Session also
-// offers synchronous wrappers (EstimatePoint, SearchTabu, SolveWithSet,
-// PredictAndSolve, …) that submit a job and wait for it — both paths
-// produce bit-identical results for a fixed seed.
+// without losing the partial result.  For quick scripts Session.Run submits a
+// job of any kind and waits for it, returning what Job.Result would — a
+// cancelled estimation's partial estimate together with the context's error —
+// and PredictAndSolve is two Runs, an EstimateJob then a SolveJob, compared
+// as one row of the paper's Table 3 (Problem.KeyValid checks the recovered
+// key).
 //
 // # Evaluation policies
 //

@@ -30,10 +30,7 @@ func TestEstimateJobCacheAcrossJobs(t *testing.T) {
 	}
 	ctx := t.Context()
 
-	first, err := s.EstimateStartSet(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := mustRun(t, s, pdsat.EstimateJob{}).Estimate
 	if first.CacheHit {
 		t.Fatal("first estimate cannot be a cache hit")
 	}
@@ -85,13 +82,8 @@ func TestEstimateJobCacheAcrossJobs(t *testing.T) {
 func TestCacheDisabledIsIsolated(t *testing.T) {
 	inst := testInstance(t, 52, 30, 1)
 	s := newTestSession(t, inst, 12)
-	ctx := t.Context()
-	if _, err := s.EstimateStartSet(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.EstimateStartSet(ctx); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, s, pdsat.EstimateJob{})
+	mustRun(t, s, pdsat.EstimateJob{})
 	stats := s.Stats()
 	if stats.Cache.Hits != 0 || stats.Cache.Misses != 0 || stats.Cache.Size != 0 {
 		t.Fatalf("disabled cache was used: %+v", stats.Cache)
@@ -111,10 +103,7 @@ func TestSearchJobPolicyOverride(t *testing.T) {
 	// Baseline: policy off.
 	base := newTestSession(t, inst, 16)
 	ctx := t.Context()
-	baseOutcome, err := base.SearchTabu(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseOutcome := mustRun(t, base, pdsat.SearchJob{Method: pdsat.MethodTabu}).Search
 	baseStats := base.Stats()
 
 	// Same search, default policy via the job spec (session default off).

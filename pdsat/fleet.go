@@ -388,13 +388,3 @@ func (spec FleetJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 	}
 	return &JobResult{Fleet: outcome}, ferr
 }
-
-// SearchFleet races the fleet synchronously and returns its outcome (the
-// synchronous wrapper of FleetJob).
-func (s *Session) SearchFleet(ctx context.Context, spec FleetJob) (*FleetOutcome, error) {
-	res, err := s.runToCompletion(ctx, spec)
-	if res == nil {
-		return nil, err
-	}
-	return res.Fleet, err
-}

@@ -36,10 +36,7 @@ func TestFleetSurvivesWorkerLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := refSession.SearchFleet(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustRun(t, refSession, spec).Fleet
 	refSession.Close()
 
 	// Cluster run: a leader with two remote workers, one of which dies

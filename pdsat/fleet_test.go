@@ -95,13 +95,10 @@ func TestFleetOfOneBitIdenticalToDirectSearch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			outcome, err := fleetSession.SearchFleet(context.Background(), pdsat.FleetJob{
+			outcome := mustRun(t, fleetSession, pdsat.FleetJob{
 				Members: []pdsat.FleetMemberSpec{{Method: "tabu"}},
 				Seed:    root,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			}).Fleet
 			if len(outcome.Members) != 1 || outcome.BestMember != 0 {
 				t.Fatalf("fleet of one reported %d members, winner %d", len(outcome.Members), outcome.BestMember)
 			}
@@ -117,10 +114,7 @@ func TestFleetOfOneBitIdenticalToDirectSearch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			direct, err := directSession.SearchTabu(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
+			direct := mustRun(t, directSession, pdsat.SearchJob{Method: pdsat.MethodTabu}).Search
 
 			sameSearchResult(t, tc.name, member.Result, direct.Result)
 			if member.Best == nil || direct.Best == nil {
@@ -148,7 +142,7 @@ func TestMixedFleetDeterministicPerMember(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		outcome, err := s.SearchFleet(context.Background(), pdsat.FleetJob{
+		return mustRun(t, s, pdsat.FleetJob{
 			Members: []pdsat.FleetMemberSpec{
 				{Method: "tabu", Count: 2},
 				{Method: "sa", Count: 2},
@@ -157,11 +151,7 @@ func TestMixedFleetDeterministicPerMember(t *testing.T) {
 			Jitter:         2,
 			MaxEvaluations: 24,
 			KeepRacing:     true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outcome
+		}).Fleet
 	}
 	a, b := run(), run()
 	if len(a.Members) != 4 || len(b.Members) != 4 {
@@ -286,14 +276,11 @@ func TestFleetTargetFStopsRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	outcome, err := s.SearchFleet(context.Background(), pdsat.FleetJob{
+	outcome := mustRun(t, s, pdsat.FleetJob{
 		Members: []pdsat.FleetMemberSpec{{Method: "tabu", Count: 2}},
 		Seed:    5,
 		TargetF: math.MaxFloat64 / 2, // any certified estimate hits it
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}).Fleet
 	hit := false
 	for _, m := range outcome.Members {
 		if m.Result != nil && m.Result.Stop == pdsat.StopTarget {
@@ -355,17 +342,14 @@ func TestFleetJitterNeverEmptiesStart(t *testing.T) {
 	}
 	defer s.Close()
 	start := inst.UnknownStartVars()[:2]
-	outcome, err := s.SearchFleet(context.Background(), pdsat.FleetJob{
+	outcome := mustRun(t, s, pdsat.FleetJob{
 		Members:        []pdsat.FleetMemberSpec{{Method: "tabu", Count: 4}},
 		Start:          start,
 		Seed:           13,
 		Jitter:         1,
 		MaxEvaluations: 8,
 		KeepRacing:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}).Fleet
 	for i, m := range outcome.Members {
 		if len(m.StartVars) == 0 {
 			t.Fatalf("member %d was jittered to an empty start set", i)

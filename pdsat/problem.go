@@ -192,3 +192,20 @@ func FromDIMACSFile(path string, start []Var) (*Problem, error) {
 
 // Space returns the search space over the problem's start set.
 func (p *Problem) Space() *Space { return decomp.NewSpace(p.StartSet) }
+
+// KeyValid reports whether a model of the problem's formula recovers the
+// secret: whether the register state it assigns reproduces the observed
+// keystream.  A problem without an Instance has no keystream to check, so
+// nothing is a valid key for it; neither is a model that leaves a start
+// variable unassigned.
+func (p *Problem) KeyValid(model Assignment) bool {
+	if p.Instance == nil {
+		return false
+	}
+	gen, err := encoder.ByName(p.Instance.Generator)
+	if err != nil {
+		return false
+	}
+	ok, err := p.Instance.CheckRecoveredState(gen, model)
+	return ok && err == nil
+}

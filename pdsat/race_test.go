@@ -162,7 +162,7 @@ func TestStatsSnapshotNeverOverdrawn(t *testing.T) {
 			n++
 		}
 	}()
-	_, err = s.SearchFleet(context.Background(), pdsat.FleetJob{
+	_, err = s.Run(context.Background(), pdsat.FleetJob{
 		Members:        []pdsat.FleetMemberSpec{{Method: "tabu", Count: 2}, {Method: "sa", Count: 2}},
 		Seed:           11,
 		Jitter:         2,

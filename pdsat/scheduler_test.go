@@ -98,13 +98,8 @@ func TestSessionStatsSampleLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	if _, err := s.EstimateStartSet(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.SearchTabu(ctx); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, s, pdsat.EstimateJob{})
+	mustRun(t, s, pdsat.SearchJob{Method: pdsat.MethodTabu})
 	st := s.Stats()
 	if st.SamplesPlanned <= 0 || st.Evaluations <= 0 {
 		t.Fatalf("degenerate stats: %+v", st)

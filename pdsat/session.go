@@ -10,7 +10,6 @@ import (
 
 	"github.com/paper-repro/pdsat-go/internal/cluster"
 	"github.com/paper-repro/pdsat-go/internal/decomp"
-	"github.com/paper-repro/pdsat-go/internal/encoder"
 	"github.com/paper-repro/pdsat-go/internal/eval"
 	"github.com/paper-repro/pdsat-go/internal/montecarlo"
 	"github.com/paper-repro/pdsat-go/internal/optimize"
@@ -41,9 +40,9 @@ func DefaultConfig() Config {
 }
 
 // Session runs estimation, search and solving jobs for one Problem on one
-// shared leader/worker runner.  Jobs are submitted with Submit (or the
-// synchronous convenience wrappers, which submit a job and wait for it) and
-// report progress through typed event streams; see Job.
+// shared leader/worker runner.  Jobs are submitted with Submit, or with Run,
+// which submits one and waits for it, and report progress through typed
+// event streams; see Job.
 //
 // A Session is safe for concurrent use.  Concurrent jobs share the runner's
 // cumulative conflict-activity statistics and its evaluation counter, so
@@ -366,32 +365,6 @@ func sampleObserver(j *Job, member int) func(runner.Progress) {
 	}
 }
 
-// EstimatePoint evaluates the predictive function at a point of the search
-// space, through an EstimateJob.  A cancelled estimation returns the
-// partial estimate (marked Interrupted) together with the context's error,
-// so Ctrl-C still yields a report.
-func (s *Session) EstimatePoint(ctx context.Context, p Point) (*SetEstimate, error) {
-	return s.EstimateSet(ctx, p.SortedVars())
-}
-
-// EstimateSet evaluates the predictive function for an explicit
-// decomposition set (which must be a subset of the start set).
-func (s *Session) EstimateSet(ctx context.Context, vars []Var) (*SetEstimate, error) {
-	if len(vars) == 0 {
-		return nil, errors.New("pdsat: empty decomposition set")
-	}
-	res, err := s.runToCompletion(ctx, EstimateJob{Vars: vars})
-	if res == nil {
-		return nil, err
-	}
-	return res.Estimate, err
-}
-
-// EstimateStartSet evaluates the predictive function at X̃_start itself.
-func (s *Session) EstimateStartSet(ctx context.Context) (*SetEstimate, error) {
-	return s.EstimatePoint(ctx, s.space.FullPoint())
-}
-
 // SearchOutcome is the result of a decomposition-set search.
 type SearchOutcome struct {
 	// Method names the metaheuristic ("simulated annealing" or "tabu search").
@@ -406,45 +379,6 @@ type SearchOutcome struct {
 	Result *SearchResult `json:"-"`
 	// Best is the estimate of the best point found.
 	Best *SetEstimate `json:"best_estimate,omitempty"`
-}
-
-// SearchSimulatedAnnealing searches for a good decomposition set with
-// Algorithm 1, starting from the full start set (as in the paper).
-func (s *Session) SearchSimulatedAnnealing(ctx context.Context) (*SearchOutcome, error) {
-	return s.searchSync(ctx, SearchJob{Method: MethodSimulatedAnnealing})
-}
-
-// SearchTabu searches for a good decomposition set with Algorithm 2,
-// starting from the full start set.
-func (s *Session) SearchTabu(ctx context.Context) (*SearchOutcome, error) {
-	return s.searchSync(ctx, SearchJob{Method: MethodTabu})
-}
-
-// SearchFrom runs the chosen method ("sa" or "tabu") from an explicit start
-// point.
-func (s *Session) SearchFrom(ctx context.Context, method string, start Point) (*SearchOutcome, error) {
-	return s.searchSync(ctx, SearchJob{Method: method, Start: start.SortedVars()})
-}
-
-func (s *Session) searchSync(ctx context.Context, spec SearchJob) (*SearchOutcome, error) {
-	res, err := s.runToCompletion(ctx, spec)
-	if res == nil {
-		return nil, err
-	}
-	return res.Search, err
-}
-
-// SolveWithSet processes the decomposition family induced by the given set
-// and returns the solve report (no prediction).
-func (s *Session) SolveWithSet(ctx context.Context, vars []Var, opts SolveOptions) (*SolveReport, error) {
-	if len(vars) == 0 {
-		return nil, errors.New("pdsat: empty decomposition set")
-	}
-	res, err := s.runToCompletion(ctx, SolveJob{Vars: vars, StopOnSat: opts.StopOnSat, MaxSubproblems: opts.MaxSubproblems})
-	if res == nil {
-		return nil, err
-	}
-	return res.Solve, err
 }
 
 // Comparison relates a prediction with the measured cost of actually
@@ -478,50 +412,42 @@ type Comparison struct {
 }
 
 // PredictAndSolve estimates the partitioning induced by the decomposition
-// set and then actually processes the whole family (an EstimateJob followed
-// by a SolveJob), returning the prediction-versus-measurement comparison of
-// Table 3.
+// set and then actually processes the whole family — Run of an EstimateJob,
+// then of a SolveJob, over the same set (empty means the full start set) —
+// returning the prediction-versus-measurement comparison of Table 3.
 func (s *Session) PredictAndSolve(ctx context.Context, vars []Var) (*Comparison, error) {
-	p, err := s.space.PointFromVars(vars)
+	predicted, err := s.Run(ctx, EstimateJob{Vars: vars})
 	if err != nil {
 		return nil, err
 	}
-	est, err := s.EstimatePoint(ctx, p)
+	solved, err := s.Run(ctx, SolveJob{Vars: vars})
 	if err != nil {
 		return nil, err
 	}
-	report, err := s.SolveWithSet(ctx, vars, SolveOptions{})
-	if err != nil {
-		return nil, err
-	}
-	cmp := &Comparison{
+	est, report := predicted.Estimate, solved.Solve
+	return &Comparison{
 		Problem:            s.problem.Name,
-		SetSize:            p.Count(),
+		SetSize:            len(est.Vars),
 		Predicted1Core:     est.Estimate.Value,
 		PredictedKCores:    est.PerCores,
 		Cores:              est.Cores,
 		MeasuredTotal:      report.TotalCost,
 		MeasuredToFirstSat: report.CostToFirstSat,
 		FoundSat:           report.FoundSat,
+		KeyValid:           report.FoundSat && s.problem.KeyValid(report.Model),
 		Deviation:          montecarlo.RelativeDeviation(est.Estimate.Value, report.TotalCost),
 		WallTime:           report.WallTime,
-	}
-	if report.FoundSat && s.problem.Instance != nil {
-		gen, err := encoder.ByName(s.problem.Instance.Generator)
-		if err == nil {
-			ok, checkErr := s.problem.Instance.CheckRecoveredState(gen, report.Model)
-			cmp.KeyValid = ok && checkErr == nil
-		}
-	}
-	return cmp, nil
+	}, nil
 }
 
-// runToCompletion submits a job and waits for its result, propagating the
-// job's error (which for cancelled estimations accompanies a partial
-// result).  A cancelled ctx propagates into the job and makes it finish
-// promptly, so the wait is on the job itself — never racing the caller's
-// context, which would drop the partial result of an interrupted run.
-func (s *Session) runToCompletion(ctx context.Context, spec JobSpec) (*JobResult, error) {
+// Run submits the spec and waits for the job to finish: the synchronous twin
+// of Submit.  It returns the job's result and error, and both can be non-nil
+// at once — a cancelled estimation returns its partial estimate (marked
+// Interrupted) together with the context's error, so Ctrl-C still yields a
+// report.  A cancelled ctx propagates into the job and makes it finish
+// promptly, so the wait is on the job itself, never racing ctx, which would
+// drop that partial result.
+func (s *Session) Run(ctx context.Context, spec JobSpec) (*JobResult, error) {
 	j, err := s.Submit(ctx, spec)
 	if err != nil {
 		return nil, err

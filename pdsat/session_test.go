@@ -2,9 +2,11 @@ package pdsat_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/decomp"
@@ -180,16 +182,23 @@ func TestEstimateJobBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSyncWrappersMatchOldEngine ports the old core façade tests: the
-// synchronous wrappers run through jobs but behave like the old Engine.
+// mustRun is Session.Run for a job the test expects to succeed.
+func mustRun(t testing.TB, s *pdsat.Session, spec pdsat.JobSpec) *pdsat.JobResult {
+	t.Helper()
+	res, err := s.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestEstimateStartSetAndSet: an EstimateJob run to completion estimates the
+// full start set when it names no variables and a subset when it does.
 func TestEstimateStartSetAndSet(t *testing.T) {
 	inst := testInstance(t, 48, 40, 3)
 	s := newTestSession(t, inst, 12)
 	ctx := context.Background()
-	est, err := s.EstimateStartSet(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := mustRun(t, s, pdsat.EstimateJob{}).Estimate
 	if est.Estimate.Dimension != 16 || est.Estimate.SampleSize != 12 {
 		t.Fatalf("estimate metadata: %+v", est.Estimate)
 	}
@@ -207,20 +216,46 @@ func TestEstimateStartSetAndSet(t *testing.T) {
 	}
 
 	// Estimate a strict subset.
-	sub, err := s.EstimateSet(ctx, inst.UnknownStartVars()[:10])
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub := mustRun(t, s, pdsat.EstimateJob{Vars: inst.UnknownStartVars()[:10]}).Estimate
 	if sub.Estimate.Dimension != 10 {
 		t.Fatalf("subset dimension = %d", sub.Estimate.Dimension)
 	}
 	// Variables outside the start set are rejected.
-	if _, err := s.EstimateSet(ctx, []pdsat.Var{pdsat.Var(inst.CNF.NumVars)}); err == nil {
+	if _, err := s.Run(ctx, pdsat.EstimateJob{Vars: []pdsat.Var{pdsat.Var(inst.CNF.NumVars)}}); err == nil {
 		t.Fatal("expected error for variable outside the search space")
 	}
-	// The empty set is rejected.
-	if _, err := s.EstimatePoint(ctx, s.Space().EmptyPoint()); err == nil {
-		t.Fatal("expected error for the empty decomposition set")
+}
+
+// TestRunReturnsPartialEstimate: a Run of an estimate cancelled part way
+// returns the estimate of what finished, marked Interrupted, together with
+// the context's error.
+func TestRunReturnsPartialEstimate(t *testing.T) {
+	inst := testInstance(t, 40, 40, 3)
+	s := newTestSession(t, inst, 5000)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Cancel on the first subproblem result: the job exists once Run has
+	// submitted it, and its stream replays from the start.
+	go func() {
+		for len(s.Jobs()) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		for e := range s.Jobs()[0].Subscribe(ctx) {
+			if _, ok := e.(pdsat.SampleProgress); ok {
+				cancel()
+			}
+		}
+	}()
+	res, err := s.Run(ctx, pdsat.EstimateJob{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run of a cancelled estimate: err = %v, want context.Canceled", err)
+	}
+	if res == nil || res.Estimate == nil {
+		t.Fatal("Run of a cancelled estimate returned no partial estimate")
+	}
+	est := res.Estimate
+	if !est.Interrupted || est.Estimate.SampleSize == 0 || est.Estimate.SampleSize >= est.SamplesPlanned {
+		t.Fatalf("partial estimate: interrupted %v, %d of %d samples", est.Interrupted, est.Estimate.SampleSize, est.SamplesPlanned)
 	}
 }
 
@@ -229,10 +264,7 @@ func TestSearchTabuAndSA(t *testing.T) {
 	s := newTestSession(t, inst, 8)
 	ctx := context.Background()
 
-	tabu, err := s.SearchTabu(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tabu := mustRun(t, s, pdsat.SearchJob{Method: pdsat.MethodTabu}).Search
 	if tabu.Method != pdsat.MethodTabu || tabu.Result == nil {
 		t.Fatalf("outcome: %+v", tabu)
 	}
@@ -243,23 +275,17 @@ func TestSearchTabuAndSA(t *testing.T) {
 		t.Fatal("best estimate missing")
 	}
 
-	sa, err := s.SearchSimulatedAnnealing(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sa := mustRun(t, s, pdsat.SearchJob{Method: pdsat.MethodSimulatedAnnealing}).Search
 	if sa.Method != pdsat.MethodSimulatedAnnealing || sa.Result.Evaluations == 0 {
 		t.Fatalf("outcome: %+v", sa)
 	}
 
-	// SearchFrom with an explicit method and start point.
-	out, err := s.SearchFrom(ctx, "tabu", s.Space().FullPoint())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A short method name and an explicit start point.
+	out := mustRun(t, s, pdsat.SearchJob{Method: "tabu", Start: s.Space().FullPoint().SortedVars()}).Search
 	if out.Method != pdsat.MethodTabu {
 		t.Fatal("method name")
 	}
-	if _, err := s.SearchFrom(ctx, "genetic", s.Space().FullPoint()); err == nil {
+	if _, err := s.Run(ctx, pdsat.SearchJob{Method: "genetic"}); err == nil {
 		t.Fatal("expected error for unknown method")
 	}
 }
@@ -302,19 +328,28 @@ func TestPredictAndSolveAgreement(t *testing.T) {
 	if cmp.WallTime <= 0 {
 		t.Fatal("wall time")
 	}
+	// The comparison is two jobs, the prediction first.
+	jobs := s.Jobs()
+	if len(jobs) != 2 || jobs[0].Kind() != pdsat.JobEstimate || jobs[1].Kind() != pdsat.JobSolve {
+		kinds := make([]pdsat.JobKind, len(jobs))
+		for i, j := range jobs {
+			kinds[i] = j.Kind()
+		}
+		t.Fatalf("PredictAndSolve submitted %v, want [estimate solve]", kinds)
+	}
 }
 
 func TestSolveWithSet(t *testing.T) {
 	inst := testInstance(t, 54, 40, 9)
 	s := newTestSession(t, inst, 8)
-	report, err := s.SolveWithSet(context.Background(), inst.UnknownStartVars(), pdsat.SolveOptions{StopOnSat: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := mustRun(t, s, pdsat.SolveJob{Vars: inst.UnknownStartVars(), StopOnSat: true}).Solve
 	if !report.FoundSat {
 		t.Fatal("expected to find the key")
 	}
-	if _, err := s.SolveWithSet(context.Background(), []pdsat.Var{9999}, pdsat.SolveOptions{}); err == nil {
+	if !s.Problem().KeyValid(report.Model) {
+		t.Fatal("the recovered key must reproduce the keystream")
+	}
+	if _, err := s.Run(context.Background(), pdsat.SolveJob{Vars: []pdsat.Var{9999}}); err == nil {
 		t.Fatal("expected error for out-of-space variable")
 	}
 }
