@@ -86,6 +86,12 @@ import (
 // assumptions.  It is an index and an assumption vector and nothing else: the
 // formula and the solver configuration are the transport's, the same for every
 // task of every batch, as PDSAT's workers all run one solver on one CNF.
+//
+// A batch's tasks, and the assumption vectors they point to, are the
+// caller's: a transport reads them and never writes into them, neither while
+// the call runs nor after it, whatever it reassigns, requeues or ships.  They
+// stay valid and unchanged after the call returns, so a caller may keep them
+// (to replay a subproblem, say) and may cut many vectors from one array.
 type Task struct {
 	// Index identifies the task within its batch.  A batch's indices must
 	// be exactly 0..len(tasks)-1 (each once); both backends rely on this to

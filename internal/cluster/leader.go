@@ -145,8 +145,13 @@ type remoteWorker struct {
 
 // netBatch is the leader-side state of one Run call (guarded by Leader.mu).
 type netBatch struct {
-	id      uint64
-	opts    BatchOptions
+	id   uint64
+	opts BatchOptions
+	// pending is the tasks not yet assigned: at first the caller's slice
+	// itself, capped at its length, which is only ever cut from the front and
+	// read.  Requeued tasks are appended behind it, and since nothing lies
+	// between its length and its capacity the first append moves it to an
+	// array of its own; the caller's is never written.
 	pending []Task
 	got     []bool
 	// results has room for every task from the start and only ever grows
@@ -989,7 +994,7 @@ func (l *Leader) RunDispatch(ctx context.Context, tasks []Task, opts BatchOption
 	b := &netBatch{
 		id:        l.batchSeq,
 		opts:      opts,
-		pending:   append([]Task(nil), tasks...),
+		pending:   tasks[:len(tasks):len(tasks)],
 		got:       make([]bool, len(tasks)),
 		results:   make([]TaskResult, 0, len(tasks)),
 		observed:  observe != nil,

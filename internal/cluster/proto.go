@@ -71,10 +71,11 @@ import (
 // reports activity for its variables only, and a result's cost and activities
 // are finite and not negative.
 //
-// A received result's activity vector lives in the connection's buffer until
-// the next frame is read, and a received task's assumptions stay the bytes the
-// frame spelled them in until a slot takes the task: neither costs its
-// receiver an allocation of its own.
+// A received result's activity vector and a received chunk's assumptions live
+// in the connection's buffers until the next frame is read: neither costs its
+// receiver an allocation of its own.  The worker copies a chunk's assumption
+// bytes, as the frame spelled them, into its queue's arena, and a slot decodes
+// them when it takes the task.
 //
 // Frames may share a write.  The stream is the frames in the order of the
 // calls that produced them, and nothing in the protocol depends on where one
@@ -366,10 +367,10 @@ func (w *wire) writeLocked(frames []byte, now time.Time) error {
 
 // recv reads and decodes one frame, allowing at most timeout of silence (0
 // means no deadline).  The envelope it returns, with the BatchOptions and
-// TaskResult it points to, that result's activity vector and the list of a
-// chunk's tasks, belongs to the wire and is overwritten by the next recv; the
-// formula, strings, index lists, a result's model and what the tasks
-// themselves point to are the caller's to keep.
+// TaskResult it points to, that result's activity vector, the list of a
+// chunk's tasks and their assumption bytes, belongs to the wire and is
+// overwritten by the next recv; the formula, strings, index lists and a
+// result's model are the caller's to keep.
 func (w *wire) recv(timeout time.Duration) (*envelope, error) {
 	// A frame that is already in the buffer is not silence, and is returned
 	// without a read: the deadline is renewed only ahead of a recv that may
@@ -397,7 +398,7 @@ func (w *wire) recv(timeout time.Duration) (*envelope, error) {
 	in := &w.in
 	err = decodeBody(body, w.numVars, &in.env, &in.opts, &in.res, &in.tasks)
 	if cap(w.rbuf) > keepRead {
-		w.rbuf = nil // nothing decoded points into it
+		w.rbuf = nil // a chunk's assumptions may point into it; they keep it until they go
 	}
 	if err != nil {
 		return nil, err
@@ -825,9 +826,11 @@ func (d *decoder) batchOptions(o *BatchOptions) {
 }
 
 // queuedTask is a task as a worker holds it from the frame that brought it to
-// the slot that solves it: the assumptions stay the frame's bytes, checked on
-// receipt, and a slot decodes them into its own buffer when it takes the task
-// (a literal is one or two bytes here and eight in a Task).
+// the slot that solves it: the assumptions stay bytes as the frame spelled
+// them, checked on receipt, and a slot decodes them into its own buffer when
+// it takes the task (a literal is one or two bytes here and eight in a Task).
+// Decoded, the bytes are the frame's own; the worker's queue copies them into
+// its arena (taskQueue.push) before the next frame is read.
 type queuedTask struct {
 	index int
 	// lits is the assumption vector as zig-zag varints, every one of them a
@@ -846,18 +849,15 @@ func (q *queuedTask) appendAssumptions(dst []cnf.Lit) []cnf.Lit {
 }
 
 // tasks reads a chunk — the last field of its frame — for the worker's queue,
-// over the list the previous chunk was read into.  The tasks outlive the read
-// buffer, so the rest of the frame is copied once, the chunk's one allocation,
-// and the assumption vectors are cut from that copy.  An assumption that is
-// not a literal of the formula is refused here: the solver would index with a
-// 0, and allocate for a variable it does not have up to whatever a varint can
-// name.  No leader sends one.
+// over the list the previous chunk was read into.  It allocates nothing: each
+// task's assumption bytes are cut from the frame itself, which its receiver
+// copies into the arena of the queue that takes the chunk.  An assumption that
+// is not a literal of the formula is refused here: the solver would index with
+// a 0, and allocate for a variable it does not have up to whatever a varint
+// can name.  No leader sends one.
 func (d *decoder) tasks(tasks []queuedTask) []queuedTask {
 	n := d.count(2) // index, assumption count
 	total := d.count(1)
-	if n > 0 {
-		d.b = slices.Clone(d.b)
-	}
 	tasks = slices.Grow(tasks[:0], n)[:n]
 	for i := range tasks {
 		t := &tasks[i]
@@ -935,9 +935,9 @@ func (d *decoder) result(r *TaskResult) {
 // and tasks are where a tasks frame's options, a result frame's result and a
 // chunk's task list go, and numVars is the variable count its literals are
 // held to.  What it allocates is what the receiver keeps: the welcome's
-// formula and options, strings, index lists, the bytes of a chunk's
-// assumptions, a result's model.  A result's activity vector and a chunk's
-// task list are decoded over the ones res and tasks held before.
+// formula and options, strings, index lists, a result's model.  A result's
+// activity vector and a chunk's task list are decoded over the ones res and
+// tasks held before, and the tasks' assumptions are bytes of body.
 func decodeBody(body []byte, numVars int, env *envelope, opts *BatchOptions, res *TaskResult, tasks *[]queuedTask) error {
 	d := decoder{b: body, numVars: numVars}
 	*env = envelope{Kind: msgKind(d.byte())}

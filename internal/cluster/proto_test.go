@@ -413,9 +413,11 @@ func TestWireRejectsMalformedFrames(t *testing.T) {
 
 // TestWireSteadyStateAllocs is the regression guard for the per-task cost of
 // the wire: once its buffers are warm, sending a task chunk or a result
-// allocates nothing, and receiving one allocates what the receiver keeps — a
-// result's model, the bytes of a chunk's assumptions (one array).  A result's
-// activity vector and the list of a chunk's tasks are lent, not kept.
+// allocates nothing, and receiving one allocates only what the receiver keeps,
+// a result's model.  A result's activity vector, the list of a chunk's tasks
+// and their assumption bytes are lent, not kept; a worker queues a chunk by
+// copying the bytes into its queue's arena, warm as well from the batch
+// before, so that a tasks frame costs it nothing from the read to the queue.
 func TestWireSteadyStateAllocs(t *testing.T) {
 	assumptions := make([]cnf.Lit, 120)
 	for i := range assumptions {
@@ -451,7 +453,8 @@ func TestWireSteadyStateAllocs(t *testing.T) {
 		"recv result":                   {recvLoop(t, &envelope{Kind: kindResult, Batch: 4, Result: &res}), 0},
 		"recv result without conflicts": {recvLoop(t, &envelope{Kind: kindResult, Batch: 4, Result: &plain}), 0},
 		"recv SAT result":               {recvLoop(t, &envelope{Kind: kindResult, Batch: 4, Result: &sat}), 1},
-		"recv tasks":                    {recvLoop(t, &envelope{Kind: kindTasks, Batch: 4, Opts: &opts, Tasks: chunk}), 1},
+		"recv tasks":                    {recvLoop(t, &envelope{Kind: kindTasks, Batch: 4, Opts: &opts, Tasks: chunk}), 0},
+		"recv and queue tasks":          {queueLoop(t, &envelope{Kind: kindTasks, Batch: 4, Opts: &opts, Tasks: chunk}), 0},
 		"recv ping":                     {recvLoop(t, &envelope{Kind: kindPing}), 0},
 	} {
 		tc.run() // warm the buffers
@@ -472,9 +475,25 @@ func recvLoop(t *testing.T, env *envelope) func() {
 	}
 }
 
-// FuzzWireDecode feeds arbitrary bytes to a wire as if a peer had sent them:
-// recv must not panic, must not allocate more than a small multiple of what
-// it was sent, and whatever it accepts must survive another trip unchanged —
+// queueLoop returns a function that receives the chunk env, again and again,
+// from one wire and queues it as the first chunk of a new batch, on one queue.
+func queueLoop(t *testing.T, env *envelope) func() {
+	w := tableWire(&scriptConn{in: mustFrame(t, env), loop: true})
+	q := newTaskQueue()
+	return func() {
+		got, err := w.recv(time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.reopen()
+		q.push(got.Queued)
+	}
+}
+
+// FuzzWireDecode feeds arbitrary bytes to a wire as if a peer had sent them,
+// and queues the chunks it accepts as a worker does: recv must not panic,
+// must not allocate more than a small multiple of what it was sent, and
+// whatever it accepts must survive another trip unchanged —
 // and is fit to be summed and solved: a result's cost and activities finite
 // and not negative, its activity and a task's assumptions over variables of
 // the formula the wire was welcomed with.
@@ -494,11 +513,17 @@ func FuzzWireDecode(f *testing.F) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		w := tableWire(&scriptConn{in: data})
+		q := newTaskQueue() // a chunk goes on to a queue, as on a worker
 		var frames [][]byte
 		for {
 			env, err := w.recv(time.Second)
 			if err != nil {
 				break
+			}
+			if env.Kind == kindTasks {
+				q.reopen()
+				q.push(env.Queued)
+				env.Queued = q.items
 			}
 			if env.Kind == kindWelcome {
 				w.numVars = tableVars // the test's wires are all welcomed with that many

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -89,7 +90,8 @@ func fakeWorker(t *testing.T, addr string, capacity int, gotTasks chan<- int) {
 // TestWorkerDisconnectRequeues kills a worker that has accepted tasks and
 // checks that the leader requeues them onto a later-joining worker: the
 // batch still completes with every task actually solved (no cancelled
-// placeholders), and the results match the in-process transport exactly.
+// placeholders), the results match the in-process transport exactly, and the
+// caller's tasks, which the leader queues in place, are as they were.
 func TestWorkerDisconnectRequeues(t *testing.T) {
 	f := requeueFormula()
 	leader, err := Listen("127.0.0.1:0", f, LeaderOptions{
@@ -111,7 +113,14 @@ func TestWorkerDisconnectRequeues(t *testing.T) {
 		t.Fatalf("fake worker did not register: %v", err)
 	}
 
-	tasks := requeueTasks(16)
+	// The batch is the front of a longer array, whose tail a requeue appending
+	// in place would overwrite; the caller's tasks must come back as they went.
+	all := requeueTasks(32)
+	tasks := all[:16]
+	sent := make([]Task, len(all))
+	for i, task := range all {
+		sent[i] = Task{Index: task.Index, Assumptions: slices.Clone(task.Assumptions)}
+	}
 	opts := BatchOptions{CostMetric: solver.CostPropagations}
 	type runOutcome struct {
 		results []TaskResult
@@ -121,7 +130,7 @@ func TestWorkerDisconnectRequeues(t *testing.T) {
 	runCtx, runCancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer runCancel()
 	go func() {
-		res, err := leader.Run(runCtx, tasks, opts)
+		res, _, err := leader.RunDispatch(runCtx, tasks, opts, nil, nil)
 		done <- runOutcome{res, err}
 	}()
 
@@ -145,6 +154,11 @@ func TestWorkerDisconnectRequeues(t *testing.T) {
 	}
 	if len(out.results) != len(tasks) {
 		t.Fatalf("got %d results for %d tasks", len(out.results), len(tasks))
+	}
+	for i, task := range all {
+		if task.Index != sent[i].Index || !slices.Equal(task.Assumptions, sent[i].Assumptions) {
+			t.Fatalf("the caller's task %d is %+v after the batch, it was %+v", i, task, sent[i])
+		}
 	}
 	seen := make([]bool, len(tasks))
 	for _, res := range out.results {

@@ -3,12 +3,14 @@ package cluster
 import (
 	"context"
 	"io"
+	"net"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/solver"
 )
 
@@ -193,7 +195,7 @@ func slotBatch(t *testing.T, parent context.Context, delay func(Task) time.Durat
 	w := newWire(conn)
 	holdFlushes(w)
 	exec := NewInproc(requeueFormula(), 1, solver.DefaultOptions())
-	b := newWorkerBatch(parent, 1, BatchOptions{CostMetric: solver.CostPropagations}, exec, w, delay)
+	b := newWorkerBatch(parent, 1, BatchOptions{CostMetric: solver.CostPropagations}, exec, w, newTaskQueue(), delay)
 	t.Cleanup(b.stop)
 	return b, w, conn
 }
@@ -380,4 +382,113 @@ func TestWorkerKilledWithResultsPending(t *testing.T) {
 		t.Fatalf("the doomed worker started %d tasks: it never went down mid-batch", started.Load())
 	}
 	checkAgainstInproc(t, tasks, opts, results)
+}
+
+// TestLateChunkLeavesTheQueuedTasks: a chunk of a batch the worker was told
+// to abandon may still arrive after the interrupt, and it may arrive between
+// two chunks of the live batch.  It is answered with placeholders and touches
+// nothing of the live batch: the tasks queued before it and after it are
+// solved under the assumptions their frames spelled, with the in-process
+// results.  The frames are written by hand, the one slot is held inside the
+// live batch's first task until all of them have been read, and each task
+// reports the assumptions it is solved under.
+func TestLateChunkLeavesTheQueuedTasks(t *testing.T) {
+	f := requeueFormula()
+	live := make([]Task, 8)
+	for i := range live {
+		live[i] = Task{Index: i, Assumptions: []cnf.Lit{cnf.NewLit(cnf.Var(1+i), i%2 == 0), cnf.NewLit(cnf.Var(12+i), i%3 == 0)}}
+	}
+	late := make([]Task, 4)
+	for i := range late {
+		late[i] = Task{Index: i, Assumptions: []cnf.Lit{-24, 23, -22, 21, cnf.Lit(-5 - i), 7}}
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	release := make(chan struct{})
+	var mu sync.Mutex
+	solvedUnder := make(map[int][]cnf.Lit)
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = Serve(ctx, ln.Addr().String(), WorkerOptions{Capacity: 1, Name: "arena", TaskDelay: func(task Task) time.Duration {
+			if task.Index == 0 {
+				<-release
+			}
+			mu.Lock()
+			solvedUnder[task.Index] = slices.Clone(task.Assumptions)
+			mu.Unlock()
+			return 0
+		}})
+	}()
+	defer func() {
+		cancel()
+		<-served
+	}()
+
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWire(conn)
+	defer w.close()
+	hello, err := w.recv(handshakeTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkHello(hello); err != nil {
+		t.Fatal(err)
+	}
+	sopts := solver.DefaultOptions()
+	w.numVars = f.NumVars
+	opts := BatchOptions{CostMetric: solver.CostPropagations}
+	for _, env := range []*envelope{
+		{Kind: kindWelcome, Formula: f, SolverOptions: &sopts, Heartbeat: time.Minute},
+		{Kind: kindInterrupt, Batch: 1},
+		{Kind: kindTasks, Batch: 2, Opts: &opts, Tasks: live[:5]},
+		{Kind: kindTasks, Batch: 1, Opts: &opts, Tasks: late},
+		{Kind: kindTasks, Batch: 2, Opts: &opts, Tasks: live[5:]},
+		{Kind: kindPing},
+	} {
+		if err := w.send(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The pong follows the late chunk's placeholders, and the slot has answered
+	// nothing of the live batch yet.
+	var results []TaskResult
+	placeholders := 0
+	for released := false; len(results) < len(live); {
+		env, err := w.recv(10 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case env.Kind == kindPong && !released:
+			if placeholders != len(late) || len(results) != 0 {
+				t.Fatalf("before the pong: %d placeholders of the late chunk and %d results of the live batch, want %d and 0", placeholders, len(results), len(late))
+			}
+			close(release)
+			released = true
+		case env.Kind == kindResult && env.Batch == 1 && !env.Result.Started:
+			placeholders++
+		case env.Kind == kindResult && env.Batch == 2:
+			results = append(results, *env.Result)
+		default:
+			t.Fatalf("unexpected frame %+v", env)
+		}
+	}
+	checkAgainstInproc(t, live, opts, results)
+	mu.Lock()
+	defer mu.Unlock()
+	for _, task := range live {
+		if got := solvedUnder[task.Index]; !slices.Equal(got, task.Assumptions) {
+			t.Errorf("task %d was solved under %v, its frame said %v", task.Index, got, task.Assumptions)
+		}
+	}
 }

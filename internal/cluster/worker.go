@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -192,6 +193,7 @@ func serveOnce(ctx context.Context, addr string, opts *WorkerOptions) (registere
 	registered = true
 
 	var batch *workerBatch
+	queue := newTaskQueue() // every batch's in turn
 	// interrupted is the highest batch id the leader has told us to
 	// abandon.  Batch ids increase monotonically per leader, so a
 	// kindTasks chunk for a batch ≤ interrupted is a wire reordering: the
@@ -233,7 +235,7 @@ func serveOnce(ctx context.Context, addr string, opts *WorkerOptions) (registere
 			}
 			if batch == nil || batch.id != env.Batch {
 				batch.stop()
-				batch = newWorkerBatch(ctx, env.Batch, *env.Opts, exec, w, opts.TaskDelay)
+				batch = newWorkerBatch(ctx, env.Batch, *env.Opts, exec, w, queue, opts.TaskDelay)
 			}
 			batch.q.push(env.Queued)
 		case kindRevoke:
@@ -251,7 +253,7 @@ func serveOnce(ctx context.Context, addr string, opts *WorkerOptions) (registere
 			}
 			var idxs []int
 			if batch != nil && batch.id == env.Batch {
-				idxs = batch.stealQueued(env.Count)
+				idxs = batch.q.removeTail(env.Count)
 			}
 			// Always acknowledge — an empty ack unblocks the leader's
 			// per-worker steal bookkeeping even when the queue drained (or
@@ -301,10 +303,12 @@ type workerBatch struct {
 // newWorkerBatch starts the batch's solving slots, one goroutine each for the
 // life of the batch; stop ends them.  parent is the worker's own context: once
 // it is cancelled the slots send nothing more, neither the task in hand nor
-// what is pending, and the leader requeues from the dropped connection.
-func newWorkerBatch(parent context.Context, id uint64, opts BatchOptions, exec *Inproc, w *wire, delay func(Task) time.Duration) *workerBatch {
+// what is pending, and the leader requeues from the dropped connection.  q is
+// reopened for the batch, so the batch before must have been stopped.
+func newWorkerBatch(parent context.Context, id uint64, opts BatchOptions, exec *Inproc, w *wire, q *taskQueue, delay func(Task) time.Duration) *workerBatch {
 	ctx, cancel := context.WithCancel(parent)
-	b := &workerBatch{id: id, opts: opts, cancel: cancel, q: newTaskQueue()}
+	q.reopen()
+	b := &workerBatch{id: id, opts: opts, cancel: cancel, q: q}
 	for i := 0; i < exec.Workers(); i++ {
 		b.wg.Add(1)
 		go func() {
@@ -388,19 +392,6 @@ func (b *workerBatch) solveOne(sw *solveWorker, t Task, delay func(Task) time.Du
 	return sw.solveTask(t, b.opts)
 }
 
-// stealQueued removes up to n not-yet-started tasks from the back of the
-// batch's local queue and returns their indices (the stealing revoke's
-// acknowledgement payload).  Taking from the back preserves the FIFO head
-// this worker is about to start on.
-func (b *workerBatch) stealQueued(n int) []int {
-	tasks := b.q.removeTail(n)
-	idxs := make([]int, len(tasks))
-	for i, t := range tasks {
-		idxs[i] = t.index
-	}
-	return idxs
-}
-
 // discard drops the listed tasks without reporting results: queued copies
 // are removed from the local queue, started ones have their solve
 // interrupted (the truncated result the slot then sends is stale on the
@@ -433,12 +424,27 @@ func (b *workerBatch) stop() {
 // taskQueue is an unbounded FIFO of tasks with a cancellation flag: after
 // cancelQueue, remaining and future tasks are handed out flagged as
 // cancelled (the popper reports placeholders for them), and pop unblocks.
+//
+// A connection has one queue, which serves its batches one after another
+// (reopen), and the queue owns the assumption bytes of the tasks pushed onto
+// it: push appends a chunk's behind those of the chunks before it, in an arena
+// that is never written below its length while a batch runs, so a slot may
+// decode a task it popped without the lock.  Between batches, when the last
+// batch's slots have exited, the arena and the task list are emptied and
+// filled again, so that a warm worker takes a chunk without an allocation.
 type taskQueue struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
-	items     []queuedTask
+	items     []queuedTask // items[head:] are queued
+	head      int
+	lits      []byte // the arena
 	cancelled bool
 }
+
+// keepQueued is the largest arena a queue keeps from one batch for the next,
+// in bytes: above the 600 kB of a whole 2500-task batch of 120-literal
+// Bivium subproblems, two bytes a literal.
+const keepQueued = 1 << 20
 
 func newTaskQueue() *taskQueue {
 	q := &taskQueue{}
@@ -446,9 +452,32 @@ func newTaskQueue() *taskQueue {
 	return q
 }
 
-func (q *taskQueue) push(tasks []queuedTask) {
+// reopen empties the queue for a new batch.  No slot of the batch before may
+// be left to read what it held (workerBatch.stop waits for them).
+func (q *taskQueue) reopen() {
 	q.mu.Lock()
-	q.items = append(q.items, tasks...)
+	defer q.mu.Unlock()
+	if cap(q.lits) > keepQueued {
+		q.items, q.lits = nil, nil // the list's stale entries point into the arena
+	}
+	q.items, q.head, q.lits, q.cancelled = q.items[:0], 0, q.lits[:0], false
+}
+
+// push queues a chunk, the bytes of its assumptions copied into the arena:
+// the chunk's own are the frame's, which the next frame overwrites.
+func (q *taskQueue) push(tasks []queuedTask) {
+	n := 0
+	for i := range tasks {
+		n += len(tasks[i].lits)
+	}
+	q.mu.Lock()
+	q.lits = slices.Grow(q.lits, n)
+	for _, t := range tasks {
+		from := len(q.lits)
+		q.lits = append(q.lits, t.lits...)
+		t.lits = q.lits[from:]
+		q.items = append(q.items, t)
+	}
 	q.mu.Unlock()
 	q.cond.Broadcast()
 }
@@ -467,38 +496,46 @@ func (q *taskQueue) cancelQueue() {
 func (q *taskQueue) pop(idle func()) (t queuedTask, ok, cancelled bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.items) == 0 && !q.cancelled {
+	if q.empty() && !q.cancelled {
 		q.mu.Unlock()
 		idle()
 		q.mu.Lock()
 	}
-	for len(q.items) == 0 && !q.cancelled {
+	for q.empty() && !q.cancelled {
 		q.cond.Wait()
 	}
-	if len(q.items) == 0 {
+	if q.empty() {
 		return queuedTask{}, false, false
 	}
-	t = q.items[0]
-	q.items = q.items[1:]
+	t = q.items[q.head]
+	q.head++
+	if q.empty() {
+		q.items, q.head = q.items[:0], 0 // the list starts over; the arena does not
+	}
 	return t, true, q.cancelled
 }
 
-// removeTail removes and returns up to n tasks from the back of the queue
+// requires mu
+func (q *taskQueue) empty() bool { return q.head == len(q.items) }
+
+// removeTail removes up to n not-yet-started tasks from the back of the queue
+// and returns their indices, the stealing revoke's acknowledgement payload
 // (nothing once the queue is cancelled: its tasks are already owed to the
-// leader as placeholders and must not be requeued elsewhere too).
-func (q *taskQueue) removeTail(n int) []queuedTask {
+// leader as placeholders and must not be requeued elsewhere too).  Taking from
+// the back preserves the head the slots are about to start on.
+func (q *taskQueue) removeTail(n int) []int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.cancelled || n <= 0 {
 		return nil
 	}
-	if n > len(q.items) {
-		n = len(q.items)
+	cut := max(len(q.items)-n, q.head)
+	idxs := make([]int, 0, len(q.items)-cut)
+	for _, t := range q.items[cut:] {
+		idxs = append(idxs, t.index)
 	}
-	cut := len(q.items) - n
-	removed := append([]queuedTask(nil), q.items[cut:]...)
 	q.items = q.items[:cut]
-	return removed
+	return idxs
 }
 
 // remove deletes the queued task with the given index, reporting whether it
@@ -509,8 +546,8 @@ func (q *taskQueue) remove(idx int) bool {
 	if q.cancelled {
 		return false
 	}
-	for i, t := range q.items {
-		if t.index == idx {
+	for i := q.head; i < len(q.items); i++ {
+		if q.items[i].index == idx {
 			q.items = append(q.items[:i], q.items[i+1:]...)
 			return true
 		}

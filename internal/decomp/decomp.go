@@ -317,13 +317,31 @@ func (fam *Family) AssumptionsForBits(alpha []bool) ([]cnf.Lit, error) {
 	return out, nil
 }
 
-// RandomAssignment draws a uniformly random truth assignment of the
-// decomposition set, as required by the Monte Carlo estimation.
+// draw is the Monte Carlo sampler's one draw of a truth assignment α: a
+// uniformly random value for each decomposition variable, one rng.Intn(2) a
+// variable in family order, handed to set as it is drawn.
+func (fam *Family) draw(rng *rand.Rand, set func(i int, value bool)) {
+	for i := range fam.vars {
+		set(i, rng.Intn(2) == 1)
+	}
+}
+
+// DrawAssumptions draws α straight into assumption literals, the form a
+// subproblem is solved in.  dst must have room for Dimension() literals; the
+// draw is written there and dst[:Dimension()] returned, so that a caller
+// sampling many members can cut them all from one array.  The literals are
+// those of AssumptionsForBits(RandomAssignment(rng)), from the same calls on
+// rng.
+func (fam *Family) DrawAssumptions(dst []cnf.Lit, rng *rand.Rand) []cnf.Lit {
+	dst = dst[:len(fam.vars)]
+	fam.draw(rng, func(i int, value bool) { dst[i] = cnf.NewLit(fam.vars[i], value) })
+	return dst
+}
+
+// RandomAssignment draws α as one bool per decomposition variable.
 func (fam *Family) RandomAssignment(rng *rand.Rand) []bool {
 	alpha := make([]bool, len(fam.vars))
-	for i := range alpha {
-		alpha[i] = rng.Intn(2) == 1
-	}
+	fam.draw(rng, func(i int, value bool) { alpha[i] = value })
 	return alpha
 }
 

@@ -2,6 +2,7 @@ package decomp
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -97,6 +98,47 @@ func TestSortedVarsSortedAndDeduped(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDrawAssumptionsIsTheHistoricDraw pins the sampler's bits.  An
+// evaluation's sample is a function of (scope seed, slot) through exactly
+// these calls, so for every seed and dimension DrawAssumptions must write the
+// literals that drawing α as bools — one rng.Intn(2) a variable, as the
+// sampler always has — and converting them gives, through RandomAssignment and
+// AssumptionsForBits too, and leave the generator where they leave it.
+func TestDrawAssumptionsIsTheHistoricDraw(t *testing.T) {
+	for _, d := range []int{1, 8, 30, 120} {
+		vars := make([]cnf.Var, d)
+		for i := range vars {
+			vars[i] = cnf.Var(1 + (i*37)%(2*d+1)) // scattered, not ascending
+		}
+		fam := NewFamily(cnf.New(2*d+1), vars)
+		for seed := int64(-3); seed <= 40; seed++ {
+			historic, wrapped, drawn := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			dst := make([]cnf.Lit, d+3) // room to spare: the draw fills d
+			for sample := 0; sample < 5; sample++ {
+				alpha := make([]bool, d)
+				for i := range alpha {
+					alpha[i] = historic.Intn(2) == 1
+				}
+				want, err := fam.AssumptionsForBits(alpha)
+				if err != nil {
+					t.Fatal(err)
+				}
+				viaBools, err := fam.AssumptionsForBits(fam.RandomAssignment(wrapped))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := fam.DrawAssumptions(dst, drawn)
+				if !slices.Equal(got, want) || !slices.Equal(viaBools, want) {
+					t.Fatalf("d=%d seed %d sample %d: DrawAssumptions %v, RandomAssignment %v, historic draw %v", d, seed, sample, got, viaBools, want)
+				}
+			}
+			if h, w, g := historic.Int63(), wrapped.Int63(), drawn.Int63(); h != g || w != g {
+				t.Fatalf("d=%d seed %d: the generators part ways after the draws: %d, %d, %d", d, seed, h, w, g)
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/paper-repro/pdsat-go/internal/cluster"
+	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/decomp"
 	"github.com/paper-repro/pdsat-go/internal/eval"
 	"github.com/paper-repro/pdsat-go/internal/montecarlo"
@@ -158,16 +159,7 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 	d := fam.Dimension()
 	n := r.cfg.SampleSize
 	scale := math.Exp2(float64(d))
-
-	tasks := make([]cluster.Task, n)
-	for i := 0; i < n; i++ {
-		alpha := fam.RandomAssignment(rng)
-		assumptions, err := fam.AssumptionsForBits(alpha)
-		if err != nil {
-			return nil, err
-		}
-		tasks[i] = cluster.Task{Index: i, Assumptions: assumptions}
-	}
+	tasks := sampleTasks(fam, rng, n)
 
 	// A live bound (attached by the neighborhood frontier) supplies sibling
 	// improvements as they complete; it only ever tightens the incumbent.
@@ -243,6 +235,21 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 		StagesRun:          cp.stage + 1,
 		LowerBound:         scale * cp.sumAll / float64(n),
 	}, runErr
+}
+
+// sampleTasks draws an evaluation's n subproblems from rng, in index order, as
+// the tasks of its batch.  Their assumption vectors are cut from one array of
+// n·d literals, each capped at its own length so that appending to one cannot
+// reach the next.  The array is fresh for every evaluation and never written
+// again: the tasks are the caller's after the batch, as cluster.Task says.
+func sampleTasks(fam *decomp.Family, rng *rand.Rand, n int) []cluster.Task {
+	d := fam.Dimension()
+	slab := make([]cnf.Lit, n*d)
+	tasks := make([]cluster.Task, n)
+	for i := range tasks {
+		tasks[i] = cluster.Task{Index: i, Assumptions: fam.DrawAssumptions(slab[i*d:(i+1)*d:(i+1)*d], rng)}
+	}
+	return tasks
 }
 
 // checkpoints is one evaluation as its batch's observer runs it.  The sample

@@ -3,10 +3,13 @@ package pdsat
 import (
 	"context"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"github.com/paper-repro/pdsat-go/internal/cluster"
 	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/decomp"
 	"github.com/paper-repro/pdsat-go/internal/encoder"
@@ -361,5 +364,81 @@ func TestLedgerRollUp(t *testing.T) {
 		if got := r.VarActivity(v); got != sum {
 			t.Fatalf("activity of variable %d: runner %v, scopes and solve %v", v, got, sum)
 		}
+	}
+}
+
+// recordingTransport is the in-process transport keeping every batch's task
+// slice, as a caller that replays its subproblems after the batch does.
+type recordingTransport struct {
+	*cluster.Inproc
+	batches [][]cluster.Task
+}
+
+func (r *recordingTransport) RunObserved(ctx context.Context, tasks []cluster.Task, opts cluster.BatchOptions, observe func(cluster.TaskResult)) ([]cluster.TaskResult, error) {
+	return r.RunAbortable(ctx, tasks, opts, observe, nil)
+}
+
+func (r *recordingTransport) RunAbortable(ctx context.Context, tasks []cluster.Task, opts cluster.BatchOptions, observe func(cluster.TaskResult), abort <-chan struct{}) ([]cluster.TaskResult, error) {
+	r.batches = append(r.batches, tasks)
+	return r.Inproc.RunAbortable(ctx, tasks, opts, observe, abort)
+}
+
+// TestEvaluationLeavesItsTasksToTheCaller pins the ownership rule that a
+// caller keeping an evaluation's tasks relies on: after the evaluation, and
+// after the next one on the same scope, every assumption vector of the first
+// is what it was, and each is capped at its length, so that appending to one
+// cannot reach the next although they share one array.
+func TestEvaluationLeavesItsTasksToTheCaller(t *testing.T) {
+	inst := scopeTestInstance(t)
+	tr := &recordingTransport{Inproc: cluster.NewInproc(inst.CNF, 2, solver.DefaultOptions())}
+	r := NewRunner(inst.CNF, Config{SampleSize: 12, Seed: 3, CostMetric: solver.CostPropagations, Transport: tr})
+	sc := r.NewScope(5)
+	p := decomp.NewSpace(inst.UnknownStartVars()).FullPoint()
+	if _, err := sc.EvaluatePoint(context.Background(), p); err != nil {
+		t.Fatal(err)
+	}
+	first := tr.batches[0]
+	kept := make([][]cnf.Lit, len(first))
+	for i, task := range first {
+		kept[i] = slices.Clone(task.Assumptions)
+	}
+	if _, err := sc.EvaluatePoint(context.Background(), p); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.batches) != 2 {
+		t.Fatalf("%d batches for two evaluations", len(tr.batches))
+	}
+	for i, task := range first {
+		if task.Index != i || !slices.Equal(task.Assumptions, kept[i]) {
+			t.Fatalf("task %d of the first evaluation is %+v after the second, it was %v", i, task, kept[i])
+		}
+		if len(task.Assumptions) != p.Count() || cap(task.Assumptions) != len(task.Assumptions) {
+			t.Fatalf("task %d has %d assumptions of capacity %d, want %d of capacity %d", i, len(task.Assumptions), cap(task.Assumptions), p.Count(), p.Count())
+		}
+	}
+	for i := 0; i+1 < len(first); i++ {
+		_ = append(first[i].Assumptions, cnf.NewLit(1, true))
+		if !slices.Equal(first[i+1].Assumptions, kept[i+1]) {
+			t.Fatalf("appending to task %d's assumptions changed task %d's", i, i+1)
+		}
+	}
+}
+
+// TestSampleTasksAllocsIndependentOfN: drawing an evaluation's subproblems
+// costs a fixed number of allocations — the task list and one array for all
+// their literals — whatever the sample size.
+func TestSampleTasksAllocsIndependentOfN(t *testing.T) {
+	inst := scopeTestInstance(t)
+	fam := decomp.FamilyOf(inst.CNF, decomp.NewSpace(inst.UnknownStartVars()).FullPoint())
+	rng := rand.New(rand.NewSource(1))
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if tasks := sampleTasks(fam, rng, n); len(tasks) != n {
+				t.Fatalf("%d tasks for a sample of %d", len(tasks), n)
+			}
+		})
+	}
+	if small, large := allocs(25), allocs(2500); small != large || large > 2 {
+		t.Fatalf("%v allocations for a sample of 25 and %v for 2500, want the same, at most 2", small, large)
 	}
 }

@@ -82,6 +82,9 @@ func diffSolverState(got, want *Solver) string {
 			slices.ContainsFunc(s.litMark, func(m litMark) bool { return m != litClean }) {
 			return "dirty marks left behind"
 		}
+		if set := func(w uint64) bool { return w != 0 }; slices.ContainsFunc(s.bumpedSet, set) || slices.ContainsFunc(s.bumpedSum, set) {
+			return "bumped variables left in the set"
+		}
 	}
 	return ""
 }
@@ -429,6 +432,32 @@ func TestSparseConflictActivities(t *testing.T) {
 			t.Fatalf("%d conflicts, increment %g: want a rescale behind it", res.Stats.Conflicts, s.varInc)
 		}
 		check(t, s, "after a rescale")
+	})
+
+	// The ascending harvest reads the bumped variables off a two-level bitmap,
+	// 64 variables a word and 64 words a summary bit; a pigeonhole formula
+	// spread over 6000-odd variables bumps some in many words of both levels.
+	t.Run("variables across words", func(t *testing.T) {
+		php := mustPigeonhole(t, 7, 6)
+		const stride = 151
+		spread := &cnf.Formula{NumVars: php.NumVars * stride}
+		for _, c := range php.Clauses {
+			sc := make(cnf.Clause, len(c))
+			for i, l := range c {
+				sc[i] = cnf.NewLit(l.Var()*stride, l.Positive())
+			}
+			spread.Clauses = append(spread.Clauses, sc)
+		}
+		s := NewDefault(spread)
+		s.SetBudget(Budget{MaxConflicts: 300})
+		s.Solve()
+		if n := check(t, s, "after a spread pigeonhole search"); n < 20 {
+			t.Fatalf("%d variables bumped, want them in many words", n)
+		}
+		s.Reset()
+		check(t, s, "after the Reset")
+		s.SolveWithAssumptions([]cnf.Lit{cnf.NewLit(stride, true), cnf.NewLit(41*stride, true)})
+		check(t, s, "after a solve under assumptions")
 	})
 
 	t.Run("a conflict-free harvest allocates nothing", func(t *testing.T) {

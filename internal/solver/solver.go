@@ -427,6 +427,12 @@ type Solver struct {
 	dirtyClauses []cref    // original clauses with permuted literals (flagged in their LBD word)
 	dirtyActs    []int32   // activity slots of original clauses that were bumped
 	bumpedVars   []int32   // variables with a non-zero conflict activity, in first-bump order
+	// The same variables as a set, for an ascending harvest without a sort:
+	// bumpedSet has bit v%64 of word v/64 set for each, and bumpedSum bit w%64
+	// of word w/64 for each non-zero word w of bumpedSet.  Set at the first
+	// bump, cleared by Reset; they never shrink, and hold no bit for a
+	// variable beyond numVars.
+	bumpedSet, bumpedSum []uint64
 	// everSolved is set by the first SolveWithAssumptions call; AddClause
 	// refreshes the snapshot only while the solver is still pristine.
 	everSolved bool
@@ -629,6 +635,12 @@ func (s *Solver) Reset() {
 		}
 	}
 	s.bumpedVars = s.bumpedVars[:0]
+	for i, sum := range s.bumpedSum {
+		for ; sum != 0; sum &= sum - 1 {
+			s.bumpedSet[i<<6|bits.TrailingZeros64(sum)] = 0
+		}
+		s.bumpedSum[i] = 0
+	}
 	s.order.rebuild(s.numVars)
 	s.varInc, s.clauseInc = 1.0, 1.0
 	s.stats = b.stats
@@ -872,16 +884,26 @@ func (a SparseActivities) Clone() SparseActivities {
 // subproblem into one buffer of its own.  A conflict activity only grows, so
 // the variables with a non-zero entry are exactly those bumpVar listed at
 // their first bump; they are appended in that order, or with ascending in
-// ascending variable order.
+// ascending variable order, read off the set of them (bumpedSet) rather than
+// sorted.
 func (s *Solver) AppendConflictActivities(dst SparseActivities, ascending bool) SparseActivities {
 	from := len(dst.Vars)
 	dst.Vars = slices.Grow(dst.Vars, len(s.bumpedVars))
 	dst.Acts = slices.Grow(dst.Acts, len(s.bumpedVars))
-	for _, v := range s.bumpedVars {
-		dst.Vars = append(dst.Vars, cnf.Var(v+1))
-	}
 	if ascending {
-		slices.Sort(dst.Vars[from:])
+		for i, sum := range s.bumpedSum {
+			for ; sum != 0; sum &= sum - 1 {
+				w := i<<6 | bits.TrailingZeros64(sum)
+				for set := s.bumpedSet[w]; set != 0; set &= set - 1 {
+					v := w<<6 | bits.TrailingZeros64(set)
+					dst.Vars = append(dst.Vars, cnf.Var(v+1))
+				}
+			}
+		}
+	} else {
+		for _, v := range s.bumpedVars {
+			dst.Vars = append(dst.Vars, cnf.Var(v+1))
+		}
 	}
 	for _, v := range dst.Vars[from:] {
 		dst.Acts = append(dst.Acts, s.confAct[v-1])
@@ -920,6 +942,10 @@ func (s *Solver) growVars(n int32) {
 	s.dirtyLits = slices.Grow(s.dirtyLits, 2*int(n)-len(s.dirtyLits))
 	s.appLits = slices.Grow(s.appLits, 2*int(n)-len(s.appLits))
 	s.bumpedVars = slices.Grow(s.bumpedVars, int(n)-len(s.bumpedVars))
+	if words := (int(n) + 63) >> 6; words > len(s.bumpedSet) {
+		s.bumpedSet = extend(s.bumpedSet, words, 0)
+		s.bumpedSum = extend(s.bumpedSum, (words+63)>>6, 0)
+	}
 	s.trail = slices.Grow(s.trail, int(n)-len(s.trail))
 	s.order.heap = slices.Grow(s.order.heap, int(n)-len(s.order.heap))
 	s.order.indices = slices.Grow(s.order.indices, int(n)-len(s.order.indices))
@@ -1109,6 +1135,8 @@ func (s *Solver) bumpVar(v int32) {
 		n := len(s.bumpedVars)
 		s.bumpedVars = s.bumpedVars[:n+1]
 		s.bumpedVars[n] = v
+		s.bumpedSet[v>>6] |= 1 << (v & 63)
+		s.bumpedSum[v>>12] |= 1 << (v >> 6 & 63)
 	}
 	s.confAct[v]++
 	if s.activity[v] > 1e100 {
