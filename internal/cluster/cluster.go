@@ -88,10 +88,14 @@ import (
 // task of every batch, as PDSAT's workers all run one solver on one CNF.
 //
 // A batch's tasks, and the assumption vectors they point to, are the
-// caller's: a transport reads them and never writes into them, neither while
-// the call runs nor after it, whatever it reassigns, requeues or ships.  They
-// stay valid and unchanged after the call returns, so a caller may keep them
-// (to replay a subproblem, say) and may cut many vectors from one array.
+// caller's, lent to the transport for the length of the call: it reads them
+// and never writes into them, whatever it reassigns, requeues or ships.  A
+// Borrower — both backends are — also keeps nothing of them once the call has
+// returned, and the caller may then write the same arrays again, for its next
+// batch; internal/pdsat's Runner draws every sample into the arrays of the one
+// before.  Any other transport may keep them past the call (a wrapper that
+// records the subproblems it passes on, say), so it is given vectors no caller
+// writes again.  Either way a caller may cut many vectors from one array.
 type Task struct {
 	// Index identifies the task within its batch.  A batch's indices must
 	// be exactly 0..len(tasks)-1 (each once); both backends rely on this to
@@ -210,6 +214,15 @@ type Transport interface {
 	// in-process transport is a no-op; closing a network leader
 	// disconnects its workers.
 	Close() error
+}
+
+// Borrower is implemented by transports that keep nothing of a batch's tasks
+// once the call has returned (see Task): Inproc waits for its workers before
+// it returns, and the Leader forgets what its workers held.
+type Borrower interface {
+	Transport
+	// BorrowsTasks does nothing; it marks the type.
+	BorrowsTasks()
 }
 
 // ObservedTransport is implemented by transports that can report batch

@@ -35,7 +35,15 @@ type Inproc struct {
 	// activities in the pooled solver and must rebase budgets and activity
 	// diffs onto its cumulative counters.
 	poolMu sync.Mutex
-	pool   []*solver.Solver
+	pool   []pooledSolver
+}
+
+// pooledSolver is what a worker goroutine draws from the pool: the solver,
+// and the buffer its tasks' conflict activity is harvested into, which goes
+// back with it so that the next batch does not grow a new one.
+type pooledSolver struct {
+	solver *solver.Solver
+	act    solver.SparseActivities
 }
 
 // NewInproc creates an in-process transport for the formula.  workers is
@@ -58,24 +66,28 @@ func (t *Inproc) Workers() int { return t.workers }
 // garbage collector.
 func (t *Inproc) Close() error { return nil }
 
+// BorrowsTasks implements Borrower: a batch call returns only once every
+// worker goroutine has.
+func (t *Inproc) BorrowsTasks() {}
+
 // acquire hands out a persistent solver for one worker goroutine, creating
 // it on first use.
-func (t *Inproc) acquire() *solver.Solver {
+func (t *Inproc) acquire() pooledSolver {
 	t.poolMu.Lock()
 	if n := len(t.pool); n > 0 {
-		s := t.pool[n-1]
+		p := t.pool[n-1]
 		t.pool = t.pool[:n-1]
 		t.poolMu.Unlock()
-		return s
+		return p
 	}
 	t.poolMu.Unlock()
-	return solver.New(t.formula, t.opts)
+	return pooledSolver{solver: solver.New(t.formula, t.opts)}
 }
 
-// release returns a worker's solver to the pool.
-func (t *Inproc) release(s *solver.Solver) {
+// release returns a worker's solver and harvest buffer to the pool.
+func (t *Inproc) release(p pooledSolver) {
 	t.poolMu.Lock()
-	t.pool = append(t.pool, s)
+	t.pool = append(t.pool, p)
 	t.poolMu.Unlock()
 }
 
@@ -94,7 +106,11 @@ func (t *Inproc) PoolSize() int {
 func (t *Inproc) PooledSolvers() []*solver.Solver {
 	t.poolMu.Lock()
 	defer t.poolMu.Unlock()
-	return append([]*solver.Solver(nil), t.pool...)
+	solvers := make([]*solver.Solver, len(t.pool))
+	for i, p := range t.pool {
+		solvers[i] = p.solver
+	}
+	return solvers
 }
 
 // Run distributes the tasks over the worker goroutines and collects one
@@ -282,7 +298,8 @@ type solveWorker struct {
 	ascending bool
 	// act is where every task's conflict activity is harvested, and what its
 	// TaskResult.Activity points into: the result is recorded, or put on the
-	// wire, before the slot takes its next task.
+	// wire, before the slot takes its next task.  It comes from the pool with
+	// the solver and goes back with it.
 	act solver.SparseActivities
 	// prevAct is the solver's cumulative conflict activity after the
 	// previous task and gain the buffer for what a task added to it (retain
@@ -317,7 +334,8 @@ type solveWorker struct {
 // converted into the solver's non-blocking interrupt, mirroring the paper's
 // modified MiniSat that polls for leader messages during search.
 func newSolveWorker(batch context.Context, t *Inproc, retain bool) *solveWorker {
-	sw := &solveWorker{transport: t, solver: t.acquire(), retain: retain}
+	p := t.acquire()
+	sw := &solveWorker{transport: t, solver: p.solver, act: p.act, retain: retain}
 	if retain {
 		// A pooled solver may carry conflict activity from a previous batch
 		// that was already absorbed by the caller; without a Reset to zero
@@ -329,10 +347,11 @@ func newSolveWorker(batch context.Context, t *Inproc, retain bool) *solveWorker 
 	return sw
 }
 
-// close ends the registration and returns the pooled solver.
+// close ends the registration and returns the pooled solver with the
+// harvest buffer.
 func (w *solveWorker) close() {
 	w.unregister()
-	w.transport.release(w.solver)
+	w.transport.release(pooledSolver{solver: w.solver, act: w.act})
 }
 
 // begin marks the start of a task: s is the solver about to run it, nil for

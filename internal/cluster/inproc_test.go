@@ -226,3 +226,54 @@ func TestInprocRecoversPanicUnderSolve(t *testing.T) {
 	}
 	checkMatchesFreshTransport(t, tr, tasks)
 }
+
+// guardedPigeonholes is three pigeons in two holes (variables 1–6), every
+// clause guarded by variable 7: assuming 7 takes conflicts to refute, which
+// bump variables; variable 8 is free.
+func guardedPigeonholes() *cnf.Formula {
+	f := cnf.New(8)
+	in := func(pigeon, hole int) cnf.Var { return cnf.Var(1 + 2*pigeon + hole) }
+	guard := cnf.NewLit(7, false)
+	for p := range 3 {
+		f.AddClauseLits(cnf.NewLit(in(p, 0), true), cnf.NewLit(in(p, 1), true), guard)
+	}
+	for h := range 2 {
+		for a := range 3 {
+			for b := a + 1; b < 3; b++ {
+				f.AddClauseLits(cnf.NewLit(in(a, h), false), cnf.NewLit(in(b, h), false), guard)
+			}
+		}
+	}
+	return f
+}
+
+// TestInprocHarvestBufferSurvivesTheBatch: the buffer a worker harvests its
+// tasks' conflict activity into goes back to the pool with its solver, so a
+// warm batch whose task bumps variables allocates no more than one whose task
+// bumps none, where every batch used to grow a buffer of its own.
+func TestInprocHarvestBufferSurvivesTheBatch(t *testing.T) {
+	tr := NewInproc(guardedPigeonholes(), 1, solver.DefaultOptions())
+	bumping := []Task{{Index: 0, Assumptions: []cnf.Lit{cnf.NewLit(7, true)}}}
+	quiet := []Task{{Index: 0, Assumptions: []cnf.Lit{cnf.NewLit(8, true), cnf.NewLit(8, false)}}}
+	bumped := 0
+	allocs := func(tasks []Task) float64 {
+		return testing.AllocsPerRun(20, func() {
+			bumped = 0
+			results, err := tr.RunObserved(context.Background(), tasks, propagationBatch, func(res TaskResult) { bumped += len(res.Activity.Vars) })
+			if err != nil || len(results) != 1 || results[0].Status != solver.Unsat {
+				t.Fatalf("results %+v, error %v; want one refutation", results, err)
+			}
+		})
+	}
+	quietAllocs := allocs(quiet)
+	if bumped != 0 {
+		t.Fatalf("the quiet task bumped %d variables", bumped)
+	}
+	bumpingAllocs := allocs(bumping)
+	if bumped == 0 {
+		t.Fatal("the pigeonhole task bumped no variable")
+	}
+	if bumpingAllocs > quietAllocs {
+		t.Fatalf("a warm batch allocates %v times with a task that bumps %d variables, %v with one that bumps none", bumpingAllocs, bumped, quietAllocs)
+	}
+}

@@ -948,6 +948,11 @@ func (l *Leader) planSpeculationLocked(b *netBatch, ws []*remoteWorker) []sendCh
 	return sends
 }
 
+// BorrowsTasks implements Borrower: a task is encoded onto the wire in the
+// batch loop, and every worker's custody of the batch is cleared before
+// RunDispatch returns.
+func (l *Leader) BorrowsTasks() {}
+
 // Run implements Transport: it streams the tasks to the registered workers
 // and collects one result per task.  If no worker is registered, Run waits
 // for one to join (bound the wait with the context or WaitForWorkers).

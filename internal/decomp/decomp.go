@@ -213,12 +213,26 @@ func (p Point) HammingDistance(q Point) int {
 // ρ = 1 (the setting used by PDSAT) this is simply the Size() single-bit
 // flips.
 func (p Point) Neighbors(radius int) []Point {
-	if radius <= 0 {
+	switch {
+	case radius <= 0:
 		return nil
+	case radius == 1:
+		// Every flip of p is a different point and none is p, so the
+		// breadth-first pass would keep them all, in this order.
+		out := make([]Point, p.Size())
+		for i := range out {
+			out[i] = p.Flip(i)
+		}
+		return out
 	}
+	return p.neighborsByDistance(radius)
+}
+
+// neighborsByDistance is Neighbors for any radius: breadth-first generation
+// by distance, which keeps the order deterministic, with every point seen so
+// far remembered by its key.
+func (p Point) neighborsByDistance(radius int) []Point {
 	var out []Point
-	// Breadth-first generation by distance keeps the order deterministic and
-	// the common radius-1 case cheap.
 	current := []Point{p}
 	seen := map[string]bool{p.Key(): true}
 	for d := 1; d <= radius; d++ {
@@ -297,11 +311,18 @@ func (fam *Family) Formula() *cnf.Formula { return fam.formula }
 // of the decomposition set, expressed as assumption literals (bit i of index
 // gives the value of vars[i]; bit=1 means true).
 func (fam *Family) AssumptionsFor(index uint64) []cnf.Lit {
-	out := make([]cnf.Lit, len(fam.vars))
+	return fam.AssumptionsInto(make([]cnf.Lit, len(fam.vars)), index)
+}
+
+// AssumptionsInto writes AssumptionsFor(index) into dst, which must have room
+// for Dimension() literals, and returns dst[:Dimension()], as DrawAssumptions
+// does for a random member.
+func (fam *Family) AssumptionsInto(dst []cnf.Lit, index uint64) []cnf.Lit {
+	dst = dst[:len(fam.vars)]
 	for i, v := range fam.vars {
-		out[i] = cnf.NewLit(v, index&(1<<uint(i)) != 0)
+		dst[i] = cnf.NewLit(v, index&(1<<uint(i)) != 0)
 	}
-	return out
+	return dst
 }
 
 // AssumptionsForBits converts an explicit assignment α (one bool per

@@ -111,6 +111,26 @@ func TestHammingDistanceAndNeighbors(t *testing.T) {
 	}
 }
 
+// TestNeighborsRadiusOneIsTheGenericPass: the radius-1 neighbourhood skips
+// the breadth-first pass and its map of keys, and must list the same points
+// in the same order; at radius 2 Neighbors is that pass.
+func TestNeighborsRadiusOneIsTheGenericPass(t *testing.T) {
+	s := space(9)
+	for _, p := range []Point{s.EmptyPoint(), s.FullPoint(), s.EmptyPoint().Flip(0).Flip(4).Flip(8)} {
+		for radius := 1; radius <= 2; radius++ {
+			got, want := p.Neighbors(radius), p.neighborsByDistance(radius)
+			if len(got) != len(want) {
+				t.Fatalf("radius %d: %d neighbours, the generic pass has %d", radius, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Key() != want[i].Key() || got[i].Count() != want[i].Count() {
+					t.Fatalf("radius %d: neighbour %d is %s, the generic pass has %s", radius, i, got[i].Key(), want[i].Key())
+				}
+			}
+		}
+	}
+}
+
 func TestSortedVars(t *testing.T) {
 	s := NewSpace([]cnf.Var{9, 2, 5})
 	p := s.FullPoint()

@@ -29,6 +29,8 @@ type scriptedTransport struct {
 	// order is the completion order, order[k] the index of the k-th result;
 	// nil completes in index order.
 	order []int
+	// cut marks the tasks whose solve a cancellation cuts short.
+	cut []bool
 	// calls counts the batches.
 	calls int
 }
@@ -55,6 +57,9 @@ func (s *scriptedTransport) RunObserved(ctx context.Context, tasks []cluster.Tas
 		}
 		if s.sat != nil && s.sat[i] {
 			res.Status = solver.Sat
+		}
+		if s.cut != nil && s.cut[i] {
+			res.Status, res.Interrupted, res.Cancelled = solver.Unknown, true, true
 		}
 		results = append(results, res)
 		if observe != nil {
@@ -285,5 +290,28 @@ func TestOneBatchPerEvaluation(t *testing.T) {
 		if tr.calls != 1 {
 			t.Errorf("%s: %d batches for one evaluation, want 1", name, tr.calls)
 		}
+	}
+}
+
+// TestEvaluationTablesStartEmpty: an evaluation's cost and sampled tables are
+// the runner's, last written by the evaluation before.  One with a result cut
+// short reads its sample off them, and must find its own results only.
+func TestEvaluationTablesStartEmpty(t *testing.T) {
+	f, p := scriptedFormula()
+	costs := []float64{300, 310, 320, 330, 340, 350, 360, 370}
+	tr := &scriptedTransport{numVars: f.NumVars, costs: costs}
+	r := NewRunner(f, Config{SampleSize: len(costs), Seed: 5, CostMetric: solver.CostPropagations, Transport: tr})
+	if _, err := r.EvaluatePoint(context.Background(), p); err != nil { // every entry sampled
+		t.Fatal(err)
+	}
+	tr.cut = make([]bool, len(costs))
+	tr.cut[2], tr.cut[5] = true, true
+	pe, err := r.EvaluatePoint(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{300, 310, 330, 340, 360, 370}
+	if got := pe.Sample.Values(); !slices.Equal(got, want) || pe.SamplesAborted != 2 {
+		t.Fatalf("sample %v with %d aborted, want %v with 2", got, pe.SamplesAborted, want)
 	}
 }

@@ -2,6 +2,7 @@ package pdsat
 
 import (
 	"context"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,14 +10,14 @@ import (
 
 	"github.com/paper-repro/pdsat-go/internal/cluster"
 	"github.com/paper-repro/pdsat-go/internal/cnf"
+	"github.com/paper-repro/pdsat-go/internal/decomp"
 	"github.com/paper-repro/pdsat-go/internal/eval"
+	"github.com/paper-repro/pdsat-go/internal/optimize"
 )
 
-// stragglerCluster starts a leader for the formula with two loopback
-// workers: "straggler" (one slot, registered first, so it sits at the head
-// of the assignment order) waits stall before every task it starts, and
-// "healthy" (two slots) does not.
-func stragglerCluster(t *testing.T, f *cnf.Formula, stall time.Duration) *cluster.Leader {
+// loopbackCluster starts a leader for the formula and a loopback worker for
+// each of workers, registered in that order.
+func loopbackCluster(t *testing.T, f *cnf.Formula, workers ...cluster.WorkerOptions) *cluster.Leader {
 	t.Helper()
 	leader, err := cluster.Listen("127.0.0.1:0", f, cluster.LeaderOptions{
 		Heartbeat: 100 * time.Millisecond,
@@ -27,20 +28,18 @@ func stragglerCluster(t *testing.T, f *cnf.Formula, stall time.Duration) *cluste
 	}
 	// Cleanups run last-in first-out: close the leader, cancel the workers,
 	// then wait for them, so that none logs into the finished test.
-	var workers sync.WaitGroup
-	t.Cleanup(workers.Wait)
+	var running sync.WaitGroup
+	t.Cleanup(running.Wait)
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	t.Cleanup(func() { leader.Close() })
 	waitCtx, waitCancel := context.WithTimeout(ctx, 10*time.Second)
 	defer waitCancel()
-	for i, opts := range []cluster.WorkerOptions{
-		{Capacity: 1, Name: "straggler", Logf: t.Logf, TaskDelay: func(cluster.Task) time.Duration { return stall }},
-		{Capacity: 2, Name: "healthy", Logf: t.Logf},
-	} {
-		workers.Add(1)
+	for i, opts := range workers {
+		opts.Logf = t.Logf
+		running.Add(1)
 		go func() {
-			defer workers.Done()
+			defer running.Done()
 			_ = cluster.Serve(ctx, leader.Addr().String(), opts)
 		}()
 		if err := leader.WaitForWorkers(waitCtx, i+1); err != nil {
@@ -49,6 +48,96 @@ func stragglerCluster(t *testing.T, f *cnf.Formula, stall time.Duration) *cluste
 	}
 	return leader
 }
+
+// stragglerCluster starts a leader for the formula with two loopback
+// workers: "straggler" (one slot, registered first, so it sits at the head
+// of the assignment order) waits stall before every task it starts, and
+// "healthy" (two slots) does not.
+func stragglerCluster(t *testing.T, f *cnf.Formula, stall time.Duration) *cluster.Leader {
+	t.Helper()
+	return loopbackCluster(t, f,
+		cluster.WorkerOptions{Capacity: 1, Name: "straggler", TaskDelay: func(cluster.Task) time.Duration { return stall }},
+		cluster.WorkerOptions{Capacity: 2, Name: "healthy"})
+}
+
+// TestReusedBuffersOverLoopback: a runner draws every evaluation into the
+// buffers of the ones before, a buffer to each evaluation running at once.
+// On a loopback leader with two one-slot workers, under the default policy
+// (pruning, stages, stealing and speculation), back-to-back evaluations on
+// one runner and then a width-2 tabu search on the same runner give the F
+// values and the best set of the same slots evaluated each on a runner of its
+// own, whose buffers are fresh.  The race detector watches the buffers
+// change hands.
+func TestReusedBuffersOverLoopback(t *testing.T) {
+	inst := scopeTestInstance(t)
+	space := unknownSpace(inst)
+	cfg := evalTestConfig(eval.DefaultPolicy())
+	cfg.Transport = loopbackCluster(t, inst.CNF,
+		cluster.WorkerOptions{Capacity: 1, Name: "w1"}, cluster.WorkerOptions{Capacity: 1, Name: "w2"})
+	const seed = 9
+	ctx := context.Background()
+	reused := NewRunner(inst.CNF, cfg)
+	fresh := freshRunners{f: inst.CNF, cfg: cfg, seed: seed, slots: NewRunner(inst.CNF, cfg)}
+
+	// Back to back, on sets of three sizes.
+	sc := reused.NewScope(seed)
+	for i, p := range []decomp.Point{space.FullPoint(), space.FullPoint().Flip(1), space.FullPoint().Flip(2).Flip(5), space.FullPoint()} {
+		got, err := sc.EvaluateSlotObserved(ctx, p, cfg.Policy, math.Inf(1), -1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.EvaluateSlot(ctx, p, cfg.Policy, math.Inf(1), i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Value != want.Value || got.Estimate != want.Estimate || got.StagesRun != want.StagesRun {
+			t.Fatalf("evaluation %d: %+v on a reused runner, %+v on a fresh one", i, got, want)
+		}
+	}
+
+	// A width-2 search: two evaluations at a time on the reused runner.
+	search := func(o *Objective) *optimize.Result {
+		res, err := optimize.TabuSearch(ctx, o, space.FullPoint(), optimize.Options{Seed: 5, MaxEvaluations: 20, MaxConcurrentEvals: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	got := search(NewObjective(reused.NewScope(seed), noActivity{}, cfg.Policy, nil, nil))
+	want := search(&Objective{Engine: eval.NewEngine(&fresh, cfg.Policy, nil), ActivitySource: noActivity{}})
+	if got.BestValue != want.BestValue || !got.BestPoint.Equal(want.BestPoint) {
+		t.Fatalf("width 2: best F %v at %v on a reused runner, %v at %v on fresh ones",
+			got.BestValue, got.BestPoint.SortedVars(), want.BestValue, want.BestPoint.SortedVars())
+	}
+	if reused.bufferCount() > 2 {
+		t.Fatalf("the runner keeps %d sample buffers after evaluating at most two at a time", reused.bufferCount())
+	}
+}
+
+// freshRunners is an eval.Backend that evaluates every slot of a scope seed
+// on a runner of its own, so that no evaluation finds a buffer another one
+// drew into; slots draws the slot numbers.
+type freshRunners struct {
+	f     *cnf.Formula
+	cfg   Config
+	seed  int64
+	slots *Runner
+}
+
+func (b *freshRunners) ReserveEvalSlots(n int) int { return b.slots.ReserveEvalSlots(n) }
+
+func (b *freshRunners) EvaluateSlot(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, slot int) (*eval.Evaluation, error) {
+	if slot < 0 {
+		slot = b.slots.ReserveEvalSlots(1)
+	}
+	return NewRunner(b.f, b.cfg).NewScope(b.seed).EvaluateSlotObserved(ctx, p, pol, incumbent, slot, nil)
+}
+
+// noActivity leaves the tabu search's choice of a new centre to the order of
+// the variables, the same whichever runner solved what.
+type noActivity struct{}
+
+func (noActivity) VarActivity(cnf.Var) float64 { return 0 }
 
 // TestAdaptiveDispatchBitIdenticalEstimate is the determinism gate of
 // adaptive dispatch: with work stealing, speculation and queues sized in
@@ -261,4 +350,11 @@ func TestCancelledWorkerLosesNoSamples(t *testing.T) {
 	if got.Estimate != want.Estimate {
 		t.Fatalf("estimate differs after a worker went down:\n got %+v\nwant %+v", got.Estimate, want.Estimate)
 	}
+}
+
+// bufferCount is the number of sample buffers the runner keeps.
+func (r *Runner) bufferCount() int {
+	r.bufMu.Lock()
+	defer r.bufMu.Unlock()
+	return len(r.buffers)
 }

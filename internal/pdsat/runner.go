@@ -44,6 +44,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"time"
@@ -325,6 +326,48 @@ type Runner struct {
 	// configuration surfaces on the first evaluation instead of panicking
 	// or hanging.
 	cfgErr error
+
+	// buffers are the sample buffers of the calls that have ended: a call
+	// takes one and puts it back, so there are never more than were in use
+	// at once.  borrows is whether the transport is a cluster.Borrower, whose
+	// batches' literals and task lists may be written again once the call
+	// has returned; any other transport's are not kept.
+	bufMu   sync.Mutex
+	buffers []*sampleBuffer // guarded by bufMu
+	borrows bool
+}
+
+// keepLits is the most literals a sample buffer may hold to be kept for the
+// next call, 4 MiB at eight bytes a literal: above the 300 000 of a whole
+// 2500-subproblem sample of 120-literal Bivium subproblems, and of a Solve
+// family up to d = 15; a larger family is not kept.
+const keepLits = 1 << 19
+
+// acquireBuffer hands out a sample buffer for one call, creating it if none
+// is free.
+func (r *Runner) acquireBuffer() *sampleBuffer {
+	r.bufMu.Lock()
+	defer r.bufMu.Unlock()
+	if n := len(r.buffers); n > 0 {
+		b := r.buffers[n-1]
+		r.buffers = r.buffers[:n-1]
+		return b
+	}
+	return &sampleBuffer{rng: rand.New(rand.NewSource(0))}
+}
+
+// releaseBuffer takes back the buffer of a call that has returned from its
+// batch, unless its literals are too many to keep.
+func (r *Runner) releaseBuffer(b *sampleBuffer) {
+	if cap(b.lits) > keepLits {
+		return
+	}
+	if !r.borrows {
+		b.lits, b.tasks = nil, nil
+	}
+	r.bufMu.Lock()
+	r.buffers = append(r.buffers, b)
+	r.bufMu.Unlock()
 }
 
 // NewRunner creates a runner for the formula.  An invalid configuration
@@ -352,6 +395,7 @@ func NewRunner(f *cnf.Formula, cfg Config) *Runner {
 		transport: transport,
 		cfgErr:    cfgErr,
 	}
+	_, r.borrows = transport.(cluster.Borrower)
 	r.Scope = r.NewScope(cfg.Seed)
 	return r
 }
@@ -638,10 +682,9 @@ func (r *Runner) SolveObserved(ctx context.Context, p decomp.Point, opts SolveOp
 		total = opts.MaxSubproblems
 	}
 
-	tasks := make([]cluster.Task, total)
-	for idx := uint64(0); idx < total; idx++ {
-		tasks[idx] = cluster.Task{Index: int(idx), Assumptions: fam.AssumptionsFor(idx)}
-	}
+	buf := r.acquireBuffer()
+	defer r.releaseBuffer(buf)
+	tasks := buf.familyTasks(fam, int(total))
 	stop := cluster.StopNone
 	if opts.StopOnSat {
 		stop = cluster.StopOnSat

@@ -153,13 +153,17 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 	}
 
 	fam := decomp.FamilyOf(r.formula, p)
-	// Derive a per-evaluation RNG so evaluation results do not depend on the
-	// order in which the optimizer visits points.
-	rng := rand.New(rand.NewSource(sc.seed ^ int64(evalIndex)*0x5851f42d4c957f2d))
+	buf := r.acquireBuffer()
+	defer r.releaseBuffer(buf)
+	// Seed the generator per evaluation, so evaluation results do not depend
+	// on the order in which the optimizer visits points; re-seeding gives the
+	// stream of a new rand.NewSource of the same seed.
+	buf.rng.Seed(sc.seed ^ int64(evalIndex)*0x5851f42d4c957f2d)
 	d := fam.Dimension()
 	n := r.cfg.SampleSize
 	scale := math.Exp2(float64(d))
-	tasks := sampleTasks(fam, rng, n)
+	tasks := buf.sampleTasks(fam, n)
+	costs, sampled := buf.tables(n)
 
 	// A live bound (attached by the neighborhood frontier) supplies sibling
 	// improvements as they complete; it only ever tightens the incumbent.
@@ -174,7 +178,7 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 	cp := &checkpoints{
 		sc: sc, pol: pol, observe: observe,
 		plan:  eval.StagePlan(n, pol.Stages),
-		costs: make([]float64, n), sampled: make([]bool, n),
+		costs: costs, sampled: sampled,
 		prune: prune, live: live, incumbent: incumbent, perCost: float64(n) / scale,
 		sumBound: math.Inf(1),
 		abort:    make(chan struct{}),
@@ -237,19 +241,67 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 	}, runErr
 }
 
-// sampleTasks draws an evaluation's n subproblems from rng, in index order, as
-// the tasks of its batch.  Their assumption vectors are cut from one array of
-// n·d literals, each capped at its own length so that appending to one cannot
-// reach the next.  The array is fresh for every evaluation and never written
-// again: the tasks are the caller's after the batch, as cluster.Task says.
-func sampleTasks(fam *decomp.Family, rng *rand.Rand, n int) []cluster.Task {
-	d := fam.Dimension()
-	slab := make([]cnf.Lit, n*d)
-	tasks := make([]cluster.Task, n)
+// sampleBuffer is what one evaluation or Solve call builds its batch in: the
+// literals of every task, the task list, the generator the sample is drawn
+// from, and the checkpoints' tables by task index.  A Runner keeps the
+// buffers of the calls that have ended (acquireBuffer, releaseBuffer), so
+// that a call builds its batch in the arrays of one before it.
+type sampleBuffer struct {
+	lits    []cnf.Lit
+	tasks   []cluster.Task
+	rng     *rand.Rand
+	costs   []float64
+	sampled []bool
+}
+
+// cut returns n tasks, indexed 0..n-1, whose assumption vectors are d
+// literals each of the buffer's one array, each capped at its own length so
+// that appending to one cannot reach the next.
+func (b *sampleBuffer) cut(n, d int) []cluster.Task {
+	if cap(b.lits) < n*d {
+		b.lits = make([]cnf.Lit, n*d)
+	}
+	if cap(b.tasks) < n {
+		b.tasks = make([]cluster.Task, n)
+	}
+	lits, tasks := b.lits[:n*d], b.tasks[:n]
 	for i := range tasks {
-		tasks[i] = cluster.Task{Index: i, Assumptions: fam.DrawAssumptions(slab[i*d:(i+1)*d:(i+1)*d], rng)}
+		tasks[i] = cluster.Task{Index: i, Assumptions: lits[i*d : (i+1)*d : (i+1)*d]}
 	}
 	return tasks
+}
+
+// sampleTasks draws an evaluation's n subproblems from the buffer's
+// generator, in index order, as the tasks of its batch.  They are the
+// buffer's arrays, which the next call that takes the buffer writes again:
+// the transport has let go of them by then, as cluster.Task says.
+func (b *sampleBuffer) sampleTasks(fam *decomp.Family, n int) []cluster.Task {
+	tasks := b.cut(n, fam.Dimension())
+	for i := range tasks {
+		fam.DrawAssumptions(tasks[i].Assumptions, b.rng)
+	}
+	return tasks
+}
+
+// familyTasks enumerates the first n members of the family, in index order,
+// as the tasks of a Solve batch.
+func (b *sampleBuffer) familyTasks(fam *decomp.Family, n int) []cluster.Task {
+	tasks := b.cut(n, fam.Dimension())
+	for i := range tasks {
+		fam.AssumptionsInto(tasks[i].Assumptions, uint64(i))
+	}
+	return tasks
+}
+
+// tables returns the checkpoints' cost and sampled tables for n tasks, none
+// of them sampled yet.
+func (b *sampleBuffer) tables(n int) ([]float64, []bool) {
+	if cap(b.costs) < n {
+		b.costs, b.sampled = make([]float64, n), make([]bool, n)
+	}
+	sampled := b.sampled[:n]
+	clear(sampled)
+	return b.costs[:n], sampled
 }
 
 // checkpoints is one evaluation as its batch's observer runs it.  The sample

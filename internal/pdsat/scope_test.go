@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -367,11 +368,15 @@ func TestLedgerRollUp(t *testing.T) {
 	}
 }
 
-// recordingTransport is the in-process transport keeping every batch's task
-// slice, as a caller that replays its subproblems after the batch does.
+// recordingTransport is the in-process transport recording every batch as a
+// Borrower may: it clones the assumption vectors on entry, checks when the
+// batch is done that nobody wrote them while it ran, and keeps the clones and
+// the address of the literal array, never the caller's vectors.
 type recordingTransport struct {
 	*cluster.Inproc
-	batches [][]cluster.Task
+	t       *testing.T
+	batches [][][]cnf.Lit
+	arrays  []*cnf.Lit
 }
 
 func (r *recordingTransport) RunObserved(ctx context.Context, tasks []cluster.Task, opts cluster.BatchOptions, observe func(cluster.TaskResult)) ([]cluster.TaskResult, error) {
@@ -379,66 +384,124 @@ func (r *recordingTransport) RunObserved(ctx context.Context, tasks []cluster.Ta
 }
 
 func (r *recordingTransport) RunAbortable(ctx context.Context, tasks []cluster.Task, opts cluster.BatchOptions, observe func(cluster.TaskResult), abort <-chan struct{}) ([]cluster.TaskResult, error) {
-	r.batches = append(r.batches, tasks)
-	return r.Inproc.RunAbortable(ctx, tasks, opts, observe, abort)
+	vectors := make([][]cnf.Lit, len(tasks))
+	for i, task := range tasks {
+		if task.Index != i {
+			r.t.Fatalf("task %d has the index %d", i, task.Index)
+		}
+		if len(task.Assumptions) == 0 || cap(task.Assumptions) != len(task.Assumptions) {
+			r.t.Fatalf("task %d has %d assumptions of capacity %d, want a capped vector", i, len(task.Assumptions), cap(task.Assumptions))
+		}
+		vectors[i] = slices.Clone(task.Assumptions)
+	}
+	results, err := r.Inproc.RunAbortable(ctx, tasks, opts, observe, abort)
+	for i, task := range tasks {
+		if !slices.Equal(task.Assumptions, vectors[i]) {
+			r.t.Fatalf("task %d was written during its batch: %v, it was %v", i, task.Assumptions, vectors[i])
+		}
+	}
+	r.batches = append(r.batches, vectors)
+	r.arrays = append(r.arrays, &tasks[0].Assumptions[0])
+	return results, err
 }
 
-// TestEvaluationLeavesItsTasksToTheCaller pins the ownership rule that a
-// caller keeping an evaluation's tasks relies on: after the evaluation, and
-// after the next one on the same scope, every assumption vector of the first
-// is what it was, and each is capped at its length, so that appending to one
-// cannot reach the next although they share one array.
+// TestEvaluationLeavesItsTasksToTheCaller pins the ownership rule an
+// evaluation relies on when it draws into the arrays of the one before: a
+// transport that borrows the tasks finds them unchanged until its call
+// returns, each vector capped at its length, so that appending to one cannot
+// reach the next although they share one array; the second evaluation, on a
+// smaller set, is drawn into the first one's array, and its vectors are those
+// of a cold draw of its slot.
 func TestEvaluationLeavesItsTasksToTheCaller(t *testing.T) {
 	inst := scopeTestInstance(t)
-	tr := &recordingTransport{Inproc: cluster.NewInproc(inst.CNF, 2, solver.DefaultOptions())}
+	tr := &recordingTransport{Inproc: cluster.NewInproc(inst.CNF, 2, solver.DefaultOptions()), t: t}
 	r := NewRunner(inst.CNF, Config{SampleSize: 12, Seed: 3, CostMetric: solver.CostPropagations, Transport: tr})
 	sc := r.NewScope(5)
-	p := decomp.NewSpace(inst.UnknownStartVars()).FullPoint()
-	if _, err := sc.EvaluatePoint(context.Background(), p); err != nil {
-		t.Fatal(err)
-	}
-	first := tr.batches[0]
-	kept := make([][]cnf.Lit, len(first))
-	for i, task := range first {
-		kept[i] = slices.Clone(task.Assumptions)
-	}
-	if _, err := sc.EvaluatePoint(context.Background(), p); err != nil {
-		t.Fatal(err)
+	space := decomp.NewSpace(inst.UnknownStartVars())
+	points := []decomp.Point{space.FullPoint(), space.FullPoint().Flip(0)}
+	for _, p := range points {
+		if _, err := sc.EvaluatePoint(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if len(tr.batches) != 2 {
 		t.Fatalf("%d batches for two evaluations", len(tr.batches))
 	}
-	for i, task := range first {
-		if task.Index != i || !slices.Equal(task.Assumptions, kept[i]) {
-			t.Fatalf("task %d of the first evaluation is %+v after the second, it was %v", i, task, kept[i])
-		}
-		if len(task.Assumptions) != p.Count() || cap(task.Assumptions) != len(task.Assumptions) {
-			t.Fatalf("task %d has %d assumptions of capacity %d, want %d of capacity %d", i, len(task.Assumptions), cap(task.Assumptions), p.Count(), p.Count())
+	if tr.arrays[0] != tr.arrays[1] {
+		t.Fatal("the second evaluation was not drawn into the first one's array")
+	}
+	for slot, p := range points {
+		fam := decomp.FamilyOf(inst.CNF, p)
+		cold := rand.New(rand.NewSource(5 ^ int64(slot)*0x5851f42d4c957f2d))
+		for i, got := range tr.batches[slot] {
+			if want := fam.DrawAssumptions(make([]cnf.Lit, fam.Dimension()), cold); !slices.Equal(got, want) {
+				t.Fatalf("evaluation %d, task %d: %v, a cold draw of its slot is %v", slot, i, got, want)
+			}
 		}
 	}
-	for i := 0; i+1 < len(first); i++ {
-		_ = append(first[i].Assumptions, cnf.NewLit(1, true))
-		if !slices.Equal(first[i+1].Assumptions, kept[i+1]) {
+
+	// The buffer now holds the second evaluation's vectors, cut from one
+	// array; none reaches into its neighbour.
+	buf := r.acquireBuffer()
+	defer r.releaseBuffer(buf)
+	tasks := buf.tasks[:len(tr.batches[1])]
+	for i := 0; i+1 < len(tasks); i++ {
+		_ = append(tasks[i].Assumptions, cnf.NewLit(1, true))
+		if !slices.Equal(tasks[i+1].Assumptions, tr.batches[1][i+1]) {
 			t.Fatalf("appending to task %d's assumptions changed task %d's", i, i+1)
 		}
 	}
 }
 
 // TestSampleTasksAllocsIndependentOfN: drawing an evaluation's subproblems
-// costs a fixed number of allocations — the task list and one array for all
-// their literals — whatever the sample size.
+// into a warm buffer allocates nothing, whatever the sample size.
 func TestSampleTasksAllocsIndependentOfN(t *testing.T) {
 	inst := scopeTestInstance(t)
 	fam := decomp.FamilyOf(inst.CNF, decomp.NewSpace(inst.UnknownStartVars()).FullPoint())
-	rng := rand.New(rand.NewSource(1))
+	buf := &sampleBuffer{rng: rand.New(rand.NewSource(1))}
+	buf.sampleTasks(fam, 2500)
 	allocs := func(n int) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if tasks := sampleTasks(fam, rng, n); len(tasks) != n {
+			if tasks := buf.sampleTasks(fam, n); len(tasks) != n {
 				t.Fatalf("%d tasks for a sample of %d", len(tasks), n)
 			}
 		})
 	}
-	if small, large := allocs(25), allocs(2500); small != large || large > 2 {
-		t.Fatalf("%v allocations for a sample of 25 and %v for 2500, want the same, at most 2", small, large)
+	if small, large := allocs(25), allocs(2500); small != 0 || large != 0 {
+		t.Fatalf("%v allocations for a sample of 25 and %v for 2500 into a warm buffer, want none", small, large)
+	}
+}
+
+// TestEvaluationBytesIndependentOfSampleLiterals: on a warm in-process
+// runner an evaluation draws its sample into the buffers of the one before,
+// so what a further subproblem costs it in bytes does not grow with the
+// literals it assumes.  Bivium with 120 unknown state bits is the bench's
+// bivium-estimate-tcp shape; a fresh slab of eight-byte literals alone would
+// be 8·d a subproblem.  What is left is the transport's per-task result.
+func TestEvaluationBytesIndependentOfSampleLiterals(t *testing.T) {
+	inst, err := encoder.NewInstance(encoder.Bivium(), encoder.Config{KeystreamLen: 200, KnownSuffix: 57, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := decomp.NewSpace(inst.UnknownStartVars()).FullPoint()
+	d := p.Count()
+	perEvaluation := func(n int) uint64 {
+		r := NewRunner(inst.CNF, Config{SampleSize: n, Workers: 2, Seed: 7, CostMetric: solver.CostPropagations})
+		if _, err := r.EvaluatePoint(context.Background(), p); err != nil { // builds the solvers, grows the buffers
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := r.EvaluatePoint(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := perEvaluation(250), perEvaluation(2500)
+	perTask := (float64(large) - float64(small)) / 2250
+	t.Logf("%d bytes an evaluation at N = 250, %d at N = 2500: %.0f a further subproblem of %d literals", small, large, perTask, d)
+	if perTask >= float64(2*d) {
+		t.Fatalf("%.0f bytes a further subproblem, want below 2·d = %d", perTask, 2*d)
 	}
 }
