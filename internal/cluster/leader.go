@@ -747,7 +747,7 @@ const (
 // travel many to a frame.  Only a batch with Steal gets it, because only
 // stealing can take a deep queue back from a worker that turns out slow: a
 // pinned batch with a deep queue behind a straggler waits for all of it
-// (BenchmarkStragglerBiviumEstimate's pinned arm: 1.0 s, and 1.5 to 10.5 s
+// (an estimate behind a half-second straggler: 1.0 s, and 1.5 to 10.5 s
 // with this condition taken out).
 // Tasks at or above the horizon leave the floor as it is.
 func targetDepth(capacity int, opts *BatchOptions, mean time.Duration) int {

@@ -92,7 +92,7 @@ func ActivityGuidedSet(ctx context.Context, scale Scale, inst *encoder.Instance,
 	}
 	unknown := inst.UnknownStartVars()
 	sort.Slice(unknown, func(i, j int) bool {
-		ai, aj := s.Runner().VarActivity(unknown[i]), s.Runner().VarActivity(unknown[j])
+		ai, aj := s.VarActivity(unknown[i]), s.VarActivity(unknown[j])
 		if ai != aj {
 			return ai > aj
 		}

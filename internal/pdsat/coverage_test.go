@@ -5,54 +5,28 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/paper-repro/pdsat-go/internal/cnf"
-	"github.com/paper-repro/pdsat-go/internal/encoder"
 	"github.com/paper-repro/pdsat-go/internal/montecarlo"
-	"github.com/paper-repro/pdsat-go/internal/solver"
 )
-
-// enumerateFamily solves every member of the 2^d family over the variables
-// free, each followed by the assumptions rest, with the real solver as a
-// worker runs it (Reset, assume, solve), and returns the cost of each member
-// in propagations and the conflicts of all.
-func enumerateFamily(t *testing.T, f *cnf.Formula, free []cnf.Var, rest []cnf.Lit) (costs []float64, conflicts uint64) {
-	t.Helper()
-	s := solver.NewDefault(f)
-	costs = make([]float64, 1<<len(free))
-	a := make([]cnf.Lit, len(free), len(free)+len(rest))
-	a = append(a, rest...)
-	for alpha := range costs {
-		for k, v := range free {
-			a[k] = cnf.NewLit(v, alpha>>k&1 == 1)
-		}
-		s.Reset()
-		res := s.SolveWithAssumptions(a)
-		if res.Status == solver.Unknown {
-			t.Fatalf("member %d of the family was not decided", alpha)
-		}
-		costs[alpha] = solver.EffortCost(res.Stats, solver.CostPropagations)
-		conflicts += res.Stats.Conflicts
-	}
-	return costs, conflicts
-}
 
 // TestEq3IntervalCoversExactFamilyCost is the first test of the paper's claim
 // rather than of reproducibility (PAPER.md §2, eq. 2–4): the CLT interval of
 // eq. 3 around F = 2^d · mean contains the true family cost t_C(X̃) with
-// probability γ.  The truth is a table: a 2^8 family enumerated exactly.  Over
-// 2000 seeds, N costs are drawn from it with replacement — what random
-// sampling of the family is — and go through the estimator's own code
-// (NewSample, NewEstimate, ConfidenceInterval); the share of intervals that
-// contain the exact total is the coverage, and a binomial standard error says
-// how far from nominal 2000 draws may put it.  Two families:
+// probability γ.  The truth is a committed cost table (oracle_test.go): every
+// member of a 2^8 family solved as an evaluation solves it, its cost in
+// propagations counting the solver's construction baseline.  Over 2000
+// seeds, N costs are drawn from it with replacement — what random sampling of
+// the family is — and go through the estimator's own code (NewSample,
+// NewEstimate, ConfidenceInterval); the share of intervals that contain the
+// exact total is the coverage, and a binomial standard error says how far
+// from nominal 2000 draws may put it.  Two families:
 //
 //   - The bench's Bivium instance (keystream 200, KnownSuffix 57), its first
 //     eight unknown start variables varied and the other 112 assumed behind
-//     them at fixed random values: subproblems of a few hundred propagations
-//     and two or three conflicts, a light-tailed ξ.  (Varying the last eight
-//     is no family: the conflict comes before them and all 256 members cost
-//     the same.)  Here N = 100 must cover within three standard errors of
-//     γ = 0.95.
+//     them at fixed random values: subproblems of about a thousand
+//     propagations and two or three conflicts, a light-tailed ξ.  (Varying
+//     the last eight is no family: the conflict comes before them and all 256
+//     members cost the same.)  Here N = 100 must cover within three standard
+//     errors of γ = 0.95.
 //   - Weakened A5/1 (keystream 96, KnownSuffix 44), its last eight unknown
 //     start variables varied and the other twelve left to CDCL: a heavy-tailed
 //     ξ (σ twice the mean, one member fifteen times the mean), the case
@@ -85,40 +59,25 @@ func TestEq3IntervalCoversExactFamilyCost(t *testing.T) {
 		return float64(covered) / seeds, math.Sqrt(gamma * (1 - gamma) / seeds)
 	}
 
-	bivium := weakBivium(t, 57, 200, 7)
-	bvars := bivium.UnknownStartVars()
-	rng := rand.New(rand.NewSource(0))
-	var rest []cnf.Lit
-	for _, v := range bvars[8:] {
-		rest = append(rest, cnf.NewLit(v, rng.Intn(2) == 0))
-	}
-	a51, err := encoder.NewInstance(encoder.A51(), encoder.Config{KeystreamLen: 96, KnownSuffix: 44, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	avars := a51.UnknownStartVars()
-
-	for _, fam := range []struct {
-		name string
-		f    *cnf.Formula
-		free []cnf.Var
-		rest []cnf.Lit
+	for i, fam := range []struct {
 		// nominalFrom is the N from which coverage at γ = 0.95 must be within
 		// three standard errors of nominal; floor bounds it below that N.
 		nominalFrom int
 		floor       float64
-	}{
-		{"bivium", bivium.CNF, bvars[:8], rest, 100, 0},
-		{"a5/1", a51.CNF, avars[len(avars)-8:], nil, 1000, 0.90},
-	} {
-		t.Run(fam.name, func(t *testing.T) {
-			costs, conflicts := enumerateFamily(t, fam.f, fam.free, fam.rest)
-			table := montecarlo.NewSample(costs)
-			if conflicts == 0 || table.StdDev() == 0 {
-				t.Fatalf("the family has %d conflicts and cost spread %v: no landscape to sample", conflicts, table.StdDev())
+	}{{100, 0}, {1000, 0.90}} {
+		t.Run(costTableFamilies[i].name, func(t *testing.T) {
+			table := loadCostTable(t, costTableFamilies[i].file)
+			costs := table.costs()
+			conflicts := uint64(0)
+			for _, member := range table.Members {
+				conflicts += member.Stats.Conflicts
+			}
+			sample := montecarlo.NewSample(costs)
+			if conflicts == 0 || sample.StdDev() == 0 {
+				t.Fatalf("the family has %d conflicts and cost spread %v: no landscape to sample", conflicts, sample.StdDev())
 			}
 			t.Logf("family of %d: %d conflicts; cost in propagations: mean %.1f, stddev %.1f, min %.0f, max %.0f",
-				len(costs), conflicts, table.Mean(), table.StdDev(), table.Min(), table.Max())
+				len(costs), conflicts, sample.Mean(), sample.StdDev(), sample.Min(), sample.Max())
 			for _, n := range []int{25, 100, 1000} {
 				for _, gamma := range []float64{0.95, 0.99} {
 					got, stderr := coverage(costs, n, gamma)

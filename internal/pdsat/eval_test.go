@@ -164,100 +164,6 @@ func TestEvalPolicyDisabledBitIdenticalSearch(t *testing.T) {
 	}
 }
 
-// TestEvaluatePointBudgetedPrunes checks the pruning mechanism directly: an
-// evaluation given an incumbent far below the point's true F must abort
-// early, report a certified lower bound above the incumbent, and account
-// the skipped subproblems as aborted.
-func TestEvaluatePointBudgetedPrunes(t *testing.T) {
-	inst := weakBivium(t, 167, 60, 21)
-	space := unknownSpace(inst)
-	p := space.FullPoint()
-
-	full, err := NewRunner(inst.CNF, evalTestConfig(eval.Policy{})).
-		EvaluatePoint(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{Prune: true}))
-	incumbent := full.Estimate.Value / 100
-	pe, err := r.EvaluatePointBudgeted(context.Background(), p, r.Config().Policy, incumbent, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pe.Pruned {
-		t.Fatalf("evaluation with incumbent %v was not pruned: %+v", incumbent, pe)
-	}
-	if pe.LowerBound <= incumbent {
-		t.Fatalf("lower bound %v does not exceed the incumbent %v", pe.LowerBound, incumbent)
-	}
-	if pe.BoundedValue() != pe.LowerBound {
-		t.Fatalf("BoundedValue = %v, want the lower bound %v", pe.BoundedValue(), pe.LowerBound)
-	}
-	if pe.Sample.Len()+pe.SamplesAborted > pe.SamplesPlanned {
-		t.Fatalf("accounting: %d solved + %d aborted > %d planned",
-			pe.Sample.Len(), pe.SamplesAborted, pe.SamplesPlanned)
-	}
-	if pe.Sample.Len() >= pe.SamplesPlanned {
-		t.Fatalf("pruned evaluation still solved the full sample (%d)", pe.Sample.Len())
-	}
-	if r.PrunedEvaluations() != 1 {
-		t.Fatalf("PrunedEvaluations = %d, want 1", r.PrunedEvaluations())
-	}
-	if got := r.SubproblemsSolved() + r.SubproblemsAborted(); got != pe.Sample.Len()+pe.SamplesAborted {
-		t.Fatalf("runner counters (%d) disagree with the estimate (%d)",
-			got, pe.Sample.Len()+pe.SamplesAborted)
-	}
-	ev := pe.Evaluation()
-	if ev.Value != pe.LowerBound || !ev.Pruned || ev.SamplesSolved != pe.Sample.Len() {
-		t.Fatalf("Evaluation conversion mismatch: %+v", ev)
-	}
-}
-
-// TestEvaluatePointBudgetedStagesEarlyStop checks staged sampling: with a
-// generous ε a cheap homogeneous point must stop after the first stage, and
-// the estimate over the prefix must match a same-seed evaluation truncated
-// to that prefix length.
-func TestEvaluatePointBudgetedStagesEarlyStop(t *testing.T) {
-	inst := weakBivium(t, 167, 60, 21)
-	space := unknownSpace(inst)
-	p := space.FullPoint()
-
-	pol := eval.Policy{Stages: 3, Epsilon: 10} // ε so large any 2-sample stage passes
-	r := NewRunner(inst.CNF, evalTestConfig(pol))
-	pe, err := r.EvaluatePointBudgeted(context.Background(), p, pol, math.Inf(1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pe.EarlyStopped {
-		t.Fatalf("evaluation did not stop early: %+v", pe)
-	}
-	if pe.StagesRun != 1 {
-		t.Fatalf("StagesRun = %d, want 1", pe.StagesRun)
-	}
-	wantLen := eval.StagePlan(24, 3)[0]
-	if pe.Sample.Len() != wantLen {
-		t.Fatalf("solved %d samples, want the first stage of %d", pe.Sample.Len(), wantLen)
-	}
-	if pe.SamplesAborted != 0 {
-		t.Fatalf("early stop aborted %d samples (none were dispatched)", pe.SamplesAborted)
-	}
-
-	// The prefix must be exactly the first samples of the full-sample
-	// evaluation (the sample depends only on seed and counter).
-	full, err := NewRunner(inst.CNF, evalTestConfig(eval.Policy{})).
-		EvaluatePoint(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fv, gv := full.Sample.Values(), pe.Sample.Values()
-	for i := range gv {
-		if gv[i] != fv[i] {
-			t.Fatalf("staged sample %d differs from the full sample prefix: %v vs %v", i, gv[i], fv[i])
-		}
-	}
-}
-
 // TestPruningAndStagingSaveSubproblems is the behavioural headline of the
 // engine: on the weakened-Bivium tabu search the default policy must cut
 // the number of solved subproblems by a large margin (the acceptance bar is

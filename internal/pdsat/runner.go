@@ -651,12 +651,30 @@ type SolveOptions struct {
 	MaxSubproblems uint64
 }
 
+// FamilyBatch returns how many subproblems Solve processes of the family of a
+// d-variable decomposition set under SolveOptions.MaxSubproblems.  It refuses
+// an empty set, and more than 2^20 subproblems: a batch holds every one's
+// literals, task and result at once, so more is refused before allocating.
+func FamilyBatch(d int, maxSubproblems uint64) (int, error) {
+	const most = 1 << 20 // the experiments solve 2^12 at most
+	n := maxSubproblems
+	if d < 63 && (n == 0 || n > 1<<d) {
+		n = 1 << d
+	}
+	switch {
+	case d == 0:
+		return 0, errors.New("pdsat: empty decomposition set")
+	case n == 0 || n > most:
+		return 0, fmt.Errorf("pdsat: a family of 2^%d subproblems is more than one solve enumerates; set max_subproblems to at most %d", d, most)
+	}
+	return int(n), nil
+}
+
 // Solve processes the decomposition family induced by the point: it
-// enumerates assignments of the decomposition set, solves every subproblem
-// and aggregates costs.  The decomposition set must be small enough to
-// enumerate (d < 63).  With Config.RetainLearned set, each worker keeps its
-// learned clauses across subproblems, which usually lowers the total effort
-// at the price of scheduling-dependent per-subproblem costs.
+// enumerates assignments of the decomposition set (FamilyBatch bounds them),
+// solves every subproblem and aggregates costs.  With Config.RetainLearned
+// set, each worker keeps its learned clauses across subproblems, which usually
+// lowers the total effort at the price of scheduling-dependent costs.
 func (r *Runner) Solve(ctx context.Context, p decomp.Point, opts SolveOptions) (*SolveReport, error) {
 	return r.SolveObserved(ctx, p, opts, nil)
 }
@@ -669,37 +687,24 @@ func (r *Runner) SolveObserved(ctx context.Context, p decomp.Point, opts SolveOp
 	if r.cfgErr != nil {
 		return nil, r.cfgErr
 	}
-	if p.Count() == 0 {
-		return nil, errors.New("pdsat: empty decomposition set")
-	}
-	if p.Count() >= 63 {
-		return nil, fmt.Errorf("pdsat: decomposition set of size %d cannot be enumerated", p.Count())
+	total, err := FamilyBatch(p.Count(), opts.MaxSubproblems)
+	if err != nil {
+		return nil, err
 	}
 	start := time.Now()
-	fam := decomp.FamilyOf(r.formula, p)
-	total := fam.SizeUint()
-	if opts.MaxSubproblems > 0 && opts.MaxSubproblems < total {
-		total = opts.MaxSubproblems
-	}
-
 	buf := r.acquireBuffer()
 	defer r.releaseBuffer(buf)
-	tasks := buf.familyTasks(fam, int(total))
+	tasks := buf.familyTasks(decomp.FamilyOf(r.formula, p), total)
 	stop := cluster.StopNone
 	if opts.StopOnSat {
 		stop = cluster.StopOnSat
 	}
 	results, err := r.runTasksObserved(ctx, tasks, stop, r.cfg.RetainLearned, observe)
-	interrupted := false
-	if err != nil {
-		if cluster.IsInterruption(err) {
-			interrupted = true
-		} else {
-			return nil, err
-		}
+	if err != nil && !cluster.IsInterruption(err) {
+		return nil, err
 	}
 
-	report := &SolveReport{Vars: p.SortedVars(), Point: p, SatIndex: -1}
+	report := &SolveReport{Vars: p.SortedVars(), Point: p, SatIndex: -1, Interrupted: err != nil}
 	// Aggregate in enumeration order for deterministic cost-to-first-SAT.
 	byIndex := make([]cluster.TaskResult, len(tasks))
 	seen := make([]bool, len(tasks))
@@ -707,11 +712,10 @@ func (r *Runner) SolveObserved(ctx context.Context, p decomp.Point, opts SolveOp
 		byIndex[res.Index] = res
 		seen[res.Index] = true
 	}
-	for idx := range byIndex {
+	for idx, res := range byIndex {
 		if !seen[idx] {
 			continue
 		}
-		res := byIndex[idx]
 		if !res.Started {
 			// Cancelled before a solver saw it.
 			report.SubproblemsAborted++
@@ -732,12 +736,5 @@ func (r *Runner) SolveObserved(ctx context.Context, p decomp.Point, opts SolveOp
 		}
 	}
 	report.WallTime = time.Since(start)
-	report.Interrupted = interrupted
 	return report, nil
-}
-
-// EstimateForCores converts a 1-core predictive value into the expected
-// processing time on the given number of cores.
-func EstimateForCores(value float64, cores int) float64 {
-	return montecarlo.ExtrapolateCores(value, cores)
 }

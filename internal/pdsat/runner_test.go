@@ -266,25 +266,6 @@ func TestSolveContextCancellation(t *testing.T) {
 	}
 }
 
-// TestEstimateForCores pins the edge cases of the core-count extrapolation
-// the reports rely on: core counts ≤ 1 are the identity (a prediction is
-// never inflated by a bogus core count) and a zero estimate stays zero.
-func TestEstimateForCores(t *testing.T) {
-	if EstimateForCores(960, 480) != 2 {
-		t.Fatal("EstimateForCores")
-	}
-	for _, cores := range []int{-3, 0, 1} {
-		if got := EstimateForCores(960, cores); got != 960 {
-			t.Fatalf("EstimateForCores(960, %d) = %v, want identity", cores, got)
-		}
-	}
-	for _, cores := range []int{-3, 0, 1, 480} {
-		if got := EstimateForCores(0, cores); got != 0 {
-			t.Fatalf("EstimateForCores(0, %d) = %v, want 0", cores, got)
-		}
-	}
-}
-
 func TestPredictionMatchesFullProcessingOnSmallFamily(t *testing.T) {
 	// The headline property of the method (Table 3): the Monte Carlo
 	// prediction of the total family-processing cost should be close to the

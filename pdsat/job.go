@@ -267,8 +267,8 @@ func neighborhoodDoneEvent(job string, member int, nb optimize.Neighborhood) Nei
 // SampleProgress event per processed subproblem and produces
 // JobResult.Solve.
 type SolveJob struct {
-	// Vars is the decomposition set; empty means the full start set.  The
-	// set must be small enough to enumerate (|Vars| < 63).
+	// Vars is the decomposition set; empty means the full start set.  More
+	// than 2^20 subproblems are refused unless MaxSubproblems bounds them.
 	Vars []Var `json:"vars,omitempty"`
 	// StopOnSat stops processing as soon as one subproblem is satisfiable
 	// (key recovery); otherwise the whole family is processed (validation
@@ -282,7 +282,10 @@ type SolveJob struct {
 func (SolveJob) Kind() JobKind { return JobSolve }
 
 func (spec SolveJob) validate(s *Session) error {
-	_, err := s.pointFromVars(spec.Vars)
+	p, err := s.pointFromVars(spec.Vars)
+	if err == nil {
+		_, err = runner.FamilyBatch(p.Count(), spec.MaxSubproblems)
+	}
 	return err
 }
 

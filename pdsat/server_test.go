@@ -301,6 +301,52 @@ func TestServerSolveJob(t *testing.T) {
 	}
 }
 
+// TestServerRefusesFamiliesTooLargeToEnumerate: a solve job over 40 A5/1
+// start variables is a family of 2^40.  It used to be accepted and to kill
+// the server allocating its batch; now it is answered 400, naming
+// max_subproblems, with no job created, and the same job bounded by
+// max_subproblems runs on the same server.
+func TestServerRefusesFamiliesTooLargeToEnumerate(t *testing.T) {
+	inst := testInstance(t, 24, 40, 9)
+	s := newTestSession(t, inst, 8)
+	ts := httptest.NewServer(pdsat.NewServer(s))
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"kind":"solve"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := readAll(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("max_subproblems")) || len(s.Jobs()) != 0 {
+		t.Fatalf("a solve of 2^%d subproblems: status %d, %s, %d jobs", len(inst.UnknownStartVars()), resp.StatusCode, body, len(s.Jobs()))
+	}
+
+	created := postJSON(t, ts.URL+"/v1/jobs", `{"kind":"solve","max_subproblems":3}`)
+	id := created["id"].(string)
+	events, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readAll(events); err != nil {
+		t.Fatal(err)
+	}
+	var status struct {
+		State  string `json:"state"`
+		Result struct {
+			Solve struct {
+				Processed int `json:"processed"`
+			} `json:"solve"`
+		} `json:"result"`
+	}
+	getJSON(t, ts.URL+"/v1/jobs/"+id, &status)
+	if status.State != "done" || status.Result.Solve.Processed != 3 {
+		t.Fatalf("the bounded solve: %+v", status)
+	}
+}
+
 // TestServerSubmitBodyLimit checks the bound on a job submission's body: a
 // spec that fills the 1 MiB limit to the last byte is accepted, one byte
 // more is answered 413 and creates no job.

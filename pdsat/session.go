@@ -107,8 +107,8 @@ func (s *Session) Problem() *Problem { return s.problem }
 // Space returns the session's search space.
 func (s *Session) Space() *Space { return s.space }
 
-// Runner exposes the underlying PDSAT runner (e.g. for its statistics).
-func (s *Session) Runner() *runner.Runner { return s.runner }
+// VarActivity returns a variable's conflict activity over every job's solves.
+func (s *Session) VarActivity(v Var) float64 { return s.runner.VarActivity(v) }
 
 // Config returns the session configuration.
 func (s *Session) Config() Config { return s.cfg }

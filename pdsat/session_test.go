@@ -120,7 +120,7 @@ func TestNewSessionValidation(t *testing.T) {
 	if s.Config().Cores != 480 {
 		t.Fatal("zero Cores should default to 480")
 	}
-	if s.Problem() != p || s.Space() == nil || s.Runner() == nil {
+	if s.Problem() != p || s.Space() == nil {
 		t.Fatal("accessors misbehave")
 	}
 }
@@ -166,15 +166,14 @@ func TestEstimateJobBitIdentical(t *testing.T) {
 		t.Fatalf("SAT samples: got %d, want %d", got.SatisfiableSamples, want.SatisfiableSamples)
 	}
 	for v := cnf.Var(1); int(v) <= inst.CNF.NumVars; v++ {
-		if s.Runner().VarActivity(v) != r.VarActivity(v) {
-			t.Fatalf("conflict activity of %d diverged: %v vs %v",
-				v, s.Runner().VarActivity(v), r.VarActivity(v))
+		if s.VarActivity(v) != r.VarActivity(v) {
+			t.Fatalf("conflict activity of %d diverged: %v vs %v", v, s.VarActivity(v), r.VarActivity(v))
 		}
 	}
-	if s.Runner().SubproblemsSolved() != r.SubproblemsSolved() {
+	if s.Stats().SubproblemsSolved != r.SubproblemsSolved() {
 		t.Fatal("subproblem accounting diverged")
 	}
-	gotStats, wantStats := s.Runner().AggregateStats(), r.AggregateStats()
+	gotStats, wantStats := s.Stats().Solver, r.AggregateStats()
 	// SolveTime is wall clock and necessarily differs between the runs.
 	gotStats.SolveTime, wantStats.SolveTime = 0, 0
 	if gotStats != wantStats {
