@@ -24,12 +24,16 @@ import (
 //
 // Clause activities are float64 and live out-of-line in Solver.clauseAct
 // (indexed by the header's activity word) so the arena stays a plain int32
-// slice and activity rescaling does not touch clause memory.
+// slice and activity rescaling does not touch clause memory.  The slots
+// follow the arena: the originals captured in the snapshot hold the first
+// ones, and the k-th clause above them in arena order holds slot
+// numActs+k, because a clause and its slot are appended together and
+// compactLearned renumbers the activity word of every clause it keeps.
 //
 // The dead bit is set by reduceDB on a clause it removes: the clause is
-// detached and its words are garbage until the next compaction
-// (compactLearned) or until Reset truncates the arena back to the original
-// clauses, whichever comes first.
+// detached and its words and its activity slot are garbage until the next
+// compaction (compactLearned) or until Reset truncates the arena back to the
+// original clauses, whichever comes first.
 
 // cref addresses a clause: the arena offset of its header word.  The
 // allocation order of clauses is exactly their cref order, which is what the
@@ -54,7 +58,8 @@ type arena struct {
 	data []ilit
 }
 
-// alloc appends a clause and returns its cref.
+// alloc appends a clause and returns its cref; newClause has made room for
+// it.
 func (a *arena) alloc(lits []ilit, learned bool, actIdx int32) cref {
 	if len(a.data)+hdrWords+len(lits) > maxArenaWords {
 		panic(fmt.Sprintf("solver: clause arena overflow (%d words)", len(a.data)))
@@ -64,7 +69,7 @@ func (a *arena) alloc(lits []ilit, learned bool, actIdx int32) cref {
 	if learned {
 		hdr |= learnedBit
 	}
-	a.data = append(grown(a.data, hdrWords+len(lits)), hdr, 0, ilit(actIdx))
+	a.data = append(a.data, hdr, 0, ilit(actIdx))
 	a.data = append(a.data, lits...)
 	return cr
 }
@@ -87,13 +92,52 @@ func (a *arena) lits(c cref) []ilit {
 func (a *arena) bytes() uint64 { return uint64(len(a.data)) * 4 }
 
 // newClause allocates a clause in the arena with a fresh activity slot and
-// keeps the ArenaBytes gauge current.
+// keeps the ArenaBytes gauge current.  For a learned clause it also makes the
+// room recordLearned appends it to the learned list in.
 func (s *Solver) newClause(lits []ilit, learned bool) cref {
+	words := hdrWords + len(lits)
+	if len(s.ar.data)+words > cap(s.ar.data) || len(s.clauseAct) == cap(s.clauseAct) ||
+		learned && len(s.learnts) == cap(s.learnts) {
+		s.growLearned(words, learned)
+	}
 	actIdx := int32(len(s.clauseAct))
-	s.clauseAct = append(grown(s.clauseAct, 1), 0)
+	s.clauseAct = append(s.clauseAct, 0)
 	cr := s.ar.alloc(lits, learned, actIdx)
 	s.stats.ArenaBytes = s.ar.bytes()
 	return cr
+}
+
+// growLearned makes room for one more clause of the given words in every
+// array of the learned region that is full: the arena, the clause
+// activities and, for a learned clause, the learned list.  An array doubles,
+// with one exception.  Once the learned list holds a quarter of reduceDB's
+// bound, the bound says how far the region will grow, and an array moves
+// straight there if that is a quarter more than it has or better: the
+// bound's clauses at the mean size of the live learned clauses, plus an
+// eighth for clauses that lengthen as the search deepens.  A short solve
+// never gets there; a long one ends at what the bound needs, not at up to
+// twice that (see "Construction" in the package comment).
+func (s *Solver) growLearned(words int, learned bool) {
+	bound := s.opts.MaxLearnedFactor * float64(len(s.clauses)+100)
+	projected := s.opts.MaxLearnedFactor > 0 && float64(4*len(s.learnts)) >= bound
+	// room is the capacity for an array of capacity c whose first orig
+	// elements belong to the original clauses and which holds per elements
+	// for every learned clause (per is read only when projected, that is
+	// with learned clauses to take the mean of).
+	room := func(c, orig int, per float64) int {
+		if projected {
+			if want := orig + int(bound*per*9/8); want >= c+c/4 {
+				return want
+			}
+		}
+		return 2 * c
+	}
+	liveWords := len(s.ar.data) - s.arenaBase - s.garbageWords
+	s.ar.data = grown(s.ar.data, words, room(cap(s.ar.data), s.arenaBase, float64(liveWords)/float64(len(s.learnts))))
+	s.clauseAct = grown(s.clauseAct, 1, room(cap(s.clauseAct), len(s.clauses), 1))
+	if learned {
+		s.learnts = grown(s.learnts, 1, room(cap(s.learnts), 0, 1))
+	}
 }
 
 // bumpClause raises a clause's activity, replicating the pointer
@@ -105,7 +149,9 @@ func (s *Solver) bumpClause(c cref) {
 	ai := s.ar.actIdx(c)
 	// An original's activity only ever grows from zero (the rescale below
 	// spares originals), so zero means this is its first bump since Reset.
-	if s.clauseAct[ai] == 0 && !s.ar.isLearned(c) {
+	// Only the snapshot's originals are listed: the slot of a clause above
+	// arenaBase is renumbered by compaction and cut off by Reset.
+	if int(c) < s.arenaBase && s.clauseAct[ai] == 0 {
 		s.dirtyActs = append(s.dirtyActs, ai)
 	}
 	s.clauseAct[ai] += s.clauseInc
@@ -133,12 +179,17 @@ type movedRun struct {
 // uncompacted arena would have run.  Where a clause went is looked up in a
 // table of the runs between dead clauses, kept in a scratch buffer: a few
 // entries per removed clause at most, where a map of every live clause was
-// built and dropped per compaction.
+// built and dropped per compaction.  The activities slide in the same pass:
+// the k-th clause kept takes slot numActs+k, with its value, and the table is
+// cut behind the last, so a solver that is never Reset holds one activity
+// per live clause, not one per clause it ever learned.  A clause's slot is
+// never below its new one (slots follow the arena, see the layout note), so
+// the values move down in place.
 func (s *Solver) compactLearned() {
 	base := int32(s.arenaBase)
-	data := s.ar.data
+	data, acts := s.ar.data, s.clauseAct
 	runs := s.runBuf[:0]
-	w := base
+	w, act := base, int32(s.base.numActs)
 	for r := base; r < int32(len(data)); {
 		sz := int32(data[r]) >> flagBits
 		next := r + hdrWords + sz
@@ -149,12 +200,16 @@ func (s *Solver) compactLearned() {
 				}
 				copy(data[w:w+hdrWords+sz], data[r:next])
 			}
+			acts[act] = acts[data[w+2]]
+			data[w+2] = ilit(act)
+			act++
 			w += hdrWords + sz
 		}
 		r = next
 	}
 	s.runBuf = runs[:0]
 	s.ar.data = data[:w]
+	s.clauseAct = acts[:act]
 	s.garbageWords = 0
 	s.stats.ArenaBytes = s.ar.bytes()
 	// remap returns where the live clause c is now: it moved with the last

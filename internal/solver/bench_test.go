@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -81,6 +82,25 @@ func a51SearchBatch(tb testing.TB) (*cnf.Formula, [][]cnf.Lit) {
 // touches a tenth of.
 func biviumEstimateBatch(tb testing.TB) (*cnf.Formula, [][]cnf.Lit) {
 	return sessionBatch(tb, encoder.Bivium(), encoder.Config{KeystreamLen: 200, KnownSuffix: 57, Seed: 7}, 0, 64)
+}
+
+// biviumHardBatch is the shape of the bench's bivium-hard workload (Bivium,
+// 200 keystream bits, 36 known state bits) with n assignments of the last 4
+// of its 141 unknown start variables: subproblems no solve finishes within
+// the workload's 24 000-conflict budget, with a learned-clause database that
+// grows to the reduceDB bound.
+func biviumHardBatch(tb testing.TB, n int) (*cnf.Formula, [][]cnf.Lit) {
+	return sessionBatch(tb, encoder.Bivium(), encoder.Config{KeystreamLen: 200, KnownSuffix: 36, Seed: 1007}, 4, n)
+}
+
+// solveBytes solves under the assumptions and returns the result and the
+// bytes the process allocated meanwhile.
+func solveBytes(s *Solver, assumptions []cnf.Lit) (Result, uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := s.SolveWithAssumptions(assumptions)
+	runtime.ReadMemStats(&after)
+	return res, after.TotalAlloc - before.TotalAlloc
 }
 
 // BenchmarkSolverPropagation measures one decide → propagate → backtrack
@@ -289,37 +309,64 @@ func BenchmarkSolverNew(b *testing.B) {
 
 // BenchmarkSolverLongSolve runs CDCL search where the other Bivium benchmarks
 // only propagate (at KnownSuffix 160/167 every subproblem is decided by unit
-// propagation): the shape of the bench's bivium-hard workload — Bivium, 200
-// keystream bits, 36 known state bits, two cells of a 4-variable
-// decomposition set, each solved on one goroutine until a 4000-conflict
-// budget stops it, Reset in between — with a learned-clause database that
-// grows to thousands of clauses.  It is the benchmark for changes to the
-// propagation kernel and reports its rates; the effort counters of one op
-// are pinned to the values recorded at PR 13, so that it fails instead of
-// silently timing a different search.
+// propagation): the shape of the bench's bivium-hard workload, with a
+// learned-clause database that grows to thousands of clauses.
+//
+// warm solves two cells of the 4-variable decomposition set on one
+// goroutine until a 4000-conflict budget stops each, Reset in between, on a
+// solver that has run them once before the timer starts.  It is the
+// benchmark for changes to the propagation kernel and reports its rates; the
+// effort counters of one op are pinned to the values recorded at PR 13, so
+// that it fails instead of silently timing a different search.
+//
+// cold is what warm never sees, because its solver grew before the timer
+// started: a fresh solver per op (New outside the timed region) solves one
+// cell to the workload's 24 000-conflict budget, as each of bivium-hard's
+// solvers does, and grows its learned region to the reduceDB bound on the
+// way.  It reports the bytes the solve allocates (solve-B/op), and its
+// effort is pinned to TestLongSolveGrowsTheLearnedRegionOnce's.
 func BenchmarkSolverLongSolve(b *testing.B) {
-	want := Stats{Propagations: 1554823, Conflicts: 8000, Decisions: 9697}
-	f, batch := sessionBatch(b, encoder.Bivium(), encoder.Config{KeystreamLen: 200, KnownSuffix: 36, Seed: 1007}, 4, 2)
-	s := NewDefault(f)
-	s.SetBudget(Budget{MaxConflicts: 4000})
-	run := func() (sum Stats) {
-		for _, a := range batch {
-			s.Reset()
-			sum = sum.Add(s.SolveWithAssumptions(a).Stats)
+	b.Run("warm", func(b *testing.B) {
+		want := Stats{Propagations: 1554823, Conflicts: 8000, Decisions: 9697}
+		f, batch := biviumHardBatch(b, 2)
+		s := NewDefault(f)
+		s.SetBudget(Budget{MaxConflicts: 4000})
+		run := func() (sum Stats) {
+			for _, a := range batch {
+				s.Reset()
+				sum = sum.Add(s.SolveWithAssumptions(a).Stats)
+			}
+			return sum
 		}
-		return sum
-	}
-	run() // reach steady-state capacities
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got := run()
-		if got.Propagations != want.Propagations || got.Conflicts != want.Conflicts || got.Decisions != want.Decisions {
-			b.Fatalf("one op performed %d propagations, %d conflicts, %d decisions; recorded: %d, %d, %d — the search changed",
-				got.Propagations, got.Conflicts, got.Decisions, want.Propagations, want.Conflicts, want.Decisions)
+		run() // reach steady-state capacities
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			got := run()
+			if got.Propagations != want.Propagations || got.Conflicts != want.Conflicts || got.Decisions != want.Decisions {
+				b.Fatalf("one op performed %d propagations, %d conflicts, %d decisions; recorded: %d, %d, %d — the search changed",
+					got.Propagations, got.Conflicts, got.Decisions, want.Propagations, want.Conflicts, want.Decisions)
+			}
 		}
-	}
-	secs := b.Elapsed().Seconds()
-	b.ReportMetric(float64(want.Propagations)*float64(b.N)/secs, "props/s")
-	b.ReportMetric(float64(want.Conflicts)*float64(b.N)/secs, "conflicts/s")
+		secs := b.Elapsed().Seconds()
+		b.ReportMetric(float64(want.Propagations)*float64(b.N)/secs, "props/s")
+		b.ReportMetric(float64(want.Conflicts)*float64(b.N)/secs, "conflicts/s")
+	})
+	b.Run("cold", func(b *testing.B) {
+		f, batch := biviumHardBatch(b, 1)
+		var bytes uint64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			s := NewDefault(f)
+			s.SetBudget(Budget{MaxConflicts: coldHardSolve.Conflicts})
+			b.StartTimer()
+			res, n := solveBytes(s, batch[0])
+			bytes += n
+			if d := coldHardSolveDiff(res); d != "" {
+				b.Fatal(d)
+			}
+		}
+		b.ReportMetric(float64(bytes)/float64(b.N), "solve-B/op")
+	})
 }

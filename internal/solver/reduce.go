@@ -15,8 +15,9 @@ import (
 // per reduction, and order the clauses as sort.Slice did).  And a removed
 // clause's arena words are given back: the clause is marked dead, and once
 // the dead words outweigh half of the learned region compactLearned slides
-// the live clauses over them, in order, so the tie-break above, every watch
-// list and every reason name the same clauses as before.
+// the live clauses over them, in order, and their activities with them, so
+// the sort above, every watch list and every reason see the same clauses as
+// before.
 
 // LBD tier boundaries: a clause's tier is fixed at learn time and counted in
 // Stats (LearnedCore/LearnedMid/LearnedLocal).  The tiers are reported, not

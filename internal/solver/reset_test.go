@@ -125,6 +125,10 @@ func assertAssignmentInvariant(s *Solver) string {
 type resetScript struct {
 	data []byte
 	pos  int
+	// compactions counts the operations in which compactLearned ran: it
+	// ran if the solve stored more learned clauses than the activity table
+	// grew by, since only compaction cuts the table short of Reset.
+	compactions int
 }
 
 func (r *resetScript) done() bool { return r.pos >= len(r.data) }
@@ -173,7 +177,9 @@ func (r *resetScript) run(f *cnf.Formula, opts Options) string {
 	step := 0
 	for ; !r.done(); step++ {
 		n := f.NumVars
-		switch op := r.next(); op % 8 {
+		acts, learned := len(s.clauseAct), int(s.stats.Learned)
+		op := r.next()
+		switch op % 8 {
 		case 0, 1: // plain solve under a few assumptions
 			s.SolveWithAssumptions(r.lits(op/8%6, n))
 		case 2: // truncated by a conflict budget
@@ -204,6 +210,9 @@ func (r *resetScript) run(f *cnf.Formula, opts Options) string {
 			if d := check(step); d != "" {
 				return d
 			}
+		}
+		if op%8 != 7 && int(s.stats.Learned)-learned > len(s.clauseAct)-acts { // a Reset cuts the table itself
+			r.compactions++
 		}
 		if d := assertAssignmentInvariant(s); d != "" {
 			return fmt.Sprintf("after step %d: %s", step, d)
@@ -262,18 +271,53 @@ func FuzzResetEqualsFresh(f *testing.F) {
 	f.Add([]byte{2, 8, 1, 130, 0, 2, 131, 0, 3, 1, 0, 7, 16, 2, 3, 7})
 	f.Add([]byte{9, 12, 1, 2, 3, 0, 129, 130, 0, 131, 4, 0, 5, 6, 6, 1, 0, 14, 1, 2, 5, 1, 7, 46, 3, 9})
 	f.Add([]byte{23, 3, 1, 0, 129, 0, 7}) // UNSAT at construction
+	f.Add(compactingResetSeed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
-		n := min(int(data[1]), len(data)-2)
-		formula := fuzzFormula(append([]byte{data[0]}, data[2:2+n]...))
-		variants := resetOptionVariants()
-		name := []string{"default", "reduceDB"}[int(data[0]>>3)%2]
-		if d := (&resetScript{data: data[2+n:]}).run(formula, variants[name]); d != "" {
+		if name, formula, d, _ := runResetInput(data); d != "" {
 			t.Fatalf("%s, formula %+v: %s", name, formula, d)
 		}
 	})
+}
+
+// compactingResetSeed is an input of FuzzResetEqualsFresh whose solves reach
+// compactLearned, which renumbers the activity slots: ten variables under
+// the reduceDB variant, 19 random ternary clauses, and the script solve,
+// add a binary clause, solve, solve, Reset.  The added clause lives among the
+// learned ones and is bumped before a compaction cuts the activity table
+// below its first slot, so a Reset that zeroed that slot would index past
+// the table.  TestCompactingResetSeedCompacts holds the seed to compacting.
+var compactingResetSeed = []byte{15, 76,
+	137, 4, 129, 0, 129, 5, 132, 0, 8, 133, 137, 0, 10, 137, 134, 0, 137, 1, 6, 0, 8, 131, 131, 0, 134, 1, 131, 0,
+	2, 8, 129, 0, 2, 131, 7, 0, 135, 9, 2, 0, 9, 129, 9, 0, 135, 5, 132, 0, 6, 4, 2, 0, 3, 4, 137, 0,
+	5, 2, 134, 0, 3, 130, 132, 0, 7, 7, 136, 0, 3, 9, 7, 0, 3, 4, 2, 0,
+	0, 14, 116, 245, 0, 0, 7}
+
+// TestCompactingResetSeedCompacts checks that the corpus seed meant to reach
+// compactLearned does, so that Reset after a renumbering of the activities is
+// fuzzed from a known start and not only reachable by chance.
+func TestCompactingResetSeedCompacts(t *testing.T) {
+	name, formula, d, compactions := runResetInput(compactingResetSeed)
+	if d != "" {
+		t.Fatalf("%s, formula %+v: %s", name, formula, d)
+	}
+	if name != "reduceDB" || compactions == 0 {
+		t.Fatalf("the seed runs the %s variant and compacts in %d operations, want reduceDB and at least one", name, compactions)
+	}
+}
+
+// runResetInput runs one input of FuzzResetEqualsFresh and returns the
+// option variant, the formula, the first divergence from a fresh solver or
+// "", and the number of operations that compacted the learned region.
+func runResetInput(data []byte) (name string, formula *cnf.Formula, diff string, compactions int) {
+	n := min(int(data[1]), len(data)-2)
+	formula = fuzzFormula(append([]byte{data[0]}, data[2:2+n]...))
+	name = []string{"default", "reduceDB"}[int(data[0]>>3)%2]
+	r := &resetScript{data: data[2+n:]}
+	diff = r.run(formula, resetOptionVariants()[name])
+	return name, formula, diff, r.compactions
 }
 
 // TestResetCostIsProportionalToTouched pins the point of the dirty marks by

@@ -64,12 +64,21 @@
 // (learnedReserve), and for a watch list that will hold n entries the power
 // of two append would have grown it to (watchCap) — the capacity it had
 // before, for every list of up to 512 entries.  Past the reserve, what grows
-// with the learned clauses (arena, clause activities, learned list) at least
-// doubles when it moves: over a long solve that reallocates twice the final
-// size where append's 1.25x came to five times (bivium-hard: 42.7 to 31.6 MB
-// allocated at the same 2 MB arena).  All of it is kept over Reset, which
-// truncates and never frees; TestConstructionReservesGrowth holds a second
-// pass over a batch to no allocation at all.
+// with the learned clauses (arena, clause activities, learned list) doubles
+// when it moves, as long as the learned list is under a quarter of
+// reduceDB's bound; past that it moves once to what the bound implies, the
+// bound's clauses at the mean size of the live ones plus an eighth
+// (growLearned).  append's 1.25x reallocated five times the final size over
+// a long solve, and doubling twice (bivium-hard: 42.7 to 31.6 MB); the one
+// projected move takes bivium-hard to 19.4 MB and a cold 24 000-conflict
+// solve of its shape from 15.96 to 9.7, the arena through 100k, 200k, 400k
+// and 869k words where doubling went on to 1.6M for a peak of 0.81M.  A
+// short solve never reaches a quarter of the bound.  Compaction keeps the
+// clause activities to one per live clause (see arena.go), so a solver that
+// is never Reset holds what the reduce policy bounds, not one activity per
+// conflict.  All of it is kept over Reset, which truncates and never frees;
+// TestConstructionReservesGrowth holds a second pass over a batch to no
+// allocation at all.
 //
 // # Assignment
 //
@@ -153,12 +162,14 @@
 //     Invariant: an unflagged original clause has the snapshot's literal
 //     order.  Learned clauses need no mark: the arena is truncated back to
 //     the originals.
-//   - Activity marks: the activity slot of an original clause and the
-//     variable, each recorded at its first bump, which is the bump that
-//     finds the clause activity, or the variable's conflict activity, at
-//     zero.  Invariant: an unrecorded original clause has activity zero, an
-//     unrecorded variable VSIDS and conflict activity zero.  The variable
-//     list is also what AppendConflictActivities reads.
+//   - Activity marks: the activity slot of an original clause of the
+//     snapshot and the variable, each recorded at its first bump, which is
+//     the bump that finds the clause activity, or the variable's conflict
+//     activity, at zero.  Invariant: an unrecorded original clause of the
+//     snapshot has activity zero, an unrecorded variable VSIDS and conflict
+//     activity zero.  (The slots above the snapshot's are cut off, and
+//     compaction renumbers them, so none of them is recorded.)  The
+//     variable list is also what AppendConflictActivities reads.
 //
 // What is left is independent of the search: truncating the arena, the
 // learned-clause list and the trail, and rebuilding the decision heap, which
@@ -966,15 +977,16 @@ func extend[T any](s []T, n int, v T) []T {
 	return s
 }
 
-// grown returns s with room for n more elements, at least doubling the
-// capacity when it has to move: what grows with the learned clauses (the
-// arena, the clause activities, the learned list) is reallocated twice its
-// final size over a long solve, where append's 1.25x comes to five times.
-func grown[T any](s []T, n int) []T {
+// grown returns s with room for n more elements, moving it to capacity want
+// (or to its length plus n, if that is more) when it has none.  growLearned
+// chooses want for what grows with the learned clauses (the arena, the
+// clause activities, the learned list), where append's 1.25x reallocated
+// five times the final size over a long solve.
+func grown[T any](s []T, n, want int) []T {
 	if len(s)+n <= cap(s) {
 		return s
 	}
-	out := make([]T, len(s), max(2*cap(s), len(s)+n))
+	out := make([]T, len(s), max(want, len(s)+n))
 	copy(out, s)
 	return out
 }
@@ -1280,7 +1292,7 @@ func (s *Solver) recordLearned(lits []ilit) {
 	cr := s.newClause(lits, true)
 	s.ar.setLBD(cr, int32(lbd))
 	s.bumpClause(cr)
-	s.learnts = append(grown(s.learnts, 1), cr)
+	s.learnts = append(s.learnts, cr) // newClause made the room
 	s.stats.Learned++
 	switch {
 	case lbd <= coreLBD:
