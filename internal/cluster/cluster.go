@@ -47,6 +47,11 @@
 // batch observer (ObservedTransport), valid for the length of that call.  The
 // results a batch returns carry none.
 //
+// Both directions of a batch are lent.  The tasks are the caller's (Task), and
+// so is the array the results land in when the caller offers one with room for
+// them all (BatchOptions.Results): an evaluation of thousands of subproblems
+// then allocates neither its tasks nor its results, batch after batch.
+//
 // # Protocol compatibility
 //
 // The network transport speaks one version of its wire protocol
@@ -95,7 +100,9 @@ import (
 // batch; internal/pdsat's Runner draws every sample into the arrays of the one
 // before.  Any other transport may keep them past the call (a wrapper that
 // records the subproblems it passes on, say), so it is given vectors no caller
-// writes again.  Either way a caller may cut many vectors from one array.
+// writes again.  Either way a caller may cut many vectors from one array.  The
+// array a batch's results are recorded in is lent the same way, by every
+// transport (BatchOptions.Results).
 type Task struct {
 	// Index identifies the task within its batch.  A batch's indices must
 	// be exactly 0..len(tasks)-1 (each once); both backends rely on this to
@@ -108,7 +115,9 @@ type Task struct {
 
 // TaskResult is the outcome of one subproblem solve, in the one form both
 // backends use: the in-process workers record it in their batch themselves
-// and the network workers put it on the wire field by field (proto.go).
+// and the network workers put it on the wire field by field (proto.go).  The
+// results a batch returns are recorded in the caller's array when it lends
+// one (BatchOptions.Results), and in one the transport allocates otherwise.
 type TaskResult struct {
 	// Index echoes Task.Index.
 	Index int
@@ -197,6 +206,22 @@ type BatchOptions struct {
 	// function of the task in pristine batches, so which copy wins never
 	// changes the result content — only how soon it arrives.
 	Speculate bool
+	// Results is lent like the tasks.  When its capacity holds one result per
+	// task, the batch's results are appended to it from its start and the
+	// call returns a slice of that array instead of allocating one; a shorter
+	// array is ignored, never grown into.  No transport, Borrower or not,
+	// keeps any of it once the call has returned, so the caller may write it
+	// again at once.  It stays with the caller: no wire carries it.
+	Results []TaskResult
+}
+
+// resultsFor returns the array a batch of n tasks records its results in: the
+// lent one if it has room for them all, a new one otherwise.
+func resultsFor(lent []TaskResult, n int) []TaskResult {
+	if cap(lent) >= n {
+		return lent[:0]
+	}
+	return make([]TaskResult, 0, n)
 }
 
 // Transport runs batches of tasks for one fixed formula.  Implementations

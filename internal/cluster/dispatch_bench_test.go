@@ -253,37 +253,52 @@ func BenchmarkInprocDispatch(b *testing.B) {
 // warm 2500-task pristine batch with an observer allocates next to nothing a
 // task in process (the batch's own slices) and, over loopback with leader and
 // workers in this process, less than the two vectors a result used to cost on
-// either side — by count, not by clock.
+// either side — by count, not by clock.  Lent a results array, as a runner's
+// evaluation lends one, the same batch allocates a few bytes a task: what is
+// left once the results array, about 200 bytes a task, is the caller's.
 func TestDispatchAllocsPerTask(t *testing.T) {
 	f, tasks := biviumPropagationTasks(t, 2500)
 	opts := cluster.BatchOptions{CostMetric: solver.CostPropagations, Steal: true, Speculate: true}
 	leader, _ := benchCluster(t, f, false)
 	for name, tc := range map[string]struct {
-		tr    cluster.ObservedTransport
-		limit float64
+		tr        cluster.ObservedTransport
+		limit     float64 // allocations a task
+		lentBytes float64 // bytes a task, lent a results array
 	}{
-		"inproc":   {cluster.NewInproc(f, 2, solver.Options{}), 0.1},
-		"loopback": {leader, 2},
+		"inproc":   {cluster.NewInproc(f, 2, solver.Options{}), 0.1, 16},
+		"loopback": {leader, 2, 32},
 	} {
-		observed := 0
-		run := func() {
-			results, err := tc.tr.RunObserved(context.Background(), tasks, opts, func(cluster.TaskResult) { observed++ })
-			if err != nil || len(results) != len(tasks) {
-				t.Fatalf("%s: %d results for %d tasks, error %v", name, len(results), len(tasks), err)
+		lent := opts
+		lent.Results = make([]cluster.TaskResult, 0, len(tasks))
+		for _, opts := range []cluster.BatchOptions{opts, lent} {
+			leg := name
+			if opts.Results != nil {
+				leg += ", lent"
 			}
-		}
-		run() // builds the solvers, grows the buffers
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		run()
-		runtime.ReadMemStats(&after)
-		perTask := float64(after.Mallocs-before.Mallocs) / float64(len(tasks))
-		t.Logf("%s: %.3f allocations and %.0f bytes a task", name, perTask, float64(after.TotalAlloc-before.TotalAlloc)/float64(len(tasks)))
-		if perTask > tc.limit {
-			t.Errorf("%s: %.3f allocations a task in a warm batch of %d, want at most %v", name, perTask, len(tasks), tc.limit)
-		}
-		if observed != 2*len(tasks) {
-			t.Errorf("%s: the observer saw %d results of %d", name, observed, 2*len(tasks))
+			observed := 0
+			run := func() {
+				results, err := tc.tr.RunObserved(context.Background(), tasks, opts, func(cluster.TaskResult) { observed++ })
+				if err != nil || len(results) != len(tasks) {
+					t.Fatalf("%s: %d results for %d tasks, error %v", leg, len(results), len(tasks), err)
+				}
+			}
+			run() // builds the solvers, grows the buffers
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			perTask := float64(after.Mallocs-before.Mallocs) / float64(len(tasks))
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(tasks))
+			t.Logf("%s: %.3f allocations and %.0f bytes a task", leg, perTask, bytes)
+			if perTask > tc.limit {
+				t.Errorf("%s: %.3f allocations a task in a warm batch of %d, want at most %v", leg, perTask, len(tasks), tc.limit)
+			}
+			if opts.Results != nil && bytes > tc.lentBytes {
+				t.Errorf("%s: %.0f bytes a task in a warm batch of %d, want at most %v", leg, bytes, len(tasks), tc.lentBytes)
+			}
+			if observed != 2*len(tasks) {
+				t.Errorf("%s: the observer saw %d results of %d", leg, observed, 2*len(tasks))
+			}
 		}
 	}
 }

@@ -148,7 +148,7 @@ func (t *Inproc) RunAbortable(ctx context.Context, tasks []Task, opts BatchOptio
 	batchCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	b := &inprocBatch{tasks: tasks, opts: opts, cancel: cancel, done: make(chan struct{}),
-		results: make([]TaskResult, 0, len(tasks)), observe: observe, abort: abort}
+		results: resultsFor(opts.Results, len(tasks)), observe: observe, abort: abort}
 	// An abort that has already fired cancels the batch before a worker starts.
 	select {
 	case <-abort:

@@ -154,9 +154,11 @@ type netBatch struct {
 	// array of its own; the caller's is never written.
 	pending []Task
 	got     []bool
-	// results has room for every task from the start and only ever grows
-	// by append, one result per index: an element, once appended, is never
-	// written again and never moves, so it may be read without the lock.
+	// results has room for every task from the start — the caller's lent
+	// array, or one of the batch's own — and only ever grows by append, one
+	// result per index: an element, once appended, is never written again and
+	// never moves, so it may be read without the lock.  Nothing is appended
+	// once RunDispatch has returned (it unsets Leader.batch first).
 	// None carries its activity vector.  Those of an observed batch are
 	// copied, as the results are recorded, behind one another into fill; the
 	// batch loop swaps fill for drain when it takes the results recorded
@@ -1001,7 +1003,7 @@ func (l *Leader) RunDispatch(ctx context.Context, tasks []Task, opts BatchOption
 		opts:      opts,
 		pending:   tasks[:len(tasks):len(tasks)],
 		got:       make([]bool, len(tasks)),
-		results:   make([]TaskResult, 0, len(tasks)),
+		results:   resultsFor(opts.Results, len(tasks)),
 		observed:  observe != nil,
 		fill:      l.logs[0],
 		drain:     l.logs[1],
@@ -1081,12 +1083,13 @@ func (l *Leader) RunDispatch(ctx context.Context, tasks []Task, opts BatchOption
 	return b.results, l.snapshotDispatchStats(b), ctx.Err()
 }
 
-// snapshotResults copies the first n batch results under the lock, for the
-// exit that leaves tasks unanswered: late deliveries may still append.
+// snapshotResults returns the first n batch results, for the exit that leaves
+// tasks unanswered: late deliveries may still append behind them until the
+// batch is unset, so the slice is taken under the lock and capped.
 func (l *Leader) snapshotResults(b *netBatch, n int) []TaskResult {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return slices.Clone(b.results[:n])
+	return b.results[:n:n]
 }
 
 // snapshotDispatchStats copies the batch's dispatch counters under the lock.

@@ -192,7 +192,9 @@ func TestCostTablesMatchTheSolver(t *testing.T) {
 //   - a member above the batch's budget comes back Unknown and Interrupted,
 //     its count in the budget's unit capped at the limit, with no activity;
 //   - the activity of the others is lent to the observer for its call and
-//     overwritten after it; returned results carry none.
+//     overwritten after it; returned results carry none;
+//   - the results are recorded in the batch's lent results array when it has
+//     room for them all (cluster.BatchOptions.Results).
 //
 // It answers on the calling goroutine and keeps nothing of a batch once the
 // call has returned, so it is a cluster.Borrower.
@@ -230,7 +232,10 @@ func (o *oracle) RunAbortable(ctx context.Context, tasks []cluster.Task, opts cl
 		return nil, err
 	}
 	o.calls.Add(1)
-	results := make([]cluster.TaskResult, 0, len(tasks))
+	results := opts.Results[:0]
+	if cap(results) < len(tasks) {
+		results = make([]cluster.TaskResult, 0, len(tasks))
+	}
 	var lent solver.SparseActivities
 	stopped := false
 	for k := range tasks {
@@ -418,6 +423,47 @@ func TestOracleMatchesInproc(t *testing.T) {
 	t.Logf("%d evaluations compared, %d of them stopped early, %d pruned", compared, early, pruned)
 	if compared < 25 || early == 0 || pruned == 0 {
 		t.Fatalf("%d evaluations compared, %d early stops, %d pruned: the test proves too little", compared, early, pruned)
+	}
+}
+
+// TestOracleHeldResultsKeepTheirActivity: answering in reverse index order,
+// the oracle makes an evaluation under DefaultPolicy hold back every result
+// past its first stage boundary until the results below it are in.  A held
+// result's activity vector is a copy in the evaluation's buffer: the oracle
+// overwrites the vector it lent after every observer call, so a held result
+// still pointing at it would add up that scribble.  Over the A5/1 table each
+// evaluation, early-stopped or whole, returns what it returns in index order
+// — value, sample, lower bound, stages — with the same ledger and activity
+// table, on runners whose buffers serve evaluation after evaluation.
+func TestOracleHeldResultsKeepTheirActivity(t *testing.T) {
+	_, inOrder, _, p := oracleRunners(t)
+	o := newOracle(loadCostTable(t, costTableFamilies[1].file))
+	n := inOrder.cfg.SampleSize
+	o.order = make([]int, n)
+	for i := range o.order {
+		o.order[i] = n - 1 - i
+	}
+	cfg := inOrder.cfg
+	cfg.Transport = o
+	reversed := NewRunner(inOrder.formula, cfg)
+	// ε = 0.1 never stops this family's samples early; 0.5 stops some at the
+	// first checkpoint, some at the second.
+	loose := eval.DefaultPolicy()
+	loose.Epsilon = 0.5
+	stagesRun := map[int]int{} // stages run → evaluations
+	for _, pol := range []eval.Policy{eval.DefaultPolicy(), loose} {
+		for seed := int64(0); seed < 10; seed++ {
+			want, _ := evaluateInScope(t, inOrder, seed, p, pol, math.Inf(1))
+			got, _ := evaluateInScope(t, reversed, seed, p, pol, math.Inf(1))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, ε %v: the evaluation in reverse order differs from the one in index order:\n got %+v\nwant %+v", seed, pol.Epsilon, got, want)
+			}
+			stagesRun[want.eval.StagesRun]++
+		}
+	}
+	t.Logf("evaluations by the stages they ran: %v", stagesRun)
+	if len(stagesRun) != 3 {
+		t.Fatalf("evaluations by the stages they ran: %v; want some at each of the three", stagesRun)
 	}
 }
 

@@ -340,8 +340,13 @@ type Runner struct {
 // keepLits is the most literals a sample buffer may hold to be kept for the
 // next call, 4 MiB at eight bytes a literal: above the 300 000 of a whole
 // 2500-subproblem sample of 120-literal Bivium subproblems, and of a Solve
-// family up to d = 15; a larger family is not kept.
-const keepLits = 1 << 19
+// family up to d = 15; a larger family is not kept.  keepResults is the most
+// results its results array may hold to be kept, 4 MiB at 256 bytes a result
+// (a TaskResult is 208 on 64-bit platforms): a Solve family up to d = 14.
+const (
+	keepLits    = 1 << 19
+	keepResults = 1 << 14
+)
 
 // acquireBuffer hands out a sample buffer for one call, creating it if none
 // is free.
@@ -357,10 +362,15 @@ func (r *Runner) acquireBuffer() *sampleBuffer {
 }
 
 // releaseBuffer takes back the buffer of a call that has returned from its
-// batch, unless its literals are too many to keep.
+// batch, unless its literals are too many to keep; a results array too large
+// to keep is dropped from it.  Every transport has let go of the results
+// array by now, only a Borrower of the literals and tasks.
 func (r *Runner) releaseBuffer(b *sampleBuffer) {
 	if cap(b.lits) > keepLits {
 		return
+	}
+	if cap(b.results) > keepResults {
+		b.results = nil
 	}
 	if !r.borrows {
 		b.lits, b.tasks = nil, nil
@@ -527,14 +537,15 @@ func absorbResult(res *cluster.TaskResult, c *Counters) {
 	}
 }
 
-// runTasksObserved dispatches one batch through the transport.  Each
-// transport worker owns one persistent solver; retain selects whether it
-// keeps learned clauses across tasks (solving mode with Config.RetainLearned)
-// or is restored to its pristine state before every task.  observe (when
-// non-nil) receives a Progress notification per collected result; transports
-// without in-flight observation support deliver all notifications after the
-// batch completes, preserving order.
-func (r *Runner) runTasksObserved(ctx context.Context, tasks []cluster.Task, stop cluster.StopMode, retain bool, observe func(Progress)) ([]cluster.TaskResult, error) {
+// runTasksObserved dispatches one batch through the transport, lending it the
+// results array (see cluster.BatchOptions.Results).  Each transport worker
+// owns one persistent solver; retain selects whether it keeps learned clauses
+// across tasks (solving mode with Config.RetainLearned) or is restored to its
+// pristine state before every task.  observe (when non-nil) receives a
+// Progress notification per collected result; transports without in-flight
+// observation support deliver all notifications after the batch completes,
+// preserving order.
+func (r *Runner) runTasksObserved(ctx context.Context, tasks []cluster.Task, results []cluster.TaskResult, stop cluster.StopMode, retain bool, observe func(Progress)) ([]cluster.TaskResult, error) {
 	opts := cluster.BatchOptions{
 		Stop:       stop,
 		Retain:     retain,
@@ -545,6 +556,7 @@ func (r *Runner) runTasksObserved(ctx context.Context, tasks []cluster.Task, sto
 		// learned clauses a duplicate copy solves on different solver state,
 		// so which copy wins would change the recorded result content.
 		Speculate: !retain,
+		Results:   results,
 	}
 	// A family is no scope's sample: its results go into the runner's own
 	// ledger, as they are observed.
@@ -699,23 +711,16 @@ func (r *Runner) SolveObserved(ctx context.Context, p decomp.Point, opts SolveOp
 	if opts.StopOnSat {
 		stop = cluster.StopOnSat
 	}
-	results, err := r.runTasksObserved(ctx, tasks, stop, r.cfg.RetainLearned, observe)
+	results, err := r.runTasksObserved(ctx, tasks, buf.lentResults(total), stop, r.cfg.RetainLearned, observe)
 	if err != nil && !cluster.IsInterruption(err) {
 		return nil, err
 	}
 
 	report := &SolveReport{Vars: p.SortedVars(), Point: p, SatIndex: -1, Interrupted: err != nil}
-	// Aggregate in enumeration order for deterministic cost-to-first-SAT.
-	byIndex := make([]cluster.TaskResult, len(tasks))
-	seen := make([]bool, len(tasks))
+	// The results come in completion order; the costs are summed in
+	// enumeration order, for a deterministic total and cost-to-first-SAT.
+	costs, processed := buf.tables(total)
 	for _, res := range results {
-		byIndex[res.Index] = res
-		seen[res.Index] = true
-	}
-	for idx, res := range byIndex {
-		if !seen[idx] {
-			continue
-		}
 		if !res.Started {
 			// Cancelled before a solver saw it.
 			report.SubproblemsAborted++
@@ -725,14 +730,18 @@ func (r *Runner) SolveObserved(ctx context.Context, p decomp.Point, opts SolveOp
 			report.SubproblemsAborted++
 		}
 		report.Processed++
-		report.TotalCost += res.Cost
-		if !report.FoundSat {
-			report.CostToFirstSat += res.Cost
-			if res.Status == solver.Sat {
-				report.FoundSat = true
-				report.Model = res.Model
-				report.SatIndex = int64(idx)
-			}
+		costs[res.Index], processed[res.Index] = res.Cost, true
+		if res.Status == solver.Sat && (!report.FoundSat || int64(res.Index) < report.SatIndex) {
+			report.FoundSat, report.Model, report.SatIndex = true, res.Model, int64(res.Index)
+		}
+	}
+	for idx, ok := range processed {
+		if !ok {
+			continue
+		}
+		report.TotalCost += costs[idx]
+		if !report.FoundSat || int64(idx) <= report.SatIndex {
+			report.CostToFirstSat += costs[idx]
 		}
 	}
 	report.WallTime = time.Since(start)

@@ -175,10 +175,11 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 	}
 	prune := pol.Prune &&
 		((!math.IsInf(incumbent, 1) && !math.IsNaN(incumbent)) || live != nil)
+	buf.held.reset()
 	cp := &checkpoints{
 		sc: sc, pol: pol, observe: observe,
 		plan:  eval.StagePlan(n, pol.Stages),
-		costs: costs, sampled: sampled,
+		costs: costs, sampled: sampled, held: &buf.held,
 		prune: prune, live: live, incumbent: incumbent, perCost: float64(n) / scale,
 		sumBound: math.Inf(1),
 		abort:    make(chan struct{}),
@@ -188,6 +189,7 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 		CostMetric: r.cfg.CostMetric,
 		Steal:      true,
 		Speculate:  true,
+		Results:    buf.lentResults(n),
 	}
 	var abort <-chan struct{}
 	if prune {
@@ -242,16 +244,19 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 }
 
 // sampleBuffer is what one evaluation or Solve call builds its batch in: the
-// literals of every task, the task list, the generator the sample is drawn
-// from, and the checkpoints' tables by task index.  A Runner keeps the
-// buffers of the calls that have ended (acquireBuffer, releaseBuffer), so
-// that a call builds its batch in the arrays of one before it.
+// literals of every task, the task list, the array the results come back in,
+// the generator the sample is drawn from, the tables by task index and the
+// checkpoints' held-back results.  A Runner keeps the buffers of the calls
+// that have ended (acquireBuffer, releaseBuffer), so that a call builds its
+// batch, and takes its results, in the arrays of one before it.
 type sampleBuffer struct {
 	lits    []cnf.Lit
 	tasks   []cluster.Task
+	results []cluster.TaskResult
 	rng     *rand.Rand
 	costs   []float64
 	sampled []bool
+	held    heldResults
 }
 
 // cut returns n tasks, indexed 0..n-1, whose assumption vectors are d
@@ -293,8 +298,19 @@ func (b *sampleBuffer) familyTasks(fam *decomp.Family, n int) []cluster.Task {
 	return tasks
 }
 
-// tables returns the checkpoints' cost and sampled tables for n tasks, none
-// of them sampled yet.
+// lentResults returns the buffer's results array, empty, with room for n
+// results: what a call lends its batch (cluster.BatchOptions.Results), which
+// every transport lets go of when the call returns.
+func (b *sampleBuffer) lentResults(n int) []cluster.TaskResult {
+	if cap(b.results) < n {
+		b.results = make([]cluster.TaskResult, 0, n)
+	}
+	return b.results[:0]
+}
+
+// tables returns a cost and a flag table for n tasks, no flag set: the
+// checkpoints' costs and which are samples, or a Solve's costs and which
+// were processed.
 func (b *sampleBuffer) tables(n int) ([]float64, []bool) {
 	if cap(b.costs) < n {
 		b.costs, b.sampled = make([]float64, n), make([]bool, n)
@@ -341,9 +357,8 @@ type checkpoints struct {
 	counted  int
 	partial  int
 	satCount int
-	// held are the results beyond the boundary, with activity vectors of
-	// their own.
-	held []cluster.TaskResult
+	// held are the results beyond the boundary, in the buffer's arrays.
+	held *heldResults
 
 	// sumAll is every counted cost, truncated solves included; sumBound the
 	// incumbent translated onto that sum: 2^d·(Σζ)/N > incumbent ⇔ Σζ >
@@ -366,8 +381,7 @@ func (cp *checkpoints) result(res cluster.TaskResult) {
 	case res.Index < cp.plan[cp.stage]:
 		cp.count(res)
 	case !cp.stopped:
-		res.Activity = res.Activity.Clone() // lent for this call only
-		cp.held = append(cp.held, res)
+		cp.held.hold(res)
 	}
 	for !cp.stopped && cp.counted == cp.plan[cp.stage] {
 		cp.decide()
@@ -428,23 +442,51 @@ func (cp *checkpoints) decide() {
 		}
 	}
 	cp.stage++
-	held := cp.held
-	cp.held = held[:0]
+	// What stays held is moved down the list in place; the activity vectors
+	// stay where they are.
+	held := cp.held.results
+	cp.held.results = held[:0]
 	for _, res := range held {
 		switch {
 		case res.Index < cp.plan[cp.stage]:
 			cp.count(res)
 		case !cp.stopped:
-			cp.held = append(cp.held, res)
+			cp.held.results = append(cp.held.results, res)
 		}
 	}
 }
 
-// stop ends the evaluation at the current boundary and the batch with it.
+// stop ends the evaluation at the current boundary and the batch with it;
+// what is held is dropped.
 func (cp *checkpoints) stop() {
 	cp.stopped = true
-	cp.held = nil
+	cp.held.reset()
 	close(cp.abort)
+}
+
+// heldResults are the results an evaluation holds back, with their activity
+// vectors copied out of the transport's loan, one behind the other, into two
+// arrays of their own.  An evaluation's buffer keeps them for the next one.
+type heldResults struct {
+	results []cluster.TaskResult
+	act     solver.SparseActivities
+}
+
+// hold keeps res and a copy of its activity vector.  A vector held before
+// points into the arrays as they were when it was copied, which an append
+// that moves them leaves as they are.
+func (h *heldResults) hold(res cluster.TaskResult) {
+	from := len(h.act.Vars)
+	h.act.Vars = append(h.act.Vars, res.Activity.Vars...)
+	h.act.Acts = append(h.act.Acts, res.Activity.Acts...)
+	to := len(h.act.Vars)
+	res.Activity = solver.SparseActivities{Vars: h.act.Vars[from:to:to], Acts: h.act.Acts[from:to:to]}
+	h.results = append(h.results, res)
+}
+
+// reset drops everything held, keeping the arrays.
+func (h *heldResults) reset() {
+	h.results, h.act = h.results[:0], h.act.Emptied()
 }
 
 // sample returns the costs of the samples below the boundary, in enumeration
