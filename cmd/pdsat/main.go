@@ -1,22 +1,21 @@
 // Command pdsat reproduces the modes of the MPI program PDSAT used in the
-// paper, on top of the library's leader/worker runner:
-//
-//	-mode estimate   compute the predictive function F for a decomposition set
-//	-mode search     minimize F with simulated annealing or tabu search
-//	-mode solve      process the whole decomposition family (key recovery)
-//
-// The SAT instance is either generated on the fly from one of the three
-// keystream generators (-generator, -known, -keystream, -seed) or read from
-// a DIMACS file (-cnf) together with an explicit start set (-start).
+// paper (estimate F, search for a set, solve the family, plus a fleet race
+// of searches) on top of the library's leader/worker runner.  It runs the
+// job in the file named by -job, a POST /v1/jobs body decoded by the job
+// API's own decoder (examples/jobs holds one of each kind); without -job it
+// estimates F for the start set.  The other flags describe the session: the
+// SAT instance, generated from a keystream generator (-generator, -known,
+// -keystream, -seed) or read from a DIMACS file (-cnf) with its start set
+// (-start), and the runner.  -serve serves the job API on that session.
 //
 // By default the subproblems run on in-process goroutine workers.  The same
 // binary can also form a network cluster, mirroring the paper's MPI
 // deployment: a leader listens with -listen and dispatches every subproblem
-// to remote workers, and a worker joins a leader with -join (all other mode
+// to remote workers, and a worker joins a leader with -join (the session
 // flags are then ignored — the leader ships the formula over the wire):
 //
-//	pdsat -listen :9100 -min-workers 2 -mode solve ...   # terminal 1 (leader)
-//	pdsat -join leaderhost:9100 -workers 8               # terminal 2..n (workers)
+//	pdsat -listen :9100 -min-workers 2 -job solve.json ...   # terminal 1 (leader)
+//	pdsat -join leaderhost:9100 -workers 8                   # terminal 2..n (workers)
 //
 // SIGINT/SIGTERM interrupt the workers cleanly (non-blocking interrupt
 // messages, like PDSAT's) and still print a partial report.
@@ -24,6 +23,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -51,40 +51,36 @@ func main() {
 
 func run() error {
 	var (
-		mode       = flag.String("mode", "estimate", "estimate, search or solve")
+		jobPath    = flag.String("job", "", `run the job in this JSON file, a POST /v1/jobs body (default {"kind":"estimate"}, F of the start set)`)
 		generator  = flag.String("generator", "a5/1", "keystream generator: a5/1, bivium or grain (ignored with -cnf)")
 		keystream  = flag.Int("keystream", 0, "keystream length (0 = paper default)")
 		known      = flag.Int("known", 0, "number of trailing state bits fixed to their secret values")
 		seed       = flag.Int64("seed", 1, "random seed (instance secret, samples and search)")
 		cnfPath    = flag.String("cnf", "", "solve a DIMACS file instead of a generated instance")
 		startList  = flag.String("start", "", "comma-separated start-set variables (required with -cnf)")
-		setList    = flag.String("set", "", "explicit decomposition set (comma-separated variables); default: the start set")
-		method     = flag.String("method", "tabu", "search method: sa or tabu")
-		fleetSpec  = flag.String("fleet", "", `race a fleet of concurrent searches over one cluster, e.g. "tabu:4,sa:4" (implies -mode search; -evaluations is the fleet-total budget, split fairly)`)
-		targetF    = flag.Float64("target-f", 0, "with -fleet, stop the whole race once a member certifies a best F at or below this (0 = disabled)")
-		jitter     = flag.Int("jitter", 0, "with -fleet, flip this many deterministically seeded start-set bits per member (member 0 keeps the canonical start)")
-		keepRacing = flag.Bool("keep-racing", false, "with -fleet, keep the remaining members running after one exhausts its space or hits -target-f")
 		samples    = flag.Int("samples", 200, "Monte Carlo sample size N")
-		evals      = flag.Int("evaluations", 50, "maximum predictive-function evaluations during search")
+		evals      = flag.Int("evaluations", 50, "maximum predictive-function evaluations a search makes; each fleet member's unless the fleet sets max_evaluations")
 		workers    = flag.Int("workers", 0, "computing processes (0 = all CPUs)")
 		cores      = flag.Int("cores", 480, "core count for extrapolated predictions")
 		metric     = flag.String("cost", "propagations", "cost metric: conflicts, propagations, decisions or seconds")
 		budget     = flag.Uint64("subproblem-conflicts", 0, "conflict budget per sampled subproblem (0 = unlimited)")
-		evalPolicy = flag.String("eval-policy", "off", "budget-aware evaluation policy: off (full-sample, bit-identical to the classic pipeline) or default (pruning + staged sampling + F-cache)")
-		prune      = flag.Bool("prune", false, "abort evaluations whose partial lower bound exceeds the search incumbent (overrides -eval-policy)")
-		stages     = flag.Int("stages", 0, "split each sample into this many geometric stages with an early-stop check between them (0/1 = unstaged; overrides -eval-policy)")
-		stageEps   = flag.Float64("stage-epsilon", 0, "staged early-stop target: stop once the eq.-3 confidence half-width is below this fraction of the mean (0 = no early stop; overrides -eval-policy)")
-		fcache     = flag.Bool("fcache", false, "memoize F values by decomposition set across searches and jobs (overrides -eval-policy)")
-		maxConc    = flag.Int("max-concurrent-evals", 0, "neighborhood-parallel search: evaluate up to this many candidate sets concurrently per neighborhood (0 = the default of 1, one at a time)")
-		stopOnSat  = flag.Bool("stop-on-sat", true, "in solve mode, stop at the first satisfiable subproblem")
 		timeout    = flag.Duration("timeout", 0, "overall wall-clock limit (0 = none)")
 		listen     = flag.String("listen", "", "act as cluster leader: listen for remote workers on this address and dispatch all subproblems to them")
 		join       = flag.String("join", "", "act as remote cluster worker: connect to a leader at this address and serve subproblems (-workers slots)")
 		minWorkers = flag.Int("min-workers", 1, "with -listen, wait for this many remote workers before starting")
-		serve      = flag.String("serve", "", "serve the job API over HTTP on this address (e.g. :8080) instead of running one -mode; combines with -listen")
+		serve      = flag.String("serve", "", "serve the job API over HTTP on this address (e.g. :8080) instead of running one -job; combines with -listen")
 		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) while the process runs, as leader, worker or server alike (empty = off)")
 	)
 	flag.Parse()
+
+	switch {
+	case *join != "" && *listen != "":
+		return fmt.Errorf("-listen and -join are mutually exclusive")
+	case *jobPath != "" && *join != "":
+		return fmt.Errorf("-job and -join are mutually exclusive: a worker runs the leader's jobs")
+	case *jobPath != "" && *serve != "":
+		return fmt.Errorf("-job and -serve are mutually exclusive: a server runs the jobs posted to /v1/jobs")
+	}
 
 	ctx, cancel := signalContext(*timeout)
 	defer cancel()
@@ -96,10 +92,14 @@ func run() error {
 	defer stopDebug()
 
 	if *join != "" {
-		if *listen != "" {
-			return fmt.Errorf("-listen and -join are mutually exclusive")
-		}
 		return runWorker(ctx, *join, *workers)
+	}
+
+	// The spec is read before the instance is built: a malformed one fails
+	// without encoding a cipher.
+	spec, err := readJob(*jobPath)
+	if err != nil {
+		return err
 	}
 
 	costMetric, err := parseMetric(*metric)
@@ -112,23 +112,6 @@ func run() error {
 		return err
 	}
 
-	// Flags explicitly set on the command line override the -eval-policy
-	// preset in both directions (e.g. -eval-policy default -prune=false
-	// disables only the pruning).
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	policy, err := buildPolicy(*evalPolicy, policyFlags{
-		prune:    *prune,
-		stages:   *stages,
-		epsilon:  *stageEps,
-		cache:    *fcache,
-		explicit: explicit,
-	})
-	if err != nil {
-		return err
-	}
-	policy.MaxConcurrentEvals = *maxConc
-
 	cfg := pdsat.Config{
 		Runner: pdsat.RunnerConfig{
 			SampleSize:       *samples,
@@ -137,7 +120,6 @@ func run() error {
 			CostMetric:       costMetric,
 			SolverOptions:    solver.DefaultOptions(),
 			SubproblemBudget: solver.Budget{MaxConflicts: *budget},
-			Policy:           policy,
 		},
 		Search: pdsat.SearchOptions{Seed: *seed, MaxEvaluations: *evals},
 		Cores:  *cores,
@@ -164,24 +146,16 @@ func run() error {
 		cfg.Runner.Transport = leader
 	}
 
-	// The session checks -start against the formula and its space checks
-	// -set against the start set: a bad list is reported here, not after
-	// -min-workers workers have joined.
+	// The session checks -start against the formula and the spec against
+	// the session: a bad list is reported here, not after -min-workers
+	// workers have joined (a leader queues a submitted batch until they do).
 	session, err := pdsat.NewSession(problem, cfg)
 	if err != nil {
 		return err
 	}
 	sessionRef.Store(session)
-
-	var set []pdsat.Var // empty: the start set
-	if *setList != "" {
-		set, err = parseVars(*setList)
-		if err != nil {
-			return err
-		}
-		if _, err := session.Space().PointFromVars(set); err != nil {
-			return fmt.Errorf("-set: %w", err)
-		}
+	if err = spec.Validate(session); err != nil {
+		return fmt.Errorf("-job %s: %w", *jobPath, err)
 	}
 
 	if leader != nil {
@@ -196,43 +170,34 @@ func run() error {
 
 	fmt.Printf("instance %s: %d variables, %d clauses, start set of %d variables\n",
 		problem.Name, problem.Formula.NumVars, problem.Formula.NumClauses(), len(problem.StartSet))
-	if policy.Enabled() {
-		fmt.Printf("evaluation policy: prune=%v stages=%d epsilon=%g gamma=%g fcache=%v max-concurrent-evals=%d\n",
-			policy.Prune, policy.Stages, policy.Epsilon, policy.EffectiveGamma(), policy.Cache, policy.MaxConcurrentEvals)
-	}
 
 	if *serve != "" {
 		return runServe(ctx, session, *serve)
 	}
 
-	// The flags describe one job, as a body of POST /v1/jobs would.
-	var spec pdsat.JobSpec
-	switch {
-	case *fleetSpec != "":
-		members, err := pdsat.ParseFleet(*fleetSpec)
-		if err != nil {
-			return err
-		}
-		spec = pdsat.FleetJob{
-			Members:        members,
-			Seed:           *seed,
-			Start:          set,
-			Jitter:         *jitter,
-			TargetF:        *targetF,
-			MaxEvaluations: *evals,
-			KeepRacing:     *keepRacing,
-		}
-	case *mode == "estimate":
-		spec = pdsat.EstimateJob{Vars: set}
-	case *mode == "search":
-		spec = pdsat.SearchJob{Method: *method, Start: set}
-	case *mode == "solve":
-		spec = pdsat.SolveJob{Vars: set, StopOnSat: *stopOnSat}
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
+	line, err := json.Marshal(spec)
+	if err != nil {
+		return err
 	}
-
+	fmt.Printf("job %s: %s\n", spec.Kind(), line)
 	return runJob(ctx, session, spec, costMetric)
+}
+
+// readJob decodes the -job file with the job API's own decoder; without a
+// file the job is an estimate of F for the whole start set.
+func readJob(path string) (pdsat.JobSpec, error) {
+	if path == "" {
+		return pdsat.EstimateJob{}, nil
+	}
+	body, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("-job: %w", err)
+	}
+	spec, err := pdsat.DecodeJobSpec(body)
+	if err != nil {
+		return nil, fmt.Errorf("-job %s: %w", path, err)
+	}
+	return spec, nil
 }
 
 // runJob runs the job and prints its result.  Interrupted (SIGINT, -timeout),
@@ -390,46 +355,6 @@ func runWorker(ctx context.Context, addr string, workers int) error {
 
 func logToStderr(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
-}
-
-// policyFlags carries the fine-grained evaluation-policy flag values plus
-// the set of flag names the user explicitly passed, so an explicit
-// -prune=false or -stages 0 can switch a preset mechanism *off* (a flag
-// left at its default changes nothing).
-type policyFlags struct {
-	prune    bool
-	stages   int
-	epsilon  float64
-	cache    bool
-	explicit map[string]bool
-}
-
-// buildPolicy combines the -eval-policy preset with the fine-grained
-// override flags into the evaluation policy used by the session.
-func buildPolicy(preset string, f policyFlags) (pdsat.EvalPolicy, error) {
-	var policy pdsat.EvalPolicy
-	switch preset {
-	case "", "off":
-		// The zero policy: full-sample evaluations, no memoization —
-		// bit-identical to the classic pipeline.
-	case "default":
-		policy = pdsat.DefaultEvalPolicy()
-	default:
-		return policy, fmt.Errorf("unknown -eval-policy %q (want off or default)", preset)
-	}
-	if f.explicit["prune"] {
-		policy.Prune = f.prune
-	}
-	if f.explicit["stages"] {
-		policy.Stages = f.stages
-	}
-	if f.explicit["stage-epsilon"] {
-		policy.Epsilon = f.epsilon
-	}
-	if f.explicit["fcache"] {
-		policy.Cache = f.cache
-	}
-	return policy, policy.Validate()
 }
 
 func buildProblem(cnfPath, startList, generator string, keystream, known int, seed int64) (*pdsat.Problem, error) {

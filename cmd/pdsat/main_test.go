@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/paper-repro/pdsat-go/pdsat"
 )
 
 // runWithArgs calls run on a private flag set.
@@ -21,23 +23,51 @@ func runWithArgs(t *testing.T, args ...string) error {
 	return run()
 }
 
+// writeJob writes a job spec file for -job and returns its path.
+func writeJob(t *testing.T, body string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "job.json")
+	if err := os.WriteFile(path, []byte(body), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// runCapturingStdout is runWithArgs with what run prints to stdout returned.
+func runCapturingStdout(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	runErr := runWithArgs(t, args...)
+	os.Stdout = old
+	w.Close()
+	out, _ := io.ReadAll(r)
+	return string(out), runErr
+}
+
 // TestBadVariableListsFailBeforeWorkersJoin: a leader reports a -start
-// variable the formula does not have, or a -set variable outside the start
-// set, at once — it used to wait for -min-workers workers first.  No worker
-// ever joins here; -timeout turns a leader that waits into a failure instead
-// of a hang.
+// variable the formula does not have, a job whose variables lie outside the
+// start set, or a job file that is not JSON, at once, not after -min-workers
+// workers have joined.  No worker ever joins here; -timeout turns a leader
+// that waits into a failure instead of a hang.
 func TestBadVariableListsFailBeforeWorkersJoin(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "f.cnf")
 	if err := os.WriteFile(path, []byte("p cnf 3 2\n1 2 0\n-1 3 0\n"), 0o600); err != nil {
 		t.Fatal(err)
 	}
+	outside := writeJob(t, `{"kind":"estimate","vars":[2,3]}`)
+	malformed := writeJob(t, `{"kind":"estimate","vars":[2,x]}`)
 	for _, c := range []struct {
 		args []string
 		want string
 	}{
 		{[]string{"-start", "1,2,9999"}, "start set variable 9999 is outside the formula's variables 1..3"},
-		{[]string{"-start", "1,2", "-set", "2,3"}, "variable 3 is not in the search space"},
-		{[]string{"-start", "1,2", "-set", "2,x"}, `bad variable "x"`},
+		{[]string{"-start", "1,2", "-job", outside}, outside + ": decomp: variable 3 is not in the search space"},
+		{[]string{"-start", "1,2", "-job", malformed}, malformed + ": bad job spec: invalid character 'x'"},
 	} {
 		args := append([]string{"-cnf", path, "-listen", "127.0.0.1:0", "-min-workers", "1", "-timeout", "5s"}, c.args...)
 		if err := runWithArgs(t, args...); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -46,24 +76,85 @@ func TestBadVariableListsFailBeforeWorkersJoin(t *testing.T) {
 	}
 }
 
-// TestSetIsTheSearchStart: -set is where -mode search and -fleet start (it used
-// to be parsed, checked and then ignored: both started from the whole start
-// set).  One evaluation is the start evaluation, so the best set is the start.
+// TestJobFailsBeforeTheProblem: the -job file is decoded before the instance
+// is built, so a malformed spec is what a run with an unreadable formula
+// reports too.
+func TestJobFailsBeforeTheProblem(t *testing.T) {
+	bad := writeJob(t, `{"kind":"search","metod":"sa"}`)
+	err := runWithArgs(t, "-cnf", filepath.Join(t.TempDir(), "nonexistent.cnf"), "-start", "1", "-job", bad)
+	if err == nil || !strings.Contains(err.Error(), bad) || strings.Contains(err.Error(), "nonexistent") {
+		t.Fatalf("%v, want the spec's error, not the formula's", err)
+	}
+}
+
+// TestJobRefusedWhereItWouldBeIgnored: a server runs the jobs posted to it
+// and a worker the leader's, so a -job beside -serve or -join is refused
+// before anything listens or dials, as -listen beside -join is.
+func TestJobRefusedWhereItWouldBeIgnored(t *testing.T) {
+	for _, args := range [][]string{
+		{"-serve", "127.0.0.1:0", "-job", "x.json"},
+		{"-join", "127.0.0.1:1", "-job", "x.json"},
+		{"-join", "127.0.0.1:1", "-listen", "127.0.0.1:0"},
+	} {
+		if err := runWithArgs(t, args...); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+			t.Errorf("%v: %v, want a refusal", args, err)
+		}
+	}
+}
+
+// TestSetIsTheSearchStart: a search's and a fleet's "start" is where they
+// start.  One evaluation is the start evaluation, so the best set is the
+// start.  The decoded spec is echoed once, as one JSON line.
 func TestSetIsTheSearchStart(t *testing.T) {
-	for _, mode := range [][]string{{"-mode", "search"}, {"-fleet", "tabu:1"}} {
-		args := append([]string{"-known", "56", "-keystream", "30", "-samples", "4", "-evaluations", "1", "-set", "2,5,7"}, mode...)
-		old := os.Stdout
-		r, w, err := os.Pipe()
+	for _, c := range []struct{ body, echo string }{
+		{`{"kind":"search","start":[2,5,7]}`, `job search: {"start":[2,5,7]}`},
+		{`{"kind":"fleet","members":[{"method":"tabu"}],"start":[2,5,7]}`, `job fleet: {"members":[{"method":"tabu"}],"start":[2,5,7]}`},
+	} {
+		out, err := runCapturingStdout(t, "-known", "56", "-keystream", "30", "-samples", "4", "-evaluations", "1", "-job", writeJob(t, c.body))
+		if err != nil || !strings.Contains(out, "best set            2,5,7\n") || strings.Count(out, "job ") != 1 || !strings.Contains(out, c.echo+"\n") {
+			t.Errorf("%s: error %v, output without %q and a best set of 2,5,7:\n%s", c.body, err, c.echo, out)
+		}
+	}
+}
+
+// TestCommittedJobsDecode: every spec file under examples/jobs decodes with
+// the job API's decoder and validates on a small session, so no document or
+// CI step points at a spec that the binary would refuse.
+func TestCommittedJobsDecode(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/jobs/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	problem, err := pdsat.FromGenerator("a5/1", pdsat.GeneratorConfig{KeystreamLen: 30, KnownSuffix: 56, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	session, err := pdsat.NewSession(problem, pdsat.Config{Runner: pdsat.RunnerConfig{SampleSize: 4, Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]pdsat.JobKind{}
+	for _, path := range paths {
+		body, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		os.Stdout = w
-		runErr := runWithArgs(t, args...)
-		os.Stdout = old
-		w.Close()
-		out, _ := io.ReadAll(r)
-		if runErr != nil || !strings.Contains(string(out), "best set            2,5,7\n") {
-			t.Errorf("%v: error %v, output without a best set of 2,5,7:\n%s", mode, runErr, out)
+		spec, err := pdsat.DecodeJobSpec(body)
+		if err == nil {
+			err = spec.Validate(session)
+		}
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		kinds[strings.TrimSuffix(filepath.Base(path), ".json")] = spec.Kind()
+	}
+	for name, kind := range map[string]pdsat.JobKind{
+		"estimate": pdsat.JobEstimate, "search-default": pdsat.JobSearch, "search-wide": pdsat.JobSearch,
+		"fleet": pdsat.JobFleet, "solve": pdsat.JobSolve,
+	} {
+		if kinds[name] != kind {
+			t.Errorf("examples/jobs/%s.json: kind %q, want a valid %s job", name, kinds[name], kind)
 		}
 	}
 }
@@ -118,12 +209,18 @@ func TestDebugAddrServesPprofOnly(t *testing.T) {
 
 // TestDispatchFlagsAreGone runs one small estimate through run on a private
 // flag set and then offers that set the switches adaptive dispatch used to
-// sit behind: they are unknown flags, not accepted and ignored.
+// sit behind, and the per-job flags a -job file replaced: they are unknown
+// flags, not accepted and ignored.
 func TestDispatchFlagsAreGone(t *testing.T) {
 	if err := runWithArgs(t, "-known", "58", "-keystream", "30", "-samples", "4"); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"-steal", "-speculate"} {
+	for _, name := range []string{
+		"-steal", "-speculate",
+		"-mode", "-method", "-set", "-stop-on-sat",
+		"-fleet", "-target-f", "-jitter", "-keep-racing",
+		"-eval-policy", "-prune", "-stages", "-stage-epsilon", "-fcache", "-max-concurrent-evals",
+	} {
 		err := flag.CommandLine.Parse([]string{name})
 		if err == nil || !strings.Contains(err.Error(), "not defined") {
 			t.Fatalf("%s: %v, want an unknown-flag error", name, err)

@@ -18,7 +18,7 @@
 // progress-event streams, plus an HTTP/JSON job server (cmd/pdsat -serve).
 // FleetJob races several searches concurrently over one runner/cluster,
 // coupled through a shared incumbent and the session F-cache (cmd/pdsat
-// -fleet "tabu:4,sa:4").  See that package's documentation for the
+// -job examples/jobs/fleet.json).  See that package's documentation for the
 // job/event model and the sub-seed reproducibility rule.
 //
 // The substrate lives in internal/ packages, layered bottom-up:

@@ -106,8 +106,8 @@
 // report, subproblem solved/aborted counts, conflict activity from
 // truncated solves, and which discarded annealing-wave members reach the
 // F-cache.  For strictly reproducible full traces, switch Prune and Cache
-// off.  The CLI knob is -max-concurrent-evals, and over HTTP the policy
-// field "max_concurrent_evals" passes through POST /v1/jobs.
+// off.  The width is the policy member "max_concurrent_evals" of a search or
+// fleet spec, in a POST /v1/jobs body or a `pdsat -job` file alike.
 //
 // # One description, one report
 //
@@ -115,8 +115,9 @@
 // /v1/jobs is a "kind" beside the JSON members of that kind's spec, decoded
 // strictly: an unknown member, one of another kind or trailing bytes are
 // refused — and JobResult is the wire form of a result: the "result" of GET
-// /v1/jobs/{id} is json.Marshal of it.  cmd/pdsat builds the same specs from
-// its flags and is a client of Session.Submit like any other.  A session
+// /v1/jobs/{id} is json.Marshal of it.  cmd/pdsat reads the same body from
+// the file named by -job, decodes it with DecodeJobSpec, the server's
+// decoder, and is a client of Session.Submit like any other.  A session
 // retains its newest 1024 finished jobs for replay and evicts older finished
 // ones as jobs are submitted, never a running one; a retained job's event
 // history is kept whole.

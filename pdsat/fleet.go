@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
-	"strings"
 	"time"
 
 	"github.com/paper-repro/pdsat-go/internal/eval"
@@ -62,8 +60,8 @@ type FleetMemberSpec struct {
 // IncumbentImproved per global improvement, and produces JobResult.Fleet.
 type FleetJob struct {
 	// Members is the fleet composition, e.g.
-	// {{Method:"tabu",Count:4},{Method:"sa",Count:4}}; see ParseFleet for
-	// the CLI string form.
+	// {{Method:"tabu",Count:4},{Method:"sa",Count:4}}, in JSON
+	// [{"method":"tabu","count":4},{"method":"sa","count":4}].
 	Members []FleetMemberSpec `json:"members"`
 	// Seed is the root seed all per-member sub-seeds derive from; 0 means
 	// the session's search seed (or 1).
@@ -94,33 +92,6 @@ type FleetJob struct {
 
 // Kind implements JobSpec.
 func (FleetJob) Kind() JobKind { return JobFleet }
-
-// ParseFleet parses the CLI fleet notation "tabu:4,sa:4" (method or
-// method:count, comma-separated) into member specs.
-func ParseFleet(s string) ([]FleetMemberSpec, error) {
-	var specs []FleetMemberSpec
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		spec := FleetMemberSpec{Count: 1}
-		if at := strings.IndexByte(part, ':'); at >= 0 {
-			n, err := strconv.Atoi(strings.TrimSpace(part[at+1:]))
-			if err != nil || n <= 0 {
-				return nil, fmt.Errorf("pdsat: bad fleet member count in %q", part)
-			}
-			spec.Method, spec.Count = strings.TrimSpace(part[:at]), n
-		} else {
-			spec.Method = part
-		}
-		specs = append(specs, spec)
-	}
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("pdsat: empty fleet spec")
-	}
-	return specs, nil
-}
 
 // expandedMember is one fully resolved fleet member.
 type expandedMember struct {
@@ -173,7 +144,8 @@ func (spec FleetJob) expand(s *Session) ([]expandedMember, error) {
 	return members, nil
 }
 
-func (spec FleetJob) validate(s *Session) error {
+// Validate implements JobSpec.
+func (spec FleetJob) Validate(s *Session) error {
 	members, err := spec.expand(s)
 	if err != nil {
 		return err

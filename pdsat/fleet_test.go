@@ -359,19 +359,3 @@ func TestFleetJitterNeverEmptiesStart(t *testing.T) {
 		}
 	}
 }
-
-// TestParseFleet covers the CLI fleet notation.
-func TestParseFleet(t *testing.T) {
-	specs, err := pdsat.ParseFleet("tabu:4, sa:2, annealing")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != 3 || specs[0].Count != 4 || specs[1].Count != 2 || specs[2].Count != 1 {
-		t.Fatalf("unexpected parse: %+v", specs)
-	}
-	for _, bad := range []string{"", "tabu:0", "tabu:-2", "tabu:x", ",,"} {
-		if _, err := pdsat.ParseFleet(bad); err == nil {
-			t.Fatalf("bad fleet string %q accepted", bad)
-		}
-	}
-}

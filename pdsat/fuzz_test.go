@@ -21,7 +21,7 @@ var fuzzSession = sync.OnceValues(func() (*Session, error) {
 })
 
 // FuzzServerJobSpec throws arbitrary bytes at the HTTP job-submission
-// decoding path — decodeJobSpec → validate — which must reject garbage with
+// decoding path — DecodeJobSpec → Validate — which must reject garbage with
 // errors, never panic or accept a spec whose run would blow up (oversized
 // fleets, out-of-range jitter, negative budgets), and what it accepts is one
 // JSON value with nothing after it.
@@ -54,14 +54,14 @@ func FuzzServerJobSpec(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, err := decodeJobSpec(data)
+		spec, err := DecodeJobSpec(data)
 		if err != nil {
 			return
 		}
 		if !json.Valid(data) {
 			t.Fatalf("accepted a body that is not one JSON value: %q", data)
 		}
-		if err := spec.validate(s); err != nil {
+		if err := spec.Validate(s); err != nil {
 			return
 		}
 		// An accepted fleet spec must have expanded within bounds; re-expand

@@ -32,13 +32,16 @@ const (
 // JobSpec describes one unit of asynchronous work for Session.Submit.  The
 // implementations are EstimateJob, SearchJob, SolveJob and FleetJob; each is
 // also the JSON body of POST /v1/jobs for its kind, next to a "kind" member
-// (see Server).
+// (see Server and DecodeJobSpec).
 type JobSpec interface {
 	// Kind returns the job kind.
 	Kind() JobKind
-	// validate checks the spec against the session eagerly, so Submit
-	// fails before a job is created.
-	validate(s *Session) error
+	// Validate checks the spec against the session without running
+	// anything.  Submit calls it first, so it fails before a job is
+	// created; a caller that must refuse a bad spec before the session's
+	// transport can run anything (a leader still waiting for its workers)
+	// calls it itself.
+	Validate(s *Session) error
 	// run executes the spec on the job's goroutine.
 	run(ctx context.Context, j *Job) (*JobResult, error)
 }
@@ -61,7 +64,8 @@ type EstimateJob struct {
 // Kind implements JobSpec.
 func (EstimateJob) Kind() JobKind { return JobEstimate }
 
-func (spec EstimateJob) validate(s *Session) error {
+// Validate implements JobSpec.
+func (spec EstimateJob) Validate(s *Session) error {
 	if spec.Policy != nil {
 		if err := spec.Policy.Validate(); err != nil {
 			return err
@@ -119,7 +123,8 @@ func (spec SearchJob) methodName() (string, error) {
 	}
 }
 
-func (spec SearchJob) validate(s *Session) error {
+// Validate implements JobSpec.
+func (spec SearchJob) Validate(s *Session) error {
 	if _, err := spec.methodName(); err != nil {
 		return err
 	}
@@ -281,7 +286,8 @@ type SolveJob struct {
 // Kind implements JobSpec.
 func (SolveJob) Kind() JobKind { return JobSolve }
 
-func (spec SolveJob) validate(s *Session) error {
+// Validate implements JobSpec.
+func (spec SolveJob) Validate(s *Session) error {
 	p, err := s.pointFromVars(spec.Vars)
 	if err == nil {
 		_, err = runner.FamilyBatch(p.Count(), spec.MaxSubproblems)
@@ -352,7 +358,7 @@ func (s *Session) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("pdsat: nil job spec")
 	}
-	if err := spec.validate(s); err != nil {
+	if err := spec.Validate(s); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()

@@ -66,24 +66,26 @@ func NewServer(s *Session) *Server {
 // ServeHTTP implements http.Handler.
 func (srv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { srv.mux.ServeHTTP(w, r) }
 
-// decodeJobSpec decodes the body of POST /v1/jobs: one JSON object whose
-// "kind" names the job kind and whose other members are that kind's spec —
-// EstimateJob, SearchJob, SolveJob or FleetJob, by their JSON tags — and
-// nothing else.  A member the kind does not have (a solve job's "policy", a
-// misspelt name) and anything after the object are errors: rejecting beats
-// silently dropping a knob the client clearly meant to set.
-func decodeJobSpec(body []byte) (JobSpec, error) {
+// DecodeJobSpec decodes the body of POST /v1/jobs, which is also what
+// `pdsat -job` reads from its file: one JSON object whose "kind" names the
+// job kind and whose other members are that kind's spec — EstimateJob,
+// SearchJob, SolveJob or FleetJob, by their JSON tags — and nothing else.  A
+// member the kind does not have (a solve job's "policy", a misspelt name) and
+// anything after the object are errors: rejecting beats silently dropping a
+// knob the client clearly meant to set.  It checks the spec's shape only;
+// Validate checks it against a session.
+func DecodeJobSpec(body []byte) (JobSpec, error) {
 	var head struct {
 		Kind JobKind `json:"kind"`
 	}
 	if err := json.Unmarshal(body, &head); err != nil {
-		return nil, fmt.Errorf("bad request body: %w", err)
+		return nil, fmt.Errorf("bad job spec: %w", err)
 	}
 	strict := func(req any) error {
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(req); err != nil {
-			return fmt.Errorf("bad request body: %w", err)
+			return fmt.Errorf("bad job spec: %w", err)
 		}
 		return nil
 	}
@@ -138,7 +140,7 @@ func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	spec, err := decodeJobSpec(body)
+	spec, err := DecodeJobSpec(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
