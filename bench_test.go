@@ -1,16 +1,13 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section, plus micro-benchmarks of the substrates.  Each
-// experiment benchmark runs the corresponding experiment from
-// internal/expts at a reduced scale and reports the headline quantities
-// (predictive-function values, deviations, points visited) as custom
-// benchmark metrics, so a single
+// Benchmarks of the paper's experiments and of the substrates.
+// BenchmarkExperiments runs every entry of the experiment registry
+// (internal/expts, the same entries cmd/experiments runs) at the quick scale
+// and logs its tables, so
 //
-//	go test -bench=. -benchmem
+//	go test -bench 'BenchmarkExperiments/table1' -benchtime 1x -v .
 //
-// regenerates the paper-shaped results.  The absolute values are measured in
-// deterministic solver effort (propagations) on weakened instances; see
-// README.md and PAPER.md for the mapping to the paper's cluster-scale
-// numbers.
+// times Table 1 and prints it.  The values are deterministic solver effort
+// (propagations) on weakened instances; see README.md and PAPER.md for the
+// mapping to the paper's cluster-scale numbers.
 package pdsatgo_test
 
 import (
@@ -27,235 +24,23 @@ import (
 	"github.com/paper-repro/pdsat-go/internal/solver"
 )
 
-// benchScale returns the experiment scale used by the benchmark harness.
-func benchScale(b *testing.B) expts.Scale {
-	b.Helper()
-	scale := expts.QuickScale()
-	scale.Name = "bench"
-	return scale
-}
-
-// BenchmarkTable1_A51DecompositionSets reproduces Table 1: the
-// predictive-function values of the manual A5/1 decomposition set S1 and the
-// sets S2/S3 found by simulated annealing and tabu search.
-func BenchmarkTable1_A51DecompositionSets(b *testing.B) {
-	scale := benchScale(b)
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		res, err := expts.RunA51(ctx, scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.S1.F, "F_S1")
-		b.ReportMetric(res.S2.F, "F_S2")
-		b.ReportMetric(res.S3.F, "F_S3")
-		b.ReportMetric(float64(res.S1.Power), "size_S1")
-		b.ReportMetric(float64(res.S2.Power), "size_S2")
-		b.ReportMetric(float64(res.S3.Power), "size_S3")
-		if i == 0 {
-			b.Log("\n" + res.Table1().String())
-		}
-	}
-}
-
-// BenchmarkFigure1_A51ManualSet reproduces Figure 1: the manual decomposition
-// set S1 laid out over the three A5/1 registers.
-func BenchmarkFigure1_A51ManualSet(b *testing.B) {
-	scale := benchScale(b)
-	for i := 0; i < b.N; i++ {
-		inst, err := expts.A51Instance(scale, scale.Seed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		set := expts.ManualA51Set(inst)
-		b.ReportMetric(float64(len(set)), "set_size")
-		if i == 0 {
-			fig, err := expts.FindExperiment("fig1")
-			if err != nil {
-				b.Fatal(err)
+// BenchmarkExperiments runs each registry entry, one sub-benchmark per
+// table or figure, and logs the tables of its first run.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range expts.Experiments() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tables, err := e.Run(context.Background(), expts.QuickScale())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					for _, t := range tables {
+						b.Log("\n" + t.String())
+					}
+				}
 			}
-			tables, err := fig.Run(context.Background(), scale)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Log("\n" + tables[0].String())
-		}
-	}
-}
-
-// BenchmarkFigure2_A51SearchedSets reproduces Figures 2a/2b: the decomposition
-// sets found by the two metaheuristics.
-func BenchmarkFigure2_A51SearchedSets(b *testing.B) {
-	scale := benchScale(b)
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		res, err := expts.RunA51(ctx, scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.SAEvaluations), "sa_points")
-		b.ReportMetric(float64(res.TabuEvaluations), "tabu_points")
-		if i == 0 {
-			b.Log("\n" + res.Figure2a().String() + res.Figure2b().String())
-		}
-	}
-}
-
-// BenchmarkTable2_BiviumEstimates reproduces Table 2: three time estimations
-// for the Bivium cryptanalysis problem (fixed strategy, solver-activity set,
-// PDSAT tabu search) with increasing sample sizes.
-func BenchmarkTable2_BiviumEstimates(b *testing.B) {
-	scale := benchScale(b)
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		res, err := expts.RunBivium(ctx, scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Fixed.F, "F_fixed")
-		b.ReportMetric(res.ActivityGuided.F, "F_activity")
-		b.ReportMetric(res.Searched.F, "F_searched")
-		if i == 0 {
-			b.Log("\n" + res.Table2().String())
-		}
-	}
-}
-
-// BenchmarkFigure3_BiviumSet reproduces Figure 3: the Bivium decomposition
-// set found by the tabu search, laid out over the two registers.
-func BenchmarkFigure3_BiviumSet(b *testing.B) {
-	scale := benchScale(b)
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		res, err := expts.RunBivium(ctx, scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Searched.Power), "set_size")
-		b.ReportMetric(res.Searched.F, "F_searched")
-		if i == 0 {
-			b.Log("\n" + res.Figure3().String())
-		}
-	}
-}
-
-// BenchmarkFigure4_GrainSet reproduces Figure 4: the Grain decomposition set
-// found by the tabu search and its NFSR/LFSR split (the paper's set lies
-// entirely in the LFSR).
-func BenchmarkFigure4_GrainSet(b *testing.B) {
-	scale := benchScale(b)
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		res, err := expts.RunGrain(ctx, scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Searched.Power), "set_size")
-		b.ReportMetric(float64(res.LFSRCount), "lfsr_vars")
-		b.ReportMetric(float64(res.NFSRCount), "nfsr_vars")
-		b.ReportMetric(res.Searched.F, "F_searched")
-		if i == 0 {
-			b.Log("\n" + res.Figure4().String())
-		}
-	}
-}
-
-// BenchmarkTable3_WeakenedSolving reproduces Table 3: weakened BiviumK/GrainK
-// problems solved completely, with the measured family-processing cost
-// compared against the Monte Carlo prediction (the paper reports an average
-// deviation of about 8%).
-func BenchmarkTable3_WeakenedSolving(b *testing.B) {
-	scale := benchScale(b)
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		res, err := expts.RunTable3(ctx, scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*res.MeanDeviation, "mean_deviation_%")
-		b.ReportMetric(float64(len(res.Rows)), "problems")
-		if i == 0 {
-			b.Log("\n" + res.Table3().String())
-		}
-	}
-}
-
-// BenchmarkMonteCarloConvergence validates eq. (2)/(3): the Monte Carlo
-// estimate approaches the exhaustively computed family cost as the sample
-// grows.
-func BenchmarkMonteCarloConvergence(b *testing.B) {
-	scale := benchScale(b)
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		res, err := expts.RunConvergence(ctx, scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Points) > 0 {
-			b.ReportMetric(100*res.Points[len(res.Points)-1].Deviation, "final_deviation_%")
-		}
-		if i == 0 {
-			b.Log("\n" + res.TableConvergence().String())
-		}
-	}
-}
-
-// BenchmarkSAvsTabu reproduces the Section 4.3 remark: under an equal
-// evaluation budget, tabu search visits at least as many distinct points as
-// simulated annealing (it never re-evaluates a point).
-func BenchmarkSAvsTabu(b *testing.B) {
-	scale := benchScale(b)
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		res, err := expts.RunSAvsTabu(ctx, scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.SAPoints), "sa_points")
-		b.ReportMetric(float64(res.TabuPoints), "tabu_points")
-		b.ReportMetric(res.SABest, "sa_bestF")
-		b.ReportMetric(res.TabuBest, "tabu_bestF")
-		if i == 0 {
-			b.Log("\n" + res.TableSAvsTabu().String())
-		}
-	}
-}
-
-// BenchmarkSolverAblation measures the CDCL configuration ablation
-// (restarts, phase saving, clause minimization on/off).
-func BenchmarkSolverAblation(b *testing.B) {
-	scale := benchScale(b)
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		res, err := expts.RunSolverAblation(ctx, scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) > 0 {
-			b.ReportMetric(res.Rows[0].MeanCost, "default_mean_cost")
-		}
-		if i == 0 {
-			b.Log("\n" + res.TableAblation().String())
-		}
-	}
-}
-
-// BenchmarkPortfolioVsPartitioning compares the portfolio baseline with the
-// partitioning approach on the same weakened A5/1 instance (Section 1
-// context: partitioning additionally offers a runtime prediction).
-func BenchmarkPortfolioVsPartitioning(b *testing.B) {
-	scale := benchScale(b)
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		res, err := expts.RunPortfolioVsPartitioning(ctx, scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.PortfolioCost, "portfolio_cost")
-		b.ReportMetric(res.PartitioningCost, "partitioning_cost")
-		if i == 0 {
-			b.Log("\n" + res.TablePortfolio().String())
-		}
+		})
 	}
 }
 

@@ -21,12 +21,12 @@ import (
 // benchmark is one parsed benchmark result line.
 type benchmark struct {
 	// Name is the full benchmark name including the GOMAXPROCS suffix
-	// (e.g. "BenchmarkTable1_A51DecompositionSets-8").
+	// (e.g. "BenchmarkExperiments/table1-8").
 	Name string `json:"name"`
 	// Iterations is b.N.
 	Iterations int64 `json:"iterations"`
 	// Metrics maps unit to value: the standard ns/op, B/op, allocs/op plus
-	// every custom b.ReportMetric unit (F_S1, mean_deviation_%, ...).
+	// every custom b.ReportMetric unit (reset-ns/op, solve-B/op, ...).
 	Metrics map[string]float64 `json:"metrics"`
 	// Raw is the untouched benchmark line, benchstat-consumable.
 	Raw string `json:"raw"`
@@ -71,7 +71,7 @@ func run(in *os.File, out *os.File) error {
 	return enc.Encode(doc)
 }
 
-// parseBenchLine parses "BenchmarkName-8   1   123 ns/op   3.2 F_S1 ..."
+// parseBenchLine parses "BenchmarkName-8   1   123 ns/op   3.2 reset-ns/op ..."
 // into a benchmark.  Lines that do not look like results are skipped.
 func parseBenchLine(line string) (benchmark, bool) {
 	fields := strings.Fields(line)

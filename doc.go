@@ -50,8 +50,10 @@
 // The command-line tools live in cmd/ (pdsat, keygen, dimacs, experiments)
 // and runnable walkthroughs in examples/.
 //
-// The benchmarks in bench_test.go regenerate every table and figure of the
-// paper's evaluation section at a laptop-friendly scale:
+// Every table and figure of the paper's evaluation section is one entry of
+// the internal/expts registry; cmd/experiments runs them, and
+// BenchmarkExperiments in bench_test.go times each at the quick scale:
 //
-//	go test -bench=. -benchmem
+//	go run ./cmd/experiments -list
+//	go test -bench 'BenchmarkExperiments/table1' -benchtime 1x -v .
 package pdsatgo

@@ -1,6 +1,7 @@
-// Package expts is the experiment harness: one function per table and
-// figure of the paper's evaluation section, each producing the same rows or
-// series the paper reports, on instances scaled down to laptop size.
+// Package expts is the experiment harness: a registry with one entry per
+// table and figure of the paper's evaluation section, each running its jobs
+// and drawing the same rows or series the paper reports from their results,
+// on instances scaled down to laptop size.
 //
 // The scaling substitutions are documented in README.md: the cryptanalysis
 // instances are weakened (a suffix of the register state is fixed to its
@@ -87,8 +88,8 @@ type Scale struct {
 	Seed int64
 }
 
-// DefaultScale returns the laptop-scale configuration used by the benchmarks
-// and the cmd/experiments tool.
+// DefaultScale returns the laptop-scale configuration, the cmd/experiments
+// tool's default.
 func DefaultScale() Scale {
 	return Scale{
 		Name:              "laptop",
@@ -113,8 +114,8 @@ func DefaultScale() Scale {
 	}
 }
 
-// QuickScale returns a much smaller configuration used by unit tests of the
-// harness itself and by -short benchmark runs.
+// QuickScale returns a much smaller configuration: the one the recorded
+// tables (testdata/quick.txt) and the experiment benchmarks run at.
 func QuickScale() Scale {
 	s := DefaultScale()
 	s.Name = "quick"
@@ -191,6 +192,17 @@ func estimate(ctx context.Context, s *api.Session, vars []cnf.Var) (*api.SetEsti
 	return res.Estimate, nil
 }
 
+// estimateAt estimates the set on a session of its own under the runner
+// configuration: what a study compares across sample sizes or solver options
+// shares no session, so no estimate inherits another's activity or F-cache.
+func (s Scale) estimateAt(ctx context.Context, inst *encoder.Instance, rc api.RunnerConfig, vars []cnf.Var) (*api.SetEstimate, error) {
+	sess, err := s.session(inst, rc)
+	if err != nil {
+		return nil, err
+	}
+	return estimate(ctx, sess, vars)
+}
+
 // search runs a SearchJob with the method from the full start set.
 func search(ctx context.Context, s *api.Session, method string) (*api.SearchOutcome, error) {
 	res, err := s.Run(ctx, api.SearchJob{Method: method})
@@ -198,6 +210,13 @@ func search(ctx context.Context, s *api.Session, method string) (*api.SearchOutc
 		return nil, err
 	}
 	return res.Search, nil
+}
+
+// firstVars returns the first d unknown start variables of the instance (all
+// of them if it has fewer): a subset small enough to enumerate.
+func firstVars(inst *encoder.Instance, d int) []cnf.Var {
+	vars := inst.UnknownStartVars()
+	return vars[:min(d, len(vars))]
 }
 
 // CostUnit returns the human-readable unit of reported costs.
@@ -278,7 +297,7 @@ func pad(s string, width int) string {
 // (scientific notation with a few significant digits).
 func fmtF(v float64) string { return fmt.Sprintf("%.3e", v) }
 
-// fmtDur formats a float cost with unit-appropriate precision.
+// fmtCost formats a float cost with unit-appropriate precision.
 func fmtCost(v float64) string {
 	switch {
 	case v == 0:

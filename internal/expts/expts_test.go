@@ -2,7 +2,7 @@ package expts
 
 import (
 	"context"
-	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -69,19 +69,16 @@ func TestFormatHelpers(t *testing.T) {
 	if pad("ab", 4) != "ab  " || pad("abcd", 2) != "abcd" {
 		t.Fatal("pad misbehaves")
 	}
-	if maxInt(3, 5) != 5 || maxInt(7, 2) != 7 {
-		t.Fatal("maxInt misbehaves")
-	}
 }
 
 func TestManualA51SetOnFullProblem(t *testing.T) {
 	scale := DefaultScale()
 	scale.A51Known = 0 // full problem: the manual set must have 31 variables
-	inst, err := A51Instance(scale, 1)
+	inst, err := a51Instance(scale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := ManualA51Set(inst)
+	set := manualA51Set(inst)
 	if len(set) != 31 {
 		t.Fatalf("manual S1 on the full problem has %d variables, want 31", len(set))
 	}
@@ -90,11 +87,11 @@ func TestManualA51SetOnFullProblem(t *testing.T) {
 func TestEibachBiviumSet(t *testing.T) {
 	scale := DefaultScale()
 	scale.BiviumKnown = 0
-	inst, err := BiviumInstance(scale, 1)
+	inst, err := biviumInstance(scale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := EibachBiviumSet(inst, 45)
+	set := eibachBiviumSet(inst, 45)
 	if len(set) != 45 {
 		t.Fatalf("Eibach set has %d variables, want 45", len(set))
 	}
@@ -113,29 +110,13 @@ func TestEibachBiviumSet(t *testing.T) {
 	// keeps its size when possible.
 	weakScale := DefaultScale()
 	weakScale.BiviumKnown = 120
-	weakInst, err := BiviumInstance(weakScale, 1)
+	weakInst, err := biviumInstance(weakScale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	weakSet := EibachBiviumSet(weakInst, 45)
+	weakSet := eibachBiviumSet(weakInst, 45)
 	if len(weakSet) != 45 {
 		t.Fatalf("weakened Eibach set has %d variables, want 45", len(weakSet))
-	}
-}
-
-func TestTable3Problems(t *testing.T) {
-	scale := QuickScale()
-	probs := Table3Problems(scale)
-	if len(probs) != 2*len(scale.Table3Unknowns) {
-		t.Fatalf("got %d problems", len(probs))
-	}
-	for _, p := range probs {
-		if p.Known+p.Unknown != 177 && p.Known+p.Unknown != 160 {
-			t.Fatalf("inconsistent problem %+v", p)
-		}
-		if !strings.HasPrefix(p.Name, "Bivium") && !strings.HasPrefix(p.Name, "Grain") {
-			t.Fatalf("unexpected problem name %q", p.Name)
-		}
 	}
 }
 
@@ -167,89 +148,21 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// TestQuickExperimentsEndToEnd runs the cheapest experiments end to end at
-// the quick scale; the expensive ones (full searches, Table 3) are covered
-// by the benchmark harness.
-func TestQuickExperimentsEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping end-to-end experiment smoke test in -short mode")
-	}
-	scale := QuickScale()
-	ctx := context.Background()
-
-	fig1, err := FindExperiment("fig1")
+// TestPortfolioVsPartitioningFindsTheKey runs the one experiment that
+// TestQuickScaleGolden leaves out.  Its winner and the portfolio's effort
+// depend on which member answers first, so only the key is checked.
+func TestPortfolioVsPartitioningFindsTheKey(t *testing.T) {
+	e, err := FindExperiment("portfolio-vs-partitioning")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, err := fig1.Run(ctx, scale)
+	tables, err := e.Run(context.Background(), QuickScale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 1 || !strings.Contains(tables[0].String(), "R1") {
-		t.Fatalf("fig1 output unexpected: %v", tables)
-	}
-
-	conv, err := RunConvergence(ctx, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if conv.Exact <= 0 || len(conv.Points) == 0 {
-		t.Fatalf("degenerate convergence result: %+v", conv)
-	}
-	// The largest-sample estimate should deviate less than (or as much as)
-	// the smallest-sample one in the typical case; we only require that all
-	// deviations are finite and the rendering works.
-	out := conv.TableConvergence().String()
-	if !strings.Contains(out, "exact total cost") {
-		t.Fatalf("convergence table: %s", out)
-	}
-
-	abl, err := RunSolverAblation(ctx, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(abl.Rows) != 4 {
-		t.Fatalf("ablation rows: %d", len(abl.Rows))
-	}
-	if !strings.Contains(abl.TableAblation().String(), "default") {
-		t.Fatal("ablation table rendering")
-	}
-}
-
-func TestRunA51QuickProducesAllSets(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping in -short mode")
-	}
-	scale := QuickScale()
-	r, err := RunA51(context.Background(), scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []SetReport{r.S1, r.S2, r.S3} {
-		if s.Power == 0 || s.F <= 0 {
-			t.Fatalf("degenerate set report %+v", s)
-		}
-	}
-	t1 := r.Table1().String()
-	if !strings.Contains(t1, "S1") || !strings.Contains(t1, "S3") {
-		t.Fatalf("table1 rendering:\n%s", t1)
-	}
-	f1 := r.Figure1().String()
-	f2a, f2b := r.Figure2a().String(), r.Figure2b().String()
-	if !strings.Contains(f1, "R1") || !strings.Contains(f2a, "annealing") || !strings.Contains(f2b, "tabu") {
-		t.Fatal("figure rendering")
-	}
-	// Each diagram is a table of its own: three register rows, and the note
-	// on its own set's size.
-	for _, f := range []struct {
-		t   *Table
-		set SetReport
-	}{{r.Figure2a(), r.S2}, {r.Figure2b(), r.S3}} {
-		if len(f.t.Rows) != 3 || !strings.Contains(f.t.String(), fmt.Sprintf("|set| = %d of", f.set.Power)) {
-			t.Fatalf("figure 2 diagram:\n%s", f.t)
-		}
-	}
-	if r.SAEvaluations == 0 || r.TabuEvaluations == 0 {
-		t.Fatal("searches did no work")
+	if len(tables) != 1 || !slices.ContainsFunc(tables[0].Notes, func(n string) bool {
+		return strings.HasSuffix(n, "both approaches recovered a valid key: true")
+	}) {
+		t.Fatalf("portfolio-vs-partitioning:\n%v", tables)
 	}
 }

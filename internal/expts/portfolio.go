@@ -8,83 +8,50 @@ import (
 	api "github.com/paper-repro/pdsat-go/pdsat"
 )
 
-// PortfolioVsPartitioningResult compares the two parallel-SAT approaches the
+// portfolioVsPartitioning compares the two parallel-SAT approaches the
 // paper's introduction discusses, on the same weakened A5/1 instance: a
 // portfolio of differently-configured solvers attacking the whole instance
 // versus processing the decomposition family of the unknown state variables
-// (with stop-on-SAT, i.e. both approaches stop once a key is found).
-type PortfolioVsPartitioningResult struct {
-	Scale Scale
-	// InstanceName identifies the instance.
-	InstanceName string
-	// PortfolioCost is the total effort burned by the portfolio until its
-	// first conclusive answer.
-	PortfolioCost float64
-	// PortfolioWinner names the winning configuration.
-	PortfolioWinner string
-	// PartitioningCost is the effort spent by the partitioning runner until
-	// the first satisfiable subproblem (stop-on-SAT).
-	PartitioningCost float64
-	// PartitioningPredicted is the predictive-function value for the same
-	// decomposition set — the quantity the portfolio approach cannot offer.
-	PartitioningPredicted float64
-	// BothFoundKey reports whether both approaches recovered a valid key.
-	BothFoundKey bool
-}
-
-// RunPortfolioVsPartitioning runs the comparison.
-func RunPortfolioVsPartitioning(ctx context.Context, scale Scale) (*PortfolioVsPartitioningResult, error) {
-	inst, err := A51Instance(scale, scale.Seed+31)
+// with stop-on-SAT, so that both stop once a key is found.  Only the
+// partitioning also predicts its effort in advance.
+func portfolioVsPartitioning(ctx context.Context, scale Scale) ([]*Table, error) {
+	inst, err := a51Instance(scale, scale.Seed+31)
 	if err != nil {
 		return nil, err
 	}
-	res := &PortfolioVsPartitioningResult{Scale: scale, InstanceName: inst.Name}
-
-	// Portfolio on the whole instance.
-	pres, err := portfolio.Solve(ctx, inst.CNF, portfolio.Options{
+	// Portfolio on the whole instance: TotalCost is the effort every member
+	// burned until the first conclusive answer.
+	race, err := portfolio.Solve(ctx, inst.CNF, portfolio.Options{
 		Workers:    scale.Workers,
 		CostMetric: scale.CostMetric,
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.PortfolioCost = pres.TotalCost
-	res.PortfolioWinner = pres.Winner
-
 	// Partitioning of the unknown start variables with stop-on-SAT.
 	s, err := scale.session(inst, scale.runnerConfig(scale.SearchSamples))
 	if err != nil {
 		return nil, err
 	}
-	est, err := estimate(ctx, s, nil)
+	predicted, err := estimate(ctx, s, nil)
 	if err != nil {
 		return nil, err
 	}
-	res.PartitioningPredicted = est.Estimate.Value
 	solved, err := s.Run(ctx, api.SolveJob{StopOnSat: true})
 	if err != nil {
 		return nil, err
 	}
-	res.PartitioningCost = solved.Solve.CostToFirstSat
-	res.BothFoundKey = s.Problem().KeyValid(pres.Model) && s.Problem().KeyValid(solved.Solve.Model)
-	return res, nil
-}
-
-// TablePortfolio renders the comparison.
-func (r *PortfolioVsPartitioningResult) TablePortfolio() *Table {
-	unit := r.Scale.CostUnit()
-	t := &Table{
+	bothFoundKey := s.Problem().KeyValid(race.Model) && s.Problem().KeyValid(solved.Solve.Model)
+	return []*Table{{
 		Title:  "Portfolio vs. partitioning on the same weakened A5/1 instance",
-		Header: []string{"Approach", "Effort to key [" + unit + "]", "Predictable in advance?"},
+		Header: []string{"Approach", "Effort to key [" + scale.CostUnit() + "]", "Predictable in advance?"},
+		Rows: [][]string{
+			{fmt.Sprintf("portfolio (winner: %s)", race.Winner), fmtCost(race.TotalCost), "no"},
+			{"partitioning (stop on SAT)", fmtCost(solved.Solve.CostToFirstSat), fmt.Sprintf("yes (F = %s)", fmtF(predicted.Estimate.Value))},
+		},
 		Notes: []string{
-			fmt.Sprintf("instance %s; both approaches recovered a valid key: %v", r.InstanceName, r.BothFoundKey),
+			fmt.Sprintf("instance %s; both approaches recovered a valid key: %v", inst.Name, bothFoundKey),
 			"the partitioning approach additionally yields the predictive value shown in parentheses — the paper's core argument for it",
 		},
-	}
-	t.Rows = append(t.Rows,
-		[]string{fmt.Sprintf("portfolio (winner: %s)", r.PortfolioWinner), fmtCost(r.PortfolioCost), "no"},
-		[]string{"partitioning (stop on SAT)", fmtCost(r.PartitioningCost),
-			fmt.Sprintf("yes (F = %s)", fmtF(r.PartitioningPredicted))},
-	)
-	return t
+	}}, nil
 }

@@ -105,22 +105,11 @@ type Options struct {
 	MemberBudget solver.Budget
 }
 
-// Portfolio is a reusable portfolio session: the per-member solvers are
-// built once and restored to their pristine state (solver.Reset) for every
-// Solve call, so repeated runs — e.g. one per guiding-path split, or the
-// experiment harness comparing budgets — skip the clause-database
-// construction entirely.
-type Portfolio struct {
-	formula *cnf.Formula
-	members []Member
-	opts    Options
-	solvers []*solver.Solver
-	mu      sync.Mutex // serializes Solve calls (the solvers are stateful)
-}
-
-// New validates the options and creates a reusable portfolio for the
-// formula.  Member solvers are constructed lazily on the first Solve call.
-func New(f *cnf.Formula, opts Options) (*Portfolio, error) {
+// Solve runs the portfolio on the formula and returns as soon as one member
+// reports SAT or UNSAT (the remaining members are interrupted), or when all
+// members stop without a conclusion.  Each member builds its solver when it
+// gets a worker.
+func Solve(ctx context.Context, f *cnf.Formula, opts Options) (*Result, error) {
 	if f == nil {
 		return nil, errors.New("portfolio: nil formula")
 	}
@@ -135,28 +124,7 @@ func New(f *cnf.Formula, opts Options) (*Portfolio, error) {
 		}
 		names[m.Name] = true
 	}
-	return &Portfolio{formula: f, members: members, opts: opts}, nil
-}
-
-// Solve runs the portfolio on the formula and returns as soon as one member
-// reports SAT or UNSAT (the remaining members are interrupted), or when all
-// members stop without a conclusion.  It is a convenience wrapper around
-// Portfolio.Solve for one-shot runs.
-func Solve(ctx context.Context, f *cnf.Formula, opts Options) (*Result, error) {
-	p, err := New(f, opts)
-	if err != nil {
-		return nil, err
-	}
-	return p.Solve(ctx)
-}
-
-// Solve runs the portfolio once, reusing the member solvers of previous
-// calls.
-func (p *Portfolio) Solve(ctx context.Context) (*Result, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	members := p.members
-	workers := p.opts.Workers
+	workers := opts.Workers
 	if workers <= 0 || workers > len(members) {
 		workers = len(members)
 	}
@@ -172,16 +140,7 @@ func (p *Portfolio) Solve(ctx context.Context) (*Result, error) {
 	innerCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	if p.solvers == nil {
-		p.solvers = make([]*solver.Solver, len(members))
-		for i, m := range members {
-			p.solvers[i] = solver.New(p.formula, m.Options)
-		}
-	}
-	for i, m := range members {
-		s := p.solvers[i]
-		s.Reset()
-		s.SetBudget(p.opts.MemberBudget)
+	for _, m := range members {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -192,6 +151,8 @@ func (p *Portfolio) Solve(ctx context.Context) (*Result, error) {
 				resCh <- memberResult{name: m.Name, res: solver.Result{Status: solver.Unknown, Interrupted: true}}
 				return
 			}
+			s := solver.New(f, m.Options)
+			s.SetBudget(opts.MemberBudget)
 			done := make(chan solver.Result, 1)
 			go func() { done <- s.SolveWithAssumptions(m.Assumptions) }()
 			select {
@@ -225,7 +186,7 @@ func (p *Portfolio) Solve(ctx context.Context) (*Result, error) {
 	// iteration order.
 	for _, m := range members {
 		if st, ok := result.MemberStats[m.Name]; ok {
-			result.TotalCost += solver.EffortCost(st, p.opts.CostMetric)
+			result.TotalCost += solver.EffortCost(st, opts.CostMetric)
 		}
 	}
 	if err := ctx.Err(); err != nil && result.Winner == "" {
