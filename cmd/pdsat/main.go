@@ -3,10 +3,13 @@
 // of searches) on top of the library's leader/worker runner.  It runs the
 // job in the file named by -job, a POST /v1/jobs body decoded by the job
 // API's own decoder (examples/jobs holds one of each kind); without -job it
-// estimates F for the start set.  The other flags describe the session: the
-// SAT instance, generated from a keystream generator (-generator, -known,
-// -keystream, -seed) or read from a DIMACS file (-cnf) with its start set
-// (-start), and the runner.  -serve serves the job API on that session.
+// estimates F for the start set.  It prints the result as the job API does,
+// one line of JSON each: "result: " and the result member of GET
+// /v1/jobs/{id}, "stats: " and the body of GET /v1/stats.  The other flags
+// describe the session: the SAT instance, generated from a keystream
+// generator (-generator, -known, -keystream, -seed) or read from a DIMACS
+// file (-cnf) with its start set (-start), and the runner.  -serve serves
+// the job API on that session.
 //
 // By default the subproblems run on in-process goroutine workers.  The same
 // binary can also form a network cluster, mirroring the paper's MPI
@@ -168,19 +171,17 @@ func run() error {
 			leader.WorkerCount(), leader.Workers())
 	}
 
-	fmt.Printf("instance %s: %d variables, %d clauses, start set of %d variables\n",
-		problem.Name, problem.Formula.NumVars, problem.Formula.NumClauses(), len(problem.StartSet))
+	fmt.Printf("instance %s: %d variables, %d clauses, start set of %d variables, costs in %s\n",
+		problem.Name, problem.Formula.NumVars, problem.Formula.NumClauses(), len(problem.StartSet), costMetric)
 
 	if *serve != "" {
 		return runServe(ctx, session, *serve)
 	}
 
-	line, err := json.Marshal(spec)
-	if err != nil {
+	if err = printJSON("job "+string(spec.Kind()), spec); err != nil {
 		return err
 	}
-	fmt.Printf("job %s: %s\n", spec.Kind(), line)
-	return runJob(ctx, session, spec, costMetric)
+	return runJob(ctx, session, spec)
 }
 
 // readJob decodes the -job file with the job API's own decoder; without a
@@ -200,67 +201,39 @@ func readJob(path string) (pdsat.JobSpec, error) {
 	return spec, nil
 }
 
-// runJob runs the job and prints its result.  Interrupted (SIGINT, -timeout),
-// the job still finishes, with what it has.
-func runJob(ctx context.Context, session *pdsat.Session, spec pdsat.JobSpec, metric solver.CostMetric) error {
-	start := time.Now()
-	res, err := session.Run(ctx, spec)
+// runJob runs the job and prints its result as the job API spells it: the
+// result member of GET /v1/jobs/{id} and the body of GET /v1/stats.
+// Interrupted (SIGINT, -timeout), the job still finishes, with what it has,
+// and its error is printed first.  A solve that recovered the state of a
+// generated instance also says whether that state reproduces the keystream,
+// which no JSON member carries.
+func runJob(ctx context.Context, session *pdsat.Session, spec pdsat.JobSpec) error {
+	res, runErr := session.Run(ctx, spec)
 	if res == nil {
+		return runErr
+	}
+	if runErr != nil {
+		fmt.Printf("error: %v\n", runErr)
+	}
+	if err := printJSON("result", res); err != nil {
 		return err
 	}
-	switch {
-	case res.Estimate != nil:
-		label := "predictive function"
-		if res.Estimate.Interrupted {
-			fmt.Println("interrupted — partial estimate from the completed subproblems:")
-			label = "partial predictive function"
-		}
-		printEstimate(label, res.Estimate, metric)
-	case res.Search != nil:
-		printSearch(res.Search, time.Since(start), metric)
-		printEngineSummary(session.Stats())
-	case res.Solve != nil:
-		printSolve(res.Solve, session.Problem(), metric)
-	case res.Fleet != nil:
-		if err != nil {
-			fmt.Printf("fleet ended with error: %v\n", err)
-		}
-		printFleet(res.Fleet, metric)
-		printEngineSummary(session.Stats())
+	if err := printJSON("stats", session.Stats()); err != nil {
+		return err
+	}
+	if p := session.Problem(); res.Solve != nil && res.Solve.FoundSat && p.Instance != nil {
+		fmt.Printf("recovered state reproduces keystream: %v\n", p.KeyValid(res.Solve.Model))
 	}
 	return nil
 }
 
-// printFleet prints a per-member summary table plus the winner's estimate.
-func printFleet(outcome *pdsat.FleetOutcome, metric solver.CostMetric) {
-	fmt.Printf("fleet of %d member(s), root seed %d, wall time %v\n",
-		len(outcome.Members), outcome.Seed, outcome.WallTime.Round(time.Millisecond))
-	fmt.Printf("%-7s %-20s %-6s %7s %14s  %s\n",
-		"member", "method", "|set|", "evals", "best F", "stop")
-	for _, m := range outcome.Members {
-		if m.Err != "" {
-			fmt.Printf("%-7d %-20s %s\n", m.Member, m.Method, "error: "+m.Err)
-			continue
-		}
-		if m.Result == nil {
-			continue
-		}
-		marker := ""
-		if m.Member == outcome.BestMember {
-			marker = "  <- winner"
-		}
-		fmt.Printf("%-7d %-20s %-6d %7d %14.6g  %s%s\n",
-			m.Member, m.Method, m.Result.BestPoint.Count(), m.Result.Evaluations,
-			m.Result.BestValue, m.Result.Stop, marker)
+// printJSON prints the label and json.Marshal of v on one line.
+func printJSON(label string, v any) error {
+	body, err := json.Marshal(v)
+	if err == nil {
+		fmt.Printf("%s: %s\n", label, body)
 	}
-	if outcome.BestMember >= 0 {
-		fmt.Printf("best set            %s\n", varsString(outcome.BestVars))
-		if outcome.Best != nil {
-			printEstimate("winner estimate", outcome.Best, metric)
-		}
-	} else {
-		fmt.Println("no member produced a best set")
-	}
+	return err
 }
 
 // Limits of the -serve HTTP server against peers that connect and then say
@@ -371,69 +344,6 @@ func buildProblem(cnfPath, startList, generator string, keystream, known int, se
 	return pdsat.FromDIMACSFile(cnfPath, start)
 }
 
-func printSearch(outcome *pdsat.SearchOutcome, elapsed time.Duration, metric solver.CostMetric) {
-	if outcome.Result.Stop == pdsat.StopContext {
-		fmt.Println("interrupted — partial search report:")
-	}
-	fmt.Printf("search method       %s\n", outcome.Method)
-	fmt.Printf("points evaluated    %d\n", outcome.Result.Evaluations)
-	fmt.Printf("stop reason         %s\n", outcome.Result.Stop)
-	fmt.Printf("search wall time    %v\n", elapsed.Round(time.Millisecond))
-	fmt.Printf("best |set|          %d\n", outcome.Result.BestPoint.Count())
-	fmt.Printf("best set            %s\n", varsString(outcome.Result.BestPoint.SortedVars()))
-	if outcome.Best != nil {
-		label := "best-set estimate"
-		if outcome.Best.Interrupted {
-			label = "best-set estimate (partial, interrupted)"
-		}
-		printEstimate(label, outcome.Best, metric)
-	}
-}
-
-func printSolve(report *pdsat.SolveReport, problem *pdsat.Problem, metric solver.CostMetric) {
-	if report.Interrupted {
-		fmt.Println("interrupted — partial solving report:")
-	}
-	fmt.Printf("subproblems solved  %d\n", report.Processed)
-	fmt.Printf("total cost          %.6g %s\n", report.TotalCost, metric)
-	fmt.Printf("cost to first SAT   %.6g %s\n", report.CostToFirstSat, metric)
-	fmt.Printf("wall time           %v\n", report.WallTime.Round(time.Millisecond))
-	if report.FoundSat {
-		fmt.Printf("satisfiable subproblem found at index %d\n", report.SatIndex)
-		if problem.Instance != nil {
-			fmt.Printf("recovered state reproduces keystream: %v\n", problem.KeyValid(report.Model))
-		}
-	} else {
-		fmt.Println("no satisfiable subproblem found")
-	}
-}
-
-// printEngineSummary reports the session's evaluation-engine and solver-core
-// counters after a search, when there is anything interesting to report.
-func printEngineSummary(stats pdsat.SessionStats) {
-	if stats.PrunedEvaluations > 0 || stats.Cache.Hits+stats.Cache.Misses > 0 {
-		fmt.Printf("evaluation engine   %d evaluations (%d pruned), %d subproblems solved, %d aborted, F-cache %d/%d hits\n",
-			stats.Evaluations, stats.PrunedEvaluations, stats.SubproblemsSolved, stats.SubproblemsAborted,
-			stats.Cache.Hits, stats.Cache.Hits+stats.Cache.Misses)
-	}
-	if sv := stats.Solver; sv.Conflicts > 0 || sv.Propagations > 0 {
-		fmt.Printf("solver core         %d conflicts, %d learned (%d core / %d mid / %d local LBD), %d DB reductions, arena peak %.1f KiB\n",
-			sv.Conflicts, sv.Learned, sv.LearnedCore, sv.LearnedMid, sv.LearnedLocal,
-			sv.ReduceDBs, float64(sv.ArenaBytes)/1024)
-	}
-}
-
-func printEstimate(label string, est *pdsat.SetEstimate, metric solver.CostMetric) {
-	fmt.Printf("%s:\n", label)
-	fmt.Printf("  |set|              %d\n", len(est.Vars))
-	fmt.Printf("  sample size N      %d\n", est.Estimate.SampleSize)
-	fmt.Printf("  mean subproblem    %.6g %s\n", est.Estimate.Mean, metric)
-	fmt.Printf("  F (1 core)         %.6e %s\n", est.Estimate.Value, metric)
-	fmt.Printf("  F (%d cores)      %.6e %s\n", est.Cores, est.PerCores, metric)
-	fmt.Printf("  SAT in sample      %d of %d\n", est.SatisfiableSamples, est.Estimate.SampleSize)
-	fmt.Printf("  estimation time    %v\n", est.WallTime.Round(time.Millisecond))
-}
-
 func parseMetric(s string) (solver.CostMetric, error) {
 	switch s {
 	case "conflicts":
@@ -466,14 +376,6 @@ func parseVars(list string) ([]pdsat.Var, error) {
 		return nil, fmt.Errorf("empty variable list")
 	}
 	return out, nil
-}
-
-func varsString(vars []pdsat.Var) string {
-	parts := make([]string, len(vars))
-	for i, v := range vars {
-		parts[i] = strconv.Itoa(int(v))
-	}
-	return strings.Join(parts, ",")
 }
 
 // signalContext returns a context cancelled by SIGINT/SIGTERM and optionally

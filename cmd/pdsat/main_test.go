@@ -1,14 +1,19 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
 	"flag"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
+	"github.com/paper-repro/pdsat-go/internal/solver"
 	"github.com/paper-repro/pdsat-go/pdsat"
 )
 
@@ -47,6 +52,27 @@ func runCapturingStdout(t *testing.T, args ...string) (string, error) {
 	w.Close()
 	out, _ := io.ReadAll(r)
 	return string(out), runErr
+}
+
+// printedResult decodes the "result: " line of the CLI's output strictly
+// into a JobResult, as a client of GET /v1/jobs/{id} would its result.
+func printedResult(t *testing.T, out string) *pdsat.JobResult {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		body, ok := strings.CutPrefix(line, "result: ")
+		if !ok {
+			continue
+		}
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		var res pdsat.JobResult
+		if err := dec.Decode(&res); err != nil {
+			t.Fatalf("result line %s: %v", body, err)
+		}
+		return &res
+	}
+	t.Fatalf("no result line in:\n%s", out)
+	return nil
 }
 
 // TestBadVariableListsFailBeforeWorkersJoin: a leader reports a -start
@@ -111,8 +137,92 @@ func TestSetIsTheSearchStart(t *testing.T) {
 		{`{"kind":"fleet","members":[{"method":"tabu"}],"start":[2,5,7]}`, `job fleet: {"members":[{"method":"tabu"}],"start":[2,5,7]}`},
 	} {
 		out, err := runCapturingStdout(t, "-known", "56", "-keystream", "30", "-samples", "4", "-evaluations", "1", "-job", writeJob(t, c.body))
-		if err != nil || !strings.Contains(out, "best set            2,5,7\n") || strings.Count(out, "job ") != 1 || !strings.Contains(out, c.echo+"\n") {
-			t.Errorf("%s: error %v, output without %q and a best set of 2,5,7:\n%s", c.body, err, c.echo, out)
+		if err != nil || strings.Count(out, "job ") != 1 || !strings.Contains(out, c.echo+"\n") {
+			t.Errorf("%s: error %v, output without %q once:\n%s", c.body, err, c.echo, out)
+			continue
+		}
+		res := printedResult(t, out)
+		var best []pdsat.Var
+		if res.Search != nil {
+			best = res.Search.BestVars
+		} else if res.Fleet != nil {
+			best = res.Fleet.BestVars
+		}
+		if !reflect.DeepEqual(best, []pdsat.Var{2, 5, 7}) {
+			t.Errorf("%s: best_vars %v, want the start 2,5,7:\n%s", c.body, best, out)
+		}
+	}
+}
+
+// TestPrintedResultIsTheSessions: for every committed job file the CLI's
+// result line is the JSON of the JobResult that Session.Run returns for the
+// same spec on the same session configuration — F, sets, evaluations and
+// best set alike — with the wall times masked.  A fleet's members couple
+// through pruning and the F-cache by timing alone, so the fleet runs with
+// both off: its result is then a function of the seeds.
+func TestPrintedResultIsTheSessions(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/jobs/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no job files: %v", err)
+	}
+	wallTime := regexp.MustCompile(`"wall_time_ns":\d+`)
+	masked := func(res *pdsat.JobResult) string {
+		body, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wallTime.ReplaceAllString(string(body), `"wall_time_ns":0`)
+	}
+	for _, path := range paths {
+		body, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := pdsat.DecodeJobSpec(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := path
+		if fleet, ok := spec.(pdsat.FleetJob); ok && fleet.Policy != nil {
+			pol := *fleet.Policy
+			pol.Prune, pol.Cache = false, false
+			fleet.Policy = &pol
+			spec = fleet
+			members, err := json.Marshal(fleet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			job = writeJob(t, `{"kind":"fleet",`+string(members[1:]))
+		}
+		out, err := runCapturingStdout(t, "-known", "56", "-keystream", "30", "-seed", "3",
+			"-samples", "8", "-evaluations", "6", "-workers", "1", "-job", job)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		got := printedResult(t, out)
+
+		problem, err := pdsat.FromGenerator("a5/1", pdsat.GeneratorConfig{KeystreamLen: 30, KnownSuffix: 56, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		session, err := pdsat.NewSession(problem, pdsat.Config{
+			Runner: pdsat.RunnerConfig{SampleSize: 8, Workers: 1, Seed: 3,
+				CostMetric: pdsat.CostPropagations, SolverOptions: solver.DefaultOptions()},
+			Search: pdsat.SearchOptions{Seed: 3, MaxEvaluations: 6},
+			Cores:  480,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := session.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := masked(got), masked(want); g != w {
+			t.Errorf("%s: the CLI printed\n%s\nSession.Run returned\n%s", path, g, w)
+		}
+		if !strings.Contains(out, "\nstats: {") {
+			t.Errorf("%s: no stats line:\n%s", path, out)
 		}
 	}
 }

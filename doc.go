@@ -47,8 +47,9 @@
 //     -listen/-join deploys it across machines
 //   - portfolio, expts: the portfolio baseline and the experiment harness
 //
-// The command-line tools live in cmd/ (pdsat, keygen, dimacs, experiments)
-// and runnable walkthroughs in examples/.
+// The command-line tools live in cmd/ (pdsat, keygen, dimacs, experiments;
+// pdsat prints a job's result as the job API's JSON) and a runnable
+// walkthrough of the public API in examples/quickstart.
 //
 // Every table and figure of the paper's evaluation section is one entry of
 // the internal/expts registry; cmd/experiments runs them, and

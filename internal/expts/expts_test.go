@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"github.com/paper-repro/pdsat-go/internal/crypto"
+	"github.com/paper-repro/pdsat-go/internal/encoder"
+	api "github.com/paper-repro/pdsat-go/pdsat"
 )
 
 func TestScales(t *testing.T) {
@@ -164,5 +166,40 @@ func TestPortfolioVsPartitioningFindsTheKey(t *testing.T) {
 		return strings.HasSuffix(n, "both approaches recovered a valid key: true")
 	}) {
 		t.Fatalf("portfolio-vs-partitioning:\n%v", tables)
+	}
+}
+
+// TestFirstSatCellChecksTheKey: Table 3's first-SAT cell is plain for a
+// recovered state that reproduces the keystream and marked for one that does
+// not, here the solver's model with one unknown state bit flipped.
+func TestFirstSatCellChecksTheKey(t *testing.T) {
+	scale := QuickScale()
+	inst, err := encoder.NewInstance(encoder.Bivium(), encoder.Config{KeystreamLen: scale.BiviumKeystream, KnownSuffix: 169, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := scale.session(inst, scale.runnerConfig(scale.Table3Samples))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(context.Background(), api.SolveJob{Vars: inst.UnknownStartVars(), StopOnSat: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := res.Solve
+	if !report.FoundSat {
+		t.Fatal("the family has no satisfiable subproblem")
+	}
+	if cell := firstSatCell(report, s.Problem()); strings.Contains(cell, "(") {
+		t.Fatalf("valid key marked: %q", cell)
+	}
+	v := inst.UnknownStartVars()[0]
+	report.Model[v] = report.Model[v].Not()
+	if cell := firstSatCell(report, s.Problem()); !strings.HasSuffix(cell, " (key invalid)") {
+		t.Fatalf("corrupted key not marked: %q", cell)
+	}
+	report.FoundSat = false
+	if cell := firstSatCell(report, s.Problem()); !strings.HasSuffix(cell, " (no SAT)") {
+		t.Fatalf("family without SAT not marked: %q", cell)
 	}
 }

@@ -119,12 +119,22 @@ func weakenedRow(ctx context.Context, scale Scale, gen encoder.Generator, keystr
 			return nil, 0, context.Canceled
 		}
 		totals = append(totals, fmtCost(report.TotalCost))
-		mark := ""
-		if !report.FoundSat {
-			mark = " (no SAT)"
-		}
-		firstSat = append(firstSat, fmtCost(report.CostToFirstSat)+mark)
+		firstSat = append(firstSat, firstSatCell(report, s.Problem()))
 		devSum += montecarlo.RelativeDeviation(predicted, report.TotalCost)
 	}
 	return append(append(cells, totals...), firstSat...), devSum / float64(scale.Table3Instances), nil
+}
+
+// firstSatCell is a solve's cost to its first satisfiable subproblem, marked
+// when the family had none or when the recovered state does not reproduce
+// the instance's keystream.
+func firstSatCell(report *api.SolveReport, p *api.Problem) string {
+	mark := ""
+	switch {
+	case !report.FoundSat:
+		mark = " (no SAT)"
+	case !p.KeyValid(report.Model):
+		mark = " (key invalid)"
+	}
+	return fmtCost(report.CostToFirstSat) + mark
 }

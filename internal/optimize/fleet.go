@@ -22,13 +22,6 @@ import (
 	"github.com/paper-repro/pdsat-go/internal/decomp"
 )
 
-// Fleet method names (the pdsat package normalizes its richer spellings to
-// these before building members).
-const (
-	MethodSA   = "sa"
-	MethodTabu = "tabu"
-)
-
 // SubSeed derives the deterministic sub-seed of stream i from a root seed
 // (a splitmix64 step, so neighbouring roots and streams decorrelate).  Fleet
 // members use three streams each — by convention stream 3i seeds member i's
@@ -117,13 +110,13 @@ func (m memberView) Best() float64 { return m.in.Best() }
 
 func (m memberView) Offer(p decomp.Point, v float64) bool { return m.in.offer(m.member, p, v) }
 
-// FleetMember describes one search of a fleet: a method, a fully resolved
-// objective (typically backed by its own evaluation scope, so its sampling
-// is independent of the other members' scheduling), a start point and
-// per-member options whose Seed has already been derived via SubSeed.
+// FleetMember describes one search of a fleet: a search function, a fully
+// resolved objective (typically backed by its own evaluation scope, so its
+// sampling is independent of the other members' scheduling), a start point
+// and per-member options whose Seed has already been derived via SubSeed.
 type FleetMember struct {
-	// Method is MethodSA or MethodTabu.
-	Method string
+	// Search is the member's metaheuristic: TabuSearch or SimulatedAnnealing.
+	Search func(ctx context.Context, obj Objective, start decomp.Point, opts Options) (*Result, error)
 	// Objective evaluates F for this member.  Members may share one
 	// objective, but per-member objectives with isolated sampling state are
 	// what makes a fixed-seed fleet's results independent of interleaving.
@@ -142,7 +135,7 @@ type FleetOptions struct {
 	// OnMemberDone, when non-nil, is called from the finishing member's
 	// goroutine as each member completes (before the fleet-wide early-stop
 	// decision).  It must not block for long.
-	OnMemberDone func(member int, method string, res *Result)
+	OnMemberDone func(member int, res *Result)
 	// KeepRacing disables the fleet-wide early stop: by default the whole
 	// fleet is cancelled as soon as one member exhausts its reachable space
 	// or reaches its target value, since the remaining members are then
@@ -154,8 +147,6 @@ type FleetOptions struct {
 type MemberResult struct {
 	// Member is the member's index in the fleet.
 	Member int
-	// Method is the member's search method.
-	Method string
 	// Result is the member's search result (members cancelled by the
 	// fleet-wide early stop report StopContext with their best so far).
 	Result *Result
@@ -192,11 +183,8 @@ func RunFleet(ctx context.Context, members []FleetMember, opts FleetOptions) (*F
 		if m.Objective == nil {
 			return nil, fmt.Errorf("optimize: fleet member %d has no objective", i)
 		}
-		switch m.Method {
-		case MethodSA, MethodTabu:
-		default:
-			return nil, fmt.Errorf("optimize: fleet member %d has unknown method %q (want %q or %q)",
-				i, m.Method, MethodSA, MethodTabu)
+		if m.Search == nil {
+			return nil, fmt.Errorf("optimize: fleet member %d has no search function", i)
 		}
 		if err := m.Opts.Validate(); err != nil {
 			return nil, fmt.Errorf("optimize: fleet member %d: %w", i, err)
@@ -222,21 +210,14 @@ func RunFleet(ctx context.Context, members []FleetMember, opts FleetOptions) (*F
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var res *Result
-			var err error
-			switch m.Method {
-			case MethodSA:
-				res, err = SimulatedAnnealing(fctx, m.Objective, m.Start, o)
-			default:
-				res, err = TabuSearch(fctx, m.Objective, m.Start, o)
-			}
-			results[i] = MemberResult{Member: i, Method: m.Method, Result: res, Err: err}
+			res, err := m.Search(fctx, m.Objective, m.Start, o)
+			results[i] = MemberResult{Member: i, Result: res, Err: err}
 			if err != nil {
 				cancel()
 				return
 			}
 			if opts.OnMemberDone != nil {
-				opts.OnMemberDone(i, m.Method, res)
+				opts.OnMemberDone(i, res)
 			}
 			if !opts.KeepRacing && (res.Stop == StopTarget || res.Stop == StopExhausted) {
 				// The race is decided: this member either reached the target
@@ -258,7 +239,7 @@ func RunFleet(ctx context.Context, members []FleetMember, opts FleetOptions) (*F
 	for i, mr := range results {
 		if mr.Err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("optimize: fleet member %d (%s): %w", i, mr.Method, mr.Err)
+				firstErr = fmt.Errorf("optimize: fleet member %d: %w", i, mr.Err)
 			}
 			continue
 		}

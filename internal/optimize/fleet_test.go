@@ -49,20 +49,18 @@ func visitsEqual(a, b []Visit) bool {
 func TestFleetOfOneBitIdentical(t *testing.T) {
 	space := makeSpace(8)
 	target := []cnf.Var{2, 3, 5}
-	for _, method := range []string{MethodTabu, MethodSA} {
+	for _, c := range []struct {
+		method string
+		search func(context.Context, Objective, decomp.Point, Options) (*Result, error)
+	}{{"tabu", TabuSearch}, {"sa", SimulatedAnnealing}} {
+		method := c.method
 		opts := Options{Seed: 11, MaxEvaluations: 40}
-		var direct *Result
-		var err error
-		if method == MethodSA {
-			direct, err = SimulatedAnnealing(context.Background(), newCountingObjective(target), space.FullPoint(), opts)
-		} else {
-			direct, err = TabuSearch(context.Background(), newCountingObjective(target), space.FullPoint(), opts)
-		}
+		direct, err := c.search(context.Background(), newCountingObjective(target), space.FullPoint(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fr, err := RunFleet(context.Background(), []FleetMember{{
-			Method:    method,
+			Search:    c.search,
 			Objective: newCountingObjective(target),
 			Start:     space.FullPoint(),
 			Opts:      opts,
@@ -98,12 +96,12 @@ func TestFleetDeterministicAcrossRuns(t *testing.T) {
 	run := func() *FleetResult {
 		members := make([]FleetMember, 4)
 		for i := range members {
-			method := MethodTabu
+			search := TabuSearch
 			if i >= 2 {
-				method = MethodSA
+				search = SimulatedAnnealing
 			}
 			members[i] = FleetMember{
-				Method:    method,
+				Search:    search,
 				Objective: newCountingObjective(target),
 				Start:     space.FullPoint(),
 				Opts:      Options{Seed: SubSeed(5, 3*i+1), MaxEvaluations: 25},
@@ -145,9 +143,9 @@ func TestFleetSharedIncumbent(t *testing.T) {
 		improvements = append(improvements, v)
 	}
 	members := []FleetMember{
-		{Method: MethodTabu, Objective: newCountingObjective(target), Start: space.FullPoint(),
+		{Search: TabuSearch, Objective: newCountingObjective(target), Start: space.FullPoint(),
 			Opts: Options{Seed: 3, MaxEvaluations: 60}},
-		{Method: MethodSA, Objective: newCountingObjective(target), Start: space.FullPoint(),
+		{Search: SimulatedAnnealing, Objective: newCountingObjective(target), Start: space.FullPoint(),
 			Opts: Options{Seed: 4, MaxEvaluations: 60}},
 	}
 	fr, err := RunFleet(context.Background(), members, FleetOptions{Shared: inc, KeepRacing: true})
@@ -189,7 +187,7 @@ func TestFleetTargetStop(t *testing.T) {
 	members := make([]FleetMember, 2)
 	for i := range members {
 		members[i] = FleetMember{
-			Method:    MethodTabu,
+			Search:    TabuSearch,
 			Objective: newCountingObjective(target),
 			Start:     space.FullPoint(),
 			// F = 1 + |χ Δ target|; the full start point of an 8-var space
@@ -223,22 +221,22 @@ func TestFleetValidation(t *testing.T) {
 		t.Fatal("empty fleet accepted")
 	}
 	if _, err := RunFleet(context.Background(), []FleetMember{
-		{Method: "genetic", Objective: obj, Start: space.FullPoint()},
+		{Objective: obj, Start: space.FullPoint()},
 	}, FleetOptions{}); err == nil {
-		t.Fatal("unknown method accepted")
+		t.Fatal("member without a search function accepted")
 	}
 	if _, err := RunFleet(context.Background(), []FleetMember{
-		{Method: MethodTabu, Start: space.FullPoint()},
+		{Search: TabuSearch, Start: space.FullPoint()},
 	}, FleetOptions{}); err == nil {
 		t.Fatal("nil objective accepted")
 	}
 	if _, err := RunFleet(context.Background(), []FleetMember{
-		{Method: MethodTabu, Objective: obj, Start: space.FullPoint(), Opts: Options{Radius: -1}},
+		{Search: TabuSearch, Objective: obj, Start: space.FullPoint(), Opts: Options{Radius: -1}},
 	}, FleetOptions{}); err == nil {
 		t.Fatal("invalid member options accepted")
 	}
 	if _, err := RunFleet(context.Background(), []FleetMember{
-		{Method: MethodTabu, Objective: obj, Start: space.FullPoint(), Opts: Options{TargetValue: -1}},
+		{Search: TabuSearch, Objective: obj, Start: space.FullPoint(), Opts: Options{TargetValue: -1}},
 	}, FleetOptions{}); err == nil {
 		t.Fatal("negative target accepted")
 	}

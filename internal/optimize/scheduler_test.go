@@ -338,7 +338,7 @@ func TestFleetScheduledSharedIncumbent(t *testing.T) {
 		members := make([]FleetMember, 2)
 		for i := range members {
 			members[i] = FleetMember{
-				Method:    MethodTabu,
+				Search:    TabuSearch,
 				Objective: &safeObjective{inner: newCountingObjective(target), delay: delay},
 				Start:     s.FullPoint(),
 				Opts: Options{

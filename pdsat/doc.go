@@ -117,7 +117,9 @@
 // refused — and JobResult is the wire form of a result: the "result" of GET
 // /v1/jobs/{id} is json.Marshal of it.  cmd/pdsat reads the same body from
 // the file named by -job, decodes it with DecodeJobSpec, the server's
-// decoder, and is a client of Session.Submit like any other.  A session
+// decoder, is a client of Session.Submit like any other, and prints
+// json.Marshal of the JobResult and of Session.Stats, the bodies the server
+// returns for that job and for GET /v1/stats.  A session
 // retains its newest 1024 finished jobs for replay and evicts older finished
 // ones as jobs are submitted, never a running one; a retained job's event
 // history is kept whole.

@@ -96,7 +96,7 @@ func (FleetJob) Kind() JobKind { return JobFleet }
 // expandedMember is one fully resolved fleet member.
 type expandedMember struct {
 	method string // normalized long name (MethodTabu / MethodSimulatedAnnealing)
-	short  string // optimize fleet method name
+	search searchFunc
 	start  Point
 }
 
@@ -115,13 +115,9 @@ func (spec FleetJob) expand(s *Session) ([]expandedMember, error) {
 		if g.Count < 0 {
 			return nil, fmt.Errorf("pdsat: fleet member group %d has negative count %d", gi, g.Count)
 		}
-		method, err := (SearchJob{Method: g.Method}).methodName()
+		method, search, err := searchMethod(g.Method)
 		if err != nil {
 			return nil, err
-		}
-		short := optimize.MethodTabu
-		if method == MethodSimulatedAnnealing {
-			short = optimize.MethodSA
 		}
 		start := base
 		if len(g.Start) > 0 {
@@ -135,7 +131,7 @@ func (spec FleetJob) expand(s *Session) ([]expandedMember, error) {
 			count = 1
 		}
 		for k := 0; k < count; k++ {
-			members = append(members, expandedMember{method: method, short: short, start: start})
+			members = append(members, expandedMember{method: method, search: search, start: start})
 			if len(members) > MaxFleetMembers {
 				return nil, fmt.Errorf("pdsat: fleet of more than %d members", MaxFleetMembers)
 			}
@@ -301,7 +297,7 @@ func (spec FleetJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 			opts.MaxEvaluations = budgets[i]
 		}
 		fleet[i] = optimize.FleetMember{
-			Method:    m.short,
+			Search:    m.search,
 			Objective: obj,
 			Start:     jitterStart(m.start, spec.Jitter, root, i),
 			Opts:      opts,
@@ -311,7 +307,7 @@ func (spec FleetJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 	fr, ferr := optimize.RunFleet(ctx, fleet, optimize.FleetOptions{
 		Shared:     shared,
 		KeepRacing: spec.KeepRacing,
-		OnMemberDone: func(member int, method string, res *optimize.Result) {
+		OnMemberDone: func(member int, res *optimize.Result) {
 			j.emit(FleetMemberDone{
 				Job:           j.id,
 				Member:        member,

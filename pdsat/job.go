@@ -111,21 +111,26 @@ type SearchJob struct {
 // Kind implements JobSpec.
 func (SearchJob) Kind() JobKind { return JobSearch }
 
-// methodName normalizes the accepted method spellings.
-func (spec SearchJob) methodName() (string, error) {
-	switch spec.Method {
+// searchFunc is a metaheuristic: optimize.TabuSearch or
+// optimize.SimulatedAnnealing.
+type searchFunc = func(ctx context.Context, obj optimize.Objective, start Point, opts SearchOptions) (*SearchResult, error)
+
+// searchMethod resolves a method spelling of SearchJob.Method or
+// FleetMemberSpec.Method to its long name and its search function.
+func searchMethod(name string) (string, searchFunc, error) {
+	switch name {
 	case "sa", "annealing", MethodSimulatedAnnealing:
-		return MethodSimulatedAnnealing, nil
+		return MethodSimulatedAnnealing, optimize.SimulatedAnnealing, nil
 	case "", "tabu", MethodTabu:
-		return MethodTabu, nil
+		return MethodTabu, optimize.TabuSearch, nil
 	default:
-		return "", fmt.Errorf("pdsat: unknown search method %q", spec.Method)
+		return "", nil, fmt.Errorf("pdsat: unknown search method %q", name)
 	}
 }
 
 // Validate implements JobSpec.
 func (spec SearchJob) Validate(s *Session) error {
-	if _, err := spec.methodName(); err != nil {
+	if _, _, err := searchMethod(spec.Method); err != nil {
 		return err
 	}
 	if spec.Policy != nil {
@@ -139,7 +144,7 @@ func (spec SearchJob) Validate(s *Session) error {
 
 func (spec SearchJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 	s := j.session
-	method, err := spec.methodName()
+	method, search, err := searchMethod(spec.Method)
 	if err != nil {
 		return nil, err
 	}
@@ -152,13 +157,7 @@ func (spec SearchJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 	// memoizes according to the job's effective policy.  The runner evaluates
 	// in its default scope and reports the session-wide conflict activity.
 	obj, opts := s.searchMember(j, s.runner.Scope, s.runner, s.policyFor(spec.Policy), 0)
-	var res *SearchResult
-	switch method {
-	case MethodSimulatedAnnealing:
-		res, err = optimize.SimulatedAnnealing(ctx, obj, start, opts)
-	default:
-		res, err = optimize.TabuSearch(ctx, obj, start, opts)
-	}
+	res, err := search(ctx, obj, start, opts)
 	if err != nil {
 		return nil, err
 	}
