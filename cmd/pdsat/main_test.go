@@ -113,6 +113,20 @@ func TestJobFailsBeforeTheProblem(t *testing.T) {
 	}
 }
 
+// TestWideJobRefused: a search whose policy asks for more than one
+// evaluation at a time is refused with eval's message, and nothing runs.
+func TestWideJobRefused(t *testing.T) {
+	wide := writeJob(t, `{"kind":"search","method":"tabu","policy":{"max_concurrent_evals":4}}`)
+	want := pdsat.EvalPolicy{MaxConcurrentEvals: 4}.Validate().Error()
+	out, err := runCapturingStdout(t, "-generator", "a5/1", "-known", "52", "-keystream", "30", "-job", wide)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("%v, want an error with %q", err, want)
+	}
+	if strings.Contains(out, "result: ") {
+		t.Fatalf("a refused job printed a result:\n%s", out)
+	}
+}
+
 // TestJobRefusedWhereItWouldBeIgnored: a server runs the jobs posted to it
 // and a worker the leader's, so a -job beside -serve or -join is refused
 // before anything listens or dials, as -listen beside -join is.
@@ -260,7 +274,7 @@ func TestCommittedJobsDecode(t *testing.T) {
 		kinds[strings.TrimSuffix(filepath.Base(path), ".json")] = spec.Kind()
 	}
 	for name, kind := range map[string]pdsat.JobKind{
-		"estimate": pdsat.JobEstimate, "search-default": pdsat.JobSearch, "search-wide": pdsat.JobSearch,
+		"estimate": pdsat.JobEstimate, "search-default": pdsat.JobSearch,
 		"fleet": pdsat.JobFleet, "solve": pdsat.JobSolve,
 	} {
 		if kinds[name] != kind {

@@ -264,14 +264,9 @@ func TestDispatchAllocsPerTask(t *testing.T) {
 		tr        cluster.ObservedTransport
 		limit     float64 // allocations a task
 		lentBytes float64 // bytes a task, lent a results array
-		// lentTries is how many warm batches the lent leg may take to come
-		// within both limits.  Over loopback the leader's activity logs grow
-		// to the most results recorded between two looks of the batch loop,
-		// which depends on timing, so an early warm batch may still grow them.
-		lentTries int
 	}{
-		"inproc":   {cluster.NewInproc(f, 2, solver.Options{}), 0.1, 16, 1},
-		"loopback": {leader, 2, 32, 3},
+		"inproc":   {cluster.NewInproc(f, 2, solver.Options{}), 0.1, 16},
+		"loopback": {leader, 2, 32},
 	} {
 		lent := opts
 		lent.Results = make([]cluster.TaskResult, 0, len(tasks))
@@ -289,22 +284,12 @@ func TestDispatchAllocsPerTask(t *testing.T) {
 				}
 			}
 			run() // builds the solvers, grows the buffers
-			tries := 1
-			if opts.Results != nil {
-				tries = tc.lentTries
-			}
-			var perTask, bytes float64
-			for range tries {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				run()
-				runtime.ReadMemStats(&after)
-				perTask = float64(after.Mallocs-before.Mallocs) / float64(len(tasks))
-				bytes = float64(after.TotalAlloc-before.TotalAlloc) / float64(len(tasks))
-				if perTask <= tc.limit && bytes <= tc.lentBytes {
-					break
-				}
-			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			perTask := float64(after.Mallocs-before.Mallocs) / float64(len(tasks))
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(tasks))
 			t.Logf("%s: %.3f allocations and %.0f bytes a task", leg, perTask, bytes)
 			if perTask > tc.limit {
 				t.Errorf("%s: %.3f allocations a task in a warm batch of %d, want at most %v", leg, perTask, len(tasks), tc.limit)

@@ -117,9 +117,9 @@ type Leader struct {
 	// runMu serializes Run calls: the wire protocol tracks one active
 	// batch at a time.
 	runMu sync.Mutex
-	// logs are the two activity logs of the active batch (netBatch.fill and
-	// drain) between batches, so that one batch's arrays serve the next.
-	logs [2]activityLog // guarded by runMu
+	// log is the activity log of the active batch (netBatch.log) between
+	// batches, so that one batch's arrays serve the next.
+	log activityLog // guarded by runMu
 }
 
 // remoteWorker is the leader-side state of one registered worker.
@@ -160,15 +160,15 @@ type netBatch struct {
 	// never moves, so it may be read without the lock.  Nothing is appended
 	// once RunDispatch has returned (it unsets Leader.batch first).
 	// None carries its activity vector.  Those of an observed batch are
-	// copied, as the results are recorded, behind one another into fill; the
-	// batch loop swaps fill for drain when it takes the results recorded
-	// since it last looked, and lends each its vector for the observer's call.
-	results     []TaskResult
-	observed    bool
-	fill, drain activityLog
-	remaining   int
-	cancelled   bool
-	wake        chan struct{} // capacity 1; non-blocking notifications
+	// copied, as the results are recorded, into log, whose vector i is
+	// results[i]'s; the batch loop lends each result its vector for the
+	// observer's call.
+	results   []TaskResult
+	observed  bool
+	log       activityLog
+	remaining int
+	cancelled bool
+	wake      chan struct{} // capacity 1; non-blocking notifications
 	// spec maps a speculatively duplicated task index to the worker id the
 	// duplicate was sent to (nil until the first duplication).  An index
 	// present here is live on two workers at once; everywhere else a task
@@ -181,31 +181,41 @@ type netBatch struct {
 	sends []sendChunk
 }
 
-// activityLog holds the activity vectors of consecutive results in two
-// arrays: vector i ends at entry ends[i], where vector i+1 begins.
+// activityLog holds the activity vectors of consecutive results, vector i
+// in vecs[i], behind one another in the log's arrays.  A vector that does not
+// fit behind the others starts arrays of its own, as large as the log so far,
+// so that no array is moved or copied while vectors in it are on loan.  Like
+// netBatch.results, vecs only grows by append and is read below its length
+// without the lock.
 type activityLog struct {
 	act  solver.SparseActivities
-	ends []int
+	vecs []solver.SparseActivities
+	used int // entries added since reset
 }
 
-func (a *activityLog) add(act solver.SparseActivities) {
-	a.act.Vars = append(a.act.Vars, act.Vars...)
-	a.act.Acts = append(a.act.Acts, act.Acts...)
-	a.ends = append(a.ends, len(a.act.Vars))
-}
-
-// at returns vector i, which points into the log.
-func (a *activityLog) at(i int) solver.SparseActivities {
-	from := 0
-	if i > 0 {
-		from = a.ends[i-1]
+func (a *activityLog) add(v solver.SparseActivities) {
+	from := len(a.act.Vars)
+	if from+len(v.Vars) > cap(a.act.Vars) || from+len(v.Acts) > cap(a.act.Acts) {
+		n := max(a.used, len(v.Vars))
+		a.act, from = solver.SparseActivities{Vars: make([]cnf.Var, 0, n), Acts: make([]float64, 0, n)}, 0
 	}
-	to := a.ends[i]
-	return solver.SparseActivities{Vars: a.act.Vars[from:to:to], Acts: a.act.Acts[from:to:to]}
+	a.act.Vars = append(a.act.Vars, v.Vars...)
+	a.act.Acts = append(a.act.Acts, v.Acts...)
+	to := len(a.act.Vars)
+	a.vecs = append(a.vecs, solver.SparseActivities{Vars: a.act.Vars[from:to:to], Acts: a.act.Acts[from:to:to]})
+	a.used += len(v.Vars)
 }
 
+// reset empties the log once its batch has ended and nothing in it is on
+// loan.  A log that outgrew its arrays gets arrays for what it held and a
+// quarter more, so that a warm batch recording a little more does not
+// outgrow them again.
 func (a *activityLog) reset() {
-	a.act, a.ends = a.act.Emptied(), a.ends[:0]
+	if a.used > cap(a.act.Vars) {
+		n := a.used + a.used/4
+		a.act = solver.SparseActivities{Vars: make([]cnf.Var, 0, n), Acts: make([]float64, 0, n)}
+	}
+	a.act, a.vecs, a.used = a.act.Emptied(), a.vecs[:0], 0
 }
 
 // Listen starts a leader for the formula on the given TCP address
@@ -671,7 +681,7 @@ func placeholderLocked(b *netBatch, idx int) {
 func recordLocked(b *netBatch, res TaskResult) {
 	b.got[res.Index] = true
 	if b.observed {
-		b.fill.add(res.Activity)
+		b.log.add(res.Activity)
 	}
 	res.Activity = solver.SparseActivities{}
 	b.results = append(b.results, res)
@@ -1005,19 +1015,18 @@ func (l *Leader) RunDispatch(ctx context.Context, tasks []Task, opts BatchOption
 		got:       make([]bool, len(tasks)),
 		results:   resultsFor(opts.Results, len(tasks)),
 		observed:  observe != nil,
-		fill:      l.logs[0],
-		drain:     l.logs[1],
+		log:       l.log,
 		remaining: len(tasks),
 		wake:      make(chan struct{}, 1),
 	}
-	b.fill.reset()
 	l.batch = b
 	l.mu.Unlock()
 
 	defer func() {
 		l.mu.Lock()
 		l.batch = nil // nothing is recorded into b from here on
-		l.logs[0], l.logs[1] = b.fill, b.drain
+		b.log.reset() // every observer call has returned
+		l.log = b.log
 		unanswered := b.remaining > 0
 		for _, rw := range l.workers {
 			clear(rw.inflight)
@@ -1100,17 +1109,15 @@ func (l *Leader) snapshotDispatchStats(b *netBatch) DispatchStats {
 }
 
 // reportNew streams the not-yet-reported tail of the batch results to
-// observe, each with its activity vector on loan from the log the batch just
-// stopped filling.  Only the batch loop calls it, so *reported and the
-// draining log need no lock; the tail is taken under the lock and observed in
-// place outside it (see netBatch.results).
+// observe, each with its activity vector on loan from the batch's log.  Only
+// the batch loop calls it, so *reported needs no lock; the tail and the log
+// are taken under the lock and read in place outside it, since neither is
+// written below its length again (see netBatch.results).
 func (l *Leader) reportNew(b *netBatch, reported *int, observe func(TaskResult)) {
 	l.mu.Lock()
-	fresh := b.results[*reported:len(b.results):len(b.results)]
-	if observe != nil {
-		b.fill, b.drain = b.drain, b.fill
-		b.fill.reset()
-	}
+	from := *reported
+	fresh := b.results[from:len(b.results):len(b.results)]
+	log := b.log
 	l.mu.Unlock()
 	*reported += len(fresh)
 	if observe == nil {
@@ -1118,7 +1125,7 @@ func (l *Leader) reportNew(b *netBatch, reported *int, observe func(TaskResult))
 	}
 	for i := range fresh {
 		res := fresh[i]
-		res.Activity = b.drain.at(i)
+		res.Activity = log.vecs[from+i]
 		observe(res)
 	}
 }

@@ -333,7 +333,11 @@ func newWorkerBatch(parent context.Context, id uint64, opts BatchOptions, exec *
 				}
 			}
 			for {
-				qt, ok, cancelled := b.q.pop(flush)
+				var (
+					index         int
+					ok, cancelled bool
+				)
+				index, assumptions, ok, cancelled = b.q.pop(flush, assumptions[:0])
 				if !ok {
 					flush()
 					return
@@ -343,10 +347,9 @@ func newWorkerBatch(parent context.Context, id uint64, opts BatchOptions, exec *
 					// Cancelled before a solver saw it: report a
 					// placeholder, exactly like the in-process producer
 					// draining its queue.
-					res = TaskResult{Index: qt.index, Status: solver.Unknown}
+					res = TaskResult{Index: index, Status: solver.Unknown}
 				} else {
-					assumptions = qt.appendAssumptions(assumptions[:0])
-					res = b.solveOne(sw, Task{Index: qt.index, Assumptions: assumptions}, delay)
+					res = b.solveOne(sw, Task{Index: index, Assumptions: assumptions}, delay)
 				}
 				if parent.Err() != nil {
 					// Not this batch but the worker itself is going down, and
@@ -427,11 +430,14 @@ func (b *workerBatch) stop() {
 //
 // A connection has one queue, which serves its batches one after another
 // (reopen), and the queue owns the assumption bytes of the tasks pushed onto
-// it: push appends a chunk's behind those of the chunks before it, in an arena
-// that is never written below its length while a batch runs, so a slot may
-// decode a task it popped without the lock.  Between batches, when the last
-// batch's slots have exited, the arena and the task list are emptied and
-// filled again, so that a warm worker takes a chunk without an allocation.
+// it: push appends a chunk's behind those of the chunks before it, in an
+// arena.  pop decodes a task into the slot's own buffer before it lets go of
+// the lock, so the arena holds queued tasks only: it starts over whenever the
+// queue runs empty, and push moves the queued tasks to the front of the list
+// and of the arena before it grows either.  Both are therefore as large as
+// the deepest the queue has been, not as the share of a batch the worker
+// took, which depends on timing; a warm worker takes a chunk without an
+// allocation.
 type taskQueue struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -442,8 +448,9 @@ type taskQueue struct {
 }
 
 // keepQueued is the largest arena a queue keeps from one batch for the next,
-// in bytes: above the 600 kB of a whole 2500-task batch of 120-literal
-// Bivium subproblems, two bytes a literal.
+// in bytes: far above what a queue of a few milliseconds of work holds (a
+// whole 2500-task batch of 120-literal Bivium subproblems is 600 kB, two
+// bytes a literal).
 const keepQueued = 1 << 20
 
 func newTaskQueue() *taskQueue {
@@ -471,6 +478,9 @@ func (q *taskQueue) push(tasks []queuedTask) {
 		n += len(tasks[i].lits)
 	}
 	q.mu.Lock()
+	if len(q.lits)+n > cap(q.lits) || len(q.items)+len(tasks) > cap(q.items) {
+		q.compact()
+	}
 	q.lits = slices.Grow(q.lits, n)
 	for _, t := range tasks {
 		from := len(q.lits)
@@ -482,6 +492,21 @@ func (q *taskQueue) push(tasks []queuedTask) {
 	q.cond.Broadcast()
 }
 
+// compact moves the queued tasks to the front of the list and their bytes to
+// the front of the arena, in order, so that each moves down over bytes no
+// queued task needs (callers hold mu).
+func (q *taskQueue) compact() {
+	queued := q.items[q.head:]
+	lits := q.lits[:0]
+	for i := range queued {
+		from := len(lits)
+		lits = append(lits, queued[i].lits...)
+		queued[i].lits = lits[from:]
+	}
+	q.items = append(q.items[:0], queued...)
+	q.head, q.lits = 0, lits
+}
+
 func (q *taskQueue) cancelQueue() {
 	q.mu.Lock()
 	q.cancelled = true
@@ -490,10 +515,11 @@ func (q *taskQueue) cancelQueue() {
 }
 
 // pop blocks until a task is available or the queue is cancelled, calling
-// idle first (outside the lock) if it has to wait.  ok is false when the
-// queue is cancelled and empty; cancelled marks tasks that must be reported
-// as placeholders instead of solved.
-func (q *taskQueue) pop(idle func()) (t queuedTask, ok, cancelled bool) {
+// idle first (outside the lock) if it has to wait, and returns the task's
+// index and its assumptions appended to dst.  ok is false when the queue is
+// cancelled and empty; cancelled marks tasks that must be reported as
+// placeholders instead of solved.
+func (q *taskQueue) pop(idle func(), dst []cnf.Lit) (index int, assumptions []cnf.Lit, ok, cancelled bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.empty() && !q.cancelled {
@@ -505,14 +531,15 @@ func (q *taskQueue) pop(idle func()) (t queuedTask, ok, cancelled bool) {
 		q.cond.Wait()
 	}
 	if q.empty() {
-		return queuedTask{}, false, false
+		return 0, dst, false, false
 	}
-	t = q.items[q.head]
+	t := &q.items[q.head]
 	q.head++
+	assumptions = t.appendAssumptions(dst)
 	if q.empty() {
-		q.items, q.head = q.items[:0], 0 // the list starts over; the arena does not
+		q.items, q.head, q.lits = q.items[:0], 0, q.lits[:0] // both start over
 	}
-	return t, true, q.cancelled
+	return t.index, assumptions, true, q.cancelled
 }
 
 // requires mu

@@ -37,8 +37,9 @@
 // The Engine composes the three: it wraps a Backend (a pdsat Scope) with the
 // cache and the pruning/staging policy, and implements Evaluator — what the
 // optimize package's searches minimize, threading their incumbent (best F so
-// far) into every evaluation.  A search asks for F one way: its Frontier
-// calls the engine's EvaluateSlotF, the engine the backend's EvaluateSlot.
+// far) into every evaluation.  A search asks for F one way, one candidate at
+// a time: it calls the engine's EvaluateF, the engine the backend's
+// EvaluateSlot, which draws the next evaluation slot.
 //
 // The zero Policy disables all three mechanisms and reproduces the
 // always-full-sample behaviour bit for bit; this is asserted by regression
@@ -83,10 +84,10 @@ type Policy struct {
 	// Cache hits still count against a search's evaluation budget (they
 	// are real visits), but solve no subproblems.
 	Cache bool `json:"cache,omitempty"`
-	// MaxConcurrentEvals is the width of a search's neighborhood passes:
-	// how many candidate evaluations it may keep in flight on the transport
-	// at once.  0 means the default of 1, one candidate at a time in visit
-	// order; values above 1 pipeline whole neighborhoods (see Frontier).
+	// MaxConcurrentEvals must be 0 or 1, which mean the same: a search
+	// evaluates one candidate at a time, in visit order.  Wider passes were
+	// removed (see Validate); the member stays so that specs naming it
+	// still decode.
 	MaxConcurrentEvals int `json:"max_concurrent_evals,omitempty"`
 }
 
@@ -102,16 +103,16 @@ func DefaultPolicy() Policy {
 
 // Enabled reports whether any mechanism of the policy is switched on.
 func (p Policy) Enabled() bool {
-	return p.Prune || p.Stages > 1 || p.Cache || p.MaxConcurrentEvals > 1
+	return p.Prune || p.Stages > 1 || p.Cache
 }
 
 // Validate reports whether the policy is usable.  Zero values are fine
 // (they disable the mechanism or select a documented default); negative
 // stage counts, precision targets that are negative or not finite, and
 // confidence levels outside [0,1) are configuration mistakes and are rejected
-// with a clear error.  NaN fails every comparison, so the float checks ask
-// for what is valid: a NaN ε would pass a sign check and then never let the
-// early stop fire.
+// with a clear error, and so is an evaluation concurrency other than 0 or
+// 1.  NaN fails every comparison, so the float checks ask for what is valid:
+// a NaN ε would pass a sign check and then never let the early stop fire.
 func (p Policy) Validate() error {
 	if p.Stages < 0 {
 		return fmt.Errorf("eval: negative stage count %d (use 0 or 1 for unstaged evaluation)", p.Stages)
@@ -123,8 +124,8 @@ func (p Policy) Validate() error {
 		return fmt.Errorf("eval: confidence level %v outside [0,1) (use 0 for the default of %v)",
 			p.Gamma, DefaultGamma)
 	}
-	if p.MaxConcurrentEvals < 0 {
-		return fmt.Errorf("eval: negative evaluation concurrency %d (use 0 for the default of 1)",
+	if p.MaxConcurrentEvals < 0 || p.MaxConcurrentEvals > 1 {
+		return fmt.Errorf("eval: max_concurrent_evals %d: a search evaluates one candidate at a time since wider passes were removed (use 0 or 1)",
 			p.MaxConcurrentEvals)
 	}
 	return nil
@@ -251,21 +252,11 @@ type Evaluation struct {
 // bound: the best F value the caller has already certified.  Evaluations may
 // exploit the incumbent by pruning (returning early with a lower bound above
 // it); callers that have no incumbent pass +Inf.  It is what the optimize
-// package's searches minimize (optimize.Objective), through a Frontier.
-//
-// An evaluation draws its Monte Carlo sample from an evaluation slot (the
-// pdsat Scope: sample = f(scope seed, slot)).  A frontier evaluating several
-// candidates at once reserves their slots upfront, in submission order, so
-// each candidate's sample is independent of scheduling; one evaluating them
-// one at a time lets each draw the next.
+// package's searches minimize (optimize.Objective), one evaluation at a time:
+// each draws its Monte Carlo sample from the next evaluation slot of the
+// pdsat Scope behind it (sample = f(scope seed, slot)).
 type Evaluator interface {
-	// ReserveSlots reserves n consecutive evaluation slots and returns the
-	// first, or ok=false when the evaluator has no slots to reserve (its
-	// evaluations are then asked for the next one).
-	ReserveSlots(n int) (first int, ok bool)
-	// EvaluateSlotF evaluates F at p against the incumbent, drawing the
-	// sample from the pre-reserved slot, or from the next one when slot < 0.
-	EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*Evaluation, error)
+	EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*Evaluation, error)
 }
 
 // Backend performs the actual solving of an evaluation's sample under a
@@ -274,9 +265,7 @@ type Evaluator interface {
 // with a context error.
 type Backend interface {
 	// ReserveEvalSlots reserves n consecutive evaluation slots and returns
-	// the first.  Slots of candidates that end up cancelled or cache-served
-	// stay burned, deliberately: the reservation, not the use, keeps sibling
-	// samples scheduling-independent.
+	// the first (Engine.ReserveSlots).
 	ReserveEvalSlots(n int) int
 	// EvaluateSlot evaluates the point under the policy and incumbent with
 	// the sample drawn from the given pre-reserved slot, or from the next one
@@ -310,19 +299,22 @@ func NewEngine(backend Backend, pol Policy, cache *Cache) *Engine {
 	return &Engine{backend: backend, policy: pol, cache: cache}
 }
 
-// EvaluateF is EvaluateSlotF with no slot reserved, so the backend draws the
-// next one: a single evaluation outside a search.
+// EvaluateF implements Evaluator: EvaluateSlotF with no slot reserved, so the
+// backend draws the next one.
 func (e *Engine) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*Evaluation, error) {
 	return e.EvaluateSlotF(ctx, p, incumbent, -1)
 }
 
-// ReserveSlots implements Evaluator: the backend's slots, always available.
+// ReserveSlots reserves n consecutive slots of the backend and returns the
+// first; ok is always true.  No search reserves slots, since each evaluation
+// draws the next one; callers that pin a sample to a slot pass it to
+// EvaluateSlotF.
 func (e *Engine) ReserveSlots(n int) (int, bool) { return e.backend.ReserveEvalSlots(n), true }
 
-// EvaluateSlotF implements Evaluator, and is the one body of EvaluateF too:
-// cache lookup, policy evaluation, memoization, hooks.  A cache hit leaves
-// the slot unused (deliberately: the reservation, not the use, is what keeps
-// sibling samples scheduling-independent).
+// EvaluateSlotF is the one body of EvaluateF: cache lookup, policy
+// evaluation, memoization, hooks, with the sample drawn from the given
+// reserved slot, or from the next one when slot < 0.  A cache hit leaves the
+// slot unused.
 func (e *Engine) EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*Evaluation, error) {
 	key, variant := p.Key(), e.policy.variant()
 	if ev, ok := e.cache.Lookup(key, variant, incumbent); ok {

@@ -17,6 +17,7 @@ func TestPolicyValidate(t *testing.T) {
 		DefaultPolicy(),
 		{Prune: true},
 		{Stages: 8, Epsilon: 0.5, Gamma: 0.99},
+		{MaxConcurrentEvals: 1},
 	}
 	for _, p := range valid {
 		if err := p.Validate(); err != nil {
@@ -36,6 +37,8 @@ func TestPolicyValidate(t *testing.T) {
 		{Stages: 3, Epsilon: math.NaN()},
 		{Gamma: math.NaN()},
 		{Gamma: math.Inf(1)},
+		{MaxConcurrentEvals: -1},
+		{MaxConcurrentEvals: 2},
 	}
 	for _, p := range invalid {
 		if err := p.Validate(); err == nil {
@@ -344,5 +347,35 @@ func TestEngineDoesNotCacheErrors(t *testing.T) {
 	}
 	if backend.calls != 2 {
 		t.Fatalf("backend called %d times, want 2", backend.calls)
+	}
+}
+
+// TestEngineEvaluateSlotF: the engine hands the slot it is given to its
+// backend's one evaluation method — a reserved slot as is, and EvaluateF's
+// "next slot" as a negative one — and a cache hit burns the slot unused.
+func TestEngineEvaluateSlotF(t *testing.T) {
+	p := testPoint(t)
+	backend := &fakeBackend{result: Evaluation{Value: 7}}
+	eng := NewEngine(backend, Policy{Cache: true}, NewCache())
+
+	first, ok := eng.ReserveSlots(3)
+	if !ok || first != 0 {
+		t.Fatalf("ReserveSlots = (%d, %v), want (0, true)", first, ok)
+	}
+	ev, err := eng.EvaluateSlotF(context.Background(), p, math.Inf(1), first+2)
+	if err != nil || ev.Value != 7 || ev.CacheHit {
+		t.Fatalf("slot evaluation: %+v, %v", ev, err)
+	}
+	// A second call is a cache hit: the backend is not consulted and the
+	// slot is burned.
+	ev, err = eng.EvaluateSlotF(context.Background(), p, math.Inf(1), first+1)
+	if err != nil || !ev.CacheHit {
+		t.Fatalf("second slot evaluation not served from cache: %+v, %v", ev, err)
+	}
+	if _, err := eng.EvaluateF(context.Background(), p.Flip(0), math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{2, -1}; !reflect.DeepEqual(backend.used, want) || backend.calls != 2 {
+		t.Fatalf("backend called %d times with slots %v, want %v", backend.calls, backend.used, want)
 	}
 }

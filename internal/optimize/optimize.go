@@ -12,9 +12,8 @@
 // uses the accumulated conflict activity of variables to choose a new
 // neighbourhood centre when the current one is exhausted.
 //
-// Every evaluation a search makes — its start point included, at any width
-// and for fleet members too — goes through one loop: a wave of candidates
-// submitted to an eval.Frontier (see scheduler.go).
+// A search evaluates one candidate at a time, in visit order (see
+// scheduler.go); fleets of searches run concurrently beside each other.
 package optimize
 
 import (
@@ -103,20 +102,15 @@ type Options struct {
 	// worse than the fleet's best, which is all a minimizer needs to know.
 	Shared SharedIncumbent
 
-	// MaxConcurrentEvals is the width of the neighbourhood loops: how many
-	// candidate evaluations are kept in flight on the transport at once.
-	// 0 means 1: candidates are evaluated one at a time, in visit order,
-	// with a budget check before each.  Values above 1 pipeline evaluations
-	// through the asynchronous scheduler (eval.Frontier), with the live best
-	// value threaded into every one so siblings prune each other and the
-	// in-flight rest cancelled once a neighbourhood's outcome is decided;
-	// they require the objective to be safe for concurrent use.  See the
-	// doc comments in scheduler.go for the determinism rule.
+	// MaxConcurrentEvals must be 0 or 1, which mean the same: candidates
+	// are evaluated one at a time, in visit order, with a budget check
+	// before each.  Validate refuses anything else, as
+	// eval.Policy.Validate does.
 	MaxConcurrentEvals int
 
 	// NeighborhoodObserver, when non-nil, is called after every
 	// neighbourhood pass (tabu neighbourhoods and simulated-annealing
-	// waves), from the search's goroutine.
+	// candidates), from the search's goroutine.
 	NeighborhoodObserver func(Neighborhood)
 }
 
@@ -136,8 +130,9 @@ type SharedIncumbent interface {
 // Validate reports whether the options are usable.  Zero values are fine —
 // they select the DefaultOptions value or mean "unlimited" — but negative
 // budgets, a radius below 1 (when set), a cooling factor outside (0,1), or a
-// temperature or target that is negative, NaN or infinite are configuration
-// mistakes and are rejected with a clear error rather than silently coerced.
+// temperature or target that is negative, NaN or infinite, and an evaluation
+// concurrency other than 0 or 1, are configuration mistakes and are rejected
+// with a clear error rather than silently coerced.
 // Both search entry points validate eagerly.
 func (o Options) Validate() error {
 	if o.Radius < 0 {
@@ -173,11 +168,7 @@ func (o Options) Validate() error {
 		return fmt.Errorf("optimize: invalid target value %v (want a finite target ≥ 0; use 0 to disable the target stop)",
 			o.TargetValue)
 	}
-	if o.MaxConcurrentEvals < 0 {
-		return fmt.Errorf("optimize: negative evaluation concurrency %d (use 0 for the default of 1)",
-			o.MaxConcurrentEvals)
-	}
-	return nil
+	return eval.Policy{MaxConcurrentEvals: o.MaxConcurrentEvals}.Validate()
 }
 
 // DefaultOptions returns the options used when fields are left zero.
@@ -210,9 +201,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = def.Seed
-	}
-	if o.MaxConcurrentEvals == 0 {
-		o.MaxConcurrentEvals = 1
 	}
 	return o
 }
@@ -304,19 +292,16 @@ func newSearch(obj Objective, opts Options) *search {
 var errStop = errors.New("optimize: stop")
 
 // evaluateStart evaluates the start point and records it as the first
-// accepted, improving visit.  It is a wave of one against an uncoupled +Inf
-// bound: never coupled to a fleet incumbent, so never pruned and never
+// accepted, improving visit.  It runs against an uncoupled +Inf incumbent:
+// never coupled to a fleet incumbent, so never pruned and never
 // budget-tightened — pruning it against a foreign incumbent would leave the
 // search without a certified best value of its own.  A returned errStop means
 // the search ended before it (the reason is recorded).
 func (s *search) evaluateStart(ctx context.Context, start decomp.Point) (float64, error) {
-	var value float64
-	_, err := s.runWave(ctx, []decomp.Point{start}, eval.NewBound(math.Inf(1)),
-		func(chi decomp.Point, v float64, _, _ bool) (bool, error) {
-			value = v
-			s.record(chi, v, true, true, false)
-			return false, nil
-		})
+	value, _, err := s.evaluate(ctx, start, math.Inf(1))
+	if err == nil {
+		s.record(start, value, true, true, false)
+	}
 	return value, err
 }
 

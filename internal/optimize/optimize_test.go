@@ -26,7 +26,6 @@ func makeSpace(n int) *decomp.Space {
 // target set of variables.  F(χ) = 1 + |χ Δ target| (symmetric difference),
 // so the unique global minimum (value 1) is reached exactly at the target.
 type countingObjective struct {
-	noSlots
 	target      map[cnf.Var]bool
 	evaluations int
 	activity    map[cnf.Var]float64
@@ -40,7 +39,7 @@ func newCountingObjective(target []cnf.Var) *countingObjective {
 	return &countingObjective{target: m, activity: map[cnf.Var]float64{}}
 }
 
-func (o *countingObjective) EvaluateSlotF(_ context.Context, p decomp.Point, _ float64, _ int) (*eval.Evaluation, error) {
+func (o *countingObjective) EvaluateF(_ context.Context, p decomp.Point, _ float64) (*eval.Evaluation, error) {
 	return &eval.Evaluation{Value: o.value(p)}, nil
 }
 
@@ -64,19 +63,11 @@ func (o *countingObjective) value(p decomp.Point) float64 {
 
 func (o *countingObjective) VarActivity(v cnf.Var) float64 { return o.activity[v] }
 
-// noSlots is embedded by the synthetic objectives: they draw no Monte Carlo
-// sample, so they have no evaluation slots to reserve.
-type noSlots struct{}
-
-func (noSlots) ReserveSlots(int) (int, bool) { return 0, false }
-
 // evalFunc is an objective over a plain function: its value is the
 // evaluation, and nothing is ever pruned.
 type evalFunc func(ctx context.Context, p decomp.Point) (float64, error)
 
-func (evalFunc) ReserveSlots(int) (int, bool) { return 0, false }
-
-func (f evalFunc) EvaluateSlotF(ctx context.Context, p decomp.Point, _ float64, _ int) (*eval.Evaluation, error) {
+func (f evalFunc) EvaluateF(ctx context.Context, p decomp.Point, _ float64) (*eval.Evaluation, error) {
 	v, err := f(ctx, p)
 	if err != nil {
 		return nil, err

@@ -1,48 +1,27 @@
 package optimize
 
-// The neighbourhood loops of the two metaheuristics.  Both evaluate their
-// candidates in pre-drawn sequences ("waves"), and every wave — the start
-// point is a wave of one — goes to an eval.Frontier of
-// Options.MaxConcurrentEvals width, which is the only evaluation loop.
+// The neighbourhood loops of the two metaheuristics.  Both walk their
+// candidates one at a time, in visit order: each fresh evaluation follows a
+// budget check, runs against the search's incumbent and draws the next
+// evaluation slot, and the next one begins only after the search has taken
+// in the last.  The fixed-seed traces recorded in testdata rest on exactly
+// this order.
 //
 // The tabu search pre-draws the visit order of a whole neighbourhood — one
 // RNG draw per candidate over the not-yet-drawn unchecked ones, which is
 // how the recorded fixed-seed traces were drawn — and walks it in that
-// order.  At width 1 the frontier's sequential loop evaluates the candidates
-// one at a time, each drawing the next evaluation slot, with the budgets
-// checked before each.  Above 1 up to `width` candidate evaluations run
-// concurrently on the transport, the live best value is threaded into every
-// one (siblings prune each other as results stream back), and results are
-// processed strictly in visit order.  The simulated annealing speculates in
-// waves of `width` pre-drawn candidates; an acceptance decides the wave, and
-// the in-flight rest is cancelled and discarded whole.
-//
-// Determinism rule.  Pre-reserved evaluation slots make every candidate's
-// Monte Carlo sample a pure function of (scope seed, slot), so full
-// estimates are scheduling-independent, and the minimum-F candidate of a
-// neighbourhood can never be pruned by the live bound (its partial lower
-// bound cannot exceed its own full estimate, the smallest value any
-// sibling can install; pruning requires strictly exceeding the bound).
-// Selected centres and the reported best F are therefore independent of
-// completion order.  What remains scheduling-dependent under an active
-// policy is which non-winning candidates get pruned (and the lower-bound
-// values they report), subproblem solved/aborted counts, conflict
-// activity absorbed from truncated solves — and, for the annealing, which
-// discarded wave members completed early enough to land in the F-cache.
-// For strict run-to-run reproducibility of full traces at widths above 1,
-// switch Prune and Cache off, exactly as with fleet races.
+// order.  The simulated annealing draws one candidate, evaluates it, and
+// accepts it or not before it draws the next.
 
 import (
 	"context"
 	"errors"
 
 	"github.com/paper-repro/pdsat-go/internal/decomp"
-	"github.com/paper-repro/pdsat-go/internal/eval"
 )
 
 // Neighborhood summarizes one completed neighbourhood pass of a search: a
-// whole tabu neighbourhood, or one speculative wave of the simulated
-// annealing.
+// whole tabu neighbourhood, or one candidate of the simulated annealing.
 type Neighborhood struct {
 	// Center is the pass's neighbourhood centre; Radius its radius.
 	Center decomp.Point
@@ -50,8 +29,8 @@ type Neighborhood struct {
 	// Candidates is the number of candidates drawn for the pass;
 	// Evaluated how many were freshly evaluated (value-cache hits within
 	// the search are excluded), Pruned how many of those the incumbent
-	// bound cut short, and Cancelled how many were discarded unprocessed
-	// when the pass's outcome was decided early.
+	// bound cut short, and Cancelled how many were left unvisited because
+	// the search stopped during the pass.
 	Candidates int
 	Evaluated  int
 	Pruned     int
@@ -60,8 +39,6 @@ type Neighborhood struct {
 	// which BestValue reports as of the end of the pass.
 	Improved  bool
 	BestValue float64
-	// Width is the in-flight evaluation cap (Options.MaxConcurrentEvals).
-	Width int
 }
 
 // observeNeighborhood reports a completed pass to the configured observer.
@@ -71,14 +48,15 @@ func (s *search) observeNeighborhood(nb Neighborhood) {
 	}
 }
 
-// frontierBound seeds a wave's live incumbent bound from the search's best
-// value, tightened by the fleet's shared incumbent when coupled.
-func (s *search) frontierBound(bestValue float64) *eval.Bound {
-	b := eval.NewBound(bestValue)
+// incumbent is what an evaluation prunes against: the search's best value,
+// tightened by the fleet's shared incumbent when coupled.
+func (s *search) incumbent(bestValue float64) float64 {
 	if s.opts.Shared != nil {
-		b.Lower(s.opts.Shared.Best())
+		if b := s.opts.Shared.Best(); b < bestValue {
+			return b
+		}
 	}
-	return b
+	return bestValue
 }
 
 // drawTabuOrder pre-draws the complete visit order of one tabu
@@ -113,155 +91,78 @@ func (s *search) drawTabuOrder(candidates []decomp.Point) []decomp.Point {
 	}
 }
 
-// drawWave pre-draws up to k distinct candidates for the annealing, one
-// pseudo-random pick at a time among those not in the checked set (which,
-// unlike the tabu filter, resets per centre and admits re-visits of points
-// valued in earlier neighbourhoods — those are served from the search's
-// value cache without an evaluation).
-func (s *search) drawWave(candidates []decomp.Point, checked map[string]bool, k int) []decomp.Point {
-	wave := make([]decomp.Point, 0, k)
-	taken := make(map[string]bool, k)
-	for len(wave) < k {
-		unchecked := make([]decomp.Point, 0, len(candidates))
-		for _, c := range candidates {
-			key := c.Key()
-			if checked[key] || taken[key] {
-				continue
-			}
+// drawCandidate draws the annealing's next candidate: one pseudo-random
+// pick among those not in the checked set (which, unlike the tabu filter,
+// resets per centre and admits re-visits of points valued in earlier
+// neighbourhoods — those are served from the search's value cache without an
+// evaluation).  ok is false when every candidate is checked.
+func (s *search) drawCandidate(candidates []decomp.Point, checked map[string]bool) (chi decomp.Point, ok bool) {
+	unchecked := make([]decomp.Point, 0, len(candidates))
+	for _, c := range candidates {
+		if !checked[c.Key()] {
 			unchecked = append(unchecked, c)
 		}
-		if len(unchecked) == 0 {
-			break
-		}
-		pick := unchecked[s.rng.Intn(len(unchecked))]
-		taken[pick.Key()] = true
-		wave = append(wave, pick)
 	}
-	return wave
+	if len(unchecked) == 0 {
+		return decomp.Point{}, false
+	}
+	return unchecked[s.rng.Intn(len(unchecked))], true
 }
 
-// waveHandler processes one wave member, in visit order, on the search's
-// goroutine.  fresh reports a real evaluation (false for value-cache
-// hits).  It returns stop=true to end the wave (the scheduler cancels and
-// discards the in-flight rest); a non-nil error — errStop for recorded
-// graceful stops — ends the whole search.
-type waveHandler func(chi decomp.Point, value float64, prunedEval, fresh bool) (stop bool, err error)
+// waveHandler processes one candidate of a pass, in visit order, on the
+// search's goroutine.  fresh reports a real evaluation (false for value-cache
+// hits).  A non-nil error — errStop for recorded graceful stops — ends the
+// pass and the whole search.
+type waveHandler func(chi decomp.Point, value float64, prunedEval, fresh bool) error
 
-// frontierValue unwraps a frontier result: cancellations racing past the
-// budget checks become a graceful StopContext (best-so-far result) instead of
-// failing the search, everything else is a hard error.
-func (s *search) frontierValue(ctx context.Context, r eval.FrontierResult) (float64, bool, error) {
-	if r.Err != nil {
-		if ctx.Err() != nil || errors.Is(r.Err, context.Canceled) {
+// evaluate is one fresh evaluation of chi against the incumbent, made after a
+// budget check (so a search whose context is already cancelled draws no
+// slot); its value is cached in the search.  A cancellation racing past the
+// budget check becomes a graceful StopContext (best-so-far result) instead
+// of failing the search; any other error is a hard one.
+func (s *search) evaluate(ctx context.Context, chi decomp.Point, incumbent float64) (float64, bool, error) {
+	if err := s.checkBudgets(ctx); err != nil {
+		return 0, false, err
+	}
+	ev, err := s.obj.EvaluateF(ctx, chi, incumbent)
+	if err != nil {
+		if ctx.Err() != nil || errors.Is(err, context.Canceled) {
 			s.stopped = StopContext
 			return 0, false, errStop
 		}
-		return 0, false, r.Err
+		return 0, false, err
 	}
-	return r.Eval.Value, r.Eval.Pruned, nil
+	key := chi.Key()
+	s.values[key] = ev.Value
+	if ev.Pruned {
+		s.prunedPts[key] = true
+	}
+	s.evals++
+	return ev.Value, ev.Pruned, nil
 }
 
-// runWave drives one pre-drawn candidate sequence through the frontier and
-// the handler.  bound is the wave's live incumbent: the frontier lowers it as
-// full estimates complete, and a coupled search lowers it to the fleet's best
-// after every member.  Results reach the handler strictly in wave order; the
-// returned count is how many members the handler processed (the rest were
-// cancelled or never submitted).
-//
-// The budgets are checked before the wave's first evaluation, and every
-// handler checks them after each member it processes.  At width 1 the
-// frontier begins an evaluation only after the handler has seen the one
-// before, so the budgets are checked before every fresh evaluation and slots
-// are drawn one at a time, which is what the recorded fixed-seed samples rest
-// on; a search whose context is already cancelled reserves no slot.
-func (s *search) runWave(ctx context.Context, wave []decomp.Point, bound *eval.Bound, handle waveHandler) (int, error) {
-	processed := 0
-	// Wave members the search has already valued are served from its value
-	// cache in place; only the rest is submitted to the frontier.  The
-	// frontier delivers in submission order, so interleaving the cached
-	// members back in by wave position preserves the visit order exactly.
-	var need []int
+// runWave walks one pass's candidates in order and hands each to handle.  A
+// candidate the search has already valued is served from its value cache;
+// any other is evaluated against the incumbent of the best value as it
+// stands then (*bestValue, which the handler updates).  It returns how many
+// candidates handle saw: all of them, unless the search stopped during the
+// pass.
+func (s *search) runWave(ctx context.Context, wave []decomp.Point, bestValue *float64, handle waveHandler) (int, error) {
 	for i, chi := range wave {
-		if _, ok := s.values[chi.Key()]; !ok {
-			need = append(need, i)
-		}
-	}
-	var (
-		pos     int // next wave position to process
-		stopErr error
-		done    bool
-	)
-	// processCached handles cached members at wave positions below limit.
-	processCached := func(limit int) bool {
-		for pos < limit {
-			chi := wave[pos]
-			key := chi.Key()
-			v, ok := s.values[key]
-			if !ok {
-				break
-			}
-			pos++
-			processed++
-			stop, err := handle(chi, v, s.prunedPts[key], false)
-			if err != nil {
-				stopErr = err
-				return true
-			}
-			if stop {
-				return true
+		key := chi.Key()
+		value, cached := s.values[key]
+		prunedEval := s.prunedPts[key]
+		if !cached {
+			var err error
+			if value, prunedEval, err = s.evaluate(ctx, chi, s.incumbent(*bestValue)); err != nil {
+				return i, err
 			}
 		}
-		return false
+		if err := handle(chi, value, prunedEval, !cached); err != nil {
+			return i + 1, err
+		}
 	}
-	if len(need) == 0 {
-		processCached(len(wave))
-		return processed, stopErr
-	}
-	if err := s.checkBudgets(ctx); err != nil {
-		return processed, err
-	}
-	pts := make([]decomp.Point, len(need))
-	for j, i := range need {
-		pts[j] = wave[i]
-	}
-	fr := eval.NewFrontier(s.obj, s.opts.MaxConcurrentEvals)
-	fr.Run(ctx, pts, bound, func(r eval.FrontierResult) bool {
-		if processCached(need[r.Index]) {
-			done = true
-			return true
-		}
-		value, prunedEval, err := s.frontierValue(ctx, r)
-		if err != nil {
-			stopErr, done = err, true
-			return true
-		}
-		key := r.Point.Key()
-		s.values[key] = value
-		if prunedEval {
-			s.prunedPts[key] = true
-		}
-		s.evals++
-		pos++
-		processed++
-		stop, err := handle(r.Point, value, prunedEval, true)
-		if err != nil {
-			stopErr, done = err, true
-			return true
-		}
-		if stop {
-			done = true
-			return true
-		}
-		if s.opts.Shared != nil {
-			// Foreign fleet improvements tighten the in-flight siblings too.
-			bound.Lower(s.opts.Shared.Best())
-		}
-		return false
-	})
-	if !done {
-		processCached(len(wave))
-	}
-	return processed, stopErr
+	return len(wave), nil
 }
 
 // tabuNeighborhood checks one whole tabu neighbourhood and reports whether
@@ -277,10 +178,8 @@ func (s *search) tabuNeighborhood(ctx context.Context, tl *tabuLists, center dec
 		Center:     center,
 		Radius:     s.opts.Radius,
 		Candidates: len(order),
-		Width:      s.opts.MaxConcurrentEvals,
 	}
-	updated := false
-	handle := func(chi decomp.Point, value float64, prunedEval, fresh bool) (bool, error) {
+	handle := func(chi decomp.Point, value float64, prunedEval, fresh bool) error {
 		if fresh {
 			tl.addChecked(chi, value, s.values)
 			stats.Evaluated++
@@ -297,34 +196,25 @@ func (s *search) tabuNeighborhood(ctx context.Context, tl *tabuLists, center dec
 		s.record(chi, value, improved, improved, prunedEval)
 		if improved {
 			*best, *bestValue = chi, value
-			updated = true
 			stats.Improved = true
 			s.offerBest(*best, *bestValue)
 			if s.targetReached(*bestValue) {
-				return true, errStop
+				return errStop
 			}
 		}
-		if err := s.checkBudgets(ctx); err != nil {
-			return true, err
-		}
-		return false, nil
+		return s.checkBudgets(ctx)
 	}
-	processed, err := s.runWave(ctx, order, s.frontierBound(*bestValue), handle)
+	processed, err := s.runWave(ctx, order, bestValue, handle)
 	stats.Cancelled = len(order) - processed
 	stats.BestValue = *bestValue
 	s.observeNeighborhood(stats)
-	return updated, err
+	return stats.Improved, err
 }
 
-// anneal is the simulated annealing's main loop: speculative waves of up
-// to `width` pre-drawn candidates, an acceptance decides the wave and
-// discards its unprocessed rest whole (never recorded, not even in the
-// search's value cache, so the decision sequence matches what a width-1
-// run would do from the same acceptance).  At width 1 every wave holds one
-// candidate: pick, evaluate, accept or not, cool.
+// anneal is the simulated annealing's main loop: draw a candidate, evaluate
+// it, accept it or not, cool.  Each candidate is a pass of its own.
 func (s *search) anneal(ctx context.Context, center decomp.Point, centerValue float64, best decomp.Point, bestValue, temperature float64) (*Result, error) {
 	opts := s.opts
-	width := opts.MaxConcurrentEvals
 	for {
 		if err := s.checkBudgets(ctx); err != nil {
 			return s.result(best, bestValue), nil
@@ -339,8 +229,8 @@ func (s *search) anneal(ctx context.Context, center decomp.Point, centerValue fl
 		checked := map[string]bool{center.Key(): true}
 		for !bestValueUpdated {
 			neighborhood := neighbors(center, radius)
-			wave := s.drawWave(neighborhood, checked, width)
-			if len(wave) == 0 {
+			next, ok := s.drawCandidate(neighborhood, checked)
+			if !ok {
 				// Neighbourhood exhausted at this radius.
 				if radius < opts.MaxRadius {
 					radius++
@@ -352,10 +242,9 @@ func (s *search) anneal(ctx context.Context, center decomp.Point, centerValue fl
 			stats := Neighborhood{
 				Center:     center,
 				Radius:     radius,
-				Candidates: len(wave),
-				Width:      width,
+				Candidates: 1,
 			}
-			handle := func(chi decomp.Point, value float64, prunedEval, fresh bool) (bool, error) {
+			handle := func(chi decomp.Point, value float64, prunedEval, fresh bool) error {
 				checked[chi.Key()] = true
 				if fresh {
 					stats.Evaluated++
@@ -379,7 +268,7 @@ func (s *search) anneal(ctx context.Context, center decomp.Point, centerValue fl
 						stats.Improved = true
 						s.offerBest(best, bestValue)
 						if s.targetReached(bestValue) {
-							return true, errStop
+							return errStop
 						}
 					}
 					bestValueUpdated = true
@@ -388,21 +277,18 @@ func (s *search) anneal(ctx context.Context, center decomp.Point, centerValue fl
 					radius++
 					if radius > opts.MaxRadius {
 						s.stopped = StopNoImprovment
-						return true, errStop
+						return errStop
 					}
 				}
 				temperature *= opts.CoolingFactor
 				if temperature < opts.MinTemperature {
 					s.stopped = StopTemperature
-					return true, errStop
+					return errStop
 				}
-				if err := s.checkBudgets(ctx); err != nil {
-					return true, err
-				}
-				return accepted, nil
+				return s.checkBudgets(ctx)
 			}
-			processed, err := s.runWave(ctx, wave, s.frontierBound(bestValue), handle)
-			stats.Cancelled = len(wave) - processed
+			processed, err := s.runWave(ctx, []decomp.Point{next}, &bestValue, handle)
+			stats.Cancelled = 1 - processed
 			stats.BestValue = bestValue
 			s.observeNeighborhood(stats)
 			if err != nil {

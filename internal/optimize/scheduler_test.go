@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"sync"
@@ -15,16 +16,31 @@ import (
 	"github.com/paper-repro/pdsat-go/internal/eval"
 )
 
-// safeObjective wraps countingObjective for concurrent evaluation (the
-// scheduler's width > 1 contract requires a concurrency-safe objective).
+// safeObjective wraps countingObjective with an optional latency and a
+// record of every evaluation: the point, the incumbent it ran against, and
+// how many evaluations of the objective were in flight with it.
 type safeObjective struct {
-	noSlots
 	mu    sync.Mutex
 	inner *countingObjective
 	delay time.Duration
+
+	inFlight, maxInFlight int
+	evaluated             []decomp.Point
+	incumbents            []float64
 }
 
-func (o *safeObjective) EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*eval.Evaluation, error) {
+func (o *safeObjective) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*eval.Evaluation, error) {
+	o.mu.Lock()
+	o.inFlight++
+	o.maxInFlight = max(o.maxInFlight, o.inFlight)
+	o.evaluated = append(o.evaluated, p)
+	o.incumbents = append(o.incumbents, incumbent)
+	o.mu.Unlock()
+	defer func() {
+		o.mu.Lock()
+		o.inFlight--
+		o.mu.Unlock()
+	}()
 	if o.delay > 0 {
 		select {
 		case <-time.After(o.delay):
@@ -34,7 +50,7 @@ func (o *safeObjective) EvaluateSlotF(ctx context.Context, p decomp.Point, incum
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.inner.EvaluateSlotF(ctx, p, incumbent, slot)
+	return o.inner.EvaluateF(ctx, p, incumbent)
 }
 
 func (o *safeObjective) VarActivity(v cnf.Var) float64 {
@@ -180,77 +196,44 @@ func TestSAScheduledWidthOneBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTabuScheduledWideTraceMatchesSequential: without pruning, a wide
-// tabu neighbourhood pass evaluates exactly the pre-drawn visit order the
-// width-1 search walks, delivers results in that order, and the pass
-// always runs to exhaustion — so even at width 4 the full trace is
-// identical to the one-at-a-time search, not just the selected centres.
-func TestTabuScheduledWideTraceMatchesSequential(t *testing.T) {
+// TestSearchEvaluatesOneCandidateAtATime: both searches evaluate one
+// candidate at a time, and each evaluation runs against the best value the
+// search has certified before it (+Inf for the start point), so a fixed-seed
+// trace does not depend on timing.
+func TestSearchEvaluatesOneCandidateAtATime(t *testing.T) {
 	s := makeSpace(6)
-	target := []cnf.Var{3, 4}
-	run := func(width int) *Result {
-		obj := &safeObjective{inner: newCountingObjective(target)}
-		res, err := TabuSearch(context.Background(), obj, s.FullPoint(), Options{
-			Seed:               7,
-			MaxConcurrentEvals: width,
-		})
+	for name, search := range map[string]func(context.Context, Objective, decomp.Point, Options) (*Result, error){
+		"tabu": TabuSearch,
+		"sa":   SimulatedAnnealing,
+	} {
+		obj := &safeObjective{inner: newCountingObjective([]cnf.Var{2, 5})}
+		res, err := search(context.Background(), obj, s.FullPoint(), Options{Seed: 9, MaxEvaluations: 60, InitialTemperature: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
-	}
-	seq := run(1)
-	if seq.Stop != StopExhausted {
-		t.Fatalf("width-1 run stopped with %q, want exhaustion of the tiny space", seq.Stop)
-	}
-	resultsEqual(t, run(4), seq)
-}
-
-// TestTabuScheduledWideDeterministic: run-to-run determinism of the wide
-// scheduler — completion order varies freely across runs (jittered
-// objective latencies), selected centres, best F and the full trace must
-// not.
-func TestTabuScheduledWideDeterministic(t *testing.T) {
-	s := makeSpace(6)
-	target := []cnf.Var{1, 6}
-	run := func(delay time.Duration) *Result {
-		obj := &safeObjective{inner: newCountingObjective(target), delay: delay}
-		res, err := TabuSearch(context.Background(), obj, s.FullPoint(), Options{
-			Seed:               21,
-			MaxConcurrentEvals: 4,
-		})
-		if err != nil {
-			t.Fatal(err)
+		if obj.maxInFlight != 1 {
+			t.Fatalf("%s: %d evaluations in flight at once, want 1", name, obj.maxInFlight)
 		}
-		return res
-	}
-	resultsEqual(t, run(200*time.Microsecond), run(0))
-}
-
-// TestSAScheduledWideDeterministic: the annealing's speculative waves
-// discard unprocessed members whole, so its walk is deterministic for a
-// fixed seed regardless of how completions interleave.
-func TestSAScheduledWideDeterministic(t *testing.T) {
-	s := makeSpace(6)
-	target := []cnf.Var{2, 3, 5}
-	run := func(delay time.Duration) *Result {
-		obj := &safeObjective{inner: newCountingObjective(target), delay: delay}
-		res, err := SimulatedAnnealing(context.Background(), obj, s.FullPoint(), Options{
-			Seed:               31,
-			MaxEvaluations:     300,
-			InitialTemperature: 0.4,
-			CoolingFactor:      0.96,
-			MaxConcurrentEvals: 4,
-		})
-		if err != nil {
-			t.Fatal(err)
+		if len(obj.evaluated) != res.Evaluations {
+			t.Fatalf("%s: objective saw %d evaluations, the result counts %d", name, len(obj.evaluated), res.Evaluations)
 		}
-		return res
-	}
-	a, b := run(150*time.Microsecond), run(0)
-	resultsEqual(t, a, b)
-	if a.BestValue != 1 {
-		t.Fatalf("wide SA missed the optimum: best=%v", a.BestValue)
+		// Walk the trace; a visit of the next evaluated point is that
+		// evaluation (the others are value-cache hits of earlier points).
+		best, next := math.Inf(1), 0
+		for _, v := range res.Trace {
+			if next < len(obj.evaluated) && v.Point.Equal(obj.evaluated[next]) {
+				if obj.incumbents[next] != best {
+					t.Fatalf("%s: evaluation %d ran against incumbent %v, the best before it was %v", name, next, obj.incumbents[next], best)
+				}
+				next++
+			}
+			if v.Improved {
+				best = v.Value
+			}
+		}
+		if next != len(obj.evaluated) {
+			t.Fatalf("%s: %d of %d evaluations appear in the trace", name, next, len(obj.evaluated))
+		}
 	}
 }
 
@@ -263,7 +246,6 @@ func TestScheduledNeighborhoodObserver(t *testing.T) {
 	var passes []Neighborhood
 	res, err := TabuSearch(context.Background(), obj, s.FullPoint(), Options{
 		Seed:                 9,
-		MaxConcurrentEvals:   2,
 		NeighborhoodObserver: func(nb Neighborhood) { passes = append(passes, nb) },
 	})
 	if err != nil {
@@ -274,9 +256,6 @@ func TestScheduledNeighborhoodObserver(t *testing.T) {
 	}
 	evaluated := 0
 	for i, nb := range passes {
-		if nb.Width != 2 {
-			t.Fatalf("pass %d width %d, want 2", i, nb.Width)
-		}
 		if nb.Candidates <= 0 || nb.Evaluated < 0 || nb.Pruned < 0 || nb.Cancelled < 0 {
 			t.Fatalf("pass %d has inconsistent counters: %+v", i, nb)
 		}
@@ -298,8 +277,8 @@ func TestScheduledNeighborhoodObserver(t *testing.T) {
 	}
 }
 
-// TestScheduledSearchCancellation: cancelling mid-neighbourhood unwinds
-// the frontier and ends both searches gracefully with StopContext.
+// TestScheduledSearchCancellation: cancelling mid-neighbourhood ends both
+// searches gracefully with StopContext.
 func TestScheduledSearchCancellation(t *testing.T) {
 	s := makeSpace(10)
 	for _, method := range []string{"tabu", "sa"} {
@@ -309,7 +288,7 @@ func TestScheduledSearchCancellation(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 			cancel()
 		}()
-		opts := Options{Seed: 17, MaxConcurrentEvals: 4, InitialTemperature: 0.5}
+		opts := Options{Seed: 17, InitialTemperature: 0.5}
 		var res *Result
 		var err error
 		if method == "tabu" {
@@ -327,10 +306,10 @@ func TestScheduledSearchCancellation(t *testing.T) {
 	}
 }
 
-// TestFleetScheduledSharedIncumbent couples two scheduler-driven tabu
-// members through a fleet's shared incumbent: each member's frontier
-// waves seed their live bound from the global best, and the race still
-// finds the optimum deterministically.
+// TestFleetScheduledSharedIncumbent couples two concurrent tabu members
+// through a fleet's shared incumbent: each member's evaluations prune
+// against the global best, and the race still finds the optimum
+// deterministically whatever the members' latencies.
 func TestFleetScheduledSharedIncumbent(t *testing.T) {
 	s := makeSpace(6)
 	target := []cnf.Var{2, 4}
@@ -342,9 +321,8 @@ func TestFleetScheduledSharedIncumbent(t *testing.T) {
 				Objective: &safeObjective{inner: newCountingObjective(target), delay: delay},
 				Start:     s.FullPoint(),
 				Opts: Options{
-					Seed:               SubSeed(43, i),
-					MaxEvaluations:     120,
-					MaxConcurrentEvals: 2,
+					Seed:           SubSeed(43, i),
+					MaxEvaluations: 120,
 				},
 			}
 		}
@@ -367,12 +345,25 @@ func TestFleetScheduledSharedIncumbent(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsNegativeConcurrency covers the new option's guard.
+// TestValidateRejectsNegativeConcurrency: an evaluation concurrency other
+// than 0 or 1 is refused — negative, or wide since wider passes were
+// removed — with eval.Policy's message, and both search entry points refuse
+// it before evaluating anything.
 func TestValidateRejectsNegativeConcurrency(t *testing.T) {
-	if err := (Options{MaxConcurrentEvals: -1}).Validate(); err == nil {
-		t.Fatal("negative MaxConcurrentEvals accepted")
+	for _, width := range []int{0, 1} {
+		if err := (Options{MaxConcurrentEvals: width}).Validate(); err != nil {
+			t.Fatalf("width %d rejected: %v", width, err)
+		}
 	}
-	if err := (Options{MaxConcurrentEvals: 8}).Validate(); err != nil {
-		t.Fatalf("valid concurrency rejected: %v", err)
+	for _, width := range []int{-1, 2, 8} {
+		err := (Options{MaxConcurrentEvals: width}).Validate()
+		want := eval.Policy{MaxConcurrentEvals: width}.Validate()
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("width %d: Validate = %v, want eval.Policy's %v", width, err, want)
+		}
+		obj := newCountingObjective([]cnf.Var{1})
+		if _, err := TabuSearch(context.Background(), obj, makeSpace(3).FullPoint(), Options{MaxConcurrentEvals: width}); err == nil || obj.evaluations != 0 {
+			t.Fatalf("width %d: TabuSearch returned %v after %d evaluations", width, err, obj.evaluations)
+		}
 	}
 }

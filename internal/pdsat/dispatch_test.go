@@ -64,10 +64,10 @@ func stragglerCluster(t *testing.T, f *cnf.Formula, stall time.Duration) *cluste
 // buffers of the ones before, a buffer to each evaluation running at once.
 // On a loopback leader with two one-slot workers, under the default policy
 // (pruning, stages, stealing and speculation), back-to-back evaluations on
-// one runner and then a width-2 tabu search on the same runner give the F
-// values and the best set of the same slots evaluated each on a runner of its
-// own, whose buffers are fresh.  The race detector watches the buffers
-// change hands.
+// one runner and then two tabu searches at once on the same runner, each in
+// a scope of its own, give the F values and the best sets of the same slots
+// evaluated each on a runner of its own, whose buffers are fresh.  The race
+// detector watches the buffers change hands.
 func TestReusedBuffersOverLoopback(t *testing.T) {
 	inst := scopeTestInstance(t)
 	space := unknownSpace(inst)
@@ -95,19 +95,36 @@ func TestReusedBuffersOverLoopback(t *testing.T) {
 		}
 	}
 
-	// A width-2 search: two evaluations at a time on the reused runner.
-	search := func(o *Objective) *optimize.Result {
-		res, err := optimize.TabuSearch(ctx, o, space.FullPoint(), optimize.Options{Seed: 5, MaxEvaluations: 20, MaxConcurrentEvals: 2})
+	// Two searches at once: two evaluations at a time on the reused runner.
+	search := func(o *Objective) (*optimize.Result, error) {
+		return optimize.TabuSearch(ctx, o, space.FullPoint(), optimize.Options{Seed: 5, MaxEvaluations: 20})
+	}
+	var (
+		got  [2]*optimize.Result
+		errs [2]error
+		wg   sync.WaitGroup
+	)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = search(NewObjective(reused.NewScope(seed+int64(i)), noActivity{}, cfg.Policy, nil, nil))
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		own := freshRunners{f: inst.CNF, cfg: cfg, seed: seed + int64(i), slots: NewRunner(inst.CNF, cfg)}
+		want, err := search(&Objective{Engine: eval.NewEngine(&own, cfg.Policy, nil), ActivitySource: noActivity{}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
-	}
-	got := search(NewObjective(reused.NewScope(seed), noActivity{}, cfg.Policy, nil, nil))
-	want := search(&Objective{Engine: eval.NewEngine(&fresh, cfg.Policy, nil), ActivitySource: noActivity{}})
-	if got.BestValue != want.BestValue || !got.BestPoint.Equal(want.BestPoint) {
-		t.Fatalf("width 2: best F %v at %v on a reused runner, %v at %v on fresh ones",
-			got.BestValue, got.BestPoint.SortedVars(), want.BestValue, want.BestPoint.SortedVars())
+		if got[i].BestValue != want.BestValue || !got[i].BestPoint.Equal(want.BestPoint) {
+			t.Fatalf("search %d: best F %v at %v on a reused runner, %v at %v on fresh ones",
+				i, got[i].BestValue, got[i].BestPoint.SortedVars(), want.BestValue, want.BestPoint.SortedVars())
+		}
 	}
 	if reused.bufferCount() > 2 {
 		t.Fatalf("the runner keeps %d sample buffers after evaluating at most two at a time", reused.bufferCount())

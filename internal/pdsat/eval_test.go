@@ -26,24 +26,18 @@ func evalTestConfig(pol eval.Policy) Config {
 
 // legacyActivityObjective is a search objective over a runner that bypasses
 // the evaluation engine: every EvaluateF is the runner's plain EvaluatePoint
-// (one full batch on the next slot, no incumbent, no slots to reserve),
+// (one full batch on the next slot, the incumbent ignored),
 // pinning the pre-engine evaluation path so the tests below can compare the
 // engine pipeline against it.  It forwards conflict activity so the tabu
 // search's getNewCenter heuristic behaves identically on both paths.
 type legacyActivityObjective struct{ r *Runner }
 
-func (o legacyActivityObjective) EvaluateF(ctx context.Context, p decomp.Point) (*eval.Evaluation, error) {
+func (o legacyActivityObjective) EvaluateF(ctx context.Context, p decomp.Point, _ float64) (*eval.Evaluation, error) {
 	est, err := o.r.EvaluatePoint(ctx, p)
 	if err != nil {
 		return nil, err
 	}
 	return &eval.Evaluation{Value: est.Estimate.Value}, nil
-}
-
-func (legacyActivityObjective) ReserveSlots(int) (int, bool) { return 0, false }
-
-func (o legacyActivityObjective) EvaluateSlotF(ctx context.Context, p decomp.Point, _ float64, _ int) (*eval.Evaluation, error) {
-	return o.EvaluateF(ctx, p)
 }
 
 // objectiveOf is the search objective of a runner on its own: the engine over

@@ -85,8 +85,9 @@ type searchGolden struct {
 // searchTraceGolden pins a whole fixed-seed search: the outcome, a hash over
 // every field of every visit, and the runner's counters.  The two entries of
 // this form were recorded from the sequential SA/tabu loops at the commit
-// before their deletion; the scheduler-driven loops must keep reproducing
-// them at MaxConcurrentEvals 0 and 1 (TestSchedulerWidthOneBitIdentical*).
+// before their deletion; the one-candidate-at-a-time loops must keep
+// reproducing them at MaxConcurrentEvals 0 and 1
+// (TestSchedulerWidthOneBitIdentical*).
 type searchTraceGolden struct {
 	BestFBits   uint64 `json:"best_f_bits"`
 	BestPoint   string `json:"best_point"`
@@ -166,7 +167,7 @@ func toSearchTraceGolden(r *Runner, res *optimize.Result) searchTraceGolden {
 }
 
 // goldenTabuOpts are the options of the pinned tabu searches at the given
-// scheduler width.
+// evaluation concurrency (0 or 1, which mean the same).
 func goldenTabuOpts(width int) optimize.Options {
 	return optimize.Options{Seed: 5, MaxEvaluations: 25, MaxConcurrentEvals: width}
 }

@@ -10,11 +10,9 @@ import (
 
 // Objective is the predictive function as a search minimizes it: the
 // evaluation engine over one scope, and the conflict activity the tabu search's
-// getNewCenter reads.  The engine is embedded: its slot methods — what a
-// search's frontier calls, reserving a wide pass's slots upfront so every
-// candidate's sample is independent of the completion order, or drawing the
-// next one at a time — are the objective's by promotion, and so are EvaluateF
-// (a single evaluation outside a search) and the OnPruned and OnCacheHit hooks.
+// getNewCenter reads.  The engine is embedded: EvaluateF — what a search
+// calls, one candidate at a time, each drawing the next evaluation slot — is
+// the objective's by promotion, and so are the OnPruned and OnCacheHit hooks.
 type Objective struct {
 	*eval.Engine
 	optimize.ActivitySource

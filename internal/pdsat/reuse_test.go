@@ -2,6 +2,7 @@ package pdsat
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"github.com/paper-repro/pdsat-go/internal/cluster"
@@ -190,5 +191,50 @@ func TestSolverPoolIsBounded(t *testing.T) {
 	n := r.Transport().(*cluster.Inproc).PoolSize()
 	if n == 0 || n > 3 {
 		t.Fatalf("pool holds %d solvers, want 1..3", n)
+	}
+}
+
+// BenchmarkSolveRetainLearned measures what learned-clause retention buys
+// the solving mode, on the shape of the a51-solve workload: A5/1 with 96
+// keystream bits and the last 38 state bits known, the family of the last 8
+// unknown start variables (256 members) solved whole by 2 in-process workers.
+// Secret 1007 is the workload's first; secret 7 has a few members that cost a
+// hundred times the median.  Each op solves the family once on a fresh
+// runner, pristine or retained, and reports the propagations it spent.
+//
+//	go test -run '^$' -bench BenchmarkSolveRetainLearned -benchtime 3x ./internal/pdsat
+func BenchmarkSolveRetainLearned(b *testing.B) {
+	for _, secret := range []int64{1007, 7} {
+		inst, err := encoder.NewInstance(encoder.A51(), encoder.Config{KeystreamLen: 96, KnownSuffix: 38, Seed: secret})
+		if err != nil {
+			b.Fatal(err)
+		}
+		space := unknownSpace(inst)
+		vars := space.Vars()
+		p, err := space.PointFromVars(vars[len(vars)-8:])
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, retain := range []bool{false, true} {
+			name := fmt.Sprintf("secret-%d/pristine", secret)
+			if retain {
+				name = fmt.Sprintf("secret-%d/retained", secret)
+			}
+			b.Run(name, func(b *testing.B) {
+				cfg := Config{SampleSize: 1, Workers: 2, Seed: 1, CostMetric: solver.CostPropagations, RetainLearned: retain}
+				var props float64
+				for range b.N {
+					report, err := NewRunner(inst.CNF, cfg).Solve(context.Background(), p, SolveOptions{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !report.FoundSat || report.Processed != 256 {
+						b.Fatalf("solved %d of 256 members, sat %v", report.Processed, report.FoundSat)
+					}
+					props += report.TotalCost
+				}
+				b.ReportMetric(props/float64(b.N), "props/op")
+			})
+		}
 	}
 }

@@ -168,8 +168,7 @@ type Counters struct {
 	// SamplesPlanned counts the Monte Carlo samples evaluations committed to
 	// (N per evaluation that reached its sample); SamplesSkipped the planned
 	// samples that entered no evaluation: the stages behind an early stop or
-	// a prune, and the tails of evaluations cancelled by the scheduler (e.g.
-	// siblings of a decided neighborhood winner).  An evaluation dispatches
+	// a prune, and the tails of cancelled evaluations.  An evaluation dispatches
 	// its whole sample at once, so some of a skipped stage may have been
 	// solved ahead by the time the stage before it decided; such a result is
 	// dropped like the losing copy of a speculated task — no sample, no

@@ -11,35 +11,6 @@ import (
 	"github.com/paper-repro/pdsat-go/internal/optimize"
 )
 
-// compareSearchResults asserts full bit-identity of two search results over
-// this package's real runner: best point/value, counters, stop reason and
-// every trace field.
-func compareSearchResults(t *testing.T, got, want *optimize.Result) {
-	t.Helper()
-	if got.BestValue != want.BestValue {
-		t.Fatalf("best F differs: %v vs %v", got.BestValue, want.BestValue)
-	}
-	if !got.BestPoint.Equal(want.BestPoint) {
-		t.Fatalf("best point differs: %v vs %v", got.BestPoint.SortedVars(), want.BestPoint.SortedVars())
-	}
-	if got.Evaluations != want.Evaluations {
-		t.Fatalf("evaluation counts differ: %d vs %d", got.Evaluations, want.Evaluations)
-	}
-	if got.Stop != want.Stop {
-		t.Fatalf("stop reasons differ: %q vs %q", got.Stop, want.Stop)
-	}
-	if len(got.Trace) != len(want.Trace) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(got.Trace), len(want.Trace))
-	}
-	for i := range got.Trace {
-		g, w := got.Trace[i], want.Trace[i]
-		if g.Index != w.Index || g.Value != w.Value || !g.Point.Equal(w.Point) ||
-			g.Accepted != w.Accepted || g.Improved != w.Improved || g.Pruned != w.Pruned {
-			t.Fatalf("trace visit %d differs: %+v vs %+v", i, g, w)
-		}
-	}
-}
-
 // The three width-1 gates pin the search loops on the real pipeline to
 // recordings (testdata/estimator_goldens.json) made by the sequential SA/tabu
 // loops at the commit before their deletion: a width-1 search runs through
@@ -84,120 +55,24 @@ func TestSchedulerWidthOneBitIdenticalSA(t *testing.T) {
 	}
 }
 
-// TestSchedulerWideZeroPolicyMatchesSequential: with pruning off and the
-// evaluation budget inside the first neighbourhood, a width-4 tabu search
-// must reproduce the width-1 trace exactly — the visit order is drawn
-// before anything is evaluated, and the slot reservation pins every
-// candidate's Monte Carlo sample to the value the one-at-a-time walk draws,
-// whatever order the four in-flight evaluations complete in.
-func TestSchedulerWideZeroPolicyMatchesSequential(t *testing.T) {
-	inst := weakBivium(t, 167, 60, 21)
-	space := unknownSpace(inst)
-	run := func(width int) *optimize.Result {
-		r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-		res, err := optimize.TabuSearch(context.Background(), objectiveOf(r), space.FullPoint(),
-			optimize.Options{Seed: 5, MaxEvaluations: 20, MaxConcurrentEvals: width})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	want := run(1)
-	if want.Stop != optimize.StopEvaluations {
-		t.Fatalf("anchor run must stop on the evaluation budget, got %q", want.Stop)
-	}
-	compareSearchResults(t, run(4), want)
-}
-
-// TestSchedulerWideDeterministicRunToRun: the tentpole's determinism
-// claim on the real pipeline — at width 4 with the default policy
-// (pruning and sibling cancellation active), repeated fixed-seed runs
-// select the same centres and the same best F even though completion
-// order, pruned bounds and abort counts vary freely between runs.
-func TestSchedulerWideDeterministicRunToRun(t *testing.T) {
-	inst := weakBivium(t, 167, 60, 21)
-	space := unknownSpace(inst)
-	run := func() *optimize.Result {
-		r := NewRunner(inst.CNF, evalTestConfig(eval.DefaultPolicy()))
-		res, err := optimize.TabuSearch(context.Background(), objectiveOf(r), space.FullPoint(),
-			optimize.Options{Seed: 5, MaxEvaluations: 20, MaxConcurrentEvals: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	if a.BestValue != b.BestValue {
-		t.Fatalf("best F varies across runs: %v vs %v", a.BestValue, b.BestValue)
-	}
-	if !a.BestPoint.Equal(b.BestPoint) {
-		t.Fatalf("best point varies across runs: %v vs %v",
-			a.BestPoint.SortedVars(), b.BestPoint.SortedVars())
-	}
-	// The visited point sequence (= selected centres + visit order) is
-	// deterministic; values of pruned visits are certified lower bounds and
-	// may differ, full estimates may not.
-	if len(a.Trace) != len(b.Trace) {
-		t.Fatalf("trace lengths vary across runs: %d vs %d", len(a.Trace), len(b.Trace))
-	}
-	for i := range a.Trace {
-		g, w := a.Trace[i], b.Trace[i]
-		if !g.Point.Equal(w.Point) {
-			t.Fatalf("visit %d point varies across runs", i)
-		}
-		if !g.Pruned && !w.Pruned && g.Value != w.Value {
-			t.Fatalf("visit %d full estimate varies across runs: %v vs %v", i, g.Value, w.Value)
-		}
-	}
-}
-
-// TestSchedulerWideEqualBestF: at an equal budget inside the first
-// neighbourhood, the wide scheduler under the default policy certifies
-// the same best F and best point as the width-1 default-policy search —
-// concurrency buys wall-clock, never answer quality.
-func TestSchedulerWideEqualBestF(t *testing.T) {
-	inst := weakBivium(t, 167, 60, 21)
-	space := unknownSpace(inst)
-	run := func(width int) *optimize.Result {
-		r := NewRunner(inst.CNF, evalTestConfig(eval.DefaultPolicy()))
-		res, err := optimize.TabuSearch(context.Background(), objectiveOf(r), space.FullPoint(),
-			optimize.Options{Seed: 5, MaxEvaluations: 20, MaxConcurrentEvals: width})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq, wide := run(1), run(4)
-	if wide.BestValue != seq.BestValue {
-		t.Fatalf("best F differs: wide %v vs width 1 %v", wide.BestValue, seq.BestValue)
-	}
-	if !wide.BestPoint.Equal(seq.BestPoint) {
-		t.Fatalf("best point differs: %v vs %v",
-			wide.BestPoint.SortedVars(), seq.BestPoint.SortedVars())
-	}
-}
-
 // TestSampleLedgerBalances: the accounting satellite.  Every evaluation
 // commits its sample size to the planned ledger; each planned sample is
 // then solved, aborted mid-solve, or skipped before dispatch — the three
-// buckets must sum back exactly, including under concurrent evaluation
-// with sibling cancellation and pruning.
+// buckets must sum back exactly, with pruning and staging too.
 func TestSampleLedgerBalances(t *testing.T) {
 	inst := weakBivium(t, 167, 60, 21)
 	for _, tc := range []struct {
-		name  string
-		pol   eval.Policy
-		width int
+		name string
+		pol  eval.Policy
 	}{
-		{"sequential zero policy", eval.Policy{}, 1},
-		{"sequential default policy", eval.DefaultPolicy(), 1},
-		{"wide default policy", eval.DefaultPolicy(), 4},
+		{"sequential zero policy", eval.Policy{}},
+		{"sequential default policy", eval.DefaultPolicy()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewRunner(inst.CNF, evalTestConfig(tc.pol))
 			space := unknownSpace(inst)
 			_, err := optimize.TabuSearch(context.Background(), objectiveOf(r), space.FullPoint(),
-				optimize.Options{Seed: 5, MaxEvaluations: 15, MaxConcurrentEvals: tc.width})
+				optimize.Options{Seed: 5, MaxEvaluations: 15})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,10 +129,9 @@ func TestSchedulerScopeLedgerBalances(t *testing.T) {
 	}
 }
 
-// TestSchedulerCancellationMidNeighborhood: the -race stress satellite at
-// this layer — cancel the context while a wide neighbourhood is in
-// flight, on the real transport, and require a graceful StopContext with
-// a balanced ledger.
+// TestSchedulerCancellationMidNeighborhood: cancel the context while a
+// neighbourhood is being evaluated, on the real transport, and require a
+// graceful StopContext with a balanced ledger.
 func TestSchedulerCancellationMidNeighborhood(t *testing.T) {
 	inst := weakBivium(t, 167, 60, 21)
 	space := unknownSpace(inst)
@@ -268,7 +142,7 @@ func TestSchedulerCancellationMidNeighborhood(t *testing.T) {
 		cancel()
 	}()
 	res, err := optimize.TabuSearch(ctx, objectiveOf(r), space.FullPoint(),
-		optimize.Options{Seed: 5, MaxConcurrentEvals: 4})
+		optimize.Options{Seed: 5})
 	cancel()
 	if err != nil {
 		t.Fatalf("cancelled search returned a hard error: %v", err)
@@ -285,10 +159,9 @@ func TestSchedulerCancellationMidNeighborhood(t *testing.T) {
 }
 
 // TestCancelledSearchReservesNoSlot: a search whose context is cancelled
-// before it starts stops with StopContext before its start evaluation, at
-// width 1 and wide alike — the budget check the one evaluation loop makes
-// before a wave's first evaluation.  Nothing is evaluated, no slot is reserved
-// and no sample is planned.
+// before it starts stops with StopContext before its start evaluation — the
+// budget check a search makes before every fresh evaluation.  Nothing is
+// evaluated, no slot is reserved and no sample is planned.
 func TestCancelledSearchReservesNoSlot(t *testing.T) {
 	inst := weakBivium(t, 167, 60, 21)
 	space := unknownSpace(inst)
@@ -299,20 +172,18 @@ func TestCancelledSearchReservesNoSlot(t *testing.T) {
 		"sa":   optimize.SimulatedAnnealing,
 	}
 	for name, search := range searches {
-		for _, width := range []int{1, 4} {
-			r := NewRunner(inst.CNF, evalTestConfig(eval.DefaultPolicy()))
-			res, err := search(ctx, objectiveOf(r), space.FullPoint(), optimize.Options{Seed: 5, MaxConcurrentEvals: width})
-			if err != nil {
-				t.Fatalf("%s width %d: %v", name, width, err)
-			}
-			if res.Stop != optimize.StopContext || res.Evaluations != 0 || len(res.Trace) != 0 {
-				t.Fatalf("%s width %d: stop %q after %d evaluations, %d visits; want %q, 0, 0",
-					name, width, res.Stop, res.Evaluations, len(res.Trace), optimize.StopContext)
-			}
-			if r.Evaluations() != 0 || r.SamplesPlanned() != 0 {
-				t.Fatalf("%s width %d: runner at %d evaluations, %d samples planned; want 0 and 0",
-					name, width, r.Evaluations(), r.SamplesPlanned())
-			}
+		r := NewRunner(inst.CNF, evalTestConfig(eval.DefaultPolicy()))
+		res, err := search(ctx, objectiveOf(r), space.FullPoint(), optimize.Options{Seed: 5})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Stop != optimize.StopContext || res.Evaluations != 0 || len(res.Trace) != 0 {
+			t.Fatalf("%s: stop %q after %d evaluations, %d visits; want %q, 0, 0",
+				name, res.Stop, res.Evaluations, len(res.Trace), optimize.StopContext)
+		}
+		if r.Evaluations() != 0 || r.SamplesPlanned() != 0 {
+			t.Fatalf("%s: runner at %d evaluations, %d samples planned; want 0 and 0",
+				name, r.Evaluations(), r.SamplesPlanned())
 		}
 	}
 }
@@ -322,8 +193,7 @@ func TestCancelledSearchReservesNoSlot(t *testing.T) {
 // subproblem costs the same propagations, so F = c·2^d falls with every
 // variable dropped and both searches descend to d = 1, whose radius-1
 // neighbourhood contains the empty set.  It is not a decomposition: the
-// searches — at width 1 and wide — must skip it and end with a normal stop
-// reason instead of dying on the runner's "empty decomposition set", while
+// searches must skip it and end with a normal stop reason instead of dying on the runner's "empty decomposition set", while
 // an explicitly requested empty set stays an error.
 func TestSearchesNeverVisitTheEmptySet(t *testing.T) {
 	inst := weakBivium(t, 172, 60, 21) // 5 unknown variables: 31 non-empty sets
@@ -333,23 +203,20 @@ func TestSearchesNeverVisitTheEmptySet(t *testing.T) {
 		"sa":   optimize.SimulatedAnnealing,
 	}
 	for name, search := range searches {
-		for _, width := range []int{1, 2} {
-			r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-			res, err := search(context.Background(), objectiveOf(r), space.FullPoint(),
-				optimize.Options{Seed: 5, MaxConcurrentEvals: width})
-			if err != nil {
-				t.Fatalf("%s width %d: %v", name, width, err)
-			}
-			if res.Stop == "" {
-				t.Fatalf("%s width %d: no stop reason", name, width)
-			}
-			if res.BestPoint.Count() != 1 {
-				t.Fatalf("%s width %d: best set has %d variables, want the search to reach 1", name, width, res.BestPoint.Count())
-			}
-			for _, v := range res.Trace {
-				if v.Point.Count() == 0 {
-					t.Fatalf("%s width %d: visit %d is the empty set", name, width, v.Index)
-				}
+		r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
+		res, err := search(context.Background(), objectiveOf(r), space.FullPoint(), optimize.Options{Seed: 5})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Stop == "" {
+			t.Fatalf("%s: no stop reason", name)
+		}
+		if res.BestPoint.Count() != 1 {
+			t.Fatalf("%s: best set has %d variables, want the search to reach 1", name, res.BestPoint.Count())
+		}
+		for _, v := range res.Trace {
+			if v.Point.Count() == 0 {
+				t.Fatalf("%s: visit %d is the empty set", name, v.Index)
 			}
 		}
 	}

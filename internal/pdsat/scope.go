@@ -50,11 +50,10 @@ func (r *Runner) NewScope(seed int64) *Scope {
 }
 
 // ReserveEvalSlots reserves n consecutive evaluation slots (counted in the
-// runner's ledger too) and returns the first.  The neighborhood scheduler
-// reserves a whole submission upfront so every sibling's sample — a pure
-// function of (scope seed, slot) — is independent of completion order and
-// cancellation timing; slots of candidates that end up cancelled stay burned,
-// deliberately.
+// runner's ledger too) and returns the first, for callers that pin a sample —
+// a pure function of (scope seed, slot) — to a slot of their choosing with
+// EvaluateSlotObserved.  A search reserves none: each of its evaluations
+// draws the next slot.
 func (sc *Scope) ReserveEvalSlots(n int) int { return sc.reserve(n) }
 
 // EvaluatePoint computes the predictive function F at the decomposition set
@@ -165,22 +164,12 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 	tasks := buf.sampleTasks(fam, n)
 	costs, sampled := buf.tables(n)
 
-	// A live bound (attached by the neighborhood frontier) supplies sibling
-	// improvements as they complete; it only ever tightens the incumbent.
-	live := eval.LiveBoundFrom(ctx)
-	if live != nil {
-		if b := live.Get(); b < incumbent {
-			incumbent = b
-		}
-	}
-	prune := pol.Prune &&
-		((!math.IsInf(incumbent, 1) && !math.IsNaN(incumbent)) || live != nil)
+	prune := pol.Prune && !math.IsInf(incumbent, 1) && !math.IsNaN(incumbent)
 	buf.held.reset()
 	cp := &checkpoints{
 		sc: sc, pol: pol, observe: observe,
 		plan:  eval.StagePlan(n, pol.Stages),
 		costs: costs, sampled: sampled, held: &buf.held,
-		prune: prune, live: live, incumbent: incumbent, perCost: float64(n) / scale,
 		sumBound: math.Inf(1),
 		abort:    make(chan struct{}),
 	}
@@ -193,7 +182,7 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 	}
 	var abort <-chan struct{}
 	if prune {
-		cp.sumBound = incumbent * cp.perCost
+		cp.sumBound = incumbent * (float64(n) / scale)
 		// One allowance per evaluation: no single task may cost more than
 		// what the whole sample may before the sum certifiably crosses the
 		// bound.  What the sum has used up by the time a task starts is taken
@@ -362,12 +351,7 @@ type checkpoints struct {
 
 	// sumAll is every counted cost, truncated solves included; sumBound the
 	// incumbent translated onto that sum: 2^d·(Σζ)/N > incumbent ⇔ Σζ >
-	// incumbent·N/2^d, with perCost = N/2^d.  A live bound (attached by the
-	// neighborhood frontier) is re-read at every count, so siblings
-	// completing concurrently tighten the threshold mid-sample.
-	prune                 bool
-	live                  *eval.Bound
-	incumbent, perCost    float64
+	// incumbent·N/2^d (+Inf when the evaluation does not prune).
 	sumAll, sumBound      float64
 	aborted, earlyStopped bool
 	// abort stops the batch: closed when the sum crosses the bound, or when a
@@ -406,15 +390,7 @@ func (cp *checkpoints) count(res cluster.TaskResult) {
 	if cp.observe != nil {
 		cp.observe(Progress{Done: cp.counted, Total: len(cp.costs), Result: res})
 	}
-	if !cp.prune || cp.aborted {
-		return
-	}
-	if cp.live != nil {
-		if b := cp.live.Get(); b < cp.incumbent {
-			cp.incumbent, cp.sumBound = b, b*cp.perCost
-		}
-	}
-	if cp.sumAll > cp.sumBound {
+	if !cp.aborted && cp.sumAll > cp.sumBound {
 		cp.aborted = true
 		cp.stop()
 	}

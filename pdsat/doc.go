@@ -82,32 +82,19 @@
 // (KeepRacing opts out), and MaxEvaluations is a fleet-total budget split
 // fairly.
 //
-// # Neighborhood-parallel evaluation
+// # One candidate at a time
 //
-// A search walks its neighbourhoods in passes: a whole tabu neighbourhood,
-// or a wave of annealing candidates, drawn in visit order before anything
-// is evaluated.  EvalPolicy.MaxConcurrentEvals is the width of a pass — how
-// many of its candidates are evaluated at once on the shared transport —
-// and defaults to 1 (0 means 1): one candidate at a time, in visit order.
-// Every pass, the start point included, goes through the same loop; width 1
-// is its sequential case, not a second loop.  Above 1 the live best F is
-// threaded into every in-flight sample so
-// sibling candidates prune each other, and deciding a pass aborts its
-// remaining siblings.  Every completed pass, at any width, emits a
-// NeighborhoodDone event with its counters.
-//
-// The determinism rule at widths above 1: evaluation slots are reserved per
-// neighbourhood up front, so each candidate's Monte Carlo sample depends
-// only on (scope seed, slot) — never on completion order — and the
-// minimum-F candidate can never be pruned by the live bound.  Selected
-// centres and the reported best F are therefore scheduling-independent.
-// Still timing-dependent under an active policy (exactly as in fleet
-// races): which non-winning candidates get pruned and the lower bounds they
-// report, subproblem solved/aborted counts, conflict activity from
-// truncated solves, and which discarded annealing-wave members reach the
-// F-cache.  For strictly reproducible full traces, switch Prune and Cache
-// off.  The width is the policy member "max_concurrent_evals" of a search or
-// fleet spec, in a POST /v1/jobs body or a `pdsat -job` file alike.
+// A search walks its neighbourhoods in passes — a whole tabu neighbourhood,
+// or one annealing candidate — and evaluates their candidates one at a time,
+// in visit order, each drawing the next evaluation slot and pruning against
+// the best F certified before it; PDSAT keeps the cores busy with the N
+// subproblems of that one evaluation.  Every completed pass emits a
+// NeighborhoodDone event with its counters.  Concurrency lives between
+// searches and jobs: fleet members and concurrently submitted jobs share the
+// transport.  EvalPolicy.MaxConcurrentEvals ("max_concurrent_evals") must be
+// 0 or 1: wider passes evaluated several candidates at once, bought no wall
+// clock on either backend and made which candidates got pruned depend on
+// timing, so they were removed, and a wider value is refused.
 //
 // # One description, one report
 //

@@ -146,9 +146,8 @@ func (e EvalPruned) EventMember() int { return e.Member }
 func (e CacheHit) EventMember() int { return e.Member }
 
 // NeighborhoodDone reports one completed neighbourhood pass of a search: a
-// whole tabu neighbourhood, or one wave of up to Policy.MaxConcurrentEvals
-// candidates of the simulated annealing.  Every search emits it, at every
-// width.
+// whole tabu neighbourhood, or one candidate of the simulated annealing.
+// Every search emits it.
 type NeighborhoodDone struct {
 	// Job is the reporting job's ID; Member the 0-based fleet member whose
 	// search completed the pass (0 for non-fleet jobs).
@@ -160,8 +159,8 @@ type NeighborhoodDone struct {
 	Radius int   `json:"radius"`
 	// Candidates is the number of candidates drawn for the pass; Evaluated
 	// how many were freshly evaluated, Pruned how many of those the
-	// incumbent bound cut short, and Cancelled how many were discarded
-	// unprocessed when the pass's outcome was decided early.
+	// incumbent bound cut short, and Cancelled how many were left unvisited
+	// because the search stopped during the pass.
 	Candidates int `json:"candidates"`
 	Evaluated  int `json:"evaluated"`
 	Pruned     int `json:"pruned,omitempty"`
@@ -170,8 +169,6 @@ type NeighborhoodDone struct {
 	// which BestValue reports as of the end of the pass.
 	Improved  bool    `json:"improved,omitempty"`
 	BestValue float64 `json:"best_value"`
-	// Width is the in-flight evaluation cap for the pass.
-	Width int `json:"width"`
 }
 
 // EventKind implements Event.

@@ -190,11 +190,6 @@ func (spec SearchJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 func (s *Session) searchMember(j *Job, scope *runner.Scope, activity optimize.ActivitySource, pol EvalPolicy, member int) (*runner.Objective, SearchOptions) {
 	obj := s.objectiveFor(j, scope, activity, pol, member)
 	opts := s.cfg.Search
-	// The policy's evaluation concurrency is the width of the neighbourhood
-	// loops unless the search options already pin one.
-	if opts.MaxConcurrentEvals == 0 {
-		opts.MaxConcurrentEvals = pol.MaxConcurrentEvals
-	}
 	userNeighborhood := opts.NeighborhoodObserver
 	opts.NeighborhoodObserver = func(nb optimize.Neighborhood) {
 		if userNeighborhood != nil {
@@ -262,7 +257,6 @@ func neighborhoodDoneEvent(job string, member int, nb optimize.Neighborhood) Nei
 		Cancelled:  nb.Cancelled,
 		Improved:   nb.Improved,
 		BestValue:  nb.BestValue,
-		Width:      nb.Width,
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -27,19 +28,16 @@ func neighborhoodEvents(events []pdsat.Event) []pdsat.NeighborhoodDone {
 
 // TestSearchJobNeighborhoodEvents: a search job emits one NeighborhoodDone
 // event per neighbourhood pass with internally consistent counters, and the
-// passes account for the whole search trace — at width 4 and at the default
-// width of 1 alike.
+// passes account for the whole search trace — under the session's zero
+// policy and under a pruning one that names the width of 1.
 func TestSearchJobNeighborhoodEvents(t *testing.T) {
 	inst := testInstance(t, 52, 30, 1)
 	s := newTestSession(t, inst, 8)
-	for _, tc := range []struct {
-		policy *pdsat.EvalPolicy // nil: the session's zero policy
-		width  int
-	}{
-		{&pdsat.EvalPolicy{MaxConcurrentEvals: 4}, 4},
-		{nil, 1},
+	for _, policy := range []*pdsat.EvalPolicy{
+		nil, // the session's zero policy
+		{Prune: true, MaxConcurrentEvals: 1},
 	} {
-		job, err := s.Submit(context.Background(), pdsat.SearchJob{Method: "tabu", Policy: tc.policy})
+		job, err := s.Submit(context.Background(), pdsat.SearchJob{Method: "tabu", Policy: policy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,15 +56,12 @@ func TestSearchJobNeighborhoodEvents(t *testing.T) {
 
 		passes := neighborhoodEvents(events)
 		if len(passes) == 0 {
-			t.Fatalf("width %d: search emitted no NeighborhoodDone events", tc.width)
+			t.Fatalf("policy %+v: search emitted no NeighborhoodDone events", policy)
 		}
 		evaluated := 0
 		for i, nb := range passes {
 			if nb.Job != job.ID() || nb.Member != 0 {
 				t.Fatalf("pass %d tagged %q/%d, want job %q member 0", i, nb.Job, nb.Member, job.ID())
-			}
-			if nb.Width != tc.width {
-				t.Fatalf("pass %d width %d, want %d", i, nb.Width, tc.width)
 			}
 			if nb.Candidates <= 0 || nb.Radius <= 0 || len(nb.Center) == 0 {
 				t.Fatalf("pass %d degenerate: %+v", i, nb)
@@ -79,7 +74,7 @@ func TestSearchJobNeighborhoodEvents(t *testing.T) {
 		}
 		// Every trace entry after the start evaluation belongs to some pass.
 		if want := len(res.Search.Result.Trace) - 1; evaluated != want {
-			t.Fatalf("width %d: passes account for %d evaluations, trace has %d", tc.width, evaluated, want)
+			t.Fatalf("policy %+v: passes account for %d evaluations, trace has %d", policy, evaluated, want)
 		}
 		if last := passes[len(passes)-1]; last.BestValue != res.Search.Result.BestValue {
 			t.Fatalf("final pass best %v, result best %v", last.BestValue, res.Search.Result.BestValue)
@@ -88,13 +83,11 @@ func TestSearchJobNeighborhoodEvents(t *testing.T) {
 }
 
 // TestSessionStatsSampleLedger: the session-level sample ledger balances
-// exactly across estimate and concurrent search jobs — every planned Monte
-// Carlo sample is accounted as solved, aborted, or skipped.
+// exactly across estimate and search jobs — every planned Monte Carlo sample
+// is accounted as solved, aborted, or skipped.
 func TestSessionStatsSampleLedger(t *testing.T) {
 	inst := testInstance(t, 52, 30, 1)
-	pol := pdsat.DefaultEvalPolicy()
-	pol.MaxConcurrentEvals = 4
-	s, err := pdsat.NewSession(pdsat.FromInstance(inst), policyConfig(12, pol))
+	s, err := pdsat.NewSession(pdsat.FromInstance(inst), policyConfig(12, pdsat.DefaultEvalPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,122 +108,171 @@ func TestSessionStatsSampleLedger(t *testing.T) {
 	}
 }
 
-// TestServerConcurrentSearchStream drives the scheduler through the HTTP
-// layer: the policy's max_concurrent_evals knob passes through POST
-// /v1/jobs, and neighborhood_done events appear on the NDJSON stream.
+// TestServerConcurrentSearchStream: two search jobs submitted at once
+// through POST /v1/jobs run side by side on the session, and each NDJSON
+// stream carries its own job's neighborhood_done events (with no "width"
+// member) and ends with exactly one done event.
 func TestServerConcurrentSearchStream(t *testing.T) {
 	inst := testInstance(t, 52, 30, 1)
 	s := newTestSession(t, inst, 8)
 	ts := httptest.NewServer(pdsat.NewServer(s))
 	defer ts.Close()
 
-	created := postJSON(t, ts.URL+"/v1/jobs",
-		`{"kind":"search","method":"tabu","policy":{"max_concurrent_evals":3}}`)
-	id, _ := created["id"].(string)
-	if id == "" {
-		t.Fatalf("no job id in %v", created)
+	ids := make([]string, 2)
+	for i, method := range []string{"tabu", "sa"} {
+		created := postJSON(t, ts.URL+"/v1/jobs", `{"kind":"search","method":"`+method+`"}`)
+		if ids[i], _ = created["id"].(string); ids[i] == "" {
+			t.Fatalf("no job id in %v", created)
+		}
 	}
-
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	type line struct {
-		Event string `json:"event"`
-		Data  struct {
-			Job        string  `json:"job"`
-			Width      int     `json:"width"`
-			Candidates int     `json:"candidates"`
-			BestValue  float64 `json:"best_value"`
-		} `json:"data"`
+		Event string                     `json:"event"`
+		Data  map[string]json.RawMessage `json:"data"`
 	}
-	var passes int
-	var dones int
-	var lastEvent string
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var l line
-		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
-		lastEvent = l.Event
-		switch l.Event {
-		case "neighborhood_done":
-			if l.Data.Job != id || l.Data.Width != 3 || l.Data.Candidates <= 0 {
-				t.Fatalf("neighborhood_done payload: %+v", l.Data)
+	errs := make(chan error, len(ids))
+	for _, id := range ids {
+		go func() {
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
+			if err != nil {
+				errs <- err
+				return
 			}
-			passes++
-		case "done":
-			dones++
+			defer resp.Body.Close()
+			var passes, dones int
+			var lastEvent string
+			sc := bufio.NewScanner(resp.Body)
+			sc.Buffer(make([]byte, 1<<20), 1<<20)
+			for sc.Scan() {
+				var l line
+				if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
+					errs <- fmt.Errorf("bad NDJSON line %q: %v", sc.Text(), err)
+					return
+				}
+				lastEvent = l.Event
+				switch l.Event {
+				case "neighborhood_done":
+					if string(l.Data["job"]) != `"`+id+`"` || l.Data["width"] != nil || l.Data["candidates"] == nil {
+						errs <- fmt.Errorf("%s: neighborhood_done payload %s", id, sc.Text())
+						return
+					}
+					passes++
+				case "done":
+					dones++
+				}
+			}
+			switch {
+			case sc.Err() != nil:
+				errs <- sc.Err()
+			case passes == 0:
+				errs <- fmt.Errorf("%s: no neighborhood_done events on the stream", id)
+			case dones != 1 || lastEvent != "done":
+				errs <- fmt.Errorf("%s: stream must end with exactly one done event (got %d, last %q)", id, dones, lastEvent)
+			default:
+				errs <- nil
+			}
+		}()
+	}
+	for range ids {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if passes == 0 {
-		t.Fatal("no neighborhood_done events on the stream")
-	}
-	if dones != 1 || lastEvent != "done" {
-		t.Fatalf("stream must end with exactly one done event (got %d, last %q)", dones, lastEvent)
-	}
-
-	// The search result is reachable and the job finished cleanly.
-	var status struct {
-		State string `json:"state"`
-	}
-	getJSON(t, ts.URL+"/v1/jobs/"+id, &status)
-	if status.State != "done" {
-		t.Fatalf("job state %q", status.State)
-	}
-
-	// A negative width is rejected at submission, like any invalid policy.
-	bad, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"kind":"search","policy":{"max_concurrent_evals":-2}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative concurrency accepted: status %d", bad.StatusCode)
+	for _, id := range ids {
+		var status struct {
+			State string `json:"state"`
+		}
+		getJSON(t, ts.URL+"/v1/jobs/"+id, &status)
+		if status.State != "done" {
+			t.Fatalf("job %s state %q", id, status.State)
+		}
 	}
 }
 
-// TestConcurrentSearchJobCancel: cancelling a concurrent search
-// mid-neighbourhood unwinds the frontier, terminates the stream with a
-// single Done event, returns the partial result, and leaves the session's
-// sample ledger balanced.
+// TestWideSearchRefused: a width above 1 — or below 0 — is refused before
+// anything runs, with eval's one message, by EvalPolicy.Validate, by
+// DecodeJobSpec + JobSpec.Validate for a search and a fleet, and by POST
+// /v1/jobs as a 400.
+func TestWideSearchRefused(t *testing.T) {
+	inst := testInstance(t, 52, 30, 1)
+	s := newTestSession(t, inst, 8)
+	ts := httptest.NewServer(pdsat.NewServer(s))
+	defer ts.Close()
+	for _, width := range []int{4, -2} {
+		want := pdsat.EvalPolicy{MaxConcurrentEvals: width}.Validate()
+		if want == nil {
+			t.Fatalf("EvalPolicy.Validate accepts width %d", width)
+		}
+		for _, body := range []string{
+			fmt.Sprintf(`{"kind":"search","method":"tabu","policy":{"max_concurrent_evals":%d}}`, width),
+			fmt.Sprintf(`{"kind":"fleet","members":[{"method":"tabu"}],"policy":{"max_concurrent_evals":%d}}`, width),
+		} {
+			spec, err := pdsat.DecodeJobSpec([]byte(body))
+			if err != nil {
+				t.Fatalf("%s: %v", body, err)
+			}
+			if err := spec.Validate(s); err == nil || !strings.Contains(err.Error(), want.Error()) {
+				t.Fatalf("%s: Validate = %v, want %q", body, err, want)
+			}
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out struct {
+				Error string `json:"error"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(out.Error, want.Error()) {
+				t.Fatalf("POST %s: status %d, error %q (%v), want 400 with %q", body, resp.StatusCode, out.Error, err, want)
+			}
+		}
+	}
+	if len(s.Jobs()) != 0 {
+		t.Fatalf("refused specs left %d jobs", len(s.Jobs()))
+	}
+}
+
+// TestConcurrentSearchJobCancel: cancelling one of two concurrent search
+// jobs mid-neighbourhood terminates its stream with a single cancelled Done
+// event and returns its partial result, while the other job runs to its
+// normal end, and the session's sample ledger stays balanced.
 func TestConcurrentSearchJobCancel(t *testing.T) {
 	inst := testInstance(t, 48, 40, 3)
-	pol := pdsat.DefaultEvalPolicy()
-	pol.MaxConcurrentEvals = 4
-	s, err := pdsat.NewSession(pdsat.FromInstance(inst), policyConfig(24, pol))
+	s, err := pdsat.NewSession(pdsat.FromInstance(inst), policyConfig(24, pdsat.DefaultEvalPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := s.Submit(context.Background(), pdsat.SearchJob{Method: "tabu"})
+	cancelled, err := s.Submit(context.Background(), pdsat.SearchJob{Method: "tabu"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := job.Events()
+	other, err := s.Submit(context.Background(), pdsat.SearchJob{Method: "sa", Policy: &pdsat.EvalPolicy{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := cancelled.Events()
 	select {
 	case <-events:
 	case <-time.After(60 * time.Second):
 		t.Fatal("no progress before cancel")
 	}
-	job.Cancel()
-	all := collect(t, events)
-	done := checkTerminated(t, all)
+	cancelled.Cancel()
+	done := checkTerminated(t, collect(t, events))
 	if !done.Cancelled {
 		t.Fatalf("terminal event not marked cancelled: %+v", done)
 	}
-	res, _ := job.Result(context.Background())
+	res, _ := cancelled.Result(context.Background())
 	if res == nil || res.Search == nil || res.Search.Result == nil {
 		t.Fatalf("cancelled search should return a partial result, got %+v", res)
 	}
 	if res.Search.Result.Stop != pdsat.StopContext {
 		t.Fatalf("stop reason %q, want %q", res.Search.Result.Stop, pdsat.StopContext)
+	}
+	if done := checkTerminated(t, collect(t, other.Events())); done.Cancelled || done.Err != "" {
+		t.Fatalf("the other search ended with %+v", done)
+	}
+	if res, err := other.Result(context.Background()); err != nil || res.Search.Result.Stop == pdsat.StopContext {
+		t.Fatalf("the other search: %v, %+v", err, res)
 	}
 	st := s.Stats()
 	if st.SamplesPlanned != st.SubproblemsSolved+st.SubproblemsAborted+st.SamplesSkipped {
@@ -239,11 +281,10 @@ func TestConcurrentSearchJobCancel(t *testing.T) {
 }
 
 // TestFleetNeighborhoodEventsTagged: in a fleet race every member's
-// scheduler passes arrive member-tagged on the shared event stream.
+// neighbourhood passes arrive member-tagged on the shared event stream.
 func TestFleetNeighborhoodEventsTagged(t *testing.T) {
 	inst := testInstance(t, 52, 30, 1)
-	pol := pdsat.EvalPolicy{MaxConcurrentEvals: 2}
-	s, err := pdsat.NewSession(pdsat.FromInstance(inst), fleetTestConfig(8, &pol))
+	s, err := pdsat.NewSession(pdsat.FromInstance(inst), fleetTestConfig(8, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +299,7 @@ func TestFleetNeighborhoodEventsTagged(t *testing.T) {
 	checkTerminated(t, events)
 	seen := map[int]int{}
 	for _, nb := range neighborhoodEvents(events) {
-		if nb.Job != job.ID() || nb.Width != 2 {
+		if nb.Job != job.ID() {
 			t.Fatalf("fleet pass mis-tagged: %+v", nb)
 		}
 		seen[nb.Member]++
