@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/decomp"
@@ -377,5 +378,61 @@ func TestEngineEvaluateSlotF(t *testing.T) {
 	}
 	if want := []int{2, -1}; !reflect.DeepEqual(backend.used, want) || backend.calls != 2 {
 		t.Fatalf("backend called %d times with slots %v, want %v", backend.calls, backend.used, want)
+	}
+}
+
+// blockingBackend holds every evaluation until its context dies and then
+// returns the context's error.
+type blockingBackend struct{ calls int }
+
+func (b *blockingBackend) ReserveEvalSlots(n int) int { return 0 }
+
+func (b *blockingBackend) EvaluateSlot(ctx context.Context, p decomp.Point, pol Policy, incumbent float64, slot int) (*Evaluation, error) {
+	b.calls++
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestFrontierParentCancellation: a search walks its frontier, the
+// neighbours of the current point, one evaluation at a time and stops on the
+// first context error.  Cancelling the parent context while an evaluation is
+// blocked must unwind that evaluation with the context's error, so the walk
+// ends after exactly one error and no later candidate reaches the backend;
+// the cancelled evaluation is not cached.
+func TestFrontierParentCancellation(t *testing.T) {
+	p := testPoint(t)
+	frontier := []decomp.Point{p.Flip(0), p.Flip(1), p.Flip(2)}
+	backend := &blockingBackend{}
+	cache := NewCache()
+	eng := NewEngine(backend, Policy{Cache: true}, cache)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(5 * time.Millisecond)
+		cancel()
+	}()
+	var errs int
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, q := range frontier {
+			if _, err := eng.EvaluateF(ctx, q, math.Inf(1)); err != nil {
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("evaluation error = %v, want context.Canceled", err)
+				}
+				errs++
+				return // a search stops on its first context error
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("evaluation did not unwind after parent cancellation")
+	}
+	if errs != 1 || backend.calls != 1 {
+		t.Fatalf("saw %d errors over %d backend calls, want exactly 1 of each", errs, backend.calls)
+	}
+	if cache.Len() != 0 {
+		t.Fatalf("cache holds %d entries after a cancelled evaluation, want 0", cache.Len())
 	}
 }
