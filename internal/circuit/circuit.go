@@ -25,8 +25,6 @@ const (
 	GateNot
 	// GateAnd is an n-ary conjunction (n >= 1).
 	GateAnd
-	// GateOr is an n-ary disjunction (n >= 1).
-	GateOr
 	// GateXor is an n-ary exclusive or (n >= 1).
 	GateXor
 	// GateMaj is the majority of exactly three operands.
@@ -46,8 +44,6 @@ func (t GateType) String() string {
 		return "not"
 	case GateAnd:
 		return "and"
-	case GateOr:
-		return "or"
 	case GateXor:
 		return "xor"
 	case GateMaj:
@@ -140,7 +136,7 @@ func (c *Circuit) Const(v bool) GateID {
 }
 
 func (c *Circuit) hashed2(typ GateType, a, b GateID) (GateID, bool) {
-	if b < a && (typ == GateAnd || typ == GateOr || typ == GateXor) {
+	if b < a && (typ == GateAnd || typ == GateXor) {
 		a, b = b, a
 	}
 	key := gateKey{typ: typ, a: a, b: b, arity: 2}
@@ -149,7 +145,7 @@ func (c *Circuit) hashed2(typ GateType, a, b GateID) (GateID, bool) {
 }
 
 func (c *Circuit) store2(typ GateType, a, b, id GateID) {
-	if b < a && (typ == GateAnd || typ == GateOr || typ == GateXor) {
+	if b < a && (typ == GateAnd || typ == GateXor) {
 		a, b = b, a
 	}
 	c.hash[gateKey{typ: typ, a: a, b: b, arity: 2}] = id
@@ -196,29 +192,6 @@ func (c *Circuit) And2(a, b GateID) GateID {
 	return id
 }
 
-// Or2 returns the disjunction of two gates.
-func (c *Circuit) Or2(a, b GateID) GateID {
-	ga, gb := c.gates[a], c.gates[b]
-	switch {
-	case ga.Type == GateConst && ga.Const:
-		return c.Const(true)
-	case gb.Type == GateConst && gb.Const:
-		return c.Const(true)
-	case ga.Type == GateConst && !ga.Const:
-		return b
-	case gb.Type == GateConst && !gb.Const:
-		return a
-	case a == b:
-		return a
-	}
-	if id, ok := c.hashed2(GateOr, a, b); ok {
-		return id
-	}
-	id := c.add(Gate{Type: GateOr, In: []GateID{a, b}})
-	c.store2(GateOr, a, b, id)
-	return id
-}
-
 // Xor2 returns the exclusive or of two gates.
 func (c *Circuit) Xor2(a, b GateID) GateID {
 	ga, gb := c.gates[a], c.gates[b]
@@ -247,11 +220,6 @@ func (c *Circuit) Xor2(a, b GateID) GateID {
 // And returns the conjunction of one or more gates.
 func (c *Circuit) And(xs ...GateID) GateID {
 	return c.fold(xs, c.And2, true)
-}
-
-// Or returns the disjunction of one or more gates.
-func (c *Circuit) Or(xs ...GateID) GateID {
-	return c.fold(xs, c.Or2, false)
 }
 
 // Xor returns the exclusive or of one or more gates.
@@ -335,12 +303,6 @@ func (c *Circuit) Evaluate(inputs []bool) ([]bool, error) {
 			v := true
 			for _, in := range g.In {
 				v = v && values[in]
-			}
-			values[id] = v
-		case GateOr:
-			v := false
-			for _, in := range g.In {
-				v = v || values[in]
 			}
 			values[id] = v
 		case GateXor:

@@ -14,12 +14,11 @@ func TestGateConstruction(t *testing.T) {
 	a := c.Input("a")
 	b := c.Input("b")
 	x := c.And2(a, b)
-	y := c.Or2(a, b)
 	z := c.Xor2(a, b)
 	n := c.Not(a)
 	m := c.Maj(a, b, x)
 	mx := c.Mux(a, b, x)
-	for _, id := range []GateID{x, y, z, n, m, mx} {
+	for _, id := range []GateID{x, z, n, m, mx} {
 		if int(id) >= c.NumGates() {
 			t.Fatalf("gate id %d out of range", id)
 		}
@@ -67,12 +66,6 @@ func TestConstantFolding(t *testing.T) {
 	if c.And2(a, tru) != a {
 		t.Fatal("a AND true should fold to a")
 	}
-	if c.Or2(a, tru) != tru {
-		t.Fatal("a OR true should fold to true")
-	}
-	if c.Or2(a, fls) != a {
-		t.Fatal("a OR false should fold to a")
-	}
 	if c.Xor2(a, fls) != a {
 		t.Fatal("a XOR false should fold to a")
 	}
@@ -99,7 +92,6 @@ func TestEvaluateTruthTables(t *testing.T) {
 	b := c.Input("b")
 	d := c.Input("d")
 	c.MarkOutput(c.And2(a, b), "and")
-	c.MarkOutput(c.Or2(a, b), "or")
 	c.MarkOutput(c.Xor2(a, b), "xor")
 	c.MarkOutput(c.Not(a), "not")
 	c.MarkOutput(c.Maj(a, b, d), "maj")
@@ -116,7 +108,7 @@ func TestEvaluateTruthTables(t *testing.T) {
 		if av {
 			mux = bv
 		}
-		want := []bool{av && bv, av || bv, av != bv, !av, maj, mux}
+		want := []bool{av && bv, av != bv, !av, maj, mux}
 		for i := range want {
 			if out[i] != want[i] {
 				t.Fatalf("inputs a=%v b=%v d=%v: output %d = %v, want %v", av, bv, dv, i, out[i], want[i])
@@ -140,22 +132,20 @@ func TestNaryGates(t *testing.T) {
 		ins[i] = c.Input("x")
 	}
 	c.MarkOutput(c.And(ins...), "and")
-	c.MarkOutput(c.Or(ins...), "or")
 	c.MarkOutput(c.Xor(ins...), "xor")
 	for mask := 0; mask < 32; mask++ {
 		vals := make([]bool, 5)
-		allTrue, anyTrue, parity := true, false, false
+		allTrue, parity := true, false
 		for i := range vals {
 			vals[i] = mask&(1<<i) != 0
 			allTrue = allTrue && vals[i]
-			anyTrue = anyTrue || vals[i]
 			parity = parity != vals[i]
 		}
 		out, err := c.Evaluate(vals)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out[0] != allTrue || out[1] != anyTrue || out[2] != parity {
+		if out[0] != allTrue || out[1] != parity {
 			t.Fatalf("mask %d: got %v", mask, out)
 		}
 	}
@@ -169,7 +159,7 @@ func TestNaryGates(t *testing.T) {
 }
 
 func TestGateTypeString(t *testing.T) {
-	types := []GateType{GateInput, GateConst, GateNot, GateAnd, GateOr, GateXor, GateMaj, GateMux, GateType(99)}
+	types := []GateType{GateInput, GateConst, GateNot, GateAnd, GateXor, GateMaj, GateMux, GateType(99)}
 	for _, typ := range types {
 		if typ.String() == "" {
 			t.Fatalf("empty string for %d", int(typ))
@@ -195,16 +185,14 @@ func randomCircuit(rng *rand.Rand, n, extraGates int) *Circuit {
 	pick := func() GateID { return pool[rng.Intn(len(pool))] }
 	for i := 0; i < extraGates; i++ {
 		var g GateID
-		switch rng.Intn(6) {
+		switch rng.Intn(5) {
 		case 0:
 			g = c.And2(pick(), pick())
 		case 1:
-			g = c.Or2(pick(), pick())
-		case 2:
 			g = c.Xor2(pick(), pick())
-		case 3:
+		case 2:
 			g = c.Not(pick())
-		case 4:
+		case 3:
 			g = c.Maj(pick(), pick(), pick())
 		default:
 			g = c.Mux(pick(), pick(), pick())

@@ -58,7 +58,7 @@ func (g *Gate) cnfSize() (clauses, lits int) {
 		return 2, 2
 	case GateNot:
 		return 2, 4
-	case GateAnd, GateOr:
+	case GateAnd:
 		return k + 1, 3*k + 1
 	case GateXor: // a chain of k-1 binary XORs; Encode rejects k = 0
 		return 4 * max(k-1, 0), 12 * max(k-1, 0)
@@ -148,18 +148,6 @@ func (c *Circuit) Encode() (*Encoding, error) {
 				a := lit(in)
 				enc.addClause(yl.Neg(), a)
 				long[k+1] = a.Neg()
-			}
-			enc.CNF.AddClause(long)
-		case GateOr:
-			y := newVar()
-			enc.GateVars[id] = y
-			yl := cnf.NewLit(y, true)
-			long := enc.pool.take(len(g.In) + 1)
-			long[0] = yl.Neg()
-			for k, in := range g.In {
-				a := lit(in)
-				enc.addClause(yl, a.Neg())
-				long[k+1] = a
 			}
 			enc.CNF.AddClause(long)
 		case GateXor:

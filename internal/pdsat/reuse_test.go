@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/paper-repro/pdsat-go/internal/cluster"
+	"github.com/paper-repro/pdsat-go/internal/decomp"
 	"github.com/paper-repro/pdsat-go/internal/encoder"
 	"github.com/paper-repro/pdsat-go/internal/solver"
 )
@@ -194,10 +195,43 @@ func TestSolverPoolIsBounded(t *testing.T) {
 	}
 }
 
+// a51SolveFamily builds the shape of the a51-solve workload for one secret:
+// A5/1 with 96 keystream bits and the last 38 state bits known, and the
+// family of the last 8 unknown start variables (256 members).
+func a51SolveFamily(b *testing.B, secret int64) (*encoder.Instance, decomp.Point) {
+	inst, err := encoder.NewInstance(encoder.A51(), encoder.Config{KeystreamLen: 96, KnownSuffix: 38, Seed: secret})
+	if err != nil {
+		b.Fatal(err)
+	}
+	space := unknownSpace(inst)
+	vars := space.Vars()
+	p, err := space.PointFromVars(vars[len(vars)-8:])
+	if err != nil {
+		b.Fatal(err)
+	}
+	return inst, p
+}
+
+// benchFamilySolve solves the family whole once per op, by 2 in-process
+// workers on a fresh runner, and reports the propagations it spent.
+func benchFamilySolve(b *testing.B, inst *encoder.Instance, p decomp.Point, cfg Config) {
+	cfg.SampleSize, cfg.Workers, cfg.Seed, cfg.CostMetric = 1, 2, 1, solver.CostPropagations
+	var props float64
+	for range b.N {
+		report, err := NewRunner(inst.CNF, cfg).Solve(context.Background(), p, SolveOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !report.FoundSat || report.Processed != 256 {
+			b.Fatalf("solved %d of 256 members, sat %v", report.Processed, report.FoundSat)
+		}
+		props += report.TotalCost
+	}
+	b.ReportMetric(props/float64(b.N), "props/op")
+}
+
 // BenchmarkSolveRetainLearned measures what learned-clause retention buys
-// the solving mode, on the shape of the a51-solve workload: A5/1 with 96
-// keystream bits and the last 38 state bits known, the family of the last 8
-// unknown start variables (256 members) solved whole by 2 in-process workers.
+// the solving mode, on the shape of the a51-solve workload (a51SolveFamily).
 // Secret 1007 is the workload's first; secret 7 has a few members that cost a
 // hundred times the median.  Each op solves the family once on a fresh
 // runner, pristine or retained, and reports the propagations it spent.
@@ -205,35 +239,69 @@ func TestSolverPoolIsBounded(t *testing.T) {
 //	go test -run '^$' -bench BenchmarkSolveRetainLearned -benchtime 3x ./internal/pdsat
 func BenchmarkSolveRetainLearned(b *testing.B) {
 	for _, secret := range []int64{1007, 7} {
-		inst, err := encoder.NewInstance(encoder.A51(), encoder.Config{KeystreamLen: 96, KnownSuffix: 38, Seed: secret})
-		if err != nil {
-			b.Fatal(err)
-		}
-		space := unknownSpace(inst)
-		vars := space.Vars()
-		p, err := space.PointFromVars(vars[len(vars)-8:])
-		if err != nil {
-			b.Fatal(err)
-		}
+		inst, p := a51SolveFamily(b, secret)
 		for _, retain := range []bool{false, true} {
 			name := fmt.Sprintf("secret-%d/pristine", secret)
 			if retain {
 				name = fmt.Sprintf("secret-%d/retained", secret)
 			}
 			b.Run(name, func(b *testing.B) {
-				cfg := Config{SampleSize: 1, Workers: 2, Seed: 1, CostMetric: solver.CostPropagations, RetainLearned: retain}
-				var props float64
-				for range b.N {
-					report, err := NewRunner(inst.CNF, cfg).Solve(context.Background(), p, SolveOptions{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !report.FoundSat || report.Processed != 256 {
-						b.Fatalf("solved %d of 256 members, sat %v", report.Processed, report.FoundSat)
-					}
-					props += report.TotalCost
-				}
-				b.ReportMetric(props/float64(b.N), "props/op")
+				benchFamilySolve(b, inst, p, Config{RetainLearned: retain})
+			})
+		}
+	}
+}
+
+// BenchmarkSolverOptionPanel is the panel of solver options behind ROADMAP
+// item 8 (taming the tail): the family solve of BenchmarkSolveRetainLearned,
+// pristine, under the default options and under each variant a
+// solver.Options field can express, for the secrets 1007, 2007, 3007 and
+// 4007, whose families hold no member that costs a hundred times the median,
+// and secret 7, whose family does.  Each op reports the propagations of one
+// family solve.  The counts are deterministic; in millions, with the sum over
+// the four monster-free secrets:
+//
+//	options               1007   2007   3007   4007      7   1007-4007
+//	default               18.9   19.5   19.0   14.2   66.7        71.7
+//	restart-base-50       19.6   19.4   19.1   14.0   66.0        72.2
+//	restart-base-200      18.6   19.1   45.3   14.3  149.0        97.2
+//	restart-base-400      18.0   18.9   18.2   14.2  166.9        69.3
+//	no-phase-saving       36.4   16.2   35.6   13.2   83.1       101.4
+//	no-minimization       36.0   19.8   35.5   14.3   84.6       105.5
+//	var-decay-0.8         28.8   18.3   43.5   14.0   88.5       104.6
+//	var-decay-0.9         30.0   19.7   50.7   14.2  107.0       114.7
+//	default-phase-true    20.1   19.2   44.0   14.9   51.4        98.2
+//
+// No variant lowers every secret.  Restart base 400 lowers the monster-free
+// sum by 3% and costs 2.5x on secret 7.  A true default phase is the one
+// variant that lowers secret 7 by more than 1%, and it costs 2.3x on secret
+// 3007.  Branching on the start variables first, which no option expresses,
+// was tried outside the panel and raised the monster-free sum.  The panel
+// takes about five minutes on two cores:
+//
+//	go test -run '^$' -bench BenchmarkSolverOptionPanel -benchtime 1x ./internal/pdsat
+func BenchmarkSolverOptionPanel(b *testing.B) {
+	variants := []struct {
+		name string
+		set  func(*solver.Options)
+	}{
+		{"default", func(*solver.Options) {}},
+		{"restart-base-50", func(o *solver.Options) { o.RestartBase = 50 }},
+		{"restart-base-200", func(o *solver.Options) { o.RestartBase = 200 }},
+		{"restart-base-400", func(o *solver.Options) { o.RestartBase = 400 }},
+		{"no-phase-saving", func(o *solver.Options) { o.PhaseSaving = false }},
+		{"no-minimization", func(o *solver.Options) { o.MinimizeLearned = false }},
+		{"var-decay-0.8", func(o *solver.Options) { o.VarDecay = 0.8 }},
+		{"var-decay-0.9", func(o *solver.Options) { o.VarDecay = 0.9 }},
+		{"default-phase-true", func(o *solver.Options) { o.DefaultPhase = true }},
+	}
+	for _, secret := range []int64{1007, 2007, 3007, 4007, 7} {
+		inst, p := a51SolveFamily(b, secret)
+		for _, v := range variants {
+			b.Run(fmt.Sprintf("%s/secret-%d", v.name, secret), func(b *testing.B) {
+				opts := solver.DefaultOptions()
+				v.set(&opts)
+				benchFamilySolve(b, inst, p, Config{SolverOptions: opts})
 			})
 		}
 	}

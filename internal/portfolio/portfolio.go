@@ -108,7 +108,8 @@ type Options struct {
 // Solve runs the portfolio on the formula and returns as soon as one member
 // reports SAT or UNSAT (the remaining members are interrupted), or when all
 // members stop without a conclusion.  Each member builds its solver when it
-// gets a worker.
+// gets a worker.  A member that assumes a variable outside the formula is
+// refused before any solver starts.
 func Solve(ctx context.Context, f *cnf.Formula, opts Options) (*Result, error) {
 	if f == nil {
 		return nil, errors.New("portfolio: nil formula")
@@ -123,6 +124,11 @@ func Solve(ctx context.Context, f *cnf.Formula, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("portfolio: duplicate member name %q", m.Name)
 		}
 		names[m.Name] = true
+		for _, l := range m.Assumptions {
+			if v := l.Var(); v < 1 || int(v) > f.NumVars {
+				return nil, fmt.Errorf("portfolio: member %q assumes literal %d, the formula has %d variables", m.Name, l, f.NumVars)
+			}
+		}
 	}
 	workers := opts.Workers
 	if workers <= 0 || workers > len(members) {

@@ -3,6 +3,7 @@ package portfolio
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -79,6 +80,25 @@ func TestSolveValidation(t *testing.T) {
 	dup := Options{Members: []Member{{Name: "a"}, {Name: "a"}}}
 	if _, err := Solve(context.Background(), f, dup); err == nil {
 		t.Fatal("expected error for duplicate member names")
+	}
+}
+
+// TestSolveRefusesAssumptionOutsideFormula checks that a member assuming a
+// variable the formula does not have is an error before any member solves,
+// where it used to grow that member's solver.
+func TestSolveRefusesAssumptionOutsideFormula(t *testing.T) {
+	f := cnf.New(3)
+	f.AddClauseLits(1, 2)
+	f.AddClauseLits(-1, 3)
+	for _, bad := range []cnf.Lit{4, -7, 0} {
+		members := []Member{
+			{Name: "fine", Options: solver.DefaultOptions(), Assumptions: []cnf.Lit{1}},
+			{Name: "outside", Options: solver.DefaultOptions(), Assumptions: []cnf.Lit{-2, bad}},
+		}
+		res, err := Solve(context.Background(), f, Options{Members: members})
+		if err == nil || !strings.Contains(err.Error(), `member "outside" assumes literal`) || res != nil {
+			t.Fatalf("assumption %d: result %+v, error %v; want no result and an error naming the member", bad, res, err)
+		}
 	}
 }
 

@@ -227,12 +227,6 @@ func (s *Solver) compactLearned() {
 	for i, lc := range s.learnts {
 		s.learnts[i] = remap(lc)
 	}
-	// Originals added after the first solve live above arenaBase too.
-	for i, oc := range s.clauses {
-		if oc >= cref(base) {
-			s.clauses[i] = remap(oc)
-		}
-	}
 	for v, r := range s.reason {
 		if r != nullRef && r >= cref(base) {
 			s.reason[v] = remap(r)

@@ -97,21 +97,3 @@ func TestSolveAfterUnsatAssumptions(t *testing.T) {
 		t.Fatalf("expected SAT under consistent assumptions, got %v", res.Status)
 	}
 }
-
-// TestAssumptionOnNewVariable checks that assuming a variable the formula
-// never mentions grows the solver and behaves like a free choice.
-func TestAssumptionOnNewVariable(t *testing.T) {
-	f := cnf.New(2)
-	f.AddClauseLits(1, 2)
-	s := NewDefault(f)
-	res := s.SolveWithAssumptions([]cnf.Lit{cnf.NewLit(7, true)})
-	if res.Status != Sat {
-		t.Fatalf("expected SAT, got %v", res.Status)
-	}
-	if res.Model.Value(7) != cnf.True {
-		t.Fatal("assumed fresh variable should be true in the model")
-	}
-	if s.NumVars() < 7 {
-		t.Fatalf("solver should have grown to 7 variables, has %d", s.NumVars())
-	}
-}

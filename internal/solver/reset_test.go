@@ -95,9 +95,8 @@ func diffSolverState(got, want *Solver) string {
 // per variable, the two literals of a variable are true/false, false/true or
 // both undefined, and exactly the literals on the trail are true.  The array
 // is written in pairs at four places (enqueue, cancelUntil, Reset,
-// ensureVars) and truncated at one; a write of one polarity only, or a
-// length that falls out of step with the per-variable arrays, is what this
-// catches.
+// ensureVars); a write of one polarity only, or a length that falls out of
+// step with the per-variable arrays, is what this catches.
 func assertAssignmentInvariant(s *Solver) string {
 	if len(s.vals) != 2*int(s.numVars) {
 		return fmt.Sprintf("%d literal values for %d variables", len(s.vals), s.numVars)
@@ -180,7 +179,7 @@ func (r *resetScript) run(f *cnf.Formula, opts Options) string {
 		acts, learned := len(s.clauseAct), int(s.stats.Learned)
 		op := r.next()
 		switch op % 8 {
-		case 0, 1: // plain solve under a few assumptions
+		case 0, 1, 5: // plain solve under a few assumptions
 			s.SolveWithAssumptions(r.lits(op/8%6, n))
 		case 2: // truncated by a conflict budget
 			s.SetBudget(Budget{MaxConflicts: s.Stats().Conflicts + uint64(1+op/8%8)})
@@ -194,15 +193,12 @@ func (r *resetScript) run(f *cnf.Formula, opts Options) string {
 			s.Interrupt()
 			s.SolveWithAssumptions(r.lits(op/8%4, n))
 			s.ClearInterrupt()
-		case 5: // assumptions over variables the formula does not have
-			a := r.lits(op/8%3, n)
-			for k := 0; k <= r.next()%3; k++ {
-				a = append(a, cnf.NewLit(cnf.Var(s.NumVars()+1+k), k%2 == 0))
-			}
-			s.SolveWithAssumptions(a)
-		case 6: // AddClause, before or after the first solve
+		case 6: // AddClause before the first solve; afterwards it panics, so the op only draws its literals
 			c := cnf.Clause(r.lits(1+op/8%4, n))
-			if !s.everSolved && s.okay {
+			if s.everSolved {
+				break
+			}
+			if s.okay {
 				pre = append(pre, c)
 			}
 			s.AddClause(c)
@@ -232,10 +228,9 @@ func resetOptionVariants() map[string]Options {
 
 // TestResetEqualsFresh is the property test behind the dirty-tracked Reset:
 // after arbitrary sequences of solves — short, budget-truncated,
-// interrupted, with assumptions over fresh variables, with clauses added
-// before and after the first solve, with and without reductions of the
-// learned-clause database — Reset leaves every field equal to a freshly
-// constructed and captured solver's.
+// interrupted, with clauses added before the first solve, with and without
+// reductions of the learned-clause database — Reset leaves every field equal
+// to a freshly constructed and captured solver's.
 func TestResetEqualsFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	r3, err := cnfgen.Random3SAT(rng, 60, 4.2)
@@ -285,15 +280,13 @@ func FuzzResetEqualsFresh(f *testing.F) {
 // compactingResetSeed is an input of FuzzResetEqualsFresh whose solves reach
 // compactLearned, which renumbers the activity slots: ten variables under
 // the reduceDB variant, 19 random ternary clauses, and the script solve,
-// add a binary clause, solve, solve, Reset.  The added clause lives among the
-// learned ones and is bumped before a compaction cuts the activity table
-// below its first slot, so a Reset that zeroed that slot would index past
-// the table.  TestCompactingResetSeedCompacts holds the seed to compacting.
+// solve, solve, Reset.  TestCompactingResetSeedCompacts holds the seed to
+// compacting.
 var compactingResetSeed = []byte{15, 76,
 	137, 4, 129, 0, 129, 5, 132, 0, 8, 133, 137, 0, 10, 137, 134, 0, 137, 1, 6, 0, 8, 131, 131, 0, 134, 1, 131, 0,
 	2, 8, 129, 0, 2, 131, 7, 0, 135, 9, 2, 0, 9, 129, 9, 0, 135, 5, 132, 0, 6, 4, 2, 0, 3, 4, 137, 0,
 	5, 2, 134, 0, 3, 130, 132, 0, 7, 7, 136, 0, 3, 9, 7, 0, 3, 4, 2, 0,
-	0, 14, 116, 245, 0, 0, 7}
+	0, 0, 0, 7}
 
 // TestCompactingResetSeedCompacts checks that the corpus seed meant to reach
 // compactLearned does, so that Reset after a renumbering of the activities is
@@ -359,9 +352,9 @@ func TestResetCostIsProportionalToTouched(t *testing.T) {
 			if 4*cut < cut+copied {
 				t.Fatalf("%d of %d marked watch lists are restored by truncation, want at least a quarter", cut, cut+copied)
 			}
-			if shape.name == "a51-search" && (10*words > len(b.arena) || 10*entries > len(b.watch) || 10*(cut+copied) > int(b.numVars)) {
+			if shape.name == "a51-search" && (10*words > len(b.arena) || 10*entries > len(b.watch) || 10*(cut+copied) > s.NumVars()) {
 				t.Fatalf("Reset restores %d of %d arena words, copies %d of %d watch entries, visits %d literals of %d variables; want under a tenth each",
-					words, len(b.arena), entries, len(b.watch), cut+copied, b.numVars)
+					words, len(b.arena), entries, len(b.watch), cut+copied, s.NumVars())
 			}
 			// Once the watch lists have reached their steady-state capacities
 			// (the mark lists are sized ahead of the search), a Reset that has
@@ -439,31 +432,6 @@ func TestSparseConflictActivities(t *testing.T) {
 		if nonZero == 0 {
 			t.Fatal("no solve produced conflict activity; the test compares nothing")
 		}
-	})
-
-	// Variables the formula does not have: assumed, and — through clauses
-	// added after the first solve, which is the one way such a variable
-	// reaches conflict analysis — bumped.  Reset drops them, and their
-	// entries with them.
-	t.Run("fresh variables", func(t *testing.T) {
-		s := NewDefault(f)
-		x, y := cnf.Var(f.NumVars+1), cnf.Var(f.NumVars+2)
-		s.SolveWithAssumptions([]cnf.Lit{cnf.NewLit(1, true), cnf.NewLit(y, false)})
-		check(t, s, "after assuming a fresh variable")
-		// y implies x and y implies not x: assuming y is a conflict over x.
-		s.AddClause(cnf.Clause{cnf.NewLit(y, false), cnf.NewLit(x, true)})
-		s.AddClause(cnf.Clause{cnf.NewLit(y, false), cnf.NewLit(x, false)})
-		s.SolveWithAssumptions([]cnf.Lit{cnf.NewLit(y, true)})
-		check(t, s, "after a conflict over a fresh variable")
-		if s.VarActivity(x) == 0 {
-			t.Fatal("the fresh variable was not bumped; the Reset below drops nothing that was listed")
-		}
-		s.Reset()
-		if n := check(t, s, "after the Reset that drops the fresh variables"); n != 0 || s.NumVars() != f.NumVars {
-			t.Fatalf("after Reset: %d non-zero activities over %d variables, want 0 over %d", n, s.NumVars(), f.NumVars)
-		}
-		s.SolveWithAssumptions([]cnf.Lit{cnf.NewLit(x, true), cnf.NewLit(2, false)})
-		check(t, s, "after assuming the variable again")
 	})
 
 	// A VSIDS rescale multiplies every activity by 1e-100; the conflict

@@ -1,7 +1,9 @@
 package solver
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/paper-repro/pdsat-go/internal/cnf"
@@ -200,34 +202,6 @@ func TestResetAfterInterrupt(t *testing.T) {
 	}
 }
 
-// TestResetDropsPhantomVariables checks that variables created by
-// assumptions over fresh variables do not survive a Reset: a later query
-// must see exactly the variables a freshly constructed solver would.
-func TestResetDropsPhantomVariables(t *testing.T) {
-	f := cnf.New(3)
-	f.AddClauseLits(1, 2)
-	f.AddClauseLits(-2, 3)
-	reused := NewDefault(f)
-	// Assume a literal over variable 5, which the formula does not contain.
-	phantom := []cnf.Lit{cnf.NewLit(5, false)}
-	if res := reused.SolveWithAssumptions(phantom); res.Status != Sat {
-		t.Fatalf("got %v", res.Status)
-	}
-	if reused.NumVars() != 5 {
-		t.Fatalf("assumption should have grown the solver to 5 vars, got %d", reused.NumVars())
-	}
-	reused.Reset()
-	if reused.NumVars() != 3 {
-		t.Fatalf("Reset should drop phantom variables, got %d vars", reused.NumVars())
-	}
-	fresh := NewDefault(f)
-	want, got := fresh.Solve(), reused.Solve()
-	if got.Status != want.Status || !statsEqual(got.Stats, want.Stats) || !modelsEqual(got.Model, want.Model) {
-		t.Fatalf("post-reset query diverges from fresh solver:\nreused: %+v model %v\nfresh:  %+v model %v",
-			got.Stats, got.Model, want.Stats, want.Model)
-	}
-}
-
 // TestAddClauseBeforeSolveJoinsBaseline checks that clauses added before the
 // first query survive a Reset.
 func TestAddClauseBeforeSolveJoinsBaseline(t *testing.T) {
@@ -245,5 +219,38 @@ func TestAddClauseBeforeSolveJoinsBaseline(t *testing.T) {
 	res = s.Solve()
 	if res.Status != Sat || res.Model.Value(1) != cnf.False {
 		t.Fatal("clause added before the first solve must survive Reset")
+	}
+}
+
+// TestSolvedSolverRefusesToGrow checks the two calls that would change a
+// solver's formula after its first query: AddClause and an assumption over a
+// variable outside the formula each panic with a message naming the call.
+func TestSolvedSolverRefusesToGrow(t *testing.T) {
+	f := cnf.New(3)
+	f.AddClauseLits(1, 2)
+	f.AddClauseLits(-2, 3)
+	mustPanic := func(name, call string, fn func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, call) {
+				t.Fatalf("%s: panic %q, want one naming %s", name, msg, call)
+			}
+		}()
+		fn()
+	}
+	s := NewDefault(f)
+	s.Solve()
+	mustPanic("AddClause after a solve", "AddClause", func() { s.AddClause(cnf.Clause{cnf.NewLit(1, false)}) })
+	s.Reset()
+	mustPanic("AddClause after a Reset", "AddClause", func() { s.AddClause(cnf.Clause{cnf.NewLit(1, false)}) })
+	for _, a := range []cnf.Lit{cnf.NewLit(4, true), cnf.NewLit(9, false)} {
+		mustPanic(fmt.Sprintf("assumption %d", a), "SolveWithAssumptions", func() {
+			NewDefault(f).SolveWithAssumptions([]cnf.Lit{cnf.NewLit(1, true), a})
+		})
+	}
+	if res := s.SolveWithAssumptions([]cnf.Lit{cnf.NewLit(3, false)}); res.Status != Sat || res.Model.Value(1) != cnf.True {
+		t.Fatalf("the solver does not answer after the refusals: %v %v", res.Status, res.Model)
 	}
 }

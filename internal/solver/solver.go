@@ -118,6 +118,12 @@
 //     independent of which subproblems happened to be solved before it on
 //     the same worker.
 //
+// Both modes solve the formula the solver was built from.  AddClause is a
+// construction-time call and panics once the solver has solved, and
+// SolveWithAssumptions panics on an assumption over a variable above the
+// formula's, so the clauses and the variables of a solver never change after
+// its first query.
+//
 // The pristine snapshot is captured lazily at the first Solve/Reset call;
 // it costs one O(formula) copy and roughly doubles the memory held per
 // solver, which is negligible next to the construction cost it saves in
@@ -444,8 +450,8 @@ type Solver struct {
 	// bump, cleared by Reset; they never shrink, and hold no bit for a
 	// variable beyond numVars.
 	bumpedSet, bumpedSum []uint64
-	// everSolved is set by the first SolveWithAssumptions call; AddClause
-	// refreshes the snapshot only while the solver is still pristine.
+	// everSolved is set by the first SolveWithAssumptions call, after which
+	// AddClause panics.
 	everSolved bool
 }
 
@@ -458,15 +464,13 @@ type Solver struct {
 // clears the values and reasons of everything behind the root-level trail
 // prefix (trailLen), and nothing ever writes those of the prefix.
 type snapshot struct {
-	numVars    int32
-	numClauses int
-	numActs    int
-	arena      []ilit  // the arena at capture time (original clauses only)
-	watch      []watch // flat concatenation of every watch list
-	watchOff   []int32 // watch list of literal l is watch[watchOff[l]:watchOff[l+1]]
-	trailLen   int     // root-level trail length; the search never rewrites that prefix
-	stats      Stats
-	okay       bool
+	numActs  int
+	arena    []ilit  // the arena at capture time (original clauses only)
+	watch    []watch // flat concatenation of every watch list
+	watchOff []int32 // watch list of literal l is watch[watchOff[l]:watchOff[l+1]]
+	trailLen int     // root-level trail length; the search never rewrites that prefix
+	stats    Stats
+	okay     bool
 }
 
 // ensureBase captures the pristine snapshot if it has not been taken yet.
@@ -501,13 +505,11 @@ func (s *Solver) capture() {
 	s.dirtyActs = slices.Grow(s.dirtyActs[:0], len(s.clauseAct))
 
 	b := &snapshot{
-		numVars:    s.numVars,
-		numClauses: len(s.clauses),
-		numActs:    len(s.clauseAct),
-		arena:      append([]ilit(nil), s.ar.data...),
-		trailLen:   len(s.trail),
-		stats:      s.stats,
-		okay:       s.okay,
+		numActs:  len(s.clauseAct),
+		arena:    append([]ilit(nil), s.ar.data...),
+		trailLen: len(s.trail),
+		stats:    s.stats,
+		okay:     s.okay,
 	}
 	b.watchOff = make([]int32, len(s.watches)+1)
 	for l, ws := range s.watches {
@@ -540,10 +542,6 @@ func (s *Solver) capture() {
 // learned-clause memory is reclaimed in one step, which is the session
 // analogue of the reducer's compaction.
 //
-// Clauses added with AddClause after the first Solve call are discarded by
-// Reset; add all clauses before solving when the solver is to be reused as a
-// pristine session.
-//
 // The effort budget set by SetBudget is configuration, not search state: it
 // survives Reset and applies afresh to each query (the statistics it is
 // checked against are rebased to the construction baseline).  Call SetBudget
@@ -566,36 +564,17 @@ func (s *Solver) Reset() {
 	s.trail = s.trail[:b.trailLen]
 	s.trailLim = s.trailLim[:0]
 	s.qhead = len(s.trail)
-	// Drop variables created after construction (by assumptions over fresh
-	// variables): a fresh solver would not know them, and leaving them in
-	// the decision heap would add phantom decisions and model entries.
-	if s.numVars > b.numVars {
-		n := b.numVars
-		s.watches = s.watches[:2*n]
-		s.litMark = s.litMark[:2*n]
-		s.vals = s.vals[:2*n]
-		s.polarity = s.polarity[:n]
-		s.reason = s.reason[:n]
-		s.level = s.level[:n]
-		s.activity = s.activity[:n]
-		s.confAct = s.confAct[:n]
-		s.seen = s.seen[:n]
-		s.numVars = n
-	}
 	// Restore the literal order of the permuted original clauses (search
 	// never grows or shrinks an original, it only swaps literals inside it)
 	// together with the LBD word that flagged them; truncating to the
-	// captured length then drops every learned clause, and any post-solve
-	// original, in one step.
+	// captured length then drops every learned clause in one step.
 	for _, c := range s.dirtyClauses {
 		end := int(c) + hdrWords + int(b.arena[c])>>flagBits
 		restoreRun(s.ar.data[c+1:end], b.arena[c+1:end])
 	}
 	s.dirtyClauses = s.dirtyClauses[:0]
 	s.ar.data = s.ar.data[:len(b.arena)]
-	s.arenaBase = len(b.arena)
 	s.garbageWords = 0
-	s.clauses = s.clauses[:b.numClauses]
 	s.learnts = s.learnts[:0]
 	// A fresh solver starts every clause activity at zero, so restore that
 	// (the value only feeds the 1e20 rescale trigger, but a divergent
@@ -612,9 +591,6 @@ func (s *Solver) Reset() {
 	// back is the whole restore (a list rewritten later is cut here and
 	// copied below).
 	for _, l := range s.appLits {
-		if int32(l) >= 2*b.numVars {
-			continue // a fresh variable dropped above
-		}
 		s.litMark[l] = litClean
 		s.watches[l] = s.watches[l][:b.watchOff[l+1]-b.watchOff[l]]
 	}
@@ -624,9 +600,6 @@ func (s *Solver) Reset() {
 	// sweep above have already cleared its value and reason.  (A variable
 	// rewritten under both polarities is restored twice, to the same values.)
 	for _, l := range s.dirtyLits {
-		if int32(l) >= 2*b.numVars {
-			continue // a fresh variable dropped above
-		}
 		snap := b.watch[b.watchOff[l]:b.watchOff[l+1]]
 		ws := s.watches[l][:len(snap)]
 		s.watches[l] = ws
@@ -640,10 +613,8 @@ func (s *Solver) Reset() {
 	// A fresh solver starts every variable activity at zero, and only a bump
 	// moves one.
 	for _, v := range s.bumpedVars {
-		if v < b.numVars { // else a fresh variable dropped above
-			s.activity[v] = 0
-			s.confAct[v] = 0
-		}
+		s.activity[v] = 0
+		s.confAct[v] = 0
 	}
 	s.bumpedVars = s.bumpedVars[:0]
 	for i, sum := range s.bumpedSum {
@@ -929,19 +900,16 @@ func (s *Solver) ensureVars(n int32) {
 	}
 }
 
-// growVars creates variables numVars..n-1.  Every per-variable array grows
-// once per call, not once per variable, and the mark lists, the trail and the
-// decision heap get the capacity for every variable here, so that marking,
-// enqueueing and heap inserts never allocate.
+// growVars creates variables numVars..n-1, for the formula or for a clause
+// added before the first solve.  Every per-variable array grows once per
+// call, not once per variable, and the mark lists, the trail and the decision
+// heap get the capacity for every variable here, so that marking, enqueueing
+// and heap inserts never allocate.
 func (s *Solver) growVars(n int32) {
 	old := s.numVars
 	s.numVars = n
-	// Lists beyond the length are construction's stretches of the slab, or
-	// what a Reset that dropped these variables left: empty either way.
+	// Lists beyond the length are construction's empty stretches of the slab.
 	s.watches = slices.Grow(s.watches, 2*int(n)-len(s.watches))[:2*n]
-	for l := 2 * old; l < 2*n; l++ {
-		s.watches[l] = s.watches[l][:0]
-	}
 	s.litMark = extend(s.litMark, 2*int(n), litClean)
 	s.vals = extend(s.vals, 2*int(n), lUndef)
 	s.polarity = extend(s.polarity, int(n), s.opts.DefaultPhase)
@@ -966,8 +934,7 @@ func (s *Solver) growVars(n int32) {
 	}
 }
 
-// extend returns s lengthened to n elements, the new ones set to v (what
-// lies between a slice's length and its capacity is stale after a Reset).
+// extend returns s lengthened to n elements, the new ones set to v.
 func extend[T any](s []T, n int, v T) []T {
 	old := len(s)
 	s = slices.Grow(s, n-old)[:n]
@@ -1056,27 +1023,25 @@ func (s *Solver) addClause(c cnf.Clause) bool {
 	}
 }
 
-// AddClause adds a clause to an existing solver (incremental interface).  It
-// returns false if the solver is now known to be unsatisfiable at level 0.
-//
-// Clauses added before the first Solve call become part of the pristine
-// baseline restored by Reset; clauses added later remain in effect for
-// incremental solving but are discarded by Reset.
+// AddClause adds a clause to a solver that has not solved yet, growing it
+// clause by clause as New does in one pass; the clause becomes part of the
+// pristine baseline restored by Reset.  It returns false if the solver is now
+// known to be unsatisfiable at level 0.  It panics after the first
+// SolveWithAssumptions call: a solver's clause set is fixed once it has
+// solved (see "Sessions" in the package comment).
 func (s *Solver) AddClause(c cnf.Clause) bool {
+	if s.everSolved {
+		panic("solver: AddClause after SolveWithAssumptions; a solver's clauses are fixed once it has solved")
+	}
 	if !s.okay {
 		return false
-	}
-	if s.decisionLevel() != 0 {
-		s.cancelUntil(0)
 	}
 	if !s.addClause(c) {
 		s.okay = false
 	}
-	if !s.everSolved {
-		// Invalidate the snapshot while still pristine; it is re-captured
-		// lazily at the first Solve/Reset/BaseStats call.
-		s.base = nil
-	}
+	// The snapshot is captured again, lazily, at the first
+	// Solve/Reset/BaseStats call.
+	s.base = nil
 	return s.okay
 }
 
@@ -1409,6 +1374,8 @@ func (s *Solver) Solve() Result { return s.SolveWithAssumptions(nil) }
 // SolveWithAssumptions solves the formula under the given assumption
 // literals.  Assumptions are not added as clauses: a subsequent call without
 // them sees the original formula (plus learned clauses, which remain valid).
+// It panics on an assumption over a variable above NumVars, which would
+// change the formula; callers check their assumptions against it first.
 func (s *Solver) SolveWithAssumptions(assumptions []cnf.Lit) (res Result) {
 	s.ensureBase()
 	s.everSolved = true
@@ -1434,7 +1401,9 @@ func (s *Solver) SolveWithAssumptions(assumptions []cnf.Lit) (res Result) {
 	s.cancelUntil(0)
 	iassumps := s.assumpBuf[:0]
 	for _, a := range assumptions {
-		s.ensureVars(int32(a.Var()))
+		if a.Var() > cnf.Var(s.numVars) {
+			panic(fmt.Sprintf("solver: SolveWithAssumptions: assumption %d is over a variable above the formula's %d", a, s.numVars))
+		}
 		iassumps = append(iassumps, fromExternal(a))
 	}
 	s.assumpBuf = iassumps[:0]

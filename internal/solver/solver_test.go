@@ -131,29 +131,6 @@ func TestAssumptions(t *testing.T) {
 	}
 }
 
-func TestIncrementalAddClause(t *testing.T) {
-	f := cnf.New(2)
-	f.AddClauseLits(1, 2)
-	s := NewDefault(f)
-	if res := s.Solve(); res.Status != Sat {
-		t.Fatal("base formula should be SAT")
-	}
-	if !s.AddClause(cnf.Clause{-1}) {
-		t.Fatal("adding -1 should keep the solver consistent")
-	}
-	if res := s.Solve(); res.Status != Sat || res.Model.Value(2) != cnf.True {
-		t.Fatalf("after adding -1 expected model with 2=true, got %v %v", res.Status, res.Model)
-	}
-	if !s.AddClause(cnf.Clause{-2}) {
-		// Adding -2 creates a top-level conflict via propagation; AddClause
-		// may report it immediately or at the next Solve.
-		return
-	}
-	if res := s.Solve(); res.Status != Unsat {
-		t.Fatalf("expected UNSAT after adding -1 and -2, got %v", res.Status)
-	}
-}
-
 func TestTautologyAndDuplicateLiterals(t *testing.T) {
 	f := cnf.New(2)
 	f.AddClauseLits(1, -1)   // tautology, should be ignored
