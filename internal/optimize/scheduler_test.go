@@ -109,6 +109,11 @@ type recordedSearch struct {
 	Trace       []string   `json:"trace"`
 }
 
+// traceLine is a visit in the recorded form.
+func traceLine(v Visit) string {
+	return fmt.Sprintf("%d %s %v %t %t %t", v.Index, v.Point.Key(), v.Value, v.Accepted, v.Improved, v.Pruned)
+}
+
 // checkRecorded compares a result with the named recording (or records it
 // under PDSAT_UPDATE_GOLDENS).
 func checkRecorded(t *testing.T, name string, got *Result) {
@@ -126,7 +131,7 @@ func checkRecorded(t *testing.T, name string, got *Result) {
 		Stop:        got.Stop,
 	}
 	for _, v := range got.Trace {
-		run.Trace = append(run.Trace, fmt.Sprintf("%d %s %v %t %t %t", v.Index, v.Point.Key(), v.Value, v.Accepted, v.Improved, v.Pruned))
+		run.Trace = append(run.Trace, traceLine(v))
 	}
 	if os.Getenv("PDSAT_UPDATE_GOLDENS") != "" {
 		all[name] = run
@@ -364,6 +369,143 @@ func TestValidateRejectsNegativeConcurrency(t *testing.T) {
 		obj := newCountingObjective([]cnf.Var{1})
 		if _, err := TabuSearch(context.Background(), obj, makeSpace(3).FullPoint(), Options{MaxConcurrentEvals: width}); err == nil || obj.evaluations != 0 {
 			t.Fatalf("width %d: TabuSearch returned %v after %d evaluations", width, err, obj.evaluations)
+		}
+	}
+}
+
+// pruningObjective prunes deterministically: a point valued above the
+// incumbent is returned Pruned, its lower bound halfway between the two.
+type pruningObjective struct{ *countingObjective }
+
+func (o pruningObjective) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*eval.Evaluation, error) {
+	ev, err := o.countingObjective.EvaluateF(ctx, p, incumbent)
+	if err != nil || ev.Value <= incumbent {
+		return ev, err
+	}
+	lb := (ev.Value + incumbent) / 2
+	return &eval.Evaluation{Value: lb, LowerBound: lb, Pruned: true, Incumbent: incumbent}, nil
+}
+
+// pinnedPass is a Neighborhood with its centre as a key.
+type pinnedPass struct {
+	center                                           string
+	radius, candidates, evaluated, pruned, cancelled int
+	improved                                         bool
+	best                                             float64
+}
+
+// TestNeighborhoodPassesPinned pins every neighbourhood pass and the trace
+// of a fixed-seed tabu search and annealing on a pruning objective, each
+// stopped by its evaluation budget part way through: which candidates count
+// as evaluated, pruned and cancelled, and which visits are recorded.
+func TestNeighborhoodPassesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		search func(context.Context, Objective, decomp.Point, Options) (*Result, error)
+		target []cnf.Var
+		opts   Options
+		passes []pinnedPass
+		trace  []string
+	}{
+		{
+			name:   "tabu",
+			search: TabuSearch,
+			target: []cnf.Var{2, 5},
+			opts:   Options{Seed: 11, MaxEvaluations: 23},
+			passes: []pinnedPass{
+				{"1111111", 1, 7, 7, 2, 0, true, 5},
+				{"1111101", 1, 6, 6, 2, 0, true, 4},
+				{"1111100", 1, 5, 5, 2, 0, true, 3},
+				{"1110100", 1, 5, 4, 3, 1, true, 2},
+			},
+			trace: []string{
+				"0 1111111 6 true true false",
+				"1 1111101 5 true true false",
+				"2 1111110 5 false false false",
+				"3 1110111 5 false false false",
+				"4 0111111 5 false false false",
+				"5 1111011 6 false false true",
+				"6 1101111 5 false false false",
+				"7 1011111 6 false false true",
+				"8 1111100 4 true true false",
+				"9 1111001 5 false false true",
+				"10 1101101 4 false false false",
+				"11 1110101 4 false false false",
+				"12 1011101 5 false false true",
+				"13 0111101 4 false false false",
+				"14 1110100 3 true true false",
+				"15 1101100 3 false false false",
+				"16 1111000 4 false false true",
+				"17 0111100 3 false false false",
+				"18 1011100 4 false false true",
+				"19 1110000 3.5 false false true",
+				"20 1010100 3.5 false false true",
+				"21 1110110 3.5 false false true",
+				"22 0110100 2 true true false",
+			},
+		},
+		{
+			name:   "sa",
+			search: SimulatedAnnealing,
+			target: []cnf.Var{1, 4, 6},
+			opts:   Options{Seed: 13, MaxEvaluations: 12, InitialTemperature: 0.5, CoolingFactor: 0.97},
+			passes: []pinnedPass{
+				{"1111111", 1, 1, 1, 0, 0, true, 4},
+				{"1111011", 1, 1, 1, 1, 0, false, 4},
+				{"1111001", 1, 1, 1, 1, 0, false, 4},
+				{"1111001", 1, 1, 1, 0, 0, false, 4},
+				{"1011001", 1, 1, 1, 0, 0, true, 3},
+				{"1011011", 1, 1, 1, 0, 0, true, 2},
+				{"1001011", 1, 1, 1, 1, 0, false, 2},
+				{"1001011", 1, 1, 1, 1, 0, false, 2},
+				{"1001001", 1, 1, 0, 0, 0, false, 2},
+				{"1001001", 1, 1, 1, 1, 0, false, 2},
+				{"1001001", 1, 1, 0, 0, 0, false, 2},
+				{"1001011", 1, 1, 0, 0, 0, false, 2},
+				{"1001011", 1, 1, 1, 1, 0, false, 2},
+				{"1001011", 1, 1, 1, 1, 0, false, 2},
+			},
+			trace: []string{
+				"0 1111111 5 true true false",
+				"1 1111011 4 true true false",
+				"2 1111001 4.5 true false true",
+				"3 1110001 5 false false true",
+				"4 1011001 4 true false false",
+				"5 1011011 3 true true false",
+				"6 1001011 2 true true false",
+				"7 1101011 2.5 false false true",
+				"8 1001001 2.5 true false true",
+				"9 1011001 4 false false false",
+				"10 0001001 3 false false true",
+				"11 1001011 2 true false false",
+				"12 1011011 3 false false false",
+				"13 0001011 2.5 false false true",
+				"14 1001111 2.5 true false true",
+			},
+		},
+	} {
+		var passes []pinnedPass
+		opts := tc.opts
+		opts.NeighborhoodObserver = func(nb Neighborhood) {
+			passes = append(passes, pinnedPass{nb.Center.Key(), nb.Radius, nb.Candidates,
+				nb.Evaluated, nb.Pruned, nb.Cancelled, nb.Improved, nb.BestValue})
+		}
+		res, err := tc.search(context.Background(), pruningObjective{newCountingObjective(tc.target)}, makeSpace(7).FullPoint(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stop != StopEvaluations {
+			t.Fatalf("%s: stop %q, want %q", tc.name, res.Stop, StopEvaluations)
+		}
+		var trace []string
+		for _, v := range res.Trace {
+			trace = append(trace, traceLine(v))
+		}
+		if !reflect.DeepEqual(passes, tc.passes) {
+			t.Errorf("%s: passes\n%#v\nwant\n%#v", tc.name, passes, tc.passes)
+		}
+		if !reflect.DeepEqual(trace, tc.trace) {
+			t.Errorf("%s: trace\n%#v\nwant\n%#v", tc.name, trace, tc.trace)
 		}
 	}
 }
