@@ -55,7 +55,7 @@
 // # Protocol compatibility
 //
 // The network transport speaks one version of its wire protocol
-// (protocolVersion in proto.go, currently 8).  There is no negotiation: a
+// (protocolVersion in proto.go, currently 9).  There is no negotiation: a
 // worker dialing a leader of another version is rejected at registration
 // with an explicit version-mismatch error and fails fast (ErrRejected)
 // instead of redialing forever; one so old that it does not frame its

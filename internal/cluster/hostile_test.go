@@ -274,8 +274,8 @@ func TestHostileWorker(t *testing.T) {
 }
 
 // TestOlderVersionIsTurnedAway: a worker that frames its messages as this
-// version does but announces another one — the one before, whose tasks could
-// bring solver options of their own — is told why it is refused, which Serve
+// version does but announces another one — the one before, whose results
+// carried three more stats — is told why it is refused, which Serve
 // reports as ErrRejected instead of redialing.
 func TestOlderVersionIsTurnedAway(t *testing.T) {
 	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{Logf: t.Logf})

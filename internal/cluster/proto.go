@@ -44,7 +44,7 @@ import (
 //	result        index:int cost:float status:int flags:byte (1 started, 2 interrupted,
 //	              4 cancelled) nModel:count { byte } nActivity:count { varDelta:uint } { act:float }
 //	              stats: decisions propagations conflicts restarts learned removed reduceDBs
-//	              learnedCore learnedMid learnedLocal arenaBytes :uint maxLevel:int solveTime:int
+//	              arenaBytes :uint maxLevel:int solveTime:int
 //
 // uint is an unsigned LEB128 varint, int and lit its zig-zag signed form,
 // string a count and that many bytes.  float is the IEEE 754 bit pattern
@@ -96,7 +96,7 @@ import (
 // for older versions: a mismatch is rejected at registration (checkHello),
 // and leader and worker ship as one binary.  The hello frame keeps its place
 // and its first field across versions, so that the rejection can say why.
-const protocolVersion = 8
+const protocolVersion = 9
 
 // maxFrame bounds the body of one frame.  The largest legitimate frame is
 // the welcome, which carries the formula (about 1.2 MB for the benchmark's
@@ -630,7 +630,7 @@ func appendResult(dst []byte, r *TaskResult) []byte {
 	}
 	st := &r.Stats
 	for _, c := range [...]uint64{st.Decisions, st.Propagations, st.Conflicts, st.Restarts, st.Learned, st.Removed,
-		st.ReduceDBs, st.LearnedCore, st.LearnedMid, st.LearnedLocal, st.ArenaBytes} {
+		st.ReduceDBs, st.ArenaBytes} {
 		dst = binary.AppendUvarint(dst, c)
 	}
 	dst = appendInt(dst, st.MaxLevel)
@@ -924,7 +924,7 @@ func (d *decoder) result(r *TaskResult) {
 	}
 	st := &r.Stats
 	for _, c := range [...]*uint64{&st.Decisions, &st.Propagations, &st.Conflicts, &st.Restarts, &st.Learned, &st.Removed,
-		&st.ReduceDBs, &st.LearnedCore, &st.LearnedMid, &st.LearnedLocal, &st.ArenaBytes} {
+		&st.ReduceDBs, &st.ArenaBytes} {
 		*c = d.uint()
 	}
 	st.MaxLevel = d.int()

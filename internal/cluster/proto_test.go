@@ -124,6 +124,26 @@ func tableWire(conn net.Conn) *wire {
 	return w
 }
 
+// distinctStats gives the i-th field of solver.Stats the value 1000+i,
+// whatever fields Stats has, so a field the result frame does not carry fails
+// the round trip (the table's "result" names the fields it sets, and one it
+// does not name is zero at both ends).
+func distinctStats() solver.Stats {
+	var st solver.Stats
+	v := reflect.ValueOf(&st).Elem()
+	for i := range v.NumField() {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(uint64(1000 + i))
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(1000 + i))
+		default:
+			panic("solver.Stats." + v.Type().Field(i).Name + " is a " + f.Kind().String())
+		}
+	}
+	return st
+}
+
 // wireTable holds one envelope or more per message kind, with the values
 // at the edges of the encoding.
 func wireTable() map[string]*envelope {
@@ -170,12 +190,13 @@ func wireTable() map[string]*envelope {
 				},
 				Stats: solver.Stats{
 					Decisions: maxU, Propagations: maxU, Conflicts: maxU, Restarts: maxU, Learned: maxU, Removed: maxU,
-					ReduceDBs: maxU, LearnedCore: maxU, LearnedMid: maxU, LearnedLocal: maxU, ArenaBytes: maxU,
+					ReduceDBs: maxU, ArenaBytes: maxU,
 					MaxLevel: math.MaxInt, SolveTime: time.Duration(math.MaxInt64),
 				},
 				Started: true, Interrupted: true, Cancelled: true,
 			},
 		},
+		"result, every stat":     {Kind: kindResult, Batch: 1, Result: &TaskResult{Index: 3, Cost: 1, Started: true, Stats: distinctStats()}},
 		"result, an empty model": {Kind: kindResult, Batch: 1, Result: &TaskResult{Cost: 0.25, Model: cnf.Assignment{}, Started: true}},
 		"result, interrupted":    {Kind: kindResult, Batch: 1, Result: &TaskResult{Index: 1, Cost: 1e300, Status: solver.Unsat, Interrupted: true}},
 		"result, subnormal":      {Kind: kindResult, Batch: 1, Result: &TaskResult{Index: 2, Cost: math.SmallestNonzeroFloat64, Cancelled: true}},

@@ -109,12 +109,6 @@ func (s *search) drawCandidate(candidates []decomp.Point, checked map[string]boo
 	return unchecked[s.rng.Intn(len(unchecked))], true
 }
 
-// waveHandler processes one candidate of a pass, in visit order, on the
-// search's goroutine.  fresh reports a real evaluation (false for value-cache
-// hits).  A non-nil error — errStop for recorded graceful stops — ends the
-// pass and the whole search.
-type waveHandler func(chi decomp.Point, value float64, prunedEval, fresh bool) error
-
 // evaluate is one fresh evaluation of chi against the incumbent, made after a
 // budget check (so a search whose context is already cancelled draws no
 // slot); its value is cached in the search.  A cancellation racing past the
@@ -141,30 +135,6 @@ func (s *search) evaluate(ctx context.Context, chi decomp.Point, incumbent float
 	return ev.Value, ev.Pruned, nil
 }
 
-// runWave walks one pass's candidates in order and hands each to handle.  A
-// candidate the search has already valued is served from its value cache;
-// any other is evaluated against the incumbent of the best value as it
-// stands then (*bestValue, which the handler updates).  It returns how many
-// candidates handle saw: all of them, unless the search stopped during the
-// pass.
-func (s *search) runWave(ctx context.Context, wave []decomp.Point, bestValue *float64, handle waveHandler) (int, error) {
-	for i, chi := range wave {
-		key := chi.Key()
-		value, cached := s.values[key]
-		prunedEval := s.prunedPts[key]
-		if !cached {
-			var err error
-			if value, prunedEval, err = s.evaluate(ctx, chi, s.incumbent(*bestValue)); err != nil {
-				return i, err
-			}
-		}
-		if err := handle(chi, value, prunedEval, !cached); err != nil {
-			return i + 1, err
-		}
-	}
-	return len(wave), nil
-}
-
 // tabuNeighborhood checks one whole tabu neighbourhood and reports whether
 // it improved the best value.  A returned errStop ends the search
 // gracefully (the stop reason is already recorded); other errors are hard
@@ -179,11 +149,18 @@ func (s *search) tabuNeighborhood(ctx context.Context, tl *tabuLists, center dec
 		Radius:     s.opts.Radius,
 		Candidates: len(order),
 	}
-	handle := func(chi decomp.Point, value float64, prunedEval, fresh bool) error {
-		if fresh {
-			tl.addChecked(chi, value, s.values)
-			stats.Evaluated++
+	var err error
+	for i, chi := range order {
+		// drawTabuOrder drew only points without a cached value, so every
+		// candidate is a fresh evaluation.
+		var value float64
+		var prunedEval bool
+		if value, prunedEval, err = s.evaluate(ctx, chi, s.incumbent(*bestValue)); err != nil {
+			stats.Cancelled = len(order) - i
+			break
 		}
+		tl.addChecked(chi, value, s.values)
+		stats.Evaluated++
 		if prunedEval {
 			stats.Pruned++
 		}
@@ -198,14 +175,17 @@ func (s *search) tabuNeighborhood(ctx context.Context, tl *tabuLists, center dec
 			*best, *bestValue = chi, value
 			stats.Improved = true
 			s.offerBest(*best, *bestValue)
-			if s.targetReached(*bestValue) {
-				return errStop
-			}
 		}
-		return s.checkBudgets(ctx)
+		if improved && s.targetReached(*bestValue) {
+			err = errStop
+		} else {
+			err = s.checkBudgets(ctx)
+		}
+		if err != nil {
+			stats.Cancelled = len(order) - i - 1
+			break
+		}
 	}
-	processed, err := s.runWave(ctx, order, bestValue, handle)
-	stats.Cancelled = len(order) - processed
 	stats.BestValue = *bestValue
 	s.observeNeighborhood(stats)
 	return stats.Improved, err
@@ -244,58 +224,58 @@ func (s *search) anneal(ctx context.Context, center decomp.Point, centerValue fl
 				Radius:     radius,
 				Candidates: 1,
 			}
-			handle := func(chi decomp.Point, value float64, prunedEval, fresh bool) error {
-				checked[chi.Key()] = true
-				if fresh {
-					stats.Evaluated++
-				}
-				if prunedEval {
-					stats.Pruned++
-				}
-				// The incumbent is the global best: a point pruned against it
-				// can never improve the run's result.  Its lower bound feeds
-				// the acceptance rule; since the bound understates F, a pruned
-				// point is — if anything — accepted slightly more often than
-				// its true value would be, preserving the hill-escaping of the
-				// annealing.
-				accepted := s.pointAccepted(value, centerValue, temperature)
-				improved := value < bestValue && !prunedEval
-				s.record(chi, value, accepted, improved, prunedEval)
-				if accepted {
-					center, centerValue = chi, value
-					if improved {
-						best, bestValue = chi, value
-						stats.Improved = true
-						s.offerBest(best, bestValue)
-						if s.targetReached(bestValue) {
-							return errStop
-						}
+			key := next.Key()
+			value, cached := s.values[key]
+			prunedEval := s.prunedPts[key]
+			if !cached {
+				var err error
+				if value, prunedEval, err = s.evaluate(ctx, next, s.incumbent(bestValue)); err != nil {
+					stats.Cancelled, stats.BestValue = 1, bestValue
+					s.observeNeighborhood(stats)
+					if errors.Is(err, errStop) {
+						return s.result(best, bestValue), nil
 					}
-					bestValueUpdated = true
+					return nil, err
 				}
-				if allChecked(neighborhood, checked) && !bestValueUpdated {
-					radius++
-					if radius > opts.MaxRadius {
-						s.stopped = StopNoImprovment
-						return errStop
-					}
-				}
-				temperature *= opts.CoolingFactor
-				if temperature < opts.MinTemperature {
-					s.stopped = StopTemperature
-					return errStop
-				}
-				return s.checkBudgets(ctx)
+				stats.Evaluated = 1
 			}
-			processed, err := s.runWave(ctx, []decomp.Point{next}, &bestValue, handle)
-			stats.Cancelled = 1 - processed
+			checked[key] = true
+			if prunedEval {
+				stats.Pruned = 1
+			}
+			// The incumbent is the global best: a point pruned against it can
+			// never improve the run's result.  Its lower bound feeds the
+			// acceptance rule; since the bound understates F, a pruned point
+			// is — if anything — accepted slightly more often than its true
+			// value would be, preserving the hill-escaping of the annealing.
+			accepted := s.pointAccepted(value, centerValue, temperature)
+			improved := value < bestValue && !prunedEval
+			s.record(next, value, accepted, improved, prunedEval)
+			stop := false
+			if accepted {
+				center, centerValue = next, value
+				if improved {
+					best, bestValue = next, value
+					stats.Improved = true
+					s.offerBest(best, bestValue)
+					stop = s.targetReached(bestValue)
+				}
+				bestValueUpdated = true
+			} else if allChecked(neighborhood, checked) {
+				radius++
+				if radius > opts.MaxRadius {
+					s.stopped, stop = StopNoImprovment, true
+				}
+			}
+			temperature *= opts.CoolingFactor
+			if !stop && temperature < opts.MinTemperature {
+				s.stopped, stop = StopTemperature, true
+			}
+			stop = stop || s.checkBudgets(ctx) != nil
 			stats.BestValue = bestValue
 			s.observeNeighborhood(stats)
-			if err != nil {
-				if errors.Is(err, errStop) {
-					return s.result(best, bestValue), nil
-				}
-				return nil, err
+			if stop {
+				return s.result(best, bestValue), nil
 			}
 		}
 	}

@@ -181,7 +181,7 @@ func TestTabuScheduledWidthOneBitIdentical(t *testing.T) {
 }
 
 // TestSAScheduledWidthOneBitIdentical is the same anchor for the simulated
-// annealing: every wave holds exactly one candidate, so the
+// annealing: it evaluates one drawn candidate at a time, so the
 // pick/evaluate/accept/cool interleaving — including the acceptance RNG
 // draws — matches the recorded sequential walk exactly.
 func TestSAScheduledWidthOneBitIdentical(t *testing.T) {

@@ -13,9 +13,9 @@ import (
 
 // The three width-1 gates pin the search loops on the real pipeline to
 // recordings (testdata/estimator_goldens.json) made by the sequential SA/tabu
-// loops at the commit before their deletion: a width-1 search runs through
-// the scheduler-driven loop (pre-drawn visit order, runWave) and must
-// reproduce the recorded trace, conflict activities and subproblem counts
+// loops at the commit before their deletion: a width-1 search walks its
+// candidates one at a time (the tabu search in its pre-drawn visit order) and
+// must reproduce the recorded trace, conflict activities and subproblem counts
 // bit for bit.  Width 0 is width 1.
 
 // TestSchedulerWidthOneBitIdenticalTabuZeroPolicy: the fixed-seed Bivium
@@ -43,8 +43,8 @@ func TestSchedulerWidthOneBitIdenticalTabuDefaultPolicy(t *testing.T) {
 }
 
 // TestSchedulerWidthOneBitIdenticalSA is the anchor for the simulated
-// annealing: single-candidate waves reproduce the recorded
-// pick/evaluate/accept/cool interleaving — including the acceptance RNG
+// annealing: it evaluates one drawn candidate at a time and reproduces the
+// recorded pick/evaluate/accept/cool interleaving — including the acceptance RNG
 // draws — exactly.
 func TestSchedulerWidthOneBitIdenticalSA(t *testing.T) {
 	want := loadEstimatorGoldens(t).SearchSAZero

@@ -18,7 +18,9 @@ import (
 // Layout of one clause at offset c:
 //
 //	word c+0: size<<2 | learned bit (0x1) | dead bit (0x2)
-//	word c+1: LBD (literal block distance, 0 for original clauses)
+//	word c+1: permuted flag (1 on an original clause whose literals the
+//	          search has swapped since the last Reset, see markPermuted;
+//	          0 otherwise)
 //	word c+2: index of the clause's activity in Solver.clauseAct
 //	word c+3 ... c+3+size-1: the literals
 //
@@ -74,12 +76,11 @@ func (a *arena) alloc(lits []ilit, learned bool, actIdx int32) cref {
 	return cr
 }
 
-func (a *arena) size(c cref) int32      { return int32(a.data[c]) >> flagBits }
-func (a *arena) isLearned(c cref) bool  { return a.data[c]&learnedBit != 0 }
-func (a *arena) isDead(c cref) bool     { return a.data[c]&deadBit != 0 }
-func (a *arena) markDead(c cref)        { a.data[c] |= deadBit }
-func (a *arena) setLBD(c cref, v int32) { a.data[c+1] = ilit(v) }
-func (a *arena) actIdx(c cref) int32    { return int32(a.data[c+2]) }
+func (a *arena) size(c cref) int32     { return int32(a.data[c]) >> flagBits }
+func (a *arena) isLearned(c cref) bool { return a.data[c]&learnedBit != 0 }
+func (a *arena) isDead(c cref) bool    { return a.data[c]&deadBit != 0 }
+func (a *arena) markDead(c cref)       { a.data[c] |= deadBit }
+func (a *arena) actIdx(c cref) int32   { return int32(a.data[c+2]) }
 
 // lits returns the literal words of the clause as a subslice of the arena
 // (no copy; the caller must not retain it across allocations).

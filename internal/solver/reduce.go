@@ -19,14 +19,6 @@ import (
 // the sort above, every watch list and every reason see the same clauses as
 // before.
 
-// LBD tier boundaries: a clause's tier is fixed at learn time and counted in
-// Stats (LearnedCore/LearnedMid/LearnedLocal).  The tiers are reported, not
-// acted on.
-const (
-	coreLBD = 3
-	midLBD  = 6
-)
-
 // maybeReduce reduces the learned-clause database at the no-conflict
 // checkpoint of the search loop once it outgrows its bound.
 func (s *Solver) maybeReduce() {

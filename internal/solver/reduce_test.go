@@ -29,10 +29,6 @@ func TestReduceDBReclaimsArena(t *testing.T) {
 	if st.ReduceDBs < 2 || st.Removed == 0 {
 		t.Fatalf("%d reductions removed %d clauses, want at least 2 and some", st.ReduceDBs, st.Removed)
 	}
-	if st.LearnedCore+st.LearnedMid+st.LearnedLocal != st.Learned {
-		t.Fatalf("tier counters do not partition Learned: core=%d mid=%d local=%d learned=%d",
-			st.LearnedCore, st.LearnedMid, st.LearnedLocal, st.Learned)
-	}
 	attached := func(c cref) bool {
 		for _, l := range s.ar.lits(c)[:2] {
 			found := false

@@ -163,8 +163,9 @@
 //     marks.  Values and reasons need no mark at all: cancelUntil clears
 //     them, Reset clears them for the trail it cuts off, and nothing else
 //     differs from the snapshot, whose root-level prefix is never touched.
-//   - Clause marks (a flag in the otherwise unused LBD word of an original
-//     clause, set where propagate actually swaps two of its literals).
+//   - Clause marks (the permuted flag in the second header word of an
+//     original clause, set where propagate actually swaps two of its
+//     literals).
 //     Invariant: an unflagged original clause has the snapshot's literal
 //     order.  Learned clauses need no mark: the arena is truncated back to
 //     the originals.
@@ -233,12 +234,6 @@ type Stats struct {
 	Removed      uint64 `json:"removed"`
 	// ReduceDBs counts learned-clause database reductions.
 	ReduceDBs uint64 `json:"reduce_dbs"`
-	// LearnedCore, LearnedMid and LearnedLocal count learned clauses by the
-	// LBD tier assigned at learn time (core ≤ 3, mid ≤ 6, local above).
-	// The classification is purely observational.
-	LearnedCore  uint64 `json:"learned_core"`
-	LearnedMid   uint64 `json:"learned_mid"`
-	LearnedLocal uint64 `json:"learned_local"`
 	// ArenaBytes is a gauge, not a counter: the current size of the clause
 	// arena in bytes.  In a per-call Result it is the size at the end of
 	// the call; Add keeps the maximum, reporting the peak across sessions.
@@ -422,8 +417,6 @@ type Solver struct {
 	assumpBuf []ilit     // SolveWithAssumptions' internal-literal assumptions
 	addBuf    []ilit     // addClause's normalised clause
 	runBuf    []movedRun // compactLearned's table of where the clauses went
-	lbdSeen   []uint64
-	lbdStamp  uint64
 
 	okay bool // false once a top-level conflict has been found
 
@@ -441,7 +434,7 @@ type Solver struct {
 	litMark      []litMark // per literal: how its watch list may differ
 	dirtyLits    []ilit    // literals marked rewritten: watch list and variable state may differ
 	appLits      []ilit    // literals marked appended when clean: the watch list may have grown
-	dirtyClauses []cref    // original clauses with permuted literals (flagged in their LBD word)
+	dirtyClauses []cref    // original clauses with permuted literals (flagged in their header)
 	dirtyActs    []int32   // activity slots of original clauses that were bumped
 	bumpedVars   []int32   // variables with a non-zero conflict activity, in first-bump order
 	// The same variables as a set, for an ascending harvest without a sort:
@@ -491,7 +484,7 @@ func (s *Solver) ensureBase() {
 // worst case here so that the search never grows them.
 func (s *Solver) capture() {
 	for _, c := range s.dirtyClauses {
-		s.ar.setLBD(c, 0)
+		s.ar.data[c+1] = 0
 	}
 	for _, l := range s.dirtyLits {
 		s.litMark[l] = litClean
@@ -566,7 +559,7 @@ func (s *Solver) Reset() {
 	s.qhead = len(s.trail)
 	// Restore the literal order of the permuted original clauses (search
 	// never grows or shrinks an original, it only swaps literals inside it)
-	// together with the LBD word that flagged them; truncating to the
+	// together with the header word that flagged them; truncating to the
 	// captured length then drops every learned clause in one step.
 	for _, c := range s.dirtyClauses {
 		end := int(c) + hdrWords + int(b.arena[c])>>flagBits
@@ -686,7 +679,7 @@ func restoreRun[T any](dst, src []T) {
 
 // markPermuted records that the literals of clause c were reordered.  Only
 // original clauses need it (the learned region is truncated wholesale);
-// their LBD word, otherwise unused, holds the flag, so the test costs no
+// their second header word holds the flag, so the test costs no
 // cache line beyond the one the swap just wrote.  capture reserves one slot
 // per original clause, so this, too, is a reslice.
 func (s *Solver) markPermuted(c cref) {
@@ -1231,42 +1224,15 @@ func (s *Solver) minimizeLearned(learnt []ilit) []ilit {
 	return out
 }
 
-// computeLBD counts the distinct decision levels among the literals (the
-// literal block distance of Glucose).  A stamp array, sized per level by
-// SolveWithAssumptions, replaces the seed's per-call map; the count is
-// identical, without the allocation.
-func (s *Solver) computeLBD(lits []ilit) int {
-	s.lbdStamp++
-	n := 0
-	for _, l := range lits {
-		lvl := s.level[l.ivar()]
-		if s.lbdSeen[lvl] != s.lbdStamp {
-			s.lbdSeen[lvl] = s.lbdStamp
-			n++
-		}
-	}
-	return n
-}
-
 func (s *Solver) recordLearned(lits []ilit) {
 	if len(lits) == 1 {
 		s.enqueue(lits[0], nullRef)
 		return
 	}
-	lbd := s.computeLBD(lits)
 	cr := s.newClause(lits, true)
-	s.ar.setLBD(cr, int32(lbd))
 	s.bumpClause(cr)
 	s.learnts = append(s.learnts, cr) // newClause made the room
 	s.stats.Learned++
-	switch {
-	case lbd <= coreLBD:
-		s.stats.LearnedCore++
-	case lbd <= midLBD:
-		s.stats.LearnedMid++
-	default:
-		s.stats.LearnedLocal++
-	}
 	s.attach(cr)
 	s.enqueue(lits[0], cr)
 }
@@ -1407,13 +1373,6 @@ func (s *Solver) SolveWithAssumptions(assumptions []cnf.Lit) (res Result) {
 		iassumps = append(iassumps, fromExternal(a))
 	}
 	s.assumpBuf = iassumps[:0]
-	// Every assumption opens a decision level, also one that is already true
-	// (a repeated literal), so levels run up to numVars + len(assumptions),
-	// not numVars.
-	if levels := int(s.numVars) + len(iassumps) + 1; len(s.lbdSeen) < levels {
-		s.lbdSeen = make([]uint64, levels)
-		s.lbdStamp = 0
-	}
 
 	var restarts uint64
 	for {
@@ -1442,7 +1401,8 @@ func (s *Solver) SolveWithAssumptions(assumptions []cnf.Lit) (res Result) {
 
 // Add returns the field-wise sum of two Stats values (MaxLevel and the
 // ArenaBytes gauge take the maximum, not the sum).  It lives next to
-// diffStats so the field list stays in one place when Stats grows.
+// diffStats so the field list stays in one place when Stats grows;
+// TestStatsFieldsSurviveAddAndDiff fails on a field either of them misses.
 func (s Stats) Add(o Stats) Stats {
 	s.Decisions += o.Decisions
 	s.Propagations += o.Propagations
@@ -1451,9 +1411,6 @@ func (s Stats) Add(o Stats) Stats {
 	s.Learned += o.Learned
 	s.Removed += o.Removed
 	s.ReduceDBs += o.ReduceDBs
-	s.LearnedCore += o.LearnedCore
-	s.LearnedMid += o.LearnedMid
-	s.LearnedLocal += o.LearnedLocal
 	if o.ArenaBytes > s.ArenaBytes {
 		s.ArenaBytes = o.ArenaBytes
 	}
@@ -1464,6 +1421,9 @@ func (s Stats) Add(o Stats) Stats {
 	return s
 }
 
+// diffStats is the effort between two readings of the lifetime counters:
+// every counter's difference, the ArenaBytes and MaxLevel gauges as they read
+// now, and no SolveTime, which SolveWithAssumptions measures itself.
 func diffStats(now, before Stats) Stats {
 	return Stats{
 		Decisions:    now.Decisions - before.Decisions,
@@ -1473,9 +1433,6 @@ func diffStats(now, before Stats) Stats {
 		Learned:      now.Learned - before.Learned,
 		Removed:      now.Removed - before.Removed,
 		ReduceDBs:    now.ReduceDBs - before.ReduceDBs,
-		LearnedCore:  now.LearnedCore - before.LearnedCore,
-		LearnedMid:   now.LearnedMid - before.LearnedMid,
-		LearnedLocal: now.LearnedLocal - before.LearnedLocal,
 		ArenaBytes:   now.ArenaBytes, // gauge: current, not a difference
 		MaxLevel:     now.MaxLevel,
 	}

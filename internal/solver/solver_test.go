@@ -3,6 +3,7 @@ package solver
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -201,6 +202,61 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 	if s.Stats().Conflicts != res.Stats.Conflicts {
 		t.Fatal("lifetime stats should match single-call stats for a fresh solver")
+	}
+}
+
+// distinctStats gives the i-th field of Stats the value base+i, whatever
+// fields Stats has.
+func distinctStats(t *testing.T, base int) Stats {
+	var st Stats
+	v := reflect.ValueOf(&st).Elem()
+	for i := range v.NumField() {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(uint64(base + i))
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(base + i))
+		default:
+			t.Fatalf("Stats.%s is a %s", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	return st
+}
+
+// TestStatsFieldsSurviveAddAndDiff: Add and diffStats carry every field of
+// Stats, each given its own value by reflection, so a field added to Stats
+// but not to them fails here.  Add sums every field but the ArenaBytes and
+// MaxLevel gauges, which take the maximum; diffStats subtracts every field
+// but the gauges, which it takes from now, and SolveTime, which it leaves to
+// SolveWithAssumptions.
+func TestStatsFieldsSurviveAddAndDiff(t *testing.T) {
+	small, large := distinctStats(t, 1), distinctStats(t, 100)
+	lo, hi := reflect.ValueOf(small), reflect.ValueOf(large)
+	sums := []reflect.Value{reflect.ValueOf(small.Add(large)), reflect.ValueOf(large.Add(small))}
+	diff := reflect.ValueOf(diffStats(large, small))
+	field := func(v reflect.Value, i int) int64 {
+		if f := v.Field(i); f.CanUint() {
+			return int64(f.Uint())
+		}
+		return v.Field(i).Int()
+	}
+	for i := range lo.NumField() {
+		name := lo.Type().Field(i).Name
+		wantSum, wantDiff := field(lo, i)+field(hi, i), field(hi, i)-field(lo, i)
+		switch name {
+		case "ArenaBytes", "MaxLevel":
+			wantSum, wantDiff = field(hi, i), field(hi, i)
+		case "SolveTime":
+			wantDiff = 0
+		}
+		for _, sum := range sums {
+			if got := field(sum, i); got != wantSum {
+				t.Errorf("Add: %s = %d, want %d", name, got, wantSum)
+			}
+		}
+		if got := field(diff, i); got != wantDiff {
+			t.Errorf("diffStats: %s = %d, want %d", name, got, wantDiff)
+		}
 	}
 }
 

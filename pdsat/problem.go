@@ -95,7 +95,8 @@ type CostMetric = solver.CostMetric
 type SolverOptions = solver.Options
 
 // SolverStats are aggregated CDCL solver counters (conflicts, propagations,
-// learned-clause tiers, arena size); see Session.Stats and RunnerStats.
+// learned and removed clauses, arena size); see Session.Stats and
+// RunnerStats.
 type SolverStats = solver.Stats
 
 // Budget bounds the effort spent on a single subproblem.

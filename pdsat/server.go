@@ -284,7 +284,7 @@ var sseKeepAliveInterval = 30 * time.Second
 // handleStats reports the session's evaluation-engine counters — total and
 // pruned evaluations, solved and aborted subproblems, the F-cache's hit/miss
 // statistics — and the aggregated solver-core counters (conflicts, learned
-// clauses by LBD tier, database reductions, peak arena bytes).
+// clauses, database reductions, peak arena bytes).
 func (srv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, srv.session.Stats())
 }
