@@ -16,10 +16,12 @@
 // (github.com/paper-repro/pdsat-go/pdsat): Problems, Sessions and
 // asynchronous jobs (EstimateJob, SearchJob, FleetJob, SolveJob) with typed
 // progress-event streams, plus an HTTP/JSON job server (cmd/pdsat -serve).
-// FleetJob races several searches concurrently over one runner/cluster,
-// coupled through a shared incumbent and the session F-cache (cmd/pdsat
-// -job examples/jobs/fleet.json).  See that package's documentation for the
-// job/event model and the sub-seed reproducibility rule.
+// Every search runs there as a race: a SearchJob is a race of one, and the
+// fleet orchestrator races a FleetJob's searches concurrently over one
+// runner/cluster, coupled through a shared incumbent and the session F-cache
+// (cmd/pdsat -job examples/jobs/fleet.json).  See that package's
+// documentation for the job/event model and the sub-seed reproducibility
+// rule.
 //
 // The substrate lives in internal/ packages, layered bottom-up:
 //
@@ -30,8 +32,8 @@
 //     reusable sessions (pristine Reset / incremental reuse)
 //   - decomp, montecarlo, optimize: decomposition families, the predictive
 //     function and its confidence intervals, simulated annealing and tabu
-//     search, and the fleet orchestrator racing several searches over one
-//     shared incumbent
+//     search, and the shared incumbent and sub-seed rule that couple
+//     racing searches
 //   - eval: the budget-aware evaluation engine — incumbent pruning of
 //     hopeless candidates, staged adaptive sampling sized by the eq.-3
 //     confidence interval, and the cross-search F-memoization cache

@@ -99,12 +99,6 @@ func (c *Circuit) NumInputs() int { return len(c.inputs) }
 // NumOutputs returns the number of outputs.
 func (c *Circuit) NumOutputs() int { return len(c.outputs) }
 
-// Inputs returns the primary input gate IDs in creation order.
-func (c *Circuit) Inputs() []GateID { return append([]GateID(nil), c.inputs...) }
-
-// Outputs returns the output gate IDs in the order they were marked.
-func (c *Circuit) Outputs() []GateID { return append([]GateID(nil), c.outputs...) }
-
 // Gate returns the gate with the given ID.
 func (c *Circuit) Gate(id GateID) Gate { return c.gates[id] }
 

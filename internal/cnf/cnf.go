@@ -403,42 +403,6 @@ func (f *Formula) UnitPropagate(a Assignment) (Assignment, bool) {
 	}
 }
 
-// Stats summarises structural properties of a formula.
-type Stats struct {
-	NumVars      int
-	NumClauses   int
-	NumLiterals  int
-	MinClauseLen int
-	MaxClauseLen int
-	NumUnits     int
-	NumBinary    int
-	NumTernary   int
-}
-
-// Statistics computes structural statistics of the formula.
-func (f *Formula) Statistics() Stats {
-	s := Stats{NumVars: f.NumVars, NumClauses: len(f.Clauses)}
-	for i, c := range f.Clauses {
-		n := len(c)
-		s.NumLiterals += n
-		if i == 0 || n < s.MinClauseLen {
-			s.MinClauseLen = n
-		}
-		if n > s.MaxClauseLen {
-			s.MaxClauseLen = n
-		}
-		switch n {
-		case 1:
-			s.NumUnits++
-		case 2:
-			s.NumBinary++
-		case 3:
-			s.NumTernary++
-		}
-	}
-	return s
-}
-
 // String returns a compact human-readable description of the formula.
 func (f *Formula) String() string {
 	return fmt.Sprintf("cnf{vars=%d clauses=%d}", f.NumVars, len(f.Clauses))

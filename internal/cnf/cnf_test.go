@@ -219,20 +219,6 @@ func TestUnitPropagate(t *testing.T) {
 	}
 }
 
-func TestStatistics(t *testing.T) {
-	f := New(3)
-	f.AddClauseLits(1)
-	f.AddClauseLits(1, 2)
-	f.AddClauseLits(1, 2, 3)
-	s := f.Statistics()
-	if s.NumUnits != 1 || s.NumBinary != 1 || s.NumTernary != 1 {
-		t.Fatalf("bad stats: %+v", s)
-	}
-	if s.MinClauseLen != 1 || s.MaxClauseLen != 3 || s.NumLiterals != 6 {
-		t.Fatalf("bad stats: %+v", s)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	f := New(2)
 	f.AddClauseLits(1, -2)

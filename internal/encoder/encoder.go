@@ -214,27 +214,6 @@ func applyKnownSuffix(inst *Instance, k int) {
 	inst.KnownSuffix = k
 }
 
-// Weaken returns a copy of the instance with the last k start variables
-// fixed to their secret values (in addition to any existing weakening).
-func (in *Instance) Weaken(k int) (*Instance, error) {
-	if k < 0 || k > len(in.StartVars) {
-		return nil, fmt.Errorf("encoder: weakening %d out of range [0,%d]", k, len(in.StartVars))
-	}
-	out := &Instance{
-		Name:        fmt.Sprintf("%s-weak%d", in.Name, k),
-		CNF:         in.CNF.Clone(),
-		StartVars:   append([]cnf.Var(nil), in.StartVars...),
-		OutputVars:  append([]cnf.Var(nil), in.OutputVars...),
-		Secret:      append([]bool(nil), in.Secret...),
-		Keystream:   append([]bool(nil), in.Keystream...),
-		KnownSuffix: in.KnownSuffix,
-		KnownPrefix: in.KnownPrefix,
-		Generator:   in.Generator,
-	}
-	applyKnownSuffix(out, k)
-	return out, nil
-}
-
 // UnknownStartVars returns the start variables that are not fixed by the
 // weakening, i.e. the candidates for decomposition-set search.
 func (in *Instance) UnknownStartVars() []cnf.Var {

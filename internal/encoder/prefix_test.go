@@ -75,19 +75,22 @@ func TestKnownPrefixValidation(t *testing.T) {
 	}
 }
 
+// TestWeakenPreservesPrefix: a known prefix and a known suffix weaken one
+// instance together, each recorded, and only the bits between them stay
+// unknown.
 func TestWeakenPreservesPrefix(t *testing.T) {
-	inst, err := NewInstance(Grain(), Config{KeystreamLen: 20, KnownPrefix: 10, Seed: 5})
+	inst, err := NewInstance(Grain(), Config{KeystreamLen: 20, KnownPrefix: 10, KnownSuffix: 30, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	weak, err := inst.Weaken(30)
-	if err != nil {
-		t.Fatal(err)
+	if inst.KnownPrefix != 10 || inst.KnownSuffix != 30 {
+		t.Fatalf("weakening metadata lost: prefix %d, suffix %d", inst.KnownPrefix, inst.KnownSuffix)
 	}
-	if weak.KnownPrefix != 10 || weak.KnownSuffix != 30 {
-		t.Fatalf("weakening metadata lost: %+v", weak)
+	unknown := inst.UnknownStartVars()
+	if len(unknown) != 160-10-30 {
+		t.Fatalf("unknown vars = %d, want %d", len(unknown), 160-10-30)
 	}
-	if len(weak.UnknownStartVars()) != 160-10-30 {
-		t.Fatalf("unknown vars = %d", len(weak.UnknownStartVars()))
+	if unknown[0] != inst.StartVars[10] || unknown[len(unknown)-1] != inst.StartVars[160-30-1] {
+		t.Fatalf("unknown vars %v…%v are not the start variables between prefix and suffix", unknown[0], unknown[len(unknown)-1])
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/paper-repro/pdsat-go/internal/cnf"
@@ -27,218 +28,52 @@ func TestSubSeedDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
-// visitsEqual compares two traces by point key, value and flags.
-func visitsEqual(a, b []Visit) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Point.Key() != b[i].Point.Key() || a[i].Value != b[i].Value ||
-			a[i].Accepted != b[i].Accepted || a[i].Improved != b[i].Improved ||
-			a[i].Pruned != b[i].Pruned {
-			return false
-		}
-	}
-	return true
-}
-
-// TestFleetOfOneBitIdentical pins the fleet regression guarantee at the
-// optimizer level: a fleet of one member reproduces the direct search call
-// exactly — best point, best value, evaluation count, the whole trace and
-// the stop reason — for both metaheuristics.
-func TestFleetOfOneBitIdentical(t *testing.T) {
-	space := makeSpace(8)
-	target := []cnf.Var{2, 3, 5}
-	for _, c := range []struct {
-		method string
+// TestSelfCoupledSearchBitIdentical: a search coupled to a fresh incumbent
+// that nobody else offers to — a race of one, which is how every plain search
+// job runs — is bit-identical to the uncoupled search.  On a pruning
+// objective the incumbent decides which visits are pruned and what they
+// record, so the result, the trace values of pruned visits included, and
+// every neighbourhood pass must match.
+func TestSelfCoupledSearchBitIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
 		search func(context.Context, Objective, decomp.Point, Options) (*Result, error)
-	}{{"tabu", TabuSearch}, {"sa", SimulatedAnnealing}} {
-		method := c.method
-		opts := Options{Seed: 11, MaxEvaluations: 40}
-		direct, err := c.search(context.Background(), newCountingObjective(target), space.FullPoint(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fr, err := RunFleet(context.Background(), []FleetMember{{
-			Search:    c.search,
-			Objective: newCountingObjective(target),
-			Start:     space.FullPoint(),
-			Opts:      opts,
-		}}, FleetOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := fr.Members[0].Result
-		if got.BestPoint.Key() != direct.BestPoint.Key() || got.BestValue != direct.BestValue {
-			t.Fatalf("%s fleet of one best differs: %v/%v vs %v/%v", method,
-				got.BestPoint.Key(), got.BestValue, direct.BestPoint.Key(), direct.BestValue)
-		}
-		if got.Evaluations != direct.Evaluations || got.Stop != direct.Stop {
-			t.Fatalf("%s fleet of one run shape differs: %d/%s vs %d/%s", method,
-				got.Evaluations, got.Stop, direct.Evaluations, direct.Stop)
-		}
-		if !visitsEqual(got.Trace, direct.Trace) {
-			t.Fatalf("%s fleet of one trace differs", method)
-		}
-		if fr.Best != 0 || fr.BestValue != direct.BestValue {
-			t.Fatalf("%s fleet result does not report member 0 as winner", method)
-		}
-	}
-}
-
-// TestFleetDeterministicAcrossRuns races a mixed fleet with fixed sub-seeds
-// twice and checks every member reproduces its best point and value exactly
-// — the interleaving of goroutines must not leak into member decisions when
-// the objective has no cross-member coupling.
-func TestFleetDeterministicAcrossRuns(t *testing.T) {
-	space := makeSpace(10)
-	target := []cnf.Var{1, 4, 6, 9}
-	run := func() *FleetResult {
-		members := make([]FleetMember, 4)
-		for i := range members {
-			search := TabuSearch
-			if i >= 2 {
-				search = SimulatedAnnealing
+		target []cnf.Var
+		opts   Options
+	}{
+		{"tabu", TabuSearch, []cnf.Var{2, 5}, Options{Seed: 11, MaxEvaluations: 23}},
+		{"tabu-unbounded", TabuSearch, []cnf.Var{2, 5}, Options{Seed: 11}},
+		{"sa", SimulatedAnnealing, []cnf.Var{1, 4, 6}, Options{Seed: 13, MaxEvaluations: 12, InitialTemperature: 0.5, CoolingFactor: 0.97}},
+		{"sa-unbounded", SimulatedAnnealing, []cnf.Var{1, 4, 6}, Options{Seed: 13, InitialTemperature: 0.5, CoolingFactor: 0.97}},
+	} {
+		run := func(shared SharedIncumbent) (*Result, []Neighborhood) {
+			var passes []Neighborhood
+			opts := tc.opts
+			opts.Shared = shared
+			opts.NeighborhoodObserver = func(nb Neighborhood) { passes = append(passes, nb) }
+			res, err := tc.search(context.Background(), pruningObjective{newCountingObjective(tc.target)}, makeSpace(7).FullPoint(), opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			members[i] = FleetMember{
-				Search:    search,
-				Objective: newCountingObjective(target),
-				Start:     space.FullPoint(),
-				Opts:      Options{Seed: SubSeed(5, 3*i+1), MaxEvaluations: 25},
+			return res, passes
+		}
+		alone, alonePasses := run(nil)
+		coupled, coupledPasses := run(NewIncumbent().MemberView(0))
+		resultsEqual(t, coupled, alone)
+		if len(coupledPasses) != len(alonePasses) {
+			t.Fatalf("%s: %d passes coupled, %d alone", tc.name, len(coupledPasses), len(alonePasses))
+		}
+		for i, nb := range coupledPasses {
+			want := alonePasses[i]
+			if nb.Center.Key() != want.Center.Key() || nb.Radius != want.Radius || nb.Candidates != want.Candidates ||
+				nb.Evaluated != want.Evaluated || nb.Pruned != want.Pruned || nb.Cancelled != want.Cancelled ||
+				nb.Improved != want.Improved || nb.BestValue != want.BestValue {
+				t.Fatalf("%s: pass %d coupled %+v, alone %+v", tc.name, i, nb, want)
 			}
 		}
-		fr, err := RunFleet(context.Background(), members, FleetOptions{KeepRacing: true})
-		if err != nil {
-			t.Fatal(err)
+		if !slices.ContainsFunc(alone.Trace, func(v Visit) bool { return v.Pruned }) {
+			t.Fatalf("%s: no visit was pruned, so the incumbent decided nothing", tc.name)
 		}
-		return fr
-	}
-	a, b := run(), run()
-	for i := range a.Members {
-		ra, rb := a.Members[i].Result, b.Members[i].Result
-		if ra.BestPoint.Key() != rb.BestPoint.Key() || ra.BestValue != rb.BestValue ||
-			ra.Evaluations != rb.Evaluations {
-			t.Fatalf("member %d differs across runs: %v/%v/%d vs %v/%v/%d", i,
-				ra.BestPoint.Key(), ra.BestValue, ra.Evaluations,
-				rb.BestPoint.Key(), rb.BestValue, rb.Evaluations)
-		}
-		if !visitsEqual(ra.Trace, rb.Trace) {
-			t.Fatalf("member %d trace differs across runs", i)
-		}
-	}
-	if a.Best != b.Best || a.BestValue != b.BestValue {
-		t.Fatalf("winner differs across runs: %d/%v vs %d/%v", a.Best, a.BestValue, b.Best, b.BestValue)
-	}
-}
-
-// TestFleetSharedIncumbent checks the coupling: the incumbent ends at the
-// minimum over member bests, improvements arrive in strictly decreasing
-// order, and Snapshot names a member that offered the final value.
-func TestFleetSharedIncumbent(t *testing.T) {
-	space := makeSpace(8)
-	target := []cnf.Var{1, 2}
-	inc := NewIncumbent()
-	var improvements []float64
-	inc.OnImproved = func(member int, p decomp.Point, v float64) {
-		improvements = append(improvements, v)
-	}
-	members := []FleetMember{
-		{Search: TabuSearch, Objective: newCountingObjective(target), Start: space.FullPoint(),
-			Opts: Options{Seed: 3, MaxEvaluations: 60}},
-		{Search: SimulatedAnnealing, Objective: newCountingObjective(target), Start: space.FullPoint(),
-			Opts: Options{Seed: 4, MaxEvaluations: 60}},
-	}
-	fr, err := RunFleet(context.Background(), members, FleetOptions{Shared: inc, KeepRacing: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	min := math.Inf(1)
-	for _, m := range fr.Members {
-		if m.Result.BestValue < min {
-			min = m.Result.BestValue
-		}
-	}
-	if got := inc.Best(); got != min {
-		t.Fatalf("incumbent ended at %v, want the fleet minimum %v", got, min)
-	}
-	if len(improvements) == 0 {
-		t.Fatal("no incumbent improvements were reported")
-	}
-	for i := 1; i < len(improvements); i++ {
-		if improvements[i] >= improvements[i-1] {
-			t.Fatalf("improvements not strictly decreasing: %v", improvements)
-		}
-	}
-	p, v, member := inc.Snapshot()
-	if v != min || member < 0 || member >= len(members) {
-		t.Fatalf("snapshot (%v, member %d) does not match the fleet minimum %v", v, member, min)
-	}
-	if p.Key() != fr.BestPoint.Key() {
-		t.Fatalf("snapshot point %v differs from fleet best %v", p.Key(), fr.BestPoint.Key())
-	}
-}
-
-// TestFleetTargetStop checks the fleet-wide early stop: a reachable target
-// ends the race with the hitting member reporting StopTarget, and the fleet
-// best at or below the target.
-func TestFleetTargetStop(t *testing.T) {
-	space := makeSpace(8)
-	target := []cnf.Var{2, 3, 5}
-	members := make([]FleetMember, 2)
-	for i := range members {
-		members[i] = FleetMember{
-			Search:    TabuSearch,
-			Objective: newCountingObjective(target),
-			Start:     space.FullPoint(),
-			// F = 1 + |χ Δ target|; the full start point of an 8-var space
-			// scores 1+5=6, so a target of 5 is hit on the first improvement.
-			Opts: Options{Seed: int64(i + 1), TargetValue: 5},
-		}
-	}
-	fr, err := RunFleet(context.Background(), members, FleetOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fr.BestValue > 5 {
-		t.Fatalf("fleet best %v above the target", fr.BestValue)
-	}
-	hit := false
-	for _, m := range fr.Members {
-		if m.Result.Stop == StopTarget {
-			hit = true
-		}
-	}
-	if !hit {
-		t.Fatal("no member reported StopTarget")
-	}
-}
-
-// TestFleetValidation covers the orchestration error paths.
-func TestFleetValidation(t *testing.T) {
-	space := makeSpace(4)
-	obj := newCountingObjective([]cnf.Var{1})
-	if _, err := RunFleet(context.Background(), nil, FleetOptions{}); err == nil {
-		t.Fatal("empty fleet accepted")
-	}
-	if _, err := RunFleet(context.Background(), []FleetMember{
-		{Objective: obj, Start: space.FullPoint()},
-	}, FleetOptions{}); err == nil {
-		t.Fatal("member without a search function accepted")
-	}
-	if _, err := RunFleet(context.Background(), []FleetMember{
-		{Search: TabuSearch, Start: space.FullPoint()},
-	}, FleetOptions{}); err == nil {
-		t.Fatal("nil objective accepted")
-	}
-	if _, err := RunFleet(context.Background(), []FleetMember{
-		{Search: TabuSearch, Objective: obj, Start: space.FullPoint(), Opts: Options{Radius: -1}},
-	}, FleetOptions{}); err == nil {
-		t.Fatal("invalid member options accepted")
-	}
-	if _, err := RunFleet(context.Background(), []FleetMember{
-		{Search: TabuSearch, Objective: obj, Start: space.FullPoint(), Opts: Options{TargetValue: -1}},
-	}, FleetOptions{}); err == nil {
-		t.Fatal("negative target accepted")
 	}
 }
 

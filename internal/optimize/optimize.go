@@ -13,7 +13,8 @@
 // neighbourhood centre when the current one is exhausted.
 //
 // A search evaluates one candidate at a time, in visit order (see
-// scheduler.go); fleets of searches run concurrently beside each other.
+// scheduler.go).  Searches racing each other are coupled through a shared
+// Incumbent (fleet.go); the race that runs them is the pdsat package's.
 package optimize
 
 import (
@@ -92,9 +93,10 @@ type Options struct {
 	// Shared couples the search into a fleet of concurrent searches racing
 	// over the same space: Best() tightens the incumbent threaded into
 	// every evaluation (enabling cross-search incumbent pruning), and the
-	// search Offers each update of its own best value.  For a fleet of one
-	// the shared incumbent always equals the search's own best, so the run
-	// is bit-identical to an uncoupled search.  Nil means uncoupled.
+	// search Offers each update of its own best value.  A search coupled to
+	// nobody but itself — a race of one, as every plain search job in pdsat
+	// is — sees its own best as the shared incumbent, so the run is
+	// bit-identical to an uncoupled search.  Nil means uncoupled.
 	//
 	// With a foreign (lower) incumbent in play, a pruned evaluation's lower
 	// bound may undercut the search's own best value; pruned visits are

@@ -311,45 +311,6 @@ func TestScheduledSearchCancellation(t *testing.T) {
 	}
 }
 
-// TestFleetScheduledSharedIncumbent couples two concurrent tabu members
-// through a fleet's shared incumbent: each member's evaluations prune
-// against the global best, and the race still finds the optimum
-// deterministically whatever the members' latencies.
-func TestFleetScheduledSharedIncumbent(t *testing.T) {
-	s := makeSpace(6)
-	target := []cnf.Var{2, 4}
-	run := func(delay time.Duration) *FleetResult {
-		members := make([]FleetMember, 2)
-		for i := range members {
-			members[i] = FleetMember{
-				Search:    TabuSearch,
-				Objective: &safeObjective{inner: newCountingObjective(target), delay: delay},
-				Start:     s.FullPoint(),
-				Opts: Options{
-					Seed:           SubSeed(43, i),
-					MaxEvaluations: 120,
-				},
-			}
-		}
-		fr, err := RunFleet(context.Background(), members, FleetOptions{KeepRacing: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fr
-	}
-	a, b := run(100*time.Microsecond), run(0)
-	if a.Best < 0 || a.BestValue != 1 {
-		t.Fatalf("scheduled fleet missed the optimum: %+v", a)
-	}
-	if a.BestValue != b.BestValue || a.BestPoint.Key() != b.BestPoint.Key() {
-		t.Fatalf("scheduled fleet best diverges run to run: %v/%v vs %v/%v",
-			a.BestValue, a.BestPoint.SortedVars(), b.BestValue, b.BestPoint.SortedVars())
-	}
-	for i := range a.Members {
-		resultsEqual(t, a.Members[i].Result, b.Members[i].Result)
-	}
-}
-
 // TestValidateRejectsNegativeConcurrency: an evaluation concurrency other
 // than 0 or 1 is refused — negative, or wide since wider passes were
 // removed — with eval.Policy's message, and both search entry points refuse

@@ -1553,12 +1553,6 @@ func (o *varOrder) percolateDown(i int32, act *[]float64) {
 	o.indices[v] = i
 }
 
-// Describe returns a short human-readable summary of the solver state.
-func (s *Solver) Describe() string {
-	return fmt.Sprintf("solver{vars=%d clauses=%d learnts=%d conflicts=%d}",
-		s.numVars, len(s.clauses), len(s.learnts), s.stats.Conflicts)
-}
-
 // EffortCost converts solver statistics into a scalar cost according to the
 // requested metric; see the montecarlo package for the available metrics.
 func EffortCost(st Stats, metric CostMetric) float64 {

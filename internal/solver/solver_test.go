@@ -442,13 +442,10 @@ func TestVerify(t *testing.T) {
 	}
 }
 
-func TestSolverDescribe(t *testing.T) {
+func TestSolverNumVars(t *testing.T) {
 	f := cnf.New(2)
 	f.AddClauseLits(1, 2)
 	s := NewDefault(f)
-	if s.Describe() == "" {
-		t.Fatal("Describe should not be empty")
-	}
 	if s.NumVars() != 2 {
 		t.Fatalf("NumVars = %d", s.NumVars())
 	}

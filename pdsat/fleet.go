@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"time"
 
-	"github.com/paper-repro/pdsat-go/internal/eval"
 	"github.com/paper-repro/pdsat-go/internal/optimize"
 )
 
@@ -20,9 +19,9 @@ const MaxFleetMembers = 128
 // re-exported so a single fleet member can be reproduced standalone: member
 // i of a fleet with root seed r samples its evaluations with SubSeed(r, 3i),
 // walks its search with SubSeed(r, 3i+1) and jitters its start point with
-// SubSeed(r, 3i+2).  A direct SearchJob on a session configured with
-// RunnerConfig.Seed = SubSeed(r, 3i) and SearchOptions.Seed = SubSeed(r,
-// 3i+1) is bit-identical to that member.
+// SubSeed(r, 3i+2).  A SearchJob, a race of one, on a session configured
+// with RunnerConfig.Seed = SubSeed(r, 0) and SearchOptions.Seed = SubSeed(r,
+// 1) is bit-identical to the member of a fleet of one with root seed r.
 func SubSeed(root int64, i int) int64 { return optimize.SubSeed(root, i) }
 
 // FleetMemberSpec describes one homogeneous group of fleet members.
@@ -44,9 +43,10 @@ type FleetMemberSpec struct {
 // the race strictly cheaper than running the same searches sequentially
 // with isolated incumbents.
 //
-// Determinism contract: member i's evaluation sampling, search walk and
-// start jitter depend only on (Seed, i) — see SubSeed — so a fleet of one
-// is bit-identical to the direct SearchJob path under matching seeds, and a
+// The members race as a SearchJob's one search does, each through its own
+// scope and engine.  Determinism contract: member i's evaluation sampling,
+// search walk and start jitter depend only on (Seed, i) — see SubSeed — so a
+// fleet of one is bit-identical to a SearchJob under matching seeds, and a
 // fixed-seed fleet yields deterministic per-member results regardless of
 // interleaving as long as the effective evaluation policy has the
 // cross-member couplings (Prune, Cache) off.  With pruning or the shared
@@ -239,7 +239,7 @@ type FleetMemberResult struct {
 	// before producing one.
 	Result *SearchResult `json:"-"`
 	// Best is the estimate of the member's best point, re-evaluated through
-	// the member's engine (a free cache hit when the F-cache is enabled).
+	// the member's objective (a free cache hit when the F-cache is enabled).
 	Best *SetEstimate `json:"best_estimate,omitempty"`
 	// Err is the member's hard error, empty for normal termination.
 	Err string `json:"error,omitempty"`
@@ -282,77 +282,66 @@ func (spec FleetJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 		j.emit(IncumbentImproved{Job: j.id, Member: member, Vars: p.SortedVars(), Value: v})
 	}
 
-	fleet := make([]optimize.FleetMember, len(members))
-	engines := make([]*eval.Engine, len(members))
+	runs := make([]searchRun, len(members))
 	for i, m := range members {
 		// Each member evaluates through its own scope (isolated sampling
 		// state and scope-local conflict activity over the shared transport)
 		// and its own engine over the session's shared F-cache.
 		scope := s.runner.NewScope(optimize.SubSeed(root, 3*i))
-		obj, opts := s.searchMember(j, scope, scope, pol, i)
-		engines[i] = obj.Engine
-		opts.Seed = optimize.SubSeed(root, 3*i+1)
-		opts.TargetValue = spec.TargetF
+		r := s.newSearchRun(j, m.search, jitterStart(m.start, spec.Jitter, root, i), scope, scope, pol, i)
+		r.opts.Seed = optimize.SubSeed(root, 3*i+1)
+		r.opts.TargetValue = spec.TargetF
 		if budgets != nil {
-			opts.MaxEvaluations = budgets[i]
+			r.opts.MaxEvaluations = budgets[i]
 		}
-		fleet[i] = optimize.FleetMember{
-			Search:    m.search,
-			Objective: obj,
-			Start:     jitterStart(m.start, spec.Jitter, root, i),
-			Opts:      opts,
-		}
+		runs[i] = r
 	}
 
-	fr, ferr := optimize.RunFleet(ctx, fleet, optimize.FleetOptions{
-		Shared:     shared,
-		KeepRacing: spec.KeepRacing,
-		OnMemberDone: func(member int, res *optimize.Result) {
-			j.emit(FleetMemberDone{
-				Job:           j.id,
-				Member:        member,
-				Method:        members[member].method,
-				SearchSummary: wireBest(res),
-			})
-		},
+	start := time.Now()
+	results := s.race(ctx, runs, shared, spec.KeepRacing, func(member int, res *SearchResult) {
+		j.emit(FleetMemberDone{
+			Job:           j.id,
+			Member:        member,
+			Method:        members[member].method,
+			SearchSummary: wireBest(res),
+		})
 	})
-	if fr == nil {
-		return nil, ferr
-	}
+	outcome, err := fleetOutcome(root, members, runs, results)
+	outcome.WallTime = time.Since(start)
+	return &JobResult{Fleet: outcome}, err
+}
 
-	outcome := &FleetOutcome{
-		Seed:       root,
-		Members:    make([]FleetMemberResult, len(fr.Members)),
-		BestMember: fr.Best,
-		WallTime:   fr.WallTime,
-	}
-	for i, mr := range fr.Members {
+// fleetOutcome assembles a fleet's result from its race: the winner is the
+// member with the lowest finite best, ties to the lowest index, and the error
+// is the first member's hard error, naming the member.
+func fleetOutcome(root int64, members []expandedMember, runs []searchRun, results []runResult) (*FleetOutcome, error) {
+	outcome := &FleetOutcome{Seed: root, Members: make([]FleetMemberResult, len(results)), BestMember: -1}
+	var firstErr error
+	for i, r := range results {
 		m := FleetMemberResult{
 			Member:        i,
 			Method:        members[i].method,
 			EvalSeed:      optimize.SubSeed(root, 3*i),
 			SearchSeed:    optimize.SubSeed(root, 3*i+1),
-			StartVars:     fleet[i].Start.SortedVars(),
-			SearchSummary: wireBest(mr.Result),
-			Result:        mr.Result,
+			StartVars:     runs[i].start.SortedVars(),
+			SearchSummary: wireBest(r.res),
+			Result:        r.res,
+			Best:          r.best,
 		}
-		if mr.Err != nil {
-			m.Err = mr.Err.Error()
-		} else if mr.Result != nil && !math.IsInf(mr.Result.BestValue, 1) {
-			// Re-estimate the member's best point through its own engine: a
-			// free cache hit with the F-cache on, the exact direct-path
-			// behaviour with it off.  The member result stands even if the
-			// re-estimation is cut short by a cancellation.
-			if ev, _ := engines[i].EvaluateF(ctx, mr.Result.BestPoint, math.Inf(1)); ev != nil {
-				m.Best = s.setEstimateFrom(mr.Result.BestPoint, ev)
+		switch {
+		case r.err != nil:
+			m.Err = r.err.Error()
+			if firstErr == nil {
+				firstErr = fmt.Errorf("pdsat: fleet member %d: %w", i, r.err)
 			}
+		case math.IsInf(r.res.BestValue, 1):
+		case outcome.BestMember < 0 || r.res.BestValue < outcome.BestValue:
+			outcome.BestMember = i
+			outcome.BestVars = r.res.BestPoint.SortedVars()
+			outcome.BestValue = r.res.BestValue
+			outcome.Best = r.best
 		}
 		outcome.Members[i] = m
 	}
-	if fr.Best >= 0 {
-		outcome.BestVars = fr.BestPoint.SortedVars()
-		outcome.BestValue = fr.BestValue
-		outcome.Best = outcome.Members[fr.Best].Best
-	}
-	return &JobResult{Fleet: outcome}, ferr
+	return outcome, firstErr
 }

@@ -152,68 +152,23 @@ func (spec SearchJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One engine for the whole search: the optimizer threads its incumbent
-	// through the objective into the engine, which prunes, stages and
-	// memoizes according to the job's effective policy.  The runner evaluates
-	// in its default scope and reports the session-wide conflict activity.
-	obj, opts := s.searchMember(j, s.runner.Scope, s.runner, s.policyFor(spec.Policy), 0)
-	res, err := search(ctx, obj, start, opts)
-	if err != nil {
-		return nil, err
-	}
-	// Re-estimate the best point through the same engine: with the cache
-	// enabled this is a free hit on the value the search already computed.
-	// The search itself succeeded; its result stands even if the
-	// re-estimation is interrupted before producing anything.  A search that
-	// certified nothing (cancelled before or during its start evaluation) has
-	// no best point to re-estimate.
-	var best *SetEstimate
-	if !math.IsInf(res.BestValue, 1) {
-		if ev, _ := obj.EvaluateF(ctx, res.BestPoint, math.Inf(1)); ev != nil {
-			best = s.setEstimateFrom(res.BestPoint, ev)
-		}
+	// A search alone is a race of one, with one engine for the whole search:
+	// the optimizer threads its incumbent through the objective into the
+	// engine, which prunes, stages and memoizes according to the job's
+	// effective policy.  The runner evaluates in its default scope and reports
+	// the session-wide conflict activity.
+	run := s.newSearchRun(j, search, start, s.runner.Scope, s.runner, s.policyFor(spec.Policy), 0)
+	r := s.race(ctx, []searchRun{run}, optimize.NewIncumbent(), false, nil)[0]
+	if r.err != nil {
+		return nil, r.err
 	}
 	return &JobResult{Search: &SearchOutcome{
 		Method:        method,
-		SearchSummary: wireBest(res),
-		WallTime:      res.WallTime,
-		Result:        res,
-		Best:          best,
+		SearchSummary: wireBest(r.res),
+		WallTime:      r.res.WallTime,
+		Result:        r.res,
+		Best:          r.best,
 	}}, nil
-}
-
-// searchMember builds what one search of a job runs on: the objective over the
-// scope under the policy (see objectiveFor), and the session's search options
-// with the job's event emission chained onto (not replacing) the observers the
-// configuration already carries.  member tags the events; a plain search is
-// member 0.
-func (s *Session) searchMember(j *Job, scope *runner.Scope, activity optimize.ActivitySource, pol EvalPolicy, member int) (*runner.Objective, SearchOptions) {
-	obj := s.objectiveFor(j, scope, activity, pol, member)
-	opts := s.cfg.Search
-	userNeighborhood := opts.NeighborhoodObserver
-	opts.NeighborhoodObserver = func(nb optimize.Neighborhood) {
-		if userNeighborhood != nil {
-			userNeighborhood(nb)
-		}
-		j.emit(neighborhoodDoneEvent(j.id, member, nb))
-	}
-	userObserver := opts.Observer
-	opts.Observer = func(v optimize.Visit) {
-		if userObserver != nil {
-			userObserver(v)
-		}
-		j.emit(SearchVisit{
-			Job:      j.id,
-			Member:   member,
-			Index:    v.Index,
-			Vars:     v.Point.SortedVars(),
-			Value:    v.Value,
-			Accepted: v.Accepted,
-			Improved: v.Improved,
-			Pruned:   v.Pruned,
-		})
-	}
-	return obj, opts
 }
 
 // SearchSummary is what a search reports of itself on the wire — in a search
