@@ -121,7 +121,6 @@ func run() error {
 			Workers:          *workers,
 			Seed:             *seed,
 			CostMetric:       costMetric,
-			SolverOptions:    solver.DefaultOptions(),
 			SubproblemBudget: solver.Budget{MaxConflicts: *budget},
 		},
 		Search: pdsat.SearchOptions{Seed: *seed, MaxEvaluations: *evals},
@@ -134,8 +133,7 @@ func run() error {
 	var leader *cluster.Leader
 	if *listen != "" {
 		leader, err = cluster.Listen(*listen, problem.Formula, cluster.LeaderOptions{
-			SolverOptions: cfg.Runner.SolverOptions,
-			Logf:          logToStderr,
+			Logf: logToStderr,
 			OnEvent: func(ev cluster.ClusterEvent) {
 				if s := sessionRef.Load(); s != nil {
 					s.PublishClusterEvent(ev)

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/paper-repro/pdsat-go/internal/solver"
 	"github.com/paper-repro/pdsat-go/pdsat"
 )
 
@@ -221,7 +220,7 @@ func TestPrintedResultIsTheSessions(t *testing.T) {
 		}
 		session, err := pdsat.NewSession(problem, pdsat.Config{
 			Runner: pdsat.RunnerConfig{SampleSize: 8, Workers: 1, Seed: 3,
-				CostMetric: pdsat.CostPropagations, SolverOptions: solver.DefaultOptions()},
+				CostMetric: pdsat.CostPropagations},
 			Search: pdsat.SearchOptions{Seed: 3, MaxEvaluations: 6},
 			Cores:  480,
 		})

@@ -102,9 +102,6 @@ func (c *Circuit) NumOutputs() int { return len(c.outputs) }
 // Gate returns the gate with the given ID.
 func (c *Circuit) Gate(id GateID) Gate { return c.gates[id] }
 
-// InputName returns the name of the i-th input.
-func (c *Circuit) InputName(i int) string { return c.gates[c.inputs[i]].Name }
-
 func (c *Circuit) add(g Gate) GateID {
 	id := GateID(len(c.gates))
 	c.gates = append(c.gates, g)

@@ -224,21 +224,3 @@ func (e *Encoding) ConstrainOutputs(values []bool) error {
 	}
 	return nil
 }
-
-// InputAssignment converts input values into a cnf.Assignment over the
-// encoding's input variables (useful in tests to check a known secret
-// satisfies the instance).
-func (e *Encoding) InputAssignment(inputs []bool) (cnf.Assignment, error) {
-	if len(inputs) != len(e.InputVars) {
-		return nil, fmt.Errorf("circuit: got %d inputs, want %d", len(inputs), len(e.InputVars))
-	}
-	a := cnf.NewAssignment(e.CNF.NumVars)
-	for i, v := range e.InputVars {
-		if inputs[i] {
-			a.Set(v, cnf.True)
-		} else {
-			a.Set(v, cnf.False)
-		}
-	}
-	return a, nil
-}

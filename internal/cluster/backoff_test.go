@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/paper-repro/pdsat-go/internal/cnf"
-	"github.com/paper-repro/pdsat-go/internal/solver"
 )
 
 // TestRedialDelaySchedule pins the redial backoff shape: the base doubles
@@ -153,10 +152,9 @@ func TestServeBackoffResetsAfterRegistration(t *testing.T) {
 				if _, err := w.recv(handshakeTimeout); err != nil { // hello
 					return
 				}
-				sopts := solver.DefaultOptions()
 				// A valid welcome completes the registration; closing the
 				// connection right after is the abrupt leader death.
-				_ = w.send(&envelope{Kind: kindWelcome, Formula: f, SolverOptions: &sopts, Heartbeat: time.Second})
+				_ = w.send(&envelope{Kind: kindWelcome, Formula: f, Heartbeat: time.Second})
 			}(conn)
 		}
 	}()
@@ -222,11 +220,10 @@ func TestWorkerRefusesUnknownVariable(t *testing.T) {
 		"2^30":                 -(1 << 30),
 		"the least int":        math.MinInt,
 	} {
-		sopts := solver.DefaultOptions()
 		// The worker answers by hanging up, possibly after the first task's
 		// result.
 		addr, gone := scriptedLeader(t,
-			&envelope{Kind: kindWelcome, Formula: f, SolverOptions: &sopts, Heartbeat: time.Second},
+			&envelope{Kind: kindWelcome, Formula: f, Heartbeat: time.Second},
 			&envelope{Kind: kindTasks, Batch: 1, Opts: &BatchOptions{}, Tasks: []Task{
 				{Index: 0, Assumptions: []cnf.Lit{1, -2}},
 				{Index: 1, Assumptions: []cnf.Lit{1, lit}},

@@ -388,9 +388,8 @@ func TestHostileWelcome(t *testing.T) {
 		"clause beyond NumVars": {NumVars: 3, Clauses: []cnf.Clause{{1, -2}, {3, -500000}}},
 		"negative NumVars":      {NumVars: -3, Clauses: []cnf.Clause{{1, -2}}},
 	} {
-		sopts := solver.DefaultOptions()
 		addr, gone := scriptedLeader(t,
-			&envelope{Kind: kindWelcome, Formula: f, SolverOptions: &sopts, Heartbeat: time.Second},
+			&envelope{Kind: kindWelcome, Formula: f, Heartbeat: time.Second},
 			&envelope{Kind: kindTasks, Batch: 1, Opts: &BatchOptions{}, Tasks: []Task{{Index: 0, Assumptions: []cnf.Lit{1, -2}}}})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

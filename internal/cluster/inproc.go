@@ -48,13 +48,11 @@ type pooledSolver struct {
 
 // NewInproc creates an in-process transport for the formula.  workers is
 // the number of concurrent solver goroutines (0 or negative means
-// GOMAXPROCS); opts configures the shared pooled solvers.
+// GOMAXPROCS); opts configures the shared pooled solvers, and its zero value
+// is solver.DefaultOptions (see solver.New).
 func NewInproc(f *cnf.Formula, workers int, opts solver.Options) *Inproc {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.VarDecay == 0 {
-		opts = solver.DefaultOptions()
 	}
 	return &Inproc{formula: f, opts: opts, workers: workers}
 }

@@ -18,9 +18,6 @@ var ErrClosed = errors.New("cluster: leader is closed")
 
 // LeaderOptions configure a network leader.
 type LeaderOptions struct {
-	// SolverOptions is the shared solver configuration shipped to every
-	// worker at registration (zero value: solver.DefaultOptions).
-	SolverOptions solver.Options
 	// Heartbeat is the ping interval; a worker silent for several
 	// intervals is declared lost and its in-flight tasks are requeued
 	// (0 means a 1s default).
@@ -81,10 +78,10 @@ type ClusterEvent struct {
 type Leader struct {
 	ln   net.Listener
 	opts LeaderOptions
-	// welcome is the registration reply — the formula, the solver options,
-	// the heartbeat — as a frame, encoded once for every worker that will
-	// ever join; numVars is that formula's variable count, which every
-	// worker's results are held to.
+	// welcome is the registration reply — the formula and the heartbeat —
+	// as a frame, encoded once for every worker that will ever join;
+	// numVars is that formula's variable count, which every worker's
+	// results are held to.
 	welcome []byte
 	numVars int
 
@@ -221,17 +218,13 @@ func (a *activityLog) reset() {
 // Listen starts a leader for the formula on the given TCP address
 // (host:port; port 0 picks a free port, see Addr).
 func Listen(addr string, f *cnf.Formula, opts LeaderOptions) (*Leader, error) {
-	if opts.SolverOptions.VarDecay == 0 {
-		opts.SolverOptions = solver.DefaultOptions()
-	}
 	if opts.Heartbeat <= 0 {
 		opts.Heartbeat = defaultHeartbeat
 	}
 	welcome, err := appendFrame(nil, &envelope{
-		Kind:          kindWelcome,
-		Formula:       f,
-		SolverOptions: &opts.SolverOptions,
-		Heartbeat:     opts.Heartbeat,
+		Kind:      kindWelcome,
+		Formula:   f,
+		Heartbeat: opts.Heartbeat,
 	})
 	if err != nil {
 		return nil, err

@@ -26,7 +26,7 @@ import (
 // with the fields of each kind in this order and nothing after them:
 //
 //	hello     proto:int capacity:int name:string
-//	welcome   formula options:solverOptions heartbeat:int
+//	welcome   formula heartbeat:int
 //	tasks     batch:uint opts:batchOptions nTasks:count nLits:count { task }
 //	result    batch:uint result
 //	interrupt batch:uint
@@ -36,8 +36,6 @@ import (
 //	revoked   batch:uint nIndices:count { index:int }
 //
 //	formula       numVars:int nClauses:count nLits:count { len:count { lit } } nComments:count { string }
-//	solverOptions varDecay:float clauseDecay:float restartBase:uint maxLearnedFactor:float
-//	              flags:byte (1 phaseSaving, 2 defaultPhase, 4 minimizeLearned)
 //	batchOptions  stop:int flags:byte (1 retain, 2 steal, 4 speculate) maxConflicts:uint
 //	              maxPropagations:uint maxTime:int costMetric:int
 //	task          index:int len:count { lit }
@@ -52,14 +50,14 @@ import (
 // are mostly small whole numbers, whose low mantissa bytes are zero, so they
 // take two to four bytes instead of eight.  varDelta is the distance from
 // the previous variable of the ascending activity vector (from 0 for the
-// first).  A task is its index and its assumptions: the formula and the
-// solver configuration travel once, in the welcome, and hold for every task
-// of the connection.  A count is a uint that is checked against the bytes
-// left in the frame before anything is allocated for it — every element takes
-// at least one byte, a task two — so a frame cannot make its reader allocate
-// more than a small multiple of the frame's own length, and the reader's
-// buffer grows with the bytes that have arrived, not with the length a peer
-// announces.
+// first).  A task is its index and its assumptions: the formula travels
+// once, in the welcome, and holds for every task of the connection; every
+// worker solves with solver.DefaultOptions.  A count is a uint that is
+// checked against the bytes left in the frame before anything is allocated
+// for it — every element takes at least one byte, a task two — so a frame
+// cannot make its reader allocate more than a small multiple of the frame's
+// own length, and the reader's buffer grows with the bytes that have
+// arrived, not with the length a peer announces.
 //
 // Decoding is strict: an unknown kind, a truncated field, a count beyond the
 // frame, a literal 0, a formula with a negative variable count or a literal
@@ -96,7 +94,7 @@ import (
 // for older versions: a mismatch is rejected at registration (checkHello),
 // and leader and worker ship as one binary.  The hello frame keeps its place
 // and its first field across versions, so that the rejection can say why.
-const protocolVersion = 9
+const protocolVersion = 10
 
 // maxFrame bounds the body of one frame.  The largest legitimate frame is
 // the welcome, which carries the formula (about 1.2 MB for the benchmark's
@@ -205,9 +203,8 @@ type envelope struct {
 	Name     string
 
 	// kindWelcome (both always present)
-	Formula       *cnf.Formula
-	SolverOptions *solver.Options
-	Heartbeat     time.Duration
+	Formula   *cnf.Formula
+	Heartbeat time.Duration
 
 	// kindTasks / kindResult / kindInterrupt / kindRevoke / kindRevoked
 	Batch uint64
@@ -475,11 +472,6 @@ func appendFrame(dst []byte, env *envelope) ([]byte, error) {
 		dst = appendString(dst, env.Name)
 	case kindWelcome:
 		dst = appendFormula(dst, env.Formula)
-		so := env.SolverOptions
-		if so == nil {
-			so = new(solver.Options)
-		}
-		dst = appendSolverOptions(dst, so)
 		dst = binary.AppendVarint(dst, int64(env.Heartbeat))
 	case kindTasks:
 		dst = binary.AppendUvarint(dst, env.Batch)
@@ -582,14 +574,6 @@ func appendFormula(dst []byte, f *cnf.Formula) []byte {
 		dst = appendString(dst, c)
 	}
 	return dst
-}
-
-func appendSolverOptions(dst []byte, o *solver.Options) []byte {
-	dst = appendFloat(dst, o.VarDecay)
-	dst = appendFloat(dst, o.ClauseDecay)
-	dst = binary.AppendUvarint(dst, o.RestartBase)
-	dst = appendFloat(dst, o.MaxLearnedFactor)
-	return append(dst, flagBits(o.PhaseSaving, o.DefaultPhase, o.MinimizeLearned))
 }
 
 func appendBatchOptions(dst []byte, o *BatchOptions) []byte {
@@ -806,15 +790,6 @@ func (d *decoder) formula() *cnf.Formula {
 	return f
 }
 
-func (d *decoder) solverOptions(o *solver.Options) {
-	o.VarDecay = d.float()
-	o.ClauseDecay = d.float()
-	o.RestartBase = d.uint()
-	o.MaxLearnedFactor = d.float()
-	f := d.flags(7)
-	o.PhaseSaving, o.DefaultPhase, o.MinimizeLearned = f&1 != 0, f&2 != 0, f&4 != 0
-}
-
 func (d *decoder) batchOptions(o *BatchOptions) {
 	o.Stop = StopMode(d.int())
 	f := d.flags(7)
@@ -935,7 +910,7 @@ func (d *decoder) result(r *TaskResult) {
 // and tasks are where a tasks frame's options, a result frame's result and a
 // chunk's task list go, and numVars is the variable count its literals are
 // held to.  What it allocates is what the receiver keeps: the welcome's
-// formula and options, strings, index lists, a result's model.  A result's
+// formula, strings, index lists, a result's model.  A result's
 // activity vector and a chunk's task list are decoded over the ones res and
 // tasks held before, and the tasks' assumptions are bytes of body.
 func decodeBody(body []byte, numVars int, env *envelope, opts *BatchOptions, res *TaskResult, tasks *[]queuedTask) error {
@@ -948,8 +923,6 @@ func decodeBody(body []byte, numVars int, env *envelope, opts *BatchOptions, res
 		env.Name = d.string()
 	case kindWelcome:
 		env.Formula = d.formula()
-		env.SolverOptions = new(solver.Options)
-		d.solverOptions(env.SolverOptions)
 		env.Heartbeat = time.Duration(d.int64())
 	case kindTasks:
 		env.Batch = d.uint()

@@ -158,10 +158,9 @@ func wireTable() map[string]*envelope {
 				Clauses:  []cnf.Clause{{1, -2, 3}, {}, {-63, 64, -64, 65}, {8191, -8192, 8192, 70000, -70000}, {5}},
 				Comments: []string{"generated by a test", "", "c p cnf"},
 			},
-			SolverOptions: &solver.Options{VarDecay: 0.95, ClauseDecay: 0.999, RestartBase: 100, MaxLearnedFactor: 3, PhaseSaving: true, MinimizeLearned: true},
-			Heartbeat:     time.Second,
+			Heartbeat: time.Second,
 		},
-		"welcome, empty formula": {Kind: kindWelcome, Formula: &cnf.Formula{}, SolverOptions: &solver.Options{DefaultPhase: true}, Heartbeat: -1},
+		"welcome, empty formula": {Kind: kindWelcome, Formula: &cnf.Formula{}, Heartbeat: -1},
 		"tasks": {
 			Kind:  kindTasks,
 			Batch: 7,
@@ -222,7 +221,7 @@ func wireTable() map[string]*envelope {
 // count — a solver built from it would grow to the variable it names.
 func badLiteralFrames(tb testing.TB) map[string][]byte {
 	welcome := func(f *cnf.Formula) []byte {
-		return mustFrame(tb, &envelope{Kind: kindWelcome, Formula: f, SolverOptions: &solver.Options{VarDecay: 0.95}, Heartbeat: time.Second})
+		return mustFrame(tb, &envelope{Kind: kindWelcome, Formula: f, Heartbeat: time.Second})
 	}
 	return map[string][]byte{
 		"zero literal in a clause": welcome(&cnf.Formula{NumVars: 3, Clauses: []cnf.Clause{{1, -2}, {1, 0, -3}}}),
@@ -353,7 +352,7 @@ func TestWireWelcomesTheBenchmarkFormula(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sent := &envelope{Kind: kindWelcome, Formula: inst.CNF, SolverOptions: &solver.Options{VarDecay: 0.95}, Heartbeat: time.Second}
+	sent := &envelope{Kind: kindWelcome, Formula: inst.CNF, Heartbeat: time.Second}
 	got, err := newWire(&scriptConn{in: mustFrame(t, sent)}).recv(time.Second)
 	if err != nil {
 		t.Fatal(err)

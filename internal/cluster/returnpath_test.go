@@ -443,11 +443,10 @@ func TestLateChunkLeavesTheQueuedTasks(t *testing.T) {
 	if err := checkHello(hello); err != nil {
 		t.Fatal(err)
 	}
-	sopts := solver.DefaultOptions()
 	w.numVars = f.NumVars
 	opts := BatchOptions{CostMetric: solver.CostPropagations}
 	for _, env := range []*envelope{
-		{Kind: kindWelcome, Formula: f, SolverOptions: &sopts, Heartbeat: time.Minute},
+		{Kind: kindWelcome, Formula: f, Heartbeat: time.Minute},
 		{Kind: kindInterrupt, Batch: 1},
 		{Kind: kindTasks, Batch: 2, Opts: &opts, Tasks: live[:5]},
 		{Kind: kindTasks, Batch: 1, Opts: &opts, Tasks: late},

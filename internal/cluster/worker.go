@@ -173,10 +173,10 @@ func serveOnce(ctx context.Context, addr string, opts *WorkerOptions) (registere
 	hb := defaultHeartbeat
 	switch env.Kind {
 	case kindWelcome:
-		if env.Formula == nil || env.SolverOptions == nil {
+		if env.Formula == nil {
 			return false, fmt.Errorf("cluster: leader welcome carried no formula")
 		}
-		exec = NewInproc(env.Formula, opts.Capacity, *env.SolverOptions)
+		exec = NewInproc(env.Formula, opts.Capacity, solver.DefaultOptions())
 		if env.Heartbeat > 0 {
 			hb = env.Heartbeat
 		}

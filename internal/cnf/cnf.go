@@ -185,9 +185,6 @@ func (a *Assignment) SetLit(l Lit) {
 	}
 }
 
-// Assigned reports whether v has a value.
-func (a Assignment) Assigned(v Var) bool { return a.Value(v) != Unassigned }
-
 // Clone returns a deep copy.
 func (a Assignment) Clone() Assignment {
 	out := make(Assignment, len(a))

@@ -79,9 +79,6 @@ func TestClauseHelpers(t *testing.T) {
 
 func TestAssignment(t *testing.T) {
 	a := NewAssignment(3)
-	if a.Assigned(1) {
-		t.Fatal("fresh assignment should be unassigned")
-	}
 	a.Set(2, True)
 	if a.Value(2) != True || a.LitValue(Lit(2)) != True || a.LitValue(Lit(-2)) != False {
 		t.Fatal("Set/Value/LitValue misbehave")

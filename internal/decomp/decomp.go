@@ -51,9 +51,6 @@ func (s *Space) Size() int { return len(s.vars) }
 // Vars returns a copy of the candidate variables in order.
 func (s *Space) Vars() []cnf.Var { return append([]cnf.Var(nil), s.vars...) }
 
-// VarAt returns the i-th candidate variable.
-func (s *Space) VarAt(i int) cnf.Var { return s.vars[i] }
-
 // IndexOf returns the position of v in the space, or -1.
 func (s *Space) IndexOf(v cnf.Var) int {
 	if i, ok := s.index[v]; ok {

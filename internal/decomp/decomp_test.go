@@ -23,9 +23,6 @@ func TestSpaceBasics(t *testing.T) {
 	if s.Size() != 3 {
 		t.Fatalf("Size = %d, want 3 (duplicates removed)", s.Size())
 	}
-	if s.VarAt(0) != 3 || s.VarAt(1) != 1 || s.VarAt(2) != 7 {
-		t.Fatalf("order not preserved: %v", s.Vars())
-	}
 	if s.IndexOf(7) != 2 || s.IndexOf(99) != -1 {
 		t.Fatal("IndexOf misbehaves")
 	}

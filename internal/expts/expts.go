@@ -159,8 +159,7 @@ func PaperScale() Scale {
 	}
 }
 
-// runnerConfig builds the runner configuration for a given sample size (the
-// solver options left zero are the solver's defaults).
+// runnerConfig builds the runner configuration for a given sample size.
 func (s Scale) runnerConfig(samples int) api.RunnerConfig {
 	return api.RunnerConfig{
 		SampleSize:       samples,
@@ -193,8 +192,8 @@ func estimate(ctx context.Context, s *api.Session, vars []cnf.Var) (*api.SetEsti
 }
 
 // estimateAt estimates the set on a session of its own under the runner
-// configuration: what a study compares across sample sizes or solver options
-// shares no session, so no estimate inherits another's activity or F-cache.
+// configuration: what a study compares across sample sizes shares no
+// session, so no estimate inherits another's activity or F-cache.
 func (s Scale) estimateAt(ctx context.Context, inst *encoder.Instance, rc api.RunnerConfig, vars []cnf.Var) (*api.SetEstimate, error) {
 	sess, err := s.session(inst, rc)
 	if err != nil {

@@ -84,12 +84,6 @@ func Experiments() []Experiment {
 			Description: "Portfolio approach vs. partitioning approach on the same weakened A5/1 instance",
 			Run:         portfolioVsPartitioning,
 		},
-		{
-			ID:          "solver-ablation",
-			Paper:       "supporting (design choices)",
-			Description: "CDCL configuration ablation on sampled subproblems",
-			Run:         solverAblation,
-		},
 	}
 	sort.Slice(exps, func(i, j int) bool { return exps[i].ID < exps[j].ID })
 	return exps

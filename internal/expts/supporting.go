@@ -86,36 +86,3 @@ func saVsTabu(ctx context.Context, scale Scale) ([]*Table, error) {
 	}
 	return []*Table{t}, nil
 }
-
-// solverAblation estimates the same decomposition set under different solver
-// options, supporting the CDCL design-choice discussion (restarts and phase
-// saving on/off).
-func solverAblation(ctx context.Context, scale Scale) ([]*Table, error) {
-	inst, err := a51Instance(scale, scale.Seed+23)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:  "Solver ablation — mean subproblem cost under different CDCL configurations",
-		Header: []string{"Configuration", "mean subproblem cost [" + scale.CostUnit() + "]"},
-	}
-	for _, c := range []struct {
-		name  string
-		tweak func(*api.SolverOptions)
-	}{
-		{"default (restarts + phase saving + minimization)", func(*api.SolverOptions) {}},
-		{"no phase saving", func(o *api.SolverOptions) { o.PhaseSaving = false }},
-		{"no learned-clause minimization", func(o *api.SolverOptions) { o.MinimizeLearned = false }},
-		{"rare restarts (base 10000)", func(o *api.SolverOptions) { o.RestartBase = 10000 }},
-	} {
-		rc := scale.runnerConfig(scale.SearchSamples)
-		rc.SolverOptions = api.DefaultConfig().Runner.SolverOptions
-		c.tweak(&rc.SolverOptions)
-		est, err := scale.estimateAt(ctx, inst, rc, firstVars(inst, 12))
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{c.name, fmtCost(est.Estimate.Mean)})
-	}
-	return []*Table{t}, nil
-}

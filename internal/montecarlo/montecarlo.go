@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Sample holds observed costs ζ_1..ζ_N of randomly chosen subproblems.
@@ -240,21 +239,6 @@ func NormalQuantile(p float64) float64 {
 // function.
 func NormalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
-// SampleIndices draws n independent uniformly random d-bit assignments using
-// the provided RNG; each assignment is returned as a []bool of length d.
-// This is the "random sample" (4) of the paper.
-func SampleIndices(rng *rand.Rand, n, d int) [][]bool {
-	out := make([][]bool, n)
-	for i := range out {
-		alpha := make([]bool, d)
-		for j := range alpha {
-			alpha[j] = rng.Intn(2) == 1
-		}
-		out[i] = alpha
-	}
-	return out
 }
 
 // ExhaustiveTotal computes the exact total cost t_{C,A}(X̃) = Σ over all 2^d

@@ -115,7 +115,11 @@ func TestMonteCarloConvergesToExhaustive(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	var values []float64
-	for _, alpha := range SampleIndices(rng, 4000, d) {
+	alpha := make([]bool, d)
+	for range 4000 {
+		for j := range alpha {
+			alpha[j] = rng.Intn(2) == 1
+		}
 		values = append(values, cost(alpha))
 	}
 	est := NewEstimate(d, NewSample(values))
@@ -221,29 +225,6 @@ func TestNormalCDFAndQuantileAreInverses(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSampleIndices(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	sample := SampleIndices(rng, 20, 7)
-	if len(sample) != 20 {
-		t.Fatal("sample size")
-	}
-	for _, alpha := range sample {
-		if len(alpha) != 7 {
-			t.Fatal("assignment width")
-		}
-	}
-	// Deterministic for a fixed seed.
-	rng2 := rand.New(rand.NewSource(9))
-	sample2 := SampleIndices(rng2, 20, 7)
-	for i := range sample {
-		for j := range sample[i] {
-			if sample[i][j] != sample2[i][j] {
-				t.Fatal("sampling is not deterministic for a fixed seed")
-			}
-		}
 	}
 }
 

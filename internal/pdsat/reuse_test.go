@@ -257,8 +257,10 @@ func BenchmarkSolveRetainLearned(b *testing.B) {
 // pristine, under the default options and under each variant a
 // solver.Options field can express, for the secrets 1007, 2007, 3007 and
 // 4007, whose families hold no member that costs a hundred times the median,
-// and secret 7, whose family does.  Each op reports the propagations of one
-// family solve.  The counts are deterministic; in millions, with the sum over
+// and secret 7, whose family does.  A Runner always solves with
+// solver.DefaultOptions, so each variant reaches it through an in-process
+// transport of two workers built with those options.  Each op reports the
+// propagations of one family solve.  The counts are deterministic; in millions, with the sum over
 // the four monster-free secrets:
 //
 //	options               1007   2007   3007   4007      7   1007-4007
@@ -301,7 +303,7 @@ func BenchmarkSolverOptionPanel(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/secret-%d", v.name, secret), func(b *testing.B) {
 				opts := solver.DefaultOptions()
 				v.set(&opts)
-				benchFamilySolve(b, inst, p, Config{SolverOptions: opts})
+				benchFamilySolve(b, inst, p, Config{Transport: cluster.NewInproc(inst.CNF, 2, opts)})
 			})
 		}
 	}

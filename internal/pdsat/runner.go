@@ -73,8 +73,6 @@ type Config struct {
 	// CostMetric selects the cost unit ζ (conflicts by default; wall time
 	// reproduces the paper's setup).
 	CostMetric solver.CostMetric
-	// SolverOptions configures the per-subproblem CDCL solver.
-	SolverOptions solver.Options
 	// SubproblemBudget bounds the effort spent on a single subproblem
 	// (useful as a safety net during estimation of very bad points).
 	SubproblemBudget solver.Budget
@@ -133,11 +131,10 @@ func (c Config) Validate() error {
 // using all cores.
 func DefaultConfig() Config {
 	return Config{
-		SampleSize:    100,
-		Workers:       runtime.GOMAXPROCS(0),
-		Seed:          1,
-		CostMetric:    solver.CostConflicts,
-		SolverOptions: solver.DefaultOptions(),
+		SampleSize: 100,
+		Workers:    runtime.GOMAXPROCS(0),
+		Seed:       1,
+		CostMetric: solver.CostConflicts,
 	}
 }
 
@@ -390,12 +387,9 @@ func NewRunner(f *cnf.Formula, cfg Config) *Runner {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.SolverOptions.VarDecay == 0 {
-		cfg.SolverOptions = solver.DefaultOptions()
-	}
 	transport := cfg.Transport
 	if transport == nil {
-		transport = cluster.NewInproc(f, cfg.Workers, cfg.SolverOptions)
+		transport = cluster.NewInproc(f, cfg.Workers, solver.DefaultOptions())
 	}
 	r := &Runner{
 		ledger:    ledger{confAct: make([]float64, f.NumVars+1)},

@@ -35,9 +35,6 @@ type Member struct {
 	Name string
 	// Options configures the CDCL solver.
 	Options solver.Options
-	// Assumptions optionally restricts this member to a sub-space (a
-	// guiding-path-style split); usually empty.
-	Assumptions []cnf.Lit
 }
 
 // DefaultMembers returns a diverse set of solver configurations in the
@@ -108,8 +105,7 @@ type Options struct {
 // Solve runs the portfolio on the formula and returns as soon as one member
 // reports SAT or UNSAT (the remaining members are interrupted), or when all
 // members stop without a conclusion.  Each member builds its solver when it
-// gets a worker.  A member that assumes a variable outside the formula is
-// refused before any solver starts.
+// gets a worker.
 func Solve(ctx context.Context, f *cnf.Formula, opts Options) (*Result, error) {
 	if f == nil {
 		return nil, errors.New("portfolio: nil formula")
@@ -124,11 +120,6 @@ func Solve(ctx context.Context, f *cnf.Formula, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("portfolio: duplicate member name %q", m.Name)
 		}
 		names[m.Name] = true
-		for _, l := range m.Assumptions {
-			if v := l.Var(); v < 1 || int(v) > f.NumVars {
-				return nil, fmt.Errorf("portfolio: member %q assumes literal %d, the formula has %d variables", m.Name, l, f.NumVars)
-			}
-		}
 	}
 	workers := opts.Workers
 	if workers <= 0 || workers > len(members) {
@@ -160,7 +151,7 @@ func Solve(ctx context.Context, f *cnf.Formula, opts Options) (*Result, error) {
 			s := solver.New(f, m.Options)
 			s.SetBudget(opts.MemberBudget)
 			done := make(chan solver.Result, 1)
-			go func() { done <- s.SolveWithAssumptions(m.Assumptions) }()
+			go func() { done <- s.Solve() }()
 			select {
 			case r := <-done:
 				resCh <- memberResult{name: m.Name, res: r}

@@ -3,7 +3,6 @@ package portfolio
 import (
 	"context"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -83,32 +82,15 @@ func TestSolveValidation(t *testing.T) {
 	}
 }
 
-// TestSolveRefusesAssumptionOutsideFormula checks that a member assuming a
-// variable the formula does not have is an error before any member solves,
-// where it used to grow that member's solver.
-func TestSolveRefusesAssumptionOutsideFormula(t *testing.T) {
+func TestSolveWithCustomMembers(t *testing.T) {
 	f := cnf.New(3)
 	f.AddClauseLits(1, 2)
 	f.AddClauseLits(-1, 3)
-	for _, bad := range []cnf.Lit{4, -7, 0} {
-		members := []Member{
-			{Name: "fine", Options: solver.DefaultOptions(), Assumptions: []cnf.Lit{1}},
-			{Name: "outside", Options: solver.DefaultOptions(), Assumptions: []cnf.Lit{-2, bad}},
-		}
-		res, err := Solve(context.Background(), f, Options{Members: members})
-		if err == nil || !strings.Contains(err.Error(), `member "outside" assumes literal`) || res != nil {
-			t.Fatalf("assumption %d: result %+v, error %v; want no result and an error naming the member", bad, res, err)
-		}
-	}
-}
-
-func TestSolveWithCustomMembersAndAssumptions(t *testing.T) {
-	f := cnf.New(3)
-	f.AddClauseLits(1, 2)
-	f.AddClauseLits(-1, 3)
+	positive := solver.DefaultOptions()
+	positive.DefaultPhase = true
 	members := []Member{
-		{Name: "assume-neg1", Options: solver.DefaultOptions(), Assumptions: []cnf.Lit{-1}},
-		{Name: "assume-pos1", Options: solver.DefaultOptions(), Assumptions: []cnf.Lit{1}},
+		{Name: "default", Options: solver.DefaultOptions()},
+		{Name: "positive-phase", Options: positive},
 	}
 	res, err := Solve(context.Background(), f, Options{Members: members})
 	if err != nil {
@@ -116,6 +98,9 @@ func TestSolveWithCustomMembersAndAssumptions(t *testing.T) {
 	}
 	if res.Status != solver.Sat {
 		t.Fatalf("expected SAT, got %v", res.Status)
+	}
+	if _, ok := res.MemberStats[res.Winner]; !ok || len(res.MemberStats) != len(members) {
+		t.Fatalf("winner %q and stats of %d members; want one of the custom members, stats of each", res.Winner, len(res.MemberStats))
 	}
 }
 

@@ -243,8 +243,7 @@ type Stats struct {
 	SolveTime time.Duration `json:"solve_time_ns"`
 }
 
-// Options configure the solver.  The zero value is usable; DefaultOptions
-// fills in the standard parameters.
+// Options configure the solver.  The zero value is DefaultOptions (see New).
 type Options struct {
 	// VarDecay is the multiplicative decay of VSIDS activities (0,1).
 	VarDecay float64
@@ -702,7 +701,9 @@ func (s *Solver) BaseStats() Stats {
 
 // New creates a solver for the given formula.  The formula is copied into
 // the solver's internal representation; it is not modified and may be reused
-// to create further solvers.
+// to create further solvers.  Options with a zero VarDecay are replaced by
+// DefaultOptions as a whole, so New(f, Options{}) is New(f, DefaultOptions());
+// this is the one place that rule is applied.
 func New(f *cnf.Formula, opts Options) *Solver {
 	if opts.VarDecay == 0 {
 		opts = DefaultOptions()

@@ -464,12 +464,17 @@ func TestPhaseSavingOptionsVariants(t *testing.T) {
 	}
 }
 
+// TestZeroOptionsFallBackToDefaults holds New's one zero-value rule: a
+// solver built with Options{} is the solver built with DefaultOptions(),
+// call for call — the same status, model and statistics (the wall-clock
+// SolveTime aside) on formulas that take restarts and learned clauses.
 func TestZeroOptionsFallBackToDefaults(t *testing.T) {
-	f := cnf.New(1)
-	f.AddClauseLits(1)
-	s := New(f, Options{})
-	if res := s.Solve(); res.Status != Sat {
-		t.Fatal("zero options should fall back to defaults and solve")
+	for name, f := range diffFormulas(t) {
+		zero, def := New(f, Options{}).Solve(), New(f, DefaultOptions()).Solve()
+		zero.Stats.SolveTime, def.Stats.SolveTime = 0, 0
+		if !reflect.DeepEqual(zero, def) {
+			t.Fatalf("%s: zero options solved to %v %+v, the defaults to %v %+v", name, zero.Status, zero.Stats, def.Status, def.Stats)
+		}
 	}
 }
 

@@ -41,8 +41,8 @@ type Space = decomp.Space
 type Estimate = montecarlo.Estimate
 
 // RunnerConfig configures the leader/worker runner backing a Session:
-// sample size, workers, seed, cost metric, solver options and an optional
-// cluster transport.
+// sample size, workers, seed, cost metric and an optional cluster
+// transport.  Every solver runs solver.DefaultOptions().
 type RunnerConfig = runner.Config
 
 // SolveOptions configure family processing (stop-on-SAT, subproblem cap).
@@ -90,9 +90,6 @@ type ClusterEvent = cluster.ClusterEvent
 
 // CostMetric selects the cost unit ζ of the predictive function.
 type CostMetric = solver.CostMetric
-
-// SolverOptions configure the per-subproblem CDCL solver.
-type SolverOptions = solver.Options
 
 // SolverStats are aggregated CDCL solver counters (conflicts, propagations,
 // learned and removed clauses, arena size); see Session.Stats and

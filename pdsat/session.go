@@ -20,7 +20,7 @@ import (
 // Config configures a Session.
 type Config struct {
 	// Runner configures the PDSAT-style leader/worker runner (sample size,
-	// workers, cost metric, solver options, optional cluster transport).
+	// workers, cost metric, optional cluster transport).
 	Runner RunnerConfig
 	// Search configures the metaheuristic minimizers of search jobs.
 	Search SearchOptions
