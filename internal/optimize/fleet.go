@@ -9,8 +9,7 @@ package optimize
 // they find (§3–4).  With the budget-aware evaluation engine, racing them is
 // strictly better than running them one after another: every member's best F
 // tightens the incumbent that prunes every other member's evaluations.  The
-// race itself — goroutines, early stop, re-estimation — is the pdsat
-// package's.
+// race itself — goroutines, re-estimation — is the pdsat package's.
 
 import (
 	"math"
@@ -22,11 +21,10 @@ import (
 
 // SubSeed derives the deterministic sub-seed of stream i from a root seed
 // (a splitmix64 step, so neighbouring roots and streams decorrelate).  Fleet
-// members use three streams each — by convention stream 3i seeds member i's
-// evaluation sampling, 3i+1 its search walk and 3i+2 its start-point jitter
-// — so a member can be reproduced standalone from (root, i) alone.  The rule
-// is part of the public contract: it is documented in the README and
-// re-exported by the pdsat package.
+// member i seeds its evaluation sampling with stream 3i and its search walk
+// with 3i+1, so it can be reproduced standalone from (root, i) alone; stream
+// 3i+2 is unused.  The rule is part of the public contract: it is documented
+// in the README and re-exported by the pdsat package.
 func SubSeed(root int64, i int) int64 {
 	z := uint64(root) + (uint64(i)+1)*0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -35,16 +33,14 @@ func SubSeed(root int64, i int) int64 {
 }
 
 // Incumbent is the global atomic incumbent of a search fleet: the lowest
-// certified F value any member has found, plus the point and member that
-// found it.  Best is a lock-free load (it sits on every evaluation's path);
-// offers take a mutex, which is fine because improvements are rare.  It
-// implements the coupling half of SharedIncumbent via MemberView.
+// certified F value any member has found.  Best is a lock-free load (it
+// sits on every evaluation's path); offers take a mutex, which is fine
+// because improvements are rare.  It implements the coupling half of
+// SharedIncumbent via MemberView.
 type Incumbent struct {
 	bits atomic.Uint64 // Float64bits of the current best value
 
-	mu     sync.Mutex
-	point  decomp.Point // guarded by mu
-	member int          // guarded by mu
+	mu sync.Mutex // serializes offers
 
 	// OnImproved, when non-nil, is called (under the incumbent's lock, so
 	// notifications arrive in improvement order) for every accepted offer.
@@ -63,18 +59,6 @@ func NewIncumbent() *Incumbent {
 // Best returns the current best value (+Inf if none).
 func (in *Incumbent) Best() float64 { return math.Float64frombits(in.bits.Load()) }
 
-// Snapshot returns the current best value with the point and member that
-// produced it (member is -1 while the incumbent still holds +Inf).
-func (in *Incumbent) Snapshot() (p decomp.Point, v float64, member int) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	v = in.Best()
-	if math.IsInf(v, 1) {
-		return decomp.Point{}, v, -1
-	}
-	return in.point, v, in.member
-}
-
 // offer lowers the incumbent to v if it improves it.
 func (in *Incumbent) offer(member int, p decomp.Point, v float64) bool {
 	if math.IsNaN(v) {
@@ -86,7 +70,6 @@ func (in *Incumbent) offer(member int, p decomp.Point, v float64) bool {
 		return false
 	}
 	in.bits.Store(math.Float64bits(v))
-	in.point, in.member = p, member
 	if in.OnImproved != nil {
 		in.OnImproved(member, p, v)
 	}

@@ -82,6 +82,8 @@ func TestIncumbentOfferSemantics(t *testing.T) {
 	space := makeSpace(3)
 	p := space.FullPoint()
 	in := NewIncumbent()
+	var improvedBy []int
+	in.OnImproved = func(member int, _ decomp.Point, _ float64) { improvedBy = append(improvedBy, member) }
 	if !math.IsInf(in.Best(), 1) {
 		t.Fatal("fresh incumbent is not +Inf")
 	}
@@ -95,9 +97,8 @@ func TestIncumbentOfferSemantics(t *testing.T) {
 	if !view.Offer(p, 3) || in.Best() != 3 {
 		t.Fatalf("incumbent did not descend to 3 (got %v)", in.Best())
 	}
-	_, v, member := in.Snapshot()
-	if v != 3 || member != 1 {
-		t.Fatalf("snapshot (%v, %d) after member-1 offers", v, member)
+	if !reflect.DeepEqual(improvedBy, []int{1, 1}) {
+		t.Fatalf("OnImproved saw members %v, want the two improvements of member 1", improvedBy)
 	}
 	if !reflect.DeepEqual(in.MemberView(2).Best(), 3.0) {
 		t.Fatal("member views disagree on Best")

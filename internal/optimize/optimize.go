@@ -84,12 +84,6 @@ type Options struct {
 	// same ones that end up in Result.Trace.
 	Observer func(Visit)
 
-	// TargetValue, when positive, ends the search as soon as its best value
-	// reaches the target or below (StopTarget).  Fleet races use it for the
-	// fleet-wide early stop; zero disables the check and leaves every other
-	// code path untouched.
-	TargetValue float64
-
 	// Shared couples the search into a fleet of concurrent searches racing
 	// over the same space: Best() tightens the incumbent threaded into
 	// every evaluation (enabling cross-search incumbent pruning), and the
@@ -132,7 +126,7 @@ type SharedIncumbent interface {
 // Validate reports whether the options are usable.  Zero values are fine —
 // they select the DefaultOptions value or mean "unlimited" — but negative
 // budgets, a radius below 1 (when set), a cooling factor outside (0,1), or a
-// temperature or target that is negative, NaN or infinite, and an evaluation
+// temperature that is negative, NaN or infinite, and an evaluation
 // concurrency other than 0 or 1, are configuration mistakes and are rejected
 // with a clear error rather than silently coerced.
 // Both search entry points validate eagerly.
@@ -165,10 +159,6 @@ func (o Options) Validate() error {
 	if !(o.CoolingFactor >= 0 && o.CoolingFactor < 1) {
 		return fmt.Errorf("optimize: cooling factor %v outside (0,1) (use 0 for the default of %v)",
 			o.CoolingFactor, DefaultOptions().CoolingFactor)
-	}
-	if !(o.TargetValue >= 0 && !math.IsInf(o.TargetValue, 1)) {
-		return fmt.Errorf("optimize: invalid target value %v (want a finite target ≥ 0; use 0 to disable the target stop)",
-			o.TargetValue)
 	}
 	return eval.Policy{MaxConcurrentEvals: o.MaxConcurrentEvals}.Validate()
 }
@@ -212,13 +202,12 @@ type StopReason string
 
 // Possible stop reasons.
 const (
-	StopTime         StopReason = "time limit"
-	StopEvaluations  StopReason = "evaluation budget"
-	StopTemperature  StopReason = "temperature limit"
-	StopExhausted    StopReason = "search space exhausted"
-	StopContext      StopReason = "context cancelled"
-	StopNoImprovment StopReason = "no unchecked points"
-	StopTarget       StopReason = "target value reached"
+	StopTime          StopReason = "time limit"
+	StopEvaluations   StopReason = "evaluation budget"
+	StopTemperature   StopReason = "temperature limit"
+	StopExhausted     StopReason = "search space exhausted"
+	StopContext       StopReason = "context cancelled"
+	StopNoImprovement StopReason = "no unchecked points"
 )
 
 // Visit records one objective evaluation.
@@ -335,16 +324,6 @@ func (s *search) offerBest(p decomp.Point, v float64) {
 	}
 }
 
-// targetReached records StopTarget when the best value is at or below a
-// configured positive target.
-func (s *search) targetReached(bestValue float64) bool {
-	if s.opts.TargetValue > 0 && bestValue <= s.opts.TargetValue {
-		s.stopped = StopTarget
-		return true
-	}
-	return false
-}
-
 func (s *search) record(p decomp.Point, value float64, accepted, improved, pruned bool) {
 	v := Visit{
 		Index:    len(s.trace),
@@ -396,9 +375,6 @@ func SimulatedAnnealing(ctx context.Context, obj Objective, start decomp.Point, 
 	}
 	center, best, bestValue := start, start, centerValue
 	s.offerBest(best, bestValue)
-	if s.targetReached(bestValue) {
-		return s.result(best, bestValue), nil
-	}
 
 	temperature := opts.InitialTemperature
 	if temperature <= 0 {
@@ -459,9 +435,6 @@ func TabuSearch(ctx context.Context, obj Objective, start decomp.Point, opts Opt
 
 	center, best, bestValue := start, start, startValue
 	s.offerBest(best, bestValue)
-	if s.targetReached(bestValue) {
-		return s.result(best, bestValue), nil
-	}
 
 	for {
 		if err := s.checkBudgets(ctx); err != nil {

@@ -255,7 +255,7 @@ func TestSimulatedAnnealingTemperatureLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stop != StopTemperature && res.Stop != StopNoImprovment {
+	if res.Stop != StopTemperature && res.Stop != StopNoImprovement {
 		t.Fatalf("stop reason = %v", res.Stop)
 	}
 }
@@ -399,7 +399,7 @@ func TestSearchIsDeterministicForFixedSeed(t *testing.T) {
 }
 
 func TestStopReasonsAreNonEmptyStrings(t *testing.T) {
-	for _, r := range []StopReason{StopTime, StopEvaluations, StopTemperature, StopExhausted, StopContext, StopNoImprovment} {
+	for _, r := range []StopReason{StopTime, StopEvaluations, StopTemperature, StopExhausted, StopContext, StopNoImprovement} {
 		if string(r) == "" {
 			t.Fatal("empty stop reason")
 		}

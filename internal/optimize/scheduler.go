@@ -176,12 +176,7 @@ func (s *search) tabuNeighborhood(ctx context.Context, tl *tabuLists, center dec
 			stats.Improved = true
 			s.offerBest(*best, *bestValue)
 		}
-		if improved && s.targetReached(*bestValue) {
-			err = errStop
-		} else {
-			err = s.checkBudgets(ctx)
-		}
-		if err != nil {
+		if err = s.checkBudgets(ctx); err != nil {
 			stats.Cancelled = len(order) - i - 1
 			break
 		}
@@ -216,7 +211,7 @@ func (s *search) anneal(ctx context.Context, center decomp.Point, centerValue fl
 					radius++
 					continue
 				}
-				s.stopped = StopNoImprovment
+				s.stopped = StopNoImprovement
 				return s.result(best, bestValue), nil
 			}
 			stats := Neighborhood{
@@ -258,13 +253,12 @@ func (s *search) anneal(ctx context.Context, center decomp.Point, centerValue fl
 					best, bestValue = next, value
 					stats.Improved = true
 					s.offerBest(best, bestValue)
-					stop = s.targetReached(bestValue)
 				}
 				bestValueUpdated = true
 			} else if allChecked(neighborhood, checked) {
 				radius++
 				if radius > opts.MaxRadius {
-					s.stopped, stop = StopNoImprovment, true
+					s.stopped, stop = StopNoImprovement, true
 				}
 			}
 			temperature *= opts.CoolingFactor

@@ -43,10 +43,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"NaN min temperature", Options{MinTemperature: math.NaN()}, "temperature"},
 		{"infinite min temperature", Options{MinTemperature: math.Inf(1)}, "temperature"},
 		{"negative infinite min temperature", Options{MinTemperature: math.Inf(-1)}, "temperature"},
-		{"negative target", Options{TargetValue: -1}, "target"},
-		{"NaN target", Options{TargetValue: math.NaN()}, "target"},
-		{"infinite target", Options{TargetValue: math.Inf(1)}, "target"},
-		{"negative infinite target", Options{TargetValue: math.Inf(-1)}, "target"},
 	}
 	for _, tc := range cases {
 		err := tc.opts.Validate()

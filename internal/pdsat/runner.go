@@ -627,10 +627,13 @@ type SolveReport struct {
 	// TotalCost is the summed cost of all processed subproblems (1-core
 	// sequential cost, comparable with the predictive function value).
 	TotalCost float64 `json:"total_cost"`
-	// CostToFirstSat is the summed cost of subproblems processed up to and
-	// including the first satisfiable one (in enumeration order); equal to
-	// TotalCost if no subproblem is satisfiable or StopOnSat was false and
-	// the family was processed completely.
+	// CostToFirstSat is the summed cost of the processed subproblems up to
+	// and including the first satisfiable one (in enumeration order); equal
+	// to TotalCost if no subproblem is satisfiable.  Under StopOnSat on one
+	// slot that is every member up to the first satisfiable one, solved
+	// whole.  On more slots it is a lower bound on that sum: a member below
+	// it that the stop cut short in flight adds only its truncated cost, and
+	// one still queued behind another slot's work adds nothing.
 	CostToFirstSat float64 `json:"cost_to_first_sat"`
 	// FoundSat reports whether a satisfiable subproblem was found.
 	FoundSat bool `json:"found_sat"`

@@ -225,6 +225,56 @@ func TestSolveStopOnSat(t *testing.T) {
 	}
 }
 
+// TestCostToFirstSatUnderStopOnSat pins what SolveReport.CostToFirstSat is
+// under StopOnSat: on one slot the members are solved in enumeration order,
+// so it is exactly the summed cost of the members up to and including the
+// first satisfiable one; on more slots a member below it that was cut short
+// in flight adds only its truncated cost and one that never started adds
+// nothing, so it can only be lower.
+func TestCostToFirstSatUnderStopOnSat(t *testing.T) {
+	inst, err := encoder.NewInstance(encoder.A51(), encoder.Config{KeystreamLen: 64, KnownSuffix: 55, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := unknownSpace(inst).FullPoint() // 9 unknowns: a family of 512 holding the secret
+	cfg := func(workers int) Config {
+		return Config{SampleSize: 4, Workers: workers, Seed: 1, CostMetric: solver.CostPropagations}
+	}
+	costs := make([]float64, 1<<p.Count())
+	sats := 0
+	full, err := NewRunner(inst.CNF, cfg(1)).SolveObserved(context.Background(), p, SolveOptions{}, func(pr Progress) {
+		costs[pr.Result.Index] = pr.Result.Cost
+		if pr.Result.Status == solver.Sat {
+			sats++
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sats != 1 || full.SatIndex < 1 {
+		t.Fatalf("%d satisfiable members, the first at %d; the test needs one, above index 0", sats, full.SatIndex)
+	}
+	want := 0.0
+	for _, c := range costs[:full.SatIndex+1] {
+		want += c
+	}
+	for _, workers := range []int{1, 2, 4} {
+		got, err := NewRunner(inst.CNF, cfg(workers)).Solve(context.Background(), p, SolveOptions{StopOnSat: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.SatIndex != full.SatIndex {
+			t.Fatalf("%d workers: first SAT at %d, want %d", workers, got.SatIndex, full.SatIndex)
+		}
+		switch {
+		case workers == 1 && got.CostToFirstSat != want:
+			t.Fatalf("1 worker: cost to first SAT %v, want the sum up to it, %v", got.CostToFirstSat, want)
+		case got.CostToFirstSat > want:
+			t.Fatalf("%d workers: cost to first SAT %v exceeds the sum up to it, %v", workers, got.CostToFirstSat, want)
+		}
+	}
+}
+
 func TestSolveMaxSubproblems(t *testing.T) {
 	inst := weakBivium(t, 169, 40, 45)
 	space := unknownSpace(inst)

@@ -67,22 +67,22 @@
 //
 // The paper compares simulated annealing and tabu search as separate
 // PDSAT runs; a FleetJob races K searches concurrently against the
-// session's single runner/cluster instead — mixed strategies, multi-restart
-// start points (Jitter), deterministic per-member sub-seeds — coupled
-// through a global atomic incumbent (every member's best F tightens the
-// pruning bound of every other member's evaluations) and the session
-// F-cache.  Member i's randomness derives from the root seed r by the
-// SubSeed rule: evaluation sampling SubSeed(r,3i), search walk
-// SubSeed(r,3i+1), start jitter SubSeed(r,3i+2).  Every search of a job runs
-// through one race: a SearchJob is a race of one on the runner's default
-// scope, a FleetJob a race of one search per member, each on its own scope.
-// So a SearchJob under matching seeds is bit-identical to the member of a
-// fleet of one, and a fixed-seed fleet's per-member results are
-// deterministic regardless of interleaving whenever the policy's
-// cross-member couplings (Prune, Cache) are off.  Fleet streams add member-tagged events plus FleetMemberDone and
-// IncumbentImproved; the race ends early on TargetF or an exhausted member
-// (KeepRacing opts out), and MaxEvaluations is a fleet-total budget split
-// fairly.
+// session's single runner/cluster instead — mixed strategies from one start
+// set, deterministic per-member sub-seeds — coupled through a global atomic
+// incumbent (every member's best F tightens the pruning bound of every
+// other member's evaluations) and the session F-cache.  Member i's
+// randomness derives from the root seed r by the SubSeed rule: evaluation
+// sampling SubSeed(r,3i), search walk SubSeed(r,3i+1); stream 3i+2 is
+// unused.  Every search of a job runs through one race: a SearchJob is a
+// race of one on the runner's default scope, a FleetJob a race of one
+// search per member, each on its own scope.  Every member runs to its own
+// budget or stop; only a hard error ends the race early.  So a SearchJob
+// under matching seeds is bit-identical to the member of a fleet of one,
+// and a fixed-seed fleet's per-member results are deterministic regardless
+// of interleaving whenever the policy's cross-member couplings (Prune,
+// Cache) are off.  Fleet streams add member-tagged events plus
+// FleetMemberDone and IncumbentImproved, and MaxEvaluations is a
+// fleet-total budget split fairly.
 //
 // # One candidate at a time
 //

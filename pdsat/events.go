@@ -179,7 +179,7 @@ func (e NeighborhoodDone) EventMember() int { return e.Member }
 
 // FleetMemberDone reports that one member of a fleet job finished its
 // search; the fleet job itself keeps running until every member is done
-// (or the fleet-wide early stop cancels the rest).
+// (or a member's hard error cancels the rest).
 type FleetMemberDone struct {
 	// Job is the reporting fleet job's ID; Member the finished member's
 	// 0-based index.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"github.com/paper-repro/pdsat-go/internal/optimize"
@@ -17,11 +16,11 @@ const MaxFleetMembers = 128
 
 // SubSeed is the deterministic sub-seed derivation rule of fleet jobs,
 // re-exported so a single fleet member can be reproduced standalone: member
-// i of a fleet with root seed r samples its evaluations with SubSeed(r, 3i),
-// walks its search with SubSeed(r, 3i+1) and jitters its start point with
-// SubSeed(r, 3i+2).  A SearchJob, a race of one, on a session configured
-// with RunnerConfig.Seed = SubSeed(r, 0) and SearchOptions.Seed = SubSeed(r,
-// 1) is bit-identical to the member of a fleet of one with root seed r.
+// i of a fleet with root seed r samples its evaluations with SubSeed(r, 3i)
+// and walks its search with SubSeed(r, 3i+1); stream 3i+2 is unused.  A
+// SearchJob, a race of one, on a session configured with RunnerConfig.Seed =
+// SubSeed(r, 0) and SearchOptions.Seed = SubSeed(r, 1) is bit-identical to
+// the member of a fleet of one with root seed r.
 func SubSeed(root int64, i int) int64 { return optimize.SubSeed(root, i) }
 
 // FleetMemberSpec describes one homogeneous group of fleet members.
@@ -31,21 +30,20 @@ type FleetMemberSpec struct {
 	Method string `json:"method,omitempty"`
 	// Count is the number of members in the group (0 means 1).
 	Count int `json:"count,omitempty"`
-	// Start optionally overrides the fleet-level start set for this group.
-	Start []Var `json:"start,omitempty"`
 }
 
-// FleetJob races K concurrent searches — mixed strategies, multi-restart
-// start points, deterministic per-member sub-seeds — against the session's
-// single runner/cluster.  All members share the session F-cache and one
+// FleetJob races K concurrent searches — mixed strategies from one start
+// set, deterministic per-member sub-seeds — against the session's single
+// runner/cluster.  All members share the session F-cache and one
 // global atomic incumbent: every member's best F immediately tightens the
 // incumbent-pruning bound of every other member's evaluations, which makes
 // the race strictly cheaper than running the same searches sequentially
 // with isolated incumbents.
 //
 // The members race as a SearchJob's one search does, each through its own
-// scope and engine.  Determinism contract: member i's evaluation sampling,
-// search walk and start jitter depend only on (Seed, i) — see SubSeed — so a
+// scope and engine, and each runs to its own budget or stop: only a hard
+// error ends the race early.  Determinism contract: member i's evaluation
+// sampling and search walk depend only on (Seed, i) — see SubSeed — so a
 // fleet of one is bit-identical to a SearchJob under matching seeds, and a
 // fixed-seed fleet yields deterministic per-member results regardless of
 // interleaving as long as the effective evaluation policy has the
@@ -66,25 +64,13 @@ type FleetJob struct {
 	// Seed is the root seed all per-member sub-seeds derive from; 0 means
 	// the session's search seed (or 1).
 	Seed int64 `json:"seed,omitempty"`
-	// Start is the fleet-level starting decomposition set; empty means the
+	// Start is every member's starting decomposition set; empty means the
 	// full start set, as in the paper.
 	Start []Var `json:"start,omitempty"`
-	// Jitter flips this many deterministically chosen bits of the start
-	// point per member (member 0 keeps the canonical start), giving the
-	// fleet multi-restart diversity.  It must stay below the search-space
-	// size.
-	Jitter int `json:"jitter,omitempty"`
-	// TargetF, when positive, ends the whole race as soon as one member
-	// certifies a best F at or below it.
-	TargetF float64 `json:"target_f,omitempty"`
 	// MaxEvaluations, when positive, is the fleet-total evaluation budget,
 	// split fairly across the members (earlier members get the remainder).
 	// Zero leaves every member on the session's per-search budget.
 	MaxEvaluations int `json:"max_evaluations,omitempty"`
-	// KeepRacing disables the fleet-wide early stop that normally cancels
-	// the remaining members once one member exhausts its reachable space or
-	// reaches TargetF.
-	KeepRacing bool `json:"keep_racing,omitempty"`
 	// Policy optionally overrides the session's evaluation policy for every
 	// member of this job.  Nil means the session default.
 	Policy *EvalPolicy `json:"policy,omitempty"`
@@ -97,52 +83,44 @@ func (FleetJob) Kind() JobKind { return JobFleet }
 type expandedMember struct {
 	method string // normalized long name (MethodTabu / MethodSimulatedAnnealing)
 	search searchFunc
-	start  Point
 }
 
 // expand resolves the member groups into individual members with validated
-// methods and start points.
-func (spec FleetJob) expand(s *Session) ([]expandedMember, error) {
+// methods, and the fleet's start set into the point every member starts at.
+func (spec FleetJob) expand(s *Session) ([]expandedMember, Point, error) {
 	if len(spec.Members) == 0 {
-		return nil, fmt.Errorf("pdsat: fleet job needs at least one member")
+		return nil, Point{}, fmt.Errorf("pdsat: fleet job needs at least one member")
 	}
-	base, err := s.pointFromVars(spec.Start)
+	start, err := s.pointFromVars(spec.Start)
 	if err != nil {
-		return nil, err
+		return nil, Point{}, err
 	}
 	var members []expandedMember
 	for gi, g := range spec.Members {
 		if g.Count < 0 {
-			return nil, fmt.Errorf("pdsat: fleet member group %d has negative count %d", gi, g.Count)
+			return nil, Point{}, fmt.Errorf("pdsat: fleet member group %d has negative count %d", gi, g.Count)
 		}
 		method, search, err := searchMethod(g.Method)
 		if err != nil {
-			return nil, err
-		}
-		start := base
-		if len(g.Start) > 0 {
-			start, err = s.pointFromVars(g.Start)
-			if err != nil {
-				return nil, err
-			}
+			return nil, Point{}, err
 		}
 		count := g.Count
 		if count == 0 {
 			count = 1
 		}
 		for k := 0; k < count; k++ {
-			members = append(members, expandedMember{method: method, search: search, start: start})
+			members = append(members, expandedMember{method: method, search: search})
 			if len(members) > MaxFleetMembers {
-				return nil, fmt.Errorf("pdsat: fleet of more than %d members", MaxFleetMembers)
+				return nil, Point{}, fmt.Errorf("pdsat: fleet of more than %d members", MaxFleetMembers)
 			}
 		}
 	}
-	return members, nil
+	return members, start, nil
 }
 
 // Validate implements JobSpec.
 func (spec FleetJob) Validate(s *Session) error {
-	members, err := spec.expand(s)
+	members, _, err := spec.expand(s)
 	if err != nil {
 		return err
 	}
@@ -151,12 +129,6 @@ func (spec FleetJob) Validate(s *Session) error {
 		// options mean as "unlimited" — the exact opposite of a tight total.
 		return fmt.Errorf("pdsat: fleet evaluation budget %d below the member count %d (every member needs at least one evaluation)",
 			spec.MaxEvaluations, len(members))
-	}
-	if spec.Jitter < 0 || spec.Jitter >= s.space.Size() {
-		return fmt.Errorf("pdsat: fleet jitter %d outside [0,%d)", spec.Jitter, s.space.Size())
-	}
-	if !(spec.TargetF >= 0 && !math.IsInf(spec.TargetF, 1)) {
-		return fmt.Errorf("pdsat: invalid fleet target F %v (want a finite F ≥ 0; use 0 to disable)", spec.TargetF)
 	}
 	if spec.MaxEvaluations < 0 {
 		return fmt.Errorf("pdsat: negative fleet evaluation budget %d (use 0 for the per-search default)",
@@ -179,31 +151,6 @@ func (spec FleetJob) rootSeed(s *Session) int64 {
 		return s.cfg.Search.Seed
 	}
 	return 1
-}
-
-// jitterStart flips jitter distinct bits of the base start point, chosen by
-// the member's start-seed stream SubSeed(root, 3·member+2).  Member 0 keeps
-// the canonical start, so every fleet contains one run of the paper's
-// from-X̃_start search.  A flip that would empty the decomposition set is
-// re-rolled (an empty set cannot be evaluated), which always terminates:
-// jitter < space size, so an eligible bit remains whenever flips are owed.
-func jitterStart(base Point, jitter int, root int64, member int) Point {
-	if jitter <= 0 || member == 0 {
-		return base
-	}
-	rng := rand.New(rand.NewSource(optimize.SubSeed(root, 3*member+2)))
-	p := base
-	flipped := make(map[int]bool, jitter)
-	for n := 0; n < jitter; {
-		i := rng.Intn(p.Size())
-		if flipped[i] || (p.Count() == 1 && p.Bit(i)) {
-			continue
-		}
-		flipped[i] = true
-		p = p.Flip(i)
-		n++
-	}
-	return p
 }
 
 // fairSplit divides a total evaluation budget across k members: every
@@ -229,7 +176,7 @@ type FleetMemberResult struct {
 	// standalone.
 	EvalSeed   int64 `json:"eval_seed"`
 	SearchSeed int64 `json:"search_seed"`
-	// StartVars is the member's actual (possibly jittered) start set.
+	// StartVars is the member's start set, the fleet's.
 	StartVars []Var `json:"start_vars"`
 	// SearchSummary is what the wire carries of Result: best set, best F,
 	// evaluations, stop reason (zero if the member failed before producing a
@@ -264,7 +211,7 @@ type FleetOutcome struct {
 
 func (spec FleetJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 	s := j.session
-	members, err := spec.expand(s)
+	members, start, err := spec.expand(s)
 	if err != nil {
 		return nil, err
 	}
@@ -288,17 +235,16 @@ func (spec FleetJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 		// state and scope-local conflict activity over the shared transport)
 		// and its own engine over the session's shared F-cache.
 		scope := s.runner.NewScope(optimize.SubSeed(root, 3*i))
-		r := s.newSearchRun(j, m.search, jitterStart(m.start, spec.Jitter, root, i), scope, scope, pol, i)
+		r := s.newSearchRun(j, m.search, start, scope, scope, pol, i)
 		r.opts.Seed = optimize.SubSeed(root, 3*i+1)
-		r.opts.TargetValue = spec.TargetF
 		if budgets != nil {
 			r.opts.MaxEvaluations = budgets[i]
 		}
 		runs[i] = r
 	}
 
-	start := time.Now()
-	results := s.race(ctx, runs, shared, spec.KeepRacing, func(member int, res *SearchResult) {
+	began := time.Now()
+	results := s.race(ctx, runs, shared, func(member int, res *SearchResult) {
 		j.emit(FleetMemberDone{
 			Job:           j.id,
 			Member:        member,
@@ -307,7 +253,7 @@ func (spec FleetJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 		})
 	})
 	outcome, err := fleetOutcome(root, members, runs, results)
-	outcome.WallTime = time.Since(start)
+	outcome.WallTime = time.Since(began)
 	return &JobResult{Fleet: outcome}, err
 }
 

@@ -28,7 +28,6 @@ func TestFleetSurvivesWorkerLoss(t *testing.T) {
 		},
 		Seed:           7,
 		MaxEvaluations: 12,
-		KeepRacing:     true,
 	}
 
 	// Reference run: the same fixed-seed fleet on the in-process transport.

@@ -3,6 +3,7 @@ package pdsat_test
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/paper-repro/pdsat-go/pdsat"
@@ -130,10 +131,11 @@ func TestFleetOfOneBitIdenticalToDirectSearch(t *testing.T) {
 	}
 }
 
-// TestMixedFleetDeterministicPerMember races a tabu:2,sa:2 fleet (with
-// start-point jitter) twice under the zero policy and checks every member
-// reproduces its start set, best point, best value and evaluation count
-// exactly: goroutine interleaving must not leak into per-member results.
+// TestMixedFleetDeterministicPerMember races a tabu:2,sa:2 fleet twice under
+// the zero policy, with no fleet flag set, and checks every member starts at
+// the fleet's start set and reproduces its best point, best value and
+// evaluation count exactly: goroutine interleaving must not leak into
+// per-member results.
 func TestMixedFleetDeterministicPerMember(t *testing.T) {
 	inst := testInstance(t, 46, 40, 3)
 	run := func() *pdsat.FleetOutcome {
@@ -148,9 +150,7 @@ func TestMixedFleetDeterministicPerMember(t *testing.T) {
 				{Method: "sa", Count: 2},
 			},
 			Seed:           11,
-			Jitter:         2,
 			MaxEvaluations: 24,
-			KeepRacing:     true,
 		}).Fleet
 	}
 	a, b := run(), run()
@@ -175,16 +175,10 @@ func TestMixedFleetDeterministicPerMember(t *testing.T) {
 	if a.BestMember != b.BestMember || a.BestValue != b.BestValue {
 		t.Fatalf("winner differs across runs: %d/%v vs %d/%v", a.BestMember, a.BestValue, b.BestMember, b.BestValue)
 	}
-	// Member 0 keeps the canonical start; jittered members must differ from
-	// it (2 flips of a full start set remove exactly 2 variables).
 	full := len(inst.UnknownStartVars())
-	if len(a.Members[0].StartVars) != full {
-		t.Fatalf("member 0 start set was jittered: %d of %d vars", len(a.Members[0].StartVars), full)
-	}
-	for i := 1; i < len(a.Members); i++ {
-		if len(a.Members[i].StartVars) != full-2 {
-			t.Fatalf("member %d start set has %d vars, want %d after 2 jitter flips",
-				i, len(a.Members[i].StartVars), full-2)
+	for i, m := range a.Members {
+		if len(m.StartVars) != full {
+			t.Fatalf("member %d starts at %d of the %d start variables, want the fleet's full start set", i, len(m.StartVars), full)
 		}
 	}
 }
@@ -267,34 +261,6 @@ func TestFleetJobEvents(t *testing.T) {
 	}
 }
 
-// TestFleetTargetFStopsRace submits an easily reachable target and checks
-// the race ends with at least one member on the target stop.
-func TestFleetTargetFStopsRace(t *testing.T) {
-	inst := testInstance(t, 46, 40, 3)
-	s, err := pdsat.NewSession(pdsat.FromInstance(inst), fleetTestConfig(8, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	outcome := mustRun(t, s, pdsat.FleetJob{
-		Members: []pdsat.FleetMemberSpec{{Method: "tabu", Count: 2}},
-		Seed:    5,
-		TargetF: math.MaxFloat64 / 2, // any certified estimate hits it
-	}).Fleet
-	hit := false
-	for _, m := range outcome.Members {
-		if m.Result != nil && m.Result.Stop == pdsat.StopTarget {
-			hit = true
-		}
-	}
-	if !hit {
-		t.Fatal("no member stopped on the target")
-	}
-	if outcome.BestMember < 0 {
-		t.Fatal("target-stopped fleet reported no winner")
-	}
-}
-
 // TestFleetJobValidation covers the submit-time error paths.
 func TestFleetJobValidation(t *testing.T) {
 	inst := testInstance(t, 46, 40, 3)
@@ -308,20 +274,12 @@ func TestFleetJobValidation(t *testing.T) {
 		{Members: []pdsat.FleetMemberSpec{{Method: "genetic"}}},
 		{Members: []pdsat.FleetMemberSpec{{Method: "tabu", Count: -1}}},
 		{Members: []pdsat.FleetMemberSpec{{Method: "tabu", Count: pdsat.MaxFleetMembers + 1}}},
-		{Members: []pdsat.FleetMemberSpec{{Method: "tabu"}}, Jitter: -1},
-		{Members: []pdsat.FleetMemberSpec{{Method: "tabu"}}, Jitter: 10000},
-		{Members: []pdsat.FleetMemberSpec{{Method: "tabu"}}, TargetF: -1},
-		// NaN and the infinities fail no sign check: named, since +Inf would
-		// end the race after the start evaluations with "target reached".
-		{Members: []pdsat.FleetMemberSpec{{Method: "tabu"}}, TargetF: math.NaN()},
-		{Members: []pdsat.FleetMemberSpec{{Method: "tabu"}}, TargetF: math.Inf(1)},
-		{Members: []pdsat.FleetMemberSpec{{Method: "tabu"}}, TargetF: math.Inf(-1)},
 		{Members: []pdsat.FleetMemberSpec{{Method: "tabu"}}, Policy: &pdsat.EvalPolicy{Stages: 3, Epsilon: math.NaN()}},
 		{Members: []pdsat.FleetMemberSpec{{Method: "tabu"}}, MaxEvaluations: -1},
 		// A fleet-total budget below the member count would hand some
 		// members a zero (= unlimited) budget.
 		{Members: []pdsat.FleetMemberSpec{{Method: "tabu", Count: 4}}, MaxEvaluations: 3},
-		{Members: []pdsat.FleetMemberSpec{{Method: "tabu", Start: []pdsat.Var{999999}}}},
+		{Members: []pdsat.FleetMemberSpec{{Method: "tabu"}}, Start: []pdsat.Var{999999}},
 		{Members: []pdsat.FleetMemberSpec{{Method: "tabu"}}, Policy: &pdsat.EvalPolicy{Stages: -1}},
 	}
 	for i, spec := range bad {
@@ -329,33 +287,20 @@ func TestFleetJobValidation(t *testing.T) {
 			t.Fatalf("bad fleet spec %d accepted", i)
 		}
 	}
-}
-
-// TestFleetJitterNeverEmptiesStart pins the jitter guard: with a tiny
-// two-variable start set and one jitter flip per member, every member's
-// start must stay non-empty and every member must still produce a result.
-func TestFleetJitterNeverEmptiesStart(t *testing.T) {
-	inst := testInstance(t, 46, 40, 3)
-	s, err := pdsat.NewSession(pdsat.FromInstance(inst), fleetTestConfig(6, nil))
-	if err != nil {
-		t.Fatal(err)
+	// A jitter, a target F and a per-group start are no fleet fields: the
+	// decoder refuses them before anything is validated.
+	for _, body := range []string{
+		`{"kind":"fleet","members":[{"method":"tabu"}],"jitter":-1}`,
+		`{"kind":"fleet","members":[{"method":"tabu"}],"jitter":10000}`,
+		`{"kind":"fleet","members":[{"method":"tabu"}],"target_f":-1}`,
+		`{"kind":"fleet","members":[{"method":"tabu"}],"target_f":1e308}`,
+		`{"kind":"fleet","members":[{"method":"tabu","start":[999999]}]}`,
+	} {
+		if _, err := pdsat.DecodeJobSpec([]byte(body)); err == nil || !strings.Contains(err.Error(), "json: unknown field") {
+			t.Errorf("%s: decode error %v, want an unknown field", body, err)
+		}
 	}
-	defer s.Close()
-	start := inst.UnknownStartVars()[:2]
-	outcome := mustRun(t, s, pdsat.FleetJob{
-		Members:        []pdsat.FleetMemberSpec{{Method: "tabu", Count: 4}},
-		Start:          start,
-		Seed:           13,
-		Jitter:         1,
-		MaxEvaluations: 8,
-		KeepRacing:     true,
-	}).Fleet
-	for i, m := range outcome.Members {
-		if len(m.StartVars) == 0 {
-			t.Fatalf("member %d was jittered to an empty start set", i)
-		}
-		if m.Err != "" || m.Result == nil {
-			t.Fatalf("member %d failed: %q", i, m.Err)
-		}
+	if n := len(s.Jobs()); n != 0 {
+		t.Fatalf("%d jobs started by refused fleet specs", n)
 	}
 }

@@ -23,7 +23,7 @@ var fuzzSession = sync.OnceValues(func() (*Session, error) {
 // FuzzServerJobSpec throws arbitrary bytes at the HTTP job-submission
 // decoding path — DecodeJobSpec → Validate — which must reject garbage with
 // errors, never panic or accept a spec whose run would blow up (oversized
-// fleets, out-of-range jitter, negative budgets), and what it accepts is one
+// fleets, fields of no kind, negative budgets), and what it accepts is one
 // JSON value with nothing after it.
 func FuzzServerJobSpec(f *testing.F) {
 	for _, seed := range []string{
@@ -67,7 +67,7 @@ func FuzzServerJobSpec(f *testing.F) {
 		// An accepted fleet spec must have expanded within bounds; re-expand
 		// to check the invariant the runner relies on.
 		if fj, ok := spec.(FleetJob); ok {
-			members, err := fj.expand(s)
+			members, _, err := fj.expand(s)
 			if err != nil {
 				t.Fatalf("validated fleet spec fails to expand: %v", err)
 			}

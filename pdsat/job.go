@@ -158,7 +158,7 @@ func (spec SearchJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 	// effective policy.  The runner evaluates in its default scope and reports
 	// the session-wide conflict activity.
 	run := s.newSearchRun(j, search, start, s.runner.Scope, s.runner, s.policyFor(spec.Policy), 0)
-	r := s.race(ctx, []searchRun{run}, optimize.NewIncumbent(), false, nil)[0]
+	r := s.race(ctx, []searchRun{run}, optimize.NewIncumbent(), nil)[0]
 	if r.err != nil {
 		return nil, r.err
 	}

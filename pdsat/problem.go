@@ -68,13 +68,12 @@ type StopReason = optimize.StopReason
 
 // Search stop reasons, re-exported from the optimizer.
 const (
-	StopTime         = optimize.StopTime
-	StopEvaluations  = optimize.StopEvaluations
-	StopTemperature  = optimize.StopTemperature
-	StopExhausted    = optimize.StopExhausted
-	StopContext      = optimize.StopContext
-	StopNoImprovment = optimize.StopNoImprovment
-	StopTarget       = optimize.StopTarget
+	StopTime          = optimize.StopTime
+	StopEvaluations   = optimize.StopEvaluations
+	StopTemperature   = optimize.StopTemperature
+	StopExhausted     = optimize.StopExhausted
+	StopContext       = optimize.StopContext
+	StopNoImprovement = optimize.StopNoImprovement
 )
 
 // Transport decides where subproblem batches run: a session builds its own

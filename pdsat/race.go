@@ -65,16 +65,16 @@ type runResult struct {
 
 // race runs the searches concurrently and waits for all of them; every search
 // of a job runs here, a SearchJob as a race of one.  The searches are coupled
-// through the shared incumbent, handed to each run whose options carry none.  A search that reaches its target or exhausts its
-// space ends the race for the others unless keepRacing; a hard error ends it
-// always.  onDone, when non-nil, is called from a search's goroutine as it
-// finishes without error.
+// through the shared incumbent, handed to each run whose options carry none.
+// Every search runs to its own budget or stop; only a hard error ends the
+// race for the others.  onDone, when non-nil, is called from a search's
+// goroutine as it finishes without error.
 //
 // Afterwards every certified best point is re-estimated through its run's own
 // objective: a free cache hit with the F-cache on.  The re-estimation runs
 // under ctx, not the ended race, and a search result stands even if it is cut
 // short.
-func (s *Session) race(ctx context.Context, runs []searchRun, shared *optimize.Incumbent, keepRacing bool, onDone func(member int, res *SearchResult)) []runResult {
+func (s *Session) race(ctx context.Context, runs []searchRun, shared *optimize.Incumbent, onDone func(member int, res *SearchResult)) []runResult {
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	out := make([]runResult, len(runs))
@@ -94,11 +94,6 @@ func (s *Session) race(ctx context.Context, runs []searchRun, shared *optimize.I
 			}
 			if onDone != nil {
 				onDone(i, res)
-			}
-			if !keepRacing && (res.Stop == StopTarget || res.Stop == StopExhausted) {
-				// The race is decided: this search reached the target or
-				// proved there is nothing left to explore from its start.
-				cancel()
 			}
 		}()
 	}

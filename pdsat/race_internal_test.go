@@ -61,19 +61,16 @@ func stopAfterStart(stop StopReason) searchFunc {
 }
 
 // waitAfterStart is a search that evaluates its start, then runs until the
-// race ends it (StopContext) or release is closed (StopEvaluations).
-func waitAfterStart(release <-chan struct{}) searchFunc {
-	return func(ctx context.Context, obj optimize.Objective, start Point, opts SearchOptions) (*SearchResult, error) {
-		res, _ := stopAfterStart(StopEvaluations)(ctx, obj, start, opts)
-		select {
-		case <-ctx.Done():
-			res.Stop = StopContext
-		case <-release:
-		case <-time.After(10 * time.Second):
-			return nil, errors.New("the race never ended this search")
-		}
-		return res, nil
+// race ends it (StopContext).
+func waitAfterStart(ctx context.Context, obj optimize.Objective, start Point, opts SearchOptions) (*SearchResult, error) {
+	res, _ := stopAfterStart(StopEvaluations)(ctx, obj, start, opts)
+	select {
+	case <-ctx.Done():
+		res.Stop = StopContext
+	case <-time.After(10 * time.Second):
+		return nil, errors.New("the race never ended this search")
 	}
+	return res, nil
 }
 
 // failWith is a search that fails at once.
@@ -95,42 +92,53 @@ func raceSpace() *decomp.Space { return decomp.NewSpace([]Var{1, 2, 3, 4, 5, 6, 
 // estimates.
 func raceSession() *Session { return &Session{cfg: Config{Cores: 480}} }
 
-// TestRaceEndsOnTargetOrExhausted: a search that reaches its target or
-// exhausts its space ends the race for the others, unless keepRacing, and
-// the ended searches' best points are still re-estimated.
-func TestRaceEndsOnTargetOrExhausted(t *testing.T) {
+// TestRaceRunsEveryMemberToItsOwnStop: a search that exhausts its space, or
+// finds no unchecked point, does not end the race for the others.  The other
+// search outlives it and reaches its own stop, and both best points are
+// re-estimated.
+func TestRaceRunsEveryMemberToItsOwnStop(t *testing.T) {
 	start := raceSpace().FullPoint()
-	for _, stop := range []StopReason{StopTarget, StopExhausted} {
-		for _, keep := range []bool{false, true} {
-			release := make(chan struct{})
-			runs := []searchRun{
-				{search: stopAfterStart(stop), obj: newDistanceObjective(0, 1), start: start},
-				{search: waitAfterStart(release), obj: newDistanceObjective(0, 2), start: start},
+	for _, stop := range []StopReason{StopExhausted, StopNoImprovement} {
+		finished := make(chan struct{})
+		// outlive waits until run 0 has finished and a little longer, then
+		// stops on its own budget — or on the race's context, had run 0's
+		// stop ended the race.
+		outlive := func(ctx context.Context, obj optimize.Objective, start Point, opts SearchOptions) (*SearchResult, error) {
+			res, err := stopAfterStart(StopEvaluations)(ctx, obj, start, opts)
+			if err != nil {
+				return nil, err
 			}
-			var done []int
-			out := raceSession().race(context.Background(), runs, optimize.NewIncumbent(), keep, func(member int, res *SearchResult) {
-				done = append(done, member)
-				if member == 0 && keep {
-					close(release)
-				}
-			})
-			want := StopContext
-			if keep {
-				want = StopEvaluations
+			<-finished
+			select {
+			case <-ctx.Done():
+				res.Stop = StopContext
+			case <-time.After(20 * time.Millisecond):
 			}
-			if out[0].res.Stop != stop || out[1].res.Stop != want {
-				t.Fatalf("%s, keepRacing %t: stops %q, %q; want %q, %q", stop, keep, out[0].res.Stop, out[1].res.Stop, stop, want)
+			return res, nil
+		}
+		runs := []searchRun{
+			{search: stopAfterStart(stop), obj: newDistanceObjective(0, 1), start: start},
+			{search: outlive, obj: newDistanceObjective(0, 2), start: start},
+		}
+		var done []int
+		out := raceSession().race(context.Background(), runs, optimize.NewIncumbent(), func(member int, res *SearchResult) {
+			done = append(done, member)
+			if member == 0 {
+				close(finished)
 			}
-			if len(done) != 2 || done[0] != 0 || done[1] != 1 {
-				t.Fatalf("%s, keepRacing %t: onDone called for %v, want [0 1]", stop, keep, done)
+		})
+		if out[0].res.Stop != stop || out[1].res.Stop != StopEvaluations {
+			t.Fatalf("%s: stops %q, %q; want %q, %q", stop, out[0].res.Stop, out[1].res.Stop, stop, StopEvaluations)
+		}
+		if len(done) != 2 || done[0] != 0 || done[1] != 1 {
+			t.Fatalf("%s: onDone called for %v, want [0 1]", stop, done)
+		}
+		for i, r := range out {
+			if r.err != nil || r.best == nil || r.best.Estimate.Value != r.res.BestValue {
+				t.Fatalf("%s: run %d = %+v, want its best re-estimated", stop, i, r)
 			}
-			for i, r := range out {
-				if r.err != nil || r.best == nil || r.best.Estimate.Value != r.res.BestValue {
-					t.Fatalf("%s, keepRacing %t: run %d = %+v, want its best re-estimated", stop, keep, i, r)
-				}
-				if err := runs[i].obj.(*distanceObjective).lastErr; err != nil {
-					t.Fatalf("%s, keepRacing %t: run %d re-estimated under the ended race: %v", stop, keep, i, err)
-				}
+			if err := runs[i].obj.(*distanceObjective).lastErr; err != nil {
+				t.Fatalf("%s: run %d re-estimated under a cancelled context: %v", stop, i, err)
 			}
 		}
 	}
@@ -142,11 +150,11 @@ func TestRaceHardErrorCancelsTheOthers(t *testing.T) {
 	boom := errors.New("boom")
 	start := raceSpace().FullPoint()
 	runs := []searchRun{
-		{search: waitAfterStart(nil), obj: newDistanceObjective(0, 1), start: start},
+		{search: waitAfterStart, obj: newDistanceObjective(0, 1), start: start},
 		{search: failWith(boom), obj: newDistanceObjective(0, 1), start: start},
 	}
 	var done []int
-	out := raceSession().race(context.Background(), runs, optimize.NewIncumbent(), true, func(member int, _ *SearchResult) {
+	out := raceSession().race(context.Background(), runs, optimize.NewIncumbent(), func(member int, _ *SearchResult) {
 		done = append(done, member)
 	})
 	if out[1].err != boom || out[1].res != nil || out[1].best != nil {
@@ -188,8 +196,8 @@ func TestRaceReestimatesThroughTheRunsObjective(t *testing.T) {
 	}
 	// The failure cancels the others, which have certified their start by
 	// then or not, so run the failure alone.
-	out := raceSession().race(context.Background(), runs[:3], optimize.NewIncumbent(), true, nil)
-	out = append(out, raceSession().race(context.Background(), runs[3:], optimize.NewIncumbent(), true, nil)...)
+	out := raceSession().race(context.Background(), runs[:3], optimize.NewIncumbent(), nil)
+	out = append(out, raceSession().race(context.Background(), runs[3:], optimize.NewIncumbent(), nil)...)
 	for i, want := range []Point{start, other} {
 		if len(objs[i].evaluated) != 2 || objs[i].evaluated[1].Key() != want.Key() {
 			t.Fatalf("run %d evaluated %d points, want its start twice", i, len(objs[i].evaluated))
@@ -215,10 +223,15 @@ func TestRaceReestimatesThroughTheRunsObjective(t *testing.T) {
 // decreasing, and a run that brings its own incumbent keeps it.
 func TestRaceDeterministicPerMember(t *testing.T) {
 	space := raceSpace()
+	var improvedBy int // the member behind the shared incumbent's last improvement
 	run := func(delay time.Duration) ([]runResult, *optimize.Incumbent, []float64, *optimize.Incumbent) {
 		shared, own := optimize.NewIncumbent(), optimize.NewIncumbent()
 		var improvements []float64
-		shared.OnImproved = func(_ int, _ Point, v float64) { improvements = append(improvements, v) }
+		improvedBy = -1
+		shared.OnImproved = func(member int, _ Point, v float64) {
+			improvements = append(improvements, v)
+			improvedBy = member
+		}
 		runs := make([]searchRun, 5)
 		for i := range runs {
 			search := optimize.TabuSearch
@@ -233,9 +246,10 @@ func TestRaceDeterministicPerMember(t *testing.T) {
 			}
 		}
 		runs[4].opts.Shared = own.MemberView(4)
-		return raceSession().race(context.Background(), runs, shared, true, nil), shared, improvements, own
+		return raceSession().race(context.Background(), runs, shared, nil), shared, improvements, own
 	}
 	a, shared, improvements, own := run(100 * time.Microsecond)
+	lastImprover := improvedBy
 	b, _, _, _ := run(0)
 	lowest := math.Inf(1)
 	for i := range a {
@@ -264,8 +278,8 @@ func TestRaceDeterministicPerMember(t *testing.T) {
 	if shared.Best() != lowest {
 		t.Fatalf("shared incumbent ended at %v, want the lowest best of the members coupled to it, %v", shared.Best(), lowest)
 	}
-	if _, _, member := shared.Snapshot(); member < 0 || member >= 4 || a[member].res.BestValue != lowest {
-		t.Fatalf("shared incumbent names member %d", member)
+	if lastImprover < 0 || lastImprover >= 4 || a[lastImprover].res.BestValue != lowest {
+		t.Fatalf("shared incumbent last improved by member %d", lastImprover)
 	}
 	if own.Best() != a[4].res.BestValue {
 		t.Fatalf("member 4's own incumbent holds %v, want its best %v", own.Best(), a[4].res.BestValue)

@@ -165,9 +165,7 @@ func TestStatsSnapshotNeverOverdrawn(t *testing.T) {
 	_, err = s.Run(context.Background(), pdsat.FleetJob{
 		Members:        []pdsat.FleetMemberSpec{{Method: "tabu", Count: 2}, {Method: "sa", Count: 2}},
 		Seed:           11,
-		Jitter:         2,
 		MaxEvaluations: 24,
-		KeepRacing:     true,
 	})
 	close(stop)
 	if n := <-polled; n == 0 && !t.Failed() {

@@ -33,8 +33,7 @@ func TestJobStatusWireFixtures(t *testing.T) {
 	fleet := pdsat.FleetJob{
 		Members:        []pdsat.FleetMemberSpec{{Method: "tabu"}, {Method: "sa"}},
 		Seed:           5,
-		MaxEvaluations: 12,
-		KeepRacing:     true, // every member runs out its budget: no timing in the result
+		MaxEvaluations: 12, // every member runs out its budget: no timing in the result
 	}
 	for _, c := range []struct {
 		name      string
@@ -147,6 +146,11 @@ func TestSubmitIsStrict(t *testing.T) {
 		{`{"kind":"search","metod":"sa"}`, `"metod"`},
 		{`{"kind":"estimate"} {"kind":"solve"}`, "after top-level value"},
 		{`{"kind":"fleet","members":[{"method":"tabu","vars":[1]}]}`, `"vars"`},
+		// A fleet has no jitter, target F, early end or per-group start.
+		{`{"kind":"fleet","members":[{"method":"tabu"}],"jitter":2}`, `json: unknown field "jitter"`},
+		{`{"kind":"fleet","members":[{"method":"tabu"}],"target_f":1e9}`, `json: unknown field "target_f"`},
+		{`{"kind":"fleet","members":[{"method":"tabu"}],"keep_racing":true}`, `json: unknown field "keep_racing"`},
+		{`{"kind":"fleet","members":[{"method":"tabu","start":[1]}]}`, `json: unknown field "start"`},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {
