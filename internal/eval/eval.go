@@ -238,6 +238,9 @@ type Evaluation struct {
 	SamplesPlanned int `json:"samples_planned"`
 	SamplesSolved  int `json:"samples_solved"`
 	SamplesAborted int `json:"samples_aborted"`
+	// SamplesCensored counts solved samples that ended at the configured
+	// per-subproblem budget without an answer: their cost is the cap.
+	SamplesCensored int `json:"samples_censored,omitempty"`
 	// StagesRun counts the sample stages the evaluation reached (stages
 	// are checkpoints on one dispatched sample, not dispatches).
 	StagesRun int `json:"stages_run"`

@@ -172,6 +172,10 @@ type Counters struct {
 	// activity, no event, no other counter — and its subproblem stays here.
 	SamplesPlanned int `json:"samples_planned"`
 	SamplesSkipped int `json:"samples_skipped"`
+	// SamplesCensored counts the samples (not Solve's members) that ended
+	// Unknown at Config.SubproblemBudget, so that their cost is the cap; they
+	// are solved samples too, outside the ledger's sum.
+	SamplesCensored int `json:"samples_censored"`
 	// TasksStolen counts queued tasks the dispatch layer revoked from a
 	// backlogged worker and reassigned to another; SpeculativeDuplicates the
 	// unfinished tasks it duplicated onto idle slots, SpeculationWins how
@@ -198,6 +202,7 @@ func (c *Counters) add(d Counters) {
 	c.SubproblemsAborted += d.SubproblemsAborted
 	c.SamplesPlanned += d.SamplesPlanned
 	c.SamplesSkipped += d.SamplesSkipped
+	c.SamplesCensored += d.SamplesCensored
 	c.TasksStolen += d.TasksStolen
 	c.SpeculativeDuplicates += d.SpeculativeDuplicates
 	c.SpeculationWins += d.SpeculationWins
@@ -456,6 +461,9 @@ type PointEstimate struct {
 	// skipped.
 	SamplesPlanned int
 	SamplesAborted int
+	// SamplesCensored is Counters.SamplesCensored for this evaluation; a
+	// task stopped at a tighter pruning allowance is no censored sample.
+	SamplesCensored int
 	// StagesRun counts the sample stages the evaluation reached: those whose
 	// checkpoint it took, and the one it was pruned in (1 without staging).
 	// Stages are index prefixes of one dispatched sample, not dispatches.
@@ -490,6 +498,7 @@ func (pe *PointEstimate) Evaluation() eval.Evaluation {
 		SamplesPlanned:     pe.SamplesPlanned,
 		SamplesSolved:      pe.Sample.Len(),
 		SamplesAborted:     pe.SamplesAborted,
+		SamplesCensored:    pe.SamplesCensored,
 		StagesRun:          pe.StagesRun,
 		SatisfiableSamples: pe.SatisfiableSamples,
 		WallTime:           pe.WallTime,
@@ -631,10 +640,15 @@ type SolveReport struct {
 	// and including the first satisfiable one (in enumeration order); equal
 	// to TotalCost if no subproblem is satisfiable.  Under StopOnSat on one
 	// slot that is every member up to the first satisfiable one, solved
-	// whole.  On more slots it is a lower bound on that sum: a member below
-	// it that the stop cut short in flight adds only its truncated cost, and
-	// one still queued behind another slot's work adds nothing.
+	// whole.  On more slots it can be a lower bound on that sum: a member
+	// below it that the stop cut short in flight adds only its truncated
+	// cost, and one still queued behind another slot's work adds nothing.
 	CostToFirstSat float64 `json:"cost_to_first_sat"`
+	// CostToFirstSatLowerBound reports that CostToFirstSat is only a lower
+	// bound: a satisfiable member was found, and some member below it was
+	// not solved to completion (never started, or cancelled in flight).
+	// When it is false the sum is exact.
+	CostToFirstSatLowerBound bool `json:"cost_to_first_sat_lower_bound,omitempty"`
 	// FoundSat reports whether a satisfiable subproblem was found.
 	FoundSat bool `json:"found_sat"`
 	// Model is a model of the original formula if FoundSat.
@@ -716,14 +730,14 @@ func (r *Runner) SolveObserved(ctx context.Context, p decomp.Point, opts SolveOp
 	// The results come in completion order; the costs are summed in
 	// enumeration order, for a deterministic total and cost-to-first-SAT.
 	costs, processed := buf.tables(total)
+	firstCut := total // the first member not solved to completion
 	for _, res := range results {
-		if !res.Started {
-			// Cancelled before a solver saw it.
+		if !res.Started || res.Cancelled {
 			report.SubproblemsAborted++
-			continue
+			firstCut = min(firstCut, res.Index)
 		}
-		if res.Cancelled {
-			report.SubproblemsAborted++
+		if !res.Started {
+			continue // cancelled before a solver saw it
 		}
 		report.Processed++
 		costs[res.Index], processed[res.Index] = res.Cost, true
@@ -740,6 +754,7 @@ func (r *Runner) SolveObserved(ctx context.Context, p decomp.Point, opts SolveOp
 			report.CostToFirstSat += costs[idx]
 		}
 	}
+	report.CostToFirstSatLowerBound = report.FoundSat && int64(firstCut) < report.SatIndex
 	report.WallTime = time.Since(start)
 	return report, nil
 }

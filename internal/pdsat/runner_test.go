@@ -230,7 +230,8 @@ func TestSolveStopOnSat(t *testing.T) {
 // so it is exactly the summed cost of the members up to and including the
 // first satisfiable one; on more slots a member below it that was cut short
 // in flight adds only its truncated cost and one that never started adds
-// nothing, so it can only be lower.
+// nothing, so it can only be lower.  CostToFirstSatLowerBound says which:
+// it is set exactly when the sum falls short of the exact one.
 func TestCostToFirstSatUnderStopOnSat(t *testing.T) {
 	inst, err := encoder.NewInstance(encoder.A51(), encoder.Config{KeystreamLen: 64, KnownSuffix: 55, Seed: 5})
 	if err != nil {
@@ -267,11 +268,16 @@ func TestCostToFirstSatUnderStopOnSat(t *testing.T) {
 			t.Fatalf("%d workers: first SAT at %d, want %d", workers, got.SatIndex, full.SatIndex)
 		}
 		switch {
-		case workers == 1 && got.CostToFirstSat != want:
-			t.Fatalf("1 worker: cost to first SAT %v, want the sum up to it, %v", got.CostToFirstSat, want)
+		case workers == 1 && (got.CostToFirstSat != want || got.CostToFirstSatLowerBound):
+			t.Fatalf("1 worker: cost to first SAT %v (lower bound: %v), want the sum up to it, %v, exact",
+				got.CostToFirstSat, got.CostToFirstSatLowerBound, want)
 		case got.CostToFirstSat > want:
 			t.Fatalf("%d workers: cost to first SAT %v exceeds the sum up to it, %v", workers, got.CostToFirstSat, want)
+		case got.CostToFirstSatLowerBound != (got.CostToFirstSat < want):
+			t.Fatalf("%d workers: cost to first SAT %v against the sum up to it, %v, flagged as a lower bound: %v",
+				workers, got.CostToFirstSat, want, got.CostToFirstSatLowerBound)
 		}
+		t.Logf("%d workers: cost to first SAT %v, lower bound: %v", workers, got.CostToFirstSat, got.CostToFirstSatLowerBound)
 	}
 }
 

@@ -198,7 +198,7 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 	sc.note(dispatchCounters(ds))
 	// What was planned and never counted — the stages behind an early stop or
 	// a prune, solved ahead or not, and the tail of a cancelled evaluation.
-	sc.note(Counters{SamplesSkipped: n - cp.counted})
+	sc.note(Counters{SamplesSkipped: n - cp.counted, SamplesCensored: cp.censored})
 	if runErr != nil && !cluster.IsInterruption(runErr) {
 		return nil, runErr
 	}
@@ -227,6 +227,7 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 		EarlyStopped:       cp.earlyStopped,
 		SamplesPlanned:     n,
 		SamplesAborted:     cp.counted - sample.Len(),
+		SamplesCensored:    cp.censored,
 		StagesRun:          cp.stage + 1,
 		LowerBound:         scale * cp.sumAll / float64(n),
 	}, runErr
@@ -340,12 +341,14 @@ type checkpoints struct {
 	// costs and sampled are by task index: the cost of a counted result and
 	// whether it is a Monte Carlo sample (solved to its own conclusion or
 	// budget).  counted results all lie below the boundary, partial of them
-	// are no samples and satCount are satisfiable samples.
+	// are no samples, satCount are satisfiable samples and censored are
+	// samples stopped by Config.SubproblemBudget (not by a pruning allowance).
 	costs    []float64
 	sampled  []bool
 	counted  int
 	partial  int
 	satCount int
+	censored int
 	// held are the results beyond the boundary, in the buffer's arrays.
 	held *heldResults
 
@@ -381,8 +384,11 @@ func (cp *checkpoints) count(res cluster.TaskResult) {
 	}
 	if res.Started && !res.Cancelled {
 		cp.costs[res.Index], cp.sampled[res.Index] = res.Cost, true
-		if res.Status == solver.Sat {
+		switch {
+		case res.Status == solver.Sat:
 			cp.satCount++
+		case res.Status == solver.Unknown && cp.sc.r.cfg.SubproblemBudget.ReachedBy(res.Stats):
+			cp.censored++
 		}
 	} else {
 		cp.partial++

@@ -513,3 +513,64 @@ func TestEvaluationBytesIndependentOfSampleLiterals(t *testing.T) {
 		t.Fatalf("%.0f bytes a further subproblem, want at most 32", perTask)
 	}
 }
+
+// TestSamplesCensoredAtTheCap pins which samples count as censored: those
+// that ended Unknown at Config.SubproblemBudget.  On the weakened A5/1
+// instance under a one-variable set, a cap of a few conflicts stops every
+// sample, and every one is counted, in the estimate, its evaluation form and
+// both ledgers; without the cap, or under a cap above every sample's cost,
+// none is.  In a pruned evaluation whose allowance is tighter than the cap,
+// the task the allowance stopped is the prune certificate, not a censored
+// sample.
+func TestSamplesCensoredAtTheCap(t *testing.T) {
+	inst := scopeTestInstance(t)
+	space := decomp.NewSpace(inst.UnknownStartVars())
+	one, err := space.PointFromVars(space.Vars()[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	evaluate := func(cap solver.Budget, pol eval.Policy, incumbent float64, observe func(Progress)) (*Runner, *PointEstimate) {
+		t.Helper()
+		r := NewRunner(inst.CNF, Config{SampleSize: n, Workers: 2, Seed: 3, CostMetric: solver.CostConflicts, SubproblemBudget: cap})
+		pe, err := r.EvaluatePointBudgeted(context.Background(), one, pol, incumbent, observe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, pe
+	}
+
+	r, capped := evaluate(solver.Budget{MaxConflicts: 3}, eval.Policy{}, math.Inf(1), nil)
+	if capped.Sample.Len() != n || capped.SamplesCensored != n || capped.Evaluation().SamplesCensored != n ||
+		r.Counters().SamplesCensored != n || r.Scope.Counters().SamplesCensored != n {
+		t.Fatalf("cap of 3 conflicts: %d samples, %d censored (evaluation %d, runner %d, scope %d), want all %d",
+			capped.Sample.Len(), capped.SamplesCensored, capped.Evaluation().SamplesCensored, r.Counters().SamplesCensored, r.Scope.Counters().SamplesCensored, n)
+	}
+
+	_, free := evaluate(solver.Budget{}, eval.Policy{}, math.Inf(1), nil)
+	most := slices.Max(free.Sample.Values())
+	if free.SamplesCensored != 0 {
+		t.Fatalf("uncapped: %d samples censored, want none", free.SamplesCensored)
+	}
+	if _, above := evaluate(solver.Budget{MaxConflicts: uint64(most) + 1}, eval.Policy{}, math.Inf(1), nil); above.SamplesCensored != 0 || above.Estimate.Value != free.Estimate.Value {
+		t.Fatalf("cap above every sample (%v conflicts at most): %d censored, F %v against the uncapped %v",
+			most, above.SamplesCensored, above.Estimate.Value, free.Estimate.Value)
+	}
+
+	// An incumbent whose allowance is a tenth of the cheapest sample's cost:
+	// the first task to reach it stops at it and prunes the evaluation.
+	least := slices.Min(free.Sample.Values())
+	incumbent := least / 10 * math.Exp2(float64(one.Count())) / n
+	atAllowance := 0
+	_, pruned := evaluate(solver.Budget{MaxConflicts: uint64(most) + 1}, eval.Policy{Prune: true}, incumbent, func(pr Progress) {
+		if res := pr.Result; res.Started && !res.Cancelled && res.Status == solver.Unknown {
+			atAllowance++
+		}
+	})
+	if !pruned.Pruned || atAllowance == 0 {
+		t.Fatalf("incumbent %v: pruned %v with %d tasks stopped at the allowance; the test needs a prune by one", incumbent, pruned.Pruned, atAllowance)
+	}
+	if pruned.SamplesCensored != 0 {
+		t.Fatalf("pruned evaluation: %d samples censored, want none (%d tasks stopped at the allowance)", pruned.SamplesCensored, atAllowance)
+	}
+}

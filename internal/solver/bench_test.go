@@ -301,7 +301,6 @@ func BenchmarkSolverNew(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				newSink = NewDefault(f)
-				newSink.ensureBase()
 			}
 		})
 	}

@@ -85,17 +85,51 @@ func mustRandom3SAT(t *testing.T, seed int64, vars int, ratio float64) *cnf.Form
 	return f
 }
 
+// diffFormulas are the formulas the differential tests solve: pigeonhole and
+// random 3-SAT instances that take restarts and learned clauses, and small
+// hand-made ones for every path of construction's normalisation and
+// root-level simplification, against the reference's clause-by-clause build.
 func diffFormulas(t *testing.T) map[string]*cnf.Formula {
 	t.Helper()
+	lits := func(ls ...int) cnf.Clause {
+		c := make(cnf.Clause, len(ls))
+		for i, l := range ls {
+			c[i] = cnf.Lit(l)
+		}
+		return c
+	}
 	fs := map[string]*cnf.Formula{
-		"php_6_5": mustPigeonhole(t, 6, 5),
-		"php_4_4": mustPigeonhole(t, 4, 4),
-		"php_7_6": mustPigeonhole(t, 7, 6),
+		"php_6_5":                mustPigeonhole(t, 6, 5),
+		"php_4_4":                mustPigeonhole(t, 4, 4),
+		"php_7_6":                mustPigeonhole(t, 7, 6),
+		"duplicate literals":     {NumVars: 4, Clauses: []cnf.Clause{lits(3, 1, 3, -2, 1), lits(2, 2), lits(-4, 1, -4, 3)}},
+		"tautologies":            {NumVars: 4, Clauses: []cnf.Clause{lits(1, -1), lits(2, 3, -2), lits(1, 2, 3), lits(-3, 4, 3, 9)}},
+		"units propagate":        {NumVars: 5, Clauses: []cnf.Clause{lits(-1, 2), lits(-2, 3, 4), lits(1), lits(-3), lits(-4, 5, 1), lits(4, 5, -2)}},
+		"root-satisfied literal": {NumVars: 4, Clauses: []cnf.Clause{lits(1), lits(1, 2, 3), lits(2, 3, 4), lits(-2, 1, 7)}},
+		"root-falsified literal": {NumVars: 4, Clauses: []cnf.Clause{lits(-1), lits(-2), lits(1, 2, 3, 4), lits(1, 3), lits(2, -3, -4)}},
+		"falsified to empty":     {NumVars: 3, Clauses: []cnf.Clause{lits(1, 2), lits(-1), lits(-2), lits(2, 3)}},
+		"empty clause":           {NumVars: 3, Clauses: []cnf.Clause{lits(1, 2), lits(), lits(2, 3)}},
+		"beyond NumVars":         {NumVars: 2, Clauses: []cnf.Clause{lits(1, 5), lits(-5, 6, 2), lits(7), lits(-7, 9, 1), lits(8, -8)}},
+		"no variables declared":  {Clauses: []cnf.Clause{lits(2, 3), lits(-2, 3), lits(1, -3, 2)}},
+		"chain":                  chainFormula(40),
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		fs[fmt.Sprintf("rand3sat_%d", seed)] = mustRandom3SAT(t, seed, 60, 4.2)
 	}
 	return fs
+}
+
+// declared returns f with NumVars raised to the largest variable its clauses
+// name.  New makes every such variable; the reference makes one only when
+// its construction reaches the literal, which a tautology, or a clause
+// satisfied at the root before that literal, never does.  Given the count up
+// front, the reference makes the variables New does, in the same order.
+func declared(f *cnf.Formula) *cnf.Formula {
+	g := *f
+	for _, c := range f.Clauses {
+		g.NumVars = max(g.NumVars, int(c.MaxVar()))
+	}
+	return &g
 }
 
 func TestArenaMatchesRefSolverOneShot(t *testing.T) {
@@ -119,7 +153,7 @@ func TestArenaMatchesRefSolverOneShot(t *testing.T) {
 		for oname, opts := range optVariants {
 			tag := fname + "/" + oname
 			s := New(f, opts)
-			r := newRefSolver(f, opts)
+			r := newRefSolver(declared(f), opts)
 			sameResult(t, tag, s.Solve(), r.Solve())
 			sameActivities(t, tag, s, r)
 		}

@@ -95,7 +95,7 @@ func diffSolverState(got, want *Solver) string {
 // per variable, the two literals of a variable are true/false, false/true or
 // both undefined, and exactly the literals on the trail are true.  The array
 // is written in pairs at four places (enqueue, cancelUntil, Reset,
-// ensureVars); a write of one polarity only, or a length that falls out of
+// makeVars); a write of one polarity only, or a length that falls out of
 // step with the per-variable arrays, is what this catches.
 func assertAssignmentInvariant(s *Solver) string {
 	if len(s.vals) != 2*int(s.numVars) {
@@ -155,15 +155,8 @@ func (r *resetScript) lits(n, numVars int) []cnf.Lit {
 // the first divergence from a fresh solver, or "".
 func (r *resetScript) run(f *cnf.Formula, opts Options) string {
 	s := New(f, opts)
-	// pre collects the clauses added before the first solve: they belong to
-	// the pristine baseline, so the fresh reference gets them too.
-	var pre []cnf.Clause
 	check := func(step int) string {
 		fresh := New(f, opts)
-		for _, c := range pre {
-			fresh.AddClause(c)
-		}
-		fresh.ensureBase()
 		s.Reset()
 		if d := diffSolverState(s, fresh); d != "" {
 			return fmt.Sprintf("after step %d: %s", step, d)
@@ -193,15 +186,8 @@ func (r *resetScript) run(f *cnf.Formula, opts Options) string {
 			s.Interrupt()
 			s.SolveWithAssumptions(r.lits(op/8%4, n))
 			s.ClearInterrupt()
-		case 6: // AddClause before the first solve; afterwards it panics, so the op only draws its literals
-			c := cnf.Clause(r.lits(1+op/8%4, n))
-			if s.everSolved {
-				break
-			}
-			if s.okay {
-				pre = append(pre, c)
-			}
-			s.AddClause(c)
+		case 6: // no operation; it draws the literals of the clause it once added, so every corpus input replays its other operations unchanged
+			r.lits(1+op/8%4, n)
 		case 7:
 			if d := check(step); d != "" {
 				return d
@@ -228,9 +214,8 @@ func resetOptionVariants() map[string]Options {
 
 // TestResetEqualsFresh is the property test behind the dirty-tracked Reset:
 // after arbitrary sequences of solves — short, budget-truncated,
-// interrupted, with clauses added before the first solve, with and without
-// reductions of the learned-clause database — Reset leaves every field equal
-// to a freshly constructed and captured solver's.
+// interrupted, with and without reductions of the learned-clause database —
+// Reset leaves every field equal to a freshly constructed solver's.
 func TestResetEqualsFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	r3, err := cnfgen.Random3SAT(rng, 60, 4.2)
@@ -493,8 +478,6 @@ func TestSparseConflictActivities(t *testing.T) {
 func TestRemoveWatchIsAFullMark(t *testing.T) {
 	f := mustRandom3SAT(t, 11, 30, 4.0)
 	s, fresh := NewDefault(f), NewDefault(f)
-	s.ensureBase()
-	fresh.ensureBase()
 	detached := 0
 	for _, c := range s.clauses {
 		l := s.ar.lits(c)[0].neg()

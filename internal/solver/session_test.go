@@ -202,29 +202,10 @@ func TestResetAfterInterrupt(t *testing.T) {
 	}
 }
 
-// TestAddClauseBeforeSolveJoinsBaseline checks that clauses added before the
-// first query survive a Reset.
-func TestAddClauseBeforeSolveJoinsBaseline(t *testing.T) {
-	f := cnf.New(2)
-	f.AddClauseLits(1, 2)
-	s := NewDefault(f)
-	if !s.AddClause(cnf.Clause{cnf.NewLit(1, false)}) { // force x1=false
-		t.Fatal("AddClause failed")
-	}
-	res := s.Solve()
-	if res.Status != Sat || res.Model.Value(1) != cnf.False {
-		t.Fatalf("unexpected result %v", res.Status)
-	}
-	s.Reset()
-	res = s.Solve()
-	if res.Status != Sat || res.Model.Value(1) != cnf.False {
-		t.Fatal("clause added before the first solve must survive Reset")
-	}
-}
-
-// TestSolvedSolverRefusesToGrow checks the two calls that would change a
-// solver's formula after its first query: AddClause and an assumption over a
-// variable outside the formula each panic with a message naming the call.
+// TestSolvedSolverRefusesToGrow checks the one call that could change a
+// solver's formula after New: an assumption over a variable outside the
+// formula panics with a message naming the call, before and after a solve
+// and a Reset, and leaves the solver answering.
 func TestSolvedSolverRefusesToGrow(t *testing.T) {
 	f := cnf.New(3)
 	f.AddClauseLits(1, 2)
@@ -241,14 +222,12 @@ func TestSolvedSolverRefusesToGrow(t *testing.T) {
 		fn()
 	}
 	s := NewDefault(f)
-	s.Solve()
-	mustPanic("AddClause after a solve", "AddClause", func() { s.AddClause(cnf.Clause{cnf.NewLit(1, false)}) })
-	s.Reset()
-	mustPanic("AddClause after a Reset", "AddClause", func() { s.AddClause(cnf.Clause{cnf.NewLit(1, false)}) })
 	for _, a := range []cnf.Lit{cnf.NewLit(4, true), cnf.NewLit(9, false)} {
 		mustPanic(fmt.Sprintf("assumption %d", a), "SolveWithAssumptions", func() {
-			NewDefault(f).SolveWithAssumptions([]cnf.Lit{cnf.NewLit(1, true), a})
+			s.SolveWithAssumptions([]cnf.Lit{cnf.NewLit(1, true), a})
 		})
+		s.Solve()
+		s.Reset()
 	}
 	if res := s.SolveWithAssumptions([]cnf.Lit{cnf.NewLit(3, false)}); res.Status != Sat || res.Model.Value(1) != cnf.True {
 		t.Fatalf("the solver does not answer after the refusals: %v %v", res.Status, res.Model)

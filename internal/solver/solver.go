@@ -32,20 +32,22 @@
 // # Construction
 //
 // Every computing process builds its solver from the same CNF before it can
-// take its first sample, so New is built by count: one pass over the formula
-// (sizeFor) counts the arena words, the clauses that will be stored and the
+// take its first sample, so New is built by count: sizeFor finds the largest
+// variable and counts the arena words, the clauses that will be stored and the
 // watches every literal will hold — the two first literals of a clause in
 // normalised order, found without sorting — and each array is then made
 // once: the arena, the clause list, the clause activities and their mark
 // lists from the clause counts, the per-variable arrays, the mark lists, the
-// trail and the decision heap in ensureVars from the variable count, and the
-// watch lists as stretches of one slab.  The clauses are then added through
-// one scratch buffer (normalizeClause: the order, dedup and tautology rule of
-// cnf.Clause.Normalize, in place) with root-level simplification and unit
-// propagation as they arrive, so the clause order, the watch order, the
-// root-level trail and the statistics are those of a solver grown clause by
-// clause with AddClause, which TestNewEqualsAddClause and its fuzz target
-// compare field by field.  On the bench's A5/1 instance (42 754 clauses) that
+// trail and the decision heap in makeVars from the variable count (the
+// formula's NumVars, or the largest variable a clause names if that is more),
+// and the watch lists as stretches of one slab.  The clauses are then added
+// through one scratch buffer (normalizeClause: the order, dedup and tautology
+// rule of cnf.Clause.Normalize, in place) with root-level simplification and
+// unit propagation as they arrive, so the clause order, the watch order, the
+// root-level trail and the statistics are those of the pointer implementation
+// that builds clause by clause, which the differential tests
+// (differential_test.go) compare over hand-made formulas for every
+// normalisation path.  On the bench's A5/1 instance (42 754 clauses) that
 // is 140 allocations where there were 219 142, a third of the time and of
 // the bytes; what remains beside the arrays are watch lists that
 // root-level propagation moves entries into until they outgrow their stretch,
@@ -88,7 +90,7 @@
 // every blocker, first literal and candidate watch of the propagation loop —
 // is one byte load with no decoding of a sign.  The two entries of a
 // variable are always written together (true/false, false/true, or both
-// undefined) in enqueue, cancelUntil, Reset and ensureVars; there is no
+// undefined) in enqueue, cancelUntil, Reset and makeVars; there is no
 // per-variable copy to fall out of step with, and the value of a variable is
 // the value of its positive literal.  Like the arena this is a
 // representation change under the same bit-identity contract: the
@@ -118,24 +120,23 @@
 //     independent of which subproblems happened to be solved before it on
 //     the same worker.
 //
-// Both modes solve the formula the solver was built from.  AddClause is a
-// construction-time call and panics once the solver has solved, and
-// SolveWithAssumptions panics on an assumption over a variable above the
-// formula's, so the clauses and the variables of a solver never change after
-// its first query.
+// Both modes solve the formula the solver was built from.  New is the only
+// call that gives a solver clauses or variables, and SolveWithAssumptions
+// panics on an assumption over a variable above the formula's, so the clauses
+// and the variables of a solver never change after New returns.
 //
-// The pristine snapshot is captured lazily at the first Solve/Reset call;
-// it costs one O(formula) copy and roughly doubles the memory held per
-// solver, which is negligible next to the construction cost it saves in
-// session use and acceptable for one-shot solves.
+// New captures the pristine snapshot as its last step; it costs one
+// O(formula) copy and roughly doubles the memory held per solver, which is
+// negligible next to the construction cost it saves in session use and
+// acceptable for one-shot solves.
 //
 // Restoring is dirty-tracked: its cost follows what the queries since the
 // last Reset changed, not the size of the formula, because one evaluation of
 // the paper's predictive function is thousands of Reset + short-solve pairs
 // that each assign a few hundred of the formula's thousands of variables.
 // The search records what it changes in mark lists whose capacity is
-// reserved ahead of the search (one slot per literal and per variable as
-// variables are created, one per original clause at capture), so that
+// reserved ahead of the search (one slot per literal and per variable in
+// makeVars, one per original clause in sizeFor), so that
 // marking never allocates and the marks inside propagate and cancelUntil are
 // call-free, and Reset puts exactly those pieces back.  Each mark protects
 // one invariant:
@@ -306,6 +307,16 @@ func (b Budget) TightenedBy(o Budget) Budget {
 	return out
 }
 
+// ReachedBy reports whether the effort st has reached one of the budget's
+// limits: how a solve that stopped at this budget is told apart from one that
+// stopped at a tighter one.  st is what the budget was checked against, a
+// fresh solver's lifetime effort (construction included).
+func (b Budget) ReachedBy(st Stats) bool {
+	return b.MaxConflicts > 0 && st.Conflicts >= b.MaxConflicts ||
+		b.MaxPropagations > 0 && st.Propagations >= b.MaxPropagations ||
+		b.MaxTime > 0 && st.SolveTime >= b.MaxTime
+}
+
 // BudgetForCost returns a Budget that stops a solve once its cost in the
 // given metric strictly exceeds the allowance, by budgeting the matching
 // counter at ⌈allowance⌉+1.  A solve truncated by this budget therefore has
@@ -442,9 +453,6 @@ type Solver struct {
 	// bump, cleared by Reset; they never shrink, and hold no bit for a
 	// variable beyond numVars.
 	bumpedSet, bumpedSum []uint64
-	// everSolved is set by the first SolveWithAssumptions call, after which
-	// AddClause panics.
-	everSolved bool
 }
 
 // snapshot captures the complete search-relevant state of a solver right
@@ -465,36 +473,18 @@ type snapshot struct {
 	okay     bool
 }
 
-// ensureBase captures the pristine snapshot if it has not been taken yet.
-// Capture is lazy — it happens at the first Solve, Reset or BaseStats call —
-// so that incremental formula construction via AddClause stays linear
-// instead of re-snapshotting after every clause.
-func (s *Solver) ensureBase() {
-	if s.base == nil {
-		s.capture()
-	}
-}
-
-// capture records the current state as the pristine baseline for Reset.  It
-// must only be called while the solver is at decision level 0 and has no
-// learned clauses (i.e. before any search).  Marks left by construction-time
-// propagation describe differences from a state that no longer matters, so
-// they are cleared, and the clause and activity lists are sized for the
-// worst case here so that the search never grows them.
+// capture records the current state as the pristine baseline for Reset.  New
+// calls it as its last step, at decision level 0 with no learned clauses, so
+// every solver holds its snapshot from birth.  The only marks construction
+// leaves are the appended marks of attach and root-level propagation (there
+// is no snapshot to permute a clause or rewrite a list against yet, and
+// nothing is unassigned); they describe differences from a state that no
+// longer matters, so they are cleared.
 func (s *Solver) capture() {
-	for _, c := range s.dirtyClauses {
-		s.ar.data[c+1] = 0
-	}
-	for _, l := range s.dirtyLits {
-		s.litMark[l] = litClean
-	}
-	s.dirtyLits = s.dirtyLits[:0]
 	for _, l := range s.appLits {
 		s.litMark[l] = litClean
 	}
 	s.appLits = s.appLits[:0]
-	s.dirtyClauses = slices.Grow(s.dirtyClauses[:0], len(s.clauses))
-	s.dirtyActs = slices.Grow(s.dirtyActs[:0], len(s.clauseAct))
 
 	b := &snapshot{
 		numActs:  len(s.clauseAct),
@@ -539,10 +529,6 @@ func (s *Solver) capture() {
 // checked against are rebased to the construction baseline).  Call SetBudget
 // with a zero Budget to remove it.
 func (s *Solver) Reset() {
-	// A nil base here means the solver has never solved (capture happens at
-	// the first Solve, and AddClause only invalidates pre-solve), so the
-	// state is still pristine and can be captured now.
-	s.ensureBase()
 	b := s.base
 	s.interrupt.Store(false)
 	// Literals the search left on the root-level trail never went through
@@ -632,7 +618,7 @@ const (
 )
 
 // markAppended records that an entry was pushed onto the end of l's watch
-// list.  ensureVars keeps the capacity of both literal lists at one slot per
+// list.  makeVars gives both literal lists the capacity of one slot per
 // literal, so listing a literal is a reslice, not an append: no call on the
 // paths that mark (cancelUntil, propagate).
 func (s *Solver) markAppended(l ilit) {
@@ -679,7 +665,7 @@ func restoreRun[T any](dst, src []T) {
 // markPermuted records that the literals of clause c were reordered.  Only
 // original clauses need it (the learned region is truncated wholesale);
 // their second header word holds the flag, so the test costs no
-// cache line beyond the one the swap just wrote.  capture reserves one slot
+// cache line beyond the one the swap just wrote.  sizeFor reserves one slot
 // per original clause, so this, too, is a reslice.
 func (s *Solver) markPermuted(c cref) {
 	if int(c) < s.arenaBase && s.ar.data[c+1] == 0 {
@@ -694,28 +680,29 @@ func (s *Solver) markPermuted(c cref) {
 // root-level propagation performed while the clauses were added).  After a
 // Reset, Stats() starts from these values, so Stats() minus BaseStats() is
 // the effort of the queries since the last Reset.
-func (s *Solver) BaseStats() Stats {
-	s.ensureBase()
-	return s.base.stats
-}
+func (s *Solver) BaseStats() Stats { return s.base.stats }
 
 // New creates a solver for the given formula.  The formula is copied into
 // the solver's internal representation; it is not modified and may be reused
 // to create further solvers.  Options with a zero VarDecay are replaced by
 // DefaultOptions as a whole, so New(f, Options{}) is New(f, DefaultOptions());
 // this is the one place that rule is applied.
+//
+// New is the only way a solver gets its clauses and variables: it has
+// max(f.NumVars, the largest variable a clause names) variables, and it ends
+// by capturing the pristine snapshot that Reset restores.
 func New(f *cnf.Formula, opts Options) *Solver {
 	if opts.VarDecay == 0 {
 		opts = DefaultOptions()
 	}
 	s := &Solver{opts: opts, okay: true, varInc: 1.0, clauseInc: 1.0}
-	s.sizeFor(f)
-	s.ensureVars(int32(f.NumVars))
+	s.makeVars(s.sizeFor(f))
 	for _, c := range f.Clauses {
 		if !s.addClause(c) {
 			s.okay = false
 		}
 	}
+	s.capture()
 	return s
 }
 
@@ -725,20 +712,24 @@ func New(f *cnf.Formula, opts Options) *Solver {
 // "Construction" in the package comment.
 const learnedReserve = 4
 
-// sizeFor is the counting pass of New: one walk over the formula for the
-// arena words, the clauses that will be stored and the watches every literal
-// will hold, then one allocation for each of the arrays whose size follows
-// the clause count.  The arrays that follow the variable count are made by
-// ensureVars.  The counts are those of a formula nothing is assigned in; a
-// clause that root-level simplification shortens or drops only leaves room
-// unused, and a list that outgrows its stretch of the slab moves off it like
-// any slice that is appended to.
-func (s *Solver) sizeFor(f *cnf.Formula) {
+// sizeFor is the counting pass of New: a walk over the formula for the
+// largest variable, one for the arena words, the clauses that will be stored
+// and the watches every literal will hold, then one allocation for each of
+// the arrays whose size follows the clause count, and the watch lists.  It
+// returns the number of variables, for makeVars.  The counts are those of a formula nothing is
+// assigned in; a clause that root-level simplification shortens or drops only
+// leaves room unused, and a list that outgrows its stretch of the slab moves
+// off it like any slice that is appended to.
+func (s *Solver) sizeFor(f *cnf.Formula) int {
+	numVars := f.NumVars
+	for _, c := range f.Clauses {
+		numVars = max(numVars, int(c.MaxVar()))
+	}
 	// counts[l] is the number of watches of literal l.  A clause is watched
 	// by the negations of its two first literals in the order of
 	// normalizeClause, which sorts by l^1: the list of the literal with sort
 	// key k is list k.
-	counts := make([]int32, 2*f.NumVars)
+	counts := make([]int32, 2*numVars)
 	words, stored := 0, 0
 	for _, c := range f.Clauses {
 		const none = ilit(math.MaxInt32)
@@ -753,9 +744,6 @@ func (s *Solver) sizeFor(f *cnf.Formula) {
 		}
 		if k2 == none {
 			continue // empty or unit: nothing is stored
-		}
-		if int(k2) >= len(counts) { // k1 < k2: a variable beyond NumVars
-			counts = append(counts, make([]int32, int(k2|1)+1-len(counts))...)
 		}
 		counts[k1]++
 		counts[k2]++
@@ -774,11 +762,11 @@ func (s *Solver) sizeFor(f *cnf.Formula) {
 		total += int(counts[l])
 	}
 	slab := make([]watch, total)
-	lists := make([][]watch, len(counts))
+	s.watches = make([][]watch, len(counts))
 	for l, n := range counts {
-		lists[l], slab = slab[:0:n], slab[n:]
+		s.watches[l], slab = slab[:0:n], slab[n:]
 	}
-	s.watches = lists[:0] // ensureVars hands them out
+	return numVars
 }
 
 // watchCap is the capacity construction gives a watch list that will hold n
@@ -887,55 +875,37 @@ func (s *Solver) AppendConflictActivities(dst SparseActivities, ascending bool) 
 	return dst
 }
 
-// ensureVars makes the solver know variables 0..n-1.
-func (s *Solver) ensureVars(n int32) {
-	if n > s.numVars {
-		s.growVars(n)
+// makeVars creates variables 0..n-1.  Every per-variable array is made once,
+// at its final length, and the mark lists, the trail and the decision heap
+// get the capacity for every variable, so that marking, enqueueing and heap
+// inserts never allocate.
+func (s *Solver) makeVars(n int) {
+	s.numVars = int32(n)
+	s.litMark = make([]litMark, 2*n) // litClean
+	s.vals = make([]lbool, 2*n)      // lUndef
+	s.polarity = make([]bool, n)
+	s.reason = make([]cref, n)
+	for v := range n {
+		s.polarity[v] = s.opts.DefaultPhase
+		s.reason[v] = nullRef
 	}
-}
-
-// growVars creates variables numVars..n-1, for the formula or for a clause
-// added before the first solve.  Every per-variable array grows once per
-// call, not once per variable, and the mark lists, the trail and the decision
-// heap get the capacity for every variable here, so that marking, enqueueing
-// and heap inserts never allocate.
-func (s *Solver) growVars(n int32) {
-	old := s.numVars
-	s.numVars = n
-	// Lists beyond the length are construction's empty stretches of the slab.
-	s.watches = slices.Grow(s.watches, 2*int(n)-len(s.watches))[:2*n]
-	s.litMark = extend(s.litMark, 2*int(n), litClean)
-	s.vals = extend(s.vals, 2*int(n), lUndef)
-	s.polarity = extend(s.polarity, int(n), s.opts.DefaultPhase)
-	s.reason = extend(s.reason, int(n), nullRef)
-	s.level = extend(s.level, int(n), 0)
-	s.activity = extend(s.activity, int(n), 0)
-	s.confAct = extend(s.confAct, int(n), 0)
-	s.seen = extend(s.seen, int(n), false)
-	s.dirtyLits = slices.Grow(s.dirtyLits, 2*int(n)-len(s.dirtyLits))
-	s.appLits = slices.Grow(s.appLits, 2*int(n)-len(s.appLits))
-	s.bumpedVars = slices.Grow(s.bumpedVars, int(n)-len(s.bumpedVars))
-	if words := (int(n) + 63) >> 6; words > len(s.bumpedSet) {
-		s.bumpedSet = extend(s.bumpedSet, words, 0)
-		s.bumpedSum = extend(s.bumpedSum, (words+63)>>6, 0)
-	}
-	s.trail = slices.Grow(s.trail, int(n)-len(s.trail))
-	s.order.heap = slices.Grow(s.order.heap, int(n)-len(s.order.heap))
-	s.order.indices = slices.Grow(s.order.indices, int(n)-len(s.order.indices))
-	s.order.identity = slices.Grow(s.order.identity, int(n)-len(s.order.identity))
-	for v := old; v < n; v++ {
+	s.level = make([]int32, n)
+	s.activity = make([]float64, n)
+	s.confAct = make([]float64, n)
+	s.seen = make([]bool, n)
+	s.dirtyLits = make([]ilit, 0, 2*n)
+	s.appLits = make([]ilit, 0, 2*n)
+	s.bumpedVars = make([]int32, 0, n)
+	words := (n + 63) >> 6
+	s.bumpedSet = make([]uint64, words)
+	s.bumpedSum = make([]uint64, (words+63)>>6)
+	s.trail = make([]ilit, 0, n)
+	s.order.heap = make([]int32, 0, n)
+	s.order.indices = make([]int32, 0, n)
+	s.order.identity = make([]int32, 0, n)
+	for v := range int32(n) {
 		s.order.insert(v, &s.activity)
 	}
-}
-
-// extend returns s lengthened to n elements, the new ones set to v.
-func extend[T any](s []T, n int, v T) []T {
-	old := len(s)
-	s = slices.Grow(s, n-old)[:n]
-	for i := old; i < n; i++ {
-		s[i] = v
-	}
-	return s
 }
 
 // grown returns s with room for n more elements, moving it to capacity want
@@ -991,7 +961,6 @@ func (s *Solver) addClause(c cnf.Clause) bool {
 	}
 	lits := norm[:0] // simplified in place: the write index never passes the read index
 	for _, il := range norm {
-		s.ensureVars(il.ivar() + 1)
 		switch s.litValue(il) {
 		case lTrue:
 			return true // already satisfied at level 0
@@ -1015,28 +984,6 @@ func (s *Solver) addClause(c cnf.Clause) bool {
 		s.attach(cr)
 		return true
 	}
-}
-
-// AddClause adds a clause to a solver that has not solved yet, growing it
-// clause by clause as New does in one pass; the clause becomes part of the
-// pristine baseline restored by Reset.  It returns false if the solver is now
-// known to be unsatisfiable at level 0.  It panics after the first
-// SolveWithAssumptions call: a solver's clause set is fixed once it has
-// solved (see "Sessions" in the package comment).
-func (s *Solver) AddClause(c cnf.Clause) bool {
-	if s.everSolved {
-		panic("solver: AddClause after SolveWithAssumptions; a solver's clauses are fixed once it has solved")
-	}
-	if !s.okay {
-		return false
-	}
-	if !s.addClause(c) {
-		s.okay = false
-	}
-	// The snapshot is captured again, lazily, at the first
-	// Solve/Reset/BaseStats call.
-	s.base = nil
-	return s.okay
 }
 
 // litValue is the truth value of l under the current assignment.
@@ -1098,7 +1045,7 @@ func (s *Solver) pickBranchVar() int32 {
 
 // bump the VSIDS activity of a variable and its cumulative conflict activity.
 // A conflict activity only ever grows from zero, so zero means this is the
-// variable's first bump since Reset, which lists it; ensureVars reserves one
+// variable's first bump since Reset, which lists it; makeVars reserves one
 // slot per variable, so listing is a reslice.
 func (s *Solver) bumpVar(v int32) {
 	s.activity[v] += s.varInc
@@ -1344,8 +1291,6 @@ func (s *Solver) Solve() Result { return s.SolveWithAssumptions(nil) }
 // It panics on an assumption over a variable above NumVars, which would
 // change the formula; callers check their assumptions against it first.
 func (s *Solver) SolveWithAssumptions(assumptions []cnf.Lit) (res Result) {
-	s.ensureBase()
-	s.everSolved = true
 	//pdsat:nondeterministic start time only anchors the MaxTime deadline and SolveTime reporting
 	s.startTime = time.Now()
 	if s.budget.MaxTime > 0 {

@@ -255,9 +255,12 @@ type SetEstimate struct {
 	CacheHit bool `json:"cache_hit,omitempty"`
 	// SamplesPlanned is the configured sample size N; Estimate.SampleSize
 	// is the number actually solved; SamplesAborted counts subproblems cut
-	// short by a batch abort or cancellation.
-	SamplesPlanned int `json:"samples_planned,omitempty"`
-	SamplesAborted int `json:"samples_aborted,omitempty"`
+	// short by a batch abort or cancellation; SamplesCensored counts solved
+	// samples that ended without an answer at the runner's per-subproblem
+	// budget, whose cost is that cap rather than the subproblem's.
+	SamplesPlanned  int `json:"samples_planned,omitempty"`
+	SamplesAborted  int `json:"samples_aborted,omitempty"`
+	SamplesCensored int `json:"samples_censored,omitempty"`
 }
 
 // policyFor resolves a job spec's optional policy override against the
@@ -309,6 +312,7 @@ func (s *Session) setEstimateFrom(p Point, ev *eval.Evaluation) *SetEstimate {
 		CacheHit:           ev.CacheHit,
 		SamplesPlanned:     ev.SamplesPlanned,
 		SamplesAborted:     ev.SamplesAborted,
+		SamplesCensored:    ev.SamplesCensored,
 	}
 }
 
