@@ -99,9 +99,21 @@ func reduceHeavyOptions() Options {
 	return o
 }
 
+// noMinimizeNoPhaseOptions turns off learned-clause minimisation and phase
+// saving, fixes the default phase and restarts sooner, so the goldens pin
+// the search's other branches too.
+func noMinimizeNoPhaseOptions() Options {
+	o := DefaultOptions()
+	o.MinimizeLearned = false
+	o.PhaseSaving = false
+	o.DefaultPhase = true
+	o.RestartBase = 50
+	return o
+}
+
 // goldenScenarios returns the named deterministic solve sequences the suite
 // pins.  Every scenario returns the records of its calls in order.
-func goldenScenarios() map[string]func() []goldenRecord {
+func goldenScenarios(t *testing.T) map[string]func() []goldenRecord {
 	scenarios := map[string]func() []goldenRecord{}
 
 	solveOnce := func(f *cnf.Formula, opts Options) []goldenRecord {
@@ -128,12 +140,7 @@ func goldenScenarios() map[string]func() []goldenRecord {
 	}
 	scenarios["php_7_6_no_minimize_no_phase"] = func() []goldenRecord {
 		f, _ := cnfgen.Pigeonhole(7, 6)
-		o := DefaultOptions()
-		o.MinimizeLearned = false
-		o.PhaseSaving = false
-		o.DefaultPhase = true
-		o.RestartBase = 50
-		return solveOnce(f, o)
+		return solveOnce(f, noMinimizeNoPhaseOptions())
 	}
 	scenarios["php_8_7_budget_50_conflicts"] = func() []goldenRecord {
 		f, _ := cnfgen.Pigeonhole(8, 7)
@@ -141,6 +148,35 @@ func goldenScenarios() map[string]func() []goldenRecord {
 		s.SetBudget(Budget{MaxConflicts: 50})
 		res := s.Solve()
 		return []goldenRecord{record(res, s)}
+	}
+	for _, b := range []struct {
+		name   string
+		budget Budget
+	}{
+		{"php_8_7_budget_500_conflicts", Budget{MaxConflicts: 500}},
+		{"php_8_7_budget_2000_propagations", Budget{MaxPropagations: 2000}},
+	} {
+		budget := b.budget
+		scenarios[b.name] = func() []goldenRecord {
+			f, _ := cnfgen.Pigeonhole(8, 7)
+			s := NewDefault(f)
+			s.SetBudget(budget)
+			res := s.Solve()
+			return []goldenRecord{record(res, s)}
+		}
+	}
+	optVariants := map[string]func() Options{
+		"default":              DefaultOptions,
+		"reduce_heavy":         reduceHeavyOptions,
+		"no_minimize_no_phase": noMinimizeNoPhaseOptions,
+	}
+	for fname, f := range diffFormulas(t) {
+		for oname, opts := range optVariants {
+			f, opts := f, opts
+			scenarios["oneshot/"+fname+"/"+oname] = func() []goldenRecord {
+				return solveOnce(f, opts())
+			}
+		}
 	}
 	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed
@@ -194,13 +230,49 @@ func goldenScenarios() map[string]func() []goldenRecord {
 		}
 		return out
 	}
+	scenarios["php_6_5_reset_session_3_literals"] = func() []goldenRecord {
+		// Reset before every call, then three assumptions of alternating
+		// sign on the first variables of a random permutation.
+		f, _ := cnfgen.Pigeonhole(6, 5)
+		rng := rand.New(rand.NewSource(11))
+		s := NewDefault(f)
+		out := make([]goldenRecord, 0, 8)
+		for call := 0; call < 8; call++ {
+			s.Reset()
+			perm := rng.Perm(f.NumVars)
+			assumptions := make([]cnf.Lit, 0, 3)
+			for i := 0; i < 3; i++ {
+				assumptions = append(assumptions, cnf.NewLit(cnf.Var(perm[i]+1), i%2 == 0))
+			}
+			out = append(out, record(s.SolveWithAssumptions(assumptions), s))
+		}
+		return out
+	}
+	scenarios["rand3sat_incremental_4_literals"] = func() []goldenRecord {
+		// No Reset and no plain solve first: three calls of four
+		// assumptions each, learned clauses carried from one to the next.
+		rng := rand.New(rand.NewSource(5))
+		f, _ := cnfgen.Random3SAT(rng, 70, 4.0)
+		s := NewDefault(f)
+		arng := rand.New(rand.NewSource(17))
+		out := make([]goldenRecord, 0, 3)
+		for call := 0; call < 3; call++ {
+			perm := arng.Perm(f.NumVars)
+			assumptions := make([]cnf.Lit, 0, 4)
+			for i := 0; i < 4; i++ {
+				assumptions = append(assumptions, cnf.NewLit(cnf.Var(perm[i]+1), i%2 == 1))
+			}
+			out = append(out, record(s.SolveWithAssumptions(assumptions), s))
+		}
+		return out
+	}
 	return scenarios
 }
 
 // TestSolverGoldens replays every golden scenario and compares each call
 // against the recorded pointer-implementation outcome.
 func TestSolverGoldens(t *testing.T) {
-	scenarios := goldenScenarios()
+	scenarios := goldenScenarios(t)
 	got := make(map[string][]goldenRecord, len(scenarios))
 	for name, run := range scenarios {
 		got[name] = run()
