@@ -141,8 +141,8 @@ func (s *Solver) growLearned(words int, learned bool) {
 	}
 }
 
-// bumpClause raises a clause's activity, replicating the pointer
-// implementation's rescale exactly: the 1e20 trigger tests the bumped clause
+// bumpClause raises a clause's activity with the original rescale, which the
+// solver goldens pin: the 1e20 trigger tests the bumped clause
 // (which may be an original), but only the learned clauses and clauseInc are
 // scaled down — a just-learned clause is bumped before it joins s.learnts
 // and therefore escapes its own rescale, as it always has.

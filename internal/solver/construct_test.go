@@ -11,8 +11,9 @@ import (
 // Tests for construction by count (see "Construction" in the package
 // comment): New sizes a solver from one pass over the formula and adds the
 // clauses to slab-backed watch lists, and what it allocates must not follow
-// the clause count.  That it builds the solver the pointer reference builds
-// clause by clause is the differential tests' part (differential_test.go).
+// the clause count.  That it builds the same solver, clause order and
+// root-level trail included, is the goldens' part (golden_test.go, the
+// "oneshot/" scenarios).
 
 // TestNewAllocsIndependentOfClauses pins the point of the counting pass by
 // count.  Building a solver for the formulas of the bench's sampling shapes

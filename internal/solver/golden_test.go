@@ -16,11 +16,22 @@ import (
 )
 
 // The solver golden suite pins the exact search of the CDCL solver — every
-// deterministic counter, the model bits and the conflict-activity table — to
-// values recorded from the original pointer-based clause representation
-// (recorded at the seed of PR 9, before the flat-arena rewrite).  The arena
-// representation must reproduce them bit for bit; any drift here is a
-// determinism regression, not a tuning change.
+// deterministic counter, the model bits and the conflict-activity table of
+// every call — to recorded values.  It is what holds the search fixed: the
+// paper's cost unit is this solver's effort, and there is no second solver
+// to compare it with.  Each value is the pointer-based solver's that the
+// flat arena replaced:
+//   - the plain scenarios (php_*, rand3sat_seed*, the 50-conflict budget and
+//     the two older sessions) were recorded from the pointer solver itself,
+//     before the arena existed;
+//   - the "oneshot/" scenarios, the 500-conflict and 2000-propagation
+//     budgets, php_6_5_reset_session_3_literals and
+//     rand3sat_incremental_4_literals were recorded from the arena while a
+//     live replay against the pointer solver agreed with it on every call.
+//
+// A call after Reset records Stats() as its lifetime, so BaseStats() is
+// pinned too: it is the lifetime less the call's own stats.  Any drift here
+// is a determinism regression, not a tuning change.
 //
 // Regenerate (only when a deliberate, documented behaviour change is made)
 // with:
@@ -28,10 +39,9 @@ import (
 //	PDSAT_UPDATE_GOLDENS=1 go test -run TestSolverGoldens ./internal/solver
 const goldenFile = "testdata/solver_goldens.json"
 
-// goldenStats is the seed-era deterministic counter set (SolveTime is wall
-// clock, ArenaBytes and the tier counters did not exist at the seed; all are
-// excluded on purpose so the file stays comparable with the pointer
-// implementation that recorded it).
+// goldenStats is the pointer solver's deterministic counter set (SolveTime
+// is wall clock, and ReduceDBs and ArenaBytes are the arena's own; all are
+// excluded, so the file stays the pointer solver's record).
 type goldenStats struct {
 	Decisions    uint64 `json:"decisions"`
 	Propagations uint64 `json:"propagations"`
@@ -111,6 +121,59 @@ func noMinimizeNoPhaseOptions() Options {
 	return o
 }
 
+func mustPigeonhole(t *testing.T, pigeons, holes int) *cnf.Formula {
+	t.Helper()
+	f, err := cnfgen.Pigeonhole(pigeons, holes)
+	if err != nil {
+		t.Fatalf("Pigeonhole(%d,%d): %v", pigeons, holes, err)
+	}
+	return f
+}
+
+func mustRandom3SAT(t *testing.T, seed int64, vars int, ratio float64) *cnf.Formula {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	f, err := cnfgen.Random3SAT(rng, vars, ratio)
+	if err != nil {
+		t.Fatalf("Random3SAT(seed=%d): %v", seed, err)
+	}
+	return f
+}
+
+// goldenFormulas are the formulas the one-shot goldens solve under each
+// option set: pigeonhole and random 3-SAT instances that take restarts and
+// learned clauses, and small hand-made ones for every path of
+// construction's normalisation and root-level simplification.
+func goldenFormulas(t *testing.T) map[string]*cnf.Formula {
+	t.Helper()
+	lits := func(ls ...int) cnf.Clause {
+		c := make(cnf.Clause, len(ls))
+		for i, l := range ls {
+			c[i] = cnf.Lit(l)
+		}
+		return c
+	}
+	fs := map[string]*cnf.Formula{
+		"php_6_5":                mustPigeonhole(t, 6, 5),
+		"php_4_4":                mustPigeonhole(t, 4, 4),
+		"php_7_6":                mustPigeonhole(t, 7, 6),
+		"duplicate literals":     {NumVars: 4, Clauses: []cnf.Clause{lits(3, 1, 3, -2, 1), lits(2, 2), lits(-4, 1, -4, 3)}},
+		"tautologies":            {NumVars: 4, Clauses: []cnf.Clause{lits(1, -1), lits(2, 3, -2), lits(1, 2, 3), lits(-3, 4, 3, 9)}},
+		"units propagate":        {NumVars: 5, Clauses: []cnf.Clause{lits(-1, 2), lits(-2, 3, 4), lits(1), lits(-3), lits(-4, 5, 1), lits(4, 5, -2)}},
+		"root-satisfied literal": {NumVars: 4, Clauses: []cnf.Clause{lits(1), lits(1, 2, 3), lits(2, 3, 4), lits(-2, 1, 7)}},
+		"root-falsified literal": {NumVars: 4, Clauses: []cnf.Clause{lits(-1), lits(-2), lits(1, 2, 3, 4), lits(1, 3), lits(2, -3, -4)}},
+		"falsified to empty":     {NumVars: 3, Clauses: []cnf.Clause{lits(1, 2), lits(-1), lits(-2), lits(2, 3)}},
+		"empty clause":           {NumVars: 3, Clauses: []cnf.Clause{lits(1, 2), lits(), lits(2, 3)}},
+		"beyond NumVars":         {NumVars: 2, Clauses: []cnf.Clause{lits(1, 5), lits(-5, 6, 2), lits(7), lits(-7, 9, 1), lits(8, -8)}},
+		"no variables declared":  {Clauses: []cnf.Clause{lits(2, 3), lits(-2, 3), lits(1, -3, 2)}},
+		"chain":                  chainFormula(40),
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		fs[fmt.Sprintf("rand3sat_%d", seed)] = mustRandom3SAT(t, seed, 60, 4.2)
+	}
+	return fs
+}
+
 // goldenScenarios returns the named deterministic solve sequences the suite
 // pins.  Every scenario returns the records of its calls in order.
 func goldenScenarios(t *testing.T) map[string]func() []goldenRecord {
@@ -170,7 +233,7 @@ func goldenScenarios(t *testing.T) map[string]func() []goldenRecord {
 		"reduce_heavy":         reduceHeavyOptions,
 		"no_minimize_no_phase": noMinimizeNoPhaseOptions,
 	}
-	for fname, f := range diffFormulas(t) {
+	for fname, f := range goldenFormulas(t) {
 		for oname, opts := range optVariants {
 			f, opts := f, opts
 			scenarios["oneshot/"+fname+"/"+oname] = func() []goldenRecord {
@@ -270,7 +333,7 @@ func goldenScenarios(t *testing.T) map[string]func() []goldenRecord {
 }
 
 // TestSolverGoldens replays every golden scenario and compares each call
-// against the recorded pointer-implementation outcome.
+// against its recorded outcome.
 func TestSolverGoldens(t *testing.T) {
 	scenarios := goldenScenarios(t)
 	got := make(map[string][]goldenRecord, len(scenarios))
@@ -316,7 +379,7 @@ func TestSolverGoldens(t *testing.T) {
 		}
 		for i := range w {
 			if g[i] != w[i] {
-				t.Errorf("%s call %d diverges from the pointer implementation:\n got %+v\nwant %+v", name, i, g[i], w[i])
+				t.Errorf("%s call %d diverges from the recorded search:\n got %+v\nwant %+v", name, i, g[i], w[i])
 			}
 		}
 	}

@@ -23,9 +23,9 @@
 // offset (cref).  Watch lists hold 8-byte {cref, blocker} entries with
 // binary clauses specialized in place (watch.go).  The layout is a pure
 // representation change: the search — every decision, conflict, learned
-// clause, restart and statistic — is bit-for-bit identical to the original
-// pointer-based implementation, which is pinned by golden and differential
-// tests.  There is one learned-clause reducer (reduce.go): the seed's
+// clause, restart and statistic — is bit-for-bit the one the original
+// pointer-based implementation recorded, and the goldens
+// (testdata/solver_goldens.json, golden_test.go) hold it there.  There is one learned-clause reducer (reduce.go): the seed's
 // activity-based policy, which hands the arena words of the clauses it
 // removes back by an order-preserving compaction.
 //
@@ -41,13 +41,12 @@
 // trail and the decision heap in makeVars from the variable count (the
 // formula's NumVars, or the largest variable a clause names if that is more),
 // and the watch lists as stretches of one slab.  The clauses are then added
-// through one scratch buffer (normalizeClause: the order, dedup and tautology
-// rule of cnf.Clause.Normalize, in place) with root-level simplification and
-// unit propagation as they arrive, so the clause order, the watch order, the
-// root-level trail and the statistics are those of the pointer implementation
-// that builds clause by clause, which the differential tests
-// (differential_test.go) compare over hand-made formulas for every
-// normalisation path.  On the bench's A5/1 instance (42 754 clauses) that
+// through one scratch buffer (normalizeClause: ordered by variable,
+// duplicates and tautologies dropped, in place) with root-level
+// simplification and unit propagation as they arrive, so the clause order,
+// the watch order, the root-level trail and the statistics are those of a
+// clause-by-clause build; the goldens' "oneshot/" scenarios pin them over
+// hand-made formulas for every normalisation path.  On the bench's A5/1 instance (42 754 clauses) that
 // is 140 allocations where there were 219 142, a third of the time and of
 // the bytes; what remains beside the arrays are watch lists that
 // root-level propagation moves entries into until they outgrow their stretch,

@@ -469,7 +469,7 @@ func TestPhaseSavingOptionsVariants(t *testing.T) {
 // call for call — the same status, model and statistics (the wall-clock
 // SolveTime aside) on formulas that take restarts and learned clauses.
 func TestZeroOptionsFallBackToDefaults(t *testing.T) {
-	for name, f := range diffFormulas(t) {
+	for name, f := range goldenFormulas(t) {
 		zero, def := New(f, Options{}).Solve(), New(f, DefaultOptions()).Solve()
 		zero.Stats.SolveTime, def.Stats.SolveTime = 0, 0
 		if !reflect.DeepEqual(zero, def) {

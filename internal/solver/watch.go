@@ -10,14 +10,14 @@ package solver
 // is by construction always the clause's other literal, so the propagation
 // fast path resolves the implication entirely from the 8-byte watch entry —
 // the only arena access left is the literal swap that keeps the clause's
-// stored order identical to the pointer implementation (conflict analysis
-// bumps variables in literal order, so the order is behaviour-relevant).
+// stored order the one the general path would leave (conflict analysis
+// bumps variables in literal order, so the order is behaviour-relevant and
+// the solver goldens pin it).
 // Keeping binaries in the same slab, in the same positions, preserves the
 // seed's exact watch traversal order — a dedicated binary list would change
 // trail order and break bit-identity.
 
-// watch is one watch-list entry: 8 bytes against the pointer
-// implementation's 16.
+// watch is one watch-list entry: 8 bytes, a cref and a literal.
 type watch struct {
 	// ref is the clause's cref; the sign bit tags binary clauses.
 	ref cref
@@ -68,11 +68,11 @@ func (s *Solver) removeWatch(l ilit, c cref) {
 // propagate performs unit propagation over the watched literals.  It returns
 // the conflicting clause, or nullRef.
 //
-// The control flow mirrors the pointer implementation statement for
-// statement — blocker check, false-literal swap, first-literal check, new
-// watch search, unit/conflict with the same watcher rewrites — because the
-// traversal order decides the trail order, and through it every reason,
-// learned clause and decision of the search.  The binary branch is the only
+// The control flow is MiniSat's — blocker check, false-literal swap,
+// first-literal check, new watch search, unit/conflict with the watcher
+// rewrites — in a fixed order, because the traversal order decides the trail
+// order, and through it every reason, learned clause and decision of the
+// search; the solver goldens pin that search.  The binary branch is the only
 // structural addition, and it takes exactly the path the general code would
 // (for a binary clause the first literal always equals the blocker and the
 // new-watch search has no literals to scan), just without reading the
@@ -99,8 +99,8 @@ func (s *Solver) propagate() cref {
 			}
 			if w.isBinary() {
 				// The other literal is the blocker; it is not true, so the
-				// clause is unit or conflicting.  Keep the stored literal
-				// order identical to the pointer implementation's swap.
+				// clause is unit or conflicting.  Swap the false literal
+				// second, as the general path does.
 				base := int32(w.clause()) + hdrWords
 				if ar[base] == falseLit {
 					ar[base], ar[base+1] = ar[base+1], ar[base]
