@@ -9,7 +9,6 @@
 package cnf
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 )
@@ -115,30 +114,6 @@ func (c Clause) MaxVar() Var {
 	return m
 }
 
-// Normalize sorts the clause, removes duplicate literals and reports whether
-// the clause is a tautology (contains both l and ¬l).  The returned clause
-// shares no memory with the receiver.
-func (c Clause) Normalize() (Clause, bool) {
-	out := c.Clone()
-	slices.SortFunc(out, func(a, b Lit) int {
-		if va, vb := a.Var(), b.Var(); va != vb {
-			return cmp.Compare(va, vb)
-		}
-		return cmp.Compare(a, b)
-	})
-	dedup := out[:0]
-	for i, l := range out {
-		if i > 0 && l == out[i-1] {
-			continue
-		}
-		if i > 0 && l == -out[i-1] {
-			return nil, true
-		}
-		dedup = append(dedup, l)
-	}
-	return dedup, false
-}
-
 // Assignment maps variables to truth values.  Index 0 is unused.
 type Assignment []Value
 
@@ -190,17 +165,6 @@ func (a Assignment) Clone() Assignment {
 	out := make(Assignment, len(a))
 	copy(out, a)
 	return out
-}
-
-// NumAssigned returns the number of assigned variables.
-func (a Assignment) NumAssigned() int {
-	n := 0
-	for v := 1; v < len(a); v++ {
-		if a[v] != Unassigned {
-			n++
-		}
-	}
-	return n
 }
 
 // Formula is a CNF formula: a conjunction of clauses over variables
@@ -301,60 +265,6 @@ func evalClause(c Clause, a Assignment) Value {
 
 // IsSatisfiedBy reports whether the assignment satisfies every clause.
 func (f *Formula) IsSatisfiedBy(a Assignment) bool { return f.Evaluate(a) == True }
-
-// Simplify returns a new formula obtained by substituting the given partial
-// assignment into f: satisfied clauses are removed, false literals are
-// deleted from the remaining clauses.  The variable numbering is preserved.
-// The second result is false if substitution produced an empty clause (the
-// simplified formula is trivially unsatisfiable); the returned formula then
-// contains the empty clause.
-func (f *Formula) Simplify(a Assignment) (*Formula, bool) {
-	out := &Formula{NumVars: f.NumVars}
-	ok := true
-	for _, c := range f.Clauses {
-		newC := make(Clause, 0, len(c))
-		satisfied := false
-		for _, l := range c {
-			switch a.LitValue(l) {
-			case True:
-				satisfied = true
-			case False:
-				// drop literal
-			default:
-				newC = append(newC, l)
-			}
-			if satisfied {
-				break
-			}
-		}
-		if satisfied {
-			continue
-		}
-		if len(newC) == 0 {
-			ok = false
-		}
-		out.Clauses = append(out.Clauses, newC)
-	}
-	return out, ok
-}
-
-// WithUnits returns a copy of f with one unit clause appended for every
-// assigned variable in a.  This is the standard way of constructing the
-// sub-problem C[X̃/α] without renumbering variables.
-func (f *Formula) WithUnits(a Assignment) *Formula {
-	out := &Formula{NumVars: f.NumVars, Comments: append([]string(nil), f.Comments...)}
-	out.Clauses = make([]Clause, len(f.Clauses), len(f.Clauses)+a.NumAssigned())
-	copy(out.Clauses, f.Clauses)
-	for v := Var(1); int(v) < len(a); v++ {
-		switch a[v] {
-		case True:
-			out.AddClause(Clause{NewLit(v, true)})
-		case False:
-			out.AddClause(Clause{NewLit(v, false)})
-		}
-	}
-	return out
-}
 
 // UnitPropagate performs unit propagation on f starting from the partial
 // assignment a (which is not modified).  It returns the extended assignment

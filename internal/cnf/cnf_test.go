@@ -41,27 +41,6 @@ func TestValueNot(t *testing.T) {
 	}
 }
 
-func TestClauseNormalize(t *testing.T) {
-	c := Clause{3, -1, 3, 2}
-	norm, taut := c.Normalize()
-	if taut {
-		t.Fatal("unexpected tautology")
-	}
-	want := Clause{-1, 2, 3}
-	if len(norm) != len(want) {
-		t.Fatalf("normalize = %v, want %v", norm, want)
-	}
-	for i := range want {
-		if norm[i] != want[i] {
-			t.Fatalf("normalize = %v, want %v", norm, want)
-		}
-	}
-	_, taut = Clause{1, -1, 2}.Normalize()
-	if !taut {
-		t.Fatal("expected tautology for {1,-1,2}")
-	}
-}
-
 func TestClauseHelpers(t *testing.T) {
 	c := Clause{1, -4, 3}
 	if !c.Contains(-4) || c.Contains(4) {
@@ -94,9 +73,6 @@ func TestAssignment(t *testing.T) {
 	}
 	if a.Value(100) != Unassigned || a.Value(0) != Unassigned {
 		t.Fatal("out-of-range Value should be Unassigned")
-	}
-	if got := a.NumAssigned(); got != 3 {
-		t.Fatalf("NumAssigned = %d, want 3", got)
 	}
 	b := a.Clone()
 	b.Set(2, False)
@@ -151,45 +127,6 @@ func TestFormulaVars(t *testing.T) {
 		if vars[i] != want[i] {
 			t.Fatalf("Vars = %v, want %v", vars, want)
 		}
-	}
-}
-
-func TestSimplify(t *testing.T) {
-	f := New(3)
-	f.AddClauseLits(1, 2)
-	f.AddClauseLits(-1, 3)
-	f.AddClauseLits(-2, -3)
-	a := NewAssignment(3)
-	a.Set(1, True)
-	simp, ok := f.Simplify(a)
-	if !ok {
-		t.Fatal("simplification should not produce the empty clause")
-	}
-	// Clause (1,2) satisfied and removed; (-1,3) loses -1; (-2,-3) untouched.
-	if len(simp.Clauses) != 2 {
-		t.Fatalf("got %d clauses, want 2: %v", len(simp.Clauses), simp.Clauses)
-	}
-	// Now force a conflict: 1=true, 3=false makes (-1,3) empty.
-	a.Set(3, False)
-	_, ok = f.Simplify(a)
-	if ok {
-		t.Fatal("expected empty clause")
-	}
-}
-
-func TestWithUnits(t *testing.T) {
-	f := New(3)
-	f.AddClauseLits(1, 2, 3)
-	a := NewAssignment(3)
-	a.Set(2, False)
-	a.Set(3, True)
-	g := f.WithUnits(a)
-	if g.NumClauses() != 3 {
-		t.Fatalf("expected 3 clauses, got %d", g.NumClauses())
-	}
-	// Original formula untouched.
-	if f.NumClauses() != 1 {
-		t.Fatal("WithUnits must not modify the receiver")
 	}
 }
 
@@ -332,34 +269,10 @@ func TestEvaluateClauseAllFalse(t *testing.T) {
 	}
 }
 
-// Property: simplifying under a partial assignment preserves satisfiability
-// by the same total assignment.
-func TestSimplifyPreservesSatisfactionProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		f, total := randomFormulaAndAssignment(seed, 8, 20)
-		partial := NewAssignment(f.NumVars)
-		// Take the first half of the total assignment as the partial one.
-		for v := Var(1); int(v) <= f.NumVars/2; v++ {
-			partial.Set(v, total.Value(v))
-		}
-		want := f.Evaluate(total)
-		simp, ok := f.Simplify(partial)
-		if !ok {
-			// Simplification found an empty clause: the partial assignment
-			// already falsifies the formula, so the total one must too.
-			return want == False
-		}
-		return simp.Evaluate(total) == want
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: DIMACS round trip is the identity on clause content.
 func TestDIMACSRoundTripProperty(t *testing.T) {
 	prop := func(seed int64) bool {
-		f, _ := randomFormulaAndAssignment(seed, 6, 12)
+		f := randomFormula(seed, 6, 12)
 		g, err := ParseDIMACSString(f.DIMACSString())
 		if err != nil {
 			return false
@@ -384,10 +297,10 @@ func TestDIMACSRoundTripProperty(t *testing.T) {
 	}
 }
 
-// randomFormulaAndAssignment builds a small pseudo-random formula and a total
-// assignment from a seed, using a simple LCG so the cnf package tests do not
-// need math/rand determinism guarantees.
-func randomFormulaAndAssignment(seed int64, numVars, numClauses int) (*Formula, Assignment) {
+// randomFormula builds a small pseudo-random formula from a seed, using a
+// simple LCG so the cnf package tests do not need math/rand determinism
+// guarantees.
+func randomFormula(seed int64, numVars, numClauses int) *Formula {
 	state := uint64(seed)*2862933555777941757 + 3037000493
 	next := func() uint64 {
 		state = state*6364136223846793005 + 1442695040888963407
@@ -404,15 +317,7 @@ func randomFormulaAndAssignment(seed int64, numVars, numClauses int) (*Formula, 
 		}
 		f.AddClause(c)
 	}
-	a := NewAssignment(numVars)
-	for v := Var(1); int(v) <= numVars; v++ {
-		if next()%2 == 0 {
-			a.Set(v, True)
-		} else {
-			a.Set(v, False)
-		}
-	}
-	return f, a
+	return f
 }
 
 func TestFormulaString(t *testing.T) {

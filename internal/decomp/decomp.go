@@ -264,9 +264,9 @@ func (p Point) SortedVars() []cnf.Var {
 }
 
 // Family is the decomposition family Δ_C(X̃) induced by a decomposition set
-// over a CNF formula.  Subproblems are constructed lazily as assumption
-// lists or unit-augmented formulas; the family itself never materialises all
-// 2^d members.
+// over a CNF formula.  A member C[X̃/α] is written as the assumption
+// literals of α, solved on a solver built once from C; the family itself
+// never materialises all 2^d members.
 type Family struct {
 	formula *cnf.Formula
 	vars    []cnf.Var
@@ -361,88 +361,4 @@ func (fam *Family) RandomAssignment(rng *rand.Rand) []bool {
 	alpha := make([]bool, len(fam.vars))
 	fam.draw(rng, func(i int, value bool) { alpha[i] = value })
 	return alpha
-}
-
-// Subproblem returns the formula C[X̃/α] as a copy of C extended with unit
-// clauses (variable numbering preserved).
-func (fam *Family) Subproblem(alpha []bool) (*cnf.Formula, error) {
-	if len(alpha) != len(fam.vars) {
-		return nil, fmt.Errorf("decomp: assignment has %d bits, want %d", len(alpha), len(fam.vars))
-	}
-	a := cnf.NewAssignment(fam.formula.NumVars)
-	for i, v := range fam.vars {
-		if alpha[i] {
-			a.Set(v, cnf.True)
-		} else {
-			a.Set(v, cnf.False)
-		}
-	}
-	return fam.formula.WithUnits(a), nil
-}
-
-// CheckPartitioning verifies, by exhaustive enumeration (only feasible for
-// small d and small formulas), the two defining properties of a
-// partitioning:
-//
-//  1. pairwise inconsistency: for i ≠ j, C ∧ G_i ∧ G_j is unsatisfiable —
-//     immediate here because distinct minterms over X̃ conflict, so the
-//     check validates that subproblem constructions don't overlap, and
-//  2. cover: C is equivalent to the disjunction of the subproblems, i.e.
-//     every model of C extends exactly one member of the family and every
-//     satisfiable member yields a model of C.
-//
-// The function returns an error describing the first violated property.  The
-// satisfiability checks are delegated to the provided solve callback so this
-// package does not depend on the solver.
-func (fam *Family) CheckPartitioning(solve func(*cnf.Formula) (bool, cnf.Assignment, error)) error {
-	d := fam.Dimension()
-	if d > 16 {
-		return fmt.Errorf("decomp: refusing to enumerate 2^%d subproblems", d)
-	}
-	n := fam.SizeUint()
-	originalSat, model, err := solve(fam.formula)
-	if err != nil {
-		return err
-	}
-	anySat := false
-	for idx := uint64(0); idx < n; idx++ {
-		alpha := make([]bool, d)
-		for i := 0; i < d; i++ {
-			alpha[i] = idx&(1<<uint(i)) != 0
-		}
-		sub, err := fam.Subproblem(alpha)
-		if err != nil {
-			return err
-		}
-		sat, subModel, err := solve(sub)
-		if err != nil {
-			return err
-		}
-		if sat {
-			anySat = true
-			// A model of the subproblem must be a model of C (the subproblem
-			// only adds constraints).
-			if !fam.formula.IsSatisfiedBy(subModel) {
-				return fmt.Errorf("decomp: subproblem %d produced a non-model of C", idx)
-			}
-			// ... and must agree with the minterm α (pairwise inconsistency).
-			for i, v := range fam.vars {
-				want := cnf.False
-				if alpha[i] {
-					want = cnf.True
-				}
-				if subModel.Value(v) != want {
-					return fmt.Errorf("decomp: subproblem %d model violates its minterm at %d", idx, v)
-				}
-			}
-		}
-	}
-	if originalSat && !anySat {
-		return fmt.Errorf("decomp: C is satisfiable but no family member is (cover violated)")
-	}
-	if !originalSat && anySat {
-		return fmt.Errorf("decomp: C is unsatisfiable but some family member is satisfiable")
-	}
-	_ = model
-	return nil
 }

@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -186,31 +187,6 @@ func TestFamilyBasics(t *testing.T) {
 	}
 }
 
-func TestFamilySubproblem(t *testing.T) {
-	f := cnf.New(3)
-	f.AddClauseLits(1, 2, 3)
-	fam := NewFamily(f, []cnf.Var{1, 2})
-	sub, err := fam.Subproblem([]bool{false, false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Original clause plus two units.
-	if sub.NumClauses() != 3 {
-		t.Fatalf("subproblem clauses = %d", sub.NumClauses())
-	}
-	res := solver.NewDefault(sub).Solve()
-	if res.Status != solver.Sat || res.Model.Value(3) != cnf.True {
-		t.Fatalf("subproblem should force var 3 true, got %v %v", res.Status, res.Model)
-	}
-	if _, err := fam.Subproblem([]bool{true}); err == nil {
-		t.Fatal("expected length-mismatch error")
-	}
-	// The original formula must not change.
-	if f.NumClauses() != 1 {
-		t.Fatal("Subproblem must not modify the formula")
-	}
-}
-
 func TestFamilyRandomAssignment(t *testing.T) {
 	f := cnf.New(8)
 	fam := NewFamily(f, []cnf.Var{1, 2, 3, 4, 5, 6, 7, 8})
@@ -250,44 +226,6 @@ func TestFamilyOfPoint(t *testing.T) {
 	}
 }
 
-func solveWithCDCL(f *cnf.Formula) (bool, cnf.Assignment, error) {
-	res := solver.NewDefault(f).Solve()
-	return res.Status == solver.Sat, res.Model, nil
-}
-
-func TestCheckPartitioningSatisfiable(t *testing.T) {
-	f := cnf.New(4)
-	f.AddClauseLits(1, 2, 3)
-	f.AddClauseLits(-1, 4)
-	f.AddClauseLits(-2, -4)
-	fam := NewFamily(f, []cnf.Var{1, 2})
-	if err := fam.CheckPartitioning(solveWithCDCL); err != nil {
-		t.Fatalf("partitioning check failed: %v", err)
-	}
-}
-
-func TestCheckPartitioningUnsatisfiable(t *testing.T) {
-	f := cnf.New(3)
-	f.AddClauseLits(1)
-	f.AddClauseLits(-1)
-	fam := NewFamily(f, []cnf.Var{2, 3})
-	if err := fam.CheckPartitioning(solveWithCDCL); err != nil {
-		t.Fatalf("partitioning check failed on UNSAT formula: %v", err)
-	}
-}
-
-func TestCheckPartitioningRejectsHugeFamilies(t *testing.T) {
-	f := cnf.New(20)
-	vars := make([]cnf.Var, 20)
-	for i := range vars {
-		vars[i] = cnf.Var(i + 1)
-	}
-	fam := NewFamily(f, vars)
-	if err := fam.CheckPartitioning(solveWithCDCL); err == nil {
-		t.Fatal("expected refusal to enumerate 2^20 subproblems")
-	}
-}
-
 func TestFamilySizeLarge(t *testing.T) {
 	f := cnf.New(100)
 	vars := make([]cnf.Var, 80)
@@ -306,9 +244,66 @@ func TestFamilySizeLarge(t *testing.T) {
 	fam.SizeUint()
 }
 
-// Property: the partitioning property holds for random small formulas and
-// random decomposition sets (the defining property of Section 2).
+// partitioningError solves every member of fam as a worker does — its
+// AssumptionsInto vector on one solver built from C, Reset between members —
+// and checks the defining properties of a partitioning (Section 2): C is
+// satisfiable exactly when some member is (C's answer from the DPLL oracle),
+// and every satisfiable member's model is a model of C that agrees with the
+// member's minterm.  It returns the first violation, or nil.
+func partitioningError(fam *Family) error {
+	c := fam.Formula()
+	want := solver.NewDPLL(c).Solve().Status
+	s := solver.NewDefault(c)
+	vars := fam.Vars()
+	alpha := make([]cnf.Lit, len(vars))
+	anySat := false
+	for idx := uint64(0); idx < fam.SizeUint(); idx++ {
+		alpha = fam.AssumptionsInto(alpha, idx)
+		s.Reset()
+		res := s.SolveWithAssumptions(alpha)
+		switch res.Status {
+		case solver.Unsat:
+			continue
+		case solver.Sat:
+		default:
+			return fmt.Errorf("member %d: status %v without a budget", idx, res.Status)
+		}
+		anySat = true
+		if !c.IsSatisfiedBy(res.Model) {
+			return fmt.Errorf("member %d: the model is not a model of C", idx)
+		}
+		for i, v := range vars {
+			want := cnf.False
+			if idx&(1<<uint(i)) != 0 {
+				want = cnf.True
+			}
+			if got := res.Model.Value(v); got != want {
+				return fmt.Errorf("member %d: the model sets variable %d %v, its minterm %v", idx, v, got, want)
+			}
+		}
+	}
+	if anySat != (want == solver.Sat) {
+		return fmt.Errorf("C is %v, but a member is satisfiable: %v", want, anySat)
+	}
+	return nil
+}
+
+// TestPartitioningProperty checks the partitioning property on two
+// hand-made formulas, one satisfiable and one not, and on random small
+// formulas and decomposition sets.
 func TestPartitioningProperty(t *testing.T) {
+	sat := cnf.New(4)
+	sat.AddClauseLits(1, 2, 3)
+	sat.AddClauseLits(-1, 4)
+	sat.AddClauseLits(-2, -4)
+	unsat := cnf.New(3)
+	unsat.AddClauseLits(1)
+	unsat.AddClauseLits(-1)
+	for _, fam := range []*Family{NewFamily(sat, []cnf.Var{1, 2}), NewFamily(unsat, []cnf.Var{2, 3})} {
+		if err := partitioningError(fam); err != nil {
+			t.Fatalf("%v over %v: %v", fam.Formula(), fam.Vars(), err)
+		}
+	}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nv := 4 + rng.Intn(5)
@@ -335,8 +330,11 @@ func TestPartitioningProperty(t *testing.T) {
 				vars = append(vars, v)
 			}
 		}
-		fam := NewFamily(f, vars)
-		return fam.CheckPartitioning(solveWithCDCL) == nil
+		if err := partitioningError(NewFamily(f, vars)); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -922,9 +922,9 @@ func grown[T any](s []T, n, want int) []T {
 }
 
 // normalizeClause writes the clause into the solver's scratch buffer as
-// internal literals, sorted and without duplicates, and reports whether it is
-// a tautology: the order (by variable, the negative literal first), the
-// dedup and the tautology rule of cnf.Clause.Normalize, with no allocation.
+// internal literals, with no allocation: ordered by variable (the negative
+// literal first), a repeated literal dropped, and the whole clause dropped
+// as a tautology, reported by taut, if it holds a literal and its negation.
 // The result is valid until the next call.
 func (s *Solver) normalizeClause(c cnf.Clause) (lits []ilit, taut bool) {
 	lits = s.addBuf[:0]
