@@ -252,7 +252,7 @@ func TestFamilySizeLarge(t *testing.T) {
 // member's minterm.  It returns the first violation, or nil.
 func partitioningError(fam *Family) error {
 	c := fam.Formula()
-	want := solver.NewDPLL(c).Solve().Status
+	answer := solver.NewDPLL(c).Solve().Status
 	s := solver.NewDefault(c)
 	vars := fam.Vars()
 	alpha := make([]cnf.Lit, len(vars))
@@ -282,8 +282,8 @@ func partitioningError(fam *Family) error {
 			}
 		}
 	}
-	if anySat != (want == solver.Sat) {
-		return fmt.Errorf("C is %v, but a member is satisfiable: %v", want, anySat)
+	if anySat != (answer == solver.Sat) {
+		return fmt.Errorf("DPLL finds C %v, but a satisfiable member found: %v", answer, anySat)
 	}
 	return nil
 }

@@ -205,22 +205,12 @@ func goldenScenarios(t *testing.T) map[string]func() []goldenRecord {
 		f, _ := cnfgen.Pigeonhole(7, 6)
 		return solveOnce(f, noMinimizeNoPhaseOptions())
 	}
-	scenarios["php_8_7_budget_50_conflicts"] = func() []goldenRecord {
-		f, _ := cnfgen.Pigeonhole(8, 7)
-		s := NewDefault(f)
-		s.SetBudget(Budget{MaxConflicts: 50})
-		res := s.Solve()
-		return []goldenRecord{record(res, s)}
-	}
-	for _, b := range []struct {
-		name   string
-		budget Budget
-	}{
-		{"php_8_7_budget_500_conflicts", Budget{MaxConflicts: 500}},
-		{"php_8_7_budget_2000_propagations", Budget{MaxPropagations: 2000}},
+	for name, budget := range map[string]Budget{
+		"php_8_7_budget_50_conflicts":      {MaxConflicts: 50},
+		"php_8_7_budget_500_conflicts":     {MaxConflicts: 500},
+		"php_8_7_budget_2000_propagations": {MaxPropagations: 2000},
 	} {
-		budget := b.budget
-		scenarios[b.name] = func() []goldenRecord {
+		scenarios[name] = func() []goldenRecord {
 			f, _ := cnfgen.Pigeonhole(8, 7)
 			s := NewDefault(f)
 			s.SetBudget(budget)
@@ -235,7 +225,6 @@ func goldenScenarios(t *testing.T) map[string]func() []goldenRecord {
 	}
 	for fname, f := range goldenFormulas(t) {
 		for oname, opts := range optVariants {
-			f, opts := f, opts
 			scenarios["oneshot/"+fname+"/"+oname] = func() []goldenRecord {
 				return solveOnce(f, opts())
 			}
