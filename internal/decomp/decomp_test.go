@@ -288,22 +288,28 @@ func partitioningError(fam *Family) error {
 	return nil
 }
 
-// TestPartitioningProperty checks the partitioning property on two
-// hand-made formulas, one satisfiable and one not, and on random small
+func TestCheckPartitioningSatisfiable(t *testing.T) {
+	f := cnf.New(4)
+	f.AddClauseLits(1, 2, 3)
+	f.AddClauseLits(-1, 4)
+	f.AddClauseLits(-2, -4)
+	if err := partitioningError(NewFamily(f, []cnf.Var{1, 2})); err != nil {
+		t.Fatalf("partitioning check failed: %v", err)
+	}
+}
+
+func TestCheckPartitioningUnsatisfiable(t *testing.T) {
+	f := cnf.New(3)
+	f.AddClauseLits(1)
+	f.AddClauseLits(-1)
+	if err := partitioningError(NewFamily(f, []cnf.Var{2, 3})); err != nil {
+		t.Fatalf("partitioning check failed on UNSAT formula: %v", err)
+	}
+}
+
+// TestPartitioningProperty checks the partitioning property on random small
 // formulas and decomposition sets.
 func TestPartitioningProperty(t *testing.T) {
-	sat := cnf.New(4)
-	sat.AddClauseLits(1, 2, 3)
-	sat.AddClauseLits(-1, 4)
-	sat.AddClauseLits(-2, -4)
-	unsat := cnf.New(3)
-	unsat.AddClauseLits(1)
-	unsat.AddClauseLits(-1)
-	for _, fam := range []*Family{NewFamily(sat, []cnf.Var{1, 2}), NewFamily(unsat, []cnf.Var{2, 3})} {
-		if err := partitioningError(fam); err != nil {
-			t.Fatalf("%v over %v: %v", fam.Formula(), fam.Vars(), err)
-		}
-	}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nv := 4 + rng.Intn(5)

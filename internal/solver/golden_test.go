@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/paper-repro/pdsat-go/internal/cnf"
@@ -324,27 +325,56 @@ func goldenScenarios(t *testing.T) map[string]func() []goldenRecord {
 // TestSolverGoldens replays every golden scenario and compares each call
 // against its recorded outcome.
 func TestSolverGoldens(t *testing.T) {
+	if os.Getenv("PDSAT_UPDATE_GOLDENS") == "" {
+		replayGoldens(t, func(string) bool { return true })
+		return
+	}
 	scenarios := goldenScenarios(t)
 	got := make(map[string][]goldenRecord, len(scenarios))
 	for name, run := range scenarios {
 		got[name] = run()
 	}
-
-	if os.Getenv("PDSAT_UPDATE_GOLDENS") != "" {
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenFile), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenFile, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("recorded %d golden scenarios to %s", len(got), goldenFile)
-		return
+	buf, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := os.MkdirAll(filepath.Dir(goldenFile), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenFile, append(buf, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("recorded %d golden scenarios to %s", len(got), goldenFile)
+}
 
+// The TestArenaMatchesRefSolver tests replay the inputs of the former
+// arena-vs-pointer differential: the scenarios recorded while a live replay
+// against the pointer solver agreed with the arena on every call, plus the
+// 50-conflict budget, recorded from the pointer solver itself.  Each checks
+// that the arena still gives the pointer solver's answers on its inputs.
+
+func TestArenaMatchesRefSolverOneShot(t *testing.T) {
+	replayGoldens(t, func(name string) bool { return strings.HasPrefix(name, "oneshot/") })
+}
+
+func TestArenaMatchesRefSolverBudgeted(t *testing.T) {
+	replayGoldens(t, func(name string) bool { return strings.HasPrefix(name, "php_8_7_budget_") })
+}
+
+func TestArenaMatchesRefSolverResetSession(t *testing.T) {
+	replayGoldens(t, func(name string) bool { return name == "php_6_5_reset_session_3_literals" })
+}
+
+func TestArenaMatchesRefSolverIncremental(t *testing.T) {
+	replayGoldens(t, func(name string) bool { return name == "rand3sat_incremental_4_literals" })
+}
+
+// replayGoldens replays the golden scenarios whose names keep accepts and
+// compares each call against its recorded outcome.  A kept scenario without
+// a record, or a kept record without a scenario, is an error, and so is a
+// keep that accepts no scenario.
+func replayGoldens(t *testing.T, keep func(name string) bool) {
+	t.Helper()
 	buf, err := os.ReadFile(goldenFile)
 	if err != nil {
 		t.Fatalf("missing golden file (record with PDSAT_UPDATE_GOLDENS=1): %v", err)
@@ -353,15 +383,24 @@ func TestSolverGoldens(t *testing.T) {
 	if err := json.Unmarshal(buf, &want); err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != len(got) {
-		t.Errorf("golden file has %d scenarios, suite has %d (stale file?)", len(want), len(got))
-	}
-	for name, w := range want {
-		g, ok := got[name]
-		if !ok {
+	scenarios := goldenScenarios(t)
+	for name := range want {
+		if _, ok := scenarios[name]; !ok && keep(name) {
 			t.Errorf("scenario %q recorded but no longer in the suite", name)
+		}
+	}
+	replayed := 0
+	for name, run := range scenarios {
+		if !keep(name) {
 			continue
 		}
+		w, ok := want[name]
+		if !ok {
+			t.Errorf("scenario %q is in the suite but not recorded (stale file?)", name)
+			continue
+		}
+		replayed++
+		g := run()
 		if len(g) != len(w) {
 			t.Errorf("%s: %d calls, recorded %d", name, len(g), len(w))
 			continue
@@ -371,5 +410,8 @@ func TestSolverGoldens(t *testing.T) {
 				t.Errorf("%s call %d diverges from the recorded search:\n got %+v\nwant %+v", name, i, g[i], w[i])
 			}
 		}
+	}
+	if replayed == 0 {
+		t.Fatal("no recorded scenario selected")
 	}
 }
