@@ -79,8 +79,9 @@ func TestActivityIsBorrowed(t *testing.T) {
 		}
 		s := solver.New(inst.CNF, solver.DefaultOptions())
 		s.SolveWithAssumptions(tasks[i].Assumptions)
-		for v, a := range s.ConflictActivities() {
-			want[v] += a
+		h := s.AppendConflictActivities(solver.SparseActivities{})
+		for i, v := range h.Vars {
+			want[v] += h.Acts[i]
 		}
 	}
 	if slices.Max(want) == 0 {

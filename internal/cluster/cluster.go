@@ -128,10 +128,10 @@ type TaskResult struct {
 	// Model is a satisfying assignment when Status == Sat.
 	Model cnf.Assignment
 	// Activity is the conflict-activity contribution of this subproblem:
-	// the variables it bumped — ascending off the wire, in the order of
-	// their first bumps in process — with their values.  It is sparse from
-	// the solver to the runner's tables — a short subproblem bumps a few
-	// dozen of a formula's thousands of variables, and one of these is
+	// the variables its solve bumped, in ascending order — in process and
+	// off the wire alike — each with the number of its bumps.  It is sparse
+	// from the solver to the runner's tables — a short subproblem bumps a
+	// few dozen of a formula's thousands of variables, and one of these is
 	// produced, shipped and absorbed per task.
 	//
 	// It is borrowed: set only in the TaskResult handed to a batch observer,

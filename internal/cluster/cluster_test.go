@@ -192,12 +192,14 @@ func TestNetRunnerInterruptPartialEstimate(t *testing.T) {
 }
 
 // TestTaskResultActivityIsSparseDense checks the sparse conflict activities
-// a TaskResult lends its observer against the dense vector of a reference
+// a TaskResult lends its observer against the harvests of a reference
 // solver, for both backends and both reuse modes: in a pristine batch every
-// result holds exactly the non-zero entries a fresh solver reports for that
-// task; in a retain batch (one worker, so the order is fixed) it holds the
-// entries by which a single retained solver's cumulative vector grew.  The
-// entries are in any order in process and ascending off the wire.
+// result holds exactly what a solver Reset before the task harvests after it;
+// in a retain batch (one worker, so the order is fixed) what a single solver
+// that runs the tasks in order harvests after each — its contribution, not
+// the running total.  Both backends are held to the one reference, entries
+// and order, so an in-process batch and the same batch over loopback lend
+// identical vectors, index for index.
 func TestTaskResultActivityIsSparseDense(t *testing.T) {
 	inst := testInstance(t)
 	vars := inst.UnknownStartVars()[:6]
@@ -208,68 +210,47 @@ func TestTaskResultActivityIsSparseDense(t *testing.T) {
 			tasks[i].Assumptions = append(tasks[i].Assumptions, cnf.NewLit(v, (i*7>>j)&1 == 0))
 		}
 	}
-	nonZero := func(dense []float64) solver.SparseActivities {
-		var out solver.SparseActivities
-		for v, a := range dense {
-			if a != 0 {
-				out.Vars = append(out.Vars, cnf.Var(v))
-				out.Acts = append(out.Acts, a)
-			}
-		}
-		return out
-	}
 	reference := func(retain bool) []solver.SparseActivities {
 		want := make([]solver.SparseActivities, len(tasks))
 		s := solver.New(inst.CNF, solver.DefaultOptions())
-		prev := s.ConflictActivities()
 		for i, tk := range tasks {
 			if !retain {
 				s.Reset()
 			}
 			s.SolveWithAssumptions(tk.Assumptions)
-			cur := s.ConflictActivities()
-			if retain {
-				for v := range cur {
-					prev[v] = cur[v] - prev[v]
-				}
-				want[i], prev = nonZero(prev), cur
-			} else {
-				want[i] = nonZero(cur)
-			}
+			want[i] = s.AppendConflictActivities(solver.SparseActivities{})
 		}
 		return want
 	}
 	// A fresh transport per case: a retain batch continues from whatever
 	// its pooled solver did before, and the reference starts from New.
-	transports := map[string]func() cluster.ObservedTransport{
-		"inproc": func() cluster.ObservedTransport { return cluster.NewInproc(inst.CNF, 1, solver.DefaultOptions()) },
-		"tcp":    func() cluster.ObservedTransport { return startLeader(t, inst, 1) },
+	transports := []struct {
+		name string
+		new  func() cluster.ObservedTransport
+	}{
+		{"inproc", func() cluster.ObservedTransport { return cluster.NewInproc(inst.CNF, 1, solver.DefaultOptions()) }},
+		{"tcp", func() cluster.ObservedTransport { return startLeader(t, inst, 1) }},
 	}
-	for name, newTransport := range transports {
-		for _, retain := range []bool{false, true} {
-			want := reference(retain)
-			tr := newTransport()
+	for _, retain := range []bool{false, true} {
+		want := reference(retain)
+		for _, tr := range transports {
+			got := make([]solver.SparseActivities, len(tasks))
 			bumped, observed := 0, 0
-			_, err := tr.RunObserved(context.Background(), tasks, cluster.BatchOptions{Retain: retain, CostMetric: solver.CostConflicts}, func(res cluster.TaskResult) {
+			_, err := tr.new().RunObserved(context.Background(), tasks, cluster.BatchOptions{Retain: retain, CostMetric: solver.CostConflicts}, func(res cluster.TaskResult) {
 				observed++
-				w := want[res.Index]
-				dense := make([]float64, inst.CNF.NumVars+1)
-				for i, v := range res.Activity.Vars {
-					dense[v] += res.Activity.Acts[i]
-				}
-				if got := nonZero(dense); len(res.Activity.Vars) != len(w.Vars) || !slices.Equal(got.Vars, w.Vars) || !slices.Equal(got.Acts, w.Acts) {
-					t.Errorf("%s retain=%v task %d: activity %+v, dense reference %+v", name, retain, res.Index, res.Activity, w)
-				}
-				if name == "tcp" && !slices.IsSorted(res.Activity.Vars) {
-					t.Errorf("%s retain=%v task %d: activity off the wire is not ascending: %v", name, retain, res.Index, res.Activity.Vars)
-				}
-				bumped += len(w.Vars)
+				got[res.Index] = res.Activity.Clone()
+				bumped += len(res.Activity.Vars)
 			})
 			if err != nil {
-				t.Fatalf("%s retain=%v: %v", name, retain, err)
+				t.Fatalf("%s retain=%v: %v", tr.name, retain, err)
 			}
 			if observed != len(tasks) || bumped == 0 {
-				t.Fatalf("%s retain=%v: %d of %d results observed, %d activity entries; the test compares nothing", name, retain, observed, len(tasks), bumped)
+				t.Fatalf("%s retain=%v: %d of %d results observed, %d activity entries; the test compares nothing", tr.name, retain, observed, len(tasks), bumped)
+			}
+			for i, w := range want {
+				if !slices.Equal(got[i].Vars, w.Vars) || !slices.Equal(got[i].Acts, w.Acts) {
+					t.Errorf("%s retain=%v task %d: activity %+v, reference harvest %+v", tr.name, retain, i, got[i], w)
+				}
 			}
 		}
 	}

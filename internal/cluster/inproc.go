@@ -97,20 +97,6 @@ func (t *Inproc) PoolSize() int {
 	return len(t.pool)
 }
 
-// PooledSolvers returns a snapshot of the parked persistent solvers, for
-// diagnostics and accounting tests (e.g. comparing a retain-mode solver's
-// cumulative conflict activity against the absorbed totals).  The solvers
-// are shared, not copies: callers must not use them while a batch runs.
-func (t *Inproc) PooledSolvers() []*solver.Solver {
-	t.poolMu.Lock()
-	defer t.poolMu.Unlock()
-	solvers := make([]*solver.Solver, len(t.pool))
-	for i, p := range t.pool {
-		solvers[i] = p.solver
-	}
-	return solvers
-}
-
 // Run distributes the tasks over the worker goroutines and collects one
 // result per task, in completion order.
 func (t *Inproc) Run(ctx context.Context, tasks []Task, opts BatchOptions) ([]TaskResult, error) {
@@ -283,27 +269,18 @@ func stopTriggered(mode StopMode, st solver.Status) bool {
 }
 
 // solveWorker is the per-goroutine solving state of one batch: one
-// persistent pooled solver, the scratch needed to attribute statistics and
-// conflict activity to individual tasks when the solver outlives them, and
-// the slot's interrupt registration.  The network worker (worker.go) reuses
-// it for its local solving slots.
+// persistent pooled solver, the buffer its tasks' conflict activity is
+// harvested into, and the slot's interrupt registration.  The network
+// worker (worker.go) reuses it for its local solving slots.
 type solveWorker struct {
 	transport *Inproc
 	solver    *solver.Solver
 	retain    bool
-	// ascending has the activity of a result sorted by variable, as the wire
-	// wants it; a result that stays in the process is read in any order.
-	ascending bool
 	// act is where every task's conflict activity is harvested, and what its
 	// TaskResult.Activity points into: the result is recorded, or put on the
 	// wire, before the slot takes its next task.  It comes from the pool with
 	// the solver and goes back with it.
 	act solver.SparseActivities
-	// prevAct is the solver's cumulative conflict activity after the
-	// previous task and gain the buffer for what a task added to it (retain
-	// mode only); the per-task contribution is the difference, since conflict
-	// activity grows monotonically.
-	prevAct, gain solver.SparseActivities
 
 	// unregister removes the slot's registration with the batch context.
 	unregister func() bool
@@ -334,13 +311,6 @@ type solveWorker struct {
 func newSolveWorker(batch context.Context, t *Inproc, retain bool) *solveWorker {
 	p := t.acquire()
 	sw := &solveWorker{transport: t, solver: p.solver, act: p.act, retain: retain}
-	if retain {
-		// A pooled solver may carry conflict activity from a previous batch
-		// that was already absorbed by the caller; without a Reset to zero
-		// it, the per-task diff must start from the current cumulative
-		// values.
-		sw.prevAct = sw.solver.AppendConflictActivities(sw.prevAct, true)
-	}
 	sw.unregister = context.AfterFunc(batch, sw.interruptBatch)
 	return sw
 }
@@ -461,18 +431,15 @@ func (w *solveWorker) solveTask(t Task, opts BatchOptions) TaskResult {
 	w.begin(t.Index, s)
 	res := s.SolveWithAssumptions(t.Assumptions)
 	cancelled := w.end() && res.Status == solver.Unknown
+	// The harvest takes what this task bumped, in either mode: every task
+	// before it on this solver was harvested when it ended.
+	w.act = s.AppendConflictActivities(w.act.Emptied())
 	var taskStats solver.Stats
-	// The gain of a retained task is a merge of two ascending vectors.
-	w.act = s.AppendConflictActivities(w.act.Emptied(), w.ascending || w.retain)
-	activity := w.act
 	if w.retain {
 		taskStats = s.BaseStats().Add(res.Stats)
-		w.gain = activityGain(w.gain.Emptied(), w.act, w.prevAct)
-		activity = w.gain
-		w.act, w.prevAct = w.prevAct, w.act
 	} else {
-		// Reset rebased the stats to the construction baseline and zeroed
-		// the conflict activities, so the lifetime values are per-task.
+		// Reset rebased the stats to the construction baseline, so the
+		// lifetime values are per-task.
 		taskStats = s.Stats()
 	}
 	taskStats.SolveTime = time.Since(start)
@@ -481,30 +448,10 @@ func (w *solveWorker) solveTask(t Task, opts BatchOptions) TaskResult {
 		Cost:        solver.EffortCost(taskStats, opts.CostMetric),
 		Status:      res.Status,
 		Model:       res.Model,
-		Activity:    activity,
+		Activity:    w.act,
 		Stats:       taskStats,
 		Started:     true,
 		Interrupted: res.Interrupted,
 		Cancelled:   cancelled,
 	}
-}
-
-// activityGain appends cur − prev to gain, the conflict activity one retained
-// task added, where both are cumulative readings of the same solver with no
-// Reset in between, ascending: activities only grow, so every variable of
-// prev is in cur.
-func activityGain(gain, cur, prev solver.SparseActivities) solver.SparseActivities {
-	j := 0
-	for i, v := range cur.Vars {
-		d := cur.Acts[i]
-		if j < len(prev.Vars) && prev.Vars[j] == v {
-			d -= prev.Acts[j]
-			j++
-		}
-		if d != 0 {
-			gain.Vars = append(gain.Vars, v)
-			gain.Acts = append(gain.Acts, d)
-		}
-	}
-	return gain
 }

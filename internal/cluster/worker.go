@@ -315,7 +315,6 @@ func newWorkerBatch(parent context.Context, id uint64, opts BatchOptions, exec *
 			defer b.wg.Done()
 			sw := newSolveWorker(ctx, exec, opts.Retain)
 			defer sw.close()
-			sw.ascending = true
 			if delay != nil {
 				sw.wake = make(chan struct{}, 1)
 			}

@@ -91,7 +91,10 @@ var costTableFamilies = []struct {
 	},
 }
 
-// loadCostTable reads a committed table.
+// loadCostTable reads a committed table, each member's activity in
+// ascending variable order, the order a harvest has: the committed tables
+// were recorded while an in-process result listed its variables in the order
+// of their first bumps.
 func loadCostTable(t testing.TB, file string) *costTable {
 	t.Helper()
 	buf, err := os.ReadFile(filepath.Join("testdata", file))
@@ -104,6 +107,17 @@ func loadCostTable(t testing.TB, file string) *costTable {
 	}
 	if len(table.Members) != 1<<len(table.Vars) {
 		t.Fatalf("%s has %d members over %d variables", file, len(table.Members), len(table.Vars))
+	}
+	for _, m := range table.Members {
+		a := m.Activity
+		at := make(map[cnf.Var]float64, len(a.Vars))
+		for i, v := range a.Vars {
+			at[v] = a.Acts[i]
+		}
+		slices.Sort(a.Vars)
+		for i, v := range a.Vars {
+			a.Acts[i] = at[v]
+		}
 	}
 	return &table
 }

@@ -134,10 +134,10 @@ func TestAggregateStats(t *testing.T) {
 
 // TestRetainModeActivityNotDoubleCounted checks the per-task activity
 // attribution when a retained solver outlives both tasks and runs: with one
-// worker the per-task diffs telescope, so the activity absorbed by the
-// runner over two solving runs must equal the pooled solver's cumulative
-// conflict activity — if the second run's worker failed to start its diff
-// from the solver's existing counters, the first run's residue would be
+// worker the pooled solver runs the family twice in enumeration order, and
+// the activity absorbed by the runner must equal, variable for variable, one
+// harvest after the same solves on a twin solver — if a task's harvest took
+// more than its own bumps, a residue of an earlier task or run would be
 // counted twice.
 func TestRetainModeActivityNotDoubleCounted(t *testing.T) {
 	inst, err := encoder.NewInstance(encoder.A51(), encoder.Config{
@@ -152,29 +152,29 @@ func TestRetainModeActivityNotDoubleCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRunner(inst.CNF, Config{SampleSize: 4, Workers: 1, Seed: 3, RetainLearned: true})
+	twin := solver.New(inst.CNF, solver.DefaultOptions())
+	fam := decomp.FamilyOf(inst.CNF, p)
 	for i := 0; i < 2; i++ {
 		if _, err := r.Solve(context.Background(), p, SolveOptions{}); err != nil {
 			t.Fatal(err)
 		}
+		for m := uint64(0); m < 1<<p.Count(); m++ {
+			twin.SolveWithAssumptions(fam.AssumptionsFor(m))
+		}
 	}
-	absorbed := 0.0
-	for v := range r.confAct {
-		absorbed += r.confAct[v]
+	want := make([]float64, inst.CNF.NumVars+1)
+	h := twin.AppendConflictActivities(solver.SparseActivities{})
+	for i, v := range h.Vars {
+		want[v] = h.Acts[i]
 	}
-	pooled := r.Transport().(*cluster.Inproc).PooledSolvers()
-	if len(pooled) != 1 {
-		t.Fatalf("expected exactly one pooled solver, got %d", len(pooled))
-	}
-	cumulative := 0.0
-	for _, a := range pooled[0].ConflictActivities() {
-		cumulative += a
-	}
-	if absorbed == 0 {
+	if len(h.Vars) == 0 {
 		t.Fatal("expected some conflict activity on this instance")
 	}
-	if absorbed != cumulative {
-		t.Fatalf("absorbed activity %v != solver cumulative activity %v (double counting)",
-			absorbed, cumulative)
+	for v := range want {
+		if r.confAct[v] != want[v] {
+			t.Fatalf("absorbed activity of %d is %v, one harvest after the same solves %v (double counting)",
+				v, r.confAct[v], want[v])
+		}
 	}
 }
 

@@ -231,7 +231,10 @@ func TestSolveStopOnSat(t *testing.T) {
 // first satisfiable one; on more slots a member below it that was cut short
 // in flight adds only its truncated cost and one that never started adds
 // nothing, so it can only be lower.  CostToFirstSatLowerBound says which:
-// it is set exactly when the sum falls short of the exact one.
+// it is set exactly when some member below the first satisfiable one ended
+// unstarted or cancelled, and when it is not the sum is exact.  (A flagged
+// sum may still equal the exact one: a member cancelled as it was about to
+// conclude can have spent all of its cost.)
 func TestCostToFirstSatUnderStopOnSat(t *testing.T) {
 	inst, err := encoder.NewInstance(encoder.A51(), encoder.Config{KeystreamLen: 64, KnownSuffix: 55, Seed: 5})
 	if err != nil {
@@ -260,7 +263,12 @@ func TestCostToFirstSatUnderStopOnSat(t *testing.T) {
 		want += c
 	}
 	for _, workers := range []int{1, 2, 4} {
-		got, err := NewRunner(inst.CNF, cfg(workers)).Solve(context.Background(), p, SolveOptions{StopOnSat: true})
+		cut := false // a member below the first SAT ended unstarted or cancelled
+		got, err := NewRunner(inst.CNF, cfg(workers)).SolveObserved(context.Background(), p, SolveOptions{StopOnSat: true}, func(pr Progress) {
+			if res := pr.Result; int64(res.Index) < full.SatIndex && (!res.Started || res.Cancelled) {
+				cut = true
+			}
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,11 +279,13 @@ func TestCostToFirstSatUnderStopOnSat(t *testing.T) {
 		case workers == 1 && (got.CostToFirstSat != want || got.CostToFirstSatLowerBound):
 			t.Fatalf("1 worker: cost to first SAT %v (lower bound: %v), want the sum up to it, %v, exact",
 				got.CostToFirstSat, got.CostToFirstSatLowerBound, want)
+		case got.CostToFirstSatLowerBound != cut:
+			t.Fatalf("%d workers: flagged as a lower bound: %v, but a member below the first SAT cut short: %v",
+				workers, got.CostToFirstSatLowerBound, cut)
+		case !got.CostToFirstSatLowerBound && got.CostToFirstSat != want:
+			t.Fatalf("%d workers: cost to first SAT %v unflagged, want the exact sum up to it, %v", workers, got.CostToFirstSat, want)
 		case got.CostToFirstSat > want:
 			t.Fatalf("%d workers: cost to first SAT %v exceeds the sum up to it, %v", workers, got.CostToFirstSat, want)
-		case got.CostToFirstSatLowerBound != (got.CostToFirstSat < want):
-			t.Fatalf("%d workers: cost to first SAT %v against the sum up to it, %v, flagged as a lower bound: %v",
-				workers, got.CostToFirstSat, want, got.CostToFirstSatLowerBound)
 		}
 		t.Logf("%d workers: cost to first SAT %v, lower bound: %v", workers, got.CostToFirstSat, got.CostToFirstSatLowerBound)
 	}

@@ -234,7 +234,7 @@ func BenchmarkSolverResetShortSolve(b *testing.B) {
 				inReset += time.Since(start)
 				s.SolveWithAssumptions(batch[i%len(batch)])
 				start = time.Now()
-				harvestSink = s.AppendConflictActivities(harvestSink.Emptied(), true)
+				harvestSink = s.AppendConflictActivities(harvestSink.Emptied())
 				inHarvest += time.Since(start)
 			}
 			b.ReportMetric(float64(inReset.Nanoseconds())/float64(b.N), "reset-ns/op")

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/paper-repro/pdsat-go/internal/cnf"
@@ -112,5 +113,37 @@ func TestConstructionReservesGrowth(t *testing.T) {
 				t.Fatalf("every further pass over %d subproblems allocated, %d times at least; want 0", len(again), least)
 			}
 		})
+	}
+}
+
+// TestTautologiesAreNotStored pins the tautology rule of normalizeClause
+// directly: clauses that hold a literal and its negation, mixed in among a
+// formula's clauses, leave the solver New builds as the formula without them
+// — the same stored clause count and arena bytes, and the same first solve.
+// The tautologies are over the formula's own variables, with the pair apart
+// and repeated literals beside it, so that nothing but the rule drops them.
+func TestTautologiesAreNotStored(t *testing.T) {
+	plain := mustRandom3SAT(t, 5, 60, 4.2)
+	mixed := &cnf.Formula{NumVars: plain.NumVars}
+	for i, c := range plain.Clauses {
+		switch i % 3 {
+		case 0: // the clause again, with the negation of its first literal last
+			mixed.Clauses = append(mixed.Clauses, append(slices.Clone(c), c[0].Neg()))
+		case 1: // a binary tautology with a literal repeated
+			mixed.Clauses = append(mixed.Clauses, cnf.Clause{c[1].Neg(), c[1], c[1]})
+		}
+		mixed.Clauses = append(mixed.Clauses, c)
+	}
+	want, got := NewDefault(plain), NewDefault(mixed)
+	if len(got.clauses) != len(want.clauses) || got.Stats().ArenaBytes != want.Stats().ArenaBytes {
+		t.Fatalf("with %d tautologies mixed in: %d clauses stored in %d arena bytes, without them %d in %d",
+			len(mixed.Clauses)-len(plain.Clauses), len(got.clauses), got.Stats().ArenaBytes, len(want.clauses), want.Stats().ArenaBytes)
+	}
+	g, w := got.Solve(), want.Solve()
+	if w.Stats.Conflicts == 0 {
+		t.Fatal("the first solve had no conflict; the test compares little")
+	}
+	if g.Status != w.Status || !statsEqual(g.Stats, w.Stats) || !modelsEqual(g.Model, w.Model) {
+		t.Fatalf("first solve with tautologies: %v %+v, without: %v %+v", g.Status, g.Stats, w.Status, w.Stats)
 	}
 }

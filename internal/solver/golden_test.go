@@ -98,8 +98,14 @@ func record(res Result, s *Solver) goldenRecord {
 		Stats:    toGoldenStats(res.Stats),
 		Lifetime: toGoldenStats(s.Stats()),
 		ModelFNV: hashModel(res.Model),
-		ActFNV:   hashFloats(s.ConflictActivities()),
+		ActFNV:   hashFloats(conflictCounts(s)),
 	}
+}
+
+// conflictCounts reads the solver's conflict counts without taking them, as
+// a dense vector indexed by cnf.Var (index 0 unused).
+func conflictCounts(s *Solver) []float64 {
+	return append([]float64{0}, s.confAct...)
 }
 
 // reduceHeavyOptions forces frequent learned-clause database reductions so

@@ -78,11 +78,11 @@ func diffSolverState(got, want *Solver) string {
 		}
 	}
 	for _, s := range []*Solver{got, want} {
-		if len(s.dirtyLits) != 0 || len(s.dirtyClauses) != 0 || len(s.dirtyActs) != 0 || len(s.bumpedVars) != 0 || len(s.appLits) != 0 ||
+		if len(s.dirtyLits) != 0 || len(s.dirtyClauses) != 0 || len(s.dirtyActs) != 0 || len(s.appLits) != 0 ||
 			slices.ContainsFunc(s.litMark, func(m litMark) bool { return m != litClean }) {
 			return "dirty marks left behind"
 		}
-		if set := func(w uint64) bool { return w != 0 }; slices.ContainsFunc(s.bumpedSet, set) || slices.ContainsFunc(s.bumpedSum, set) {
+		if set := func(w uint64) bool { return w != 0 }; slices.ContainsFunc(s.bumpedSet, set) || slices.ContainsFunc(s.bumpedSum, set) || s.unharvested != 0 {
 			return "bumped variables left in the set"
 		}
 	}
@@ -364,46 +364,47 @@ func TestResetCostIsProportionalToTouched(t *testing.T) {
 	}
 }
 
-// TestSparseConflictActivities checks the sparse form against the dense one
-// it replaces on the wire: exactly its non-zero entries, in ascending
-// variable order or in the order of their first bumps, whatever happened to
-// the solver since its last Reset.
+// TestSparseConflictActivities checks the harvest against the dense counts
+// it takes: exactly their non-zero entries, in ascending variable order and
+// behind what dst holds, whatever happened to the solver since its last
+// Reset; the counts are zero behind it, so a harvest straight after it is
+// empty, and the harvests of a run of solves add up to one harvest after them.
 func TestSparseConflictActivities(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	f, err := cnfgen.Random3SAT(rng, 70, 4.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// check compares the two forms and returns the number of non-zero entries.
+	// check harvests behind one entry, compares that with the dense counts
+	// read before, and returns the number of variables harvested.
 	check := func(t *testing.T, s *Solver, when string) int {
 		t.Helper()
-		var want SparseActivities
-		for v, a := range s.ConflictActivities() {
+		want := SparseActivities{Vars: []cnf.Var{0}, Acts: []float64{-1}}
+		for v, a := range conflictCounts(s) {
 			if a != 0 {
 				want.Vars = append(want.Vars, cnf.Var(v))
 				want.Acts = append(want.Acts, a)
 			}
 		}
-		got := s.AppendConflictActivities(SparseActivities{}, true)
+		if s.unharvested != len(want.Vars)-1 {
+			t.Fatalf("%s: %d variables counted unharvested, %d have a count", when, s.unharvested, len(want.Vars)-1)
+		}
+		got := s.AppendConflictActivities(SparseActivities{Vars: []cnf.Var{0}, Acts: []float64{-1}})
 		if !slices.Equal(got.Vars, want.Vars) || !slices.Equal(got.Acts, want.Acts) {
-			t.Fatalf("%s: sparse activities %+v, dense non-zeros %+v", when, got, want)
+			t.Fatalf("%s: harvest behind one entry %+v, dense non-zeros %+v", when, got, want)
 		}
-		// In first-bump order: the same entries, appended behind what is there.
-		raw := s.AppendConflictActivities(SparseActivities{Vars: []cnf.Var{0}, Acts: []float64{-1}}, false)
-		if len(raw.Vars) != len(want.Vars)+1 || len(raw.Acts) != len(raw.Vars) || raw.Vars[0] != 0 || raw.Acts[0] != -1 {
-			t.Fatalf("%s: unordered harvest behind one entry: %+v, want %d more", when, raw, len(want.Vars))
+		if slices.ContainsFunc(conflictCounts(s), func(a float64) bool { return a != 0 }) {
+			t.Fatalf("%s: the harvest left counts behind", when)
 		}
-		for i, v := range raw.Vars[1:] {
-			if at, ok := slices.BinarySearch(want.Vars, v); !ok || want.Acts[at] != raw.Acts[i+1] {
-				t.Fatalf("%s: unordered harvest has %d: %v, dense non-zeros %+v", when, v, raw.Acts[i+1], want)
-			}
+		if again := s.AppendConflictActivities(SparseActivities{}); len(again.Vars) != 0 || len(again.Acts) != 0 {
+			t.Fatalf("%s: a harvest straight after a harvest took %+v", when, again)
 		}
-		return len(want.Vars)
+		return len(want.Vars) - 1
 	}
 
 	t.Run("pristine and retained solves", func(t *testing.T) {
 		s := NewDefault(f)
-		if got := s.AppendConflictActivities(SparseActivities{}, true); len(got.Vars) != 0 || len(got.Acts) != 0 {
+		if got := s.AppendConflictActivities(SparseActivities{}); len(got.Vars) != 0 || len(got.Acts) != 0 {
 			t.Fatalf("unsolved solver reports activities %+v", got)
 		}
 		nonZero := 0
@@ -416,6 +417,32 @@ func TestSparseConflictActivities(t *testing.T) {
 		}
 		if nonZero == 0 {
 			t.Fatal("no solve produced conflict activity; the test compares nothing")
+		}
+	})
+
+	// What a retained solve's harvest takes is its own contribution: the
+	// harvests of k solves add up to one harvest after the same k solves on
+	// a twin, which taking the counts leaves on the same search.
+	t.Run("harvests add up", func(t *testing.T) {
+		s, twin := NewDefault(f), NewDefault(f)
+		sum, whole := make([]float64, f.NumVars+1), make([]float64, f.NumVars+1)
+		for k := 0; k < 8; k++ {
+			a := randomAssumptions(rng, f.NumVars, 1+rng.Intn(4))
+			got, want := s.SolveWithAssumptions(a), twin.SolveWithAssumptions(a)
+			if got.Status != want.Status || !statsEqual(got.Stats, want.Stats) {
+				t.Fatalf("solve %d: %v %+v after a harvest, %v %+v without", k, got.Status, got.Stats, want.Status, want.Stats)
+			}
+			h := s.AppendConflictActivities(SparseActivities{})
+			for i, v := range h.Vars {
+				sum[v] += h.Acts[i]
+			}
+		}
+		h := twin.AppendConflictActivities(SparseActivities{})
+		for i, v := range h.Vars {
+			whole[v] = h.Acts[i]
+		}
+		if len(h.Vars) == 0 || !slices.Equal(sum, whole) {
+			t.Fatalf("8 harvests add up to %v, one harvest after the 8 solves is %v", sum, whole)
 		}
 	})
 
@@ -452,6 +479,9 @@ func TestSparseConflictActivities(t *testing.T) {
 			t.Fatalf("%d variables bumped, want them in many words", n)
 		}
 		s.Reset()
+		if d := diffSolverState(s, NewDefault(spread)); d != "" {
+			t.Fatalf("Reset after a harvest: %s", d)
+		}
 		check(t, s, "after the Reset")
 		s.SolveWithAssumptions([]cnf.Lit{cnf.NewLit(stride, true), cnf.NewLit(41*stride, true)})
 		check(t, s, "after a solve under assumptions")
@@ -463,7 +493,7 @@ func TestSparseConflictActivities(t *testing.T) {
 		if res := s.SolveWithAssumptions([]cnf.Lit{cnf.NewLit(1, true)}); res.Status != Sat || res.Stats.Conflicts != 0 {
 			t.Fatalf("the chain under its first variable: %v after %d conflicts, want SAT after none", res.Status, res.Stats.Conflicts)
 		}
-		if allocs := testing.AllocsPerRun(100, func() { harvestSink = s.AppendConflictActivities(harvestSink.Emptied(), true) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, func() { harvestSink = s.AppendConflictActivities(harvestSink.Emptied()) }); allocs != 0 {
 			t.Fatalf("the harvest allocated %.0f times, want 0", allocs)
 		}
 	})

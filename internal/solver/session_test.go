@@ -93,7 +93,7 @@ func TestResetEquivalentToFresh(t *testing.T) {
 			if got.Status == Sat && !Verify(f, got.Model) {
 				t.Fatalf("%s call %d: model does not satisfy the formula", name, call)
 			}
-			ga, wa := reused.ConflictActivities(), fresh.ConflictActivities()
+			ga, wa := conflictCounts(reused), conflictCounts(fresh)
 			for v := range ga {
 				if ga[v] != wa[v] {
 					t.Fatalf("%s call %d: conflict activity diverges at var %d: %v vs %v",

@@ -12,9 +12,9 @@
 // Besides the usual machinery (two-watched-literal propagation, first-UIP
 // clause learning with minimization, VSIDS variable activities, phase
 // saving, Luby restarts, learned-clause database reduction, assumption
-// solving) the solver exposes per-variable conflict activity via
-// VarActivity, which the tabu-search heuristic of the paper uses to pick new
-// neighbourhood centres.
+// solving) the solver reports per-variable conflict activity through
+// AppendConflictActivities, which the tabu-search heuristic of the paper
+// uses, summed over subproblems, to pick new neighbourhood centres.
 //
 // # Clause storage
 //
@@ -170,13 +170,15 @@
 //     order.  Learned clauses need no mark: the arena is truncated back to
 //     the originals.
 //   - Activity marks: the activity slot of an original clause of the
-//     snapshot and the variable, each recorded at its first bump, which is
-//     the bump that finds the clause activity, or the variable's conflict
-//     activity, at zero.  Invariant: an unrecorded original clause of the
-//     snapshot has activity zero, an unrecorded variable VSIDS and conflict
-//     activity zero.  (The slots above the snapshot's are cut off, and
-//     compaction renumbers them, so none of them is recorded.)  The
-//     variable list is also what AppendConflictActivities reads.
+//     snapshot, recorded at its first bump, which is the bump that finds the
+//     clause activity at zero; and the variable, set in a two-level bitmap
+//     (bumpedSet, bumpedSum) at every bump that finds its conflict count at
+//     zero.  Invariant: an unrecorded original clause of the snapshot has
+//     activity zero, a variable outside the bitmap VSIDS activity and
+//     conflict count zero.  (The slots above the snapshot's are cut off, and
+//     compaction renumbers them, so none of them is recorded.)  The bitmap
+//     is also what AppendConflictActivities walks: it takes the counts and
+//     leaves the bits, which only Reset clears, for the VSIDS activities.
 //
 // What is left is independent of the search: truncating the arena, the
 // learned-clause list and the trail, and rebuilding the decision heap, which
@@ -406,7 +408,7 @@ type Solver struct {
 	qhead     int
 	order     varOrder
 	activity  []float64 // VSIDS activity, indexed by internal variable
-	confAct   []float64 // cumulative conflict activity (never decayed), per variable
+	confAct   []float64 // conflict bumps since the last harvest (never decayed), per variable
 	varInc    float64
 	clauseInc float64
 
@@ -445,13 +447,15 @@ type Solver struct {
 	appLits      []ilit    // literals marked appended when clean: the watch list may have grown
 	dirtyClauses []cref    // original clauses with permuted literals (flagged in their header)
 	dirtyActs    []int32   // activity slots of original clauses that were bumped
-	bumpedVars   []int32   // variables with a non-zero conflict activity, in first-bump order
-	// The same variables as a set, for an ascending harvest without a sort:
-	// bumpedSet has bit v%64 of word v/64 set for each, and bumpedSum bit w%64
-	// of word w/64 for each non-zero word w of bumpedSet.  Set at the first
-	// bump, cleared by Reset; they never shrink, and hold no bit for a
+	// The variables bumped since Reset, as a set read in ascending order
+	// without a sort: bumpedSet has bit v%64 of word v/64 set for each, and
+	// bumpedSum bit w%64 of word w/64 for each non-zero word w of bumpedSet.
+	// Cleared by Reset only; they never shrink, and hold no bit for a
 	// variable beyond numVars.
 	bumpedSet, bumpedSum []uint64
+	// unharvested counts the variables with a non-zero conflict count: what
+	// the next harvest appends, so that it grows dst once.
+	unharvested int
 }
 
 // snapshot captures the complete search-relevant state of a solver right
@@ -589,17 +593,19 @@ func (s *Solver) Reset() {
 	s.dirtyLits = s.dirtyLits[:0]
 	// A fresh solver starts every variable activity at zero, and only a bump
 	// moves one.
-	for _, v := range s.bumpedVars {
-		s.activity[v] = 0
-		s.confAct[v] = 0
-	}
-	s.bumpedVars = s.bumpedVars[:0]
 	for i, sum := range s.bumpedSum {
 		for ; sum != 0; sum &= sum - 1 {
-			s.bumpedSet[i<<6|bits.TrailingZeros64(sum)] = 0
+			w := i<<6 | bits.TrailingZeros64(sum)
+			for set := s.bumpedSet[w]; set != 0; set &= set - 1 {
+				v := w<<6 | bits.TrailingZeros64(set)
+				s.activity[v] = 0
+				s.confAct[v] = 0
+			}
+			s.bumpedSet[w] = 0
 		}
 		s.bumpedSum[i] = 0
 	}
+	s.unharvested = 0
 	s.order.rebuild(s.numVars)
 	s.varInc, s.clauseInc = 1.0, 1.0
 	s.stats = b.stats
@@ -797,28 +803,6 @@ func (s *Solver) ClearInterrupt() { s.interrupt.Store(false) }
 // Stats returns the statistics accumulated over the lifetime of the solver.
 func (s *Solver) Stats() Stats { return s.stats }
 
-// VarActivity returns the cumulative conflict activity of variable v: the
-// number of times (weighted by the VSIDS bump at that moment, normalised for
-// rescaling) the variable appeared in conflict analysis.  This is the
-// "conflict activity" used by the tabu-search getNewCenter heuristic.
-func (s *Solver) VarActivity(v cnf.Var) float64 {
-	iv := int32(v - 1)
-	if iv < 0 || iv >= s.numVars {
-		return 0
-	}
-	return s.confAct[iv]
-}
-
-// ConflictActivities returns a copy of the cumulative conflict activities of
-// all variables, indexed by cnf.Var (index 0 unused).
-func (s *Solver) ConflictActivities() []float64 {
-	out := make([]float64, s.numVars+1)
-	for v := int32(0); v < s.numVars; v++ {
-		out[v+1] = s.confAct[v]
-	}
-	return out
-}
-
 // SparseActivities is a conflict-activity vector in sparse form: Vars lists
 // the variables with a non-zero entry and Acts holds the matching values.
 // The zero value is the all-zero vector.  (The cluster's wire format sends
@@ -839,38 +823,38 @@ func (a SparseActivities) Clone() SparseActivities {
 	return SparseActivities{Vars: slices.Clone(a.Vars), Acts: slices.Clone(a.Acts)}
 }
 
-// AppendConflictActivities appends the non-zero entries of
-// ConflictActivities to dst and returns it, in time proportional to the
-// number of variables the queries since the last Reset bumped in conflict
-// analysis — a few dozen after a short solve — not to NumVars or to the
-// literals assigned, and allocating only to grow dst: a worker harvests every
-// subproblem into one buffer of its own.  A conflict activity only grows, so
-// the variables with a non-zero entry are exactly those bumpVar listed at
-// their first bump; they are appended in that order, or with ascending in
-// ascending variable order, read off the set of them (bumpedSet) rather than
-// sorted.
-func (s *Solver) AppendConflictActivities(dst SparseActivities, ascending bool) SparseActivities {
-	from := len(dst.Vars)
-	dst.Vars = slices.Grow(dst.Vars, len(s.bumpedVars))
-	dst.Acts = slices.Grow(dst.Acts, len(s.bumpedVars))
-	if ascending {
-		for i, sum := range s.bumpedSum {
-			for ; sum != 0; sum &= sum - 1 {
-				w := i<<6 | bits.TrailingZeros64(sum)
-				for set := s.bumpedSet[w]; set != 0; set &= set - 1 {
-					v := w<<6 | bits.TrailingZeros64(set)
-					dst.Vars = append(dst.Vars, cnf.Var(v+1))
+// AppendConflictActivities harvests the conflict activity of the queries
+// since the last harvest, or since Reset: it appends to dst, in ascending
+// variable order, every variable conflict analysis bumped in them with the
+// number of its bumps — the "conflict activity" of the tabu-search
+// getNewCenter heuristic — zeroes those counts and returns dst.  A harvest
+// straight after a harvest is therefore empty, and the harvests of a run of
+// queries add up to one harvest after them all.  It reads the bitmap of the
+// variables bumped since Reset, so it takes time in proportion to those — a
+// few dozen after a short solve — not to NumVars or to the literals
+// assigned; it makes room for the count it appends (unharvested) once and
+// fills it by index, so it allocates only to grow dst: a worker harvests
+// every subproblem into one buffer of its own.
+func (s *Solver) AppendConflictActivities(dst SparseActivities) SparseActivities {
+	from, n := len(dst.Vars), s.unharvested
+	dst.Vars = slices.Grow(dst.Vars, n)[:from+n]
+	dst.Acts = slices.Grow(dst.Acts, n)[:from+n]
+	vars, acts, counts := dst.Vars[from:], dst.Acts[from:], s.confAct
+	k := 0
+	for i, sum := range s.bumpedSum {
+		for ; sum != 0; sum &= sum - 1 {
+			w := i<<6 | bits.TrailingZeros64(sum)
+			for set := s.bumpedSet[w]; set != 0; set &= set - 1 {
+				v := w<<6 | bits.TrailingZeros64(set)
+				if a := counts[v]; a != 0 {
+					vars[k], acts[k] = cnf.Var(v+1), a
+					counts[v] = 0
+					k++
 				}
 			}
 		}
-	} else {
-		for _, v := range s.bumpedVars {
-			dst.Vars = append(dst.Vars, cnf.Var(v+1))
-		}
 	}
-	for _, v := range dst.Vars[from:] {
-		dst.Acts = append(dst.Acts, s.confAct[v-1])
-	}
+	s.unharvested = 0
 	return dst
 }
 
@@ -894,7 +878,6 @@ func (s *Solver) makeVars(n int) {
 	s.seen = make([]bool, n)
 	s.dirtyLits = make([]ilit, 0, 2*n)
 	s.appLits = make([]ilit, 0, 2*n)
-	s.bumpedVars = make([]int32, 0, n)
 	words := (n + 63) >> 6
 	s.bumpedSet = make([]uint64, words)
 	s.bumpedSum = make([]uint64, (words+63)>>6)
@@ -1042,16 +1025,14 @@ func (s *Solver) pickBranchVar() int32 {
 	}
 }
 
-// bump the VSIDS activity of a variable and its cumulative conflict activity.
-// A conflict activity only ever grows from zero, so zero means this is the
-// variable's first bump since Reset, which lists it; makeVars reserves one
-// slot per variable, so listing is a reslice.
+// bump the VSIDS activity of a variable and its conflict count.  A count
+// that is zero was never bumped since Reset or was harvested since; either
+// way the variable goes into the bitmap (again, in the second case) and is
+// counted as unharvested.
 func (s *Solver) bumpVar(v int32) {
 	s.activity[v] += s.varInc
 	if s.confAct[v] == 0 {
-		n := len(s.bumpedVars)
-		s.bumpedVars = s.bumpedVars[:n+1]
-		s.bumpedVars[n] = v
+		s.unharvested++
 		s.bumpedSet[v>>6] |= 1 << (v & 63)
 		s.bumpedSum[v>>12] |= 1 << (v >> 6 & 63)
 	}

@@ -264,26 +264,27 @@ func TestConflictActivityExposed(t *testing.T) {
 	f := pigeonhole(5, 4)
 	s := NewDefault(f)
 	s.Solve()
+	counts := conflictCounts(s)
+	if len(counts) != f.NumVars+1 {
+		t.Fatalf("%d conflict counts, want %d", len(counts), f.NumVars+1)
+	}
+	sum := 0.0
+	for _, a := range counts {
+		sum += a
+	}
+	h := s.AppendConflictActivities(SparseActivities{})
 	total := 0.0
-	for v := cnf.Var(1); int(v) <= f.NumVars; v++ {
-		total += s.VarActivity(v)
+	for i, v := range h.Vars {
+		if v < 1 || int(v) > f.NumVars {
+			t.Fatalf("harvested variable %d is outside 1..%d", v, f.NumVars)
+		}
+		total += h.Acts[i]
 	}
 	if total == 0 {
 		t.Fatal("conflict activity should be positive after an UNSAT run")
 	}
-	acts := s.ConflictActivities()
-	if len(acts) != f.NumVars+1 {
-		t.Fatalf("ConflictActivities length = %d, want %d", len(acts), f.NumVars+1)
-	}
-	sum := 0.0
-	for _, a := range acts {
-		sum += a
-	}
 	if sum != total {
 		t.Fatalf("activity sum mismatch: %v vs %v", sum, total)
-	}
-	if s.VarActivity(0) != 0 || s.VarActivity(cnf.Var(f.NumVars+10)) != 0 {
-		t.Fatal("out-of-range VarActivity should be 0")
 	}
 }
 
