@@ -42,9 +42,9 @@
 // A result's conflict activity is borrowed, not returned.  It is a vector of
 // a few dozen to a few hundred entries a task that its one reader only ever
 // sums, so it exists in buffers that are written again and again — the
-// solving slot's own, the connection's on the leader, one per batch between
-// the connections and the batch loop — and reaches the caller through the
-// batch observer (ObservedTransport), valid for the length of that call.  The
+// solving slot's own, the connection's on the leader — and reaches the caller
+// through the batch observer (ObservedTransport), which both backends call
+// where they record the result, valid for the length of that call.  The
 // results a batch returns carry none.
 //
 // Both directions of a batch are lent.  The tasks are the caller's (Task), and
@@ -55,7 +55,7 @@
 // # Protocol compatibility
 //
 // The network transport speaks one version of its wire protocol
-// (protocolVersion in proto.go, currently 9).  There is no negotiation: a
+// (protocolVersion in proto.go, currently 10).  There is no negotiation: a
 // worker dialing a leader of another version is rejected at registration
 // with an explicit version-mismatch error and fails fast (ErrRejected)
 // instead of redialing forever; one so old that it does not frame its
@@ -71,11 +71,14 @@
 // leader drops that worker and requeues what it held, and nothing a peer
 // merely announces is allocated.  A result is recorded only if the sender
 // holds the task it answers, and what it reports is checked where it is
-// decoded, against the formula the connection was welcomed with: a cost and
-// activities that are finite and not negative, activity for variables the
-// formula has — the leader adds them into sums that a NaN or an index out of
-// range would ruin for every honest worker's results as well.  A worker holds
-// its leader's tasks to the same formula.
+// decoded, against the formula the connection was welcomed with: a known
+// status, with a SAT a value for every variable, a cost and activities that
+// are finite and not negative, activity for variables the formula has — the
+// leader adds them into sums that a NaN or an index out of range would ruin
+// for every honest worker's results as well.  Before a SAT counts or stops a
+// batch the leader checks its model against the formula (checkModel); a
+// worker whose model falsifies it is dropped like one that sent a malformed
+// frame.  A worker holds its leader's tasks to the same formula.
 package cluster
 
 import (
@@ -224,6 +227,45 @@ func resultsFor(lent []TaskResult, n int) []TaskResult {
 	return make([]TaskResult, 0, n)
 }
 
+// collector takes in a batch's results the one way both backends do, under
+// the batch's lock: in completion order, each observed as it is recorded.
+type collector struct {
+	results []TaskResult // completion order; none carries its activity
+	observe func(TaskResult)
+	abort   <-chan struct{}
+}
+
+// collect appends res without its activity, hands it with its activity to the
+// observer, and reports whether the batch must now be cancelled: the abort
+// has fired — before the observer's call or within it — or res stops the
+// batch under the stop policy.  Its caller holds the batch's lock and cancels
+// before it records another result.
+func (c *collector) collect(res TaskResult, stop StopMode) bool {
+	kept := res
+	kept.Activity = solver.SparseActivities{}
+	c.results = append(c.results, kept)
+	if c.observe != nil {
+		c.observe(res)
+	}
+	select {
+	case <-c.abort:
+		return true
+	default:
+		return stop == StopOnSat && res.Status == solver.Sat
+	}
+}
+
+// checkModel refuses a SAT whose model does not satisfy the formula.  Both
+// backends run it on every result before it counts: one false SAT would end
+// a solve that stops on SAT with a key that is not one.  It is one pass over
+// the clauses, and a family has few SAT members.
+func checkModel(f *cnf.Formula, res *TaskResult) error {
+	if res.Status == solver.Sat && !solver.Verify(f, res.Model) {
+		return fmt.Errorf("cluster: task %d is SAT with a model that falsifies the formula", res.Index)
+	}
+	return nil
+}
+
 // Transport runs batches of tasks for one fixed formula.  Implementations
 // must return one TaskResult per task (see the package comment for the
 // exact contract).  A Transport is bound to the formula it was created
@@ -264,8 +306,7 @@ type Borrower interface {
 // The observer is also the only place a result's conflict activity can be
 // read (TaskResult.Activity): the vector it is handed is on loan until it
 // returns, and the copy of the result in the returned slice has none.  A
-// batch without an observer produces no activity for anyone, and on the
-// leader copies none.
+// batch without an observer produces no activity for anyone.
 type ObservedTransport interface {
 	Transport
 	// RunObserved behaves exactly like Run but additionally streams every

@@ -161,6 +161,21 @@ func TestHostileWorker(t *testing.T) {
 			act := solver.SparseActivities{Vars: []cnf.Var{3}, Acts: []float64{math.NaN()}}
 			conn.Write(mustFrame(t, &envelope{Kind: kindResult, Batch: batch, Result: &TaskResult{Index: 0, Cost: 5, Status: solver.Unsat, Started: true, Activity: act}}))
 		}},
+		// Answers that would end a solve that stops on SAT with no key.
+		{"reports SAT with an empty model", false, func(t *testing.T, conn net.Conn, batch uint64) {
+			conn.Write(mustFrame(t, &envelope{Kind: kindResult, Batch: batch, Result: &TaskResult{Index: 0, Cost: 5, Status: solver.Sat, Started: true}}))
+		}},
+		{"reports SAT with a model that falsifies a clause", false, func(t *testing.T, conn net.Conn, batch uint64) {
+			f := requeueFormula()
+			model := cnf.NewAssignment(f.NumVars)
+			for v := 1; v <= f.NumVars; v++ {
+				model[v] = cnf.False // falsifies 1 ∨ 12 ∨ 24
+			}
+			conn.Write(mustFrame(t, &envelope{Kind: kindResult, Batch: batch, Result: &TaskResult{Index: 0, Cost: 5, Status: solver.Sat, Model: model, Started: true}}))
+		}},
+		{"reports status 99", false, func(t *testing.T, conn net.Conn, batch uint64) {
+			conn.Write(mustFrame(t, &envelope{Kind: kindResult, Batch: batch, Result: &TaskResult{Index: 0, Cost: 5, Status: 99, Started: true}}))
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

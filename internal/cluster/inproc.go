@@ -118,7 +118,8 @@ func (t *Inproc) RunObserved(ctx context.Context, tasks []Task, opts BatchOption
 // batch.  The caller sleeps while the workers serve themselves (inprocBatch)
 // and is woken once per batch, not once per task.  A panic under a task
 // fails the batch, not the process: the other tasks drain as placeholders and
-// the error — not an interruption — names the task and the panic value.
+// the error — not an interruption — names the task and the panic value.  A
+// SAT whose model falsifies the formula fails the batch the same way.
 func (t *Inproc) RunAbortable(ctx context.Context, tasks []Task, opts BatchOptions, observe func(TaskResult), abort <-chan struct{}) ([]TaskResult, error) {
 	if err := checkBatch(tasks, t.formula.NumVars); err != nil {
 		return nil, err
@@ -132,7 +133,7 @@ func (t *Inproc) RunAbortable(ctx context.Context, tasks []Task, opts BatchOptio
 	batchCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	b := &inprocBatch{tasks: tasks, opts: opts, cancel: cancel, done: make(chan struct{}),
-		results: resultsFor(opts.Results, len(tasks)), observe: observe, abort: abort}
+		collector: collector{results: resultsFor(opts.Results, len(tasks)), observe: observe, abort: abort}}
 	// An abort that has already fired cancels the batch before a worker starts.
 	select {
 	case <-abort:
@@ -180,11 +181,9 @@ type inprocBatch struct {
 	running atomic.Int32
 	done    chan struct{}
 
-	mu      sync.Mutex
-	results []TaskResult     // guarded by mu; completion order
-	observe func(TaskResult) // guarded by mu
-	abort   <-chan struct{}  // guarded by mu
-	err     error            // guarded by mu; the first panic under a task
+	mu        sync.Mutex
+	collector       // guarded by mu
+	err       error // guarded by mu; the first failure
 }
 
 // work is one worker goroutine: until no task is left it claims the next one,
@@ -207,18 +206,11 @@ func (b *inprocBatch) work(ctx context.Context, t *Inproc) {
 			return
 		}
 		// A panic under the claimed task, which gets no result.  The solver's
-		// state is unknown, so it does not go back to the pool; the observer
-		// is not called again, the panic may have been its own.
+		// state is unknown, so it does not go back to the pool.
 		if sw != nil {
 			sw.unregister()
 		}
-		b.mu.Lock()
-		if b.err == nil {
-			b.err = fmt.Errorf("cluster: task %d panicked: %v", claimed, p)
-		}
-		b.observe = nil
-		b.mu.Unlock()
-		b.cancel()
+		b.fail(fmt.Errorf("cluster: task %d panicked: %v", claimed, p))
 		b.work(ctx, t) // drains placeholders
 	}()
 	for {
@@ -233,39 +225,36 @@ func (b *inprocBatch) work(ctx context.Context, t *Inproc) {
 				sw = newSolveWorker(ctx, t, b.opts.Retain)
 			}
 			res = sw.solveTask(b.tasks[i], b.opts)
+			if err := checkModel(t.formula, &res); err != nil {
+				b.fail(err) // the task gets no result, as under a panic
+				continue
+			}
 		}
 		b.record(res)
 	}
 }
 
-// record appends a result, tells the observer, and cancels the batch if the
-// stop policy triggers or the abort channel has fired: with mu held, so
-// before the next result is recorded.
+// record records a result and cancels the batch if that is now due (collect):
+// with mu held, so before the next result is recorded.  The activity is the
+// worker's buffer, lent to the observer and to nobody after it.
 func (b *inprocBatch) record(res TaskResult) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	// The activity is the worker's buffer, lent to the observer and to nobody
-	// after it.
-	kept := res
-	kept.Activity = solver.SparseActivities{}
-	b.results = append(b.results, kept)
-	if b.observe != nil {
-		b.observe(res)
-	}
-	select {
-	case <-b.abort:
+	if b.collect(res, b.opts.Stop) {
 		b.cancel()
-	default:
-		if stopTriggered(b.opts.Stop, res.Status) {
-			b.cancel()
-		}
 	}
 }
 
-// stopTriggered reports whether a result's status cancels the batch under
-// the given stop policy.
-func stopTriggered(mode StopMode, st solver.Status) bool {
-	return mode == StopOnSat && st == solver.Sat
+// fail keeps the batch's first error and cancels the batch.  The observer is
+// not called again: the failure may have been its own.
+func (b *inprocBatch) fail(err error) {
+	b.mu.Lock()
+	if b.err == nil {
+		b.err = err
+	}
+	b.observe = nil
+	b.mu.Unlock()
+	b.cancel()
 }
 
 // solveWorker is the per-goroutine solving state of one batch: one

@@ -227,6 +227,33 @@ func TestInprocRecoversPanicUnderSolve(t *testing.T) {
 	checkMatchesFreshTransport(t, tr, tasks)
 }
 
+// TestInprocFailsOnAFalseSat: an in-process SAT is checked against the
+// transport's formula, as a worker's is on the leader.  The formula gains the
+// unit clause ¬24 after the worker's pooled solver was built without it, so
+// that solver's one model, every variable true, falsifies it.  The batch fails
+// with an error naming the task, which gets no result, as under a panic.
+func TestInprocFailsOnAFalseSat(t *testing.T) {
+	f := requeueFormula()
+	tr := NewInproc(f, 1, solver.DefaultOptions())
+	tasks := requeueTasks(8)
+	if _, err := tr.Run(context.Background(), tasks, propagationBatch); err != nil {
+		t.Fatal(err)
+	}
+	f.AddClauseLits(-24)
+	results, err := tr.Run(context.Background(), tasks, propagationBatch)
+	if err == nil || IsInterruption(err) || !strings.Contains(err.Error(), "task 0 is SAT with a model that falsifies the formula") {
+		t.Fatalf("got the error %v, want one naming task 0's false SAT", err)
+	}
+	if len(results) != len(tasks)-1 {
+		t.Fatalf("%d results, want one for every task but task 0", len(results))
+	}
+	for _, res := range results {
+		if res.Index == 0 || res.Started {
+			t.Fatalf("result %+v; want placeholders for the tasks behind task 0, nothing for it", res)
+		}
+	}
+}
+
 // guardedPigeonholes is three pigeons in two holes (variables 1–6), every
 // clause guarded by variable 7: assuming 7 takes conflicts to refute, which
 // bump variables; variable 8 is free.

@@ -79,11 +79,11 @@ type Leader struct {
 	ln   net.Listener
 	opts LeaderOptions
 	// welcome is the registration reply — the formula and the heartbeat —
-	// as a frame, encoded once for every worker that will ever join;
-	// numVars is that formula's variable count, which every worker's
-	// results are held to.
+	// as a frame, encoded once for every worker that will ever join.  Every
+	// worker's results are held to the formula: their activity to its
+	// variables, their SAT models to its clauses.
 	welcome []byte
-	numVars int
+	formula *cnf.Formula
 
 	mu sync.Mutex
 	// workers holds the registered workers in registration (id) order, the
@@ -114,9 +114,6 @@ type Leader struct {
 	// runMu serializes Run calls: the wire protocol tracks one active
 	// batch at a time.
 	runMu sync.Mutex
-	// log is the activity log of the active batch (netBatch.log) between
-	// batches, so that one batch's arrays serve the next.
-	log activityLog // guarded by runMu
 }
 
 // remoteWorker is the leader-side state of one registered worker.
@@ -151,18 +148,11 @@ type netBatch struct {
 	// array of its own; the caller's is never written.
 	pending []Task
 	got     []bool
-	// results has room for every task from the start — the caller's lent
-	// array, or one of the batch's own — and only ever grows by append, one
-	// result per index: an element, once appended, is never written again and
-	// never moves, so it may be read without the lock.  Nothing is appended
-	// once RunDispatch has returned (it unsets Leader.batch first).
-	// None carries its activity vector.  Those of an observed batch are
-	// copied, as the results are recorded, into log, whose vector i is
-	// results[i]'s; the batch loop lends each result its vector for the
-	// observer's call.
-	results   []TaskResult
-	observed  bool
-	log       activityLog
+	// collector's results have room for every task from the start — the
+	// caller's lent array, or one of the batch's own — and gain one result
+	// per index, observed on the goroutine that records it.  Nothing is
+	// recorded or observed once RunDispatch has unset Leader.batch.
+	collector
 	remaining int
 	cancelled bool
 	wake      chan struct{} // capacity 1; non-blocking notifications
@@ -176,43 +166,6 @@ type netBatch struct {
 	// sends is assign's list of planned transmissions, reused from call to
 	// call (only the batch loop calls assign).
 	sends []sendChunk
-}
-
-// activityLog holds the activity vectors of consecutive results, vector i
-// in vecs[i], behind one another in the log's arrays.  A vector that does not
-// fit behind the others starts arrays of its own, as large as the log so far,
-// so that no array is moved or copied while vectors in it are on loan.  Like
-// netBatch.results, vecs only grows by append and is read below its length
-// without the lock.
-type activityLog struct {
-	act  solver.SparseActivities
-	vecs []solver.SparseActivities
-	used int // entries added since reset
-}
-
-func (a *activityLog) add(v solver.SparseActivities) {
-	from := len(a.act.Vars)
-	if from+len(v.Vars) > cap(a.act.Vars) || from+len(v.Acts) > cap(a.act.Acts) {
-		n := max(a.used, len(v.Vars))
-		a.act, from = solver.SparseActivities{Vars: make([]cnf.Var, 0, n), Acts: make([]float64, 0, n)}, 0
-	}
-	a.act.Vars = append(a.act.Vars, v.Vars...)
-	a.act.Acts = append(a.act.Acts, v.Acts...)
-	to := len(a.act.Vars)
-	a.vecs = append(a.vecs, solver.SparseActivities{Vars: a.act.Vars[from:to:to], Acts: a.act.Acts[from:to:to]})
-	a.used += len(v.Vars)
-}
-
-// reset empties the log once its batch has ended and nothing in it is on
-// loan.  A log that outgrew its arrays gets arrays for what it held and a
-// quarter more, so that a warm batch recording a little more does not
-// outgrow them again.
-func (a *activityLog) reset() {
-	if a.used > cap(a.act.Vars) {
-		n := a.used + a.used/4
-		a.act = solver.SparseActivities{Vars: make([]cnf.Var, 0, n), Acts: make([]float64, 0, n)}
-	}
-	a.act, a.vecs, a.used = a.act.Emptied(), a.vecs[:0], 0
 }
 
 // Listen starts a leader for the formula on the given TCP address
@@ -234,7 +187,7 @@ func Listen(addr string, f *cnf.Formula, opts LeaderOptions) (*Leader, error) {
 		return nil, err
 	}
 	l := &Leader{
-		ln: ln, opts: opts, welcome: welcome, numVars: f.NumVars,
+		ln: ln, opts: opts, welcome: welcome, formula: f,
 		joined:      make(chan struct{}),
 		handshaking: make(map[net.Conn]struct{}),
 	}
@@ -359,7 +312,7 @@ func (l *Leader) acceptLoop() {
 func (l *Leader) handleConn(conn net.Conn) {
 	defer l.wg.Done()
 	w := newWire(conn)
-	w.numVars = l.numVars
+	w.numVars = l.formula.NumVars
 	// abandon ends a connection that did not get through the handshake.
 	abandon := func() {
 		l.mu.Lock()
@@ -425,7 +378,10 @@ func (l *Leader) handleConn(conn net.Conn) {
 		}
 		switch env.Kind {
 		case kindResult:
-			l.deliver(rw, env)
+			if err := l.deliver(rw, env); err != nil {
+				l.dropWorker(rw, err)
+				return
+			}
 		case kindRevoked:
 			l.handleRevoked(rw, env)
 		case kindPong, kindHello:
@@ -492,18 +448,23 @@ func (l *Leader) dropWorker(rw *remoteWorker, cause error) {
 	l.event(WorkerLost, rw.name, requeued)
 }
 
-// deliver records one result from a worker into the active batch.  The
-// result's activity vector is the connection's read buffer: it is copied if
-// the result is recorded, and not looked at otherwise.
-func (l *Leader) deliver(rw *remoteWorker, env *envelope) {
+// deliver records one result from a worker into the active batch, where the
+// observer reads its activity vector in the connection's read buffer.  A SAT
+// whose model falsifies the formula is not recorded: deliver returns the
+// error, and the worker — still holding the task — is dropped and its tasks
+// requeued.
+func (l *Leader) deliver(rw *remoteWorker, env *envelope) error {
 	res := *env.Result
+	if err := checkModel(l.formula, &res); err != nil {
+		return err
+	}
 	l.mu.Lock()
 	b := l.batch
 	if b == nil || env.Batch != b.id {
 		// Stale result from a finished or cancelled batch (e.g. a worker
 		// that was presumed lost and answered late).
 		l.mu.Unlock()
-		return
+		return nil
 	}
 	if _, held := rw.inflight[res.Index]; !held {
 		// Not a task of this batch that this worker holds: the losing copy
@@ -511,14 +472,14 @@ func (l *Leader) deliver(rw *remoteWorker, env *envelope) {
 		// outside the batch — or a worker answering for tasks it was never
 		// sent, which must not decide their cost.
 		l.mu.Unlock()
-		return
+		return nil
 	}
 	delete(rw.inflight, res.Index)
 	if b.got[res.Index] {
 		l.mu.Unlock()
-		return
+		return nil
 	}
-	recordLocked(b, res)
+	cancel := recordLocked(b, res)
 	if res.Started && !res.Cancelled {
 		l.solves = min(l.solves+1, meanWindow)
 		l.solveMean += (res.Stats.SolveTime - l.solveMean) / time.Duration(l.solves)
@@ -545,10 +506,9 @@ func (l *Leader) deliver(rw *remoteWorker, env *envelope) {
 		}
 		delete(b.spec, res.Index)
 	}
-	broadcast := false
-	if stopTriggered(b.opts.Stop, res.Status) && !b.cancelled {
+	broadcast := cancel && !b.cancelled
+	if broadcast {
 		cancelLocked(b)
-		broadcast = true
 	}
 	id := b.id
 	winner := rw.name
@@ -568,6 +528,7 @@ func (l *Leader) deliver(rw *remoteWorker, env *envelope) {
 	if broadcast {
 		l.broadcastInterrupt(id)
 	}
+	return nil
 }
 
 // handleRevoked processes a worker's stealing acknowledgement: only now do
@@ -652,7 +613,8 @@ func (l *Leader) assigneeLocked(idx int) *remoteWorker {
 }
 
 // cancelLocked marks the batch cancelled and converts its not-yet-assigned
-// tasks into placeholder results (callers hold Leader.mu).
+// tasks into placeholder results, which are observed as they are recorded
+// (callers hold Leader.mu).
 func cancelLocked(b *netBatch) {
 	b.cancelled = true
 	for _, t := range b.pending {
@@ -661,24 +623,21 @@ func cancelLocked(b *netBatch) {
 	b.pending = nil
 }
 
-// placeholderLocked records a cancelled-before-start result (callers hold
-// Leader.mu).
+// placeholderLocked records a cancelled-before-start result in a cancelled
+// batch, which nothing more cancels (callers hold Leader.mu).
 func placeholderLocked(b *netBatch, idx int) {
 	if !b.got[idx] {
 		recordLocked(b, TaskResult{Index: idx, Status: solver.Unknown})
 	}
 }
 
-// recordLocked records the result of a task that has none yet, and keeps a
-// copy of its activity vector for the observer (callers hold Leader.mu).
-func recordLocked(b *netBatch, res TaskResult) {
+// recordLocked records the result of a task that has none yet, observes it,
+// and reports whether the batch must now be cancelled (collector.collect;
+// callers hold Leader.mu and cancel before they release it).
+func recordLocked(b *netBatch, res TaskResult) bool {
 	b.got[res.Index] = true
-	if b.observed {
-		b.log.add(res.Activity)
-	}
-	res.Activity = solver.SparseActivities{}
-	b.results = append(b.results, res)
 	b.remaining--
+	return b.collect(res, b.opts.Stop)
 }
 
 // wakeLocked nudges the Run loop (callers hold Leader.mu).
@@ -704,8 +663,8 @@ func (l *Leader) broadcastInterrupt(batchID uint64) {
 }
 
 // cancelBatch ends the batch early, once: its unassigned tasks become
-// placeholders and the workers are interrupted; the batch loop keeps
-// collecting what is in flight.
+// placeholders and the workers are interrupted; the batch still collects
+// what is in flight.
 func (l *Leader) cancelBatch(b *netBatch) {
 	l.mu.Lock()
 	first := !b.cancelled
@@ -966,8 +925,9 @@ func (l *Leader) Run(ctx context.Context, tasks []Task, opts BatchOptions) ([]Ta
 }
 
 // RunObserved implements ObservedTransport: observe (when non-nil) receives
-// every collected result from the batch loop's goroutine as workers deliver
-// them, in the same order as the returned slice.
+// every collected result on the goroutine that recorded it, as workers
+// deliver them, in the same order as the returned slice.  It runs under the
+// leader's lock, so it must not call the leader's methods.
 func (l *Leader) RunObserved(ctx context.Context, tasks []Task, opts BatchOptions, observe func(TaskResult)) ([]TaskResult, error) {
 	return l.RunAbortable(ctx, tasks, opts, observe, nil)
 }
@@ -989,7 +949,7 @@ func (l *Leader) RunAbortable(ctx context.Context, tasks []Task, opts BatchOptio
 // batch options ask for them, so a RunDispatch call with a zero-policy
 // BatchOptions behaves — and schedules — exactly like RunAbortable.
 func (l *Leader) RunDispatch(ctx context.Context, tasks []Task, opts BatchOptions, observe func(TaskResult), abort <-chan struct{}) ([]TaskResult, DispatchStats, error) {
-	if err := checkBatch(tasks, l.numVars); err != nil {
+	if err := checkBatch(tasks, l.formula.NumVars); err != nil {
 		return nil, DispatchStats{}, err
 	}
 	l.runMu.Lock()
@@ -1006,62 +966,26 @@ func (l *Leader) RunDispatch(ctx context.Context, tasks []Task, opts BatchOption
 		opts:      opts,
 		pending:   tasks[:len(tasks):len(tasks)],
 		got:       make([]bool, len(tasks)),
-		results:   resultsFor(opts.Results, len(tasks)),
-		observed:  observe != nil,
-		log:       l.log,
+		collector: collector{results: resultsFor(opts.Results, len(tasks)), observe: observe, abort: abort},
 		remaining: len(tasks),
 		wake:      make(chan struct{}, 1),
 	}
 	l.batch = b
 	l.mu.Unlock()
 
-	defer func() {
-		l.mu.Lock()
-		l.batch = nil // nothing is recorded into b from here on
-		b.log.reset() // every observer call has returned
-		l.log = b.log
-		unanswered := b.remaining > 0
-		for _, rw := range l.workers {
-			clear(rw.inflight)
-			// A steal acknowledgement still in flight refers to a dead
-			// batch; don't let it block the next batch's stealing.
-			rw.revoking = false
-		}
-		l.mu.Unlock()
-		// A batch that ends with tasks out (the leader is closing) is
-		// interrupted on the workers.  One that has every answer has nothing
-		// live there — a cancelled one was interrupted by cancelBatch, a
-		// speculation's losing copy discarded by deliver — and a worker
-		// retires its idle slots when the next batch's first chunk arrives.
-		if unanswered {
-			l.broadcastInterrupt(b.id)
-		}
-	}()
-
 	// The ticker is a backstop for assignment opportunities that produce no
 	// wake (and for requeues racing with the loop); every state change also
 	// nudges b.wake directly.
 	ticker := time.NewTicker(100 * time.Millisecond)
 	defer ticker.Stop()
-	// reported tracks how much of b.results has been streamed to observe;
-	// the batch loop is the only reporter, so the order matches the slice.
-	reported := 0
 	ctxDone := ctx.Done()
 	for {
 		l.assign(b)
 		l.mu.Lock()
-		done := b.remaining == 0
-		closed := l.closed
+		over := b.remaining == 0 || l.closed
 		l.mu.Unlock()
-		l.reportNew(b, &reported, observe)
-		if done {
+		if over {
 			break
-		}
-		if closed {
-			// Stream anything delivered since, keeping the
-			// one-observe-call-per-result contract on the abnormal exit too.
-			l.reportNew(b, &reported, observe)
-			return l.snapshotResults(b, reported), l.snapshotDispatchStats(b), ErrClosed
 		}
 		select {
 		case <-b.wake:
@@ -1080,45 +1004,30 @@ func (l *Leader) RunDispatch(ctx context.Context, tasks []Task, opts BatchOption
 			l.cancelBatch(b)
 		}
 	}
-	// Every task has answered, so nothing appends to b.results any more: it
-	// is the caller's now.
-	return b.results, l.snapshotDispatchStats(b), ctx.Err()
+	return l.endBatch(ctx, b)
 }
 
-// snapshotResults returns the first n batch results, for the exit that leaves
-// tasks unanswered: late deliveries may still append behind them until the
-// batch is unset, so the slice is taken under the lock and capped.
-func (l *Leader) snapshotResults(b *netBatch, n int) []TaskResult {
+// endBatch unsets the batch and takes what it recorded in one critical
+// section, so every result observed is returned and none is recorded after.
+// A batch with every answer has nothing live on the workers — a cancelled one
+// was interrupted by cancelBatch, a speculation's losing copy discarded by
+// deliver — and a worker retires its idle slots when the next batch's first
+// chunk arrives.  One that ends with tasks out, because the leader is
+// closing, is interrupted on the workers and returns ErrClosed.
+func (l *Leader) endBatch(ctx context.Context, b *netBatch) ([]TaskResult, DispatchStats, error) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	return b.results[:n:n]
-}
-
-// snapshotDispatchStats copies the batch's dispatch counters under the lock.
-func (l *Leader) snapshotDispatchStats(b *netBatch) DispatchStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return b.stats
-}
-
-// reportNew streams the not-yet-reported tail of the batch results to
-// observe, each with its activity vector on loan from the batch's log.  Only
-// the batch loop calls it, so *reported needs no lock; the tail and the log
-// are taken under the lock and read in place outside it, since neither is
-// written below its length again (see netBatch.results).
-func (l *Leader) reportNew(b *netBatch, reported *int, observe func(TaskResult)) {
-	l.mu.Lock()
-	from := *reported
-	fresh := b.results[from:len(b.results):len(b.results)]
-	log := b.log
+	l.batch = nil
+	results, stats, unanswered := b.results, b.stats, b.remaining > 0
+	for _, rw := range l.workers {
+		clear(rw.inflight)
+		// A steal acknowledgement still in flight refers to a dead batch;
+		// don't let it block the next batch's stealing.
+		rw.revoking = false
+	}
 	l.mu.Unlock()
-	*reported += len(fresh)
-	if observe == nil {
-		return
+	if unanswered {
+		l.broadcastInterrupt(b.id)
+		return results, stats, ErrClosed
 	}
-	for i := range fresh {
-		res := fresh[i]
-		res.Activity = log.vecs[from+i]
-		observe(res)
-	}
+	return results, stats, ctx.Err()
 }

@@ -269,3 +269,80 @@ func TestTaskFramesAreFewOnLoopback(t *testing.T) {
 		t.Fatalf("%d interrupt frames after two completed batches and an aborted one, want one", n)
 	}
 }
+
+// TestLeaderClosedDuringABatch closes the leader while its worker is still
+// answering.  RunDispatch returns ErrClosed with the results recorded so far,
+// each observed exactly once and in the order returned; no observer call comes
+// after the return; and the next call returns ErrClosed at once.
+func TestLeaderClosedDuringABatch(t *testing.T) {
+	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{Heartbeat: 100 * time.Millisecond, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var worker sync.WaitGroup // must not log into a finished test
+	defer worker.Wait()
+	worker.Add(1)
+	go func() {
+		defer worker.Done()
+		_ = Serve(ctx, leader.Addr().String(), WorkerOptions{Capacity: 2, Name: "busy", Logf: t.Logf,
+			TaskDelay: func(Task) time.Duration { return time.Millisecond }})
+	}()
+	if err := leader.WaitForWorkers(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	const closeAt = 20
+	tasks := requeueTasks(400)
+	var mu sync.Mutex
+	var observed []int
+	closing := make(chan struct{})
+	observe := func(res TaskResult) {
+		mu.Lock()
+		defer mu.Unlock()
+		if observed = append(observed, res.Index); len(observed) == closeAt {
+			close(closing)
+		}
+	}
+	closed := make(chan error, 1)
+	go func() {
+		<-closing
+		closed <- leader.Close()
+	}()
+	results, _, err := leader.RunDispatch(ctx, tasks, propagationBatch, observe, nil)
+	mu.Lock()
+	atReturn := len(observed)
+	mu.Unlock()
+	if !errors.Is(err, ErrClosed) {
+		t.Fatalf("RunDispatch returned %v, want %v", err, ErrClosed)
+	}
+	// Close waits for the connection goroutines, the only ones that observe.
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if len(observed) != atReturn {
+		t.Fatalf("%d observer calls came after RunDispatch returned", len(observed)-atReturn)
+	}
+	if len(results) < closeAt || len(results) == len(tasks) {
+		t.Fatalf("%d results of %d tasks, want those recorded before the close", len(results), len(tasks))
+	}
+	returned := make([]int, len(results))
+	once := make([]bool, len(tasks))
+	for i, res := range results {
+		if once[res.Index] {
+			t.Fatalf("task %d returned twice", res.Index)
+		}
+		once[res.Index] = true
+		returned[i] = res.Index
+	}
+	if !slices.Equal(observed, returned) {
+		t.Fatalf("observed tasks %v, returned %v", observed, returned)
+	}
+
+	again, cancelAgain := context.WithTimeout(ctx, 5*time.Second)
+	defer cancelAgain()
+	if results, _, err := leader.RunDispatch(again, tasks, propagationBatch, observe, nil); !errors.Is(err, ErrClosed) || results != nil {
+		t.Fatalf("after Close RunDispatch returned %d results and %v, want none and %v", len(results), err, ErrClosed)
+	}
+}

@@ -626,7 +626,7 @@ func appendResult(dst []byte, r *TaskResult) []byte {
 type decoder struct {
 	b []byte
 	// numVars bounds the variables of a task's assumptions and of a result's
-	// activity vector (wire.numVars).
+	// activity vector, and is the size of a SAT's model (wire.numVars).
 	numVars int
 	err     error
 }
@@ -871,6 +871,9 @@ func (d *decoder) result(r *TaskResult) {
 		d.fail("cost that is negative or not finite")
 	}
 	r.Status = solver.Status(d.int())
+	if r.Status != solver.Unknown && r.Status != solver.Sat && r.Status != solver.Unsat {
+		d.fail("unknown status")
+	}
 	f := d.flags(7)
 	r.Started, r.Interrupted, r.Cancelled = f&1 != 0, f&2 != 0, f&4 != 0
 	if n := d.count(1); n > 0 {
@@ -879,6 +882,9 @@ func (d *decoder) result(r *TaskResult) {
 			r.Model[i] = cnf.Value(v)
 		}
 		d.b = d.b[n:]
+	}
+	if r.Status == solver.Sat && !totalModel(r.Model, d.numVars) {
+		d.fail("SAT without a total model")
 	}
 	act := &r.Activity
 	n := d.count(2) // a pair is a variable and its activity
@@ -904,6 +910,20 @@ func (d *decoder) result(r *TaskResult) {
 	}
 	st.MaxLevel = d.int()
 	st.SolveTime = time.Duration(d.int64())
+}
+
+// totalModel reports whether m gives each of the formula's numVars variables
+// true or false, as every model the solver returns does (entry 0 is unused).
+func totalModel(m cnf.Assignment, numVars int) bool {
+	if len(m) != numVars+1 {
+		return false
+	}
+	for _, v := range m[1:] {
+		if v != cnf.True && v != cnf.False {
+			return false
+		}
+	}
+	return true
 }
 
 // decodeBody decodes one frame body into env, which it overwrites; opts, res

@@ -9,6 +9,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -118,6 +119,19 @@ func queued(tb testing.TB, tasks []Task) []queuedTask {
 // for, and tableWire a wire welcomed with a formula of that many.
 const tableVars = 70000
 
+// fullModel is a model that gives every one of n variables a value, as a SAT
+// result's must.
+func fullModel(n int) cnf.Assignment {
+	m := cnf.NewAssignment(n)
+	for v := 1; v <= n; v++ {
+		m[v] = cnf.True
+		if v%3 == 0 {
+			m[v] = cnf.False
+		}
+	}
+	return m
+}
+
 func tableWire(conn net.Conn) *wire {
 	w := newWire(conn)
 	w.numVars = tableVars
@@ -182,7 +196,7 @@ func wireTable() map[string]*envelope {
 			Batch: maxU,
 			Result: &TaskResult{
 				Index: 2499, Cost: math.MaxFloat64, Status: solver.Sat,
-				Model: cnf.Assignment{cnf.Unassigned, cnf.True, cnf.False, -1},
+				Model: fullModel(tableVars),
 				Activity: solver.SparseActivities{
 					Vars: []cnf.Var{1, 2, 130, 1977, tableVars},
 					Acts: []float64{1, 870, math.MaxFloat64, 0, math.SmallestNonzeroFloat64},
@@ -240,7 +254,8 @@ func badLiteralFrames(tb testing.TB) map[string][]byte {
 // badReportFrames are frames well-formed in everything but what they report
 // or ask for, which the encoder does not look at either: a cost or an
 // activity that a sum must not meet, activity for a variable the formula
-// (here of tableVars variables) does not have, a task that assumes one.
+// (here of tableVars variables) does not have, a task that assumes one, a
+// status that does not exist, a SAT without a value for every variable.
 func badReportFrames(tb testing.TB) map[string][]byte {
 	result := func(r TaskResult) []byte {
 		return mustFrame(tb, &envelope{Kind: kindResult, Batch: 1, Result: &r})
@@ -265,6 +280,10 @@ func badReportFrames(tb testing.TB) map[string][]byte {
 		"activity one past the formula":    activity(tableVars+1, 1),
 		"activity of variable 2^40":        activity(1<<40, 1),
 		"activity that leaves and returns": result(TaskResult{Activity: solver.SparseActivities{Vars: []cnf.Var{5, -1, 7}, Acts: []float64{1, 1, 1}}}),
+		"unknown status":                   result(TaskResult{Status: solver.Unsat + 1, Started: true}),
+		"SAT without a model":              result(TaskResult{Status: solver.Sat, Started: true}),
+		"SAT with a model one short":       result(TaskResult{Status: solver.Sat, Started: true, Model: fullModel(tableVars)[:tableVars]}),
+		"SAT with an unassigned variable":  result(TaskResult{Status: solver.Sat, Started: true, Model: slices.Replace(fullModel(tableVars), 7, 8, cnf.Unassigned)}),
 		"assumption one past the formula":  assumes(tableVars + 1),
 		"assumption over variable 2^40":    assumes(-(1 << 40)),
 		"assumption that is the least int": assumes(math.MinInt),
@@ -452,7 +471,9 @@ func TestWireSteadyStateAllocs(t *testing.T) {
 	}
 	plain := TaskResult{Index: 18, Cost: 869, Status: solver.Unsat, Started: true, Stats: solver.Stats{Propagations: 869}}
 	sat := res
-	sat.Status, sat.Model = solver.Sat, make(cnf.Assignment, 1978)
+	// A frame of fewer than keepRead bytes, so the read buffer is kept.
+	const satVars = 1977
+	sat.Status, sat.Model = solver.Sat, fullModel(satVars)
 
 	out := newWire(&scriptConn{})
 	send := func(env func() error) func() {
@@ -470,12 +491,12 @@ func TestWireSteadyStateAllocs(t *testing.T) {
 	}{
 		"send tasks":                    {send(func() error { return out.send(&envelope{Kind: kindTasks, Batch: 4, Opts: &opts, Tasks: chunk}) }), 0},
 		"send result":                   {send(func() error { r := res; return out.send(&envelope{Kind: kindResult, Batch: 4, Result: &r}) }), 0},
-		"recv result":                   {recvLoop(t, &envelope{Kind: kindResult, Batch: 4, Result: &res}), 0},
-		"recv result without conflicts": {recvLoop(t, &envelope{Kind: kindResult, Batch: 4, Result: &plain}), 0},
-		"recv SAT result":               {recvLoop(t, &envelope{Kind: kindResult, Batch: 4, Result: &sat}), 1},
-		"recv tasks":                    {recvLoop(t, &envelope{Kind: kindTasks, Batch: 4, Opts: &opts, Tasks: chunk}), 0},
+		"recv result":                   {recvLoop(t, tableVars, &envelope{Kind: kindResult, Batch: 4, Result: &res}), 0},
+		"recv result without conflicts": {recvLoop(t, tableVars, &envelope{Kind: kindResult, Batch: 4, Result: &plain}), 0},
+		"recv SAT result":               {recvLoop(t, satVars, &envelope{Kind: kindResult, Batch: 4, Result: &sat}), 1},
+		"recv tasks":                    {recvLoop(t, tableVars, &envelope{Kind: kindTasks, Batch: 4, Opts: &opts, Tasks: chunk}), 0},
 		"recv and queue tasks":          {queueLoop(t, &envelope{Kind: kindTasks, Batch: 4, Opts: &opts, Tasks: chunk}), 0},
-		"recv ping":                     {recvLoop(t, &envelope{Kind: kindPing}), 0},
+		"recv ping":                     {recvLoop(t, tableVars, &envelope{Kind: kindPing}), 0},
 	} {
 		tc.run() // warm the buffers
 		if got := testing.AllocsPerRun(200, tc.run); got != tc.want {
@@ -485,9 +506,10 @@ func TestWireSteadyStateAllocs(t *testing.T) {
 }
 
 // recvLoop returns a function that receives env, again and again, from one
-// wire.
-func recvLoop(t *testing.T, env *envelope) func() {
-	w := tableWire(&scriptConn{in: mustFrame(t, env), loop: true})
+// wire welcomed with a formula of numVars variables.
+func recvLoop(t *testing.T, numVars int, env *envelope) func() {
+	w := newWire(&scriptConn{in: mustFrame(t, env), loop: true})
+	w.numVars = numVars
 	return func() {
 		if _, err := w.recv(time.Second); err != nil {
 			t.Fatal(err)

@@ -56,11 +56,12 @@ func (c *recordConn) awaitWrite(t *testing.T) {
 	}
 }
 
-// decodeFrames decodes a byte stream as the peer would, into envelopes that
-// own their results.
+// decodeFrames decodes a byte stream as the peer would, a leader of
+// requeueFormula, into envelopes that own their results.
 func decodeFrames(t *testing.T, stream []byte) []envelope {
 	t.Helper()
-	w := tableWire(&scriptConn{in: stream})
+	w := newWire(&scriptConn{in: stream})
+	w.numVars = requeueFormula().NumVars
 	var out []envelope
 	for {
 		env, err := w.recv(time.Second)

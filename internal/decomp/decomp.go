@@ -116,9 +116,6 @@ func (s *Space) RandomPoint(rng *rand.Rand, prob float64) Point {
 	return p
 }
 
-// Space returns the space the point belongs to.
-func (p Point) Space() *Space { return p.space }
-
 // Size returns the dimension of the underlying space.
 func (p Point) Size() int { return len(p.bits) }
 

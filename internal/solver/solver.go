@@ -1529,8 +1529,8 @@ func (m CostMetric) String() string {
 	}
 }
 
-// Verify checks that the model satisfies the formula; it is a convenience
-// used by tests and by the runner's paranoid mode.
+// Verify reports whether the model satisfies the formula.  Both cluster
+// transports check every SAT result with it before the result counts.
 func Verify(f *cnf.Formula, model cnf.Assignment) bool {
 	return f.IsSatisfiedBy(model)
 }

@@ -394,13 +394,6 @@ func (j *Job) finishedResult() (*JobResult, error) {
 // its single Done event.  Cancel is idempotent and safe after completion.
 func (j *Job) Cancel() { j.cancel() }
 
-// Err returns the job's error, or nil while it is still running.
-func (j *Job) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
 // Finished reports whether the job has completed.
 func (j *Job) Finished() bool {
 	select {
