@@ -13,6 +13,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -47,7 +48,7 @@ func main() {
 	}
 }
 
-func run(in *os.File, out *os.File) error {
+func run(in io.Reader, out io.Writer) error {
 	doc := output{Format: "go-bench-json/v1", Env: map[string]string{}, Benchmarks: []benchmark{}}
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)

@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -127,14 +128,14 @@ func run() error {
 		Cores:  *cores,
 	}
 
-	// With -listen, cluster worker churn is forwarded into the event
-	// streams of whatever jobs are running once the session exists.
+	// With -listen, every cluster event is logged, and forwarded into the
+	// event streams of whatever jobs are running once the session exists.
 	var sessionRef atomic.Pointer[pdsat.Session]
 	var leader *cluster.Leader
 	if *listen != "" {
 		leader, err = cluster.Listen(*listen, problem.Formula, cluster.LeaderOptions{
-			Logf: logToStderr,
 			OnEvent: func(ev cluster.ClusterEvent) {
+				logEvent(ev)
 				if s := sessionRef.Load(); s != nil {
 					s.PublishClusterEvent(ev)
 				}
@@ -313,7 +314,7 @@ func runWorker(ctx context.Context, addr string, workers int) error {
 	err := cluster.Serve(ctx, addr, cluster.WorkerOptions{
 		Capacity: workers,
 		Redial:   time.Second,
-		Logf:     logToStderr,
+		OnEvent:  logEvent,
 	})
 	if cluster.IsInterruption(err) {
 		// Ctrl-C / -timeout: a clean, operator-requested shutdown.  The
@@ -324,9 +325,14 @@ func runWorker(ctx context.Context, addr string, workers int) error {
 	return err
 }
 
-func logToStderr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
+// logEvent writes a cluster event of either role as one log/slog text record
+// on stderr: "level=INFO msg=worker_joined worker=w1 count=2 addr=… err=<nil>
+// redial=0s".
+func logEvent(ev cluster.ClusterEvent) {
+	clusterLog.Info(string(ev.Kind), "worker", ev.Worker, "count", ev.Count, "addr", ev.Addr, "err", ev.Err, "redial", ev.Redial)
 }
+
+var clusterLog = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
 func buildProblem(cnfPath, startList, generator string, keystream, known int, seed int64) (*pdsat.Problem, error) {
 	if cnfPath == "" {

@@ -6,8 +6,8 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -61,9 +61,10 @@ func TestRedialDelaySchedule(t *testing.T) {
 // accepts connections and immediately drops them — registration never
 // completes, so every dial is a consecutive failure and the worker must walk
 // the growing redialDelay schedule (the seed's bug was a fixed 1s retry that
-// never backed off).  The logged delays are compared against the exact
-// schedule, which also pins that the attempt counter is not reset by a
-// connection that merely *connected* without registering.
+// never backed off).  The waits each WorkerLost event reports in Redial are
+// compared against the exact schedule, which also pins that the attempt
+// counter is not reset by a connection that merely *connected* without
+// registering.
 func TestServeBacksOffAgainstBrokenLeader(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -80,49 +81,10 @@ func TestServeBacksOffAgainstBrokenLeader(t *testing.T) {
 		}
 	}()
 
-	const base = time.Millisecond
-	var mu sync.Mutex
-	var delays []string
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		done <- Serve(ctx, ln.Addr().String(), WorkerOptions{
-			Capacity: 1,
-			Name:     "prober",
-			Redial:   base,
-			Logf: func(format string, args ...any) {
-				if !strings.Contains(format, "redialing in") {
-					return
-				}
-				mu.Lock()
-				delays = append(delays, args[len(args)-1].(time.Duration).String())
-				if len(delays) == 5 {
-					cancel()
-				}
-				mu.Unlock()
-			},
-		})
-	}()
-
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Serve returned %v, want context.Canceled after 5 redials", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("worker never reached 5 redial attempts")
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(delays) < 5 {
-		t.Fatalf("saw %d redial delays, want 5", len(delays))
-	}
-	for attempt := 0; attempt < 5; attempt++ {
-		want := redialDelay(base, attempt, "prober").String()
-		if delays[attempt] != want {
-			t.Fatalf("redial %d waited %s, want %s (full schedule %v)", attempt, delays[attempt], want, delays)
+	delays := redials(t, ln.Addr().String(), "prober", 5)
+	for attempt, d := range delays {
+		if want := redialDelay(time.Millisecond, attempt, "prober"); d != want {
+			t.Fatalf("redial %d waited %s, want %s (full schedule %v)", attempt, d, want, delays)
 		}
 	}
 }
@@ -159,51 +121,75 @@ func TestServeBackoffResetsAfterRegistration(t *testing.T) {
 		}
 	}()
 
-	const base = time.Millisecond
-	var mu sync.Mutex
-	var delays []string
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		done <- Serve(ctx, ln.Addr().String(), WorkerOptions{
-			Capacity: 1,
-			Name:     "returner",
-			Redial:   base,
-			Logf: func(format string, args ...any) {
-				if !strings.Contains(format, "redialing in") {
-					return
-				}
-				mu.Lock()
-				delays = append(delays, args[len(args)-1].(time.Duration).String())
-				if len(delays) == 4 {
-					cancel()
-				}
-				mu.Unlock()
-			},
-		})
-	}()
-
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Serve returned %v, want context.Canceled after 4 register/lose cycles", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("worker never reached 4 register/lose cycles")
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(delays) < 4 {
-		t.Fatalf("saw %d redial delays, want 4", len(delays))
-	}
-	want := redialDelay(base, 0, "returner").String()
+	delays := redials(t, ln.Addr().String(), "returner", 4)
+	want := redialDelay(time.Millisecond, 0, "returner")
 	for i, d := range delays {
 		if d != want {
 			t.Fatalf("redial %d after a successful registration waited %s, want the attempt-0 delay %s (schedule %v)",
 				i, d, want, delays)
 		}
+	}
+}
+
+// redials runs a worker named name against the listener at addr, with a
+// redial base of one millisecond, until it has lost its leader n times, and
+// returns the waits before the next dial that those WorkerLost events carried.
+func redials(t *testing.T, addr, name string, n int) []time.Duration {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var delays []time.Duration // appended on Serve's goroutine, read once it has returned
+	done := make(chan error, 1)
+	go func() {
+		done <- Serve(ctx, addr, WorkerOptions{Capacity: 1, Name: name, Redial: time.Millisecond,
+			OnEvent: func(ev ClusterEvent) {
+				if ev.Kind != WorkerLost {
+					return
+				}
+				if delays = append(delays, ev.Redial); len(delays) == n {
+					cancel()
+				}
+			}})
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Serve returned %v, want context.Canceled after %d losses", err, n)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("the worker never lost its leader %d times", n)
+	}
+	return delays
+}
+
+// TestWorkerReportsItsLeader: a worker reports its registration, with its
+// slots and the leader's address, and its shutdown by the leader as a loss
+// with ErrClosed and no redial.
+func TestWorkerReportsItsLeader(t *testing.T) {
+	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	addr := leader.Addr().String()
+	var events []ClusterEvent
+	served := make(chan error, 1)
+	go func() {
+		served <- Serve(context.Background(), addr, WorkerOptions{Capacity: 3, Name: "w", Redial: time.Millisecond,
+			OnEvent: func(ev ClusterEvent) { events = append(events, ev) }})
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := leader.WaitForWorkers(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	leader.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("Serve returned %v after the leader shut the worker down", err)
+	}
+	want := []ClusterEvent{{Kind: WorkerJoined, Worker: "w", Count: 3, Addr: addr}, {Kind: WorkerLost, Worker: "w", Addr: addr, Err: ErrClosed}}
+	if !slices.Equal(events, want) {
+		t.Fatalf("the worker reported %+v, want %+v", events, want)
 	}
 }
 

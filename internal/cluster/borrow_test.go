@@ -101,7 +101,7 @@ func TestActivityIsBorrowed(t *testing.T) {
 	})
 
 	t.Run("loopback", func(t *testing.T) {
-		leader, err := Listen("127.0.0.1:0", inst.CNF, LeaderOptions{Logf: t.Logf})
+		leader, err := Listen("127.0.0.1:0", inst.CNF, LeaderOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestActivityIsBorrowed(t *testing.T) {
 			served.Add(1)
 			go func() {
 				defer served.Done()
-				_ = Serve(ctx, leader.Addr().String(), WorkerOptions{Capacity: 1, Name: name, Logf: t.Logf})
+				_ = Serve(ctx, leader.Addr().String(), WorkerOptions{Capacity: 1, Name: name})
 			}()
 		}
 		if err := leader.WaitForWorkers(ctx, 2); err != nil {
@@ -138,7 +138,7 @@ func TestActivityIsBorrowed(t *testing.T) {
 		t.Helper()
 		f := requeueFormula()
 		// No pings: a hand-driven worker answers none while the other is driven.
-		leader, err := Listen("127.0.0.1:0", f, LeaderOptions{Heartbeat: time.Minute, Logf: t.Logf})
+		leader, err := Listen("127.0.0.1:0", f, LeaderOptions{Heartbeat: time.Minute})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,20 +150,11 @@ func TestActivityIsBorrowed(t *testing.T) {
 			t.Fatal(err)
 		}
 		sum := newActivitySum(f.NumVars)
-		type outcome struct {
-			results []TaskResult
-			stats   DispatchStats
-			err     error
-		}
-		done := make(chan outcome, 1)
 		recorded := make(chan int, 3) // one send a task
-		go func() {
-			results, stats, err := leader.RunDispatch(ctx, requeueTasks(3), BatchOptions{CostMetric: solver.CostPropagations, Speculate: speculate}, func(res TaskResult) {
-				sum.observe(res)
-				recorded <- res.Index
-			}, nil)
-			done <- outcome{results, stats, err}
-		}()
+		done := inBackground(ctx, leader, requeueTasks(3), BatchOptions{CostMetric: solver.CostPropagations, Speculate: speculate}, func(res TaskResult) {
+			sum.observe(res)
+			recorded <- res.Index
+		}, nil)
 		chunk := firstChunk(t, a)
 		holds(t, chunk, 0, 1)
 		batch := chunk.Batch

@@ -233,18 +233,26 @@ type collector struct {
 	results []TaskResult // completion order; none carries its activity
 	observe func(TaskResult)
 	abort   <-chan struct{}
+	err     error // the batch's first failure
 }
 
 // collect appends res without its activity, hands it with its activity to the
 // observer, and reports whether the batch must now be cancelled: the abort
-// has fired — before the observer's call or within it — or res stops the
-// batch under the stop policy.  Its caller holds the batch's lock and cancels
-// before it records another result.
-func (c *collector) collect(res TaskResult, stop StopMode) bool {
+// has fired — before the observer's call or within it —, res stops the batch
+// under the stop policy, or the observer panicked, which fails the batch.
+// Its caller holds the batch's lock and cancels before it records another
+// result.
+func (c *collector) collect(res TaskResult, stop StopMode) (cancel bool) {
 	kept := res
 	kept.Activity = solver.SparseActivities{}
 	c.results = append(c.results, kept)
 	if c.observe != nil {
+		defer func() {
+			if p := recover(); p != nil {
+				c.fail(fmt.Errorf("cluster: the batch observer panicked on task %d: %v", res.Index, p))
+				cancel = true
+			}
+		}()
 		c.observe(res)
 	}
 	select {
@@ -253,6 +261,15 @@ func (c *collector) collect(res TaskResult, stop StopMode) bool {
 	default:
 		return stop == StopOnSat && res.Status == solver.Sat
 	}
+}
+
+// fail keeps the batch's first error.  The observer is not called again: the
+// failure may have been its own.
+func (c *collector) fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+	c.observe = nil
 }
 
 // checkModel refuses a SAT whose model does not satisfy the formula.  Both
@@ -301,7 +318,9 @@ type Borrower interface {
 // must not depend on goroutine identity.  It must not block for long: no
 // result is recorded while it runs.  Both built-in backends (Inproc and
 // Leader) implement it; callers fall back to plain Run when a transport does
-// not.
+// not.  On both, a panic in the observer fails the batch: it is not called
+// again, the batch is cancelled, and the call returns an error naming the
+// panic.
 //
 // The observer is also the only place a result's conflict activity can be
 // read (TaskResult.Activity): the vector it is handed is on loan until it

@@ -44,13 +44,12 @@ func startLeader(t *testing.T, inst *encoder.Instance, capacity int) *cluster.Le
 	t.Helper()
 	leader, err := cluster.Listen("127.0.0.1:0", inst.CNF, cluster.LeaderOptions{
 		Heartbeat: 100 * time.Millisecond,
-		Logf:      t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Cleanups run last-in first-out: close the leader, cancel the worker,
-	// then wait for it, so that it never logs into a finished test.
+	// then wait for it, so that it never outlives the test.
 	served := make(chan struct{})
 	t.Cleanup(func() { <-served })
 	ctx, cancel := context.WithCancel(context.Background())
@@ -60,7 +59,7 @@ func startLeader(t *testing.T, inst *encoder.Instance, capacity int) *cluster.Le
 		defer close(served)
 		// Serve returns nil when the leader closes the worker down.
 		_ = cluster.Serve(ctx, leader.Addr().String(), cluster.WorkerOptions{
-			Capacity: capacity, Name: "test-worker", Logf: t.Logf,
+			Capacity: capacity, Name: "test-worker",
 		})
 	}()
 	waitCtx, waitCancel := context.WithTimeout(ctx, 10*time.Second)

@@ -18,21 +18,70 @@ import (
 	"github.com/paper-repro/pdsat-go/internal/solver"
 )
 
-// register dials the leader and registers a fake worker by hand.
-func register(t *testing.T, addr, name string, capacity int) (net.Conn, *wire) {
+// dialWorker dials the leader and registers a fake worker by hand.  It
+// reports a failure with t.Errorf and returns nil, so that a fake worker's
+// own goroutine may call it.
+func dialWorker(t *testing.T, addr, name string, capacity int) *wire {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
-		t.Fatalf("%s: dial: %v", name, err)
+		t.Errorf("%s: dial: %v", name, err)
+		return nil
 	}
 	w := newWire(conn)
 	if err := w.send(helloFor(name, capacity)); err != nil {
-		t.Fatalf("%s: hello: %v", name, err)
+		t.Errorf("%s: hello: %v", name, err)
+		w.close()
+		return nil
 	}
 	if env, err := w.recv(handshakeTimeout); err != nil || env.Kind != kindWelcome {
-		t.Fatalf("%s: welcome: %+v, %v", name, env, err)
+		t.Errorf("%s: welcome: %+v, %v", name, env, err)
+		w.close()
+		return nil
 	}
-	return conn, w
+	return w
+}
+
+// register is dialWorker on the test's goroutine, which a failure stops.
+func register(t *testing.T, addr, name string, capacity int) (net.Conn, *wire) {
+	t.Helper()
+	w := dialWorker(t, addr, name, capacity)
+	if w == nil {
+		t.FailNow()
+	}
+	return w.conn, w
+}
+
+// nextFrame answers the leader's pings until it sends anything else, which it
+// returns.
+func nextFrame(w *wire, timeout time.Duration) (*envelope, error) {
+	for {
+		env, err := w.recv(timeout)
+		if err != nil || env.Kind != kindPing {
+			return env, err
+		}
+		if err := w.send(&envelope{Kind: kindPong}); err != nil {
+			return nil, fmt.Errorf("pong: %w", err)
+		}
+	}
+}
+
+// outcome is what a batch run in the background returned.
+type outcome struct {
+	results []TaskResult
+	stats   DispatchStats
+	err     error
+}
+
+// inBackground runs a batch on the leader on a goroutine of its own and
+// returns where its outcome lands.
+func inBackground(ctx context.Context, l *Leader, tasks []Task, opts BatchOptions, observe func(TaskResult), abort <-chan struct{}) <-chan outcome {
+	done := make(chan outcome, 1)
+	go func() {
+		results, stats, err := l.RunDispatch(ctx, tasks, opts, observe, abort)
+		done <- outcome{results, stats, err}
+	}()
+	return done
 }
 
 // firstChunk answers pings until the leader sends tasks and returns that
@@ -40,16 +89,11 @@ func register(t *testing.T, addr, name string, capacity int) (net.Conn, *wire) {
 func firstChunk(t *testing.T, w *wire) *envelope {
 	t.Helper()
 	for {
-		env, err := w.recv(10 * time.Second)
+		env, err := nextFrame(w, 10*time.Second)
 		if err != nil {
 			t.Fatalf("waiting for tasks: %v", err)
 		}
-		switch env.Kind {
-		case kindPing:
-			if err := w.send(&envelope{Kind: kindPong}); err != nil {
-				t.Fatalf("pong: %v", err)
-			}
-		case kindTasks:
+		if env.Kind == kindTasks {
 			return env
 		}
 	}
@@ -72,7 +116,13 @@ func untilClosed(conn net.Conn) bool {
 func leaderGoroutines() int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
-	return strings.Count(string(buf), "cluster.(*Leader).")
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "cluster.(*Leader).") {
+			n++
+		}
+	}
+	return n
 }
 
 // checkAgainstInproc fails unless results holds exactly one completed solve
@@ -84,24 +134,14 @@ func checkAgainstInproc(t *testing.T, tasks []Task, opts BatchOptions, results [
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkOnePerIndex(t, results, len(tasks))
 	wantByIdx := make([]TaskResult, len(tasks))
 	for _, res := range want {
 		wantByIdx[res.Index] = res
 	}
-	if len(results) != len(tasks) {
-		t.Fatalf("%d results for %d tasks", len(results), len(tasks))
-	}
-	seen := make([]bool, len(tasks))
 	for _, res := range results {
-		if res.Index < 0 || res.Index >= len(tasks) || seen[res.Index] {
-			t.Fatalf("task index %d out of range or answered twice", res.Index)
-		}
-		seen[res.Index] = true
-		if !res.Started || res.Cancelled {
-			t.Fatalf("task %d was not solved: %+v", res.Index, res)
-		}
-		if w := wantByIdx[res.Index]; res.Cost != w.Cost || res.Status != w.Status {
-			t.Fatalf("task %d: cost %v status %v, in process cost %v status %v", res.Index, res.Cost, res.Status, w.Cost, w.Status)
+		if w := wantByIdx[res.Index]; !res.Started || res.Cancelled || res.Cost != w.Cost || res.Status != w.Status {
+			t.Fatalf("task %d: %+v, in process %+v", res.Index, res, w)
 		}
 	}
 }
@@ -180,12 +220,11 @@ func TestHostileWorker(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			baseline := leaderGoroutines()
-			var honest sync.WaitGroup // must not log into a finished test
+			var honest sync.WaitGroup // must not outlive the test
 			defer honest.Wait()
 			lost := make(chan int, 4) // the hostile worker's requeued tasks
 			leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{
 				Heartbeat: 100 * time.Millisecond,
-				Logf:      t.Logf,
 				OnEvent: func(ev ClusterEvent) {
 					if ev.Kind == WorkerLost && ev.Worker == "hostile" {
 						lost <- ev.Count
@@ -219,15 +258,7 @@ func TestHostileWorker(t *testing.T) {
 			// No stealing and no speculation: what the hostile worker holds can
 			// only come back through the requeue that follows its loss.
 			opts := BatchOptions{CostMetric: solver.CostPropagations}
-			type outcome struct {
-				results []TaskResult
-				err     error
-			}
-			done := make(chan outcome, 1)
-			go func() {
-				results, err := leader.Run(ctx, tasks, opts)
-				done <- outcome{results, err}
-			}()
+			done := inBackground(ctx, leader, tasks, opts, nil, nil)
 
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -241,7 +272,7 @@ func TestHostileWorker(t *testing.T) {
 			honest.Add(1)
 			go func() {
 				defer honest.Done()
-				_ = Serve(ctx, addr, WorkerOptions{Capacity: 2, Name: "honest", Logf: t.Logf})
+				_ = Serve(ctx, addr, WorkerOptions{Capacity: 2, Name: "honest"})
 			}()
 			if !untilClosed(conn) {
 				t.Fatal("the leader kept the hostile connection open")
@@ -291,9 +322,11 @@ func TestHostileWorker(t *testing.T) {
 // TestOlderVersionIsTurnedAway: a worker that frames its messages as this
 // version does but announces another one — the one before, whose results
 // carried three more stats — is told why it is refused, which Serve
-// reports as ErrRejected instead of redialing.
+// reports as ErrRejected instead of redialing.  The leader reports it as
+// refused.
 func TestOlderVersionIsTurnedAway(t *testing.T) {
-	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{Logf: t.Logf})
+	refused := make(chan ClusterEvent, 1)
+	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{OnEvent: func(ev ClusterEvent) { refused <- ev }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,6 +354,9 @@ func TestOlderVersionIsTurnedAway(t *testing.T) {
 	if n := leader.WorkerCount(); n != 0 {
 		t.Fatalf("%d workers registered", n)
 	}
+	if ev := <-refused; ev.Kind != WorkerRefused || ev.Worker != "old" || ev.Addr != conn.LocalAddr().String() || !strings.Contains(fmt.Sprint(ev.Err), want) {
+		t.Fatalf("the leader reported %+v, want the old worker refused from %s", ev, conn.LocalAddr())
+	}
 }
 
 // TestForeignResultIsDropped: a worker answers a task it was never handed,
@@ -328,9 +364,9 @@ func TestOlderVersionIsTurnedAway(t *testing.T) {
 // worker that holds a task decides its result, and the batch equals the
 // in-process one.
 func TestForeignResultIsDropped(t *testing.T) {
-	var honest sync.WaitGroup // must not log into a finished test
+	var honest sync.WaitGroup // must not outlive the test
 	defer honest.Wait()
-	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{Heartbeat: 100 * time.Millisecond, Logf: t.Logf})
+	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{Heartbeat: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,15 +384,7 @@ func TestForeignResultIsDropped(t *testing.T) {
 	}
 	tasks := requeueTasks(16)
 	opts := BatchOptions{CostMetric: solver.CostPropagations}
-	type outcome struct {
-		results []TaskResult
-		err     error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		results, err := leader.Run(ctx, tasks, opts)
-		done <- outcome{results, err}
-	}()
+	done := inBackground(ctx, leader, tasks, opts, nil, nil)
 
 	env := firstChunk(t, w)
 	foreign := len(tasks) - 1
@@ -376,7 +404,7 @@ func TestForeignResultIsDropped(t *testing.T) {
 	honest.Add(1)
 	go func() {
 		defer honest.Done()
-		_ = Serve(ctx, addr, WorkerOptions{Capacity: 2, Name: "honest", Logf: t.Logf})
+		_ = Serve(ctx, addr, WorkerOptions{Capacity: 2, Name: "honest"})
 	}()
 
 	out := <-done

@@ -119,7 +119,8 @@ func (t *Inproc) RunObserved(ctx context.Context, tasks []Task, opts BatchOption
 // and is woken once per batch, not once per task.  A panic under a task
 // fails the batch, not the process: the other tasks drain as placeholders and
 // the error — not an interruption — names the task and the panic value.  A
-// SAT whose model falsifies the formula fails the batch the same way.
+// SAT whose model falsifies the formula, or a panic in the observer, fails
+// the batch the same way.
 func (t *Inproc) RunAbortable(ctx context.Context, tasks []Task, opts BatchOptions, observe func(TaskResult), abort <-chan struct{}) ([]TaskResult, error) {
 	if err := checkBatch(tasks, t.formula.NumVars); err != nil {
 		return nil, err
@@ -182,8 +183,7 @@ type inprocBatch struct {
 	done    chan struct{}
 
 	mu        sync.Mutex
-	collector       // guarded by mu
-	err       error // guarded by mu; the first failure
+	collector // guarded by mu
 }
 
 // work is one worker goroutine: until no task is left it claims the next one,
@@ -245,14 +245,10 @@ func (b *inprocBatch) record(res TaskResult) {
 	}
 }
 
-// fail keeps the batch's first error and cancels the batch.  The observer is
-// not called again: the failure may have been its own.
+// fail fails the batch (collector.fail) and cancels it.
 func (b *inprocBatch) fail(err error) {
 	b.mu.Lock()
-	if b.err == nil {
-		b.err = err
-	}
-	b.observe = nil
+	b.collector.fail(err)
 	b.mu.Unlock()
 	b.cancel()
 }

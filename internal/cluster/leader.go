@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"net"
@@ -22,44 +23,52 @@ type LeaderOptions struct {
 	// intervals is declared lost and its in-flight tasks are requeued
 	// (0 means a 1s default).
 	Heartbeat time.Duration
-	// Logf, when non-nil, receives human-readable cluster events (worker
-	// joins, losses, requeues).
-	Logf func(format string, args ...any)
-	// OnEvent, when non-nil, is called with every ClusterEvent: a worker
-	// joining or being lost, queued tasks stolen back, a speculative duplicate
-	// winning.  It runs on the goroutine of the connection the event happened
-	// on and must not block.
+	// OnEvent, when non-nil, is called with every ClusterEvent, the leader's
+	// one report: a worker joining, refused or lost, queued tasks stolen
+	// back, a speculative duplicate winning.  It runs on the goroutine of the
+	// connection the event happened on and must not block.
 	OnEvent func(ClusterEvent)
 }
 
-// ClusterEventKind says what happened in a ClusterEvent.
-type ClusterEventKind int
+// ClusterEventKind says what happened in a ClusterEvent.  Its value is the
+// name of the job event that reports it (pdsat's EventKind).
+type ClusterEventKind string
 
 // The cluster events, and what Count counts in each.
 const (
 	// WorkerJoined: a worker completed its registration handshake; Count is
-	// its slot count.
-	WorkerJoined ClusterEventKind = iota
+	// its slot count.  A worker reports its own registration too.
+	WorkerJoined ClusterEventKind = "worker_joined"
 	// WorkerLost: a registered worker was dropped (connection error, missed
 	// heartbeats or leader shutdown); Count is the number of its in-flight
-	// tasks requeued onto the remaining workers.
-	WorkerLost
+	// tasks requeued onto the remaining workers.  A worker reports the loss
+	// of its leader too, with the wait before its next dial in Redial.
+	WorkerLost ClusterEventKind = "worker_lost"
 	// TaskStolen: queued tasks were revoked from a backlogged worker for
 	// reassignment (BatchOptions.Steal); Count is how many were taken back.
-	TaskStolen
+	TaskStolen ClusterEventKind = "task_stolen"
 	// SpeculationWon: this worker's speculative duplicate of a straggling task
 	// delivered the first (recorded) result (BatchOptions.Speculate); Count
 	// is the number of tasks won.
-	SpeculationWon
+	SpeculationWon ClusterEventKind = "speculation_won"
+	// WorkerRefused: a connection failed the registration handshake (no or a
+	// malformed hello, another protocol version); Count is 0.
+	WorkerRefused ClusterEventKind = "worker_refused"
 )
 
 // ClusterEvent is one thing that happened to a leader's workers or to the
-// custody of its tasks: its kind, the self-reported name of the worker
-// concerned and the kind's count.
+// custody of its tasks, or to a worker's connection to its leader: its kind,
+// the self-reported name of the worker concerned and the kind's count.
 type ClusterEvent struct {
 	Kind   ClusterEventKind
 	Worker string
 	Count  int
+	// Addr is the peer's address (the worker's on the leader, the leader's
+	// on a worker), Err why a worker was lost or refused (ErrClosed: the
+	// leader shut it down), Redial a worker's wait before it dials again.
+	Addr   string
+	Err    error
+	Redial time.Duration
 }
 
 // Leader is the network Transport: it accepts worker registrations on a TCP
@@ -199,15 +208,9 @@ func Listen(addr string, f *cnf.Formula, opts LeaderOptions) (*Leader, error) {
 // Addr returns the address the leader is listening on.
 func (l *Leader) Addr() net.Addr { return l.ln.Addr() }
 
-func (l *Leader) logf(format string, args ...any) {
-	if l.opts.Logf != nil {
-		l.opts.Logf(format, args...)
-	}
-}
-
-func (l *Leader) event(kind ClusterEventKind, worker string, count int) {
+func (l *Leader) event(ev ClusterEvent) {
 	if l.opts.OnEvent != nil {
-		l.opts.OnEvent(ClusterEvent{Kind: kind, Worker: worker, Count: count})
+		l.opts.OnEvent(ev)
 	}
 }
 
@@ -325,13 +328,13 @@ func (l *Leader) handleConn(conn net.Conn) {
 		abandon()
 		// A worker of a version that frames its messages differently ends
 		// here, as a malformed frame.
-		l.logf("cluster: no registration from %s: %v", conn.RemoteAddr(), err)
+		l.event(ClusterEvent{Kind: WorkerRefused, Addr: conn.RemoteAddr().String(), Err: err})
 		return
 	}
 	if err := checkHello(env); err != nil {
 		w.send(&envelope{Kind: kindStop, Err: err.Error()})
 		abandon()
-		l.logf("cluster: rejected worker from %s: %v", conn.RemoteAddr(), err)
+		l.event(ClusterEvent{Kind: WorkerRefused, Worker: env.Name, Addr: conn.RemoteAddr().String(), Err: err})
 		return
 	}
 	if err := w.sendFrame(l.welcome); err != nil {
@@ -365,8 +368,7 @@ func (l *Leader) handleConn(conn net.Conn) {
 	}
 	l.wg.Add(1) // the pinger
 	l.mu.Unlock()
-	l.logf("cluster: worker %q joined from %s with %d slot(s)", rw.name, conn.RemoteAddr(), rw.capacity)
-	l.event(WorkerJoined, rw.name, rw.capacity)
+	l.event(ClusterEvent{Kind: WorkerJoined, Worker: rw.name, Count: rw.capacity, Addr: conn.RemoteAddr().String()})
 
 	go l.ping(rw)
 
@@ -440,12 +442,7 @@ func (l *Leader) dropWorker(rw *remoteWorker, cause error) {
 
 	close(rw.done)
 	rw.w.close()
-	if requeued > 0 {
-		l.logf("cluster: worker %q lost (%v); requeued %d task(s)", rw.name, cause, requeued)
-	} else {
-		l.logf("cluster: worker %q disconnected (%v)", rw.name, cause)
-	}
-	l.event(WorkerLost, rw.name, requeued)
+	l.event(ClusterEvent{Kind: WorkerLost, Worker: rw.name, Count: requeued, Addr: rw.w.conn.RemoteAddr().String(), Err: cause})
 }
 
 // deliver records one result from a worker into the active batch, where the
@@ -522,8 +519,7 @@ func (l *Leader) deliver(rw *remoteWorker, env *envelope) error {
 		}
 	}
 	if specWin {
-		l.logf("cluster: speculative duplicate of task %d won on worker %q", res.Index, winner)
-		l.event(SpeculationWon, winner, 1)
+		l.event(ClusterEvent{Kind: SpeculationWon, Worker: winner, Count: 1})
 	}
 	if broadcast {
 		l.broadcastInterrupt(id)
@@ -565,8 +561,7 @@ func (l *Leader) handleRevoked(rw *remoteWorker, env *envelope) {
 	victim := rw.name
 	l.mu.Unlock()
 	if stolen > 0 {
-		l.logf("cluster: stole %d queued task(s) back from worker %q", stolen, victim)
-		l.event(TaskStolen, victim, stolen)
+		l.event(ClusterEvent{Kind: TaskStolen, Worker: victim, Count: stolen})
 	}
 }
 
@@ -1013,11 +1008,12 @@ func (l *Leader) RunDispatch(ctx context.Context, tasks []Task, opts BatchOption
 // was interrupted by cancelBatch, a speculation's losing copy discarded by
 // deliver — and a worker retires its idle slots when the next batch's first
 // chunk arrives.  One that ends with tasks out, because the leader is
-// closing, is interrupted on the workers and returns ErrClosed.
+// closing, is interrupted on the workers and returns ErrClosed, unless the
+// batch failed first (its observer panicked).
 func (l *Leader) endBatch(ctx context.Context, b *netBatch) ([]TaskResult, DispatchStats, error) {
 	l.mu.Lock()
 	l.batch = nil
-	results, stats, unanswered := b.results, b.stats, b.remaining > 0
+	results, stats, unanswered, err := b.results, b.stats, b.remaining > 0, b.err
 	for _, rw := range l.workers {
 		clear(rw.inflight)
 		// A steal acknowledgement still in flight refers to a dead batch;
@@ -1027,7 +1023,7 @@ func (l *Leader) endBatch(ctx context.Context, b *netBatch) ([]TaskResult, Dispa
 	l.mu.Unlock()
 	if unanswered {
 		l.broadcastInterrupt(b.id)
-		return results, stats, ErrClosed
+		err = cmp.Or(err, ErrClosed)
 	}
-	return results, stats, ctx.Err()
+	return results, stats, cmp.Or(err, ctx.Err())
 }

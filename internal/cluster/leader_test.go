@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -201,7 +202,7 @@ func TestDistributeInChunks(t *testing.T) {
 // of 50, topped up by 25 or more), a batch that ran to its end is followed
 // by no interrupt frame, and one that was aborted by exactly one.
 func TestTaskFramesAreFewOnLoopback(t *testing.T) {
-	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{Logf: t.Logf})
+	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,18 +276,18 @@ func TestTaskFramesAreFewOnLoopback(t *testing.T) {
 // each observed exactly once and in the order returned; no observer call comes
 // after the return; and the next call returns ErrClosed at once.
 func TestLeaderClosedDuringABatch(t *testing.T) {
-	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{Heartbeat: 100 * time.Millisecond, Logf: t.Logf})
+	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{Heartbeat: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	var worker sync.WaitGroup // must not log into a finished test
+	var worker sync.WaitGroup // must not outlive the test
 	defer worker.Wait()
 	worker.Add(1)
 	go func() {
 		defer worker.Done()
-		_ = Serve(ctx, leader.Addr().String(), WorkerOptions{Capacity: 2, Name: "busy", Logf: t.Logf,
+		_ = Serve(ctx, leader.Addr().String(), WorkerOptions{Capacity: 2, Name: "busy",
 			TaskDelay: func(Task) time.Duration { return time.Millisecond }})
 	}()
 	if err := leader.WaitForWorkers(ctx, 1); err != nil {
@@ -344,5 +345,62 @@ func TestLeaderClosedDuringABatch(t *testing.T) {
 	defer cancelAgain()
 	if results, _, err := leader.RunDispatch(again, tasks, propagationBatch, observe, nil); !errors.Is(err, ErrClosed) || results != nil {
 		t.Fatalf("after Close RunDispatch returned %d results and %v, want none and %v", len(results), err, ErrClosed)
+	}
+}
+
+// TestObserverPanicFailsTheBatch: a batch observer that panics fails the
+// batch on both backends, not the process.  It panics on the third result, or
+// on the first placeholder of a batch whose abort fired before the call (the
+// leader records those in cancelBatch, with its lock held).  Either way the
+// call returns an error naming the observer's panic, the observer is not
+// called again, and the transport serves the next batch: the leader is not
+// left locked.
+func TestObserverPanicFailsTheBatch(t *testing.T) {
+	f := requeueFormula()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	leader, err := Listen("127.0.0.1:0", f, LeaderOptions{Heartbeat: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var worker sync.WaitGroup
+	defer worker.Wait()
+	defer leader.Close()
+	worker.Add(1)
+	go func() {
+		defer worker.Done()
+		_ = Serve(ctx, leader.Addr().String(), WorkerOptions{Capacity: 2, Name: "w"})
+	}()
+	if err := leader.WaitForWorkers(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	tasks := requeueTasks(32)
+	for _, tr := range []AbortableTransport{NewInproc(f, 2, solver.DefaultOptions()), leader} {
+		for _, aborted := range []bool{false, true} {
+			abort := make(chan struct{})
+			if aborted {
+				close(abort)
+			}
+			seen, late := 0, 0
+			panicked := false
+			_, err := tr.RunAbortable(ctx, tasks, propagationBatch, func(res TaskResult) {
+				if seen++; panicked {
+					late++
+				}
+				if aborted && !res.Started || !aborted && seen == 3 {
+					panicked = true
+					panic("boom")
+				}
+			}, abort)
+			if err == nil || IsInterruption(err) || !strings.Contains(err.Error(), "observer panicked") || !strings.Contains(err.Error(), "boom") {
+				t.Errorf("%T, aborted %v: error %v, want one naming the observer's panic", tr, aborted, err)
+			}
+			if !panicked || late != 0 {
+				t.Errorf("%T, aborted %v: panicked %v, then %d observer calls", tr, aborted, panicked, late)
+			}
+			if results, err := tr.Run(ctx, tasks, propagationBatch); err != nil || len(results) != len(tasks) {
+				t.Fatalf("%T: the next batch returned %d results and %v", tr, len(results), err)
+			}
+		}
 	}
 }

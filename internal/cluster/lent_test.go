@@ -69,7 +69,7 @@ func TestResultsArrayIsLent(t *testing.T) {
 	defer cancel()
 
 	lost := make(chan int, 1)
-	leader, err := Listen("127.0.0.1:0", f, LeaderOptions{Logf: t.Logf, OnEvent: func(ev ClusterEvent) {
+	leader, err := Listen("127.0.0.1:0", f, LeaderOptions{OnEvent: func(ev ClusterEvent) {
 		if ev.Kind == WorkerLost {
 			select {
 			case lost <- ev.Count:
@@ -90,7 +90,7 @@ func TestResultsArrayIsLent(t *testing.T) {
 			defer served.Done()
 			// A task waits a little before its solve, so that an abort finds
 			// tasks in flight and a batch's tail is speculated.
-			_ = Serve(ctx, addr, WorkerOptions{Capacity: 1, Name: name, Logf: t.Logf,
+			_ = Serve(ctx, addr, WorkerOptions{Capacity: 1, Name: name,
 				TaskDelay: func(Task) time.Duration { return 100 * time.Microsecond }})
 		}()
 	}

@@ -157,8 +157,8 @@ type msgKind uint8
 const (
 	// kindHello is the worker's registration: protocol version + capacity.
 	kindHello msgKind = iota + 1
-	// kindWelcome is the leader's reply: the formula, the shared solver
-	// options and the heartbeat interval.
+	// kindWelcome is the leader's reply: the formula and the heartbeat
+	// interval.
 	kindWelcome
 	// kindTasks streams a chunk of a batch to a worker, with the batch's
 	// options.

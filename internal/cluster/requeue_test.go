@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"net"
-	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -45,43 +44,21 @@ func requeueTasks(n int) []Task {
 // chunk of tasks, and then vanish without answering — the worker-loss
 // scenario the leader must absorb by requeuing.
 func fakeWorker(t *testing.T, addr string, capacity int, gotTasks chan<- int) {
-	t.Helper()
-	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
-	if err != nil {
-		t.Errorf("fake worker dial: %v", err)
-		close(gotTasks)
+	defer close(gotTasks)
+	w := dialWorker(t, addr, "fake", capacity)
+	if w == nil {
 		return
 	}
-	w := newWire(conn)
 	defer w.close()
-	if err := w.send(helloFor("fake", capacity)); err != nil {
-		t.Errorf("fake worker hello: %v", err)
-		close(gotTasks)
-		return
-	}
-	if _, err := w.recv(handshakeTimeout); err != nil { // welcome
-		t.Errorf("fake worker welcome: %v", err)
-		close(gotTasks)
-		return
-	}
 	for {
-		env, err := w.recv(10 * time.Second)
+		env, err := nextFrame(w, 10*time.Second)
 		if err != nil {
 			t.Errorf("fake worker waiting for tasks: %v", err)
-			close(gotTasks)
 			return
 		}
-		switch env.Kind {
-		case kindPing:
-			if err := w.send(&envelope{Kind: kindPong}); err != nil {
-				t.Errorf("fake worker pong: %v", err)
-				close(gotTasks)
-				return
-			}
-		case kindTasks:
+		if env.Kind == kindTasks {
 			// Took a chunk, now die without answering.
 			gotTasks <- len(env.Queued)
-			close(gotTasks)
 			return
 		}
 	}
@@ -96,7 +73,6 @@ func TestWorkerDisconnectRequeues(t *testing.T) {
 	f := requeueFormula()
 	leader, err := Listen("127.0.0.1:0", f, LeaderOptions{
 		Heartbeat: 100 * time.Millisecond,
-		Logf:      t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,17 +98,9 @@ func TestWorkerDisconnectRequeues(t *testing.T) {
 		sent[i] = Task{Index: task.Index, Assumptions: slices.Clone(task.Assumptions)}
 	}
 	opts := BatchOptions{CostMetric: solver.CostPropagations}
-	type runOutcome struct {
-		results []TaskResult
-		err     error
-	}
-	done := make(chan runOutcome, 1)
 	runCtx, runCancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer runCancel()
-	go func() {
-		res, _, err := leader.RunDispatch(runCtx, tasks, opts, nil, nil)
-		done <- runOutcome{res, err}
-	}()
+	done := inBackground(runCtx, leader, tasks, opts, nil, nil)
 
 	// Wait until the fake worker has actually been handed tasks and died.
 	n, ok := <-gotTasks
@@ -145,48 +113,21 @@ func TestWorkerDisconnectRequeues(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		_ = Serve(ctx, addr, WorkerOptions{Capacity: 2, Name: "survivor", Logf: t.Logf})
+		_ = Serve(ctx, addr, WorkerOptions{Capacity: 2, Name: "survivor"})
 	}()
 
 	out := <-done
 	if out.err != nil {
 		t.Fatalf("Run after worker loss: %v", out.err)
 	}
-	if len(out.results) != len(tasks) {
-		t.Fatalf("got %d results for %d tasks", len(out.results), len(tasks))
-	}
 	for i, task := range all {
 		if task.Index != sent[i].Index || !slices.Equal(task.Assumptions, sent[i].Assumptions) {
 			t.Fatalf("the caller's task %d is %+v after the batch, it was %+v", i, task, sent[i])
 		}
 	}
-	seen := make([]bool, len(tasks))
-	for _, res := range out.results {
-		if seen[res.Index] {
-			t.Fatalf("duplicate result for task %d", res.Index)
-		}
-		seen[res.Index] = true
-		if !res.Started {
-			t.Fatalf("task %d was never solved (lost instead of requeued)", res.Index)
-		}
-	}
-
-	// The requeued run must be bit-identical to the in-process transport.
-	want, err := NewInproc(f, 2, solver.DefaultOptions()).Run(context.Background(), tasks, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantByIdx := make([]TaskResult, len(tasks))
-	for _, res := range want {
-		wantByIdx[res.Index] = res
-	}
-	for _, res := range out.results {
-		w := wantByIdx[res.Index]
-		if res.Cost != w.Cost || res.Status != w.Status {
-			t.Fatalf("task %d differs after requeue: net cost %v status %v, inproc cost %v status %v",
-				res.Index, res.Cost, res.Status, w.Cost, w.Status)
-		}
-	}
+	// Every task solved once, none lost instead of requeued, and the requeued
+	// run bit-identical to the in-process transport.
+	checkAgainstInproc(t, tasks, opts, out.results)
 }
 
 // TestBatchIndexValidation checks the shared index contract.
@@ -215,7 +156,6 @@ func TestBatchRejectsZeroLiteral(t *testing.T) {
 	f := requeueFormula()
 	var lost atomic.Int32
 	leader, err := Listen("127.0.0.1:0", f, LeaderOptions{
-		Logf: t.Logf,
 		OnEvent: func(ev ClusterEvent) {
 			if ev.Kind == WorkerLost {
 				lost.Add(1)
@@ -230,9 +170,9 @@ func TestBatchRejectsZeroLiteral(t *testing.T) {
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		_ = Serve(ctx, leader.Addr().String(), WorkerOptions{Capacity: 2, Name: "bystander", Logf: t.Logf})
+		_ = Serve(ctx, leader.Addr().String(), WorkerOptions{Capacity: 2, Name: "bystander"})
 	}()
-	defer func() { // the worker logs into the test until it has returned
+	defer func() { // the worker must not outlive the test
 		leader.Close()
 		<-served
 	}()
@@ -283,25 +223,12 @@ func TestBatchRejectsZeroLiteral(t *testing.T) {
 // told to die.  It reports the abort notification it receives, so the test
 // can order "leader aborted the batch" strictly before "worker vanished".
 func abortingWorker(t *testing.T, addr string, capacity int, gotTasks chan<- int, sawAbort chan<- uint64, die <-chan struct{}) {
-	t.Helper()
-	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
-	if err != nil {
-		t.Errorf("aborting worker dial: %v", err)
+	w := dialWorker(t, addr, "holder", capacity)
+	if w == nil {
 		close(gotTasks)
 		return
 	}
-	w := newWire(conn)
 	defer w.close()
-	if err := w.send(helloFor("holder", capacity)); err != nil {
-		t.Errorf("aborting worker hello: %v", err)
-		close(gotTasks)
-		return
-	}
-	if _, err := w.recv(handshakeTimeout); err != nil { // welcome
-		t.Errorf("aborting worker welcome: %v", err)
-		close(gotTasks)
-		return
-	}
 	reported := false
 	for {
 		select {
@@ -309,6 +236,7 @@ func abortingWorker(t *testing.T, addr string, capacity int, gotTasks chan<- int
 			return // vanish without answering anything
 		default:
 		}
+		// Not nextFrame: the die channel is polled between any two frames.
 		env, err := w.recv(500 * time.Millisecond)
 		if err != nil {
 			continue // read timeout: poll the die channel again
@@ -343,7 +271,6 @@ func TestAbortedBatchWorkerLossDoesNotResurrectTasks(t *testing.T) {
 	lostCh := make(chan lost, 4)
 	leader, err := Listen("127.0.0.1:0", f, LeaderOptions{
 		Heartbeat: 100 * time.Millisecond,
-		Logf:      t.Logf,
 		OnEvent: func(ev ClusterEvent) {
 			if ev.Kind == WorkerLost {
 				lostCh <- lost{ev.Worker, ev.Count}
@@ -374,7 +301,7 @@ func TestAbortedBatchWorkerLossDoesNotResurrectTasks(t *testing.T) {
 	survivorCtx, survivorCancel := context.WithCancel(context.Background())
 	defer survivorCancel()
 	go func() {
-		_ = Serve(survivorCtx, addr, WorkerOptions{Capacity: 2, Name: "survivor", Logf: t.Logf})
+		_ = Serve(survivorCtx, addr, WorkerOptions{Capacity: 2, Name: "survivor"})
 	}()
 	if err := leader.WaitForWorkers(waitCtx, 2); err != nil {
 		t.Fatalf("survivor did not register: %v", err)
@@ -382,17 +309,9 @@ func TestAbortedBatchWorkerLossDoesNotResurrectTasks(t *testing.T) {
 
 	tasks := requeueTasks(16)
 	abort := make(chan struct{})
-	type runOutcome struct {
-		results []TaskResult
-		err     error
-	}
-	done := make(chan runOutcome, 1)
 	runCtx, runCancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer runCancel()
-	go func() {
-		res, err := leader.RunAbortable(runCtx, tasks, BatchOptions{CostMetric: solver.CostPropagations}, nil, abort)
-		done <- runOutcome{res, err}
-	}()
+	done := inBackground(runCtx, leader, tasks, BatchOptions{CostMetric: solver.CostPropagations}, nil, abort)
 
 	// Wait for the holder to own tasks, then abort the batch and wait for
 	// the abort to reach the holder before killing it, so the worker loss
@@ -475,27 +394,7 @@ func TestInprocAbort(t *testing.T) {
 
 	// The transport must still run normal batches, bit-identical to a
 	// fresh one.
-	after, err := tr.Run(context.Background(), tasks, BatchOptions{CostMetric: solver.CostPropagations})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := NewInproc(f, 2, solver.DefaultOptions()).Run(context.Background(), tasks, BatchOptions{CostMetric: solver.CostPropagations})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byIdx := func(rs []TaskResult) map[int]TaskResult {
-		m := make(map[int]TaskResult, len(rs))
-		for _, r := range rs {
-			m[r.Index] = r
-		}
-		return m
-	}
-	wa, wb := byIdx(after), byIdx(want)
-	for i := range wa {
-		if wa[i].Cost != wb[i].Cost || wa[i].Status != wb[i].Status {
-			t.Fatalf("post-abort batch differs at task %d: %+v vs %+v", i, wa[i], wb[i])
-		}
-	}
+	checkMatchesFreshTransport(t, tr, tasks)
 }
 
 // TestInprocAbortMidBatch aborts from the observe callback after half the
@@ -538,20 +437,8 @@ func TestInprocAbortMidBatch(t *testing.T) {
 // TestLeaderCloseWaitsForItsGoroutines: Close returns only after the accept
 // loop, every connection goroutine — registered or still in the handshake —
 // and every pinger have exited, so no LeaderOptions callback runs once the
-// caller has moved on (it used to log into finished tests).
+// caller has moved on (one used to fire into finished tests).
 func TestLeaderCloseWaitsForItsGoroutines(t *testing.T) {
-	// leaderGoroutines counts the goroutines running a Leader method.
-	leaderGoroutines := func() int {
-		buf := make([]byte, 1<<20)
-		buf = buf[:runtime.Stack(buf, true)]
-		n := 0
-		for _, g := range strings.Split(string(buf), "\n\n") {
-			if strings.Contains(g, "cluster.(*Leader).") {
-				n++
-			}
-		}
-		return n
-	}
 	baseline := leaderGoroutines()
 	var closed atomic.Bool
 	var late atomic.Int32
@@ -562,7 +449,6 @@ func TestLeaderCloseWaitsForItsGoroutines(t *testing.T) {
 	}
 	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{
 		Heartbeat: 10 * time.Millisecond,
-		Logf:      func(string, ...any) { note() },
 		OnEvent:   func(ClusterEvent) { note() },
 	})
 	if err != nil {
@@ -572,23 +458,15 @@ func TestLeaderCloseWaitsForItsGoroutines(t *testing.T) {
 	// Two registered workers that never answer anything (the leader runs a
 	// connection goroutine and a pinger for each) and one connection that
 	// never says hello.  None of them runs a goroutine on this side.
-	for i := 0; i < 3; i++ {
-		conn, err := net.DialTimeout("tcp", addr, dialTimeout)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for range 2 {
+		conn, _ := register(t, addr, "mute", 1)
 		defer conn.Close()
-		if i == 2 {
-			break
-		}
-		w := newWire(conn)
-		if err := w.send(helloFor("mute", 1)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.recv(handshakeTimeout); err != nil { // welcome
-			t.Fatal(err)
-		}
 	}
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
 	// The accept loop, three connection goroutines, two pingers.
 	for deadline := time.Now().Add(10 * time.Second); leaderGoroutines() != baseline+6; {
 		if time.Now().After(deadline) {

@@ -288,7 +288,7 @@ func TestResultIsNoHostageOfTheNextTask(t *testing.T) {
 	}
 	var hostages atomic.Int32
 	// No ping inside the test: the pong would carry the held results along.
-	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{Heartbeat: time.Minute, Logf: t.Logf})
+	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{Heartbeat: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestResultIsNoHostageOfTheNextTask(t *testing.T) {
 // counts, everything else is requeued, and the survivor finishes the batch:
 // every task solved, once, with the in-process result.
 func TestWorkerKilledWithResultsPending(t *testing.T) {
-	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{Heartbeat: 100 * time.Millisecond, Logf: t.Logf})
+	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{Heartbeat: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestWorkerKilledWithResultsPending(t *testing.T) {
 	served.Add(2)
 	go func() {
 		defer served.Done()
-		_ = Serve(doomedCtx, addr, WorkerOptions{Capacity: 1, Name: "doomed", Logf: t.Logf, TaskDelay: func(Task) time.Duration {
+		_ = Serve(doomedCtx, addr, WorkerOptions{Capacity: 1, Name: "doomed", TaskDelay: func(Task) time.Duration {
 			if started.Add(1) < 10 {
 				return 0
 			}
@@ -365,7 +365,7 @@ func TestWorkerKilledWithResultsPending(t *testing.T) {
 	// batch before the doomed worker reaches a tenth task.
 	go func() {
 		defer served.Done()
-		_ = Serve(ctx, addr, WorkerOptions{Capacity: 1, Name: "survivor", Logf: t.Logf, TaskDelay: func(Task) time.Duration {
+		_ = Serve(ctx, addr, WorkerOptions{Capacity: 1, Name: "survivor", TaskDelay: func(Task) time.Duration {
 			<-doomedCtx.Done()
 			return 0
 		}})

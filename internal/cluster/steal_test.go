@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"net"
 	"testing"
 	"time"
 
@@ -17,45 +16,25 @@ import (
 // still in the dead worker's custody requeues through dropWorker, and
 // nothing requeues through both.
 func hoardingWorker(t *testing.T, addr string, capacity, expect int, ackSteal bool, gotTasks chan<- int) {
-	t.Helper()
-	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
-	if err != nil {
-		t.Errorf("hoarding worker dial: %v", err)
-		close(gotTasks)
-		return
-	}
-	w := newWire(conn)
-	defer w.close()
-	if err := w.send(helloFor("hoarder", capacity)); err != nil {
-		t.Errorf("hoarding worker hello: %v", err)
-		close(gotTasks)
-		return
-	}
-	if _, err := w.recv(handshakeTimeout); err != nil { // welcome
-		t.Errorf("hoarding worker welcome: %v", err)
-		close(gotTasks)
-		return
-	}
-	var held []int
 	reported := false
+	defer func() {
+		if !reported {
+			close(gotTasks)
+		}
+	}()
+	w := dialWorker(t, addr, "hoarder", capacity)
+	if w == nil {
+		return
+	}
+	defer w.close()
+	var held []int
 	for {
-		env, err := w.recv(10 * time.Second)
+		env, err := nextFrame(w, 10*time.Second)
 		if err != nil {
 			t.Errorf("hoarding worker read: %v", err)
-			if !reported {
-				close(gotTasks)
-			}
 			return
 		}
 		switch env.Kind {
-		case kindPing:
-			if err := w.send(&envelope{Kind: kindPong}); err != nil {
-				t.Errorf("hoarding worker pong: %v", err)
-				if !reported {
-					close(gotTasks)
-				}
-				return
-			}
 		case kindTasks:
 			for _, task := range env.Queued {
 				held = append(held, task.index)
@@ -94,7 +73,6 @@ func runStealRequeueScenario(t *testing.T, ackSteal bool) DispatchStats {
 	f := requeueFormula()
 	leader, err := Listen("127.0.0.1:0", f, LeaderOptions{
 		Heartbeat: 100 * time.Millisecond,
-		Logf:      t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,18 +92,9 @@ func runStealRequeueScenario(t *testing.T, ackSteal bool) DispatchStats {
 
 	tasks := requeueTasks(16)
 	opts := BatchOptions{CostMetric: solver.CostPropagations, Steal: true}
-	type runOutcome struct {
-		results []TaskResult
-		stats   DispatchStats
-		err     error
-	}
-	done := make(chan runOutcome, 1)
 	runCtx, runCancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer runCancel()
-	go func() {
-		res, ds, err := leader.RunDispatch(runCtx, tasks, opts, nil, nil)
-		done <- runOutcome{res, ds, err}
-	}()
+	done := inBackground(runCtx, leader, tasks, opts, nil, nil)
 
 	// Wait until the hoarder holds the whole batch, then bring up the real
 	// worker: the pending queue is dry, so the leader plans a steal against
@@ -136,44 +105,17 @@ func runStealRequeueScenario(t *testing.T, ackSteal bool) DispatchStats {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		_ = Serve(ctx, addr, WorkerOptions{Capacity: 2, Name: "survivor", Logf: t.Logf})
+		_ = Serve(ctx, addr, WorkerOptions{Capacity: 2, Name: "survivor"})
 	}()
 
 	out := <-done
 	if out.err != nil {
 		t.Fatalf("RunDispatch after steal/death: %v", out.err)
 	}
-	if len(out.results) != len(tasks) {
-		t.Fatalf("got %d results for %d tasks", len(out.results), len(tasks))
-	}
-	seen := make([]bool, len(tasks))
-	for _, res := range out.results {
-		if seen[res.Index] {
-			t.Fatalf("duplicate result for task %d", res.Index)
-		}
-		seen[res.Index] = true
-		if !res.Started || res.Cancelled {
-			t.Fatalf("task %d was never solved (lost in the steal/death window)", res.Index)
-		}
-	}
-
-	// Custody churn must not change results: pristine per-task resets make
-	// the outcome worker-independent, so the run matches in-process exactly.
-	want, err := NewInproc(f, 2, solver.DefaultOptions()).Run(context.Background(), tasks, BatchOptions{CostMetric: solver.CostPropagations})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantByIdx := make([]TaskResult, len(tasks))
-	for _, res := range want {
-		wantByIdx[res.Index] = res
-	}
-	for _, res := range out.results {
-		w := wantByIdx[res.Index]
-		if res.Cost != w.Cost || res.Status != w.Status {
-			t.Fatalf("task %d differs after steal: net cost %v status %v, inproc cost %v status %v",
-				res.Index, res.Cost, res.Status, w.Cost, w.Status)
-		}
-	}
+	// Every task solved once, none lost in the steal/death window; custody
+	// churn must not change results: pristine per-task resets make the
+	// outcome worker-independent, so the run matches in-process exactly.
+	checkAgainstInproc(t, tasks, opts, out.results)
 	return out.stats
 }
 
@@ -215,7 +157,6 @@ func TestSpeculationOvertakesStraggler(t *testing.T) {
 	f := requeueFormula()
 	leader, err := Listen("127.0.0.1:0", f, LeaderOptions{
 		Heartbeat: 100 * time.Millisecond,
-		Logf:      t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +172,7 @@ func TestSpeculationOvertakesStraggler(t *testing.T) {
 	defer cancel()
 	go func() {
 		_ = Serve(ctx, addr, WorkerOptions{
-			Capacity: 1, Name: "straggler", Logf: t.Logf,
+			Capacity: 1, Name: "straggler",
 			TaskDelay: func(Task) time.Duration { return 2 * time.Minute },
 		})
 	}()
@@ -241,7 +182,7 @@ func TestSpeculationOvertakesStraggler(t *testing.T) {
 		t.Fatalf("straggler did not register: %v", err)
 	}
 	go func() {
-		_ = Serve(ctx, addr, WorkerOptions{Capacity: 2, Name: "healthy", Logf: t.Logf})
+		_ = Serve(ctx, addr, WorkerOptions{Capacity: 2, Name: "healthy"})
 	}()
 	if err := leader.WaitForWorkers(waitCtx, 2); err != nil {
 		t.Fatalf("healthy worker did not register: %v", err)
@@ -255,19 +196,10 @@ func TestSpeculationOvertakesStraggler(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunDispatch with a straggler: %v", err)
 	}
-	if len(results) != len(tasks) {
-		t.Fatalf("got %d results for %d tasks", len(results), len(tasks))
-	}
-	seen := make([]bool, len(tasks))
-	for _, res := range results {
-		if seen[res.Index] {
-			t.Fatalf("duplicate result for task %d", res.Index)
-		}
-		seen[res.Index] = true
-		if !res.Started || res.Cancelled {
-			t.Fatalf("task %d was not solved (stalled behind the straggler)", res.Index)
-		}
-	}
+	// Every task solved once, none stalled behind the straggler.
+	// First-result-wins must be invisible in the content: the winning copy
+	// solves the same subproblem from the same pristine state.
+	checkAgainstInproc(t, tasks, opts, results)
 	if stats.SpeculativeDuplicates == 0 {
 		t.Fatal("no speculative duplicate was dispatched against the straggler")
 	}
@@ -276,23 +208,5 @@ func TestSpeculationOvertakesStraggler(t *testing.T) {
 	}
 	if stats.SpeculationWins > stats.SpeculativeDuplicates {
 		t.Fatalf("more wins than duplicates: %+v", stats)
-	}
-
-	// First-result-wins must be invisible in the content: the winning copy
-	// solves the same subproblem from the same pristine state.
-	want, err := NewInproc(f, 2, solver.DefaultOptions()).Run(context.Background(), tasks, BatchOptions{CostMetric: solver.CostPropagations})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantByIdx := make([]TaskResult, len(tasks))
-	for _, res := range want {
-		wantByIdx[res.Index] = res
-	}
-	for _, res := range results {
-		w := wantByIdx[res.Index]
-		if res.Cost != w.Cost || res.Status != w.Status {
-			t.Fatalf("task %d differs under speculation: net cost %v status %v, inproc cost %v status %v",
-				res.Index, res.Cost, res.Status, w.Cost, w.Status)
-		}
 	}
 }

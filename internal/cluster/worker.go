@@ -26,7 +26,7 @@ type WorkerOptions struct {
 	// Capacity is the number of concurrent solving slots (goroutines, each
 	// owning one persistent solver).  0 or negative means GOMAXPROCS.
 	Capacity int
-	// Name identifies the worker in the leader's logs (default: hostname).
+	// Name identifies the worker in the leader's events (default: hostname).
 	Name string
 	// Redial, when positive, makes Serve reconnect after a lost connection
 	// instead of returning the error; the leader requeues whatever the
@@ -35,8 +35,9 @@ type WorkerOptions struct {
 	// maxRedial, plus a deterministic per-worker jitter derived from Name);
 	// a successful registration resets the backoff to Redial.
 	Redial time.Duration
-	// Logf, when non-nil, receives human-readable worker events.
-	Logf func(format string, args ...any)
+	// OnEvent, when non-nil, is called on Serve's goroutine with the worker's
+	// own WorkerJoined and WorkerLost events, Addr the leader's address.
+	OnEvent func(ClusterEvent)
 	// TaskDelay, when non-nil, injects extra latency before each task's
 	// solve (fault injection for straggler tests and benchmarks).  The
 	// delay is interruptible: a batch abort or a speculation revoke cuts
@@ -57,9 +58,9 @@ func (o *WorkerOptions) fill() {
 	}
 }
 
-func (o *WorkerOptions) logf(format string, args ...any) {
-	if o.Logf != nil {
-		o.Logf(format, args...)
+func (o *WorkerOptions) event(ev ClusterEvent) {
+	if o.OnEvent != nil {
+		o.OnEvent(ev)
 	}
 }
 
@@ -95,7 +96,7 @@ func Serve(ctx context.Context, addr string, opts WorkerOptions) error {
 		}
 		delay := redialDelay(opts.Redial, attempt, opts.Name)
 		attempt++
-		opts.logf("cluster: connection to %s lost (%v); redialing in %v", addr, err, delay)
+		opts.event(ClusterEvent{Kind: WorkerLost, Worker: opts.Name, Addr: addr, Err: err, Redial: delay})
 		select {
 		case <-time.After(delay):
 		case <-ctx.Done():
@@ -188,8 +189,7 @@ func serveOnce(ctx context.Context, addr string, opts *WorkerOptions) (registere
 	default:
 		return false, fmt.Errorf("cluster: expected welcome, got message kind %d", env.Kind)
 	}
-	opts.logf("cluster: registered with leader %s (%d variables, %d clauses, %d slot(s))",
-		addr, env.Formula.NumVars, env.Formula.NumClauses(), opts.Capacity)
+	opts.event(ClusterEvent{Kind: WorkerJoined, Worker: opts.Name, Count: opts.Capacity, Addr: addr})
 	registered = true
 
 	var batch *workerBatch
@@ -276,7 +276,7 @@ func serveOnce(ctx context.Context, addr string, opts *WorkerOptions) (registere
 			if env.Err != "" {
 				return registered, fmt.Errorf("cluster: leader stopped worker: %s", env.Err)
 			}
-			opts.logf("cluster: leader %s shut this worker down", addr)
+			opts.event(ClusterEvent{Kind: WorkerLost, Worker: opts.Name, Addr: addr, Err: ErrClosed})
 			return registered, nil
 		}
 	}

@@ -118,7 +118,11 @@ func weakenedRow(ctx context.Context, scale Scale, gen encoder.Generator, keystr
 			}
 			return nil, 0, context.Canceled
 		}
-		totals = append(totals, fmtCost(report.TotalCost))
+		total := fmtCost(report.TotalCost)
+		if report.MembersCensored > 0 {
+			total = "≥" + total // the capped members count at the cap
+		}
+		totals = append(totals, total)
 		firstSat = append(firstSat, firstSatCell(report, s.Problem()))
 		devSum += montecarlo.RelativeDeviation(predicted, report.TotalCost)
 	}

@@ -21,13 +21,12 @@ func loopbackCluster(t *testing.T, f *cnf.Formula, workers ...cluster.WorkerOpti
 	t.Helper()
 	leader, err := cluster.Listen("127.0.0.1:0", f, cluster.LeaderOptions{
 		Heartbeat: 100 * time.Millisecond,
-		Logf:      t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Cleanups run last-in first-out: close the leader, cancel the workers,
-	// then wait for them, so that none logs into the finished test.
+	// then wait for them, so that none outlives the test.
 	var running sync.WaitGroup
 	t.Cleanup(running.Wait)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -36,7 +35,6 @@ func loopbackCluster(t *testing.T, f *cnf.Formula, workers ...cluster.WorkerOpti
 	waitCtx, waitCancel := context.WithTimeout(ctx, 10*time.Second)
 	defer waitCancel()
 	for i, opts := range workers {
-		opts.Logf = t.Logf
 		running.Add(1)
 		go func() {
 			defer running.Done()
@@ -292,7 +290,6 @@ func TestCancelledWorkerLosesNoSamples(t *testing.T) {
 
 	leader, err := cluster.Listen("127.0.0.1:0", inst.CNF, cluster.LeaderOptions{
 		Heartbeat: 100 * time.Millisecond,
-		Logf:      t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +297,7 @@ func TestCancelledWorkerLosesNoSamples(t *testing.T) {
 	addr := leader.Addr().String()
 
 	// Cleanups run last-in first-out: close the leader, cancel the workers,
-	// then wait for them, so that none logs into the finished test.
+	// then wait for them, so that none outlives the test.
 	var workers sync.WaitGroup
 	t.Cleanup(workers.Wait)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -316,7 +313,7 @@ func TestCancelledWorkerLosesNoSamples(t *testing.T) {
 	go func() {
 		defer workers.Done()
 		_ = cluster.Serve(doomedCtx, addr, cluster.WorkerOptions{
-			Capacity: 2, Name: "doomed", Logf: t.Logf,
+			Capacity: 2, Name: "doomed",
 			TaskDelay: func(cluster.Task) time.Duration {
 				if started.Add(1) < 3 {
 					return 0
@@ -340,7 +337,7 @@ func TestCancelledWorkerLosesNoSamples(t *testing.T) {
 	go func() {
 		defer workers.Done()
 		_ = cluster.Serve(ctx, addr, cluster.WorkerOptions{
-			Capacity: 2, Name: "survivor", Logf: t.Logf,
+			Capacity: 2, Name: "survivor",
 			TaskDelay: func(cluster.Task) time.Duration { <-doomedCtx.Done(); return 0 },
 		})
 	}()

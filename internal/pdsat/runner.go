@@ -633,8 +633,13 @@ type SolveReport struct {
 	// complete solve: truncated mid-search by stop-on-SAT/cancellation, or
 	// never handed to a solver at all.
 	SubproblemsAborted int `json:"subproblems_aborted"`
+	// MembersCensored counts the members that ended without an answer at
+	// Config.SubproblemBudget (the rule of a censored sample).
+	MembersCensored int `json:"members_censored,omitempty"`
 	// TotalCost is the summed cost of all processed subproblems (1-core
-	// sequential cost, comparable with the predictive function value).
+	// sequential cost, comparable with the predictive function value).  A
+	// censored member adds the cap, so with MembersCensored it is a lower
+	// bound on the family's cost.
 	TotalCost float64 `json:"total_cost"`
 	// CostToFirstSat is the summed cost of the processed subproblems up to
 	// and including the first satisfiable one (in enumeration order); equal
@@ -646,8 +651,8 @@ type SolveReport struct {
 	CostToFirstSat float64 `json:"cost_to_first_sat"`
 	// CostToFirstSatLowerBound reports that CostToFirstSat is only a lower
 	// bound: a satisfiable member was found, and some member below it was
-	// not solved to completion (never started, or cancelled in flight).
-	// When it is false the sum is exact.
+	// not solved to completion (never started, cancelled in flight, or
+	// censored).  When it is false the sum is exact.
 	CostToFirstSatLowerBound bool `json:"cost_to_first_sat_lower_bound,omitempty"`
 	// FoundSat reports whether a satisfiable subproblem was found.
 	FoundSat bool `json:"found_sat"`
@@ -730,10 +735,13 @@ func (r *Runner) SolveObserved(ctx context.Context, p decomp.Point, opts SolveOp
 	// The results come in completion order; the costs are summed in
 	// enumeration order, for a deterministic total and cost-to-first-SAT.
 	costs, processed := buf.tables(total)
-	firstCut := total // the first member not solved to completion
+	firstCut := total // the first member not solved to completion, or censored
 	for _, res := range results {
 		if !res.Started || res.Cancelled {
 			report.SubproblemsAborted++
+			firstCut = min(firstCut, res.Index)
+		} else if res.Status == solver.Unknown && r.cfg.SubproblemBudget.ReachedBy(res.Stats) {
+			report.MembersCensored++
 			firstCut = min(firstCut, res.Index)
 		}
 		if !res.Started {

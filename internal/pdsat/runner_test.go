@@ -291,6 +291,57 @@ func TestCostToFirstSatUnderStopOnSat(t *testing.T) {
 	}
 }
 
+// TestMembersCensoredAtTheCap: a solve under a conflict cap that the first
+// satisfiable member stays below counts the members that stopped at the cap —
+// as many as the uncapped solve took that many conflicts or more — and under
+// StopOnSat a capped member below the first SAT makes the cost to it a lower
+// bound, where one worker otherwise sums every member up to it whole.
+func TestMembersCensoredAtTheCap(t *testing.T) {
+	inst, err := encoder.NewInstance(encoder.A51(), encoder.Config{KeystreamLen: 64, KnownSuffix: 55, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := unknownSpace(inst).FullPoint() // a family of 512 holding the secret
+	solve := func(cap uint64, opts SolveOptions, observe func(Progress)) *SolveReport {
+		t.Helper()
+		r := NewRunner(inst.CNF, Config{SampleSize: 4, Workers: 1, Seed: 1, CostMetric: solver.CostPropagations,
+			SubproblemBudget: solver.Budget{MaxConflicts: cap}})
+		report, err := r.SolveObserved(context.Background(), p, opts, observe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return report
+	}
+	conflicts := make([]uint64, 1<<p.Count())
+	free := solve(0, SolveOptions{}, func(pr Progress) { conflicts[pr.Result.Index] = pr.Result.Stats.Conflicts })
+	if free.MembersCensored != 0 || !free.FoundSat {
+		t.Fatalf("uncapped: %d members censored, SAT found %v; want none, and the secret's member", free.MembersCensored, free.FoundSat)
+	}
+	limit := conflicts[free.SatIndex] + 1
+	atLimit, below := 0, 0
+	for i, c := range conflicts {
+		if c >= limit {
+			atLimit++
+			if int64(i) < free.SatIndex {
+				below++
+			}
+		}
+	}
+	if below == 0 {
+		t.Fatalf("no member below the first SAT, %d, takes %d conflicts; the test needs one", free.SatIndex, limit)
+	}
+	capped := solve(limit, SolveOptions{}, nil)
+	if capped.MembersCensored != atLimit || capped.SatIndex != free.SatIndex {
+		t.Fatalf("cap of %d conflicts: %d members censored and the first SAT at %d; want %d and %d",
+			limit, capped.MembersCensored, capped.SatIndex, atLimit, free.SatIndex)
+	}
+	stopped := solve(limit, SolveOptions{StopOnSat: true}, nil)
+	if stopped.MembersCensored != below || !stopped.CostToFirstSatLowerBound {
+		t.Fatalf("stop on SAT under the cap: %d members censored, lower bound %v; want %d and true",
+			stopped.MembersCensored, stopped.CostToFirstSatLowerBound, below)
+	}
+}
+
 func TestSolveMaxSubproblems(t *testing.T) {
 	inst := weakBivium(t, 169, 40, 45)
 	space := unknownSpace(inst)

@@ -25,9 +25,9 @@
 //     SampleProgress per solved subproblem (evenly sampled on very large
 //     families), SearchVisit per optimizer step, WorkerJoined/WorkerLost
 //     from the cluster leader (its one OnEvent hook, forwarded with
-//     Session.PublishClusterEvent), and a single terminal Done — also on
-//     cancellation.  Collect the result with Job.Result, interrupt with
-//     Job.Cancel.
+//     Session.PublishClusterEvent; cmd/pdsat logs each as a slog record),
+//     and a single terminal Done — also on cancellation.  Collect the
+//     result with Job.Result, interrupt with Job.Cancel.
 //
 // Estimation and solving runs of real instances take hours to days; the
 // job model is what lets a caller watch them progress and interrupt them

@@ -2,6 +2,7 @@ package pdsat_test
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -245,5 +246,51 @@ func TestEvalPolicyValidateAtSubmit(t *testing.T) {
 	}
 	if _, err := s.Submit(t.Context(), pdsat.SearchJob{Policy: &bad}); err == nil {
 		t.Fatal("invalid search policy accepted")
+	}
+}
+
+// TestEventsStreamEvalPruned streams a fixed-seed tabu search under
+// DefaultEvalPolicy over GET /v1/jobs/{id}/events: its eval_pruned frames, the
+// ones README shows, decode into EvalPruned with a bound above the incumbent
+// it lost to and no more samples solved than planned.
+func TestEventsStreamEvalPruned(t *testing.T) {
+	s := newTestSession(t, testInstance(t, 50, 36, 3), 16)
+	ts := httptest.NewServer(pdsat.NewServer(s))
+	defer ts.Close()
+	policy, err := json.Marshal(pdsat.DefaultEvalPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _ := postJSON(t, ts.URL+"/v1/jobs", `{"kind":"search","method":"tabu","policy":`+string(policy)+`}`)["id"].(string)
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	pruned := 0
+	for dec := json.NewDecoder(resp.Body); ; {
+		var frame struct {
+			Event string          `json:"event"`
+			Data  json.RawMessage `json:"data"`
+		}
+		if err := dec.Decode(&frame); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if frame.Event != "eval_pruned" {
+			continue
+		}
+		var ev pdsat.EvalPruned
+		if err := json.Unmarshal(frame.Data, &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Job != id || len(ev.Vars) == 0 || !(ev.LowerBound > ev.Incumbent) || ev.SamplesSolved > ev.SamplesPlanned {
+			t.Fatalf("eval_pruned frame %s decodes to %+v", frame.Data, ev)
+		}
+		pruned++
+	}
+	if pruned == 0 {
+		t.Fatal("the search streamed no eval_pruned frame")
 	}
 }

@@ -44,7 +44,6 @@ func TestFleetSurvivesWorkerLoss(t *testing.T) {
 	var sessionRef atomic.Pointer[pdsat.Session]
 	leader, err := cluster.Listen("127.0.0.1:0", inst.CNF, cluster.LeaderOptions{
 		Heartbeat: 100 * time.Millisecond,
-		Logf:      t.Logf,
 		OnEvent: func(ev pdsat.ClusterEvent) {
 			if s := sessionRef.Load(); s != nil {
 				s.PublishClusterEvent(ev)
@@ -57,7 +56,7 @@ func TestFleetSurvivesWorkerLoss(t *testing.T) {
 	addr := leader.Addr().String()
 
 	// Cleanups run last-in first-out: close the leader, cancel the workers,
-	// then wait for them, so that none logs into the finished test.
+	// then wait for them, so that none outlives the test.
 	var workers sync.WaitGroup
 	t.Cleanup(workers.Wait)
 	doomedCtx, killDoomed := context.WithCancel(context.Background())
@@ -68,11 +67,11 @@ func TestFleetSurvivesWorkerLoss(t *testing.T) {
 	workers.Add(2)
 	go func() {
 		defer workers.Done()
-		_ = cluster.Serve(doomedCtx, addr, cluster.WorkerOptions{Capacity: 2, Name: "doomed", Logf: t.Logf})
+		_ = cluster.Serve(doomedCtx, addr, cluster.WorkerOptions{Capacity: 2, Name: "doomed"})
 	}()
 	go func() {
 		defer workers.Done()
-		_ = cluster.Serve(survivorCtx, addr, cluster.WorkerOptions{Capacity: 2, Name: "survivor", Logf: t.Logf})
+		_ = cluster.Serve(survivorCtx, addr, cluster.WorkerOptions{Capacity: 2, Name: "survivor"})
 	}()
 	waitCtx, waitCancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer waitCancel()

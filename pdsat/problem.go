@@ -82,8 +82,8 @@ const (
 type Transport = cluster.Transport
 
 // ClusterEvent is something that happened among a cluster leader's workers —
-// one joined or was lost, queued tasks were stolen back, a speculative
-// duplicate won — as the leader's OnEvent hook reports it and
+// one joined, was refused or was lost, queued tasks were stolen back, a
+// speculative duplicate won — as the leader's OnEvent hook reports it and
 // Session.PublishClusterEvent forwards it into the running jobs' streams.
 type ClusterEvent = cluster.ClusterEvent
 

@@ -195,8 +195,8 @@ func (s *Session) Close() error {
 
 // PublishClusterEvent broadcasts what happened in the cluster to every
 // running job's stream, as the WorkerJoined, WorkerLost, TaskStolen or
-// SpeculationWon event of its kind.  Wire it to the cluster leader's OnEvent
-// hook when the session dispatches to a network transport (cmd/pdsat does).
+// SpeculationWon event of its kind (a refused worker concerns no job).  Wire
+// it to the cluster leader's OnEvent hook on a network transport.
 func (s *Session) PublishClusterEvent(ev ClusterEvent) {
 	for _, j := range s.Jobs() {
 		if j.Finished() {
