@@ -193,12 +193,46 @@ func TestWorkerReportsItsLeader(t *testing.T) {
 	}
 }
 
+// TestWorkerReportsWhyItReturns: a worker that returns an error reports it
+// first, once — a dial that fails without Redial as a loss with no redial,
+// a rejected registration (also with Redial) as a refusal.
+func TestWorkerReportsWhyItReturns(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	var events []ClusterEvent
+	onEvent := func(ev ClusterEvent) { events = append(events, ev) }
+	err = Serve(context.Background(), dead, WorkerOptions{Capacity: 1, Name: "w", OnEvent: onEvent})
+	var dialErr *net.OpError
+	if !errors.As(err, &dialErr) || dialErr.Op != "dial" {
+		t.Fatalf("Serve returned %v against a closed port, want the dial error", err)
+	}
+	if want := []ClusterEvent{{Kind: WorkerLost, Worker: "w", Addr: dead, Err: err}}; !slices.Equal(events, want) {
+		t.Fatalf("the worker reported %+v, want %+v", events, want)
+	}
+
+	events = nil
+	addr, gone := scriptedLeader(t, &envelope{Kind: kindStop, Err: "protocol version mismatch"})
+	err = Serve(context.Background(), addr, WorkerOptions{Capacity: 1, Name: "w", Redial: time.Millisecond, OnEvent: onEvent})
+	if !errors.Is(err, ErrRejected) || !strings.Contains(err.Error(), "protocol version mismatch") {
+		t.Fatalf("Serve returned %v when the leader rejected it, want %v", err, ErrRejected)
+	}
+	if want := []ClusterEvent{{Kind: WorkerRefused, Worker: "w", Addr: addr, Err: err}}; !slices.Equal(events, want) {
+		t.Fatalf("the worker reported %+v, want %+v", events, want)
+	}
+	<-gone
+}
+
 // TestWorkerRefusesUnknownVariable: a worker does not let its leader's
 // literals size its solver.  A scripted leader welcomes the worker and sends
 // a chunk that assumes a variable the formula does not have; the worker
-// treats that as a protocol error — Serve returns it, a real leader requeues
-// what the connection held — instead of allocating for the variable (2^30 of
-// them is gigabytes) or indexing with what math.MinInt negates to.
+// treats that as a protocol error — Serve reports it as the loss of its
+// leader and returns it, a real leader requeues what the connection held —
+// instead of allocating for the variable (2^30 of them is gigabytes) or
+// indexing with what math.MinInt negates to.
 func TestWorkerRefusesUnknownVariable(t *testing.T) {
 	f := requeueFormula()
 	for name, lit := range map[string]cnf.Lit{
@@ -214,12 +248,18 @@ func TestWorkerRefusesUnknownVariable(t *testing.T) {
 				{Index: 0, Assumptions: []cnf.Lit{1, -2}},
 				{Index: 1, Assumptions: []cnf.Lit{1, lit}},
 			}})
+		var events []ClusterEvent
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := Serve(context.Background(), addr, WorkerOptions{Capacity: 1, Name: "wary"})
+		err := Serve(context.Background(), addr, WorkerOptions{Capacity: 1, Name: "wary",
+			OnEvent: func(ev ClusterEvent) { events = append(events, ev) }})
 		runtime.ReadMemStats(&after)
 		if err == nil || !strings.Contains(err.Error(), "24 variables") {
 			t.Errorf("%s: Serve returned %v, want the unknown-variable error", name, err)
+		}
+		want := []ClusterEvent{{Kind: WorkerJoined, Worker: "wary", Count: 1, Addr: addr}, {Kind: WorkerLost, Worker: "wary", Addr: addr, Err: err}}
+		if !slices.Equal(events, want) {
+			t.Errorf("%s: the worker reported %+v, want %+v", name, events, want)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Errorf("%s: the worker allocated %d bytes", name, grew)

@@ -151,6 +151,17 @@ func TestInprocLateWorkerTakesNoSolver(t *testing.T) {
 	t.Fatalf("the pool holds %v solvers after batches one worker could have drained, want 1", sizes)
 }
 
+// TestInprocRunsAfterClose: Close releases nothing a batch needs — it returns
+// nil, and the transport still runs a batch afterwards, with the costs a new
+// one gives.
+func TestInprocRunsAfterClose(t *testing.T) {
+	tr := NewInproc(requeueFormula(), 2, solver.DefaultOptions())
+	if err := tr.Close(); err != nil {
+		t.Fatalf("Close returned %v", err)
+	}
+	checkMatchesFreshTransport(t, tr, requeueTasks(16))
+}
+
 // checkPanicError fails the test unless err reports a panic with the given
 // value under the given task as a failed batch, not as an interruption.
 func checkPanicError(t *testing.T, err error, task, value string) {

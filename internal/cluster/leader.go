@@ -41,8 +41,10 @@ const (
 	WorkerJoined ClusterEventKind = "worker_joined"
 	// WorkerLost: a registered worker was dropped (connection error, missed
 	// heartbeats or leader shutdown); Count is the number of its in-flight
-	// tasks requeued onto the remaining workers.  A worker reports the loss
-	// of its leader too, with the wait before its next dial in Redial.
+	// tasks requeued onto the remaining workers.  A worker reports the end of
+	// each connection to its leader too (a failed dial included, its own
+	// cancelled context not), with the wait before its next dial in Redial
+	// (0: Serve returns).
 	WorkerLost ClusterEventKind = "worker_lost"
 	// TaskStolen: queued tasks were revoked from a backlogged worker for
 	// reassignment (BatchOptions.Steal); Count is how many were taken back.
@@ -52,7 +54,8 @@ const (
 	// is the number of tasks won.
 	SpeculationWon ClusterEventKind = "speculation_won"
 	// WorkerRefused: a connection failed the registration handshake (no or a
-	// malformed hello, another protocol version); Count is 0.
+	// malformed hello, another protocol version); Count is 0.  A worker
+	// reports its own rejection too, Err wrapping ErrRejected.
 	WorkerRefused ClusterEventKind = "worker_refused"
 )
 

@@ -19,14 +19,22 @@ import (
 // the second one's registration.  The median over the rounds is what is
 // checked, so that one descheduled goroutine does not fail the test while a
 // 25 ms poll (which finds a loopback registration at its first tick, 24 ms
-// late) still does.
+// late) still does.  Workers then counts the slots of the registered workers,
+// before and after one of them leaves.
 func TestWaitForWorkersWakesOnRegistration(t *testing.T) {
 	const rounds = 9
-	joined := make(chan time.Time, 2*rounds)
+	joined := make(chan time.Time, 2*rounds+1)
+	lost := make(chan struct{}, 1)
 	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{
 		OnEvent: func(ev ClusterEvent) {
-			if ev.Kind == WorkerJoined {
+			switch ev.Kind {
+			case WorkerJoined:
 				joined <- time.Now()
+			case WorkerLost:
+				select {
+				case lost <- struct{}{}:
+				default: // the leader's Close drops the rest
+				}
 			}
 		},
 	})
@@ -58,6 +66,24 @@ func TestWaitForWorkersWakesOnRegistration(t *testing.T) {
 	slices.Sort(lags)
 	if median := lags[rounds/2]; median > 10*time.Millisecond {
 		t.Fatalf("WaitForWorkers returned a median of %v after the registration it waited for (all rounds: %v)", median, lags)
+	}
+
+	leaving, leave := context.WithCancel(ctx)
+	workers.Add(1)
+	go func() {
+		defer workers.Done()
+		_ = Serve(leaving, leader.Addr().String(), WorkerOptions{Capacity: 3})
+	}()
+	if err := leader.WaitForWorkers(ctx, 2*rounds+1); err != nil {
+		t.Fatal(err)
+	}
+	if n := leader.Workers(); n != 2*rounds+3 {
+		t.Fatalf("%d slots with %d one-slot workers and a three-slot one, want %d", n, 2*rounds, 2*rounds+3)
+	}
+	leave()
+	<-lost
+	if n := leader.Workers(); n != 2*rounds {
+		t.Fatalf("%d slots after the three-slot worker left, want %d", n, 2*rounds)
 	}
 }
 

@@ -30,13 +30,16 @@ type WorkerOptions struct {
 	Name string
 	// Redial, when positive, makes Serve reconnect after a lost connection
 	// instead of returning the error; the leader requeues whatever the
-	// worker had in flight either way.  Redial is the *initial* delay of a
-	// capped exponential backoff (doubling per consecutive failure up to
-	// maxRedial, plus a deterministic per-worker jitter derived from Name);
-	// a successful registration resets the backoff to Redial.
+	// worker had in flight either way, and the loss is reported either way.
+	// Redial is the *initial* delay of a capped exponential backoff
+	// (doubling per consecutive failure up to maxRedial, plus a
+	// deterministic per-worker jitter derived from Name); a successful
+	// registration resets the backoff to Redial.  A rejected registration
+	// is never redialed.
 	Redial time.Duration
 	// OnEvent, when non-nil, is called on Serve's goroutine with the worker's
-	// own WorkerJoined and WorkerLost events, Addr the leader's address.
+	// own WorkerJoined, WorkerLost and WorkerRefused events, Addr the
+	// leader's address.
 	OnEvent func(ClusterEvent)
 	// TaskDelay, when non-nil, injects extra latency before each task's
 	// solve (fault injection for straggler tests and benchmarks).  The
@@ -66,8 +69,12 @@ func (o *WorkerOptions) event(ev ClusterEvent) {
 
 // Serve connects to the leader at addr, registers as a worker and processes
 // task batches until the context is cancelled or the leader shuts the
-// worker down (kindStop → nil).  With Redial set, connection failures lead
-// to reconnection attempts instead of an error return.
+// worker down (kindStop → nil).  Every connection that ends in another
+// error while ctx is live is reported before Serve decides what to do next:
+// a rejected registration as WorkerRefused, after which Serve returns the
+// error; any other end as WorkerLost, with the wait before the next dial in
+// Redial, or Redial 0 when Serve returns the error because opts.Redial is
+// not set.
 //
 // The worker receives the formula once at registration and builds a local
 // in-process executor for it, so the persistent-solver reuse (pristine
@@ -88,7 +95,8 @@ func Serve(ctx context.Context, addr string, opts WorkerOptions) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		if opts.Redial <= 0 || errors.Is(err, ErrRejected) {
+		if errors.Is(err, ErrRejected) {
+			opts.event(ClusterEvent{Kind: WorkerRefused, Worker: opts.Name, Addr: addr, Err: err})
 			return err
 		}
 		if registered {
@@ -97,6 +105,9 @@ func Serve(ctx context.Context, addr string, opts WorkerOptions) error {
 		delay := redialDelay(opts.Redial, attempt, opts.Name)
 		attempt++
 		opts.event(ClusterEvent{Kind: WorkerLost, Worker: opts.Name, Addr: addr, Err: err, Redial: delay})
+		if delay == 0 {
+			return err
+		}
 		select {
 		case <-time.After(delay):
 		case <-ctx.Done():

@@ -11,8 +11,8 @@
 //     network cluster via Config.Runner.Transport.  A network leader
 //     rebalances on its own: it steals queued subproblems from a backlogged
 //     worker, duplicates a batch's last running ones onto idle slots and
-//     sizes worker queues from the solve times it measures (TaskStolen and
-//     SpeculationWon events, the tasks_stolen/speculative_duplicates/
+//     sizes worker queues from the solve times it measures (task_stolen and
+//     speculation_won WorkerEvents, the tasks_stolen/speculative_duplicates/
 //     speculation_wins counters of Session.Stats, which is one snapshot of
 //     the runner's Counters beside the F-cache's).  None of it is
 //     configurable and none of it changes a fixed-seed result.
@@ -23,8 +23,9 @@
 //     decomposition family (key recovery).
 //  4. Follow a job through its typed event stream (Job.Events):
 //     SampleProgress per solved subproblem (evenly sampled on very large
-//     families), SearchVisit per optimizer step, WorkerJoined/WorkerLost
-//     from the cluster leader (its one OnEvent hook, forwarded with
+//     families), SearchVisit per optimizer step, a WorkerEvent per worker
+//     joined, lost, stolen from or winning a speculation on the cluster
+//     leader (its one OnEvent hook, forwarded with
 //     Session.PublishClusterEvent; cmd/pdsat logs each as a slog record),
 //     and a single terminal Done — also on cancellation.  Collect the
 //     result with Job.Result, interrupt with Job.Cancel.

@@ -2,12 +2,14 @@ package pdsat
 
 import (
 	"sync"
+
+	"github.com/paper-repro/pdsat-go/internal/cluster"
 )
 
 // Event is a typed progress notification from a running Job.  The concrete
 // types are SampleProgress, SearchVisit, EvalPruned, CacheHit,
-// NeighborhoodDone, FleetMemberDone, IncumbentImproved, WorkerJoined,
-// WorkerLost, TaskStolen, SpeculationWon and Done.
+// NeighborhoodDone, FleetMemberDone, IncumbentImproved, WorkerEvent and
+// Done.
 //
 // Every job's event stream is ordered (events arrive in the order the job
 // produced them) and terminates with exactly one Done event — also when the
@@ -16,12 +18,12 @@ import (
 // per-member event types says which member produced each one (the HTTP
 // server can filter a stream down to one member, see Server).
 type Event interface {
-	// EventKind returns the stable wire name of the event type
+	// EventKind returns the stable wire name of the event
 	// ("sample_progress", "search_visit", "eval_pruned", "cache_hit",
 	// "neighborhood_done", "fleet_member_done", "incumbent_improved",
-	// "worker_joined", "worker_lost", "task_stolen", "speculation_won",
-	// "done"); the HTTP server uses it as the SSE event name and NDJSON
-	// discriminator.
+	// "done", or a WorkerEvent's "worker_joined", "worker_lost",
+	// "task_stolen" and "speculation_won"); the HTTP server uses it as the
+	// SSE event name and NDJSON discriminator.
 	EventKind() string
 }
 
@@ -220,66 +222,25 @@ func (IncumbentImproved) EventKind() string { return "incumbent_improved" }
 // EventMember implements MemberEvent.
 func (e IncumbentImproved) EventMember() int { return e.Member }
 
-// WorkerJoined reports that a remote worker registered with the session's
-// cluster leader while the job was running (see Session.PublishClusterEvent).
-type WorkerJoined struct {
-	// Job is the receiving job's ID.
-	Job string `json:"job"`
-	// Worker is the worker's self-reported name; Slots its solving capacity.
+// WorkerEvent reports what happened to one of the session's cluster workers
+// while the job was running (see Session.PublishClusterEvent), under the
+// ClusterEvent's kind: worker_joined (Count is the worker's slots),
+// worker_lost (Count is how many of its in-flight subproblems were requeued
+// onto the remaining workers), task_stolen (Count queued subproblems were
+// revoked from this backlogged worker; each is still solved exactly once)
+// or speculation_won (this worker's duplicate of Count straggling
+// subproblems finished first).  A worker event concerns every fleet member.
+type WorkerEvent struct {
+	// Kind is the cluster event's kind, the event's wire name.
+	Kind cluster.ClusterEventKind `json:"-"`
+	// Job is the receiving job's ID; Worker the worker's self-reported name.
+	Job    string `json:"job"`
 	Worker string `json:"worker"`
-	Slots  int    `json:"slots"`
+	Count  int    `json:"count"`
 }
 
 // EventKind implements Event.
-func (WorkerJoined) EventKind() string { return "worker_joined" }
-
-// WorkerLost reports that a remote worker was declared lost while the job
-// was running; its in-flight subproblems were requeued onto the remaining
-// workers.
-type WorkerLost struct {
-	// Job is the receiving job's ID.
-	Job string `json:"job"`
-	// Worker is the lost worker's name; Requeued how many of its in-flight
-	// subproblems were requeued.
-	Worker   string `json:"worker"`
-	Requeued int    `json:"requeued"`
-}
-
-// EventKind implements Event.
-func (WorkerLost) EventKind() string { return "worker_lost" }
-
-// TaskStolen reports that the cluster leader revoked queued (not yet
-// started) subproblems from a backlogged worker and reassigned them to a
-// drained one (see Session.PublishClusterEvent).  Stolen subproblems are still
-// solved exactly once, so the event signals rebalancing, not rework.
-type TaskStolen struct {
-	// Job is the receiving job's ID.
-	Job string `json:"job"`
-	// Worker is the backlogged worker the tasks were revoked from; Tasks
-	// how many were moved.
-	Worker string `json:"worker"`
-	Tasks  int    `json:"tasks"`
-}
-
-// EventKind implements Event.
-func (TaskStolen) EventKind() string { return "task_stolen" }
-
-// SpeculationWon reports that a speculatively duplicated subproblem was won
-// by its duplicate copy: the copy dispatched onto an idle slot finished
-// before the original, whose solve was aborted (see
-// Session.PublishClusterEvent).
-type SpeculationWon struct {
-	// Job is the receiving job's ID.
-	Job string `json:"job"`
-	// Worker is the worker whose duplicate copy delivered the winning
-	// result; Tasks how many speculated subproblems it won (currently
-	// always 1 per event).
-	Worker string `json:"worker"`
-	Tasks  int    `json:"tasks"`
-}
-
-// EventKind implements Event.
-func (SpeculationWon) EventKind() string { return "speculation_won" }
+func (e WorkerEvent) EventKind() string { return string(e.Kind) }
 
 // Done is the final event of every job's stream: the job finished, failed
 // or was cancelled.  Exactly one Done is emitted per job and nothing

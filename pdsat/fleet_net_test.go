@@ -15,8 +15,8 @@ import (
 // fleet and checks the race still terminates with consistent accounting:
 // every member produces a result, the leader requeues the lost worker's
 // in-flight subproblems (so nothing is lost and nothing double-counted —
-// solved+aborted exactly matches evaluations × sample size), the WorkerLost
-// event reaches the fleet job's stream, and the per-member best values are
+// solved+aborted exactly matches evaluations × sample size), a worker_lost
+// WorkerEvent carrying the requeued count reaches the fleet job's stream, and the per-member best values are
 // bit-identical to the same fixed-seed fleet run entirely in-process.
 func TestFleetSurvivesWorkerLoss(t *testing.T) {
 	inst := testInstance(t, 46, 40, 3)
@@ -40,11 +40,16 @@ func TestFleetSurvivesWorkerLoss(t *testing.T) {
 
 	// Cluster run: a leader with two remote workers, one of which dies
 	// mid-fleet.  Worker churn is forwarded into the session's job streams
-	// once the session exists, like cmd/pdsat -listen does.
+	// once the session exists, like cmd/pdsat -listen does.  requeued is
+	// the count of the doomed worker's tasks the leader reports requeueing.
 	var sessionRef atomic.Pointer[pdsat.Session]
+	requeued := make(chan int, 1)
 	leader, err := cluster.Listen("127.0.0.1:0", inst.CNF, cluster.LeaderOptions{
 		Heartbeat: 100 * time.Millisecond,
 		OnEvent: func(ev pdsat.ClusterEvent) {
+			if ev.Kind == cluster.WorkerLost && ev.Worker == "doomed" {
+				requeued <- ev.Count
+			}
 			if s := sessionRef.Load(); s != nil {
 				s.PublishClusterEvent(ev)
 			}
@@ -94,7 +99,7 @@ func TestFleetSurvivesWorkerLoss(t *testing.T) {
 	}
 
 	// Kill the doomed worker once the fleet has real work in flight.
-	sawLost := make(chan pdsat.WorkerLost, 1)
+	sawLost := make(chan pdsat.WorkerEvent, 1)
 	go func() {
 		progressed := 0
 		for e := range j.Subscribe(context.Background()) {
@@ -104,7 +109,10 @@ func TestFleetSurvivesWorkerLoss(t *testing.T) {
 				if progressed == 2*sample {
 					killDoomed()
 				}
-			case pdsat.WorkerLost:
+			case pdsat.WorkerEvent:
+				if ev.Kind != cluster.WorkerLost {
+					break
+				}
 				select {
 				case sawLost <- ev:
 				default:
@@ -144,11 +152,11 @@ func TestFleetSurvivesWorkerLoss(t *testing.T) {
 
 	select {
 	case lost := <-sawLost:
-		if lost.Worker != "doomed" {
-			t.Fatalf("lost worker %q, want doomed", lost.Worker)
+		if n := <-requeued; lost.Worker != "doomed" || lost.Count != n {
+			t.Fatalf("lost worker %q with %d tasks requeued, want doomed with the leader's %d", lost.Worker, lost.Count, n)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("WorkerLost event never reached the fleet job's stream")
+		t.Fatal("worker_lost event never reached the fleet job's stream")
 	}
 
 	// Accounting: with the zero policy every evaluation solves its full

@@ -206,8 +206,9 @@ func TestCancelledSearchSpendsNothing(t *testing.T) {
 }
 
 // TestWorkerEventsBroadcast: PublishClusterEvent reaches every running job as
-// the event type of its kind, under the wire name and with the payload the
-// four Publish methods it replaced gave it, and reaches no finished job.
+// one WorkerEvent under each of the four kinds, with the log's worker and
+// count as its payload; a refused worker reaches no job, and nothing reaches
+// a finished one.
 func TestWorkerEventsBroadcast(t *testing.T) {
 	inst := testInstance(t, 52, 30, 1)
 	s := newTestSession(t, inst, 2000)
@@ -219,19 +220,23 @@ func TestWorkerEventsBroadcast(t *testing.T) {
 	s.PublishClusterEvent(pdsat.ClusterEvent{Kind: cluster.WorkerLost, Worker: "w1", Count: 3})
 	s.PublishClusterEvent(pdsat.ClusterEvent{Kind: cluster.TaskStolen, Worker: "w2", Count: 5})
 	s.PublishClusterEvent(pdsat.ClusterEvent{Kind: cluster.SpeculationWon, Worker: "w3", Count: 1})
+	s.PublishClusterEvent(pdsat.ClusterEvent{Kind: cluster.WorkerRefused, Worker: "old", Err: cluster.ErrRejected})
 	job.Cancel()
 	events := collect(t, job.Events())
 	checkTerminated(t, events)
 	want := map[string]string{
-		"worker_joined":   `{"job":"job-1","worker":"w1","slots":4}`,
-		"worker_lost":     `{"job":"job-1","worker":"w1","requeued":3}`,
-		"task_stolen":     `{"job":"job-1","worker":"w2","tasks":5}`,
-		"speculation_won": `{"job":"job-1","worker":"w3","tasks":1}`,
+		"worker_joined":   `{"job":"job-1","worker":"w1","count":4}`,
+		"worker_lost":     `{"job":"job-1","worker":"w1","count":3}`,
+		"task_stolen":     `{"job":"job-1","worker":"w2","count":5}`,
+		"speculation_won": `{"job":"job-1","worker":"w3","count":1}`,
 	}
 	for _, e := range events {
+		if _, ok := e.(pdsat.WorkerEvent); !ok {
+			continue
+		}
 		payload, ok := want[e.EventKind()]
 		if !ok {
-			continue
+			t.Fatalf("%s twice, or a kind no job should see: %+v", e.EventKind(), e)
 		}
 		if got, err := json.Marshal(e); err != nil || string(got) != payload {
 			t.Errorf("%s: payload %s (%v), want %s", e.EventKind(), got, err, payload)

@@ -27,7 +27,8 @@ import (
 //	GET  /v1/jobs/{id}/events  stream the job's events as NDJSON
 //	                           (or SSE with Accept: text/event-stream);
 //	                           ?member=N narrows a fleet job's stream to
-//	                           member N's events (plus the terminal "done")
+//	                           member N's events, the worker events (which
+//	                           concern every member) and the terminal "done"
 //	POST /v1/jobs/{id}/cancel  cancel a job
 //	DELETE /v1/jobs/{id}       evict a finished job (free its history)
 //	GET  /v1/problem           the served problem's metadata
@@ -205,7 +206,8 @@ func (srv *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// ?member=N narrows a fleet job's stream to one member's events; the
-	// terminal "done" (which carries no member) always passes the filter.
+	// events that carry no member — a WorkerEvent concerns every member, and
+	// the terminal "done" — always pass the filter.
 	member := -1
 	if q := r.URL.Query().Get("member"); q != "" {
 		n, err := strconv.Atoi(q)

@@ -194,23 +194,16 @@ func (s *Session) Close() error {
 }
 
 // PublishClusterEvent broadcasts what happened in the cluster to every
-// running job's stream, as the WorkerJoined, WorkerLost, TaskStolen or
-// SpeculationWon event of its kind (a refused worker concerns no job).  Wire
-// it to the cluster leader's OnEvent hook on a network transport.
+// running job's stream as a WorkerEvent of the same kind, worker and count
+// (a refused worker concerns no job).  Wire it to the cluster leader's
+// OnEvent hook on a network transport.
 func (s *Session) PublishClusterEvent(ev ClusterEvent) {
+	if ev.Kind == cluster.WorkerRefused {
+		return
+	}
 	for _, j := range s.Jobs() {
-		if j.Finished() {
-			continue
-		}
-		switch ev.Kind {
-		case cluster.WorkerJoined:
-			j.emit(WorkerJoined{Job: j.id, Worker: ev.Worker, Slots: ev.Count})
-		case cluster.WorkerLost:
-			j.emit(WorkerLost{Job: j.id, Worker: ev.Worker, Requeued: ev.Count})
-		case cluster.TaskStolen:
-			j.emit(TaskStolen{Job: j.id, Worker: ev.Worker, Tasks: ev.Count})
-		case cluster.SpeculationWon:
-			j.emit(SpeculationWon{Job: j.id, Worker: ev.Worker, Tasks: ev.Count})
+		if !j.Finished() {
+			j.emit(WorkerEvent{Kind: ev.Kind, Job: j.id, Worker: ev.Worker, Count: ev.Count})
 		}
 	}
 }
@@ -340,8 +333,8 @@ func (s *Session) Stats() SessionStats {
 
 // maxSampleEvents bounds the SampleProgress notifications emitted per
 // batch.  Event histories are retained for replay until the job is
-// removed, so an unthrottled 2^30-member solve would pin one event per
-// subproblem in memory for a run advertised to take days; batches larger
+// removed, so an unthrottled solve of the largest family runner.FamilyBatch
+// accepts would pin 2^20 events per job, one per subproblem; batches larger
 // than this emit evenly spaced notifications instead (satisfiable results
 // and the batch's last result are always reported).  A variable only so
 // tests can exercise the decimation on small batches.

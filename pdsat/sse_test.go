@@ -6,10 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/paper-repro/pdsat-go/internal/cluster"
 	"github.com/paper-repro/pdsat-go/pdsat"
 )
 
@@ -18,7 +20,8 @@ import (
 // while the job works — and must carry `: keep-alive` comments at the
 // (shortened) idle interval so intermediaries with idle timeouts do not
 // sever it.  Once the first keep-alive arrives the job is cancelled; the
-// terminal done event still passes the filter and ends the stream.
+// terminal done event still passes the filter and ends the stream.  A worker
+// event, which concerns every member, passes the filter too.
 func TestEventsSSEKeepAlive(t *testing.T) {
 	restore := pdsat.SetSSEKeepAliveIntervalForTest(5 * time.Millisecond)
 	defer restore()
@@ -36,9 +39,11 @@ func TestEventsSSEKeepAlive(t *testing.T) {
 		t.Fatalf("no job id in %v", created)
 	}
 
+	s.PublishClusterEvent(pdsat.ClusterEvent{Kind: cluster.WorkerJoined, Worker: "w1", Count: 2})
+
 	// Member 99 exists in no estimate job: every SampleProgress is filtered
-	// out and only the terminal done passes, so the stream is idle while
-	// the job works.
+	// out and only the worker event and the terminal done pass, so the
+	// stream is idle while the job works.
 	req, err := http.NewRequest("GET", ts.URL+"/v1/jobs/"+id+"/events?member=99", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -54,9 +59,13 @@ func TestEventsSSEKeepAlive(t *testing.T) {
 	}
 
 	keepAlives, doneEvents := 0, 0
+	var passed []string // the event and data lines
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		line := sc.Text()
+		if strings.HasPrefix(line, "event: ") || strings.HasPrefix(line, "data: ") {
+			passed = append(passed, line)
+		}
 		if strings.HasPrefix(line, ": keep-alive") {
 			keepAlives++
 			if keepAlives == 1 {
@@ -77,6 +86,10 @@ func TestEventsSSEKeepAlive(t *testing.T) {
 	}
 	if doneEvents != 1 {
 		t.Fatalf("got %d done events, want exactly 1", doneEvents)
+	}
+	want := []string{"event: worker_joined", `data: {"job":"` + id + `","worker":"w1","count":2}`, "event: done"}
+	if len(passed) != 4 || !slices.Equal(passed[:3], want) {
+		t.Fatalf("the filtered stream passed %q, want %q and the done's data", passed, want)
 	}
 }
 
