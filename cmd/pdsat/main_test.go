@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -12,7 +14,9 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/paper-repro/pdsat-go/internal/cluster"
 	"github.com/paper-repro/pdsat-go/pdsat"
 )
 
@@ -368,5 +372,33 @@ func TestServeHTTPServerLimits(t *testing.T) {
 	}
 	if srv.WriteTimeout != 0 {
 		t.Fatalf("WriteTimeout %v would cut event streams short", srv.WriteTimeout)
+	}
+}
+
+// TestLogEventWritesOneRecord checks the cluster log: each cluster event is
+// one slog text record carrying the event's kind as its message and every
+// field of the event, an error and a redial wait included.
+func TestLogEventWritesOneRecord(t *testing.T) {
+	var buf bytes.Buffer
+	saved := clusterLog
+	t.Cleanup(func() { clusterLog = saved })
+	clusterLog = slog.New(slog.NewTextHandler(&buf, nil))
+	logEvent(cluster.ClusterEvent{Kind: cluster.WorkerJoined, Worker: "w1", Count: 2, Addr: "127.0.0.1:9321"})
+	logEvent(cluster.ClusterEvent{Kind: cluster.WorkerLost, Worker: "w1", Count: 3, Addr: "127.0.0.1:9321",
+		Err: cluster.ErrClosed, Redial: 2 * time.Second})
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	want := [][]string{
+		{"level=INFO", "msg=worker_joined", "worker=w1", "count=2", "addr=127.0.0.1:9321", "err=<nil>", "redial=0s"},
+		{"level=INFO", "msg=worker_lost", "worker=w1", "count=3", "addr=127.0.0.1:9321", `err="cluster: leader is closed"`, "redial=2s"},
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("%d records, want %d:\n%s", len(lines), len(want), buf.String())
+	}
+	for i, fields := range want {
+		for _, f := range fields {
+			if !strings.Contains(lines[i], f) {
+				t.Errorf("record %d %q lacks %s", i, lines[i], f)
+			}
+		}
 	}
 }

@@ -194,9 +194,9 @@ type BatchOptions struct {
 	CostMetric solver.CostMetric
 	// Steal lets a dispatching transport revoke queued (not yet started)
 	// tasks from a backlogged worker and reassign them to an idle one.
-	// Only DispatchTransport backends honour it; stealing moves tasks
-	// between workers but never changes which subproblems are solved, so
-	// in pristine (non-Retain) batches the results are unaffected.  It
+	// Only the network Leader honours it; stealing moves tasks between
+	// workers but never changes which subproblems are solved, so in
+	// pristine (non-Retain) batches the results are unaffected.  It
 	// also decides how deep a worker's queue may be: two tasks a slot
 	// without it; with it up to a millisecond of work at the mean solve
 	// time the leader has observed, so that tasks of microseconds travel
@@ -317,10 +317,9 @@ type Borrower interface {
 // goroutine recorded the result, so an observer may keep unlocked state but
 // must not depend on goroutine identity.  It must not block for long: no
 // result is recorded while it runs.  Both built-in backends (Inproc and
-// Leader) implement it; callers fall back to plain Run when a transport does
-// not.  On both, a panic in the observer fails the batch: it is not called
-// again, the batch is cancelled, and the call returns an error naming the
-// panic.
+// Leader) implement it.  On both, a panic in the observer fails the batch: it
+// is not called again, the batch is cancelled, and the call returns an error
+// naming the panic.
 //
 // The observer is also the only place a result's conflict activity can be
 // read (TaskResult.Activity): the vector it is handed is on loan until it
@@ -348,9 +347,7 @@ type ObservedTransport interface {
 //
 // Unlike a context cancellation, an abort is a planned outcome: the call
 // still returns one result per task and a nil error (unless ctx was also
-// cancelled, which takes precedence).  Both built-in backends implement it;
-// on a transport that does not, a batch simply runs to completion and the
-// caller ignores what it no longer wants.
+// cancelled, which takes precedence).  Both built-in backends implement it.
 type AbortableTransport interface {
 	ObservedTransport
 	// RunAbortable behaves exactly like RunObserved but additionally
@@ -379,10 +376,10 @@ type DispatchStats struct {
 // reassign or duplicate tasks between workers — work stealing and
 // speculative straggler re-dispatch, which internal/pdsat's Runner asks for
 // on every batch through BatchOptions.Steal/Speculate — and report what it
-// did.  The network Leader implements it; the in-process backend does not
-// (its workers claim tasks from one shared cursor, so imbalance cannot build
-// up).
-// Callers fall back to RunAbortable when a transport does not implement it.
+// did.  Both backends implement it, and it is the one method internal/pdsat's
+// Runner runs a batch with.  The network Leader steals and speculates; the
+// in-process backend's workers claim tasks from one shared cursor, so
+// imbalance cannot build up, and it reports zero statistics.
 type DispatchTransport interface {
 	AbortableTransport
 	// RunDispatch behaves exactly like RunAbortable but additionally

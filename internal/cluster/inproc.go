@@ -97,6 +97,15 @@ func (t *Inproc) PoolSize() int {
 	return len(t.pool)
 }
 
+// RunDispatch implements DispatchTransport: it is RunAbortable with zero
+// DispatchStats.  The workers share one cursor into the batch, so there is
+// nothing to steal and no straggler to speculate on; Steal and Speculate are
+// ignored.
+func (t *Inproc) RunDispatch(ctx context.Context, tasks []Task, opts BatchOptions, observe func(TaskResult), abort <-chan struct{}) ([]TaskResult, DispatchStats, error) {
+	results, err := t.RunAbortable(ctx, tasks, opts, observe, abort)
+	return results, DispatchStats{}, err
+}
+
 // Run distributes the tasks over the worker goroutines and collects one
 // result per task, in completion order.
 func (t *Inproc) Run(ctx context.Context, tasks []Task, opts BatchOptions) ([]TaskResult, error) {

@@ -164,15 +164,8 @@ func serveOnce(ctx context.Context, addr string, opts *WorkerOptions) (registere
 	defer w.close()
 
 	// Unblock the read loop when the context is cancelled.
-	unwatch := make(chan struct{})
-	defer close(unwatch)
-	go func() {
-		select {
-		case <-ctx.Done():
-			w.close()
-		case <-unwatch:
-		}
-	}()
+	stop := context.AfterFunc(ctx, func() { w.close() })
+	defer stop()
 
 	if serr := w.send(helloFor(opts.Name, opts.Capacity)); serr != nil {
 		return false, serr

@@ -1,6 +1,6 @@
 // Package cnfgen generates classic CNF benchmark families used by the tests
-// and benchmarks of this repository: random k-SAT, pigeonhole-principle
-// instances, parity (XOR chain) instances and graph-colouring instances.
+// and benchmarks of this repository: random k-SAT and pigeonhole-principle
+// instances.
 //
 // These generators are not part of the paper itself; they exercise the SAT
 // substrate independently of the cryptographic encodings and provide easy /
@@ -64,95 +64,4 @@ func Pigeonhole(pigeons, holes int) (*cnf.Formula, error) {
 		}
 	}
 	return f, nil
-}
-
-// ParityChain returns a CNF encoding of the XOR chain
-//
-//	x1 ⊕ x2 ⊕ ... ⊕ xn = parity
-//
-// using auxiliary variables for the running prefix.  The instance is
-// satisfiable for every parity value and exercises long implication chains.
-func ParityChain(n int, parity bool) (*cnf.Formula, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("cnfgen: parity chain needs at least one variable")
-	}
-	// Variables 1..n are the chain inputs; n+1..n+(n-1) are prefix sums.
-	f := cnf.New(n)
-	if n == 1 {
-		f.AddClause(cnf.Clause{cnf.NewLit(1, parity)})
-		return f, nil
-	}
-	aux := cnf.Var(n)
-	prev := cnf.Var(1)
-	for i := 2; i <= n; i++ {
-		aux++
-		addXORClauses(f, aux, prev, cnf.Var(i))
-		prev = aux
-	}
-	f.AddClause(cnf.Clause{cnf.NewLit(prev, parity)})
-	return f, nil
-}
-
-// addXORClauses encodes y <-> a xor b.
-func addXORClauses(f *cnf.Formula, y, a, b cnf.Var) {
-	yl, al, bl := cnf.NewLit(y, true), cnf.NewLit(a, true), cnf.NewLit(b, true)
-	f.AddClause(cnf.Clause{yl.Neg(), al, bl})
-	f.AddClause(cnf.Clause{yl.Neg(), al.Neg(), bl.Neg()})
-	f.AddClause(cnf.Clause{yl, al.Neg(), bl})
-	f.AddClause(cnf.Clause{yl, al, bl.Neg()})
-}
-
-// GraphColoring returns a CNF asserting that the given undirected graph
-// (edges as pairs of 0-based vertex indices) is colourable with the given
-// number of colours.
-func GraphColoring(numVertices int, edges [][2]int, colors int) (*cnf.Formula, error) {
-	if numVertices <= 0 || colors <= 0 {
-		return nil, fmt.Errorf("cnfgen: invalid colouring parameters v=%d c=%d", numVertices, colors)
-	}
-	v := func(vertex, color int) cnf.Lit { return cnf.Lit(vertex*colors + color + 1) }
-	f := cnf.New(numVertices * colors)
-	for vertex := 0; vertex < numVertices; vertex++ {
-		// At least one colour.
-		c := make(cnf.Clause, 0, colors)
-		for color := 0; color < colors; color++ {
-			c = append(c, v(vertex, color))
-		}
-		f.AddClause(c)
-		// At most one colour.
-		for c1 := 0; c1 < colors; c1++ {
-			for c2 := c1 + 1; c2 < colors; c2++ {
-				f.AddClauseLits(-v(vertex, c1), -v(vertex, c2))
-			}
-		}
-	}
-	for _, e := range edges {
-		if e[0] < 0 || e[0] >= numVertices || e[1] < 0 || e[1] >= numVertices {
-			return nil, fmt.Errorf("cnfgen: edge %v out of range", e)
-		}
-		for color := 0; color < colors; color++ {
-			f.AddClauseLits(-v(e[0], color), -v(e[1], color))
-		}
-	}
-	return f, nil
-}
-
-// CycleGraph returns the edge list of the cycle on n vertices (odd cycles
-// need 3 colours, even cycles 2).
-func CycleGraph(n int) [][2]int {
-	edges := make([][2]int, 0, n)
-	for i := 0; i < n; i++ {
-		edges = append(edges, [2]int{i, (i + 1) % n})
-	}
-	return edges
-}
-
-// CompleteGraph returns the edge list of the complete graph on n vertices.
-func CompleteGraph(n int) [][2]int {
-	var edges [][2]int
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			edges = append(edges, [2]int{i, j})
-		}
-	}
-	return edges
 }

@@ -3,9 +3,7 @@ package cnfgen
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
-	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/solver"
 )
 
@@ -58,98 +56,5 @@ func TestPigeonholeSatisfiability(t *testing.T) {
 	}
 	if _, err := Pigeonhole(0, 3); err == nil {
 		t.Fatal("expected error for zero pigeons")
-	}
-}
-
-func TestParityChain(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 16} {
-		for _, parity := range []bool{false, true} {
-			f, err := ParityChain(n, parity)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := solver.NewDefault(f).Solve()
-			if res.Status != solver.Sat {
-				t.Fatalf("parity chain n=%d parity=%v should be SAT", n, parity)
-			}
-			// Check the model's parity over the first n variables.
-			got := false
-			for v := 1; v <= n; v++ {
-				if res.Model.Value(cnf.Var(v)) == cnf.True {
-					got = !got
-				}
-			}
-			if got != parity {
-				t.Fatalf("model parity %v, want %v (n=%d)", got, parity, n)
-			}
-		}
-	}
-	if _, err := ParityChain(0, true); err == nil {
-		t.Fatal("expected error for n=0")
-	}
-}
-
-func TestGraphColoring(t *testing.T) {
-	// An odd cycle needs 3 colours.
-	odd := CycleGraph(5)
-	two, err := GraphColoring(5, odd, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := solver.NewDefault(two).Solve(); res.Status != solver.Unsat {
-		t.Fatal("odd cycle with 2 colours should be UNSAT")
-	}
-	three, err := GraphColoring(5, odd, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := solver.NewDefault(three).Solve(); res.Status != solver.Sat {
-		t.Fatal("odd cycle with 3 colours should be SAT")
-	}
-	// K4 needs 4 colours.
-	k4 := CompleteGraph(4)
-	withThree, _ := GraphColoring(4, k4, 3)
-	if res := solver.NewDefault(withThree).Solve(); res.Status != solver.Unsat {
-		t.Fatal("K4 with 3 colours should be UNSAT")
-	}
-	withFour, _ := GraphColoring(4, k4, 4)
-	if res := solver.NewDefault(withFour).Solve(); res.Status != solver.Sat {
-		t.Fatal("K4 with 4 colours should be SAT")
-	}
-	// Validation errors.
-	if _, err := GraphColoring(0, nil, 3); err == nil {
-		t.Fatal("expected error for zero vertices")
-	}
-	if _, err := GraphColoring(3, [][2]int{{0, 7}}, 2); err == nil {
-		t.Fatal("expected error for out-of-range edge")
-	}
-}
-
-func TestCycleAndCompleteGraphShapes(t *testing.T) {
-	if len(CycleGraph(6)) != 6 {
-		t.Fatal("cycle edge count")
-	}
-	if len(CompleteGraph(5)) != 10 {
-		t.Fatal("complete graph edge count")
-	}
-}
-
-// Property: even cycles are 2-colourable, odd cycles are not.
-func TestCycleColoringProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		n := 3 + int(seed%8+8)%8 // 3..10
-		edges := CycleGraph(n)
-		f, err := GraphColoring(n, edges, 2)
-		if err != nil {
-			return false
-		}
-		res := solver.NewDefault(f).Solve()
-		if n%2 == 0 {
-			return res.Status == solver.Sat
-		}
-		return res.Status == solver.Unsat
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }

@@ -12,9 +12,10 @@
 // uses the accumulated conflict activity of variables to choose a new
 // neighbourhood centre when the current one is exhausted.
 //
-// A search evaluates one candidate at a time, in visit order (see
-// scheduler.go).  Searches racing each other are coupled through a shared
-// Incumbent (fleet.go); the race that runs them is the pdsat package's.
+// A search evaluates one candidate at a time, each drawn just before it is
+// evaluated (see scheduler.go).  Searches racing each other are coupled
+// through a shared Incumbent (fleet.go); the race that runs them is the pdsat
+// package's.
 package optimize
 
 import (
@@ -478,8 +479,9 @@ type tabuLists struct {
 	radius int
 	// l2 maps point keys to entries with unchecked neighbourhoods.
 	l2 map[string]*tabuEntry
-	// l1 maps point keys to entries whose neighbourhood is fully checked.
-	l1 map[string]*tabuEntry
+	// l1 counts the points whose neighbourhood is fully checked: nothing
+	// reads an L1 point again, getNewCenter draws from L2 alone.
+	l1 int
 }
 
 type tabuEntry struct {
@@ -492,7 +494,6 @@ func newTabuLists(radius int) *tabuLists {
 	return &tabuLists{
 		radius: radius,
 		l2:     make(map[string]*tabuEntry),
-		l1:     make(map[string]*tabuEntry),
 	}
 }
 
@@ -511,11 +512,10 @@ func (t *tabuLists) addChecked(p decomp.Point, value float64, values map[string]
 			unchecked++
 		}
 	}
-	e := &tabuEntry{point: p, value: value, unchecked: unchecked}
 	if unchecked == 0 {
-		t.l1[p.Key()] = e
+		t.l1++
 	} else {
-		t.l2[p.Key()] = e
+		t.l2[p.Key()] = &tabuEntry{point: p, value: value, unchecked: unchecked}
 	}
 	// The new point is now checked: update neighbours that live in L2.
 	for _, n := range neighbors {
@@ -524,7 +524,7 @@ func (t *tabuLists) addChecked(p decomp.Point, value float64, values map[string]
 			other.unchecked--
 			if other.unchecked <= 0 {
 				delete(t.l2, key)
-				t.l1[key] = other
+				t.l1++
 			}
 		}
 	}
@@ -564,7 +564,7 @@ func (t *tabuLists) getNewCenter(obj Objective) (decomp.Point, bool) {
 }
 
 // L1Size and L2Size expose the tabu list sizes (used in tests).
-func (t *tabuLists) L1Size() int { return len(t.l1) }
+func (t *tabuLists) L1Size() int { return t.l1 }
 
 // L2Size returns the number of checked points with unchecked neighbourhoods.
 func (t *tabuLists) L2Size() int { return len(t.l2) }

@@ -1,17 +1,11 @@
 package optimize
 
-// The neighbourhood loops of the two metaheuristics.  Both walk their
-// candidates one at a time, in visit order: each fresh evaluation follows a
-// budget check, runs against the search's incumbent and draws the next
-// evaluation slot, and the next one begins only after the search has taken
-// in the last.  The fixed-seed traces recorded in testdata rest on exactly
-// this order.
-//
-// The tabu search pre-draws the visit order of a whole neighbourhood — one
-// RNG draw per candidate over the not-yet-drawn unchecked ones, which is
-// how the recorded fixed-seed traces were drawn — and walks it in that
-// order.  The simulated annealing draws one candidate, evaluates it, and
-// accepts it or not before it draws the next.
+// The neighbourhood loops of the two metaheuristics.  Both take their
+// candidates one at a time, each drawn (draw) just before it is evaluated:
+// each fresh evaluation follows a budget check, runs against the search's
+// incumbent and draws the next evaluation slot, and the next candidate is
+// drawn only after the search has taken in the last.  The fixed-seed traces
+// recorded in testdata rest on exactly this order.
 
 import (
 	"context"
@@ -26,11 +20,13 @@ type Neighborhood struct {
 	// Center is the pass's neighbourhood centre; Radius its radius.
 	Center decomp.Point
 	Radius int
-	// Candidates is the number of candidates drawn for the pass;
-	// Evaluated how many were freshly evaluated (value-cache hits within
-	// the search are excluded), Pruned how many of those the incumbent
-	// bound cut short, and Cancelled how many were left unvisited because
-	// the search stopped during the pass.
+	// Candidates is the number of candidates the pass had to draw from
+	// when it began: in a tabu neighbourhood its points without a value, in
+	// an annealing pass 1.  Evaluated is how many were freshly evaluated
+	// (value-cache hits within the search are excluded), Pruned how many of
+	// those the incumbent bound cut short, and Cancelled how many were left
+	// unvisited because the search stopped during the pass (in a tabu
+	// neighbourhood Candidates − Evaluated).
 	Candidates int
 	Evaluated  int
 	Pruned     int
@@ -59,54 +55,25 @@ func (s *search) incumbent(bestValue float64) float64 {
 	return bestValue
 }
 
-// drawTabuOrder pre-draws the complete visit order of one tabu
-// neighbourhood: repeatedly one pseudo-random pick among the candidates
-// that have no cached value (the tabu lists make "checked anywhere"
-// equivalent to "has a cached value") and are not drawn yet.  Drawing
-// everything ahead is the same as drawing before each evaluation, because
-// an evaluation never touches the RNG and the tabu search always exhausts a
-// neighbourhood it enters — the only early exits end the whole search,
-// after which the RNG is never read again.
-func (s *search) drawTabuOrder(candidates []decomp.Point) []decomp.Point {
-	taken := make(map[string]bool, len(candidates))
-	order := make([]decomp.Point, 0, len(candidates))
-	for {
-		unchecked := make([]decomp.Point, 0, len(candidates))
-		for _, c := range candidates {
-			key := c.Key()
-			if taken[key] {
-				continue
-			}
-			if _, seen := s.values[key]; seen {
-				continue
-			}
-			unchecked = append(unchecked, c)
-		}
-		if len(unchecked) == 0 {
-			return order
-		}
-		pick := unchecked[s.rng.Intn(len(unchecked))]
-		taken[pick.Key()] = true
-		order = append(order, pick)
-	}
-}
-
-// drawCandidate draws the annealing's next candidate: one pseudo-random
-// pick among those not in the checked set (which, unlike the tabu filter,
-// resets per centre and admits re-visits of points valued in earlier
-// neighbourhoods — those are served from the search's value cache without an
-// evaluation).  ok is false when every candidate is checked.
-func (s *search) drawCandidate(candidates []decomp.Point, checked map[string]bool) (chi decomp.Point, ok bool) {
+// draw is how both searches pick their next candidate, just before they
+// evaluate it: one pseudo-random pick among the candidates skip does not
+// rule out, in neighbourhood order.  left is how many there were to pick
+// from; when it is 0 there is no candidate.  The tabu search skips every
+// point that has a value (its tabu lists make "checked anywhere" the same as
+// "valued"); the annealing skips the points checked from its current centre,
+// and re-visits points valued from earlier centres out of the search's value
+// cache, without an evaluation.
+func (s *search) draw(candidates []decomp.Point, skip func(key string) bool) (chi decomp.Point, left int) {
 	unchecked := make([]decomp.Point, 0, len(candidates))
 	for _, c := range candidates {
-		if !checked[c.Key()] {
+		if !skip(c.Key()) {
 			unchecked = append(unchecked, c)
 		}
 	}
 	if len(unchecked) == 0 {
-		return decomp.Point{}, false
+		return decomp.Point{}, 0
 	}
-	return unchecked[s.rng.Intn(len(unchecked))], true
+	return unchecked[s.rng.Intn(len(unchecked))], len(unchecked)
 }
 
 // evaluate is one fresh evaluation of chi against the incumbent, made after a
@@ -140,23 +107,24 @@ func (s *search) evaluate(ctx context.Context, chi decomp.Point, incumbent float
 // gracefully (the stop reason is already recorded); other errors are hard
 // failures.
 func (s *search) tabuNeighborhood(ctx context.Context, tl *tabuLists, center decomp.Point, best *decomp.Point, bestValue *float64) (bool, error) {
-	order := s.drawTabuOrder(neighbors(center, s.opts.Radius))
-	if len(order) == 0 {
-		return false, nil
+	candidates := neighbors(center, s.opts.Radius)
+	valued := func(key string) bool {
+		_, ok := s.values[key]
+		return ok
 	}
-	stats := Neighborhood{
-		Center:     center,
-		Radius:     s.opts.Radius,
-		Candidates: len(order),
-	}
+	stats := Neighborhood{Center: center, Radius: s.opts.Radius}
 	var err error
-	for i, chi := range order {
-		// drawTabuOrder drew only points without a cached value, so every
-		// candidate is a fresh evaluation.
+	for {
+		// draw skips every valued point, so each candidate is a fresh
+		// evaluation, and the first draw sees the whole pass.
+		chi, left := s.draw(candidates, valued)
+		if left == 0 {
+			break
+		}
+		stats.Candidates = max(stats.Candidates, left)
 		var value float64
 		var prunedEval bool
 		if value, prunedEval, err = s.evaluate(ctx, chi, s.incumbent(*bestValue)); err != nil {
-			stats.Cancelled = len(order) - i
 			break
 		}
 		tl.addChecked(chi, value, s.values)
@@ -177,10 +145,13 @@ func (s *search) tabuNeighborhood(ctx context.Context, tl *tabuLists, center dec
 			s.offerBest(*best, *bestValue)
 		}
 		if err = s.checkBudgets(ctx); err != nil {
-			stats.Cancelled = len(order) - i - 1
 			break
 		}
 	}
+	if stats.Candidates == 0 {
+		return false, nil
+	}
+	stats.Cancelled = stats.Candidates - stats.Evaluated
 	stats.BestValue = *bestValue
 	s.observeNeighborhood(stats)
 	return stats.Improved, err
@@ -202,10 +173,11 @@ func (s *search) anneal(ctx context.Context, center decomp.Point, centerValue fl
 		bestValueUpdated := false
 		radius := opts.Radius
 		checked := map[string]bool{center.Key(): true}
+		isChecked := func(key string) bool { return checked[key] }
 		for !bestValueUpdated {
 			neighborhood := neighbors(center, radius)
-			next, ok := s.drawCandidate(neighborhood, checked)
-			if !ok {
+			next, left := s.draw(neighborhood, isChecked)
+			if left == 0 {
 				// Neighbourhood exhausted at this radius.
 				if radius < opts.MaxRadius {
 					radius++

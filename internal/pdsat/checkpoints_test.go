@@ -64,12 +64,19 @@ func runSynthetic(t *testing.T, tr cluster.Transport, n int, pol eval.Policy, in
 }
 
 // nonAborting is the oracle over the table, completing in the given order,
-// seen only as an ObservedTransport: it cannot abort, so every task of a
-// batch is answered whatever the evaluation decided.
+// whose RunDispatch ignores the abort: every task of a batch is answered
+// whatever the evaluation decided.
 func nonAborting(table *costTable, order []int) cluster.Transport {
 	o := newOracle(table)
 	o.order = order
-	return struct{ cluster.ObservedTransport }{o}
+	return deafOracle{o}
+}
+
+// deafOracle is an oracle that never hears a batch's abort.
+type deafOracle struct{ *oracle }
+
+func (n deafOracle) RunDispatch(ctx context.Context, tasks []cluster.Task, opts cluster.BatchOptions, observe func(cluster.TaskResult), _ <-chan struct{}) ([]cluster.TaskResult, cluster.DispatchStats, error) {
+	return n.oracle.RunDispatch(ctx, tasks, opts, observe, nil)
 }
 
 // indexCosts are the costs the synthetic runs' sample of n draws from the

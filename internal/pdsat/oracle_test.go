@@ -240,6 +240,13 @@ func (o *oracle) RunObserved(ctx context.Context, tasks []cluster.Task, opts clu
 	return o.RunAbortable(ctx, tasks, opts, observe, nil)
 }
 
+// RunDispatch is RunAbortable with zero statistics: the oracle answers on
+// one goroutine and has nothing to steal or speculate.
+func (o *oracle) RunDispatch(ctx context.Context, tasks []cluster.Task, opts cluster.BatchOptions, observe func(cluster.TaskResult), abort <-chan struct{}) ([]cluster.TaskResult, cluster.DispatchStats, error) {
+	results, err := o.RunAbortable(ctx, tasks, opts, observe, abort)
+	return results, cluster.DispatchStats{}, err
+}
+
 func (o *oracle) RunAbortable(ctx context.Context, tasks []cluster.Task, opts cluster.BatchOptions, observe func(cluster.TaskResult), abort <-chan struct{}) ([]cluster.TaskResult, error) {
 	members, err := o.members(tasks)
 	if err != nil {

@@ -19,15 +19,16 @@
 //     MiniSat of the paper that stops on non-blocking messages from the
 //     leader.
 //
-// Where the subproblems actually run is decided by a cluster.Transport.  By
-// default the Runner owns a private in-process transport (cluster.Inproc):
-// worker goroutines with persistent pooled solvers, reused across
-// evaluations, so the clause database and watch lists are built once per
-// worker instead of once per subproblem.  Setting Config.Transport instead
-// targets remote machines through a network leader (cluster.Leader), which
-// reproduces the paper's multi-machine MPI deployment.  In estimation mode
-// every subproblem starts from the solver's pristine state (solver.Reset),
-// which makes the observed cost of a subproblem identical to what a freshly
+// Where the subproblems actually run is decided by a transport, and every
+// batch — an evaluation's sample, a Solve's family — goes out through one
+// call, cluster.DispatchTransport's RunDispatch.  By default the Runner owns
+// a private in-process transport (cluster.Inproc): worker goroutines with
+// persistent pooled solvers, reused across evaluations, so the clause
+// database and watch lists are built once per worker instead of once per
+// subproblem.  Setting Config.Transport instead targets remote machines
+// through a network leader (cluster.Leader), which reproduces the paper's
+// multi-machine MPI deployment.  In estimation mode every subproblem starts
+// from the solver's pristine state (solver.Reset), which makes the observed cost of a subproblem identical to what a freshly
 // constructed solver would measure — the per-subproblem costs stay samples
 // of the single well-defined random variable the Monte Carlo method
 // requires, and fixed-seed estimates are bit-for-bit identical across
@@ -87,17 +88,18 @@ type Config struct {
 	RetainLearned bool
 	// Transport optionally overrides where subproblem batches run — e.g. a
 	// cluster.Leader dispatching to remote machines.  The transport must
-	// have been created for the same formula the Runner is built on.  Nil
+	// have been created for the same formula the Runner is built on, and it
+	// must be a cluster.DispatchTransport, as both backends are: every batch
+	// goes out through its RunDispatch (Validate refuses any other).  Nil
 	// means a private in-process transport with Workers goroutines.  The
 	// Runner does not close the transport; its creator owns its lifetime.
 	//
-	// On a dispatching transport (cluster.DispatchTransport, i.e. the
-	// network leader) every batch runs with work stealing and every pristine
-	// batch with speculative re-dispatch of its tail; the leader sizes its
-	// workers' queues from the solve times it measures itself.  All of it
-	// moves tasks between workers and never changes which subproblems are
-	// solved or what they cost, so fixed-seed estimates are the in-process
-	// transport's bit for bit.
+	// Every batch asks for work stealing and every pristine batch for
+	// speculative re-dispatch of its tail, which the network leader does;
+	// it sizes its workers' queues from the solve times it measures itself.
+	// All of it moves tasks between workers and never changes which
+	// subproblems are solved or what they cost, so fixed-seed estimates are
+	// the in-process transport's bit for bit.
 	Transport cluster.Transport
 	// Policy configures the budget-aware evaluation engine: incumbent
 	// pruning and staged adaptive sampling of predictive-function
@@ -111,7 +113,7 @@ type Config struct {
 // Validate reports whether the configuration is usable.  Zero values are
 // fine (they select documented defaults); negative worker counts or sample
 // sizes are configuration mistakes and are rejected with a clear error
-// rather than being silently coerced.
+// rather than being silently coerced, as is a transport without RunDispatch.
 func (c Config) Validate() error {
 	if c.SampleSize < 0 {
 		return fmt.Errorf("pdsat: negative sample size %d (use 0 for the default of %d)",
@@ -119,6 +121,9 @@ func (c Config) Validate() error {
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("pdsat: negative worker count %d (use 0 for all CPUs)", c.Workers)
+	}
+	if _, ok := c.Transport.(cluster.DispatchTransport); c.Transport != nil && !ok {
+		return fmt.Errorf("pdsat: transport %T is not a cluster.DispatchTransport: a batch runs through RunDispatch", c.Transport)
 	}
 	if err := c.Policy.Validate(); err != nil {
 		return err
@@ -321,7 +326,7 @@ type Runner struct {
 	cfg     Config
 	// transport dispatches subproblem batches (Config.Transport, or a
 	// private in-process transport).
-	transport cluster.Transport
+	transport cluster.DispatchTransport
 	// cfgErr is the deferred Config.Validate error: NewRunner cannot
 	// return one without breaking every call site, so an invalid
 	// configuration surfaces on the first evaluation instead of panicking
@@ -382,8 +387,9 @@ func (r *Runner) releaseBuffer(b *sampleBuffer) {
 }
 
 // NewRunner creates a runner for the formula.  An invalid configuration
-// (negative sample size or worker count) is reported by the first
-// evaluation or solve call; validate eagerly with Config.Validate.
+// (negative sample size or worker count, a transport without RunDispatch) is
+// reported by the first evaluation or solve call; validate eagerly with
+// Config.Validate.
 func NewRunner(f *cnf.Formula, cfg Config) *Runner {
 	cfgErr := cfg.Validate()
 	if cfg.SampleSize <= 0 {
@@ -392,8 +398,8 @@ func NewRunner(f *cnf.Formula, cfg Config) *Runner {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	transport := cfg.Transport
-	if transport == nil {
+	transport, _ := cfg.Transport.(cluster.DispatchTransport)
+	if cfg.Transport == nil {
 		transport = cluster.NewInproc(f, cfg.Workers, solver.DefaultOptions())
 	}
 	r := &Runner{
@@ -539,84 +545,22 @@ func absorbResult(res *cluster.TaskResult, c *Counters) {
 	}
 }
 
-// runTasksObserved dispatches one batch through the transport, lending it the
-// results array (see cluster.BatchOptions.Results).  Each transport worker
-// owns one persistent solver; retain selects whether it keeps learned clauses
-// across tasks (solving mode with Config.RetainLearned) or is restored to its
-// pristine state before every task.  observe (when non-nil) receives a
-// Progress notification per collected result; transports without in-flight
-// observation support deliver all notifications after the batch completes,
-// preserving order.
-func (r *Runner) runTasksObserved(ctx context.Context, tasks []cluster.Task, results []cluster.TaskResult, stop cluster.StopMode, retain bool, observe func(Progress)) ([]cluster.TaskResult, error) {
-	opts := cluster.BatchOptions{
-		Stop:       stop,
-		Retain:     retain,
-		Budget:     r.cfg.SubproblemBudget,
-		CostMetric: r.cfg.CostMetric,
-		Steal:      true,
-		// Speculation is restricted to pristine batches: with retained
-		// learned clauses a duplicate copy solves on different solver state,
-		// so which copy wins would change the recorded result content.
-		Speculate: !retain,
-		Results:   results,
-	}
-	// A family is no scope's sample: its results go into the runner's own
-	// ledger, as they are observed.
-	done := 0
-	observeResult := func(res cluster.TaskResult) {
-		r.absorb(&res)
-		if observe != nil {
-			done++
-			observe(Progress{Done: done, Total: len(tasks), Result: res})
-		}
-	}
-	results, ds, err := r.runBatch(ctx, tasks, opts, observeResult, nil)
-	r.note(dispatchCounters(ds))
-	return results, err
-}
-
-// dispatchCounters is one batch's dispatch statistics as a ledger entry.
-func dispatchCounters(ds cluster.DispatchStats) Counters {
-	return Counters{
+// runBatch runs one batch through the transport's one batch call,
+// RunDispatch.  It adds what every batch carries — the subproblem budget,
+// tightened by opts.Budget, the cost metric and work stealing — and notes the
+// batch's dispatch statistics in l, the caller's ledger.  The in-process
+// transport reports none; the network leader what it stole and speculated.
+func (r *Runner) runBatch(ctx context.Context, l *ledger, tasks []cluster.Task, opts cluster.BatchOptions, observe func(cluster.TaskResult), abort <-chan struct{}) ([]cluster.TaskResult, error) {
+	opts.Budget = r.cfg.SubproblemBudget.TightenedBy(opts.Budget)
+	opts.CostMetric = r.cfg.CostMetric
+	opts.Steal = true
+	results, ds, err := r.transport.RunDispatch(ctx, tasks, opts, observe, abort)
+	l.note(Counters{
 		TasksStolen:           ds.TasksStolen,
 		SpeculativeDuplicates: ds.SpeculativeDuplicates,
 		SpeculationWins:       ds.SpeculationWins,
-	}
-}
-
-// runBatch dispatches one batch through the transport, using the richest
-// interface it offers: stealing, speculation and their statistics need a
-// DispatchTransport, batch aborts (abort non-nil) an AbortableTransport,
-// in-flight observation an ObservedTransport.  Transports without in-flight
-// observation deliver all notifications after the batch completes,
-// preserving order — with whatever activity vectors their results carry;
-// transports without abort support simply run the batch to completion (an
-// evaluation then decides the same and drops what it was sent beyond that);
-// transports without a dispatch layer ignore the adaptive options and report
-// zero DispatchStats.
-func (r *Runner) runBatch(ctx context.Context, tasks []cluster.Task, opts cluster.BatchOptions, observe func(cluster.TaskResult), abort <-chan struct{}) ([]cluster.TaskResult, cluster.DispatchStats, error) {
-	if dt, ok := r.transport.(cluster.DispatchTransport); ok {
-		return dt.RunDispatch(ctx, tasks, opts, observe, abort)
-	}
-	if abort != nil {
-		if at, ok := r.transport.(cluster.AbortableTransport); ok {
-			results, err := at.RunAbortable(ctx, tasks, opts, observe, abort)
-			return results, cluster.DispatchStats{}, err
-		}
-	}
-	if observe != nil {
-		if ot, ok := r.transport.(cluster.ObservedTransport); ok {
-			results, err := ot.RunObserved(ctx, tasks, opts, observe)
-			return results, cluster.DispatchStats{}, err
-		}
-	}
-	results, err := r.transport.Run(ctx, tasks, opts)
-	if observe != nil {
-		for _, res := range results {
-			observe(res)
-		}
-	}
-	return results, cluster.DispatchStats{}, err
+	})
+	return results, err
 }
 
 // SolveReport is the outcome of processing a whole decomposition family
@@ -726,7 +670,26 @@ func (r *Runner) SolveObserved(ctx context.Context, p decomp.Point, opts SolveOp
 	if opts.StopOnSat {
 		stop = cluster.StopOnSat
 	}
-	results, err := r.runTasksObserved(ctx, tasks, buf.lentResults(total), stop, r.cfg.RetainLearned, observe)
+	// A family is no scope's sample: its results go into the runner's own
+	// ledger, as they are observed.
+	done := 0
+	absorb := func(res cluster.TaskResult) {
+		r.absorb(&res)
+		if observe != nil {
+			done++
+			observe(Progress{Done: done, Total: total, Result: res})
+		}
+	}
+	retain := r.cfg.RetainLearned
+	results, err := r.runBatch(ctx, &r.ledger, tasks, cluster.BatchOptions{
+		Stop:   stop,
+		Retain: retain,
+		// Speculation is restricted to pristine batches: with retained
+		// learned clauses a duplicate copy solves on different solver state,
+		// so which copy wins would change the recorded result content.
+		Speculate: !retain,
+		Results:   buf.lentResults(total),
+	}, absorb, nil)
 	if err != nil && !cluster.IsInterruption(err) {
 		return nil, err
 	}

@@ -173,29 +173,23 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 		sumBound: math.Inf(1),
 		abort:    make(chan struct{}),
 	}
-	opts := cluster.BatchOptions{
-		Budget:     r.cfg.SubproblemBudget,
-		CostMetric: r.cfg.CostMetric,
-		Steal:      true,
-		Speculate:  true,
-		Results:    buf.lentResults(n),
-	}
+	opts := cluster.BatchOptions{Speculate: true, Results: buf.lentResults(n)}
 	var abort <-chan struct{}
 	if prune {
 		cp.sumBound = incumbent * (float64(n) / scale)
 		// One allowance per evaluation: no single task may cost more than
 		// what the whole sample may before the sum certifiably crosses the
 		// bound.  What the sum has used up by the time a task starts is taken
-		// off by the abort, which interrupts the solves in flight.
-		opts.Budget = opts.Budget.TightenedBy(solver.BudgetForCost(r.cfg.CostMetric, cp.sumBound))
+		// off by the abort, which interrupts the solves in flight.  runBatch
+		// tightens the subproblem budget by the allowance.
+		opts.Budget = solver.BudgetForCost(r.cfg.CostMetric, cp.sumBound)
 	}
 	if prune || len(cp.plan) > 1 {
 		abort = cp.abort
 	}
 
 	sc.note(Counters{SamplesPlanned: n})
-	_, ds, runErr := r.runBatch(ctx, tasks, opts, cp.result, abort)
-	sc.note(dispatchCounters(ds))
+	_, runErr := r.runBatch(ctx, &sc.ledger, tasks, opts, cp.result, abort)
 	// What was planned and never counted — the stages behind an early stop or
 	// a prune, solved ahead or not, and the tail of a cancelled evaluation.
 	sc.note(Counters{SamplesSkipped: n - cp.counted, SamplesCensored: cp.censored})

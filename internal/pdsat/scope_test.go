@@ -381,6 +381,13 @@ type recordingTransport struct {
 	results []*cluster.TaskResult
 }
 
+// RunDispatch is the Runner's one batch call; without it the one promoted
+// from Inproc would bypass the recording.
+func (r *recordingTransport) RunDispatch(ctx context.Context, tasks []cluster.Task, opts cluster.BatchOptions, observe func(cluster.TaskResult), abort <-chan struct{}) ([]cluster.TaskResult, cluster.DispatchStats, error) {
+	results, err := r.RunAbortable(ctx, tasks, opts, observe, abort)
+	return results, cluster.DispatchStats{}, err
+}
+
 func (r *recordingTransport) RunObserved(ctx context.Context, tasks []cluster.Task, opts cluster.BatchOptions, observe func(cluster.TaskResult)) ([]cluster.TaskResult, error) {
 	return r.RunAbortable(ctx, tasks, opts, observe, nil)
 }

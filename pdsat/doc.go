@@ -8,7 +8,8 @@
 //     (Problem: FromGenerator, FromDIMACSFile, FromInstance, FromFormula).
 //  2. Open a Session for it (NewSession).  The session owns one
 //     leader/worker runner — in-process goroutine workers by default, or a
-//     network cluster via Config.Runner.Transport.  A network leader
+//     network cluster via Config.Runner.Transport, which must be a
+//     cluster.DispatchTransport as both backends are.  A network leader
 //     rebalances on its own: it steals queued subproblems from a backlogged
 //     worker, duplicates a batch's last running ones onto idle slots and
 //     sizes worker queues from the solve times it measures (task_stolen and
@@ -89,7 +90,8 @@
 //
 // A search walks its neighbourhoods in passes — a whole tabu neighbourhood,
 // or one annealing candidate — and evaluates their candidates one at a time,
-// in visit order, each drawing the next evaluation slot and pruning against
+// each drawn just before it is evaluated, each drawing the next evaluation
+// slot and pruning against
 // the best F certified before it; PDSAT keeps the cores busy with the N
 // subproblems of that one evaluation.  Every completed pass emits a
 // NeighborhoodDone event with its counters.  Concurrency lives between

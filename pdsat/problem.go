@@ -42,7 +42,8 @@ type Estimate = montecarlo.Estimate
 
 // RunnerConfig configures the leader/worker runner backing a Session:
 // sample size, workers, seed, cost metric and an optional cluster
-// transport.  Every solver runs solver.DefaultOptions().
+// transport, which must be a cluster.DispatchTransport (see Transport).
+// Every solver runs solver.DefaultOptions().
 type RunnerConfig = runner.Config
 
 // SolveOptions configure family processing (stop-on-SAT, subproblem cap).
@@ -78,7 +79,10 @@ const (
 
 // Transport decides where subproblem batches run: a session builds its own
 // in-process one unless RunnerConfig.Transport names another, such as the
-// cluster leader cmd/pdsat starts with -listen.
+// cluster leader cmd/pdsat starts with -listen.  The runner sends every batch
+// through RunDispatch, so a session's transport must also be a
+// cluster.DispatchTransport, as both backends are; NewSession refuses any
+// other.
 type Transport = cluster.Transport
 
 // ClusterEvent is something that happened among a cluster leader's workers —

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/paper-repro/pdsat-go/internal/cluster"
 	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/decomp"
 	"github.com/paper-repro/pdsat-go/internal/encoder"
@@ -122,6 +123,21 @@ func TestNewSessionValidation(t *testing.T) {
 	}
 	if s.Problem() != p || s.Space() == nil {
 		t.Fatal("accessors misbehave")
+	}
+}
+
+// TestNewSessionRefusesAPlainTransport checks that a session's transport must
+// offer RunDispatch, the one call its runner sends a batch through: one that
+// implements only cluster.Transport is refused when the session opens, with an
+// error naming the interface it lacks.
+func TestNewSessionRefusesAPlainTransport(t *testing.T) {
+	f := cnf.New(2)
+	f.AddClauseLits(1, 2)
+	cfg := pdsat.Config{}
+	cfg.Runner.Transport = struct{ pdsat.Transport }{cluster.NewInproc(f, 1, solver.DefaultOptions())}
+	_, err := pdsat.NewSession(pdsat.FromFormula("x", f, []pdsat.Var{1, 2}), cfg)
+	if err == nil || !strings.Contains(err.Error(), "cluster.DispatchTransport") {
+		t.Fatalf("a transport with Run only: got %v, want an error naming cluster.DispatchTransport", err)
 	}
 }
 
