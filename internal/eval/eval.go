@@ -198,15 +198,25 @@ func Confident(mean, stddev float64, n int, gamma, epsilon float64) bool {
 	return half <= epsilon*mean
 }
 
-// Evaluation is the outcome of one budget-aware F evaluation.
+// Evaluation is the outcome of one budget-aware F evaluation: what the pdsat
+// Scope returns, what the Cache keeps and what a search judges.
 type Evaluation struct {
+	// Point is the evaluated decomposition set.
+	Point decomp.Point `json:"-"`
 	// Value is the evaluation's headline number: the Monte Carlo estimate
-	// of F for complete and early-stopped evaluations, or LowerBound for
-	// pruned ones (then provably an underestimate that still exceeds the
-	// incumbent the evaluation was pruned against).
+	// of F for complete, early-stopped and interrupted evaluations, or
+	// LowerBound for pruned ones (then provably an underestimate that still
+	// exceeds the incumbent the evaluation was pruned against).
 	Value float64 `json:"value"`
 	// Estimate is the Monte Carlo estimate over the fully solved samples.
+	// In a pruned evaluation it covers the completed prefix, which is
+	// biased high (the evaluation aborted because the costs were large),
+	// and exists for diagnostics only.
 	Estimate montecarlo.Estimate `json:"estimate"`
+	// Sample holds the raw costs the Estimate is computed from, in
+	// enumeration order: fewer than SamplesPlanned when the evaluation ended
+	// early.  The Cache keeps no sample, so a cache hit has none.
+	Sample *montecarlo.Sample `json:"-"`
 	// LowerBound is 2^d·(Σζ)/N over every observed cost, including solves
 	// truncated by the abort — a certified lower bound on F.
 	LowerBound float64 `json:"lower_bound"`
@@ -223,10 +233,12 @@ type Evaluation struct {
 	// CacheHit reports that the evaluation was served from the F-cache
 	// without solving anything.
 	CacheHit bool `json:"cache_hit,omitempty"`
-	// Interrupted reports a context cancellation mid-evaluation; the
-	// estimate is then partial in the completion-censored sense (see
-	// pdsat.PointEstimate.Interrupted), unlike a pruned or early-stopped
-	// one, whose sample prefix is value-independent.
+	// Interrupted reports a context cancellation mid-evaluation.  The
+	// estimate then uses only the subproblems that completed, which skews
+	// toward cheap ones (the expensive ones are the likeliest to be in
+	// flight at the interrupt), so it is a rough indication rather than an
+	// unbiased estimate — unlike a pruned or early-stopped evaluation, whose
+	// sample prefix is value-independent.
 	Interrupted bool `json:"interrupted,omitempty"`
 	// SamplesPlanned is N; SamplesSolved counts subproblems solved to
 	// completion (full Monte Carlo samples); SamplesAborted counts
@@ -250,6 +262,11 @@ type Evaluation struct {
 	// evaluation's for cache hits).
 	WallTime time.Duration `json:"wall_time_ns"`
 }
+
+// Evaluation returns ev itself: the spelling of the benchmark module, which
+// converted the evaluation's former pdsat form with it.  It goes when the
+// benchmark reads the product's own records.
+func (ev Evaluation) Evaluation() Evaluation { return ev }
 
 // Evaluator evaluates the predictive function at a point under an incumbent
 // bound: the best F value the caller has already certified.  Evaluations may
@@ -423,7 +440,7 @@ func (c *Cache) Store(key, variant string, ev Evaluation) {
 	if c == nil {
 		return
 	}
-	ev.CacheHit = false
+	ev.CacheHit, ev.Sample = false, nil
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]

@@ -10,6 +10,7 @@ import (
 
 	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/decomp"
+	"github.com/paper-repro/pdsat-go/internal/montecarlo"
 )
 
 func TestPolicyValidate(t *testing.T) {
@@ -122,11 +123,14 @@ func TestCacheEstimateRoundTrip(t *testing.T) {
 	if _, ok := c.Lookup("a", FullPrecision, math.Inf(1)); ok {
 		t.Fatal("empty cache hit")
 	}
-	est := Evaluation{Value: 42, SamplesPlanned: 10, SamplesSolved: 10}
+	est := Evaluation{Value: 42, SamplesPlanned: 10, SamplesSolved: 10, Sample: montecarlo.NewSample([]float64{4, 5})}
 	c.Store("a", FullPrecision, est)
 	got, ok := c.Lookup("a", FullPrecision, math.Inf(1))
-	if !ok || got.Value != 42 {
-		t.Fatalf("Lookup = %+v, %v", got, ok)
+	if !ok || got.Value != 42 || got.Sample != nil {
+		t.Fatalf("Lookup = %+v, %v; want the value without the sample", got, ok)
+	}
+	if !reflect.DeepEqual(got.Evaluation(), got) {
+		t.Fatalf("Evaluation() = %+v, want the evaluation itself", got.Evaluation())
 	}
 	// Estimates hit regardless of the incumbent.
 	if _, ok := c.Lookup("a", FullPrecision, 1); !ok {

@@ -221,7 +221,8 @@ type Visit struct {
 	Value float64
 	// Accepted reports whether the point became the new centre.
 	Accepted bool
-	// Improved reports whether the point improved the best known value.
+	// Improved reports whether the point improved the best known value;
+	// an improving visit is always accepted.
 	Improved bool
 	// Pruned reports that the evaluation was aborted by incumbent pruning:
 	// Value is a lower bound proving the point worse than the best value
@@ -231,9 +232,11 @@ type Visit struct {
 
 // Result is the outcome of a minimization run.
 type Result struct {
-	// BestPoint is the best decomposition set found.
+	// BestPoint is the best decomposition set found: the point of the last
+	// visit marked Improved, or the start point when none is.
 	BestPoint decomp.Point
-	// BestValue is F(BestPoint).
+	// BestValue is F(BestPoint), or +Inf when the search stopped before its
+	// start point was evaluated.
 	BestValue float64
 	// Evaluations is the number of objective evaluations performed.
 	Evaluations int
@@ -257,16 +260,25 @@ type search struct {
 	opts  Options
 	rng   *rand.Rand
 	start time.Time
-	// values caches F of every evaluated point; prunedPts marks those whose
-	// value is a pruned lower bound rather than a full estimate.  A pruned
+	// values holds what the search knows of every evaluated point.  A pruned
 	// value exceeds the incumbent it was pruned against, and incumbents (best
 	// values) only decrease during a search, so a cached pruned bound keeps
 	// proving its point worse for the rest of the run.
-	values    map[string]float64
-	prunedPts map[string]bool
+	values map[string]valued
+	// best is the point of the last improving visit (see take), at
+	// bestValue; until there is one, the start point at +Inf.
+	best      decomp.Point
+	bestValue float64
 	evals     int
 	trace     []Visit
 	stopped   StopReason
+}
+
+// valued is what a search knows of an evaluated point: the evaluation's
+// Value, and whether it is a lower bound cut short against the incumbent.
+type valued struct {
+	value  float64
+	pruned bool
 }
 
 func newSearch(obj Objective, opts Options) *search {
@@ -276,25 +288,26 @@ func newSearch(obj Objective, opts Options) *search {
 		rng:  rand.New(rand.NewSource(opts.Seed)),
 		//pdsat:nondeterministic anchors the MaxTime budget and WallTime reporting; never feeds F values
 		start:     time.Now(),
-		values:    make(map[string]float64),
-		prunedPts: make(map[string]bool),
+		values:    make(map[string]valued),
+		bestValue: math.Inf(1),
 	}
 }
 
 var errStop = errors.New("optimize: stop")
 
-// evaluateStart evaluates the start point and records it as the first
-// accepted, improving visit.  It runs against an uncoupled +Inf incumbent:
-// never coupled to a fleet incumbent, so never pruned and never
-// budget-tightened — pruning it against a foreign incumbent would leave the
-// search without a certified best value of its own.  A returned errStop means
-// the search ended before it (the reason is recorded).
-func (s *search) evaluateStart(ctx context.Context, start decomp.Point) (float64, error) {
-	value, _, err := s.evaluate(ctx, start, math.Inf(1))
+// begin evaluates the start point and takes it as the first, accepted
+// visit.  It runs against an uncoupled +Inf incumbent: never coupled to a
+// fleet incumbent, so never pruned and never budget-tightened — pruning it
+// against a foreign incumbent would leave the search without a certified
+// best value of its own.  A returned errStop means the search ended before
+// it (the reason is recorded).
+func (s *search) begin(ctx context.Context, start decomp.Point) (valued, error) {
+	s.best = start
+	v, err := s.evaluate(ctx, start, math.Inf(1))
 	if err == nil {
-		s.record(start, value, true, true, false)
+		s.take(start, v, true)
 	}
-	return value, err
+	return v, err
 }
 
 // checkBudgets returns errStop (after recording the reason) if a budget is
@@ -316,43 +329,48 @@ func (s *search) checkBudgets(ctx context.Context) error {
 	return nil
 }
 
-// offerBest publishes an update of the search's own best value to the
-// fleet's shared incumbent (a no-op for uncoupled searches).  Only full
-// estimates reach it: best values never hold pruned lower bounds.
-func (s *search) offerBest(p decomp.Point, v float64) {
-	if s.opts.Shared != nil {
-		s.opts.Shared.Offer(p, v)
-	}
-}
-
-func (s *search) record(p decomp.Point, value float64, accepted, improved, pruned bool) {
-	v := Visit{
-		Index:    len(s.trace),
-		Point:    p,
-		Value:    value,
-		Accepted: accepted,
-		Improved: improved,
-		Pruned:   pruned,
-	}
-	s.trace = append(s.trace, v)
+// take is the one judgement of a visit, the start point's, a tabu
+// neighbour's and an annealing candidate's alike.  The visit improves when
+// it is no pruned bound and its value is below the best value; then it
+// becomes the best and is offered to the fleet's shared incumbent.  An
+// improving visit is always taken; accepted says whether the caller takes
+// it otherwise (the annealing's acceptance rule).  The visit is recorded at
+// its reported value.
+func (s *search) take(p decomp.Point, v valued, accepted bool) (taken, improved bool) {
+	improved = !v.pruned && v.value < s.bestValue
+	taken = accepted || improved
+	visit := Visit{Index: len(s.trace), Point: p, Value: v.value, Accepted: taken, Improved: improved, Pruned: v.pruned}
+	s.trace = append(s.trace, visit)
 	if s.opts.Observer != nil {
-		s.opts.Observer(v)
+		s.opts.Observer(visit)
 	}
+	if improved {
+		s.best, s.bestValue = p, v.value
+		if s.opts.Shared != nil {
+			s.opts.Shared.Offer(p, v.value)
+		}
+	}
+	return taken, improved
 }
 
-func (s *search) result(best decomp.Point, bestValue float64) *Result {
+// finish ends the search with its result, unless err is a hard failure
+// rather than errStop.
+func (s *search) finish(err error) (*Result, error) {
+	if err != nil && !errors.Is(err, errStop) {
+		return nil, err
+	}
 	if s.stopped == "" {
 		s.stopped = StopExhausted
 	}
 	return &Result{
-		BestPoint:   best,
-		BestValue:   bestValue,
+		BestPoint:   s.best,
+		BestValue:   s.bestValue,
 		Evaluations: s.evals,
 		Trace:       s.trace,
 		Stop:        s.stopped,
 		//pdsat:nondeterministic WallTime is reporting-only; it never influences the search
 		WallTime: time.Since(s.start),
-	}
+	}, nil
 }
 
 // SimulatedAnnealing minimizes the objective starting from the given point,
@@ -367,25 +385,18 @@ func SimulatedAnnealing(ctx context.Context, obj Objective, start decomp.Point, 
 	opts = opts.withDefaults()
 	s := newSearch(obj, opts)
 
-	centerValue, err := s.evaluateStart(ctx, start)
+	startValue, err := s.begin(ctx, start)
 	if err != nil {
-		if errors.Is(err, errStop) {
-			return s.result(start, math.Inf(1)), nil
-		}
-		return nil, err
+		return s.finish(err)
 	}
-	center, best, bestValue := start, start, centerValue
-	s.offerBest(best, bestValue)
-
 	temperature := opts.InitialTemperature
 	if temperature <= 0 {
 		// A temperature of the order of the start value accepts moderate
 		// degradations early on, which matches the usual SA practice when no
 		// scale is given.
-		temperature = math.Max(centerValue*0.1, 1)
+		temperature = math.Max(startValue.value*0.1, 1)
 	}
-
-	return s.anneal(ctx, center, centerValue, best, bestValue, temperature)
+	return s.anneal(ctx, start, startValue, temperature)
 }
 
 // pointAccepted implements the acceptance rule of Algorithm 1.
@@ -398,15 +409,6 @@ func (s *search) pointAccepted(candidate, current, temperature float64) bool {
 	}
 	p := math.Exp(-(candidate - current) / temperature)
 	return s.rng.Float64() < p
-}
-
-func allChecked(points []decomp.Point, checked map[string]bool) bool {
-	for _, p := range points {
-		if !checked[p.Key()] {
-			return false
-		}
-	}
-	return true
 }
 
 // TabuSearch minimizes the objective starting from the given point,
@@ -423,39 +425,30 @@ func TabuSearch(ctx context.Context, obj Objective, start decomp.Point, opts Opt
 	opts = opts.withDefaults()
 	s := newSearch(obj, opts)
 
-	startValue, err := s.evaluateStart(ctx, start)
+	startValue, err := s.begin(ctx, start)
 	if err != nil {
-		if errors.Is(err, errStop) {
-			return s.result(start, math.Inf(1)), nil
-		}
-		return nil, err
+		return s.finish(err)
 	}
-
 	tl := newTabuLists(opts.Radius)
-	tl.addChecked(start, startValue, s.values)
+	tl.addChecked(start, startValue.value, s.values)
 
-	center, best, bestValue := start, start, startValue
-	s.offerBest(best, bestValue)
-
+	center := start
 	for {
 		if err := s.checkBudgets(ctx); err != nil {
-			return s.result(best, bestValue), nil
+			return s.finish(err)
 		}
-		updated, err := s.tabuNeighborhood(ctx, tl, center, &best, &bestValue)
+		updated, err := s.tabuNeighborhood(ctx, tl, center)
 		if err != nil {
-			if errors.Is(err, errStop) {
-				return s.result(best, bestValue), nil
-			}
-			return nil, err
+			return s.finish(err)
 		}
 		if updated {
-			center = best
+			center = s.best
 			continue
 		}
 		next, ok := tl.getNewCenter(s.obj)
 		if !ok {
 			s.stopped = StopExhausted
-			return s.result(best, bestValue), nil
+			return s.finish(nil)
 		}
 		center = next
 	}
@@ -501,8 +494,8 @@ func newTabuLists(radius int) *tabuLists {
 // if its neighbourhood happens to be fully evaluated already) and the
 // unchecked counters of all neighbouring L2 entries are decreased, moving
 // entries whose neighbourhood became fully checked into L1.  values is the
-// global cache of evaluated points (keyed like Point.Key).
-func (t *tabuLists) addChecked(p decomp.Point, value float64, values map[string]float64) {
+// search's record of evaluated points (keyed like Point.Key).
+func (t *tabuLists) addChecked(p decomp.Point, value float64, values map[string]valued) {
 	neighbors := p.Neighbors(t.radius)
 	unchecked := 0
 	for _, n := range neighbors {

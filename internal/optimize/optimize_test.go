@@ -291,11 +291,11 @@ func TestGetNewCenterUsesActivity(t *testing.T) {
 	obj := newCountingObjective([]cnf.Var{1, 2})
 	obj.activity[3] = 100 // make variable 3 very active
 	tl := newTabuLists(1)
-	values := map[string]float64{}
+	values := map[string]valued{}
 	pA, _ := s.PointFromVars([]cnf.Var{1})
 	pB, _ := s.PointFromVars([]cnf.Var{3})
-	values[pA.Key()] = 1
-	values[pB.Key()] = 50
+	values[pA.Key()] = valued{value: 1}
+	values[pB.Key()] = valued{value: 50}
 	tl.addChecked(pA, 1, values)
 	tl.addChecked(pB, 50, values)
 	center, ok := tl.getNewCenter(obj)
@@ -319,18 +319,18 @@ func TestGetNewCenterUsesActivity(t *testing.T) {
 func TestTabuListsBookkeeping(t *testing.T) {
 	s := makeSpace(2) // 4 points, radius-1 neighbourhoods of size 2
 	tl := newTabuLists(1)
-	values := map[string]float64{}
+	values := map[string]valued{}
 	p00 := s.EmptyPoint()
 	p01 := p00.Flip(0)
 	p10 := p00.Flip(1)
-	values[p00.Key()] = 1
+	values[p00.Key()] = valued{value: 1}
 	tl.addChecked(p00, 1, values)
 	if tl.L2Size() != 1 || tl.L1Size() != 0 {
 		t.Fatalf("after first point: L1=%d L2=%d", tl.L1Size(), tl.L2Size())
 	}
-	values[p01.Key()] = 2
+	values[p01.Key()] = valued{value: 2}
 	tl.addChecked(p01, 2, values)
-	values[p10.Key()] = 3
+	values[p10.Key()] = valued{value: 3}
 	tl.addChecked(p10, 3, values)
 	// p00's neighbourhood {p01,p10} is now fully checked -> moved to L1.
 	if tl.L1Size() != 1 || tl.L2Size() != 2 {

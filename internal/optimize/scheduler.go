@@ -46,13 +46,13 @@ func (s *search) observeNeighborhood(nb Neighborhood) {
 
 // incumbent is what an evaluation prunes against: the search's best value,
 // tightened by the fleet's shared incumbent when coupled.
-func (s *search) incumbent(bestValue float64) float64 {
+func (s *search) incumbent() float64 {
 	if s.opts.Shared != nil {
-		if b := s.opts.Shared.Best(); b < bestValue {
+		if b := s.opts.Shared.Best(); b < s.bestValue {
 			return b
 		}
 	}
-	return bestValue
+	return s.bestValue
 }
 
 // draw is how both searches pick their next candidate, just before they
@@ -78,37 +78,34 @@ func (s *search) draw(candidates []decomp.Point, skip func(key string) bool) (ch
 
 // evaluate is one fresh evaluation of chi against the incumbent, made after a
 // budget check (so a search whose context is already cancelled draws no
-// slot); its value is cached in the search.  A cancellation racing past the
-// budget check becomes a graceful StopContext (best-so-far result) instead
-// of failing the search; any other error is a hard one.
-func (s *search) evaluate(ctx context.Context, chi decomp.Point, incumbent float64) (float64, bool, error) {
+// slot); what it yields is kept in the search's values.  A cancellation
+// racing past the budget check becomes a graceful StopContext (best-so-far
+// result) instead of failing the search; any other error is a hard one.
+func (s *search) evaluate(ctx context.Context, chi decomp.Point, incumbent float64) (valued, error) {
 	if err := s.checkBudgets(ctx); err != nil {
-		return 0, false, err
+		return valued{}, err
 	}
 	ev, err := s.obj.EvaluateF(ctx, chi, incumbent)
 	if err != nil {
 		if ctx.Err() != nil || errors.Is(err, context.Canceled) {
 			s.stopped = StopContext
-			return 0, false, errStop
+			return valued{}, errStop
 		}
-		return 0, false, err
+		return valued{}, err
 	}
-	key := chi.Key()
-	s.values[key] = ev.Value
-	if ev.Pruned {
-		s.prunedPts[key] = true
-	}
+	v := valued{value: ev.Value, pruned: ev.Pruned}
+	s.values[chi.Key()] = v
 	s.evals++
-	return ev.Value, ev.Pruned, nil
+	return v, nil
 }
 
 // tabuNeighborhood checks one whole tabu neighbourhood and reports whether
 // it improved the best value.  A returned errStop ends the search
 // gracefully (the stop reason is already recorded); other errors are hard
 // failures.
-func (s *search) tabuNeighborhood(ctx context.Context, tl *tabuLists, center decomp.Point, best *decomp.Point, bestValue *float64) (bool, error) {
+func (s *search) tabuNeighborhood(ctx context.Context, tl *tabuLists, center decomp.Point) (bool, error) {
 	candidates := neighbors(center, s.opts.Radius)
-	valued := func(key string) bool {
+	known := func(key string) bool {
 		_, ok := s.values[key]
 		return ok
 	}
@@ -117,32 +114,25 @@ func (s *search) tabuNeighborhood(ctx context.Context, tl *tabuLists, center dec
 	for {
 		// draw skips every valued point, so each candidate is a fresh
 		// evaluation, and the first draw sees the whole pass.
-		chi, left := s.draw(candidates, valued)
+		chi, left := s.draw(candidates, known)
 		if left == 0 {
 			break
 		}
 		stats.Candidates = max(stats.Candidates, left)
-		var value float64
-		var prunedEval bool
-		if value, prunedEval, err = s.evaluate(ctx, chi, s.incumbent(*bestValue)); err != nil {
+		var v valued
+		if v, err = s.evaluate(ctx, chi, s.incumbent()); err != nil {
 			break
 		}
-		tl.addChecked(chi, value, s.values)
+		tl.addChecked(chi, v.value, s.values)
 		stats.Evaluated++
-		if prunedEval {
+		if v.pruned {
 			stats.Pruned++
 		}
 		// The incumbent is the best value so far, so a pruned point's lower
 		// bound exceeds it — exactly the information the tabu search needs
-		// from a worse point, at a fraction of the solving.  With a fleet's
-		// lower incumbent in play the bound may undercut this search's own
-		// best, so pruned bounds never count as improvements.
-		improved := value < *bestValue && !prunedEval
-		s.record(chi, value, improved, improved, prunedEval)
-		if improved {
-			*best, *bestValue = chi, value
+		// from a worse point, at a fraction of the solving.
+		if _, improved := s.take(chi, v, false); improved {
 			stats.Improved = true
-			s.offerBest(*best, *bestValue)
 		}
 		if err = s.checkBudgets(ctx); err != nil {
 			break
@@ -152,31 +142,30 @@ func (s *search) tabuNeighborhood(ctx context.Context, tl *tabuLists, center dec
 		return false, nil
 	}
 	stats.Cancelled = stats.Candidates - stats.Evaluated
-	stats.BestValue = *bestValue
+	stats.BestValue = s.bestValue
 	s.observeNeighborhood(stats)
 	return stats.Improved, err
 }
 
 // anneal is the simulated annealing's main loop: draw a candidate, evaluate
 // it, accept it or not, cool.  Each candidate is a pass of its own.
-func (s *search) anneal(ctx context.Context, center decomp.Point, centerValue float64, best decomp.Point, bestValue, temperature float64) (*Result, error) {
+func (s *search) anneal(ctx context.Context, center decomp.Point, centerValue valued, temperature float64) (*Result, error) {
 	opts := s.opts
 	for {
 		if err := s.checkBudgets(ctx); err != nil {
-			return s.result(best, bestValue), nil
+			return s.finish(err)
 		}
 		if temperature < opts.MinTemperature {
 			s.stopped = StopTemperature
-			return s.result(best, bestValue), nil
+			return s.finish(nil)
 		}
 
-		bestValueUpdated := false
+		moved := false
 		radius := opts.Radius
 		checked := map[string]bool{center.Key(): true}
 		isChecked := func(key string) bool { return checked[key] }
-		for !bestValueUpdated {
-			neighborhood := neighbors(center, radius)
-			next, left := s.draw(neighborhood, isChecked)
+		for !moved {
+			next, left := s.draw(neighbors(center, radius), isChecked)
 			if left == 0 {
 				// Neighbourhood exhausted at this radius.
 				if radius < opts.MaxRadius {
@@ -184,7 +173,7 @@ func (s *search) anneal(ctx context.Context, center decomp.Point, centerValue fl
 					continue
 				}
 				s.stopped = StopNoImprovement
-				return s.result(best, bestValue), nil
+				return s.finish(nil)
 			}
 			stats := Neighborhood{
 				Center:     center,
@@ -192,42 +181,30 @@ func (s *search) anneal(ctx context.Context, center decomp.Point, centerValue fl
 				Candidates: 1,
 			}
 			key := next.Key()
-			value, cached := s.values[key]
-			prunedEval := s.prunedPts[key]
+			v, cached := s.values[key]
 			if !cached {
 				var err error
-				if value, prunedEval, err = s.evaluate(ctx, next, s.incumbent(bestValue)); err != nil {
-					stats.Cancelled, stats.BestValue = 1, bestValue
+				if v, err = s.evaluate(ctx, next, s.incumbent()); err != nil {
+					stats.Cancelled, stats.BestValue = 1, s.bestValue
 					s.observeNeighborhood(stats)
-					if errors.Is(err, errStop) {
-						return s.result(best, bestValue), nil
-					}
-					return nil, err
+					return s.finish(err)
 				}
 				stats.Evaluated = 1
 			}
 			checked[key] = true
-			if prunedEval {
+			if v.pruned {
 				stats.Pruned = 1
 			}
-			// The incumbent is the global best: a point pruned against it can
-			// never improve the run's result.  Its lower bound feeds the
-			// acceptance rule; since the bound understates F, a pruned point
-			// is — if anything — accepted slightly more often than its true
-			// value would be, preserving the hill-escaping of the annealing.
-			accepted := s.pointAccepted(value, centerValue, temperature)
-			improved := value < bestValue && !prunedEval
-			s.record(next, value, accepted, improved, prunedEval)
+			// A pruned point's lower bound feeds the acceptance rule; since the
+			// bound understates F, a pruned point is — if anything — accepted
+			// slightly more often than its true value would be, preserving the
+			// hill-escaping of the annealing.
+			moved, stats.Improved = s.take(next, v, s.pointAccepted(v.value, centerValue.value, temperature))
 			stop := false
-			if accepted {
-				center, centerValue = next, value
-				if improved {
-					best, bestValue = next, value
-					stats.Improved = true
-					s.offerBest(best, bestValue)
-				}
-				bestValueUpdated = true
-			} else if allChecked(neighborhood, checked) {
+			if moved {
+				center, centerValue = next, v
+			} else if left == 1 {
+				// That was the last unchecked candidate at this radius.
 				radius++
 				if radius > opts.MaxRadius {
 					s.stopped, stop = StopNoImprovement, true
@@ -238,10 +215,10 @@ func (s *search) anneal(ctx context.Context, center decomp.Point, centerValue fl
 				s.stopped, stop = StopTemperature, true
 			}
 			stop = stop || s.checkBudgets(ctx) != nil
-			stats.BestValue = bestValue
+			stats.BestValue = s.bestValue
 			s.observeNeighborhood(stats)
 			if stop {
-				return s.result(best, bestValue), nil
+				return s.finish(nil)
 			}
 		}
 	}

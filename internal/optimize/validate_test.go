@@ -117,11 +117,11 @@ func TestTabuListsAccounting(t *testing.T) {
 	p1, _ := space.PointFromVars([]cnf.Var{1}) // {1}
 	p2, _ := space.PointFromVars([]cnf.Var{2}) // {2}
 
-	values := map[string]float64{}
+	values := map[string]valued{}
 	tl := newTabuLists(1)
 
 	// The start point has both radius-1 neighbours unchecked: L2.
-	values[full.Key()] = 40
+	values[full.Key()] = valued{value: 40}
 	tl.addChecked(full, 40, values)
 	if tl.L1Size() != 0 || tl.L2Size() != 1 {
 		t.Fatalf("after start: L1=%d L2=%d, want 0/1", tl.L1Size(), tl.L2Size())
@@ -130,7 +130,7 @@ func TestTabuListsAccounting(t *testing.T) {
 	// {1} goes straight to L1 — its other neighbour, {}, is never visited,
 	// so nothing is left to check around it — and leaves full's
 	// neighbourhood one short of complete.
-	values[p1.Key()] = 10
+	values[p1.Key()] = valued{value: 10}
 	tl.addChecked(p1, 10, values)
 	if tl.L1Size() != 1 || tl.L2Size() != 1 {
 		t.Fatalf("after {1}: L1=%d L2=%d, want 1/1", tl.L1Size(), tl.L2Size())
@@ -148,7 +148,7 @@ func TestTabuListsAccounting(t *testing.T) {
 
 	// {2} completes full's neighbourhood: every non-empty point ends in L1
 	// and there is no centre left to move to.
-	values[p2.Key()] = 20
+	values[p2.Key()] = valued{value: 20}
 	tl.addChecked(p2, 20, values)
 	if tl.L1Size() != 3 || tl.L2Size() != 0 {
 		t.Fatalf("after {2}: L1=%d L2=%d, want 3/0", tl.L1Size(), tl.L2Size())

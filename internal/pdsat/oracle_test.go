@@ -348,8 +348,9 @@ func capAt(count *uint64, limit uint64) bool {
 }
 
 // scopeOutcome is what one evaluation leaves behind in a fresh scope: the
-// evaluation without its wall time, the sample, the scope's ledger without
-// solve time, its activity table and the Progress events it sent.
+// evaluation without its wall time and with its sample apart, the scope's
+// ledger without solve time, its activity table and the Progress events it
+// sent.
 type scopeOutcome struct {
 	eval     eval.Evaluation
 	sample   []float64
@@ -373,8 +374,8 @@ func evaluateInScope(t *testing.T, r *Runner, seed int64, p decomp.Point, pol ev
 	if err != nil {
 		t.Fatal(err)
 	}
-	out.eval, out.sample, out.counters = pe.Evaluation(), pe.Sample.Values(), sc.Counters()
-	out.eval.WallTime, out.counters.Solver.SolveTime = 0, 0
+	out.eval, out.sample, out.counters = *pe, pe.Sample.Values(), sc.Counters()
+	out.eval.Sample, out.eval.WallTime, out.counters.Solver.SolveTime = nil, 0, 0
 	for v := 0; v <= r.formula.NumVars; v++ {
 		out.activity = append(out.activity, sc.VarActivity(cnf.Var(v)))
 	}

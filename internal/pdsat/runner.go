@@ -54,7 +54,6 @@ import (
 	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/decomp"
 	"github.com/paper-repro/pdsat-go/internal/eval"
-	"github.com/paper-repro/pdsat-go/internal/montecarlo"
 	"github.com/paper-repro/pdsat-go/internal/solver"
 )
 
@@ -422,94 +421,6 @@ func (r *Runner) Config() Config { return r.cfg }
 
 // Transport returns the transport the runner dispatches batches through.
 func (r *Runner) Transport() cluster.Transport { return r.transport }
-
-// PointEstimate is the result of one predictive-function evaluation.
-type PointEstimate struct {
-	// Point is the evaluated decomposition set.
-	Point decomp.Point
-	// Estimate is the Monte Carlo estimate (mean, F value, etc.).
-	Estimate montecarlo.Estimate
-	// Sample holds the raw observed costs.  When Interrupted, it covers
-	// only the subproblems that were actually solved and may be smaller
-	// than the configured sample size.
-	Sample *montecarlo.Sample
-	// SatisfiableSamples counts how many sampled subproblems were SAT.
-	SatisfiableSamples int
-	// WallTime is the elapsed wall-clock time of the evaluation.
-	WallTime time.Duration
-	// Interrupted reports whether the evaluation was cancelled before the
-	// full sample was processed.  The estimate is then partial: it uses
-	// only the subproblems that completed, which skews toward cheaper
-	// subproblems (the expensive ones are the likeliest to be in flight at
-	// the interrupt), so treat a partial F as a rough indication rather
-	// than an unbiased Monte Carlo estimate.
-	Interrupted bool
-	// Pruned reports that the evaluation was aborted by incumbent pruning:
-	// the partial lower bound 2^d·(Σζ)/N exceeded the incumbent the
-	// evaluation was given, so the candidate is provably worse and the
-	// rest of its sample was skipped.  BoundedValue then returns
-	// LowerBound; the Estimate over the completed prefix is biased high
-	// (the evaluation aborted because the costs were large) and exists for
-	// diagnostics only.
-	Pruned bool
-	// EarlyStopped reports that staged sampling ended before the full
-	// sample because the eq.-3 confidence half-width met the policy's ε
-	// target.  Unlike an interruption, the solved prefix was chosen
-	// independently of the observed values, so the Estimate remains an
-	// unbiased Monte Carlo estimate — just over fewer samples.
-	EarlyStopped bool
-	// SamplesPlanned is the configured sample size N.  The number actually
-	// solved to completion is Sample.Len(); SamplesAborted counts
-	// subproblems of the stages the evaluation reached that were cut short
-	// by the prune abort (truncated mid-solve or drained as placeholders).
-	// Samples of stages it never reached appear in neither counter:
-	// SamplesPlanned − Sample.Len() − SamplesAborted is the work the policy
-	// skipped.
-	SamplesPlanned int
-	SamplesAborted int
-	// SamplesCensored is Counters.SamplesCensored for this evaluation; a
-	// task stopped at a tighter pruning allowance is no censored sample.
-	SamplesCensored int
-	// StagesRun counts the sample stages the evaluation reached: those whose
-	// checkpoint it took, and the one it was pruned in (1 without staging).
-	// Stages are index prefixes of one dispatched sample, not dispatches.
-	StagesRun int
-	// LowerBound is 2^d·(Σζ)/N over every observed cost — including solves
-	// truncated by the abort — a certified lower bound on the full-sample
-	// F value.
-	LowerBound float64
-}
-
-// BoundedValue returns the evaluation's headline value: the Monte Carlo
-// estimate for complete, early-stopped and interrupted evaluations, or the
-// certified LowerBound for pruned ones (which by construction exceeds the
-// incumbent the evaluation was pruned against).
-func (pe *PointEstimate) BoundedValue() float64 {
-	if pe.Pruned {
-		return pe.LowerBound
-	}
-	return pe.Estimate.Value
-}
-
-// Evaluation converts the estimate into the evaluation engine's result
-// form.
-func (pe *PointEstimate) Evaluation() eval.Evaluation {
-	return eval.Evaluation{
-		Value:              pe.BoundedValue(),
-		Estimate:           pe.Estimate,
-		LowerBound:         pe.LowerBound,
-		Pruned:             pe.Pruned,
-		EarlyStopped:       pe.EarlyStopped,
-		Interrupted:        pe.Interrupted,
-		SamplesPlanned:     pe.SamplesPlanned,
-		SamplesSolved:      pe.Sample.Len(),
-		SamplesAborted:     pe.SamplesAborted,
-		SamplesCensored:    pe.SamplesCensored,
-		StagesRun:          pe.StagesRun,
-		SatisfiableSamples: pe.SatisfiableSamples,
-		WallTime:           pe.WallTime,
-	}
-}
 
 // Progress describes one completed subproblem within a running evaluation
 // (Scope.EvaluatePointBudgeted) or family-processing call (SolveObserved).

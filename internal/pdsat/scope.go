@@ -66,7 +66,7 @@ func (sc *Scope) ReserveEvalSlots(n int) int { return sc.reserve(n) }
 // A cancelled call returns the partial estimate with the context's error, so
 // an interrupted run can still print a report; nil only if no subproblem
 // finished.
-func (sc *Scope) EvaluatePoint(ctx context.Context, p decomp.Point) (*PointEstimate, error) {
+func (sc *Scope) EvaluatePoint(ctx context.Context, p decomp.Point) (*eval.Evaluation, error) {
 	return sc.EvaluatePointBudgeted(ctx, p, sc.r.cfg.Policy, math.Inf(1), nil)
 }
 
@@ -113,28 +113,16 @@ func (sc *Scope) EvaluatePoint(ctx context.Context, p decomp.Point) (*PointEstim
 // long.  Progress.Result.Activity is on loan for the length of the call (see
 // cluster.TaskResult).  Observation never changes the sample, the costs or
 // the evaluation counter.
-func (sc *Scope) EvaluatePointBudgeted(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, observe func(Progress)) (*PointEstimate, error) {
-	return sc.evaluatePointAt(ctx, p, pol, incumbent, observe, -1)
+func (sc *Scope) EvaluatePointBudgeted(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, observe func(Progress)) (*eval.Evaluation, error) {
+	return sc.EvaluateSlotObserved(ctx, p, pol, incumbent, -1, observe)
 }
 
-// EvaluateSlotObserved is EvaluatePointBudgeted in the engine's result form,
-// with the sample drawn from a pre-reserved evaluation slot (see
-// ReserveEvalSlots); a negative slot reserves the next one.  It is what an
-// Objective's engine calls.
+// EvaluateSlotObserved is EvaluatePointBudgeted with the sample drawn from a
+// pre-reserved evaluation slot (see ReserveEvalSlots); a negative slot
+// reserves the next one.  It is what an Objective's engine calls.  The whole
+// sample goes out as one batch, and the evaluation happens in that batch's
+// observer (see checkpoints): nothing comes back a second time.
 func (sc *Scope) EvaluateSlotObserved(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, slot int, observe func(Progress)) (*eval.Evaluation, error) {
-	pe, err := sc.evaluatePointAt(ctx, p, pol, incumbent, observe, slot)
-	if pe == nil {
-		return nil, err
-	}
-	ev := pe.Evaluation()
-	return &ev, err
-}
-
-// evaluatePointAt runs one budget-aware evaluation against a fixed
-// evaluation slot; a negative slot reserves the next one.  The whole sample
-// goes out as one batch, and the evaluation happens in that batch's observer
-// (see checkpoints): nothing comes back a second time.
-func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, observe func(Progress), slot int) (*PointEstimate, error) {
 	r := sc.r
 	if r.cfgErr != nil {
 		return nil, r.cfgErr
@@ -205,26 +193,32 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 	// a solve truncated by the cancellation/abort itself undercounts its
 	// subproblem outright.  An interrupted subset is completion-time
 	// censored (in-flight subproblems skew expensive), so a partial F is an
-	// indication, not an unbiased estimate; see PointEstimate.Interrupted.
+	// indication, not an unbiased estimate; see eval.Evaluation.Interrupted.
 	sample := montecarlo.NewSample(cp.sample(cp.plan[cp.stage]))
 	if runErr != nil && sample.Len() == 0 {
 		return nil, runErr
 	}
-	return &PointEstimate{
+	ev := &eval.Evaluation{
 		Point:              p,
 		Estimate:           montecarlo.NewEstimate(d, sample),
 		Sample:             sample,
-		SatisfiableSamples: cp.satCount,
-		WallTime:           time.Since(start),
-		Interrupted:        runErr != nil,
+		LowerBound:         scale * cp.sumAll / float64(n),
 		Pruned:             cp.aborted,
 		EarlyStopped:       cp.earlyStopped,
+		Interrupted:        runErr != nil,
 		SamplesPlanned:     n,
+		SamplesSolved:      sample.Len(),
 		SamplesAborted:     cp.counted - sample.Len(),
 		SamplesCensored:    cp.censored,
 		StagesRun:          cp.stage + 1,
-		LowerBound:         scale * cp.sumAll / float64(n),
-	}, runErr
+		SatisfiableSamples: cp.satCount,
+		WallTime:           time.Since(start),
+	}
+	ev.Value = ev.Estimate.Value
+	if ev.Pruned {
+		ev.Value = ev.LowerBound
+	}
+	return ev, runErr
 }
 
 // sampleBuffer is what one evaluation or Solve call builds its batch in: the

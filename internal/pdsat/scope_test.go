@@ -34,7 +34,7 @@ func scopeTestInstance(t testing.TB) *encoder.Instance {
 
 // estimatesEqual compares two point estimates bit for bit: F, every raw
 // sample cost and the satisfiable count.
-func estimatesEqual(a, b *PointEstimate) bool {
+func estimatesEqual(a, b *eval.Evaluation) bool {
 	if a.Estimate.Value != b.Estimate.Value || a.SatisfiableSamples != b.SatisfiableSamples {
 		return false
 	}
@@ -111,7 +111,7 @@ func TestConcurrentScopesDeterministic(t *testing.T) {
 
 	const scopes = 4
 	// Solo reference: each scope's sequence run on its own runner.
-	want := make([][]*PointEstimate, scopes)
+	want := make([][]*eval.Evaluation, scopes)
 	for i := 0; i < scopes; i++ {
 		solo := NewRunner(inst.CNF, Config{SampleSize: 10, Workers: 4, Seed: int64(100 + i), CostMetric: solver.CostPropagations})
 		for _, p := range points {
@@ -124,7 +124,7 @@ func TestConcurrentScopesDeterministic(t *testing.T) {
 	}
 
 	r := NewRunner(inst.CNF, cfg)
-	got := make([][]*PointEstimate, scopes)
+	got := make([][]*eval.Evaluation, scopes)
 	var wg sync.WaitGroup
 	errs := make([]error, scopes)
 	for i := 0; i < scopes; i++ {
@@ -223,7 +223,7 @@ func TestRunnerIsItsDefaultScope(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.evaluatePointAt(ctx, q, cfg.Policy, math.Inf(1), nil, slot)
+		want, err := fresh.EvaluateSlotObserved(ctx, q, cfg.Policy, math.Inf(1), slot, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +286,7 @@ func TestLedgerRollUp(t *testing.T) {
 	// The default scope evaluates through the runner's own methods, as a
 	// session's estimate job does.
 	type evaluator interface {
-		EvaluatePointBudgeted(context.Context, decomp.Point, eval.Policy, float64, func(Progress)) (*PointEstimate, error)
+		EvaluatePointBudgeted(context.Context, decomp.Point, eval.Policy, float64, func(Progress)) (*eval.Evaluation, error)
 	}
 	scopes := []*Scope{r.Scope, r.NewScope(11), r.NewScope(12), r.NewScope(13)}
 	var wg sync.WaitGroup
@@ -524,11 +524,10 @@ func TestEvaluationBytesIndependentOfSampleLiterals(t *testing.T) {
 // TestSamplesCensoredAtTheCap pins which samples count as censored: those
 // that ended Unknown at Config.SubproblemBudget.  On the weakened A5/1
 // instance under a one-variable set, a cap of a few conflicts stops every
-// sample, and every one is counted, in the estimate, its evaluation form and
-// both ledgers; without the cap, or under a cap above every sample's cost,
-// none is.  In a pruned evaluation whose allowance is tighter than the cap,
-// the task the allowance stopped is the prune certificate, not a censored
-// sample.
+// sample, and every one is counted, in the evaluation and both ledgers;
+// without the cap, or under a cap above every sample's cost, none is.  In a
+// pruned evaluation whose allowance is tighter than the cap, the task the
+// allowance stopped is the prune certificate, not a censored sample.
 func TestSamplesCensoredAtTheCap(t *testing.T) {
 	inst := scopeTestInstance(t)
 	space := decomp.NewSpace(inst.UnknownStartVars())
@@ -537,7 +536,7 @@ func TestSamplesCensoredAtTheCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 8
-	evaluate := func(cap solver.Budget, pol eval.Policy, incumbent float64, observe func(Progress)) (*Runner, *PointEstimate) {
+	evaluate := func(cap solver.Budget, pol eval.Policy, incumbent float64, observe func(Progress)) (*Runner, *eval.Evaluation) {
 		t.Helper()
 		r := NewRunner(inst.CNF, Config{SampleSize: n, Workers: 2, Seed: 3, CostMetric: solver.CostConflicts, SubproblemBudget: cap})
 		pe, err := r.EvaluatePointBudgeted(context.Background(), one, pol, incumbent, observe)
@@ -548,10 +547,10 @@ func TestSamplesCensoredAtTheCap(t *testing.T) {
 	}
 
 	r, capped := evaluate(solver.Budget{MaxConflicts: 3}, eval.Policy{}, math.Inf(1), nil)
-	if capped.Sample.Len() != n || capped.SamplesCensored != n || capped.Evaluation().SamplesCensored != n ||
+	if capped.Sample.Len() != n || capped.SamplesCensored != n ||
 		r.Counters().SamplesCensored != n || r.Scope.Counters().SamplesCensored != n {
-		t.Fatalf("cap of 3 conflicts: %d samples, %d censored (evaluation %d, runner %d, scope %d), want all %d",
-			capped.Sample.Len(), capped.SamplesCensored, capped.Evaluation().SamplesCensored, r.Counters().SamplesCensored, r.Scope.Counters().SamplesCensored, n)
+		t.Fatalf("cap of 3 conflicts: %d samples, %d censored (runner %d, scope %d), want all %d",
+			capped.Sample.Len(), capped.SamplesCensored, r.Counters().SamplesCensored, r.Scope.Counters().SamplesCensored, n)
 	}
 
 	_, free := evaluate(solver.Budget{}, eval.Policy{}, math.Inf(1), nil)
