@@ -206,7 +206,9 @@ type Evaluation struct {
 	// Value is the evaluation's headline number: the Monte Carlo estimate
 	// of F for complete, early-stopped and interrupted evaluations, or
 	// LowerBound for pruned ones (then provably an underestimate that still
-	// exceeds the incumbent the evaluation was pruned against).
+	// exceeds the incumbent the evaluation was pruned against).  With
+	// SamplesCensored > 0 the estimate is itself a lower bound, the
+	// restricted mean of costs capped at the per-subproblem budget.
 	Value float64 `json:"value"`
 	// Estimate is the Monte Carlo estimate over the fully solved samples.
 	// In a pruned evaluation it covers the completed prefix, which is
@@ -251,7 +253,10 @@ type Evaluation struct {
 	SamplesSolved  int `json:"samples_solved"`
 	SamplesAborted int `json:"samples_aborted"`
 	// SamplesCensored counts solved samples that ended at the configured
-	// per-subproblem budget without an answer: their cost is the cap.
+	// per-subproblem budget without an answer: their cost is the cap, so
+	// with any censored sample Value is a restricted-mean lower bound on F,
+	// and a search ranks the point at +Inf.  A task stopped by a tighter
+	// pruning allowance is the prune certificate, not a censored sample.
 	SamplesCensored int `json:"samples_censored,omitempty"`
 	// StagesRun counts the sample stages the evaluation reached (stages
 	// are checkpoints on one dispatched sample, not dispatches).

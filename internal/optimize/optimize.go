@@ -13,8 +13,13 @@
 // neighbourhood centre when the current one is exhausted.
 //
 // A search evaluates one candidate at a time, each drawn just before it is
-// evaluated (see scheduler.go).  Searches racing each other are coupled
-// through a shared Incumbent (fleet.go); the race that runs them is the pdsat
+// evaluated (see scheduler.go), and judges every visit — the start point, a
+// tabu neighbour, an annealing candidate — in one step, search.take: a visit
+// improves when it is no pruned bound and its cost is below the best value,
+// where an evaluation with a sample censored at the per-subproblem budget
+// costs +Inf; an improving visit is always taken, becomes the best and is
+// offered to the fleet.  Searches racing each other are coupled through a
+// shared Incumbent (fleet.go); the race that runs them is the pdsat
 // package's.
 package optimize
 
@@ -97,6 +102,8 @@ type Options struct {
 	// bound may undercut the search's own best value; pruned visits are
 	// therefore never counted as improvements — the bound proves the point
 	// worse than the fleet's best, which is all a minimizer needs to know.
+	// Only improvements are offered, so no pruned bound and no censored
+	// estimate (see search.take) ever reaches the fleet.
 	Shared SharedIncumbent
 
 	// MaxConcurrentEvals must be 0 or 1, which mean the same: candidates
@@ -217,7 +224,10 @@ type Visit struct {
 	Index int
 	// Point is the evaluated point.
 	Point decomp.Point
-	// Value is F(point), or a certified lower bound on it when Pruned.
+	// Value is the evaluation's reported value: F(point), a certified lower
+	// bound on it when Pruned, or a restricted-mean lower bound when a
+	// sample was censored at the per-subproblem budget (the search ranks
+	// such a visit at +Inf, so it never improves).
 	Value float64
 	// Accepted reports whether the point became the new centre.
 	Accepted bool
@@ -235,8 +245,9 @@ type Result struct {
 	// BestPoint is the best decomposition set found: the point of the last
 	// visit marked Improved, or the start point when none is.
 	BestPoint decomp.Point
-	// BestValue is F(BestPoint), or +Inf when the search stopped before its
-	// start point was evaluated.
+	// BestValue is F(BestPoint), or +Inf when no visit improved: the search
+	// stopped before its start point was evaluated, or every point it
+	// evaluated had a censored sample.
 	BestValue float64
 	// Evaluations is the number of objective evaluations performed.
 	Evaluations int
@@ -274,11 +285,24 @@ type search struct {
 	stopped   StopReason
 }
 
-// valued is what a search knows of an evaluated point: the evaluation's
-// Value, and whether it is a lower bound cut short against the incumbent.
+// valued is what a search knows of an evaluated point.
 type valued struct {
-	value  float64
-	pruned bool
+	// value is the evaluation's reported Value.  pruned marks a lower bound
+	// cut short against the incumbent, censored an evaluation with a sample
+	// stopped at the per-subproblem budget, whose value is a restricted-mean
+	// lower bound.
+	value            float64
+	pruned, censored bool
+}
+
+// cost is what a search ranks a point by: its value, or +Inf when a sample
+// was censored — the point was not solved within the limit at this N, and
+// the bound says nothing of how much more it costs.
+func (v valued) cost() float64 {
+	if v.censored {
+		return math.Inf(1)
+	}
+	return v.value
 }
 
 func newSearch(obj Objective, opts Options) *search {
@@ -331,13 +355,13 @@ func (s *search) checkBudgets(ctx context.Context) error {
 
 // take is the one judgement of a visit, the start point's, a tabu
 // neighbour's and an annealing candidate's alike.  The visit improves when
-// it is no pruned bound and its value is below the best value; then it
+// it is no pruned bound and its cost is below the best value; then it
 // becomes the best and is offered to the fleet's shared incumbent.  An
 // improving visit is always taken; accepted says whether the caller takes
 // it otherwise (the annealing's acceptance rule).  The visit is recorded at
 // its reported value.
 func (s *search) take(p decomp.Point, v valued, accepted bool) (taken, improved bool) {
-	improved = !v.pruned && v.value < s.bestValue
+	improved = !v.pruned && v.cost() < s.bestValue
 	taken = accepted || improved
 	visit := Visit{Index: len(s.trace), Point: p, Value: v.value, Accepted: taken, Improved: improved, Pruned: v.pruned}
 	s.trace = append(s.trace, visit)
@@ -393,7 +417,8 @@ func SimulatedAnnealing(ctx context.Context, obj Objective, start decomp.Point, 
 	if temperature <= 0 {
 		// A temperature of the order of the start value accepts moderate
 		// degradations early on, which matches the usual SA practice when no
-		// scale is given.
+		// scale is given.  It is the reported value, a bound too when a
+		// sample was censored, not the +Inf such a start ranks at.
 		temperature = math.Max(startValue.value*0.1, 1)
 	}
 	return s.anneal(ctx, start, startValue, temperature)
@@ -430,7 +455,7 @@ func TabuSearch(ctx context.Context, obj Objective, start decomp.Point, opts Opt
 		return s.finish(err)
 	}
 	tl := newTabuLists(opts.Radius)
-	tl.addChecked(start, startValue.value, s.values)
+	tl.addChecked(start, startValue.cost(), s.values)
 
 	center := start
 	for {
@@ -493,8 +518,9 @@ func newTabuLists(radius int) *tabuLists {
 // addChecked registers a newly evaluated point: it joins L2 (or directly L1
 // if its neighbourhood happens to be fully evaluated already) and the
 // unchecked counters of all neighbouring L2 entries are decreased, moving
-// entries whose neighbourhood became fully checked into L1.  values is the
-// search's record of evaluated points (keyed like Point.Key).
+// entries whose neighbourhood became fully checked into L1.  value is the
+// point's cost; values is the search's record of evaluated points (keyed
+// like Point.Key).
 func (t *tabuLists) addChecked(p decomp.Point, value float64, values map[string]valued) {
 	neighbors := p.Neighbors(t.radius)
 	unchecked := 0

@@ -93,7 +93,7 @@ func (s *search) evaluate(ctx context.Context, chi decomp.Point, incumbent float
 		}
 		return valued{}, err
 	}
-	v := valued{value: ev.Value, pruned: ev.Pruned}
+	v := valued{value: ev.Value, pruned: ev.Pruned, censored: ev.SamplesCensored > 0}
 	s.values[chi.Key()] = v
 	s.evals++
 	return v, nil
@@ -123,7 +123,7 @@ func (s *search) tabuNeighborhood(ctx context.Context, tl *tabuLists, center dec
 		if v, err = s.evaluate(ctx, chi, s.incumbent()); err != nil {
 			break
 		}
-		tl.addChecked(chi, v.value, s.values)
+		tl.addChecked(chi, v.cost(), s.values)
 		stats.Evaluated++
 		if v.pruned {
 			stats.Pruned++
@@ -198,8 +198,9 @@ func (s *search) anneal(ctx context.Context, center decomp.Point, centerValue va
 			// A pruned point's lower bound feeds the acceptance rule; since the
 			// bound understates F, a pruned point is — if anything — accepted
 			// slightly more often than its true value would be, preserving the
-			// hill-escaping of the annealing.
-			moved, stats.Improved = s.take(next, v, s.pointAccepted(v.value, centerValue.value, temperature))
+			// hill-escaping of the annealing.  A censored one ranks at +Inf and
+			// is never accepted over a point that ranks finite.
+			moved, stats.Improved = s.take(next, v, s.pointAccepted(v.cost(), centerValue.cost(), temperature))
 			stop := false
 			if moved {
 				center, centerValue = next, v

@@ -7,6 +7,9 @@
 //     draws a random sample of N assignments of X̃, the workers solve the
 //     induced subproblems C[X̃/α], and the observed costs are combined into
 //     the predictive-function value F = 2^d · mean (montecarlo.Estimate).
+//     An evaluation returns the engine's one result type, eval.Evaluation,
+//     which carries the point and the raw sample too; a sample that ended at
+//     Config.SubproblemBudget without an answer is counted censored there.
 //     Per-variable conflict activity is accumulated across the sample; the
 //     tabu search uses it to pick new neighbourhood centres.  The evaluation
 //     methods are declared once, on Scope; a Runner embeds its default scope
@@ -17,7 +20,8 @@
 //     corresponding subproblems are solved, optionally stopping at the first
 //     satisfiable one.  Workers honour interruption, like the modified
 //     MiniSat of the paper that stops on non-blocking messages from the
-//     leader.
+//     leader.  A member censored at Config.SubproblemBudget leaves the
+//     family undecided unless another is satisfiable.
 //
 // Where the subproblems actually run is decided by a transport, and every
 // batch — an evaluation's sample, a Solve's family — goes out through one
@@ -456,6 +460,14 @@ func absorbResult(res *cluster.TaskResult, c *Counters) {
 	}
 }
 
+// censored reports whether a result solved to its own conclusion ended
+// without an answer at Config.SubproblemBudget: a censored sample of an
+// evaluation, or a censored member of a Solve.  Its cost is the cap, not the
+// subproblem's.  A task stopped by a tighter pruning allowance is none.
+func (r *Runner) censored(res *cluster.TaskResult) bool {
+	return res.Status == solver.Unknown && r.cfg.SubproblemBudget.ReachedBy(res.Stats)
+}
+
 // runBatch runs one batch through the transport's one batch call,
 // RunDispatch.  It adds what every batch carries — the subproblem budget,
 // tightened by opts.Budget, the cost metric and work stealing — and notes the
@@ -489,7 +501,9 @@ type SolveReport struct {
 	// never handed to a solver at all.
 	SubproblemsAborted int `json:"subproblems_aborted"`
 	// MembersCensored counts the members that ended without an answer at
-	// Config.SubproblemBudget (the rule of a censored sample).
+	// Config.SubproblemBudget (the rule of a censored sample).  With
+	// MembersCensored > 0 and no FoundSat the family did not decide the
+	// instance: a censored member may be the satisfiable one.
 	MembersCensored int `json:"members_censored,omitempty"`
 	// TotalCost is the summed cost of all processed subproblems (1-core
 	// sequential cost, comparable with the predictive function value).  A
@@ -614,7 +628,7 @@ func (r *Runner) SolveObserved(ctx context.Context, p decomp.Point, opts SolveOp
 		if !res.Started || res.Cancelled {
 			report.SubproblemsAborted++
 			firstCut = min(firstCut, res.Index)
-		} else if res.Status == solver.Unknown && r.cfg.SubproblemBudget.ReachedBy(res.Stats) {
+		} else if r.censored(&res) {
 			report.MembersCensored++
 			firstCut = min(firstCut, res.Index)
 		}

@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"github.com/paper-repro/pdsat-go/internal/decomp"
+	"github.com/paper-repro/pdsat-go/internal/encoder"
 	"github.com/paper-repro/pdsat-go/internal/eval"
 	"github.com/paper-repro/pdsat-go/internal/optimize"
+	"github.com/paper-repro/pdsat-go/internal/solver"
 )
 
 // The three width-1 gates pin the search loops on the real pipeline to
@@ -224,4 +226,71 @@ func TestSearchesNeverVisitTheEmptySet(t *testing.T) {
 	if _, err := r.EvaluatePoint(context.Background(), space.EmptyPoint()); err == nil {
 		t.Fatal("the runner accepted an explicitly requested empty decomposition set")
 	}
+}
+
+// censusObjective is a search objective that notes how many censored samples
+// the latest evaluation of each point had.
+type censusObjective struct {
+	*Objective
+	censored map[string]int
+}
+
+func (o censusObjective) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*eval.Evaluation, error) {
+	ev, err := o.Objective.EvaluateF(ctx, p, incumbent)
+	if ev != nil {
+		o.censored[p.Key()] = ev.SamplesCensored
+	}
+	return ev, err
+}
+
+// TestSearchNeverTakesACensoredBest is ROADMAP item 20's ranking check.  On
+// a weakened A5/1 instance with a per-subproblem cap of 5 conflicts, a
+// one-variable set's sample is censored whole, and its restricted mean sits
+// far below what the sets solved within the cap cost.  A tabu search from
+// the full set visits censored and uncensored sets alike, and must return an
+// uncensored best: a censored estimate ranks at +Inf.
+func TestSearchNeverTakesACensoredBest(t *testing.T) {
+	inst, err := encoder.NewInstance(encoder.A51(), encoder.Config{KeystreamLen: 48, KnownSuffix: 50, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	r := NewRunner(inst.CNF, Config{SampleSize: n, Workers: 2, Seed: 1, CostMetric: solver.CostConflicts,
+		SubproblemBudget: solver.Budget{MaxConflicts: 5}})
+	space := unknownSpace(inst)
+	one, err := space.PointFromVars(space.Vars()[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	capped, err := r.EvaluatePoint(ctx, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if capped.SamplesCensored != n {
+		t.Fatalf("a one-variable set under a 5-conflict cap: %d of %d samples censored, want all", capped.SamplesCensored, n)
+	}
+
+	obj := censusObjective{objectiveOf(r), map[string]int{}}
+	res, err := optimize.TabuSearch(ctx, obj, space.FullPoint(), optimize.Options{Seed: 1, MaxEvaluations: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncensored, censored := 0, 0
+	for _, c := range obj.censored {
+		if c == 0 {
+			uncensored++
+		} else {
+			censored++
+		}
+	}
+	if uncensored == 0 || censored == 0 {
+		t.Fatalf("%d uncensored and %d censored sets visited; the test needs both", uncensored, censored)
+	}
+	if c := obj.censored[res.BestPoint.Key()]; c > 0 || math.IsInf(res.BestValue, 1) {
+		t.Fatalf("best %v at F %v has %d of %d samples censored, though %d uncensored sets were visited",
+			res.BestPoint.SortedVars(), res.BestValue, c, n, uncensored)
+	}
+	t.Logf("best %d-variable set at F %v; %d uncensored and %d censored sets visited",
+		res.BestPoint.Count(), res.BestValue, uncensored, censored)
 }

@@ -375,7 +375,7 @@ func (cp *checkpoints) count(res cluster.TaskResult) {
 		switch {
 		case res.Status == solver.Sat:
 			cp.satCount++
-		case res.Status == solver.Unknown && cp.sc.r.cfg.SubproblemBudget.ReachedBy(res.Stats):
+		case cp.sc.r.censored(&res):
 			cp.censored++
 		}
 	} else {

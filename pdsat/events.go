@@ -168,9 +168,11 @@ type NeighborhoodDone struct {
 	Pruned     int `json:"pruned,omitempty"`
 	Cancelled  int `json:"cancelled,omitempty"`
 	// Improved reports whether the pass improved the search's best value,
-	// which BestValue reports as of the end of the pass.
-	Improved  bool    `json:"improved,omitempty"`
-	BestValue float64 `json:"best_value"`
+	// which BestValue reports as of the end of the pass: absent while the
+	// search has none, because every point it evaluated had a censored
+	// sample (JSON cannot spell the +Inf it then ranks at).
+	Improved  bool     `json:"improved,omitempty"`
+	BestValue *float64 `json:"best_value,omitempty"`
 }
 
 // EventKind implements Event.

@@ -201,7 +201,7 @@ func wireBest(r *SearchResult) SearchSummary {
 // neighborhoodDoneEvent converts an optimizer neighbourhood pass summary
 // into the job event.
 func neighborhoodDoneEvent(job string, member int, nb optimize.Neighborhood) NeighborhoodDone {
-	return NeighborhoodDone{
+	e := NeighborhoodDone{
 		Job:        job,
 		Member:     member,
 		Center:     nb.Center.SortedVars(),
@@ -211,8 +211,11 @@ func neighborhoodDoneEvent(job string, member int, nb optimize.Neighborhood) Nei
 		Pruned:     nb.Pruned,
 		Cancelled:  nb.Cancelled,
 		Improved:   nb.Improved,
-		BestValue:  nb.BestValue,
 	}
+	if !math.IsInf(nb.BestValue, 1) {
+		e.BestValue = &nb.BestValue
+	}
+	return e
 }
 
 // SolveJob processes the whole decomposition family induced by a set:

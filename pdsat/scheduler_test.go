@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/paper-repro/pdsat-go/internal/solver"
 	"github.com/paper-repro/pdsat-go/pdsat"
 )
 
@@ -76,7 +78,7 @@ func TestSearchJobNeighborhoodEvents(t *testing.T) {
 		if want := len(res.Search.Result.Trace) - 1; evaluated != want {
 			t.Fatalf("policy %+v: passes account for %d evaluations, trace has %d", policy, evaluated, want)
 		}
-		if last := passes[len(passes)-1]; last.BestValue != res.Search.Result.BestValue {
+		if last := passes[len(passes)-1]; last.BestValue == nil || *last.BestValue != res.Search.Result.BestValue {
 			t.Fatalf("final pass best %v, result best %v", last.BestValue, res.Search.Result.BestValue)
 		}
 	}
@@ -306,5 +308,45 @@ func TestFleetNeighborhoodEventsTagged(t *testing.T) {
 	}
 	if seen[0] == 0 || seen[1] == 0 {
 		t.Fatalf("passes not reported for every member: %v", seen)
+	}
+}
+
+// TestCensoredSearchReportsNoBest: a search whose every evaluation has a
+// censored sample — a one-variable start on a weakened A5/1 instance under a
+// 5-conflict cap — ranks every point at +Inf and so has no best set.  Its
+// result names none, and each of its NeighborhoodDone events encodes
+// without a best_value, which JSON could not spell.
+func TestCensoredSearchReportsNoBest(t *testing.T) {
+	inst := testInstance(t, 50, 48, 1)
+	cfg := testConfig(20)
+	cfg.Runner.CostMetric = pdsat.CostConflicts
+	cfg.Runner.SubproblemBudget = solver.Budget{MaxConflicts: 5}
+	cfg.Search.MaxEvaluations = 4
+	s, err := pdsat.NewSession(pdsat.FromInstance(inst), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := s.Submit(context.Background(), pdsat.SearchJob{Start: inst.UnknownStartVars()[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := collect(t, job.Events())
+	res, err := job.Result(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(res.Search.Result.BestValue, 1) || res.Search.BestVars != nil || res.Search.BestValue != nil {
+		t.Fatalf("best %v at %v (wire: %v, %v); want none, every evaluation being censored",
+			res.Search.Result.BestPoint.SortedVars(), res.Search.Result.BestValue, res.Search.BestVars, res.Search.BestValue)
+	}
+	passes := neighborhoodEvents(events)
+	if len(passes) == 0 {
+		t.Fatal("no NeighborhoodDone events")
+	}
+	for _, nb := range passes {
+		body, err := json.Marshal(nb)
+		if err != nil || strings.Contains(string(body), "best_value") {
+			t.Fatalf("NeighborhoodDone %+v encodes as %s, %v", nb, body, err)
+		}
 	}
 }

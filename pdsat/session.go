@@ -250,7 +250,10 @@ type SetEstimate struct {
 	// is the number actually solved; SamplesAborted counts subproblems cut
 	// short by a batch abort or cancellation; SamplesCensored counts solved
 	// samples that ended without an answer at the runner's per-subproblem
-	// budget, whose cost is that cap rather than the subproblem's.
+	// budget, whose cost is that cap rather than the subproblem's.  With
+	// SamplesCensored > 0 the estimate's value is a restricted-mean lower
+	// bound on F, not an estimate of it, and a search never takes such a set
+	// as its best.
 	SamplesPlanned  int `json:"samples_planned,omitempty"`
 	SamplesAborted  int `json:"samples_aborted,omitempty"`
 	SamplesCensored int `json:"samples_censored,omitempty"`
