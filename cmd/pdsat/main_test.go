@@ -7,6 +7,7 @@ import (
 	"flag"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -399,6 +400,105 @@ func TestLogEventWritesOneRecord(t *testing.T) {
 			if !strings.Contains(lines[i], f) {
 				t.Errorf("record %d %q lacks %s", i, lines[i], f)
 			}
+		}
+	}
+}
+
+// TestServeAndWorkerOverLoopback runs what `pdsat -serve … -listen …` and
+// `pdsat -join …` run, in one process over loopback: runWorker joins a
+// leader with one slot, runServe exposes a session on that leader, and one
+// tiny estimate posted to /v1/jobs is polled to "done".  Its F is the one
+// the same session computes in process, bit for bit.  Cancelling the context
+// ends both, as SIGINT does, without an error.
+func TestServeAndWorkerOverLoopback(t *testing.T) {
+	problem, err := buildProblem("", "", "a5/1", 30, 58, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader, err := cluster.Listen("127.0.0.1:0", problem.Formula, cluster.LeaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	cfg := pdsat.Config{Runner: pdsat.RunnerConfig{SampleSize: 4, Seed: 1, CostMetric: pdsat.CostPropagations}, Cores: 480}
+	inproc, err := pdsat.NewSession(problem, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inproc.Close()
+	want, err := inproc.Run(t.Context(), pdsat.EstimateJob{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Runner.Transport = leader
+	session, err := pdsat.NewSession(problem, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// runServe listens on the address it is given; take a free port for it.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	ctx, cancel := context.WithCancel(t.Context())
+	defer cancel()
+	errs := make(chan error, 2)
+	go func() { errs <- runWorker(ctx, leader.Addr().String(), 1) }()
+	go func() { errs <- runServe(ctx, session, addr) }()
+	if err := leader.WaitForWorkers(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	var posted struct{ ID string }
+	var resp *http.Response
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		resp, err = http.Post("http://"+addr+"/v1/jobs", "application/json", strings.NewReader(`{"kind":"estimate"}`))
+		if err == nil || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(10 * time.Millisecond) // runServe has not bound its port yet
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&posted)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusCreated || posted.ID == "" {
+		t.Fatalf("POST /v1/jobs: status %d, id %q, %v", resp.StatusCode, posted.ID, err)
+	}
+	var status struct {
+		State  string
+		Result *pdsat.JobResult
+	}
+	for deadline := time.Now().Add(30 * time.Second); status.State != "done"; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s still %q after 30 s", posted.ID, status.State)
+		}
+		resp, err := http.Get("http://" + addr + "/v1/jobs/" + posted.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&status)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status.State != "running" && status.State != "done" {
+			t.Fatalf("job %s: state %q", posted.ID, status.State)
+		}
+	}
+	if got := status.Result.Estimate.Estimate; got.SampleSize != 4 || got.Value != want.Estimate.Estimate.Value {
+		t.Errorf("over loopback: F %v from %d samples; in process: F %v", got.Value, got.SampleSize, want.Estimate.Estimate.Value)
+	}
+
+	cancel()
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Errorf("after cancellation: %v", err)
 		}
 	}
 }
