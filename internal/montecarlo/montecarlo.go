@@ -60,7 +60,7 @@ func (s *Sample) Variance() float64 {
 	sum := 0.0
 	for _, v := range s.values {
 		d := v - m
-		sum += d * d
+		sum += float64(d * d) // rounded on its own, never fused (see poly)
 	}
 	return sum / float64(n-1)
 }
@@ -205,34 +205,44 @@ func NormalQuantile(p float64) float64 {
 		}
 		return math.NaN()
 	}
-	// Coefficients of the Acklam approximation.
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
+	// Coefficients of the Acklam approximation, highest degree first; the
+	// denominators end in their constant term 1.
+	a := [...]float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
 		1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-		6.680131188771972e+01, -1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
+	b := [...]float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
+		6.680131188771972e+01, -1.328068155288572e+01, 1}
+	c := [...]float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
 		-2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-		3.754408661907416e+00}
+	d := [...]float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
+		3.754408661907416e+00, 1}
 	const pLow = 0.02425
 	const pHigh = 1 - pLow
-	var q, r, x float64
 	switch {
 	case p < pLow:
-		q = math.Sqrt(-2 * math.Log(p))
-		x = (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		q := math.Sqrt(-2 * math.Log(p))
+		return poly(q, c[:]) / poly(q, d[:])
 	case p <= pHigh:
-		q = p - 0.5
-		r = q * q
-		x = (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
+		q := p - 0.5
+		r := q * q
+		return poly(r, a[:]) * q / poly(r, b[:])
 	default:
-		q = math.Sqrt(-2 * math.Log(1-p))
-		x = -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		q := math.Sqrt(-2 * math.Log(1-p))
+		return -poly(q, c[:]) / poly(q, d[:])
 	}
-	return x
+}
+
+// poly evaluates the polynomial with the coefficients coef, highest degree
+// first, at x by Horner's rule.  Every product is rounded on its own: the
+// explicit conversion forbids a compiler to fuse it with the addition into
+// one multiply-add (Go spec, "Floating-point operators"), which arm64,
+// ppc64le, s390x and riscv64 would otherwise do and amd64 does not, so the
+// value is the same on every architecture.
+func poly(x float64, coef []float64) float64 {
+	v := 0.0
+	for _, k := range coef {
+		v = float64(v*x) + k
+	}
+	return v
 }
 
 // NormalCDF returns Φ(x), the standard normal cumulative distribution
