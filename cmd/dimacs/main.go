@@ -1,7 +1,8 @@
 // Command dimacs is a standalone CDCL SAT solver for DIMACS CNF files, built
 // on the library's solver package.  It prints the conventional "s
 // SATISFIABLE / s UNSATISFIABLE" result line, optionally the model, and the
-// search statistics.
+// search statistics, and exits 10 on SAT, 20 on UNSAT and 0 when a limit
+// stopped it first.
 //
 // Usage:
 //
@@ -13,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -21,78 +23,84 @@ import (
 )
 
 func main() {
-	var (
-		maxConflicts = flag.Uint64("max-conflicts", 0, "stop after this many conflicts (0 = unlimited)")
-		maxTime      = flag.Duration("max-time", 0, "stop after this wall-clock duration (0 = unlimited)")
-		printModel   = flag.Bool("model", true, "print the satisfying assignment")
-		verify       = flag.Bool("verify", true, "verify the model against the formula before printing")
-		quiet        = flag.Bool("quiet", false, "suppress statistics")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
 
+// run runs the command on args and the streams and returns its exit status.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dimacs", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		formula *cnf.Formula
-		err     error
+		maxConflicts = fs.Uint64("max-conflicts", 0, "stop after this many conflicts (0 = unlimited)")
+		maxTime      = fs.Duration("max-time", 0, "stop after this wall-clock duration (0 = unlimited)")
+		printModel   = fs.Bool("model", true, "print the satisfying assignment")
+		verify       = fs.Bool("verify", true, "verify the model against the formula before printing")
+		quiet        = fs.Bool("quiet", false, "suppress statistics")
 	)
-	switch flag.NArg() {
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	var formula *cnf.Formula
+	var err error
+	switch fs.NArg() {
 	case 0:
-		formula, err = cnf.ParseDIMACS(os.Stdin)
+		formula, err = cnf.ParseDIMACS(stdin)
 	case 1:
-		formula, err = cnf.ParseDIMACSFile(flag.Arg(0))
+		formula, err = cnf.ParseDIMACSFile(fs.Arg(0))
 	default:
-		fmt.Fprintln(os.Stderr, "usage: dimacs [flags] [file.cnf]")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "usage: dimacs [flags] [file.cnf]")
+		return 2
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dimacs: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "dimacs: %v\n", err)
+		return 2
 	}
 
 	s := solver.NewDefault(formula)
-	s.SetBudget(solver.Budget{MaxConflicts: *maxConflicts, MaxTime: *maxTime})
-	start := time.Now()
+	s.SetBudget(solver.Budget{MaxConflicts: *maxConflicts})
+	// The interrupt stays set until a Reset, so a timer that fires before
+	// Solve begins still stops it.
+	if *maxTime > 0 {
+		defer time.AfterFunc(*maxTime, s.Interrupt).Stop()
+	}
 	res := s.Solve()
-	elapsed := time.Since(start)
 
 	if !*quiet {
-		fmt.Printf("c variables    %d\n", formula.NumVars)
-		fmt.Printf("c clauses      %d\n", formula.NumClauses())
-		fmt.Printf("c conflicts    %d\n", res.Stats.Conflicts)
-		fmt.Printf("c decisions    %d\n", res.Stats.Decisions)
-		fmt.Printf("c propagations %d\n", res.Stats.Propagations)
-		fmt.Printf("c restarts     %d\n", res.Stats.Restarts)
-		fmt.Printf("c learned      %d\n", res.Stats.Learned)
-		fmt.Printf("c time         %v\n", elapsed)
+		st := res.Stats
+		fmt.Fprintf(stdout, "c variables    %d\nc clauses      %d\nc conflicts    %d\nc decisions    %d\n"+
+			"c propagations %d\nc restarts     %d\nc learned      %d\nc time         %v\n",
+			formula.NumVars, formula.NumClauses(), st.Conflicts, st.Decisions, st.Propagations, st.Restarts, st.Learned, st.SolveTime)
 	}
 
 	switch res.Status {
 	case solver.Sat:
 		if *verify && !formula.IsSatisfiedBy(res.Model) {
-			fmt.Fprintln(os.Stderr, "dimacs: internal error: reported model does not satisfy the formula")
-			os.Exit(1)
+			fmt.Fprintln(stderr, "dimacs: internal error: reported model does not satisfy the formula")
+			return 1
 		}
-		fmt.Println("s SATISFIABLE")
+		fmt.Fprintln(stdout, "s SATISFIABLE")
 		if *printModel {
-			printAssignment(res.Model, formula.NumVars)
+			printAssignment(stdout, res.Model, formula.NumVars)
 		}
-		os.Exit(10)
+		return 10
 	case solver.Unsat:
-		fmt.Println("s UNSATISFIABLE")
-		os.Exit(20)
+		fmt.Fprintln(stdout, "s UNSATISFIABLE")
+		return 20
 	default:
-		fmt.Println("s UNKNOWN")
-		os.Exit(0)
+		fmt.Fprintln(stdout, "s UNKNOWN")
+		return 0
 	}
 }
 
-func printAssignment(model cnf.Assignment, numVars int) {
-	fmt.Print("v")
+func printAssignment(w io.Writer, model cnf.Assignment, numVars int) {
+	fmt.Fprint(w, "v")
 	for v := cnf.Var(1); int(v) <= numVars; v++ {
 		lit := int(v)
 		if model.Value(v) != cnf.True {
 			lit = -lit
 		}
-		fmt.Printf(" %d", lit)
+		fmt.Fprintf(w, " %d", lit)
 	}
-	fmt.Println(" 0")
+	fmt.Fprintln(w, " 0")
 }

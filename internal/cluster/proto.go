@@ -37,7 +37,7 @@ import (
 //
 //	formula       numVars:int nClauses:count nLits:count { len:count { lit } } nComments:count { string }
 //	batchOptions  stop:int flags:byte (1 retain, 2 steal, 4 speculate) maxConflicts:uint
-//	              maxPropagations:uint maxTime:int costMetric:int
+//	              maxPropagations:uint costMetric:int
 //	task          index:int len:count { lit }
 //	result        index:int cost:float status:int flags:byte (1 started, 2 interrupted,
 //	              4 cancelled) nModel:count { byte } nActivity:count { varDelta:uint } { act:float }
@@ -94,7 +94,7 @@ import (
 // for older versions: a mismatch is rejected at registration (checkHello),
 // and leader and worker ship as one binary.  The hello frame keeps its place
 // and its first field across versions, so that the rejection can say why.
-const protocolVersion = 10
+const protocolVersion = 11
 
 // maxFrame bounds the body of one frame.  The largest legitimate frame is
 // the welcome, which carries the formula (about 1.2 MB for the benchmark's
@@ -581,7 +581,6 @@ func appendBatchOptions(dst []byte, o *BatchOptions) []byte {
 	dst = append(dst, flagBits(o.Retain, o.Steal, o.Speculate))
 	dst = binary.AppendUvarint(dst, o.Budget.MaxConflicts)
 	dst = binary.AppendUvarint(dst, o.Budget.MaxPropagations)
-	dst = binary.AppendVarint(dst, int64(o.Budget.MaxTime))
 	return appendInt(dst, int(o.CostMetric))
 }
 
@@ -796,7 +795,6 @@ func (d *decoder) batchOptions(o *BatchOptions) {
 	o.Retain, o.Steal, o.Speculate = f&1 != 0, f&2 != 0, f&4 != 0
 	o.Budget.MaxConflicts = d.uint()
 	o.Budget.MaxPropagations = d.uint()
-	o.Budget.MaxTime = time.Duration(d.int64())
 	o.CostMetric = solver.CostMetric(d.int())
 }
 

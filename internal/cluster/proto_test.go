@@ -180,7 +180,7 @@ func wireTable() map[string]*envelope {
 			Batch: 7,
 			Opts: &BatchOptions{
 				Stop: StopOnSat, Retain: true, Steal: true, Speculate: true,
-				Budget:     solver.Budget{MaxConflicts: maxU, MaxPropagations: 1, MaxTime: time.Duration(math.MinInt64)},
+				Budget:     solver.Budget{MaxConflicts: maxU, MaxPropagations: 1},
 				CostMetric: solver.CostPropagations,
 			},
 			Tasks: []Task{

@@ -279,15 +279,14 @@ func DefaultOptions() Options {
 	}
 }
 
-// Budget limits the effort of a single Solve call.  A zero field means
-// "unlimited".
+// Budget limits the effort of a single Solve call in deterministic counters,
+// so that where a budget stops a solve never depends on timing.  A zero field
+// means "unlimited".  A wall-clock limit is an Interrupt from a timer.
 type Budget struct {
 	// MaxConflicts stops the search after this many conflicts.
 	MaxConflicts uint64
 	// MaxPropagations stops the search after this many propagations.
 	MaxPropagations uint64
-	// MaxTime stops the search after this wall-clock duration.
-	MaxTime time.Duration
 }
 
 // TightenedBy returns the element-wise tighter of the two budgets, treating
@@ -302,9 +301,6 @@ func (b Budget) TightenedBy(o Budget) Budget {
 	if o.MaxPropagations > 0 && (out.MaxPropagations == 0 || o.MaxPropagations < out.MaxPropagations) {
 		out.MaxPropagations = o.MaxPropagations
 	}
-	if o.MaxTime > 0 && (out.MaxTime == 0 || o.MaxTime < out.MaxTime) {
-		out.MaxTime = o.MaxTime
-	}
 	return out
 }
 
@@ -314,8 +310,7 @@ func (b Budget) TightenedBy(o Budget) Budget {
 // fresh solver's lifetime effort (construction included).
 func (b Budget) ReachedBy(st Stats) bool {
 	return b.MaxConflicts > 0 && st.Conflicts >= b.MaxConflicts ||
-		b.MaxPropagations > 0 && st.Propagations >= b.MaxPropagations ||
-		b.MaxTime > 0 && st.SolveTime >= b.MaxTime
+		b.MaxPropagations > 0 && st.Propagations >= b.MaxPropagations
 }
 
 // BudgetForCost returns a Budget that stops a solve once its cost in the
@@ -323,9 +318,9 @@ func (b Budget) ReachedBy(st Stats) bool {
 // counter at ⌈allowance⌉+1.  A solve truncated by this budget therefore has
 // cost > allowance — which is what makes it a usable pruning proxy: the
 // truncated cost alone already pushes a partial sum over the incumbent
-// bound the allowance was derived from.  Metrics without a deterministic
-// budget counter (decisions, wall time) and non-positive allowances return
-// the zero (unlimited) Budget; wall time is excluded because a timing-based
+// bound the allowance was derived from.  Metrics without a budget counter
+// (decisions, wall time) and non-positive allowances return the zero
+// (unlimited) Budget: a Budget has no wall-clock limit, since a timing-based
 // truncation would make the observed costs scheduling-dependent.
 func BudgetForCost(metric CostMetric, allowance float64) Budget {
 	if allowance <= 0 || math.IsInf(allowance, 1) || math.IsNaN(allowance) {
@@ -434,8 +429,6 @@ type Solver struct {
 	stats     Stats
 	budget    Budget
 	interrupt atomic.Bool
-	startTime time.Time
-	deadline  time.Time
 
 	// base is the pristine post-construction snapshot restored by Reset.
 	base *snapshot
@@ -1183,20 +1176,9 @@ func luby(i uint64) uint64 {
 }
 
 func (s *Solver) outOfBudget() bool {
-	if s.interrupt.Load() {
-		return true
-	}
-	if s.budget.MaxConflicts > 0 && s.stats.Conflicts >= s.budget.MaxConflicts {
-		return true
-	}
-	if s.budget.MaxPropagations > 0 && s.stats.Propagations >= s.budget.MaxPropagations {
-		return true
-	}
-	//pdsat:nondeterministic Budget.MaxTime is an explicitly wall-clock limit; deterministic truncation uses the conflict/propagation budgets
-	if !s.deadline.IsZero() && s.stats.Conflicts%64 == 0 && time.Now().After(s.deadline) {
-		return true
-	}
-	return false
+	return s.interrupt.Load() ||
+		s.budget.MaxConflicts > 0 && s.stats.Conflicts >= s.budget.MaxConflicts ||
+		s.budget.MaxPropagations > 0 && s.stats.Propagations >= s.budget.MaxPropagations
 }
 
 // search runs the CDCL loop until a conclusion, a restart, or budget
@@ -1271,19 +1253,14 @@ func (s *Solver) Solve() Result { return s.SolveWithAssumptions(nil) }
 // It panics on an assumption over a variable above NumVars, which would
 // change the formula; callers check their assumptions against it first.
 func (s *Solver) SolveWithAssumptions(assumptions []cnf.Lit) (res Result) {
-	//pdsat:nondeterministic start time only anchors the MaxTime deadline and SolveTime reporting
-	s.startTime = time.Now()
-	if s.budget.MaxTime > 0 {
-		s.deadline = s.startTime.Add(s.budget.MaxTime)
-	} else {
-		s.deadline = time.Time{}
-	}
+	//pdsat:nondeterministic start time only anchors SolveTime, which CostWallTime reads
+	start := time.Now()
 	startStats := s.stats
 	res = Result{Status: Unknown}
 	defer func() {
 		res.Stats = diffStats(s.stats, startStats)
 		//pdsat:nondeterministic SolveTime is reporting-only; cost metrics used for F default to solver counters
-		res.Stats.SolveTime = time.Since(s.startTime)
+		res.Stats.SolveTime = time.Since(start)
 	}()
 
 	if !s.okay {

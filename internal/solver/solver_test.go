@@ -153,16 +153,6 @@ func TestBudgetConflicts(t *testing.T) {
 	}
 }
 
-func TestBudgetTime(t *testing.T) {
-	f := pigeonhole(10, 9)
-	s := NewDefault(f)
-	s.SetBudget(Budget{MaxTime: time.Millisecond})
-	res := s.Solve()
-	if res.Status == Unknown && !res.Interrupted {
-		t.Fatal("unknown result must be marked interrupted")
-	}
-}
-
 func TestInterrupt(t *testing.T) {
 	f := pigeonhole(10, 9)
 	s := NewDefault(f)
@@ -512,10 +502,10 @@ func TestBudgetForCost(t *testing.T) {
 // TestBudgetTightenedBy checks the element-wise combination with zero
 // meaning unlimited.
 func TestBudgetTightenedBy(t *testing.T) {
-	a := Budget{MaxConflicts: 100, MaxTime: time.Second}
+	a := Budget{MaxConflicts: 100}
 	b := Budget{MaxConflicts: 50, MaxPropagations: 10}
 	got := a.TightenedBy(b)
-	want := Budget{MaxConflicts: 50, MaxPropagations: 10, MaxTime: time.Second}
+	want := Budget{MaxConflicts: 50, MaxPropagations: 10}
 	if got != want {
 		t.Fatalf("TightenedBy = %+v, want %+v", got, want)
 	}

@@ -69,7 +69,7 @@ type StopReason = optimize.StopReason
 
 // Search stop reasons, re-exported from the optimizer.
 const (
-	StopTime          = optimize.StopTime
+	StopCost          = optimize.StopCost
 	StopEvaluations   = optimize.StopEvaluations
 	StopTemperature   = optimize.StopTemperature
 	StopExhausted     = optimize.StopExhausted
