@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,7 +38,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		verify       = fs.Bool("verify", true, "verify the model against the formula before printing")
 		quiet        = fs.Bool("quiet", false, "suppress statistics")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
 		return 2
 	}
 
@@ -67,10 +70,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	res := s.Solve()
 
 	if !*quiet {
-		st := res.Stats
-		fmt.Fprintf(stdout, "c variables    %d\nc clauses      %d\nc conflicts    %d\nc decisions    %d\n"+
-			"c propagations %d\nc restarts     %d\nc learned      %d\nc time         %v\n",
-			formula.NumVars, formula.NumClauses(), st.Conflicts, st.Decisions, st.Propagations, st.Restarts, st.Learned, st.SolveTime)
+		fmt.Fprintf(stdout, "c variables    %d\n", formula.NumVars)
+		fmt.Fprintf(stdout, "c clauses      %d\n", formula.NumClauses())
+		fmt.Fprintf(stdout, "c conflicts    %d\n", res.Stats.Conflicts)
+		fmt.Fprintf(stdout, "c decisions    %d\n", res.Stats.Decisions)
+		fmt.Fprintf(stdout, "c propagations %d\n", res.Stats.Propagations)
+		fmt.Fprintf(stdout, "c restarts     %d\n", res.Stats.Restarts)
+		fmt.Fprintf(stdout, "c learned      %d\n", res.Stats.Learned)
+		fmt.Fprintf(stdout, "c time         %v\n", res.Stats.SolveTime)
 	}
 
 	switch res.Status {

@@ -94,3 +94,18 @@ func TestTimeLimitInterrupts(t *testing.T) {
 		t.Fatalf("exit %d, output %q", code, out)
 	}
 }
+
+// TestHelpExitsZero: -h prints the usage and exits 0, as the global flag set
+// does; an unknown flag is a usage error, exit 2.
+func TestHelpExitsZero(t *testing.T) {
+	for _, tc := range []struct {
+		arg  string
+		want int
+	}{{"-h", 0}, {"-help", 0}, {"-no-such-flag", 2}} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{tc.arg}, strings.NewReader(""), &stdout, &stderr)
+		if code != tc.want || stdout.Len() > 0 || !strings.Contains(stderr.String(), "-max-time") {
+			t.Fatalf("dimacs %s: exit %d (want %d), stdout %q, stderr %q", tc.arg, code, tc.want, stdout.String(), stderr.String())
+		}
+	}
+}

@@ -81,8 +81,9 @@ type Policy struct {
 	Gamma float64 `json:"gamma,omitempty"`
 	// Cache memoizes finished evaluations by decomposition set, shared
 	// across searches and jobs on the same problem and configuration.
-	// A cache hit is an evaluation that solves nothing: one evaluation, at
-	// zero cost, to a search's budgets.  A search's re-visit of a point is none.
+	// A cache hit still counts against a search's evaluation budget: it is
+	// an evaluation that solves nothing.  A search's re-visit of a point it
+	// already valued is no evaluation at all.
 	Cache bool `json:"cache,omitempty"`
 	// MaxConcurrentEvals must be 0 or 1, which mean the same: a search
 	// evaluates one candidate at a time, in visit order.  Wider passes were

@@ -37,21 +37,16 @@ func (s *Sample) Len() int { return len(s.values) }
 // Values returns a copy of the observations.
 func (s *Sample) Values() []float64 { return append([]float64(nil), s.values...) }
 
-// Sum returns the sum of the observations, added in order.
-func (s *Sample) Sum() float64 {
-	sum := 0.0
-	for _, v := range s.values {
-		sum += v
-	}
-	return sum
-}
-
 // Mean returns the sample mean (0 for an empty sample).
 func (s *Sample) Mean() float64 {
 	if len(s.values) == 0 {
 		return 0
 	}
-	return s.Sum() / float64(len(s.values))
+	sum := 0.0
+	for _, v := range s.values {
+		sum += v
+	}
+	return sum / float64(len(s.values))
 }
 
 // Variance returns the unbiased sample variance (0 if fewer than two

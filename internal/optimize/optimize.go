@@ -27,10 +27,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"time"
 
 	"github.com/paper-repro/pdsat-go/internal/cnf"
@@ -66,15 +66,12 @@ type Options struct {
 	// MaxRadius bounds the radius growth of simulated annealing when a
 	// neighbourhood is exhausted without an accepted point.
 	MaxRadius int
-	// MaxEvaluations bounds the objective evaluations: a re-visit of a valued
-	// point is none, an F-cache hit one that solves nothing.  Zero: unlimited.
+	// MaxEvaluations bounds the number of objective evaluations: a re-visit
+	// of a point the search already valued is no evaluation, and an F-cache
+	// hit is one that solves nothing.  Zero means unlimited.  The paper's
+	// timeExceeded() predicate is a context deadline, which ends the search
+	// with StopContext and its best so far.
 	MaxEvaluations int
-	// MaxCost bounds the effort the evaluations spend in the session's cost
-	// metric, checked before each evaluation as MaxEvaluations is: a fresh
-	// evaluation spends its sample's sum, a pruned one its allowance
-	// Incumbent·N/2^d, and an F-cache hit counts as one evaluation at zero
-	// cost.  Zero means unlimited; a time limit is a context deadline.
-	MaxCost float64
 	// Seed drives point selection and the stochastic acceptance rule.
 	Seed int64
 
@@ -157,9 +154,6 @@ func (o Options) Validate() error {
 	}
 	// NaN fails every comparison, so the float checks ask for what is valid
 	// rather than rule out what is not.
-	if !(o.MaxCost >= 0 && !math.IsInf(o.MaxCost, 1)) {
-		return fmt.Errorf("optimize: invalid cost budget %v (want a finite budget ≥ 0; use 0 for unlimited)", o.MaxCost)
-	}
 	if !(o.InitialTemperature >= 0 && !math.IsInf(o.InitialTemperature, 1)) {
 		return fmt.Errorf("optimize: invalid initial temperature %v (want a finite T0 ≥ 0; use 0 to derive it from the start value)",
 			o.InitialTemperature)
@@ -179,6 +173,7 @@ func DefaultOptions() Options {
 	return Options{
 		Radius:             1,
 		MaxRadius:          3,
+		MaxEvaluations:     0,
 		Seed:               1,
 		InitialTemperature: 0, // 0 = derive from the start value
 		CoolingFactor:      0.98,
@@ -211,7 +206,6 @@ type StopReason string
 
 // Possible stop reasons.
 const (
-	StopCost          StopReason = "cost budget"
 	StopEvaluations   StopReason = "evaluation budget"
 	StopTemperature   StopReason = "temperature limit"
 	StopExhausted     StopReason = "search space exhausted"
@@ -221,7 +215,7 @@ const (
 
 // Visit records one objective evaluation.
 type Visit struct {
-	// Index is the evaluation number (0-based, cache hits excluded).
+	// Index is the evaluation number (0-based; re-visits are no evaluations).
 	Index int
 	// Point is the evaluated point.
 	Point decomp.Point
@@ -250,10 +244,8 @@ type Result struct {
 	// stopped before its start point was evaluated, or every point it
 	// evaluated had a censored sample.
 	BestValue float64
-	// Evaluations is the number of objective evaluations performed, and
-	// Spent the effort they spent as MaxCost counts it.
+	// Evaluations is the number of objective evaluations performed.
 	Evaluations int
-	Spent       float64
 	// Trace records every evaluation in order.
 	Trace []Visit
 	// Stop is the reason the search ended.
@@ -284,7 +276,6 @@ type search struct {
 	best      decomp.Point
 	bestValue float64
 	evals     int
-	spent     float64
 	trace     []Visit
 	stopped   StopReason
 }
@@ -341,17 +332,15 @@ func (s *search) begin(ctx context.Context, start decomp.Point) (valued, error) 
 // checkBudgets returns errStop (after recording the reason) if a budget is
 // exhausted.
 func (s *search) checkBudgets(ctx context.Context) error {
-	switch {
-	case ctx.Err() != nil:
+	if ctx.Err() != nil {
 		s.stopped = StopContext
-	case s.opts.MaxEvaluations > 0 && s.evals >= s.opts.MaxEvaluations:
-		s.stopped = StopEvaluations
-	case s.opts.MaxCost > 0 && s.spent >= s.opts.MaxCost:
-		s.stopped = StopCost
-	default:
-		return nil
+		return errStop
 	}
-	return errStop
+	if s.opts.MaxEvaluations > 0 && s.evals >= s.opts.MaxEvaluations {
+		s.stopped = StopEvaluations
+		return errStop
+	}
+	return nil
 }
 
 // take is the one judgement of a visit, the start point's, a tabu
@@ -391,7 +380,6 @@ func (s *search) finish(err error) (*Result, error) {
 		BestPoint:   s.best,
 		BestValue:   s.bestValue,
 		Evaluations: s.evals,
-		Spent:       s.spent,
 		Trace:       s.trace,
 		Stop:        s.stopped,
 		//pdsat:nondeterministic WallTime is reporting-only; it never influences the search
@@ -559,10 +547,15 @@ func (t *tabuLists) getNewCenter(obj Objective) (decomp.Point, bool) {
 		return decomp.Point{}, false
 	}
 	src, hasActivity := obj.(ActivitySource)
+	keys := make([]string, 0, len(t.l2))
+	for key := range t.l2 {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
 	var bestKey string
 	var bestScore float64
 	first := true
-	for _, key := range slices.Sorted(maps.Keys(t.l2)) {
+	for _, key := range keys {
 		e := t.l2[key]
 		var score float64
 		if hasActivity {
@@ -578,3 +571,9 @@ func (t *tabuLists) getNewCenter(obj Objective) (decomp.Point, bool) {
 	}
 	return t.l2[bestKey].point, true
 }
+
+// L1Size and L2Size expose the tabu list sizes (used in tests).
+func (t *tabuLists) L1Size() int { return t.l1 }
+
+// L2Size returns the number of checked points with unchecked neighbourhoods.
+func (t *tabuLists) L2Size() int { return len(t.l2) }

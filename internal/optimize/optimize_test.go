@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,7 +11,6 @@ import (
 	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/decomp"
 	"github.com/paper-repro/pdsat-go/internal/eval"
-	"github.com/paper-repro/pdsat-go/internal/montecarlo"
 )
 
 // makeSpace builds a search space over n variables 1..n.
@@ -208,96 +206,6 @@ func TestTimeBudgetStopsSearch(t *testing.T) {
 	}
 }
 
-// spendingObjective serves a tableObjective's values as evaluations that
-// spend effort: a fresh one a sample of two whole costs, a pruned one its
-// allowance at N = 2, and one in about four is an F-cache hit, which spends
-// nothing.  spent records what each evaluation spent, in call order.
-type spendingObjective struct {
-	*tableObjective
-	spent []float64
-}
-
-func (o *spendingObjective) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*eval.Evaluation, error) {
-	ev, _ := o.tableObjective.EvaluateF(ctx, p, incumbent)
-	ev.SamplesPlanned = 2
-	var spent float64
-	switch {
-	case int(ev.Value)%4 == 0:
-		ev.CacheHit = true
-	case ev.Pruned:
-		spent = math.Ldexp(incumbent, 1-p.Count())
-	default:
-		spent = 1 + math.Floor(ev.Value)
-		ev.Sample = montecarlo.NewSample([]float64{1, math.Floor(ev.Value)})
-	}
-	o.spent = append(o.spent, spent)
-	return ev, nil
-}
-
-// TestCostBudgetStopsSearch: both searches stop with StopCost at the first
-// evaluation that would start with the budget spent, count a fresh
-// evaluation's sample, a pruned one's allowance and nothing for an F-cache
-// hit, and up to there run exactly as without the budget.
-func TestCostBudgetStopsSearch(t *testing.T) {
-	space := makeSpace(7)
-	for _, alg := range []struct {
-		name   string
-		search func(context.Context, Objective, decomp.Point, Options) (*Result, error)
-		opts   Options
-	}{
-		{"tabu", TabuSearch, Options{Seed: 5, MaxEvaluations: 60}},
-		{"sa", SimulatedAnnealing, Options{Seed: 5, MaxEvaluations: 60, InitialTemperature: 300, CoolingFactor: 0.99}},
-	} {
-		free := &spendingObjective{tableObjective: newTableObjective(space, 3)}
-		all, err := alg.search(context.Background(), free, space.FullPoint(), alg.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pruned, hits := 0, 0
-		for _, v := range all.Trace {
-			if v.Pruned {
-				pruned++
-			}
-		}
-		for _, e := range free.spent {
-			if e == 0 {
-				hits++
-			}
-		}
-		if pruned == 0 || hits == 0 {
-			t.Fatalf("%s: %d pruned evaluations and %d cache hits; the test needs both", alg.name, pruned, hits)
-		}
-		for k := 1; k <= len(free.spent); k++ {
-			if free.spent[k-1] == 0 {
-				continue // a budget reached by a cache hit is reached before it
-			}
-			before := 0.0
-			for _, e := range free.spent[:k-1] {
-				before += e
-			}
-			opts := alg.opts
-			opts.MaxEvaluations, opts.MaxCost = 0, before+free.spent[k-1]/2
-			obj := &spendingObjective{tableObjective: free.tableObjective}
-			res, err := alg.search(context.Background(), obj, space.FullPoint(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Stop != StopCost || res.Evaluations != k || res.Spent != before+free.spent[k-1] {
-				t.Fatalf("%s, budget %v: stop %q after %d evaluations that spent %v; want %q after %d that spent %v",
-					alg.name, opts.MaxCost, res.Stop, res.Evaluations, res.Spent, StopCost, k, before+free.spent[k-1])
-			}
-			opts.MaxEvaluations, opts.MaxCost = k, 0
-			capped, err := alg.search(context.Background(), &spendingObjective{tableObjective: free.tableObjective}, space.FullPoint(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(res.Trace, capped.Trace) || res.BestValue != capped.BestValue {
-				t.Fatalf("%s: the trace under a cost budget that allows %d evaluations is not that of %d evaluations", alg.name, k, k)
-			}
-		}
-	}
-}
-
 func TestContextCancellationStopsSearch(t *testing.T) {
 	s := makeSpace(10)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -412,10 +320,6 @@ func TestGetNewCenterUsesActivity(t *testing.T) {
 	}
 }
 
-// L1Size and L2Size are the sizes of the tabu lists.
-func (t *tabuLists) L1Size() int { return t.l1 }
-func (t *tabuLists) L2Size() int { return len(t.l2) }
-
 func TestTabuListsBookkeeping(t *testing.T) {
 	s := makeSpace(2) // 4 points, radius-1 neighbourhoods of size 2
 	tl := newTabuLists(1)
@@ -499,7 +403,7 @@ func TestSearchIsDeterministicForFixedSeed(t *testing.T) {
 }
 
 func TestStopReasonsAreNonEmptyStrings(t *testing.T) {
-	for _, r := range []StopReason{StopCost, StopEvaluations, StopTemperature, StopExhausted, StopContext, StopNoImprovement} {
+	for _, r := range []StopReason{StopEvaluations, StopTemperature, StopExhausted, StopContext, StopNoImprovement} {
 		if string(r) == "" {
 			t.Fatal("empty stop reason")
 		}

@@ -10,10 +10,8 @@ package optimize
 import (
 	"context"
 	"errors"
-	"math"
 
 	"github.com/paper-repro/pdsat-go/internal/decomp"
-	"github.com/paper-repro/pdsat-go/internal/eval"
 )
 
 // Neighborhood summarizes one completed neighbourhood pass of a search: a
@@ -98,23 +96,7 @@ func (s *search) evaluate(ctx context.Context, chi decomp.Point, incumbent float
 	v := valued{value: ev.Value, pruned: ev.Pruned, censored: ev.SamplesCensored > 0}
 	s.values[chi.Key()] = v
 	s.evals++
-	s.spent += effort(ev, chi.Count(), incumbent)
 	return v, nil
-}
-
-// effort is what an evaluation of a d-variable point against incumbent spent,
-// as MaxCost counts it.  A pruned one counts its allowance: what it solved
-// past that depends on when the abort landed.
-func effort(ev *eval.Evaluation, d int, incumbent float64) float64 {
-	switch {
-	case ev.CacheHit:
-		return 0
-	case ev.Pruned:
-		return incumbent * (float64(ev.SamplesPlanned) / math.Exp2(float64(d)))
-	case ev.Sample == nil:
-		return 0
-	}
-	return ev.Sample.Sum()
 }
 
 // tabuNeighborhood checks one whole tabu neighbourhood and reports whether

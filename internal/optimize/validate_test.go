@@ -26,9 +26,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative max radius", Options{MaxRadius: -2}, "radius"},
 		{"max radius below radius", Options{Radius: 3, MaxRadius: 2}, "radius"},
 		{"negative evaluations", Options{MaxEvaluations: -5}, "evaluation budget"},
-		{"negative cost", Options{MaxCost: -1}, "cost budget"},
-		{"NaN cost", Options{MaxCost: math.NaN()}, "cost budget"},
-		{"infinite cost", Options{MaxCost: math.Inf(1)}, "cost budget"},
 		{"negative initial temperature", Options{InitialTemperature: -1}, "temperature"},
 		{"negative min temperature", Options{MinTemperature: -1e-9}, "temperature"},
 		{"negative cooling", Options{CoolingFactor: -0.5}, "cooling factor"},

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -194,10 +193,9 @@ func TestCostTablesMatchTheSolver(t *testing.T) {
 
 // oracle is the one scripted transport: it answers every task from a cost
 // table instead of solving it.  A task is looked up by its literals over the
-// table's variables, in any order; a batch with a task that repeats one,
-// assumes any other variable or breaks the index contract fails before
-// anything is answered, as checkBatch fails a real one, and so does one with
-// a task that misses one unless complete is set (see completions).  Towards the
+// table's variables, in any order; a batch with a task that misses or
+// repeats one, assumes any other variable or breaks the index contract fails
+// before anything is answered, as checkBatch fails a real one.  Towards the
 // runner it keeps the rest of the cluster contract as Inproc does:
 //
 //   - one result per task, in a chosen completion order (order holds batch
@@ -218,10 +216,6 @@ type oracle struct {
 	table *costTable
 	bit   map[cnf.Var]int // table variable → its bit of the member index
 	order []int
-	// complete answers a task that leaves table variables unassigned with
-	// the enumeration of its completions, so that the oracle serves every
-	// subset of the table's variables as a decomposition set.
-	complete bool
 	// calls counts the batches, placeholders the tasks answered with one.
 	calls, placeholders atomic.Int64
 }
@@ -254,7 +248,7 @@ func (o *oracle) RunDispatch(ctx context.Context, tasks []cluster.Task, opts clu
 }
 
 func (o *oracle) RunAbortable(ctx context.Context, tasks []cluster.Task, opts cluster.BatchOptions, observe func(cluster.TaskResult), abort <-chan struct{}) ([]cluster.TaskResult, error) {
-	members, free, err := o.members(tasks)
+	members, err := o.members(tasks)
 	if err != nil {
 		return nil, err
 	}
@@ -279,11 +273,7 @@ func (o *oracle) RunAbortable(ctx context.Context, tasks []cluster.Task, opts cl
 		if stopped || ctx.Err() != nil {
 			o.placeholders.Add(1)
 		} else {
-			m := o.table.Members[members[pos]]
-			if free[pos] != 0 {
-				m = o.completions(members[pos], free[pos])
-			}
-			res = o.answer(res.Index, m, opts, &lent)
+			res = o.answer(res.Index, o.table.Members[members[pos]], opts, &lent)
 			stopped = opts.Stop == cluster.StopOnSat && res.Status == solver.Sat
 		}
 		kept := res
@@ -299,65 +289,35 @@ func (o *oracle) RunAbortable(ctx context.Context, tasks []cluster.Task, opts cl
 	return results, ctx.Err()
 }
 
-// members validates the batch and returns, by position, the member each task
-// names, its unassigned table variables false, and the bits of those
-// variables.
-func (o *oracle) members(tasks []cluster.Task) (members, free []int, err error) {
+// members validates the batch and returns the member each task names, by
+// position.
+func (o *oracle) members(tasks []cluster.Task) ([]int, error) {
 	if o.order != nil && len(o.order) != len(tasks) {
-		return nil, nil, fmt.Errorf("oracle: a completion order of %d for a batch of %d", len(o.order), len(tasks))
+		return nil, fmt.Errorf("oracle: a completion order of %d for a batch of %d", len(o.order), len(tasks))
 	}
 	seen := make([]bool, len(tasks))
-	members, free = make([]int, len(tasks)), make([]int, len(tasks))
+	members := make([]int, len(tasks))
 	for pos, task := range tasks {
 		if task.Index < 0 || task.Index >= len(tasks) || seen[task.Index] {
-			return nil, nil, fmt.Errorf("oracle: batch task indices must be a permutation of 0..%d (got index %d)", len(tasks)-1, task.Index)
+			return nil, fmt.Errorf("oracle: batch task indices must be a permutation of 0..%d (got index %d)", len(tasks)-1, task.Index)
 		}
 		seen[task.Index] = true
 		assigned := 0
 		for _, l := range task.Assumptions {
 			k, ok := o.bit[l.Var()]
 			if !ok || assigned>>k&1 == 1 {
-				return nil, nil, fmt.Errorf("oracle: task %d assumes literal %d, not over a variable of the table it has not assigned", task.Index, l)
+				return nil, fmt.Errorf("oracle: task %d assumes literal %d, not over a variable of the table it has not assigned", task.Index, l)
 			}
 			assigned |= 1 << k
 			if l.Positive() {
 				members[pos] |= 1 << k
 			}
 		}
-		free[pos] = (1<<len(o.table.Vars) - 1) &^ assigned
-		if free[pos] != 0 && !o.complete {
-			return nil, nil, fmt.Errorf("oracle: task %d leaves a variable of the table unassigned", task.Index)
+		if assigned != 1<<len(o.table.Vars)-1 {
+			return nil, fmt.Errorf("oracle: task %d leaves a variable of the table unassigned", task.Index)
 		}
 	}
-	return members, free, nil
-}
-
-// completions is what a solver that branches on the table variables in free
-// first spends on the member with those variables unassigned: each of its
-// completions solved in turn, their statistics and activities summed.  It is
-// satisfiable when a completion is, unsolved when none is and one is
-// unsolved, and unsatisfiable otherwise.
-func (o *oracle) completions(member, free int) tableMember {
-	out := tableMember{Status: solver.Unsat}
-	acts := make(map[cnf.Var]float64)
-	for sub := free; ; sub = (sub - 1) & free {
-		m := o.table.Members[member|sub]
-		if m.Status == solver.Sat || m.Status == solver.Unknown && out.Status == solver.Unsat {
-			out.Status = m.Status
-		}
-		out.Stats = out.Stats.Add(m.Stats)
-		for i, v := range m.Activity.Vars {
-			acts[v] += m.Activity.Acts[i]
-		}
-		if sub == 0 {
-			break
-		}
-	}
-	out.Activity.Vars = slices.Sorted(maps.Keys(acts))
-	for _, v := range out.Activity.Vars {
-		out.Activity.Acts = append(out.Activity.Acts, acts[v])
-	}
-	return out
+	return members, nil
 }
 
 // answer is the member's result for the task at index under the batch's

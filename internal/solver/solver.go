@@ -1176,9 +1176,16 @@ func luby(i uint64) uint64 {
 }
 
 func (s *Solver) outOfBudget() bool {
-	return s.interrupt.Load() ||
-		s.budget.MaxConflicts > 0 && s.stats.Conflicts >= s.budget.MaxConflicts ||
-		s.budget.MaxPropagations > 0 && s.stats.Propagations >= s.budget.MaxPropagations
+	if s.interrupt.Load() {
+		return true
+	}
+	if s.budget.MaxConflicts > 0 && s.stats.Conflicts >= s.budget.MaxConflicts {
+		return true
+	}
+	if s.budget.MaxPropagations > 0 && s.stats.Propagations >= s.budget.MaxPropagations {
+		return true
+	}
+	return false
 }
 
 // search runs the CDCL loop until a conclusion, a restart, or budget

@@ -69,7 +69,6 @@ type StopReason = optimize.StopReason
 
 // Search stop reasons, re-exported from the optimizer.
 const (
-	StopCost          = optimize.StopCost
 	StopEvaluations   = optimize.StopEvaluations
 	StopTemperature   = optimize.StopTemperature
 	StopExhausted     = optimize.StopExhausted
