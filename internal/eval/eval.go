@@ -31,8 +31,9 @@
 //   - F-memoization (Policy.Cache): a point-keyed Cache of finished
 //     evaluations shared across searches and jobs on the same
 //     problem/configuration, so re-visited decomposition sets cost nothing.
-//     Pruned evaluations are cached as lower bounds and are served only when
-//     they still prove the point worse than the caller's incumbent.
+//     A pruned evaluation is cached with the incumbent it was pruned against
+//     and is served only when that still proves the point worse than the
+//     caller's incumbent.
 //
 // The Engine composes the three: it wraps a Backend (a pdsat Scope) with the
 // cache and the pruning/staging policy, and implements Evaluator — what the
@@ -63,9 +64,9 @@ import (
 type Policy struct {
 	// Prune aborts an evaluation as soon as its partial lower bound
 	// 2^d·(Σζ)/N exceeds the incumbent (the best F the search has seen).
-	// The evaluation then reports the lower bound instead of an unbiased
-	// estimate; searches treat such points as "worse than best" without
-	// paying for the full sample.
+	// The evaluation then reports the incumbent, the one fact it certifies
+	// being F above it; searches treat such points as "worse than best"
+	// without paying for the full sample.
 	Prune bool `json:"prune,omitempty"`
 	// Stages splits the sample into this many geometrically growing stages
 	// (3 stages of N=100: 25, 50, 100) with an early-stop check between
@@ -206,8 +207,7 @@ type Evaluation struct {
 	Point decomp.Point `json:"-"`
 	// Value is the evaluation's headline number: the Monte Carlo estimate
 	// of F for complete, early-stopped and interrupted evaluations, or
-	// LowerBound for pruned ones (then provably an underestimate that still
-	// exceeds the incumbent the evaluation was pruned against).  With
+	// Incumbent for pruned ones, which certify only that F exceeds it.  With
 	// SamplesCensored > 0 the estimate is itself a lower bound, the
 	// restricted mean of costs capped at the per-subproblem budget.
 	Value float64 `json:"value"`
@@ -220,15 +220,12 @@ type Evaluation struct {
 	// enumeration order: fewer than SamplesPlanned when the evaluation ended
 	// early.  The Cache keeps no sample, so a cache hit has none.
 	Sample *montecarlo.Sample `json:"-"`
-	// LowerBound is 2^d·(Σζ)/N over every observed cost, including solves
-	// truncated by the abort — a certified lower bound on F.
-	LowerBound float64 `json:"lower_bound"`
-	// Pruned reports that the evaluation was aborted because LowerBound
-	// exceeded the incumbent.
+	// Pruned reports that the evaluation was aborted because its partial
+	// lower bound 2^d·(Σζ)/N exceeded the incumbent.
 	Pruned bool `json:"pruned,omitempty"`
-	// Incumbent records the bound a pruned evaluation was compared against
-	// (left zero for unpruned evaluations — the incumbent may be +Inf
-	// there, which JSON cannot represent).
+	// Incumbent records the bound a pruned evaluation was compared against,
+	// its Value (left zero for unpruned evaluations — the incumbent may be
+	// +Inf there, which JSON cannot represent).
 	Incumbent float64 `json:"incumbent,omitempty"`
 	// EarlyStopped reports that staged sampling stopped before the full
 	// sample because the confidence half-width met the ε target.
@@ -276,8 +273,8 @@ func (ev Evaluation) Evaluation() Evaluation { return ev }
 
 // Evaluator evaluates the predictive function at a point under an incumbent
 // bound: the best F value the caller has already certified.  Evaluations may
-// exploit the incumbent by pruning (returning early with a lower bound above
-// it); callers that have no incumbent pass +Inf.  It is what the optimize
+// exploit the incumbent by pruning (returning early, valued at the incumbent,
+// once F is certified above it); callers that have no incumbent pass +Inf.  It is what the optimize
 // package's searches minimize (optimize.Objective), one evaluation at a time:
 // each draws its Monte Carlo sample from the next evaluation slot of the
 // pdsat Scope behind it (sample = f(scope seed, slot)).
@@ -356,11 +353,8 @@ func (e *Engine) EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent fl
 		// estimates are completion-censored, not reusable facts.
 		return ev, err
 	}
-	if ev.Pruned {
-		ev.Incumbent = incumbent
-		if e.OnPruned != nil {
-			e.OnPruned(p, *ev)
-		}
+	if ev.Pruned && e.OnPruned != nil {
+		e.OnPruned(p, *ev)
 	}
 	e.cache.Store(key, variant, *ev)
 	return ev, nil
@@ -383,11 +377,12 @@ type CacheStats struct {
 // policy that produced them (Policy.variant), so a coarse early-stopped
 // estimate is never served to a caller whose policy asked for full-sample
 // precision; a FullPrecision estimate, being the most precise possible,
-// satisfies any variant.  Pruned evaluations are cached as lower bounds,
-// independent of variant (they are certified facts): a bound hits only when
-// it exceeds the caller's incumbent — i.e. when it still proves the point
-// worse than the best the caller already has — because for a worse (higher)
-// incumbent the bound proves nothing and the point must be re-evaluated.
+// satisfies any variant.  A pruned evaluation is cached with the incumbent it
+// was pruned against, independent of variant (F above it is a certified
+// fact): it hits only when that incumbent exceeds the caller's — i.e. when it
+// still proves the point worse than the best the caller already has —
+// because against a worse (higher) incumbent it proves nothing and the point
+// must be re-evaluated.
 // The zero *Cache (nil) is a valid disabled cache.
 type Cache struct {
 	mu      sync.Mutex
@@ -398,7 +393,7 @@ type Cache struct {
 
 type cacheEntry struct {
 	// estimates maps a policy precision variant to the estimate it
-	// produced; bound is the strongest certified lower bound seen.
+	// produced; bound is the pruned evaluation with the highest incumbent.
 	estimates map[string]Evaluation
 	bound     *Evaluation
 }
@@ -438,9 +433,9 @@ func (c *Cache) Lookup(key, variant string, incumbent float64) (Evaluation, bool
 }
 
 // Store memoizes a finished evaluation under the producing policy's
-// precision variant.  Estimates overwrite same-variant estimates; pruned
-// evaluations update the point's lower bound, which only ever strengthens
-// (a weaker bound is ignored) and coexists with estimates.  A nil cache
+// precision variant.  Estimates overwrite same-variant estimates; a pruned
+// evaluation replaces the point's one only if pruned against a higher
+// incumbent, and coexists with estimates.  A nil cache
 // ignores the call.
 func (c *Cache) Store(key, variant string, ev Evaluation) {
 	if c == nil {

@@ -261,6 +261,9 @@ func (b *fakeBackend) EvaluateSlot(ctx context.Context, p decomp.Point, pol Poli
 		return nil, b.err
 	}
 	ev := b.result
+	if ev.Pruned {
+		ev.Value, ev.Incumbent = incumbent, incumbent // as a pdsat Scope reports a prune
+	}
 	return &ev, nil
 }
 
@@ -312,7 +315,7 @@ func TestEngineCacheDisabledByPolicy(t *testing.T) {
 
 func TestEnginePrunedNotificationAndIncumbent(t *testing.T) {
 	p := testPoint(t)
-	backend := &fakeBackend{result: Evaluation{Value: 90, LowerBound: 90, Pruned: true}}
+	backend := &fakeBackend{result: Evaluation{Pruned: true}}
 	eng := NewEngine(backend, Policy{Prune: true, Cache: true}, NewCache())
 	var prunes []Evaluation
 	eng.OnPruned = func(_ decomp.Point, ev Evaluation) { prunes = append(prunes, ev) }
@@ -321,10 +324,10 @@ func TestEnginePrunedNotificationAndIncumbent(t *testing.T) {
 	if err != nil || !ev.Pruned {
 		t.Fatalf("pruned evaluation: %+v, %v", ev, err)
 	}
-	if len(prunes) != 1 || prunes[0].Incumbent != 50 {
+	if len(prunes) != 1 || prunes[0].Incumbent != 50 || prunes[0].Value != 50 {
 		t.Fatalf("OnPruned notifications: %+v", prunes)
 	}
-	// The pruned bound (90) serves lower incumbents from the cache...
+	// The prune against 50 serves lower incumbents from the cache...
 	if ev, err := eng.EvaluateF(context.Background(), p, 40); err != nil || !ev.CacheHit {
 		t.Fatalf("bound not served for lower incumbent: %+v, %v", ev, err)
 	}

@@ -15,10 +15,10 @@
 // A search evaluates one candidate at a time, each drawn just before it is
 // evaluated (see scheduler.go), and judges every visit — the start point, a
 // tabu neighbour, an annealing candidate — in one step, search.take: a visit
-// improves when it is no pruned bound and its cost is below the best value,
-// where an evaluation with a sample censored at the per-subproblem budget
-// costs +Inf; an improving visit is always taken, becomes the best and is
-// offered to the fleet.  Searches racing each other are coupled through a
+// improves when its cost is below the best value, where an evaluation pruned
+// against the incumbent, or with a sample censored at the per-subproblem
+// budget, costs +Inf; an improving visit is always taken, becomes the best
+// and is offered to the fleet.  Searches racing each other are coupled through a
 // shared Incumbent (fleet.go); the race that runs them is the pdsat
 // package's.
 package optimize
@@ -42,10 +42,10 @@ import (
 // space: an eval.Evaluator, in practice the evaluation engine over a pdsat
 // scope (pdsat.NewObjective).  The searches thread their incumbent — the best
 // F value certified so far — into every evaluation, enabling the engine's
-// incumbent pruning: a pruned evaluation returns a certified lower bound above
-// the incumbent instead of paying for the full sample, and the searches treat
-// such points as "worse than best" (recorded with Visit.Pruned set).  With
-// pruning off an evaluation is the plain Monte Carlo estimate.
+// incumbent pruning: a pruned evaluation returns the incumbent, F being
+// certified above it, instead of paying for the full sample, and the searches
+// treat such points as "worse than best" (recorded with Visit.Pruned set).
+// With pruning off an evaluation is the plain Monte Carlo estimate.
 type Objective = eval.Evaluator
 
 // ActivitySource exposes per-variable conflict activity.  When the objective
@@ -96,14 +96,8 @@ type Options struct {
 	// search Offers each update of its own best value.  A search coupled to
 	// nobody but itself — a race of one, as every plain search job in pdsat
 	// is — sees its own best as the shared incumbent, so the run is
-	// bit-identical to an uncoupled search.  Nil means uncoupled.
-	//
-	// With a foreign (lower) incumbent in play, a pruned evaluation's lower
-	// bound may undercut the search's own best value; pruned visits are
-	// therefore never counted as improvements — the bound proves the point
-	// worse than the fleet's best, which is all a minimizer needs to know.
-	// Only improvements are offered, so no pruned bound and no censored
-	// estimate (see search.take) ever reaches the fleet.
+	// bit-identical to an uncoupled search.  Nil means uncoupled.  Only
+	// improvements are offered (see search.take).
 	Shared SharedIncumbent
 
 	// MaxConcurrentEvals must be 0 or 1, which mean the same: candidates
@@ -219,10 +213,10 @@ type Visit struct {
 	Index int
 	// Point is the evaluated point.
 	Point decomp.Point
-	// Value is the evaluation's reported value: F(point), a certified lower
-	// bound on it when Pruned, or a restricted-mean lower bound when a
-	// sample was censored at the per-subproblem budget (the search ranks
-	// such a visit at +Inf, so it never improves).
+	// Value is the evaluation's reported value: F(point), the incumbent F
+	// was certified above when Pruned, or a restricted-mean lower bound when
+	// a sample was censored at the per-subproblem budget (the search ranks
+	// both at +Inf, so they never improve).
 	Value float64
 	// Accepted reports whether the point became the new centre.
 	Accepted bool
@@ -230,8 +224,8 @@ type Visit struct {
 	// an improving visit is always accepted.
 	Improved bool
 	// Pruned reports that the evaluation was aborted by incumbent pruning:
-	// Value is a lower bound proving the point worse than the best value
-	// at evaluation time, not a full Monte Carlo estimate.
+	// Value is the incumbent at evaluation time, which F exceeds, not a
+	// full Monte Carlo estimate.
 	Pruned bool
 }
 
@@ -267,8 +261,8 @@ type search struct {
 	rng   *rand.Rand
 	start time.Time
 	// values holds what the search knows of every evaluated point.  A pruned
-	// value exceeds the incumbent it was pruned against, and incumbents (best
-	// values) only decrease during a search, so a cached pruned bound keeps
+	// point's F exceeds the incumbent it was pruned against, and incumbents
+	// (best values) only decrease during a search, so a cached prune keeps
 	// proving its point worse for the rest of the run.
 	values map[string]valued
 	// best is the point of the last improving visit (see take), at
@@ -282,19 +276,19 @@ type search struct {
 
 // valued is what a search knows of an evaluated point.
 type valued struct {
-	// value is the evaluation's reported Value.  pruned marks a lower bound
-	// cut short against the incumbent, censored an evaluation with a sample
-	// stopped at the per-subproblem budget, whose value is a restricted-mean
-	// lower bound.
+	// value is the evaluation's reported Value.  pruned marks an evaluation
+	// cut short against the incumbent, whose value is that incumbent,
+	// censored one with a sample stopped at the per-subproblem budget, whose
+	// value is a restricted-mean lower bound.
 	value            float64
 	pruned, censored bool
 }
 
-// cost is what a search ranks a point by: its value, or +Inf when a sample
-// was censored — the point was not solved within the limit at this N, and
-// the bound says nothing of how much more it costs.
+// cost is what a search ranks a point by: its value, or +Inf when F was not
+// measured — the evaluation was pruned, or a sample was not solved within the
+// limit at this N — since a bound says nothing of how much more it costs.
 func (v valued) cost() float64 {
-	if v.censored {
+	if v.pruned || v.censored {
 		return math.Inf(1)
 	}
 	return v.value
@@ -345,13 +339,12 @@ func (s *search) checkBudgets(ctx context.Context) error {
 
 // take is the one judgement of a visit, the start point's, a tabu
 // neighbour's and an annealing candidate's alike.  The visit improves when
-// it is no pruned bound and its cost is below the best value; then it
-// becomes the best and is offered to the fleet's shared incumbent.  An
+// its cost is below the best value; then it becomes the best and is offered to the fleet's shared incumbent.  An
 // improving visit is always taken; accepted says whether the caller takes
 // it otherwise (the annealing's acceptance rule).  The visit is recorded at
 // its reported value.
 func (s *search) take(p decomp.Point, v valued, accepted bool) (taken, improved bool) {
-	improved = !v.pruned && v.cost() < s.bestValue
+	improved = v.cost() < s.bestValue
 	taken = accepted || improved
 	visit := Visit{Index: len(s.trace), Point: p, Value: v.value, Accepted: taken, Improved: improved, Pruned: v.pruned}
 	s.trace = append(s.trace, visit)
@@ -541,7 +534,8 @@ func (t *tabuLists) addChecked(p decomp.Point, value float64, values map[string]
 
 // getNewCenter implements the heuristic of the paper: among L2 points pick
 // the one whose decomposition set has the largest total conflict activity;
-// objectives without activity information fall back to the smallest F value.
+// objectives without activity information fall back to the smallest cost, on
+// which a pruned or censored point ranks last.
 func (t *tabuLists) getNewCenter(obj Objective) (decomp.Point, bool) {
 	if len(t.l2) == 0 {
 		return decomp.Point{}, false

@@ -128,9 +128,6 @@ func (s *search) tabuNeighborhood(ctx context.Context, tl *tabuLists, center dec
 		if v.pruned {
 			stats.Pruned++
 		}
-		// The incumbent is the best value so far, so a pruned point's lower
-		// bound exceeds it — exactly the information the tabu search needs
-		// from a worse point, at a fraction of the solving.
 		if _, improved := s.take(chi, v, false); improved {
 			stats.Improved = true
 		}
@@ -195,11 +192,8 @@ func (s *search) anneal(ctx context.Context, center decomp.Point, centerValue va
 			if v.pruned {
 				stats.Pruned = 1
 			}
-			// A pruned point's lower bound feeds the acceptance rule; since the
-			// bound understates F, a pruned point is — if anything — accepted
-			// slightly more often than its true value would be, preserving the
-			// hill-escaping of the annealing.  A censored one ranks at +Inf and
-			// is never accepted over a point that ranks finite.
+			// A pruned or censored point ranks at +Inf and is never accepted
+			// over a point that ranks finite.
 			moved, stats.Improved = s.take(next, v, s.pointAccepted(v.cost(), centerValue.cost(), temperature))
 			stop := false
 			if moved {

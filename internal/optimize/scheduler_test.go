@@ -335,7 +335,7 @@ func TestValidateRejectsNegativeConcurrency(t *testing.T) {
 }
 
 // pruningObjective prunes deterministically: a point valued above the
-// incumbent is returned Pruned, its lower bound halfway between the two.
+// incumbent is returned Pruned, valued at the incumbent, as the engine does.
 type pruningObjective struct{ *countingObjective }
 
 func (o pruningObjective) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*eval.Evaluation, error) {
@@ -343,8 +343,7 @@ func (o pruningObjective) EvaluateF(ctx context.Context, p decomp.Point, incumbe
 	if err != nil || ev.Value <= incumbent {
 		return ev, err
 	}
-	lb := (ev.Value + incumbent) / 2
-	return &eval.Evaluation{Value: lb, LowerBound: lb, Pruned: true, Incumbent: incumbent}, nil
+	return &eval.Evaluation{Value: incumbent, Pruned: true, Incumbent: incumbent}, nil
 }
 
 // pinnedPass is a Neighborhood with its centre as a key.
@@ -358,7 +357,8 @@ type pinnedPass struct {
 // TestNeighborhoodPassesPinned pins every neighbourhood pass and the trace
 // of a fixed-seed tabu search and annealing on a pruning objective, each
 // stopped by its evaluation budget part way through: which candidates count
-// as evaluated, pruned and cancelled, and which visits are recorded.
+// as evaluated, pruned and cancelled, and which visits are recorded.  A pruned
+// visit is recorded at the incumbent, and the annealing accepts none.
 func TestNeighborhoodPassesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -385,23 +385,23 @@ func TestNeighborhoodPassesPinned(t *testing.T) {
 				"2 1111110 5 false false false",
 				"3 1110111 5 false false false",
 				"4 0111111 5 false false false",
-				"5 1111011 6 false false true",
+				"5 1111011 5 false false true",
 				"6 1101111 5 false false false",
-				"7 1011111 6 false false true",
+				"7 1011111 5 false false true",
 				"8 1111100 4 true true false",
-				"9 1111001 5 false false true",
+				"9 1111001 4 false false true",
 				"10 1101101 4 false false false",
 				"11 1110101 4 false false false",
-				"12 1011101 5 false false true",
+				"12 1011101 4 false false true",
 				"13 0111101 4 false false false",
 				"14 1110100 3 true true false",
 				"15 1101100 3 false false false",
-				"16 1111000 4 false false true",
+				"16 1111000 3 false false true",
 				"17 0111100 3 false false false",
-				"18 1011100 4 false false true",
-				"19 1110000 3.5 false false true",
-				"20 1010100 3.5 false false true",
-				"21 1110110 3.5 false false true",
+				"18 1011100 3 false false true",
+				"19 1110000 3 false false true",
+				"20 1010100 3 false false true",
+				"21 1110110 3 false false true",
 				"22 0110100 2 true true false",
 			},
 		},
@@ -413,35 +413,31 @@ func TestNeighborhoodPassesPinned(t *testing.T) {
 			passes: []pinnedPass{
 				{"1111111", 1, 1, 1, 0, 0, true, 4},
 				{"1111011", 1, 1, 1, 1, 0, false, 4},
-				{"1111001", 1, 1, 1, 1, 0, false, 4},
-				{"1111001", 1, 1, 1, 0, 0, false, 4},
-				{"1011001", 1, 1, 1, 0, 0, true, 3},
-				{"1011011", 1, 1, 1, 0, 0, true, 2},
-				{"1001011", 1, 1, 1, 1, 0, false, 2},
-				{"1001011", 1, 1, 1, 1, 0, false, 2},
-				{"1001001", 1, 1, 0, 0, 0, false, 2},
-				{"1001001", 1, 1, 1, 1, 0, false, 2},
-				{"1001001", 1, 1, 0, 0, 0, false, 2},
-				{"1001011", 1, 1, 0, 0, 0, false, 2},
-				{"1001011", 1, 1, 1, 1, 0, false, 2},
-				{"1001011", 1, 1, 1, 1, 0, false, 2},
+				{"1111011", 1, 1, 1, 1, 0, false, 4},
+				{"1111011", 1, 1, 1, 0, 0, true, 3},
+				{"1111010", 1, 1, 1, 1, 0, false, 3},
+				{"1111010", 1, 1, 1, 1, 0, false, 3},
+				{"1111010", 1, 1, 0, 0, 0, false, 3},
+				{"1111010", 1, 1, 1, 0, 0, true, 2},
+				{"1101010", 1, 1, 1, 1, 0, false, 2},
+				{"1101010", 1, 1, 1, 1, 0, false, 2},
+				{"1101010", 1, 1, 1, 0, 0, true, 1},
+				{"1001010", 1, 1, 1, 1, 0, false, 1},
 			},
 			trace: []string{
 				"0 1111111 5 true true false",
 				"1 1111011 4 true true false",
-				"2 1111001 4.5 true false true",
-				"3 1110001 5 false false true",
-				"4 1011001 4 true false false",
-				"5 1011011 3 true true false",
-				"6 1001011 2 true true false",
-				"7 1101011 2.5 false false true",
-				"8 1001001 2.5 true false true",
-				"9 1011001 4 false false false",
-				"10 0001001 3 false false true",
-				"11 1001011 2 true false false",
-				"12 1011011 3 false false false",
-				"13 0001011 2.5 false false true",
-				"14 1001111 2.5 true false true",
+				"2 1111001 4 false false true",
+				"3 1110011 4 false false true",
+				"4 1111010 3 true true false",
+				"5 1111000 3 false false true",
+				"6 1111110 3 false false true",
+				"7 1111011 4 false false false",
+				"8 1101010 2 true true false",
+				"9 1101000 2 false false true",
+				"10 1101110 2 false false true",
+				"11 1001010 1 true true false",
+				"12 1001011 1 false false true",
 			},
 		},
 	} {

@@ -14,9 +14,9 @@ import (
 // its value is a low restricted-mean bound with SamplesCensored set, as a
 // sample capped at a per-subproblem budget reads.  The start point (the full
 // set) never is.  It prunes the way the engine's partial sum does, late: a
-// value above the incumbent comes back as a lower bound only past 1.5 times
-// the incumbent, so a visit may return unpruned above the incumbent, as an
-// early-stopped estimate or a cache hit may.
+// value above the incumbent comes back pruned, valued at the incumbent, only
+// past 1.5 times the incumbent, so a visit may return unpruned above the
+// incumbent, as an early-stopped estimate or a cache hit may.
 type tableObjective struct {
 	values   map[string]float64
 	censored map[string]bool
@@ -51,8 +51,7 @@ func (o *tableObjective) EvaluateF(_ context.Context, p decomp.Point, incumbent 
 	case v <= 1.5*incumbent:
 		return &eval.Evaluation{Value: v}, nil
 	}
-	lb := (v + 1.5*incumbent) / 2
-	return &eval.Evaluation{Value: lb, LowerBound: lb, Pruned: true, Incumbent: incumbent}, nil
+	return &eval.Evaluation{Value: incumbent, Pruned: true, Incumbent: incumbent}, nil
 }
 
 // TestTakeIsTheOneJudgement holds both algorithms, alone and as the members

@@ -3,6 +3,8 @@ package pdsat
 import (
 	"context"
 	"math"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"github.com/paper-repro/pdsat-go/internal/decomp"
 	"github.com/paper-repro/pdsat-go/internal/eval"
 	"github.com/paper-repro/pdsat-go/internal/optimize"
+	"github.com/paper-repro/pdsat-go/internal/solver"
 )
 
 // loopbackCluster starts a leader for the formula and a loopback worker for
@@ -126,6 +129,73 @@ func TestReusedBuffersOverLoopback(t *testing.T) {
 	}
 	if reused.bufferCount() > 2 {
 		t.Fatalf("the runner keeps %d sample buffers after evaluating at most two at a time", reused.bufferCount())
+	}
+}
+
+// TestPrunedSearchIsTimingIndependent: a pruned evaluation is valued at its
+// incumbent and adds no conflict activity, so where its abort lands changes
+// nothing a search reads.  On the weakened A5/1 instance at N = 20 under
+// DefaultPolicy, a fixed-seed tabu search and annealing of 60 evaluations
+// each, both of which prune, give the same result on two in-process workers
+// and on a loopback leader with two one-slot workers, twice over: every
+// visit, pruned values included, the best value, and the runner's conflict
+// activity of every variable.
+func TestPrunedSearchIsTimingIndependent(t *testing.T) {
+	inst := scopeTestInstance(t)
+	start := unknownSpace(inst).FullPoint()
+	inproc := Config{SampleSize: 20, Workers: 2, Seed: 5, CostMetric: solver.CostConflicts, Policy: eval.DefaultPolicy()}
+	loopback := inproc
+	loopback.Transport = loopbackCluster(t, inst.CNF,
+		cluster.WorkerOptions{Capacity: 1, Name: "w1"}, cluster.WorkerOptions{Capacity: 1, Name: "w2"})
+	type outcome struct {
+		res      *optimize.Result
+		activity []float64
+	}
+	for _, m := range []struct {
+		name   string
+		search func(context.Context, optimize.Objective, decomp.Point, optimize.Options) (*optimize.Result, error)
+	}{{"tabu", optimize.TabuSearch}, {"sa", optimize.SimulatedAnnealing}} {
+		run := func(cfg Config) outcome {
+			r := NewRunner(inst.CNF, cfg)
+			res, err := m.search(context.Background(), objectiveOf(r), start, optimize.Options{Seed: 5, MaxEvaluations: 60})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := outcome{res: res}
+			res.WallTime = 0
+			for v := 0; v <= inst.CNF.NumVars; v++ {
+				out.activity = append(out.activity, r.VarActivity(cnf.Var(v)))
+			}
+			return out
+		}
+		want := run(inproc)
+		pruned := 0
+		for _, v := range want.res.Trace {
+			if v.Pruned {
+				pruned++
+			}
+		}
+		if pruned == 0 {
+			t.Fatalf("%s: no evaluation pruned; the test proves nothing", m.name)
+		}
+		for round := range 2 {
+			for _, c := range []struct {
+				name string
+				cfg  Config
+			}{{"in-process", inproc}, {"loopback", loopback}} {
+				got := run(c.cfg)
+				if reflect.DeepEqual(got, want) {
+					continue
+				}
+				i := 0 // the first visit that differs
+				for i < min(len(got.res.Trace), len(want.res.Trace)) && reflect.DeepEqual(got.res.Trace[i], want.res.Trace[i]) {
+					i++
+				}
+				t.Fatalf("%s, round %d %s: differs from the first in-process run from visit %d of %d on (best F %v, want %v; same activity: %v)",
+					m.name, round, c.name, i, len(want.res.Trace), got.res.BestValue, want.res.BestValue, slices.Equal(got.activity, want.activity))
+			}
+		}
+		t.Logf("%s: %d of %d visits pruned, best F %v", m.name, pruned, len(want.res.Trace), want.res.BestValue)
 	}
 }
 

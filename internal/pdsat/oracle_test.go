@@ -404,12 +404,13 @@ func oracleRunners(t *testing.T) (real, scripted *Runner, truth float64, p decom
 // first stage meets, and under DefaultPolicy against incumbents from none to
 // half the family's F.  Every evaluation that no budget truncates must
 // return the same F, sample, ledger and activity, bit for bit, early-stopped
-// and pruned ones included; a pruned one's certified lower bound, its value,
-// lies above the incumbent.
+// and pruned ones included; a pruned one's value is exactly its incumbent,
+// and the slot's whole sample, the zero policy's, gives F above it.
 func TestOracleMatchesInproc(t *testing.T) {
 	real, scripted, truth, p := oracleRunners(t)
 	compared, early, pruned := 0, 0, 0
 	for seed := int64(0); seed < 5; seed++ {
+		whole := math.NaN() // the zero policy's F, its case first
 		for _, c := range []struct {
 			pol       eval.Policy
 			incumbent float64
@@ -430,8 +431,12 @@ func TestOracleMatchesInproc(t *testing.T) {
 				t.Fatalf("seed %d, incumbent %v, %+v: the oracle's evaluation differs from the solver's:\n got %+v\nwant %+v",
 					seed, c.incumbent, c.pol, got, want)
 			}
-			if ev := want.eval; ev.Pruned && (ev.Value != ev.LowerBound || ev.LowerBound <= c.incumbent) {
-				t.Fatalf("seed %d: pruned against %v with value %v and lower bound %v", seed, c.incumbent, ev.Value, ev.LowerBound)
+			if c.pol == (eval.Policy{}) {
+				whole = want.eval.Value
+			}
+			if ev := want.eval; ev.Pruned && (ev.Value != c.incumbent || ev.Incumbent != c.incumbent || !(whole > c.incumbent)) {
+				t.Fatalf("seed %d: pruned against %v with value %v and incumbent %v; the whole sample gives F = %v",
+					seed, c.incumbent, ev.Value, ev.Incumbent, whole)
 			}
 			compared++
 			if want.eval.EarlyStopped {
@@ -455,7 +460,7 @@ func TestOracleMatchesInproc(t *testing.T) {
 // overwrites the vector it lent after every observer call, so a held result
 // still pointing at it would add up that scribble.  Over the A5/1 table each
 // evaluation, early-stopped or whole, returns what it returns in index order
-// — value, sample, lower bound, stages — with the same ledger and activity
+// — value, sample, stages — with the same ledger and activity
 // table, on runners whose buffers serve evaluation after evaluation.
 func TestOracleHeldResultsKeepTheirActivity(t *testing.T) {
 	_, inOrder, _, p := oracleRunners(t)
@@ -492,9 +497,9 @@ func TestOracleHeldResultsKeepTheirActivity(t *testing.T) {
 // TestOraclePrunesOnlyWorsePoints is ROADMAP item 1(c)'s third check, on
 // the A5/1 table: an evaluation that DefaultPolicy prunes is worse than the
 // incumbent it was pruned against — the same slot evaluated whole under
-// the zero policy has F above it — and its certified LowerBound does not
-// exceed that F.  250 (slot, incumbent) pairs, incumbents from a third to
-// twice the family's F.
+// the zero policy has F above it — and its value is exactly that incumbent.
+// 250 (slot, incumbent) pairs, incumbents from a third to twice the family's
+// F.
 func TestOraclePrunesOnlyWorsePoints(t *testing.T) {
 	_, r, truth, p := oracleRunners(t)
 	ctx := context.Background()
@@ -514,9 +519,9 @@ func TestOraclePrunesOnlyWorsePoints(t *testing.T) {
 				continue
 			}
 			pruned++
-			if whole.Value <= incumbent || ev.LowerBound > whole.Value {
-				t.Errorf("slot %d: pruned against %v with lower bound %v, but its whole sample gives F = %v",
-					slot, incumbent, ev.LowerBound, whole.Value)
+			if whole.Value <= incumbent || ev.Value != incumbent || ev.Incumbent != incumbent {
+				t.Errorf("slot %d: pruned against %v with value %v and incumbent %v, and its whole sample gives F = %v",
+					slot, incumbent, ev.Value, ev.Incumbent, whole.Value)
 			}
 		}
 	}

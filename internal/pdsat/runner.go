@@ -10,8 +10,8 @@
 //     An evaluation returns the engine's one result type, eval.Evaluation,
 //     which carries the point and the raw sample too; a sample that ended at
 //     Config.SubproblemBudget without an answer is counted censored there.
-//     Per-variable conflict activity is accumulated across the sample; the
-//     tabu search uses it to pick new neighbourhood centres.  The evaluation
+//     Per-variable conflict activity is accumulated across the sample of
+//     every evaluation that is not pruned; the tabu search uses it to pick new neighbourhood centres.  The evaluation
 //     methods are declared once, on Scope; a Runner embeds its default scope
 //     and has them by promotion, while its counters and VarActivity are its
 //     own ledger's, the roll-up over every scope (see Runner).
@@ -160,7 +160,7 @@ type Counters struct {
 	// partial alike — in a scope the count also seeds each evaluation's
 	// sample RNG, so it advances identically whether or not a policy is
 	// active); PrunedEvaluations the subset aborted by incumbent pruning,
-	// whose reported values are lower bounds, not full estimates.
+	// whose reported value is the incumbent they were pruned against.
 	Evaluations       int `json:"evaluations"`
 	PrunedEvaluations int `json:"pruned_evaluations"`
 	// SubproblemsSolved counts subproblems solved to completion (their own
@@ -253,10 +253,12 @@ func (l *ledger) SpeculationWins() int       { return l.Counters().SpeculationWi
 func (l *ledger) AggregateStats() solver.Stats { return l.Counters().Solver }
 
 // VarActivity returns the cumulative conflict activity of a variable over the
-// subproblems this ledger counts: on a Scope those it solved itself — the
-// activity source a fleet member's tabu search consumes, so its getNewCenter
-// heuristic never depends on what concurrent members happened to solve — and
-// on a Runner every subproblem solved so far.
+// subproblems this ledger counts, but those of a pruned evaluation: on a Scope
+// those it solved itself — the activity source a fleet member's tabu search
+// consumes, so its getNewCenter heuristic never depends on what concurrent
+// members happened to solve — and on a Runner every subproblem solved so far.
+// A pruned evaluation adds none, since what its abort let finish depends on
+// timing.
 func (l *ledger) VarActivity(v cnf.Var) float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -289,21 +291,27 @@ func (l *ledger) reserve(n int) int {
 	return first
 }
 
-// absorb adds a result's conflict activity, solver statistics and
-// solved/aborted count to this ledger and to every one above it.  It is
-// called from the batch observer, while the activity vector is on loan.
-// Results arrive in completion order, which is fine here: the absorbed
-// quantities are integer-valued counters, so the float sums are exact and
-// order-insensitive.
+// absorb adds a result's solver statistics and solved/aborted count to this
+// ledger and to every one above it.  It is called from the batch observer.
 func (l *ledger) absorb(res *cluster.TaskResult) {
+	for ; l != nil; l = l.up {
+		l.mu.Lock()
+		absorbResult(res, &l.c)
+		l.mu.Unlock()
+	}
+}
+
+// addActivity adds conflict activity to this ledger and to every one above
+// it.  The activities are integer-valued counts, so the float sums are exact
+// and do not depend on the order results arrive in.
+func (l *ledger) addActivity(act solver.SparseActivities) {
 	for ; l != nil; l = l.up {
 		l.mu.Lock()
 		// The variables were checked where the result was produced or decoded
 		// (the cluster's wire holds a worker's to the formula).
-		for i, v := range res.Activity.Vars {
-			l.confAct[v] += res.Activity.Acts[i]
+		for i, v := range act.Vars {
+			l.confAct[v] += act.Acts[i]
 		}
-		absorbResult(res, &l.c)
 		l.mu.Unlock()
 	}
 }
@@ -600,6 +608,7 @@ func (r *Runner) SolveObserved(ctx context.Context, p decomp.Point, opts SolveOp
 	done := 0
 	absorb := func(res cluster.TaskResult) {
 		r.absorb(&res)
+		r.addActivity(res.Activity)
 		if observe != nil {
 			done++
 			observe(Progress{Done: done, Total: total, Result: res})

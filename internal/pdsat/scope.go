@@ -154,10 +154,11 @@ func (sc *Scope) EvaluateSlotObserved(ctx context.Context, p decomp.Point, pol e
 
 	prune := pol.Prune && !math.IsInf(incumbent, 1) && !math.IsNaN(incumbent)
 	buf.held.reset()
+	buf.act = buf.act.Emptied()
 	cp := &checkpoints{
 		sc: sc, pol: pol, observe: observe,
 		plan:  eval.StagePlan(n, pol.Stages),
-		costs: costs, sampled: sampled, held: &buf.held,
+		costs: costs, sampled: sampled, held: &buf.held, act: &buf.act,
 		sumBound: math.Inf(1),
 		abort:    make(chan struct{}),
 	}
@@ -181,6 +182,11 @@ func (sc *Scope) EvaluateSlotObserved(ctx context.Context, p decomp.Point, pol e
 	// What was planned and never counted — the stages behind an early stop or
 	// a prune, solved ahead or not, and the tail of a cancelled evaluation.
 	sc.note(Counters{SamplesSkipped: n - cp.counted, SamplesCensored: cp.censored})
+	// A pruned evaluation adds no activity: what the abort let finish is
+	// timing's choice.
+	if !cp.aborted {
+		sc.addActivity(buf.act)
+	}
 	if runErr != nil && !cluster.IsInterruption(runErr) {
 		return nil, runErr
 	}
@@ -202,7 +208,6 @@ func (sc *Scope) EvaluateSlotObserved(ctx context.Context, p decomp.Point, pol e
 		Point:              p,
 		Estimate:           montecarlo.NewEstimate(d, sample),
 		Sample:             sample,
-		LowerBound:         scale * cp.sumAll / float64(n),
 		Pruned:             cp.aborted,
 		EarlyStopped:       cp.earlyStopped,
 		Interrupted:        runErr != nil,
@@ -216,7 +221,9 @@ func (sc *Scope) EvaluateSlotObserved(ctx context.Context, p decomp.Point, pol e
 	}
 	ev.Value = ev.Estimate.Value
 	if ev.Pruned {
-		ev.Value = ev.LowerBound
+		// The one fact a prune certifies is F > incumbent: what the sum had
+		// reached when the abort landed depends on timing.
+		ev.Value, ev.Incumbent = incumbent, incumbent
 	}
 	return ev, runErr
 }
@@ -224,7 +231,7 @@ func (sc *Scope) EvaluateSlotObserved(ctx context.Context, p decomp.Point, pol e
 // sampleBuffer is what one evaluation or Solve call builds its batch in: the
 // literals of every task, the task list, the array the results come back in,
 // the generator the sample is drawn from, the tables by task index and the
-// checkpoints' held-back results.  A Runner keeps the buffers of the calls
+// checkpoints' held-back results and counted activity.  A Runner keeps the buffers of the calls
 // that have ended (acquireBuffer, releaseBuffer), so that a call builds its
 // batch, and takes its results, in the arrays of one before it.
 type sampleBuffer struct {
@@ -235,6 +242,7 @@ type sampleBuffer struct {
 	costs   []float64
 	sampled []bool
 	held    heldResults
+	act     solver.SparseActivities
 }
 
 // cut returns n tasks, indexed 0..n-1, whose assumption vectors are d
@@ -302,7 +310,8 @@ func (b *sampleBuffer) tables(n int) ([]float64, []bool) {
 // is dispatched whole; the stages of the policy are index prefixes of it
 // (plan), decided one after the other.  Results below the boundary of the
 // stage being decided are counted as they arrive — into the running sum, the
-// ledgers, the caller's Progress — and results beyond it are held back.  Once
+// ledgers' counters, the caller's Progress, the buffer's activity — and
+// results beyond it are held back.  Once
 // every index below the boundary is in, that prefix is what a dispatch of the
 // stage alone would have returned: the incumbent bound and eq. 3 are checked
 // on it, and either the batch is aborted or the boundary moves on and takes
@@ -337,8 +346,11 @@ type checkpoints struct {
 	partial  int
 	satCount int
 	censored int
-	// held are the results beyond the boundary, in the buffer's arrays.
+	// held are the results beyond the boundary, in the buffer's arrays; act
+	// is the counted results' activity, one vector behind the other, which
+	// the ledgers take only from an evaluation that ends unpruned.
 	held *heldResults
+	act  *solver.SparseActivities
 
 	// sumAll is every counted cost, truncated solves included; sumBound the
 	// incumbent translated onto that sum: 2^d·(Σζ)/N > incumbent ⇔ Σζ >
@@ -367,6 +379,7 @@ func (cp *checkpoints) result(res cluster.TaskResult) {
 func (cp *checkpoints) count(res cluster.TaskResult) {
 	cp.counted++
 	cp.sc.absorb(&res)
+	appendActivity(cp.act, res.Activity)
 	if res.Started {
 		cp.sumAll += res.Cost
 	}
@@ -446,12 +459,18 @@ type heldResults struct {
 // points into the arrays as they were when it was copied, which an append
 // that moves them leaves as they are.
 func (h *heldResults) hold(res cluster.TaskResult) {
-	from := len(h.act.Vars)
-	h.act.Vars = append(h.act.Vars, res.Activity.Vars...)
-	h.act.Acts = append(h.act.Acts, res.Activity.Acts...)
-	to := len(h.act.Vars)
-	res.Activity = solver.SparseActivities{Vars: h.act.Vars[from:to:to], Acts: h.act.Acts[from:to:to]}
+	res.Activity = appendActivity(&h.act, res.Activity)
 	h.results = append(h.results, res)
+}
+
+// appendActivity appends a copy of src to the arrays of *dst and returns the
+// copy.
+func appendActivity(dst *solver.SparseActivities, src solver.SparseActivities) solver.SparseActivities {
+	from := len(dst.Vars)
+	dst.Vars = append(dst.Vars, src.Vars...)
+	dst.Acts = append(dst.Acts, src.Acts...)
+	to := len(dst.Vars)
+	return solver.SparseActivities{Vars: dst.Vars[from:to:to], Acts: dst.Acts[from:to:to]}
 }
 
 // reset drops everything held, keeping the arrays.

@@ -172,7 +172,8 @@ func TestConcurrentScopesDeterministic(t *testing.T) {
 }
 
 // TestScopePruningCounters checks that an incumbent-pruned scope evaluation
-// counts in both the scope and the runner roll-up.
+// counts in both the scope and the runner roll-up, and is valued at exactly
+// its incumbent, below the F of its whole sample.
 func TestScopePruningCounters(t *testing.T) {
 	inst := scopeTestInstance(t)
 	r := NewRunner(inst.CNF, Config{SampleSize: 16, Workers: 2, Seed: 3, CostMetric: solver.CostPropagations})
@@ -188,8 +189,8 @@ func TestScopePruningCounters(t *testing.T) {
 	if !pe.Pruned {
 		t.Fatal("evaluation with an epsilon incumbent was not pruned")
 	}
-	if pe.LowerBound <= 1e-9 {
-		t.Fatalf("pruned lower bound %v does not exceed the incumbent", pe.LowerBound)
+	if pe.Value != 1e-9 || pe.Incumbent != 1e-9 {
+		t.Fatalf("pruned against 1e-9 with value %v and incumbent %v", pe.Value, pe.Incumbent)
 	}
 	if sc.PrunedEvaluations() != 1 || r.PrunedEvaluations() != 1 {
 		t.Fatalf("pruned counters scope=%d runner=%d, want 1/1", sc.PrunedEvaluations(), r.PrunedEvaluations())
@@ -197,8 +198,13 @@ func TestScopePruningCounters(t *testing.T) {
 	if sc.SubproblemsAborted() == 0 || r.SubproblemsAborted() != sc.SubproblemsAborted() {
 		t.Fatalf("aborted counters scope=%d runner=%d disagree", sc.SubproblemsAborted(), r.SubproblemsAborted())
 	}
-	if math.IsInf(pe.LowerBound, 1) {
-		t.Fatal("lower bound is infinite")
+	// A fresh scope of the same seed draws the same sample into slot 0.
+	whole, err := r.NewScope(17).EvaluatePoint(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(whole.Value > 1e-9) {
+		t.Fatalf("the whole sample gives F = %v, not above the incumbent", whole.Value)
 	}
 }
 

@@ -61,7 +61,8 @@
 //     by Session.Stats and GET /v1/stats.
 //
 // Policy activity is visible in the event stream (EvalPruned, CacheHit;
-// SearchVisit.Pruned flags lower-bound visits).  The zero EvalPolicy
+// SearchVisit.Pruned flags visits valued at the incumbent they were pruned
+// against, the one fact a prune certifies being F above it).  The zero EvalPolicy
 // disables every mechanism and reproduces full-sample evaluations bit for
 // bit; DefaultEvalPolicy returns the recommended settings.
 //
@@ -82,7 +83,9 @@
 // under matching seeds is bit-identical to the member of a fleet of one,
 // and a fixed-seed fleet's per-member results are deterministic regardless
 // of interleaving whenever the policy's cross-member couplings (Prune,
-// Cache) are off.  Fleet streams add member-tagged events plus
+// Cache) are off; a fleet of one, and so a SearchJob, is timing-independent
+// under Prune too, while a larger fleet still couples its members through
+// the shared incumbent and cache.  Fleet streams add member-tagged events plus
 // FleetMemberDone and IncumbentImproved, and MaxEvaluations is a
 // fleet-total budget split fairly.
 //

@@ -3,8 +3,10 @@ package pdsat_test
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -251,8 +253,9 @@ func TestEvalPolicyValidateAtSubmit(t *testing.T) {
 
 // TestEventsStreamEvalPruned streams a fixed-seed tabu search under
 // DefaultEvalPolicy over GET /v1/jobs/{id}/events: its eval_pruned frames, the
-// ones README shows, decode into EvalPruned with a bound above the incumbent
-// it lost to and no more samples solved than planned.
+// ones README shows, decode into EvalPruned against the search's best value so
+// far, with no more samples solved than planned, and the search_visit frame
+// after each is the same set, pruned and valued at exactly that incumbent.
 func TestEventsStreamEvalPruned(t *testing.T) {
 	s := newTestSession(t, testInstance(t, 50, 36, 3), 16)
 	ts := httptest.NewServer(pdsat.NewServer(s))
@@ -267,7 +270,8 @@ func TestEventsStreamEvalPruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	pruned := 0
+	pruned, best := 0, math.Inf(1)
+	var last *pdsat.EvalPruned // the eval_pruned frame the next visit answers
 	for dec := json.NewDecoder(resp.Body); ; {
 		var frame struct {
 			Event string          `json:"event"`
@@ -278,17 +282,30 @@ func TestEventsStreamEvalPruned(t *testing.T) {
 		} else if err != nil {
 			t.Fatal(err)
 		}
-		if frame.Event != "eval_pruned" {
-			continue
+		switch frame.Event {
+		case "eval_pruned":
+			var ev pdsat.EvalPruned
+			if err := json.Unmarshal(frame.Data, &ev); err != nil {
+				t.Fatal(err)
+			}
+			if ev.Job != id || len(ev.Vars) == 0 || ev.Incumbent != best || ev.SamplesSolved > ev.SamplesPlanned {
+				t.Fatalf("eval_pruned frame %s, with the best value %v so far, decodes to %+v", frame.Data, best, ev)
+			}
+			last = &ev
+			pruned++
+		case "search_visit":
+			var v pdsat.SearchVisit
+			if err := json.Unmarshal(frame.Data, &v); err != nil {
+				t.Fatal(err)
+			}
+			if v.Pruned != (last != nil) || last != nil && (v.Value != last.Incumbent || !slices.Equal(v.Vars, last.Vars)) {
+				t.Fatalf("search_visit frame %s after the eval_pruned %+v", frame.Data, last)
+			}
+			if v.Improved {
+				best = v.Value
+			}
+			last = nil
 		}
-		var ev pdsat.EvalPruned
-		if err := json.Unmarshal(frame.Data, &ev); err != nil {
-			t.Fatal(err)
-		}
-		if ev.Job != id || len(ev.Vars) == 0 || !(ev.LowerBound > ev.Incumbent) || ev.SamplesSolved > ev.SamplesPlanned {
-			t.Fatalf("eval_pruned frame %s decodes to %+v", frame.Data, ev)
-		}
-		pruned++
 	}
 	if pruned == 0 {
 		t.Fatal("the search streamed no eval_pruned frame")

@@ -84,7 +84,7 @@ type SearchVisit struct {
 	Accepted bool `json:"accepted"`
 	Improved bool `json:"improved"`
 	// Pruned reports that the evaluation was aborted by incumbent pruning;
-	// Value is then a certified lower bound, not a full estimate.
+	// Value is then the incumbent F was certified above, not an estimate.
 	Pruned bool `json:"pruned,omitempty"`
 }
 
@@ -95,6 +95,7 @@ func (SearchVisit) EventKind() string { return "search_visit" }
 // predictive-function evaluation because its partial lower bound 2^d·(Σζ)/N
 // exceeded the search incumbent: the candidate set is provably worse than
 // the best one already found, and the remainder of its sample was skipped.
+// The evaluation's value is Incumbent.
 type EvalPruned struct {
 	// Job is the reporting job's ID; Member the 0-based fleet member whose
 	// evaluation was pruned (0 for non-fleet jobs).
@@ -102,10 +103,8 @@ type EvalPruned struct {
 	Member int    `json:"member,omitempty"`
 	// Vars is the pruned decomposition set, sorted by variable index.
 	Vars []Var `json:"vars"`
-	// LowerBound is the certified lower bound on F that triggered the
-	// prune; Incumbent is the best F it was compared against.
-	LowerBound float64 `json:"lower_bound"`
-	Incumbent  float64 `json:"incumbent"`
+	// Incumbent is the best F it was compared against, and F lies above it.
+	Incumbent float64 `json:"incumbent"`
 	// SamplesSolved of SamplesPlanned subproblems were solved to completion
 	// before the abort.
 	SamplesSolved  int `json:"samples_solved"`
@@ -124,11 +123,11 @@ type CacheHit struct {
 	Member int    `json:"member,omitempty"`
 	// Vars is the memoized decomposition set, sorted by variable index.
 	Vars []Var `json:"vars"`
-	// Value is the cached F value (a lower bound for entries memoized from
-	// pruned evaluations, which are served only when they still prove the
-	// point worse than the search incumbent).
+	// Value is the cached F value (for an entry memoized from a pruned
+	// evaluation, the incumbent F was certified above, served only when it
+	// still proves the point worse than the search incumbent).
 	Value float64 `json:"value"`
-	// Pruned marks lower-bound entries.
+	// Pruned marks entries memoized from pruned evaluations.
 	Pruned bool `json:"pruned,omitempty"`
 }
 

@@ -47,11 +47,14 @@ type FleetMemberSpec struct {
 // fleet of one is bit-identical to a SearchJob under matching seeds, and a
 // fixed-seed fleet yields deterministic per-member results regardless of
 // interleaving as long as the effective evaluation policy has the
-// cross-member couplings (Prune, Cache) off.  With pruning or the shared
-// cache enabled, every member's best value remains a certified full
-// estimate, but which evaluations get pruned or served from the cache
-// depends on timing, so per-member traces may vary run to run — that
-// variability is exactly the work the coupling saves.
+// cross-member couplings (Prune, Cache) off.  A fleet of one is
+// timing-independent under Prune too: a pruned evaluation is valued at the
+// incumbent and adds no conflict activity.  In a larger fleet with pruning
+// or the shared cache enabled, every member's best value remains a certified
+// full estimate, but which evaluations get pruned or served from the cache
+// depends on when the other members improve the shared incumbent, so
+// per-member traces may vary run to run — that variability is exactly the
+// work the coupling saves.
 //
 // The job emits member-tagged SearchVisit/SampleProgress/EvalPruned/
 // CacheHit events, a FleetMemberDone per finished member, an

@@ -282,7 +282,6 @@ func (s *Session) objectiveFor(j *Job, scope *runner.Scope, activity optimize.Ac
 			Job:            j.id,
 			Member:         member,
 			Vars:           p.SortedVars(),
-			LowerBound:     ev.LowerBound,
 			Incumbent:      ev.Incumbent,
 			SamplesSolved:  ev.SamplesSolved,
 			SamplesPlanned: ev.SamplesPlanned,
