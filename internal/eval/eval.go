@@ -148,8 +148,8 @@ const FullPrecision = "full"
 
 // variant fingerprints the precision of the estimates a policy produces,
 // for the cache: two policies share estimates only if their staged
-// early-stop settings agree (pruned lower bounds are certified facts and
-// are shared unconditionally).  Pruning itself never changes a completed
+// early-stop settings agree (pruned evaluations certify facts and are
+// shared unconditionally).  Pruning itself never changes a completed
 // estimate, so it is not part of the fingerprint.
 func (p Policy) variant() string {
 	if p.Epsilon <= 0 || p.Stages <= 1 {

@@ -11,10 +11,11 @@
 //     which carries the point and the raw sample too; a sample that ended at
 //     Config.SubproblemBudget without an answer is counted censored there.
 //     Per-variable conflict activity is accumulated across the sample of
-//     every evaluation that is not pruned; the tabu search uses it to pick new neighbourhood centres.  The evaluation
-//     methods are declared once, on Scope; a Runner embeds its default scope
-//     and has them by promotion, while its counters and VarActivity are its
-//     own ledger's, the roll-up over every scope (see Runner).
+//     every evaluation that is not pruned; the tabu search uses it to pick
+//     new neighbourhood centres.  The evaluation methods are declared once,
+//     on Scope; a Runner embeds its default scope and has them by promotion,
+//     while its counters and VarActivity are its own ledger's, the roll-up
+//     over every scope (see Runner).
 //
 //   - Solving mode (Solve): all 2^d assignments of X̃ are enumerated and the
 //     corresponding subproblems are solved, optionally stopping at the first
@@ -301,16 +302,14 @@ func (l *ledger) absorb(res *cluster.TaskResult) {
 	}
 }
 
-// addActivity adds conflict activity to this ledger and to every one above
-// it.  The activities are integer-valued counts, so the float sums are exact
-// and do not depend on the order results arrive in.
-func (l *ledger) addActivity(act solver.SparseActivities) {
+// addActivity adds a batch's conflict activity, by variable, to this ledger
+// and to every one above it.  The activities are integer-valued counts, so
+// the float sums are exact and do not depend on the order results arrive in.
+func (l *ledger) addActivity(act []float64) {
 	for ; l != nil; l = l.up {
 		l.mu.Lock()
-		// The variables were checked where the result was produced or decoded
-		// (the cluster's wire holds a worker's to the formula).
-		for i, v := range act.Vars {
-			l.confAct[v] += act.Acts[i]
+		for v, a := range act {
+			l.confAct[v] += a
 		}
 		l.mu.Unlock()
 	}
@@ -604,11 +603,13 @@ func (r *Runner) SolveObserved(ctx context.Context, p decomp.Point, opts SolveOp
 		stop = cluster.StopOnSat
 	}
 	// A family is no scope's sample: its results go into the runner's own
-	// ledger, as they are observed.
+	// ledger, their counters as they are observed, their activity once the
+	// batch has returned.
 	done := 0
+	act := buf.activity(r.formula.NumVars)
 	absorb := func(res cluster.TaskResult) {
 		r.absorb(&res)
-		r.addActivity(res.Activity)
+		addSparse(act, res.Activity)
 		if observe != nil {
 			done++
 			observe(Progress{Done: done, Total: total, Result: res})
@@ -624,6 +625,7 @@ func (r *Runner) SolveObserved(ctx context.Context, p decomp.Point, opts SolveOp
 		Speculate: !retain,
 		Results:   buf.lentResults(total),
 	}, absorb, nil)
+	r.addActivity(act)
 	if err != nil && !cluster.IsInterruption(err) {
 		return nil, err
 	}

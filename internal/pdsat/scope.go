@@ -154,11 +154,11 @@ func (sc *Scope) EvaluateSlotObserved(ctx context.Context, p decomp.Point, pol e
 
 	prune := pol.Prune && !math.IsInf(incumbent, 1) && !math.IsNaN(incumbent)
 	buf.held.reset()
-	buf.act = buf.act.Emptied()
 	cp := &checkpoints{
 		sc: sc, pol: pol, observe: observe,
 		plan:  eval.StagePlan(n, pol.Stages),
-		costs: costs, sampled: sampled, held: &buf.held, act: &buf.act,
+		costs: costs, sampled: sampled, held: &buf.held,
+		act:      buf.activity(r.formula.NumVars),
 		sumBound: math.Inf(1),
 		abort:    make(chan struct{}),
 	}
@@ -185,7 +185,7 @@ func (sc *Scope) EvaluateSlotObserved(ctx context.Context, p decomp.Point, pol e
 	// A pruned evaluation adds no activity: what the abort let finish is
 	// timing's choice.
 	if !cp.aborted {
-		sc.addActivity(buf.act)
+		sc.addActivity(cp.act)
 	}
 	if runErr != nil && !cluster.IsInterruption(runErr) {
 		return nil, runErr
@@ -230,10 +230,11 @@ func (sc *Scope) EvaluateSlotObserved(ctx context.Context, p decomp.Point, pol e
 
 // sampleBuffer is what one evaluation or Solve call builds its batch in: the
 // literals of every task, the task list, the array the results come back in,
-// the generator the sample is drawn from, the tables by task index and the
-// checkpoints' held-back results and counted activity.  A Runner keeps the buffers of the calls
-// that have ended (acquireBuffer, releaseBuffer), so that a call builds its
-// batch, and takes its results, in the arrays of one before it.
+// the generator the sample is drawn from, the tables by task index, the
+// checkpoints' held-back results and the activity by variable of the results
+// a call counted.  A Runner keeps the buffers of the calls that have ended
+// (acquireBuffer, releaseBuffer), so that a call builds its batch, and takes
+// its results, in the arrays of one before it.
 type sampleBuffer struct {
 	lits    []cnf.Lit
 	tasks   []cluster.Task
@@ -242,7 +243,7 @@ type sampleBuffer struct {
 	costs   []float64
 	sampled []bool
 	held    heldResults
-	act     solver.SparseActivities
+	act     []float64
 }
 
 // cut returns n tasks, indexed 0..n-1, whose assumption vectors are d
@@ -284,6 +285,25 @@ func (b *sampleBuffer) familyTasks(fam *decomp.Family, n int) []cluster.Task {
 	return tasks
 }
 
+// activity returns the buffer's activity table, one zero entry for each
+// variable of a formula of numVars and the unused index 0.
+func (b *sampleBuffer) activity(numVars int) []float64 {
+	if len(b.act) != numVars+1 {
+		b.act = make([]float64, numVars+1)
+	}
+	clear(b.act)
+	return b.act
+}
+
+// addSparse adds a result's activity vector into a table by variable.  The
+// variables were checked where the result was produced or decoded (the
+// cluster's wire holds a worker's to the formula).
+func addSparse(act []float64, a solver.SparseActivities) {
+	for i, v := range a.Vars {
+		act[v] += a.Acts[i]
+	}
+}
+
 // lentResults returns the buffer's results array, empty, with room for n
 // results: what a call lends its batch (cluster.BatchOptions.Results), which
 // every transport lets go of when the call returns.
@@ -311,15 +331,15 @@ func (b *sampleBuffer) tables(n int) ([]float64, []bool) {
 // (plan), decided one after the other.  Results below the boundary of the
 // stage being decided are counted as they arrive — into the running sum, the
 // ledgers' counters, the caller's Progress, the buffer's activity — and
-// results beyond it are held back.  Once
-// every index below the boundary is in, that prefix is what a dispatch of the
-// stage alone would have returned: the incumbent bound and eq. 3 are checked
-// on it, and either the batch is aborted or the boundary moves on and takes
-// in what was held back.  Whatever lies beyond the boundary that decided is
-// dropped like the losing copy of a speculated task: it was solved ahead for
-// nothing, enters no sample, ledger or event, and stays among the samples
-// skipped.  What an evaluation returns is therefore a function of the costs
-// alone, not of the order the results came in.
+// results beyond it are held back.  Once every index below the boundary is
+// in, that prefix is what a dispatch of the stage alone would have returned:
+// the incumbent bound and eq. 3 are checked on it, and either the batch is
+// aborted or the boundary moves on and takes in what was held back.
+// Whatever lies beyond the boundary that decided is dropped like the losing
+// copy of a speculated task: it was solved ahead for nothing, enters no
+// sample, ledger or event, and stays among the samples skipped.  What an
+// evaluation returns is therefore a function of the costs alone, not of the
+// order the results came in, and so is the activity an unpruned one adds.
 //
 // The transport calls result one call at a time, each completed before the
 // next begins and all before the batch call returns, so none of this is
@@ -347,10 +367,10 @@ type checkpoints struct {
 	satCount int
 	censored int
 	// held are the results beyond the boundary, in the buffer's arrays; act
-	// is the counted results' activity, one vector behind the other, which
-	// the ledgers take only from an evaluation that ends unpruned.
+	// sums the counted results' activity by variable, which the ledgers take
+	// only from an evaluation that ends unpruned.
 	held *heldResults
-	act  *solver.SparseActivities
+	act  []float64
 
 	// sumAll is every counted cost, truncated solves included; sumBound the
 	// incumbent translated onto that sum: 2^d·(Σζ)/N > incumbent ⇔ Σζ >
@@ -379,7 +399,7 @@ func (cp *checkpoints) result(res cluster.TaskResult) {
 func (cp *checkpoints) count(res cluster.TaskResult) {
 	cp.counted++
 	cp.sc.absorb(&res)
-	appendActivity(cp.act, res.Activity)
+	addSparse(cp.act, res.Activity)
 	if res.Started {
 		cp.sumAll += res.Cost
 	}
@@ -459,18 +479,12 @@ type heldResults struct {
 // points into the arrays as they were when it was copied, which an append
 // that moves them leaves as they are.
 func (h *heldResults) hold(res cluster.TaskResult) {
-	res.Activity = appendActivity(&h.act, res.Activity)
+	from := len(h.act.Vars)
+	h.act.Vars = append(h.act.Vars, res.Activity.Vars...)
+	h.act.Acts = append(h.act.Acts, res.Activity.Acts...)
+	to := len(h.act.Vars)
+	res.Activity = solver.SparseActivities{Vars: h.act.Vars[from:to:to], Acts: h.act.Acts[from:to:to]}
 	h.results = append(h.results, res)
-}
-
-// appendActivity appends a copy of src to the arrays of *dst and returns the
-// copy.
-func appendActivity(dst *solver.SparseActivities, src solver.SparseActivities) solver.SparseActivities {
-	from := len(dst.Vars)
-	dst.Vars = append(dst.Vars, src.Vars...)
-	dst.Acts = append(dst.Acts, src.Acts...)
-	to := len(dst.Vars)
-	return solver.SparseActivities{Vars: dst.Vars[from:to:to], Acts: dst.Acts[from:to:to]}
 }
 
 // reset drops everything held, keeping the arrays.
