@@ -11,8 +11,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -23,55 +25,69 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
-	}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
 }
 
-func run() error {
+// run runs the command on args under ctx, writes its report to stdout, and
+// returns its exit status: 0, 1 when an experiment fails, 2 on a bad flag.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		expID     = flag.String("exp", "all", "experiment id (see -list) or \"all\"")
-		scaleName = flag.String("scale", "default", "experiment scale: quick, default or paper")
-		list      = flag.Bool("list", false, "list available experiments and exit")
-		timeout   = flag.Duration("timeout", 0, "overall wall-clock limit (0 = none)")
+		expID     = fs.String("exp", "all", "experiment id (see -list) or \"all\"")
+		scaleName = fs.String("scale", "default", "experiment scale: quick, default or paper")
+		list      = fs.Bool("list", false, "list available experiments and exit")
+		timeout   = fs.Duration("timeout", 0, "overall wall-clock limit (0 = none)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
+	if err := experiments(ctx, *expID, *scaleName, *list, stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return 1
+	}
+	return 0
+}
 
-	if *list {
-		fmt.Printf("%-15s %-22s %s\n", "ID", "PAPER ARTEFACT", "DESCRIPTION")
+// experiments lists the registry, or runs the selected experiments at the
+// named scale and writes their tables.
+func experiments(ctx context.Context, expID, scaleName string, list bool, stdout, stderr io.Writer) error {
+	if list {
+		fmt.Fprintf(stdout, "%-15s %-22s %s\n", "ID", "PAPER ARTEFACT", "DESCRIPTION")
 		for _, e := range expts.Experiments() {
-			fmt.Printf("%-15s %-22s %s\n", e.ID, e.Paper, e.Description)
+			fmt.Fprintf(stdout, "%-15s %-22s %s\n", e.ID, e.Paper, e.Description)
 		}
 		return nil
 	}
 
 	var scale expts.Scale
-	switch *scaleName {
+	switch scaleName {
 	case "quick":
 		scale = expts.QuickScale()
 	case "default", "laptop":
 		scale = expts.DefaultScale()
 	case "paper":
 		scale = expts.PaperScale()
-		fmt.Fprintln(os.Stderr, "warning: the paper scale reproduces the original cluster-sized experiments and will not finish on a workstation")
+		fmt.Fprintln(stderr, "warning: the paper scale reproduces the original cluster-sized experiments and will not finish on a workstation")
 	default:
-		return fmt.Errorf("unknown scale %q", *scaleName)
+		return fmt.Errorf("unknown scale %q", scaleName)
 	}
-
-	ctx := context.Background()
-	var cancel context.CancelFunc = func() {}
-	if *timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-	}
-	ctx, stop := signal.NotifyContext(ctx, syscall.SIGINT, syscall.SIGTERM)
-	defer func() { stop(); cancel() }()
 
 	var selected []expts.Experiment
-	if *expID == "all" {
+	if expID == "all" {
 		selected = expts.Experiments()
 	} else {
-		e, err := expts.FindExperiment(*expID)
+		e, err := expts.FindExperiment(expID)
 		if err != nil {
 			return err
 		}
@@ -79,7 +95,7 @@ func run() error {
 	}
 
 	for _, e := range selected {
-		fmt.Printf("### %s (%s) — scale %q\n\n", e.ID, e.Paper, scale.Name)
+		fmt.Fprintf(stdout, "### %s (%s) — scale %q\n\n", e.ID, e.Paper, scale.Name)
 		start := time.Now()
 		tables, err := e.Run(ctx, scale)
 		// On Ctrl-C (or -timeout) still print whatever the experiment
@@ -90,16 +106,16 @@ func run() error {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		for _, t := range tables {
-			if err := t.Write(os.Stdout); err != nil {
+			if err := t.Write(stdout); err != nil {
 				return err
 			}
 		}
 		if interrupted {
-			fmt.Printf("(%s interrupted after %v — results above are partial)\n\n",
+			fmt.Fprintf(stdout, "(%s interrupted after %v — results above are partial)\n\n",
 				e.ID, time.Since(start).Round(time.Millisecond))
 			return nil
 		}
-		fmt.Printf("(%s finished in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "(%s finished in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }
