@@ -274,10 +274,11 @@ func (ev Evaluation) Evaluation() Evaluation { return ev }
 // Evaluator evaluates the predictive function at a point under an incumbent
 // bound: the best F value the caller has already certified.  Evaluations may
 // exploit the incumbent by pruning (returning early, valued at the incumbent,
-// once F is certified above it); callers that have no incumbent pass +Inf.  It is what the optimize
-// package's searches minimize (optimize.Objective), one evaluation at a time:
-// each draws its Monte Carlo sample from the next evaluation slot of the
-// pdsat Scope behind it (sample = f(scope seed, slot)).
+// once F is certified above it); callers that have no incumbent pass +Inf.
+// It is what the optimize package's searches minimize (optimize.Objective),
+// one evaluation at a time: each draws its Monte Carlo sample from the next
+// evaluation slot of the pdsat Scope behind it (sample = f(scope seed,
+// slot)).
 type Evaluator interface {
 	EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*Evaluation, error)
 }
@@ -382,8 +383,7 @@ type CacheStats struct {
 // fact): it hits only when that incumbent exceeds the caller's — i.e. when it
 // still proves the point worse than the best the caller already has —
 // because against a worse (higher) incumbent it proves nothing and the point
-// must be re-evaluated.
-// The zero *Cache (nil) is a valid disabled cache.
+// must be re-evaluated.  The zero *Cache (nil) is a valid disabled cache.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry // guarded by mu
@@ -435,8 +435,7 @@ func (c *Cache) Lookup(key, variant string, incumbent float64) (Evaluation, bool
 // Store memoizes a finished evaluation under the producing policy's
 // precision variant.  Estimates overwrite same-variant estimates; a pruned
 // evaluation replaces the point's one only if pruned against a higher
-// incumbent, and coexists with estimates.  A nil cache
-// ignores the call.
+// incumbent, and coexists with estimates.  A nil cache ignores the call.
 func (c *Cache) Store(key, variant string, ev Evaluation) {
 	if c == nil {
 		return

@@ -18,8 +18,8 @@
 // improves when its cost is below the best value, where an evaluation pruned
 // against the incumbent, or with a sample censored at the per-subproblem
 // budget, costs +Inf; an improving visit is always taken, becomes the best
-// and is offered to the fleet.  Searches racing each other are coupled through a
-// shared Incumbent (fleet.go); the race that runs them is the pdsat
+// and is offered to the fleet.  Searches racing each other are coupled
+// through a shared Incumbent (fleet.go); the race that runs them is the pdsat
 // package's.
 package optimize
 
@@ -339,10 +339,10 @@ func (s *search) checkBudgets(ctx context.Context) error {
 
 // take is the one judgement of a visit, the start point's, a tabu
 // neighbour's and an annealing candidate's alike.  The visit improves when
-// its cost is below the best value; then it becomes the best and is offered to the fleet's shared incumbent.  An
-// improving visit is always taken; accepted says whether the caller takes
-// it otherwise (the annealing's acceptance rule).  The visit is recorded at
-// its reported value.
+// its cost is below the best value; then it becomes the best and is offered
+// to the fleet's shared incumbent.  An improving visit is always taken;
+// accepted says whether the caller takes it otherwise (the annealing's
+// acceptance rule).  The visit is recorded at its reported value.
 func (s *search) take(p decomp.Point, v valued, accepted bool) (taken, improved bool) {
 	improved = v.cost() < s.bestValue
 	taken = accepted || improved
