@@ -32,8 +32,8 @@
 //     evaluations shared across searches and jobs on the same
 //     problem/configuration, so re-visited decomposition sets cost nothing.
 //     A pruned evaluation is cached with the incumbent it was pruned against
-//     and is served only when that still proves the point worse than the
-//     caller's incumbent.
+//     and is served whenever that incumbent is at least the caller's, as F
+//     above it still proves the point worse.
 //
 // The Engine composes the three: it wraps a Backend (a pdsat Scope) with the
 // cache and the pruning/staging policy, and implements Evaluator — what the
@@ -206,10 +206,11 @@ type Evaluation struct {
 	// Point is the evaluated decomposition set.
 	Point decomp.Point `json:"-"`
 	// Value is the evaluation's headline number: the Monte Carlo estimate
-	// of F for complete, early-stopped and interrupted evaluations, or
-	// Incumbent for pruned ones, which certify only that F exceeds it.  With
-	// SamplesCensored > 0 the estimate is itself a lower bound, the
-	// restricted mean of costs capped at the per-subproblem budget.
+	// of F for complete, early-stopped and interrupted evaluations, or the
+	// incumbent a pruned one was compared against, as it certifies only
+	// that F exceeds it.  With SamplesCensored > 0 the estimate is itself a
+	// lower bound, the restricted mean of costs capped at the per-subproblem
+	// budget.
 	Value float64 `json:"value"`
 	// Estimate is the Monte Carlo estimate over the fully solved samples.
 	// In a pruned evaluation it covers the completed prefix, which is
@@ -223,10 +224,6 @@ type Evaluation struct {
 	// Pruned reports that the evaluation was aborted because its partial
 	// lower bound 2^d·(Σζ)/N exceeded the incumbent.
 	Pruned bool `json:"pruned,omitempty"`
-	// Incumbent records the bound a pruned evaluation was compared against,
-	// its Value (left zero for unpruned evaluations — the incumbent may be
-	// +Inf there, which JSON cannot represent).
-	Incumbent float64 `json:"incumbent,omitempty"`
 	// EarlyStopped reports that staged sampling stopped before the full
 	// sample because the confidence half-width met the ε target.
 	EarlyStopped bool `json:"early_stopped,omitempty"`
@@ -379,11 +376,11 @@ type CacheStats struct {
 // estimate is never served to a caller whose policy asked for full-sample
 // precision; a FullPrecision estimate, being the most precise possible,
 // satisfies any variant.  A pruned evaluation is cached with the incumbent it
-// was pruned against, independent of variant (F above it is a certified
-// fact): it hits only when that incumbent exceeds the caller's — i.e. when it
-// still proves the point worse than the best the caller already has —
-// because against a worse (higher) incumbent it proves nothing and the point
-// must be re-evaluated.  The zero *Cache (nil) is a valid disabled cache.
+// was pruned against, its Value, independent of variant (F above it is a
+// certified fact): it hits when that incumbent is at least the caller's —
+// F above it then proves the point worse than the best the caller already
+// has — and against a higher incumbent it proves nothing, so the point must
+// be re-evaluated.  The zero *Cache (nil) is a valid disabled cache.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry // guarded by mu
@@ -423,7 +420,7 @@ func (c *Cache) Lookup(key, variant string, incumbent float64) (Evaluation, bool
 			c.hits++
 			return ev, true
 		}
-		if e.bound != nil && e.bound.Value > incumbent {
+		if e.bound != nil && e.bound.Value >= incumbent {
 			c.hits++
 			return *e.bound, true
 		}

@@ -189,17 +189,17 @@ func TestPolicyVariant(t *testing.T) {
 
 func TestCacheBoundSemantics(t *testing.T) {
 	c := NewCache()
+	// A prune against 100 certifies F > 100.
 	bound := Evaluation{Value: 100, Pruned: true}
 	c.Store("p", FullPrecision, bound)
-	// The bound proves the point worse than incumbents below it —
+	// The bound proves the point worse than incumbents at or below it —
 	// regardless of the caller's variant...
-	if got, ok := c.Lookup("p", "s3,e0.1,g0.95", 50); !ok || !got.Pruned || got.Value != 100 {
-		t.Fatalf("bound should hit for incumbent 50: %+v, %v", got, ok)
+	for _, incumbent := range []float64{50, 100} {
+		if got, ok := c.Lookup("p", "s3,e0.1,g0.95", incumbent); !ok || !got.Pruned || got.Value != 100 {
+			t.Fatalf("bound should hit for incumbent %v: %+v, %v", incumbent, got, ok)
+		}
 	}
-	// ...but proves nothing for incumbents at or above it.
-	if _, ok := c.Lookup("p", FullPrecision, 100); ok {
-		t.Fatal("bound must not hit for an incumbent equal to it")
-	}
+	// ...but proves nothing for incumbents above it.
 	if _, ok := c.Lookup("p", FullPrecision, 200); ok {
 		t.Fatal("bound must not hit for a larger incumbent")
 	}
@@ -262,7 +262,7 @@ func (b *fakeBackend) EvaluateSlot(ctx context.Context, p decomp.Point, pol Poli
 	}
 	ev := b.result
 	if ev.Pruned {
-		ev.Value, ev.Incumbent = incumbent, incumbent // as a pdsat Scope reports a prune
+		ev.Value = incumbent // as a pdsat Scope reports a prune
 	}
 	return &ev, nil
 }
@@ -324,12 +324,15 @@ func TestEnginePrunedNotificationAndIncumbent(t *testing.T) {
 	if err != nil || !ev.Pruned {
 		t.Fatalf("pruned evaluation: %+v, %v", ev, err)
 	}
-	if len(prunes) != 1 || prunes[0].Incumbent != 50 || prunes[0].Value != 50 {
+	if len(prunes) != 1 || prunes[0].Value != 50 {
 		t.Fatalf("OnPruned notifications: %+v", prunes)
 	}
-	// The prune against 50 serves lower incumbents from the cache...
-	if ev, err := eng.EvaluateF(context.Background(), p, 40); err != nil || !ev.CacheHit {
-		t.Fatalf("bound not served for lower incumbent: %+v, %v", ev, err)
+	// The prune against 50 serves an equal or lower incumbent from the
+	// cache, as F > 50 proves the point worse than either...
+	for _, incumbent := range []float64{50, 40} {
+		if ev, err := eng.EvaluateF(context.Background(), p, incumbent); err != nil || !ev.CacheHit || !ev.Pruned || ev.Value != 50 {
+			t.Fatalf("bound not served for incumbent %v: %+v, %v", incumbent, ev, err)
+		}
 	}
 	// ...but a higher incumbent needs a fresh evaluation.
 	if _, err := eng.EvaluateF(context.Background(), p, 95); err != nil {

@@ -343,7 +343,7 @@ func (o pruningObjective) EvaluateF(ctx context.Context, p decomp.Point, incumbe
 	if err != nil || ev.Value <= incumbent {
 		return ev, err
 	}
-	return &eval.Evaluation{Value: incumbent, Pruned: true, Incumbent: incumbent}, nil
+	return &eval.Evaluation{Value: incumbent, Pruned: true}, nil
 }
 
 // pinnedPass is a Neighborhood with its centre as a key.

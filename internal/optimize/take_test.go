@@ -51,7 +51,7 @@ func (o *tableObjective) EvaluateF(_ context.Context, p decomp.Point, incumbent 
 	case v <= 1.5*incumbent:
 		return &eval.Evaluation{Value: v}, nil
 	}
-	return &eval.Evaluation{Value: incumbent, Pruned: true, Incumbent: incumbent}, nil
+	return &eval.Evaluation{Value: incumbent, Pruned: true}, nil
 }
 
 // TestTakeIsTheOneJudgement holds both algorithms, alone and as the members

@@ -223,7 +223,7 @@ func (sc *Scope) EvaluateSlotObserved(ctx context.Context, p decomp.Point, pol e
 	if ev.Pruned {
 		// The one fact a prune certifies is F > incumbent: what the sum had
 		// reached when the abort landed depends on timing.
-		ev.Value, ev.Incumbent = incumbent, incumbent
+		ev.Value = incumbent
 	}
 	return ev, runErr
 }

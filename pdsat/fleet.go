@@ -48,8 +48,10 @@ type FleetMemberSpec struct {
 // fixed-seed fleet yields deterministic per-member results regardless of
 // interleaving as long as the effective evaluation policy has the
 // cross-member couplings (Prune, Cache) off.  A fleet of one is
-// timing-independent under Prune too: a pruned evaluation is valued at the
-// incumbent and adds no conflict activity.  In a larger fleet with pruning
+// timing-independent under Prune too, as a pruned evaluation is valued at
+// the incumbent and adds no conflict activity, when the cache is off or no
+// other job runs on the session at the same time: the F-cache is the
+// session's, so concurrent jobs serve each other entries as they land.  In a larger fleet with pruning
 // or the shared cache enabled, every member's best value remains a certified
 // full estimate, but which evaluations get pruned or served from the cache
 // depends on when the other members improve the shared incumbent, so

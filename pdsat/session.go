@@ -282,7 +282,7 @@ func (s *Session) objectiveFor(j *Job, scope *runner.Scope, activity optimize.Ac
 			Job:            j.id,
 			Member:         member,
 			Vars:           p.SortedVars(),
-			Incumbent:      ev.Incumbent,
+			Incumbent:      ev.Value,
 			SamplesSolved:  ev.SamplesSolved,
 			SamplesPlanned: ev.SamplesPlanned,
 		})
