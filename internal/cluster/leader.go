@@ -111,12 +111,6 @@ type Leader struct {
 	// handshaking holds the accepted connections that have not registered
 	// yet, so that Close can end their handshakes too.
 	handshaking map[net.Conn]struct{} // guarded by mu
-	// solveMean is the running mean of the solve times of the results
-	// recorded so far, over the last meanWindow of them; solves counts them up
-	// to that window.  It sizes worker queues (targetDepth) and nothing else:
-	// no sample, cost or estimate ever sees it.
-	solveMean time.Duration // guarded by mu
-	solves    int64         // guarded by mu
 
 	// wg counts the accept loop, every connection goroutine and every
 	// pinger; Close waits for it.  Counts are added under mu while closed is
@@ -480,10 +474,6 @@ func (l *Leader) deliver(rw *remoteWorker, env *envelope) error {
 		return nil
 	}
 	cancel := recordLocked(b, res)
-	if res.Started && !res.Cancelled {
-		l.solves = min(l.solves+1, meanWindow)
-		l.solveMean += (res.Stats.SolveTime - l.solveMean) / time.Duration(l.solves)
-	}
 	// Speculation resolution: the first result for a duplicated task wins
 	// — in pristine batches both copies would be bit-identical, so this
 	// decides timing, never content — and every other live copy is wiped
@@ -682,42 +672,32 @@ type sendChunk struct {
 	tasks []Task
 }
 
-// A worker's queue is sized in solve time.  horizon is how much work, at the
-// mean solve time the leader has observed, may wait on a worker beyond the
-// floor of two tasks a slot; depthCap bounds it per solving slot,
-// whatever the mean; meanWindow is how many results the mean remembers, so
-// that a leader whose tasks turn from microseconds to milliseconds (an
-// estimate, then the solve it predicted) follows within that many results.
-// Sized on the benchmark's TCP workloads, see the table at flushEvery in
-// proto.go: with a 65 µs solve, a frame of one task for every result cost
-// half a solve a task (traced bivium-estimate-tcp: cluster.task_overhead_us
-// 27–32, slot_util_pct 70–72); at a horizon of 1 ms a frame carries seven
-// tasks or more (12–13, 84–85).
-const (
-	horizon    = time.Millisecond
-	depthCap   = 256
-	meanWindow = 64
-)
+// A worker's queue is sized in tasks: the leader keeps no model of ζ, as
+// PDSAT's keeps none.  In a batch that may steal, a worker holds up to
+// depthCap tasks a slot, so that short tasks travel many to a frame — with a
+// 65 µs solve, a frame of one task for every result cost half a solve a task
+// (traced bivium-estimate-tcp: cluster.task_overhead_us 27–32, slot_util_pct
+// 70–72, against 12–13 and 84–85 at seven tasks a frame or more) — and
+// stealing takes back half of what a worker has queued when it turns out
+// slow.  Sizing the queue in time instead, at one millisecond of work a slot
+// at the mean reported solve time, bought nothing: the benchmark's
+// a51-search-tcp ran 0.91× as long with this count, bivium-estimate-tcp
+// 0.98× (ten alternated pairs on a 2-core host).
+const depthCap = 256
 
 // targetDepth is the dispatch depth for one worker — in-flight plus locally
-// queued tasks — decided by two rules, both from what the leader measures
-// itself.  The floor is in tasks: two a slot, one executing and one queued
-// behind it to hide the network round-trip while results stream back.
-//
-// Above the floor the depth is in time: one horizon of work per slot at the
-// observed mean solve time (0: nothing observed yet), so that short tasks
-// travel many to a frame.  Only a batch with Steal gets it, because only
+// queued tasks.  A batch that may steal gets depthCap tasks a slot.  Any
+// other gets the floor of two a slot, one executing and one queued behind it
+// to hide the network round-trip while results stream back, because only
 // stealing can take a deep queue back from a worker that turns out slow: a
-// pinned batch with a deep queue behind a straggler waits for all of it
-// (an estimate behind a half-second straggler: 1.0 s, and 1.5 to 10.5 s
-// with this condition taken out).
-// Tasks at or above the horizon leave the floor as it is.
-func targetDepth(capacity int, opts *BatchOptions, mean time.Duration) int {
-	d := capacity * 2
-	if opts.Steal && mean > 0 {
-		d = max(d, capacity*int(min(horizon/mean, depthCap)))
+// pinned batch with a deep queue behind a straggler waits for all of it (an
+// estimate behind a half-second straggler: 1.0 s, and 1.5 to 10.5 s with
+// this condition taken out).
+func targetDepth(capacity int, opts *BatchOptions) int {
+	if opts.Steal {
+		return capacity * depthCap
 	}
-	return d
+	return capacity * 2
 }
 
 // assign hands pending tasks to workers (distributeLocked), one frame a
@@ -735,7 +715,7 @@ func (l *Leader) assign(b *netBatch) {
 		return
 	}
 	ws := l.workers
-	sends := distributeLocked(b, ws, b.sends[:0], l.solveMean)
+	sends := distributeLocked(b, ws, b.sends[:0])
 	if len(b.pending) == 0 && b.remaining > 0 {
 		// While a steal acknowledgement is outstanding the revoked tasks'
 		// custody is in transit — plan neither another steal nor a
@@ -772,25 +752,24 @@ func (l *Leader) assign(b *netBatch) {
 	}
 }
 
-// distributeLocked hands pending tasks to workers in id order and appends the
-// planned transmissions, at most one a worker, to sends (callers hold
+// distributeLocked hands pending tasks to workers and appends the planned
+// transmissions, at most one a worker in id order, to sends (callers hold
 // Leader.mu and send outside it).  It counts in two passes and then cuts.
 //
 // Free execution slots come first, across the whole cluster, before anyone's
-// queue is topped up: a task just stolen off a backlogged worker must land
-// where it can run now, not bounce back into the victim's spare dispatch depth
-// in id order — that bounce would steal the same task forever.  Steals are
-// capped at the cluster's free slots, so this pass absorbs every stolen task.
+// queue is topped up, so that a task lands where it can run now.
 //
-// Then spare dispatch depth (targetDepth at the mean solve time), in chunks: a
-// worker is topped up only once half its depth is free, so that a frame
-// carries half a queue instead of the one task the last result made room for.
-// At the floor depth of a one-slot worker, two, that is one task a frame, as
-// it always was.
+// Then spare dispatch depth (targetDepth), in chunks: a worker is topped up
+// only once half its depth is free, so that a frame carries half a queue
+// instead of the one task the last result made room for.  What is left goes
+// to those workers least loaded per slot first (fillLocked): a batch leaves
+// in even shares, and the tasks a steal took back from a backlogged worker
+// land on the drained ones first, not back on the victim in id order — that
+// bounce would steal the same tasks forever.
 //
 // A chunk is the front of the pending queue itself, not a copy: the queue
 // moves past it and is only ever appended to behind it.
-func distributeLocked(b *netBatch, ws []*remoteWorker, sends []sendChunk, mean time.Duration) []sendChunk {
+func distributeLocked(b *netBatch, ws []*remoteWorker, sends []sendChunk) []sendChunk {
 	left := len(b.pending)
 	for _, rw := range ws {
 		if n := min(rw.capacity-len(rw.inflight), left); n > 0 {
@@ -798,16 +777,8 @@ func distributeLocked(b *netBatch, ws []*remoteWorker, sends []sendChunk, mean t
 			left -= n
 		}
 	}
-	for _, rw := range ws {
-		if left == 0 {
-			break
-		}
-		depth := targetDepth(rw.capacity, &b.opts, mean)
-		if spare := depth - len(rw.inflight) - rw.planned; spare > 0 && 2*spare >= depth {
-			n := min(spare, left)
-			rw.planned += n
-			left -= n
-		}
+	if left > 0 {
+		fillLocked(ws, targetDepth(1, &b.opts), left)
 	}
 	for _, rw := range ws {
 		n := rw.planned
@@ -825,21 +796,52 @@ func distributeLocked(b *netBatch, ws []*remoteWorker, sends []sendChunk, mean t
 	return sends
 }
 
+// fillLocked plans up to left more tasks onto the workers whose queues of
+// perSlot tasks a slot are at least half free, as a water-fill: it finds the
+// least number of tasks a slot, the level, up to which those queues take them
+// all, raises every queue below it to one task a slot less, and hands the
+// rest out in id order, a slot's worth at most a worker.  Callers hold
+// Leader.mu.
+func fillLocked(ws []*remoteWorker, perSlot, left int) {
+	room := func(level int) int {
+		n := 0
+		for _, rw := range ws {
+			n += roomUpTo(rw, perSlot, level)
+		}
+		return n
+	}
+	level := min(sort.Search(perSlot, func(l int) bool { return room(l+1) >= left })+1, perSlot)
+	extra := left - room(level-1)
+	for _, rw := range ws {
+		lo, hi := roomUpTo(rw, perSlot, level-1), roomUpTo(rw, perSlot, level)
+		n := min(hi-lo, extra)
+		extra -= n
+		rw.planned += lo + n
+	}
+}
+
+// roomUpTo is how many more tasks worker rw takes to hold level tasks a slot,
+// within its queue of perSlot tasks a slot: none unless half that queue is
+// free.  Callers hold Leader.mu.
+func roomUpTo(rw *remoteWorker, perSlot, level int) int {
+	held := len(rw.inflight) + rw.planned
+	depth := perSlot * rw.capacity
+	spare := depth - held
+	if 2*spare < depth {
+		return 0
+	}
+	return min(spare, max(level*rw.capacity-held, 0))
+}
+
 // planStealLocked picks the stealing victim: the most backlogged worker
 // (queued tasks beyond its execution slots; ties break to the oldest
 // registration, since ws is in id order) while at least one other worker
-// has a free execution slot.  It marks the victim as mid-revoke — at most
-// one steal is in flight per worker, and none is planned while any is
-// outstanding elsewhere, keeping every task's custody unambiguous.
-// Callers hold Leader.mu.
+// has a free execution slot, and asks it for half its backlog, rounded up.
+// It marks the victim as mid-revoke — at most one steal is in flight per
+// worker, and none is planned while any is outstanding elsewhere, keeping
+// every task's custody unambiguous.  Callers hold Leader.mu.
 func planStealLocked(ws []*remoteWorker) (*remoteWorker, int) {
-	idle := 0
-	for _, rw := range ws {
-		if free := rw.capacity - len(rw.inflight); free > 0 {
-			idle += free
-		}
-	}
-	if idle == 0 {
+	if !slices.ContainsFunc(ws, func(rw *remoteWorker) bool { return len(rw.inflight) < rw.capacity }) {
 		return nil, 0
 	}
 	var victim *remoteWorker
@@ -852,12 +854,8 @@ func planStealLocked(ws []*remoteWorker) (*remoteWorker, int) {
 	if victim == nil {
 		return nil, 0
 	}
-	count := backlog
-	if count > idle {
-		count = idle
-	}
 	victim.revoking = true
-	return victim, count
+	return victim, (backlog + 1) / 2
 }
 
 // planSpeculationLocked duplicates the batch's unfinished tail onto idle

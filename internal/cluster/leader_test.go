@@ -106,39 +106,21 @@ func TestWaitForWorkersWithoutWorkers(t *testing.T) {
 	}
 }
 
-// TestTargetDepth pins the dispatch depth's two rules: two tasks a slot, and
-// above that, for a batch that can steal, one horizon of work at the mean
-// solve time.
+// TestTargetDepth pins the dispatch depth's two rules: depthCap tasks a slot
+// for a batch that can steal, two a slot for any other.
 func TestTargetDepth(t *testing.T) {
-	steal, pinned := &BatchOptions{Steal: true}, &BatchOptions{}
 	for _, tc := range []struct {
-		name     string
 		capacity int
-		opts     *BatchOptions
-		mean     time.Duration
+		steal    bool
 		want     int
 	}{
-		// 2 × capacity.
-		{"no result yet", 1, steal, 0, 2},
-		{"no result yet, four slots", 4, steal, 0, 8},
-		{"tasks longer than the horizon", 1, steal, 11 * time.Millisecond, 2},
-		{"tasks of one horizon", 4, steal, horizon, 8},
-		{"tasks just under the horizon", 2, steal, horizon - 1, 4},
-		{"without stealing", 1, pinned, 50 * time.Microsecond, 2},
-		{"without stealing, four slots", 4, pinned, time.Microsecond, 8},
-		{"a mean that is no time", 1, steal, -time.Second, 2},
-		// capacity × min(⌊horizon / mean⌋, depthCap).
-		{"50 µs tasks", 1, steal, 50 * time.Microsecond, 20},
-		{"50 µs tasks, two slots", 2, steal, 50 * time.Microsecond, 40},
-		{"70 µs tasks", 1, steal, 70 * time.Microsecond, 14},
-		{"400 µs tasks", 1, steal, 400 * time.Microsecond, 2},
-		{"at the cap", 1, steal, horizon / depthCap, depthCap},
-		{"beyond the cap", 1, steal, time.Microsecond, depthCap},
-		{"beyond the cap, three slots", 3, steal, time.Nanosecond, 3 * depthCap},
+		{1, true, depthCap},
+		{3, true, 3 * depthCap},
+		{1, false, 2},
+		{4, false, 8},
 	} {
-		if got := targetDepth(tc.capacity, tc.opts, tc.mean); got != tc.want {
-			t.Errorf("%s: depth %d for %d slot(s), steal %v at a mean of %v, want %d",
-				tc.name, got, tc.capacity, tc.opts.Steal, tc.mean, tc.want)
+		if got := targetDepth(tc.capacity, &BatchOptions{Steal: tc.steal}); got != tc.want {
+			t.Errorf("depth %d for %d slot(s), steal %v, want %d", got, tc.capacity, tc.steal, tc.want)
 		}
 	}
 }
@@ -155,11 +137,11 @@ func holding(id uint64, capacity, first, n int) *remoteWorker {
 
 // TestDistributeInChunks drives the assignment without a socket: a free
 // execution slot is filled whenever there is a task for it, a queue is
-// topped up only once half its depth is free, and a worker gets what both
-// rules give it as one chunk.
+// topped up only once half its depth is free, the rest goes to the workers
+// least loaded per slot, and a worker gets what these rules give it as one
+// chunk.
 func TestDistributeInChunks(t *testing.T) {
-	const mean = 50 * time.Microsecond // a depth of 20 a slot
-	stealing := BatchOptions{Steal: true}
+	stealing, pinned := BatchOptions{Steal: true}, BatchOptions{}
 	tail := func(n int) []Task { return requeueTasks(1000)[1000-n:] }
 	sizes := func(sends []sendChunk) (ids []uint64, ns []int) {
 		for _, c := range sends {
@@ -170,30 +152,39 @@ func TestDistributeInChunks(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		opts    BatchOptions
-		mean    time.Duration
 		pending int
 		ws      []*remoteWorker
 		wantTo  []uint64
 		wantN   []int
 	}{
-		{"a batch of 25 leaves in two frames", stealing, mean, 25,
-			[]*remoteWorker{holding(1, 1, 0, 0), holding(2, 1, 0, 0)}, []uint64{1, 2}, []int{20, 5}},
-		{"before any result the depth is the floor", stealing, 0, 25,
+		{"a batch of 25 leaves in two even frames", stealing, 25,
+			[]*remoteWorker{holding(1, 1, 0, 0), holding(2, 1, 0, 0)}, []uint64{1, 2}, []int{13, 12}},
+		{"a one-slot and a three-slot worker share 1:3", stealing, 400,
+			[]*remoteWorker{holding(1, 1, 0, 0), holding(2, 3, 0, 0)}, []uint64{1, 2}, []int{100, 300}},
+		{"a one-slot and a three-slot worker share 1:3, a small batch", stealing, 8,
+			[]*remoteWorker{holding(1, 1, 0, 0), holding(2, 3, 0, 0)}, []uint64{1, 2}, []int{2, 6}},
+		// The victim of a steal of 5 of its 9 queued tasks holds 5; every
+		// task taken back goes to the drained worker, none back to the victim.
+		{"after a steal the requeued tasks go to the drained worker", stealing, 5,
+			[]*remoteWorker{holding(1, 1, 0, 5), holding(2, 1, 0, 0)}, []uint64{2}, []int{5}},
+		{"the least loaded worker is filled first", stealing, 50,
+			[]*remoteWorker{holding(1, 1, 0, 100), holding(2, 1, 100, 10)}, []uint64{2}, []int{50}},
+		{"no queue grows beyond its depth", stealing, 1000,
+			[]*remoteWorker{holding(1, 1, 0, 0), holding(2, 1, 0, 0)}, []uint64{1, 2}, []int{depthCap, depthCap}},
+		{"a pinned batch stays at the floor", pinned, 25,
 			[]*remoteWorker{holding(1, 1, 0, 0), holding(2, 1, 0, 0)}, []uint64{1, 2}, []int{2, 2}},
-		{"a pinned batch stays at the floor", BatchOptions{}, mean, 25,
-			[]*remoteWorker{holding(1, 1, 0, 0), holding(2, 1, 0, 0)}, []uint64{1, 2}, []int{2, 2}},
-		{"free slots come first, across the cluster", stealing, mean, 2,
+		{"free slots come first, across the cluster", stealing, 2,
 			[]*remoteWorker{holding(1, 1, 0, 0), holding(2, 1, 0, 0)}, []uint64{1, 2}, []int{1, 1}},
-		{"no top-up while less than half the depth is free", stealing, mean, 500,
-			[]*remoteWorker{holding(1, 1, 0, 11), holding(2, 1, 100, 20)}, nil, nil},
-		{"a top-up of half the depth", stealing, mean, 500,
-			[]*remoteWorker{holding(1, 1, 0, 10), holding(2, 1, 100, 11)}, []uint64{1}, []int{10}},
-		{"at the floor a top-up is one task, as it was", stealing, 0, 500,
+		{"no top-up while less than half the depth is free", stealing, 500,
+			[]*remoteWorker{holding(1, 1, 0, depthCap/2+1), holding(2, 1, 200, 200)}, nil, nil},
+		{"a top-up of half the depth", stealing, 500,
+			[]*remoteWorker{holding(1, 1, 0, depthCap/2), holding(2, 1, 200, depthCap/2+1)}, []uint64{1}, []int{depthCap / 2}},
+		{"at the floor a top-up is one task, as it was", pinned, 500,
 			[]*remoteWorker{holding(1, 1, 0, 1), holding(2, 1, 100, 2)}, []uint64{1}, []int{1}},
-		{"at the floor a free slot brings half a queue with it, pinned or not", BatchOptions{}, mean, 500,
+		{"at the floor a free slot brings half a queue with it", pinned, 500,
 			[]*remoteWorker{holding(1, 4, 0, 3)}, []uint64{1}, []int{5}}, // depth 8: 4 spare after the slot, exactly half
-		{"a free slot and a top-up are one chunk", stealing, 0, 500,
-			[]*remoteWorker{holding(1, 4, 0, 3)}, []uint64{1}, []int{5}},
+		{"a free slot and a top-up are one chunk", stealing, 500,
+			[]*remoteWorker{holding(1, 4, 0, 3)}, []uint64{1}, []int{500}},
 	} {
 		b := &netBatch{opts: tc.opts, pending: tail(tc.pending)}
 		before := len(b.pending)
@@ -201,7 +192,7 @@ func TestDistributeInChunks(t *testing.T) {
 		for _, rw := range tc.ws {
 			held += len(rw.inflight)
 		}
-		to, ns := sizes(distributeLocked(b, tc.ws, nil, tc.mean))
+		to, ns := sizes(distributeLocked(b, tc.ws, nil))
 		if !slices.Equal(to, tc.wantTo) || !slices.Equal(ns, tc.wantN) {
 			t.Errorf("%s: chunks of %v tasks to workers %v, want %v to %v", tc.name, ns, to, tc.wantN, tc.wantTo)
 			continue
@@ -220,13 +211,22 @@ func TestDistributeInChunks(t *testing.T) {
 			t.Errorf("%s: %d tasks sent, %d left the queue, %d are newly in flight", tc.name, sent, before-len(b.pending), -held)
 		}
 	}
+
+	// The water-fill is worked out once a call, and allocates nothing.
+	ws := []*remoteWorker{holding(1, 1, 0, 0), holding(2, 3, 0, 9)}
+	if allocs := testing.AllocsPerRun(100, func() {
+		fillLocked(ws, depthCap, 400)
+		ws[0].planned, ws[1].planned = 0, 0
+	}); allocs != 0 {
+		t.Errorf("the water-fill allocates %v times a call", allocs)
+	}
 }
 
 // TestTaskFramesAreFewOnLoopback counts frames end to end.  A scripted
-// one-slot worker answers every task at once and reports a solve of 20 µs:
-// 2500 such tasks reach it in fewer than a tenth as many task frames (a depth
-// of 50, topped up by 25 or more), a batch that ran to its end is followed
-// by no interrupt frame, and one that was aborted by exactly one.
+// one-slot worker answers every task at once: 2500 tasks reach it in fewer
+// than a tenth as many task frames (a depth of depthCap, topped up by half of
+// it or more), a batch that ran to its end is followed by no interrupt frame,
+// and one that was aborted by exactly one.
 func TestTaskFramesAreFewOnLoopback(t *testing.T) {
 	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{})
 	if err != nil {

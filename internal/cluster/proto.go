@@ -121,11 +121,9 @@ var errFrame = errors.New("cluster: malformed frame")
 // 50 to 70 µs solves.  With a write per result BenchmarkLoopbackDispatch's
 // batch of 2500 reads 48.2 µs a task with 12.4% of its CPU samples in the
 // write syscall; with these values 37.9 µs and 2.3%.  They sit on a flat
-// part.  wall_s of the benchmark's bivium-estimate-tcp / a51-search-tcp,
-// median of three runs, at horizon (leader.go) / flushEvery in µs: a write
-// per result and a task per top-up 0.640 / 0.308; 500/200 0.563 / 0.269;
-// 1000/200 0.537 / 0.273; 1000/100 0.543 / 0.271; 2000/200 0.510 / 0.274;
-// 2000/400 0.507 / 0.279.
+// part: wall_s of the benchmark's bivium-estimate-tcp / a51-search-tcp,
+// median of three runs, read 0.543 / 0.271 at a flushEvery of 100 µs and
+// 0.537 / 0.273 at 200 µs, and 400 µs stayed within 2% of 200 µs.
 const (
 	// flushEvery is the least time between two writes of queued frames while
 	// there is more to do: a rate limit, not a delay — the first frame after

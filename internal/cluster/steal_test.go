@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -142,6 +143,61 @@ func TestStealVictimDiesBeforeAckRequeuesExactlyOnce(t *testing.T) {
 	stats := runStealRequeueScenario(t, false)
 	if stats.TasksStolen != 0 {
 		t.Fatalf("%d task(s) counted as stolen although the revoke was never acked", stats.TasksStolen)
+	}
+}
+
+// TestStealAsksForHalfTheBacklog drives a steal with two scripted one-slot
+// workers.  The first holds a whole batch of ten, one task running and nine
+// queued; when the second registers, drained, the leader's first revoke asks
+// the first for ⌈9/2⌉ = 5 of them, and every task given back goes to the
+// drained worker in one frame.
+func TestStealAsksForHalfTheBacklog(t *testing.T) {
+	leader, err := Listen("127.0.0.1:0", requeueFormula(), LeaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	addr := leader.Addr().String()
+	victimConn, victim := register(t, addr, "victim", 1)
+	defer victimConn.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	tasks := requeueTasks(10)
+	done := inBackground(ctx, leader, tasks, BatchOptions{CostMetric: solver.CostPropagations, Steal: true}, nil, nil)
+
+	var held []int
+	for _, task := range firstChunk(t, victim).Queued {
+		held = append(held, task.index)
+	}
+	if len(held) != len(tasks) {
+		t.Fatalf("the only worker was sent %d tasks of %d", len(held), len(tasks))
+	}
+	thiefConn, thief := register(t, addr, "thief", 1)
+	defer thiefConn.Close()
+	env, err := nextFrame(victim, 10*time.Second)
+	if err != nil || env.Kind != kindRevoke || env.Discard {
+		t.Fatalf("the victim read %+v, %v, want a stealing revoke", env, err)
+	}
+	if backlog := len(held) - 1; env.Count != (backlog+1)/2 {
+		t.Fatalf("the first revoke asks for %d of a backlog of %d, want %d", env.Count, backlog, (backlog+1)/2)
+	}
+	given := held[len(held)-env.Count:]
+	if err := victim.send(&envelope{Kind: kindRevoked, Batch: env.Batch, Indices: given}); err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for _, task := range firstChunk(t, thief).Queued {
+		got = append(got, task.index)
+	}
+	if !slices.Equal(got, given) {
+		t.Fatalf("the drained worker was sent tasks %v, want the %v given back", got, given)
+	}
+
+	cancel()
+	victimConn.Close()
+	thiefConn.Close()
+	if out := <-done; out.stats.TasksStolen != len(given) {
+		t.Fatalf("%d tasks counted as stolen, want %d", out.stats.TasksStolen, len(given))
 	}
 }
 

@@ -99,8 +99,7 @@ type Config struct {
 	// Runner does not close the transport; its creator owns its lifetime.
 	//
 	// Every batch asks for work stealing and every pristine batch for
-	// speculative re-dispatch of its tail, which the network leader does;
-	// it sizes its workers' queues from the solve times it measures itself.
+	// speculative re-dispatch of its tail, which the network leader does.
 	// All of it moves tasks between workers and never changes which
 	// subproblems are solved or what they cost, so fixed-seed estimates are
 	// the in-process transport's bit for bit.
@@ -168,7 +167,10 @@ type Counters struct {
 	// conclusion or per-task budget); SubproblemsAborted dispatched
 	// subproblems cut short by a batch abort or cancellation — truncated
 	// mid-solve, or never handed to a solver at all — which produced no full
-	// Monte Carlo sample.
+	// Monte Carlo sample.  Of a pruned evaluation's sample, how many were
+	// solved and how many aborted depends on when the abort landed — on the
+	// backend and the schedule, not on the seed —, and so does what it adds
+	// to Solver; nothing a search decides reads them.
 	SubproblemsSolved  int `json:"subproblems_solved"`
 	SubproblemsAborted int `json:"subproblems_aborted"`
 	// SamplesPlanned counts the Monte Carlo samples evaluations committed to
@@ -199,7 +201,9 @@ type Counters struct {
 	SpeculationWins       int `json:"speculation_wins"`
 	// Solver sums the per-subproblem solver statistics, truncated solves
 	// included (in the same accounting as the cost metric: construction
-	// baseline plus search effort per subproblem).
+	// baseline plus search effort per subproblem).  What a pruned evaluation
+	// adds here is timing, as its SubproblemsSolved and SubproblemsAborted
+	// are.
 	Solver solver.Stats `json:"solver"`
 }
 

@@ -11,11 +11,10 @@
 //     network cluster via Config.Runner.Transport, which must be a
 //     cluster.DispatchTransport as both backends are.  A network leader
 //     rebalances on its own: it steals queued subproblems from a backlogged
-//     worker, duplicates a batch's last running ones onto idle slots and
-//     sizes worker queues from the solve times it measures (task_stolen and
-//     speculation_won WorkerEvents, the tasks_stolen/speculative_duplicates/
-//     speculation_wins counters of Session.Stats, which is one snapshot of
-//     the runner's Counters beside the F-cache's).  None of it is
+//     worker and duplicates a batch's last running ones onto idle slots
+//     (task_stolen and speculation_won WorkerEvents, the tasks_stolen/
+//     speculative_duplicates/speculation_wins counters of Session.Stats,
+//     which is one snapshot of the runner's Counters beside the F-cache's).  None of it is
 //     configurable and none of it changes a fixed-seed result.
 //  3. Submit work as jobs: EstimateJob evaluates the predictive function F
 //     for a decomposition set, SearchJob minimizes F with simulated

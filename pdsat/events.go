@@ -106,7 +106,9 @@ type EvalPruned struct {
 	// Incumbent is the best F it was compared against, and F lies above it.
 	Incumbent float64 `json:"incumbent"`
 	// SamplesSolved of SamplesPlanned subproblems were solved to completion
-	// before the abort.
+	// before the abort.  That count depends on when the abort landed — on
+	// the backend and the schedule, not on the seed —, and nothing a search
+	// decides reads it.
 	SamplesSolved  int `json:"samples_solved"`
 	SamplesPlanned int `json:"samples_planned"`
 }

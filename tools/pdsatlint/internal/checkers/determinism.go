@@ -27,7 +27,12 @@ import (
 //     only mutates the ranged map itself per key (order-invariant);
 //   - select statements with two or more result-carrying (value-binding
 //     receive) cases — whichever case wins injects scheduling order into
-//     the data flow.
+//     the data flow;
+//   - a floating-point sum or difference with an unconverted product as an
+//     operand (x*y + z, z + x*y, x*y - z, z += x*y): the Go spec lets a
+//     compiler fuse it into one rounding, and the arm64, ppc64le, s390x and
+//     riscv64 compilers do, so the last bit depends on the architecture.
+//     float64(x*y) + z rounds the product on its own everywhere.
 //
 // Genuine, justified nondeterminism is escaped with
 // `//pdsat:nondeterministic <reason>` on the line, the line above, or
@@ -35,7 +40,7 @@ import (
 // justification is itself a diagnostic, in every package.
 var Determinism = &analysis.Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall clocks, ambient randomness, map-order and select races in deterministic packages",
+	Doc:  "forbid wall clocks, ambient randomness, map-order and select races, and fusable float products in deterministic packages",
 	Run:  runDeterminism,
 }
 
@@ -129,6 +134,17 @@ func runDeterminism(pass *analysis.Pass) (any, error) {
 				pass.Reportf(n.Pos(), "map iteration order feeds unsorted sink in deterministic package %s (sort the keys first, or make every ranged write order-invariant)",
 					pass.Pkg.Path())
 			}
+		case *ast.BinaryExpr:
+			if (n.Op == token.ADD || n.Op == token.SUB) &&
+				(isFloatProduct(pass.TypesInfo, n.X) || isFloatProduct(pass.TypesInfo, n.Y)) &&
+				!dirs.suppressed(pass.Fset, n.Pos(), enclosing) {
+				reportFusable(pass, n.Pos())
+			}
+		case *ast.AssignStmt:
+			if (n.Tok == token.ADD_ASSIGN || n.Tok == token.SUB_ASSIGN) && isFloatProduct(pass.TypesInfo, n.Rhs[0]) &&
+				!dirs.suppressed(pass.Fset, n.Pos(), enclosing) {
+				reportFusable(pass, n.Pos())
+			}
 		case *ast.SelectStmt:
 			carrying := 0
 			for _, clause := range n.Body.List {
@@ -150,6 +166,27 @@ func runDeterminism(pass *analysis.Pass) (any, error) {
 		return true
 	})
 	return nil, nil
+}
+
+// isFloatProduct reports whether e is a non-constant floating-point
+// multiplication with no explicit conversion around it, which a compiler
+// may fuse with the sum it is an operand of.
+func isFloatProduct(info *types.Info, e ast.Expr) bool {
+	m, ok := ast.Unparen(e).(*ast.BinaryExpr)
+	if !ok || m.Op != token.MUL {
+		return false
+	}
+	tv := info.Types[m]
+	if tv.Type == nil || tv.Value != nil {
+		return false
+	}
+	b, ok := tv.Type.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
+}
+
+func reportFusable(pass *analysis.Pass, pos token.Pos) {
+	pass.Reportf(pos, "float product added without an explicit conversion in deterministic package %s (a compiler may fuse it into one rounding on some architectures; write float64(x*y))",
+		pass.Pkg.Path())
 }
 
 // calleeFunc resolves a call's static callee, or nil.

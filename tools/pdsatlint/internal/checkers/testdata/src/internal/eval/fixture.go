@@ -84,3 +84,13 @@ func oneResult(a chan int, done chan struct{}) int {
 		return 0
 	}
 }
+
+func fusable(x, y, z float64) float64 {
+	s := x*y + z // want `float product added without an explicit conversion`
+	s += x * y   // want `float product added without an explicit conversion`
+	return s
+}
+
+func roundedFirst(x, y, z float64, i, j int) float64 {
+	return float64(x*y) + z + float64(i*j+i)
+}
