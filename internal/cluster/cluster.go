@@ -198,10 +198,10 @@ type BatchOptions struct {
 	// workers but never changes which subproblems are solved, so in
 	// pristine (non-Retain) batches the results are unaffected.  It
 	// also decides how deep a worker's queue may be: two tasks a slot
-	// without it; with it up to a millisecond of work at the mean solve
-	// time the leader has observed, so that tasks of microseconds travel
-	// many to a frame — only stealing can take a deep queue back from a
-	// worker that turns out slow.
+	// without it, or under StopOnSat; with it a fixed count of tasks a
+	// slot, so that tasks of microseconds travel many to a frame — only
+	// stealing can take a deep queue back from a worker that turns out
+	// slow.
 	Steal bool
 	// Speculate lets a dispatching transport duplicate the last unfinished
 	// tasks of a batch onto idle slots: the first result per task index

@@ -673,16 +673,16 @@ type sendChunk struct {
 }
 
 // A worker's queue is sized in tasks: the leader keeps no model of ζ, as
-// PDSAT's keeps none.  In a batch that may steal, a worker holds up to
-// depthCap tasks a slot, so that short tasks travel many to a frame — with a
-// 65 µs solve, a frame of one task for every result cost half a solve a task
-// (traced bivium-estimate-tcp: cluster.task_overhead_us 27–32, slot_util_pct
-// 70–72, against 12–13 and 84–85 at seven tasks a frame or more) — and
-// stealing takes back half of what a worker has queued when it turns out
+// PDSAT's keeps none.  In a batch that may steal and does not stop on SAT, a
+// worker holds up to depthCap tasks a slot, so that short tasks travel many to
+// a frame — with a 65 µs solve, a frame of one task for every result cost half
+// a solve a task (traced bivium-estimate-tcp: cluster.task_overhead_us 27–32,
+// slot_util_pct 70–72, against 12–13 and 84–85 at seven tasks a frame or
+// more) — and stealing takes back what a worker has queued when it turns out
 // slow.  Sizing the queue in time instead, at one millisecond of work a slot
-// at the mean reported solve time, bought nothing: the benchmark's
-// a51-search-tcp ran 0.91× as long with this count, bivium-estimate-tcp
-// 0.98× (ten alternated pairs on a 2-core host).
+// at the mean reported solve time, bought nothing on the benchmark's
+// short-task batches: a51-search-tcp ran 0.91× as long with this count,
+// bivium-estimate-tcp 0.98× (ten alternated pairs on a 2-core host).
 const depthCap = 256
 
 // targetDepth is the dispatch depth for one worker — in-flight plus locally
@@ -692,9 +692,13 @@ const depthCap = 256
 // stealing can take a deep queue back from a worker that turns out slow: a
 // pinned batch with a deep queue behind a straggler waits for all of it (an
 // estimate behind a half-second straggler: 1.0 s, and 1.5 to 10.5 s with
-// this condition taken out).
+// this condition taken out).  A batch that stops on SAT keeps the floor too,
+// so that its members are solved close to index order, as in process: deep
+// queues deal the family out in a block a slot (2^8 A5/1 members of 4 ms on
+// two one-slot workers: up to 127 below the satisfiable one left unsolved,
+// at most 2 at the floor, and twice the wall time when it is in block one).
 func targetDepth(capacity int, opts *BatchOptions) int {
-	if opts.Steal {
+	if opts.Steal && opts.Stop != StopOnSat {
 		return capacity * depthCap
 	}
 	return capacity * 2
@@ -754,32 +758,19 @@ func (l *Leader) assign(b *netBatch) {
 
 // distributeLocked hands pending tasks to workers and appends the planned
 // transmissions, at most one a worker in id order, to sends (callers hold
-// Leader.mu and send outside it).  It counts in two passes and then cuts.
+// Leader.mu and send outside it).  It plans with fillLocked and then cuts.
 //
-// Free execution slots come first, across the whole cluster, before anyone's
-// queue is topped up, so that a task lands where it can run now.
-//
-// Then spare dispatch depth (targetDepth), in chunks: a worker is topped up
-// only once half its depth is free, so that a frame carries half a queue
-// instead of the one task the last result made room for.  What is left goes
-// to those workers least loaded per slot first (fillLocked): a batch leaves
-// in even shares, and the tasks a steal took back from a backlogged worker
-// land on the drained ones first, not back on the victim in id order — that
-// bounce would steal the same tasks forever.
+// A worker is topped up only once half its dispatch depth (targetDepth) is
+// free, so that a frame carries half a queue instead of the one task the last
+// result made room for, and the pending tasks go to the workers least loaded
+// per slot first: a batch leaves in even shares, and the tasks a steal took
+// back from a backlogged worker land on the drained ones, not back on the
+// victim in id order — that bounce would steal the same tasks forever.
 //
 // A chunk is the front of the pending queue itself, not a copy: the queue
 // moves past it and is only ever appended to behind it.
 func distributeLocked(b *netBatch, ws []*remoteWorker, sends []sendChunk) []sendChunk {
-	left := len(b.pending)
-	for _, rw := range ws {
-		if n := min(rw.capacity-len(rw.inflight), left); n > 0 {
-			rw.planned = n
-			left -= n
-		}
-	}
-	if left > 0 {
-		fillLocked(ws, targetDepth(1, &b.opts), left)
-	}
+	fillLocked(ws, targetDepth(1, &b.opts), len(b.pending))
 	for _, rw := range ws {
 		n := rw.planned
 		if n == 0 {
@@ -796,12 +787,14 @@ func distributeLocked(b *netBatch, ws []*remoteWorker, sends []sendChunk) []send
 	return sends
 }
 
-// fillLocked plans up to left more tasks onto the workers whose queues of
-// perSlot tasks a slot are at least half free, as a water-fill: it finds the
-// least number of tasks a slot, the level, up to which those queues take them
-// all, raises every queue below it to one task a slot less, and hands the
-// rest out in id order, a slot's worth at most a worker.  Callers hold
-// Leader.mu.
+// fillLocked plans up to left tasks onto the workers whose queues of perSlot
+// tasks a slot are at least half free, as a water-fill: it finds the least
+// number of tasks a slot, the level, up to which those queues take them all,
+// raises every queue below it to one task a slot less, and hands the rest out
+// in id order, a slot's worth at most a worker.  Level 1 is a worker's free
+// execution slots, so free slots across the whole cluster are filled before
+// anyone's queue is topped up and a task lands where it can run now.  Callers
+// hold Leader.mu.
 func fillLocked(ws []*remoteWorker, perSlot, left int) {
 	room := func(level int) int {
 		n := 0
@@ -836,12 +829,19 @@ func roomUpTo(rw *remoteWorker, perSlot, level int) int {
 // planStealLocked picks the stealing victim: the most backlogged worker
 // (queued tasks beyond its execution slots; ties break to the oldest
 // registration, since ws is in id order) while at least one other worker
-// has a free execution slot, and asks it for half its backlog, rounded up.
-// It marks the victim as mid-revoke — at most one steal is in flight per
-// worker, and none is planned while any is outstanding elsewhere, keeping
-// every task's custody unambiguous.  Callers hold Leader.mu.
+// has a free execution slot, and asks it for the idle slots' share of its
+// tasks, counted per slot and rounded down (⌈backlog/2⌉ between two one-slot
+// workers), which leaves the victim at least as loaded per slot as the idle
+// slots, so the water-fill keeps every stolen task off it.  It marks the
+// victim as mid-revoke — at most one steal is in flight per worker, and none
+// is planned while any is outstanding elsewhere, keeping every task's
+// custody unambiguous.  Callers hold Leader.mu.
 func planStealLocked(ws []*remoteWorker) (*remoteWorker, int) {
-	if !slices.ContainsFunc(ws, func(rw *remoteWorker) bool { return len(rw.inflight) < rw.capacity }) {
+	idle := 0
+	for _, rw := range ws {
+		idle += max(rw.capacity-len(rw.inflight), 0)
+	}
+	if idle == 0 {
 		return nil, 0
 	}
 	var victim *remoteWorker
@@ -855,7 +855,7 @@ func planStealLocked(ws []*remoteWorker) (*remoteWorker, int) {
 		return nil, 0
 	}
 	victim.revoking = true
-	return victim, (backlog + 1) / 2
+	return victim, min(backlog, len(victim.inflight)*idle/(victim.capacity+idle))
 }
 
 // planSpeculationLocked duplicates the batch's unfinished tail onto idle

@@ -111,16 +111,17 @@ func TestWaitForWorkersWithoutWorkers(t *testing.T) {
 func TestTargetDepth(t *testing.T) {
 	for _, tc := range []struct {
 		capacity int
-		steal    bool
+		opts     BatchOptions
 		want     int
 	}{
-		{1, true, depthCap},
-		{3, true, 3 * depthCap},
-		{1, false, 2},
-		{4, false, 8},
+		{1, BatchOptions{Steal: true}, depthCap},
+		{3, BatchOptions{Steal: true}, 3 * depthCap},
+		{1, BatchOptions{}, 2},
+		{4, BatchOptions{}, 8},
+		{3, BatchOptions{Steal: true, Stop: StopOnSat}, 6},
 	} {
-		if got := targetDepth(tc.capacity, &BatchOptions{Steal: tc.steal}); got != tc.want {
-			t.Errorf("depth %d for %d slot(s), steal %v, want %d", got, tc.capacity, tc.steal, tc.want)
+		if got := targetDepth(tc.capacity, &tc.opts); got != tc.want {
+			t.Errorf("depth %d for %d slot(s), %+v, want %d", got, tc.capacity, tc.opts, tc.want)
 		}
 	}
 }
@@ -173,6 +174,8 @@ func TestDistributeInChunks(t *testing.T) {
 			[]*remoteWorker{holding(1, 1, 0, 0), holding(2, 1, 0, 0)}, []uint64{1, 2}, []int{depthCap, depthCap}},
 		{"a pinned batch stays at the floor", pinned, 25,
 			[]*remoteWorker{holding(1, 1, 0, 0), holding(2, 1, 0, 0)}, []uint64{1, 2}, []int{2, 2}},
+		{"a batch that stops on SAT stays at the floor", BatchOptions{Steal: true, Stop: StopOnSat}, 25,
+			[]*remoteWorker{holding(1, 1, 0, 0), holding(2, 3, 0, 0)}, []uint64{1, 2}, []int{2, 6}},
 		{"free slots come first, across the cluster", stealing, 2,
 			[]*remoteWorker{holding(1, 1, 0, 0), holding(2, 1, 0, 0)}, []uint64{1, 2}, []int{1, 1}},
 		{"no top-up while less than half the depth is free", stealing, 500,
@@ -219,6 +222,56 @@ func TestDistributeInChunks(t *testing.T) {
 		ws[0].planned, ws[1].planned = 0, 0
 	}); allocs != 0 {
 		t.Errorf("the water-fill allocates %v times a call", allocs)
+	}
+}
+
+// TestStealShareStaysOnTheThieves plans a steal from the most backlogged
+// worker, gives the asked-for tasks back as a victim does, and distributes
+// them: the count is the idle slots' share of the victim's tasks, ⌈backlog/2⌉
+// between two one-slot workers, and every task taken back goes to a drained
+// worker, none back to the victim (registered first, so it would win the
+// water-fill's ties).
+func TestStealShareStaysOnTheThieves(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		victimCap, held int
+		thieves         []int // execution slots of each drained worker
+		wantCount       int
+	}{
+		{"two one-slot workers", 1, 10, []int{1}, 5},
+		{"two one-slot workers, an odd backlog", 1, 9, []int{1}, 4},
+		{"a one-slot thief, a three-slot victim", 3, 23, []int{1}, 5},
+		{"a one-slot thief, a three-slot victim, a divisible share", 3, 24, []int{1}, 6},
+		{"a one-slot thief, an eight-slot victim", 8, 108, []int{1}, 12},
+		{"a three-slot thief, a one-slot victim", 1, 10, []int{3}, 7},
+		{"two one-slot thieves", 2, 9, []int{1, 1}, 4},
+		{"a backlog of one", 3, 4, []int{1}, 1},
+	} {
+		victim := holding(1, tc.victimCap, 0, tc.held)
+		ws := []*remoteWorker{victim}
+		for i, c := range tc.thieves {
+			ws = append(ws, holding(uint64(i+2), c, 0, 0))
+		}
+		from, count := planStealLocked(ws)
+		if from != victim || count != tc.wantCount {
+			t.Errorf("%s: a steal of %d (from the victim: %v), want %d from the victim", tc.name, count, from == victim, tc.wantCount)
+			continue
+		}
+		b := &netBatch{opts: BatchOptions{Steal: true}}
+		for i := tc.held - count; i < tc.held; i++ {
+			b.pending = append(b.pending, victim.inflight[i])
+			delete(victim.inflight, i)
+		}
+		got := 0
+		for _, c := range distributeLocked(b, ws, nil) {
+			if c.rw == victim {
+				t.Errorf("%s: %d stolen tasks went back to the victim", tc.name, len(c.tasks))
+			}
+			got += len(c.tasks)
+		}
+		if got != count || len(b.pending) != 0 {
+			t.Errorf("%s: %d of %d stolen tasks sent, %d left pending", tc.name, got, count, len(b.pending))
+		}
 	}
 }
 

@@ -32,7 +32,11 @@ import (
 //     operand (x*y + z, z + x*y, x*y - z, z += x*y): the Go spec lets a
 //     compiler fuse it into one rounding, and the arm64, ppc64le, s390x and
 //     riscv64 compilers do, so the last bit depends on the architecture.
-//     float64(x*y) + z rounds the product on its own everywhere.
+//     float64(x*y) + z rounds the product on its own everywhere.  Only a
+//     product written inside the sum is caught: the spec allows fusing
+//     across statements too (t = x*y; r = t + z), which this syntactic rule
+//     does not follow, so the complete check is CI's grep of the arm64
+//     assembly for fused instructions.
 //
 // Genuine, justified nondeterminism is escaped with
 // `//pdsat:nondeterministic <reason>` on the line, the line above, or

@@ -91,6 +91,11 @@ func fusable(x, y, z float64) float64 {
 	return s
 }
 
+func fusableEscaped(x, y, z float64) float64 {
+	//pdsat:nondeterministic an architecture-dependent last bit is harmless in this estimate
+	return x*y + z
+}
+
 func roundedFirst(x, y, z float64, i, j int) float64 {
 	return float64(x*y) + z + float64(i*j+i)
 }
